@@ -358,18 +358,23 @@ impl BbpEndpoint {
     }
 
     /// Send-exit half: clear the published id if we minted it, and on a
-    /// typed error record the `error` checkpoint and snapshot the flight
-    /// ring for the postmortem.
+    /// typed error record the `error` checkpoint and, unless the error is
+    /// a scripted refusal, snapshot the flight ring for the postmortem.
     fn trace_exit(&self, ctx: &mut ProcCtx, owned: bool, result: &Result<(), BbpError>) {
         let rec = ctx.obs();
         let id = rec.current_trace(self.rank as u32);
         if owned {
             rec.set_current_trace(self.rank as u32, 0);
         }
-        if result.is_err() {
+        if let Err(err) = result {
             rec.lifecycle(ctx.now(), self.rank as u32, id, Stage::Error, 0);
-            rec.flight()
-                .dump_to_dir(&format!("bbp_send_error_n{}", self.rank));
+            // A fail-fast `NoCredit` is flow control working as designed
+            // (an overloaded RPC client sheds on it hundreds of times per
+            // run), not a fault: nothing to hold a postmortem over.
+            if !matches!(err, BbpError::NoCredit { .. }) {
+                rec.flight()
+                    .dump_to_dir(&format!("bbp_send_error_n{}", self.rank));
+            }
         }
     }
 

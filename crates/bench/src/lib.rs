@@ -827,9 +827,9 @@ pub fn best_of(reps: usize, f: impl Fn() -> WallclockRun) -> WallclockRun {
 /// The host-driven variant: every node runs a writer process PIO-writing
 /// `writes_per_node` single words, 2 µs apart. Exercises the same ring
 /// replication as [`ring_bcast_stress`] but through `ProcCtx::advance`
-/// and the scheduler↔process handshake, so its wall-clock cost is
-/// dominated by OS context switches rather than event dispatch — useful
-/// as a ceiling check on process-heavy workloads.
+/// and the process→process baton grant, so its wall-clock cost is
+/// dominated by OS context switches (one per write) rather than event
+/// dispatch — useful as a ceiling check on process-heavy workloads.
 pub fn ring_pio_writers(nodes: usize, writes_per_node: usize) -> WallclockRun {
     let mut sim = Simulation::new();
     let ring = scramnet::Ring::new(&sim.handle(), nodes, 8192, scramnet::CostModel::default());

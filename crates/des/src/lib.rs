@@ -13,10 +13,23 @@
 //! ## Execution model
 //!
 //! Exactly one entity — a process or an event — executes at any instant.
-//! The scheduler always picks the entity with the smallest virtual deadline;
+//! The next one is always the entity with the smallest virtual deadline;
 //! ties are broken by insertion order. This makes every run fully
 //! deterministic: the same program produces the same interleaving and the
 //! same virtual-time results on every execution, regardless of host load.
+//!
+//! There is no scheduler thread. One dispatch loop pops that
+//! `(time, seq)` minimum, and it is run by whichever thread holds the
+//! *baton*: first the caller of [`Simulation::run_until`], then every
+//! process whose [`ProcCtx::advance`], [`ProcCtx::wait_until`] or
+//! [`ProcCtx::wait`] has to yield. That thread runs due events inline,
+//! returns straight into its own body when its own resumption comes up,
+//! and hands the baton directly to another process's thread when that one
+//! is due. The caller gets it back only when nothing is due inside the
+//! horizon, or a process finished (to be joined) or something panicked (to
+//! be propagated). Which OS thread runs an event is therefore
+//! unspecified, and nothing may depend on it; the order in which entities
+//! run is the same as if one thread ran them all.
 //!
 //! Processes express the passage of simulated time explicitly:
 //!

@@ -1,13 +1,20 @@
 //! Simulated processes: each runs on its own OS thread but is scheduled
-//! cooperatively — exactly one process (or event) executes at a time, so
-//! process code can use plain blocking style while the simulation stays
-//! deterministic.
+//! cooperatively — exactly one thread, the one holding the *baton*,
+//! executes at a time, so process code can use plain blocking style while
+//! the simulation stays deterministic.
+//!
+//! A process that has to yield does not wake a scheduler thread: it runs
+//! the dispatch loop ([`SchedShared::dispatch`]) itself. Due events
+//! execute inline on its thread, its own `Resume` returns straight into
+//! its body, and another process's `Resume` grants that process the baton
+//! directly — one OS-thread switch, through that process's state word and
+//! `std::thread::park`/`unpark`, never through a lock the wakee needs.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
-use parking_lot::{Condvar, Mutex};
-
-use crate::sched::{SchedShared, SimHandle, WakeWhat};
+use crate::sched::{Baton, Returned, SchedShared, SimHandle, WakeWhat};
 use crate::signal::Signal;
 use crate::time::Time;
 use obs::{TraceEntry, TraceKind};
@@ -16,54 +23,40 @@ use obs::{TraceEntry, TraceKind};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcId(pub usize);
 
-/// Handshake slot between the scheduler thread and one process thread.
-pub(crate) enum Slot {
-    /// Process is parked, waiting for the scheduler.
-    Parked,
-    /// Scheduler granted execution, with the virtual time of resumption.
-    Go(Time),
-    /// Simulation is being dropped; the process thread must unwind.
-    Abort,
-    /// Process yielded back to the scheduler.
-    Yielded(YieldReason),
-}
-
-/// Every yield carries the process's clock at the moment it parked, so
-/// the scheduler's notion of elapsed time covers fast-path jumps (see
-/// [`ProcCtx::advance`]).
-#[derive(Debug)]
-pub(crate) enum YieldReason {
-    /// Resume me via the queue entry I pushed; I parked at `now`.
-    ResumeAt {
-        /// Process clock at park time (the queued entry holds the target).
-        now: Time,
-    },
-    /// I registered with a [`Signal`]; resume me when it fires.
-    Blocked {
-        /// Process clock at park time.
-        now: Time,
-    },
-    /// The process body returned at this virtual time.
-    Finished(Time),
-    /// The process body panicked with this message.
-    Panicked(String),
-}
-
-impl YieldReason {
-    /// The parked process's clock, where known.
-    pub(crate) fn park_time(&self) -> Option<Time> {
-        match self {
-            YieldReason::ResumeAt { now } | YieldReason::Blocked { now } => Some(*now),
-            YieldReason::Finished(t) => Some(*t),
-            YieldReason::Panicked(_) => None,
-        }
-    }
-}
+/// [`ProcShared`] state: the process is waiting for the baton.
+const PARKED: u8 = 0;
+/// The process holds the baton; the run clock says what time it is.
+pub(crate) const GO: u8 = 1;
+/// The simulation is being dropped; the process thread must unwind.
+pub(crate) const ABORT: u8 = 2;
 
 pub(crate) struct ProcShared {
-    pub slot: Mutex<Slot>,
-    pub cv: Condvar,
+    state: AtomicU8,
+    /// The process's thread, stored before its first `Resume` is pushed.
+    thread: OnceLock<Thread>,
     pub name: String,
+}
+
+impl ProcShared {
+    /// Publish `state` ([`GO`] or [`ABORT`]) and wake the process. The
+    /// release store pairs with the acquire in [`ProcShared::await_grant`],
+    /// so the waker's writes to the run clock and queue are visible.
+    pub fn wake(&self, state: u8) {
+        self.state.store(state, Ordering::Release);
+        self.thread.get().expect("set at spawn").unpark();
+    }
+
+    /// Park until the baton arrives; `false` means abort. `park` can
+    /// return spuriously or on a stale token, so the state decides.
+    fn await_grant(&self) -> bool {
+        loop {
+            match self.state.swap(PARKED, Ordering::Acquire) {
+                GO => return true,
+                ABORT => return false,
+                _ => std::thread::park(),
+            }
+        }
+    }
 }
 
 pub(crate) struct ProcEntry {
@@ -85,7 +78,6 @@ pub struct ProcCtx {
     pub(crate) now: Time,
     pub(crate) shared: Arc<ProcShared>,
     pub(crate) sched: Arc<SchedShared>,
-    pub(crate) procs: Arc<Mutex<Vec<ProcEntry>>>,
 }
 
 impl ProcCtx {
@@ -121,14 +113,14 @@ impl ProcCtx {
         // queue is due before `target`, no other process or event can
         // possibly interleave (everyone else is parked behind a queue
         // entry or a signal only we could fire), so the clock can jump
-        // without a scheduler round-trip. This keeps polling protocols
+        // without touching the queue. This keeps polling protocols
         // cheap in host time without changing any observable schedule.
         if self.no_wakeups_before(target) {
             self.now = target;
             return;
         }
         self.sched.push(target, WakeWhat::Resume(self.id));
-        self.park(YieldReason::ResumeAt { now: self.now });
+        self.yield_baton("ResumeAt");
     }
 
     /// Block until absolute virtual time `t` (no-op if `t` has passed).
@@ -139,7 +131,7 @@ impl ProcCtx {
                 return;
             }
             self.sched.push(t, WakeWhat::Resume(self.id));
-            self.park(YieldReason::ResumeAt { now: self.now });
+            self.yield_baton("ResumeAt");
         }
     }
 
@@ -170,7 +162,7 @@ impl ProcCtx {
     /// is shared; callers re-check their condition in a loop.
     pub fn wait(&mut self, signal: &Signal) {
         signal.register(self.id);
-        self.park(YieldReason::Blocked { now: self.now });
+        self.yield_baton("Blocked");
     }
 
     /// Spawn a sibling process starting at the current virtual time.
@@ -179,13 +171,7 @@ impl ProcCtx {
         name: impl Into<String>,
         body: impl FnOnce(&mut ProcCtx) + Send + 'static,
     ) -> ProcId {
-        spawn_process(
-            &self.procs,
-            &self.sched,
-            name.into(),
-            self.now,
-            Box::new(body),
-        )
+        spawn_process(&self.sched, name.into(), self.now, Box::new(body))
     }
 
     /// The simulation's observability recorder, for instrumenting layer
@@ -194,36 +180,35 @@ impl ProcCtx {
         &self.sched.recorder
     }
 
-    /// Park this thread and hand control to the scheduler; returns with the
-    /// granted resumption time.
-    fn park(&mut self, reason: YieldReason) {
+    /// Run the dispatch loop on this thread until this process's own
+    /// `Resume` comes up; if the baton has to go to another thread first,
+    /// park until it is granted back. Returns at the resumption time.
+    /// `why` labels the `Yield` trace entry: `ResumeAt` (a queue entry
+    /// this process pushed will resume it) or `Blocked` (a [`Signal`]).
+    fn yield_baton(&mut self, why: &str) {
         if self.sched.recorder.is_enabled() {
             // Gated so the hot yield path never formats the detail string.
             self.sched.record(TraceEntry {
                 time: self.now,
                 kind: TraceKind::Yield,
-                detail: format!("{} {:?}", self.shared.name, reason),
+                detail: format!("{} {why} {{ now: {} }}", self.shared.name, self.now),
             });
         }
-        let mut slot = self.shared.slot.lock();
-        *slot = Slot::Yielded(reason);
-        self.shared.cv.notify_all();
-        loop {
-            match &*slot {
-                Slot::Go(t) => {
-                    debug_assert!(*t >= self.now, "virtual time went backwards");
-                    self.now = *t;
-                    *slot = Slot::Parked;
-                    return;
-                }
-                Slot::Abort => {
-                    *slot = Slot::Parked;
-                    drop(slot);
-                    std::panic::resume_unwind(Box::new(AbortToken));
-                }
-                _ => self.shared.cv.wait(&mut slot),
+        self.sched.catch_up(self.now);
+        let granted = match self.sched.dispatch(Some(self.id)) {
+            Baton::Mine => true,
+            Baton::Granted => self.shared.await_grant(),
+            Baton::Stop(why) => {
+                self.sched.hand_back(why);
+                self.shared.await_grant()
             }
+        };
+        if !granted {
+            std::panic::resume_unwind(Box::new(AbortToken));
         }
+        let t = self.sched.now.load(Ordering::Relaxed);
+        debug_assert!(t >= self.now, "virtual time went backwards");
+        self.now = t;
     }
 }
 
@@ -232,57 +217,42 @@ type ProcBody = Box<dyn FnOnce(&mut ProcCtx) + Send + 'static>;
 /// Create the thread for a new process and schedule its first resumption
 /// at `start`. Shared between `Simulation::spawn` and `ProcCtx::spawn`.
 pub(crate) fn spawn_process(
-    procs: &Arc<Mutex<Vec<ProcEntry>>>,
     sched: &Arc<SchedShared>,
     name: String,
     start: Time,
     body: ProcBody,
 ) -> ProcId {
-    let mut table = procs.lock();
+    let mut table = sched.procs.lock();
     let id = ProcId(table.len());
     let shared = Arc::new(ProcShared {
-        slot: Mutex::new(Slot::Parked),
-        cv: Condvar::new(),
+        state: AtomicU8::new(PARKED),
+        thread: OnceLock::new(),
         name: name.clone(),
     });
     let thread_shared = Arc::clone(&shared);
     let thread_sched = Arc::clone(sched);
-    let thread_procs = Arc::clone(procs);
     let join = std::thread::Builder::new()
         .name(format!("des-{name}"))
         .spawn(move || {
-            // Wait for the first Go.
-            let first = {
-                let mut slot = thread_shared.slot.lock();
-                loop {
-                    match &*slot {
-                        Slot::Go(t) => {
-                            let t = *t;
-                            *slot = Slot::Parked;
-                            break t;
-                        }
-                        Slot::Abort => {
-                            *slot = Slot::Parked;
-                            return;
-                        }
-                        _ => thread_shared.cv.wait(&mut slot),
-                    }
-                }
-            };
+            if !thread_shared.await_grant() {
+                return;
+            }
             let mut ctx = ProcCtx {
                 id,
-                now: first,
-                shared: Arc::clone(&thread_shared),
+                now: thread_sched.now.load(Ordering::Relaxed),
+                shared: thread_shared,
                 sched: thread_sched,
-                procs: thread_procs,
             };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-            let reason = match result {
-                Ok(()) => YieldReason::Finished(ctx.now),
+            let why = match result {
+                Ok(()) => {
+                    ctx.sched.catch_up(ctx.now);
+                    Returned::Finished(id)
+                }
                 Err(payload) => {
                     if payload.downcast_ref::<AbortToken>().is_some() {
-                        // Simulation dropped: exit quietly without touching
-                        // the handshake (the dropper is not waiting).
+                        // Simulation dropped: exit quietly, the dropper
+                        // holds the baton and only joins this thread.
                         return;
                     }
                     let msg = payload
@@ -290,14 +260,18 @@ pub(crate) fn spawn_process(
                         .map(|s| s.to_string())
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "non-string panic payload".to_string());
-                    YieldReason::Panicked(msg)
+                    let name = &ctx.shared.name;
+                    Returned::Panicked(id, format!("simulated process '{name}' panicked: {msg}"))
                 }
             };
-            let mut slot = ctx.shared.slot.lock();
-            *slot = Slot::Yielded(reason);
-            ctx.shared.cv.notify_all();
+            // The caller joins this thread and dispatches on.
+            ctx.sched.hand_back(why);
         })
         .expect("failed to spawn des process thread");
+    shared
+        .thread
+        .set(join.thread().clone())
+        .expect("set once, here");
     table.push(ProcEntry {
         shared,
         join: Some(join),

@@ -1,5 +1,6 @@
-//! The scheduler's pending queue and the cloneable [`SimHandle`] through
-//! which processes, events, and hardware models insert future work.
+//! The scheduler's pending queue, the dispatch loop run by whichever
+//! thread holds the baton, and the cloneable [`SimHandle`] through which
+//! processes, events, and hardware models insert future work.
 //!
 //! Hot-path design: one lock acquisition per push and per pop (the
 //! banded [`PendingQueue`] behind a single mutex), an atomic tie-break
@@ -8,14 +9,17 @@
 //! the heap allocator — and, past a few thousand pending events, never
 //! pays a per-pop cache-miss chain through a deep heap either.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 
 use parking_lot::Mutex;
 
 use crate::calq::CalendarQueue;
 pub(crate) use crate::event::EventFn;
-use crate::process::ProcId;
+use crate::process::{ProcEntry, ProcId, GO};
 use crate::signal::Signal;
 use crate::time::Time;
 use obs::{TraceEntry, TraceKind};
@@ -33,11 +37,51 @@ pub(crate) enum WakeWhat {
 /// instantiates the same calendar once per shard (see [`crate::par`]).
 pub(crate) type PendingQueue = CalendarQueue<WakeWhat>;
 
+/// Why the baton came back to the `run_until` caller.
+pub(crate) enum Returned {
+    /// Nothing is due inside the horizon.
+    Idle,
+    /// This process's body returned: join its thread, keep dispatching.
+    Finished(ProcId),
+    /// This process's body panicked; the report names it and quotes the
+    /// panic message.
+    Panicked(ProcId, String),
+    /// An event closure panicked; the payload is re-raised untouched.
+    EventPanic(Box<dyn Any + Send>),
+}
+
+/// What [`SchedShared::dispatch`] did with the baton.
+pub(crate) enum Baton {
+    /// The calling process's own `Resume` came up: it keeps running.
+    Mine,
+    /// Another process was granted the baton; the caller must wait.
+    Granted,
+    /// The run cannot continue on this thread.
+    Stop(Returned),
+}
+
+/// The `run_until` caller's parking place while a process holds the baton.
+#[derive(Default)]
+pub(crate) struct Caller {
+    thread: Option<Thread>,
+    returned: Option<Returned>,
+}
+
 /// Scheduler state shared between the run loop, all processes, and every
-/// [`SimHandle`] clone. Only one entity executes at a time, so the mutex
-/// is never contended; it exists to satisfy `Send`/`Sync`.
+/// [`SimHandle`] clone. Only the baton holder executes, so the mutexes
+/// are never contended; they exist to satisfy `Send`/`Sync`.
 pub(crate) struct SchedShared {
     pub pending: Mutex<PendingQueue>,
+    pub procs: Mutex<Vec<ProcEntry>>,
+    caller: Mutex<Caller>,
+    /// Clock and counters of the active run. Only the baton holder
+    /// touches them, and every baton transfer is a release/acquire pair
+    /// (a process's state word, or the `caller` mutex), so `Relaxed` is
+    /// enough.
+    pub now: AtomicU64,
+    pub dispatches: AtomicU64,
+    pub peak_queue_depth: AtomicUsize,
+    pub handoffs: AtomicU64,
     /// Tie-break counter. Atomic so a push costs exactly one lock (the
     /// queue's); single-entity execution makes the fetch-add ordering
     /// identical to the old mutex-guarded counter.
@@ -56,6 +100,12 @@ impl SchedShared {
     pub fn new() -> Arc<Self> {
         Arc::new(SchedShared {
             pending: Mutex::new(PendingQueue::new()),
+            procs: Mutex::new(Vec::new()),
+            caller: Mutex::new(Caller::default()),
+            now: AtomicU64::new(0),
+            dispatches: AtomicU64::new(0),
+            peak_queue_depth: AtomicUsize::new(0),
+            handoffs: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             recorder: Arc::new(obs::Recorder::new()),
             horizon: AtomicU64::new(Time::MAX),
@@ -83,6 +133,120 @@ impl SchedShared {
     pub fn record(&self, entry: TraceEntry) {
         self.recorder.sched(entry);
     }
+
+    /// Start a run on the calling thread: it holds the baton.
+    pub fn begin_run(&self, horizon: Time) {
+        self.horizon.store(horizon, Ordering::Relaxed);
+        self.now.store(0, Ordering::Relaxed);
+        self.dispatches.store(0, Ordering::Relaxed);
+        self.peak_queue_depth.store(0, Ordering::Relaxed);
+        self.handoffs.store(0, Ordering::Relaxed);
+        self.caller.lock().thread = Some(std::thread::current());
+    }
+
+    /// Bring the run clock up to a process's clock, which fast-path
+    /// jumps (see `ProcCtx::advance`) moved without the run's knowing.
+    pub fn catch_up(&self, proc_now: Time) {
+        if proc_now > self.now.load(Ordering::Relaxed) {
+            self.now.store(proc_now, Ordering::Relaxed);
+        }
+    }
+
+    /// The dispatch loop, run by whichever thread holds the baton: the
+    /// `run_until` caller (`me` = `None`) or a process that yielded.
+    /// Pops the global `(time, seq)` minimum and runs events inline until
+    /// the baton has to move or the caller's own `Resume` comes up.
+    pub fn dispatch(&self, me: Option<ProcId>) -> Baton {
+        let horizon = self.horizon.load(Ordering::Relaxed);
+        loop {
+            let item = {
+                let mut q = self.pending.lock();
+                if q.len() > self.peak_queue_depth.load(Ordering::Relaxed) {
+                    self.peak_queue_depth.store(q.len(), Ordering::Relaxed);
+                }
+                q.pop_due(horizon)
+            };
+            let Some((time, what)) = item else {
+                return Baton::Stop(Returned::Idle);
+            };
+            let now = self.now.load(Ordering::Relaxed);
+            debug_assert!(time >= now, "scheduler time went backwards");
+            let now = now.max(time);
+            self.now.store(now, Ordering::Relaxed);
+            bump(&self.dispatches);
+            match what {
+                WakeWhat::Event(f) => {
+                    if self.recorder.is_enabled() {
+                        self.record(TraceEntry {
+                            time: now,
+                            kind: TraceKind::Event,
+                            detail: String::new(),
+                        });
+                    }
+                    // Caught so a panic here never unwinds the body of the
+                    // process whose thread happens to run the event.
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f.call(now))) {
+                        return Baton::Stop(Returned::EventPanic(payload));
+                    }
+                }
+                WakeWhat::Resume(id) => {
+                    let shared = {
+                        let table = self.procs.lock();
+                        let entry = &table[id.0];
+                        // A signal can race with normal completion and
+                        // leave a stale resume in the queue; ignore it.
+                        if entry.finished {
+                            continue;
+                        }
+                        Arc::clone(&entry.shared)
+                    };
+                    if self.recorder.is_enabled() {
+                        // Gated so the hot dispatch path never clones the name.
+                        self.record(TraceEntry {
+                            time: now,
+                            kind: TraceKind::Resume,
+                            detail: shared.name.clone(),
+                        });
+                    }
+                    if me == Some(id) {
+                        return Baton::Mine;
+                    }
+                    bump(&self.handoffs);
+                    shared.wake(GO);
+                    return Baton::Granted;
+                }
+            }
+        }
+    }
+
+    /// Give the baton back to the `run_until` caller, from a process thread.
+    pub fn hand_back(&self, why: Returned) {
+        bump(&self.handoffs);
+        let thread = {
+            let mut caller = self.caller.lock();
+            caller.returned = Some(why);
+            caller.thread.clone()
+        };
+        // Unparked after the lock is released: the wakee takes it.
+        thread.expect("a run is active").unpark();
+    }
+
+    /// Park the `run_until` caller until a process hands the baton back.
+    pub fn await_return(&self) -> Returned {
+        loop {
+            if let Some(why) = self.caller.lock().returned.take() {
+                return why;
+            }
+            std::thread::park();
+        }
+    }
+}
+
+/// Increment a run counter. Only the baton holder writes these, so a
+/// plain load and store does, without a locked read-modify-write on the
+/// per-dispatch path.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 /// A cloneable handle into the scheduler. Hardware models hold one to

@@ -4,12 +4,17 @@
 //! This pins the tentpole property directly — `Box<dyn FnOnce>` per
 //! event, or a queue that allocates per push, would fail immediately.
 //!
-//! Allocation counting uses a wrapping global allocator, so everything
-//! runs inside ONE test function — a sibling test on another harness
-//! thread would pollute the counter.
+//! Allocation counting uses a wrapping global allocator with one
+//! process-wide counter, so it sees events wherever they run — on the
+//! `run_until` caller's thread, or inline on a `des-*` process thread
+//! that yielded (the second half below) — and everything runs inside ONE
+//! test function: a sibling test on another harness thread would pollute
+//! the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use std::sync::Arc;
 
 use des::{SimHandle, Simulation, Time};
 
@@ -75,6 +80,52 @@ fn event_dispatch_is_alloc_free_after_warmup() {
         0,
         "event dispatch allocated after warm-up ({} dispatches)",
         report.dispatches
+    );
+
+    // The same chains dispatched by a process: every `advance` below
+    // finds chain events due first, so it queues its own resume and runs
+    // the dispatch loop on its own thread. Yielding, the inline events and
+    // the resume must stay off the heap too.
+    let walked = Arc::new(AtomicU64::new(u64::MAX));
+    let walked2 = Arc::clone(&walked);
+    let on_walker = Arc::new(AtomicU64::new(0));
+    let on_walker2 = Arc::clone(&on_walker);
+    let h2 = h.clone();
+    sim.spawn_at(2_000_000, "walker", move |ctx| {
+        for _ in 0..1_000 {
+            ctx.advance(100); // warm-up: this thread's first yields
+        }
+        h2.schedule_at(ctx.now() + 50, move |_| {
+            let here = std::thread::current();
+            on_walker2.store(
+                u64::from(here.name() == Some("des-walker")),
+                Ordering::SeqCst,
+            );
+        });
+        ctx.advance(100);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..20_000 {
+            ctx.advance(100);
+        }
+        walked2.store(ALLOCS.load(Ordering::SeqCst) - before, Ordering::SeqCst);
+    });
+    let report = sim.run_until(4_200_000);
+    assert!(report.is_clean(), "the walker finished inside the horizon");
+    assert!(
+        report.dispatches > 1_000_000,
+        "the walker's window dispatched plenty: {}",
+        report.dispatches
+    );
+    assert_eq!(report.handoffs, 2, "all of it on the walker's thread");
+    assert_eq!(
+        on_walker.load(Ordering::SeqCst),
+        1,
+        "events ran inline on the yielding process's thread"
+    );
+    assert_eq!(
+        walked.load(Ordering::SeqCst),
+        0,
+        "yield + inline dispatch allocated after warm-up"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.

@@ -6,7 +6,11 @@
 //! bumped by the wrapping global allocator), so harness threads — the
 //! libtest main thread buffering output, timers — cannot pollute the
 //! count. Everything still runs inside ONE test function: the counter
-//! only sees the thread it runs on.
+//! only sees the thread it runs on. That stays sufficient now that `des`
+//! runs events on whichever thread holds the baton, because nothing here
+//! goes through a simulation: every measured call is made directly on
+//! this thread. (`crates/des/tests/alloc_free_dispatch.rs`, which does
+//! dispatch events on `des-*` threads, counts process-wide instead.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

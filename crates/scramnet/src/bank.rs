@@ -14,33 +14,79 @@ pub struct WriteRecord {
     pub applied_at: des::Time,
 }
 
+/// Words per lazily materialised page of a [`Bank`].
+const PAGE_WORDS: usize = 1024;
+
 /// One node's replicated memory image.
+///
+/// Stored as demand-allocated pages: a page no write has touched does not
+/// exist and reads as zeros, so a world of many mostly-empty 1 MB banks
+/// costs only the pages its protocols use.
 pub(crate) struct Bank {
-    words: Vec<Word>,
+    len: usize,
+    pages: Vec<Option<Box<[Word; PAGE_WORDS]>>>,
     /// Last writer per word, when tracking is on.
     provenance: Option<Vec<Option<WriteRecord>>>,
+}
+
+/// Split the word range `addr..addr + len` at page boundaries, yielding
+/// `(page, offset in page, offset in range, words)` per piece.
+fn pieces(addr: WordAddr, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let off = (addr + done) % PAGE_WORDS;
+            let n = (PAGE_WORDS - off).min(len - done);
+            let piece = ((addr + done) / PAGE_WORDS, off, done, n);
+            done += n;
+            piece
+        })
+    })
 }
 
 impl Bank {
     pub fn new(words: usize, track_provenance: bool) -> Self {
         Bank {
-            words: vec![0; words],
+            len: words,
+            pages: vec![None; words.div_ceil(PAGE_WORDS)],
             provenance: track_provenance.then(|| vec![None; words]),
         }
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.len
+    }
+
+    /// Pages only bound addresses to a multiple of `PAGE_WORDS`.
+    #[inline]
+    fn check_range(&self, addr: WordAddr, len: usize) {
+        assert!(
+            addr + len <= self.len,
+            "words {addr}..{} out of range for a bank of {} words",
+            addr + len,
+            self.len
+        );
     }
 
     #[inline]
     pub fn read(&self, addr: WordAddr) -> Word {
-        self.words[addr]
+        self.check_range(addr, 1);
+        match &self.pages[addr / PAGE_WORDS] {
+            Some(page) => page[addr % PAGE_WORDS],
+            None => 0,
+        }
     }
 
     pub fn read_block(&self, addr: WordAddr, len: usize) -> Vec<Word> {
-        self.words[addr..addr + len].to_vec()
+        self.check_range(addr, len);
+        let mut out = vec![0; len];
+        for (page, off, at, n) in pieces(addr, len) {
+            if let Some(page) = &self.pages[page] {
+                out[at..at + n].copy_from_slice(&page[off..off + n]);
+            }
+        }
+        out
     }
 
     /// Apply a replicated write. Returns the set of conflicting writers if
@@ -54,7 +100,11 @@ impl Bank {
         at: des::Time,
     ) -> Vec<(WordAddr, usize)> {
         let mut conflicts = Vec::new();
-        self.words[addr..addr + data.len()].copy_from_slice(data);
+        self.check_range(addr, data.len());
+        for (page, off, at, n) in pieces(addr, data.len()) {
+            let page = self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
+            page[off..off + n].copy_from_slice(&data[at..at + n]);
+        }
         if let Some(prov) = self.provenance.as_mut() {
             for (i, slot) in prov[addr..addr + data.len()].iter_mut().enumerate() {
                 if let Some(prev) = slot {
@@ -78,7 +128,7 @@ impl Bank {
 
     /// Raw snapshot of the whole bank, for eventual-consistency checks.
     pub fn snapshot(&self) -> Vec<Word> {
-        self.words.clone()
+        self.read_block(0, self.len)
     }
 }
 
@@ -120,6 +170,54 @@ mod tests {
         b.apply(5, &[1], 0, 10);
         assert!(b.apply(5, &[2], 1, 20).is_empty());
         assert!(b.provenance(5).is_none());
+    }
+
+    #[test]
+    fn never_written_pages_read_as_zeros() {
+        let words = 3 * PAGE_WORDS + 10; // a partial last page
+        let mut b = Bank::new(words, false);
+        assert_eq!(b.len(), words);
+        assert_eq!(b.read(0), 0);
+        assert_eq!(b.read(words - 1), 0);
+        assert_eq!(b.read_block(PAGE_WORDS - 2, 4), vec![0; 4]);
+        assert_eq!(b.snapshot(), vec![0; words]);
+        assert!(
+            b.pages.iter().all(Option::is_none),
+            "reads allocate nothing"
+        );
+        // One write materialises one page; its neighbours stay absent.
+        b.apply(PAGE_WORDS + 5, &[7], 0, 1);
+        assert_eq!(b.pages.iter().filter(|p| p.is_some()).count(), 1);
+        assert_eq!(b.read(PAGE_WORDS + 5), 7);
+        assert_eq!(b.read(PAGE_WORDS + 6), 0);
+    }
+
+    #[test]
+    fn write_straddling_a_page_edge_lands_on_both_pages() {
+        let mut b = Bank::new(4 * PAGE_WORDS, true);
+        let data: Vec<Word> = (1..=6).collect();
+        let addr = 2 * PAGE_WORDS - 2;
+        b.apply(addr, &data, 3, 9);
+        assert_eq!(b.read(addr - 1), 0);
+        assert_eq!(b.read_block(addr, 6), data);
+        assert_eq!(b.read(addr + 6), 0);
+        assert_eq!(b.pages.iter().filter(|p| p.is_some()).count(), 2);
+        assert_eq!(b.provenance(addr + 5).unwrap().writer, 3);
+        let snap = b.snapshot();
+        assert_eq!(snap.len(), 4 * PAGE_WORDS);
+        assert_eq!(&snap[addr..addr + 6], &data[..]);
+        assert_eq!(snap.iter().filter(|&&w| w != 0).count(), 6);
+        // A block longer than a page crosses two edges.
+        let long: Vec<Word> = (0..PAGE_WORDS as Word + 8).map(|i| i + 100).collect();
+        b.apply(PAGE_WORDS / 2, &long, 3, 10);
+        assert_eq!(b.read_block(PAGE_WORDS / 2, long.len()), long);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_access_still_panics() {
+        // The last page is partial; its tail must not become addressable.
+        Bank::new(PAGE_WORDS + 10, false).read(PAGE_WORDS + 10);
     }
 
     #[test]

@@ -4,13 +4,18 @@
 
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::rng::SimRng;
-use scramnet_cluster::des::Simulation;
+use scramnet_cluster::des::{RunReport, Simulation};
 use scramnet_cluster::smpi::{MpiWorld, ReduceOp};
 
 /// A moderately chaotic BBP workload driven by a seeded RNG: the traffic
 /// plan (who sends what to whom, with what think time) is generated up
 /// front so every receiver knows exactly how many messages to drain.
 fn chaotic_bbp_run(seed: u64) -> (u64, u64, Vec<String>) {
+    let (report, trace) = chaotic_bbp_report(seed);
+    (report.end_time, report.dispatches, trace)
+}
+
+fn chaotic_bbp_report(seed: u64) -> (RunReport, Vec<String>) {
     // Plan: per sender, a list of (dst, payload, think-time ns).
     let mut plans: Vec<Vec<(usize, Vec<u8>, u64)>> = Vec::new();
     let mut incoming = [0usize; 4];
@@ -50,7 +55,75 @@ fn chaotic_bbp_run(seed: u64) -> (u64, u64, Vec<String>) {
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
     let trace: Vec<String> = sim.take_trace().iter().map(|e| e.to_string()).collect();
-    (report.end_time, report.dispatches, trace)
+    (report, trace)
+}
+
+/// `(end_time, dispatches, peak_queue_depth)` of a run.
+fn counters(report: &RunReport) -> (u64, u64, usize) {
+    (report.end_time, report.dispatches, report.peak_queue_depth)
+}
+
+fn mpi_collective_world() -> Simulation {
+    let mut sim = Simulation::new();
+    let world = MpiWorld::scramnet(&sim.handle(), 4);
+    for rank in 0..4 {
+        let mut mpi = world.proc(rank);
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let comm = mpi.comm_world();
+            mpi.allreduce(ctx, &comm, ReduceOp::Sum, &[mpi.rank() as f64 + 0.5]);
+            mpi.barrier(ctx, &comm);
+        });
+    }
+    sim
+}
+
+fn ethernet_world() -> Simulation {
+    let mut sim = Simulation::new();
+    let world = MpiWorld::fast_ethernet(&sim.handle(), 3);
+    for rank in 0..3 {
+        let mut mpi = world.proc(rank);
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let comm = mpi.comm_world();
+            for _ in 0..3 {
+                mpi.barrier(ctx, &comm);
+            }
+        });
+    }
+    sim
+}
+
+/// The schedule is a function of the program alone, not of how the
+/// kernel moves control between OS threads: these are the values the
+/// Condvar-handshake scheduler (the commit before baton passing)
+/// produced for the three scenarios of this file, and every later kernel
+/// must reproduce them. The trace hash is FNV-1a over the rendered
+/// entries of the chaotic run, newline-separated.
+#[test]
+fn schedule_counters_match_the_recorded_baseline() {
+    const CHAOTIC_FEED: (u64, u64, usize) = (1_060_150, 8_375, 142);
+    const CHAOTIC_FEED_TRACE: (usize, u64) = (16_173, 8_218_158_300_327_374_568);
+    const MPI_COLLECTIVE: (u64, u64, usize) = (206_925, 1_497, 12);
+    const ETHERNET: (u64, u64, usize) = (1_290_760, 797, 5);
+
+    let (report, trace) = chaotic_bbp_report(0xFEED);
+    assert_eq!(counters(&report), CHAOTIC_FEED, "chaotic BBP run");
+    let hash = trace
+        .iter()
+        .flat_map(|line| line.bytes().chain(std::iter::once(b'\n')))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!((trace.len(), hash), CHAOTIC_FEED_TRACE, "chaotic BBP trace");
+    assert_eq!(
+        counters(&mpi_collective_world().run()),
+        MPI_COLLECTIVE,
+        "allreduce + barrier on 4 ranks"
+    );
+    assert_eq!(
+        counters(&ethernet_world().run()),
+        ETHERNET,
+        "three barriers on 3 Ethernet ranks"
+    );
 }
 
 #[test]
@@ -109,19 +182,6 @@ fn mpi_collective_results_are_reproducible() {
 
 #[test]
 fn ethernet_worlds_are_deterministic_too() {
-    let run = || {
-        let mut sim = Simulation::new();
-        let world = MpiWorld::fast_ethernet(&sim.handle(), 3);
-        for rank in 0..3 {
-            let mut mpi = world.proc(rank);
-            sim.spawn(format!("rank{rank}"), move |ctx| {
-                let comm = mpi.comm_world();
-                for _ in 0..3 {
-                    mpi.barrier(ctx, &comm);
-                }
-            });
-        }
-        sim.run().end_time
-    };
+    let run = || ethernet_world().run().end_time;
     assert_eq!(run(), run());
 }
