@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig};
-use des::metrics::Histogram;
 use des::rng::SimRng;
 use des::{Simulation, Time, TimeExt};
+use obs::report::Quantiles;
 use parking_lot::Mutex;
 
 const NODES: usize = 8;
@@ -70,7 +70,7 @@ impl Pattern {
 }
 
 struct PatternStats {
-    latencies: Histogram,
+    latencies: Quantiles,
     total_time: Time,
 }
 
@@ -137,12 +137,8 @@ fn run_pattern(pattern: Pattern, seed: u64) -> PatternStats {
     );
     let lat = latencies.lock().clone();
     assert_eq!(lat.len(), NODES * MSGS_PER_NODE);
-    let mut hist = Histogram::new();
-    for &sample in &lat {
-        hist.record(sample);
-    }
     PatternStats {
-        latencies: hist,
+        latencies: bench::report::quantiles_of(pattern.name(), &lat),
         total_time: report.end_time,
     }
 }
@@ -168,8 +164,8 @@ fn main() {
         println!(
             "{:>22} {:>9.1} µs {:>9.1} µs {:>14} {:>9.2}",
             pattern.name(),
-            s.latencies.mean() / 1_000.0,
-            s.latencies.quantile(0.99).as_us(),
+            s.latencies.mean_us,
+            s.latencies.p99_us,
             s.total_time.pretty(),
             mb_s
         );

@@ -7,8 +7,8 @@
 //! per-repetition latency quantiles.
 //!
 //! ```text
-//! bench-report [--quick] [--out PATH] [--trace PATH] [--messages] [--wallclock]
-//!              [--baseline PATH] [--threads N] [--min-speedup X]
+//! bench-report [--quick] [--out PATH] [--trace PATH] [--messages]
+//!              [--threads N] [--min-speedup X]
 //! bench-report --check PATH
 //! ```
 //!
@@ -21,56 +21,44 @@
 //!   the instrumented broadcast (send-enter → descriptor → ring →
 //!   flag → match → deliver), print them, and record them in the
 //!   report's `messages` section.
-//! - `--wallclock`: also run the engine self-measurement scenarios
-//!   (events/sec, simulated-ns/sec, peak queue depth) and record them in
-//!   the report's `wallclock` section.
-//! - `--baseline PATH`: read a previously committed summary, echo its
-//!   wallclock entries into this report (tagged `@baseline`), and fail
-//!   if any shared scenario is now more than
-//!   [`WALLCLOCK_REGRESSION_FACTOR`]× slower in events/sec. Implies
-//!   `--wallclock`.
 //! - `--threads N`: also run the broadcast stress scenario on the
-//!   conservative parallel engine with `N` worker threads (implies
-//!   `--wallclock`; records per-shard utilization / lookahead-stall
-//!   breakdowns). `N > 1` additionally runs the 1-thread parallel
-//!   configuration and prints the measured speedup. One extra
-//!   instrumented pass samples the per-shard `par.*` gauge series into
-//!   the report's `timeseries` section — and, with `--trace PATH`, as
-//!   Chrome counter tracks in a sibling `<PATH>_par.json`.
+//!   conservative parallel engine with `N` worker threads and record the
+//!   runs, with per-shard utilization / lookahead-stall breakdowns, in
+//!   the report's `wallclock` section. `N > 1` additionally runs the
+//!   1-thread parallel configuration and prints the measured speedup.
+//!   One extra instrumented pass samples the per-shard `par.*` gauge
+//!   series into the report's `timeseries` section — and, with
+//!   `--trace PATH`, as Chrome counter tracks in a sibling
+//!   `<PATH>_par.json`. (Host time of the sequential engine is the repo
+//!   benchmark's job: `benchmark/README.md`.)
 //! - `--min-speedup X`: fail unless the `N`-thread run achieves at
 //!   least `X`× the 1-thread parallel run's events/sec (requires
-//!   `--threads N` with `N > 1`; CI's perf-smoke matrix passes 2.0 on
-//!   its multi-core runners — don't gate on single-core hosts, where
-//!   no parallel engine can scale).
+//!   `--threads N` with `N > 1`; CI's parallel-engine job passes 2.0 on
+//!   its multi-core runner — don't gate on single-core hosts, where no
+//!   parallel engine can scale).
 //! - `--check PATH`: validate an existing summary against the schema
 //!   and exit (runs no benchmarks).
 //!
 //! Exits non-zero if the report fails its own schema validation, the
 //! measured layering constant deviates from the paper by more than 20%,
-//! or the wall-clock baseline or speedup gate trips.
+//! or the speedup check trips.
 
 use std::process::ExitCode;
 
 use bench::{
-    bbp_one_way_us, bbp_pingpong_histogram, best_of, crossover, event_chain_stress,
-    mpi_bcast_events_telemetry, mpi_layering_log_histogram, mpi_one_way_us, mpi_pingpong_histogram,
-    print_table, quorum_partition_counters, report, report_anchor, ring_bcast_stress,
-    ring_bcast_stress_par, ring_bcast_stress_par_traced, ring_pio_writers, MpiNet, Series,
-    WallclockRun,
+    bbp_one_way_us, bbp_pingpong_samples, best_of, crossover, mpi_bcast_events_telemetry,
+    mpi_layering_log_histogram, mpi_one_way_us, mpi_pingpong_samples, print_table,
+    quorum_partition_counters, report, report_anchor, ring_bcast_stress_par,
+    ring_bcast_stress_par_traced, MpiNet, Series,
 };
-use obs::report::{Wallclock, PAPER_LAYERING_US};
+use obs::report::PAPER_LAYERING_US;
 use smpi::CollectiveImpl;
 
 /// Maximum tolerated deviation of the layering constant, percent.
 const LAYERING_TOLERANCE_PCT: f64 = 20.0;
 
-/// The perf-smoke gate trips only when a scenario's events/sec drops to
-/// less than 1/3 of the committed baseline — informative, not flaky.
-const WALLCLOCK_REGRESSION_FACTOR: f64 = 3.0;
-
 const USAGE: &str = "usage: bench-report [--quick] [--out PATH] [--trace PATH] [--messages] \
-                     [--wallclock] [--baseline PATH] [--threads N] [--min-speedup X] \
-                     | --check PATH";
+                     [--threads N] [--min-speedup X] | --check PATH";
 
 struct Args {
     quick: bool,
@@ -78,8 +66,6 @@ struct Args {
     trace: Option<String>,
     check: Option<String>,
     messages: bool,
-    wallclock: bool,
-    baseline: Option<String>,
     threads: Option<usize>,
     min_speedup: Option<f64>,
     help: bool,
@@ -92,8 +78,6 @@ fn parse_args() -> Result<Args, String> {
         trace: None,
         check: None,
         messages: false,
-        wallclock: false,
-        baseline: None,
         threads: None,
         min_speedup: None,
         help: false,
@@ -106,11 +90,6 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?),
             "--check" => args.check = Some(it.next().ok_or("--check needs a path")?),
             "--messages" => args.messages = true,
-            "--wallclock" => args.wallclock = true,
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a path")?);
-                args.wallclock = true;
-            }
             "--threads" => {
                 let n: usize = it
                     .next()
@@ -121,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--threads must be at least 1".to_string());
                 }
                 args.threads = Some(n);
-                args.wallclock = true;
             }
             "--min-speedup" => {
                 let x: f64 = it
@@ -141,93 +119,23 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Parse the `wallclock` section out of a committed baseline summary.
-fn load_baseline(path: &str) -> Result<Vec<Wallclock>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    obs::report::validate_json(&text)?;
-    let doc = obs::json::parse(&text)?;
-    let mut out = Vec::new();
-    if let Some(entries) = doc.get("wallclock").and_then(obs::json::Json::as_arr) {
-        for w in entries {
-            let num = |key: &str| w.get(key).and_then(obs::json::Json::as_f64).unwrap_or(0.0);
-            let scenario = w
-                .get("scenario")
-                .and_then(obs::json::Json::as_str)
-                .unwrap_or("?")
-                .to_string();
-            // Ignore the previous report's own baseline echoes so chained
-            // comparisons always gate against fresh measurements.
-            if scenario.ends_with("@baseline") {
-                continue;
-            }
-            // Pre-v4 baselines carry no thread count: everything they
-            // measured ran the sequential engine. The per-shard
-            // breakdown is a point-in-time diagnostic, not a gated
-            // quantity, so baseline echoes drop it either way.
-            let threads = w
-                .get("threads")
-                .and_then(obs::json::Json::as_f64)
-                .map_or(1, |t| t as u64);
-            out.push(Wallclock {
-                scenario,
-                events: num("events") as u64,
-                sim_ns: num("sim_ns") as u64,
-                wall_ms: num("wall_ms"),
-                events_per_sec: num("events_per_sec"),
-                sim_ns_per_sec: num("sim_ns_per_sec"),
-                peak_queue_depth: num("peak_queue_depth") as u64,
-                threads,
-                shards: Vec::new(),
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Run the engine self-measurement scenarios, record them, and apply the
-/// baseline regression gate. Returns `Err` with a message if the gate
-/// trips.
-fn run_wallclock(
+/// Time the broadcast stress on the parallel engine at `threads`
+/// workers (and at 1, when `threads > 1`, so the speedup compares the
+/// same engine at two thread counts), record the runs, and apply the
+/// `--min-speedup` check. Returns `Err` with a message if it trips.
+fn run_parallel_wallclock(
     quick: bool,
-    baseline: &[Wallclock],
-    threads: Option<usize>,
+    threads: usize,
     min_speedup: Option<f64>,
 ) -> Result<(), String> {
-    // Best-of-3 per scenario: wall-clock self-measurement shares the
-    // host, so the fastest repetition estimates the engine's real cost.
-    let mut runs: Vec<WallclockRun> = if quick {
-        vec![
-            best_of(3, || ring_bcast_stress(16, 500)),
-            best_of(3, || ring_pio_writers(16, 500)),
-            best_of(3, || event_chain_stress(16, 5_000)),
-        ]
-    } else {
-        vec![
-            best_of(3, || ring_bcast_stress(16, 2_000)),
-            best_of(3, || ring_pio_writers(16, 2_000)),
-            best_of(3, || event_chain_stress(64, 20_000)),
-        ]
-    };
-    // Parallel-engine runs of the broadcast stress. With N > 1 we also
-    // run the 1-thread configuration so the speedup compares the same
-    // engine at two thread counts (sharded-vs-sequential overhead is
-    // what the sequential scenario above already captures).
-    let mut speedup = None;
-    if let Some(n) = threads {
-        let packets = if quick { 500 } else { 2_000 };
-        let t1 = best_of(3, || ring_bcast_stress_par(16, packets, 1));
-        let tn = if n > 1 {
-            let tn = best_of(3, || ring_bcast_stress_par(16, packets, n));
-            speedup = Some(tn.events_per_sec() / t1.events_per_sec().max(1e-9));
-            Some(tn)
-        } else {
-            None
-        };
-        runs.push(t1);
-        runs.extend(tn);
+    // Best-of-3 per configuration: wall-clock self-measurement shares
+    // the host, so the fastest repetition estimates the engine's cost.
+    let packets = if quick { 500 } else { 2_000 };
+    let mut runs = vec![best_of(3, || ring_bcast_stress_par(16, packets, 1))];
+    if threads > 1 {
+        runs.push(best_of(3, || ring_bcast_stress_par(16, packets, threads)));
     }
-    println!("\n== engine wall-clock self-measurement ==");
-    let mut failures = Vec::new();
+    println!("\n== parallel-engine wall-clock self-measurement ==");
     for run in &runs {
         report::push_wallclock(run);
         println!(
@@ -253,41 +161,17 @@ fn run_wallclock(
                 s.peak_queue_depth,
             );
         }
-        if let Some(base) = baseline.iter().find(|b| b.scenario == run.scenario) {
-            let ratio = run.events_per_sec() / base.events_per_sec.max(1e-9);
-            println!(
-                "  {:<28} vs baseline {:.0} events/s: {ratio:.2}x",
-                "", base.events_per_sec
-            );
-            if run.events_per_sec() * WALLCLOCK_REGRESSION_FACTOR < base.events_per_sec {
-                failures.push(format!(
-                    "{}: {:.0} events/s is more than {WALLCLOCK_REGRESSION_FACTOR}x slower \
-                     than baseline {:.0} events/s",
-                    run.scenario,
-                    run.events_per_sec(),
-                    base.events_per_sec
-                ));
-            }
+    }
+    if let [t1, tn] = &runs[..] {
+        let s = tn.events_per_sec() / t1.events_per_sec().max(1e-9);
+        println!("  parallel speedup: {s:.2}x at {threads} threads (vs 1-thread parallel run)");
+        if let Some(min) = min_speedup.filter(|&min| s < min) {
+            return Err(format!(
+                "parallel speedup {s:.2}x at {threads} threads is below the required {min:.2}x"
+            ));
         }
     }
-    if let (Some(n), Some(s)) = (threads, speedup) {
-        println!("  parallel speedup: {s:.2}x at {n} threads (vs 1-thread parallel run)");
-        if let Some(min) = min_speedup {
-            if s < min {
-                failures.push(format!(
-                    "parallel speedup {s:.2}x at {n} threads is below the required {min:.2}x"
-                ));
-            }
-        }
-    }
-    for base in baseline {
-        report::push_wallclock_baseline(base);
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    Ok(())
 }
 
 /// Reconstruct the instrumented broadcast's per-message lifecycle
@@ -332,7 +216,10 @@ fn check(path: &str) -> ExitCode {
     };
     match obs::report::validate_json(&text) {
         Ok(()) => {
-            println!("{path}: valid (schema v{})", obs::report::SCHEMA_VERSION);
+            println!(
+                "{path}: valid (schema v{}, the one version this build accepts)",
+                obs::report::SCHEMA_VERSION
+            );
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -437,7 +324,7 @@ fn main() -> ExitCode {
         print_waterfalls(&events, bcast_len);
     }
 
-    // Partition-tolerance counters (the schema-v6 `quorum` section): a
+    // Partition-tolerance counters (the `quorum` section): a
     // short quorum scenario cutting off a 2-node minority.
     let quorum = quorum_partition_counters(1);
     println!("\n== quorum partition counters (5 nodes, minority {{0,1}} cut) ==");
@@ -450,31 +337,18 @@ fn main() -> ExitCode {
     report::push_quorum(quorum);
 
     // Per-repetition latency distributions.
-    report::push_quantiles("bbp_pingpong_0B", &bbp_pingpong_histogram(0, 4));
+    report::push_quantiles("bbp_pingpong_0B", &bbp_pingpong_samples(0, 4));
     report::push_quantiles(
         "mpi_pingpong_0B",
-        &mpi_pingpong_histogram(MpiNet::Scramnet, 0),
+        &mpi_pingpong_samples(MpiNet::Scramnet, 0),
     );
     report::push_quantiles_log("mpi_layering_0B", &mpi_layering_log_histogram(0));
 
-    // Engine self-measurement + regression gate against the committed
-    // baseline.
-    let mut wallclock_failure = None;
-    if args.wallclock {
-        let baseline = match &args.baseline {
-            Some(path) => match load_baseline(path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("cannot load baseline: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Vec::new(),
-        };
-        if let Err(e) = run_wallclock(args.quick, &baseline, args.threads, args.min_speedup) {
-            wallclock_failure = Some(e);
-        }
-    }
+    // Parallel-engine self-measurement and the self-relative speedup
+    // check.
+    let speedup_failure = args
+        .threads
+        .and_then(|n| run_parallel_wallclock(args.quick, n, args.min_speedup).err());
 
     // Instrumented parallel run: one extra pass with per-shard gauge
     // sampling on (separate from the timed best-of runs, which stay
@@ -520,8 +394,8 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if let Some(e) = wallclock_failure {
-        eprintln!("wall-clock regression gate tripped: {e}");
+    if let Some(e) = speedup_failure {
+        eprintln!("parallel-engine speedup check tripped: {e}");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

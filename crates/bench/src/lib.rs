@@ -9,14 +9,12 @@
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig};
-use des::metrics::Histogram;
 use des::{Simulation, Time, TimeExt};
 use netsim::{MyrinetApiNet, NetSpec, TcpCosts, TcpNet};
 use parking_lot::Mutex;
 use smpi::{CollectiveImpl, MpiWorld, SmpiCosts};
 
 pub mod report;
-pub mod rpc_load;
 
 /// The API-level transports of Figure 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -398,15 +396,6 @@ pub fn bbp_pingpong_samples(len: usize, nodes: usize) -> Vec<Time> {
         .into_inner()
 }
 
-/// [`bbp_pingpong_samples`] folded into a histogram.
-pub fn bbp_pingpong_histogram(len: usize, nodes: usize) -> Histogram {
-    let mut hist = Histogram::new();
-    for s in bbp_pingpong_samples(len, nodes) {
-        hist.record(s);
-    }
-    hist
-}
-
 /// A short quorum partition scenario feeding the report's `quorum`
 /// section (schema v6): 5 quorum-enforced nodes, a persistent cut
 /// isolating the minority {0, 1}. The majority {2, 3, 4} detects the
@@ -515,15 +504,6 @@ pub fn mpi_pingpong_samples(net: MpiNet, len: usize) -> Vec<Time> {
         .into_inner()
 }
 
-/// [`mpi_pingpong_samples`] folded into a histogram.
-pub fn mpi_pingpong_histogram(net: MpiNet, len: usize) -> Histogram {
-    let mut hist = Histogram::new();
-    for s in mpi_pingpong_samples(net, len) {
-        hist.record(s);
-    }
-    hist
-}
-
 /// The distribution behind the scalar layering constant: per-repetition
 /// MPI one-way latency minus the matching BBP one-way repetition,
 /// nanoseconds, as a log-bucket histogram ready for
@@ -609,28 +589,29 @@ pub fn mpi_bcast_events_telemetry(
 }
 
 // ----------------------------------------------------------------------
-// Wall-clock self-measurement (the engine benchmarking the engine)
+// Wall-clock self-measurement of the parallel engine
 // ----------------------------------------------------------------------
 
-/// Host-side throughput of one simulator run: how fast the event engine
+/// Host-side throughput of one parallel-engine run: how fast the engine
 /// itself executed, independent of the virtual-time results. These feed
-/// the `wallclock` section of `BENCH_summary.json` and the perf-smoke
-/// regression gate (see `docs/PERFORMANCE.md`).
+/// the `wallclock` section of `BENCH_summary.json` and the self-relative
+/// `--threads N --min-speedup X` check (see `docs/PERFORMANCE.md`; the
+/// sequential engine's host-time record is `benchmark/`).
 #[derive(Debug, Clone)]
 pub struct WallclockRun {
-    /// Scenario id (slug, stable across PRs — the gate matches on it).
+    /// Scenario id (slug, stable across PRs).
     pub scenario: String,
     /// Scheduler dispatches executed.
     pub events: u64,
     /// Virtual time covered, nanoseconds.
     pub sim_ns: Time,
-    /// Host wall-clock duration of `Simulation::run`.
+    /// Host wall-clock duration of the engine's `run`.
     pub wall: std::time::Duration,
     /// Largest pending-queue depth observed.
     pub peak_queue_depth: usize,
-    /// Worker threads the engine ran on (1 = the sequential engine).
+    /// Worker threads the engine ran on.
     pub threads: usize,
-    /// Per-shard execution counters (empty for sequential-engine runs).
+    /// Per-shard execution counters.
     pub shards: Vec<obs::report::WallclockShard>,
 }
 
@@ -646,85 +627,17 @@ impl WallclockRun {
     }
 }
 
-fn timed_run(scenario: impl Into<String>, sim: &mut Simulation) -> WallclockRun {
-    let t0 = std::time::Instant::now();
-    let report = sim.run();
-    let wall = t0.elapsed();
-    assert!(
-        report.is_clean(),
-        "wallclock scenario deadlocked: {:?}",
-        report.deadlocked
-    );
-    WallclockRun {
-        scenario: scenario.into(),
-        events: report.dispatches,
-        sim_ns: report.end_time,
-        wall,
-        peak_queue_depth: report.peak_queue_depth,
-        threads: 1,
-        shards: Vec::new(),
-    }
-}
-
-/// The broadcast stress scenario: every node of an `nodes`-node ring
-/// sources `packets_per_node` four-word packets (the fixed SCRAMNet
-/// packet format) from event context — hardware-timed, one every 1 µs,
-/// see [`scramnet::Ring::source_packet`] — each replicating to all other
-/// banks: `nodes × packets × (nodes − 1)` hop applies. Link-level fault
-/// injection is armed at a low, seeded rate, as on the real fiber. The
-/// aggregate rate oversubscribes the links, so a backlog builds and the
-/// in-flight packet population grows — the DES and ring hot paths with
-/// no host processes in the way.
-pub fn ring_bcast_stress(nodes: usize, packets_per_node: usize) -> WallclockRun {
-    fn tick(ring: &scramnet::Ring, node: usize, i: usize, packets: usize, t: Time) {
-        let base = node * 32;
-        let w = i as u32;
-        // One 64-byte message (16 words) — the paper's canonical small
-        // message — allocated once per packet; replication reuses it.
-        ring.source_packet(
-            node,
-            t,
-            base + (i & 16),
-            Arc::new((0..16).map(|k| w ^ k).collect()),
-        );
-        let next = i + 1;
-        if next < packets {
-            let r = ring.clone();
-            ring.handle()
-                .schedule_at(t + 1_000, move |t| tick(&r, node, next, packets, t));
-        }
-    }
-    let mut sim = Simulation::new();
-    let ring = scramnet::Ring::with_config(
-        &sim.handle(),
-        nodes,
-        8192,
-        scramnet::CostModel::default(),
-        scramnet::RingConfig {
-            bit_error_rate: 1e-4,
-            error_seed: 0x5C2A_317E,
-            ..Default::default()
-        },
-    );
-    for node in 0..nodes {
-        let r = ring.clone();
-        // Stagger the sources so packets interleave from the first window.
-        sim.handle().schedule_at(node as Time * 125, move |t| {
-            tick(&r, node, 0, packets_per_node, t)
-        });
-    }
-    timed_run(format!("ring_bcast_stress_{nodes}node"), &mut sim)
-}
-
 /// The broadcast stress workload on the conservative parallel engine
-/// ([`scramnet::ParRing`] over `des::par`): the same traffic shape as
-/// [`ring_bcast_stress`] — every node sources `packets_per_node`
-/// 16-word packets 1 µs apart, sources staggered 125 ns, seeded
-/// link-level bit errors — executed on `threads` worker threads with one
-/// shard per node. `threads == 1` runs the identical sharded engine on
-/// one worker, so `tN / t1` events/sec is a pure scaling measurement
-/// (same code, same event count). The per-shard counters land in the
-/// run's `shards` breakdown.
+/// ([`scramnet::ParRing`] over `des::par`): every node of an
+/// `nodes`-node ring sources `packets_per_node` 16-word packets (one
+/// 64-byte message, the paper's canonical small one) 1 µs apart, sources
+/// staggered 125 ns, each replicating to all other banks, with seeded
+/// link-level bit errors at a low rate. The aggregate rate
+/// oversubscribes the links, so a backlog builds. Executed on `threads`
+/// worker threads with one shard per node; `threads == 1` runs the
+/// identical sharded engine on one worker, so `tN / t1` events/sec is a
+/// pure scaling measurement (same code, same event count). The
+/// per-shard counters land in the run's `shards` breakdown.
 pub fn ring_bcast_stress_par(
     nodes: usize,
     packets_per_node: usize,
@@ -822,49 +735,6 @@ pub fn best_of(reps: usize, f: impl Fn() -> WallclockRun) -> WallclockRun {
                 .expect("events/sec is finite")
         })
         .expect("at least one repetition")
-}
-
-/// The host-driven variant: every node runs a writer process PIO-writing
-/// `writes_per_node` single words, 2 µs apart. Exercises the same ring
-/// replication as [`ring_bcast_stress`] but through `ProcCtx::advance`
-/// and the process→process baton grant, so its wall-clock cost is
-/// dominated by OS context switches (one per write) rather than event
-/// dispatch — useful as a ceiling check on process-heavy workloads.
-pub fn ring_pio_writers(nodes: usize, writes_per_node: usize) -> WallclockRun {
-    let mut sim = Simulation::new();
-    let ring = scramnet::Ring::new(&sim.handle(), nodes, 8192, scramnet::CostModel::default());
-    for node in 0..nodes {
-        let nic = ring.nic(node);
-        sim.spawn(format!("w{node}"), move |ctx| {
-            let base = node * 32;
-            for i in 0..writes_per_node {
-                nic.write_word(ctx, base + (i & 31), i as u32);
-                // Space writes out so packets from all nodes interleave
-                // instead of serializing behind one hot link.
-                ctx.advance(2_000);
-            }
-        });
-    }
-    timed_run(format!("ring_pio_writers_{nodes}node"), &mut sim)
-}
-
-/// Pure event-engine stress: `chains` independent self-rescheduling
-/// events, each firing `hops` times. No processes, no ring — measures
-/// raw schedule/dispatch overhead.
-pub fn event_chain_stress(chains: usize, hops: u64) -> WallclockRun {
-    fn tick(h: &des::SimHandle, t: Time, remaining: u64) {
-        if remaining == 0 {
-            return;
-        }
-        let h2 = h.clone();
-        h.schedule_at(t + 100, move |t| tick(&h2, t, remaining - 1));
-    }
-    let mut sim = Simulation::new();
-    let h = sim.handle();
-    for c in 0..chains {
-        tick(&h, c as Time, hops);
-    }
-    timed_run("des_event_chains", &mut sim)
 }
 
 // ----------------------------------------------------------------------

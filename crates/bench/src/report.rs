@@ -120,23 +120,35 @@ pub fn set_layers(breakdown: &obs::LayerBreakdown) {
     });
 }
 
-/// Record the quantile summary of one latency distribution (times in
-/// the histogram are nanoseconds, as recorded by the simulator).
-pub fn push_quantiles(name: impl Into<String>, hist: &des::metrics::Histogram) {
-    let us = |ns: des::Time| ns as f64 / 1000.0;
-    with(|r| {
-        r.quantiles.push(Quantiles {
-            name: name.into(),
-            n: hist.count(),
-            min_us: us(hist.min()),
-            p50_us: us(hist.quantile(0.5)),
-            p90_us: us(hist.quantile(0.9)),
-            p99_us: us(hist.quantile(0.99)),
-            p999_us: us(hist.quantile(0.999)),
-            max_us: us(hist.max()),
-            mean_us: hist.mean() / 1000.0,
-        })
-    });
+/// The quantile summary of raw latency samples (nanoseconds, as
+/// recorded by the simulator): nearest-rank on the sorted samples, so
+/// every statistic is exact. No samples give an all-zero row.
+pub fn quantiles_of(name: impl Into<String>, samples: &[des::Time]) -> Quantiles {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let n = sorted.len();
+    let at = |q: f64| match n {
+        0 => 0.0,
+        _ => sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1] as f64 / 1000.0,
+    };
+    let sum: u128 = sorted.iter().map(|&s| s as u128).sum();
+    Quantiles {
+        name: name.into(),
+        n: n as u64,
+        min_us: at(0.0),
+        p50_us: at(0.5),
+        p90_us: at(0.9),
+        p99_us: at(0.99),
+        p999_us: at(0.999),
+        max_us: at(1.0),
+        mean_us: sum as f64 / n.max(1) as f64 / 1000.0,
+    }
+}
+
+/// Record the [`quantiles_of`] raw latency samples.
+pub fn push_quantiles(name: impl Into<String>, samples: &[des::Time]) {
+    let q = quantiles_of(name, samples);
+    with(|r| r.quantiles.push(q));
 }
 
 /// Record the quantile summary of an [`obs::LogHistogram`] (log-bucket
@@ -181,8 +193,7 @@ pub fn push_message(w: &obs::MessageWaterfall) {
 }
 
 /// Record one wall-clock self-measurement run (see
-/// [`crate::WallclockRun`]). `scenario` is taken from the run, so
-/// baseline echoes can be pushed with a distinct suffix by the caller.
+/// [`crate::WallclockRun`]).
 pub fn push_wallclock(run: &crate::WallclockRun) {
     with(|r| {
         r.wallclock.push(Wallclock {
@@ -199,19 +210,8 @@ pub fn push_wallclock(run: &crate::WallclockRun) {
     });
 }
 
-/// Record a baseline entry read back from a committed baseline report,
-/// tagged `@baseline` so consumers can tell it from a fresh measurement.
-pub fn push_wallclock_baseline(entry: &Wallclock) {
-    with(|r| {
-        r.wallclock.push(Wallclock {
-            scenario: format!("{}@baseline", entry.scenario),
-            ..entry.clone()
-        })
-    });
-}
-
 /// Record continuous-gauge series into the report's `timeseries`
-/// section (schema v6), one summary row per series.
+/// section, one summary row per series.
 pub fn push_timeseries(series: &[obs::SeriesSnapshot]) {
     with(|r| {
         r.timeseries
@@ -220,7 +220,7 @@ pub fn push_timeseries(series: &[obs::SeriesSnapshot]) {
 }
 
 /// Record per-node partition-tolerance counters into the report's
-/// `quorum` section (schema v6).
+/// `quorum` section.
 pub fn push_quorum(rows: Vec<obs::report::QuorumRow>) {
     with(|r| r.quorum.extend(rows));
 }
@@ -241,6 +241,36 @@ mod tests {
         );
         assert_eq!(slug("  --weird--  "), "weird");
         assert_eq!(slug(""), "");
+    }
+
+    #[test]
+    fn sample_quantiles_are_nearest_rank_and_exact() {
+        let samples: Vec<des::Time> = (1..=100).rev().map(|i| i * 1000).collect();
+        let q = quantiles_of("d", &samples);
+        assert_eq!(q.n, 100);
+        assert_eq!((q.min_us, q.max_us, q.mean_us), (1.0, 100.0, 50.5));
+        assert_eq!((q.p50_us, q.p90_us, q.p99_us), (50.0, 90.0, 99.0));
+        assert_eq!(q.p999_us, 100.0);
+
+        let one = quantiles_of("one", &[7_000]);
+        assert_eq!(
+            (one.min_us, one.p50_us, one.p999_us, one.max_us),
+            (7.0, 7.0, 7.0, 7.0)
+        );
+
+        let empty = quantiles_of("empty", &[]);
+        assert_eq!(empty.n, 0);
+        for v in [
+            empty.min_us,
+            empty.p50_us,
+            empty.p90_us,
+            empty.p99_us,
+            empty.p999_us,
+            empty.max_us,
+            empty.mean_us,
+        ] {
+            assert_eq!(v, 0.0);
+        }
     }
 
     #[test]
@@ -267,11 +297,7 @@ mod tests {
         record_table("t", "us", &[a.clone(), b.clone()]);
         record_crossover(&a, &b, Some(64));
         set_layering(37.0);
-        let mut h = des::metrics::Histogram::new();
-        for ns in [1000, 2000, 3000] {
-            h.record(ns);
-        }
-        push_quantiles("d", &h);
+        push_quantiles("d", &[1000, 2000, 3000]);
         let lh = obs::LogHistogram::new();
         for ns in [900, 1100, 500_000] {
             lh.record(ns);

@@ -71,7 +71,6 @@ mod signal;
 mod sim;
 mod time;
 
-pub mod metrics;
 pub mod par;
 pub mod queue;
 pub mod rng;

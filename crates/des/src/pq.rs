@@ -38,6 +38,10 @@ impl<T: Ord + Copy> FourAryHeap<T> {
 
     /// Insert an item (amortized O(1) allocation: the backing `Vec` only
     /// grows when the queue reaches a new high-water mark).
+    // Three call sites on the calendar queue's hot path; left to the
+    // inliner's size heuristic, whether it is inlined flips with
+    // unrelated edits to the crate (ring_storm: 4-5 % either way).
+    #[inline]
     pub fn push(&mut self, item: T) {
         self.items.push(item);
         self.sift_up(self.items.len() - 1);

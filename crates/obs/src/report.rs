@@ -5,41 +5,13 @@
 use crate::json::{self, write_f64, write_string, Json};
 
 /// Version stamped into every report; bump on breaking schema changes.
-///
-/// v2 added the `wallclock` section: host-side self-measurement of the
-/// simulator's own throughput (events/sec, simulated-ns/sec, peak queue
-/// depth), recorded so every PR's engine speed is pinned against the
-/// committed baseline.
-///
-/// v3 added tail percentiles (`p999_us` in every quantile row) and the
-/// `messages` section: per-message lifecycle waterfalls reconstructed
-/// from trace-id flow events. The validator still accepts v2 documents
-/// ([`validate_json`] dispatches on the version), so committed v2
-/// baselines keep validating.
-///
-/// v4 added the parallel-engine fields to every `wallclock` entry:
-/// `threads` (worker count, 1 for the sequential engine) and `shards`
-/// (per-shard execution counters — events, busy/stall passes, mailbox
-/// and queue peaks — empty for sequential runs). v2/v3 documents keep
-/// validating under their own rules.
-///
-/// v5 added the `capacity` section: per-scenario SLO capacity results
-/// from the workload campaigns — the max sustainable load multiplier
-/// and throughput at a p999 latency target, with the full
-/// load-multiplier ladder per seed (`offered_hz`, `completed_hz`,
-/// `p999_us`, `sheds_per_sec`, `violations`, and what limited the
-/// cell). v2–v4 documents keep validating under their own rules.
-///
-/// v6 added the `timeseries` section — one row per continuously
-/// sampled gauge (per-metric `min`/`mean`/`max`/`last` plus the sim
-/// time the peak was first reached) — and the `quorum` section
-/// surfacing the partition-tolerance counters per node
-/// (`stale_epoch_rejects`, `freezes`, `epoch_bumps`). v2–v5 documents
-/// keep validating under their own rules.
+/// It is also the only version [`validate_json`] accepts: an older
+/// artifact validates with the `bench-report --check` of its own commit
+/// (docs/OBSERVABILITY.md, "The bench report", lists what v2–v5 lacked).
 pub const SCHEMA_VERSION: u32 = 6;
 
 /// Oldest schema version [`validate_json`] still accepts.
-pub const MIN_SCHEMA_VERSION: u32 = 2;
+pub const MIN_SCHEMA_VERSION: u32 = SCHEMA_VERSION;
 
 /// The paper's MPI-over-BBP layering constant: MPI adds ≈37.5 µs of
 /// software overhead on top of raw BBP latency, independent of message
@@ -175,8 +147,8 @@ pub struct MessageRow {
     pub stages: Vec<MessageStage>,
 }
 
-/// Per-shard execution counters of one parallel wallclock run
-/// (schema v4): the utilization / lookahead-stall breakdown.
+/// Per-shard execution counters of one parallel wallclock run: the
+/// utilization / lookahead-stall breakdown.
 #[derive(Debug, Clone)]
 pub struct WallclockShard {
     /// Shard id.
@@ -214,8 +186,7 @@ impl WallclockShard {
 /// one scenario on the host, independent of virtual-time results.
 #[derive(Debug, Clone)]
 pub struct Wallclock {
-    /// Scenario id, e.g. `"ring_bcast_stress_16node"`. Baseline echoes
-    /// carry an `@baseline` suffix.
+    /// Scenario id, e.g. `"ring_bcast_stress_16node_t4"`.
     pub scenario: String,
     /// Scheduler dispatches executed (events + process resumptions).
     pub events: u64,
@@ -236,8 +207,7 @@ pub struct Wallclock {
     pub shards: Vec<WallclockShard>,
 }
 
-/// One rung of a capacity scenario's load-multiplier ladder
-/// (schema v5).
+/// One rung of a capacity scenario's load-multiplier ladder.
 #[derive(Debug, Clone)]
 pub struct CapacityCell {
     /// Seed the cell ran under.
@@ -260,7 +230,7 @@ pub struct CapacityCell {
     pub limited_by: String,
 }
 
-/// Summary row of one continuously sampled gauge series (schema v6).
+/// Summary row of one continuously sampled gauge series.
 #[derive(Debug, Clone)]
 pub struct TimeseriesRow {
     /// Gauge name (dot-scoped by layer, e.g. `rpc.buffers_in_use`).
@@ -297,7 +267,7 @@ impl TimeseriesRow {
     }
 }
 
-/// Per-node partition-tolerance counters (schema v6): how the quorum
+/// Per-node partition-tolerance counters: how the quorum
 /// machinery behaved during the report's partition scenario.
 #[derive(Debug, Clone)]
 pub struct QuorumRow {
@@ -311,7 +281,7 @@ pub struct QuorumRow {
     pub epoch_bumps: u64,
 }
 
-/// One scenario's capacity result at one message size (schema v5).
+/// One scenario's capacity result at one message size.
 #[derive(Debug, Clone)]
 pub struct CapacityScenario {
     /// Scenario id, e.g. `"incast"`.
@@ -349,13 +319,14 @@ pub struct BenchReport {
     /// Per-message lifecycle waterfalls (empty unless the run traced
     /// messages).
     pub messages: Vec<MessageRow>,
-    /// Wall-clock engine self-measurements (the bench trajectory).
+    /// Wall-clock self-measurements of the parallel engine
+    /// (`bench-report --threads N`).
     pub wallclock: Vec<Wallclock>,
-    /// Workload-campaign capacity results (schema v5).
+    /// Workload-campaign capacity results.
     pub capacity: Vec<CapacityScenario>,
-    /// Continuous-gauge summaries (schema v6).
+    /// Continuous-gauge summaries.
     pub timeseries: Vec<TimeseriesRow>,
-    /// Per-node partition-tolerance counters (schema v6).
+    /// Per-node partition-tolerance counters.
     pub quorum: Vec<QuorumRow>,
 }
 
@@ -648,11 +619,9 @@ fn require_str<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, Strin
         .ok_or_else(|| format!("{ctx}: '{key}' must be a string"))
 }
 
-/// Validate a `BENCH_summary.json` document. Version-dispatching: the
-/// checks applied are those of the document's own `schema_version`, so
-/// committed v2 baselines keep validating after a schema bump; versions
-/// outside [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`] are rejected.
-/// Returns the first problem found.
+/// Validate a `BENCH_summary.json` document against the one schema
+/// version this build writes; any other `schema_version` is rejected,
+/// naming the supported range. Returns the first problem found.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let doc = json::parse(text)?;
     if !doc.is_obj() {
@@ -664,10 +633,6 @@ pub fn validate_json(text: &str) -> Result<(), String> {
             "schema_version {version} outside supported {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
         ));
     }
-    let v3 = version >= 3.0;
-    let v4 = version >= 4.0;
-    let v5 = version >= 5.0;
-    let v6 = version >= 6.0;
     require_str(&doc, "generated_by", "root")?;
 
     for (i, a) in require_arr(&doc, "anchors")?.iter().enumerate() {
@@ -730,85 +695,76 @@ pub fn validate_json(text: &str) -> Result<(), String> {
         let ctx = format!("quantiles[{i}]");
         require_str(q, "name", &ctx)?;
         for key in [
-            "n", "min_us", "p50_us", "p90_us", "p99_us", "max_us", "mean_us",
+            "n", "min_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us", "mean_us",
         ] {
             require_num(q, key, &ctx)?;
         }
-        if v3 {
-            require_num(q, "p999_us", &ctx)?;
+    }
+    for (i, m) in require_arr(&doc, "messages")?.iter().enumerate() {
+        let ctx = format!("messages[{i}]");
+        require_num(m, "id", &ctx)?;
+        require_num(m, "src", &ctx)?;
+        require_num(m, "total_us", &ctx)?;
+        for (j, s) in require(m, "stages")
+            .map_err(|e| format!("{ctx}: {e}"))?
+            .as_arr()
+            .ok_or_else(|| format!("{ctx}: 'stages' must be an array"))?
+            .iter()
+            .enumerate()
+        {
+            let sctx = format!("{ctx}.stages[{j}]");
+            require_str(s, "stage", &sctx)?;
+            require_num(s, "at_us", &sctx)?;
+            require_num(s, "node", &sctx)?;
         }
     }
-    if v3 {
-        for (i, m) in require_arr(&doc, "messages")?.iter().enumerate() {
-            let ctx = format!("messages[{i}]");
-            require_num(m, "id", &ctx)?;
-            require_num(m, "src", &ctx)?;
-            require_num(m, "total_us", &ctx)?;
-            for (j, s) in require(m, "stages")
-                .map_err(|e| format!("{ctx}: {e}"))?
-                .as_arr()
-                .ok_or_else(|| format!("{ctx}: 'stages' must be an array"))?
-                .iter()
-                .enumerate()
-            {
-                let sctx = format!("{ctx}.stages[{j}]");
-                require_str(s, "stage", &sctx)?;
-                require_num(s, "at_us", &sctx)?;
-                require_num(s, "node", &sctx)?;
-            }
+    for (i, c) in require_arr(&doc, "capacity")?.iter().enumerate() {
+        let ctx = format!("capacity[{i}]");
+        require_str(c, "scenario", &ctx)?;
+        for key in [
+            "size",
+            "p999_target_us",
+            "max_sustainable_hz",
+            "max_sustainable_mult",
+        ] {
+            require_num(c, key, &ctx)?;
         }
-    }
-    if v5 {
-        for (i, c) in require_arr(&doc, "capacity")?.iter().enumerate() {
-            let ctx = format!("capacity[{i}]");
-            require_str(c, "scenario", &ctx)?;
+        for (j, cell) in require(c, "cells")
+            .map_err(|e| format!("{ctx}: {e}"))?
+            .as_arr()
+            .ok_or_else(|| format!("{ctx}: 'cells' must be an array"))?
+            .iter()
+            .enumerate()
+        {
+            let cctx = format!("{ctx}.cells[{j}]");
             for key in [
-                "size",
-                "p999_target_us",
-                "max_sustainable_hz",
-                "max_sustainable_mult",
+                "seed",
+                "mult",
+                "offered_hz",
+                "completed_hz",
+                "p999_us",
+                "sheds_per_sec",
+                "violations",
             ] {
-                require_num(c, key, &ctx)?;
+                require_num(cell, key, &cctx)?;
             }
-            for (j, cell) in require(c, "cells")
-                .map_err(|e| format!("{ctx}: {e}"))?
-                .as_arr()
-                .ok_or_else(|| format!("{ctx}: 'cells' must be an array"))?
-                .iter()
-                .enumerate()
-            {
-                let cctx = format!("{ctx}.cells[{j}]");
-                for key in [
-                    "seed",
-                    "mult",
-                    "offered_hz",
-                    "completed_hz",
-                    "p999_us",
-                    "sheds_per_sec",
-                    "violations",
-                ] {
-                    require_num(cell, key, &cctx)?;
-                }
-                let lim = require_str(cell, "limited_by", &cctx)?;
-                if !matches!(lim, "none" | "latency" | "shed" | "violation") {
-                    return Err(format!("{cctx}: unknown limited_by '{lim}'"));
-                }
+            let lim = require_str(cell, "limited_by", &cctx)?;
+            if !matches!(lim, "none" | "latency" | "shed" | "violation") {
+                return Err(format!("{cctx}: unknown limited_by '{lim}'"));
             }
         }
     }
-    if v6 {
-        for (i, t) in require_arr(&doc, "timeseries")?.iter().enumerate() {
-            let ctx = format!("timeseries[{i}]");
-            require_str(t, "name", &ctx)?;
-            for key in ["node", "n", "min", "mean", "max", "last", "peak_at_us"] {
-                require_num(t, key, &ctx)?;
-            }
+    for (i, t) in require_arr(&doc, "timeseries")?.iter().enumerate() {
+        let ctx = format!("timeseries[{i}]");
+        require_str(t, "name", &ctx)?;
+        for key in ["node", "n", "min", "mean", "max", "last", "peak_at_us"] {
+            require_num(t, key, &ctx)?;
         }
-        for (i, q) in require_arr(&doc, "quorum")?.iter().enumerate() {
-            let ctx = format!("quorum[{i}]");
-            for key in ["node", "stale_epoch_rejects", "freezes", "epoch_bumps"] {
-                require_num(q, key, &ctx)?;
-            }
+    }
+    for (i, q) in require_arr(&doc, "quorum")?.iter().enumerate() {
+        let ctx = format!("quorum[{i}]");
+        for key in ["node", "stale_epoch_rejects", "freezes", "epoch_bumps"] {
+            require_num(q, key, &ctx)?;
         }
     }
     for (i, w) in require_arr(&doc, "wallclock")?.iter().enumerate() {
@@ -821,31 +777,29 @@ pub fn validate_json(text: &str) -> Result<(), String> {
             "events_per_sec",
             "sim_ns_per_sec",
             "peak_queue_depth",
+            "threads",
         ] {
             require_num(w, key, &ctx)?;
         }
-        if v4 {
-            require_num(w, "threads", &ctx)?;
-            for (j, s) in require(w, "shards")
-                .map_err(|e| format!("{ctx}: {e}"))?
-                .as_arr()
-                .ok_or_else(|| format!("{ctx}: 'shards' must be an array"))?
-                .iter()
-                .enumerate()
-            {
-                let sctx = format!("{ctx}.shards[{j}]");
-                for key in [
-                    "shard",
-                    "events",
-                    "busy_passes",
-                    "stall_passes",
-                    "max_mailbox_depth",
-                    "spilled",
-                    "peak_queue_depth",
-                    "utilization",
-                ] {
-                    require_num(s, key, &sctx)?;
-                }
+        for (j, s) in require(w, "shards")
+            .map_err(|e| format!("{ctx}: {e}"))?
+            .as_arr()
+            .ok_or_else(|| format!("{ctx}: 'shards' must be an array"))?
+            .iter()
+            .enumerate()
+        {
+            let sctx = format!("{ctx}.shards[{j}]");
+            for key in [
+                "shard",
+                "events",
+                "busy_passes",
+                "stall_passes",
+                "max_mailbox_depth",
+                "spilled",
+                "peak_queue_depth",
+                "utilization",
+            ] {
+                require_num(s, key, &sctx)?;
             }
         }
     }
@@ -987,113 +941,22 @@ mod tests {
     }
 
     #[test]
-    fn wrong_schema_version_is_rejected() {
-        let text = sample().to_json().replace(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            "\"schema_version\": 99",
-        );
-        assert!(validate_json(&text).unwrap_err().contains("schema_version"));
-        let old = sample().to_json().replace(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            "\"schema_version\": 1",
-        );
-        assert!(validate_json(&old).unwrap_err().contains("schema_version"));
+    fn only_the_current_schema_version_is_accepted() {
+        let current = format!("\"schema_version\": {SCHEMA_VERSION}");
+        for other in [1, 5, 7, 99] {
+            let text = sample()
+                .to_json()
+                .replace(&current, &format!("\"schema_version\": {other}"));
+            let err = validate_json(&text).unwrap_err();
+            assert!(
+                err.contains("schema_version") && err.contains("6..=6"),
+                "v{other}: {err}"
+            );
+        }
     }
 
     #[test]
-    fn v2_documents_still_validate() {
-        // A committed v2 baseline has no p999_us, no messages section,
-        // no parallel-engine wallclock fields, and no capacity section;
-        // the validator must dispatch to the v2 rules.
-        let mut r = sample();
-        r.messages.clear();
-        r.capacity.clear();
-        r.timeseries.clear();
-        r.quorum.clear();
-        let text = r
-            .to_json()
-            .replace(
-                &format!("\"schema_version\": {SCHEMA_VERSION}"),
-                "\"schema_version\": 2",
-            )
-            .replace(", \"p999_us\": 45.05", "")
-            .replace("\"messages\": [\n  ],\n  ", "")
-            .replace("\"capacity\": [\n  ],\n  ", "")
-            .replace("\"timeseries\": [\n  ],\n  ", "")
-            .replace("\"quorum\": [\n  ],\n  ", "")
-            .replace(", \"threads\": 1, \"shards\": []", "");
-        assert!(!text.contains("p999_us"));
-        assert!(!text.contains("messages"));
-        assert!(!text.contains("threads"));
-        assert!(!text.contains("capacity"));
-        assert!(!text.contains("timeseries"));
-        validate_json(&text).unwrap();
-    }
-
-    #[test]
-    fn v3_documents_still_validate() {
-        // A committed v3 baseline predates the parallel-engine
-        // wallclock fields and the capacity section.
-        let mut r = sample();
-        r.capacity.clear();
-        r.timeseries.clear();
-        r.quorum.clear();
-        let text = r
-            .to_json()
-            .replace(
-                &format!("\"schema_version\": {SCHEMA_VERSION}"),
-                "\"schema_version\": 3",
-            )
-            .replace("\"capacity\": [\n  ],\n  ", "")
-            .replace("\"timeseries\": [\n  ],\n  ", "")
-            .replace("\"quorum\": [\n  ],\n  ", "")
-            .replace(", \"threads\": 1, \"shards\": []", "");
-        assert!(!text.contains("threads"));
-        validate_json(&text).unwrap();
-    }
-
-    #[test]
-    fn v4_documents_still_validate() {
-        // A committed v4 baseline predates the capacity section.
-        let mut r = sample();
-        r.capacity.clear();
-        r.timeseries.clear();
-        r.quorum.clear();
-        let text = r
-            .to_json()
-            .replace(
-                &format!("\"schema_version\": {SCHEMA_VERSION}"),
-                "\"schema_version\": 4",
-            )
-            .replace("\"capacity\": [\n  ],\n  ", "")
-            .replace("\"timeseries\": [\n  ],\n  ", "")
-            .replace("\"quorum\": [\n  ],\n  ", "");
-        assert!(!text.contains("capacity"));
-        validate_json(&text).unwrap();
-    }
-
-    #[test]
-    fn v5_documents_still_validate() {
-        // A committed v5 baseline predates the timeseries and quorum
-        // sections.
-        let mut r = sample();
-        r.timeseries.clear();
-        r.quorum.clear();
-        let text = r
-            .to_json()
-            .replace(
-                &format!("\"schema_version\": {SCHEMA_VERSION}"),
-                "\"schema_version\": 5",
-            )
-            .replace("\"timeseries\": [\n  ],\n  ", "")
-            .replace("\"quorum\": [\n  ],\n  ", "");
-        assert!(!text.contains("timeseries"));
-        assert!(!text.contains("quorum"));
-        validate_json(&text).unwrap();
-    }
-
-    #[test]
-    fn v6_requires_timeseries_and_quorum() {
+    fn timeseries_and_quorum_sections_are_required() {
         let no_ts = sample()
             .to_json()
             .replace("\"timeseries\"", "\"timezeries\"");
@@ -1131,7 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn v5_requires_the_capacity_section() {
+    fn capacity_section_is_required_and_checked() {
         let no_capacity = sample().to_json().replace("\"capacity\"", "\"kapacity\"");
         assert!(validate_json(&no_capacity)
             .unwrap_err()
@@ -1149,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn v4_requires_parallel_engine_fields() {
+    fn wallclock_entry_requires_parallel_engine_fields() {
         let no_threads = sample().to_json().replace("\"threads\"", "\"treads\"");
         assert!(validate_json(&no_threads).unwrap_err().contains("threads"));
         let no_shards = sample().to_json().replace("\"shards\"", "\"chards\"");
@@ -1202,7 +1065,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_requires_tail_percentiles_and_messages() {
+    fn tail_percentiles_and_messages_are_required() {
         let no_tail = sample().to_json().replace("\"p999_us\"", "\"p999_uz\"");
         assert!(validate_json(&no_tail).unwrap_err().contains("p999_us"));
         let no_msgs = sample().to_json().replace("\"messages\"", "\"mezzages\"");

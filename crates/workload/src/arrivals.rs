@@ -1,58 +1,10 @@
-//! Open-loop traffic primitives shared by every load harness in the
-//! workspace: arrival processes, service-time distributions, and the
-//! gap sampler. `bench::rpc_load` re-exports these, so the saturation
-//! sweep and the workload campaigns draw from one generator — a cell
-//! reproduced from a campaign report runs the exact arrival stream the
-//! campaign measured.
+//! Server-side service-time distributions for the workload cells:
+//! fixed, exponential, and a deterministic long tail. Arrivals are not
+//! drawn here — `plan.rs` precomputes every channel's arrival stream
+//! from its scripted [`crate::Shape`] windows.
 
-use des::Time;
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// Arrival process per client channel.
-#[derive(Debug, Clone, Copy)]
-pub enum Arrival {
-    /// Memoryless arrivals at `rate_hz` per channel (exponential
-    /// inter-arrival times).
-    Poisson {
-        /// Mean arrivals per second per channel.
-        rate_hz: f64,
-    },
-    /// `burst` back-to-back arrivals at the start of each period; the
-    /// period is sized so the long-run rate is `rate_hz`. Because the
-    /// first gap is the full deterministic period, every channel seeded
-    /// at the same origin bursts at the same instants — the arrival
-    /// storms the workload campaigns lean on.
-    Bursty {
-        /// Mean arrivals per second per channel.
-        rate_hz: f64,
-        /// Arrivals per burst.
-        burst: u32,
-    },
-}
-
-impl Arrival {
-    /// The long-run per-channel rate of the process.
-    pub fn rate_hz(&self) -> f64 {
-        match *self {
-            Arrival::Poisson { rate_hz } | Arrival::Bursty { rate_hz, .. } => rate_hz,
-        }
-    }
-
-    /// The same process with its rate scaled by `mult` (burst sizes are
-    /// preserved; the burst period shrinks).
-    pub fn scaled(self, mult: f64) -> Arrival {
-        match self {
-            Arrival::Poisson { rate_hz } => Arrival::Poisson {
-                rate_hz: rate_hz * mult,
-            },
-            Arrival::Bursty { rate_hz, burst } => Arrival::Bursty {
-                rate_hz: rate_hz * mult,
-                burst,
-            },
-        }
-    }
-}
 
 /// Server-side service-time distribution (virtual time spent per
 /// request before the in-place reply).
@@ -126,87 +78,10 @@ impl ServiceTime {
     }
 }
 
-/// Per-channel arrival-clock state for [`next_gap`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ArrivalState {
-    /// Virtual time of the channel's next arrival.
-    pub next_at: Time,
-    /// Arrivals left in the current burst (bursty processes only).
-    pub burst_left: u32,
-}
-
-/// Draw the gap to the channel's next arrival. Bursty processes emit
-/// `burst - 1` zero gaps after each period gap.
-pub fn next_gap(arrival: Arrival, rng: &mut StdRng, st: &mut ArrivalState) -> Time {
-    match arrival {
-        Arrival::Poisson { rate_hz } => {
-            let u: f64 = rng.gen();
-            ((-(1.0 - u).ln() / rate_hz) * 1e9) as Time
-        }
-        Arrival::Bursty { rate_hz, burst } => {
-            if st.burst_left > 1 {
-                st.burst_left -= 1;
-                0
-            } else {
-                st.burst_left = burst.max(1);
-                ((burst.max(1) as f64 / rate_hz) * 1e9) as Time
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn bursty_gap_emits_bursts() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut st = ArrivalState::default();
-        let a = Arrival::Bursty {
-            rate_hz: 1_000.0,
-            burst: 4,
-        };
-        // First call starts a period; the following burst-1 calls are
-        // back-to-back.
-        let g0 = next_gap(a, &mut rng, &mut st);
-        assert_eq!(g0, 4_000_000, "period = burst / rate");
-        assert_eq!(next_gap(a, &mut rng, &mut st), 0);
-        assert_eq!(next_gap(a, &mut rng, &mut st), 0);
-        assert_eq!(next_gap(a, &mut rng, &mut st), 0);
-        assert_eq!(next_gap(a, &mut rng, &mut st), 4_000_000);
-    }
-
-    #[test]
-    fn bursty_first_gap_is_deterministic_so_channels_synchronize() {
-        let a = Arrival::Bursty {
-            rate_hz: 500.0,
-            burst: 8,
-        };
-        // Different RNG streams, same first boundary: the storm is
-        // synchronized across every channel and node.
-        for seed in [1u64, 2, 3, 99] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut st = ArrivalState::default();
-            assert_eq!(next_gap(a, &mut rng, &mut st), 16_000_000);
-        }
-    }
-
-    #[test]
-    fn poisson_gaps_have_the_right_mean() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut st = ArrivalState::default();
-        let a = Arrival::Poisson { rate_hz: 10_000.0 };
-        let n = 4_000;
-        let total: u64 = (0..n).map(|_| next_gap(a, &mut rng, &mut st)).sum();
-        let mean = total as f64 / n as f64;
-        // Expected 100 µs; a 4k-sample mean lands within a few percent.
-        assert!(
-            (mean - 100_000.0).abs() < 10_000.0,
-            "poisson mean {mean:.0} ns"
-        );
-    }
 
     #[test]
     fn exp_service_has_the_right_mean() {
@@ -232,20 +107,5 @@ mod tests {
             [10_000, 10_000, 10_000, 400_000, 10_000, 10_000, 10_000, 400_000]
         );
         assert!((s.mean_ns() - 107_500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scaling_preserves_burst_shape() {
-        let a = Arrival::Bursty {
-            rate_hz: 100.0,
-            burst: 16,
-        };
-        match a.scaled(2.0) {
-            Arrival::Bursty { rate_hz, burst } => {
-                assert_eq!(burst, 16);
-                assert!((rate_hz - 200.0).abs() < 1e-12);
-            }
-            _ => unreachable!(),
-        }
     }
 }

@@ -1,5 +1,5 @@
 //! `workload-campaign` — run the workload campaign matrix and emit the
-//! schema-v5 capacity report.
+//! capacity report.
 //!
 //! ```text
 //! workload-campaign [--quick] [--out PATH] [--cell-budget-ms N]

@@ -1,7 +1,7 @@
 //! The campaign matrix: (scenario × seed × size × load multiplier)
 //! cells, like the fault campaign one layer up the stack. Each cell runs
 //! [`run_cell`] and carries its own repro
-//! command; the matrix folds into the schema-v5 `capacity` section of
+//! command; the matrix folds into the `capacity` section of
 //! the bench report — per scenario, the max sustainable load at the
 //! scenario's p999 SLO target, found by a deterministic load-multiplier
 //! sweep.
@@ -323,7 +323,7 @@ impl CampaignResult {
         by_wall
     }
 
-    /// Fold the matrix into the schema-v5 capacity section: per
+    /// Fold the matrix into the report's `capacity` section: per
     /// (scenario, size), the max sustainable offered load at the
     /// scenario's p999 target. A rung counts as sustainable only when
     /// **every seed** at that multiplier sustained — the figure is the
@@ -385,7 +385,7 @@ impl CampaignResult {
         out
     }
 
-    /// The full schema-v5 report document.
+    /// The full report document.
     pub fn to_report(&self, generated_by: &str) -> BenchReport {
         BenchReport {
             generated_by: generated_by.to_string(),

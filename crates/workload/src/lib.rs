@@ -5,9 +5,8 @@
 //! The fault campaign covers *failures*; this crate covers *load
 //! pathologies* — the way production systems actually die. It provides:
 //!
-//! - [`arrivals`]: the open-loop traffic primitives ([`Arrival`],
-//!   [`ServiceTime`], the gap sampler) shared with `bench::rpc_load`,
-//!   so campaigns and the saturation sweep draw from one generator.
+//! - [`arrivals`]: the server-side service-time distributions
+//!   ([`ServiceTime`]: fixed, exponential, deterministic long tail).
 //! - [`plan`]: the [`WorkloadPlan`] DSL — scripted arrival windows
 //!   (Poisson, synchronized bursts, quiesce), a service model, a
 //!   server/hot-spot topology, and optional MPI sidecar traffic —
@@ -19,8 +18,8 @@
 //!   progressing, and sidecar completion.
 //! - [`campaign`]: the (scenario × seed × size × load) matrix — incast,
 //!   hotspot, synchronized bursts, unexpected-queue floods, long-tail
-//!   stragglers, and mixed MPI+RPC — folded into the schema-v5
-//!   `capacity` report: per scenario, the max sustainable load at a
+//!   stragglers, and mixed MPI+RPC — folded into the report's
+//!   `capacity` section: per scenario, the max sustainable load at a
 //!   p999 latency target, found by a deterministic multiplier sweep.
 //!
 //! Every cell prints a `WORKLOAD_KIND`/`WORKLOAD_SEED`/`WORKLOAD_SIZE`/
@@ -33,7 +32,7 @@ pub mod campaign;
 pub mod cell;
 pub mod plan;
 
-pub use arrivals::{next_gap, Arrival, ArrivalState, ServiceTime};
+pub use arrivals::ServiceTime;
 pub use campaign::{
     run_campaign, CampaignCell, CampaignConfig, CampaignResult, WorkloadKind, KINDS, MULTS, SEEDS,
     SIZES,

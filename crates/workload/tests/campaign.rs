@@ -1,7 +1,7 @@
 //! Integration tests of the workload campaign machinery: cell
-//! determinism, per-scenario health at nominal load, the flood
-//! sidecar's residency invariant, capacity folding, and the repro
-//! environment filters.
+//! determinism, the saturating ×8 overload cell, per-scenario health at
+//! nominal load, the flood sidecar's residency invariant, capacity
+//! folding, and the repro environment filters.
 
 use des::{ms, us};
 use obs::LogHistogram;
@@ -18,11 +18,23 @@ fn small_plan(seed: u64) -> WorkloadPlan {
         .window(us(500), Shape::Off)
 }
 
-#[test]
-fn same_plan_same_mult_same_outcome() {
-    let plan = small_plan(7);
-    let a = run_cell(&plan, 2.0, "wl_test_det_a");
-    let b = run_cell(&plan, 2.0, "wl_test_det_b");
+/// Deep overload: 256 channels offer ~410k req/s against the ~50k req/s
+/// ceiling of one server with 20 µs exponential service (~8x).
+fn overload_plan(seed: u64) -> WorkloadPlan {
+    WorkloadPlan::new(seed)
+        .clients(4, 64)
+        .credits(4)
+        .service(ServiceTime::Exp { mean_ns: 20_000 })
+        .body_bytes(64)
+        .high_share(20)
+        .pool(32)
+        .window(ms(20), Shape::Poisson { rate_hz: 1_600.0 })
+}
+
+/// Run one (plan, mult) cell twice and require identical outcomes.
+fn replayed(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
+    let a = run_cell(plan, mult, &format!("{label}_a"));
+    let b = run_cell(plan, mult, &format!("{label}_b"));
     assert_eq!(a.sent, b.sent);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.shed, b.shed);
@@ -34,6 +46,39 @@ fn same_plan_same_mult_same_outcome() {
     assert_eq!(a.per_node_completed, b.per_node_completed);
     assert_eq!(a.service.quantile(0.999), b.service.quantile(0.999));
     assert_eq!(a.violations, b.violations);
+    a
+}
+
+#[test]
+fn same_plan_same_mult_same_outcome() {
+    replayed(&small_plan(7), 2.0, "wl_test_det");
+}
+
+/// Offered load far past the service ceiling: the cell still completes
+/// (a deadlock or an undrained request is a violation), sheds the excess
+/// through the credit gates instead of queueing it, keeps queue
+/// residency inside the preallocated pool, and starves neither class.
+#[test]
+fn overload_is_shed_bounded_and_deadlock_free() {
+    let plan = overload_plan(7);
+    let out = replayed(&plan, 1.0, "wl_test_overload");
+    assert_eq!(out.violations, Vec::<String>::new());
+    assert_eq!(out.undrained, 0);
+    assert!(out.completed > 0, "nothing completed");
+    assert_eq!(out.completed, out.sent, "accepted requests leaked");
+    assert!(
+        out.shed + out.transport_shed > out.completed,
+        "overload was absorbed, not shed"
+    );
+    assert!(
+        out.max_residency <= plan.pool,
+        "residency {} exceeded the {}-buffer pool",
+        out.max_residency,
+        plan.pool
+    );
+    assert!(out.high_dispatched > 0, "high class starved");
+    assert!(out.normal_dispatched > 0, "normal class starved");
+    assert!(out.service.quantile(0.5) > 0, "latency histogram is empty");
 }
 
 #[test]
@@ -302,7 +347,7 @@ fn env_filters_narrow_the_matrix_to_one_cell() {
 }
 
 #[test]
-fn campaign_report_validates_against_schema_v5() {
+fn campaign_report_validates_against_the_schema() {
     let result = CampaignResult {
         cells: vec![
             synthetic_cell(1.0, 100_000, Vec::new()),
@@ -311,7 +356,7 @@ fn campaign_report_validates_against_schema_v5() {
     };
     let report = result.to_report("workload-campaign test");
     let json = report.to_json();
-    obs::report::validate_json(&json).expect("a campaign report is schema-v5 valid");
+    obs::report::validate_json(&json).expect("a campaign report is schema valid");
     assert!(json.contains("\"capacity\""));
     assert!(json.contains("\"sheds_per_sec\""));
 }
