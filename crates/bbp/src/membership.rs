@@ -55,6 +55,13 @@ pub struct MembershipView {
     pub alive_mask: Word,
 }
 
+/// `{"epoch":…,"mask":…}`: how campaign reports spell a view.
+impl From<MembershipView> for des::obs::json::Json {
+    fn from(v: MembershipView) -> Self {
+        Self::obj([("epoch", v.epoch.into()), ("mask", v.alive_mask.into())])
+    }
+}
+
 impl MembershipView {
     /// Is `rank` a member of this view?
     pub fn is_alive(&self, rank: usize) -> bool {

@@ -10,26 +10,24 @@
 //! > `{epoch, alive_mask}`; a rejoined node exchanges verified traffic
 //! > in the new epoch.
 //!
-//! The run writes a JSON report with per-cell outcomes,
-//! detection-latency percentiles, and campaign-wide suspicion/death
-//! staleness histograms (aggregated from every endpoint's
-//! [`bbp::DetectionHists`]) to `$CHAOS_SOAK_REPORT` (defaulting to
-//! `$CARGO_TARGET_TMPDIR/chaos_soak.json`). A violating cell dumps its
-//! flight-recorder ring to `$FLIGHT_DUMP_DIR` for postmortem, and the
-//! test fails with the exact filter environment reproducing the single
-//! cell:
+//! The matrix is walked by [`des::obs::campaign`] (filters, report,
+//! per-cell budget, repro line); the report (default
+//! `$CARGO_TARGET_TMPDIR/chaos_soak.json`) adds detection-latency
+//! percentiles and campaign-wide suspicion/death staleness histograms
+//! (aggregated from every endpoint's [`bbp::DetectionHists`]) to the
+//! per-cell rows. A violating cell dumps its flight-recorder ring to
+//! `$FLIGHT_DUMP_DIR` for postmortem, and its repro line reads:
 //!
 //! ```text
-//! CHAOS_KIND=double_kill CHAOS_SEED=7 \
+//! CAMPAIGN_KIND=double_kill CAMPAIGN_SEED=7 \
 //!     cargo test -p bbp --test chaos_soak -- --nocapture
 //! ```
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, MembershipView};
-
-mod common;
+use des::obs::campaign::{self, Campaign, Cell, Coord};
+use des::obs::json::Json;
 use des::obs::{FlightGuard, LogHistogram};
 use des::{ms, us, Simulation, Time};
 use parking_lot::Mutex;
@@ -126,8 +124,6 @@ fn payload(index: u32, seed: u64) -> Vec<u8> {
 }
 
 struct CellOutcome {
-    kind: ChaosKind,
-    seed: u64,
     scenario: String,
     /// Per-rank final `{epoch, alive_mask}` (None for dead ranks).
     final_views: Vec<Option<MembershipView>>,
@@ -139,41 +135,19 @@ struct CellOutcome {
     violations: Vec<String>,
 }
 
-impl CellOutcome {
-    fn repro(&self) -> String {
-        format!(
-            "CHAOS_KIND={} CHAOS_SEED={} cargo test -p bbp --test chaos_soak -- --nocapture",
-            self.kind.name(),
-            self.seed
-        )
+impl Cell for CellOutcome {
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 
-    fn to_json(&self) -> String {
-        let views = self
-            .final_views
-            .iter()
-            .map(|v| match v {
-                Some(v) => format!(r#"{{"epoch":{},"mask":{}}}"#, v.epoch, v.alive_mask),
-                None => "null".into(),
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            r#"{{"kind":"{}","seed":{},"scenario":"{}","final_views":[{}],"detect_ns":{},"sent_ok":{},"delivered":{},"violations":[{}],"repro":"{}"}}"#,
-            self.kind.name(),
-            self.seed,
-            self.scenario,
-            views,
-            self.detect_ns.map_or("null".into(), |d| d.to_string()),
-            self.sent_ok,
-            self.delivered,
-            self.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.repro()
-        )
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("scenario", self.scenario.as_str().into()),
+            ("final_views", self.final_views.clone().into()),
+            ("detect_ns", self.detect_ns.into()),
+            ("sent_ok", self.sent_ok.into()),
+            ("delivered", self.delivered.into()),
+        ]
     }
 }
 
@@ -329,8 +303,6 @@ fn run_cell(
     let report = sim.run();
 
     let mut cell = CellOutcome {
-        kind,
-        seed,
         scenario: plan.describe(),
         final_views: finals.lock().clone(),
         detect_ns: None,
@@ -429,14 +401,7 @@ fn run_cell(
         suspect.merge(&d.suspect_ns);
         death.merge(&d.death_ns);
     }
-    if !cell.violations.is_empty() {
-        if let Some(path) = flight.dump_now() {
-            eprintln!(
-                "violating cell's flight recorder dumped to {}",
-                path.display()
-            );
-        }
-    }
+    flight.dump_if_violated(&cell.violations);
     cell
 }
 
@@ -447,106 +412,43 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
     sorted[(sorted.len() - 1) * p / 100]
 }
 
-fn report_path() -> String {
-    std::env::var("CHAOS_SOAK_REPORT")
-        .unwrap_or_else(|_| format!("{}/chaos_soak.json", env!("CARGO_TARGET_TMPDIR")))
-}
+const CAMPAIGN: Campaign = Campaign {
+    name: "chaos_soak",
+    command: "cargo test -p bbp --test chaos_soak -- --nocapture",
+    default_report: concat!(env!("CARGO_TARGET_TMPDIR"), "/chaos_soak.json"),
+};
 
 #[test]
 fn chaos_soak_converges_and_preserves_survivor_traffic() {
-    let kind_filter = std::env::var("CHAOS_KIND").ok();
-    let seed_filter = std::env::var("CHAOS_SEED").ok().map(|s| {
-        s.parse::<u64>()
-            .expect("CHAOS_SEED must be an unsigned integer")
-    });
-
     let suspect = LogHistogram::new();
     let death = LogHistogram::new();
-    let mut cells = Vec::new();
-    let mut walls: Vec<(f64, String)> = Vec::new();
-    for kind in KINDS {
-        if kind_filter.as_deref().is_some_and(|f| f != kind.name()) {
-            continue;
-        }
-        for seed in SEEDS {
-            if seed_filter.is_some_and(|f| f != seed) {
-                continue;
-            }
-            let start = std::time::Instant::now();
-            cells.push(run_cell(kind, seed, &suspect, &death));
-            walls.push((
-                start.elapsed().as_secs_f64() * 1e3,
-                format!("{} seed={seed}", kind.name()),
-            ));
-        }
-    }
-    common::enforce_cell_budget(&walls);
-    assert!(
-        !cells.is_empty(),
-        "the CHAOS_KIND/CHAOS_SEED filters matched no cell"
-    );
-
-    let mut detects: Vec<u64> = cells.iter().filter_map(|c| c.detect_ns).collect();
-    detects.sort_unstable();
-    let violating: Vec<&CellOutcome> = cells.iter().filter(|c| !c.violations.is_empty()).collect();
-
-    let mut json = String::from("{\"cells\":[\n");
-    json.push_str(
-        &cells
-            .iter()
-            .map(CellOutcome::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    write!(
-        json,
-        "\n],\"detection_latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},\
-         \"suspect_latency_ns\":{{\"count\":{},\"p50\":{},\"p99\":{}}},\
-         \"death_latency_ns\":{{\"count\":{},\"p50\":{},\"p99\":{}}},\
-         \"total\":{},\"violations\":{}}}\n",
-        percentile(&detects, 50),
-        percentile(&detects, 90),
-        percentile(&detects, 99),
-        percentile(&detects, 100),
-        suspect.count(),
-        suspect.p50(),
-        suspect.p99(),
-        death.count(),
-        death.p50(),
-        death.p99(),
-        cells.len(),
-        violating.len()
-    )
-    .unwrap();
-    let path = report_path();
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write report {path}: {e}"));
-    println!(
-        "chaos soak: {} cells, {} violating; detection p50 {} µs, p99 {} µs; \
-         suspicion staleness p50 {} µs (n={}), death staleness p50 {} µs (n={}); report at {path}",
-        cells.len(),
-        violating.len(),
-        percentile(&detects, 50) / 1_000,
-        percentile(&detects, 99) / 1_000,
-        suspect.p50() / 1_000,
-        suspect.count(),
-        death.p50() / 1_000,
-        death.count(),
-    );
-
-    if !violating.is_empty() {
-        let mut msg = String::from("chaos-soak contract violations:\n");
-        for c in violating {
-            for v in &c.violations {
-                writeln!(
-                    msg,
-                    "  [{} seed={}] {v}\n    repro: {}",
-                    c.kind.name(),
-                    c.seed,
-                    c.repro()
-                )
-                .unwrap();
-            }
-        }
-        panic!("{msg}");
-    }
+    let matrix = campaign::matrix(KINDS.map(ChaosKind::name), &SEEDS, &[], &[]);
+    let cell = |c: &Coord| {
+        let kind = KINDS.into_iter().find(|k| k.name() == c.kind).unwrap();
+        run_cell(kind, c.seed, &suspect, &death)
+    };
+    CAMPAIGN.run(matrix, cell, |walk| {
+        let mut detects: Vec<u64> = walk.cells.iter().filter_map(|r| r.cell.detect_ns).collect();
+        detects.sort_unstable();
+        let staleness = |h: &LogHistogram| {
+            Json::obj([
+                ("count", h.count().into()),
+                ("p50", h.p50().into()),
+                ("p99", h.p99().into()),
+            ])
+        };
+        walk.document([
+            (
+                "detection_latency_ns",
+                Json::obj([
+                    ("p50", percentile(&detects, 50).into()),
+                    ("p90", percentile(&detects, 90).into()),
+                    ("p99", percentile(&detects, 99).into()),
+                    ("max", percentile(&detects, 100).into()),
+                ]),
+            ),
+            ("suspect_latency_ns", staleness(&suspect)),
+            ("death_latency_ns", staleness(&death)),
+        ])
+    });
 }

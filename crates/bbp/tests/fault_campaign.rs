@@ -6,22 +6,20 @@
 //! > every message is either delivered byte-identical, in order, without
 //! > duplication — or its send/recv reports a typed [`BbpError`].
 //!
-//! The run writes a machine-readable JSON report (for the CI fault-matrix
-//! job to archive and gate on) to `$FAULT_CAMPAIGN_REPORT`, defaulting to
-//! `$CARGO_TARGET_TMPDIR/fault_campaign.json`. A violation fails the test
-//! with the exact filter environment that reproduces the single cell:
+//! The matrix is walked by [`des::obs::campaign`], which owns the
+//! filters, the report (default `$CARGO_TARGET_TMPDIR/fault_campaign.json`),
+//! the per-cell budget and the repro line of a violating cell:
 //!
 //! ```text
-//! FAULT_KIND=drop FAULT_SEED=7 FAULT_SIZE=64 \
+//! CAMPAIGN_KIND=drop CAMPAIGN_SEED=7 CAMPAIGN_SIZE=64 \
 //!     cargo test -p bbp --test fault_campaign -- --nocapture
 //! ```
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, BbpError};
-
-mod common;
+use des::obs::campaign::{self, Campaign, Cell, Coord};
+use des::obs::json::Json;
 use des::{us, Simulation};
 use parking_lot::Mutex;
 use scramnet::fault::FOREVER;
@@ -112,9 +110,6 @@ fn payload(index: u32, size: usize) -> Vec<u8> {
 
 /// One cell's outcome, ready for the JSON report.
 struct CellResult {
-    kind: FaultKind,
-    seed: u64,
-    size: usize,
     scenario: String,
     sent_ok: Vec<u32>,
     send_errors: Vec<(u32, String)>,
@@ -127,40 +122,20 @@ struct CellResult {
     violations: Vec<String>,
 }
 
-impl CellResult {
-    fn repro(&self) -> String {
-        format!(
-            "FAULT_KIND={} FAULT_SEED={} FAULT_SIZE={} \
-             cargo test -p bbp --test fault_campaign -- --nocapture",
-            self.kind.name(),
-            self.seed,
-            self.size
-        )
+impl Cell for CellResult {
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 
-    fn to_json(&self) -> String {
-        let mut s = String::new();
-        write!(
-            s,
-            r#"{{"kind":"{}","seed":{},"size":{},"scenario":"{}","sent_ok":{},"send_errors":{},"delivered":{},"recv_errors":{},"phantom_rejects":{},"violations":[{}],"repro":"{}"}}"#,
-            self.kind.name(),
-            self.seed,
-            self.size,
-            self.scenario,
-            self.sent_ok.len(),
-            self.send_errors.len(),
-            self.delivered.len(),
-            self.recv_errors.len(),
-            self.phantom_rejects,
-            self.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.repro()
-        )
-        .unwrap();
-        s
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("scenario", self.scenario.as_str().into()),
+            ("sent_ok", self.sent_ok.len().into()),
+            ("send_errors", self.send_errors.len().into()),
+            ("delivered", self.delivered.len().into()),
+            ("recv_errors", self.recv_errors.len().into()),
+            ("phantom_rejects", self.phantom_rejects.into()),
+        ]
     }
 }
 
@@ -237,9 +212,6 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
     let report = sim.run();
 
     let mut cell = CellResult {
-        kind,
-        seed,
-        size,
         scenario: plan.describe(),
         sent_ok: Vec::new(),
         send_errors: Vec::new(),
@@ -336,118 +308,39 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
 
     // A violating cell's recent lifecycle ring is the postmortem the
     // repro line starts from; dump it before the recorder goes away.
-    if !cell.violations.is_empty() {
-        if let Some(path) = flight.dump_now() {
-            eprintln!(
-                "violating cell's flight recorder dumped to {}",
-                path.display()
-            );
-        }
-    }
+    flight.dump_if_violated(&cell.violations);
 
     cell
 }
 
-fn report_path() -> String {
-    std::env::var("FAULT_CAMPAIGN_REPORT")
-        .unwrap_or_else(|_| format!("{}/fault_campaign.json", env!("CARGO_TARGET_TMPDIR")))
-}
+const CAMPAIGN: Campaign = Campaign {
+    name: "fault_campaign",
+    command: "cargo test -p bbp --test fault_campaign -- --nocapture",
+    default_report: concat!(env!("CARGO_TARGET_TMPDIR"), "/fault_campaign.json"),
+};
 
 #[test]
 fn fault_matrix_holds_the_reliability_invariant() {
-    let kind_filter = std::env::var("FAULT_KIND").ok();
-    let seed_filter = std::env::var("FAULT_SEED").ok().map(|s| {
-        s.parse::<u64>()
-            .expect("FAULT_SEED must be an unsigned integer")
-    });
-    let size_filter = std::env::var("FAULT_SIZE").ok().map(|s| {
-        s.parse::<usize>()
-            .expect("FAULT_SIZE must be an unsigned integer")
-    });
-
-    let mut cells = Vec::new();
-    let mut walls: Vec<(f64, String)> = Vec::new();
-    for kind in KINDS {
-        if kind_filter.as_deref().is_some_and(|f| f != kind.name()) {
-            continue;
-        }
-        for seed in SEEDS {
-            if seed_filter.is_some_and(|f| f != seed) {
-                continue;
-            }
-            for size in SIZES {
-                if size_filter.is_some_and(|f| f != size) {
-                    continue;
-                }
-                let start = std::time::Instant::now();
-                cells.push(run_cell(kind, seed, size));
-                walls.push((
-                    start.elapsed().as_secs_f64() * 1e3,
-                    format!("{} seed={seed} size={size}", kind.name()),
-                ));
-            }
-        }
-    }
-    common::enforce_cell_budget(&walls);
-    assert!(
-        !cells.is_empty(),
-        "the FAULT_KIND/FAULT_SEED/FAULT_SIZE filters matched no cell"
-    );
-
-    let violating: Vec<&CellResult> = cells.iter().filter(|c| !c.violations.is_empty()).collect();
-    let mut json = String::from("{\"cells\":[\n");
-    json.push_str(
-        &cells
-            .iter()
-            .map(CellResult::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    write!(
-        json,
-        "\n],\"total\":{},\"violations\":{}}}\n",
-        cells.len(),
-        violating.len()
-    )
-    .unwrap();
-    let path = report_path();
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write report {path}: {e}"));
-    println!(
-        "fault campaign: {} cells, {} violating; report at {path}",
-        cells.len(),
-        violating.len()
-    );
+    let matrix = campaign::matrix(KINDS.map(FaultKind::name), &SEEDS, &SIZES, &[]);
+    let cell = |c: &Coord| {
+        let kind = KINDS.into_iter().find(|k| k.name() == c.kind).unwrap();
+        run_cell(kind, c.seed, c.size.unwrap())
+    };
+    let walk = CAMPAIGN.run(matrix, cell, |w| w.document([]));
 
     // The deliberate flag pokes in the corrupt cells must exercise the
     // phantom-rejection path (only meaningful over the full matrix — a
     // filtered single cell may legitimately see none).
-    if kind_filter.is_none() && seed_filter.is_none() && size_filter.is_none() {
-        let phantoms: u64 = cells
+    if walk.full {
+        let phantoms: u64 = walk
+            .cells
             .iter()
-            .filter(|c| c.kind == FaultKind::Corrupt)
-            .map(|c| c.phantom_rejects)
+            .filter(|r| r.coord.kind == FaultKind::Corrupt.name())
+            .map(|r| r.cell.phantom_rejects)
             .sum();
         assert!(
             phantoms > 0,
             "corrupt cells never hit the phantom-reject path — the poke is broken"
         );
-    }
-
-    if !violating.is_empty() {
-        let mut msg = String::from("fault-campaign invariant violations:\n");
-        for c in violating {
-            for v in &c.violations {
-                writeln!(
-                    msg,
-                    "  [{} seed={} size={}] {v}\n    repro: {}",
-                    c.kind.name(),
-                    c.seed,
-                    c.size,
-                    c.repro()
-                )
-                .unwrap();
-            }
-        }
-        panic!("{msg}");
     }
 }

@@ -12,25 +12,22 @@
 //! > converge on a single view history — no node ever observes two
 //! > different masks for the same epoch.
 //!
-//! The run writes a JSON report with per-cell outcomes to
-//! `$PARTITION_CAMPAIGN_REPORT` (defaulting to
-//! `$CARGO_TARGET_TMPDIR/partition_campaign.json`). A violating cell
-//! dumps its flight-recorder ring to `$FLIGHT_DUMP_DIR` for postmortem,
-//! and the test fails with the exact filter environment reproducing the
-//! single cell:
+//! The matrix is walked by [`des::obs::campaign`] (filters, report —
+//! default `$CARGO_TARGET_TMPDIR/partition_campaign.json` — per-cell
+//! budget, repro line). A violating cell dumps its flight-recorder ring
+//! to `$FLIGHT_DUMP_DIR` for postmortem, and its repro line reads:
 //!
 //! ```text
-//! PARTITION_KIND=minority_persistent PARTITION_SEED=7 \
+//! CAMPAIGN_KIND=minority_persistent CAMPAIGN_SEED=7 \
 //!     cargo test -p bbp --test partition_campaign -- --nocapture
 //! ```
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, BbpError, EndpointStats, MembershipView};
-
-mod common;
+use des::obs::campaign::{self, Campaign, Cell, Coord};
+use des::obs::json::Json;
 use des::obs::FlightGuard;
 use des::{ms, us, Simulation, Time};
 use parking_lot::Mutex;
@@ -158,8 +155,6 @@ fn payload(index: u32, seed: u64) -> Vec<u8> {
 }
 
 struct CellOutcome {
-    kind: PartitionKind,
-    seed: u64,
     scenario: String,
     final_views: Vec<Option<MembershipView>>,
     /// Per-rank `is_partitioned()` at cell end.
@@ -173,44 +168,22 @@ struct CellOutcome {
     violations: Vec<String>,
 }
 
-impl CellOutcome {
-    fn repro(&self) -> String {
-        format!(
-            "PARTITION_KIND={} PARTITION_SEED={} cargo test -p bbp --test partition_campaign -- --nocapture",
-            self.kind.name(),
-            self.seed
-        )
+impl Cell for CellOutcome {
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 
-    fn to_json(&self) -> String {
-        let views = self
-            .final_views
-            .iter()
-            .map(|v| match v {
-                Some(v) => format!(r#"{{"epoch":{},"mask":{}}}"#, v.epoch, v.alive_mask),
-                None => "null".into(),
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            r#"{{"kind":"{}","seed":{},"scenario":"{}","final_views":[{}],"final_frozen":{:?},"partitions_detected":{},"stale_epoch_rejects":{},"sent_ok":{},"delivered":{},"partitioned_errors":{},"violations":[{}],"repro":"{}"}}"#,
-            self.kind.name(),
-            self.seed,
-            self.scenario,
-            views,
-            self.final_frozen,
-            self.partitions_detected,
-            self.stale_epoch_rejects,
-            self.sent_ok,
-            self.delivered,
-            self.partitioned_errors,
-            self.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.repro()
-        )
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("scenario", self.scenario.as_str().into()),
+            ("final_views", self.final_views.clone().into()),
+            ("final_frozen", self.final_frozen.clone().into()),
+            ("partitions_detected", self.partitions_detected.into()),
+            ("stale_epoch_rejects", self.stale_epoch_rejects.into()),
+            ("sent_ok", self.sent_ok.into()),
+            ("delivered", self.delivered.into()),
+            ("partitioned_errors", self.partitioned_errors.into()),
+        ]
     }
 }
 
@@ -407,8 +380,6 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
 
     let stats = stats_finals.lock().clone();
     let mut cell = CellOutcome {
-        kind,
-        seed,
         scenario: plan.describe(),
         final_views: finals.lock().clone(),
         final_frozen: frozen_finals.lock().clone(),
@@ -572,92 +543,22 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
         }
     }
 
-    if !cell.violations.is_empty() {
-        if let Some(path) = flight.dump_now() {
-            eprintln!(
-                "violating cell's flight recorder dumped to {}",
-                path.display()
-            );
-        }
-    }
+    flight.dump_if_violated(&cell.violations);
     cell
 }
 
-fn report_path() -> String {
-    std::env::var("PARTITION_CAMPAIGN_REPORT")
-        .unwrap_or_else(|_| format!("{}/partition_campaign.json", env!("CARGO_TARGET_TMPDIR")))
-}
+const CAMPAIGN: Campaign = Campaign {
+    name: "partition_campaign",
+    command: "cargo test -p bbp --test partition_campaign -- --nocapture",
+    default_report: concat!(env!("CARGO_TARGET_TMPDIR"), "/partition_campaign.json"),
+};
 
 #[test]
 fn partition_campaign_freezes_minorities_and_heals_without_split_brain() {
-    let kind_filter = std::env::var("PARTITION_KIND").ok();
-    let seed_filter = std::env::var("PARTITION_SEED").ok().map(|s| {
-        s.parse::<u64>()
-            .expect("PARTITION_SEED must be an unsigned integer")
-    });
-
-    let mut cells = Vec::new();
-    let mut walls: Vec<(f64, String)> = Vec::new();
-    for kind in KINDS {
-        if kind_filter.as_deref().is_some_and(|f| f != kind.name()) {
-            continue;
-        }
-        for seed in SEEDS {
-            if seed_filter.is_some_and(|f| f != seed) {
-                continue;
-            }
-            let start = std::time::Instant::now();
-            cells.push(run_cell(kind, seed));
-            walls.push((
-                start.elapsed().as_secs_f64() * 1e3,
-                format!("{} seed={seed}", kind.name()),
-            ));
-        }
-    }
-    common::enforce_cell_budget(&walls);
-    assert!(
-        !cells.is_empty(),
-        "the PARTITION_KIND/PARTITION_SEED filters matched no cell"
-    );
-
-    let violating: Vec<&CellOutcome> = cells.iter().filter(|c| !c.violations.is_empty()).collect();
-    let mut json = String::from("{\"cells\":[\n");
-    json.push_str(
-        &cells
-            .iter()
-            .map(CellOutcome::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    write!(
-        json,
-        "\n],\"total\":{},\"violations\":{}}}\n",
-        cells.len(),
-        violating.len()
-    )
-    .unwrap();
-    let path = report_path();
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write report {path}: {e}"));
-    println!(
-        "partition campaign: {} cells, {} violating; report at {path}",
-        cells.len(),
-        violating.len()
-    );
-
-    if !violating.is_empty() {
-        let mut msg = String::from("partition-campaign contract violations:\n");
-        for c in violating {
-            for v in &c.violations {
-                writeln!(
-                    msg,
-                    "  [{} seed={}] {v}\n    repro: {}",
-                    c.kind.name(),
-                    c.seed,
-                    c.repro()
-                )
-                .unwrap();
-            }
-        }
-        panic!("{msg}");
-    }
+    let matrix = campaign::matrix(KINDS.map(PartitionKind::name), &SEEDS, &[], &[]);
+    let cell = |c: &Coord| {
+        let kind = KINDS.into_iter().find(|k| k.name() == c.kind).unwrap();
+        run_cell(kind, c.seed)
+    };
+    CAMPAIGN.run(matrix, cell, |w| w.document([]));
 }

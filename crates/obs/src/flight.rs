@@ -211,6 +211,19 @@ impl FlightGuard {
     pub fn dump_now(&self) -> Option<std::path::PathBuf> {
         self.recorder.flight().dump_to_dir(&self.label)
     }
+
+    /// Dump, and say where, when a campaign cell's judge found
+    /// `violations`: the ring is the postmortem its repro line starts
+    /// from, and the cell reports rather than panics.
+    pub fn dump_if_violated(&self, violations: &[String]) {
+        if violations.is_empty() {
+            return;
+        }
+        if let Some(path) = self.dump_now() {
+            let path = path.display();
+            eprintln!("violating cell's flight recorder dumped to {path}");
+        }
+    }
 }
 
 impl Drop for FlightGuard {

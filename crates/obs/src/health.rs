@@ -19,7 +19,10 @@
 //! Evaluation consumes a [`Telemetry::snapshot`] and produces typed
 //! [`Violation`]s carrying the offending metric, node, and sim-time
 //! window, so a failing campaign cell can dump exactly the series that
-//! broke the rule next to its flight-ring postmortem.
+//! broke the rule next to its flight-ring postmortem. A rule none of
+//! whose series was ever sampled is a violation too
+//! ([`Finding::Unsampled`]): a judge that passes because the gauge was
+//! never wired is no judge.
 //!
 //! Resolution caveat: rules are evaluated at the series' current bucket
 //! granularity. `sustained_above` uses bucket *minima* (no false
@@ -71,30 +74,50 @@ impl Rule {
     }
 }
 
+/// Why a rule failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Finding {
+    /// A sampled series broke the rule.
+    Breached,
+    /// No series the rule names (on the node it is scoped to, if any)
+    /// was ever sampled, so the rule judged nothing.
+    Unsampled,
+}
+
 /// A rule that failed: which invariant, on which series, where in sim
 /// time, and what was observed there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
+    /// Whether a series broke the rule or none existed to judge.
+    pub finding: Finding,
     /// Human-readable rendering of the violated rule.
     pub rule: String,
     /// Metric name of the offending series.
     pub metric: String,
-    /// Node (or shard) of the offending series.
+    /// Node (or shard) of the offending series; for an unsampled rule
+    /// the node it is scoped to, or [`crate::NO_NODE`].
     pub node: u32,
-    /// Sim-time window `[t0, t1]` where the rule broke.
+    /// Sim-time window `[t0, t1]` where the rule broke (`(0, 0)` when
+    /// unsampled).
     pub window: (Time, Time),
     /// The observed value that broke the rule (threshold excess, final
-    /// residue, or step count, depending on the rule).
+    /// residue, or step count, depending on the rule; 0 when unsampled).
     pub observed: f64,
 }
 
 impl Violation {
     /// One-line rendering for campaign violation digests.
     pub fn describe(&self) -> String {
-        format!(
-            "health: {} violated by {}@{} in [{}ns, {}ns]: observed {}",
-            self.rule, self.metric, self.node, self.window.0, self.window.1, self.observed
-        )
+        match self.finding {
+            Finding::Breached => format!(
+                "health: {} violated by {}@{} in [{}ns, {}ns]: observed {}",
+                self.rule, self.metric, self.node, self.window.0, self.window.1, self.observed
+            ),
+            Finding::Unsampled => format!(
+                "health: {} judged nothing: no such series was ever sampled",
+                self.rule
+            ),
+        }
     }
 }
 
@@ -185,18 +208,21 @@ impl HealthSpec {
     }
 
     /// Evaluate every rule against `snapshot`, returning all
-    /// violations (empty = healthy). A rule that names a metric nobody
-    /// recorded passes vacuously — specs are shared across campaign
-    /// cells whose scenarios instrument different subsets.
+    /// violations (empty = healthy). A rule that finds no series to
+    /// judge is reported as [`Finding::Unsampled`], so a spec names only
+    /// what its cell instruments.
     pub fn evaluate(&self, snapshot: &[SeriesSnapshot]) -> Vec<Violation> {
         let mut out = Vec::new();
         for rule in &self.rules {
+            let mut sampled = false;
             for s in snapshot {
                 if s.name != rule.metric || rule.node.is_some_and(|n| n != s.node) {
                     continue;
                 }
+                sampled = true;
                 if let Some((window, observed)) = check(&rule.kind, s) {
                     out.push(Violation {
+                        finding: Finding::Breached,
                         rule: rule.describe(),
                         metric: s.name.to_string(),
                         node: s.node,
@@ -204,6 +230,16 @@ impl HealthSpec {
                         observed,
                     });
                 }
+            }
+            if !sampled {
+                out.push(Violation {
+                    finding: Finding::Unsampled,
+                    rule: rule.describe(),
+                    metric: rule.metric.clone(),
+                    node: rule.node.unwrap_or(crate::NO_NODE),
+                    window: (0, 0),
+                    observed: 0.0,
+                });
             }
         }
         out
@@ -398,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn node_scoping_and_vacuous_metrics() {
+    fn node_scoping_and_unsampled_metrics() {
         let t = Telemetry::new();
         t.enable();
         t.observe(0, 0, "m", 1.0);
@@ -414,11 +450,18 @@ mod tests {
         let v = HealthSpec::new().never_above("m", 5.0).evaluate(&snap);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].node, 1);
-        // A metric nobody recorded passes vacuously.
-        assert!(HealthSpec::new()
-            .never_above("ghost", 0.0)
-            .evaluate(&snap)
-            .is_empty());
+        // A metric nobody recorded, or recorded only on other nodes
+        // than the rule's, is a violation of its own kind.
+        for spec in [
+            HealthSpec::new().never_above("ghost", 0.0),
+            HealthSpec::new().never_above("m", 99.0).on_node(2),
+        ] {
+            let v = spec.evaluate_and_dump(&snap, "unit_unsampled");
+            assert_eq!(v.len(), 1);
+            assert_eq!(v[0].finding, Finding::Unsampled);
+            assert!(v[0].describe().contains("judged nothing"));
+        }
+        assert_eq!(v[0].finding, Finding::Breached);
     }
 
     #[test]

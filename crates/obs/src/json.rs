@@ -90,6 +90,81 @@ impl Json {
     pub fn is_obj(&self) -> bool {
         matches!(self, Json::Obj(_))
     }
+
+    /// An object from `(key, value)` members, order preserved.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Append this value as compact JSON text ([`write_string`] and
+    /// [`write_f64`] formatting, so [`parse`] reads it back).
+    pub fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_f64(out, *n),
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(out, key);
+                    out.push(':');
+                    value.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+/// Counters and sizes become [`Json::Num`]; exact below 2^53, which
+/// every count a report carries is.
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_from_number!(u32, u64, usize, f64);
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
 }
 
 /// Parse a complete JSON document.
@@ -294,6 +369,20 @@ mod tests {
         out.push(' ');
         write_f64(&mut out, f64::NAN);
         assert_eq!(out, "37.500 44 null");
+    }
+
+    #[test]
+    fn built_values_write_and_parse_back() {
+        let doc = Json::obj([
+            ("n", Json::from(7u64)),
+            ("half", Json::from(0.5)),
+            ("none", Json::from(None::<u64>)),
+            ("list", Json::from(vec![true, false])),
+            ("text", Json::from("a \"quoted\" line\n")),
+        ]);
+        let mut out = String::new();
+        doc.write(&mut out);
+        assert_eq!(parse(&out).unwrap(), doc);
     }
 
     #[test]

@@ -33,6 +33,10 @@
 //!   enable gate, and the [`health::HealthSpec`] engine turns campaign
 //!   invariants over those series into declarative rules.
 //!
+//! - **Campaigns** ([`campaign`]): the one runner every seed-sampled
+//!   matrix (fault, chaos, partition, workload) is walked by — filters,
+//!   per-cell clock and budget, report, violation digest, repro line.
+//!
 //! The recorder is **zero-overhead when disabled**: every recording call
 //! is one relaxed atomic load, no locks and no allocations (verified by
 //! `tests/obs_zero_cost.rs`). Two always-on facilities are budgeted just
@@ -56,6 +60,7 @@ mod chrome;
 mod event;
 mod recorder;
 
+pub mod campaign;
 pub mod flight;
 pub mod health;
 pub mod hist;
@@ -68,7 +73,7 @@ pub use attr::{attribute, message_waterfalls, LayerBreakdown, MessageWaterfall, 
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_telemetry};
 pub use event::{Event, Layer, TraceEntry, TraceKind, NO_NODE};
 pub use flight::{FlightGuard, FlightRecorder};
-pub use health::{HealthSpec, Violation};
+pub use health::{Finding, HealthSpec, Violation};
 pub use hist::LogHistogram;
 pub use lifecycle::Stage;
 pub use recorder::Recorder;

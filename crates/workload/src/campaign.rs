@@ -1,14 +1,12 @@
 //! The campaign matrix: (scenario × seed × size × load multiplier)
-//! cells, like the fault campaign one layer up the stack. Each cell runs
-//! [`run_cell`] and carries its own repro
-//! command; the matrix folds into the `capacity` section of
-//! the bench report — per scenario, the max sustainable load at the
-//! scenario's p999 SLO target, found by a deterministic load-multiplier
-//! sweep.
-
-use std::fmt::Write as _;
+//! cells, like the fault campaign one layer up the stack, walked by the
+//! same [`obs::campaign`] runner. Each cell runs [`run_cell`]; the
+//! matrix folds into the `capacity` section of the bench report — per
+//! scenario, the max sustainable load at the scenario's p999 SLO
+//! target, found by a deterministic load-multiplier sweep.
 
 use des::{ms, us};
+use obs::campaign::{matrix, Cell, Coord};
 use obs::report::{BenchReport, CapacityCell, CapacityScenario};
 
 use crate::arrivals::ServiceTime;
@@ -57,7 +55,7 @@ pub const KINDS: [WorkloadKind; 6] = [
 ];
 
 impl WorkloadKind {
-    /// The scenario id used in reports, filters, and repro commands.
+    /// The scenario id used in reports, filters, and repro lines.
     pub fn name(self) -> &'static str {
         match self {
             WorkloadKind::Incast => "incast",
@@ -69,7 +67,7 @@ impl WorkloadKind {
         }
     }
 
-    /// Parse a scenario id (the `WORKLOAD_KIND` filter).
+    /// The scenario family of a scenario id.
     pub fn from_name(name: &str) -> Option<Self> {
         KINDS.into_iter().find(|k| k.name() == name)
     }
@@ -154,76 +152,15 @@ impl WorkloadKind {
     }
 }
 
-/// Which cells a campaign run covers.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Scenario families to run.
-    pub kinds: Vec<WorkloadKind>,
-    /// Seeds per scenario.
-    pub seeds: Vec<u64>,
-    /// Body sizes per scenario.
-    pub sizes: Vec<usize>,
-    /// The load-multiplier ladder.
-    pub mults: Vec<f64>,
-}
-
-impl CampaignConfig {
-    /// The full CI matrix: 6 kinds × 3 seeds × 2 sizes × 4 multipliers.
-    pub fn full() -> Self {
-        CampaignConfig {
-            kinds: KINDS.to_vec(),
-            seeds: SEEDS.to_vec(),
-            sizes: SIZES.to_vec(),
-            mults: MULTS.to_vec(),
-        }
-    }
-
-    /// The smoke matrix: every kind once per ladder end.
-    pub fn quick() -> Self {
-        CampaignConfig {
-            kinds: KINDS.to_vec(),
-            seeds: vec![1],
-            sizes: vec![64],
-            mults: vec![1.0, 4.0],
-        }
-    }
-
-    /// Narrow the matrix by the single-cell repro environment:
-    /// `WORKLOAD_KIND`, `WORKLOAD_SEED`, `WORKLOAD_SIZE`,
-    /// `WORKLOAD_LOAD`. Unknown filter values panic (a repro command
-    /// that silently matches nothing is worse than a crash).
-    pub fn filtered_by_env(mut self) -> Self {
-        if let Ok(k) = std::env::var("WORKLOAD_KIND") {
-            let kind = WorkloadKind::from_name(&k)
-                .unwrap_or_else(|| panic!("WORKLOAD_KIND '{k}' is not a scenario id"));
-            self.kinds.retain(|&x| x == kind);
-        }
-        if let Ok(s) = std::env::var("WORKLOAD_SEED") {
-            let seed: u64 = s
-                .parse()
-                .expect("WORKLOAD_SEED must be an unsigned integer");
-            self.seeds.retain(|&x| x == seed);
-            if self.seeds.is_empty() {
-                self.seeds = vec![seed];
-            }
-        }
-        if let Ok(s) = std::env::var("WORKLOAD_SIZE") {
-            let size: usize = s
-                .parse()
-                .expect("WORKLOAD_SIZE must be an unsigned integer");
-            self.sizes.retain(|&x| x == size);
-            if self.sizes.is_empty() {
-                self.sizes = vec![size];
-            }
-        }
-        if let Ok(s) = std::env::var("WORKLOAD_LOAD") {
-            let mult: f64 = s.parse().expect("WORKLOAD_LOAD must be a load multiplier");
-            self.mults.retain(|&x| (x - mult).abs() < 1e-9);
-            if self.mults.is_empty() {
-                self.mults = vec![mult];
-            }
-        }
-        self
+/// The campaign's cells: the full CI matrix (6 kinds × 3 seeds × 2
+/// sizes × 4 multipliers), or with `quick` the smoke matrix — every
+/// kind once per ladder end, each a cell of the full matrix.
+pub fn cells(quick: bool) -> Vec<Coord> {
+    let kinds = KINDS.map(WorkloadKind::name);
+    if quick {
+        matrix(kinds, &[1], &[64], &[1.0, 4.0])
+    } else {
+        matrix(kinds, &SEEDS, &SIZES, &MULTS)
     }
 }
 
@@ -238,27 +175,36 @@ pub struct CampaignCell {
     pub size: usize,
     /// Load multiplier of the cell.
     pub mult: f64,
-    /// The plan's one-line description.
-    pub scenario: String,
     /// The scenario's p999 SLO target, µs.
     pub p999_target_us: f64,
     /// Everything the executor measured.
     pub outcome: CellOutcome,
-    /// Host wall-clock time the cell took, milliseconds.
-    pub wall_ms: f64,
+}
+
+impl Cell for CampaignCell {
+    fn violations(&self) -> &[String] {
+        &self.outcome.violations
+    }
 }
 
 impl CampaignCell {
-    /// The single-cell repro command.
-    pub fn repro(&self) -> String {
-        format!(
-            "WORKLOAD_KIND={} WORKLOAD_SEED={} WORKLOAD_SIZE={} WORKLOAD_LOAD={} \
-             cargo run --release -p workload --bin workload-campaign",
-            self.kind.name(),
-            self.seed,
-            self.size,
-            self.mult
-        )
+    /// Run the cell at `coord` (one of [`cells`]).
+    pub fn run(coord: &Coord) -> Self {
+        let kind = WorkloadKind::from_name(coord.kind).expect("a coordinate of `cells`");
+        let (size, mult) = (coord.size.unwrap(), coord.load.unwrap());
+        let plan = kind.plan(coord.seed, size);
+        let label = format!(
+            "workload_{}_seed{}_size{size}_x{mult}",
+            coord.kind, coord.seed
+        );
+        CampaignCell {
+            kind,
+            seed: coord.seed,
+            size,
+            mult,
+            p999_target_us: plan.p999_target_us,
+            outcome: run_cell(&plan, mult, &label),
+        }
     }
 
     /// What limited this rung: `"violation"`, `"latency"`, `"shed"`, or
@@ -279,181 +225,79 @@ impl CampaignCell {
     pub fn sustained(&self) -> bool {
         self.limited_by() == "none"
     }
-
-    /// One line per cell in the campaign log.
-    pub fn summary(&self) -> String {
-        format!(
-            "[{} seed={} size={} x{}] offered {:.0}/s completed {:.0}/s \
-             p999 {:.0}us sheds {:.0}/s {} ({:.0} ms)",
-            self.kind.name(),
-            self.seed,
-            self.size,
-            self.mult,
-            self.outcome.offered_hz(),
-            self.outcome.throughput_hz(),
-            self.outcome.p999_us(),
-            self.outcome.sheds_per_sec(),
-            self.limited_by(),
-            self.wall_ms,
-        )
-    }
 }
 
-/// An executed campaign.
-#[derive(Debug)]
-pub struct CampaignResult {
-    /// Every cell, matrix order.
-    pub cells: Vec<CampaignCell>,
-}
-
-impl CampaignResult {
-    /// Cells with invariant violations.
-    pub fn violated(&self) -> Vec<&CampaignCell> {
-        self.cells
+/// Fold executed cells into the report's `capacity` section: per
+/// (scenario, size), the max sustainable offered load at the scenario's
+/// p999 target. A rung counts as sustainable only when **every seed** at
+/// that multiplier sustained — the figure is the conservative envelope,
+/// not the luckiest seed.
+pub fn capacity<'a>(cells: impl IntoIterator<Item = &'a CampaignCell>) -> Vec<CapacityScenario> {
+    let cells: Vec<&CampaignCell> = cells.into_iter().collect();
+    let mut out = Vec::new();
+    for kind in KINDS {
+        let mut sizes: Vec<usize> = cells
             .iter()
-            .filter(|c| !c.outcome.violations.is_empty())
-            .collect()
-    }
-
-    /// The `wall_ms`-slowest cells, up to `n`.
-    pub fn slowest(&self, n: usize) -> Vec<&CampaignCell> {
-        let mut by_wall: Vec<&CampaignCell> = self.cells.iter().collect();
-        by_wall.sort_by(|a, b| b.wall_ms.total_cmp(&a.wall_ms));
-        by_wall.truncate(n);
-        by_wall
-    }
-
-    /// Fold the matrix into the report's `capacity` section: per
-    /// (scenario, size), the max sustainable offered load at the
-    /// scenario's p999 target. A rung counts as sustainable only when
-    /// **every seed** at that multiplier sustained — the figure is the
-    /// conservative envelope, not the luckiest seed.
-    pub fn capacity(&self) -> Vec<CapacityScenario> {
-        let mut out = Vec::new();
-        for kind in KINDS {
-            let mut sizes: Vec<usize> = self
-                .cells
+            .filter(|c| c.kind == kind)
+            .map(|c| c.size)
+            .collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        for size in sizes {
+            let group: Vec<&CampaignCell> = cells
                 .iter()
-                .filter(|c| c.kind == kind)
-                .map(|c| c.size)
+                .copied()
+                .filter(|c| c.kind == kind && c.size == size)
                 .collect();
-            sizes.sort_unstable();
-            sizes.dedup();
-            for size in sizes {
-                let group: Vec<&CampaignCell> = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.kind == kind && c.size == size)
-                    .collect();
-                let mut mults: Vec<f64> = group.iter().map(|c| c.mult).collect();
-                mults.sort_by(f64::total_cmp);
-                mults.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-                let mut best: Option<(f64, f64)> = None; // (mult, mean offered_hz)
-                for &m in &mults {
-                    let rung: Vec<&&CampaignCell> =
-                        group.iter().filter(|c| (c.mult - m).abs() < 1e-9).collect();
-                    if rung.iter().all(|c| c.sustained()) {
-                        let offered = rung.iter().map(|c| c.outcome.offered_hz()).sum::<f64>()
-                            / rung.len() as f64;
-                        if best.is_none_or(|(bm, _)| m > bm) {
-                            best = Some((m, offered));
-                        }
+            let mut mults: Vec<f64> = group.iter().map(|c| c.mult).collect();
+            mults.sort_by(f64::total_cmp);
+            mults.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+            let mut best: Option<(f64, f64)> = None; // (mult, mean offered_hz)
+            for &m in &mults {
+                let rung: Vec<&&CampaignCell> =
+                    group.iter().filter(|c| (c.mult - m).abs() < 1e-9).collect();
+                if rung.iter().all(|c| c.sustained()) {
+                    let offered = rung.iter().map(|c| c.outcome.offered_hz()).sum::<f64>()
+                        / rung.len() as f64;
+                    if best.is_none_or(|(bm, _)| m > bm) {
+                        best = Some((m, offered));
                     }
                 }
-                out.push(CapacityScenario {
-                    scenario: kind.name().to_string(),
-                    size,
-                    p999_target_us: group[0].p999_target_us,
-                    max_sustainable_hz: best.map_or(0.0, |(_, hz)| hz),
-                    max_sustainable_mult: best.map_or(0.0, |(m, _)| m),
-                    cells: group
-                        .iter()
-                        .map(|c| CapacityCell {
-                            seed: c.seed,
-                            mult: c.mult,
-                            offered_hz: c.outcome.offered_hz(),
-                            completed_hz: c.outcome.throughput_hz(),
-                            p999_us: c.outcome.p999_us(),
-                            sheds_per_sec: c.outcome.sheds_per_sec(),
-                            violations: c.outcome.violations.len() as u64,
-                            limited_by: c.limited_by().to_string(),
-                        })
-                        .collect(),
-                });
             }
+            out.push(CapacityScenario {
+                scenario: kind.name().to_string(),
+                size,
+                p999_target_us: group[0].p999_target_us,
+                max_sustainable_hz: best.map_or(0.0, |(_, hz)| hz),
+                max_sustainable_mult: best.map_or(0.0, |(m, _)| m),
+                cells: group
+                    .iter()
+                    .map(|c| CapacityCell {
+                        seed: c.seed,
+                        mult: c.mult,
+                        offered_hz: c.outcome.offered_hz(),
+                        completed_hz: c.outcome.throughput_hz(),
+                        p999_us: c.outcome.p999_us(),
+                        sheds_per_sec: c.outcome.sheds_per_sec(),
+                        violations: c.outcome.violations.len() as u64,
+                        limited_by: c.limited_by().to_string(),
+                    })
+                    .collect(),
+            });
         }
-        out
     }
-
-    /// The full report document.
-    pub fn to_report(&self, generated_by: &str) -> BenchReport {
-        BenchReport {
-            generated_by: generated_by.to_string(),
-            capacity: self.capacity(),
-            ..BenchReport::default()
-        }
-    }
-
-    /// The violation digest the campaign fails with: every violated
-    /// cell's findings plus its repro command.
-    pub fn violation_digest(&self) -> Option<String> {
-        let violating = self.violated();
-        if violating.is_empty() {
-            return None;
-        }
-        let mut msg = String::from("workload-campaign invariant violations:\n");
-        for c in violating {
-            for v in &c.outcome.violations {
-                writeln!(
-                    msg,
-                    "  [{} seed={} size={} x{}] {v}\n    repro: {}",
-                    c.kind.name(),
-                    c.seed,
-                    c.size,
-                    c.mult,
-                    c.repro()
-                )
-                .unwrap();
-            }
-        }
-        Some(msg)
-    }
+    out
 }
 
-/// Run the matrix. Each cell prints its one-line summary (and its repro
-/// command) as it completes.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
-    let mut cells = Vec::new();
-    for &kind in &cfg.kinds {
-        for &seed in &cfg.seeds {
-            for &size in &cfg.sizes {
-                let plan = kind.plan(seed, size);
-                for &mult in &cfg.mults {
-                    let label = format!(
-                        "workload_{}_seed{}_size{}_x{}",
-                        kind.name(),
-                        seed,
-                        size,
-                        mult
-                    );
-                    let start = std::time::Instant::now();
-                    let outcome = run_cell(&plan, mult, &label);
-                    let cell = CampaignCell {
-                        kind,
-                        seed,
-                        size,
-                        mult,
-                        scenario: plan.describe(),
-                        p999_target_us: plan.p999_target_us,
-                        outcome,
-                        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                    };
-                    println!("{}", cell.summary());
-                    println!("    repro: {}", cell.repro());
-                    cells.push(cell);
-                }
-            }
-        }
+/// The campaign's report document: a [`BenchReport`] carrying the
+/// [`capacity`] fold of `cells`.
+pub fn to_report<'a>(
+    cells: impl IntoIterator<Item = &'a CampaignCell>,
+    generated_by: &str,
+) -> BenchReport {
+    BenchReport {
+        generated_by: generated_by.to_string(),
+        capacity: capacity(cells),
+        ..BenchReport::default()
     }
-    CampaignResult { cells }
 }

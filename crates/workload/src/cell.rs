@@ -3,10 +3,11 @@
 //! `rpc::MessageQueue` loops, client nodes replay their precomputed
 //! arrival streams through `rpc::RpcClient` channels, and the optional
 //! MPI sidecar ranks ride the same billboard. The executor checks every
-//! per-cell invariant (no deadlock, full drain, bounded queue residency,
-//! source fairness, both priority classes progressing, sidecar
-//! completion) and reports violations as strings rather than panicking —
-//! a violated cell still produces its flight dump and its repro command.
+//! per-cell invariant (no deadlock, full drain, source fairness, both
+//! priority classes progressing, sidecar completion; bounded queue
+//! residency through [`cell_health_spec`]) and reports violations as
+//! strings rather than panicking — a violated cell still produces its
+//! flight dump and its repro line.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -76,9 +77,8 @@ pub struct CellOutcome {
     /// the health-monitor findings (also listed separately below).
     pub violations: Vec<String>,
     /// What the declarative health monitor found on the sampled gauge
-    /// series — the residency and flood invariants expressed as
-    /// [`obs::HealthSpec`] rules. Must agree with the hand-rolled
-    /// checks (cross-checked in tests).
+    /// series — the residency and flood-parking invariants, which
+    /// [`cell_health_spec`] alone judges.
     pub health_violations: Vec<String>,
     /// The cell's sampled gauge series, for report `timeseries` rows
     /// or ad-hoc health specs over a finished cell.
@@ -365,9 +365,21 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                         delivered += 1;
                     }
                 }
+                // The ADI samples its queue depth only on park and claim,
+                // and a flood the RPC load delays past the late receives
+                // parks nothing (512-byte bodies at x1 and above): the
+                // closing sample gives the park and drain rules of
+                // `cell_health_spec` the final state to judge even then.
+                let final_residency = mpi.adi().unexpected_len();
+                ctx.obs().gauge(
+                    ctx.now(),
+                    floodee_rank as u32,
+                    "adi.unexpected_len",
+                    final_residency as u64,
+                );
                 *flood_out.lock() = Some(FloodOutcome {
                     peak,
-                    final_residency: mpi.adi().unexpected_len(),
+                    final_residency,
                     delivered,
                 });
             });
@@ -473,12 +485,6 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             out.undrained
         ));
     }
-    if out.max_residency > plan.pool {
-        v.push(format!(
-            "residency: {} buffers in use exceeds the pool of {}",
-            out.max_residency, plan.pool
-        ));
-    }
     // Fairness across sources: symmetric nodes pinned to the same
     // server must complete within a 4x band of each other.
     let hot_span = if plan.hot_nodes > 0 {
@@ -508,33 +514,14 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             v.push("priority: normal class starved".to_string());
         }
     }
-    if let Sidecar::UnexpectedFlood {
-        messages, prepost, ..
-    } = plan.sidecar
-    {
+    if let Sidecar::UnexpectedFlood { messages, .. } = plan.sidecar {
         match out.flood {
             None => v.push("flood: floodee never reported".to_string()),
-            Some(f) => {
-                let expected_park = (messages - prepost.min(messages)) as usize;
-                if f.peak > expected_park {
-                    v.push(format!(
-                        "flood: unexpected-queue peak {} exceeds the {} unmatched sends",
-                        f.peak, expected_park
-                    ));
-                }
-                if f.final_residency != 0 {
-                    v.push(format!(
-                        "flood: {} messages still parked after every receive",
-                        f.final_residency
-                    ));
-                }
-                if f.delivered != messages {
-                    v.push(format!(
-                        "flood: {}/{} messages arrived intact",
-                        f.delivered, messages
-                    ));
-                }
-            }
+            Some(f) if f.delivered != messages => v.push(format!(
+                "flood: {}/{} messages arrived intact",
+                f.delivered, messages
+            )),
+            Some(_) => {}
         }
     }
     if let Sidecar::PingPong { rounds } = plan.sidecar {
@@ -543,10 +530,11 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             v.push(format!("pingpong: {done}/{rounds} rounds completed"));
         }
     }
-    // --- the same invariants, declaratively ---------------------------
-    // The health monitor re-checks the residency and flood invariants
-    // on the sampled gauge series; a violated rule also dumps the
-    // offending series next to the cell's flight ring.
+    // --- the gauge-backed invariants, declaratively --------------------
+    // The health monitor judges pool residency and flood parking on the
+    // sampled gauge series (a rule whose series was never sampled is a
+    // violation, not a pass); a violated rule also dumps the offending
+    // series next to the cell's flight ring.
     out.health_violations = cell_health_spec(plan)
         .evaluate_and_dump(&out.telemetry, label)
         .iter()
@@ -557,13 +545,13 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     out
 }
 
-/// The declarative form of [`run_cell`]'s gauge-backed invariants: the
-/// server pool bound as a `never_above` on `rpc.buffers_in_use`, and —
-/// for flood cells — the floodee's park bound plus full drain as
+/// [`run_cell`]'s gauge-backed invariants: the server pool bound as a
+/// `never_above` on `rpc.buffers_in_use`, and — for flood cells — the
+/// floodee's park bound plus full drain as
 /// `never_above`/`settles_to_zero_by` on `adi.unexpected_len`. The
-/// gauges are sampled at the exact sites the hand-rolled stats read,
-/// so the monitor's verdicts must match the string checks in
-/// [`run_cell`] rule for rule.
+/// gauges are sampled at the exact sites the `max_residency` and
+/// [`FloodOutcome`] stats read, so sampled and counted maxima are equal
+/// (pinned in `tests/campaign.rs`).
 pub fn cell_health_spec(plan: &WorkloadPlan) -> obs::HealthSpec {
     let mut spec = obs::HealthSpec::new().never_above("rpc.buffers_in_use", plan.pool as f64);
     if let Sidecar::UnexpectedFlood {

@@ -22,9 +22,9 @@
 //!   `capacity` section: per scenario, the max sustainable load at a
 //!   p999 latency target, found by a deterministic multiplier sweep.
 //!
-//! Every cell prints a `WORKLOAD_KIND`/`WORKLOAD_SEED`/`WORKLOAD_SIZE`/
-//! `WORKLOAD_LOAD` repro command, and violated cells dump their flight
-//! recorder, so a red campaign run always leaves a one-command
+//! The matrix is walked by [`obs::campaign`], so a violated cell prints
+//! its `CAMPAIGN_KIND`/`_SEED`/`_SIZE`/`_LOAD` repro line next to its
+//! flight-recorder dump: a red campaign run always leaves a one-command
 //! postmortem trail.
 
 pub mod arrivals;
@@ -34,8 +34,7 @@ pub mod plan;
 
 pub use arrivals::ServiceTime;
 pub use campaign::{
-    run_campaign, CampaignCell, CampaignConfig, CampaignResult, WorkloadKind, KINDS, MULTS, SEEDS,
-    SIZES,
+    capacity, cells, to_report, CampaignCell, WorkloadKind, KINDS, MULTS, SEEDS, SIZES,
 };
 pub use cell::{cell_health_spec, run_cell, CellOutcome, FloodOutcome};
 pub use plan::{scaled_burst, Shape, Sidecar, Window, WorkloadPlan};
