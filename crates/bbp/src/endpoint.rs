@@ -294,6 +294,9 @@ impl BbpEndpoint {
         let posted = self
             .post(ctx, &[dst], payload)
             .and_then(|slot| self.confirm(ctx, slot, &[dst], payload));
+        // A post refused before its first PIO still owes its entry cost;
+        // every public call returns settled.
+        ctx.settle();
         ctx.obs()
             .span_exit(ctx.now(), self.rank as u32, Layer::Bbp, "send");
         self.trace_exit(ctx, owned, &posted);
@@ -323,6 +326,7 @@ impl BbpEndpoint {
         let posted = self
             .post(ctx, targets, payload)
             .and_then(|slot| self.confirm(ctx, slot, targets, payload));
+        ctx.settle();
         ctx.obs()
             .span_exit(ctx.now(), self.rank as u32, Layer::Bbp, "mcast");
         self.trace_exit(ctx, owned, &posted);
@@ -394,7 +398,7 @@ impl BbpEndpoint {
         payload: &[u8],
         ring_now: bool,
     ) -> Result<usize, BbpError> {
-        ctx.advance(self.config.sw.send_entry_ns);
+        ctx.charge(self.config.sw.send_entry_ns);
         // Quorum mode: a frozen node must not inject descriptor or flag
         // traffic stamped with its stale epoch — fail fast instead.
         if let Some(st) = &self.membership {
@@ -493,7 +497,7 @@ impl BbpEndpoint {
         // implies the descriptor and payload already replicated).
         for (i, &t) in targets.iter().enumerate() {
             if i > 0 {
-                ctx.advance(self.config.sw.mcast_target_ns);
+                ctx.charge(self.config.sw.mcast_target_ns);
             }
             self.out_msg_flags[t] ^= 1 << slot;
             if ring_now {
@@ -542,6 +546,7 @@ impl BbpEndpoint {
         ctx.obs()
             .span_enter(ctx.now(), self.rank as u32, Layer::Bbp, "send");
         let posted = self.post_inner(ctx, &[dst], payload, false).map(|_| ());
+        ctx.settle();
         ctx.obs()
             .span_exit(ctx.now(), self.rank as u32, Layer::Bbp, "send");
         self.trace_exit(ctx, owned, &posted);
@@ -896,7 +901,7 @@ impl BbpEndpoint {
             .as_ref()
             .map(|rel| ctx.now().saturating_add(rel.max_send_wait_ns()));
         loop {
-            ctx.advance(self.config.sw.alloc_ns);
+            ctx.charge(self.config.sw.alloc_ns);
             if let Some(found) = self.try_allocate(words) {
                 return Ok(found);
             }
@@ -989,7 +994,7 @@ impl BbpEndpoint {
     fn gc(&mut self, ctx: &mut ProcCtx) -> usize {
         ctx.obs()
             .span_enter(ctx.now(), self.rank as u32, Layer::Bbp, "gc");
-        ctx.advance(self.config.sw.gc_probe_ns);
+        ctx.charge(self.config.sw.gc_probe_ns);
         self.stats.gc_sweeps += 1;
         ctx.obs()
             .count(ctx.now(), self.rank as u32, "bbp.gc_sweeps", 1);
@@ -1122,6 +1127,7 @@ impl BbpEndpoint {
     /// acknowledged by all of its receivers (drains with a GC sweep).
     pub fn all_acked(&mut self, ctx: &mut ProcCtx) -> bool {
         self.gc(ctx);
+        ctx.settle(); // a sweep with nothing in flight reads nothing
         self.inflight.is_empty()
     }
 
@@ -1500,7 +1506,7 @@ impl BbpEndpoint {
         if self.frozen() {
             return;
         }
-        ctx.advance(self.config.sw.poll_iter_ns);
+        ctx.charge(self.config.sw.poll_iter_ns);
         self.stats.polls += 1;
         ctx.obs().count(ctx.now(), self.rank as u32, "bbp.polls", 1);
         let word = self.nic.read_word(ctx, self.layout.msg_flag(self.rank, s));
@@ -1513,7 +1519,7 @@ impl BbpEndpoint {
             if changed & (1 << slot) == 0 {
                 continue;
             }
-            ctx.advance(self.config.sw.match_ns);
+            ctx.charge(self.config.sw.match_ns);
             let desc = self.nic.read_block(
                 ctx,
                 self.layout.descriptor(s, slot),
@@ -1807,6 +1813,9 @@ impl BbpEndpoint {
         //    sees our returning heartbeat already sees our zeroed flag
         //    words — the same ordering the rejoin path relies on.
         if quorum {
+            // The segment map is read without a PIO stall, and the caller
+            // (a progress engine mid-receive) may still owe software time.
+            ctx.settle();
             let reach = self.nic.reachable_set();
             let mut now_cut: Word = 0;
             for r in 0..self.n {

@@ -46,9 +46,9 @@
 use std::process::ExitCode;
 
 use bench::{
-    bbp_one_way_us, bbp_pingpong_samples, best_of, crossover, mpi_bcast_events_telemetry,
-    mpi_layering_log_histogram, mpi_one_way_us, mpi_pingpong_samples, print_table,
-    quorum_partition_counters, report, report_anchor, ring_bcast_stress_par,
+    bbp_one_way_us, bbp_pingpong_samples, best_of, crossover, mpi_barrier_run,
+    mpi_bcast_events_telemetry, mpi_layering_log_histogram, mpi_one_way_us, mpi_pingpong_samples,
+    print_table, quorum_partition_counters, report, report_anchor, ring_bcast_stress_par,
     ring_bcast_stress_par_traced, MpiNet, Series,
 };
 use obs::report::PAPER_LAYERING_US;
@@ -269,6 +269,15 @@ fn main() -> ExitCode {
         "\nMPI-over-BBP layering: {layering:.1} µs measured vs {PAPER_LAYERING_US:.1} µs paper \
          ({:+.0}%)",
         (layering - PAPER_LAYERING_US) / PAPER_LAYERING_US * 100.0
+    );
+
+    // What the layering costs the host: each software charge is a
+    // scheduler dispatch, but only a stall wakes a process thread.
+    let (_, barrier) = mpi_barrier_run(MpiNet::Scramnet, 16, CollectiveImpl::Native);
+    println!(
+        "MPI_Barrier x2 on 16 nodes: {} dispatches, {} relayed for a sleeping process, \
+         {} thread hand-offs",
+        barrier.dispatches, barrier.relayed, barrier.handoffs
     );
 
     // Latency sweeps (recorded into the report by print_table).

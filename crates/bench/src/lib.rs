@@ -332,6 +332,14 @@ pub fn mpi_bcast_us(net: MpiNet, len: usize, nodes: usize, coll: CollectiveImpl)
 /// MPI_Barrier latency (Figure 6): aligned entry, last-rank exit,
 /// microseconds.
 pub fn mpi_barrier_us(net: MpiNet, nodes: usize, coll: CollectiveImpl) -> f64 {
+    mpi_barrier_run(net, nodes, coll).0
+}
+
+/// [`mpi_barrier_us`] together with the run's [`des::RunReport`], whose
+/// `handoffs` and `relayed` say how the host got through it: how often
+/// the baton changed threads, and how many resumptions the dispatch loop
+/// walked for a sleeping process (`ProcCtx::charge`).
+pub fn mpi_barrier_run(net: MpiNet, nodes: usize, coll: CollectiveImpl) -> (f64, des::RunReport) {
     let mut sim = Simulation::new();
     let world = net.world(&sim, nodes, coll);
     let align: Time = des::ms(5);
@@ -355,7 +363,7 @@ pub fn mpi_barrier_us(net: MpiNet, nodes: usize, coll: CollectiveImpl) -> f64 {
         report.deadlocked
     );
     let t = *last.lock();
-    (t - align).as_us()
+    ((t - align).as_us(), report)
 }
 
 // ----------------------------------------------------------------------

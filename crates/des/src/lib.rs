@@ -21,8 +21,9 @@
 //! There is no scheduler thread. One dispatch loop pops that
 //! `(time, seq)` minimum, and it is run by whichever thread holds the
 //! *baton*: first the caller of [`Simulation::run_until`], then every
-//! process whose [`ProcCtx::advance`], [`ProcCtx::wait_until`] or
-//! [`ProcCtx::wait`] has to yield. That thread runs due events inline,
+//! process whose [`ProcCtx::advance`], [`ProcCtx::wait_until`],
+//! [`ProcCtx::wait`] or [`ProcCtx::settle`] has to yield. That thread runs
+//! due events inline,
 //! returns straight into its own body when its own resumption comes up,
 //! and hands the baton directly to another process's thread when that one
 //! is due. The caller gets it back only when nothing is due inside the
@@ -44,6 +45,42 @@
 //! let report = sim.run();
 //! assert_eq!(report.end_time, us(3));
 //! ```
+//!
+//! ## Stalls and software costs
+//!
+//! A process spends virtual time in two ways, and the difference is who
+//! can tell.
+//!
+//! [`ProcCtx::advance`] is a **stall** — a PIO access, a pacing wait, a
+//! think time. Entities with earlier deadlines run in the meantime, and
+//! whatever the process does next sees what they did.
+//!
+//! [`ProcCtx::charge`] is the process's **own CPU time** — building a
+//! header, searching a queue, one turn of a poll loop. Nobody else can
+//! observe it passing until the process next touches something shared,
+//! so the process need not be woken for it. A charge moves the process's
+//! local clock ([`ProcCtx::now`]) and records the step; the next stall
+//! (`advance`, [`ProcCtx::wait_until`], [`ProcCtx::wait`],
+//! [`ProcCtx::spawn`], an explicit [`ProcCtx::settle`], or the end of the
+//! body) *settles* the chain: the steps are walked exactly as consecutive
+//! `advance`s would have been — the same fast-path test per step, a
+//! resumption queued at the same `(time, seq)` at the same point in the
+//! run, one dispatch counted for each — except that a resumption which
+//! still has steps behind it is answered by the dispatch loop itself
+//! (whichever thread holds the baton queues the next one) instead of by
+//! waking the process's thread only for it to go straight back to sleep.
+//! [`RunReport::relayed`] counts those. The schedule cannot tell: who
+//! pushes a resumption is not an input to its time or its tie-break.
+//!
+//! What a charging layer owes in return: **between a charge and the next
+//! stall, touch nothing another entity can see or change**, and **return
+//! settled** to code that might. Layers charge on the way in and end
+//! every public call in a stall or a `settle()`. Debug builds check what
+//! the kernel can see of this — scheduling, [`Signal::notify_at`],
+//! [`queue::SimQueue`] polls and whatever calls
+//! [`SimHandle::assert_settled`] panic, naming the process and the time
+//! it owes. While the event log is recording, a charge simply *is* an
+//! advance, so a trace shows every step where it always was.
 //!
 //! Because only one entity runs at a time, shared state guarded by a
 //! [`parking_lot::Mutex`] is never contended; the mutex exists only to

@@ -9,10 +9,19 @@
 //! its body, and another process's `Resume` grants that process the baton
 //! directly — one OS-thread switch, through that process's state word and
 //! `std::thread::park`/`unpark`, never through a lock the wakee needs.
+//!
+//! A process is not woken for time that is only its own, either.
+//! [`ProcCtx::charge`] moves the process's local clock and records the step
+//! in its [`Chain`]; the next stall *settles* the chain — walks the steps
+//! as consecutive `advance`s would — and whichever thread pops one of the
+//! chain's `Resume`s walks the rest on the sleeping process's behalf
+//! ([`SchedShared::walk`]).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
+
+use parking_lot::Mutex;
 
 use crate::sched::{Baton, Returned, SchedShared, SimHandle, WakeWhat};
 use crate::signal::Signal;
@@ -30,11 +39,51 @@ pub(crate) const GO: u8 = 1;
 /// The simulation is being dropped; the process thread must unwind.
 pub(crate) const ABORT: u8 = 2;
 
+/// Steps a process can owe at once; one more [`ProcCtx::charge`] settles
+/// the chain first. The deepest chain in the stack (an MPI send: binding,
+/// request, header, BBP entry, allocation, then the PIO stall) is six.
+pub(crate) const CHAIN_CAP: usize = 8;
+
+/// The steps a process has charged and not yet had walked, oldest first.
+/// An inline array, so charging, settling and relaying never allocate.
+#[derive(Default)]
+pub(crate) struct Chain {
+    steps: [Time; CHAIN_CAP],
+    next: usize,
+    len: usize,
+}
+
+impl Chain {
+    /// Record a step; `false` (and nothing recorded) when full.
+    fn push(&mut self, dt: Time) -> bool {
+        if self.len == CHAIN_CAP {
+            return false;
+        }
+        self.steps[self.len] = dt;
+        self.len += 1;
+        true
+    }
+
+    /// Take the oldest unwalked step.
+    pub fn pop(&mut self) -> Option<Time> {
+        if self.next == self.len {
+            (self.next, self.len) = (0, 0);
+            return None;
+        }
+        self.next += 1;
+        Some(self.steps[self.next - 1])
+    }
+}
+
 pub(crate) struct ProcShared {
     state: AtomicU8,
     /// The process's thread, stored before its first `Resume` is pushed.
     thread: OnceLock<Thread>,
     pub name: String,
+    /// Written by the process while it runs, walked by whichever thread
+    /// pops its `Resume` while it sleeps: never contended, like every
+    /// other lock the baton protects.
+    pub chain: Mutex<Chain>,
 }
 
 impl ProcShared {
@@ -75,7 +124,12 @@ pub(crate) struct AbortToken;
 /// `Send`-away-able into events; events receive only the fire time.
 pub struct ProcCtx {
     pub(crate) id: ProcId,
+    /// The process's own clock: the run clock plus fast-path jumps plus
+    /// whatever it has charged.
     pub(crate) now: Time,
+    /// The clock at the oldest unsettled [`ProcCtx::charge`], while the
+    /// process owes any.
+    pub(crate) owed_since: Option<Time>,
     pub(crate) shared: Arc<ProcShared>,
     pub(crate) sched: Arc<SchedShared>,
 }
@@ -105,9 +159,17 @@ impl ProcCtx {
         }
     }
 
-    /// Consume `dt` nanoseconds of virtual time (CPU work, PIO stall, …).
-    /// Other entities with earlier deadlines run in the meantime.
+    /// Stall for `dt` nanoseconds of virtual time (a PIO access, a pacing
+    /// wait, …): other entities with earlier deadlines run in the
+    /// meantime, and whatever the process does next sees their effects.
+    /// Charged steps still owed are walked first, and the process sleeps
+    /// through all of it in one go.
     pub fn advance(&mut self, dt: Time) {
+        if self.owed_since.is_some() {
+            // The stall is the chain's last step.
+            self.owe(dt);
+            return self.settle();
+        }
         let target = self.now + dt;
         // Fast path: we are the only running entity; if nothing in the
         // queue is due before `target`, no other process or event can
@@ -115,7 +177,7 @@ impl ProcCtx {
         // entry or a signal only we could fire), so the clock can jump
         // without touching the queue. This keeps polling protocols
         // cheap in host time without changing any observable schedule.
-        if self.no_wakeups_before(target) {
+        if self.sched.idle_through(target) {
             self.now = target;
             return;
         }
@@ -123,31 +185,70 @@ impl ProcCtx {
         self.yield_baton("ResumeAt");
     }
 
+    /// Consume `dt` nanoseconds of this process's own CPU time — a
+    /// software cost (header build, queue search, poll-loop overhead)
+    /// whose passing nobody else can observe until the process next
+    /// touches something shared. The local clock moves now; the step
+    /// itself is walked at the next stall ([`ProcCtx::advance`],
+    /// [`ProcCtx::wait_until`], [`ProcCtx::wait`], [`ProcCtx::spawn`],
+    /// [`ProcCtx::settle`], the end of the body) exactly as an `advance`
+    /// here would have been — same schedule, same dispatch count — but
+    /// without waking this thread between steps.
+    ///
+    /// The caller's side of the bargain: between a `charge` and the next
+    /// stall, touch nothing another entity can see or change — no
+    /// scheduling, no [`Signal`], no shared memory. Debug builds check
+    /// what `des` can see of that ([`SimHandle::assert_settled`]).
+    ///
+    /// While the event log is recording, a `charge` is an `advance`, so a
+    /// trace shows every step where it always was.
+    pub fn charge(&mut self, dt: Time) {
+        if self.sched.recorder.is_enabled() {
+            return self.advance(dt);
+        }
+        self.owe(dt);
+    }
+
+    /// Record `dt` as a step to be walked and move the local clock past
+    /// it; a full chain is settled first.
+    fn owe(&mut self, dt: Time) {
+        if !self.shared.chain.lock().push(dt) {
+            self.settle();
+            let pushed = self.shared.chain.lock().push(dt);
+            debug_assert!(pushed, "a settled chain is empty");
+        }
+        let since = *self.owed_since.get_or_insert(self.now);
+        self.now += dt;
+        self.sched.set_owing(Some((self.id, self.now - since)));
+    }
+
+    /// Walk every step still owed, so the run is where this process's
+    /// clock says it is. A no-op when nothing is owed. Layers call this
+    /// before returning to code that may touch shared state without a
+    /// stall of its own.
+    pub fn settle(&mut self) {
+        let Some(since) = self.owed_since.take() else {
+            return;
+        };
+        self.sched.set_owing(None);
+        if !self.sched.walk(self.id, &self.shared, since) {
+            self.hold_for_baton();
+        }
+        // Every step ends where the charge said it would, whoever walked
+        // it: the local clock is already there.
+        debug_assert!(self.sched.now.load(Ordering::Relaxed) <= self.now);
+    }
+
     /// Block until absolute virtual time `t` (no-op if `t` has passed).
     pub fn wait_until(&mut self, t: Time) {
+        self.settle();
         if t > self.now {
-            if self.no_wakeups_before(t) {
+            if self.sched.idle_through(t) {
                 self.now = t;
                 return;
             }
             self.sched.push(t, WakeWhat::Resume(self.id));
             self.yield_baton("ResumeAt");
-        }
-    }
-
-    /// True when the pending queue holds nothing due at or before `t`
-    /// and `t` is inside the active run horizon.
-    fn no_wakeups_before(&self, t: Time) -> bool {
-        if t > self
-            .sched
-            .horizon
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            return false;
-        }
-        match self.sched.pending.lock().peek_time() {
-            Some(first) => first > t,
-            None => true,
         }
     }
 
@@ -161,6 +262,7 @@ impl ProcCtx {
     /// Block until `signal` is notified. May wake spuriously if the signal
     /// is shared; callers re-check their condition in a loop.
     pub fn wait(&mut self, signal: &Signal) {
+        self.settle();
         signal.register(self.id);
         self.yield_baton("Blocked");
     }
@@ -171,6 +273,7 @@ impl ProcCtx {
         name: impl Into<String>,
         body: impl FnOnce(&mut ProcCtx) + Send + 'static,
     ) -> ProcId {
+        self.settle();
         spawn_process(&self.sched, name.into(), self.now, Box::new(body))
     }
 
@@ -180,11 +283,10 @@ impl ProcCtx {
         &self.sched.recorder
     }
 
-    /// Run the dispatch loop on this thread until this process's own
-    /// `Resume` comes up; if the baton has to go to another thread first,
-    /// park until it is granted back. Returns at the resumption time.
-    /// `why` labels the `Yield` trace entry: `ResumeAt` (a queue entry
-    /// this process pushed will resume it) or `Blocked` (a [`Signal`]).
+    /// Yield with this process's `Resume` (or a [`Signal`] registration)
+    /// in place; returns at the resumption time. `why` labels the `Yield`
+    /// trace entry: `ResumeAt` (a queue entry this process pushed will
+    /// resume it) or `Blocked` (a [`Signal`]).
     fn yield_baton(&mut self, why: &str) {
         if self.sched.recorder.is_enabled() {
             // Gated so the hot yield path never formats the detail string.
@@ -195,6 +297,16 @@ impl ProcCtx {
             });
         }
         self.sched.catch_up(self.now);
+        self.hold_for_baton();
+        let t = self.sched.now.load(Ordering::Relaxed);
+        debug_assert!(t >= self.now, "virtual time went backwards");
+        self.now = t;
+    }
+
+    /// Run the dispatch loop on this thread until this process may run
+    /// again; if the baton has to go to another thread first, park until
+    /// it is granted back.
+    fn hold_for_baton(&mut self) {
         let granted = match self.sched.dispatch(Some(self.id)) {
             Baton::Mine => true,
             Baton::Granted => self.shared.await_grant(),
@@ -206,9 +318,6 @@ impl ProcCtx {
         if !granted {
             std::panic::resume_unwind(Box::new(AbortToken));
         }
-        let t = self.sched.now.load(Ordering::Relaxed);
-        debug_assert!(t >= self.now, "virtual time went backwards");
-        self.now = t;
     }
 }
 
@@ -228,6 +337,7 @@ pub(crate) fn spawn_process(
         state: AtomicU8::new(PARKED),
         thread: OnceLock::new(),
         name: name.clone(),
+        chain: Mutex::new(Chain::default()),
     });
     let thread_shared = Arc::clone(&shared);
     let thread_sched = Arc::clone(sched);
@@ -240,16 +350,21 @@ pub(crate) fn spawn_process(
             let mut ctx = ProcCtx {
                 id,
                 now: thread_sched.now.load(Ordering::Relaxed),
+                owed_since: None,
                 shared: thread_shared,
                 sched: thread_sched,
             };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                body(&mut ctx);
+                ctx.settle(); // the run ends no earlier than its last charge
+            }));
             let why = match result {
                 Ok(()) => {
                     ctx.sched.catch_up(ctx.now);
                     Returned::Finished(id)
                 }
                 Err(payload) => {
+                    ctx.sched.set_owing(None);
                     if payload.downcast_ref::<AbortToken>().is_some() {
                         // Simulation dropped: exit quietly, the dropper
                         // holds the baton and only joins this thread.

@@ -94,6 +94,7 @@ impl<T: Send + 'static> SimQueue<T> {
     /// Pop the earliest visible item, blocking in virtual time until one
     /// exists.
     pub fn pop(&self, ctx: &mut ProcCtx) -> T {
+        ctx.settle(); // what is visible depends on who has run
         loop {
             let head_time = {
                 let mut items = self.inner.items.lock();
@@ -115,6 +116,7 @@ impl<T: Send + 'static> SimQueue<T> {
 
     /// Pop the earliest item already visible at `now`, if any.
     pub fn try_pop(&self, now: Time) -> Option<T> {
+        self.inner.handle.assert_settled("polling a SimQueue");
         let mut items = self.inner.items.lock();
         match items.peek() {
             Some(Reverse(e)) if e.visible_at <= now => items.pop().map(|Reverse(e)| e.item),
@@ -124,6 +126,7 @@ impl<T: Send + 'static> SimQueue<T> {
 
     /// Number of items visible at `now`.
     pub fn visible_len(&self, now: Time) -> usize {
+        self.inner.handle.assert_settled("polling a SimQueue");
         self.inner
             .items
             .lock()

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 
 use crate::calq::CalendarQueue;
 pub(crate) use crate::event::EventFn;
-use crate::process::{ProcEntry, ProcId, GO};
+use crate::process::{ProcEntry, ProcId, ProcShared, GO};
 use crate::signal::Signal;
 use crate::time::Time;
 use obs::{TraceEntry, TraceKind};
@@ -28,9 +28,16 @@ use obs::{TraceEntry, TraceKind};
 pub(crate) enum WakeWhat {
     /// Run a pure event callback.
     Event(EventFn),
-    /// Resume the process with this id.
+    /// Resume the process with this id — or, while it still owes charged
+    /// steps, walk the next of them for it (see [`SchedShared::walk`]).
     Resume(ProcId),
 }
+
+// `Resume` lives in the niche of `EventFn`'s vtable reference. A third
+// variant (say, a resume carrying its chain) would not fit there: every
+// slab entry would grow from 56 to 64 bytes, which measured 6 % on the
+// all-events `ring_storm` benchmark. The chain lives in `ProcShared`.
+const _: () = assert!(std::mem::size_of::<WakeWhat>() == 56);
 
 /// The sequential scheduler's pending queue: one banded calendar
 /// ([`CalendarQueue`]) over `WakeWhat` payloads. The parallel engine
@@ -82,6 +89,7 @@ pub(crate) struct SchedShared {
     pub dispatches: AtomicU64,
     pub peak_queue_depth: AtomicUsize,
     pub handoffs: AtomicU64,
+    pub relayed: AtomicU64,
     /// Tie-break counter. Atomic so a push costs exactly one lock (the
     /// queue's); single-entity execution makes the fetch-add ordering
     /// identical to the old mutex-guarded counter.
@@ -94,6 +102,11 @@ pub(crate) struct SchedShared {
     /// process's clock past it (see `ProcCtx::advance`). Atomic: read on
     /// every fast-path advance, written once per `run_until`.
     pub horizon: AtomicU64,
+    /// Debug builds: the running process and the charged time it has not
+    /// settled, so touching shared state in that condition is a panic
+    /// rather than a silently different schedule.
+    #[cfg(debug_assertions)]
+    owing: Mutex<Option<(ProcId, Time)>>,
 }
 
 impl SchedShared {
@@ -106,13 +119,40 @@ impl SchedShared {
             dispatches: AtomicU64::new(0),
             peak_queue_depth: AtomicUsize::new(0),
             handoffs: AtomicU64::new(0),
+            relayed: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             recorder: Arc::new(obs::Recorder::new()),
             horizon: AtomicU64::new(Time::MAX),
+            #[cfg(debug_assertions)]
+            owing: Mutex::new(None),
         })
     }
 
+    /// Note what the running process owes (`None`: it settled).
+    #[inline]
+    pub fn set_owing(&self, _owing: Option<(ProcId, Time)>) {
+        #[cfg(debug_assertions)]
+        {
+            *self.owing.lock() = _owing;
+        }
+    }
+
+    /// Debug builds: panic if the running process owes charged time.
+    /// `what` names the shared state about to be touched.
+    #[inline]
+    pub fn assert_settled(&self, _what: &str) {
+        #[cfg(debug_assertions)]
+        if let Some((id, owed)) = *self.owing.lock() {
+            let name = self.procs.lock()[id.0].shared.name.clone();
+            panic!(
+                "{_what} while process '{name}' owes {owed} ns of charged time: \
+                 stall or call ProcCtx::settle() first"
+            );
+        }
+    }
+
     pub fn push(&self, time: Time, what: WakeWhat) {
+        self.assert_settled("scheduling");
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         self.pending.lock().push(time, seq, what);
     }
@@ -127,6 +167,7 @@ impl SchedShared {
 
     /// Push an entry with an explicitly reserved tie-break value.
     pub fn push_at_seq(&self, time: Time, seq: u64, what: WakeWhat) {
+        self.assert_settled("scheduling");
         self.pending.lock().push(time, seq, what);
     }
 
@@ -141,6 +182,7 @@ impl SchedShared {
         self.dispatches.store(0, Ordering::Relaxed);
         self.peak_queue_depth.store(0, Ordering::Relaxed);
         self.handoffs.store(0, Ordering::Relaxed);
+        self.relayed.store(0, Ordering::Relaxed);
         self.caller.lock().thread = Some(std::thread::current());
     }
 
@@ -150,6 +192,46 @@ impl SchedShared {
         if proc_now > self.now.load(Ordering::Relaxed) {
             self.now.store(proc_now, Ordering::Relaxed);
         }
+    }
+
+    /// True when nothing in the pending queue is due at or before `t` and
+    /// `t` is inside the active run horizon: a process alone until `t` may
+    /// jump its clock there without queueing (see `ProcCtx::advance`).
+    pub fn idle_through(&self, t: Time) -> bool {
+        t <= self.horizon.load(Ordering::Relaxed)
+            && self
+                .pending
+                .lock()
+                .peek_time()
+                .is_none_or(|first| first > t)
+    }
+
+    /// Walk the steps process `id` owes, from its clock `cur`, as
+    /// consecutive `advance`s by the process itself would: a step nothing
+    /// is due before moves the clock; the first one something is gets the
+    /// process's `Resume` queued at its end, and the walk stops there.
+    /// Returns `true` when no step is left (the process may run), `false`
+    /// when a `Resume` was queued.
+    ///
+    /// Called by the process when it settles and by [`Self::dispatch`]
+    /// when one of those `Resume`s comes up. Who calls is not an input to
+    /// anything the walk decides — the queue head, the horizon, the next
+    /// tie-break value — so the schedule cannot tell the difference.
+    /// (A trace could: no `Yield` entry is written here. Chains only form
+    /// while the event log is off; one still in flight when recording is
+    /// switched on finishes without them.)
+    pub fn walk(&self, id: ProcId, proc: &ProcShared, mut cur: Time) -> bool {
+        let mut chain = proc.chain.lock();
+        while let Some(dt) = chain.pop() {
+            let target = cur + dt;
+            if !self.idle_through(target) {
+                self.push(target, WakeWhat::Resume(id));
+                self.catch_up(cur);
+                return false;
+            }
+            cur = target;
+        }
+        true
     }
 
     /// The dispatch loop, run by whichever thread holds the baton: the
@@ -207,6 +289,12 @@ impl SchedShared {
                             kind: TraceKind::Resume,
                             detail: shared.name.clone(),
                         });
+                    }
+                    // Still owing charged steps: it would wake only to
+                    // queue the next one and sleep again. Do that for it.
+                    if !self.walk(id, &shared, now) {
+                        bump(&self.relayed);
+                        continue;
                     }
                     if me == Some(id) {
                         return Baton::Mine;
@@ -282,6 +370,18 @@ impl SimHandle {
     pub fn schedule_at_ordered(&self, t: Time, order: u64, f: impl FnOnce(Time) + Send + 'static) {
         self.sched
             .push_at_seq(t, order, WakeWhat::Event(EventFn::new(f)));
+    }
+
+    /// Debug builds: panic, naming the process and the time it owes, if
+    /// the running process has charged time ([`crate::ProcCtx::charge`])
+    /// it has not settled. Models of shared state (a memory bank, a
+    /// liveness register) call this where they are read or written;
+    /// `what` names the access. Free in release builds. Scheduling,
+    /// [`Signal::notify_at`] and [`crate::queue::SimQueue`] check
+    /// themselves.
+    #[inline]
+    pub fn assert_settled(&self, what: &str) {
+        self.sched.assert_settled(what);
     }
 
     /// Create a fresh [`Signal`] bound to this simulation.

@@ -53,6 +53,7 @@ impl Signal {
         // reallocates. Holding the lock across the pushes is safe —
         // `register` is only called from process context, and only one
         // entity executes at a time.
+        self.inner.sched.assert_settled("notifying a signal");
         let mut waiters = self.inner.waiters.lock();
         for id in waiters.drain(..) {
             self.inner.sched.push(t, WakeWhat::Resume(id));

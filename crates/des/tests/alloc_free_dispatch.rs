@@ -90,6 +90,8 @@ fn event_dispatch_is_alloc_free_after_warmup() {
     let walked2 = Arc::clone(&walked);
     let on_walker = Arc::new(AtomicU64::new(0));
     let on_walker2 = Arc::clone(&on_walker);
+    let chained = Arc::new(AtomicU64::new(u64::MAX));
+    let chained2 = Arc::clone(&chained);
     let h2 = h.clone();
     sim.spawn_at(2_000_000, "walker", move |ctx| {
         for _ in 0..1_000 {
@@ -108,8 +110,19 @@ fn event_dispatch_is_alloc_free_after_warmup() {
             ctx.advance(100);
         }
         walked2.store(ALLOCS.load(Ordering::SeqCst) - before, Ordering::SeqCst);
+        // The same walk with two of three steps charged: the settle
+        // queues the first, and the dispatch loop answers that `Resume`
+        // and the next with the following step instead of returning here.
+        // Charging, settling and relaying stay off the heap as well.
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..20_000 {
+            ctx.charge(30);
+            ctx.charge(30);
+            ctx.advance(40);
+        }
+        chained2.store(ALLOCS.load(Ordering::SeqCst) - before, Ordering::SeqCst);
     });
-    let report = sim.run_until(4_200_000);
+    let report = sim.run_until(6_200_000);
     assert!(report.is_clean(), "the walker finished inside the horizon");
     assert!(
         report.dispatches > 1_000_000,
@@ -126,6 +139,12 @@ fn event_dispatch_is_alloc_free_after_warmup() {
         walked.load(Ordering::SeqCst),
         0,
         "yield + inline dispatch allocated after warm-up"
+    );
+    assert_eq!(report.relayed, 40_000, "two relayed resumes per chain");
+    assert_eq!(
+        chained.load(Ordering::SeqCst),
+        0,
+        "charge + settle + relay allocated"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.

@@ -123,6 +123,7 @@ impl MyrinetApiPort {
 
     /// Non-blocking receive: the next fully arrived message, if any.
     pub fn try_recv(&self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)> {
+        ctx.settle(); // as `TcpSock::try_recv`: the inbox is shared
         let (src, d) = self.shared.inboxes[self.host].try_pop(ctx.now())?;
         self.charge_rx(ctx, &d);
         Some((src, d.bytes))

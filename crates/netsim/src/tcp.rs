@@ -261,6 +261,9 @@ impl TcpSock {
     /// Non-blocking receive: the next message if its last byte has
     /// already arrived.
     pub fn try_recv(&self, ctx: &mut ProcCtx) -> Option<Vec<u8>> {
+        // What has arrived depends on who has run: a caller still owing
+        // software time (a progress loop between frames) settles first.
+        ctx.settle();
         let d = self.rx.inbox.try_pop(ctx.now())?;
         self.charge_rx(ctx, &d);
         Some(d.bytes)

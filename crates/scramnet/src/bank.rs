@@ -14,8 +14,20 @@ pub struct WriteRecord {
     pub applied_at: des::Time,
 }
 
-/// Words per lazily materialised page of a [`Bank`].
-const PAGE_WORDS: usize = 1024;
+/// Words per lazily materialised page of a [`Bank`] (512 bytes).
+///
+/// Sized by measurement. A page is allocated by whichever thread runs the
+/// hop event that first writes it, so pages land in glibc's per-thread
+/// arenas, which never give memory back: the resident set of a host
+/// process that runs one 16-rank MPI world after another creeps up with
+/// the number of worlds. The BBP touches a few control words in each of
+/// many regions, so smaller pages materialise fewer bytes. Peak RSS of the
+/// benchmark's `mpi_collectives` after 10 s (≈ 42 worlds), two runs each:
+/// 1 024 words 6.43 / 6.68 MB, 256 words 6.71 / 6.63, 128 words
+/// 5.87 / 5.70, 64 words 5.96 / 5.96; throughput and the all-events
+/// `ring_storm` did not move with any of them. See docs/PERFORMANCE.md,
+/// "Chains".
+const PAGE_WORDS: usize = 128;
 
 /// One node's replicated memory image.
 ///
@@ -24,6 +36,8 @@ const PAGE_WORDS: usize = 1024;
 /// costs only the pages its protocols use.
 pub(crate) struct Bank {
     len: usize,
+    /// Grown to the highest page written so far, so building a bank costs
+    /// nothing however small the pages are.
     pages: Vec<Option<Box<[Word; PAGE_WORDS]>>>,
     /// Last writer per word, when tracking is on.
     provenance: Option<Vec<Option<WriteRecord>>>,
@@ -48,7 +62,7 @@ impl Bank {
     pub fn new(words: usize, track_provenance: bool) -> Self {
         Bank {
             len: words,
-            pages: vec![None; words.div_ceil(PAGE_WORDS)],
+            pages: Vec::new(),
             provenance: track_provenance.then(|| vec![None; words]),
         }
     }
@@ -58,7 +72,7 @@ impl Bank {
         self.len
     }
 
-    /// Pages only bound addresses to a multiple of `PAGE_WORDS`.
+    /// The page table bounds nothing: absent pages read as zeros.
     #[inline]
     fn check_range(&self, addr: WordAddr, len: usize) {
         assert!(
@@ -72,9 +86,9 @@ impl Bank {
     #[inline]
     pub fn read(&self, addr: WordAddr) -> Word {
         self.check_range(addr, 1);
-        match &self.pages[addr / PAGE_WORDS] {
-            Some(page) => page[addr % PAGE_WORDS],
-            None => 0,
+        match self.pages.get(addr / PAGE_WORDS) {
+            Some(Some(page)) => page[addr % PAGE_WORDS],
+            _ => 0,
         }
     }
 
@@ -82,7 +96,7 @@ impl Bank {
         self.check_range(addr, len);
         let mut out = vec![0; len];
         for (page, off, at, n) in pieces(addr, len) {
-            if let Some(page) = &self.pages[page] {
+            if let Some(Some(page)) = self.pages.get(page) {
                 out[at..at + n].copy_from_slice(&page[off..off + n]);
             }
         }
@@ -102,6 +116,9 @@ impl Bank {
         let mut conflicts = Vec::new();
         self.check_range(addr, data.len());
         for (page, off, at, n) in pieces(addr, data.len()) {
+            if page >= self.pages.len() {
+                self.pages.resize_with(page + 1, || None);
+            }
             let page = self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
             page[off..off + n].copy_from_slice(&data[at..at + n]);
         }

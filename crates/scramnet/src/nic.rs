@@ -103,7 +103,7 @@ impl Nic {
         ctx.advance(self.shared.cost.pio_read_ns);
         self.shared.stats.pio_reads.add(1);
         ctx.obs().count(ctx.now(), self.gid(), "nic.pio_reads", 1);
-        let w = self.shared.banks[self.node].lock().read(addr);
+        let w = self.shared.bank(self.node).read(addr);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         w
@@ -125,7 +125,7 @@ impl Nic {
         }
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.pio_reads", len as u64);
-        let block = self.shared.banks[self.node].lock().read_block(addr, len);
+        let block = self.shared.bank(self.node).read_block(addr, len);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         block
@@ -181,6 +181,7 @@ impl Nic {
     /// only liveness signal the hardware exposes.
     pub fn peer_alive(&self, peer: usize) -> bool {
         assert!(peer < self.shared.n, "node {peer} out of range");
+        self.assert_settled();
         self.shared.node_in_ring(peer)
     }
 
@@ -191,6 +192,7 @@ impl Nic {
     /// the dead-or-bypassed one [`Nic::peer_alive`] renders. Membership
     /// layers consult this before grading a silent peer.
     pub fn reachable_set(&self) -> crate::ReachabilitySet {
+        self.assert_settled();
         self.shared.reachability_from(self.node)
     }
 
@@ -198,6 +200,7 @@ impl Nic {
     /// [`Nic::reachable_set`]).
     pub fn peer_reachable(&self, peer: usize) -> bool {
         assert!(peer < self.shared.n, "node {peer} out of range");
+        self.assert_settled();
         self.shared.reachability_from(self.node).contains(peer)
     }
 
@@ -208,6 +211,7 @@ impl Nic {
     /// undoes it with [`Nic::reinsert_self`].
     pub fn engage_bypass(&self, peer: usize) {
         assert!(peer < self.shared.n, "node {peer} out of range");
+        self.assert_settled();
         self.shared.set_bypassed(peer, true);
     }
 
@@ -216,7 +220,17 @@ impl Nic {
     /// traffic while switched out; higher layers must re-initialize
     /// their protocol state before trusting it.
     pub fn reinsert_self(&self) {
+        self.assert_settled();
         self.shared.set_bypassed(self.node, false);
+    }
+
+    /// The insertion registers and the link map change under fault events
+    /// and other hosts' detectors, and unlike the bank no PIO stall
+    /// precedes a look at them: the caller must have settled.
+    fn assert_settled(&self) {
+        self.shared
+            .handle
+            .assert_settled("a ring liveness register access");
     }
 
     /// Subscribe `signal` to replicated writes landing anywhere in
@@ -251,6 +265,51 @@ mod tests {
             let t1 = ctx.now();
             let _ = nic.read_word(ctx, 0);
             assert_eq!(ctx.now() - t1, c.pio_read_ns);
+        });
+        assert!(sim.run().is_clean());
+    }
+
+    /// Debug builds refuse to look at shared hardware state for a process
+    /// whose clock is ahead of the run (`ProcCtx::charge` not yet settled).
+    #[cfg(debug_assertions)]
+    fn misuse(body: impl FnOnce(&mut des::ProcCtx, &Ring) + Send + 'static) {
+        let mut sim = Simulation::new();
+        let ring = Ring::new(&sim.handle(), 2, 64, CostModel::default());
+        sim.spawn("p", move |ctx| {
+            ctx.charge(40);
+            body(ctx, &ring);
+        });
+        sim.run();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a bank access while process 'p' owes 40 ns")]
+    fn reading_a_bank_while_owing_charged_time_is_caught() {
+        misuse(|_, ring| {
+            ring.snapshot(0);
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a ring liveness register access while process 'p' owes 40 ns")]
+    fn reading_a_liveness_register_while_owing_charged_time_is_caught() {
+        misuse(|_, ring| {
+            ring.nic(0).peer_alive(1);
+        });
+    }
+
+    #[test]
+    fn a_pio_stall_settles_what_the_caller_charged() {
+        let mut sim = Simulation::new();
+        let ring = Ring::new(&sim.handle(), 2, 64, CostModel::default());
+        let c = CostModel::default();
+        sim.spawn("p", move |ctx| {
+            ctx.charge(40);
+            assert_eq!(ring.nic(0).read_word(ctx, 0), 0);
+            assert_eq!(ctx.now(), 40 + c.pio_read_ns);
+            assert!(ring.nic(0).peer_alive(1));
         });
         assert!(sim.run().is_clean());
     }

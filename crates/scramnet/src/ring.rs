@@ -558,13 +558,13 @@ impl Ring {
 
     /// Snapshot of `node`'s entire bank (test helper).
     pub fn snapshot(&self, node: usize) -> Vec<Word> {
-        self.shared.banks[node].lock().snapshot()
+        self.shared.bank(node).snapshot()
     }
 
     /// Last writer of `addr` on `node`'s bank (None if never written or
     /// provenance tracking is off).
     pub fn provenance(&self, node: usize, addr: WordAddr) -> Option<crate::WriteRecord> {
-        self.shared.banks[node].lock().provenance(addr)
+        self.shared.bank(node).provenance(addr)
     }
 }
 
@@ -833,7 +833,7 @@ impl RingShared {
             }
         }
         let data: &[Word] = corrupted.as_deref().unwrap_or(data);
-        let conflicts = self.banks[node].lock().apply(addr, data, writer, t);
+        let conflicts = self.bank(node).apply(addr, data, writer, t);
         if !conflicts.is_empty() {
             let mut log = self.conflicts.lock();
             for (a, earlier) in conflicts {
@@ -869,6 +869,14 @@ impl RingShared {
     /// insertion register is switched out looks exactly like a dead one.
     /// A *silenced* host (crashed behind a live NIC) still reads as in
     /// the ring here; only heartbeat detection can expose it.
+    /// `node`'s bank, for reading or writing its words. Replicated memory
+    /// is the one thing every host and every hop event shares, so a
+    /// process still owing charged time must not be looking at it.
+    pub(crate) fn bank(&self, node: usize) -> parking_lot::MutexGuard<'_, Bank> {
+        self.handle.assert_settled("a bank access");
+        self.banks[node].lock()
+    }
+
     pub(crate) fn node_in_ring(&self, node: usize) -> bool {
         !self.bypassed.get(node)
     }

@@ -226,7 +226,7 @@ impl Adi {
     ) -> Result<ReqId, DeviceError> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "isend");
-        ctx.advance(self.costs.request_ns);
+        ctx.charge(self.costs.request_ns);
         let req = self.fresh_req();
         let out = if !synchronous
             && payload.len() < self.costs.rendezvous_threshold
@@ -264,6 +264,9 @@ impl Adi {
                 req
             })
         };
+        // Every public ADI call returns settled: a device that took the
+        // frame without a stall of its own leaves our charges owed.
+        ctx.settle();
         ctx.obs()
             .span_exit(ctx.now(), self.node(), Layer::Adi, "isend");
         out
@@ -279,7 +282,7 @@ impl Adi {
     ) -> Result<(), DeviceError> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Channel, "packet_tx");
-        ctx.advance(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
+        ctx.charge(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
         let mut frame = header.encode(self.costs.header_bytes);
         frame.extend_from_slice(payload);
         let out = self.dev.send_frame(ctx, dst, &frame);
@@ -305,7 +308,7 @@ impl Adi {
     ) -> Result<ReqId, DeviceError> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "irecv");
-        ctx.advance(self.costs.request_ns + self.costs.queue_ns);
+        ctx.charge(self.costs.request_ns + self.costs.queue_ns);
         let req = self.fresh_req();
         let out = if let Some(idx) = self.unexpected.iter().position(|u| {
             u.context == context && src.is_none_or(|s| s == u.src) && tag.is_none_or(|t| t == u.tag)
@@ -339,6 +342,7 @@ impl Adi {
             });
             Ok(req)
         };
+        ctx.settle();
         ctx.obs()
             .span_exit(ctx.now(), self.node(), Layer::Adi, "irecv");
         out
@@ -354,7 +358,7 @@ impl Adi {
     ) -> Result<(), DeviceError> {
         match u.rts_req {
             None => {
-                ctx.advance(self.costs.unpack_ns(u.payload.len()));
+                ctx.charge(self.costs.unpack_ns(u.payload.len()));
                 let status = Status {
                     source: u.src,
                     tag: u.tag,
@@ -389,21 +393,20 @@ impl Adi {
     pub fn wait(&mut self, ctx: &mut ProcCtx, req: ReqId) -> Option<(Status, Vec<u8>)> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "wait");
-        loop {
+        let done = loop {
             if self.completed_sends.remove(&req) {
-                ctx.advance(self.costs.request_ns);
-                ctx.obs()
-                    .span_exit(ctx.now(), self.node(), Layer::Adi, "wait");
-                return None;
+                break None;
             }
             if let Some(done) = self.completed_recvs.remove(&req) {
-                ctx.advance(self.costs.request_ns);
-                ctx.obs()
-                    .span_exit(ctx.now(), self.node(), Layer::Adi, "wait");
-                return Some(done);
+                break Some(done);
             }
-            self.progress(ctx);
-        }
+            self.step(ctx);
+        };
+        ctx.charge(self.costs.request_ns);
+        ctx.settle();
+        ctx.obs()
+            .span_exit(ctx.now(), self.node(), Layer::Adi, "wait");
+        done
     }
 
     /// True if `req` already completed (does not progress).
@@ -422,8 +425,9 @@ impl Adi {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Option<Status> {
-        self.progress(ctx);
-        ctx.advance(self.costs.queue_ns);
+        self.step(ctx);
+        ctx.charge(self.costs.queue_ns);
+        ctx.settle();
         self.unexpected
             .iter()
             .find(|u| {
@@ -489,7 +493,7 @@ impl Adi {
     ) -> Result<(), DeviceError> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "mcast");
-        ctx.advance(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
+        ctx.charge(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
         let header = PacketHeader {
             kind: PacketKind::Eager,
             src: self.dev.rank(),
@@ -503,6 +507,7 @@ impl Adi {
         let out = self.dev.mcast_frame(ctx, targets, &frame).map(|ok| {
             assert!(ok, "device has no native multicast");
         });
+        ctx.settle();
         ctx.obs()
             .span_exit(ctx.now(), self.node(), Layer::Adi, "mcast");
         out
@@ -598,9 +603,10 @@ impl Adi {
                 .position(|&(s, c, p)| c == context && p == phase && src.is_none_or(|w| w == s))
             {
                 let (s, _, _) = self.nulls.remove(idx).unwrap();
+                ctx.settle(); // the queueing cost of the frame just found
                 return s;
             }
-            self.progress(ctx);
+            self.step(ctx);
         }
     }
 
@@ -612,11 +618,20 @@ impl Adi {
     /// frame. Advances virtual time even when idle so blocked loops make
     /// progress.
     pub fn progress(&mut self, ctx: &mut ProcCtx) {
+        self.step(ctx);
+        ctx.settle();
+    }
+
+    /// [`Adi::progress`] for the blocking loops in here: what dispatching
+    /// a frame cost stays owed, to be walked together with whatever the
+    /// loop charges next (or with its own closing settle).
+    fn step(&mut self, ctx: &mut ProcCtx) {
         let Some((src, frame)) = self.dev.try_recv_frame(ctx) else {
             // Idle: block on the device's interrupt if it has one,
-            // otherwise pace the polling loop.
+            // otherwise pay for the empty iteration (which is what paces
+            // the polling loop).
             if !self.dev.idle_wait(ctx) {
-                ctx.advance(self.costs.progress_poll_ns);
+                ctx.charge(self.costs.progress_poll_ns);
             }
             return;
         };
@@ -624,7 +639,7 @@ impl Adi {
             // Even the one-word nulls pass through the progress engine's
             // dispatch queue (the paper: "each layer has to manage
             // received message queues").
-            ctx.advance(self.costs.queue_ns);
+            ctx.charge(self.costs.queue_ns);
             self.nulls.push_back((src, context, phase));
             return;
         }
@@ -634,7 +649,7 @@ impl Adi {
         );
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Channel, "packet_rx");
-        ctx.advance(self.costs.header_parse_ns);
+        ctx.charge(self.costs.header_parse_ns);
         let header = PacketHeader::decode(&frame);
         let payload = frame[self.costs.header_bytes..].to_vec();
         match header.kind {
@@ -688,7 +703,7 @@ impl Adi {
                     .rndz_recv_meta
                     .get(&header.req)
                     .expect("data for unknown rendezvous receive");
-                ctx.advance(self.costs.unpack_ns(payload.len()));
+                ctx.charge(self.costs.unpack_ns(payload.len()));
                 let buf = self.rndz_recv_buf.entry(header.req).or_default();
                 buf.extend_from_slice(&payload);
                 if buf.len() >= len {
@@ -726,7 +741,7 @@ impl Adi {
         payload: Vec<u8>,
         rts_req: Option<u64>,
     ) {
-        ctx.advance(self.costs.queue_ns);
+        ctx.charge(self.costs.queue_ns);
         let u = Unexpected {
             context: header.context,
             src: header.src,

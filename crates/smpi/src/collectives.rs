@@ -48,7 +48,7 @@ impl Mpi {
     }
 
     fn charge_collective(&self, ctx: &mut ProcCtx) {
-        ctx.advance(self.adi.costs().collective_entry_ns);
+        ctx.charge(self.adi.costs().collective_entry_ns);
     }
 
     // Collectives have no way to report a partial failure to the group
@@ -101,7 +101,7 @@ impl Mpi {
         } else {
             self.bcast_binomial(ctx, comm, root, data)
         };
-        self.span_exit(ctx, "bcast");
+        self.leave(ctx, "bcast");
         out
     }
 
@@ -214,7 +214,7 @@ impl Mpi {
                 self.barrier_p2p(ctx, comm);
             }
         }
-        self.span_exit(ctx, "barrier");
+        self.leave(ctx, "barrier");
     }
 
     /// The paper's `MPI_Barrier`: rank 0 coordinates — it waits for a
@@ -324,7 +324,7 @@ impl Mpi {
         } else {
             Ok(())
         };
-        self.span_exit(ctx, "barrier");
+        self.leave(ctx, "barrier");
         out
     }
 
@@ -387,7 +387,7 @@ impl Mpi {
         self.span_enter(ctx, "bcast");
         self.charge_collective(ctx);
         let out = self.try_bcast_native(ctx, comm, root, data, entry_epoch);
-        self.span_exit(ctx, "bcast");
+        self.leave(ctx, "bcast");
         out
     }
 
@@ -498,7 +498,7 @@ impl Mpi {
             self.adi.wait(ctx, req);
             None
         };
-        self.span_exit(ctx, "gather");
+        self.leave(ctx, "gather");
         out
     }
 
@@ -542,7 +542,7 @@ impl Mpi {
             let (_, bytes) = self.adi.wait(ctx, req).expect("scatter receive");
             bytes
         };
-        self.span_exit(ctx, "scatter");
+        self.leave(ctx, "scatter");
         out
     }
 
@@ -600,7 +600,7 @@ impl Mpi {
         for req in sends {
             self.adi.wait(ctx, req);
         }
-        self.span_exit(ctx, "alltoall");
+        self.leave(ctx, "alltoall");
         out
     }
 
@@ -655,7 +655,7 @@ impl Mpi {
             }
             Some(acc)
         })();
-        self.span_exit(ctx, "reduce");
+        self.leave(ctx, "reduce");
         out
     }
 
@@ -704,7 +704,7 @@ impl Mpi {
             );
             self.adi.wait(ctx, req);
         }
-        self.span_exit(ctx, "scan");
+        self.leave(ctx, "scan");
         acc
     }
 
@@ -747,6 +747,7 @@ impl Mpi {
             );
             self.adi.wait(ctx, req);
         }
+        ctx.settle(); // a group of one talks to nobody
         prefix
     }
 

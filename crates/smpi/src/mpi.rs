@@ -130,7 +130,7 @@ impl Mpi {
     }
 
     fn charge_binding(&self, ctx: &mut ProcCtx) {
-        ctx.advance(self.adi.costs().binding_ns);
+        ctx.charge(self.adi.costs().binding_ns);
     }
 
     /// Open an MPI-layer span at the current instant.
@@ -139,8 +139,12 @@ impl Mpi {
             .span_enter(ctx.now(), self.rank() as u32, Layer::Mpi, name);
     }
 
-    /// Close the innermost MPI-layer span of this name.
-    pub(crate) fn span_exit(&self, ctx: &ProcCtx, name: &'static str) {
+    /// Leave the MPI layer: settle what the call still owes (the binding
+    /// or collective-entry charge of a call that failed its argument
+    /// checks, or had nobody to talk to, was never followed by a transport
+    /// stall), then close the innermost MPI-layer span of this name.
+    pub(crate) fn leave(&self, ctx: &mut ProcCtx, name: &'static str) {
+        ctx.settle();
         ctx.obs()
             .span_exit(ctx.now(), self.rank() as u32, Layer::Mpi, name);
     }
@@ -197,7 +201,7 @@ impl Mpi {
             }
             Err(e) => Err(e),
         };
-        self.span_exit(ctx, "send");
+        self.leave(ctx, "send");
         out
     }
 
@@ -215,7 +219,7 @@ impl Mpi {
             Ok(req) => Ok(self.wait_recv(ctx, comm, req)),
             Err(e) => Err(e),
         };
-        self.span_exit(ctx, "recv");
+        self.leave(ctx, "recv");
         out
     }
 
@@ -240,7 +244,7 @@ impl Mpi {
                     .isend(ctx, comm.world_rank(dst), comm.context, tag, data)
                     .map_err(|e| self.transport_to_mpi(comm, e))
             });
-        self.span_exit(ctx, "isend");
+        self.leave(ctx, "isend");
         self.trace_send_exit(ctx, trace, &out);
         out
     }
@@ -277,7 +281,7 @@ impl Mpi {
                 .irecv(ctx, comm.context, world_src, tag)
                 .map_err(|e| self.transport_to_mpi(comm, e))
         })();
-        self.span_exit(ctx, "irecv");
+        self.leave(ctx, "irecv");
         out
     }
 
@@ -307,7 +311,7 @@ impl Mpi {
                 self.wait_send(ctx, req);
                 Ok(())
             });
-        self.span_exit(ctx, "ssend");
+        self.leave(ctx, "ssend");
         self.trace_send_exit(ctx, trace, &out);
         out
     }
@@ -316,7 +320,7 @@ impl Mpi {
     pub fn wait_send(&mut self, ctx: &mut ProcCtx, req: ReqId) {
         self.span_enter(ctx, "wait");
         let r = self.adi.wait(ctx, req);
-        self.span_exit(ctx, "wait");
+        self.leave(ctx, "wait");
         debug_assert!(r.is_none(), "wait_send redeemed a receive request");
     }
 
@@ -325,7 +329,7 @@ impl Mpi {
     pub fn wait_recv(&mut self, ctx: &mut ProcCtx, comm: &Comm, req: ReqId) -> (Status, Vec<u8>) {
         self.span_enter(ctx, "wait");
         let waited = self.adi.wait(ctx, req);
-        self.span_exit(ctx, "wait");
+        self.leave(ctx, "wait");
         let (mut status, data) = waited.expect("wait_recv redeemed a send request");
         status.source = comm
             .comm_rank(status.source)
@@ -380,26 +384,30 @@ impl Mpi {
         tag: Option<Tag>,
     ) -> Result<Option<Status>, MpiError> {
         self.charge_binding(ctx);
-        let world_src = match src {
-            Some(s) => {
-                comm.check(s)?;
-                self.degraded_entry(comm, &[s])?;
-                Some(comm.world_rank(s))
-            }
-            None => {
-                self.degraded_entry(comm, &[])?;
-                None
-            }
-        };
-        Ok(self
-            .adi
-            .iprobe(ctx, comm.context, world_src, tag)
-            .map(|mut st| {
-                st.source = comm
-                    .comm_rank(st.source)
-                    .expect("probe matched foreign context");
-                st
-            }))
+        let out = (|| {
+            let world_src = match src {
+                Some(s) => {
+                    comm.check(s)?;
+                    self.degraded_entry(comm, &[s])?;
+                    Some(comm.world_rank(s))
+                }
+                None => {
+                    self.degraded_entry(comm, &[])?;
+                    None
+                }
+            };
+            Ok(self
+                .adi
+                .iprobe(ctx, comm.context, world_src, tag)
+                .map(|mut st| {
+                    st.source = comm
+                        .comm_rank(st.source)
+                        .expect("probe matched foreign context");
+                    st
+                }))
+        })();
+        ctx.settle(); // a probe refused before the ADI saw it
+        out
     }
 
     /// `MPI_Probe`: block until a matching message is available, and

@@ -5,6 +5,7 @@
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::rng::SimRng;
 use scramnet_cluster::des::{RunReport, Simulation};
+use scramnet_cluster::scramnet::RingStats;
 use scramnet_cluster::smpi::{MpiWorld, ReduceOp};
 
 /// A moderately chaotic BBP workload driven by a seeded RNG: the traffic
@@ -124,6 +125,100 @@ fn schedule_counters_match_the_recorded_baseline() {
         ETHERNET,
         "three barriers on 3 Ethernet ranks"
     );
+}
+
+/// BBP ping-pong over a ladder of sizes; `traced` turns the event log on,
+/// which makes every `ProcCtx::charge` in the stack an `advance`.
+fn bbp_pingpong(traced: bool) -> (RunReport, RingStats) {
+    let mut sim = Simulation::new();
+    if traced {
+        sim.enable_trace();
+    }
+    let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(2));
+    for rank in 0..2 {
+        let mut ep = cluster.endpoint(rank);
+        sim.spawn(format!("p{rank}"), move |ctx| {
+            for len in (0..=700).step_by(100) {
+                let payload = vec![len as u8; len];
+                for _ in 0..3 {
+                    if rank == 0 {
+                        ep.send(ctx, 1, &payload).unwrap();
+                        assert_eq!(ep.recv(ctx, 1).unwrap(), payload);
+                    } else {
+                        assert_eq!(ep.recv(ctx, 0).unwrap(), payload);
+                        ep.send(ctx, 0, &payload).unwrap();
+                    }
+                }
+            }
+        });
+    }
+    let report = sim.run();
+    assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+    (report, cluster.ring().stats())
+}
+
+/// Bcast, barrier and a ring of send/recv on `n` ranks.
+fn mpi_world(n: usize, traced: bool) -> (RunReport, RingStats) {
+    let mut sim = Simulation::new();
+    if traced {
+        sim.enable_trace();
+    }
+    let world = MpiWorld::scramnet(&sim.handle(), n);
+    for rank in 0..n {
+        let mut mpi = world.proc(rank);
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let comm = mpi.comm_world();
+            for round in 0..3u8 {
+                let root = usize::from(round) % n;
+                let data = [round; 40];
+                let got = mpi.bcast(ctx, &comm, root, (rank == root).then_some(&data[..]));
+                assert_eq!(got, data);
+                mpi.barrier(ctx, &comm);
+                let (next, prev) = ((rank + 1) % n, (rank + n - 1) % n);
+                let msg = vec![rank as u8; 16 * (usize::from(round) + 1)];
+                if rank % 2 == 0 {
+                    mpi.send(ctx, &comm, next, 7, &msg).unwrap();
+                    mpi.recv(ctx, &comm, Some(prev), Some(7)).unwrap();
+                } else {
+                    mpi.recv(ctx, &comm, Some(prev), Some(7)).unwrap();
+                    mpi.send(ctx, &comm, next, 7, &msg).unwrap();
+                }
+            }
+        });
+    }
+    let report = sim.run();
+    assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+    let stats = world
+        .bbp_cluster()
+        .expect("a SCRAMNet world")
+        .ring()
+        .stats();
+    (report, stats)
+}
+
+/// There is no switch for chaining software costs, so the one way to see
+/// the stack with and without it is the event log: recording makes every
+/// charge eager. Both must be the same simulation — same end time,
+/// dispatch count, queue depth and ring traffic — and differ only in how
+/// often the host moved the baton.
+#[test]
+fn chained_and_eager_costs_are_the_same_simulation() {
+    let mut worlds = vec![("BBP ping-pong", bbp_pingpong(true), bbp_pingpong(false))];
+    for n in [3, 4, 8] {
+        worlds.push(("MPI world", mpi_world(n, true), mpi_world(n, false)));
+    }
+    for (what, (eager, eager_ring), (chained, chained_ring)) in worlds {
+        assert_eq!(counters(&chained), counters(&eager), "{what}");
+        assert_eq!(chained_ring, eager_ring, "{what}");
+        assert_eq!(eager.relayed, 0, "{what}: recording keeps charges eager");
+        assert!(chained.relayed > 0, "{what}: {chained:?}");
+        assert!(
+            chained.handoffs < eager.handoffs,
+            "{what}: {} hand-offs chained, {} eager",
+            chained.handoffs,
+            eager.handoffs
+        );
+    }
 }
 
 #[test]
