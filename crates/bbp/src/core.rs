@@ -1,0 +1,795 @@
+//! The paper's protocol and nothing else: `bbp_Send`, `bbp_Recv`,
+//! `bbp_Mcast` and `bbp_MsgAvail` over single-writer flag, descriptor and
+//! data words (paper §3). [`Core`] owns the state the paper's safety
+//! argument is about and the steps a send and a receive are made of:
+//!
+//! | step              | shared words touched                                 |
+//! |-------------------|------------------------------------------------------|
+//! | [`Core::stage`]   | our data partition (payload block)                   |
+//! | [`Core::publish`] | our descriptor slot                                  |
+//! | [`Core::flag`]    | `msg_flag(receiver, me)`, one word per receiver      |
+//! | [`Core::gc`]      | reads `ack_flag(me, receiver)`                       |
+//! | [`Core::poll`]    | reads `msg_flag(me, sender)` and its descriptors     |
+//! | [`Core::deliver`] | reads the sender's data, writes `ack_flag(sender, me)` |
+//!
+//! Every word above has one writer. Between calls the steps keep:
+//!
+//! * `ack_expect[r]` bit `s` differs from the bank's `ack_flag(me, r)` bit
+//!   `s` iff slot `s` holds a message `r` has not acknowledged;
+//! * `inflight` lists the busy slots whose data space is still allocated,
+//!   in allocation order; `data_head` is the first free word after them;
+//! * `shadow_msg[s]` is the last `msg_flag(me, s)` value whose toggles
+//!   have all become `pending[s]` entries.
+
+use std::collections::{BTreeMap, VecDeque};
+
+use des::obs::{Layer, Stage};
+use des::{ProcCtx, Signal, Time};
+use scramnet::{Nic, Word};
+
+use crate::config::{BbpConfig, GcPolicy, RecvMode, SwCosts};
+use crate::endpoint::EndpointStats;
+use crate::error::BbpError;
+use crate::layout::Layout;
+
+/// When a posted message's `MESSAGE` flag toggles reach the bank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Doorbell {
+    /// Write each receiver's flag word as part of the post (the paper).
+    Now,
+    /// Toggle our local copy only; a later flag-word write publishes it.
+    Deferred,
+}
+
+/// What a blocked call is waiting for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wait {
+    /// Acknowledgements, to free buffer space.
+    ForAcks,
+    /// New `MESSAGE` flags.
+    ForTraffic,
+}
+
+/// One message buffer slot's sender-side state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotState {
+    pub busy: bool,
+    /// Word offset of the payload inside our data partition.
+    pub data_off: usize,
+    /// Payload length in bytes (the descriptor's length field).
+    pub len_bytes: usize,
+    /// The sequence number this slot's descriptor carries.
+    pub seq: Word,
+    /// Receivers that must acknowledge before reuse.
+    pub targets: Vec<usize>,
+    /// The trace id the message carried when posted (0 = untraced).
+    pub trace: u64,
+}
+
+/// A message detected by a poll but not yet delivered to the application.
+#[derive(Debug, Clone)]
+pub(crate) struct PendingMsg {
+    pub slot: usize,
+    pub data_off: usize,
+    pub len_bytes: usize,
+    /// This entry's key in the pending map.
+    ext: u64,
+    /// Hand-over attempts put off so far.
+    pub tries: u32,
+    /// The sender's trace id (0 = untraced), resolved once at poll time so
+    /// delivery needs no second correlation lookup.
+    pub trace: u64,
+}
+
+/// The paper-mode protocol engine for one process.
+pub(crate) struct Core {
+    pub rank: usize,
+    pub n: usize,
+    pub nic: Nic,
+    pub layout: Layout,
+    pub sw: SwCosts,
+    recv_mode: RecvMode,
+    pub gc_policy: GcPolicy,
+    max_payload: usize,
+    pub stats: EndpointStats,
+
+    // ---- sender state ----
+    /// Our copy of `msg_flag(r, me)` per receiver `r`.
+    pub out_msg_flags: Vec<Word>,
+    /// Per receiver `r`: the ACK word value that means "everything I ever
+    /// sent to r is acknowledged" (bit flipped at each send, matched when
+    /// the receiver's toggle lands).
+    pub ack_expect: Vec<Word>,
+    /// Per-slot sender-side state.
+    pub slots: Vec<SlotState>,
+    /// Slots in allocation (data-partition ring) order.
+    pub inflight: VecDeque<usize>,
+    /// Next free word in the circular data allocator.
+    pub data_head: usize,
+    /// Monotonic message sequence (shared across all destinations).
+    next_seq: u32,
+    /// The last written payload in word form. Reused so the post path
+    /// does not allocate once warm (the RPC reply path's zero-alloc
+    /// guarantee rests on it).
+    pub staged: Vec<Word>,
+    /// Per-sweep cache of ACK words already read, reused likewise.
+    ack_scratch: Vec<Option<Word>>,
+
+    // ---- receiver state ----
+    /// Last processed value of `msg_flag(me, s)` per sender `s`.
+    shadow_msg: Vec<Word>,
+    /// Detected-but-undelivered messages per sender, ordered by extended
+    /// sequence number (delivery is per-sender FIFO).
+    pending: Vec<BTreeMap<u64, PendingMsg>>,
+    /// Highest extended sequence seen per sender, for wrap handling.
+    ext_seq_hi: Vec<u64>,
+    /// Our copy of `ack_flag(s, me)` per sender `s`.
+    out_ack_flags: Vec<Word>,
+    /// Round-robin cursor for `recv_any` fairness.
+    rr_cursor: usize,
+    /// Interrupt-mode wake-ups (armed over our MESSAGE flag block).
+    recv_signal: Option<Signal>,
+    /// Interrupt-mode wake-ups for ACKs (armed over our ACK flag block).
+    ack_signal: Option<Signal>,
+}
+
+impl Core {
+    pub(crate) fn new(
+        nic: Nic,
+        rank: usize,
+        config: &BbpConfig,
+        recv_signal: Option<Signal>,
+        ack_signal: Option<Signal>,
+    ) -> Self {
+        let n = config.nprocs;
+        Core {
+            rank,
+            n,
+            nic,
+            layout: Layout::new(config),
+            sw: config.sw.clone(),
+            recv_mode: config.recv_mode,
+            gc_policy: config.gc_policy,
+            max_payload: config.max_payload_bytes(),
+            stats: EndpointStats::default(),
+            out_msg_flags: vec![0; n],
+            ack_expect: vec![0; n],
+            slots: vec![SlotState::default(); config.bufs_per_proc],
+            inflight: VecDeque::with_capacity(config.bufs_per_proc),
+            data_head: 0,
+            next_seq: 0,
+            staged: Vec::new(),
+            ack_scratch: Vec::new(),
+            shadow_msg: vec![0; n],
+            pending: (0..n).map(|_| BTreeMap::new()).collect(),
+            ext_seq_hi: vec![0; n],
+            out_ack_flags: vec![0; n],
+            rr_cursor: 0,
+            recv_signal,
+            ack_signal,
+        }
+    }
+
+    /// An `obs` counter increment stamped with our rank and this instant.
+    pub(crate) fn count(&self, ctx: &ProcCtx, name: &'static str, delta: u64) {
+        ctx.obs().count(ctx.now(), self.rank as u32, name, delta);
+    }
+
+    /// An `obs` message-lifecycle checkpoint, stamped likewise.
+    pub(crate) fn lifecycle(&self, ctx: &ProcCtx, trace: u64, stage: Stage, arg: u64) {
+        ctx.obs()
+            .lifecycle(ctx.now(), self.rank as u32, trace, stage, arg);
+    }
+
+    // ------------------------------------------------------------------
+    // Send side
+    // ------------------------------------------------------------------
+
+    /// Every target is another rank, named once: a repeat would toggle its
+    /// flag and expectation bits twice, and the slot would never free.
+    pub(crate) fn check_targets(&self, targets: &[usize]) -> Result<(), BbpError> {
+        for (i, &t) in targets.iter().enumerate() {
+            if t >= self.n || t == self.rank || targets[..i].contains(&t) {
+                return Err(BbpError::BadDestination { dst: t });
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn check_size(&self, len: usize) -> Result<(), BbpError> {
+        if len > self.max_payload {
+            return Err(BbpError::MessageTooLarge {
+                len,
+                max: self.max_payload,
+            });
+        }
+        Ok(())
+    }
+
+    /// Step 1 of a send: find a free descriptor slot and contiguous data
+    /// words, `collect`ing acknowledged buffers and stalling while there
+    /// are none, then write the payload. Without a `deadline` this can
+    /// only stall, never fail (the paper's behaviour).
+    pub(crate) fn stage(
+        &mut self,
+        ctx: &mut ProcCtx,
+        targets: &[usize],
+        payload: &[u8],
+        deadline: Option<Time>,
+        mut collect: impl FnMut(&mut Self, &mut ProcCtx) -> usize,
+    ) -> Result<usize, BbpError> {
+        let words = payload.len().div_ceil(4);
+        let (slot, data_off) = loop {
+            ctx.charge(self.sw.alloc_ns);
+            if let Some(found) = self.try_allocate(words) {
+                break found;
+            }
+            self.stats.send_stalls += 1;
+            if collect(self, ctx) == 0 {
+                self.pace(ctx, Wait::ForAcks, deadline.is_some());
+            }
+            if deadline.is_some_and(|d| ctx.now() >= d) {
+                return Err(BbpError::Timeout {
+                    peer: targets.first().copied().unwrap_or(self.rank),
+                    attempts: 0,
+                });
+            }
+        };
+        self.write_payload(ctx, data_off, payload);
+        let seq = self.next_seq;
+        self.next_seq = self.next_seq.wrapping_add(1);
+        let s = &mut self.slots[slot];
+        s.busy = true;
+        s.data_off = data_off;
+        s.len_bytes = payload.len();
+        s.seq = seq;
+        s.targets.clear();
+        s.targets.extend_from_slice(targets);
+        s.trace = ctx.obs().current_trace(self.rank as u32);
+        self.inflight.push_back(slot);
+        self.gauge_slots_in_use(ctx);
+        Ok(slot)
+    }
+
+    /// Write `payload`, packed into [`Core::staged`], at `data_off`.
+    pub(crate) fn write_payload(&mut self, ctx: &mut ProcCtx, data_off: usize, payload: &[u8]) {
+        pack_words_into(payload, &mut self.staged);
+        if !self.staged.is_empty() {
+            let base = self.layout.data_base(self.rank);
+            self.nic.write_block(ctx, base + data_off, &self.staged);
+        }
+    }
+
+    /// Send-slot residency; one relaxed load when telemetry is off.
+    fn gauge_slots_in_use(&self, ctx: &ProcCtx) {
+        let rec = ctx.obs();
+        if rec.telemetry_on() {
+            rec.gauge(
+                ctx.now(),
+                self.rank as u32,
+                "bbp.send_slots_in_use",
+                self.inflight.len() as u64,
+            );
+        }
+    }
+
+    /// Write `slot`'s descriptor: `[offset, byte length, sequence]`, plus
+    /// `fourth` when the layout has a fourth word.
+    pub(crate) fn write_descriptor(&self, ctx: &mut ProcCtx, slot: usize, fourth: Option<Word>) {
+        let s = &self.slots[slot];
+        let words = [
+            s.data_off as Word,
+            s.len_bytes as Word,
+            s.seq,
+            fourth.unwrap_or(0),
+        ];
+        let used = if fourth.is_some() { 4 } else { 3 };
+        self.nic
+            .write_block(ctx, self.layout.descriptor(self.rank, slot), &words[..used]);
+    }
+
+    /// Step 2 of a send: the descriptor, and the `(src, seq)` → trace id
+    /// registration the receive side's poll recovers the id from.
+    pub(crate) fn publish(&self, ctx: &mut ProcCtx, slot: usize, fourth: Option<Word>) {
+        self.write_descriptor(ctx, slot, fourth);
+        let (seq, trace) = (self.slots[slot].seq, self.slots[slot].trace);
+        self.lifecycle(ctx, trace, Stage::DescriptorWrite, seq as u64);
+        ctx.obs().register_msg(self.rank as u32, seq, trace);
+    }
+
+    /// Step 3 of a send: one `MESSAGE` flag toggle per receiver — the
+    /// last word to land there, so detection implies the descriptor and
+    /// payload already replicated.
+    pub(crate) fn flag(
+        &mut self,
+        ctx: &mut ProcCtx,
+        slot: usize,
+        targets: &[usize],
+        doorbell: Doorbell,
+    ) {
+        let trace = self.slots[slot].trace;
+        for (i, &t) in targets.iter().enumerate() {
+            if i > 0 {
+                ctx.charge(self.sw.mcast_target_ns);
+            }
+            self.out_msg_flags[t] ^= 1 << slot;
+            if doorbell == Doorbell::Now {
+                self.write_flag(ctx, t);
+            }
+            self.ack_expect[t] ^= 1 << slot;
+            self.lifecycle(ctx, trace, Stage::FlagSet, t as u64);
+        }
+    }
+
+    /// Write our copy of `msg_flag(dst, me)`: every toggle accumulated for
+    /// `dst`, deferred ones included.
+    pub(crate) fn write_flag(&self, ctx: &mut ProcCtx, dst: usize) {
+        self.nic.write_word(
+            ctx,
+            self.layout.msg_flag(dst, self.rank),
+            self.out_msg_flags[dst],
+        );
+    }
+
+    fn try_allocate(&mut self, words: usize) -> Option<(usize, usize)> {
+        match self.gc_policy {
+            GcPolicy::FifoRing => self.try_allocate_ring(words),
+            GcPolicy::Slotted => self.try_allocate_slotted(words),
+        }
+    }
+
+    fn try_allocate_ring(&mut self, words: usize) -> Option<(usize, usize)> {
+        let slot = self.slots.iter().position(|s| !s.busy)?;
+        let cap = self.layout.data_words();
+        if words == 0 {
+            return Some((slot, self.data_head));
+        }
+        debug_assert!(words <= cap, "guarded by the payload limit");
+        if self.inflight.is_empty() {
+            self.data_head = words % cap;
+            return Some((slot, 0));
+        }
+        let tail = self.slots[*self.inflight.front().unwrap()].data_off;
+        let head = self.data_head;
+        if head >= tail {
+            // Free space is [head, cap) then [0, tail).
+            if cap - head >= words {
+                self.data_head = (head + words) % cap;
+                return Some((slot, head));
+            }
+            if tail > words {
+                self.data_head = words;
+                return Some((slot, 0));
+            }
+        } else if tail - head > words {
+            self.data_head = head + words;
+            return Some((slot, head));
+        }
+        None
+    }
+
+    /// Slotted discipline: descriptor slot `i` owns the fixed data range
+    /// `[i*slot_words, (i+1)*slot_words)`; any free slot fits any message
+    /// up to one slot.
+    fn try_allocate_slotted(&mut self, words: usize) -> Option<(usize, usize)> {
+        let slot_words = self.layout.data_words() / self.slots.len();
+        debug_assert!(words <= slot_words, "guarded by the payload limit");
+        let slot = self.slots.iter().position(|s| !s.busy)?;
+        Some((slot, slot * slot_words))
+    }
+
+    /// One garbage-collection sweep: pops acknowledged buffers off the
+    /// *front* of the in-flight queue ([`GcPolicy::FifoRing`]) or frees
+    /// every acknowledged buffer regardless of order
+    /// ([`GcPolicy::Slotted`]). `on_free` is told each freed slot's
+    /// receivers; `sweep` runs inside the span and adds what it freed.
+    pub(crate) fn gc(
+        &mut self,
+        ctx: &mut ProcCtx,
+        sweep: impl FnOnce(&mut Self, &mut ProcCtx) -> usize,
+        mut on_free: impl FnMut(&[usize]),
+    ) -> usize {
+        ctx.obs()
+            .span_enter(ctx.now(), self.rank as u32, Layer::Bbp, "gc");
+        ctx.charge(self.sw.gc_probe_ns);
+        self.stats.gc_sweeps += 1;
+        self.count(ctx, "bbp.gc_sweeps", 1);
+        // Read each relevant ACK word at most once per sweep.
+        let mut acks = std::mem::take(&mut self.ack_scratch);
+        acks.clear();
+        acks.resize(self.n, None);
+        let mut freed = 0;
+        // Under the ring discipline the first unacknowledged buffer ends
+        // the sweep; slotted, it goes to the back of the queue, which one
+        // full rotation leaves in its original order.
+        for _ in 0..self.inflight.len() {
+            let slot = self.inflight[0];
+            if self.acked(ctx, slot, &mut acks) {
+                self.inflight.pop_front();
+                self.slots[slot].busy = false;
+                on_free(&self.slots[slot].targets);
+                freed += 1;
+            } else if self.gc_policy == GcPolicy::FifoRing {
+                break;
+            } else {
+                self.inflight.rotate_left(1);
+            }
+        }
+        self.ack_scratch = acks;
+        freed += sweep(self, ctx);
+        ctx.obs()
+            .span_exit(ctx.now(), self.rank as u32, Layer::Bbp, "gc");
+        if freed > 0 {
+            self.gauge_slots_in_use(ctx);
+        }
+        freed
+    }
+
+    fn acked(&self, ctx: &mut ProcCtx, slot: usize, acks: &mut [Option<Word>]) -> bool {
+        let bit = 1u32 << slot;
+        self.slots[slot].targets.iter().all(|&r| {
+            let word = *acks[r].get_or_insert_with(|| self.read_ack(ctx, r));
+            word & bit == self.ack_expect[r] & bit
+        })
+    }
+
+    pub(crate) fn read_ack(&self, ctx: &mut ProcCtx, r: usize) -> Word {
+        self.nic.read_word(ctx, self.layout.ack_flag(self.rank, r))
+    }
+
+    /// How a blocked call lets time pass when a sweep found nothing. A
+    /// `bounded` caller (it has a deadline) gets a timed pause even in
+    /// interrupt mode: a signal wait could outlive the deadline.
+    pub(crate) fn pace(&self, ctx: &mut ProcCtx, wait: Wait, bounded: bool) {
+        match (self.recv_mode, bounded) {
+            // A polling receive paces itself by its sweep's PIO reads;
+            // a polling sender spaces its ACK probes.
+            (RecvMode::Polling, _) => {
+                if wait == Wait::ForAcks {
+                    ctx.advance(self.sw.gc_retry_gap_ns);
+                }
+            }
+            (RecvMode::Interrupt, true) => ctx.advance(self.sw.gc_retry_gap_ns),
+            (RecvMode::Interrupt, false) => {
+                let sig = match wait {
+                    Wait::ForAcks => &self.ack_signal,
+                    Wait::ForTraffic => &self.recv_signal,
+                };
+                ctx.wait(
+                    sig.as_ref()
+                        .expect("interrupt mode endpoints carry signals"),
+                );
+            }
+        }
+    }
+
+    pub(crate) fn wait_for_traffic(&self, ctx: &mut ProcCtx) -> bool {
+        let blocks = self.recv_mode == RecvMode::Interrupt;
+        if blocks {
+            self.pace(ctx, Wait::ForTraffic, false);
+        }
+        blocks
+    }
+
+    /// Forget every send in progress (a process restarting its channels).
+    pub(crate) fn reset_send_state(&mut self) {
+        self.slots
+            .iter_mut()
+            .for_each(|s| *s = SlotState::default());
+        self.inflight.clear();
+        self.data_head = 0;
+        self.next_seq = 0;
+    }
+
+    /// Zero the `MESSAGE` and `ACK` words we own in `peer`'s flag blocks
+    /// and every shadow of `peer`'s toggles; sends waiting on this peer
+    /// resolve through the zeroed expectations on the next sweep.
+    pub(crate) fn reset_channel(&mut self, ctx: &mut ProcCtx, peer: usize) {
+        self.out_msg_flags[peer] = 0;
+        self.write_flag(ctx, peer);
+        self.out_ack_flags[peer] = 0;
+        self.nic
+            .write_word(ctx, self.layout.ack_flag(peer, self.rank), 0);
+        self.ack_expect[peer] = 0;
+        self.shadow_msg[peer] = 0;
+        self.ext_seq_hi[peer] = 0;
+        self.pending[peer].clear();
+    }
+
+    // ------------------------------------------------------------------
+    // Receive side
+    // ------------------------------------------------------------------
+
+    /// The senders a receive considers: `only`, or every peer starting at
+    /// the round-robin cursor.
+    pub(crate) fn sources(&self, only: Option<usize>) -> impl Iterator<Item = usize> {
+        let (n, rank) = (self.n, self.rank);
+        let (start, count) = only.map_or((self.rr_cursor, n), |s| (s, 1));
+        (0..count)
+            .map(move |off| (start + off) % n)
+            .filter(move |&s| s != rank)
+    }
+
+    /// Move the round-robin cursor past `src`.
+    pub(crate) fn served(&mut self, src: usize) {
+        self.rr_cursor = (src + 1) % self.n;
+    }
+
+    /// Is a detected message waiting (from `only`, or from anyone)?
+    pub(crate) fn has_pending(&self, only: Option<usize>) -> bool {
+        match only {
+            Some(s) => !self.pending[s].is_empty(),
+            None => self.pending.iter().any(|p| !p.is_empty()),
+        }
+    }
+
+    pub(crate) fn pop_pending(&mut self, src: usize) -> Option<PendingMsg> {
+        self.pending[src].pop_first().map(|(_, msg)| msg)
+    }
+
+    pub(crate) fn requeue(&mut self, src: usize, msg: PendingMsg) {
+        self.pending[src].insert(msg.ext, msg);
+    }
+
+    /// One poll sweep: `only`'s flag word, or every peer's in rank order.
+    pub(crate) fn poll(&mut self, ctx: &mut ProcCtx, only: Option<usize>) {
+        let (first, end) = only.map_or((0, self.n), |s| (s, s + 1));
+        for s in first..end {
+            if s != self.rank {
+                self.poll_sender(ctx, s);
+            }
+        }
+    }
+
+    /// Enqueue the messages `s`'s MESSAGE flag word newly flags.
+    fn poll_sender(&mut self, ctx: &mut ProcCtx, s: usize) {
+        ctx.charge(self.sw.poll_iter_ns);
+        self.stats.polls += 1;
+        self.count(ctx, "bbp.polls", 1);
+        let word = self.nic.read_word(ctx, self.layout.msg_flag(self.rank, s));
+        let changed = word ^ self.shadow_msg[s];
+        if changed == 0 {
+            return;
+        }
+        self.shadow_msg[s] = word;
+        for slot in 0..self.slots.len() {
+            if changed & (1 << slot) == 0 {
+                continue;
+            }
+            ctx.charge(self.sw.match_ns);
+            let desc = self.read_descriptor(ctx, s, slot);
+            let (data_off, len_bytes, seq) = (desc[0] as usize, desc[1] as usize, desc[2]);
+            let ext = extend_seq(self.ext_seq_hi[s], seq);
+            self.ext_seq_hi[s] = self.ext_seq_hi[s].max(ext);
+            let trace = ctx.obs().lookup_msg(s as u32, seq);
+            self.lifecycle(ctx, trace, Stage::RecvMatch, seq as u64);
+            self.pending[s].insert(
+                ext,
+                PendingMsg {
+                    slot,
+                    data_off,
+                    len_bytes,
+                    ext,
+                    tries: 0,
+                    trace,
+                },
+            );
+        }
+    }
+
+    pub(crate) fn read_descriptor(&self, ctx: &mut ProcCtx, s: usize, slot: usize) -> Vec<Word> {
+        self.nic.read_block(
+            ctx,
+            self.layout.descriptor(s, slot),
+            self.layout.desc_words(),
+        )
+    }
+
+    pub(crate) fn read_payload(
+        &self,
+        ctx: &mut ProcCtx,
+        s: usize,
+        data_off: usize,
+        words: usize,
+    ) -> Vec<Word> {
+        if words == 0 {
+            return Vec::new();
+        }
+        self.nic
+            .read_block(ctx, self.layout.data_base(s) + data_off, words)
+    }
+
+    /// Hand `msg` to the application: read its payload (unless the caller
+    /// holds it already, checked), toggle the ACK bit, return the bytes.
+    pub(crate) fn deliver(
+        &mut self,
+        ctx: &mut ProcCtx,
+        src: usize,
+        msg: &PendingMsg,
+        payload: Option<Vec<Word>>,
+    ) -> Vec<u8> {
+        let rank = self.rank as u32;
+        ctx.obs().span_enter(ctx.now(), rank, Layer::Bbp, "deliver");
+        let data = payload.unwrap_or_else(|| {
+            self.read_payload(ctx, src, msg.data_off, msg.len_bytes.div_ceil(4))
+        });
+        ctx.advance(self.sw.deliver_ns);
+        self.out_ack_flags[src] ^= 1 << msg.slot;
+        self.nic.write_word(
+            ctx,
+            self.layout.ack_flag(src, self.rank),
+            self.out_ack_flags[src],
+        );
+        self.stats.recvs += 1;
+        self.stats.bytes_recved += msg.len_bytes as u64;
+        self.lifecycle(ctx, msg.trace, Stage::Deliver, msg.len_bytes as u64);
+        ctx.obs().set_current_rx(rank, msg.trace);
+        ctx.obs().span_exit(ctx.now(), rank, Layer::Bbp, "deliver");
+        unpack_bytes(&data, msg.len_bytes)
+    }
+}
+
+/// Pack bytes into little-endian words, zero-padding the tail, into a
+/// reused buffer (no allocation once its capacity has warmed up).
+fn pack_words_into(bytes: &[u8], out: &mut Vec<Word>) {
+    out.clear();
+    out.extend(bytes.chunks(4).map(|c| {
+        let mut w = [0u8; 4];
+        w[..c.len()].copy_from_slice(c);
+        Word::from_le_bytes(w)
+    }));
+}
+
+/// Inverse of [`pack_words_into`], truncating to `len` bytes.
+fn unpack_bytes(words: &[Word], len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out.truncate(len);
+    out
+}
+
+/// Extend a wrapping 32-bit sequence number against the highest extended
+/// sequence seen so far. In-flight windows are tiny (≤ 32 buffers), so any
+/// candidate within half the 32-bit space forward of `hi` is "new".
+fn extend_seq(hi: u64, seq: u32) -> u64 {
+    let hi_low = hi as u32;
+    let delta = seq.wrapping_sub(hi_low);
+    if delta < u32::MAX / 2 {
+        hi + delta as u64
+    } else {
+        hi - hi_low.wrapping_sub(seq) as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // ---- circular-allocator unit tests (internal state access) ----
+
+    fn test_core(data_words: usize, bufs: usize) -> (des::Simulation, Core) {
+        let sim = des::Simulation::new();
+        let mut config = BbpConfig::for_nodes(2);
+        config.data_words = data_words;
+        config.bufs_per_proc = bufs;
+        let ring = scramnet::Ring::new(
+            &sim.handle(),
+            2,
+            Layout::new(&config).total_words(),
+            scramnet::CostModel::default(),
+        );
+        let core = Core::new(ring.nic(0), 0, &config, None, None);
+        (sim, core)
+    }
+
+    /// Simulate an allocation bookkeeping-only (no ctx needed): mark the
+    /// slot busy and push it in flight, as `stage` would.
+    fn take(core: &mut Core, words: usize) -> Option<usize> {
+        let (slot, off) = core.try_allocate_ring(words)?;
+        core.slots[slot].busy = true;
+        core.slots[slot].data_off = off;
+        core.inflight.push_back(slot);
+        Some(off)
+    }
+
+    fn release_front(core: &mut Core) {
+        let slot = core.inflight.pop_front().expect("something in flight");
+        core.slots[slot].busy = false;
+    }
+
+    #[test]
+    fn ring_allocator_is_contiguous_and_bumping() {
+        let (_sim, mut core) = test_core(64, 8);
+        assert_eq!(take(&mut core, 10), Some(0));
+        assert_eq!(take(&mut core, 10), Some(10));
+        assert_eq!(take(&mut core, 10), Some(20));
+    }
+
+    #[test]
+    fn ring_allocator_wraps_after_frees() {
+        let (_sim, mut core) = test_core(64, 8);
+        assert_eq!(take(&mut core, 30), Some(0));
+        assert_eq!(take(&mut core, 30), Some(30));
+        // 4 words left at the end: a 10-word request fails...
+        assert_eq!(take(&mut core, 10), None);
+        // ...until the oldest buffer frees, letting it wrap to offset 0.
+        release_front(&mut core);
+        assert_eq!(take(&mut core, 10), Some(0));
+    }
+
+    #[test]
+    fn ring_allocator_never_overruns_the_tail() {
+        let (_sim, mut core) = test_core(64, 8);
+        assert_eq!(take(&mut core, 30), Some(0));
+        assert_eq!(take(&mut core, 30), Some(30));
+        release_front(&mut core); // tail now at 30
+        assert_eq!(take(&mut core, 20), Some(0));
+        // Head=20, tail=30: exactly 10 free, but head==tail is reserved
+        // (full/empty ambiguity) so a 10-word request must fail...
+        assert_eq!(take(&mut core, 10), None);
+        // ...while a 9-word request fits.
+        assert_eq!(take(&mut core, 9), Some(20));
+    }
+
+    #[test]
+    fn ring_allocator_exhausts_descriptor_slots() {
+        let (_sim, mut core) = test_core(1024, 2);
+        assert!(take(&mut core, 1).is_some());
+        assert!(take(&mut core, 1).is_some());
+        assert_eq!(take(&mut core, 1), None, "only 2 slots");
+        release_front(&mut core);
+        assert!(take(&mut core, 1).is_some());
+    }
+
+    #[test]
+    fn zero_word_allocations_need_only_a_slot() {
+        let (_sim, mut core) = test_core(8, 4);
+        assert_eq!(take(&mut core, 8), Some(0)); // fills the partition
+        assert!(take(&mut core, 0).is_some(), "empty message still sends");
+    }
+
+    fn pack_words(bytes: &[u8]) -> Vec<Word> {
+        let mut out = Vec::new();
+        pack_words_into(bytes, &mut out);
+        out
+    }
+
+    #[test]
+    fn pack_unpack_round_trip() {
+        for len in [0usize, 1, 3, 4, 5, 8, 13] {
+            let bytes: Vec<u8> = (0..len as u8).collect();
+            let words = pack_words(&bytes);
+            assert_eq!(words.len(), len.div_ceil(4));
+            assert_eq!(unpack_bytes(&words, len), bytes);
+        }
+    }
+
+    #[test]
+    fn pack_pads_with_zeros() {
+        let words = pack_words(&[0xFF]);
+        assert_eq!(words, vec![0x0000_00FF]);
+    }
+
+    #[test]
+    fn extend_seq_monotonic_without_wrap() {
+        assert_eq!(extend_seq(0, 0), 0);
+        assert_eq!(extend_seq(0, 5), 5);
+        assert_eq!(extend_seq(10, 12), 12);
+    }
+
+    #[test]
+    fn extend_seq_handles_wraparound() {
+        let hi = u32::MAX as u64; // last seq seen = u32::MAX
+        let ext = extend_seq(hi, 2); // wrapped to 2
+        assert_eq!(ext, u32::MAX as u64 + 3);
+    }
+
+    #[test]
+    fn extend_seq_handles_reordered_lower_values() {
+        // A slightly older seq (possible across different slots in one
+        // poll) maps below hi, not 2^32 ahead.
+        assert_eq!(extend_seq(100, 99), 99);
+    }
+}

@@ -34,6 +34,24 @@
 //! costs one extra word write (paper §3), unlike binomial-tree multicast
 //! over point-to-point links.
 //!
+//! ## Reading the source
+//!
+//! Read `core.rs` first: it is the protocol above and nothing else — the
+//! words each process writes, the shadows of the ones it reads, and the
+//! steps `stage → publish → flag` (send), `gc` (reclaim), `poll →
+//! deliver` (receive). The extensions sit beside it, each owning only
+//! the state it adds:
+//!
+//! | file | what it adds | where it hooks into `core.rs` |
+//! |---|---|---|
+//! | `reliable.rs` | CRC, NACK repair, sequence filter, retry/backoff | fourth descriptor word, stall deadlines, the sweep inside `gc`, a pre-checked payload for `deliver` |
+//! | `membership.rs` | heartbeat detector, views, quorum, rejoin | channel resets; otherwise only its own member block |
+//! | `flow.rs` | credit ledger, deferred doorbells | the `on_free` callback of `gc`, the doorbell of `flag` |
+//! | `endpoint.rs` | [`BbpEndpoint`]: the four composed | every public call is the ordered list of layer calls |
+//!
+//! `layout.rs` is the address map, `config.rs` the knobs and the rules
+//! for combining them.
+//!
 //! ## Example
 //!
 //! ```
@@ -77,11 +95,14 @@
 
 mod cluster;
 mod config;
+mod core;
 mod crc;
 mod endpoint;
 mod error;
+mod flow;
 mod layout;
 mod membership;
+mod reliable;
 
 pub use cluster::BbpCluster;
 

@@ -99,6 +99,30 @@ fn fail_fast_out_of_credit_is_typed() {
 }
 
 #[test]
+fn repeated_multicast_target_debits_nothing() {
+    // With a grant of one, debiting a repeated target twice underflowed
+    // the ledger (a panic in debug builds, a wrapped balance in release).
+    let mut sim = Simulation::new();
+    let c = credited_cluster(&sim, 3, 1, false);
+    let mut a = c.endpoint(0);
+    let mut b = c.endpoint(1);
+    sim.spawn("a", move |ctx| {
+        assert_eq!(
+            a.mcast(ctx, &[1, 1], b"twice"),
+            Err(BbpError::BadDestination { dst: 1 })
+        );
+        assert_eq!(a.send_credits(1), Some(1), "no credit was debited");
+        a.send(ctx, 1, b"once").unwrap();
+        assert_eq!(a.send_credits(1), Some(0));
+    });
+    sim.spawn("b", move |ctx| {
+        assert_eq!(b.recv(ctx, 0).unwrap(), b"once");
+    });
+    let report = sim.run();
+    assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+}
+
+#[test]
 fn dead_peer_cannot_strand_a_channels_credit() {
     // Regression test for the eager credit return in `reclaim_failed`:
     // a retry-exhausted send toward a bypassed peer must refund its

@@ -268,6 +268,31 @@ fn bad_destinations_are_rejected() {
 }
 
 #[test]
+fn repeated_multicast_target_is_rejected_before_any_write() {
+    // Naming a receiver twice used to return `Ok`, toggle its expectation
+    // bit twice and leak the buffer: the one ACK could never match.
+    let mut sim = Simulation::new();
+    let c = cluster(&sim, 3);
+    let ring = c.ring().clone();
+    let mut a = c.endpoint(0);
+    sim.spawn("a", move |ctx| {
+        assert_eq!(
+            a.mcast(ctx, &[1, 1], b"twice"),
+            Err(BbpError::BadDestination { dst: 1 })
+        );
+        assert_eq!(
+            a.mcast(ctx, &[2, 1, 2], b"twice"),
+            Err(BbpError::BadDestination { dst: 2 })
+        );
+        assert_eq!(a.stats().mcasts, 0);
+        assert!(a.all_acked(ctx), "nothing was left in flight");
+    });
+    assert!(sim.run().is_clean());
+    let traffic = ring.stats();
+    assert_eq!((traffic.pio_writes, traffic.injections), (0, 0));
+}
+
+#[test]
 fn wire_traffic_respects_single_writer_discipline() {
     // Run a busy all-to-all workload with provenance tracking on; the
     // protocol must never produce a cross-writer conflict.

@@ -1,8 +1,7 @@
 //! A tiny, API-compatible subset of the `parking_lot` crate, implemented
 //! over `std::sync`. The build container has no access to crates.io, so
-//! the workspace vendors the few primitives it actually uses: [`Mutex`]
-//! (lock returns the guard directly, no poisoning) and [`Condvar`]
-//! (waits on `&mut MutexGuard`).
+//! the workspace vendors the one primitive it actually uses: [`Mutex`]
+//! (lock returns the guard directly, no poisoning).
 //!
 //! Semantics match the real crate for this workspace's usage: poisoning
 //! is swallowed (a panicking simulated process must not poison scheduler
@@ -15,9 +14,8 @@ use std::sync::PoisonError;
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
-/// RAII guard for [`Mutex`]. The inner `Option` exists so [`Condvar`]
-/// can temporarily take std's guard by value during a wait.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
+/// RAII guard for [`Mutex`].
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T> Mutex<T> {
     /// Create a new mutex.
@@ -34,14 +32,14 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking the current thread until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
+        MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Attempt to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
+            Ok(g) => Some(MutexGuard(g)),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(p.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -67,13 +65,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard invariant")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard invariant")
+        &mut self.0
     }
 }
 
@@ -89,38 +87,9 @@ impl<T: ?Sized + fmt::Display> fmt::Display for MutexGuard<'_, T> {
     }
 }
 
-/// A condition variable compatible with [`Mutex`]/[`MutexGuard`].
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Atomically release the guard's lock and block until notified; the
-    /// lock is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard invariant");
-        guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake all waiting threads.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn lock_round_trip() {
@@ -128,25 +97,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn condvar_handoff() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut ready = m.lock();
-            *ready = true;
-            cv.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut ready = m.lock();
-        while !*ready {
-            cv.wait(&mut ready);
-        }
-        drop(ready);
-        t.join().unwrap();
     }
 
     #[test]

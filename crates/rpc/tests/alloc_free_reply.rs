@@ -44,6 +44,8 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// ever blocks on slot reclamation mid-window.
 const N: usize = 8;
 const BODY: usize = 32;
+/// Send slots per endpoint (`BbpConfig::for_nodes`).
+const SLOTS: usize = 16;
 
 #[test]
 fn reply_path_is_alloc_free_after_warmup() {
@@ -76,6 +78,18 @@ fn reply_path_is_alloc_free_after_warmup() {
         // request, so they surface as unmatched — drain them so every
         // slot ACKs and the run ends clean.
         while cl.stats().unmatched_replies < N as u64 {
+            ctx.advance(2_000);
+            cl.poll_replies(ctx);
+        }
+        // Round four: the server fills every send slot, and once those
+        // frames are drained here this side goes quiet, so that whatever
+        // the server's next post allocates is the server's alone.
+        while cl.stats().unmatched_replies < (N + SLOTS) as u64 {
+            ctx.advance(2_000);
+            cl.poll_replies(ctx);
+        }
+        ctx.advance(des::us(400));
+        while cl.stats().unmatched_replies < (N + SLOTS + 1) as u64 {
             ctx.advance(2_000);
             cl.poll_replies(ctx);
         }
@@ -126,6 +140,28 @@ fn reply_path_is_alloc_free_after_warmup() {
         ep.ring_all_doorbells(ctx);
         let ctrl_after = ALLOCS.load(Ordering::SeqCst);
         tx.send((ctrl_before, ctrl_after, u64::MAX)).unwrap();
+        // Stall round: a post that finds a free slot against one that has
+        // to garbage-collect for it. Draining first also warms the sweep.
+        while !ep.all_acked(ctx) {
+            ctx.advance(2_000);
+        }
+        let free_before = ALLOCS.load(Ordering::SeqCst);
+        ep.send(ctx, 0, &frame).unwrap();
+        let free_after = ALLOCS.load(Ordering::SeqCst);
+        for _ in 1..SLOTS {
+            ep.send(ctx, 0, &frame).unwrap();
+        }
+        // Every slot is busy and nothing has swept yet. Let the client
+        // acknowledge all of them and fall idle, so the next post is the
+        // only thing running: it finds no slot, stalls, sweeps, and goes.
+        ctx.advance(des::us(200));
+        let stalls = ep.stats().send_stalls;
+        let stalled_before = ALLOCS.load(Ordering::SeqCst);
+        ep.send(ctx, 0, &frame).unwrap();
+        let stalled_after = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(ep.stats().send_stalls, stalls + 1, "the extra post stalled");
+        tx.send((free_after - free_before, stalled_after - stalled_before, 0))
+            .unwrap();
     });
 
     let report = sim.run();
@@ -146,6 +182,14 @@ fn reply_path_is_alloc_free_after_warmup() {
         rpc_transport <= bare_transport,
         "the RPC flush allocates beyond the bare transport: \
          {rpc_transport} allocs vs {bare_transport} for the same frames"
+    );
+
+    // A garbage-collection sweep is bookkeeping over words the NIC reads:
+    // however long a post stalls, it allocates what a post allocates.
+    let (free_post, stalled_post, _) = rx.recv().unwrap();
+    assert_eq!(
+        stalled_post, free_post,
+        "stalling and sweeping allocated on top of the post itself"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.
