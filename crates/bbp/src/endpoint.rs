@@ -578,6 +578,14 @@ impl BbpEndpoint {
             // freeze mid-wait simply means nothing becomes deliverable
             // and the deadline fires (this API has no error channel).
             let _ = self.service_in_wait(ctx);
+            if let Some(m) = self.members.as_ref().filter(|m| m.frozen()) {
+                // A frozen node polls nothing, so nothing below would
+                // move the clock: sleep to the deadline or to the next
+                // heartbeat (where the service above ticks and a heal can
+                // unfreeze us), whichever comes first.
+                ctx.wait_until(deadline.min(m.next_hb_at));
+                continue;
+            }
             if !self.core.has_pending(Some(src)) {
                 self.poll(ctx, Some(src));
             }
@@ -589,10 +597,12 @@ impl BbpEndpoint {
         }
     }
 
-    /// Blocking receive from `src` into a caller-provided buffer
-    /// (avoiding the return-value allocation on hot paths). Returns the
-    /// message length; panics if `buf` is too small — size it with
-    /// [`crate::BbpConfig::max_payload_bytes`].
+    /// Blocking receive from `src` into a caller-provided buffer: the
+    /// message is delivered as [`BbpEndpoint::recv`] delivers it (an owned
+    /// `Vec`) and then copied into `buf`, so this is a convenience for
+    /// callers that keep one buffer, not a way around the allocation.
+    /// Returns the message length; panics if `buf` is too small — size it
+    /// with [`crate::BbpConfig::max_payload_bytes`].
     pub fn recv_into(
         &mut self,
         ctx: &mut ProcCtx,
@@ -603,8 +613,9 @@ impl BbpEndpoint {
     }
 
     /// Non-blocking receive from any source into a caller-provided
-    /// buffer. Returns the source rank and message length; panics if
-    /// `buf` is too small — size it with
+    /// buffer (copied out of the `Vec` [`BbpEndpoint::try_recv_any`]
+    /// delivers, like [`BbpEndpoint::recv_into`]). Returns the source rank
+    /// and message length; panics if `buf` is too small — size it with
     /// [`crate::BbpConfig::max_payload_bytes`].
     pub fn try_recv_any_into(
         &mut self,

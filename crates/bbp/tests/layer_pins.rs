@@ -4,7 +4,7 @@
 //! `tests/determinism.rs`, the goldens and the benchmark fingerprints.
 //! The reliability, membership, quorum and credit paths were pinned only
 //! by campaign violation counts, which a reordered PIO access or a
-//! moved `obs` record does not move. These five small worlds pin them
+//! moved `obs` record does not move. These small worlds pin them
 //! the same way: each asserts the run's `(end_time, dispatches,
 //! peak_queue_depth)`, the ring's traffic counters, every endpoint's
 //! full [`EndpointStats`] and an FNV-1a hash of the recorder's event log
@@ -494,6 +494,48 @@ fn quorum_world(traced: bool) -> Pin {
     observe(&sim, &report, &ring, &finals)
 }
 
+/// A frozen node's `recv_deadline`: the minority side of a partition that
+/// outlasts the run, rank 1 blocking on a frame deadline once frozen. It
+/// polls nothing while frozen, so only the deadline can end the wait —
+/// and must, on the nanosecond.
+fn frozen_deadline_world(traced: bool) -> Pin {
+    let (onset, end) = (us(200), ms(1));
+    let plan = FaultPlan::new(42).at(onset).partition(1, 4, ms(50));
+    let mut sim = new_sim(traced);
+    let c = BbpCluster::with_hardware(
+        &sim.handle(),
+        BbpConfig::quorum_for_nodes(5),
+        CostModel::default(),
+        plan.ring_config(),
+    );
+    plan.arm(c.ring());
+    let ring = c.ring().clone();
+    let finals: Finals = Arc::default();
+
+    for rank in 0..5usize {
+        let mut ep = c.endpoint(rank);
+        let f = Arc::clone(&finals);
+        sim.spawn(format!("n{rank}"), move |ctx| {
+            let mut log: Vec<String> = Vec::new();
+            while ctx.now() < end {
+                ep.membership_tick(ctx);
+                if rank == 1 && log.is_empty() && ep.is_partitioned() {
+                    let deadline = ctx.now() + us(150);
+                    let got = ep.recv_deadline(ctx, 0, deadline);
+                    log.push(format!("{got:?} {} ns late", ctx.now() - deadline));
+                    log.push(format!("{:?}", ep.frozen_epoch()));
+                }
+                ctx.advance(us(10));
+            }
+            leave(&f, &format!("n{rank}"), &ep, log);
+        });
+    }
+
+    // A horizon: before the fix the frozen wait never moved the clock.
+    let report = sim.run_until(ms(2));
+    observe(&sim, &report, &ring, &finals)
+}
+
 // ----------------------------------------------------------------------
 // 4. Credits and doorbells: fail-fast and blocking grants, deferred posts
 //    coalesced behind one doorbell, an immediate post flushing a batch,
@@ -792,6 +834,24 @@ fn quorum_freeze_heal_merge_is_pinned() {
             "n4 ([Timeout { peer: 3, attempts: 0 }, None], 0, 0, Some(MembershipView { epoch: 2, alive_mask: 31 }), false): polls: 807, recv_timeouts: 1, heartbeats: 215, suspicions: 2, deaths: 2, epoch_bumps: 2",
         ],
         (50919, 13390460485394626422),
+    ));
+}
+
+#[test]
+fn frozen_recv_deadline_returns_at_its_deadline() {
+    // Captured with the fix (before it this world never ended): `None`,
+    // zero nanoseconds late, still frozen, heartbeat kept up meanwhile.
+    check(frozen_deadline_world, &pin(
+        (1017000, 1613, 12),
+        "injections: 207, words_carried: 816, pio_writes: 816, pio_reads: 4824, link_busy_ns: 1542420",
+        &[
+            "n0 []: heartbeats: 40, suspicions: 3, deaths: 3, partitions_detected: 1",
+            "n1 [None 0 ns late, Some(0)]: heartbeats: 41, suspicions: 3, deaths: 3, partitions_detected: 1",
+            "n2 []: heartbeats: 40, suspicions: 2, deaths: 2, epoch_bumps: 1",
+            "n3 []: heartbeats: 40, suspicions: 2, deaths: 2, epoch_bumps: 1",
+            "n4 []: heartbeats: 40, suspicions: 2, deaths: 2, epoch_bumps: 1",
+        ],
+        (6883, 5631697659880899571),
     ));
 }
 

@@ -30,18 +30,7 @@ fn flow_events() -> Vec<Event> {
 #[test]
 fn flow_export_matches_golden() {
     let trace = obs::chrome_trace_json(&flow_events());
-    let path = golden_path();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&path, &trace).expect("write golden");
-        return;
-    }
-    let golden =
-        std::fs::read_to_string(&path).expect("golden file missing — regenerate with BLESS=1");
-    assert_eq!(
-        trace, golden,
-        "flow export drifted from the golden file; if the change is \
-         intentional, regenerate with BLESS=1"
-    );
+    obs::golden::check(&golden_path(), &trace, "flow export");
 }
 
 #[test]

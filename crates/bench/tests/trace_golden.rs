@@ -5,7 +5,7 @@
 //! shows up here first.
 //!
 //! Regenerate after an intentional change with:
-//! `REGEN_GOLDEN=1 cargo test -p bench --test trace_golden`
+//! `BLESS=1 cargo test -p bench --test trace_golden`
 
 use bench::{mpi_bcast_events, mpi_bcast_us, MpiNet};
 use obs::{Event, Layer};
@@ -25,18 +25,7 @@ fn bcast_events() -> Vec<Event> {
 #[test]
 fn chrome_trace_matches_golden() {
     let trace = obs::chrome_trace_json(&bcast_events());
-    let path = golden_path();
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &trace).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .expect("golden file missing — regenerate with REGEN_GOLDEN=1");
-    assert_eq!(
-        trace, golden,
-        "Chrome trace drifted from the golden file; if the change is \
-         intentional, regenerate with REGEN_GOLDEN=1"
-    );
+    obs::golden::check(&golden_path(), &trace, "Chrome trace");
 }
 
 #[test]

@@ -378,24 +378,6 @@ impl ParReport {
     pub fn peak_queue_depth(&self) -> usize {
         self.shards.iter().map(|s| s.peak_queue_depth).sum()
     }
-
-    /// Emit per-shard counters into an [`obs::Recorder`] (one count per
-    /// shard per metric, stamped at the run's end time).
-    pub fn record_counters(&self, rec: &obs::Recorder) {
-        for (id, s) in self.shards.iter().enumerate() {
-            let node = id as u32;
-            rec.count(self.end_time, node, "par.shard.events", s.executed);
-            rec.count(self.end_time, node, "par.shard.stalls", s.stall_passes);
-            rec.count(self.end_time, node, "par.shard.posts", s.posted);
-            rec.count(self.end_time, node, "par.shard.spills", s.spilled);
-            rec.count(
-                self.end_time,
-                node,
-                "par.shard.mailbox_peak",
-                s.max_mailbox_depth as u64,
-            );
-        }
-    }
 }
 
 /// Default bounded mailbox capacity per link.
@@ -443,11 +425,6 @@ impl<S: Send> ParSim<S> {
     pub fn set_mailbox_cap(&mut self, cap: usize) {
         assert!(cap >= 1, "mailbox capacity must be positive");
         self.mailbox_cap = cap;
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Attach a telemetry sink: when the recorder's telemetry gate is

@@ -59,10 +59,4 @@ impl Signal {
             self.inner.sched.push(t, WakeWhat::Resume(id));
         }
     }
-
-    /// Number of processes currently parked on this signal. Useful in
-    /// tests and in the deadlock reporter.
-    pub fn waiter_count(&self) -> usize {
-        self.inner.waiters.lock().len()
-    }
 }

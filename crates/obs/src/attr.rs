@@ -30,11 +30,6 @@ impl LayerBreakdown {
         self.layer_ns(layer) as f64 / 1000.0
     }
 
-    /// Sum of self time over `layers`, microseconds.
-    pub fn sum_us(&self, layers: &[Layer]) -> f64 {
-        layers.iter().map(|&l| self.layer_us(l)).sum()
-    }
-
     /// `(layer, self µs)` rows in stack order, skipping empty layers.
     pub fn rows_us(&self) -> Vec<(Layer, f64)> {
         Layer::ALL

@@ -37,6 +37,9 @@
 //!   matrix (fault, chaos, partition, workload) is walked by — filters,
 //!   per-cell clock and budget, report, violation digest, repro line.
 //!
+//! - **Goldens** ([`golden::check`]): compare-or-`BLESS` for the
+//!   byte-identical trace files the determinism gates pin.
+//!
 //! The recorder is **zero-overhead when disabled**: every recording call
 //! is one relaxed atomic load, no locks and no allocations (verified by
 //! `tests/obs_zero_cost.rs`). Two always-on facilities are budgeted just
@@ -62,6 +65,7 @@ mod recorder;
 
 pub mod campaign;
 pub mod flight;
+pub mod golden;
 pub mod health;
 pub mod hist;
 pub mod json;

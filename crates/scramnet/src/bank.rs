@@ -67,11 +67,6 @@ impl Bank {
         }
     }
 
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// The page table bounds nothing: absent pages read as zeros.
     #[inline]
     fn check_range(&self, addr: WordAddr, len: usize) {
@@ -193,7 +188,7 @@ mod tests {
     fn never_written_pages_read_as_zeros() {
         let words = 3 * PAGE_WORDS + 10; // a partial last page
         let mut b = Bank::new(words, false);
-        assert_eq!(b.len(), words);
+        assert_eq!(b.len, words);
         assert_eq!(b.read(0), 0);
         assert_eq!(b.read(words - 1), 0);
         assert_eq!(b.read_block(PAGE_WORDS - 2, 4), vec![0; 4]);

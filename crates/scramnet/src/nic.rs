@@ -42,11 +42,6 @@ impl Nic {
         self.shared.n
     }
 
-    /// Words in each bank.
-    pub fn bank_words(&self) -> usize {
-        self.shared.banks[self.node].lock().len()
-    }
-
     /// The hardware cost model in force (synchronization primitives use
     /// it to bound write-propagation delays).
     pub fn cost_model(&self) -> &crate::CostModel {

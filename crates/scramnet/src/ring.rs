@@ -387,11 +387,6 @@ impl Ring {
         self.shared.handle.clone()
     }
 
-    /// Words per bank.
-    pub fn bank_words(&self) -> usize {
-        self.shared.banks[0].lock().len()
-    }
-
     /// The cost model in force.
     pub fn cost(&self) -> &CostModel {
         &self.shared.cost

@@ -384,7 +384,6 @@ fn detector_tick(ctx: &mut ShardCtx<'_, NodeState>) {
 pub struct ParRing {
     sim: ParSim<NodeState>,
     n: usize,
-    lookahead: Time,
 }
 
 impl ParRing {
@@ -431,7 +430,7 @@ impl ParRing {
                 sim.state_mut(i as u32).out = Some(link);
             }
         }
-        let ring = ParRing { sim, n, lookahead };
+        let ring = ParRing { sim, n };
         if params.hb.is_some() {
             let mut ring = ring;
             for i in 0..n {
@@ -458,12 +457,6 @@ impl ParRing {
     /// keyed by shard id.
     pub fn set_recorder(&mut self, rec: Arc<des::obs::Recorder>) {
         self.sim.set_recorder(rec);
-    }
-
-    /// The per-link lookahead in force (from
-    /// [`CostModel::link_lookahead_ns`]).
-    pub fn lookahead_ns(&self) -> Time {
-        self.lookahead
     }
 
     /// Schedule a packet inject from `node` at virtual time `t` — the

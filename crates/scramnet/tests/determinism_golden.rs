@@ -5,9 +5,8 @@
 //! interrupts — must replay in exactly the recorded sequence.
 //!
 //! Regenerate after an intentional ordering change with:
-//! `BLESS=1 cargo test -p scramnet --test determinism_golden`
-//! (`REGEN_GOLDEN=1` is accepted as a legacy alias), then review the
-//! golden diff in the PR like any other change.
+//! `BLESS=1 cargo test -p scramnet --test determinism_golden`,
+//! then review the golden diff in the PR like any other change.
 
 use des::Simulation;
 use scramnet::{CostModel, Ring, RingConfig, TxMode};
@@ -105,20 +104,7 @@ fn stress_trace() -> String {
 
 #[test]
 fn pop_order_matches_golden() {
-    let trace = stress_trace();
-    let path = golden_path();
-    if std::env::var_os("BLESS").is_some() || std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
-        std::fs::write(&path, &trace).expect("write golden");
-        return;
-    }
-    let golden =
-        std::fs::read_to_string(&path).expect("golden file missing — regenerate with BLESS=1");
-    assert_eq!(
-        trace, golden,
-        "scheduler pop order drifted from the golden sequence; if the \
-         change is intentional, regenerate with BLESS=1 and commit the diff"
-    );
+    des::obs::golden::check(&golden_path(), &stress_trace(), "scheduler pop order");
 }
 
 #[test]

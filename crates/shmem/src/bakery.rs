@@ -64,30 +64,25 @@ impl BakeryLock {
             lock: self.clone(),
             me: nic.node(),
             nic,
-            backoff_ns: 400,
             settle_ns: settle,
         }
     }
 }
+
+/// Pause between poll rounds while waiting (PIO reads are costly).
+const BACKOFF_NS: Time = 400;
 
 /// One process's handle on a [`BakeryLock`].
 pub struct BakeryHandle {
     lock: BakeryLock,
     nic: Nic,
     me: usize,
-    /// Pause between poll rounds while waiting (PIO reads are costly).
-    backoff_ns: Time,
     /// Post-doorway settle delay covering write propagation (see
     /// [`BakeryHandle::lock`]).
     settle_ns: Time,
 }
 
 impl BakeryHandle {
-    /// Adjust the waiting poll pause (default 400 ns).
-    pub fn set_backoff(&mut self, ns: Time) {
-        self.backoff_ns = ns;
-    }
-
     /// Acquire the lock (doorway + waiting phase). Virtual time passes
     /// while contending; deadlock-free and FIFO by ticket order.
     pub fn lock(&mut self, ctx: &mut ProcCtx) {
@@ -125,14 +120,14 @@ impl BakeryHandle {
                 continue;
             }
             while self.nic.read_word(ctx, l.choosing(p)) != 0 {
-                ctx.advance(self.backoff_ns);
+                ctx.advance(BACKOFF_NS);
             }
             loop {
                 let their = self.nic.read_word(ctx, l.number(p));
                 if their == 0 || (ticket, self.me) < (their, p) {
                     break;
                 }
-                ctx.advance(self.backoff_ns);
+                ctx.advance(BACKOFF_NS);
             }
         }
     }

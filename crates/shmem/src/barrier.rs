@@ -45,10 +45,12 @@ impl SenseBarrier {
             me: nic.node(),
             nic,
             epoch: 0,
-            backoff_ns: 400,
         }
     }
 }
+
+/// Pause between poll rounds while waiting for the others.
+const BACKOFF_NS: Time = 400;
 
 /// One process's handle on a [`SenseBarrier`].
 pub struct SenseBarrierHandle {
@@ -57,15 +59,9 @@ pub struct SenseBarrierHandle {
     me: usize,
     /// Completed epochs (== the count this process has published).
     epoch: u32,
-    backoff_ns: Time,
 }
 
 impl SenseBarrierHandle {
-    /// Adjust the waiting poll pause.
-    pub fn set_backoff(&mut self, ns: Time) {
-        self.backoff_ns = ns;
-    }
-
     /// Epochs completed so far by this process.
     pub fn epoch(&self) -> u32 {
         self.epoch
@@ -84,7 +80,7 @@ impl SenseBarrierHandle {
                 continue;
             }
             while self.nic.read_word(ctx, self.barrier.flag(p)) < target {
-                ctx.advance(self.backoff_ns);
+                ctx.advance(BACKOFF_NS);
             }
         }
         self.epoch = target;

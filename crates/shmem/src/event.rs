@@ -24,26 +24,22 @@ impl EventFlag {
         EventFlagHandle {
             flag: self.clone(),
             nic,
-            backoff_ns: 500,
             interrupt: None,
         }
     }
 }
 
+/// Polling pause used by [`EventFlagHandle::wait_value`].
+const BACKOFF_NS: Time = 500;
+
 /// One node's view of an [`EventFlag`].
 pub struct EventFlagHandle {
     flag: EventFlag,
     nic: Nic,
-    backoff_ns: Time,
     interrupt: Option<Signal>,
 }
 
 impl EventFlagHandle {
-    /// Adjust the polling pause used by [`EventFlagHandle::wait_value`].
-    pub fn set_backoff(&mut self, ns: Time) {
-        self.backoff_ns = ns;
-    }
-
     /// Arm the NIC's interrupt-on-write for this flag; subsequent waits
     /// sleep instead of polling.
     pub fn arm_interrupt(&mut self, signal: Signal) {
@@ -81,7 +77,7 @@ impl EventFlagHandle {
                     let sig = sig.clone();
                     ctx.wait(&sig);
                 }
-                None => ctx.advance(self.backoff_ns),
+                None => ctx.advance(BACKOFF_NS),
             }
         }
     }

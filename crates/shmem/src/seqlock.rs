@@ -63,10 +63,12 @@ impl SeqLock {
             lock: self.clone(),
             nic,
             version: 0,
-            backoff_ns: 400,
         }
     }
 }
+
+/// Retry pause used by [`SeqLockHandle::read`].
+const BACKOFF_NS: Time = 400;
 
 /// One node's view of a [`SeqLock`].
 pub struct SeqLockHandle {
@@ -74,15 +76,9 @@ pub struct SeqLockHandle {
     nic: Nic,
     /// Writer-local version mirror.
     version: Word,
-    backoff_ns: Time,
 }
 
 impl SeqLockHandle {
-    /// Adjust the retry pause used by [`SeqLockHandle::read`].
-    pub fn set_backoff(&mut self, ns: Time) {
-        self.backoff_ns = ns;
-    }
-
     /// Publish a new value of the record. Owner only; never blocks.
     pub fn publish(&mut self, ctx: &mut ProcCtx, value: &[Word]) {
         assert_eq!(
@@ -116,7 +112,7 @@ impl SeqLockHandle {
             if let Some(out) = self.try_read(ctx) {
                 return out;
             }
-            ctx.advance(self.backoff_ns);
+            ctx.advance(BACKOFF_NS);
         }
     }
 

@@ -11,7 +11,7 @@ use crate::costs::SmpiCosts;
 use crate::device::{
     decode_null, encode_null, Device, DeviceError, PacketHeader, PacketKind, MAGIC_CHANNEL,
 };
-use crate::types::{ReqId, Status, Tag};
+use crate::types::{fatal, ReqId, Status, Tag};
 
 /// Null-frame phase reserved for communicator-revocation notices
 /// (degraded mode). Revocations travel on the communicator's
@@ -48,10 +48,37 @@ struct Unexpected {
     parked_at: Time,
 }
 
+impl Unexpected {
+    /// Whether a receive selector (`None` = wildcard) admits this message.
+    fn matches(&self, context: u16, src: Option<usize>, tag: Option<Tag>) -> bool {
+        self.context == context
+            && src.is_none_or(|s| s == self.src)
+            && tag.is_none_or(|t| t == self.tag)
+    }
+
+    fn status(&self) -> Status {
+        Status {
+            source: self.src,
+            tag: self.tag,
+            len: self.len,
+        }
+    }
+}
+
 /// A rendezvous send parked until its CTS arrives.
 struct PendingSend {
     dst: usize,
     payload: Vec<u8>,
+}
+
+/// A receive whose CTS went out, awaiting its data packets.
+struct RndzRecv {
+    /// What the completed receive will report (`len` is the full
+    /// message length).
+    status: Status,
+    /// Reassembly buffer for chunked data (per-pair FIFO makes
+    /// append-order correct).
+    buf: Vec<u8>,
 }
 
 /// The ADI engine for one rank. Owns the device.
@@ -62,14 +89,8 @@ pub struct Adi {
     unexpected: VecDeque<Unexpected>,
     /// Rendezvous sends keyed by our request id.
     rndz_sends: HashMap<u64, PendingSend>,
-    /// Receives whose CTS went out, awaiting the data packet.
-    rndz_recvs: HashMap<u64, ReqId>,
-    /// Status metadata (source, tag, length) for in-flight rendezvous
-    /// receives, keyed by our request id.
-    rndz_recv_meta: HashMap<u64, (usize, Tag, usize)>,
-    /// Reassembly buffers for chunked rendezvous data, keyed by our
-    /// request id (per-pair FIFO makes append-order correct).
-    rndz_recv_buf: HashMap<u64, Vec<u8>>,
+    /// Rendezvous receives in flight, keyed by our request id.
+    rndz_recvs: HashMap<u64, RndzRecv>,
     completed_recvs: HashMap<ReqId, (Status, Vec<u8>)>,
     completed_sends: HashSet<ReqId>,
     /// Native-collective null frames: (src world rank, context, phase).
@@ -91,8 +112,6 @@ impl Adi {
             unexpected: VecDeque::new(),
             rndz_sends: HashMap::new(),
             rndz_recvs: HashMap::new(),
-            rndz_recv_meta: HashMap::new(),
-            rndz_recv_buf: HashMap::new(),
             completed_recvs: HashMap::new(),
             completed_sends: HashSet::new(),
             nulls: VecDeque::new(),
@@ -202,20 +221,9 @@ impl Adi {
         self.isend_mode(ctx, dst, context, tag, payload, false)
     }
 
-    /// Start a synchronous-mode send (`MPI_Issend`): always rendezvous,
-    /// so completion implies the receiver matched the message.
-    pub fn issend(
-        &mut self,
-        ctx: &mut ProcCtx,
-        dst: usize,
-        context: u16,
-        tag: Tag,
-        payload: &[u8],
-    ) -> Result<ReqId, DeviceError> {
-        self.isend_mode(ctx, dst, context, tag, payload, true)
-    }
-
-    fn isend_mode(
+    /// [`Adi::isend`], or with `synchronous` an `MPI_Issend`: always
+    /// rendezvous, so completion implies the receiver matched the message.
+    pub(crate) fn isend_mode(
         &mut self,
         ctx: &mut ProcCtx,
         dst: usize,
@@ -310,9 +318,11 @@ impl Adi {
             .span_enter(ctx.now(), self.node(), Layer::Adi, "irecv");
         ctx.charge(self.costs.request_ns + self.costs.queue_ns);
         let req = self.fresh_req();
-        let out = if let Some(idx) = self.unexpected.iter().position(|u| {
-            u.context == context && src.is_none_or(|s| s == u.src) && tag.is_none_or(|t| t == u.tag)
-        }) {
+        let found = self
+            .unexpected
+            .iter()
+            .position(|u| u.matches(context, src, tag));
+        let out = if let Some(idx) = found {
             // The receive was posted late: the message already sat in the
             // unexpected queue — the arrival path the paper's queue-
             // management overhead discussion is about.
@@ -359,12 +369,7 @@ impl Adi {
         match u.rts_req {
             None => {
                 ctx.charge(self.costs.unpack_ns(u.payload.len()));
-                let status = Status {
-                    source: u.src,
-                    tag: u.tag,
-                    len: u.len,
-                };
-                self.completed_recvs.insert(req, (status, u.payload));
+                self.completed_recvs.insert(req, (u.status(), u.payload));
             }
             Some(rts) => {
                 // Long message: grant the sender a clear-to-send carrying
@@ -381,9 +386,14 @@ impl Adi {
                 // ours in the payload.
                 let ours = req.0.to_le_bytes();
                 self.send_packet(ctx, u.src, &header, &ours)?;
-                self.rndz_recvs.insert(req.0, req);
-                // Remember status pieces for completion time.
-                self.rndz_recv_meta.insert(req.0, (u.src, u.tag, u.len));
+                let status = u.status();
+                self.rndz_recvs.insert(
+                    req.0,
+                    RndzRecv {
+                        status,
+                        buf: Vec::new(),
+                    },
+                );
             }
         }
         Ok(())
@@ -430,60 +440,41 @@ impl Adi {
         ctx.settle();
         self.unexpected
             .iter()
-            .find(|u| {
-                u.context == context
-                    && src.is_none_or(|s| s == u.src)
-                    && tag.is_none_or(|t| t == u.tag)
-            })
-            .map(|u| Status {
-                source: u.src,
-                tag: u.tag,
-                len: u.len,
-            })
+            .find(|u| u.matches(context, src, tag))
+            .map(Unexpected::status)
     }
 
     // ------------------------------------------------------------------
     // Native-collective raw frames
     // ------------------------------------------------------------------
 
-    /// Send a one-word null frame (native barrier traffic), bypassing the
-    /// whole channel packet path. Collectives have no per-operation error
-    /// reporting (a half-failed barrier poisons the whole group), so a
-    /// transport failure here panics.
-    pub fn send_null(&mut self, ctx: &mut ProcCtx, dst: usize, context: u16, phase: u8) {
-        self.dev
-            .send_frame(ctx, dst, &encode_null(context, phase))
-            .expect("transport failed inside a native collective");
+    /// Send a one-word null frame (native barrier traffic, revocation
+    /// notices), bypassing the whole channel packet path.
+    pub fn send_null(
+        &mut self,
+        ctx: &mut ProcCtx,
+        dst: usize,
+        context: u16,
+        phase: u8,
+    ) -> Result<(), DeviceError> {
+        self.dev.send_frame(ctx, dst, &encode_null(context, phase))
     }
 
-    /// Multicast a null frame. Panics if the device lacks native
-    /// multicast (callers check [`Adi::has_native_mcast`]) or the
-    /// transport fails.
-    pub fn mcast_null(&mut self, ctx: &mut ProcCtx, targets: &[usize], context: u16, phase: u8) {
-        let ok = self
-            .dev
-            .mcast_frame(ctx, targets, &encode_null(context, phase))
-            .expect("transport failed inside a native collective");
-        assert!(ok, "device has no native multicast");
-    }
-
-    /// Multicast an eager channel packet (native broadcast). Panics if
-    /// unsupported.
-    pub fn mcast_eager(
+    /// Multicast a null frame (callers check [`Adi::has_native_mcast`]).
+    pub fn mcast_null(
         &mut self,
         ctx: &mut ProcCtx,
         targets: &[usize],
         context: u16,
-        tag: Tag,
-        payload: &[u8],
-    ) {
-        self.try_mcast_eager(ctx, targets, context, tag, payload)
-            .expect("transport failed inside a native collective");
+        phase: u8,
+    ) -> Result<(), DeviceError> {
+        self.dev
+            .mcast_frame(ctx, targets, &encode_null(context, phase))
     }
 
-    /// Fallible [`Adi::mcast_eager`] for the degraded-mode collectives,
-    /// which have a typed error path to hand transport failures to.
-    pub(crate) fn try_mcast_eager(
+    /// Multicast an eager channel packet (native broadcast; callers check
+    /// [`Adi::has_native_mcast`] and [`Adi::eager_mcast_fits`]).
+    pub fn mcast_eager(
         &mut self,
         ctx: &mut ProcCtx,
         targets: &[usize],
@@ -504,71 +495,11 @@ impl Adi {
         };
         let mut frame = header.encode(self.costs.header_bytes);
         frame.extend_from_slice(payload);
-        let out = self.dev.mcast_frame(ctx, targets, &frame).map(|ok| {
-            assert!(ok, "device has no native multicast");
-        });
+        let out = self.dev.mcast_frame(ctx, targets, &frame);
         ctx.settle();
         ctx.obs()
             .span_exit(ctx.now(), self.node(), Layer::Adi, "mcast");
         out
-    }
-
-    /// Failure-tolerant null send for degraded-mode control traffic
-    /// (revocation notices): a peer dying mid-notice is exactly the
-    /// situation the notice is about, so transport errors are ignored.
-    pub(crate) fn send_null_lossy(
-        &mut self,
-        ctx: &mut ProcCtx,
-        dst: usize,
-        context: u16,
-        phase: u8,
-    ) {
-        let _ = self.dev.send_frame(ctx, dst, &encode_null(context, phase));
-    }
-
-    /// Fallible null send for degraded-mode collectives, which — unlike
-    /// the plain ones — have a typed error path to hand failures to.
-    pub(crate) fn try_send_null(
-        &mut self,
-        ctx: &mut ProcCtx,
-        dst: usize,
-        context: u16,
-        phase: u8,
-    ) -> Result<(), DeviceError> {
-        self.dev.send_frame(ctx, dst, &encode_null(context, phase))
-    }
-
-    /// Fallible null multicast for degraded-mode collectives.
-    pub(crate) fn try_mcast_null(
-        &mut self,
-        ctx: &mut ProcCtx,
-        targets: &[usize],
-        context: u16,
-        phase: u8,
-    ) -> Result<(), DeviceError> {
-        let ok = self
-            .dev
-            .mcast_frame(ctx, targets, &encode_null(context, phase))?;
-        assert!(ok, "device has no native multicast");
-        Ok(())
-    }
-
-    /// Non-blocking [`Adi::wait_null`]: one progress poll, then dequeue
-    /// a matching null frame if one is waiting.
-    pub(crate) fn poll_null(
-        &mut self,
-        ctx: &mut ProcCtx,
-        src: Option<usize>,
-        context: u16,
-        phase: u8,
-    ) -> Option<usize> {
-        self.progress(ctx);
-        let idx = self
-            .nulls
-            .iter()
-            .position(|&(s, c, p)| c == context && p == phase && src.is_none_or(|w| w == s))?;
-        let (s, _, _) = self.nulls.remove(idx).unwrap();
-        Some(s)
     }
 
     /// Remove every queued revocation notice and return the contexts
@@ -587,6 +518,20 @@ impl Adi {
         out
     }
 
+    /// Where the first queued null frame with this context and phase from
+    /// `src` (or from anyone, with `None`) sits.
+    fn null_at(&self, src: Option<usize>, context: u16, phase: u8) -> Option<usize> {
+        self.nulls
+            .iter()
+            .position(|&(s, c, p)| c == context && p == phase && src.is_none_or(|w| w == s))
+    }
+
+    /// True if [`Adi::wait_null`] would return without polling (does not
+    /// progress).
+    pub fn has_null(&self, src: Option<usize>, context: u16, phase: u8) -> bool {
+        self.null_at(src, context, phase).is_some()
+    }
+
     /// Block until a null frame with this context and phase arrives from
     /// `src` (or from anyone, with `None`). Returns the actual source.
     pub fn wait_null(
@@ -597,11 +542,7 @@ impl Adi {
         phase: u8,
     ) -> usize {
         loop {
-            if let Some(idx) = self
-                .nulls
-                .iter()
-                .position(|&(s, c, p)| c == context && p == phase && src.is_none_or(|w| w == s))
-            {
+            if let Some(idx) = self.null_at(src, context, phase) {
                 let (s, _, _) = self.nulls.remove(idx).unwrap();
                 ctx.settle(); // the queueing cost of the frame just found
                 return s;
@@ -665,12 +606,13 @@ impl Adi {
                     .remove(&header.req)
                     .expect("CTS for unknown rendezvous send");
                 // Segment the data to the device's frame limit; per-pair
-                // FIFO keeps the chunks in order at the receiver.
-                // The data phase runs inside the progress engine, far
-                // from the application call that could report an error;
-                // a transport failure this deep is fatal.
+                // FIFO keeps the chunks in order at the receiver. An
+                // empty payload has no chunks, but a zero-length
+                // rendezvous (synchronous mode, or a threshold of 0)
+                // still owes its receiver one data frame.
                 let chunk = self.chunk_max().min(send.payload.len().max(1));
-                for piece in send.payload.chunks(chunk) {
+                let empty = send.payload.is_empty().then_some(&[][..]);
+                for piece in send.payload.chunks(chunk).chain(empty) {
                     let data_header = PacketHeader {
                         kind: PacketKind::RndzData,
                         src: self.dev.rank(),
@@ -680,51 +622,25 @@ impl Adi {
                         req: their_req,
                     };
                     self.send_packet(ctx, send.dst, &data_header, piece)
-                        .expect("transport failed during the rendezvous data phase");
-                }
-                if send.payload.is_empty() {
-                    // Degenerate rendezvous (an application can lower the
-                    // threshold to 0): one empty data frame.
-                    let data_header = PacketHeader {
-                        kind: PacketKind::RndzData,
-                        src: self.dev.rank(),
-                        tag: header.tag,
-                        context: header.context,
-                        len: 0,
-                        req: their_req,
-                    };
-                    self.send_packet(ctx, send.dst, &data_header, &[])
-                        .expect("transport failed during the rendezvous data phase");
+                        .unwrap_or_else(|e| fatal("the rendezvous data phase", e));
                 }
                 self.completed_sends.insert(ReqId(header.req));
             }
             PacketKind::RndzData => {
-                let (src, tag, len) = *self
-                    .rndz_recv_meta
-                    .get(&header.req)
+                let recv = self
+                    .rndz_recvs
+                    .get_mut(&header.req)
                     .expect("data for unknown rendezvous receive");
                 ctx.charge(self.costs.unpack_ns(payload.len()));
-                let buf = self.rndz_recv_buf.entry(header.req).or_default();
-                buf.extend_from_slice(&payload);
-                if buf.len() >= len {
-                    let data = self.rndz_recv_buf.remove(&header.req).unwrap();
-                    debug_assert_eq!(data.len(), len, "rendezvous over-delivery");
-                    let req = self
+                recv.buf.extend_from_slice(&payload);
+                if recv.buf.len() >= recv.status.len {
+                    let RndzRecv { status, buf } = self
                         .rndz_recvs
                         .remove(&header.req)
-                        .expect("completing unknown rendezvous receive");
-                    self.rndz_recv_meta.remove(&header.req);
-                    self.completed_recvs.insert(
-                        req,
-                        (
-                            Status {
-                                source: src,
-                                tag,
-                                len,
-                            },
-                            data,
-                        ),
-                    );
+                        .expect("present a line ago");
+                    debug_assert_eq!(buf.len(), status.len, "rendezvous over-delivery");
+                    self.completed_recvs
+                        .insert(ReqId(header.req), (status, buf));
                 }
             }
         }
@@ -752,16 +668,15 @@ impl Adi {
             trace: ctx.obs().current_rx(self.node()),
             parked_at: ctx.now(),
         };
-        if let Some(idx) = self.posted.iter().position(|p| {
-            p.context == u.context
-                && p.src.is_none_or(|s| s == u.src)
-                && p.tag.is_none_or(|t| t == u.tag)
-        }) {
+        let found = self
+            .posted
+            .iter()
+            .position(|p| u.matches(p.context, p.src, p.tag));
+        if let Some(idx) = found {
             let p = self.posted.remove(idx).unwrap();
-            // Inside the progress engine there is no caller to hand the
-            // error to (the CTS reply is the only send on this path).
+            // The CTS reply is the only send on this path.
             self.accept_matched(ctx, p.req, u)
-                .expect("transport failed sending a clear-to-send during progress");
+                .unwrap_or_else(|e| fatal("a clear-to-send sent from the progress engine", e));
         } else {
             ctx.obs()
                 .count(ctx.now(), self.node(), "adi.unexpected_parked", 1);
@@ -1023,7 +938,7 @@ mod tests {
     fn mcast_eager_uses_the_device_multicast() {
         with_ctx(|ctx| {
             let (mut a, probe) = adi(0, 4);
-            a.mcast_eager(ctx, &[1, 2, 3], 1, 77, b"fanout");
+            a.mcast_eager(ctx, &[1, 2, 3], 1, 77, b"fanout").unwrap();
             let sent = probe.sent();
             assert_eq!(sent.len(), 3);
             for (i, (dst, frame)) in sent.iter().enumerate() {

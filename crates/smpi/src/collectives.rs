@@ -4,8 +4,9 @@
 
 use des::ProcCtx;
 
+use crate::adi::Adi;
 use crate::mpi::{Comm, Mpi};
-use crate::types::{ReduceOp, Tag};
+use crate::types::{fatal, MpiError, ReduceOp, ReqId, Tag};
 
 /// Which collective algorithms a communicator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,36 +48,134 @@ impl Mpi {
         *p
     }
 
-    fn charge_collective(&self, ctx: &mut ProcCtx) {
+    // ------------------------------------------------------------------
+    // What every collective is made of
+    // ------------------------------------------------------------------
+
+    /// Run one leaf collective: the degraded-mode entry check over the
+    /// whole group (vacuous on detector-less worlds), the MPI-layer span,
+    /// the entry charge, then `body` with the membership epoch it entered
+    /// in — the argument that makes every wait below cancellable.
+    fn collective<T>(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        name: &'static str,
+        body: impl FnOnce(&mut Self, &mut ProcCtx, Option<u32>) -> Result<T, MpiError>,
+    ) -> Result<T, MpiError> {
+        let view = self.degraded_entry(comm, 0..comm.size())?;
+        self.span_enter(ctx, name);
         ctx.charge(self.adi.costs().collective_entry_ns);
+        let out = body(self, ctx, view.map(|(epoch, _)| epoch));
+        self.leave(ctx, name);
+        out
     }
 
-    // Collectives have no way to report a partial failure to the group
-    // (MPI_ERR_* from a collective leaves the communicator in an
-    // unspecified state), so a transport error inside one is fatal.
+    /// The one cancellable wait. Given the epoch a collective entered in,
+    /// poll until `ready`, failing typed the moment the detector leaves
+    /// that epoch (detection keeps progressing inside the loop because
+    /// the device's progress path drives the membership engine). Given
+    /// none it returns at once and the blocking ADI wait the caller makes
+    /// next does the waiting — call for call the paper path.
+    fn until(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        epoch: Option<u32>,
+        ready: impl Fn(&Adi) -> bool,
+    ) -> Result<(), MpiError> {
+        let Some(entry) = epoch else { return Ok(()) };
+        while !ready(&self.adi) {
+            self.abort_if_epoch_moved(comm, entry)?;
+            self.adi.progress(ctx);
+        }
+        Ok(())
+    }
+
+    /// Start a send to communicator rank `dst` on the collective context.
     fn coll_isend(
         &mut self,
         ctx: &mut ProcCtx,
+        comm: &Comm,
         dst: usize,
-        context: u16,
         tag: Tag,
         payload: &[u8],
-    ) -> crate::types::ReqId {
+    ) -> Result<ReqId, MpiError> {
         self.adi
-            .isend(ctx, dst, context, tag, payload)
-            .expect("transport failed inside a collective")
+            .isend(ctx, comm.world_rank(dst), comm.coll_context, tag, payload)
+            .map_err(|e| self.transport_to_mpi(comm, e))
     }
 
+    /// Post a receive from communicator rank `src` on the collective
+    /// context.
     fn coll_irecv(
         &mut self,
         ctx: &mut ProcCtx,
-        context: u16,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> crate::types::ReqId {
+        comm: &Comm,
+        src: usize,
+        tag: Tag,
+    ) -> Result<ReqId, MpiError> {
+        let src = Some(comm.world_rank(src));
         self.adi
-            .irecv(ctx, context, src, tag)
-            .expect("transport failed inside a collective")
+            .irecv(ctx, comm.coll_context, src, Some(tag))
+            .map_err(|e| self.transport_to_mpi(comm, e))
+    }
+
+    /// Complete `req`: a receive yields its payload, a send nothing.
+    /// (Rendezvous-sized sends block on the receiver's CTS, so they are
+    /// waited cancellably too: a receiver dying mid-collective fails the
+    /// sender typed instead of wedging it.)
+    fn coll_wait(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        req: ReqId,
+        epoch: Option<u32>,
+    ) -> Result<Vec<u8>, MpiError> {
+        self.until(ctx, comm, epoch, |adi| adi.is_complete(req))?;
+        let done = self.adi.wait(ctx, req);
+        Ok(done.map_or_else(Vec::new, |(_, bytes)| bytes))
+    }
+
+    fn coll_send(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        dst: usize,
+        tag: Tag,
+        payload: &[u8],
+        epoch: Option<u32>,
+    ) -> Result<(), MpiError> {
+        let req = self.coll_isend(ctx, comm, dst, tag, payload)?;
+        self.coll_wait(ctx, comm, req, epoch).map(drop)
+    }
+
+    fn coll_recv(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        src: usize,
+        tag: Tag,
+        epoch: Option<u32>,
+    ) -> Result<Vec<u8>, MpiError> {
+        let req = self.coll_irecv(ctx, comm, src, tag)?;
+        self.coll_wait(ctx, comm, req, epoch)
+    }
+
+    /// Block until a null frame of this barrier phase arrives from world
+    /// rank `src` (or from anyone, with `None`).
+    fn coll_wait_null(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        src: Option<usize>,
+        phase: u8,
+        epoch: Option<u32>,
+    ) -> Result<(), MpiError> {
+        let cctx = comm.coll_context;
+        self.until(ctx, comm, epoch, |adi| adi.has_null(src, cctx, phase))?;
+        self.adi.wait_null(ctx, src, cctx, phase);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -84,7 +183,8 @@ impl Mpi {
     // ------------------------------------------------------------------
 
     /// `MPI_Bcast`: the root passes `Some(data)`, everyone else `None`;
-    /// all ranks return the broadcast bytes.
+    /// all ranks return the broadcast bytes. A failure is fatal (see
+    /// [`Mpi::try_bcast`] for the variant that reports it).
     pub fn bcast(
         &mut self,
         ctx: &mut ProcCtx,
@@ -92,17 +192,29 @@ impl Mpi {
         root: usize,
         data: Option<&[u8]>,
     ) -> Vec<u8> {
-        self.span_enter(ctx, "bcast");
-        self.charge_collective(ctx);
-        let out = if comm.size() == 1 {
-            data.expect("root must supply the broadcast data").to_vec()
-        } else if self.native_collectives(comm) {
-            self.bcast_native(ctx, comm, root, data)
-        } else {
-            self.bcast_binomial(ctx, comm, root, data)
-        };
-        self.leave(ctx, "bcast");
-        out
+        self.try_bcast(ctx, comm, root, data)
+            .unwrap_or_else(|e| fatal("bcast", e))
+    }
+
+    /// `MPI_Bcast` with ULFM error reporting (same contract as
+    /// [`Mpi::try_barrier`]). The root passes `Some(data)` and gets its
+    /// own bytes back on success; receivers pass `None`.
+    pub fn try_bcast(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        root: usize,
+        data: Option<&[u8]>,
+    ) -> Result<Vec<u8>, MpiError> {
+        self.collective(ctx, comm, "bcast", |mpi, ctx, epoch| {
+            if comm.size() == 1 {
+                Ok(data.expect("root must supply the broadcast data").to_vec())
+            } else if mpi.native_collectives(comm) {
+                mpi.bcast_native(ctx, comm, root, data, epoch)
+            } else {
+                mpi.bcast_binomial(ctx, comm, root, data, epoch)
+            }
+        })
     }
 
     /// The paper's `MPI_Bcast`: the root determines the group and posts
@@ -115,36 +227,31 @@ impl Mpi {
         comm: &Comm,
         root: usize,
         data: Option<&[u8]>,
-    ) -> Vec<u8> {
-        if comm.rank() == root {
-            let data = data.expect("root must supply the broadcast data");
-            let targets: Vec<usize> = (0..comm.size())
-                .filter(|&r| r != root)
-                .map(|r| comm.world_rank(r))
-                .collect();
-            if self.adi.eager_mcast_fits(data.len()) {
-                self.adi
-                    .mcast_eager(ctx, &targets, comm.coll_context, TAG_BCAST, data);
-            } else {
-                // The single-step multicast cannot segment; oversized
-                // payloads go out as root-driven point-to-point sends.
-                // Receivers cannot tell the difference: either way one
-                // TAG_BCAST message from the root arrives.
-                let reqs: Vec<_> = targets
-                    .iter()
-                    .map(|&t| self.coll_isend(ctx, t, comm.coll_context, TAG_BCAST, data))
-                    .collect();
-                for req in reqs {
-                    self.adi.wait(ctx, req);
-                }
-            }
-            data.to_vec()
-        } else {
-            let root_world = comm.world_rank(root);
-            let req = self.coll_irecv(ctx, comm.coll_context, Some(root_world), Some(TAG_BCAST));
-            let (_, bytes) = self.adi.wait(ctx, req).expect("bcast receive");
-            bytes
+        epoch: Option<u32>,
+    ) -> Result<Vec<u8>, MpiError> {
+        if comm.rank() != root {
+            return self.coll_recv(ctx, comm, root, TAG_BCAST, epoch);
         }
+        let data = data.expect("root must supply the broadcast data");
+        let others = (0..comm.size()).filter(|&r| r != root);
+        if self.adi.eager_mcast_fits(data.len()) {
+            let targets: Vec<usize> = others.map(|r| comm.world_rank(r)).collect();
+            self.adi
+                .mcast_eager(ctx, &targets, comm.coll_context, TAG_BCAST, data)
+                .map_err(|e| self.transport_to_mpi(comm, e))?;
+        } else {
+            // The single-step multicast cannot segment; oversized
+            // payloads go out as root-driven point-to-point sends.
+            // Receivers cannot tell the difference: either way one
+            // TAG_BCAST message from the root arrives.
+            let reqs = others
+                .map(|r| self.coll_isend(ctx, comm, r, TAG_BCAST, data))
+                .collect::<Result<Vec<_>, _>>()?;
+            for req in reqs {
+                self.coll_wait(ctx, comm, req, epoch)?;
+            }
+        }
+        Ok(data.to_vec())
     }
 
     /// Stock MPICH binomial-tree broadcast over point-to-point sends.
@@ -154,7 +261,8 @@ impl Mpi {
         comm: &Comm,
         root: usize,
         data: Option<&[u8]>,
-    ) -> Vec<u8> {
+        epoch: Option<u32>,
+    ) -> Result<Vec<u8>, MpiError> {
         let size = comm.size();
         let vrank = (comm.rank() + size - root) % size;
         let mut buf = data.map(|d| d.to_vec());
@@ -163,14 +271,7 @@ impl Mpi {
         while mask < size {
             if vrank & mask != 0 {
                 let parent = (vrank - mask + root) % size;
-                let req = self.coll_irecv(
-                    ctx,
-                    comm.coll_context,
-                    Some(comm.world_rank(parent)),
-                    Some(TAG_BCAST),
-                );
-                let (_, bytes) = self.adi.wait(ctx, req).expect("bcast receive");
-                buf = Some(bytes);
+                buf = Some(self.coll_recv(ctx, comm, parent, TAG_BCAST, epoch)?);
                 break;
             }
             mask <<= 1;
@@ -183,124 +284,26 @@ impl Mpi {
         while mask > 0 {
             if vrank + mask < size {
                 let child = (vrank + mask + root) % size;
-                sends.push(self.coll_isend(
-                    ctx,
-                    comm.world_rank(child),
-                    comm.coll_context,
-                    TAG_BCAST,
-                    &payload,
-                ));
+                sends.push(self.coll_isend(ctx, comm, child, TAG_BCAST, &payload)?);
             }
             mask >>= 1;
         }
         for req in sends {
-            self.adi.wait(ctx, req);
+            self.coll_wait(ctx, comm, req, epoch)?;
         }
-        payload
+        Ok(payload)
     }
 
     // ------------------------------------------------------------------
     // Barrier
     // ------------------------------------------------------------------
 
-    /// `MPI_Barrier`.
+    /// `MPI_Barrier`. A failure is fatal (see [`Mpi::try_barrier`] for
+    /// the variant that reports it).
     pub fn barrier(&mut self, ctx: &mut ProcCtx, comm: &Comm) {
-        self.span_enter(ctx, "barrier");
-        self.charge_collective(ctx);
-        if comm.size() > 1 {
-            if self.native_collectives(comm) {
-                self.barrier_native(ctx, comm);
-            } else {
-                self.barrier_p2p(ctx, comm);
-            }
-        }
-        self.leave(ctx, "barrier");
+        self.try_barrier(ctx, comm)
+            .unwrap_or_else(|e| fatal("barrier", e))
     }
-
-    /// The paper's `MPI_Barrier`: rank 0 coordinates — it waits for a
-    /// null message from every other process, then releases the group
-    /// with a single `bbp_Mcast` null.
-    fn barrier_native(&mut self, ctx: &mut ProcCtx, comm: &Comm) {
-        let cctx = comm.coll_context;
-        let phase = self.next_barrier_phase(cctx);
-        let root_world = comm.world_rank(0);
-        if comm.rank() == 0 {
-            for _ in 1..comm.size() {
-                self.adi.wait_null(ctx, None, cctx, phase);
-            }
-            let targets: Vec<usize> = (1..comm.size()).map(|r| comm.world_rank(r)).collect();
-            self.adi.mcast_null(ctx, &targets, cctx, phase);
-        } else {
-            self.adi.send_null(ctx, root_world, cctx, phase);
-            self.adi.wait_null(ctx, Some(root_world), cctx, phase);
-        }
-    }
-
-    /// Stock MPICH barrier: binomial gather of empty messages into rank
-    /// 0, binomial broadcast of the release.
-    fn barrier_p2p(&mut self, ctx: &mut ProcCtx, comm: &Comm) {
-        let size = comm.size();
-        let vrank = comm.rank(); // root is always comm rank 0
-                                 // Gather phase (children → parents).
-        let mut mask = 1;
-        while mask < size {
-            if vrank & mask != 0 {
-                let parent = vrank - mask;
-                self.coll_isend(
-                    ctx,
-                    comm.world_rank(parent),
-                    comm.coll_context,
-                    TAG_BARRIER_UP,
-                    &[],
-                );
-                break;
-            }
-            let child = vrank + mask;
-            if child < size {
-                let req = self.coll_irecv(
-                    ctx,
-                    comm.coll_context,
-                    Some(comm.world_rank(child)),
-                    Some(TAG_BARRIER_UP),
-                );
-                self.adi.wait(ctx, req);
-            }
-            mask <<= 1;
-        }
-        // Release phase: binomial broadcast of an empty message.
-        let mut mask = 1;
-        while mask < size {
-            if vrank & mask != 0 {
-                let parent = vrank - mask;
-                let req = self.coll_irecv(
-                    ctx,
-                    comm.coll_context,
-                    Some(comm.world_rank(parent)),
-                    Some(TAG_BARRIER_DOWN),
-                );
-                self.adi.wait(ctx, req);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank & mask == 0 && vrank + mask < size {
-                self.coll_isend(
-                    ctx,
-                    comm.world_rank(vrank + mask),
-                    comm.coll_context,
-                    TAG_BARRIER_DOWN,
-                    &[],
-                );
-            }
-            mask >>= 1;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Degraded-mode (failure-aware) collectives
-    // ------------------------------------------------------------------
 
     /// `MPI_Barrier` with ULFM error reporting: on a world with a
     /// failure detector it completes within the membership epoch it
@@ -310,144 +313,88 @@ impl Mpi {
     /// raise — exactly as ULFM allows; after any caller fails, the
     /// communicator's collective context is poisoned and the group
     /// must [`Mpi::shrink`] before running another collective. On
-    /// detector-less worlds this is exactly [`Mpi::barrier`].
-    pub fn try_barrier(&mut self, ctx: &mut ProcCtx, comm: &Comm) -> Result<(), crate::MpiError> {
-        let everyone: Vec<usize> = (0..comm.size()).collect();
-        let Some((entry_epoch, _)) = self.degraded_entry(comm, &everyone)? else {
-            self.barrier(ctx, comm);
-            return Ok(());
-        };
-        self.span_enter(ctx, "barrier");
-        self.charge_collective(ctx);
-        let out = if comm.size() > 1 {
-            self.try_barrier_native(ctx, comm, entry_epoch)
-        } else {
-            Ok(())
-        };
-        self.leave(ctx, "barrier");
-        out
+    /// detector-less worlds only a transport failure can make it fail.
+    pub fn try_barrier(&mut self, ctx: &mut ProcCtx, comm: &Comm) -> Result<(), MpiError> {
+        self.collective(ctx, comm, "barrier", |mpi, ctx, epoch| {
+            if comm.size() == 1 {
+                Ok(())
+            } else if mpi.native_collectives(comm) {
+                mpi.barrier_native(ctx, comm, epoch)
+            } else {
+                mpi.barrier_p2p(ctx, comm, epoch)
+            }
+        })
     }
 
-    /// The coordinator barrier with cancellable waits: every blocking
-    /// point polls instead, and aborts the moment the detector's epoch
-    /// leaves `entry_epoch`. (Detection keeps progressing inside the
-    /// poll loops because the device's progress path drives the
-    /// membership engine.)
-    fn try_barrier_native(
+    /// The paper's `MPI_Barrier`: rank 0 coordinates — it waits for a
+    /// null message from every other process, then releases the group
+    /// with a single `bbp_Mcast` null.
+    fn barrier_native(
         &mut self,
         ctx: &mut ProcCtx,
         comm: &Comm,
-        entry_epoch: u32,
-    ) -> Result<(), crate::MpiError> {
+        epoch: Option<u32>,
+    ) -> Result<(), MpiError> {
         let cctx = comm.coll_context;
         let phase = self.next_barrier_phase(cctx);
-        let root_world = comm.world_rank(0);
         if comm.rank() == 0 {
-            let mut gathered = 0;
-            while gathered < comm.size() - 1 {
-                if self.adi.poll_null(ctx, None, cctx, phase).is_some() {
-                    gathered += 1;
-                } else {
-                    self.abort_if_epoch_moved(comm, entry_epoch)?;
-                }
+            for _ in 1..comm.size() {
+                self.coll_wait_null(ctx, comm, None, phase, epoch)?;
             }
             let targets: Vec<usize> = (1..comm.size()).map(|r| comm.world_rank(r)).collect();
             self.adi
-                .try_mcast_null(ctx, &targets, cctx, phase)
+                .mcast_null(ctx, &targets, cctx, phase)
                 .map_err(|e| self.transport_to_mpi(comm, e))
         } else {
+            let root = comm.world_rank(0);
             self.adi
-                .try_send_null(ctx, root_world, cctx, phase)
+                .send_null(ctx, root, cctx, phase)
                 .map_err(|e| self.transport_to_mpi(comm, e))?;
-            while self
-                .adi
-                .poll_null(ctx, Some(root_world), cctx, phase)
-                .is_none()
-            {
-                self.abort_if_epoch_moved(comm, entry_epoch)?;
-            }
-            Ok(())
+            self.coll_wait_null(ctx, comm, Some(root), phase, epoch)
         }
     }
 
-    /// `MPI_Bcast` with ULFM error reporting (same contract as
-    /// [`Mpi::try_barrier`]). The root passes `Some(data)` and gets its
-    /// own bytes back on success; receivers pass `None`.
-    pub fn try_bcast(
+    /// Stock MPICH barrier: binomial gather of empty messages into rank
+    /// 0, binomial broadcast of the release.
+    fn barrier_p2p(
         &mut self,
         ctx: &mut ProcCtx,
         comm: &Comm,
-        root: usize,
-        data: Option<&[u8]>,
-    ) -> Result<Vec<u8>, crate::MpiError> {
-        let everyone: Vec<usize> = (0..comm.size()).collect();
-        let Some((entry_epoch, _)) = self.degraded_entry(comm, &everyone)? else {
-            return Ok(self.bcast(ctx, comm, root, data));
-        };
-        self.span_enter(ctx, "bcast");
-        self.charge_collective(ctx);
-        let out = self.try_bcast_native(ctx, comm, root, data, entry_epoch);
-        self.leave(ctx, "bcast");
-        out
-    }
-
-    fn try_bcast_native(
-        &mut self,
-        ctx: &mut ProcCtx,
-        comm: &Comm,
-        root: usize,
-        data: Option<&[u8]>,
-        entry_epoch: u32,
-    ) -> Result<Vec<u8>, crate::MpiError> {
-        if comm.size() == 1 {
-            return Ok(data.expect("root must supply the broadcast data").to_vec());
-        }
-        if comm.rank() == root {
-            let data = data.expect("root must supply the broadcast data");
-            let targets: Vec<usize> = (0..comm.size())
-                .filter(|&r| r != root)
-                .map(|r| comm.world_rank(r))
-                .collect();
-            if self.adi.eager_mcast_fits(data.len()) {
-                self.adi
-                    .try_mcast_eager(ctx, &targets, comm.coll_context, TAG_BCAST, data)
-                    .map_err(|e| self.transport_to_mpi(comm, e))?;
-            } else {
-                let mut reqs = Vec::with_capacity(targets.len());
-                for &t in &targets {
-                    reqs.push(
-                        self.adi
-                            .isend(ctx, t, comm.coll_context, TAG_BCAST, data)
-                            .map_err(|e| self.transport_to_mpi(comm, e))?,
-                    );
-                }
-                // Rendezvous-sized sends block on the receiver's CTS;
-                // poll them cancellably so a receiver dying mid-bcast
-                // fails this rank typed instead of wedging it.
-                for req in reqs {
-                    while !self.adi.is_complete(req) {
-                        self.abort_if_epoch_moved(comm, entry_epoch)?;
-                        self.adi.progress(ctx);
-                    }
-                    self.adi.wait(ctx, req);
-                }
+        epoch: Option<u32>,
+    ) -> Result<(), MpiError> {
+        let size = comm.size();
+        // The root is always comm rank 0, so ranks are their own vranks.
+        let vrank = comm.rank();
+        // Gather phase (children → parents). The empty sends are eager,
+        // complete as they start, and are never waited.
+        let mut mask = 1;
+        while mask < size {
+            if vrank & mask != 0 {
+                self.coll_isend(ctx, comm, vrank - mask, TAG_BARRIER_UP, &[])?;
+                break;
             }
-            Ok(data.to_vec())
-        } else {
-            let root_world = comm.world_rank(root);
-            let req = self
-                .adi
-                .irecv(ctx, comm.coll_context, Some(root_world), Some(TAG_BCAST))
-                .map_err(|e| self.transport_to_mpi(comm, e))?;
-            loop {
-                if self.adi.is_complete(req) {
-                    let (_, bytes) = self.adi.wait(ctx, req).expect("bcast receive");
-                    return Ok(bytes);
-                }
-                self.abort_if_epoch_moved(comm, entry_epoch)?;
-                self.adi.progress(ctx);
+            if vrank + mask < size {
+                self.coll_recv(ctx, comm, vrank + mask, TAG_BARRIER_UP, epoch)?;
             }
+            mask <<= 1;
         }
+        // Release phase: binomial broadcast of an empty message.
+        let mut mask = 1;
+        while mask < size {
+            if vrank & mask != 0 {
+                self.coll_recv(ctx, comm, vrank - mask, TAG_BARRIER_DOWN, epoch)?;
+                break;
+            }
+            mask <<= 1;
+        }
+        mask >>= 1;
+        while mask > 0 {
+            if vrank & mask == 0 && vrank + mask < size {
+                self.coll_isend(ctx, comm, vrank + mask, TAG_BARRIER_DOWN, &[])?;
+            }
+            mask >>= 1;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -463,43 +410,23 @@ impl Mpi {
         root: usize,
         mine: &[u8],
     ) -> Option<Vec<Vec<u8>>> {
-        self.span_enter(ctx, "gather");
-        self.charge_collective(ctx);
-        let out = if comm.rank() == root {
+        self.collective(ctx, comm, "gather", |mpi, ctx, epoch| {
+            if comm.rank() != root {
+                mpi.coll_send(ctx, comm, root, TAG_GATHER, mine, epoch)?;
+                return Ok(None);
+            }
             let mut out: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
             out[root] = mine.to_vec();
-            let reqs: Vec<_> = (0..comm.size())
+            let reqs = (0..comm.size())
                 .filter(|&r| r != root)
-                .map(|r| {
-                    (
-                        r,
-                        self.coll_irecv(
-                            ctx,
-                            comm.coll_context,
-                            Some(comm.world_rank(r)),
-                            Some(TAG_GATHER),
-                        ),
-                    )
-                })
-                .collect();
+                .map(|r| Ok((r, mpi.coll_irecv(ctx, comm, r, TAG_GATHER)?)))
+                .collect::<Result<Vec<_>, MpiError>>()?;
             for (r, req) in reqs {
-                let (_, bytes) = self.adi.wait(ctx, req).expect("gather receive");
-                out[r] = bytes;
+                out[r] = mpi.coll_wait(ctx, comm, req, epoch)?;
             }
-            Some(out)
-        } else {
-            let req = self.coll_isend(
-                ctx,
-                comm.world_rank(root),
-                comm.coll_context,
-                TAG_GATHER,
-                mine,
-            );
-            self.adi.wait(ctx, req);
-            None
-        };
-        self.leave(ctx, "gather");
-        out
+            Ok(Some(out))
+        })
+        .unwrap_or_else(|e| fatal("gather", e))
     }
 
     /// `MPI_Scatter`: root supplies one block per rank; everyone returns
@@ -511,49 +438,30 @@ impl Mpi {
         root: usize,
         blocks: Option<&[Vec<u8>]>,
     ) -> Vec<u8> {
-        self.span_enter(ctx, "scatter");
-        self.charge_collective(ctx);
-        let out = if comm.rank() == root {
+        self.collective(ctx, comm, "scatter", |mpi, ctx, epoch| {
+            if comm.rank() != root {
+                return mpi.coll_recv(ctx, comm, root, TAG_SCATTER, epoch);
+            }
             let blocks = blocks.expect("root must supply scatter blocks");
             assert_eq!(blocks.len(), comm.size(), "one block per rank");
             let mut sends = Vec::new();
             for (r, block) in blocks.iter().enumerate() {
                 if r != root {
-                    sends.push(self.coll_isend(
-                        ctx,
-                        comm.world_rank(r),
-                        comm.coll_context,
-                        TAG_SCATTER,
-                        block,
-                    ));
+                    sends.push(mpi.coll_isend(ctx, comm, r, TAG_SCATTER, block)?);
                 }
             }
             for req in sends {
-                self.adi.wait(ctx, req);
+                mpi.coll_wait(ctx, comm, req, epoch)?;
             }
-            blocks[root].clone()
-        } else {
-            let req = self.coll_irecv(
-                ctx,
-                comm.coll_context,
-                Some(comm.world_rank(root)),
-                Some(TAG_SCATTER),
-            );
-            let (_, bytes) = self.adi.wait(ctx, req).expect("scatter receive");
-            bytes
-        };
-        self.leave(ctx, "scatter");
-        out
+            Ok(blocks[root].clone())
+        })
+        .unwrap_or_else(|e| fatal("scatter", e))
     }
 
     /// `MPI_Allgather`: gather to rank 0 then broadcast the concatenation.
     pub fn allgather(&mut self, ctx: &mut ProcCtx, comm: &Comm, mine: &[u8]) -> Vec<Vec<u8>> {
         let gathered = self.gather(ctx, comm, 0, mine);
-        let encoded = if comm.rank() == 0 {
-            Some(encode_blocks(&gathered.unwrap()))
-        } else {
-            None
-        };
+        let encoded = gathered.map(|blocks| encode_blocks(&blocks));
         let bytes = self.bcast(ctx, comm, 0, encoded.as_deref());
         decode_blocks(&bytes)
     }
@@ -561,47 +469,30 @@ impl Mpi {
     /// `MPI_Alltoall` (variable block sizes): `blocks[r]` goes to rank
     /// `r`; returns the blocks received, indexed by source rank.
     pub fn alltoall(&mut self, ctx: &mut ProcCtx, comm: &Comm, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        self.span_enter(ctx, "alltoall");
-        self.charge_collective(ctx);
-        assert_eq!(blocks.len(), comm.size(), "one block per destination");
-        let me = comm.rank();
-        let rreqs: Vec<_> = (0..comm.size())
-            .filter(|&r| r != me)
-            .map(|r| {
-                (
-                    r,
-                    self.coll_irecv(
-                        ctx,
-                        comm.coll_context,
-                        Some(comm.world_rank(r)),
-                        Some(TAG_ALLTOALL),
-                    ),
-                )
-            })
-            .collect();
-        let mut sends = Vec::new();
-        for (r, block) in blocks.iter().enumerate() {
-            if r != me {
-                sends.push(self.coll_isend(
-                    ctx,
-                    comm.world_rank(r),
-                    comm.coll_context,
-                    TAG_ALLTOALL,
-                    block,
-                ));
+        self.collective(ctx, comm, "alltoall", |mpi, ctx, epoch| {
+            assert_eq!(blocks.len(), comm.size(), "one block per destination");
+            let me = comm.rank();
+            let rreqs = (0..comm.size())
+                .filter(|&r| r != me)
+                .map(|r| Ok((r, mpi.coll_irecv(ctx, comm, r, TAG_ALLTOALL)?)))
+                .collect::<Result<Vec<_>, MpiError>>()?;
+            let mut sends = Vec::new();
+            for (r, block) in blocks.iter().enumerate() {
+                if r != me {
+                    sends.push(mpi.coll_isend(ctx, comm, r, TAG_ALLTOALL, block)?);
+                }
             }
-        }
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
-        out[me] = blocks[me].clone();
-        for (r, req) in rreqs {
-            let (_, bytes) = self.adi.wait(ctx, req).expect("alltoall receive");
-            out[r] = bytes;
-        }
-        for req in sends {
-            self.adi.wait(ctx, req);
-        }
-        self.leave(ctx, "alltoall");
-        out
+            let mut out: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
+            out[me] = blocks[me].clone();
+            for (r, req) in rreqs {
+                out[r] = mpi.coll_wait(ctx, comm, req, epoch)?;
+            }
+            for req in sends {
+                mpi.coll_wait(ctx, comm, req, epoch)?;
+            }
+            Ok(out)
+        })
+        .unwrap_or_else(|e| fatal("alltoall", e))
     }
 
     // ------------------------------------------------------------------
@@ -617,46 +508,27 @@ impl Mpi {
         op: ReduceOp,
         data: &[f64],
     ) -> Option<Vec<f64>> {
-        self.span_enter(ctx, "reduce");
-        self.charge_collective(ctx);
-        let out = (|| {
+        self.collective(ctx, comm, "reduce", |mpi, ctx, epoch| {
             let size = comm.size();
             let vrank = (comm.rank() + size - root) % size;
             let mut acc = data.to_vec();
             let mut mask = 1;
             while mask < size {
-                if vrank & mask == 0 {
-                    let peer_v = vrank | mask;
-                    if peer_v < size {
-                        let peer = (peer_v + root) % size;
-                        let req = self.coll_irecv(
-                            ctx,
-                            comm.coll_context,
-                            Some(comm.world_rank(peer)),
-                            Some(TAG_REDUCE),
-                        );
-                        let (_, bytes) = self.adi.wait(ctx, req).expect("reduce receive");
-                        op.fold(&mut acc, &decode_f64s(&bytes));
-                    }
-                } else {
-                    let peer_v = vrank & !mask;
-                    let peer = (peer_v + root) % size;
-                    let req = self.coll_isend(
-                        ctx,
-                        comm.world_rank(peer),
-                        comm.coll_context,
-                        TAG_REDUCE,
-                        &encode_f64s(&acc),
-                    );
-                    self.adi.wait(ctx, req);
-                    return None;
+                if vrank & mask != 0 {
+                    let peer = ((vrank & !mask) + root) % size;
+                    mpi.coll_send(ctx, comm, peer, TAG_REDUCE, &encode_f64s(&acc), epoch)?;
+                    return Ok(None);
+                }
+                if vrank | mask < size {
+                    let peer = ((vrank | mask) + root) % size;
+                    let bytes = mpi.coll_recv(ctx, comm, peer, TAG_REDUCE, epoch)?;
+                    op.fold(&mut acc, &decode_f64s(&bytes));
                 }
                 mask <<= 1;
             }
-            Some(acc)
-        })();
-        self.leave(ctx, "reduce");
-        out
+            Ok(Some(acc))
+        })
+        .unwrap_or_else(|e| fatal("reduce", e))
     }
 
     /// `MPI_Allreduce` = reduce to rank 0 + broadcast.
@@ -677,35 +549,21 @@ impl Mpi {
     /// `r` returns `op` folded over ranks `0..=r`. Linear pipeline (the
     /// MPICH 1.x algorithm).
     pub fn scan(&mut self, ctx: &mut ProcCtx, comm: &Comm, op: ReduceOp, data: &[f64]) -> Vec<f64> {
-        self.span_enter(ctx, "scan");
-        self.charge_collective(ctx);
-        let me = comm.rank();
-        let mut acc = data.to_vec();
-        if me > 0 {
-            let req = self.coll_irecv(
-                ctx,
-                comm.coll_context,
-                Some(comm.world_rank(me - 1)),
-                Some(TAG_SCAN),
-            );
-            let (_, bytes) = self.adi.wait(ctx, req).expect("scan receive");
-            let prefix = decode_f64s(&bytes);
-            let mut folded = prefix;
-            op.fold(&mut folded, &acc);
-            acc = folded;
-        }
-        if me + 1 < comm.size() {
-            let req = self.coll_isend(
-                ctx,
-                comm.world_rank(me + 1),
-                comm.coll_context,
-                TAG_SCAN,
-                &encode_f64s(&acc),
-            );
-            self.adi.wait(ctx, req);
-        }
-        self.leave(ctx, "scan");
-        acc
+        self.collective(ctx, comm, "scan", |mpi, ctx, epoch| {
+            let me = comm.rank();
+            let mut acc = data.to_vec();
+            if me > 0 {
+                let bytes = mpi.coll_recv(ctx, comm, me - 1, TAG_SCAN, epoch)?;
+                let mut folded = decode_f64s(&bytes);
+                op.fold(&mut folded, &acc);
+                acc = folded;
+            }
+            if me + 1 < comm.size() {
+                mpi.coll_send(ctx, comm, me + 1, TAG_SCAN, &encode_f64s(&acc), epoch)?;
+            }
+            Ok(acc)
+        })
+        .unwrap_or_else(|e| fatal("scan", e))
     }
 
     /// `MPI_Exscan`: exclusive prefix reduction — rank `r` returns `op`
@@ -717,38 +575,26 @@ impl Mpi {
         op: ReduceOp,
         data: &[f64],
     ) -> Option<Vec<f64>> {
-        self.charge_collective(ctx);
-        let me = comm.rank();
-        // Receive the running prefix from the left, forward prefix+mine
-        // to the right.
-        let prefix = if me > 0 {
-            let req = self.coll_irecv(
-                ctx,
-                comm.coll_context,
-                Some(comm.world_rank(me - 1)),
-                Some(TAG_SCAN),
-            );
-            let (_, bytes) = self.adi.wait(ctx, req).expect("exscan receive");
-            Some(decode_f64s(&bytes))
-        } else {
-            None
-        };
-        if me + 1 < comm.size() {
-            let mut running = prefix.clone().unwrap_or_else(|| data.to_vec());
-            if prefix.is_some() {
-                op.fold(&mut running, data);
+        self.collective(ctx, comm, "exscan", |mpi, ctx, epoch| {
+            let me = comm.rank();
+            // Receive the running prefix from the left, forward
+            // prefix+mine to the right.
+            let prefix = if me > 0 {
+                let bytes = mpi.coll_recv(ctx, comm, me - 1, TAG_SCAN, epoch)?;
+                Some(decode_f64s(&bytes))
+            } else {
+                None
+            };
+            if me + 1 < comm.size() {
+                let mut running = prefix.clone().unwrap_or_else(|| data.to_vec());
+                if prefix.is_some() {
+                    op.fold(&mut running, data);
+                }
+                mpi.coll_send(ctx, comm, me + 1, TAG_SCAN, &encode_f64s(&running), epoch)?;
             }
-            let req = self.coll_isend(
-                ctx,
-                comm.world_rank(me + 1),
-                comm.coll_context,
-                TAG_SCAN,
-                &encode_f64s(&running),
-            );
-            self.adi.wait(ctx, req);
-        }
-        ctx.settle(); // a group of one talks to nobody
-        prefix
+            Ok(prefix)
+        })
+        .unwrap_or_else(|e| fatal("exscan", e))
     }
 
     /// `MPI_Reduce_scatter_block`: elementwise-reduce `comm.size()`

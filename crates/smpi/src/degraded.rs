@@ -66,7 +66,7 @@ impl Mpi {
     pub(crate) fn degraded_entry(
         &mut self,
         comm: &Comm,
-        peers: &[usize],
+        peers: impl IntoIterator<Item = usize>,
     ) -> Result<Option<(u32, u32)>, MpiError> {
         self.absorb_revocations();
         if let Some(epoch) = self.adi.partitioned() {
@@ -79,9 +79,9 @@ impl Mpi {
             });
         }
         if let Some((epoch, mask)) = view {
-            if let Some(&rank) = peers
-                .iter()
-                .find(|&&p| mask & (1 << comm.world_rank(p)) == 0)
+            if let Some(rank) = peers
+                .into_iter()
+                .find(|&p| mask & (1 << comm.world_rank(p)) == 0)
             {
                 return Err(MpiError::PeerFailed { rank, epoch });
             }
@@ -105,41 +105,26 @@ impl Mpi {
         MpiError::Transport(e)
     }
 
-    /// Inside a degraded collective's wait loop: fail typed the moment
-    /// the membership epoch leaves the one the collective entered in,
-    /// or a revocation notice arrives. This is what turns "a member
-    /// died while we were blocked" from a hang into
-    /// [`MpiError::PeerFailed`] at every live caller.
+    /// Between the polls of a collective's wait: fail typed the moment
+    /// the operation could no longer be entered — a revocation notice
+    /// arrived, this rank's segment lost its quorum (a frozen rank's epoch
+    /// never moves, so without this a blocked collective would spin
+    /// forever waiting for traffic the fence rejects), a member died — or
+    /// the membership epoch left the one the collective entered in. This
+    /// is what turns "a member died while we were blocked" from a hang
+    /// into [`MpiError::PeerFailed`] at every live caller.
     pub(crate) fn abort_if_epoch_moved(
         &mut self,
         comm: &Comm,
         entry_epoch: u32,
     ) -> Result<(), MpiError> {
-        self.absorb_revocations();
-        // A frozen minority rank's epoch never moves (that is the point
-        // of the freeze), so without this check a blocked collective
-        // would spin forever waiting for traffic the fence rejects.
-        if let Some(epoch) = self.adi.partitioned() {
-            return Err(MpiError::Partitioned { epoch });
+        match self.degraded_entry(comm, 0..comm.size())? {
+            // The epoch moved without killing a member (a readmission):
+            // no one died, but the one-epoch guarantee is broken — report
+            // the interruption.
+            Some((epoch, _)) if epoch != entry_epoch => Err(MpiError::Revoked { epoch }),
+            _ => Ok(()),
         }
-        if self.revoked.contains(&comm.context) {
-            return Err(MpiError::Revoked {
-                epoch: self.adi.membership().map_or(0, |(e, _)| e),
-            });
-        }
-        if let Some((epoch, mask)) = self.adi.membership() {
-            if epoch != entry_epoch {
-                let dead = (0..comm.size()).find(|&r| mask & (1 << comm.world_rank(r)) == 0);
-                return Err(match dead {
-                    Some(rank) => MpiError::PeerFailed { rank, epoch },
-                    // The epoch moved without killing a member (a
-                    // readmission): no one died, but the one-epoch
-                    // guarantee is broken — report the interruption.
-                    None => MpiError::Revoked { epoch },
-                });
-            }
-        }
-        Ok(())
     }
 
     /// ULFM `MPI_Comm_revoke`: mark `comm` unusable group-wide. The
@@ -161,7 +146,9 @@ impl Mpi {
             if mask.is_some_and(|m| m & (1 << w) == 0) {
                 continue;
             }
-            self.adi.send_null_lossy(ctx, w, comm.context, REVOKE_PHASE);
+            // A peer dying mid-notice is exactly the situation the notice
+            // is about, so a transport error here is not one.
+            let _ = self.adi.send_null(ctx, w, comm.context, REVOKE_PHASE);
         }
     }
 

@@ -203,14 +203,18 @@ pub trait Device: Send {
     ) -> Result<(), DeviceError>;
     /// One progress poll: the next arrived frame, if any, with its source.
     fn try_recv_frame(&mut self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)>;
-    /// Hardware multicast of one frame; `Ok(false)` if unsupported
-    /// (callers fall back to point-to-point).
+    /// Hardware multicast of one frame. [`Device::has_native_mcast`] is
+    /// the one capability bit: callers ask it first and fall back to
+    /// point-to-point, so the default — for devices without the hardware
+    /// — is never reached by a correct caller.
     fn mcast_frame(
         &mut self,
-        ctx: &mut ProcCtx,
-        targets: &[usize],
-        frame: &[u8],
-    ) -> Result<bool, DeviceError>;
+        _ctx: &mut ProcCtx,
+        _targets: &[usize],
+        _frame: &[u8],
+    ) -> Result<(), DeviceError> {
+        panic!("device has no native multicast")
+    }
     /// Whether [`Device::mcast_frame`] works (the paper's "additional
     /// functionality provided by the underlying device").
     fn has_native_mcast(&self) -> bool;

@@ -89,7 +89,7 @@ impl Device for BbpDevice {
         ctx: &mut ProcCtx,
         targets: &[usize],
         frame: &[u8],
-    ) -> Result<bool, DeviceError> {
+    ) -> Result<(), DeviceError> {
         let node = self.ep.rank() as u32;
         ctx.obs()
             .span_enter(ctx.now(), node, Layer::Device, "frame_mcast");
@@ -99,7 +99,7 @@ impl Device for BbpDevice {
         }
         ctx.obs()
             .span_exit(ctx.now(), node, Layer::Device, "frame_mcast");
-        out.map(|()| true)
+        out
     }
 
     fn has_native_mcast(&self) -> bool {
@@ -182,17 +182,8 @@ impl Device for TcpDevice {
         None
     }
 
-    fn mcast_frame(
-        &mut self,
-        _ctx: &mut ProcCtx,
-        _targets: &[usize],
-        _frame: &[u8],
-    ) -> Result<bool, DeviceError> {
-        Ok(false) // no hardware multicast on switched point-to-point fabrics
-    }
-
     fn has_native_mcast(&self) -> bool {
-        false
+        false // no hardware multicast on switched point-to-point fabrics
     }
 }
 
@@ -238,16 +229,7 @@ impl Device for MyrinetDevice {
         self.port.try_recv(ctx)
     }
 
-    fn mcast_frame(
-        &mut self,
-        _ctx: &mut ProcCtx,
-        _targets: &[usize],
-        _frame: &[u8],
-    ) -> Result<bool, DeviceError> {
-        Ok(false) // wormhole switches have no replication hardware
-    }
-
     fn has_native_mcast(&self) -> bool {
-        false
+        false // wormhole switches have no replication hardware
     }
 }

@@ -159,7 +159,7 @@ impl Device for HybridDevice {
         ctx: &mut ProcCtx,
         targets: &[usize],
         frame: &[u8],
-    ) -> Result<bool, DeviceError> {
+    ) -> Result<(), DeviceError> {
         // Multicast is a fast-path exclusive; unsequenced (the fast
         // path's own FIFO orders successive multicasts per source).
         let wrapped = Self::wrap(HYB_RAW, 0, frame);

@@ -194,13 +194,7 @@ impl Mpi {
     ) -> Result<(), MpiError> {
         self.span_enter(ctx, "send");
         let res = self.isend(ctx, comm, dst, tag, data);
-        let out = match res {
-            Ok(req) => {
-                self.wait_send(ctx, req);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        };
+        let out = res.map(|req| self.wait_send(ctx, req));
         self.leave(ctx, "send");
         out
     }
@@ -215,10 +209,7 @@ impl Mpi {
     ) -> Result<(Status, Vec<u8>), MpiError> {
         self.span_enter(ctx, "recv");
         let res = self.irecv(ctx, comm, src, tag);
-        let out = match res {
-            Ok(req) => Ok(self.wait_recv(ctx, comm, req)),
-            Err(e) => Err(e),
-        };
+        let out = res.map(|req| self.wait_recv(ctx, comm, req));
         self.leave(ctx, "recv");
         out
     }
@@ -232,21 +223,69 @@ impl Mpi {
         tag: Tag,
         data: &[u8],
     ) -> Result<ReqId, MpiError> {
+        self.start_send(ctx, comm, dst, tag, data, false)
+    }
+
+    /// Blocking synchronous-mode send (`MPI_Ssend`): returns only after
+    /// the receiver has matched the message (always uses the rendezvous
+    /// handshake, whatever the payload size).
+    pub fn ssend(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        dst: usize,
+        tag: Tag,
+        data: &[u8],
+    ) -> Result<(), MpiError> {
+        self.start_send(ctx, comm, dst, tag, data, true).map(drop)
+    }
+
+    /// The send entry chain — reserved-tag check, trace id, span, binding
+    /// charge, rank check, degraded-mode check, the ADI send — shared by
+    /// both send modes. A `synchronous` send also waits (inside the span)
+    /// and returns the request it redeemed.
+    fn start_send(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        dst: usize,
+        tag: Tag,
+        data: &[u8],
+        synchronous: bool,
+    ) -> Result<ReqId, MpiError> {
         assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
+        let name = if synchronous { "ssend" } else { "isend" };
         let trace = self.trace_send_enter(ctx, data.len());
-        self.span_enter(ctx, "isend");
+        self.span_enter(ctx, name);
         self.charge_binding(ctx);
         let out = comm
             .check(dst)
-            .and_then(|()| self.degraded_entry(comm, &[dst]).map(|_| ()))
-            .and_then(|()| {
+            .and_then(|()| self.degraded_entry(comm, [dst]))
+            .and_then(|_| {
+                let dst = comm.world_rank(dst);
                 self.adi
-                    .isend(ctx, comm.world_rank(dst), comm.context, tag, data)
+                    .isend_mode(ctx, dst, comm.context, tag, data, synchronous)
                     .map_err(|e| self.transport_to_mpi(comm, e))
             });
-        self.leave(ctx, "isend");
+        if let (true, Ok(req)) = (synchronous, &out) {
+            self.wait_send(ctx, *req);
+        }
+        self.leave(ctx, name);
         self.trace_send_exit(ctx, trace, &out);
         out
+    }
+
+    /// Resolve a receive selector's source to a world rank, refusing a
+    /// rank outside the communicator and — in degraded mode — one the
+    /// detector declared dead: a receive from it can never complete (ULFM
+    /// raises PROC_FAILED on it). Wildcard receives stay valid; a live
+    /// sender may match.
+    fn recv_source(&mut self, comm: &Comm, src: Option<usize>) -> Result<Option<usize>, MpiError> {
+        if let Some(s) = src {
+            comm.check(s)?;
+        }
+        self.degraded_entry(comm, src)?;
+        Ok(src.map(|s| comm.world_rank(s)))
     }
 
     /// Non-blocking receive.
@@ -262,57 +301,12 @@ impl Mpi {
         }
         self.span_enter(ctx, "irecv");
         self.charge_binding(ctx);
-        let out = (|| {
-            let world_src = match src {
-                Some(s) => {
-                    comm.check(s)?;
-                    // A receive from a dead rank can never complete
-                    // (ULFM raises PROC_FAILED on it); wildcard
-                    // receives stay valid — a live sender may match.
-                    self.degraded_entry(comm, &[s])?;
-                    Some(comm.world_rank(s))
-                }
-                None => {
-                    self.degraded_entry(comm, &[])?;
-                    None
-                }
-            };
+        let out = self.recv_source(comm, src).and_then(|world_src| {
             self.adi
                 .irecv(ctx, comm.context, world_src, tag)
                 .map_err(|e| self.transport_to_mpi(comm, e))
-        })();
+        });
         self.leave(ctx, "irecv");
-        out
-    }
-
-    /// Blocking synchronous-mode send (`MPI_Ssend`): returns only after
-    /// the receiver has matched the message (always uses the rendezvous
-    /// handshake, whatever the payload size).
-    pub fn ssend(
-        &mut self,
-        ctx: &mut ProcCtx,
-        comm: &Comm,
-        dst: usize,
-        tag: Tag,
-        data: &[u8],
-    ) -> Result<(), MpiError> {
-        assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
-        let trace = self.trace_send_enter(ctx, data.len());
-        self.span_enter(ctx, "ssend");
-        self.charge_binding(ctx);
-        let out = comm
-            .check(dst)
-            .and_then(|()| self.degraded_entry(comm, &[dst]).map(|_| ()))
-            .and_then(|()| {
-                let req = self
-                    .adi
-                    .issend(ctx, comm.world_rank(dst), comm.context, tag, data)
-                    .map_err(|e| self.transport_to_mpi(comm, e))?;
-                self.wait_send(ctx, req);
-                Ok(())
-            });
-        self.leave(ctx, "ssend");
-        self.trace_send_exit(ctx, trace, &out);
         out
     }
 
@@ -384,28 +378,16 @@ impl Mpi {
         tag: Option<Tag>,
     ) -> Result<Option<Status>, MpiError> {
         self.charge_binding(ctx);
-        let out = (|| {
-            let world_src = match src {
-                Some(s) => {
-                    comm.check(s)?;
-                    self.degraded_entry(comm, &[s])?;
-                    Some(comm.world_rank(s))
-                }
-                None => {
-                    self.degraded_entry(comm, &[])?;
-                    None
-                }
-            };
-            Ok(self
-                .adi
+        let out = self.recv_source(comm, src).map(|world_src| {
+            self.adi
                 .iprobe(ctx, comm.context, world_src, tag)
                 .map(|mut st| {
                     st.source = comm
                         .comm_rank(st.source)
                         .expect("probe matched foreign context");
                     st
-                }))
-        })();
+                })
+        });
         ctx.settle(); // a probe refused before the ADI saw it
         out
     }

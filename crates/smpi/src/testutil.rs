@@ -48,8 +48,6 @@ pub(crate) struct ScriptedDevice {
     state: Arc<Mutex<ScriptState>>,
     /// Frame-size limit reported through [`Device::max_frame`].
     pub max_frame: Option<usize>,
-    /// Whether multicast reports success.
-    pub mcast_ok: bool,
     /// When set, every send/mcast fails with this error (nothing is
     /// recorded as sent).
     pub fail_sends: Option<DeviceError>,
@@ -67,7 +65,6 @@ impl ScriptedDevice {
                 n,
                 state,
                 max_frame: None,
-                mcast_ok: true,
                 fail_sends: None,
             },
             probe,
@@ -106,10 +103,7 @@ impl Device for ScriptedDevice {
         _ctx: &mut ProcCtx,
         targets: &[usize],
         frame: &[u8],
-    ) -> Result<bool, DeviceError> {
-        if !self.mcast_ok {
-            return Ok(false);
-        }
+    ) -> Result<(), DeviceError> {
         if let Some(e) = self.fail_sends {
             return Err(e);
         }
@@ -117,11 +111,11 @@ impl Device for ScriptedDevice {
         for &t in targets {
             s.sent.push((t, frame.to_vec()));
         }
-        Ok(true)
+        Ok(())
     }
 
     fn has_native_mcast(&self) -> bool {
-        self.mcast_ok
+        true
     }
 
     fn max_frame(&self) -> Option<usize> {

@@ -139,6 +139,16 @@ impl From<DeviceError> for MpiError {
     }
 }
 
+/// The one fatal funnel, for the two places a failure has no caller to
+/// go to: a plain collective (MPI leaves the communicator in an
+/// unspecified state after a collective fails, so the infallible
+/// signatures have no partial outcome to return — the `try_*` variants
+/// do) and the progress engine (the rendezvous data phase and the
+/// clear-to-send reply run far from any application call).
+pub(crate) fn fatal(phase: &str, err: impl std::fmt::Debug) -> ! {
+    panic!("{phase} failed with nobody to report to: {err:?}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use des::{us, Simulation, Time};
+use des::{ms, us, Simulation, Time};
 use smpi::{MpiError, MpiWorld};
 
 const KILL_AT: Time = us(100);
@@ -203,4 +203,61 @@ fn detectorless_worlds_treat_degraded_calls_as_plain_ones() {
         });
     }
     assert!(sim.run().is_clean());
+}
+
+#[test]
+fn plain_barrier_fails_loudly_when_a_member_dies_mid_collective() {
+    let mut sim = Simulation::new();
+    let world = dying_world(&sim);
+    sim.spawn("rank3", victim(world.proc(3)));
+    for rank in 0..3 {
+        let mut mpi = world.proc(rank);
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let comm = mpi.comm_world();
+            ctx.wait_until(us(120));
+            assert_eq!(mpi.membership().unwrap().0, 0, "entered before detection");
+            mpi.barrier(ctx, &comm);
+        });
+    }
+    // The plain call has no error to return, so it must not outlive the
+    // failure either: the typed error ends the run by name. (A horizon,
+    // because the alternative to a panic is survivors polling forever.)
+    let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_until(ms(20))));
+    let panic = ended.expect_err("a survivor must panic, not hang or complete");
+    let message = panic.downcast_ref::<String>().expect("a formatted panic");
+    assert!(message.contains("barrier"), "{message}");
+    assert!(
+        message.contains("PeerFailed { rank: 3, epoch: 1 }"),
+        "{message}"
+    );
+}
+
+#[test]
+fn try_barrier_honours_the_communicators_collective_impl() {
+    // Spans of the channel packet path vs the device multicast tell the
+    // binomial algorithm from the coordinator one.
+    fn spans(coll: smpi::CollectiveImpl) -> (usize, usize) {
+        let mut sim = Simulation::new();
+        sim.enable_trace();
+        let world = MpiWorld::scramnet_membership(&sim.handle(), 4);
+        for rank in 0..4 {
+            let mut mpi = world.proc(rank);
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let comm = mpi.comm_world().with_collectives(coll);
+                mpi.try_barrier(ctx, &comm).expect("healthy world");
+            });
+        }
+        assert!(sim.run().is_clean());
+        let events = sim.recorder().take_events();
+        let entered = |name| {
+            let is = |e: &&des::obs::Event| matches!(e, des::obs::Event::SpanEnter { name: n, .. } if *n == name);
+            events.iter().filter(is).count()
+        };
+        (entered("packet_tx"), entered("frame_mcast"))
+    }
+    // Coordinator: three nulls up (raw frames, no channel packet), one
+    // multicast down. Binomial on four ranks: three empty packets up,
+    // three down, no multicast.
+    assert_eq!(spans(smpi::CollectiveImpl::Native), (0, 1));
+    assert_eq!(spans(smpi::CollectiveImpl::PointToPoint), (6, 0));
 }
