@@ -15,75 +15,19 @@
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, RecvMode};
-use bench::{mpi_barrier_us, mpi_one_way_us, MpiNet};
+use bench::{bbp_pingpong_with, bbp_stream_us, mpi_barrier_us, mpi_one_way_us, one_way_us, MpiNet};
 use des::{Simulation, Time, TimeExt};
 use parking_lot::Mutex;
 use scramnet::{CostModel, RingConfig, TxMode};
 use smpi::CollectiveImpl;
 
-const REPS: u32 = 8;
-const WARMUP: u32 = 2;
-
 /// BBP ping-pong one-way latency under an arbitrary configuration.
 fn bbp_one_way_us_with(len: usize, cfg: BbpConfig, mode: TxMode) -> f64 {
-    let mut sim = Simulation::new();
-    let ring_cfg = RingConfig {
+    let ring = RingConfig {
         mode,
         ..Default::default()
     };
-    let cluster = BbpCluster::with_hardware(&sim.handle(), cfg, CostModel::default(), ring_cfg);
-    let mut a = cluster.endpoint(0);
-    let mut b = cluster.endpoint(1);
-    let cell = Arc::new(Mutex::new((0u64, 0u64)));
-    let cell2 = Arc::clone(&cell);
-    let payload = vec![7u8; len];
-    sim.spawn("a", move |ctx| {
-        for i in 0..WARMUP + REPS {
-            if i == WARMUP {
-                cell2.lock().0 = ctx.now();
-            }
-            a.send(ctx, 1, &payload).unwrap();
-            let _ = a.recv(ctx, 1);
-        }
-        cell2.lock().1 = ctx.now();
-    });
-    sim.spawn("b", move |ctx| {
-        for _ in 0..WARMUP + REPS {
-            let m = b.recv(ctx, 0).unwrap();
-            b.send(ctx, 0, &m).unwrap();
-        }
-    });
-    assert!(sim.run().is_clean());
-    let (s, e) = *cell.lock();
-    (e - s).as_us() / (2.0 * REPS as f64)
-}
-
-/// Time for rank 0 to stream `count` messages of `len` bytes to rank 1
-/// (sender-side completion), exposing allocator/GC stalls.
-fn stream_time_us(count: u32, len: usize, bufs: usize) -> f64 {
-    let mut sim = Simulation::new();
-    let mut cfg = BbpConfig::for_nodes(2);
-    cfg.bufs_per_proc = bufs;
-    let cluster = BbpCluster::new(&sim.handle(), cfg);
-    let mut a = cluster.endpoint(0);
-    let mut b = cluster.endpoint(1);
-    let done = Arc::new(Mutex::new(0u64));
-    let done2 = Arc::clone(&done);
-    let payload = vec![3u8; len];
-    sim.spawn("a", move |ctx| {
-        for _ in 0..count {
-            a.send(ctx, 1, &payload).unwrap();
-        }
-        *done2.lock() = ctx.now();
-    });
-    sim.spawn("b", move |ctx| {
-        for _ in 0..count {
-            let _ = b.recv(ctx, 0);
-        }
-    });
-    assert!(sim.run().is_clean());
-    let t: Time = *done.lock();
-    t.as_us()
+    one_way_us(&bbp_pingpong_with(len, cfg, ring))
 }
 
 fn main() {
@@ -138,7 +82,9 @@ fn main() {
     );
     println!("{:>7} {:>16}", "bufs", "stream time");
     for bufs in [2usize, 4, 8, 16, 32] {
-        let t = stream_time_us(64, 64, bufs);
+        let mut cfg = BbpConfig::for_nodes(2);
+        cfg.bufs_per_proc = bufs;
+        let t = bbp_stream_us(64, 64, cfg);
         println!("{bufs:>7} {t:>13.1} µs");
     }
     println!("(few slots force the sender to stall on acknowledgement round trips)");
@@ -184,7 +130,7 @@ fn main() {
             cfg.gc_policy = policy;
             cfg.bufs_per_proc = 8;
             cfg.data_words = 512;
-            stream_time_with(64, 64, cfg)
+            bbp_stream_us(64, 64, cfg)
         };
         // Mixed sizes with out-of-order acks (multicast to a slow peer):
         // slotted recycles around the laggard.
@@ -275,32 +221,6 @@ fn hierarchy_latencies() -> (f64, f64) {
         t.as_us()
     };
     (one(0, 1), one(0, 13))
-}
-
-/// Sender-completion time for `count` x `len`-byte messages under an
-/// arbitrary BBP configuration.
-fn stream_time_with(count: u32, len: usize, cfg: BbpConfig) -> f64 {
-    let mut sim = Simulation::new();
-    let cluster = BbpCluster::new(&sim.handle(), cfg);
-    let mut a = cluster.endpoint(0);
-    let mut b = cluster.endpoint(1);
-    let done = Arc::new(Mutex::new(0u64));
-    let done2 = Arc::clone(&done);
-    let payload = vec![3u8; len];
-    sim.spawn("a", move |ctx| {
-        for _ in 0..count {
-            a.send(ctx, 1, &payload).unwrap();
-        }
-        *done2.lock() = ctx.now();
-    });
-    sim.spawn("b", move |ctx| {
-        for _ in 0..count {
-            let _ = b.recv(ctx, 0);
-        }
-    });
-    assert!(sim.run().is_clean());
-    let t: Time = *done.lock();
-    t.as_us()
 }
 
 /// A stream to a fast receiver interleaved with multicasts that include a

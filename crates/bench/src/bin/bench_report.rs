@@ -43,14 +43,16 @@
 //! measured layering constant deviates from the paper by more than 20%,
 //! or the speedup check trips.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use bench::{
-    bbp_one_way_us, bbp_pingpong_samples, best_of, crossover, mpi_barrier_run,
-    mpi_bcast_events_telemetry, mpi_layering_log_histogram, mpi_one_way_us, mpi_pingpong_samples,
+    bbp_pingpong, best_of, crossover, layering_log_histogram, mpi_barrier_run,
+    mpi_bcast_events_telemetry, mpi_one_way_us, mpi_pingpong, one_way_samples, one_way_us,
     print_table, quorum_partition_counters, report, report_anchor, ring_bcast_stress_par,
     ring_bcast_stress_par_traced, MpiNet, Series,
 };
+use des::Time;
 use obs::report::PAPER_LAYERING_US;
 use smpi::CollectiveImpl;
 
@@ -205,44 +207,26 @@ fn print_waterfalls(events: &[obs::Event], bcast_len: usize) {
     }
 }
 
-/// Validate an existing summary file against the schema.
-fn check(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match obs::report::validate_json(&text) {
-        Ok(()) => {
-            println!(
-                "{path}: valid (schema v{}, the one version this build accepts)",
-                obs::report::SCHEMA_VERSION
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: schema violation: {e}");
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(complaint) => {
+            eprintln!("{complaint}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Everything `main` does; an `Err` is the line to print on the way out
+/// with a failing exit code.
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
     if args.help {
         println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     if let Some(path) = &args.check {
-        return check(path);
+        return obs::report::check_file(path).map(|verdict| println!("{verdict}"));
     }
     report::begin(if args.quick {
         "bench-report --quick"
@@ -250,20 +234,30 @@ fn main() -> ExitCode {
         "bench-report"
     });
 
+    // The SCRAMNet ping-pongs, one simulation per (transport, size):
+    // the anchors, the layering constant, the sweep table and the
+    // distributions below all read these round trips.
+    let sizes: &[usize] = if args.quick {
+        &[0, 4, 64, 256, 1024]
+    } else {
+        &[0, 4, 16, 64, 256, 1024, 4096, 8192]
+    };
+    let swept = |run: &dyn Fn(usize) -> Vec<Time>| -> BTreeMap<usize, Vec<Time>> {
+        sizes.iter().map(|&n| (n, run(n))).collect()
+    };
+    let bbp_trips = swept(&|n| bbp_pingpong(n, 4));
+    let mpi_trips = swept(&|n| mpi_pingpong(MpiNet::Scramnet, n));
+    let bbp_us = |n: usize| one_way_us(&bbp_trips[&n]);
+    let mpi_us = |n: usize| one_way_us(&mpi_trips[&n]);
+
     // Paper anchors (Moorthy et al., IPPS 1999, Figures 1-3).
-    report_anchor("BBP one-way 0 B", 6.5, bbp_one_way_us(0, 4));
-    report_anchor("BBP one-way 4 B", 7.8, bbp_one_way_us(4, 4));
-    let mpi0 = mpi_one_way_us(MpiNet::Scramnet, 0);
-    report_anchor("MPI one-way 0 B (SCRAMNet)", 44.0, mpi0);
-    report_anchor(
-        "MPI one-way 4 B (SCRAMNet)",
-        49.0,
-        mpi_one_way_us(MpiNet::Scramnet, 4),
-    );
+    report_anchor("BBP one-way 0 B", 6.5, bbp_us(0));
+    report_anchor("BBP one-way 4 B", 7.8, bbp_us(4));
+    report_anchor("MPI one-way 0 B (SCRAMNet)", 44.0, mpi_us(0));
+    report_anchor("MPI one-way 4 B (SCRAMNet)", 49.0, mpi_us(4));
 
     // The layering constant: what the MPICH stack adds on top of raw BBP.
-    let bbp0 = bbp_one_way_us(0, 4);
-    let layering = mpi0 - bbp0;
+    let layering = mpi_us(0) - bbp_us(0);
     report::set_layering(layering);
     println!(
         "\nMPI-over-BBP layering: {layering:.1} µs measured vs {PAPER_LAYERING_US:.1} µs paper \
@@ -281,15 +275,8 @@ fn main() -> ExitCode {
     );
 
     // Latency sweeps (recorded into the report by print_table).
-    let sizes: &[usize] = if args.quick {
-        &[0, 4, 64, 256, 1024]
-    } else {
-        &[0, 4, 16, 64, 256, 1024, 4096, 8192]
-    };
-    let bbp = Series::sweep("SCRAMNet (BBP)", sizes, |n| bbp_one_way_us(n, 4));
-    let mpi_scr = Series::sweep("SCRAMNet (MPI)", sizes, |n| {
-        mpi_one_way_us(MpiNet::Scramnet, n)
-    });
+    let bbp = Series::sweep("SCRAMNet (BBP)", sizes, bbp_us);
+    let mpi_scr = Series::sweep("SCRAMNet (MPI)", sizes, mpi_us);
     let mpi_fe = Series::sweep("Fast Ethernet (MPI)", sizes, |n| {
         mpi_one_way_us(MpiNet::FastEthernet, n)
     });
@@ -320,10 +307,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = &args.trace {
         let trace = obs::chrome_trace_json_with_telemetry(&events, &series);
-        if let Err(e) = std::fs::write(path, trace) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, trace).map_err(|e| format!("failed to write {path}: {e}"))?;
         println!(
             "Chrome trace written to {path} ({} gauge counter tracks)",
             series.len()
@@ -346,12 +330,13 @@ fn main() -> ExitCode {
     report::push_quorum(quorum);
 
     // Per-repetition latency distributions.
-    report::push_quantiles("bbp_pingpong_0B", &bbp_pingpong_samples(0, 4));
-    report::push_quantiles(
-        "mpi_pingpong_0B",
-        &mpi_pingpong_samples(MpiNet::Scramnet, 0),
+    let (bbp0, mpi0) = (
+        one_way_samples(&bbp_trips[&0]),
+        one_way_samples(&mpi_trips[&0]),
     );
-    report::push_quantiles_log("mpi_layering_0B", &mpi_layering_log_histogram(0));
+    report::push_quantiles("bbp_pingpong_0B", &bbp0);
+    report::push_quantiles("mpi_pingpong_0B", &mpi0);
+    report::push_quantiles_log("mpi_layering_0B", &layering_log_histogram(&bbp0, &mpi0));
 
     // Parallel-engine self-measurement and the self-relative speedup
     // check.
@@ -375,37 +360,26 @@ fn main() -> ExitCode {
         if let Some(path) = &args.trace {
             let par_path = format!("{}_par.json", path.trim_end_matches(".json"));
             let trace = obs::chrome_trace_json_with_telemetry(&[], &par_series);
-            if let Err(e) = std::fs::write(&par_path, trace) {
-                eprintln!("failed to write {par_path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(&par_path, trace)
+                .map_err(|e| format!("failed to write {par_path}: {e}"))?;
             println!("Parallel-engine counter tracks written to {par_path}");
         }
     }
 
     // Write and self-validate the summary.
     let rep = report::finish().expect("report sink was armed at startup");
-    let json = rep.to_json();
-    if let Err(e) = obs::report::validate_json(&json) {
-        eprintln!("generated report fails schema validation: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("failed to write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&args.out, rep.validated_json()?)
+        .map_err(|e| format!("failed to write {}: {e}", args.out))?;
     println!("\nReport written to {}", args.out);
 
     let dev_pct = ((layering - PAPER_LAYERING_US) / PAPER_LAYERING_US * 100.0).abs();
     if dev_pct > LAYERING_TOLERANCE_PCT {
-        eprintln!(
+        return Err(format!(
             "layering constant off by {dev_pct:.0}% (> {LAYERING_TOLERANCE_PCT:.0}% tolerance)"
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    if let Some(e) = speedup_failure {
-        eprintln!("parallel-engine speedup check tripped: {e}");
-        return ExitCode::FAILURE;
+    match speedup_failure {
+        Some(e) => Err(format!("parallel-engine speedup check tripped: {e}")),
+        None => Ok(()),
     }
-    ExitCode::SUCCESS
 }

@@ -1,6 +1,14 @@
-//! Shared measurement machinery for the experiment harnesses: one
-//! function per microbenchmark (ping-pong, broadcast, barrier) on every
-//! network, plus table/crossover reporting helpers.
+//! Shared measurement machinery for the experiment harnesses, plus
+//! table/crossover reporting helpers.
+//!
+//! The paper measures two things and this crate has one body for each:
+//! [`pingpong`] — one-way latency as half a round trip (Figures 1–3) —
+//! and `aligned` — a collective timed from a common entry instant to the
+//! last rank's exit (Figures 5–6; [`bbp_bcast_us`], Figure 4, is the same
+//! idea at the BBP level with its own body, see there). A third,
+//! [`bbp_stream_us`], is the one-way stream the ablations time. Every
+//! `*_one_way_us`, `*_pingpong_samples`, `mpi_bcast_*` and `mpi_barrier_*`
+//! function is one of those procedures on one transport.
 //!
 //! Each `benches/figN_*.rs` target (run by `cargo bench`) regenerates one
 //! figure of the paper by sweeping these functions and printing the
@@ -9,10 +17,11 @@
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig};
-use des::{Simulation, Time, TimeExt};
+use des::{ProcCtx, RunReport, Simulation, Time, TimeExt};
 use netsim::{MyrinetApiNet, NetSpec, TcpCosts, TcpNet};
 use parking_lot::Mutex;
-use smpi::{CollectiveImpl, MpiWorld, SmpiCosts};
+use scramnet::{CostModel, RingConfig};
+use smpi::{CollectiveImpl, Comm, Mpi, MpiWorld, SmpiCosts};
 
 pub mod report;
 
@@ -69,33 +78,23 @@ impl MpiNet {
     }
 
     fn world(self, sim: &Simulation, nodes: usize, coll: CollectiveImpl) -> MpiWorld {
-        match self {
-            MpiNet::Scramnet => {
-                let mut cfg = BbpConfig::for_nodes(nodes);
-                cfg.data_words = 16 * 1024; // room for 8 KB sweeps + headers
-                MpiWorld::scramnet_with(
-                    &sim.handle(),
-                    cfg,
-                    scramnet::CostModel::default(),
-                    SmpiCosts::channel_interface(),
-                    coll,
-                )
-            }
-            MpiNet::ScramnetAdiDirect => {
-                let mut cfg = BbpConfig::for_nodes(nodes);
-                cfg.data_words = 16 * 1024;
-                MpiWorld::scramnet_with(
-                    &sim.handle(),
-                    cfg,
-                    scramnet::CostModel::default(),
-                    SmpiCosts::adi_direct(),
-                    coll,
-                )
-            }
-            MpiNet::FastEthernet => MpiWorld::fast_ethernet(&sim.handle(), nodes),
-            MpiNet::Atm => MpiWorld::atm(&sim.handle(), nodes),
-        }
+        let costs = match self {
+            MpiNet::Scramnet => SmpiCosts::channel_interface(),
+            MpiNet::ScramnetAdiDirect => SmpiCosts::adi_direct(),
+            MpiNet::FastEthernet => return MpiWorld::fast_ethernet(&sim.handle(), nodes),
+            MpiNet::Atm => return MpiWorld::atm(&sim.handle(), nodes),
+        };
+        let cfg = sweep_config(nodes);
+        MpiWorld::scramnet_with(&sim.handle(), cfg, CostModel::default(), costs, coll)
     }
+}
+
+/// The BBP configuration every sweep runs on: `nodes` processes and
+/// room for the 8 KB messages plus headers.
+fn sweep_config(nodes: usize) -> BbpConfig {
+    let mut cfg = BbpConfig::for_nodes(nodes);
+    cfg.data_words = 16 * 1024;
+    cfg
 }
 
 /// Number of timed round trips per latency measurement (after warm-up).
@@ -103,168 +102,185 @@ const PING_REPS: u32 = 8;
 /// Warm-up round trips excluded from timing.
 const WARMUP: u32 = 2;
 
-fn shared_cell() -> (Arc<Mutex<Time>>, Arc<Mutex<Time>>) {
-    (Arc::new(Mutex::new(0)), Arc::new(Mutex::new(0)))
+/// The paper's latency procedure (Figures 1–3): two processes exchange
+/// `WARMUP` untimed round trips and then `PING_REPS` timed ones, back to
+/// back. `ping` is one round trip as its initiator makes it (send, then
+/// receive the echo), `pong` as the echoing side does (receive, then send
+/// back). Returns the timed round trips in repetition order,
+/// nanoseconds; [`one_way_us`] and [`one_way_samples`] read the paper's
+/// number and its distribution off them.
+pub fn pingpong(
+    mut sim: Simulation,
+    mut ping: impl FnMut(&mut ProcCtx) + Send + 'static,
+    mut pong: impl FnMut(&mut ProcCtx) + Send + 'static,
+) -> Vec<Time> {
+    let trips = Arc::new(Mutex::new(Vec::new()));
+    let timed = Arc::clone(&trips);
+    sim.spawn("ping", move |ctx| {
+        for i in 0..WARMUP + PING_REPS {
+            let t0 = ctx.now();
+            ping(ctx);
+            if i >= WARMUP {
+                timed.lock().push(ctx.now() - t0);
+            }
+        }
+    });
+    sim.spawn("pong", move |ctx| {
+        for _ in 0..WARMUP + PING_REPS {
+            pong(ctx);
+        }
+    });
+    let report = sim.run();
+    assert!(
+        report.is_clean(),
+        "ping-pong deadlocked: {:?}",
+        report.deadlocked
+    );
+    Arc::try_unwrap(trips)
+        .expect("sole owner after run")
+        .into_inner()
 }
 
-fn half_rtt_us(t_start: Time, t_end: Time) -> f64 {
-    (t_end - t_start).as_us() / (2.0 * PING_REPS as f64)
+/// One-way latency, microseconds: half the mean of [`pingpong`]'s round
+/// trips. They run back to back, so their sum is the span the paper
+/// times — first timed send to last timed receive.
+pub fn one_way_us(round_trips: &[Time]) -> f64 {
+    round_trips.iter().sum::<Time>().as_us() / (2.0 * round_trips.len() as f64)
+}
+
+/// Per-repetition one-way latency, nanoseconds: half of each round trip.
+pub fn one_way_samples(round_trips: &[Time]) -> Vec<Time> {
+    round_trips.iter().map(|rt| rt / 2).collect()
 }
 
 /// One-way latency at the messaging-API level (Figure 2), microseconds.
 pub fn api_one_way_us(net: ApiNet, len: usize) -> f64 {
+    let tcp = |spec: NetSpec, costs: TcpCosts| {
+        let sim = Simulation::new();
+        let (a, b) = TcpNet::new(&sim.handle(), spec, costs).socket_pair(0, 1);
+        let payload = vec![0xA5u8; len];
+        let ping = move |ctx: &mut ProcCtx| {
+            a.send(ctx, &payload);
+            let _ = a.recv(ctx);
+        };
+        let pong = move |ctx: &mut ProcCtx| {
+            let m = b.recv(ctx);
+            b.send(ctx, &m);
+        };
+        one_way_us(&pingpong(sim, ping, pong))
+    };
     match net {
         ApiNet::ScramnetBbp => bbp_one_way_us(len, 4),
-        ApiNet::FastEthernetTcp => {
-            tcp_one_way_us(NetSpec::fast_ethernet(4), TcpCosts::fast_ethernet(), len)
+        ApiNet::FastEthernetTcp => tcp(NetSpec::fast_ethernet(4), TcpCosts::fast_ethernet()),
+        ApiNet::AtmTcp => tcp(NetSpec::atm_oc3(4), TcpCosts::atm()),
+        ApiNet::MyrinetTcp => tcp(NetSpec::myrinet(4), TcpCosts::myrinet_tcp()),
+        ApiNet::MyrinetApi => {
+            let sim = Simulation::new();
+            let net = MyrinetApiNet::new(&sim.handle(), 4);
+            let (a, b) = (net.port(0), net.port(1));
+            let payload = vec![0xA5u8; len];
+            let ping = move |ctx: &mut ProcCtx| {
+                a.send(ctx, 1, &payload);
+                let _ = a.recv(ctx);
+            };
+            let pong = move |ctx: &mut ProcCtx| {
+                let (_, m) = b.recv(ctx);
+                b.send(ctx, 0, &m);
+            };
+            one_way_us(&pingpong(sim, ping, pong))
         }
-        ApiNet::AtmTcp => tcp_one_way_us(NetSpec::atm_oc3(4), TcpCosts::atm(), len),
-        ApiNet::MyrinetTcp => tcp_one_way_us(NetSpec::myrinet(4), TcpCosts::myrinet_tcp(), len),
-        ApiNet::MyrinetApi => myrinet_api_one_way_us(len),
     }
+}
+
+/// Round trips of a BBP ping-pong between ring neighbours 0 and 1 under
+/// an arbitrary protocol and ring configuration.
+pub fn bbp_pingpong_with(len: usize, cfg: BbpConfig, ring: RingConfig) -> Vec<Time> {
+    let sim = Simulation::new();
+    let cluster = BbpCluster::with_hardware(&sim.handle(), cfg, CostModel::default(), ring);
+    let (mut a, mut b) = (cluster.endpoint(0), cluster.endpoint(1));
+    let payload = vec![0xA5u8; len];
+    let ping = move |ctx: &mut ProcCtx| {
+        a.send(ctx, 1, &payload).unwrap();
+        let _ = a.recv(ctx, 1);
+    };
+    let pong = move |ctx: &mut ProcCtx| {
+        let m = b.recv(ctx, 0).unwrap();
+        debug_assert_eq!(m.len(), len);
+        b.send(ctx, 0, &m).unwrap();
+    };
+    pingpong(sim, ping, pong)
+}
+
+/// Round trips of the BBP ping-pong on an `nodes`-node ring.
+pub fn bbp_pingpong(len: usize, nodes: usize) -> Vec<Time> {
+    bbp_pingpong_with(len, sweep_config(nodes), RingConfig::default())
 }
 
 /// BBP ping-pong between ring neighbours on an `nodes`-node ring.
 pub fn bbp_one_way_us(len: usize, nodes: usize) -> f64 {
-    let mut sim = Simulation::new();
-    let mut cfg = BbpConfig::for_nodes(nodes);
-    cfg.data_words = 16 * 1024;
-    let cluster = BbpCluster::new(&sim.handle(), cfg);
-    let mut a = cluster.endpoint(0);
-    let mut b = cluster.endpoint(1);
-    let (start, end) = shared_cell();
-    let (s2, e2) = (Arc::clone(&start), Arc::clone(&end));
-    let payload = vec![0xA5u8; len];
-    let echo = payload.clone();
-    sim.spawn("a", move |ctx| {
-        for i in 0..WARMUP + PING_REPS {
-            if i == WARMUP {
-                *s2.lock() = ctx.now();
-            }
-            a.send(ctx, 1, &payload).unwrap();
-            let _ = a.recv(ctx, 1);
-        }
-        *e2.lock() = ctx.now();
-    });
-    sim.spawn("b", move |ctx| {
-        for _ in 0..WARMUP + PING_REPS {
-            let m = b.recv(ctx, 0).unwrap();
-            debug_assert_eq!(m.len(), echo.len());
-            b.send(ctx, 0, &m).unwrap();
-        }
-    });
-    let report = sim.run();
-    assert!(
-        report.is_clean(),
-        "bbp ping-pong deadlocked: {:?}",
-        report.deadlocked
-    );
-    let (s, e) = (*start.lock(), *end.lock());
-    half_rtt_us(s, e)
+    one_way_us(&bbp_pingpong(len, nodes))
 }
 
-fn tcp_one_way_us(spec: NetSpec, costs: TcpCosts, len: usize) -> f64 {
-    let mut sim = Simulation::new();
-    let net = TcpNet::new(&sim.handle(), spec, costs);
-    let (a, b) = net.socket_pair(0, 1);
-    let (start, end) = shared_cell();
-    let (s2, e2) = (Arc::clone(&start), Arc::clone(&end));
+/// Round trips of the MPI ping-pong between ranks 0 and 1 of 4.
+pub fn mpi_pingpong(net: MpiNet, len: usize) -> Vec<Time> {
+    let sim = Simulation::new();
+    let world = net.world(&sim, 4, CollectiveImpl::Native);
+    let (mut p0, mut p1) = (world.proc(0), world.proc(1));
+    let comm = p0.comm_world();
     let payload = vec![0xA5u8; len];
-    sim.spawn("a", move |ctx| {
-        for i in 0..WARMUP + PING_REPS {
-            if i == WARMUP {
-                *s2.lock() = ctx.now();
-            }
-            a.send(ctx, &payload);
-            let _ = a.recv(ctx);
-        }
-        *e2.lock() = ctx.now();
-    });
-    sim.spawn("b", move |ctx| {
-        for _ in 0..WARMUP + PING_REPS {
-            let m = b.recv(ctx);
-            b.send(ctx, &m);
-        }
-    });
-    assert!(sim.run().is_clean());
-    let (s, e) = (*start.lock(), *end.lock());
-    half_rtt_us(s, e)
-}
-
-fn myrinet_api_one_way_us(len: usize) -> f64 {
-    let mut sim = Simulation::new();
-    let net = MyrinetApiNet::new(&sim.handle(), 4);
-    let a = net.port(0);
-    let b = net.port(1);
-    let (start, end) = shared_cell();
-    let (s2, e2) = (Arc::clone(&start), Arc::clone(&end));
-    let payload = vec![0xA5u8; len];
-    sim.spawn("a", move |ctx| {
-        for i in 0..WARMUP + PING_REPS {
-            if i == WARMUP {
-                *s2.lock() = ctx.now();
-            }
-            a.send(ctx, 1, &payload);
-            let _ = a.recv(ctx);
-        }
-        *e2.lock() = ctx.now();
-    });
-    sim.spawn("b", move |ctx| {
-        for _ in 0..WARMUP + PING_REPS {
-            let (_, m) = b.recv(ctx);
-            b.send(ctx, 0, &m);
-        }
-    });
-    assert!(sim.run().is_clean());
-    let (s, e) = (*start.lock(), *end.lock());
-    half_rtt_us(s, e)
+    let ping = move |ctx: &mut ProcCtx| {
+        p0.send(ctx, &comm, 1, 1, &payload).unwrap();
+        let _ = p0.recv(ctx, &comm, Some(1), Some(2)).unwrap();
+    };
+    let comm = p1.comm_world();
+    let pong = move |ctx: &mut ProcCtx| {
+        let (_, m) = p1.recv(ctx, &comm, Some(0), Some(1)).unwrap();
+        p1.send(ctx, &comm, 0, 2, &m).unwrap();
+    };
+    pingpong(sim, ping, pong)
 }
 
 /// One-way MPI latency (Figures 1 and 3), microseconds.
 pub fn mpi_one_way_us(net: MpiNet, len: usize) -> f64 {
+    one_way_us(&mpi_pingpong(net, len))
+}
+
+/// Sender-completion time, microseconds, for rank 0 to stream `count`
+/// messages of `len` bytes to rank 1 — it exposes allocator and
+/// garbage-collection stalls, which a round trip hides.
+pub fn bbp_stream_us(count: u32, len: usize, cfg: BbpConfig) -> f64 {
     let mut sim = Simulation::new();
-    let world = net.world(&sim, 4, CollectiveImpl::Native);
-    let (start, end) = shared_cell();
-    let (s2, e2) = (Arc::clone(&start), Arc::clone(&end));
-    let payload = vec![0xA5u8; len];
-    let mut p0 = world.proc(0);
-    let mut p1 = world.proc(1);
-    sim.spawn("rank0", move |ctx| {
-        let comm = p0.comm_world();
-        for i in 0..WARMUP + PING_REPS {
-            if i == WARMUP {
-                *s2.lock() = ctx.now();
-            }
-            p0.send(ctx, &comm, 1, 1, &payload).unwrap();
-            let _ = p0.recv(ctx, &comm, Some(1), Some(2)).unwrap();
+    let cluster = BbpCluster::new(&sim.handle(), cfg);
+    let (mut a, mut b) = (cluster.endpoint(0), cluster.endpoint(1));
+    let done = Arc::new(Mutex::new(0u64));
+    let sent = Arc::clone(&done);
+    let payload = vec![3u8; len];
+    sim.spawn("a", move |ctx| {
+        for _ in 0..count {
+            a.send(ctx, 1, &payload).unwrap();
         }
-        *e2.lock() = ctx.now();
+        *sent.lock() = ctx.now();
     });
-    sim.spawn("rank1", move |ctx| {
-        let comm = p1.comm_world();
-        for _ in 0..WARMUP + PING_REPS {
-            let (_, m) = p1.recv(ctx, &comm, Some(0), Some(1)).unwrap();
-            p1.send(ctx, &comm, 0, 2, &m).unwrap();
+    sim.spawn("b", move |ctx| {
+        for _ in 0..count {
+            let _ = b.recv(ctx, 0);
         }
     });
-    let report = sim.run();
-    assert!(
-        report.is_clean(),
-        "mpi ping-pong deadlocked: {:?}",
-        report.deadlocked
-    );
-    let (s, e) = (*start.lock(), *end.lock());
-    half_rtt_us(s, e)
+    assert!(sim.run().is_clean());
+    let t: Time = *done.lock();
+    t.as_us()
 }
 
 /// BBP-level multicast latency (Figure 4): root posts once to all
 /// `nodes - 1` receivers; reported is last-receiver delivery time,
 /// microseconds.
+///
+/// Not an `aligned` run, on purpose: only the root waits for the
+/// alignment instant, the receivers poll straight on from the end of
+/// warm-up, and that poll phase is part of the number Figure 4 prints.
 pub fn bbp_bcast_us(len: usize, nodes: usize) -> f64 {
     let mut sim = Simulation::new();
-    let mut cfg = BbpConfig::for_nodes(nodes);
-    cfg.data_words = 16 * 1024;
-    let cluster = BbpCluster::new(&sim.handle(), cfg);
+    let cluster = BbpCluster::new(&sim.handle(), sweep_config(nodes));
     let align: Time = des::us(300);
     let last = Arc::new(Mutex::new(0u64));
     let mut root = cluster.endpoint(0);
@@ -292,41 +308,80 @@ pub fn bbp_bcast_us(len: usize, nodes: usize) -> f64 {
     (t - align).as_us()
 }
 
-/// MPI_Bcast latency (Figure 5): aligned entry, last-receiver return,
-/// microseconds. `coll` selects the point-to-point tree or the native
-/// multicast implementation.
-pub fn mpi_bcast_us(net: MpiNet, len: usize, nodes: usize, coll: CollectiveImpl) -> f64 {
+/// The paper's collective procedure (Figures 5–6): every rank makes one
+/// warm-up `call`, waits for the common instant `align`, and makes the
+/// timed one. `call(mpi, ctx, comm, timed)` is the collective on one
+/// rank and says whether that rank's exit counts. Returns the last
+/// counted exit minus `align`, microseconds, the run's report, and the
+/// simulation's recorder.
+///
+/// `observed` arms that recorder and its telemetry gate (enabling clears
+/// any warm-up series) one microsecond before `align` — every rank is
+/// parked in `wait_until(align)` long before — so the events and gauge
+/// series it holds afterwards are exactly the timed call's. The arming
+/// process is spawned first: process ids and tie-breaks are the goldens'.
+fn aligned(
+    net: MpiNet,
+    nodes: usize,
+    coll: CollectiveImpl,
+    observed: bool,
+    call: impl Fn(&mut Mpi, &mut ProcCtx, &Comm, bool) -> bool + Clone + Send + 'static,
+) -> (f64, RunReport, Arc<obs::Recorder>) {
     let mut sim = Simulation::new();
     let world = net.world(&sim, nodes, coll);
     let align: Time = des::ms(5);
     let last = Arc::new(Mutex::new(0u64));
+    if observed {
+        let rec = sim.recorder_arc();
+        sim.spawn("obs-arm", move |ctx| {
+            ctx.wait_until(align - des::us(1));
+            rec.enable();
+            rec.telemetry().enable();
+        });
+    }
     for rank in 0..nodes {
         let mut mpi = world.proc(rank);
-        let last = Arc::clone(&last);
-        let payload = vec![0x5Au8; len];
+        let (last, call) = (Arc::clone(&last), call.clone());
         sim.spawn(format!("rank{rank}"), move |ctx| {
             let comm = mpi.comm_world();
-            // Warm-up broadcast.
-            let warm = (mpi.rank() == 0).then(|| vec![1u8; 4]);
-            let _ = mpi.bcast(ctx, &comm, 0, warm.as_deref());
+            call(&mut mpi, ctx, &comm, false);
             ctx.wait_until(align);
-            let data = (mpi.rank() == 0).then_some(&payload[..]);
-            let out = mpi.bcast(ctx, &comm, 0, data);
-            assert_eq!(out.len(), len);
-            if mpi.rank() != 0 {
+            if call(&mut mpi, ctx, &comm, true) {
                 let mut l = last.lock();
                 *l = (*l).max(ctx.now());
             }
         });
     }
-    let report = sim.run();
+    let run = sim.run();
     assert!(
-        report.is_clean(),
-        "bcast deadlocked: {:?}",
-        report.deadlocked
+        run.is_clean(),
+        "aligned collective deadlocked: {:?}",
+        run.deadlocked
     );
-    let t = *last.lock();
-    (t - align).as_us()
+    let us = (*last.lock() - align).as_us();
+    (us, run, sim.recorder_arc())
+}
+
+/// `MPI_Bcast` of `len` bytes from rank 0 (4 bytes in warm-up) as an
+/// [`aligned`] call: the receivers' exits count.
+fn bcast_call(
+    len: usize,
+) -> impl Fn(&mut Mpi, &mut ProcCtx, &Comm, bool) -> bool + Clone + Send + 'static {
+    let payload = vec![0x5Au8; len];
+    move |mpi, ctx, comm, timed| {
+        let data = if timed { &payload[..] } else { &[1u8; 4] };
+        let root = mpi.rank() == 0;
+        let out = mpi.bcast(ctx, comm, 0, root.then_some(data));
+        assert_eq!(out.len(), data.len());
+        !root
+    }
+}
+
+/// MPI_Bcast latency (Figure 5): aligned entry, last-receiver return,
+/// microseconds. `coll` selects the point-to-point tree or the native
+/// multicast implementation.
+pub fn mpi_bcast_us(net: MpiNet, len: usize, nodes: usize, coll: CollectiveImpl) -> f64 {
+    aligned(net, nodes, coll, false, bcast_call(len)).0
 }
 
 /// MPI_Barrier latency (Figure 6): aligned entry, last-rank exit,
@@ -339,31 +394,12 @@ pub fn mpi_barrier_us(net: MpiNet, nodes: usize, coll: CollectiveImpl) -> f64 {
 /// `handoffs` and `relayed` say how the host got through it: how often
 /// the baton changed threads, and how many resumptions the dispatch loop
 /// walked for a sleeping process (`ProcCtx::charge`).
-pub fn mpi_barrier_run(net: MpiNet, nodes: usize, coll: CollectiveImpl) -> (f64, des::RunReport) {
-    let mut sim = Simulation::new();
-    let world = net.world(&sim, nodes, coll);
-    let align: Time = des::ms(5);
-    let last = Arc::new(Mutex::new(0u64));
-    for rank in 0..nodes {
-        let mut mpi = world.proc(rank);
-        let last = Arc::clone(&last);
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            mpi.barrier(ctx, &comm); // warm-up
-            ctx.wait_until(align);
-            mpi.barrier(ctx, &comm);
-            let mut l = last.lock();
-            *l = (*l).max(ctx.now());
-        });
-    }
-    let report = sim.run();
-    assert!(
-        report.is_clean(),
-        "barrier deadlocked: {:?}",
-        report.deadlocked
-    );
-    let t = *last.lock();
-    ((t - align).as_us(), report)
+pub fn mpi_barrier_run(net: MpiNet, nodes: usize, coll: CollectiveImpl) -> (f64, RunReport) {
+    let (us, run, _) = aligned(net, nodes, coll, false, |mpi, ctx, comm, _| {
+        mpi.barrier(ctx, comm);
+        true
+    });
+    (us, run)
 }
 
 // ----------------------------------------------------------------------
@@ -373,35 +409,7 @@ pub fn mpi_barrier_run(net: MpiNet, nodes: usize, coll: CollectiveImpl) -> (f64,
 /// Per-repetition one-way BBP latencies at `len` bytes: one nanosecond
 /// sample per timed round trip, in repetition order.
 pub fn bbp_pingpong_samples(len: usize, nodes: usize) -> Vec<Time> {
-    let mut sim = Simulation::new();
-    let mut cfg = BbpConfig::for_nodes(nodes);
-    cfg.data_words = 16 * 1024;
-    let cluster = BbpCluster::new(&sim.handle(), cfg);
-    let mut a = cluster.endpoint(0);
-    let mut b = cluster.endpoint(1);
-    let samples = Arc::new(Mutex::new(Vec::new()));
-    let s2 = Arc::clone(&samples);
-    let payload = vec![0xA5u8; len];
-    sim.spawn("a", move |ctx| {
-        for i in 0..WARMUP + PING_REPS {
-            let t0 = ctx.now();
-            a.send(ctx, 1, &payload).unwrap();
-            let _ = a.recv(ctx, 1);
-            if i >= WARMUP {
-                s2.lock().push((ctx.now() - t0) / 2);
-            }
-        }
-    });
-    sim.spawn("b", move |ctx| {
-        for _ in 0..WARMUP + PING_REPS {
-            let m = b.recv(ctx, 0).unwrap();
-            b.send(ctx, 0, &m).unwrap();
-        }
-    });
-    assert!(sim.run().is_clean());
-    Arc::try_unwrap(samples)
-        .expect("sole owner after run")
-        .into_inner()
+    one_way_samples(&bbp_pingpong(len, nodes))
 }
 
 /// A short quorum partition scenario feeding the report's `quorum`
@@ -476,54 +484,28 @@ pub fn quorum_partition_counters(seed: u64) -> Vec<obs::report::QuorumRow> {
 /// Per-repetition one-way MPI latencies at `len` bytes: one nanosecond
 /// sample per timed round trip, in repetition order.
 pub fn mpi_pingpong_samples(net: MpiNet, len: usize) -> Vec<Time> {
-    let mut sim = Simulation::new();
-    let world = net.world(&sim, 4, CollectiveImpl::Native);
-    let samples = Arc::new(Mutex::new(Vec::new()));
-    let s2 = Arc::clone(&samples);
-    let payload = vec![0xA5u8; len];
-    let mut p0 = world.proc(0);
-    let mut p1 = world.proc(1);
-    sim.spawn("rank0", move |ctx| {
-        let comm = p0.comm_world();
-        for i in 0..WARMUP + PING_REPS {
-            let t0 = ctx.now();
-            p0.send(ctx, &comm, 1, 1, &payload).unwrap();
-            let _ = p0.recv(ctx, &comm, Some(1), Some(2)).unwrap();
-            if i >= WARMUP {
-                s2.lock().push((ctx.now() - t0) / 2);
-            }
-        }
-    });
-    sim.spawn("rank1", move |ctx| {
-        let comm = p1.comm_world();
-        for _ in 0..WARMUP + PING_REPS {
-            let (_, m) = p1.recv(ctx, &comm, Some(0), Some(1)).unwrap();
-            p1.send(ctx, &comm, 0, 2, &m).unwrap();
-        }
-    });
-    let report = sim.run();
-    assert!(
-        report.is_clean(),
-        "mpi ping-pong deadlocked: {:?}",
-        report.deadlocked
-    );
-    Arc::try_unwrap(samples)
-        .expect("sole owner after run")
-        .into_inner()
+    one_way_samples(&mpi_pingpong(net, len))
 }
 
-/// The distribution behind the scalar layering constant: per-repetition
-/// MPI one-way latency minus the matching BBP one-way repetition,
+/// The distribution behind the scalar layering constant: each MPI
+/// one-way sample minus the BBP one of the same repetition,
 /// nanoseconds, as a log-bucket histogram ready for
 /// [`report::push_quantiles_log`].
-pub fn mpi_layering_log_histogram(len: usize) -> obs::LogHistogram {
-    let bbp = bbp_pingpong_samples(len, 4);
-    let mpi = mpi_pingpong_samples(MpiNet::Scramnet, len);
+pub fn layering_log_histogram(bbp: &[Time], mpi: &[Time]) -> obs::LogHistogram {
     let hist = obs::LogHistogram::new();
-    for (m, b) in mpi.iter().zip(&bbp) {
+    for (m, b) in mpi.iter().zip(bbp) {
         hist.record(m.saturating_sub(*b));
     }
     hist
+}
+
+/// [`layering_log_histogram`] of the two 4-node ping-pongs at `len`
+/// bytes.
+pub fn mpi_layering_log_histogram(len: usize) -> obs::LogHistogram {
+    layering_log_histogram(
+        &bbp_pingpong_samples(len, 4),
+        &mpi_pingpong_samples(MpiNet::Scramnet, len),
+    )
 }
 
 /// The MPI_Bcast of [`mpi_bcast_us`] with the obs recorder armed for the
@@ -551,49 +533,11 @@ pub fn mpi_bcast_events_telemetry(
     nodes: usize,
     coll: CollectiveImpl,
 ) -> (f64, Vec<obs::Event>, Vec<obs::SeriesSnapshot>) {
-    let mut sim = Simulation::new();
-    let world = net.world(&sim, nodes, coll);
-    let align: Time = des::ms(5);
-    let last = Arc::new(Mutex::new(0u64));
-    // Arm the recorder only once warm-up has settled — every rank is
-    // parked in `wait_until(align)` long before this fires — so the
-    // trace holds exactly the timed broadcast. The telemetry gate arms
-    // at the same instant (enabling clears any warm-up series).
-    let rec = sim.recorder_arc();
-    sim.spawn("obs-arm", move |ctx| {
-        ctx.wait_until(align - des::us(1));
-        rec.enable();
-        rec.telemetry().enable();
-    });
-    for rank in 0..nodes {
-        let mut mpi = world.proc(rank);
-        let last = Arc::clone(&last);
-        let payload = vec![0x5Au8; len];
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            let warm = (mpi.rank() == 0).then(|| vec![1u8; 4]);
-            let _ = mpi.bcast(ctx, &comm, 0, warm.as_deref());
-            ctx.wait_until(align);
-            let data = (mpi.rank() == 0).then_some(&payload[..]);
-            let out = mpi.bcast(ctx, &comm, 0, data);
-            assert_eq!(out.len(), len);
-            if mpi.rank() != 0 {
-                let mut l = last.lock();
-                *l = (*l).max(ctx.now());
-            }
-        });
-    }
-    let report = sim.run();
-    assert!(
-        report.is_clean(),
-        "bcast deadlocked: {:?}",
-        report.deadlocked
-    );
-    sim.recorder().disable();
-    let series = sim.recorder().telemetry().snapshot();
-    sim.recorder().telemetry().disable();
-    let t = *last.lock();
-    ((t - align).as_us(), sim.recorder().take_events(), series)
+    let (us, _, rec) = aligned(net, nodes, coll, true, bcast_call(len));
+    rec.disable();
+    let series = rec.telemetry().snapshot();
+    rec.telemetry().disable();
+    (us, rec.take_events(), series)
 }
 
 // ----------------------------------------------------------------------
@@ -804,6 +748,8 @@ pub fn print_table_with_unit(title: &str, series: &[Series], unit: &str) {
 /// (`None` if it never does within the sweep). Recorded into the armed
 /// report, if any.
 pub fn crossover(incumbent: &Series, challenger: &Series) -> Option<usize> {
+    let sizes = |s: &Series| s.points.iter().map(|p| p.0).collect::<Vec<_>>();
+    assert_eq!(sizes(incumbent), sizes(challenger), "misaligned sweeps");
     let at = incumbent
         .points
         .iter()
@@ -838,6 +784,14 @@ mod tests {
         };
         assert_eq!(crossover(&a, &b), Some(200));
         assert_eq!(crossover(&b, &a), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "misaligned sweeps")]
+    fn crossover_of_sweeps_over_different_sizes_panics() {
+        let a = Series::sweep("a", &[0, 100, 200], |n| n as f64);
+        let b = Series::sweep("b", &[0, 64, 200], |n| 150.0 - n as f64);
+        crossover(&a, &b);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! The committed report fixture: a real `bench-report --quick
 //! --threads 2` output at the one schema version the validator accepts.
+//! This is the test that detects schema drift: the fixture was written
+//! by an earlier build, so it must have exactly the shape this build's
+//! writer gives its exemplar — every key, no other key, the same order.
 //! Regenerate it when the schema is bumped; reports of older versions
 //! validate with the `bench-report --check` of their own commit.
 
-use obs::report::{validate_json, SCHEMA_VERSION};
+use obs::json::{parse, Json};
+use obs::report::{exemplar, validate_json, SCHEMA_VERSION};
 
 fn fixture() -> String {
     let path = format!(
@@ -13,29 +17,77 @@ fn fixture() -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
+/// Every object of `doc` has the keys of the exemplar's object in the
+/// same place, in the same order (`validate_json` alone lets extra keys
+/// and any order pass).
+fn same_keys(doc: &Json, shape: &Json, at: &str) -> Result<(), String> {
+    match (doc, shape) {
+        (Json::Obj(members), Json::Obj(wanted)) => {
+            let keys = |m: &[(String, Json)]| m.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+            let (has, wants) = (keys(members), keys(wanted));
+            if has != wants {
+                return Err(format!(
+                    "{at} has keys {has:?}, the writer writes {wants:?}"
+                ));
+            }
+            (members.iter().zip(wanted)).try_for_each(|((key, value), (_, shape))| {
+                same_keys(value, shape, &format!("{at}.{key}"))
+            })
+        }
+        (Json::Arr(items), Json::Arr(first)) => (items.iter().enumerate())
+            .try_for_each(|(i, item)| same_keys(item, &first[0], &format!("{at}[{i}]"))),
+        _ => Ok(()),
+    }
+}
+
 #[test]
-fn the_committed_fixture_validates() {
-    let doc = fixture();
-    assert!(
-        doc.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")),
+fn the_committed_fixture_has_exactly_the_writers_shape() {
+    let text = fixture();
+    validate_json(&text).unwrap_or_else(|e| panic!("committed fixture no longer validates: {e}"));
+    let doc = parse(&text).unwrap();
+    assert_eq!(
+        doc.get("schema_version"),
+        Some(&Json::from(SCHEMA_VERSION)),
         "the fixture must carry its version"
     );
-    validate_json(&doc).unwrap_or_else(|e| panic!("committed fixture no longer validates: {e}"));
+    same_keys(&doc, &Json::from(&exemplar(true)), "report").unwrap();
+}
+
+#[test]
+fn a_key_too_many_or_out_of_order_is_caught_though_the_document_validates() {
+    let Json::Obj(mut root) = parse(&fixture()).unwrap() else {
+        panic!("the fixture is an object")
+    };
+    let shape = Json::from(&exemplar(true));
+    let verdict = |root: &[(String, Json)]| {
+        let doc = Json::Obj(root.to_vec());
+        validate_json(&doc.to_document()).expect("every required key is still there");
+        same_keys(&doc, &shape, "report")
+    };
+    root.swap(2, 3);
+    assert!(verdict(&root).unwrap_err().contains("report has keys"));
+    root.swap(2, 3);
+    let Json::Arr(anchors) = &mut root[2].1 else {
+        panic!("anchors is an array")
+    };
+    let Json::Obj(anchor) = &mut anchors[1] else {
+        panic!("an anchor is an object")
+    };
+    anchor.push(("model_us".to_string(), Json::from(6.7)));
+    assert!(verdict(&root)
+        .unwrap_err()
+        .contains("report.anchors[1] has keys"));
 }
 
 #[test]
 fn the_fixture_exercises_the_timeseries_quorum_and_wallclock_sections() {
-    let doc = fixture();
-    for key in [
-        "\"timeseries\"",
-        "\"peak_at_us\"",
-        "\"quorum\"",
-        "\"stale_epoch_rejects\"",
-        "\"freezes\"",
-        "\"epoch_bumps\"",
-        "\"ring_bcast_stress_16node_t2\"",
-        "\"stall_passes\"",
-    ] {
-        assert!(doc.contains(key), "fixture lacks {key}");
+    let doc = parse(&fixture()).unwrap();
+    for section in ["timeseries", "quorum", "wallclock"] {
+        assert!(doc.items(section).count() > 0, "fixture has no {section}");
     }
+    let parallel = doc
+        .items("wallclock")
+        .find(|w| w.get("scenario") == Some(&Json::from("ring_bcast_stress_16node_t2")))
+        .expect("the 2-thread run is in the fixture");
+    assert_eq!(parallel.items("shards").count(), 16, "one shard per node");
 }

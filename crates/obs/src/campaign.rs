@@ -315,10 +315,7 @@ impl<C: Cell> Walk<C> {
         doc.extend(summary);
         doc.push(("total", self.cells.len().into()));
         doc.push(("violations", self.violating().count().into()));
-        let mut out = String::new();
-        Json::obj(doc).write(&mut out);
-        out.push('\n');
-        out
+        Json::obj(doc).to_document()
     }
 }
 

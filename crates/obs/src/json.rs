@@ -1,6 +1,17 @@
 //! A minimal JSON writer and parser. The build environment has no
 //! registry access, so the exporters hand-roll their JSON; the parser
 //! exists for schema validation and golden-file tests, not performance.
+//!
+//! Which emitter uses what: a document written once per run (the bench
+//! report, a campaign report) is built as a [`Json`] value — its keys
+//! said once, in `From` impls — and written by [`Json::write`]. An
+//! emitter that runs per cell or per event writes text with
+//! [`write_string`]/[`write_f64`] and builds no tree:
+//! `FlightRecorder::dump_json` and `SeriesSnapshot::to_json` run inside
+//! `workload::run_cell`, i.e. inside a timed benchmark section where a
+//! tree for a 1 024-event ring is ≈ 0.5 MB of transient heap, and
+//! `chrome.rs` is byte-pinned by the trace goldens. Do not "finish the
+//! job" by converting those.
 
 use std::fmt::Write as _;
 
@@ -86,14 +97,38 @@ impl Json {
         }
     }
 
+    /// The elements of the array at `key`; none when there is no such
+    /// member or it is not an array.
+    pub fn items(&self, key: &str) -> impl Iterator<Item = &Json> {
+        self.get(key).and_then(Json::as_arr).into_iter().flatten()
+    }
+
     /// True when this is an object.
     pub fn is_obj(&self) -> bool {
         matches!(self, Json::Obj(_))
     }
 
+    /// What kind of value this is, as a diagnostic spells it.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Json::Null => "null",
+            Json::Bool(_) => "a boolean",
+            Json::Num(_) => "a number",
+            Json::Str(_) => "a string",
+            Json::Arr(_) => "an array",
+            Json::Obj(_) => "an object",
+        }
+    }
+
     /// An object from `(key, value)` members, order preserved.
     pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
         Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of whatever `items` yields, order preserved (`&rows` of
+    /// a report section, `&sizes`).
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 
     /// Append this value as compact JSON text ([`write_string`] and
@@ -128,6 +163,15 @@ impl Json {
             }
         }
     }
+
+    /// This value as a document: [`write`](Self::write)'s text and a
+    /// final newline.
+    pub fn to_document(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out.push('\n');
+        out
+    }
 }
 
 impl From<&str> for Json {
@@ -151,6 +195,11 @@ macro_rules! json_from_number {
                 Json::Num(n as f64)
             }
         }
+        impl From<&$t> for Json {
+            fn from(n: &$t) -> Json {
+                Json::Num(*n as f64)
+            }
+        }
     )*};
 }
 json_from_number!(u32, u64, usize, f64);
@@ -163,7 +212,7 @@ impl<T: Into<Json>> From<Option<T>> for Json {
 
 impl<T: Into<Json>> From<Vec<T>> for Json {
     fn from(items: Vec<T>) -> Json {
-        Json::Arr(items.into_iter().map(Into::into).collect())
+        Json::arr(items)
     }
 }
 

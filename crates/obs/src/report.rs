@@ -1,8 +1,14 @@
 //! The machine-readable bench report: a versioned JSON schema
-//! (`BENCH_summary.json`) that CI validates and archives. The writer and
-//! validator live together so the schema cannot drift from its checker.
+//! (`BENCH_summary.json`) that CI validates and archives.
+//!
+//! The schema is what the writer writes. Each row type names its keys
+//! once, in its `From<&Row> for Json`; [`BenchReport::to_json`] writes
+//! that value; and [`validate_json`] holds a document to the shape of
+//! the writer's own output for [`exemplar`] — so writer and checker
+//! agree by construction. A new section is a struct, its `From`, and one
+//! row in the exemplar.
 
-use crate::json::{self, write_f64, write_string, Json};
+use crate::json::{self, Json};
 
 /// Version stamped into every report; bump on breaking schema changes.
 /// It is also the only version [`validate_json`] accepts: an older
@@ -19,7 +25,7 @@ pub const MIN_SCHEMA_VERSION: u32 = SCHEMA_VERSION;
 pub const PAPER_LAYERING_US: f64 = 37.5;
 
 /// One latency anchor: a measured number pinned against the paper.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Anchor {
     /// Anchor id, e.g. `"bbp_0B_one_way"`.
     pub name: String,
@@ -40,8 +46,19 @@ impl Anchor {
     }
 }
 
+impl From<&Anchor> for Json {
+    fn from(a: &Anchor) -> Json {
+        Json::obj([
+            ("name", a.name.as_str().into()),
+            ("paper_us", a.paper_us.into()),
+            ("measured_us", a.measured_us.into()),
+            ("deviation_pct", a.deviation_pct().into()),
+        ])
+    }
+}
+
 /// One labelled series in a [`Table`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Series {
     /// Series label, e.g. `"bbp"`.
     pub label: String,
@@ -49,8 +66,17 @@ pub struct Series {
     pub values: Vec<f64>,
 }
 
+impl From<&Series> for Json {
+    fn from(s: &Series) -> Json {
+        Json::obj([
+            ("label", s.label.as_str().into()),
+            ("values", Json::arr(&s.values)),
+        ])
+    }
+}
+
 /// A size-sweep table (latency or bandwidth vs message size).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Table title.
     pub title: String,
@@ -62,8 +88,19 @@ pub struct Table {
     pub series: Vec<Series>,
 }
 
+impl From<&Table> for Json {
+    fn from(t: &Table) -> Json {
+        Json::obj([
+            ("title", t.title.as_str().into()),
+            ("unit", t.unit.as_str().into()),
+            ("sizes", Json::arr(&t.sizes)),
+            ("series", Json::arr(&t.series)),
+        ])
+    }
+}
+
 /// A crossover point between two series.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Crossover {
     /// Series that wins below the crossover.
     pub incumbent: String,
@@ -73,8 +110,18 @@ pub struct Crossover {
     pub at_bytes: Option<usize>,
 }
 
+impl From<&Crossover> for Json {
+    fn from(c: &Crossover) -> Json {
+        Json::obj([
+            ("incumbent", c.incumbent.as_str().into()),
+            ("challenger", c.challenger.as_str().into()),
+            ("at_bytes", c.at_bytes.into()),
+        ])
+    }
+}
+
 /// Per-layer self-time attribution row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LayerRow {
     /// Layer name (see `Layer::name`).
     pub layer: String,
@@ -84,8 +131,18 @@ pub struct LayerRow {
     pub share_pct: f64,
 }
 
+impl From<&LayerRow> for Json {
+    fn from(l: &LayerRow) -> Json {
+        Json::obj([
+            ("layer", l.layer.as_str().into()),
+            ("self_us", l.self_us.into()),
+            ("share_pct", l.share_pct.into()),
+        ])
+    }
+}
+
 /// The MPI-over-BBP layering constant check.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Layering {
     /// The paper's constant ([`PAPER_LAYERING_US`]).
     pub paper_us: f64,
@@ -100,8 +157,18 @@ impl Layering {
     }
 }
 
+impl From<&Layering> for Json {
+    fn from(l: &Layering) -> Json {
+        Json::obj([
+            ("paper_us", l.paper_us.into()),
+            ("measured_us", l.measured_us.into()),
+            ("within_pct", l.within_pct().into()),
+        ])
+    }
+}
+
 /// Quantile summary of one latency distribution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Quantiles {
     /// Distribution name, e.g. `"mpi_pingpong_0B"`.
     pub name: String,
@@ -123,8 +190,24 @@ pub struct Quantiles {
     pub mean_us: f64,
 }
 
+impl From<&Quantiles> for Json {
+    fn from(q: &Quantiles) -> Json {
+        Json::obj([
+            ("name", q.name.as_str().into()),
+            ("n", q.n.into()),
+            ("min_us", q.min_us.into()),
+            ("p50_us", q.p50_us.into()),
+            ("p90_us", q.p90_us.into()),
+            ("p99_us", q.p99_us.into()),
+            ("p999_us", q.p999_us.into()),
+            ("max_us", q.max_us.into()),
+            ("mean_us", q.mean_us.into()),
+        ])
+    }
+}
+
 /// One checkpoint of a [`MessageRow`] waterfall.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MessageStage {
     /// Stage name (see `lifecycle::Stage::name`).
     pub stage: String,
@@ -134,8 +217,18 @@ pub struct MessageStage {
     pub node: u32,
 }
 
+impl From<&MessageStage> for Json {
+    fn from(s: &MessageStage) -> Json {
+        Json::obj([
+            ("stage", s.stage.as_str().into()),
+            ("at_us", s.at_us.into()),
+            ("node", s.node.into()),
+        ])
+    }
+}
+
 /// One message's reconstructed lifecycle waterfall.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MessageRow {
     /// The trace id.
     pub id: u64,
@@ -147,9 +240,20 @@ pub struct MessageRow {
     pub stages: Vec<MessageStage>,
 }
 
+impl From<&MessageRow> for Json {
+    fn from(m: &MessageRow) -> Json {
+        Json::obj([
+            ("id", m.id.into()),
+            ("src", m.src.into()),
+            ("total_us", m.total_us.into()),
+            ("stages", Json::arr(&m.stages)),
+        ])
+    }
+}
+
 /// Per-shard execution counters of one parallel wallclock run: the
 /// utilization / lookahead-stall breakdown.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WallclockShard {
     /// Shard id.
     pub shard: u32,
@@ -182,9 +286,24 @@ impl WallclockShard {
     }
 }
 
+impl From<&WallclockShard> for Json {
+    fn from(s: &WallclockShard) -> Json {
+        Json::obj([
+            ("shard", s.shard.into()),
+            ("events", s.events.into()),
+            ("busy_passes", s.busy_passes.into()),
+            ("stall_passes", s.stall_passes.into()),
+            ("max_mailbox_depth", s.max_mailbox_depth.into()),
+            ("spilled", s.spilled.into()),
+            ("peak_queue_depth", s.peak_queue_depth.into()),
+            ("utilization", s.utilization().into()),
+        ])
+    }
+}
+
 /// One wall-clock self-measurement: how fast the simulator itself ran
 /// one scenario on the host, independent of virtual-time results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Wallclock {
     /// Scenario id, e.g. `"ring_bcast_stress_16node_t4"`.
     pub scenario: String,
@@ -207,8 +326,24 @@ pub struct Wallclock {
     pub shards: Vec<WallclockShard>,
 }
 
+impl From<&Wallclock> for Json {
+    fn from(w: &Wallclock) -> Json {
+        Json::obj([
+            ("scenario", w.scenario.as_str().into()),
+            ("events", w.events.into()),
+            ("sim_ns", w.sim_ns.into()),
+            ("wall_ms", w.wall_ms.into()),
+            ("events_per_sec", w.events_per_sec.into()),
+            ("sim_ns_per_sec", w.sim_ns_per_sec.into()),
+            ("peak_queue_depth", w.peak_queue_depth.into()),
+            ("threads", w.threads.into()),
+            ("shards", Json::arr(&w.shards)),
+        ])
+    }
+}
+
 /// One rung of a capacity scenario's load-multiplier ladder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CapacityCell {
     /// Seed the cell ran under.
     pub seed: u64,
@@ -230,8 +365,23 @@ pub struct CapacityCell {
     pub limited_by: String,
 }
 
+impl From<&CapacityCell> for Json {
+    fn from(c: &CapacityCell) -> Json {
+        Json::obj([
+            ("seed", c.seed.into()),
+            ("mult", c.mult.into()),
+            ("offered_hz", c.offered_hz.into()),
+            ("completed_hz", c.completed_hz.into()),
+            ("p999_us", c.p999_us.into()),
+            ("sheds_per_sec", c.sheds_per_sec.into()),
+            ("violations", c.violations.into()),
+            ("limited_by", c.limited_by.as_str().into()),
+        ])
+    }
+}
+
 /// Summary row of one continuously sampled gauge series.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeseriesRow {
     /// Gauge name (dot-scoped by layer, e.g. `rpc.buffers_in_use`).
     pub name: String,
@@ -267,9 +417,24 @@ impl TimeseriesRow {
     }
 }
 
+impl From<&TimeseriesRow> for Json {
+    fn from(t: &TimeseriesRow) -> Json {
+        Json::obj([
+            ("name", t.name.as_str().into()),
+            ("node", t.node.into()),
+            ("n", t.n.into()),
+            ("min", t.min.into()),
+            ("mean", t.mean.into()),
+            ("max", t.max.into()),
+            ("last", t.last.into()),
+            ("peak_at_us", t.peak_at_us.into()),
+        ])
+    }
+}
+
 /// Per-node partition-tolerance counters: how the quorum
 /// machinery behaved during the report's partition scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QuorumRow {
     /// Node rank.
     pub node: u32,
@@ -281,8 +446,19 @@ pub struct QuorumRow {
     pub epoch_bumps: u64,
 }
 
+impl From<&QuorumRow> for Json {
+    fn from(q: &QuorumRow) -> Json {
+        Json::obj([
+            ("node", q.node.into()),
+            ("stale_epoch_rejects", q.stale_epoch_rejects.into()),
+            ("freezes", q.freezes.into()),
+            ("epoch_bumps", q.epoch_bumps.into()),
+        ])
+    }
+}
+
 /// One scenario's capacity result at one message size.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CapacityScenario {
     /// Scenario id, e.g. `"incast"`.
     pub scenario: String,
@@ -297,6 +473,19 @@ pub struct CapacityScenario {
     pub max_sustainable_mult: f64,
     /// The full ladder, every (seed, mult) rung.
     pub cells: Vec<CapacityCell>,
+}
+
+impl From<&CapacityScenario> for Json {
+    fn from(c: &CapacityScenario) -> Json {
+        Json::obj([
+            ("scenario", c.scenario.as_str().into()),
+            ("size", c.size.into()),
+            ("p999_target_us", c.p999_target_us.into()),
+            ("max_sustainable_hz", c.max_sustainable_hz.into()),
+            ("max_sustainable_mult", c.max_sustainable_mult.into()),
+            ("cells", Json::arr(&c.cells)),
+        ])
+    }
 }
 
 /// The complete report (`BENCH_summary.json`).
@@ -330,480 +519,143 @@ pub struct BenchReport {
     pub quorum: Vec<QuorumRow>,
 }
 
+impl From<&BenchReport> for Json {
+    fn from(r: &BenchReport) -> Json {
+        Json::obj([
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("generated_by", r.generated_by.as_str().into()),
+            ("anchors", Json::arr(&r.anchors)),
+            ("tables", Json::arr(&r.tables)),
+            ("crossovers", Json::arr(&r.crossovers)),
+            ("layers", Json::arr(&r.layers)),
+            ("layering", r.layering.as_ref().into()),
+            ("quantiles", Json::arr(&r.quantiles)),
+            ("messages", Json::arr(&r.messages)),
+            ("capacity", Json::arr(&r.capacity)),
+            ("timeseries", Json::arr(&r.timeseries)),
+            ("quorum", Json::arr(&r.quorum)),
+            ("wallclock", Json::arr(&r.wallclock)),
+        ])
+    }
+}
+
 impl BenchReport {
     /// Serialize to the versioned JSON document.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push_str("{\n  \"schema_version\": ");
-        let _ = std::fmt::Write::write_fmt(&mut o, format_args!("{SCHEMA_VERSION}"));
-        o.push_str(",\n  \"generated_by\": ");
-        write_string(&mut o, &self.generated_by);
+        Json::from(self).to_document()
+    }
 
-        o.push_str(",\n  \"anchors\": [");
-        for (i, a) in self.anchors.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"name\": ");
-            write_string(&mut o, &a.name);
-            o.push_str(", \"paper_us\": ");
-            write_f64(&mut o, a.paper_us);
-            o.push_str(", \"measured_us\": ");
-            write_f64(&mut o, a.measured_us);
-            o.push_str(", \"deviation_pct\": ");
-            write_f64(&mut o, a.deviation_pct());
-            o.push('}');
-        }
-        o.push_str("\n  ],\n  \"tables\": [");
-        for (i, t) in self.tables.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"title\": ");
-            write_string(&mut o, &t.title);
-            o.push_str(", \"unit\": ");
-            write_string(&mut o, &t.unit);
-            o.push_str(", \"sizes\": [");
-            for (j, s) in t.sizes.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                let _ = std::fmt::Write::write_fmt(&mut o, format_args!("{s}"));
-            }
-            o.push_str("], \"series\": [");
-            for (j, s) in t.series.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                o.push_str("{\"label\": ");
-                write_string(&mut o, &s.label);
-                o.push_str(", \"values\": [");
-                for (k, v) in s.values.iter().enumerate() {
-                    if k > 0 {
-                        o.push(',');
-                    }
-                    write_f64(&mut o, *v);
-                }
-                o.push_str("]}");
-            }
-            o.push_str("]}");
-        }
-        o.push_str("\n  ],\n  \"crossovers\": [");
-        for (i, c) in self.crossovers.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"incumbent\": ");
-            write_string(&mut o, &c.incumbent);
-            o.push_str(", \"challenger\": ");
-            write_string(&mut o, &c.challenger);
-            o.push_str(", \"at_bytes\": ");
-            match c.at_bytes {
-                Some(b) => {
-                    let _ = std::fmt::Write::write_fmt(&mut o, format_args!("{b}"));
-                }
-                None => o.push_str("null"),
-            }
-            o.push('}');
-        }
-        o.push_str("\n  ],\n  \"layers\": [");
-        for (i, l) in self.layers.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"layer\": ");
-            write_string(&mut o, &l.layer);
-            o.push_str(", \"self_us\": ");
-            write_f64(&mut o, l.self_us);
-            o.push_str(", \"share_pct\": ");
-            write_f64(&mut o, l.share_pct);
-            o.push('}');
-        }
-        o.push_str("\n  ],\n  \"layering\": ");
-        match &self.layering {
-            Some(l) => {
-                o.push_str("{\"paper_us\": ");
-                write_f64(&mut o, l.paper_us);
-                o.push_str(", \"measured_us\": ");
-                write_f64(&mut o, l.measured_us);
-                o.push_str(", \"within_pct\": ");
-                write_f64(&mut o, l.within_pct());
-                o.push('}');
-            }
-            None => o.push_str("null"),
-        }
-        o.push_str(",\n  \"quantiles\": [");
-        for (i, q) in self.quantiles.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"name\": ");
-            write_string(&mut o, &q.name);
-            o.push_str(", \"n\": ");
-            let _ = std::fmt::Write::write_fmt(&mut o, format_args!("{}", q.n));
-            for (key, v) in [
-                ("min_us", q.min_us),
-                ("p50_us", q.p50_us),
-                ("p90_us", q.p90_us),
-                ("p99_us", q.p99_us),
-                ("p999_us", q.p999_us),
-                ("max_us", q.max_us),
-                ("mean_us", q.mean_us),
-            ] {
-                o.push_str(", \"");
-                o.push_str(key);
-                o.push_str("\": ");
-                write_f64(&mut o, v);
-            }
-            o.push('}');
-        }
-        o.push_str("\n  ],\n  \"messages\": [");
-        for (i, m) in self.messages.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = std::fmt::Write::write_fmt(
-                &mut o,
-                format_args!("    {{\"id\": {}, \"src\": {}, \"total_us\": ", m.id, m.src),
-            );
-            write_f64(&mut o, m.total_us);
-            o.push_str(", \"stages\": [");
-            for (j, s) in m.stages.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                o.push_str("{\"stage\": ");
-                write_string(&mut o, &s.stage);
-                o.push_str(", \"at_us\": ");
-                write_f64(&mut o, s.at_us);
-                let _ =
-                    std::fmt::Write::write_fmt(&mut o, format_args!(", \"node\": {}}}", s.node));
-            }
-            o.push_str("]}");
-        }
-        o.push_str("\n  ],\n  \"capacity\": [");
-        for (i, c) in self.capacity.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"scenario\": ");
-            write_string(&mut o, &c.scenario);
-            let _ = std::fmt::Write::write_fmt(&mut o, format_args!(", \"size\": {}", c.size));
-            o.push_str(", \"p999_target_us\": ");
-            write_f64(&mut o, c.p999_target_us);
-            o.push_str(", \"max_sustainable_hz\": ");
-            write_f64(&mut o, c.max_sustainable_hz);
-            o.push_str(", \"max_sustainable_mult\": ");
-            write_f64(&mut o, c.max_sustainable_mult);
-            o.push_str(", \"cells\": [");
-            for (j, cell) in c.cells.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                let _ = std::fmt::Write::write_fmt(
-                    &mut o,
-                    format_args!("{{\"seed\": {}, \"mult\": ", cell.seed),
-                );
-                write_f64(&mut o, cell.mult);
-                for (key, v) in [
-                    ("offered_hz", cell.offered_hz),
-                    ("completed_hz", cell.completed_hz),
-                    ("p999_us", cell.p999_us),
-                    ("sheds_per_sec", cell.sheds_per_sec),
-                ] {
-                    o.push_str(", \"");
-                    o.push_str(key);
-                    o.push_str("\": ");
-                    write_f64(&mut o, v);
-                }
-                let _ = std::fmt::Write::write_fmt(
-                    &mut o,
-                    format_args!(", \"violations\": {}, \"limited_by\": ", cell.violations),
-                );
-                write_string(&mut o, &cell.limited_by);
-                o.push('}');
-            }
-            o.push_str("]}");
-        }
-        o.push_str("\n  ],\n  \"timeseries\": [");
-        for (i, t) in self.timeseries.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"name\": ");
-            write_string(&mut o, &t.name);
-            let _ = std::fmt::Write::write_fmt(
-                &mut o,
-                format_args!(", \"node\": {}, \"n\": {}", t.node, t.n),
-            );
-            for (key, v) in [
-                ("min", t.min),
-                ("mean", t.mean),
-                ("max", t.max),
-                ("last", t.last),
-                ("peak_at_us", t.peak_at_us),
-            ] {
-                o.push_str(", \"");
-                o.push_str(key);
-                o.push_str("\": ");
-                write_f64(&mut o, v);
-            }
-            o.push('}');
-        }
-        o.push_str("\n  ],\n  \"quorum\": [");
-        for (i, q) in self.quorum.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = std::fmt::Write::write_fmt(
-                &mut o,
-                format_args!(
-                    "    {{\"node\": {}, \"stale_epoch_rejects\": {}, \
-                     \"freezes\": {}, \"epoch_bumps\": {}}}",
-                    q.node, q.stale_epoch_rejects, q.freezes, q.epoch_bumps
-                ),
-            );
-        }
-        o.push_str("\n  ],\n  \"wallclock\": [");
-        for (i, w) in self.wallclock.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"scenario\": ");
-            write_string(&mut o, &w.scenario);
-            o.push_str(", \"events\": ");
-            let _ = std::fmt::Write::write_fmt(&mut o, format_args!("{}", w.events));
-            o.push_str(", \"sim_ns\": ");
-            let _ = std::fmt::Write::write_fmt(&mut o, format_args!("{}", w.sim_ns));
-            o.push_str(", \"wall_ms\": ");
-            write_f64(&mut o, w.wall_ms);
-            o.push_str(", \"events_per_sec\": ");
-            write_f64(&mut o, w.events_per_sec);
-            o.push_str(", \"sim_ns_per_sec\": ");
-            write_f64(&mut o, w.sim_ns_per_sec);
-            o.push_str(", \"peak_queue_depth\": ");
-            let _ = std::fmt::Write::write_fmt(&mut o, format_args!("{}", w.peak_queue_depth));
-            o.push_str(", \"threads\": ");
-            let _ = std::fmt::Write::write_fmt(&mut o, format_args!("{}", w.threads));
-            o.push_str(", \"shards\": [");
-            for (j, s) in w.shards.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                let _ = std::fmt::Write::write_fmt(
-                    &mut o,
-                    format_args!(
-                        "{{\"shard\": {}, \"events\": {}, \"busy_passes\": {}, \
-                         \"stall_passes\": {}, \"max_mailbox_depth\": {}, \
-                         \"spilled\": {}, \"peak_queue_depth\": {}, \"utilization\": ",
-                        s.shard,
-                        s.events,
-                        s.busy_passes,
-                        s.stall_passes,
-                        s.max_mailbox_depth,
-                        s.spilled,
-                        s.peak_queue_depth
-                    ),
-                );
-                write_f64(&mut o, s.utilization());
-                o.push('}');
-            }
-            o.push_str("]}");
-        }
-        o.push_str("\n  ]\n}\n");
-        o
+    /// [`to_json`](Self::to_json), held to [`validate_json`] before it
+    /// leaves the program. The one thing that can fail here is a
+    /// non-finite value, which the writer renders as `null`.
+    pub fn validated_json(&self) -> Result<String, String> {
+        let text = self.to_json();
+        validate_json(&text)
+            .map_err(|e| format!("generated report fails schema validation: {e}"))?;
+        Ok(text)
     }
 }
 
-fn require<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing key '{key}'"))
+/// The schema, as a report: every section one row deep and every nested
+/// array one element. [`validate_json`] checks documents against the
+/// [`Json`] this report serializes to, so a key added to a row type's
+/// `From` is required from then on, and a new section needs one row
+/// here. With `options` every `Option` is present; without, none is —
+/// the pair says where `null` may stand.
+pub fn exemplar(options: bool) -> BenchReport {
+    let mut r = BenchReport {
+        generated_by: String::new(),
+        anchors: vec![Anchor::default()],
+        tables: vec![Table::default()],
+        crossovers: vec![Crossover::default()],
+        layers: vec![LayerRow::default()],
+        layering: options.then(Layering::default),
+        quantiles: vec![Quantiles::default()],
+        messages: vec![MessageRow::default()],
+        wallclock: vec![Wallclock::default()],
+        capacity: vec![CapacityScenario::default()],
+        timeseries: vec![TimeseriesRow::default()],
+        quorum: vec![QuorumRow::default()],
+    };
+    r.tables[0].sizes = vec![0];
+    r.tables[0].series = vec![Series::default()];
+    r.tables[0].series[0].values = vec![0.0];
+    r.crossovers[0].at_bytes = options.then_some(0);
+    r.messages[0].stages = vec![MessageStage::default()];
+    r.wallclock[0].shards = vec![WallclockShard::default()];
+    r.capacity[0].cells = vec![CapacityCell::default()];
+    r
 }
 
-fn require_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    require(doc, key)?
-        .as_arr()
-        .ok_or_else(|| format!("'{key}' must be an array"))
-}
-
-fn require_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    require(obj, key)
-        .map_err(|e| format!("{ctx}: {e}"))?
-        .as_f64()
-        .ok_or_else(|| format!("{ctx}: '{key}' must be a number"))
-}
-
-fn require_str<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
-    require(obj, key)
-        .map_err(|e| format!("{ctx}: {e}"))?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: '{key}' must be a string"))
+/// Hold `doc` to the shape of `full`: an object carries every key
+/// `full`'s does, an array's elements each have the shape of `full`'s
+/// first, anything else is of `full`'s kind. `bare` is the same
+/// exemplar with its `Option`s empty: `null` passes exactly where
+/// `bare` has it.
+fn conforms(doc: &Json, full: &Json, bare: &Json, at: &str) -> Result<(), String> {
+    match (doc, full) {
+        (Json::Null, _) if *bare == Json::Null => Ok(()),
+        (Json::Obj(_), Json::Obj(members)) => members.iter().try_for_each(|(key, full)| {
+            let at = format!("{at}.{key}");
+            let value = doc.get(key).ok_or_else(|| format!("{at}: missing key"))?;
+            conforms(value, full, bare.get(key).unwrap_or(full), &at)
+        }),
+        (Json::Arr(items), Json::Arr(first)) => {
+            let bare = bare.as_arr().unwrap_or(first);
+            (items.iter().enumerate())
+                .try_for_each(|(i, v)| conforms(v, &first[0], &bare[0], &format!("{at}[{i}]")))
+        }
+        _ if doc.kind() == full.kind() => Ok(()),
+        _ => Err(format!("{at}: must be {}, not {}", full.kind(), doc.kind())),
+    }
 }
 
 /// Validate a `BENCH_summary.json` document against the one schema
-/// version this build writes; any other `schema_version` is rejected,
-/// naming the supported range. Returns the first problem found.
+/// version this build writes. Its shape must be that of the writer's
+/// own output for [`exemplar`]: an object carries every key the
+/// exemplar's does (extra keys pass) with a value of the same kind,
+/// every array element has the shape of the exemplar's first, and
+/// `null` stands only where the exemplar without its `Option`s has one.
+/// Three rules shape cannot say must hold as well: any other
+/// `schema_version` is rejected, naming the supported range; a table's
+/// series are as long as its `sizes`; `limited_by` is one of four
+/// words. Returns the first problem found, named by its path.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let doc = json::parse(text)?;
-    if !doc.is_obj() {
-        return Err("report must be a JSON object".to_string());
-    }
-    let version = require_num(&doc, "schema_version", "root")?;
+    // A version that is absent or not a number is `conforms`' to report.
+    let version = doc.get("schema_version").and_then(Json::as_f64);
+    let version = version.unwrap_or(SCHEMA_VERSION as f64);
     if version < MIN_SCHEMA_VERSION as f64 || version > SCHEMA_VERSION as f64 {
         return Err(format!(
             "schema_version {version} outside supported {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
         ));
     }
-    require_str(&doc, "generated_by", "root")?;
-
-    for (i, a) in require_arr(&doc, "anchors")?.iter().enumerate() {
-        let ctx = format!("anchors[{i}]");
-        require_str(a, "name", &ctx)?;
-        require_num(a, "paper_us", &ctx)?;
-        require_num(a, "measured_us", &ctx)?;
-        require_num(a, "deviation_pct", &ctx)?;
-    }
-    for (i, t) in require_arr(&doc, "tables")?.iter().enumerate() {
-        let ctx = format!("tables[{i}]");
-        require_str(t, "title", &ctx)?;
-        require_str(t, "unit", &ctx)?;
-        let sizes = require(t, "sizes")
-            .map_err(|e| format!("{ctx}: {e}"))?
-            .as_arr()
-            .ok_or_else(|| format!("{ctx}: 'sizes' must be an array"))?;
-        for s in require(t, "series")
-            .map_err(|e| format!("{ctx}: {e}"))?
-            .as_arr()
-            .ok_or_else(|| format!("{ctx}: 'series' must be an array"))?
-        {
-            require_str(s, "label", &ctx)?;
-            let values = require(s, "values")
-                .map_err(|e| format!("{ctx}: {e}"))?
-                .as_arr()
-                .ok_or_else(|| format!("{ctx}: 'values' must be an array"))?;
-            if values.len() != sizes.len() {
-                return Err(format!(
-                    "{ctx}: series '{}' has {} values for {} sizes",
-                    s.get("label").and_then(Json::as_str).unwrap_or("?"),
-                    values.len(),
-                    sizes.len()
-                ));
-            }
+    let (full, bare) = (Json::from(&exemplar(true)), Json::from(&exemplar(false)));
+    conforms(&doc, &full, &bare, "report")?;
+    for (i, t) in doc.items("tables").enumerate() {
+        let sizes = t.items("sizes").count();
+        let mut series = t.items("series");
+        if let Some(s) = series.find(|s| s.items("values").count() != sizes) {
+            let label = s.get("label").and_then(Json::as_str).unwrap_or("?");
+            return Err(format!(
+                "report.tables[{i}]: series '{label}' does not have {sizes} values, one per size"
+            ));
         }
     }
-    for (i, c) in require_arr(&doc, "crossovers")?.iter().enumerate() {
-        let ctx = format!("crossovers[{i}]");
-        require_str(c, "incumbent", &ctx)?;
-        require_str(c, "challenger", &ctx)?;
-        let at = require(c, "at_bytes").map_err(|e| format!("{ctx}: {e}"))?;
-        if !matches!(at, Json::Null | Json::Num(_)) {
-            return Err(format!("{ctx}: 'at_bytes' must be a number or null"));
-        }
-    }
-    for (i, l) in require_arr(&doc, "layers")?.iter().enumerate() {
-        let ctx = format!("layers[{i}]");
-        require_str(l, "layer", &ctx)?;
-        require_num(l, "self_us", &ctx)?;
-        require_num(l, "share_pct", &ctx)?;
-    }
-    let layering = require(&doc, "layering")?;
-    if *layering != Json::Null {
-        require_num(layering, "paper_us", "layering")?;
-        require_num(layering, "measured_us", "layering")?;
-        require_num(layering, "within_pct", "layering")?;
-    }
-    for (i, q) in require_arr(&doc, "quantiles")?.iter().enumerate() {
-        let ctx = format!("quantiles[{i}]");
-        require_str(q, "name", &ctx)?;
-        for key in [
-            "n", "min_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us", "mean_us",
-        ] {
-            require_num(q, key, &ctx)?;
-        }
-    }
-    for (i, m) in require_arr(&doc, "messages")?.iter().enumerate() {
-        let ctx = format!("messages[{i}]");
-        require_num(m, "id", &ctx)?;
-        require_num(m, "src", &ctx)?;
-        require_num(m, "total_us", &ctx)?;
-        for (j, s) in require(m, "stages")
-            .map_err(|e| format!("{ctx}: {e}"))?
-            .as_arr()
-            .ok_or_else(|| format!("{ctx}: 'stages' must be an array"))?
-            .iter()
-            .enumerate()
-        {
-            let sctx = format!("{ctx}.stages[{j}]");
-            require_str(s, "stage", &sctx)?;
-            require_num(s, "at_us", &sctx)?;
-            require_num(s, "node", &sctx)?;
-        }
-    }
-    for (i, c) in require_arr(&doc, "capacity")?.iter().enumerate() {
-        let ctx = format!("capacity[{i}]");
-        require_str(c, "scenario", &ctx)?;
-        for key in [
-            "size",
-            "p999_target_us",
-            "max_sustainable_hz",
-            "max_sustainable_mult",
-        ] {
-            require_num(c, key, &ctx)?;
-        }
-        for (j, cell) in require(c, "cells")
-            .map_err(|e| format!("{ctx}: {e}"))?
-            .as_arr()
-            .ok_or_else(|| format!("{ctx}: 'cells' must be an array"))?
-            .iter()
-            .enumerate()
-        {
-            let cctx = format!("{ctx}.cells[{j}]");
-            for key in [
-                "seed",
-                "mult",
-                "offered_hz",
-                "completed_hz",
-                "p999_us",
-                "sheds_per_sec",
-                "violations",
-            ] {
-                require_num(cell, key, &cctx)?;
-            }
-            let lim = require_str(cell, "limited_by", &cctx)?;
-            if !matches!(lim, "none" | "latency" | "shed" | "violation") {
-                return Err(format!("{cctx}: unknown limited_by '{lim}'"));
-            }
-        }
-    }
-    for (i, t) in require_arr(&doc, "timeseries")?.iter().enumerate() {
-        let ctx = format!("timeseries[{i}]");
-        require_str(t, "name", &ctx)?;
-        for key in ["node", "n", "min", "mean", "max", "last", "peak_at_us"] {
-            require_num(t, key, &ctx)?;
-        }
-    }
-    for (i, q) in require_arr(&doc, "quorum")?.iter().enumerate() {
-        let ctx = format!("quorum[{i}]");
-        for key in ["node", "stale_epoch_rejects", "freezes", "epoch_bumps"] {
-            require_num(q, key, &ctx)?;
-        }
-    }
-    for (i, w) in require_arr(&doc, "wallclock")?.iter().enumerate() {
-        let ctx = format!("wallclock[{i}]");
-        require_str(w, "scenario", &ctx)?;
-        for key in [
-            "events",
-            "sim_ns",
-            "wall_ms",
-            "events_per_sec",
-            "sim_ns_per_sec",
-            "peak_queue_depth",
-            "threads",
-        ] {
-            require_num(w, key, &ctx)?;
-        }
-        for (j, s) in require(w, "shards")
-            .map_err(|e| format!("{ctx}: {e}"))?
-            .as_arr()
-            .ok_or_else(|| format!("{ctx}: 'shards' must be an array"))?
-            .iter()
-            .enumerate()
-        {
-            let sctx = format!("{ctx}.shards[{j}]");
-            for key in [
-                "shard",
-                "events",
-                "busy_passes",
-                "stall_passes",
-                "max_mailbox_depth",
-                "spilled",
-                "peak_queue_depth",
-                "utilization",
-            ] {
-                require_num(s, key, &sctx)?;
-            }
-        }
+    let cells = doc.items("capacity").flat_map(|c| c.items("cells"));
+    let mut limits = cells.filter_map(|cell| cell.get("limited_by")?.as_str());
+    if let Some(lim) = limits.find(|l| !matches!(*l, "none" | "latency" | "shed" | "violation")) {
+        return Err(format!("report.capacity: unknown limited_by '{lim}'"));
     }
     Ok(())
+}
+
+/// Read `path` and [`validate_json`] it: the `--check PATH` of both
+/// report binaries. `Ok` is the line to print, `Err` the complaint.
+pub fn check_file(path: &str) -> Result<String, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    validate_json(&text).map_err(|e| format!("{path}: schema violation: {e}"))?;
+    Ok(format!("{path}: valid (schema v{SCHEMA_VERSION})"))
 }
 
 #[cfg(test)]
@@ -934,6 +786,17 @@ mod tests {
         validate_json(&text).unwrap();
     }
 
+    /// The document is pinned to the writer that `push_str`ed it (commit
+    /// 1741961): same values, same key order; whitespace is free.
+    #[test]
+    fn sample_report_is_the_document_the_text_writer_wrote() {
+        let pinned = include_str!("../tests/fixtures/sample_report.json");
+        assert_eq!(
+            json::parse(&sample().to_json()).unwrap(),
+            json::parse(pinned).unwrap()
+        );
+    }
+
     #[test]
     fn empty_report_validates() {
         let text = BenchReport::default().to_json();
@@ -942,12 +805,13 @@ mod tests {
 
     #[test]
     fn only_the_current_schema_version_is_accepted() {
-        let current = format!("\"schema_version\": {SCHEMA_VERSION}");
-        for other in [1, 5, 7, 99] {
-            let text = sample()
-                .to_json()
-                .replace(&current, &format!("\"schema_version\": {other}"));
-            let err = validate_json(&text).unwrap_err();
+        for other in [1u32, 5, 7, 99] {
+            let Json::Obj(mut root) = Json::from(&sample()) else {
+                unreachable!("a report is an object")
+            };
+            assert_eq!(root[0].0, "schema_version");
+            root[0].1 = other.into();
+            let err = validate_json(&Json::Obj(root).to_document()).unwrap_err();
             assert!(
                 err.contains("schema_version") && err.contains("6..=6"),
                 "v{other}: {err}"
@@ -955,24 +819,105 @@ mod tests {
         }
     }
 
+    fn swapped(v: &Json) -> Json {
+        match v {
+            Json::Num(_) => Json::from("x"),
+            Json::Arr(_) => Json::obj::<&str>([]),
+            Json::Obj(_) => Json::Arr(vec![]),
+            _ => Json::from(0u32),
+        }
+    }
+
+    /// Every document that differs from `node`'s whole document in one
+    /// place below `node` — a member deleted, of the wrong kind, or
+    /// `null`; a first array element of the wrong kind — as `(path,
+    /// what was done, document)`. `whole` puts a replacement for `node`
+    /// back into the document around it.
+    fn mutants(
+        node: &Json,
+        at: &str,
+        whole: &dyn Fn(Json) -> Json,
+        out: &mut Vec<(String, &'static str, Json)>,
+    ) {
+        match node {
+            Json::Obj(members) => {
+                for (i, (key, value)) in members.iter().enumerate() {
+                    let path = format!("{at}.{key}");
+                    let with = |v: Option<Json>| {
+                        let mut members = members.clone();
+                        match v {
+                            Some(v) => members[i].1 = v,
+                            None => drop(members.remove(i)),
+                        }
+                        whole(Json::Obj(members))
+                    };
+                    out.push((path.clone(), "deleted", with(None)));
+                    out.push((path.clone(), "mistyped", with(Some(swapped(value)))));
+                    out.push((path.clone(), "null", with(Some(Json::Null))));
+                    mutants(value, &path, &|v| with(Some(v)), out);
+                }
+            }
+            Json::Arr(items) => {
+                let path = format!("{at}[0]");
+                let with = |v: Json| whole(Json::Arr(vec![v]));
+                out.push((path.clone(), "mistyped", with(swapped(&items[0]))));
+                mutants(&items[0], &path, &with, out);
+            }
+            _ => {}
+        }
+    }
+
+    /// Coverage derived from the writer, not hand-picked: every key the
+    /// exemplar serializes is required, of its kind, and `null` only
+    /// where the writer can put one.
     #[test]
-    fn timeseries_and_quorum_sections_are_required() {
-        let no_ts = sample()
-            .to_json()
-            .replace("\"timeseries\"", "\"timezeries\"");
-        assert!(validate_json(&no_ts).unwrap_err().contains("timeseries"));
-        let no_quorum = sample().to_json().replace("\"quorum\"", "\"kworum\"");
-        assert!(validate_json(&no_quorum).unwrap_err().contains("quorum"));
-        let no_peak = sample()
-            .to_json()
-            .replace("\"peak_at_us\"", "\"peak_at_uz\"");
-        assert!(validate_json(&no_peak).unwrap_err().contains("peak_at_us"));
-        let no_rejects = sample()
-            .to_json()
-            .replace("\"stale_epoch_rejects\"", "\"stale_epoch_rejectz\"");
-        assert!(validate_json(&no_rejects)
-            .unwrap_err()
-            .contains("stale_epoch_rejects"));
+    fn every_exemplar_key_is_required_and_typed() {
+        // The exemplar is a shape, not yet a valid document: as text its
+        // default `Layering`, 0 µs against 0 µs, carries a NaN
+        // `within_pct` (written `null`), and "" limits no capacity cell.
+        let mut exemplar = exemplar(true);
+        exemplar.layering.as_mut().unwrap().paper_us = PAPER_LAYERING_US;
+        exemplar.capacity[0].cells[0].limited_by = "none".to_string();
+        let exemplar = Json::from(&exemplar);
+        validate_json(&exemplar.to_document()).unwrap();
+        let mut docs = Vec::new();
+        mutants(&exemplar, "report", &|doc| doc, &mut docs);
+        for (path, what, doc) in &docs {
+            let verdict = validate_json(&doc.to_document());
+            let nullable = path.ends_with(".at_bytes") || path == "report.layering";
+            if *what == "null" && nullable {
+                verdict.unwrap_or_else(|e| panic!("{path} may be null: {e}"));
+            } else {
+                let err = verdict.expect_err(&format!("{path} {what} must be rejected"));
+                assert!(err.contains(path.as_str()), "{path} {what}: {err}");
+            }
+        }
+        // The keys the hand-picked negative tests used to try one by one.
+        for key in [
+            ".anchors",
+            ".timeseries",
+            ".quorum",
+            ".timeseries[0].peak_at_us",
+            ".quorum[0].stale_epoch_rejects",
+            ".capacity",
+            ".cells[0].sheds_per_sec",
+            ".wallclock",
+            ".wallclock[0].threads",
+            ".wallclock[0].events_per_sec",
+            ".wallclock[0].shards",
+            ".shards[0].stall_passes",
+            ".quantiles[0].p999_us",
+            ".messages",
+            ".stages[0].at_us",
+            ".tables[0].sizes[0]",
+            ".series[0].values[0]",
+        ] {
+            let tried = |(p, what, _): &&(String, &str, Json)| p.ends_with(key) && *what != "null";
+            assert!(
+                docs.iter().filter(tried).count() >= 1,
+                "{key} was not walked"
+            );
+        }
     }
 
     #[test]
@@ -994,33 +939,22 @@ mod tests {
     }
 
     #[test]
-    fn capacity_section_is_required_and_checked() {
-        let no_capacity = sample().to_json().replace("\"capacity\"", "\"kapacity\"");
-        assert!(validate_json(&no_capacity)
-            .unwrap_err()
-            .contains("capacity"));
-        let no_sheds = sample()
-            .to_json()
-            .replace("\"sheds_per_sec\"", "\"sheds_per_sek\"");
-        assert!(validate_json(&no_sheds)
-            .unwrap_err()
-            .contains("sheds_per_sec"));
-        let bad_limit = sample()
-            .to_json()
-            .replace("\"limited_by\": \"latency\"", "\"limited_by\": \"vibes\"");
-        assert!(validate_json(&bad_limit).unwrap_err().contains("vibes"));
+    fn limited_by_has_a_closed_vocabulary() {
+        let mut r = sample();
+        r.capacity[0].cells[1].limited_by = "vibes".to_string();
+        assert!(validate_json(&r.to_json()).unwrap_err().contains("vibes"));
     }
 
     #[test]
-    fn wallclock_entry_requires_parallel_engine_fields() {
-        let no_threads = sample().to_json().replace("\"threads\"", "\"treads\"");
-        assert!(validate_json(&no_threads).unwrap_err().contains("threads"));
-        let no_shards = sample().to_json().replace("\"shards\"", "\"chards\"");
-        assert!(validate_json(&no_shards).unwrap_err().contains("shards"));
+    fn a_non_finite_value_fails_self_validation() {
+        let mut r = sample();
+        r.layers[0].self_us = f64::NAN;
+        let err = r.validated_json().unwrap_err();
+        assert!(err.contains("report.layers[0].self_us"), "{err}");
     }
 
     #[test]
-    fn shard_breakdown_round_trips_and_is_checked() {
+    fn shard_breakdown_round_trips() {
         let mut r = sample();
         r.wallclock[0].threads = 4;
         r.wallclock[0].shards = vec![
@@ -1045,9 +979,14 @@ mod tests {
         ];
         let text = r.to_json();
         validate_json(&text).unwrap();
-        assert!(text.contains("\"stall_passes\": 20"));
-        let broken = text.replace("\"stall_passes\"", "\"stall_pazzes\"");
-        assert!(validate_json(&broken).unwrap_err().contains("stall_passes"));
+        let doc = json::parse(&text).unwrap();
+        let shards: Vec<&Json> = doc
+            .items("wallclock")
+            .flat_map(|w| w.items("shards"))
+            .collect();
+        assert_eq!(shards.len(), 2);
+        assert_eq!(shards[1].get("stall_passes"), Some(&Json::Num(20.0)));
+        assert_eq!(shards[1].get("utilization"), Some(&Json::Num(0.8)));
     }
 
     #[test]
@@ -1062,40 +1001,6 @@ mod tests {
             peak_queue_depth: 0,
         };
         assert!((s.utilization() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tail_percentiles_and_messages_are_required() {
-        let no_tail = sample().to_json().replace("\"p999_us\"", "\"p999_uz\"");
-        assert!(validate_json(&no_tail).unwrap_err().contains("p999_us"));
-        let no_msgs = sample().to_json().replace("\"messages\"", "\"mezzages\"");
-        assert!(validate_json(&no_msgs).unwrap_err().contains("messages"));
-    }
-
-    #[test]
-    fn message_stages_are_checked() {
-        let text = sample().to_json().replace("\"at_us\"", "\"at_uz\"");
-        assert!(validate_json(&text).unwrap_err().contains("at_us"));
-    }
-
-    #[test]
-    fn missing_wallclock_section_is_rejected() {
-        let text = sample().to_json().replace("\"wallclock\"", "\"wallklock\"");
-        assert!(validate_json(&text).unwrap_err().contains("wallclock"));
-    }
-
-    #[test]
-    fn wallclock_entry_requires_throughput_fields() {
-        let text = sample()
-            .to_json()
-            .replace("\"events_per_sec\"", "\"events_per_sek\"");
-        assert!(validate_json(&text).unwrap_err().contains("events_per_sec"));
-    }
-
-    #[test]
-    fn missing_key_is_rejected() {
-        let text = sample().to_json().replace("\"anchors\"", "\"anchorz\"");
-        assert!(validate_json(&text).unwrap_err().contains("anchors"));
     }
 
     #[test]

@@ -18,6 +18,8 @@
 
 use des::Time;
 
+use crate::RpcError;
+
 /// Frame header size in bytes: token (8) + channel (4) + flags (1) +
 /// reserved (3).
 pub const HEADER_BYTES: usize = 16;
@@ -152,14 +154,15 @@ impl MessageBuffer {
     }
 
     /// Set the body length after composing it via
-    /// [`MessageBuffer::body_mut`].
-    pub fn set_body_len(&mut self, len: usize) {
-        assert!(
-            len <= self.capacity(),
-            "body of {len} bytes exceeds the {}-byte capacity",
-            self.capacity()
-        );
+    /// [`MessageBuffer::body_mut`]. A length past the capacity is
+    /// [`RpcError::BodyTooLarge`] and leaves the buffer as it was.
+    pub fn set_body_len(&mut self, len: usize) -> Result<(), RpcError> {
+        let max = self.capacity();
+        if len > max {
+            return Err(RpcError::BodyTooLarge { len, max });
+        }
         self.len = HEADER_BYTES + len;
+        Ok(())
     }
 
     /// The decoded header.
@@ -290,7 +293,7 @@ mod tests {
         let mut b = MessageBuffer::new(64);
         b.encode_request(0xDEAD_BEEF_0042, 7, Priority::High);
         b.body_mut()[..5].copy_from_slice(b"hello");
-        b.set_body_len(5);
+        b.set_body_len(5).unwrap();
         let h = Header::decode(b.frame()).unwrap();
         assert_eq!(h.token, 0xDEAD_BEEF_0042);
         assert_eq!(h.channel, 7);
@@ -316,7 +319,7 @@ mod tests {
         assert_eq!(b.src(), 3);
         assert_eq!(b.trace(), 42);
         b.transfer_to_callee();
-        b.set_body_len(4);
+        b.set_body_len(4).unwrap();
         b.make_reply();
         assert!(b.header().is_reply);
         assert_eq!(b.token(), 1, "reply keeps the request's token");
@@ -345,9 +348,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_body_rejected() {
+    fn oversized_body_is_a_typed_error_and_changes_nothing() {
         let mut b = MessageBuffer::new(8);
-        b.set_body_len(9);
+        b.set_body_len(3).unwrap();
+        assert_eq!(
+            b.set_body_len(9),
+            Err(RpcError::BodyTooLarge { len: 9, max: 8 })
+        );
+        assert_eq!(b.body().len(), 3);
+        b.set_body_len(8).unwrap();
     }
 }

@@ -107,16 +107,10 @@ impl RpcClient {
             self.stats.shed += 1;
             return Err(RpcError::OutOfCredit { channel });
         }
-        if body.len() > self.staging.capacity() {
-            return Err(RpcError::BodyTooLarge {
-                len: body.len(),
-                max: self.staging.capacity(),
-            });
-        }
         let token = ch.next_token;
         self.staging.encode_request(token, channel, class);
+        self.staging.set_body_len(body.len())?;
         self.staging.body_mut()[..body.len()].copy_from_slice(body);
-        self.staging.set_body_len(body.len());
         match self.ep.send(ctx, self.server, self.staging.frame()) {
             Ok(()) => {
                 ch.next_token += 1;

@@ -117,7 +117,7 @@ fn reply_path_is_alloc_free_after_warmup() {
                 for b in body[..BODY].iter_mut() {
                     *b ^= 0xFF;
                 }
-                buf.set_body_len(BODY);
+                buf.set_body_len(BODY).unwrap();
                 mq.reply_later(buf);
             }
             let staged = ALLOCS.load(Ordering::SeqCst);

@@ -79,6 +79,13 @@ fn check_credit_safety(channels: u8, credits: u32, ops: Vec<Op>) {
         .count() as u64;
     sim.spawn("client", move |ctx| {
         let mut cl = RpcClient::new(client_ep, 1, channels as u32, credits, 32);
+        // A body past the buffer capacity is refused typed, before it
+        // takes a credit or counts as shed.
+        assert_eq!(
+            cl.try_request(ctx, 0, Priority::Normal, &[0; 33]),
+            Err(RpcError::BodyTooLarge { len: 33, max: 32 })
+        );
+        assert_eq!(cl.outstanding(0), 0);
         for op in &ops {
             match *op {
                 Op::Request { channel, high } => {
@@ -207,7 +214,7 @@ fn check_bounded_starvation(max_high_streak: u32, rounds: u16) {
                     streak = 0;
                 }
                 buf.body_mut()[0] = 0xAA;
-                buf.set_body_len(1);
+                buf.set_body_len(1).unwrap();
                 mq.reply_later(buf);
                 // Re-poll so freshly arrived high requests contend with
                 // the queued normal ones — the starvation scenario.

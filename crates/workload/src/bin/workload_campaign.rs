@@ -41,14 +41,10 @@ fn main() {
     }
 
     if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        match obs::report::validate_json(&text) {
-            Ok(()) => println!("{path}: schema valid"),
-            Err(e) => {
-                eprintln!("{path}: schema INVALID: {e}");
+        match obs::report::check_file(&path) {
+            Ok(verdict) => println!("{verdict}"),
+            Err(complaint) => {
+                eprintln!("{complaint}");
                 std::process::exit(1);
             }
         }
@@ -62,8 +58,7 @@ fn main() {
     };
     CAMPAIGN.run(cells(quick), CampaignCell::run, |walk| {
         let report = to_report(walk.cells.iter().map(|r| &r.cell), generated_by);
-        let json = report.to_json();
-        obs::report::validate_json(&json).expect("generated report must self-validate");
+        let json = report.validated_json().unwrap_or_else(|e| panic!("{e}"));
         println!("capacity at each scenario's p999 target:");
         for s in &report.capacity {
             println!(

@@ -275,7 +275,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                     ctx.advance(plan_s.service.sample(&mut rng, dispatched));
                     dispatched += 1;
                     let n = buf.body().len();
-                    buf.set_body_len(n);
+                    buf.set_body_len(n).expect("an echo fits its own buffer");
                     mq.reply_later(buf);
                     mq.poll(ctx);
                 }

@@ -110,7 +110,7 @@ fn main() {
                     *b = !*b;
                 }
                 let n = buf.body().len();
-                buf.set_body_len(n);
+                buf.set_body_len(n).expect("an echo fits its own buffer");
                 mq.reply_later(buf);
             }
             mq.flush(ctx).expect("reply flush failed");
