@@ -127,6 +127,10 @@ pub(crate) struct Core {
     out_ack_flags: Vec<Word>,
     /// Round-robin cursor for `recv_any` fairness.
     rr_cursor: usize,
+    /// One sweep's `(flag word, shadow)` list, reused like `ack_scratch`.
+    looks: Vec<(usize, Word)>,
+    /// The last payload read, in word form, reused like `staged`.
+    pub payload: Vec<Word>,
     /// Interrupt-mode wake-ups (armed over our MESSAGE flag block).
     recv_signal: Option<Signal>,
     /// Interrupt-mode wake-ups for ACKs (armed over our ACK flag block).
@@ -165,6 +169,8 @@ impl Core {
             ext_seq_hi: vec![0; n],
             out_ack_flags: vec![0; n],
             rr_cursor: 0,
+            looks: Vec::new(),
+            payload: Vec::new(),
             recv_signal,
             ack_signal,
         }
@@ -532,21 +538,49 @@ impl Core {
     }
 
     /// One poll sweep: `only`'s flag word, or every peer's in rank order.
+    ///
+    /// A sweep of several words is handed to the NIC whole ([`Nic::scan`]),
+    /// so this process sleeps through the words that have not changed. Two
+    /// sweeps are the loop written out instead: one of a single word,
+    /// which costs what its one read costs either way, and any sweep while
+    /// the event log records — the log is told of every poll and every
+    /// PIO read at its instant, which only the process itself can do.
     pub(crate) fn poll(&mut self, ctx: &mut ProcCtx, only: Option<usize>) {
+        let rank = self.rank;
         let (first, end) = only.map_or((0, self.n), |s| (s, s + 1));
-        for s in first..end {
-            if s != self.rank {
-                self.poll_sender(ctx, s);
+        let senders = (first..end).filter(|&s| s != rank);
+        let words = only.map_or(self.n - 1, |_| 1);
+        if words == 1 || ctx.obs().is_enabled() {
+            for s in senders {
+                ctx.charge(self.sw.poll_iter_ns);
+                self.stats.polls += 1;
+                self.count(ctx, "bbp.polls", 1);
+                let word = self.nic.read_word(ctx, self.layout.msg_flag(rank, s));
+                self.flagged(ctx, s, word);
             }
+            return;
         }
+        let mut looks = std::mem::take(&mut self.looks);
+        looks.clear();
+        looks.extend(senders.map(|s| (self.layout.msg_flag(rank, s), self.shadow_msg[s])));
+        // A changed word is handled as the loop would, then the sweep goes
+        // on after it: handling `s` touches no other sender's shadow.
+        let mut next = 0;
+        while let Some((i, word)) = self.nic.scan(ctx, self.sw.poll_iter_ns, &looks[next..]) {
+            self.stats.polls += i as u64 + 1;
+            // We have no look of our own: look `k` is sender `k` below our
+            // rank and sender `k + 1` from it up.
+            let k = next + i;
+            self.flagged(ctx, k + usize::from(k >= rank), word);
+            next = k + 1;
+        }
+        self.stats.polls += (looks.len() - next) as u64;
+        self.looks = looks;
     }
 
-    /// Enqueue the messages `s`'s MESSAGE flag word newly flags.
-    fn poll_sender(&mut self, ctx: &mut ProcCtx, s: usize) {
-        ctx.charge(self.sw.poll_iter_ns);
-        self.stats.polls += 1;
-        self.count(ctx, "bbp.polls", 1);
-        let word = self.nic.read_word(ctx, self.layout.msg_flag(self.rank, s));
+    /// Enqueue the messages that `word`, `s`'s MESSAGE flag word as just
+    /// read, newly flags.
+    fn flagged(&mut self, ctx: &mut ProcCtx, s: usize, word: Word) {
         let changed = word ^ self.shadow_msg[s];
         if changed == 0 {
             return;
@@ -577,42 +611,45 @@ impl Core {
         }
     }
 
-    pub(crate) fn read_descriptor(&self, ctx: &mut ProcCtx, s: usize, slot: usize) -> Vec<Word> {
-        self.nic.read_block(
-            ctx,
-            self.layout.descriptor(s, slot),
-            self.layout.desc_words(),
-        )
+    /// `slot`'s descriptor as `s` last wrote it; the fourth word is zero
+    /// when the layout has three.
+    pub(crate) fn read_descriptor(&self, ctx: &mut ProcCtx, s: usize, slot: usize) -> [Word; 4] {
+        let mut desc = [0; 4];
+        let used = self.layout.desc_words();
+        self.nic
+            .read_block(ctx, self.layout.descriptor(s, slot), &mut desc[..used]);
+        desc
     }
 
+    /// Read `words` of `s`'s data partition into [`Core::payload`].
     pub(crate) fn read_payload(
-        &self,
+        &mut self,
         ctx: &mut ProcCtx,
         s: usize,
         data_off: usize,
         words: usize,
-    ) -> Vec<Word> {
-        if words == 0 {
-            return Vec::new();
-        }
+    ) {
+        // Every word is overwritten: only a longer payload's tail is new.
+        self.payload.resize(words, 0);
         self.nic
-            .read_block(ctx, self.layout.data_base(s) + data_off, words)
+            .read_block(ctx, self.layout.data_base(s) + data_off, &mut self.payload);
     }
 
     /// Hand `msg` to the application: read its payload (unless the caller
-    /// holds it already, checked), toggle the ACK bit, return the bytes.
+    /// has just `fetched` it into [`Core::payload`], and checked it),
+    /// toggle the ACK bit, return the bytes.
     pub(crate) fn deliver(
         &mut self,
         ctx: &mut ProcCtx,
         src: usize,
         msg: &PendingMsg,
-        payload: Option<Vec<Word>>,
+        fetched: bool,
     ) -> Vec<u8> {
         let rank = self.rank as u32;
         ctx.obs().span_enter(ctx.now(), rank, Layer::Bbp, "deliver");
-        let data = payload.unwrap_or_else(|| {
-            self.read_payload(ctx, src, msg.data_off, msg.len_bytes.div_ceil(4))
-        });
+        if !fetched {
+            self.read_payload(ctx, src, msg.data_off, msg.len_bytes.div_ceil(4));
+        }
         ctx.advance(self.sw.deliver_ns);
         self.out_ack_flags[src] ^= 1 << msg.slot;
         self.nic.write_word(
@@ -625,7 +662,7 @@ impl Core {
         self.lifecycle(ctx, msg.trace, Stage::Deliver, msg.len_bytes as u64);
         ctx.obs().set_current_rx(rank, msg.trace);
         ctx.obs().span_exit(ctx.now(), rank, Layer::Bbp, "deliver");
-        unpack_bytes(&data, msg.len_bytes)
+        unpack_bytes(&self.payload, msg.len_bytes)
     }
 }
 

@@ -645,7 +645,7 @@ impl BbpEndpoint {
     /// `None` when the message was held back, re-queued or dropped.
     fn consume(&mut self, ctx: &mut ProcCtx, src: usize, msg: PendingMsg) -> Option<Vec<u8>> {
         let Some(rel) = &mut self.reliable else {
-            return Some(self.core.deliver(ctx, src, &msg, None));
+            return Some(self.core.deliver(ctx, src, &msg, false));
         };
         if let Some(m) = &self.members {
             if m.fence(ctx, &mut self.core, src, rel.cfg.ack_timeout_ns) {

@@ -187,8 +187,10 @@ struct Scan {
 
 /// One PIO block read of the view `r` currently publishes.
 fn read_view(ctx: &mut ProcCtx, core: &Core, r: usize) -> MembershipView {
-    let vw = core.nic.read_block(ctx, core.layout.view_epoch_word(r), 2);
-    let (epoch, alive_mask) = (vw[0], vw[1]);
+    let mut vw = [0; 2];
+    core.nic
+        .read_block(ctx, core.layout.view_epoch_word(r), &mut vw);
+    let [epoch, alive_mask] = vw;
     MembershipView { epoch, alive_mask }
 }
 
@@ -424,9 +426,9 @@ impl Members {
             if r == core.rank {
                 continue;
             }
-            let blk = core
-                .nic
-                .read_block(ctx, core.layout.member_base(r), member_words);
+            let mut blk = [0; MEMBER_WORDS];
+            core.nic
+                .read_block(ctx, core.layout.member_base(r), &mut blk[..member_words]);
             let (hb, inc) = (blk[0], blk[1]);
             scan.views[r] = Some((blk[2], blk[3]));
             if quorum {

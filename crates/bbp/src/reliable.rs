@@ -261,11 +261,10 @@ impl Reliable {
         let in_bounds = core.check_size(len_bytes).is_ok()
             && data_off <= core.layout.data_words()
             && data_off + words <= core.layout.data_words();
-        let mut payload = Vec::new();
         let verified = in_bounds && {
-            payload = core.read_payload(ctx, src, data_off, words);
+            core.read_payload(ctx, src, data_off, words);
             ctx.advance(self.cfg.checksum_ns);
-            descriptor_crc(desc[0], desc[1], desc[2], &payload) == stored_crc
+            descriptor_crc(desc[0], desc[1], desc[2], &core.payload) == stored_crc
         };
         if !verified {
             self.reject_corrupt(ctx, core, src, msg);
@@ -292,7 +291,7 @@ impl Reliable {
         }
         self.expected_seq[src] = seq.wrapping_add(1);
         msg.len_bytes = len_bytes;
-        Some(core.deliver(ctx, src, &msg, Some(payload)))
+        Some(core.deliver(ctx, src, &msg, true))
     }
 
     /// A message failed bounds or CRC verification: NACK the sender (our

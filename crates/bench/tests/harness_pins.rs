@@ -78,16 +78,23 @@ fn collectives_are_bit_identical() {
             bits,
         );
     }
-    for (nodes, bits, schedule) in [
-        (4, 0x40462ccccccccccd, (828, 354, 344)),
-        (16, 0x406764cccccccccd, (18_178, 7_764, 7_614)),
+    // `dispatches` is the simulation's and was captured with the latencies.
+    // `relayed` and `handoffs` count what the host did with those
+    // dispatches — how many `Resume`s the dispatch loop answered for a
+    // sleeping process, how often the baton changed threads — and were
+    // re-captured when poll sweeps stopped waking their process per word
+    // (before: 354 / 344 on 4 nodes, 7 764 / 7 614 on 16).
+    for (nodes, bits, dispatches, host) in [
+        (4, 0x40462ccccccccccd, 828, (520, 168)),
+        (16, 0x406764cccccccccd, 18_178, (14_426, 814)),
     ] {
         let (us, run) = mpi_barrier_run(MpiNet::Scramnet, nodes, Native);
         pin(&format!("mpi barrier {nodes} nodes"), us, bits);
+        assert_eq!(run.dispatches, dispatches, "barrier on {nodes} nodes");
         assert_eq!(
-            (run.dispatches, run.relayed, run.handoffs),
-            schedule,
-            "barrier on {nodes} nodes: (dispatches, relayed, handoffs)"
+            (run.relayed, run.handoffs),
+            host,
+            "barrier on {nodes} nodes: (relayed, handoffs)"
         );
     }
 }

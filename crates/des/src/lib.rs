@@ -82,6 +82,16 @@
 //! it owes. While the event log is recording, a charge simply *is* an
 //! advance, so a trace shows every step where it always was.
 //!
+//! A poll loop — own time, a stall, read a word, go round again while it
+//! has not changed — is the case the chain was missing: its stalls end in
+//! a read only the process could make, so it was woken for every word.
+//! [`ProcCtx::scan`] queues the whole sweep with a *look* at the end of
+//! each stall: whoever walks the step samples the word through
+//! [`Sample`] exactly where the process would have read it, walks on if
+//! it is the expected one, and otherwise cuts the chain there and lets
+//! the process run with its clock at that instant. A read has no side
+//! effect, so who makes it is not an input to anything either.
+//!
 //! Because only one entity runs at a time, shared state guarded by a
 //! [`parking_lot::Mutex`] is never contended; the mutex exists only to
 //! satisfy the borrow checker across threads. The one discipline users must
@@ -112,7 +122,7 @@ pub mod par;
 pub mod queue;
 pub mod rng;
 
-pub use process::{ProcCtx, ProcId};
+pub use process::{ProcCtx, ProcId, Sample};
 pub use sched::SimHandle;
 pub use signal::Signal;
 pub use sim::{RunReport, Simulation};

@@ -15,7 +15,10 @@
 //! in its [`Chain`]; the next stall *settles* the chain — walks the steps
 //! as consecutive `advance`s would — and whichever thread pops one of the
 //! chain's `Resume`s walks the rest on the sleeping process's behalf
-//! ([`SchedShared::walk`]).
+//! ([`SchedShared::walk`]). A step may end with a *look* at one word of
+//! shared state ([`ProcCtx::scan`]): the walker takes it where the woken
+//! process would have, and the process sleeps on while the word is the one
+//! it expected.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -39,39 +42,99 @@ pub(crate) const GO: u8 = 1;
 /// The simulation is being dropped; the process thread must unwind.
 pub(crate) const ABORT: u8 = 2;
 
+/// Shared state a chain step can end with a look at: memory the owner
+/// models as one `u32` word per address. Implemented by the hardware model
+/// (`des` knows nothing of what the words are) and called by whichever
+/// thread walks the step, at the instant the step ends.
+pub trait Sample: Send + Sync {
+    /// The word at `addr`, as of this point of the run. Reading it must
+    /// change nothing a simulated entity can observe.
+    fn sample(&self, addr: usize) -> u32;
+}
+
 /// Steps a process can owe at once; one more [`ProcCtx::charge`] settles
-/// the chain first. The deepest chain in the stack (an MPI send: binding,
-/// request, header, BBP entry, allocation, then the PIO stall) is six.
-pub(crate) const CHAIN_CAP: usize = 8;
+/// the chain first. Sized for the longest poll sweep in the benchmark, a
+/// 16-rank receive-from-anyone: one carried charge, then a charge and a
+/// stall for each of 15 flag words. Longer sweeps settle when full.
+pub(crate) const CHAIN_CAP: usize = 32;
+
+/// "Sample `addr`; anything but `expected` ends the chain here."
+#[derive(Clone, Copy)]
+struct Look {
+    addr: usize,
+    expected: u32,
+    /// The caller's name for this look, handed back if it is the one.
+    index: u32,
+}
+
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Step {
+    pub dt: Time,
+    look: Option<Look>,
+}
 
 /// The steps a process has charged and not yet had walked, oldest first.
 /// An inline array, so charging, settling and relaying never allocate.
 #[derive(Default)]
 pub(crate) struct Chain {
-    steps: [Time; CHAIN_CAP],
+    steps: [Step; CHAIN_CAP],
     next: usize,
     len: usize,
+    /// The step whose `Resume` is in the queue; its look is taken when
+    /// that comes up.
+    pub due: Option<Step>,
+    /// What the looks sample. Present only while steps are queued: the
+    /// hardware model behind it holds a [`SimHandle`], so a chain that kept
+    /// it would keep its own scheduler — the whole world — alive.
+    on: Option<Arc<dyn Sample>>,
+    /// The first look that did not see its expected word: its index, the
+    /// word, and the instant it was taken.
+    hit: Option<(u32, u32, Time)>,
 }
 
 impl Chain {
     /// Record a step; `false` (and nothing recorded) when full.
-    fn push(&mut self, dt: Time) -> bool {
+    fn push(&mut self, step: Step) -> bool {
         if self.len == CHAIN_CAP {
             return false;
         }
-        self.steps[self.len] = dt;
+        self.steps[self.len] = step;
         self.len += 1;
         true
     }
 
     /// Take the oldest unwalked step.
-    pub fn pop(&mut self) -> Option<Time> {
+    pub fn pop(&mut self) -> Option<Step> {
         if self.next == self.len {
-            (self.next, self.len) = (0, 0);
+            self.cut();
             return None;
         }
         self.next += 1;
         Some(self.steps[self.next - 1])
+    }
+
+    /// `step` has ended at `at`: take its look, if it has one. `false`
+    /// when the word was not the expected one — the hit is recorded, the
+    /// chain is cut, and the process has to run.
+    pub fn look(&mut self, step: Step, at: Time) -> bool {
+        let Some(look) = step.look else {
+            return true;
+        };
+        let on = self.on.as_ref().expect("queued with what it samples");
+        let word = on.sample(look.addr);
+        if word == look.expected {
+            return true;
+        }
+        self.hit = Some((look.index, word, at));
+        self.cut();
+        false
+    }
+
+    /// Forget every unwalked step, and let go of what they sampled.
+    pub fn cut(&mut self) {
+        (self.next, self.len) = (0, 0);
+        self.due = None;
+        self.on = None;
     }
 }
 
@@ -212,14 +275,97 @@ impl ProcCtx {
     /// Record `dt` as a step to be walked and move the local clock past
     /// it; a full chain is settled first.
     fn owe(&mut self, dt: Time) {
-        if !self.shared.chain.lock().push(dt) {
+        let step = Step { dt, look: None };
+        if !self.shared.chain.lock().push(step) {
             self.settle();
-            let pushed = self.shared.chain.lock().push(dt);
+            let pushed = self.shared.chain.lock().push(step);
             debug_assert!(pushed, "a settled chain is empty");
         }
+        self.owed(dt);
+    }
+
+    /// Move the local clock past `dt` of steps just recorded.
+    fn owed(&mut self, dt: Time) {
         let since = *self.owed_since.get_or_insert(self.now);
         self.now += dt;
         self.sched.set_owing(Some((self.id, self.now - since)));
+    }
+
+    /// A poll sweep the process sleeps through. For each `(addr,
+    /// expected)` of `looks`, in order: `cpu` ns of its own time, a stall
+    /// of `stall` ns, then a look at word `addr` of `on`; the first word
+    /// that is not the expected one ends the sweep. Returns that look's
+    /// index and the word, with the clock at the instant of the look, or
+    /// `None` with the clock past the last stall. The loop it stands for:
+    ///
+    /// ```ignore
+    /// for (i, &(addr, expected)) in looks.iter().enumerate() {
+    ///     ctx.charge(cpu);
+    ///     ctx.advance(stall);
+    ///     let word = on.sample(addr);
+    ///     if word != expected {
+    ///         return Some((i, word));
+    ///     }
+    /// }
+    /// None
+    /// ```
+    ///
+    /// — the same schedule and the same dispatch count, because between a
+    /// stall's `Resume` coming up and the next step being queued that loop
+    /// does nothing anyone can observe; here the thread that popped the
+    /// `Resume` takes the look instead of waking this one to. Steps already
+    /// charged ride in front. The event log is not told of any of it — no
+    /// `Yield` entry is written for a step someone else walks, which is
+    /// why [`ProcCtx::charge`] is an `advance` while it records — so a
+    /// layer whose sweep may run while the log records writes the loop
+    /// out then.
+    pub fn scan<S: Sample + 'static>(
+        &mut self,
+        on: &Arc<S>,
+        cpu: Time,
+        stall: Time,
+        looks: impl IntoIterator<Item = (usize, u32)>,
+    ) -> Option<(usize, u32)> {
+        let mut looks = looks.into_iter().peekable();
+        let mut index = 0;
+        while looks.peek().is_some() {
+            let queued = {
+                let mut chain = self.shared.chain.lock();
+                let room = (CHAIN_CAP - chain.len) / 2;
+                if room > 0 {
+                    chain.on = Some(Arc::clone(on) as Arc<dyn Sample>);
+                }
+                let first = index;
+                for (addr, expected) in looks.by_ref().take(room) {
+                    let look = Look {
+                        addr,
+                        expected,
+                        index,
+                    };
+                    chain.push(Step {
+                        dt: cpu,
+                        look: None,
+                    });
+                    chain.push(Step {
+                        dt: stall,
+                        look: Some(look),
+                    });
+                    index += 1;
+                }
+                index - first
+            };
+            self.owed(Time::from(queued) * (cpu + stall));
+            // A chain with no room for a look holds steps this process
+            // owes: settling empties it for the next go.
+            self.settle();
+            if let Some((index, word, at)) = self.shared.chain.lock().hit.take() {
+                // `owed` moved the clock past every queued step; the ones
+                // after the look were never walked.
+                self.now = at;
+                return Some((index as usize, word));
+            }
+        }
+        None
     }
 
     /// Walk every step still owed, so the run is where this process's

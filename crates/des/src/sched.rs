@@ -210,26 +210,38 @@ impl SchedShared {
     /// consecutive `advance`s by the process itself would: a step nothing
     /// is due before moves the clock; the first one something is gets the
     /// process's `Resume` queued at its end, and the walk stops there.
-    /// Returns `true` when no step is left (the process may run), `false`
-    /// when a `Resume` was queued.
+    /// A step that ends with a look (see [`crate::ProcCtx::scan`]) has the
+    /// word sampled at its end — here when the clock moved, or first thing
+    /// when its `Resume` comes up — and any word but the expected one cuts
+    /// the chain. Returns `true` when no step is left (the process may
+    /// run), `false` when a `Resume` was queued.
     ///
     /// Called by the process when it settles and by [`Self::dispatch`]
     /// when one of those `Resume`s comes up. Who calls is not an input to
     /// anything the walk decides — the queue head, the horizon, the next
-    /// tie-break value — so the schedule cannot tell the difference.
-    /// (A trace could: no `Yield` entry is written here. Chains only form
-    /// while the event log is off; one still in flight when recording is
-    /// switched on finishes without them.)
+    /// tie-break value, the sampled word — so the schedule cannot tell the
+    /// difference. (A trace could: no `Yield` entry is written here.
+    /// Chains only form while the event log is off; one still in flight
+    /// when recording is switched on finishes without them.)
     pub fn walk(&self, id: ProcId, proc: &ProcShared, mut cur: Time) -> bool {
         let mut chain = proc.chain.lock();
-        while let Some(dt) = chain.pop() {
-            let target = cur + dt;
+        if let Some(step) = chain.due.take() {
+            if !chain.look(step, cur) {
+                return true;
+            }
+        }
+        while let Some(step) = chain.pop() {
+            let target = cur + step.dt;
             if !self.idle_through(target) {
                 self.push(target, WakeWhat::Resume(id));
                 self.catch_up(cur);
+                chain.due = Some(step);
                 return false;
             }
             cur = target;
+            if !chain.look(step, cur) {
+                return true;
+            }
         }
         true
     }

@@ -197,6 +197,9 @@ impl Drop for Simulation {
             if let Some(join) = entry.join.take() {
                 let _ = join.join();
             }
+            // A chain cut short mid-sweep still holds what it sampled, and
+            // that holds a handle on this scheduler: break the cycle.
+            entry.shared.chain.lock().cut();
         }
     }
 }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::sync::Arc;
 
-use des::{SimHandle, Simulation, Time};
+use des::{Sample, SimHandle, Simulation, Time};
 
 struct CountingAlloc;
 
@@ -40,6 +40,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Memory whose every tenth look sees a changed word.
+struct EveryTenth(AtomicU64);
+
+impl Sample for EveryTenth {
+    fn sample(&self, _addr: usize) -> u32 {
+        u32::from(self.0.fetch_add(1, Ordering::SeqCst) % 10 == 9)
+    }
+}
 
 /// An endless self-rescheduling event: the closure captures one
 /// `SimHandle` (a single `Arc`), well inside the inline budget.
@@ -92,6 +101,8 @@ fn event_dispatch_is_alloc_free_after_warmup() {
     let on_walker2 = Arc::clone(&on_walker);
     let chained = Arc::new(AtomicU64::new(u64::MAX));
     let chained2 = Arc::clone(&chained);
+    let swept = Arc::new(AtomicU64::new(u64::MAX));
+    let swept2 = Arc::clone(&swept);
     let h2 = h.clone();
     sim.spawn_at(2_000_000, "walker", move |ctx| {
         for _ in 0..1_000 {
@@ -121,8 +132,20 @@ fn event_dispatch_is_alloc_free_after_warmup() {
             ctx.advance(40);
         }
         chained2.store(ALLOCS.load(Ordering::SeqCst) - before, Ordering::SeqCst);
+        // Sweeps of 15 words, 30 + 40 ns each: with an event due every
+        // couple of nanoseconds every step is queued, so every look is
+        // taken by the dispatch loop as its `Resume` comes up, and the
+        // tenth cuts the sweep short. Queueing the looks, relaying them
+        // and the early exit stay off the heap too.
+        let mem = Arc::new(EveryTenth(AtomicU64::new(0)));
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..2_000 {
+            let hit = ctx.scan(&mem, 30, 40, (0..15).map(|addr| (addr, 0)));
+            assert_eq!(hit, Some((9, 1)));
+        }
+        swept2.store(ALLOCS.load(Ordering::SeqCst) - before, Ordering::SeqCst);
     });
-    let report = sim.run_until(6_200_000);
+    let report = sim.run_until(7_700_000);
     assert!(report.is_clean(), "the walker finished inside the horizon");
     assert!(
         report.dispatches > 1_000_000,
@@ -140,11 +163,20 @@ fn event_dispatch_is_alloc_free_after_warmup() {
         0,
         "yield + inline dispatch allocated after warm-up"
     );
-    assert_eq!(report.relayed, 40_000, "two relayed resumes per chain");
+    assert_eq!(
+        report.relayed,
+        40_000 + 2_000 * 19,
+        "two relayed resumes per chain, nineteen per sweep cut at its tenth word"
+    );
     assert_eq!(
         chained.load(Ordering::SeqCst),
         0,
         "charge + settle + relay allocated"
+    );
+    assert_eq!(
+        swept.load(Ordering::SeqCst),
+        0,
+        "scan + relayed look + early exit allocated"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.

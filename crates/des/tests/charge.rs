@@ -6,11 +6,15 @@
 //! inside the simulation: same end time, same dispatch count, same peak
 //! queue depth, same observations in the same order. Only `handoffs` and
 //! `relayed`, which count what the host did, may differ.
+//!
+//! `ProcCtx::scan` is held to the same standard in the second half: a
+//! poll sweep written out as the loop it stands for, and the same sweep
+//! handed over whole.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use des::{ProcCtx, RunReport, SimHandle, Simulation, Time};
+use des::{ProcCtx, RunReport, Sample, SimHandle, Simulation, Time};
 
 type Log = Arc<Mutex<Vec<(Time, String)>>>;
 
@@ -101,12 +105,12 @@ fn charges_interleave_with_a_sibling_and_an_event_chain_as_advances_do() {
 #[test]
 fn more_charges_than_the_chain_holds_settle_early_and_change_nothing() {
     let (_, chained) = both_ways(|sim, log, chained| {
-        ticks(&sim.handle(), log, 45, 3_000);
+        ticks(&sim.handle(), log, 45, 4_000);
         let log2 = Arc::clone(log);
         sim.spawn("spender", move |ctx| {
             for round in 0..5 {
-                for i in 0..27 {
-                    cost(ctx, 3 + i + round, chained);
+                for i in 0..70 {
+                    cost(ctx, 3 + i % 9 + round, chained);
                 }
                 ctx.advance(20);
                 note(&log2, ctx);
@@ -284,6 +288,230 @@ fn dropping_a_simulation_with_a_chain_in_the_queue_unwinds_its_process() {
     assert_eq!(report.relayed, 1, "100 was walked for it; 200 is queued");
     drop(sim);
     assert!(unwound.load(Ordering::SeqCst));
+}
+
+// ---------------------------------------------------------------------
+// Sweeps: `ProcCtx::scan` against the loop it stands for.
+// ---------------------------------------------------------------------
+
+/// Words a sweep looks at and events write.
+struct Words(Mutex<Vec<u32>>);
+
+impl Sample for Words {
+    fn sample(&self, addr: usize) -> u32 {
+        self.0.lock().unwrap()[addr]
+    }
+}
+
+fn words(n: usize) -> Arc<Words> {
+    Arc::new(Words(Mutex::new(vec![0; n])))
+}
+
+/// At `t`, from event context, set word `addr` to `value`.
+fn flip(h: &SimHandle, mem: &Arc<Words>, t: Time, addr: usize, value: u32) {
+    let mem = Arc::clone(mem);
+    h.schedule_at(t, move |_| mem.0.lock().unwrap()[addr] = value);
+}
+
+const CPU: Time = 10;
+const STALL: Time = 20;
+
+/// One sweep over words `0..n`, each expected to be zero: `CPU` of the
+/// process's own time and a `STALL` per word. Written out, or as one scan.
+fn sweep(ctx: &mut ProcCtx, mem: &Arc<Words>, n: usize, scanned: bool) -> Option<(usize, u32)> {
+    let looks = (0..n).map(|addr| (addr, 0));
+    if scanned {
+        return ctx.scan(mem, CPU, STALL, looks);
+    }
+    for (i, (addr, expected)) in looks.enumerate() {
+        ctx.advance(CPU);
+        ctx.advance(STALL);
+        let word = mem.sample(addr);
+        if word != expected {
+            return Some((i, word));
+        }
+    }
+    None
+}
+
+/// Sweep until a word differs; log where the clock is then.
+fn sweep_until_hit(
+    ctx: &mut ProcCtx,
+    log: &Log,
+    mem: &Arc<Words>,
+    n: usize,
+    scanned: bool,
+) -> (usize, u32) {
+    let hit = loop {
+        if let Some(hit) = sweep(ctx, mem, n, scanned) {
+            break hit;
+        }
+    };
+    log.lock()
+        .unwrap()
+        .push((ctx.now(), format!("hit {hit:?}")));
+    hit
+}
+
+/// A process that keeps the baton moving between threads.
+fn sibling(sim: &mut Simulation, log: &Log, steps: u32) {
+    let log = Arc::clone(log);
+    sim.spawn("sibling", move |ctx| {
+        for _ in 0..steps {
+            ctx.advance(33);
+            note(&log, ctx);
+        }
+    });
+}
+
+#[test]
+fn a_flipped_word_ends_the_sweep_where_the_loop_would_see_it() {
+    // Sweeps of 15 words take 450 ns, so the third covers 900..1350 and
+    // looks at word `k` at 930 + 30 k. A flip at 1005 is seen there by
+    // the looks that come later in that sweep — the eighth, the last — and
+    // by the first look of the next sweep, at 1380.
+    for (k, seen_at) in [(0, 1_380), (7, 1_140), (14, 1_350)] {
+        // Quiet: nothing else is ever queued but the flip, so after it
+        // every step takes the fast path and the look is taken there.
+        // Busy: a tick is due inside every step, so every step is queued
+        // and every look is taken as its `Resume` comes up, on whichever
+        // thread is dispatching.
+        for busy in [false, true] {
+            let (eager, scanned) = both_ways(|sim, log, scanned| {
+                let h = sim.handle();
+                let mem = words(15);
+                flip(&h, &mem, 1_005, k, 9);
+                if busy {
+                    ticks(&h, log, 7, 1_500);
+                    sibling(sim, log, 45);
+                }
+                let log = Arc::clone(log);
+                sim.spawn("sweeper", move |ctx| {
+                    let hit = sweep_until_hit(ctx, &log, &mem, 15, scanned);
+                    assert_eq!(hit, (k, 9));
+                    // The look's instant, not the end of the steps queued
+                    // behind it.
+                    assert_eq!(ctx.now(), seen_at, "word {k}, busy: {busy}");
+                    ctx.advance(5);
+                    note(&log, ctx);
+                });
+            });
+            if busy {
+                assert!(scanned.relayed > 60, "word {k}: {scanned:?}");
+                assert!(
+                    scanned.handoffs < eager.handoffs,
+                    "word {k}: {} hand-offs scanned, {} written out",
+                    scanned.handoffs,
+                    eager.handoffs
+                );
+            } else {
+                assert_eq!(scanned.relayed, 0, "word {k}: {scanned:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_sweep_longer_than_the_chain_and_one_behind_owed_charges_change_nothing() {
+    // 40 words are 80 steps; the chain holds 32.
+    let (_, scanned) = both_ways(|sim, log, scanned| {
+        let h = sim.handle();
+        let mem = words(40);
+        ticks(&h, log, 45, 3_000);
+        flip(&h, &mem, 2_000, 37, 4);
+        let log = Arc::clone(log);
+        sim.spawn("sweeper", move |ctx| {
+            assert_eq!(sweep_until_hit(ctx, &log, &mem, 40, scanned), (37, 4));
+        });
+    });
+    assert!(scanned.relayed > 0);
+    // One charge in front of 15 words fills the chain exactly; three do
+    // not fit, and the sweep is queued in two goes.
+    for owed in [1, 3] {
+        both_ways(|sim, log, scanned| {
+            let h = sim.handle();
+            let mem = words(15);
+            ticks(&h, log, 11, 1_500);
+            flip(&h, &mem, 1_200, 11, 2);
+            let log = Arc::clone(log);
+            sim.spawn("sweeper", move |ctx| loop {
+                for _ in 0..owed {
+                    cost(ctx, 7, scanned);
+                }
+                if let Some(hit) = sweep(ctx, &mem, 15, scanned) {
+                    assert_eq!(hit, (11, 2));
+                    note(&log, ctx);
+                    break;
+                }
+            });
+        });
+    }
+}
+
+#[test]
+fn a_sweep_that_crosses_a_horizon_resumes_under_the_next_run() {
+    let split = |scanned: bool| {
+        let mut sim = Simulation::new();
+        let log = Log::default();
+        let h = sim.handle();
+        let mem = words(15);
+        ticks(&h, &log, 30, 1_000);
+        flip(&h, &mem, 300, 12, 1);
+        let log2 = Arc::clone(&log);
+        sim.spawn("sweeper", move |ctx| {
+            assert_eq!(sweep_until_hit(ctx, &log2, &mem, 15, scanned), (12, 1));
+            assert_eq!(ctx.now(), 390);
+        });
+        // The horizon falls inside word 8's stall: its `Resume` waits in
+        // the queue with its look still to take, six more words behind it.
+        let first = sim.run_until(260);
+        assert!(first.is_clean());
+        let rest = sim.run();
+        assert!(rest.is_clean());
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        (first, rest, log)
+    };
+    let (eager, scanned) = (split(false), split(true));
+    assert_eq!(visible(&scanned.0), visible(&eager.0));
+    assert_eq!(visible(&scanned.1), visible(&eager.1));
+    assert_eq!(scanned.2, eager.2);
+    assert_eq!(scanned.0.end_time, 250, "the end of word 8's own time");
+}
+
+#[test]
+fn a_chain_lets_go_of_what_it_sampled() {
+    // What a sweep samples holds, in the real stack, a handle on the
+    // scheduler that holds the chain: kept past the sweep, it would keep
+    // every world alive. Finished, hit, or dropped with looks queued.
+    let mem = words(15);
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    ticks(&h, &Log::default(), 30, 2_000);
+    let unwound = Arc::new(AtomicBool::new(false));
+    let guard = Unwound(Arc::clone(&unwound));
+    // The flip only borrows the words, so the counts below see the test's
+    // `Arc`, the process's, and the chain's clone while it has one.
+    let (weak, mem2) = (Arc::downgrade(&mem), Arc::clone(&mem));
+    h.schedule_at(500, move |_| {
+        weak.upgrade().expect("the test holds it").0.lock().unwrap()[3] = 1
+    });
+    sim.spawn("sweeper", move |ctx| {
+        let (_guard, mem) = (guard, mem2);
+        assert_eq!(ctx.scan(&mem, CPU, STALL, (0..15).map(|a| (a, 0))), None);
+        assert_eq!(Arc::strong_count(&mem), 2, "walked to the end");
+        let hit = ctx.scan(&mem, CPU, STALL, (0..15).map(|a| (a, 0)));
+        assert_eq!(hit, Some((3, 1)));
+        assert_eq!(Arc::strong_count(&mem), 2, "cut at the hit");
+        // From 570 on, all as expected: 450 ns of sweep, cut off at 1000.
+        ctx.scan(&mem, CPU, STALL, (0..15).map(|a| (a, u32::from(a == 3))));
+        unreachable!("the run stops first");
+    });
+    let report = sim.run_until(1_000);
+    assert!(report.is_clean());
+    assert_eq!(Arc::strong_count(&mem), 3, "the sleeping chain has one");
+    drop(sim);
+    assert!(unwound.load(Ordering::SeqCst));
+    assert_eq!(Arc::strong_count(&mem), 1);
 }
 
 /// Debug builds know which process owes what, and say so.

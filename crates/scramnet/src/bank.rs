@@ -2,6 +2,8 @@
 //! used by tests to verify the BillBoard Protocol's single-writer
 //! discipline.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use crate::{Word, WordAddr};
 
 /// Who wrote a word, and when — recorded only when provenance tracking is
@@ -16,18 +18,52 @@ pub struct WriteRecord {
 
 /// Words per lazily materialised page of a [`Bank`] (512 bytes).
 ///
-/// Sized by measurement. A page is allocated by whichever thread runs the
-/// hop event that first writes it, so pages land in glibc's per-thread
-/// arenas, which never give memory back: the resident set of a host
-/// process that runs one 16-rank MPI world after another creeps up with
-/// the number of worlds. The BBP touches a few control words in each of
-/// many regions, so smaller pages materialise fewer bytes. Peak RSS of the
-/// benchmark's `mpi_collectives` after 10 s (≈ 42 worlds), two runs each:
-/// 1 024 words 6.43 / 6.68 MB, 256 words 6.71 / 6.63, 128 words
-/// 5.87 / 5.70, 64 words 5.96 / 5.96; throughput and the all-events
-/// `ring_storm` did not move with any of them. See docs/PERFORMANCE.md,
-/// "Chains".
+/// Sized by measurement, before bank storage was recycled (below): the BBP
+/// touches a few control words in each of many regions, so smaller pages
+/// materialise fewer bytes. Peak RSS of the benchmark's `mpi_collectives`
+/// after 10 s (≈ 42 worlds), two runs each: 1 024 words 6.43 / 6.68 MB,
+/// 256 words 6.71 / 6.63, 128 words 5.87 / 5.70, 64 words 5.96 / 5.96;
+/// throughput and the all-events `ring_storm` did not move with any of
+/// them. See docs/PERFORMANCE.md, "Chains".
 const PAGE_WORDS: usize = 128;
+
+type Page = Box<[Word; PAGE_WORDS]>;
+
+/// Pages and page tables of dropped banks, for the next bank to use.
+///
+/// A table grows, and a page is boxed, on whichever thread runs the hop
+/// event that first writes there, so both land in glibc's per-thread
+/// arenas, which keep the most they were ever asked for: a host process
+/// that runs one 16-rank world after another crept up by the table (2 048
+/// entries for a 1 MB bank — the larger part) and the pages of every world
+/// on every arena. Recycled, the second world allocates neither. One list
+/// for the process: worlds are built and dropped on any thread. See
+/// docs/PERFORMANCE.md, "Sweeps".
+static FREE: Mutex<FreeStorage> = Mutex::new(FreeStorage {
+    pages: Vec::new(),
+    tables: Vec::new(),
+    fresh: (0, 0),
+});
+
+struct FreeStorage {
+    pages: Vec<Page>,
+    /// Empty, capacity kept.
+    tables: Vec<Vec<Option<Page>>>,
+    /// `(pages, tables)` the lists could not supply, ever.
+    fresh: (u64, u64),
+}
+
+fn free_storage() -> MutexGuard<'static, FreeStorage> {
+    // Every update leaves the lists valid, so a poisoned lock is usable.
+    FREE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How many bank pages and page tables this process has allocated because
+/// no dropped bank had one to hand on: `(pages, tables)`. Stops growing
+/// once the process has dropped a world as large as the ones it builds.
+pub fn bank_storage_allocated() -> (u64, u64) {
+    free_storage().fresh
+}
 
 /// One node's replicated memory image.
 ///
@@ -38,7 +74,7 @@ pub(crate) struct Bank {
     len: usize,
     /// Grown to the highest page written so far, so building a bank costs
     /// nothing however small the pages are.
-    pages: Vec<Option<Box<[Word; PAGE_WORDS]>>>,
+    pages: Vec<Option<Page>>,
     /// Last writer per word, when tracking is on.
     provenance: Option<Vec<Option<WriteRecord>>>,
 }
@@ -60,9 +96,15 @@ fn pieces(addr: WordAddr, len: usize) -> impl Iterator<Item = (usize, usize, usi
 
 impl Bank {
     pub fn new(words: usize, track_provenance: bool) -> Self {
+        let pages = {
+            let mut free = free_storage();
+            let table = free.tables.pop();
+            free.fresh.1 += u64::from(table.is_none());
+            table.unwrap_or_default()
+        };
         Bank {
             len: words,
-            pages: Vec::new(),
+            pages,
             provenance: track_provenance.then(|| vec![None; words]),
         }
     }
@@ -87,15 +129,15 @@ impl Bank {
         }
     }
 
-    pub fn read_block(&self, addr: WordAddr, len: usize) -> Vec<Word> {
-        self.check_range(addr, len);
-        let mut out = vec![0; len];
-        for (page, off, at, n) in pieces(addr, len) {
-            if let Some(Some(page)) = self.pages.get(page) {
-                out[at..at + n].copy_from_slice(&page[off..off + n]);
+    /// Copy the words at `addr..addr + out.len()` into `out`.
+    pub fn read_block(&self, addr: WordAddr, out: &mut [Word]) {
+        self.check_range(addr, out.len());
+        for (page, off, at, n) in pieces(addr, out.len()) {
+            match self.pages.get(page) {
+                Some(Some(page)) => out[at..at + n].copy_from_slice(&page[off..off + n]),
+                _ => out[at..at + n].fill(0),
             }
         }
-        out
     }
 
     /// Apply a replicated write. Returns the set of conflicting writers if
@@ -114,7 +156,7 @@ impl Bank {
             if page >= self.pages.len() {
                 self.pages.resize_with(page + 1, || None);
             }
-            let page = self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
+            let page = self.pages[page].get_or_insert_with(new_page);
             page[off..off + n].copy_from_slice(&data[at..at + n]);
         }
         if let Some(prov) = self.provenance.as_mut() {
@@ -140,7 +182,35 @@ impl Bank {
 
     /// Raw snapshot of the whole bank, for eventual-consistency checks.
     pub fn snapshot(&self) -> Vec<Word> {
-        self.read_block(0, self.len)
+        let mut out = vec![0; self.len];
+        self.read_block(0, &mut out);
+        out
+    }
+}
+
+/// A zeroed page: a recycled one if there is one.
+fn new_page() -> Page {
+    let recycled = {
+        let mut free = free_storage();
+        let page = free.pages.pop();
+        free.fresh.0 += u64::from(page.is_none());
+        page
+    };
+    match recycled {
+        Some(mut page) => {
+            page.fill(0);
+            page
+        }
+        None => Box::new([0; PAGE_WORDS]),
+    }
+}
+
+impl Drop for Bank {
+    fn drop(&mut self) {
+        let mut table = std::mem::take(&mut self.pages);
+        let mut free = free_storage();
+        free.pages.extend(table.drain(..).flatten());
+        free.tables.push(table);
     }
 }
 
@@ -148,12 +218,21 @@ impl Bank {
 mod tests {
     use super::*;
 
+    impl Bank {
+        fn block(&self, addr: WordAddr, len: usize) -> Vec<Word> {
+            // Stale contents: every word must be overwritten.
+            let mut out = vec![0xDEAD_BEEF; len];
+            self.read_block(addr, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn read_after_apply_sees_data() {
         let mut b = Bank::new(64, false);
         b.apply(10, &[1, 2, 3], 0, 5);
         assert_eq!(b.read(10), 1);
-        assert_eq!(b.read_block(10, 3), vec![1, 2, 3]);
+        assert_eq!(b.block(10, 3), vec![1, 2, 3]);
         assert_eq!(b.read(13), 0);
     }
 
@@ -191,7 +270,7 @@ mod tests {
         assert_eq!(b.len, words);
         assert_eq!(b.read(0), 0);
         assert_eq!(b.read(words - 1), 0);
-        assert_eq!(b.read_block(PAGE_WORDS - 2, 4), vec![0; 4]);
+        assert_eq!(b.block(PAGE_WORDS - 2, 4), vec![0; 4]);
         assert_eq!(b.snapshot(), vec![0; words]);
         assert!(
             b.pages.iter().all(Option::is_none),
@@ -211,7 +290,7 @@ mod tests {
         let addr = 2 * PAGE_WORDS - 2;
         b.apply(addr, &data, 3, 9);
         assert_eq!(b.read(addr - 1), 0);
-        assert_eq!(b.read_block(addr, 6), data);
+        assert_eq!(b.block(addr, 6), data);
         assert_eq!(b.read(addr + 6), 0);
         assert_eq!(b.pages.iter().filter(|p| p.is_some()).count(), 2);
         assert_eq!(b.provenance(addr + 5).unwrap().writer, 3);
@@ -222,7 +301,7 @@ mod tests {
         // A block longer than a page crosses two edges.
         let long: Vec<Word> = (0..PAGE_WORDS as Word + 8).map(|i| i + 100).collect();
         b.apply(PAGE_WORDS / 2, &long, 3, 10);
-        assert_eq!(b.read_block(PAGE_WORDS / 2, long.len()), long);
+        assert_eq!(b.block(PAGE_WORDS / 2, long.len()), long);
     }
 
     #[test]
@@ -230,6 +309,24 @@ mod tests {
     fn out_of_range_access_still_panics() {
         // The last page is partial; its tail must not become addressable.
         Bank::new(PAGE_WORDS + 10, false).read(PAGE_WORDS + 10);
+    }
+
+    #[test]
+    fn storage_of_a_dropped_bank_comes_back_zeroed() {
+        // Other tests share the free list, so this cannot say *which* page
+        // the second bank gets — only that whichever it is reads as new.
+        for round in 0..4 {
+            let mut b = Bank::new(4 * PAGE_WORDS, false);
+            assert!(
+                b.pages.is_empty(),
+                "round {round}: a recycled table is empty"
+            );
+            b.apply(PAGE_WORDS + 3, &[round + 1], 0, 1);
+            let mut want = vec![0; 4 * PAGE_WORDS];
+            want[PAGE_WORDS + 3] = round + 1;
+            assert_eq!(b.snapshot(), want, "round {round}");
+            b.apply(0, &vec![0xFFFF_FFFF; 4 * PAGE_WORDS], 0, 2);
+        }
     }
 
     #[test]

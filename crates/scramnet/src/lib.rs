@@ -56,7 +56,7 @@ mod ring;
 pub(crate) mod shard;
 mod stats;
 
-pub use bank::WriteRecord;
+pub use bank::{bank_storage_allocated, WriteRecord};
 pub use cost::{CostModel, TxMode};
 pub use fault::{FaultAt, FaultPlan};
 pub use hierarchy::{HierarchyConfig, RingHierarchy};

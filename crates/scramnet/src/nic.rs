@@ -104,10 +104,11 @@ impl Nic {
         w
     }
 
-    /// Load a contiguous block from the local bank.
-    pub fn read_block(&self, ctx: &mut ProcCtx, addr: WordAddr, len: usize) -> Vec<Word> {
+    /// Load the contiguous block at `addr` from the local bank into `out`.
+    pub fn read_block(&self, ctx: &mut ProcCtx, addr: WordAddr, out: &mut [Word]) {
+        let len = out.len();
         if len == 0 {
-            return Vec::new();
+            return;
         }
         ctx.obs()
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_read");
@@ -120,10 +121,58 @@ impl Nic {
         }
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.pio_reads", len as u64);
-        let block = self.shared.bank(self.node).read_block(addr, len);
+        self.shared.bank(self.node).read_block(addr, out);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
-        block
+    }
+
+    /// A poll sweep over words of the local bank. For each `(addr,
+    /// expected)` of `looks`, in order: `cpu` ns of the host's own time,
+    /// one PIO read of `addr`, and the sweep ends if the word is not the
+    /// expected one — returning that look's index and the word, with the
+    /// clock at the end of that read. In time, in the schedule and in
+    /// [`crate::RingStats::pio_reads`] it is this loop,
+    ///
+    /// ```ignore
+    /// for (i, &(addr, expected)) in looks.iter().enumerate() {
+    ///     ctx.charge(cpu);
+    ///     let word = nic.read_word(ctx, addr);
+    ///     if word != expected {
+    ///         return Some((i, word));
+    ///     }
+    /// }
+    /// None
+    /// ```
+    ///
+    /// but the caller's thread sleeps through the words that have not
+    /// changed ([`ProcCtx::scan`]), which is most of what a blocked
+    /// receive-from-anyone reads. No `pio_read` span or `nic.pio_reads`
+    /// count reaches the event log: a caller that may be recording writes
+    /// the loop out, as `bbp`'s poll does.
+    pub fn scan(
+        &self,
+        ctx: &mut ProcCtx,
+        cpu: des::Time,
+        looks: &[(WordAddr, Word)],
+    ) -> Option<(usize, Word)> {
+        let words = self.shared.words;
+        // Checked here, where the caller is: the looks are taken by
+        // whichever thread is dispatching.
+        for &(addr, _) in looks {
+            assert!(
+                addr < words,
+                "word {addr} out of range for a bank of {words} words"
+            );
+        }
+        let base = self.node * words;
+        ctx.scan(
+            &self.shared,
+            cpu,
+            self.shared.cost.pio_read_ns,
+            looks
+                .iter()
+                .map(|&(addr, expected)| (base + addr, expected)),
+        )
     }
 
     /// Program a DMA transfer: the host pays only the setup cost and is
@@ -309,6 +358,71 @@ mod tests {
         assert!(sim.run().is_clean());
     }
 
+    /// A receiver sweeping eight words until one changes, beside a writer
+    /// that changes one mid-sweep: what it saw, when, and what the run and
+    /// the ring counted.
+    fn sweep_run(scanned: bool) -> ((usize, u32), des::Time, u64, usize, crate::RingStats) {
+        let mut sim = Simulation::new();
+        let ring = Ring::new(&sim.handle(), 3, 64, CostModel::default());
+        let (tx, rx) = (ring.nic(0), ring.nic(2));
+        sim.spawn("tx", move |ctx| {
+            ctx.advance(des::us(9));
+            tx.write_word(ctx, 13, 5);
+        });
+        let seen = std::sync::Arc::new(parking_lot::Mutex::new(None));
+        let seen2 = std::sync::Arc::clone(&seen);
+        sim.spawn("rx", move |ctx| {
+            let looks: Vec<_> = (8..16).map(|addr| (addr, 0)).collect();
+            let written_out = |ctx: &mut des::ProcCtx| {
+                looks.iter().enumerate().find_map(|(i, &(addr, expected))| {
+                    ctx.charge(40);
+                    let word = rx.read_word(ctx, addr);
+                    (word != expected).then_some((i, word))
+                })
+            };
+            let hit = loop {
+                let hit = if scanned {
+                    rx.scan(ctx, 40, &looks)
+                } else {
+                    written_out(ctx)
+                };
+                if let Some(hit) = hit {
+                    break hit;
+                }
+            };
+            *seen2.lock() = Some((hit, ctx.now()));
+        });
+        let report = sim.run();
+        assert!(report.is_clean());
+        let (hit, at) = seen.lock().expect("the sweep ended");
+        (
+            hit,
+            at,
+            report.dispatches,
+            report.peak_queue_depth,
+            ring.stats(),
+        )
+    }
+
+    #[test]
+    fn a_scan_is_the_loop_of_reads_it_stands_for() {
+        let scanned = sweep_run(true);
+        assert_eq!(scanned, sweep_run(false));
+        assert_eq!(scanned.0, (5, 5), "word 13 is the sixth look");
+        assert!(scanned.4.pio_reads > 8, "{:?}", scanned.4);
+    }
+
+    #[test]
+    #[should_panic(expected = "word 64 out of range for a bank of 64 words")]
+    fn a_scan_past_the_bank_panics_in_its_caller() {
+        let mut sim = Simulation::new();
+        let ring = Ring::new(&sim.handle(), 2, 64, CostModel::default());
+        sim.spawn("p", move |ctx| {
+            ring.nic(1).scan(ctx, 40, &[(63, 0), (64, 0)]);
+        });
+        sim.run();
+    }
+
     #[test]
     fn block_ops_use_burst_above_threshold() {
         let mut sim = Simulation::new();
@@ -316,7 +430,7 @@ mod tests {
         let nic = ring.nic(0);
         sim.spawn("p", move |ctx| {
             nic.write_block(ctx, 0, &vec![1; 64]);
-            let _ = nic.read_block(ctx, 0, 64);
+            nic.read_block(ctx, 0, &mut [0; 64]);
         });
         sim.run();
         assert_eq!(ring.stats().bursts, 2);
@@ -329,7 +443,7 @@ mod tests {
         let nic = ring.nic(0);
         sim.spawn("p", move |ctx| {
             nic.write_block(ctx, 0, &[]);
-            assert!(nic.read_block(ctx, 0, 0).is_empty());
+            nic.read_block(ctx, 0, &mut []);
             assert_eq!(ctx.now(), 0);
         });
         assert!(sim.run().is_clean());
@@ -348,8 +462,9 @@ mod tests {
         });
         sim.spawn("rx", move |ctx| {
             ctx.wait_until(des::ms(1));
-            let got = rx.read_block(ctx, 100, 32);
-            assert_eq!(got, (0..32).collect::<Vec<u32>>());
+            let mut got = [u32::MAX; 32];
+            rx.read_block(ctx, 100, &mut got);
+            assert_eq!(got.to_vec(), (0..32).collect::<Vec<u32>>());
         });
         assert!(sim.run().is_clean());
     }

@@ -196,6 +196,8 @@ pub(crate) struct RingShared {
     /// Active [`TxMode`], stored as its discriminant index.
     mode: AtomicU8,
     pub n: usize,
+    /// Words per bank.
+    pub words: usize,
     pub banks: Vec<Mutex<Bank>>,
     /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
     /// Locked once per inject, only around the occupancy computation.
@@ -244,6 +246,17 @@ pub(crate) struct RingShared {
     /// per packet.
     #[allow(clippy::vec_box)]
     plan_pool: Mutex<Vec<Box<HopPlan>>>,
+}
+
+/// The ring's memory as the one flat word space a chain step can look at
+/// ([`des::ProcCtx::scan`]): node `i`'s word `a` is at `i * words + a`.
+/// A look is a host's PIO read, made on its behalf by whichever thread
+/// walks the step, so it is counted as one.
+impl des::Sample for RingShared {
+    fn sample(&self, addr: usize) -> Word {
+        self.stats.pio_reads.add(1);
+        self.bank(addr / self.words).read(addr % self.words)
+    }
 }
 
 impl RingShared {
@@ -353,6 +366,7 @@ impl Ring {
             cost,
             mode: AtomicU8::new(0),
             n,
+            words,
             banks,
             links: Mutex::new(vec![0; n]),
             watches: Mutex::new((0..n).map(|_| Vec::new()).collect()),

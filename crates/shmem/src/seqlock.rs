@@ -120,7 +120,8 @@ impl SeqLockHandle {
     /// Counter order per the module docs: `v2`, data, `v1`.
     pub fn try_read(&mut self, ctx: &mut ProcCtx) -> Option<(Vec<Word>, Word)> {
         let v2 = self.nic.read_word(ctx, self.lock.v2());
-        let data = self.nic.read_block(ctx, self.lock.data(), self.lock.words);
+        let mut data = vec![0; self.lock.words];
+        self.nic.read_block(ctx, self.lock.data(), &mut data);
         let v1 = self.nic.read_word(ctx, self.lock.v1());
         (v1 == v2).then_some((data, v1))
     }
@@ -195,7 +196,8 @@ mod tests {
         let torn2 = Arc::clone(&torn);
         sim.spawn("raw-reader", move |ctx| {
             for _ in 0..300 {
-                let snap = nic.read_block(ctx, data_base, 3);
+                let mut snap = [0; 3];
+                nic.read_block(ctx, data_base, &mut snap);
                 if snap[0] != 0 && !coherent(&snap) {
                     *torn2.lock() += 1;
                 }
@@ -230,7 +232,8 @@ mod tests {
         sim.spawn("broken-reader", move |ctx| {
             for _ in 0..600 {
                 let v1 = nic.read_word(ctx, 0);
-                let data = nic.read_block(ctx, 1, 3);
+                let mut data = [0; 3];
+                nic.read_block(ctx, 1, &mut data);
                 let v2 = nic.read_word(ctx, 4);
                 if v1 == v2 && data[0] != 0 && !coherent(&data) {
                     *torn2.lock() += 1;

@@ -2,11 +2,14 @@
 //! byte-identical schedules and identical virtual end times, run after
 //! run. This is what makes the experiment tables reproducible.
 
-use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
+use scramnet_cluster::bbp::{BbpCluster, BbpConfig, EndpointStats};
 use scramnet_cluster::des::rng::SimRng;
 use scramnet_cluster::des::{RunReport, Simulation};
 use scramnet_cluster::scramnet::RingStats;
 use scramnet_cluster::smpi::{MpiWorld, ReduceOp};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 /// A moderately chaotic BBP workload driven by a seeded RNG: the traffic
 /// plan (who sends what to whom, with what think time) is generated up
@@ -127,16 +130,30 @@ fn schedule_counters_match_the_recorded_baseline() {
     );
 }
 
-/// BBP ping-pong over a ladder of sizes; `traced` turns the event log on,
-/// which makes every `ProcCtx::charge` in the stack an `advance`.
-fn bbp_pingpong(traced: bool) -> (RunReport, RingStats) {
-    let mut sim = Simulation::new();
+/// What a traced and an untraced run of one world must agree on — the
+/// run, the ring's traffic (`pio_reads` among it) and each endpoint's
+/// counters (`polls` among them) — and the report, whose `handoffs` and
+/// `relayed` are what may differ.
+type Outcome = (RunReport, RingStats, Vec<EndpointStats>);
+
+fn simulation(traced: bool) -> Simulation {
+    let sim = Simulation::new();
     if traced {
         sim.enable_trace();
     }
+    sim
+}
+
+/// BBP ping-pong over a ladder of sizes; `traced` turns the event log on,
+/// which makes every `ProcCtx::charge` in the stack an `advance` and every
+/// poll sweep the loop it stands for.
+fn bbp_pingpong(traced: bool) -> Outcome {
+    let mut sim = simulation(traced);
     let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(2));
+    let stats = Arc::new(Mutex::new(vec![EndpointStats::default(); 2]));
     for rank in 0..2 {
         let mut ep = cluster.endpoint(rank);
+        let stats = Arc::clone(&stats);
         sim.spawn(format!("p{rank}"), move |ctx| {
             for len in (0..=700).step_by(100) {
                 let payload = vec![len as u8; len];
@@ -150,19 +167,59 @@ fn bbp_pingpong(traced: bool) -> (RunReport, RingStats) {
                     }
                 }
             }
+            stats.lock()[rank] = ep.stats().clone();
         });
     }
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    (report, cluster.ring().stats())
+    let stats = stats.lock().clone();
+    (report, cluster.ring().stats(), stats)
+}
+
+/// One server receiving from anyone — a sweep of five flag words per
+/// empty poll — and five clients that each send it a burst, think, and
+/// wait for the echo of their last message.
+fn bbp_server(traced: bool) -> Outcome {
+    const CLIENTS: usize = 5;
+    const BURST: usize = 6;
+    let mut sim = simulation(traced);
+    let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(CLIENTS + 1));
+    let stats = Arc::new(Mutex::new(vec![EndpointStats::default(); CLIENTS + 1]));
+    let mut server = cluster.endpoint(0);
+    let server_stats = Arc::clone(&stats);
+    sim.spawn("server", move |ctx| {
+        let mut last = [0usize; CLIENTS + 1];
+        for _ in 0..CLIENTS * BURST {
+            let (src, msg) = server.recv_any(ctx).unwrap();
+            last[src] += 1;
+            if last[src] == BURST {
+                server.send(ctx, src, &msg).unwrap();
+            }
+        }
+        server_stats.lock()[0] = server.stats().clone();
+    });
+    for rank in 1..=CLIENTS {
+        let mut ep = cluster.endpoint(rank);
+        let stats = Arc::clone(&stats);
+        sim.spawn(format!("client{rank}"), move |ctx| {
+            for i in 0..BURST {
+                ep.send(ctx, 0, &vec![rank as u8; 8 * (i + rank)]).unwrap();
+                ctx.advance(3_000 * rank as u64);
+            }
+            let echo = ep.recv(ctx, 0).unwrap();
+            assert_eq!(echo, vec![rank as u8; 8 * (BURST - 1 + rank)]);
+            stats.lock()[rank] = ep.stats().clone();
+        });
+    }
+    let report = sim.run();
+    assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+    let stats = stats.lock().clone();
+    (report, cluster.ring().stats(), stats)
 }
 
 /// Bcast, barrier and a ring of send/recv on `n` ranks.
-fn mpi_world(n: usize, traced: bool) -> (RunReport, RingStats) {
-    let mut sim = Simulation::new();
-    if traced {
-        sim.enable_trace();
-    }
+fn mpi_world(n: usize, traced: bool) -> Outcome {
+    let mut sim = simulation(traced);
     let world = MpiWorld::scramnet(&sim.handle(), n);
     for rank in 0..n {
         let mut mpi = world.proc(rank);
@@ -193,23 +250,29 @@ fn mpi_world(n: usize, traced: bool) -> (RunReport, RingStats) {
         .expect("a SCRAMNet world")
         .ring()
         .stats();
-    (report, stats)
+    (report, stats, Vec::new())
 }
 
-/// There is no switch for chaining software costs, so the one way to see
-/// the stack with and without it is the event log: recording makes every
-/// charge eager. Both must be the same simulation — same end time,
-/// dispatch count, queue depth and ring traffic — and differ only in how
-/// often the host moved the baton.
+/// There is no switch for chaining software costs or for handing a poll
+/// sweep to the dispatch loop, so the one way to see the stack with and
+/// without them is the event log: recording makes every charge eager and
+/// every sweep a loop of reads. Both must be the same simulation — same
+/// end time, dispatch count, queue depth, ring traffic and endpoint
+/// counters — and differ only in how often the host moved the baton.
 #[test]
 fn chained_and_eager_costs_are_the_same_simulation() {
-    let mut worlds = vec![("BBP ping-pong", bbp_pingpong(true), bbp_pingpong(false))];
-    for n in [3, 4, 8] {
+    let mut worlds = vec![
+        ("BBP ping-pong", bbp_pingpong(true), bbp_pingpong(false)),
+        ("BBP server", bbp_server(true), bbp_server(false)),
+    ];
+    // Sixteen ranks: every empty progress poll is a sweep of fifteen words.
+    for n in [3, 4, 8, 16] {
         worlds.push(("MPI world", mpi_world(n, true), mpi_world(n, false)));
     }
-    for (what, (eager, eager_ring), (chained, chained_ring)) in worlds {
+    for (what, (eager, eager_ring, eager_eps), (chained, chained_ring, chained_eps)) in worlds {
         assert_eq!(counters(&chained), counters(&eager), "{what}");
         assert_eq!(chained_ring, eager_ring, "{what}");
+        assert_eq!(chained_eps, eager_eps, "{what}");
         assert_eq!(eager.relayed, 0, "{what}: recording keeps charges eager");
         assert!(chained.relayed > 0, "{what}: {chained:?}");
         assert!(

@@ -1,0 +1,96 @@
+//! A host process that builds one world after another must not grow with
+//! the number it has built. Two things once made it: a poll sweep asleep
+//! in the dispatch loop holds what it samples — the ring, which holds a
+//! handle on the scheduler, which holds the sweep — so a world dropped
+//! mid-sweep (or, before the chain learned to let go, any world at all)
+//! leaked whole; and every world's bank pages and page tables were
+//! allocated afresh on whichever thread first wrote them.
+//!
+//! Counted with a wrapping global allocator, so everything runs inside ONE
+//! test function: a sibling test on another harness thread would pollute
+//! the counters.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering};
+
+use scramnet_cluster::des::{ms, Simulation};
+use scramnet_cluster::scramnet::bank_storage_allocated;
+use scramnet_cluster::smpi::MpiWorld;
+
+struct CountingAlloc;
+
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as i64, Ordering::SeqCst);
+        System.alloc(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::SeqCst);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::SeqCst);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Build a 16-rank world, broadcast and synchronise on it, then leave
+/// every rank but the root blocked in a receive nothing will satisfy —
+/// sweeping fifteen flag words over and over — and drop it all there.
+fn one_world() {
+    const RANKS: usize = 16;
+    let mut sim = Simulation::new();
+    let world = MpiWorld::scramnet(&sim.handle(), RANKS);
+    for rank in 0..RANKS {
+        let mut mpi = world.proc(rank);
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let comm = mpi.comm_world();
+            let data = [7u8; 64];
+            mpi.bcast(ctx, &comm, 0, (rank == 0).then_some(&data[..]));
+            mpi.barrier(ctx, &comm);
+            if rank != 0 {
+                let _ = mpi.recv(ctx, &comm, Some(0), Some(99));
+                unreachable!("rank 0 sends nothing more");
+            }
+        });
+    }
+    let report = sim.run_until(ms(2));
+    assert!(report.is_clean());
+    assert!(report.relayed > 1_000, "sweeps were asleep: {report:?}");
+}
+
+#[test]
+fn worlds_dropped_mid_sweep_leave_nothing_behind() {
+    // Arrays: a growing `Vec` of readings would be counted too.
+    let mut live = [0; 20];
+    let mut storage = [(0, 0); 20];
+    for nth in 0..20 {
+        one_world();
+        live[nth] = LIVE.load(Ordering::SeqCst);
+        storage[nth] = bank_storage_allocated();
+    }
+    // The first worlds warm things that stay (the bank free list itself,
+    // lazily initialised runtime state); from the third on, nothing may.
+    assert_eq!(
+        live[19], live[2],
+        "live bytes after each world dropped: {live:?}"
+    );
+    assert!(
+        live[2] < 512 * 1024,
+        "what stays is the recycled bank storage: {} bytes",
+        live[2]
+    );
+    assert!(storage[0] > (0, 0), "the first world allocated its banks");
+    assert_eq!(
+        storage[2], storage[1],
+        "the third world allocated a bank page or a page table: {storage:?}"
+    );
+}
