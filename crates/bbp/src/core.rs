@@ -540,19 +540,19 @@ impl Core {
     /// One poll sweep: `only`'s flag word, or every peer's in rank order.
     ///
     /// A sweep of several words is handed to the NIC whole ([`Nic::scan`]),
-    /// so this process sleeps through the words that have not changed. Two
-    /// sweeps are the loop written out instead: one of a single word,
-    /// which costs what its one read costs either way, and any sweep while
-    /// the event log records — the log is told of every poll and every
-    /// PIO read at its instant, which only the process itself can do.
+    /// so this process sleeps through the words that have not changed, and
+    /// the event log is told of each poll once the sweep returns. A sweep
+    /// of a single word is the loop written out: it costs what its one
+    /// read costs either way.
     pub(crate) fn poll(&mut self, ctx: &mut ProcCtx, only: Option<usize>) {
         let rank = self.rank;
+        let cpu = self.sw.poll_iter_ns;
         let (first, end) = only.map_or((0, self.n), |s| (s, s + 1));
         let senders = (first..end).filter(|&s| s != rank);
         let words = only.map_or(self.n - 1, |_| 1);
-        if words == 1 || ctx.obs().is_enabled() {
+        if words == 1 {
             for s in senders {
-                ctx.charge(self.sw.poll_iter_ns);
+                ctx.charge(cpu);
                 self.stats.polls += 1;
                 self.count(ctx, "bbp.polls", 1);
                 let word = self.nic.read_word(ctx, self.layout.msg_flag(rank, s));
@@ -566,15 +566,20 @@ impl Core {
         // A changed word is handled as the loop would, then the sweep goes
         // on after it: handling `s` touches no other sender's shadow.
         let mut next = 0;
-        while let Some((i, word)) = self.nic.scan(ctx, self.sw.poll_iter_ns, &looks[next..]) {
-            self.stats.polls += i as u64 + 1;
+        while next < looks.len() {
+            let t0 = ctx.now();
+            let hit = self.nic.scan(ctx, cpu, &looks[next..]);
+            for at in self.nic.sweep_reads(t0, cpu, looks.len() - next, hit) {
+                self.stats.polls += 1;
+                ctx.obs().count(at, rank as u32, "bbp.polls", 1);
+            }
+            let Some((i, word)) = hit else { break };
             // We have no look of our own: look `k` is sender `k` below our
             // rank and sender `k + 1` from it up.
             let k = next + i;
             self.flagged(ctx, k + usize::from(k >= rank), word);
             next = k + 1;
         }
-        self.stats.polls += (looks.len() - next) as u64;
         self.looks = looks;
     }
 

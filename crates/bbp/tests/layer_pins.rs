@@ -8,12 +8,17 @@
 //! the same way: each asserts the run's `(end_time, dispatches,
 //! peak_queue_depth)`, the ring's traffic counters, every endpoint's
 //! full [`EndpointStats`] and an FNV-1a hash of the recorder's event log
-//! (spans, counters, lifecycle checkpoints and scheduler entries, in
-//! order) against constants captured at commit 20eea90.
+//! (spans, counters, lifecycle checkpoints and scheduler entries) against
+//! constants captured at commit 20eea90.
 //!
-//! Every world runs twice — with the event log on (every software charge
-//! an eager advance) and off (charges chained) — and both runs must
-//! match the same constants; only the traced run has a log to hash.
+//! Every world runs twice — with the event log on and off — and both runs
+//! must match the same constants and each other in what the host did
+//! (`relayed`, `handoffs`): recording forks nothing. Only the recorded run
+//! has a log to hash, and it is hashed track by track ([`LogPin`]). The
+//! `log` pins were captured in that form at bab5c31, where recording
+//! still made every charge an eager advance and every poll sweep a loop
+//! of reads, and held unchanged when that fork was removed: only how
+//! tracks interleave had depended on it.
 //!
 //! A mismatch prints the observed pin as a Rust literal. Re-bless only
 //! when a change *means* to move simulated behaviour, and say so.
@@ -25,6 +30,7 @@ use bbp::{
     BbpCluster, BbpConfig, BbpEndpoint, BbpError, CreditConfig, EndpointStats, GcPolicy, Layout,
     RecvMode, ReliabilityConfig,
 };
+use des::obs::Track;
 use des::{ms, us, RunReport, Simulation};
 use parking_lot::Mutex;
 use scramnet::{CostModel, FaultPlan, Ring};
@@ -38,8 +44,12 @@ struct Pin {
     ring: String,
     /// One entry per endpoint, in the order the world lists them.
     endpoints: Vec<String>,
-    /// `(events, FNV-1a of their Debug rendering)`; traced run only.
+    /// `(events, FNV-1a of their Debug rendering)`; recorded run only.
     log: (usize, u64),
+    /// `(relayed, handoffs)`: what the host did. Held equal between the
+    /// recorded and the unrecorded run, not to a constant — ROADMAP items
+    /// 2 and 3 mean to move it.
+    host: (u64, u64),
 }
 
 /// The non-zero fields of a flat counter struct's `Debug` rendering.
@@ -66,12 +76,33 @@ fn leave(finals: &Finals, who: &str, ep: &BbpEndpoint, outcome: impl Debug) {
     ));
 }
 
-fn observe(sim: &Simulation, report: &RunReport, ring: &Ring, finals: &Finals) -> Pin {
+/// How a world's event log is pinned.
+enum LogPin {
+    /// Track by track ([`Track`]): tracks in key order, each track's
+    /// records in log order. How tracks interleave in the log is not
+    /// pinned — that is write order, which says when a process settled its
+    /// charges, not what it did.
+    Tracks,
+    /// As a sorted multiset: for a world whose tracks each interleave
+    /// several processes, whose relative write order is no more pinned
+    /// than that of two tracks.
+    Multiset,
+}
+
+fn observe(sim: &Simulation, report: &RunReport, ring: &Ring, finals: &Finals, log: LogPin) -> Pin {
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
     let events = sim.recorder().take_events();
-    let hash = events
+    let mut lines: Vec<(Track, String)> = events
         .iter()
-        .flat_map(|e| format!("{e:?}\n").into_bytes())
+        .map(|e| (e.track(), format!("{e:?}\n")))
+        .collect();
+    match log {
+        LogPin::Tracks => lines.sort_by_key(|&(track, _)| track), // stable
+        LogPin::Multiset => lines.sort(),
+    }
+    let hash = lines
+        .iter()
+        .flat_map(|(_, line)| line.bytes())
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
@@ -85,6 +116,7 @@ fn observe(sim: &Simulation, report: &RunReport, ring: &Ring, finals: &Finals) -
             .map(|(who, stats)| format!("{who}: {}", nonzero(stats)))
             .collect(),
         log: (events.len(), hash),
+        host: (report.relayed, report.handoffs),
     }
 }
 
@@ -103,19 +135,24 @@ impl Pin {
     }
 }
 
-/// Run `world` traced and untraced and hold both to `expect`.
-fn check(world: impl Fn(bool) -> Pin, expect: &Pin) {
-    let traced = world(true);
+/// Run `world` recorded and unrecorded and hold both to `expect`.
+fn check(world: impl Fn(bool) -> Pin, mut expect: Pin) {
+    let recorded = world(true);
+    expect.host = recorded.host;
     assert_eq!(
-        &traced,
+        recorded,
         expect,
-        "traced run; observed:\n{}",
-        traced.literal()
+        "recorded run; observed:\n{}",
+        recorded.literal()
     );
-    let mut chained = world(false);
-    assert_eq!(chained.log, (0, 0xcbf2_9ce4_8422_2325), "no log when off");
-    chained.log = expect.log;
-    assert_eq!(&chained, expect, "untraced run");
+    let mut unrecorded = world(false);
+    assert_eq!(
+        unrecorded.log,
+        (0, 0xcbf2_9ce4_8422_2325),
+        "no log when off"
+    );
+    unrecorded.log = expect.log;
+    assert_eq!(unrecorded, expect, "unrecorded run");
 }
 
 fn new_sim(traced: bool) -> Simulation {
@@ -280,7 +317,7 @@ fn reliable_world(corrupt_rate: f64, traced: bool) -> Pin {
     });
 
     let report = sim.run();
-    observe(&sim, &report, &ring, &finals)
+    observe(&sim, &report, &ring, &finals, LogPin::Tracks)
 }
 
 // ----------------------------------------------------------------------
@@ -378,7 +415,7 @@ fn membership_world(traced: bool) -> Pin {
     }
 
     let report = sim.run();
-    observe(&sim, &report, &ring, &finals)
+    observe(&sim, &report, &ring, &finals, LogPin::Tracks)
 }
 
 // ----------------------------------------------------------------------
@@ -491,7 +528,7 @@ fn quorum_world(traced: bool) -> Pin {
     }
 
     let report = sim.run();
-    observe(&sim, &report, &ring, &finals)
+    observe(&sim, &report, &ring, &finals, LogPin::Tracks)
 }
 
 /// A frozen node's `recv_deadline`: the minority side of a partition that
@@ -533,7 +570,7 @@ fn frozen_deadline_world(traced: bool) -> Pin {
 
     // A horizon: before the fix the frozen wait never moved the clock.
     let report = sim.run_until(ms(2));
-    observe(&sim, &report, &ring, &finals)
+    observe(&sim, &report, &ring, &finals, LogPin::Tracks)
 }
 
 // ----------------------------------------------------------------------
@@ -682,7 +719,7 @@ fn credit_world(traced: bool) -> Pin {
     });
 
     let report = sim.run();
-    let mut pin = observe(&sim, &report, &ring, &finals);
+    let mut pin = observe(&sim, &report, &ring, &finals, LogPin::Multiset);
     pin.ring = format!(
         "{} | {} | {}",
         pin.ring,
@@ -753,11 +790,12 @@ fn slotted_interrupt_world(traced: bool) -> Pin {
     });
 
     let report = sim.run();
-    observe(&sim, &report, &ring, &finals)
+    observe(&sim, &report, &ring, &finals, LogPin::Tracks)
 }
 
 // ----------------------------------------------------------------------
-// The pins (captured at 20eea90; see the module docs before touching).
+// The pins (`run`, `ring`, `endpoints` captured at 20eea90, `log` at
+// bab5c31; see the module docs before touching).
 // ----------------------------------------------------------------------
 
 fn pin(run: (u64, u64, usize), ring: &str, endpoints: &[&str], log: (usize, u64)) -> Pin {
@@ -766,6 +804,7 @@ fn pin(run: (u64, u64, usize), ring: &str, endpoints: &[&str], log: (usize, u64)
         ring: ring.into(),
         endpoints: endpoints.iter().map(|s| (*s).into()).collect(),
         log,
+        host: (0, 0), // `check` fills it in
     }
 }
 
@@ -777,7 +816,7 @@ fn reliable_paths_are_pinned() {
     // peer).
     check(
         |traced| reliable_world(0.0012, traced),
-        &pin(
+        pin(
         (6909350, 10058, 14),
         "injections: 111, words_carried: 2661, pio_writes: 180, pio_reads: 9808, bursts: 37, bit_errors: 2, packets_dropped: 3, link_busy_ns: 5253945",
         &[
@@ -786,12 +825,12 @@ fn reliable_paths_are_pinned() {
             "n2 ([ok, ok, ok, ok, ok, ok, ok, ok, Timeout { peer: 0, attempts: 0 }], 6): recvs: 14, bytes_recved: 3340, polls: 4204, corrupt_detected: 3, corrupt_dropped: 1, nacks_sent: 3, dup_drops: 3, phantom_rejects: 2, recv_timeouts: 1",
             "n3 [ok, ok]: recvs: 2, bytes_recved: 128, polls: 1056",
         ],
-        (57796, 3931490717421559236),
+        (57796, 18022270635829349128),
     ),
     );
     check(
         |traced| reliable_world(0.003, traced),
-        &pin(
+        pin(
         (6074395, 10182, 14),
         "injections: 135, words_carried: 2724, pio_writes: 211, pio_reads: 8780, bursts: 49, bit_errors: 12, packets_dropped: 3, link_busy_ns: 5397240",
         &[
@@ -800,14 +839,14 @@ fn reliable_paths_are_pinned() {
             "n2 ([ok, ok, ok, ok, ok, ok, ok, ok, Corrupt { peer: 0 }], 5): recvs: 13, bytes_recved: 2316, polls: 2477, corrupt_detected: 14, corrupt_dropped: 4, nacks_sent: 14, recv_timeouts: 1",
             "n3 [ok, ok]: recvs: 2, bytes_recved: 128, polls: 1058",
         ],
-        (53386, 12872862773849790634),
+        (53386, 9960300997579631852),
     ),
     );
 }
 
 #[test]
 fn membership_kill_and_rejoin_is_pinned() {
-    check(membership_world, &pin(
+    check(membership_world, pin(
         (4014150, 5438, 11),
         "injections: 482, words_carried: 676, pio_writes: 676, pio_reads: 10577, link_busy_ns: 1597770",
         &[
@@ -817,13 +856,13 @@ fn membership_kill_and_rejoin_is_pinned() {
             "n3a Some(MembershipView { epoch: 0, alive_mask: 15 }): heartbeats: 3",
             "n3b (Ok(MembershipView { epoch: 2, alive_mask: 15 }), ok, ok, Some(MembershipView { epoch: 2, alive_mask: 15 })): sends: 1, recvs: 1, bytes_recved: 12, polls: 7, heartbeats: 72, epoch_bumps: 1",
         ],
-        (23890, 11137291492736052770),
+        (23890, 16943395544173304092),
     ));
 }
 
 #[test]
 fn quorum_freeze_heal_merge_is_pinned() {
-    check(quorum_world, &pin(
+    check(quorum_world, pin(
         (5020900, 12318, 29),
         "injections: 1275, words_carried: 4669, pio_writes: 4669, pio_reads: 26041, link_busy_ns: 12775395",
         &[
@@ -833,7 +872,7 @@ fn quorum_freeze_heal_merge_is_pinned() {
             "n3 ([], 0, 30, Some(MembershipView { epoch: 2, alive_mask: 31 }), false): recvs: 30, bytes_recved: 960, polls: 178, heartbeats: 178, suspicions: 2, deaths: 2, epoch_bumps: 2",
             "n4 ([Timeout { peer: 3, attempts: 0 }, None], 0, 0, Some(MembershipView { epoch: 2, alive_mask: 31 }), false): polls: 807, recv_timeouts: 1, heartbeats: 215, suspicions: 2, deaths: 2, epoch_bumps: 2",
         ],
-        (50919, 13390460485394626422),
+        (50919, 14733269008832274764),
     ));
 }
 
@@ -841,7 +880,7 @@ fn quorum_freeze_heal_merge_is_pinned() {
 fn frozen_recv_deadline_returns_at_its_deadline() {
     // Captured with the fix (before it this world never ended): `None`,
     // zero nanoseconds late, still frozen, heartbeat kept up meanwhile.
-    check(frozen_deadline_world, &pin(
+    check(frozen_deadline_world, pin(
         (1017000, 1613, 12),
         "injections: 207, words_carried: 816, pio_writes: 816, pio_reads: 4824, link_busy_ns: 1542420",
         &[
@@ -851,13 +890,13 @@ fn frozen_recv_deadline_returns_at_its_deadline() {
             "n3 []: heartbeats: 40, suspicions: 2, deaths: 2, epoch_bumps: 1",
             "n4 []: heartbeats: 40, suspicions: 2, deaths: 2, epoch_bumps: 1",
         ],
-        (6883, 5631697659880899571),
+        (6883, 9387935617359335369),
     ));
 }
 
 #[test]
 fn credits_and_doorbells_are_pinned() {
-    check(credit_world, &pin(
+    check(credit_world, pin(
         (603100, 1851, 18),
         "injections: 56, words_carried: 110, pio_writes: 110, pio_reads: 454, link_busy_ns: 202950 | injections: 28, words_carried: 344, pio_writes: 44, pio_reads: 620, bursts: 12, link_busy_ns: 423120 | injections: 16, words_carried: 32, pio_writes: 32, pio_reads: 34, interrupts: 8, link_busy_ns: 39360",
         &[
@@ -869,13 +908,13 @@ fn credits_and_doorbells_are_pinned() {
             "ub0 [ok, ok, ok, ok]: sends: 4, gc_sweeps: 6, credit_stalls: 6",
             "ub1 [ok, ok, ok, ok]: recvs: 4, bytes_recved: 48, polls: 4",
         ],
-        (8464, 6897230603064882048),
+        (8464, 1102304624568543290),
     ));
 }
 
 #[test]
 fn slotted_interrupt_stalls_are_pinned() {
-    check(slotted_interrupt_world, &pin(
+    check(slotted_interrupt_world, pin(
         (286860, 180, 8),
         "injections: 57, words_carried: 202, pio_writes: 186, pio_reads: 206, bursts: 3, interrupts: 29, link_busy_ns: 372690",
         &[
@@ -883,6 +922,6 @@ fn slotted_interrupt_stalls_are_pinned() {
             "n1 [16, 24, 32, 40, 48, 56, 64]: sends: 1, recvs: 7, bytes_recved: 280, polls: 5",
             "n2 [20, 28, 36, 44, 52, 60, 64]: recvs: 7, bytes_recved: 304, polls: 13",
         ],
-        (1262, 6980760251620326582),
+        (1262, 4041574983203036694),
     ));
 }

@@ -670,3 +670,41 @@ fn recv_deadline_returns_none_when_quiet_and_some_when_not() {
     });
     assert!(sim.run().is_clean());
 }
+
+/// The trace-id side channel that tags ring packets with the message their
+/// writer is sending has a slot per node a ring can hold. Two senders 64
+/// ranks apart once shared one, and the second send was logged as more of
+/// the first: one waterfall injected at both sources, delivered at both
+/// destinations.
+#[test]
+fn senders_64_ranks_apart_trace_two_messages() {
+    use des::obs::{message_waterfalls, MessageWaterfall, Stage};
+
+    let pairs = [(0usize, 1usize), (64, 65)];
+    let mut sim = Simulation::new();
+    sim.enable_trace();
+    let c = cluster(&sim, 66);
+    for (src, dst) in pairs {
+        let mut tx = c.endpoint(src);
+        sim.spawn(format!("tx{src}"), move |ctx| {
+            tx.send(ctx, dst, b"at once").unwrap()
+        });
+        let mut rx = c.endpoint(dst);
+        sim.spawn(format!("rx{dst}"), move |ctx| {
+            assert_eq!(rx.recv(ctx, src).unwrap(), b"at once");
+        });
+    }
+    assert!(sim.run().is_clean());
+    let waterfalls = message_waterfalls(&sim.recorder().take_events());
+    let nodes_of = |w: &MessageWaterfall, stage: Stage| -> Vec<usize> {
+        let at_stage = w.steps.iter().filter(|s| s.stage == stage);
+        at_stage.map(|s| s.node as usize).collect()
+    };
+    assert_eq!(waterfalls.len(), 2, "{waterfalls:?}");
+    for (w, (src, dst)) in waterfalls.iter().zip(pairs) {
+        assert_eq!(w.src as usize, src);
+        // Payload, descriptor, flag word.
+        assert_eq!(nodes_of(w, Stage::RingInject), [src; 3]);
+        assert_eq!(nodes_of(w, Stage::Deliver), [dst]);
+    }
+}

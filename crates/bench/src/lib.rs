@@ -499,15 +499,6 @@ pub fn layering_log_histogram(bbp: &[Time], mpi: &[Time]) -> obs::LogHistogram {
     hist
 }
 
-/// [`layering_log_histogram`] of the two 4-node ping-pongs at `len`
-/// bytes.
-pub fn mpi_layering_log_histogram(len: usize) -> obs::LogHistogram {
-    layering_log_histogram(
-        &bbp_pingpong_samples(len, 4),
-        &mpi_pingpong_samples(MpiNet::Scramnet, len),
-    )
-}
-
 /// The MPI_Bcast of [`mpi_bcast_us`] with the obs recorder armed for the
 /// timed (post-warm-up) broadcast. Returns the last-receiver latency in
 /// microseconds and the recorded event stream: spans for every layer of

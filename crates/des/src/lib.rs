@@ -79,8 +79,10 @@
 //! the kernel can see of this — scheduling, [`Signal::notify_at`],
 //! [`queue::SimQueue`] polls and whatever calls
 //! [`SimHandle::assert_settled`] panic, naming the process and the time
-//! it owes. While the event log is recording, a charge simply *is* an
-//! advance, so a trace shows every step where it always was.
+//! it owes. Recording changes none of it: whoever walks a step writes the
+//! scheduler's entries for it, so a recorded run makes the hand-offs of
+//! the unrecorded one and writes, entry for entry, the trace a run of
+//! `advance`s would have.
 //!
 //! A poll loop — own time, a stall, read a word, go round again while it
 //! has not changed — is the case the chain was missing: its stalls end in
@@ -108,6 +110,9 @@
 //! export it with [`obs::chrome_trace_json`] or fold it into a per-layer
 //! latency breakdown with [`obs::attribute`]. Recording is off by
 //! default and costs one relaxed atomic load per instrumentation site.
+//! The log is in time order per [`obs::Track`], not as a whole: a process
+//! writes its records as it runs, at its own clock, which is ahead of the
+//! run's wherever it has charged time it has not yet settled.
 
 mod calq;
 mod event;

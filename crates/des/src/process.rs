@@ -29,7 +29,6 @@ use parking_lot::Mutex;
 use crate::sched::{Baton, Returned, SchedShared, SimHandle, WakeWhat};
 use crate::signal::Signal;
 use crate::time::Time;
-use obs::{TraceEntry, TraceKind};
 
 /// Identifies a process within one [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -263,12 +262,9 @@ impl ProcCtx {
     /// scheduling, no [`Signal`], no shared memory. Debug builds check
     /// what `des` can see of that ([`SimHandle::assert_settled`]).
     ///
-    /// While the event log is recording, a `charge` is an `advance`, so a
-    /// trace shows every step where it always was.
+    /// The event log changes none of this. The scheduler's entries for a
+    /// step are written by whoever walks it, so a recorded run is the run.
     pub fn charge(&mut self, dt: Time) {
-        if self.sched.recorder.is_enabled() {
-            return self.advance(dt);
-        }
         self.owe(dt);
     }
 
@@ -314,11 +310,10 @@ impl ProcCtx {
     /// stall's `Resume` coming up and the next step being queued that loop
     /// does nothing anyone can observe; here the thread that popped the
     /// `Resume` takes the look instead of waking this one to. Steps already
-    /// charged ride in front. The event log is not told of any of it — no
-    /// `Yield` entry is written for a step someone else walks, which is
-    /// why [`ProcCtx::charge`] is an `advance` while it records — so a
-    /// layer whose sweep may run while the log records writes the loop
-    /// out then.
+    /// charged ride in front. The scheduler's trace entries are the loop's,
+    /// written by whoever walks each step; what the loop's *body* would
+    /// have told the event log (a span per read, say) the caller writes
+    /// once the sweep returns, as `scramnet::Nic::scan` does.
     pub fn scan<S: Sample + 'static>(
         &mut self,
         on: &Arc<S>,
@@ -434,14 +429,7 @@ impl ProcCtx {
     /// trace entry: `ResumeAt` (a queue entry this process pushed will
     /// resume it) or `Blocked` (a [`Signal`]).
     fn yield_baton(&mut self, why: &str) {
-        if self.sched.recorder.is_enabled() {
-            // Gated so the hot yield path never formats the detail string.
-            self.sched.record(TraceEntry {
-                time: self.now,
-                kind: TraceKind::Yield,
-                detail: format!("{} {why} {{ now: {} }}", self.shared.name, self.now),
-            });
-        }
+        self.sched.record_yield(&self.shared.name, why, self.now);
         self.sched.catch_up(self.now);
         self.hold_for_baton();
         let t = self.sched.now.load(Ordering::Relaxed);

@@ -175,6 +175,20 @@ impl SchedShared {
         self.recorder.sched(entry);
     }
 
+    /// The `Yield` entry of process `name` giving up the baton at `now`.
+    /// `why`: `ResumeAt` (a `Resume` queued for it will bring it back) or
+    /// `Blocked` (a [`Signal`] will).
+    pub fn record_yield(&self, name: &str, why: &str, now: Time) {
+        if self.recorder.is_enabled() {
+            // Gated so the hot yield path never formats the detail string.
+            self.record(TraceEntry {
+                time: now,
+                kind: TraceKind::Yield,
+                detail: format!("{name} {why} {{ now: {now} }}"),
+            });
+        }
+    }
+
     /// Start a run on the calling thread: it holds the baton.
     pub fn begin_run(&self, horizon: Time) {
         self.horizon.store(horizon, Ordering::Relaxed);
@@ -220,9 +234,8 @@ impl SchedShared {
     /// when one of those `Resume`s comes up. Who calls is not an input to
     /// anything the walk decides — the queue head, the horizon, the next
     /// tie-break value, the sampled word — so the schedule cannot tell the
-    /// difference. (A trace could: no `Yield` entry is written here.
-    /// Chains only form while the event log is off; one still in flight
-    /// when recording is switched on finishes without them.)
+    /// difference, and neither can the trace: a queued step gets the
+    /// `Yield` entry the process would have written going to sleep on it.
     pub fn walk(&self, id: ProcId, proc: &ProcShared, mut cur: Time) -> bool {
         let mut chain = proc.chain.lock();
         if let Some(step) = chain.due.take() {
@@ -234,6 +247,7 @@ impl SchedShared {
             let target = cur + step.dt;
             if !self.idle_through(target) {
                 self.push(target, WakeWhat::Resume(id));
+                self.record_yield(&proc.name, "ResumeAt", cur);
                 self.catch_up(cur);
                 chain.due = Some(step);
                 return false;

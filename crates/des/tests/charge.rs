@@ -10,6 +10,11 @@
 //! `ProcCtx::scan` is held to the same standard in the second half: a
 //! poll sweep written out as the loop it stands for, and the same sweep
 //! handed over whole.
+//!
+//! These `advance` loops are the eager path's last home: nothing in the
+//! stack turns a charge into an advance any more, the event log least of
+//! all — a recorded chained run writes the eager run's scheduler trace
+//! and makes the unrecorded chained run's hand-offs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -239,28 +244,6 @@ fn charges_settle_before_a_spawn_and_before_a_wait_until() {
     });
 }
 
-#[test]
-fn while_the_event_log_records_a_charge_is_an_advance() {
-    let run = |chained: bool| {
-        let mut sim = Simulation::new();
-        sim.enable_trace();
-        for p in 0..2 {
-            sim.spawn(format!("p{p}"), move |ctx| {
-                for _ in 0..20 {
-                    cost(ctx, 15, chained);
-                    ctx.advance(40);
-                }
-            });
-        }
-        let report = sim.run();
-        (report, sim.take_trace())
-    };
-    let ((eager, eager_trace), (charged, charged_trace)) = (run(false), run(true));
-    assert!(charged_trace == eager_trace, "the traces differ");
-    assert_eq!(charged.handoffs, eager.handoffs);
-    assert_eq!(charged.relayed, 0);
-}
-
 /// Sets its flag when dropped: proves a process body was unwound.
 struct Unwound(Arc<AtomicBool>);
 
@@ -476,6 +459,56 @@ fn a_sweep_that_crosses_a_horizon_resumes_under_the_next_run() {
     assert_eq!(visible(&scanned.1), visible(&eager.1));
     assert_eq!(scanned.2, eager.2);
     assert_eq!(scanned.0.end_time, 250, "the end of word 8's own time");
+}
+
+#[test]
+fn a_recorded_chained_run_writes_the_eager_trace_with_the_unrecorded_handoffs() {
+    // Two workers that charge and sweep beside a tick chain, with a word
+    // flipped under each sweeper: eager with the event log on, chained
+    // with it on, chained with it off.
+    let run = |chained: bool, traced: bool| {
+        let mut sim = Simulation::new();
+        if traced {
+            sim.enable_trace();
+        }
+        let h = sim.handle();
+        let log = Log::default();
+        ticks(&h, &log, 17, 2_500);
+        for p in 0..2 {
+            let mem = words(15);
+            flip(&h, &mem, 1_600 + 100 * p, 9, 3);
+            let log = Arc::clone(&log);
+            sim.spawn(format!("p{p}"), move |ctx| {
+                for _ in 0..20 {
+                    cost(ctx, 15, chained);
+                    ctx.advance(40);
+                }
+                assert_eq!(sweep_until_hit(ctx, &log, &mem, 15, chained), (9, 3));
+                cost(ctx, 15, chained);
+            });
+        }
+        let report = sim.run();
+        assert!(report.is_clean());
+        (report, sim.take_trace())
+    };
+    let (eager, eager_trace) = run(false, true);
+    let (recorded, recorded_trace) = run(true, true);
+    let (unrecorded, _) = run(true, false);
+    assert!(eager_trace.len() > 500, "{} entries", eager_trace.len());
+    for (i, (ours, theirs)) in recorded_trace.iter().zip(&eager_trace).enumerate() {
+        assert_eq!(ours, theirs, "entry {i}");
+    }
+    assert_eq!(recorded_trace.len(), eager_trace.len());
+    // Recording changes nothing of what the host does either.
+    assert_eq!(
+        (recorded.handoffs, recorded.relayed),
+        (unrecorded.handoffs, unrecorded.relayed)
+    );
+    assert_eq!(visible(&recorded), visible(&unrecorded));
+    assert_eq!(visible(&recorded), visible(&eager));
+    assert_eq!(eager.relayed, 0);
+    assert!(recorded.relayed > 100, "{recorded:?}");
+    assert!(recorded.handoffs < eager.handoffs);
 }
 
 #[test]

@@ -48,8 +48,11 @@ struct Frame {
 
 /// Attribute span time to layers. Spans nest per node: each exit closes
 /// the most recent open span of the same layer on that node (enter/exit
-/// names are informational). Events must be in recording order, which
-/// the simulator guarantees is time-ordered.
+/// names are informational). Events must be in recording order, which is
+/// time order per [`crate::Track`] — all this fold needs, since a node's
+/// spans are written by that node's process as it runs — and not across
+/// tracks: a sweep's reads are logged when the sweep returns, a charged
+/// step's scheduler entries when it is walked.
 pub fn attribute(events: &[Event]) -> LayerBreakdown {
     // Per-node span stacks, keyed by node id. Nodes are small integers
     // (plus NO_NODE), so a sorted Vec beats a HashMap here.
@@ -121,14 +124,15 @@ pub struct WaterfallStep {
 }
 
 /// One message's reconstructed latency waterfall: every lifecycle
-/// checkpoint recorded against its trace id, in time order.
+/// checkpoint recorded against its trace id, in recording order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageWaterfall {
     /// The trace id.
     pub id: u64,
     /// Origin node, decoded from the id's high bits.
     pub src: u32,
-    /// Checkpoints in recording (= time) order.
+    /// Checkpoints in recording order: causal order along the message's
+    /// path, and — each being written right after a stall — time order.
     pub steps: Vec<WaterfallStep>,
 }
 

@@ -144,7 +144,47 @@ pub enum Event {
     Sched(TraceEntry),
 }
 
+/// The sequence of the log a record belongs to — the unit the log is
+/// ordered in. The records of one track are in the order their writer
+/// wrote them, which is time order: a node's tracks are written by that
+/// node's process as it runs, stamped with its own clock. (One track is
+/// exempt: the ring hardware's, `Layer(NO_NODE, Ring)`, where a packet
+/// span's exit — an instant still in the future — is written together
+/// with its enter.) *Tracks* interleave in write order, and that runs
+/// ahead of the clock wherever a process has charged time it has not yet
+/// settled (`des::ProcCtx::charge`: the scheduler's entries for those
+/// steps are written when they are walked) or tells the log of something
+/// after the fact (a poll sweep's reads, written when the sweep returns).
+/// Every consumer reads per track: [`crate::attribute`] folds spans per
+/// node, [`crate::message_waterfalls`] lifecycle checkpoints per id, the
+/// Chrome exporter draws per `(pid, tid)` and per counter. Nothing sorts
+/// the log.
+///
+/// The derived order (layers of a node, then its counters, the scheduler
+/// last) is for tests that compare logs track by track.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Track {
+    /// Spans and lifecycle checkpoints of one layer on one node.
+    Layer(u32, Layer),
+    /// One named counter on one node.
+    Counter(u32, &'static str),
+    /// The scheduler's own entries (`des::Simulation::take_trace`).
+    Sched,
+}
+
 impl Event {
+    /// The track this record is on.
+    pub fn track(&self) -> Track {
+        match *self {
+            Event::SpanEnter { node, layer, .. } | Event::SpanExit { node, layer, .. } => {
+                Track::Layer(node, layer)
+            }
+            Event::Lifecycle { node, stage, .. } => Track::Layer(node, stage.layer()),
+            Event::Count { node, name, .. } => Track::Counter(node, name),
+            Event::Sched(_) => Track::Sched,
+        }
+    }
+
     /// Virtual time of the event.
     pub fn time(&self) -> Time {
         match self {

@@ -75,7 +75,7 @@ pub mod timeseries;
 
 pub use attr::{attribute, message_waterfalls, LayerBreakdown, MessageWaterfall, WaterfallStep};
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_telemetry};
-pub use event::{Event, Layer, TraceEntry, TraceKind, NO_NODE};
+pub use event::{Event, Layer, TraceEntry, TraceKind, Track, NO_NODE};
 pub use flight::{FlightGuard, FlightRecorder};
 pub use health::{Finding, HealthSpec, Violation};
 pub use hist::LogHistogram;

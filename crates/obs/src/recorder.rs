@@ -10,13 +10,22 @@ use crate::lifecycle::Stage;
 use crate::timeseries::Telemetry;
 use crate::Time;
 
-/// Per-node current-trace slots (indexed `node % CURRENT_SLOTS`).
-const CURRENT_SLOTS: usize = 64;
+/// Per-node current-trace slots: one for every node a SCRAMNet ring can
+/// hold (256), so no two nodes of a ring share one. A node id beyond that
+/// — only a ring hierarchy's global ids get there — uses slot
+/// `node % CURRENT_SLOTS`: two such nodes sending at the same instant
+/// would log their messages under one trace id (the messages themselves
+/// are unaffected).
+const CURRENT_SLOTS: usize = 256;
 
 /// Records [`Event`]s from every layer of one simulation.
 ///
 /// Exactly one entity executes at a time in the simulator, so the inner
 /// mutex is never contended; it exists to make the recorder `Sync`.
+///
+/// The log is append-only and in write order, which is time order per
+/// [`crate::Track`] and not across tracks (see there); it is never
+/// sorted, and no record is held back to be placed.
 ///
 /// **Disabled is the default and costs one relaxed atomic load per
 /// recording call** — no locks, no allocations, no branches beyond the
@@ -421,6 +430,11 @@ mod tests {
         assert_eq!(r.current_trace(1), 0);
         r.set_current_trace(0, 0);
         assert_eq!(r.current_trace(0), 0);
+        // A slot per node of a full ring; ids past it wrap.
+        r.set_current_trace(64, 64);
+        r.set_current_rx(255, 255);
+        assert_eq!((r.current_trace(0), r.current_trace(64)), (0, 64));
+        assert_eq!((r.current_rx(255), r.current_rx(511)), (255, 255));
     }
 
     #[test]

@@ -146,9 +146,13 @@ impl Nic {
     ///
     /// but the caller's thread sleeps through the words that have not
     /// changed ([`ProcCtx::scan`]), which is most of what a blocked
-    /// receive-from-anyone reads. No `pio_read` span or `nic.pio_reads`
-    /// count reaches the event log: a caller that may be recording writes
-    /// the loop out, as `bbp`'s poll does.
+    /// receive-from-anyone reads. The event log is told afterwards what the
+    /// sweep stood for: for each read actually made — up to the changed
+    /// word, or all — the `pio_read` span and `nic.pio_reads` count
+    /// [`Nic::read_word`] writes, stamped with the instants that loop
+    /// would have stamped. (A sweep the end of the run or an abort cuts
+    /// short never gets to tell; [`crate::RingStats::pio_reads`] has
+    /// counted its reads all the same.)
     pub fn scan(
         &self,
         ctx: &mut ProcCtx,
@@ -165,14 +169,40 @@ impl Nic {
             );
         }
         let base = self.node * words;
-        ctx.scan(
+        let pio = self.shared.cost.pio_read_ns;
+        let t0 = ctx.now();
+        let hit = ctx.scan(
             &self.shared,
             cpu,
-            self.shared.cost.pio_read_ns,
+            pio,
             looks
                 .iter()
                 .map(|&(addr, expected)| (base + addr, expected)),
-        )
+        );
+        let (obs, gid) = (ctx.obs(), self.gid());
+        for enter in self.sweep_reads(t0, cpu, looks.len(), hit) {
+            obs.span_enter(enter, gid, Layer::Nic, "pio_read");
+            obs.count(enter + pio, gid, "nic.pio_reads", 1);
+            obs.span_exit(enter + pio, gid, Layer::Nic, "pio_read");
+        }
+        hit
+    }
+
+    /// When each PIO read of a [`Nic::scan`] began: the sweep was entered
+    /// at `t0` with `looks` words to read and `cpu` ns of the host's own
+    /// time before each, and made a read per look up to the one that `hit`
+    /// (all of them if none did). For a caller with records of its own to
+    /// stamp after the fact, as `scan` stamps the NIC's.
+    pub fn sweep_reads(
+        &self,
+        t0: des::Time,
+        cpu: des::Time,
+        looks: usize,
+        hit: Option<(usize, Word)>,
+    ) -> impl Iterator<Item = des::Time> {
+        let period = cpu + self.shared.cost.pio_read_ns;
+        let made = hit.map_or(looks, |(index, _)| index + 1) as des::Time;
+        (0..made).map(move |k| t0 + k * period + cpu)
     }
 
     /// Program a DMA transfer: the host pays only the setup cost and is
@@ -293,7 +323,10 @@ impl Nic {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use crate::{CostModel, Ring};
+    use des::obs::{Event, Layer, Track};
     use des::Simulation;
 
     #[test]
@@ -358,11 +391,23 @@ mod tests {
         assert!(sim.run().is_clean());
     }
 
+    /// What [`sweep_run`] reports: the hit, when, the run's dispatches and
+    /// queue depth, the ring's counters, and the event log track by track.
+    type SweepRun = (
+        (usize, u32),
+        des::Time,
+        u64,
+        usize,
+        crate::RingStats,
+        BTreeMap<Track, Vec<Event>>,
+    );
+
     /// A receiver sweeping eight words until one changes, beside a writer
-    /// that changes one mid-sweep: what it saw, when, and what the run and
-    /// the ring counted.
-    fn sweep_run(scanned: bool) -> ((usize, u32), des::Time, u64, usize, crate::RingStats) {
+    /// that changes one mid-sweep, with the event log on: what it saw,
+    /// when, and what the run, the ring and the log made of it.
+    fn sweep_run(scanned: bool) -> SweepRun {
         let mut sim = Simulation::new();
+        sim.enable_trace();
         let ring = Ring::new(&sim.handle(), 3, 64, CostModel::default());
         let (tx, rx) = (ring.nic(0), ring.nic(2));
         sim.spawn("tx", move |ctx| {
@@ -395,12 +440,17 @@ mod tests {
         let report = sim.run();
         assert!(report.is_clean());
         let (hit, at) = seen.lock().expect("the sweep ended");
+        let mut tracks: BTreeMap<Track, Vec<Event>> = BTreeMap::new();
+        for event in sim.recorder().take_events() {
+            tracks.entry(event.track()).or_default().push(event);
+        }
         (
             hit,
             at,
             report.dispatches,
             report.peak_queue_depth,
             ring.stats(),
+            tracks,
         )
     }
 
@@ -410,6 +460,15 @@ mod tests {
         assert_eq!(scanned, sweep_run(false));
         assert_eq!(scanned.0, (5, 5), "word 13 is the sixth look");
         assert!(scanned.4.pio_reads > 8, "{:?}", scanned.4);
+        // The log was told of every read, each in time order on its track.
+        let reads = &scanned.5[&Track::Counter(2, "nic.pio_reads")];
+        assert_eq!(reads.len() as u64, scanned.4.pio_reads);
+        assert!(reads.windows(2).all(|w| w[0].time() < w[1].time()));
+        assert_eq!(reads.last().map(Event::time), Some(scanned.1));
+        assert_eq!(
+            scanned.5[&Track::Layer(2, Layer::Nic)].len(),
+            2 * reads.len()
+        );
     }
 
     #[test]

@@ -331,18 +331,6 @@ impl Mpi {
         (status, data)
     }
 
-    /// Complete a batch of receive requests, in order.
-    pub fn waitall_recv(
-        &mut self,
-        ctx: &mut ProcCtx,
-        comm: &Comm,
-        reqs: Vec<ReqId>,
-    ) -> Vec<(Status, Vec<u8>)> {
-        reqs.into_iter()
-            .map(|r| self.wait_recv(ctx, comm, r))
-            .collect()
-    }
-
     /// Simultaneous send and receive (deadlock-free exchange). The
     /// argument count mirrors the MPI binding.
     #[allow(clippy::too_many_arguments)]

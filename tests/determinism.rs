@@ -130,10 +130,10 @@ fn schedule_counters_match_the_recorded_baseline() {
     );
 }
 
-/// What a traced and an untraced run of one world must agree on — the
-/// run, the ring's traffic (`pio_reads` among it) and each endpoint's
-/// counters (`polls` among them) — and the report, whose `handoffs` and
-/// `relayed` are what may differ.
+/// What a recorded and an unrecorded run of one world must agree on: the
+/// run — `handoffs` and `relayed`, what the host did, included — the
+/// ring's traffic (`pio_reads` among it) and each endpoint's counters
+/// (`polls` among them).
 type Outcome = (RunReport, RingStats, Vec<EndpointStats>);
 
 fn simulation(traced: bool) -> Simulation {
@@ -144,9 +144,7 @@ fn simulation(traced: bool) -> Simulation {
     sim
 }
 
-/// BBP ping-pong over a ladder of sizes; `traced` turns the event log on,
-/// which makes every `ProcCtx::charge` in the stack an `advance` and every
-/// poll sweep the loop it stands for.
+/// BBP ping-pong over a ladder of sizes; `traced` turns the event log on.
 fn bbp_pingpong(traced: bool) -> Outcome {
     let mut sim = simulation(traced);
     let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(2));
@@ -253,35 +251,134 @@ fn mpi_world(n: usize, traced: bool) -> Outcome {
     (report, stats, Vec::new())
 }
 
-/// There is no switch for chaining software costs or for handing a poll
-/// sweep to the dispatch loop, so the one way to see the stack with and
-/// without them is the event log: recording makes every charge eager and
-/// every sweep a loop of reads. Both must be the same simulation — same
-/// end time, dispatch count, queue depth, ring traffic and endpoint
-/// counters — and differ only in how often the host moved the baton.
+/// One world as the *eager* path ran it — every `ProcCtx::charge` an
+/// `advance`, every poll sweep the loop of `read_word`s it stands for —
+/// which is what recording did to a run up to commit bab5c31, where these
+/// were captured from the recorded runs. The path is gone; what it
+/// computed stays here as numbers.
+struct Eager {
+    what: &'static str,
+    /// `(end_time, dispatches, peak_queue_depth)`.
+    run: (u64, u64, usize),
+    /// `[injections, words_carried, pio_writes, pio_reads, bursts,
+    /// link_busy_ns]`; every other ring counter is zero.
+    ring: [u64; 6],
+    /// Per endpoint, `[sends, recvs, bytes_recved, polls, gc_sweeps,
+    /// send_stalls]`; every other endpoint counter is zero.
+    endpoints: &'static [[u64; 6]],
+}
+
+impl Eager {
+    fn ring(&self) -> RingStats {
+        let [injections, words_carried, pio_writes, pio_reads, bursts, link_busy_ns] = self.ring;
+        RingStats {
+            injections,
+            words_carried,
+            pio_writes,
+            pio_reads,
+            bursts,
+            link_busy_ns,
+            ..Default::default()
+        }
+    }
+
+    fn endpoints(&self) -> Vec<EndpointStats> {
+        let stats = |&[sends, recvs, bytes_recved, polls, gc_sweeps, send_stalls]: &[u64; 6]| {
+            EndpointStats {
+                sends,
+                recvs,
+                bytes_recved,
+                polls,
+                gc_sweeps,
+                send_stalls,
+                ..Default::default()
+            }
+        };
+        self.endpoints.iter().map(stats).collect()
+    }
+}
+
+const EAGER: [Eager; 6] = [
+    Eager {
+        what: "BBP ping-pong",
+        run: (4_071_015, 10_499, 5),
+        ring: [186, 4_440, 240, 9_604, 84, 5_461_200],
+        endpoints: &[[24, 24, 8_400, 4_828, 1, 1], [24, 24, 8_400, 4_630, 1, 1]],
+    },
+    Eager {
+        what: "BBP server",
+        run: (407_115, 5_357, 71),
+        ring: [140, 585, 427, 2_564, 18, 2_158_650],
+        endpoints: &[
+            [5, 30, 1_320, 120, 0, 0],
+            [6, 1, 48, 431, 0, 0],
+            [6, 1, 56, 423, 0, 0],
+            [6, 1, 64, 416, 0, 0],
+            [6, 1, 72, 411, 0, 0],
+            [6, 1, 80, 406, 0, 0],
+        ],
+    },
+    Eager {
+        what: "MPI world, 3 ranks",
+        run: (530_640, 1_774, 11),
+        ring: [96, 420, 126, 853, 27, 774_900],
+        endpoints: &[],
+    },
+    Eager {
+        what: "MPI world, 4 ranks",
+        run: (594_340, 3_337, 16),
+        ring: [132, 537, 171, 1_509, 36, 1_321_020],
+        endpoints: &[],
+    },
+    Eager {
+        what: "MPI world, 8 ranks",
+        run: (951_990, 15_901, 35),
+        ring: [276, 1_005, 351, 6_603, 72, 4_944_600],
+        endpoints: &[],
+    },
+    // Every empty progress poll is a sweep of fifteen words.
+    Eager {
+        what: "MPI world, 16 ranks",
+        run: (2_206_390, 87_732, 79),
+        ring: [564, 1_941, 711, 38_574, 144, 19_099_440],
+        endpoints: &[],
+    },
+];
+
+/// Recording forks nothing: with the event log on, a `charge` is still a
+/// charge and a poll sweep still a sweep, so a recorded run is the
+/// unrecorded run down to how often the host moved the baton — and both
+/// are the simulation the eager path computed.
 #[test]
-fn chained_and_eager_costs_are_the_same_simulation() {
-    let mut worlds = vec![
-        ("BBP ping-pong", bbp_pingpong(true), bbp_pingpong(false)),
-        ("BBP server", bbp_server(true), bbp_server(false)),
+fn a_recorded_run_is_the_unrecorded_run() {
+    let worlds: [fn(bool) -> Outcome; 6] = [
+        bbp_pingpong,
+        bbp_server,
+        |traced| mpi_world(3, traced),
+        |traced| mpi_world(4, traced),
+        |traced| mpi_world(8, traced),
+        |traced| mpi_world(16, traced),
     ];
-    // Sixteen ranks: every empty progress poll is a sweep of fifteen words.
-    for n in [3, 4, 8, 16] {
-        worlds.push(("MPI world", mpi_world(n, true), mpi_world(n, false)));
-    }
-    for (what, (eager, eager_ring, eager_eps), (chained, chained_ring, chained_eps)) in worlds {
-        assert_eq!(counters(&chained), counters(&eager), "{what}");
-        assert_eq!(chained_ring, eager_ring, "{what}");
-        assert_eq!(chained_eps, eager_eps, "{what}");
-        assert_eq!(eager.relayed, 0, "{what}: recording keeps charges eager");
-        assert!(chained.relayed > 0, "{what}: {chained:?}");
-        assert!(
-            chained.handoffs < eager.handoffs,
-            "{what}: {} hand-offs chained, {} eager",
-            chained.handoffs,
-            eager.handoffs
+    let mut host = (0, 0);
+    for (world, eager) in worlds.iter().zip(&EAGER) {
+        let what = eager.what;
+        let (recorded, unrecorded) = (world(true), world(false));
+        for (report, ring, endpoints) in [&recorded, &unrecorded] {
+            assert_eq!(counters(report), eager.run, "{what}");
+            assert_eq!(ring, &eager.ring(), "{what}");
+            assert_eq!(endpoints, &eager.endpoints(), "{what}");
+        }
+        host = (recorded.0.relayed, recorded.0.handoffs);
+        assert_eq!(
+            host,
+            (unrecorded.0.relayed, unrecorded.0.handoffs),
+            "{what}"
         );
+        assert!(recorded.0.relayed > 0, "{what}: {:?}", recorded.0);
     }
+    // The sixteen ranks, which run eagerly made 78 442 hand-offs and
+    // relayed nothing.
+    assert_eq!(host, (75_133, 3_757));
 }
 
 #[test]
