@@ -543,7 +543,8 @@ impl Core {
     /// so this process sleeps through the words that have not changed, and
     /// the event log is told of each poll once the sweep returns. A sweep
     /// of a single word is the loop written out: it costs what its one
-    /// read costs either way.
+    /// read costs either way. (A caller that would only sweep again and
+    /// again until something is flagged: [`Core::sleep_until_flagged`].)
     pub(crate) fn poll(&mut self, ctx: &mut ProcCtx, only: Option<usize>) {
         let rank = self.rank;
         let cpu = self.sw.poll_iter_ns;
@@ -560,27 +561,85 @@ impl Core {
             }
             return;
         }
+        let looks = self.every_flag();
+        self.sweep_on(ctx, &looks, 0);
+        self.looks = looks;
+    }
+
+    /// Every peer's `(flag word, shadow)` in rank order, in the buffer
+    /// [`Core::looks`] lends (to be put back).
+    fn every_flag(&mut self) -> Vec<(usize, Word)> {
+        let rank = self.rank;
         let mut looks = std::mem::take(&mut self.looks);
         looks.clear();
+        let senders = (0..self.n).filter(|&s| s != rank);
         looks.extend(senders.map(|s| (self.layout.msg_flag(rank, s), self.shadow_msg[s])));
-        // A changed word is handled as the loop would, then the sweep goes
-        // on after it: handling `s` touches no other sender's shadow.
-        let mut next = 0;
+        looks
+    }
+
+    /// The rest of a sweep over [`Core::every_flag`], from look `next` on.
+    /// A changed word is handled as the loop would, then the sweep goes on
+    /// after it: handling `s` touches no other sender's shadow.
+    fn sweep_on(&mut self, ctx: &mut ProcCtx, looks: &[(usize, Word)], mut next: usize) {
+        let cpu = self.sw.poll_iter_ns;
         while next < looks.len() {
             let t0 = ctx.now();
             let hit = self.nic.scan(ctx, cpu, &looks[next..]);
-            for at in self.nic.sweep_reads(t0, cpu, looks.len() - next, hit) {
-                self.stats.polls += 1;
-                ctx.obs().count(at, rank as u32, "bbp.polls", 1);
-            }
+            self.stats.polls += self.tell_polls(ctx, t0, looks.len() - next, hit);
             let Some((i, word)) = hit else { break };
-            // We have no look of our own: look `k` is sender `k` below our
-            // rank and sender `k + 1` from it up.
-            let k = next + i;
-            self.flagged(ctx, k + usize::from(k >= rank), word);
-            next = k + 1;
+            next = self.changed(ctx, next + i, word);
         }
+    }
+
+    /// Look `k` of [`Core::every_flag`] saw `word`, not its shadow: handle
+    /// it, and return the look to go on from. We have no look of our own:
+    /// look `k` is sender `k` below our rank and sender `k + 1` from it up.
+    fn changed(&mut self, ctx: &mut ProcCtx, k: usize, word: Word) -> usize {
+        self.flagged(ctx, k + usize::from(k >= self.rank), word);
+        k + 1
+    }
+
+    /// Tell the event log of the polls of one sweep — `looks` words,
+    /// entered at `t0`, ended at `hit` — and return how many it made.
+    fn tell_polls(&self, ctx: &ProcCtx, t0: Time, looks: usize, hit: Option<(usize, Word)>) -> u64 {
+        let reads = self.nic.sweep_reads(t0, self.sw.poll_iter_ns, looks, hit);
+        reads.fold(0, |polls, at| {
+            ctx.obs().count(at, self.rank as u32, "bbp.polls", 1);
+            polls + 1
+        })
+    }
+
+    /// Sweep every peer's flag word, with `lead` ns of our own time before
+    /// each sweep, until one has changed; then finish that sweep as
+    /// [`Core::poll`] does. What the caller's loop of "`poll`; nothing
+    /// flagged; charge `lead`" computes — in time, in the schedule, in
+    /// `polls` and, sweep by sweep, in the event log — but this process
+    /// sleeps until the word changes ([`Nic::scan_until`]) instead of being
+    /// woken at the end of every idle sweep to ask for the next.
+    ///
+    /// `false`, with nothing done, unless sweeping is all there is to do
+    /// until then: a polling endpoint, nothing flagged already, and few
+    /// enough peers for one sleeping cycle. The caller paces itself.
+    pub(crate) fn sleep_until_flagged(&mut self, ctx: &mut ProcCtx, lead: Time) -> bool {
+        if self.recv_mode != RecvMode::Polling
+            || !(1..=ProcCtx::CYCLE_LOOKS).contains(&(self.n - 1))
+            || self.has_pending(None)
+        {
+            return false;
+        }
+        let looks = self.every_flag();
+        let mut polls = 0;
+        // Per sweep, the NIC tells the log of its reads, then we of ours.
+        let (i, word) =
+            self.nic
+                .scan_until(ctx, lead, self.sw.poll_iter_ns, &looks, |ctx, t0, hit| {
+                    polls += self.tell_polls(ctx, t0, looks.len(), hit);
+                });
+        self.stats.polls += polls;
+        let next = self.changed(ctx, i, word);
+        self.sweep_on(ctx, &looks, next);
         self.looks = looks;
+        true
     }
 
     /// Enqueue the messages that `word`, `s`'s MESSAGE flag word as just

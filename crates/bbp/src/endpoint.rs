@@ -546,13 +546,34 @@ impl BbpEndpoint {
         None
     }
 
-    /// Park until new traffic may have arrived. In polling mode this is
-    /// a no-op returning `false` (callers charge their own poll pacing);
-    /// in interrupt mode it blocks on the NIC's flag-block watch and
-    /// returns `true`. Progress engines layered above the BBP use this
-    /// so the paper's interrupt extension benefits them too.
+    /// Park until new traffic may have arrived. In interrupt mode this
+    /// blocks on the NIC's flag-block watch and returns `true`. Progress
+    /// engines layered above the BBP use this so the paper's interrupt
+    /// extension benefits them too. In polling mode there is nothing to
+    /// park on: it returns `false` at once, and the caller either paces
+    /// its own polling or, if polling is all it would do, asks for
+    /// [`BbpEndpoint::sleep_until_flagged`].
     pub fn wait_for_traffic(&mut self, ctx: &mut ProcCtx) -> bool {
         self.core.wait_for_traffic(ctx)
+    }
+
+    /// For a caller whose loop would be "[`BbpEndpoint::try_recv_any`];
+    /// nothing; `lead` ns of my own time; again": poll every peer's
+    /// MESSAGE flag word, `lead` ns before each sweep, until one has
+    /// changed, and finish that sweep — so the caller's next
+    /// `try_recv_any` delivers. In virtual time, in the schedule, in
+    /// [`EndpointStats::polls`] and in the event log it is that loop; on
+    /// the host the calling process sleeps in the dispatch loop until the
+    /// word changes instead of being woken after every idle sweep.
+    ///
+    /// Offered only where nothing else would run between two sweeps, which
+    /// is a property of the endpoint and the world's size: polling mode,
+    /// no reliability or membership engine to service, no detected message
+    /// waiting, and at most [`ProcCtx::CYCLE_LOOKS`] peers. Otherwise it
+    /// returns `false` having done nothing, and the caller paces itself.
+    pub fn sleep_until_flagged(&mut self, ctx: &mut ProcCtx, lead: Time) -> bool {
+        let engines = self.reliable.is_some() || self.members.is_some();
+        !engines && self.core.sleep_until_flagged(ctx, lead)
     }
 
     /// Receive from `src` with a virtual-time deadline: returns `None`

@@ -708,3 +708,122 @@ fn senders_64_ranks_apart_trace_two_messages() {
         assert_eq!(nodes_of(w, Stage::Deliver), [dst]);
     }
 }
+
+/// What [`blocked_server`] reports: when each message arrived, the run's
+/// dispatches, queue depth and hand-offs, the server's counters, the
+/// ring's, and the event log track by track.
+type Blocked = (
+    Vec<(des::Time, usize, Vec<u8>)>,
+    (u64, usize, u64),
+    bbp::EndpointStats,
+    scramnet::RingStats,
+    std::collections::BTreeMap<des::obs::Track, Vec<des::obs::Event>>,
+);
+
+/// A server that takes three messages from its `n - 1` peers, which send
+/// them milliseconds apart, blocked the way a progress engine blocks: try;
+/// nothing; 900 ns of its own; try again — written out (`asleep` false),
+/// or asking the endpoint to sleep through the tries that find nothing.
+fn blocked_server(config: BbpConfig, asleep: bool) -> (Blocked, bool) {
+    const LEAD: des::Time = 900;
+    let n = config.nprocs;
+    let mut sim = Simulation::new();
+    sim.enable_trace();
+    let c = BbpCluster::new(&sim.handle(), config);
+    // Message `i` leaves at 700 (i + 1) us: the first and the last from the
+    // highest rank, the one between from rank 1.
+    let senders = [n - 1, 1, n - 1];
+    for rank in (1..n).filter(|rank| senders.contains(rank)) {
+        let mut ep = c.endpoint(rank);
+        sim.spawn(format!("client{rank}"), move |ctx| {
+            for (i, _) in senders.iter().enumerate().filter(|(_, &s)| s == rank) {
+                ctx.wait_until(des::us(700) * (i as u64 + 1));
+                ep.send(ctx, 0, &[i as u8; 24]).unwrap();
+            }
+        });
+    }
+    let mut server = c.endpoint(0);
+    let out = std::sync::Arc::new(std::sync::Mutex::new((Vec::new(), None, false)));
+    let out2 = std::sync::Arc::clone(&out);
+    sim.spawn("server", move |ctx| {
+        let mut slept = false;
+        for _ in 0..3 {
+            let (src, msg) = loop {
+                if let Some(got) = server.try_recv_any(ctx) {
+                    break got;
+                }
+                if asleep && server.sleep_until_flagged(ctx, LEAD) {
+                    slept = true;
+                } else {
+                    ctx.charge(LEAD);
+                }
+            };
+            out2.lock().unwrap().0.push((ctx.now(), src, msg));
+        }
+        let mut out = out2.lock().unwrap();
+        (out.1, out.2) = (Some(server.stats().clone()), slept);
+    });
+    let report = sim.run();
+    assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+    let mut tracks = std::collections::BTreeMap::<_, Vec<_>>::new();
+    for event in sim.recorder().take_events() {
+        tracks.entry(event.track()).or_default().push(event);
+    }
+    let (got, stats, slept) = std::mem::take(&mut *out.lock().unwrap());
+    let run = (report.dispatches, report.peak_queue_depth, report.handoffs);
+    let blocked = (got, run, stats.unwrap(), c.ring().stats(), tracks);
+    (blocked, slept)
+}
+
+#[test]
+fn sleeping_until_flagged_is_the_polling_loop_it_stands_for() {
+    // Sixteen ranks are fifteen flag words: the longest sweep one sleeping
+    // cycle holds. Hundreds of idle sweeps pass between messages.
+    for n in [2, 4, 16] {
+        let (mut paced, _) = blocked_server(BbpConfig::for_nodes(n), false);
+        let (mut asleep, slept) = blocked_server(BbpConfig::for_nodes(n), true);
+        assert!(slept, "{n} ranks");
+        assert!(asleep.2.polls > 1_000, "{n} ranks: {:?}", asleep.2);
+        // Everything but how often the host moved the baton to get there.
+        assert!(asleep.1 .2 <= paced.1 .2, "{n} ranks: {:?}", asleep.1);
+        (asleep.1 .2, paced.1 .2) = (0, 0);
+        assert_eq!(asleep, paced, "{n} ranks");
+    }
+}
+
+#[test]
+fn an_endpoint_with_more_to_do_than_sweep_paces_itself() {
+    // The sleeping wait is on offer where the endpoint does nothing else
+    // between sweeps and one cycle holds the sweep: a property of the
+    // endpoint and of the world's size, nothing the caller chooses.
+    let interrupts = BbpConfig {
+        recv_mode: RecvMode::Interrupt,
+        ..BbpConfig::for_nodes(4)
+    };
+    for (what, config) in [
+        ("seventeen ranks", BbpConfig::for_nodes(17)),
+        ("reliability", BbpConfig::reliable_for_nodes(4)),
+        ("membership", BbpConfig::membership_for_nodes(4)),
+        ("interrupts", interrupts),
+    ] {
+        let (paced, _) = blocked_server(config.clone(), false);
+        let (offered, slept) = blocked_server(config, true);
+        assert!(!slept, "{what}");
+        assert_eq!(offered, paced, "{what}");
+    }
+    // Nor with a message detected and not yet taken: there is something
+    // to do before the next sweep.
+    let mut sim = Simulation::new();
+    let c = cluster(&sim, 3);
+    let (mut tx, mut rx) = (c.endpoint(1), c.endpoint(0));
+    sim.spawn("tx", move |ctx| tx.send(ctx, 0, b"waiting").unwrap());
+    sim.spawn("rx", move |ctx| {
+        ctx.advance(des::us(100));
+        assert!(rx.msg_avail(ctx));
+        let t0 = ctx.now();
+        assert!(!rx.sleep_until_flagged(ctx, 900));
+        assert_eq!(ctx.now(), t0, "refused without a step");
+        assert_eq!(rx.try_recv_any(ctx), Some((1, b"waiting".to_vec())));
+    });
+    assert!(sim.run().is_clean());
+}

@@ -83,10 +83,12 @@ fn collectives_are_bit_identical() {
     // dispatches — how many `Resume`s the dispatch loop answered for a
     // sleeping process, how often the baton changed threads — and were
     // re-captured when poll sweeps stopped waking their process per word
-    // (before: 354 / 344 on 4 nodes, 7 764 / 7 614 on 16).
+    // (before: 354 / 344 on 4 nodes, 7 764 / 7 614 on 16), and again when
+    // a rank blocked in a collective stopped being woken per idle sweep
+    // (before: 520 / 168 and 14 426 / 814).
     for (nodes, bits, dispatches, host) in [
-        (4, 0x40462ccccccccccd, 828, (520, 168)),
-        (16, 0x406764cccccccccd, 18_178, (14_426, 814)),
+        (4, 0x40462ccccccccccd, 828, (592, 82)),
+        (16, 0x406764cccccccccd, 18_178, (14_842, 382)),
     ] {
         let (us, run) = mpi_barrier_run(MpiNet::Scramnet, nodes, Native);
         pin(&format!("mpi barrier {nodes} nodes"), us, bits);

@@ -94,6 +94,18 @@
 //! the process run with its clock at that instant. A read has no side
 //! effect, so who makes it is not an input to anything either.
 //!
+//! A process *blocked* on such a loop goes round it again and again:
+//! sweep, nothing changed, a moment of its own time, sweep again. Between
+//! two sweeps it touches nothing shared either, so it need not be woken
+//! to ask for the next one: [`ProcCtx::scan_until`] makes the chain a
+//! cycle, which whoever walks it starts over past its last step, and the
+//! process is woken once — when a look sees a word that changed — with
+//! its clock at that look and the count of rounds that went by. Should
+//! nothing be left in a run but such cycles, no word can change any more;
+//! once that has held for a full round of each, a run without a horizon
+//! stops queueing them and ends, naming their processes in
+//! [`RunReport::deadlocked`].
+//!
 //! Because only one entity runs at a time, shared state guarded by a
 //! [`parking_lot::Mutex`] is never contended; the mutex exists only to
 //! satisfy the borrow checker across threads. The one discipline users must

@@ -18,7 +18,9 @@
 //! ([`SchedShared::walk`]). A step may end with a *look* at one word of
 //! shared state ([`ProcCtx::scan`]): the walker takes it where the woken
 //! process would have, and the process sleeps on while the word is the one
-//! it expected.
+//! it expected. A chain may also be a *cycle* ([`ProcCtx::scan_until`]):
+//! walked to its end it starts over, so a process blocked on a poll loop
+//! sleeps until a word changes, however many sweeps that takes.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -54,7 +56,8 @@ pub trait Sample: Send + Sync {
 /// Steps a process can owe at once; one more [`ProcCtx::charge`] settles
 /// the chain first. Sized for the longest poll sweep in the benchmark, a
 /// 16-rank receive-from-anyone: one carried charge, then a charge and a
-/// stall for each of 15 flag words. Longer sweeps settle when full.
+/// stall for each of 15 flag words. Longer sweeps settle when full; a
+/// cycle has to fit whole ([`ProcCtx::CYCLE_LOOKS`]).
 pub(crate) const CHAIN_CAP: usize = 32;
 
 /// "Sample `addr`; anything but `expected` ends the chain here."
@@ -86,9 +89,24 @@ pub(crate) struct Chain {
     /// hardware model behind it holds a [`SimHandle`], so a chain that kept
     /// it would keep its own scheduler — the whole world — alive.
     on: Option<Arc<dyn Sample>>,
-    /// The first look that did not see its expected word: its index, the
-    /// word, and the instant it was taken.
-    hit: Option<(u32, u32, Time)>,
+    /// The first look that did not see its expected word.
+    hit: Option<Hit>,
+    /// `Some(n)` while the steps are a cycle: past the last the walk starts
+    /// over at the first, and has `n` times so far.
+    rounds: Option<u64>,
+    /// What `SchedShared::hopeless` remembers of a cycle between rounds.
+    pub quiet: Option<(u64, Time)>,
+}
+
+/// A look that did not see its expected word.
+#[derive(Clone, Copy)]
+struct Hit {
+    index: u32,
+    word: u32,
+    /// The instant the look was taken.
+    at: Time,
+    /// Full rounds of a cycle walked before the one the look is in.
+    rounds: u64,
 }
 
 impl Chain {
@@ -102,14 +120,47 @@ impl Chain {
         true
     }
 
-    /// Take the oldest unwalked step.
+    /// Record a look and the two steps before it: `cpu` of the process's
+    /// own time, then a stall of `stall`.
+    fn push_look(&mut self, cpu: Time, stall: Time, look: Look) -> bool {
+        let own = Step {
+            dt: cpu,
+            look: None,
+        };
+        let stalled = Step {
+            dt: stall,
+            look: Some(look),
+        };
+        self.push(own) && self.push(stalled)
+    }
+
+    /// Take the oldest unwalked step. A chain with none left is forgotten,
+    /// unless it is a cycle (see [`Chain::rewind`]).
     pub fn pop(&mut self) -> Option<Step> {
         if self.next == self.len {
-            self.cut();
+            if self.rounds.is_none() {
+                self.cut();
+            }
             return None;
         }
         self.next += 1;
         Some(self.steps[self.next - 1])
+    }
+
+    /// Do the steps start over when the last is walked?
+    pub fn is_cycle(&self) -> bool {
+        self.rounds.is_some()
+    }
+
+    /// Past the last step of a cycle: one more round walked, the first step
+    /// is next. `false` for a chain that is not a cycle.
+    pub fn rewind(&mut self) -> bool {
+        let Some(rounds) = &mut self.rounds else {
+            return false;
+        };
+        *rounds += 1;
+        self.next = 0;
+        true
     }
 
     /// `step` has ended at `at`: take its look, if it has one. `false`
@@ -124,7 +175,12 @@ impl Chain {
         if word == look.expected {
             return true;
         }
-        self.hit = Some((look.index, word, at));
+        self.hit = Some(Hit {
+            index: look.index,
+            word,
+            at,
+            rounds: self.rounds.unwrap_or(0),
+        });
         self.cut();
         false
     }
@@ -134,6 +190,8 @@ impl Chain {
         (self.next, self.len) = (0, 0);
         self.due = None;
         self.on = None;
+        self.rounds = None;
+        self.quiet = None;
     }
 }
 
@@ -337,14 +395,7 @@ impl ProcCtx {
                         expected,
                         index,
                     };
-                    chain.push(Step {
-                        dt: cpu,
-                        look: None,
-                    });
-                    chain.push(Step {
-                        dt: stall,
-                        look: Some(look),
-                    });
+                    chain.push_look(cpu, stall, look);
                     index += 1;
                 }
                 index - first
@@ -353,14 +404,99 @@ impl ProcCtx {
             // A chain with no room for a look holds steps this process
             // owes: settling empties it for the next go.
             self.settle();
-            if let Some((index, word, at)) = self.shared.chain.lock().hit.take() {
+            if let Some(hit) = self.shared.chain.lock().hit.take() {
                 // `owed` moved the clock past every queued step; the ones
                 // after the look were never walked.
-                self.now = at;
-                return Some((index as usize, word));
+                self.now = hit.at;
+                return Some((hit.index as usize, hit.word));
             }
         }
         None
+    }
+
+    /// The most looks one [`ProcCtx::scan_until`] takes: its lead and a
+    /// step of own time and a stall per look are one chain.
+    pub const CYCLE_LOOKS: usize = (CHAIN_CAP - 1) / 2;
+
+    /// A poll loop the process sleeps through: `lead` ns of its own time,
+    /// then the sweep of [`ProcCtx::scan`], round after round until a look
+    /// sees a word that is not the expected one. Returns the full rounds
+    /// walked before that look's, the look's index and the word, with the
+    /// clock at the instant of the look. The loop it stands for:
+    ///
+    /// ```ignore
+    /// for round in 0.. {
+    ///     ctx.charge(lead);
+    ///     if let Some((i, word)) = ctx.scan(on, cpu, stall, looks.clone()) {
+    ///         return (round, i, word);
+    ///     }
+    /// }
+    /// ```
+    ///
+    /// — the same schedule and the same dispatch count, by `scan`'s
+    /// argument and one more: between one sweep's last look and the next
+    /// sweep's first step that loop touches nothing shared either, so the
+    /// thread that took the last look may queue the lead as well as the
+    /// process could. Every step keeps its `(time, seq)`, its fast-path
+    /// test, its dispatch and its `Yield` entry; the process is woken once.
+    /// Steps already charged are settled first, which is where they would
+    /// have been walked in front of the first round. What the loop's body
+    /// would have told the event log the caller writes afterwards, sweep
+    /// by sweep, as `scramnet::Nic::scan_until` does.
+    ///
+    /// A run in which nothing but such cycles is left — no event pending,
+    /// no other process due — has no one to change a word: with no horizon
+    /// to stop at, and once every cycle has been all the way round since,
+    /// they stop being queued, the run ends and
+    /// [`crate::RunReport::deadlocked`] names their processes. (The loop
+    /// written out would poll for ever.) A cycle given up like that is not
+    /// taken up again by a later run.
+    ///
+    /// Panics unless there are between one and [`ProcCtx::CYCLE_LOOKS`]
+    /// looks.
+    pub fn scan_until<S: Sample + 'static>(
+        &mut self,
+        on: &Arc<S>,
+        lead: Time,
+        cpu: Time,
+        stall: Time,
+        looks: impl IntoIterator<Item = (usize, u32)>,
+    ) -> (u64, usize, u32) {
+        self.settle();
+        {
+            let mut chain = self.shared.chain.lock();
+            chain.on = Some(Arc::clone(on) as Arc<dyn Sample>);
+            chain.rounds = Some(0);
+            let mut fits = chain.push(Step {
+                dt: lead,
+                look: None,
+            });
+            let mut index = 0;
+            for (addr, expected) in looks {
+                let look = Look {
+                    addr,
+                    expected,
+                    index,
+                };
+                fits = fits && chain.push_look(cpu, stall, look);
+                index += 1;
+            }
+            assert!(
+                fits && index > 0,
+                "a cycle takes 1 to {} looks",
+                Self::CYCLE_LOOKS
+            );
+            self.sched
+                .note_round(lead + Time::from(index) * (cpu + stall));
+        }
+        if !self.sched.walk(self.id, &self.shared, self.now) {
+            self.hold_for_baton();
+        }
+        let hit = self.shared.chain.lock().hit.take();
+        let hit = hit.expect("only a look that hit ends a cycle");
+        debug_assert!(self.sched.now.load(Ordering::Relaxed) <= hit.at);
+        self.now = hit.at;
+        (hit.rounds, hit.index as usize, hit.word)
     }
 
     /// Walk every step still owed, so the run is where this process's

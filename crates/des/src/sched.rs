@@ -90,6 +90,15 @@ pub(crate) struct SchedShared {
     pub peak_queue_depth: AtomicUsize,
     pub handoffs: AtomicU64,
     pub relayed: AtomicU64,
+    /// `Resume`s in the queue that belong to a sleeping cycle (see
+    /// [`crate::ProcCtx::scan_until`]). Outlives a run: a cycle queued past
+    /// one horizon is still there under the next. Baton-holder only, like
+    /// the counters above.
+    cycling: AtomicU64,
+    /// Processes woken so far, and the longest round of any cycle so far:
+    /// what [`Self::hopeless`] goes by. Neither is ever reset.
+    woken: AtomicU64,
+    longest_round: AtomicU64,
     /// Tie-break counter. Atomic so a push costs exactly one lock (the
     /// queue's); single-entity execution makes the fetch-add ordering
     /// identical to the old mutex-guarded counter.
@@ -120,6 +129,9 @@ impl SchedShared {
             peak_queue_depth: AtomicUsize::new(0),
             handoffs: AtomicU64::new(0),
             relayed: AtomicU64::new(0),
+            cycling: AtomicU64::new(0),
+            woken: AtomicU64::new(0),
+            longest_round: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             recorder: Arc::new(obs::Recorder::new()),
             horizon: AtomicU64::new(Time::MAX),
@@ -227,8 +239,11 @@ impl SchedShared {
     /// A step that ends with a look (see [`crate::ProcCtx::scan`]) has the
     /// word sampled at its end — here when the clock moved, or first thing
     /// when its `Resume` comes up — and any word but the expected one cuts
-    /// the chain. Returns `true` when no step is left (the process may
-    /// run), `false` when a `Resume` was queued.
+    /// the chain. A cycle ([`crate::ProcCtx::scan_until`]) starts over
+    /// past its last step, so only a look ends it — or its turning out
+    /// [`Self::hopeless`]. Returns `true` when no step is left (the
+    /// process may run), `false` when a `Resume` was queued, or a cycle was
+    /// left unqueued because nothing can end it any more.
     ///
     /// Called by the process when it settles and by [`Self::dispatch`]
     /// when one of those `Resume`s comes up. Who calls is not an input to
@@ -239,16 +254,32 @@ impl SchedShared {
     pub fn walk(&self, id: ProcId, proc: &ProcShared, mut cur: Time) -> bool {
         let mut chain = proc.chain.lock();
         if let Some(step) = chain.due.take() {
+            if chain.is_cycle() {
+                let queued = self.cycling.load(Ordering::Relaxed);
+                self.cycling.store(queued - 1, Ordering::Relaxed);
+            }
             if !chain.look(step, cur) {
                 return true;
             }
         }
-        while let Some(step) = chain.pop() {
+        loop {
+            let Some(step) = chain.pop() else {
+                if !chain.rewind() {
+                    return true;
+                }
+                if self.hopeless(&mut chain.quiet, cur) {
+                    return false;
+                }
+                continue;
+            };
             let target = cur + step.dt;
             if !self.idle_through(target) {
                 self.push(target, WakeWhat::Resume(id));
                 self.record_yield(&proc.name, "ResumeAt", cur);
                 self.catch_up(cur);
+                if chain.is_cycle() {
+                    bump(&self.cycling);
+                }
                 chain.due = Some(step);
                 return false;
             }
@@ -257,7 +288,53 @@ impl SchedShared {
                 return true;
             }
         }
-        true
+    }
+
+    /// True when nothing is left in this run but sleeping cycles: it has no
+    /// horizon to stop at, and everything queued is the `Resume` of another
+    /// one — no event is pending and no process is awake or due. (Whoever
+    /// asks is walking a cycle: a dispatching thread, whose own process is
+    /// then asleep behind a queue entry or a signal, or the cycle's process
+    /// going to sleep.) Nothing is left that could write a word, then; but
+    /// a word already written may not have been looked at yet, and the
+    /// process that sees it will wake and write others.
+    fn becalmed(&self) -> bool {
+        self.horizon.load(Ordering::Relaxed) == Time::MAX
+            && self.pending.lock().len() as u64 == self.cycling.load(Ordering::Relaxed)
+    }
+
+    /// Asked at the end of each round of a cycle, at `at`: can no look of
+    /// it ever hit? `quiet` is the cycle's memory of the question: how
+    /// many processes had ever been woken, and when, at the first of the
+    /// rounds on end that ended becalmed with none woken since. Between two
+    /// such ends nothing ran but steps of cycles — an event would have had
+    /// to be pending at the first, or scheduled by a process awake after
+    /// it — so no word was written; and once that has lasted longer than
+    /// the longest cycle's round, every sleeping cycle has taken every one
+    /// of its looks since the last write and seen the word it expected.
+    /// None of them will ever see anything else.
+    fn hopeless(&self, quiet: &mut Option<(u64, Time)>, at: Time) -> bool {
+        if !self.becalmed() {
+            *quiet = None;
+            return false;
+        }
+        let woken = self.woken.load(Ordering::Relaxed);
+        match *quiet {
+            Some((then, since)) if then == woken => {
+                at - since > self.longest_round.load(Ordering::Relaxed)
+            }
+            _ => {
+                *quiet = Some((woken, at));
+                false
+            }
+        }
+    }
+
+    /// A cycle whose round takes `round` ns is about to be walked.
+    pub fn note_round(&self, round: Time) {
+        if round > self.longest_round.load(Ordering::Relaxed) {
+            self.longest_round.store(round, Ordering::Relaxed);
+        }
     }
 
     /// The dispatch loop, run by whichever thread holds the baton: the
@@ -322,6 +399,7 @@ impl SchedShared {
                         bump(&self.relayed);
                         continue;
                     }
+                    bump(&self.woken);
                     if me == Some(id) {
                         return Baton::Mine;
                     }

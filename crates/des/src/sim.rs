@@ -28,7 +28,9 @@ pub struct RunReport {
     /// that had to be queued, bar the last. Each is a dispatch all the
     /// same. Host-side only, like `handoffs`.
     pub relayed: u64,
-    /// Names of processes left blocked on signals when the queue drained.
+    /// Names of processes left blocked when the queue drained: on a signal,
+    /// or asleep in a poll cycle ([`ProcCtx::scan_until`]) that stopped
+    /// being queued once nothing was left that could end it.
     /// Empty on a clean completion; non-empty indicates a deadlock. A run
     /// that stops at its horizon with entries still queued reports none:
     /// a process parked behind one is asleep, and one blocked on a signal

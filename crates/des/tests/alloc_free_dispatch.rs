@@ -103,6 +103,8 @@ fn event_dispatch_is_alloc_free_after_warmup() {
     let chained2 = Arc::clone(&chained);
     let swept = Arc::new(AtomicU64::new(u64::MAX));
     let swept2 = Arc::clone(&swept);
+    let cycled = Arc::new(AtomicU64::new(u64::MAX));
+    let cycled2 = Arc::clone(&cycled);
     let h2 = h.clone();
     sim.spawn_at(2_000_000, "walker", move |ctx| {
         for _ in 0..1_000 {
@@ -144,8 +146,17 @@ fn event_dispatch_is_alloc_free_after_warmup() {
             assert_eq!(hit, Some((9, 1)));
         }
         swept2.store(ALLOCS.load(Ordering::SeqCst) - before, Ordering::SeqCst);
+        // The same looks as a cycle of three words behind 40 ns of lead:
+        // three rounds asleep and the first word of the fourth. Queueing
+        // the cycle, starting it over and the hit stay off the heap too.
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..1_000 {
+            let hit = ctx.scan_until(&mem, 40, 30, 40, (0..3).map(|addr| (addr, 0)));
+            assert_eq!(hit, (3, 0, 1));
+        }
+        cycled2.store(ALLOCS.load(Ordering::SeqCst) - before, Ordering::SeqCst);
     });
-    let report = sim.run_until(7_700_000);
+    let report = sim.run_until(8_500_000);
     assert!(report.is_clean(), "the walker finished inside the horizon");
     assert!(
         report.dispatches > 1_000_000,
@@ -165,8 +176,9 @@ fn event_dispatch_is_alloc_free_after_warmup() {
     );
     assert_eq!(
         report.relayed,
-        40_000 + 2_000 * 19,
-        "two relayed resumes per chain, nineteen per sweep cut at its tenth word"
+        40_000 + 2_000 * 19 + 1_000 * 23,
+        "two relayed resumes per chain, nineteen per sweep cut at its tenth word, \
+         twenty-three per cycle cut at its tenth look"
     );
     assert_eq!(
         chained.load(Ordering::SeqCst),
@@ -177,6 +189,11 @@ fn event_dispatch_is_alloc_free_after_warmup() {
         swept.load(Ordering::SeqCst),
         0,
         "scan + relayed look + early exit allocated"
+    );
+    assert_eq!(
+        cycled.load(Ordering::SeqCst),
+        0,
+        "scan_until + rounds started over + hit allocated"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.

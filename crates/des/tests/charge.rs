@@ -9,7 +9,8 @@
 //!
 //! `ProcCtx::scan` is held to the same standard in the second half: a
 //! poll sweep written out as the loop it stands for, and the same sweep
-//! handed over whole.
+//! handed over whole. `ProcCtx::scan_until` in the third: sweep after
+//! sweep until a word changes, written out and handed over as one cycle.
 //!
 //! These `advance` loops are the eager path's last home: nothing in the
 //! stack turns a charge into an advance any more, the event log least of
@@ -545,6 +546,304 @@ fn a_chain_lets_go_of_what_it_sampled() {
     drop(sim);
     assert!(unwound.load(Ordering::SeqCst));
     assert_eq!(Arc::strong_count(&mem), 1);
+}
+
+// ---------------------------------------------------------------------
+// Cycles: `ProcCtx::scan_until` against the loop it stands for.
+// ---------------------------------------------------------------------
+
+const LEAD: Time = 35;
+
+/// `LEAD` of the process's own time, then a sweep of words `0..n`, round
+/// after round until one is not zero. Written out with `advance`s, or
+/// handed over as one cycle. Logs where the clock is at the hit.
+fn cycle(
+    ctx: &mut ProcCtx,
+    log: &Log,
+    mem: &Arc<Words>,
+    n: usize,
+    cycled: bool,
+) -> (u64, usize, u32) {
+    let hit = if cycled {
+        ctx.scan_until(mem, LEAD, CPU, STALL, (0..n).map(|addr| (addr, 0)))
+    } else {
+        (0..)
+            .find_map(|round| {
+                ctx.advance(LEAD);
+                sweep(ctx, mem, n, false).map(|(i, word)| (round, i, word))
+            })
+            .expect("it goes on until a hit")
+    };
+    log.lock()
+        .unwrap()
+        .push((ctx.now(), format!("hit {hit:?}")));
+    hit
+}
+
+#[test]
+fn a_cycle_ends_at_the_look_the_loop_would_end_at() {
+    // A round of 15 words takes 35 + 15 x 30 = 485 ns, and looks at word
+    // `k` 65 + 30 k into it. In the first round or the third, at its first
+    // look or a later one, and a flip that the round under way has already
+    // looked past (quiet, that flip is the last thing ever queued: the
+    // cycle must still go round once more to see it).
+    for (flip_at, k, seen) in [
+        (100, 5, (0, 215)),
+        (100, 1, (1, 580)),
+        (1_005, 0, (2, 1_035)),
+        (1_005, 7, (2, 1_245)),
+        (1_420, 14, (2, 1_455)),
+    ] {
+        // Quiet and busy as for the sweeps above: every look on the fast
+        // path, or every look as its `Resume` comes up.
+        for busy in [false, true] {
+            let (eager, cycled) = both_ways(|sim, log, cycled| {
+                let h = sim.handle();
+                let mem = words(15);
+                flip(&h, &mem, flip_at, k, 9);
+                if busy {
+                    ticks(&h, log, 7, 1_600);
+                    sibling(sim, log, 48);
+                }
+                let log = Arc::clone(log);
+                sim.spawn("sweeper", move |ctx| {
+                    let hit = cycle(ctx, &log, &mem, 15, cycled);
+                    assert_eq!(hit, (seen.0, k, 9));
+                    assert_eq!(ctx.now(), seen.1, "word {k}, busy: {busy}");
+                    ctx.advance(5);
+                    note(&log, ctx);
+                });
+            });
+            if busy {
+                // Every step queued, and the process woken for the last.
+                assert!(cycled.relayed > 10, "word {k}: {cycled:?}");
+                assert!(
+                    cycled.handoffs < eager.handoffs,
+                    "word {k}: {} hand-offs cycled, {} written out",
+                    cycled.handoffs,
+                    eager.handoffs
+                );
+            } else {
+                assert_eq!(cycled.relayed, 0, "word {k}: {cycled:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cycle_behind_owed_charges_changes_nothing() {
+    for owed in [1, 3] {
+        let (_, cycled) = both_ways(|sim, log, cycled| {
+            let h = sim.handle();
+            let mem = words(15);
+            ticks(&h, log, 11, 1_500);
+            flip(&h, &mem, 1_200, 11, 2);
+            let log = Arc::clone(log);
+            sim.spawn("sweeper", move |ctx| {
+                for _ in 0..owed {
+                    cost(ctx, 7, cycled);
+                }
+                let (_, i, word) = cycle(ctx, &log, &mem, 15, cycled);
+                assert_eq!((i, word), (11, 2));
+                cost(ctx, 7, cycled);
+            });
+        });
+        assert!(cycled.relayed > 0);
+    }
+}
+
+#[test]
+fn a_cycle_that_crosses_a_horizon_resumes_under_the_next_run() {
+    let split = |cycled: bool| {
+        let mut sim = Simulation::new();
+        let log = Log::default();
+        let h = sim.handle();
+        let mem = words(15);
+        ticks(&h, &log, 30, 2_000);
+        flip(&h, &mem, 1_300, 12, 1);
+        let log2 = Arc::clone(&log);
+        sim.spawn("sweeper", move |ctx| {
+            assert_eq!(cycle(ctx, &log2, &mem, 15, cycled), (2, 12, 1));
+            assert_eq!(ctx.now(), 1_395);
+        });
+        // The first horizon falls inside round 0, the second between the
+        // lead of round 2 and its first stall; both find the sweeper
+        // asleep and clean.
+        let runs = [600, 1_010, Time::MAX].map(|horizon| {
+            let report = sim.run_until(horizon);
+            assert!(report.is_clean());
+            report
+        });
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        (runs, log)
+    };
+    let (eager, cycled) = (split(false), split(true));
+    for (ours, theirs) in cycled.0.iter().zip(&eager.0) {
+        assert_eq!(visible(ours), visible(theirs));
+    }
+    assert_eq!(cycled.1, eager.1);
+    assert_eq!(cycled.0[1].end_time, 1_005, "the end of round 2's lead");
+}
+
+#[test]
+fn a_recorded_cycle_writes_the_eager_trace_with_the_unrecorded_handoffs() {
+    let run = |cycled: bool, traced: bool| {
+        let mut sim = Simulation::new();
+        if traced {
+            sim.enable_trace();
+        }
+        let h = sim.handle();
+        let log = Log::default();
+        ticks(&h, &log, 17, 2_500);
+        for p in 0..2 {
+            let mem = words(15);
+            flip(&h, &mem, 1_600 + 100 * p, 9, 3);
+            let log = Arc::clone(&log);
+            sim.spawn(format!("p{p}"), move |ctx| {
+                cost(ctx, 15, cycled);
+                let (_, i, word) = cycle(ctx, &log, &mem, 15, cycled);
+                assert_eq!((i, word), (9, 3));
+                cost(ctx, 15, cycled);
+            });
+        }
+        let report = sim.run();
+        assert!(report.is_clean());
+        (report, sim.take_trace())
+    };
+    let (eager, eager_trace) = run(false, true);
+    let (recorded, recorded_trace) = run(true, true);
+    let (unrecorded, _) = run(true, false);
+    assert!(eager_trace.len() > 500, "{} entries", eager_trace.len());
+    for (i, (ours, theirs)) in recorded_trace.iter().zip(&eager_trace).enumerate() {
+        assert_eq!(ours, theirs, "entry {i}");
+    }
+    assert_eq!(recorded_trace.len(), eager_trace.len());
+    assert_eq!(
+        (recorded.handoffs, recorded.relayed),
+        (unrecorded.handoffs, unrecorded.relayed)
+    );
+    assert_eq!(visible(&recorded), visible(&unrecorded));
+    assert_eq!(visible(&recorded), visible(&eager));
+    // Two processes, woken to start, at their hit and to finish.
+    assert!(recorded.handoffs < 12, "{recorded:?}");
+}
+
+#[test]
+fn a_cycle_lets_go_of_what_it_sampled() {
+    // As for the sweeps: cut at the hit, or dropped asleep rounds later.
+    let mem = words(15);
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    ticks(&h, &Log::default(), 30, 4_000);
+    let unwound = Arc::new(AtomicBool::new(false));
+    let guard = Unwound(Arc::clone(&unwound));
+    let (weak, mem2) = (Arc::downgrade(&mem), Arc::clone(&mem));
+    h.schedule_at(700, move |_| {
+        weak.upgrade().expect("the test holds it").0.lock().unwrap()[3] = 1
+    });
+    sim.spawn("sweeper", move |ctx| {
+        let (_guard, mem) = (guard, mem2);
+        let hit = ctx.scan_until(&mem, LEAD, CPU, STALL, (0..15).map(|a| (a, 0)));
+        assert_eq!(hit, (2, 3, 1));
+        assert_eq!(Arc::strong_count(&mem), 2, "cut at the hit");
+        ctx.scan_until(
+            &mem,
+            LEAD,
+            CPU,
+            STALL,
+            (0..15).map(|a| (a, u32::from(a == 3))),
+        );
+        unreachable!("the run stops first");
+    });
+    let report = sim.run_until(3_000);
+    assert!(report.is_clean());
+    assert_eq!(Arc::strong_count(&mem), 3, "the sleeping cycle has one");
+    drop(sim);
+    assert!(unwound.load(Ordering::SeqCst));
+    assert_eq!(Arc::strong_count(&mem), 1);
+}
+
+#[test]
+fn a_run_with_nothing_left_but_sleeping_cycles_ends_and_names_them() {
+    // Two processes poll words nobody is left to write, beside one that
+    // finishes and one blocked on a signal nobody holds. Written out they
+    // poll for ever; asleep, the walker sees that everything queued is a
+    // cycle's `Resume` and stops queueing them.
+    let build = |flipped: bool| {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log = Log::default();
+        ticks(&h, &log, 30, 2_000);
+        for p in 0..2 {
+            let mem = words(15);
+            if flipped {
+                flip(&h, &mem, 50_000 + p, 4, 1);
+            }
+            sim.spawn(format!("poller{p}"), move |ctx| {
+                ctx.advance(13 * p);
+                ctx.scan_until(&mem, LEAD, CPU, STALL, (0..15).map(|a| (a, 0)));
+            });
+        }
+        sim.spawn("leaver", |ctx| ctx.advance(500));
+        let sig = h.new_signal();
+        sim.spawn("waiter", move |ctx| ctx.wait(&sig));
+        sim
+    };
+    let report = build(false).run();
+    assert_eq!(report.deadlocked, ["poller0", "poller1", "waiter"]);
+    // Each went on until it had seen a round and more go by with nothing
+    // else running: whatever was written before is seen by then.
+    assert!(report.end_time < 2_000 + 4 * 485, "{report:?}");
+    // A flip still pending is something that can change a word.
+    let report = build(true).run();
+    assert_eq!(report.deadlocked, ["waiter"]);
+    assert!(report.end_time > 50_000);
+    // A horizon is somewhere to stop: asleep there, not deadlocked, and
+    // still asleep under the next; only a run without one gives up.
+    let mut sim = build(false);
+    for horizon in [10_000, 20_000] {
+        let report = sim.run_until(horizon);
+        assert!(report.is_clean() && report.end_time > horizon - 485);
+    }
+    let report = sim.run();
+    assert_eq!(report.deadlocked, ["poller0", "poller1", "waiter"]);
+    assert!(report.end_time < 20_000 + 4 * 485, "{report:?}");
+}
+
+#[test]
+fn a_word_written_before_the_calm_still_wakes_a_chain_of_sleepers() {
+    // The flip is the last event there is, and from then on everything
+    // queued is a sleeping cycle's `Resume` — but `first` has not looked at
+    // the flipped word yet, and once it has it writes the word `second` is
+    // waiting for, whose rounds in between all ended becalmed.
+    let (_, cycled) = both_ways(|sim, log, cycled| {
+        let h = sim.handle();
+        let (mine, yours) = (words(15), words(15));
+        flip(&h, &mine, 1_000, 14, 1);
+        let (log1, yours1) = (Arc::clone(log), Arc::clone(&yours));
+        sim.spawn("first", move |ctx| {
+            assert_eq!(cycle(ctx, &log1, &mine, 15, cycled), (2, 14, 1));
+            yours1.0.lock().unwrap()[3] = 7;
+        });
+        let log2 = Arc::clone(log);
+        sim.spawn("second", move |ctx| {
+            ctx.advance(100);
+            assert_eq!(cycle(ctx, &log2, &yours, 15, cycled), (3, 3, 7));
+        });
+    });
+    assert!(cycled.is_clean());
+    assert_eq!(cycled.end_time, 100 + 3 * 485 + 155);
+}
+
+#[test]
+#[should_panic(expected = "a cycle takes 1 to 15 looks")]
+fn a_cycle_too_long_for_one_chain_panics_in_its_caller() {
+    let mut sim = Simulation::new();
+    let mem = words(16);
+    sim.spawn("p", move |ctx| {
+        ctx.scan_until(&mem, LEAD, CPU, STALL, (0..16).map(|a| (a, 0)));
+    });
+    sim.run();
 }
 
 /// Debug builds know which process owes what, and say so.

@@ -159,9 +159,69 @@ impl Nic {
         cpu: des::Time,
         looks: &[(WordAddr, Word)],
     ) -> Option<(usize, Word)> {
+        let t0 = ctx.now();
+        let pio = self.shared.cost.pio_read_ns;
+        let hit = ctx.scan(&self.shared, cpu, pio, self.sampled(looks));
+        self.tell_sweep(ctx, t0, cpu, looks.len(), hit);
+        hit
+    }
+
+    /// [`Nic::scan`] over and over, with `lead` ns of the host's own time
+    /// before each sweep, until a word is not the expected one: returns
+    /// that look's index and the word, with the clock at the end of that
+    /// read. The caller's thread sleeps through all of it
+    /// ([`ProcCtx::scan_until`]) and is woken once. In time, in the
+    /// schedule and in [`crate::RingStats::pio_reads`] it is this loop,
+    ///
+    /// ```ignore
+    /// loop {
+    ///     ctx.charge(lead);
+    ///     let t0 = ctx.now();
+    ///     let hit = nic.scan(ctx, cpu, looks);
+    ///     swept(ctx, t0, hit);
+    ///     if let Some(hit) = hit {
+    ///         return hit;
+    ///     }
+    /// }
+    /// ```
+    ///
+    /// and so it is in the event log, which is told afterwards sweep by
+    /// sweep, in that order: the reads of a sweep as `scan` tells them,
+    /// then `swept` — the caller's turn to stamp records of its own for
+    /// the sweep entered at `t0` (see [`Nic::sweep_reads`]).
+    ///
+    /// Only for a caller with nothing else to do between sweeps, and at
+    /// most [`ProcCtx::CYCLE_LOOKS`] looks (it panics on more, or none).
+    pub fn scan_until(
+        &self,
+        ctx: &mut ProcCtx,
+        lead: des::Time,
+        cpu: des::Time,
+        looks: &[(WordAddr, Word)],
+        mut swept: impl FnMut(&ProcCtx, des::Time, Option<(usize, Word)>),
+    ) -> (usize, Word) {
+        let t0 = ctx.now();
+        let pio = self.shared.cost.pio_read_ns;
+        let (rounds, index, word) =
+            ctx.scan_until(&self.shared, lead, cpu, pio, self.sampled(looks));
+        let round = lead + looks.len() as des::Time * (cpu + pio);
+        for r in 0..=rounds {
+            let entered = t0 + r * round + lead;
+            let hit = (r == rounds).then_some((index, word));
+            self.tell_sweep(ctx, entered, cpu, looks.len(), hit);
+            swept(ctx, entered, hit);
+        }
+        (index, word)
+    }
+
+    /// `looks` as [`des::Sample`] addresses of this node's bank. Checked
+    /// here, where the caller is: the looks are taken by whichever thread
+    /// is dispatching.
+    fn sampled<'a>(
+        &self,
+        looks: &'a [(WordAddr, Word)],
+    ) -> impl Iterator<Item = (usize, Word)> + 'a {
         let words = self.shared.words;
-        // Checked here, where the caller is: the looks are taken by
-        // whichever thread is dispatching.
         for &(addr, _) in looks {
             assert!(
                 addr < words,
@@ -169,26 +229,32 @@ impl Nic {
             );
         }
         let base = self.node * words;
-        let pio = self.shared.cost.pio_read_ns;
-        let t0 = ctx.now();
-        let hit = ctx.scan(
-            &self.shared,
-            cpu,
-            pio,
-            looks
-                .iter()
-                .map(|&(addr, expected)| (base + addr, expected)),
-        );
+        looks
+            .iter()
+            .map(move |&(addr, expected)| (base + addr, expected))
+    }
+
+    /// Tell the event log of the reads one sweep made (see
+    /// [`Nic::sweep_reads`]), as [`Nic::read_word`] would have.
+    fn tell_sweep(
+        &self,
+        ctx: &ProcCtx,
+        t0: des::Time,
+        cpu: des::Time,
+        looks: usize,
+        hit: Option<(usize, Word)>,
+    ) {
         let (obs, gid) = (ctx.obs(), self.gid());
-        for enter in self.sweep_reads(t0, cpu, looks.len(), hit) {
+        let pio = self.shared.cost.pio_read_ns;
+        for enter in self.sweep_reads(t0, cpu, looks, hit) {
             obs.span_enter(enter, gid, Layer::Nic, "pio_read");
             obs.count(enter + pio, gid, "nic.pio_reads", 1);
             obs.span_exit(enter + pio, gid, Layer::Nic, "pio_read");
         }
-        hit
     }
 
-    /// When each PIO read of a [`Nic::scan`] began: the sweep was entered
+    /// When each PIO read of one sweep of [`Nic::scan`] or
+    /// [`Nic::scan_until`] began: the sweep was entered
     /// at `t0` with `looks` words to read and `cpu` ns of the host's own
     /// time before each, and made a read per look up to the one that `hit`
     /// (all of them if none did). For a caller with records of its own to
@@ -402,10 +468,22 @@ mod tests {
         BTreeMap<Track, Vec<Event>>,
     );
 
-    /// A receiver sweeping eight words until one changes, beside a writer
-    /// that changes one mid-sweep, with the event log on: what it saw,
-    /// when, and what the run, the ring and the log made of it.
-    fn sweep_run(scanned: bool) -> SweepRun {
+    /// How [`sweep_run`]'s receiver polls.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Poll {
+        /// `charge` + `read_word` per word.
+        WrittenOut,
+        /// One [`Nic::scan`] per sweep.
+        Scan,
+        /// One [`Nic::scan_until`] for all of it.
+        ScanUntil,
+    }
+
+    /// A receiver sweeping eight words until one changes — with `lead` ns
+    /// of its own time before each sweep, if any — beside a writer that
+    /// changes one mid-sweep, with the event log on: what it saw, when,
+    /// and what the run, the ring and the log made of it.
+    fn sweep_run(poll: Poll, lead: Option<des::Time>) -> SweepRun {
         let mut sim = Simulation::new();
         sim.enable_trace();
         let ring = Ring::new(&sim.handle(), 3, 64, CostModel::default());
@@ -425,12 +503,28 @@ mod tests {
                     (word != expected).then_some((i, word))
                 })
             };
+            // What a caller of `scan_until` stamps per sweep, and a caller
+            // of the loop writes as it goes round.
+            let swept = |ctx: &des::ProcCtx, t0, hit: Option<(usize, u32)>| {
+                ctx.obs()
+                    .count(t0, 2, "test.sweeps", u64::from(hit.is_some()));
+            };
             let hit = loop {
-                let hit = if scanned {
+                if poll == Poll::ScanUntil {
+                    break rx.scan_until(ctx, lead.expect("a cycle has one"), 40, &looks, swept);
+                }
+                if let Some(lead) = lead {
+                    ctx.charge(lead);
+                }
+                let t0 = ctx.now();
+                let hit = if poll == Poll::Scan {
                     rx.scan(ctx, 40, &looks)
                 } else {
                     written_out(ctx)
                 };
+                if lead.is_some() {
+                    swept(ctx, t0, hit);
+                }
                 if let Some(hit) = hit {
                     break hit;
                 }
@@ -456,8 +550,8 @@ mod tests {
 
     #[test]
     fn a_scan_is_the_loop_of_reads_it_stands_for() {
-        let scanned = sweep_run(true);
-        assert_eq!(scanned, sweep_run(false));
+        let scanned = sweep_run(Poll::Scan, None);
+        assert_eq!(scanned, sweep_run(Poll::WrittenOut, None));
         assert_eq!(scanned.0, (5, 5), "word 13 is the sixth look");
         assert!(scanned.4.pio_reads > 8, "{:?}", scanned.4);
         // The log was told of every read, each in time order on its track.
@@ -469,6 +563,23 @@ mod tests {
             scanned.5[&Track::Layer(2, Layer::Nic)].len(),
             2 * reads.len()
         );
+    }
+
+    #[test]
+    fn a_scan_until_is_the_loop_of_sweeps_it_stands_for() {
+        let cycled = sweep_run(Poll::ScanUntil, Some(150));
+        assert_eq!(cycled, sweep_run(Poll::WrittenOut, Some(150)));
+        assert_eq!(cycled, sweep_run(Poll::Scan, Some(150)));
+        assert_eq!(cycled.0 .0, 5, "word 13 is the sixth look");
+        // Rounds asleep, every read of them counted and told, and the
+        // caller given its turn once per sweep: a hit on the last only.
+        let sweeps = &cycled.5[&Track::Counter(2, "test.sweeps")];
+        assert_eq!(sweeps.len(), 3, "two rounds asleep and the third's hit");
+        let reads = &cycled.5[&Track::Counter(2, "nic.pio_reads")];
+        assert_eq!(reads.len(), 8 * (sweeps.len() - 1) + 6);
+        assert_eq!(reads.len() as u64, cycled.4.pio_reads);
+        assert!(reads.windows(2).all(|w| w[0].time() < w[1].time()));
+        assert_eq!(reads.last().map(Event::time), Some(cycled.1));
     }
 
     #[test]

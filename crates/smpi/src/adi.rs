@@ -20,6 +20,24 @@ use crate::types::{fatal, ReqId, Status, Tag};
 /// this value anyway for defense in depth.
 pub(crate) const REVOKE_PHASE: u8 = 0xFF;
 
+/// What a progress iteration that found no frame does about it. Which one
+/// a caller may ask for is a matter of what it is: a call that must come
+/// back (`MPI_Iprobe`, one turn of an application's progress loop) paces;
+/// a call that blocks until something arrives may wait for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Idle {
+    /// Pay for the empty iteration (`progress_poll_ns`) and return.
+    Pace,
+    /// Block on the device's interrupt where it has one
+    /// ([`Device::idle_wait`]); on a polling device, as `Pace`.
+    Park,
+    /// As `Park`, and on a polling device that can, sleep through the
+    /// polling until a frame has arrived ([`Device::idle_sleep`]) — the
+    /// iterations the caller's loop would have made, without waking it for
+    /// each. For a loop that does nothing else between iterations.
+    Sleep,
+}
+
 /// A posted (pending) receive.
 struct Posted {
     req: ReqId,
@@ -399,8 +417,10 @@ impl Adi {
         Ok(())
     }
 
-    /// Block until `req` completes; receives yield their payload.
-    pub fn wait(&mut self, ctx: &mut ProcCtx, req: ReqId) -> Option<(Status, Vec<u8>)> {
+    /// Block until `req` completes; receives yield their payload. `idle`
+    /// is how to wait out an iteration with nothing to dispatch
+    /// ([`Idle::Park`] or [`Idle::Sleep`]).
+    pub fn wait(&mut self, ctx: &mut ProcCtx, req: ReqId, idle: Idle) -> Option<(Status, Vec<u8>)> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "wait");
         let done = loop {
@@ -410,7 +430,7 @@ impl Adi {
             if let Some(done) = self.completed_recvs.remove(&req) {
                 break Some(done);
             }
-            self.step(ctx);
+            self.step(ctx, idle);
         };
         ctx.charge(self.costs.request_ns);
         ctx.settle();
@@ -428,14 +448,17 @@ impl Adi {
     /// consuming — the first unexpected message matching the selector.
     /// (Posted receives would have consumed matching arrivals already,
     /// so probing only ever inspects the unexpected queue, as in MPICH.)
+    /// `idle`: [`Idle::Pace`], or [`Idle::Park`] from a loop that repeats
+    /// this until it finds something (`MPI_Probe`).
     pub fn iprobe(
         &mut self,
         ctx: &mut ProcCtx,
         context: u16,
         src: Option<usize>,
         tag: Option<Tag>,
+        idle: Idle,
     ) -> Option<Status> {
-        self.step(ctx);
+        self.step(ctx, idle);
         ctx.charge(self.costs.queue_ns);
         ctx.settle();
         self.unexpected
@@ -533,13 +556,15 @@ impl Adi {
     }
 
     /// Block until a null frame with this context and phase arrives from
-    /// `src` (or from anyone, with `None`). Returns the actual source.
+    /// `src` (or from anyone, with `None`), waiting out idle iterations as
+    /// `idle` says. Returns the actual source.
     pub fn wait_null(
         &mut self,
         ctx: &mut ProcCtx,
         src: Option<usize>,
         context: u16,
         phase: u8,
+        idle: Idle,
     ) -> usize {
         loop {
             if let Some(idx) = self.null_at(src, context, phase) {
@@ -547,7 +572,7 @@ impl Adi {
                 ctx.settle(); // the queueing cost of the frame just found
                 return s;
             }
-            self.step(ctx);
+            self.step(ctx, idle);
         }
     }
 
@@ -557,22 +582,30 @@ impl Adi {
 
     /// One progress iteration: poll the device, dispatch at most one
     /// frame. Advances virtual time even when idle so blocked loops make
-    /// progress.
-    pub fn progress(&mut self, ctx: &mut ProcCtx) {
-        self.step(ctx);
+    /// progress: `idle` says how ([`Idle::Pace`] unless the caller is a
+    /// loop that blocks until something arrives).
+    pub fn progress(&mut self, ctx: &mut ProcCtx, idle: Idle) {
+        self.step(ctx, idle);
         ctx.settle();
     }
 
     /// [`Adi::progress`] for the blocking loops in here: what dispatching
     /// a frame cost stays owed, to be walked together with whatever the
     /// loop charges next (or with its own closing settle).
-    fn step(&mut self, ctx: &mut ProcCtx) {
+    fn step(&mut self, ctx: &mut ProcCtx, idle: Idle) {
         let Some((src, frame)) = self.dev.try_recv_frame(ctx) else {
-            // Idle: block on the device's interrupt if it has one,
-            // otherwise pay for the empty iteration (which is what paces
-            // the polling loop).
-            if !self.dev.idle_wait(ctx) {
-                ctx.charge(self.costs.progress_poll_ns);
+            // Idle. A caller that blocks waits on the device's interrupt,
+            // or sleeps through the device's polling; anyone else, and any
+            // device with neither, pays for the empty iteration, which is
+            // what paces the polling loop.
+            let lead = self.costs.progress_poll_ns;
+            let waited = match idle {
+                Idle::Pace => false,
+                Idle::Park => self.dev.idle_wait(ctx),
+                Idle::Sleep => self.dev.idle_wait(ctx) || self.dev.idle_sleep(ctx, lead),
+            };
+            if !waited {
+                ctx.charge(lead);
             }
             return;
         };
@@ -762,7 +795,7 @@ mod tests {
             assert!(!a.is_complete(req));
             let frame = eager_frame(a.costs(), 1, 0, 9, b"payload");
             probe.feed(1, frame);
-            let (st, data) = a.wait(ctx, req).unwrap();
+            let (st, data) = a.wait(ctx, req, Idle::Park).unwrap();
             assert_eq!(st.source, 1);
             assert_eq!(st.tag, 9);
             assert_eq!(data, b"payload");
@@ -777,10 +810,10 @@ mod tests {
                 1,
                 eager_frame(&SmpiCosts::channel_interface(), 1, 0, 3, b"early"),
             );
-            a.progress(ctx); // parks it in the unexpected queue
+            a.progress(ctx, Idle::Pace); // parks it in the unexpected queue
             let req = a.irecv(ctx, 0, Some(1), Some(3)).unwrap();
             assert!(a.is_complete(req), "irecv must drain the unexpected queue");
-            let (_, data) = a.wait(ctx, req).unwrap();
+            let (_, data) = a.wait(ctx, req, Idle::Park).unwrap();
             assert_eq!(data, b"early");
         });
     }
@@ -794,8 +827,8 @@ mod tests {
             let costs = SmpiCosts::channel_interface();
             probe.feed(1, eager_frame(&costs, 1, 0, 7, b"first"));
             probe.feed(1, eager_frame(&costs, 1, 0, 7, b"second"));
-            let (_, d1) = a.wait(ctx, r1).unwrap();
-            let (_, d2) = a.wait(ctx, r2).unwrap();
+            let (_, d1) = a.wait(ctx, r1, Idle::Park).unwrap();
+            let (_, d2) = a.wait(ctx, r2, Idle::Park).unwrap();
             assert_eq!(d1, b"first");
             assert_eq!(d2, b"second");
         });
@@ -810,7 +843,7 @@ mod tests {
                 2,
                 eager_frame(&SmpiCosts::channel_interface(), 2, 0, 1234, b"w"),
             );
-            let (st, _) = a.wait(ctx, req).unwrap();
+            let (st, _) = a.wait(ctx, req, Idle::Park).unwrap();
             assert_eq!(st.source, 2);
             assert_eq!(st.tag, 1234);
         });
@@ -825,13 +858,13 @@ mod tests {
                 1,
                 eager_frame(&SmpiCosts::channel_interface(), 1, 4, 1, b"ctx4"),
             );
-            a.progress(ctx);
+            a.progress(ctx, Idle::Pace);
             assert!(!a.is_complete(req), "context 4 must not match context 5");
             probe.feed(
                 1,
                 eager_frame(&SmpiCosts::channel_interface(), 1, 5, 1, b"ctx5"),
             );
-            let (_, data) = a.wait(ctx, req).unwrap();
+            let (_, data) = a.wait(ctx, req, Idle::Park).unwrap();
             assert_eq!(data, b"ctx5");
         });
     }
@@ -860,7 +893,7 @@ mod tests {
             let mut cts = cts_header.encode(a.costs().header_bytes);
             cts.extend_from_slice(&999u64.to_le_bytes()); // receiver's req id
             probe.feed(1, cts);
-            a.progress(ctx);
+            a.progress(ctx, Idle::Pace);
             assert!(a.is_complete(req), "send completes once data flies");
             let sent = probe.sent();
             assert_eq!(sent.len(), 2, "one data frame for an unlimited device");
@@ -891,7 +924,7 @@ mod tests {
             let mut cts = cts_header.encode(a.costs().header_bytes);
             cts.extend_from_slice(&1u64.to_le_bytes());
             probe.feed(1, cts);
-            a.progress(ctx);
+            a.progress(ctx, Idle::Pace);
             assert!(a.is_complete(req));
             // chunkature: payload per frame = 4096 - 64 header = 4032.
             let frames = probe.sent_count() - 1;
@@ -904,20 +937,20 @@ mod tests {
     fn iprobe_reports_without_consuming() {
         with_ctx(|ctx| {
             let (mut a, probe) = adi(0, 2);
-            assert!(a.iprobe(ctx, 0, Some(1), Some(8)).is_none());
+            assert!(a.iprobe(ctx, 0, Some(1), Some(8), Idle::Pace).is_none());
             probe.feed(
                 1,
                 eager_frame(&SmpiCosts::channel_interface(), 1, 0, 8, b"look"),
             );
             let st = a
-                .iprobe(ctx, 0, Some(1), Some(8))
+                .iprobe(ctx, 0, Some(1), Some(8), Idle::Pace)
                 .expect("probe should see it");
             assert_eq!(st.len, 4);
             // Still there for the actual receive.
             let req = a.irecv(ctx, 0, Some(1), Some(8)).unwrap();
-            let (_, data) = a.wait(ctx, req).unwrap();
+            let (_, data) = a.wait(ctx, req, Idle::Park).unwrap();
             assert_eq!(data, b"look");
-            assert!(a.iprobe(ctx, 0, Some(1), Some(8)).is_none());
+            assert!(a.iprobe(ctx, 0, Some(1), Some(8), Idle::Pace).is_none());
         });
     }
 
@@ -927,9 +960,9 @@ mod tests {
             let (mut a, probe) = adi(0, 3);
             probe.feed(2, crate::device::encode_null(7, 1));
             probe.feed(1, crate::device::encode_null(7, 2));
-            let src = a.wait_null(ctx, None, 7, 2);
+            let src = a.wait_null(ctx, None, 7, 2, Idle::Sleep);
             assert_eq!(src, 1, "phase 2 null is from rank 1");
-            let src = a.wait_null(ctx, None, 7, 1);
+            let src = a.wait_null(ctx, None, 7, 1, Idle::Sleep);
             assert_eq!(src, 2);
         });
     }
@@ -997,7 +1030,7 @@ mod tests {
                 h.encode(SmpiCosts::channel_interface().header_bytes)
             });
             let mut a = Adi::new(Box::new(dev), SmpiCosts::channel_interface());
-            a.progress(ctx);
+            a.progress(ctx, Idle::Pace);
             let err = a.irecv(ctx, 0, Some(1), Some(4)).unwrap_err();
             assert_eq!(err, crate::device::DeviceError::Corrupt { peer: 1 });
         });

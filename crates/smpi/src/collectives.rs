@@ -4,7 +4,7 @@
 
 use des::ProcCtx;
 
-use crate::adi::Adi;
+use crate::adi::{Adi, Idle};
 use crate::mpi::{Comm, Mpi};
 use crate::types::{fatal, MpiError, ReduceOp, ReqId, Tag};
 
@@ -87,7 +87,7 @@ impl Mpi {
         let Some(entry) = epoch else { return Ok(()) };
         while !ready(&self.adi) {
             self.abort_if_epoch_moved(comm, entry)?;
-            self.adi.progress(ctx);
+            self.adi.progress(ctx, Idle::Pace);
         }
         Ok(())
     }
@@ -133,7 +133,7 @@ impl Mpi {
         epoch: Option<u32>,
     ) -> Result<Vec<u8>, MpiError> {
         self.until(ctx, comm, epoch, |adi| adi.is_complete(req))?;
-        let done = self.adi.wait(ctx, req);
+        let done = self.adi.wait(ctx, req, Idle::Sleep);
         Ok(done.map_or_else(Vec::new, |(_, bytes)| bytes))
     }
 
@@ -174,7 +174,7 @@ impl Mpi {
     ) -> Result<(), MpiError> {
         let cctx = comm.coll_context;
         self.until(ctx, comm, epoch, |adi| adi.has_null(src, cctx, phase))?;
-        self.adi.wait_null(ctx, src, cctx, phase);
+        self.adi.wait_null(ctx, src, cctx, phase, Idle::Sleep);
         Ok(())
     }
 

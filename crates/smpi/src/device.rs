@@ -1,7 +1,7 @@
 //! The Channel Interface: the narrow device layer MPICH ports ride on,
 //! plus the wire format of channel packets.
 
-use des::ProcCtx;
+use des::{ProcCtx, Time};
 
 use crate::types::Tag;
 
@@ -225,9 +225,21 @@ pub trait Device: Send {
     }
     /// Park until new traffic may be available, returning `true` if the
     /// device blocked (interrupt-capable transports). The default
-    /// returns `false`, telling the progress engine to pace its own
-    /// polling.
+    /// returns `false`: there is nothing to park on, and a blocking loop
+    /// either asks for [`Device::idle_sleep`] or paces its own polling.
+    /// Only for a caller that blocks: one-shot progress must not park.
     fn idle_wait(&mut self, _ctx: &mut ProcCtx) -> bool {
+        false
+    }
+    /// For a blocking loop that would otherwise go "`try_recv_frame`;
+    /// nothing; `lead` ns of my own time; again": do exactly that polling
+    /// on the caller's behalf until the next `try_recv_frame` has a frame,
+    /// and return `true`. Same virtual time, same schedule, same counters
+    /// as the loop — the point is that the calling process can sleep
+    /// through it. A device for which polling is not all that happens
+    /// between two polls, or that cannot tell, returns `false` having done
+    /// nothing (the default), and the caller paces itself.
+    fn idle_sleep(&mut self, _ctx: &mut ProcCtx, _lead: Time) -> bool {
         false
     }
     /// The transport's failure-detector view, as `(epoch, alive_mask)`

@@ -3,7 +3,7 @@
 
 use bbp::{BbpEndpoint, BbpError};
 use des::obs::Layer;
-use des::ProcCtx;
+use des::{ProcCtx, Time};
 use netsim::{MyrinetApiPort, TcpSock};
 
 use crate::device::{Device, DeviceError};
@@ -112,6 +112,10 @@ impl Device for BbpDevice {
 
     fn idle_wait(&mut self, ctx: &mut ProcCtx) -> bool {
         self.ep.wait_for_traffic(ctx)
+    }
+
+    fn idle_sleep(&mut self, ctx: &mut ProcCtx, lead: Time) -> bool {
+        self.ep.sleep_until_flagged(ctx, lead)
     }
 
     fn membership(&self) -> Option<(u32, u32)> {

@@ -62,7 +62,7 @@ pub(crate) mod testutil;
 mod types;
 mod world;
 
-pub use adi::Adi;
+pub use adi::{Adi, Idle};
 pub use collectives::CollectiveImpl;
 pub use costs::SmpiCosts;
 pub use device::{Device, DeviceError, PacketHeader, PacketKind};

@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use des::obs::{Layer, Stage};
 use des::ProcCtx;
 
-use crate::adi::Adi;
+use crate::adi::{Adi, Idle};
 use crate::collectives::CollectiveImpl;
 use crate::costs::SmpiCosts;
 use crate::device::Device;
@@ -313,7 +313,7 @@ impl Mpi {
     /// Complete a send request.
     pub fn wait_send(&mut self, ctx: &mut ProcCtx, req: ReqId) {
         self.span_enter(ctx, "wait");
-        let r = self.adi.wait(ctx, req);
+        let r = self.adi.wait(ctx, req, Idle::Park);
         self.leave(ctx, "wait");
         debug_assert!(r.is_none(), "wait_send redeemed a receive request");
     }
@@ -322,7 +322,7 @@ impl Mpi {
     /// communicator's rank space.
     pub fn wait_recv(&mut self, ctx: &mut ProcCtx, comm: &Comm, req: ReqId) -> (Status, Vec<u8>) {
         self.span_enter(ctx, "wait");
-        let waited = self.adi.wait(ctx, req);
+        let waited = self.adi.wait(ctx, req, Idle::Park);
         self.leave(ctx, "wait");
         let (mut status, data) = waited.expect("wait_recv redeemed a send request");
         status.source = comm
@@ -353,7 +353,7 @@ impl Mpi {
     /// Drive the progress engine once without blocking (lets applications
     /// overlap computation with rendezvous traffic).
     pub fn progress(&mut self, ctx: &mut ProcCtx) {
-        self.adi.progress(ctx);
+        self.adi.progress(ctx, Idle::Pace);
     }
 
     /// `MPI_Iprobe`: non-blocking check for a matching incoming message
@@ -365,10 +365,22 @@ impl Mpi {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<Option<Status>, MpiError> {
+        self.probe_once(ctx, comm, src, tag, Idle::Pace)
+    }
+
+    /// One probe; `idle` is what to do about having found no frame at all.
+    fn probe_once(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        src: Option<usize>,
+        tag: Option<Tag>,
+        idle: Idle,
+    ) -> Result<Option<Status>, MpiError> {
         self.charge_binding(ctx);
         let out = self.recv_source(comm, src).map(|world_src| {
             self.adi
-                .iprobe(ctx, comm.context, world_src, tag)
+                .iprobe(ctx, comm.context, world_src, tag, idle)
                 .map(|mut st| {
                     st.source = comm
                         .comm_rank(st.source)
@@ -390,7 +402,7 @@ impl Mpi {
         tag: Option<Tag>,
     ) -> Result<Status, MpiError> {
         loop {
-            if let Some(st) = self.iprobe(ctx, comm, src, tag)? {
+            if let Some(st) = self.probe_once(ctx, comm, src, tag, Idle::Park)? {
                 return Ok(st);
             }
         }
@@ -410,7 +422,7 @@ impl Mpi {
                 let (st, data) = self.wait_recv(ctx, comm, reqs[idx]);
                 return (idx, st, data);
             }
-            self.adi.progress(ctx);
+            self.adi.progress(ctx, Idle::Park);
         }
     }
 

@@ -687,3 +687,86 @@ fn scan_exscan_consistency() {
     });
     finish(sim);
 }
+
+/// An interrupt-mode world on the ADI-direct costs (the paper's §7 stack).
+fn interrupt_world(h: &des::SimHandle, n: usize) -> MpiWorld {
+    let mut cfg = bbp::BbpConfig::for_nodes(n);
+    cfg.recv_mode = bbp::RecvMode::Interrupt;
+    MpiWorld::scramnet_with(
+        h,
+        cfg,
+        scramnet::CostModel::default(),
+        smpi::SmpiCosts::adi_direct(),
+        CollectiveImpl::Native,
+    )
+}
+
+#[test]
+fn one_shot_progress_does_not_park_on_the_interrupt() {
+    // `MPI_Iprobe` with nothing to find, and one turn of the progress
+    // engine, come back after one empty iteration whatever the receive
+    // mode: only a call that blocks may wait for the next message's
+    // interrupt (here 2 ms away), and `MPI_Probe` still does.
+    for interrupts in [false, true] {
+        let mut sim = Simulation::new();
+        let world = if interrupts {
+            interrupt_world(&sim.handle(), 2)
+        } else {
+            MpiWorld::scramnet(&sim.handle(), 2)
+        };
+        let reads = Arc::new(Mutex::new((0, 0)));
+        let (reads2, ring) = (
+            Arc::clone(&reads),
+            world.bbp_cluster().unwrap().ring().clone(),
+        );
+        run_world(&world, &mut sim, move |mpi, ctx| {
+            let comm = mpi.comm_world();
+            if mpi.rank() == 0 {
+                ctx.wait_until(des::ms(2));
+                mpi.send(ctx, &comm, 1, 42, b"late").unwrap();
+                return;
+            }
+            let t0 = ctx.now();
+            assert!(mpi.iprobe(ctx, &comm, Some(0), Some(42)).unwrap().is_none());
+            let probed = ctx.now() - t0;
+            assert!(probed < des::us(10), "iprobe took {}", probed.pretty());
+            mpi.progress(ctx);
+            let turned = ctx.now() - t0 - probed;
+            assert!(turned < des::us(10), "progress took {}", turned.pretty());
+            let before = ring.stats().pio_reads;
+            let st = mpi.probe(ctx, &comm, Some(0), Some(42)).unwrap();
+            assert_eq!((st.source, st.len), (0, 4));
+            assert!(ctx.now() > des::ms(2));
+            *reads2.lock() = (before, ring.stats().pio_reads);
+            mpi.recv(ctx, &comm, Some(0), Some(42)).unwrap();
+        });
+        finish(sim);
+        // The blocking probe parked: a handful of reads, not 2 ms of them.
+        let (before, after) = *reads.lock();
+        let spun = after - before;
+        assert_eq!(spun < 50, interrupts, "{spun} reads while probing");
+    }
+}
+
+#[test]
+fn a_barrier_one_rank_never_enters_ends_the_run_and_names_the_others() {
+    // Ranks 0 and 1 enter a 3-rank barrier; rank 2 returns. Nothing is
+    // left that could write the flag words they poll, so the run ends —
+    // in bounded host time — with both named, instead of polling for ever.
+    for ranks in [3, 16] {
+        let mut sim = Simulation::new();
+        let world = MpiWorld::scramnet(&sim.handle(), ranks);
+        run_world(&world, &mut sim, move |mpi, ctx| {
+            let comm = mpi.comm_world();
+            mpi.bcast(ctx, &comm, 0, (mpi.rank() == 0).then_some(&b"go"[..]));
+            if mpi.rank() + 1 < ranks {
+                mpi.barrier(ctx, &comm);
+                unreachable!("the last rank never enters");
+            }
+        });
+        let report = sim.run();
+        let stuck: Vec<String> = (0..ranks - 1).map(|r| format!("rank{r}")).collect();
+        assert_eq!(report.deadlocked, stuck);
+        assert!(report.end_time < des::ms(1), "{report:?}");
+    }
+}

@@ -4,7 +4,7 @@
 
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig, EndpointStats};
 use scramnet_cluster::des::rng::SimRng;
-use scramnet_cluster::des::{RunReport, Simulation};
+use scramnet_cluster::des::{RunReport, SimHandle, Simulation};
 use scramnet_cluster::scramnet::RingStats;
 use scramnet_cluster::smpi::{MpiWorld, ReduceOp};
 use std::sync::Arc;
@@ -217,8 +217,13 @@ fn bbp_server(traced: bool) -> Outcome {
 
 /// Bcast, barrier and a ring of send/recv on `n` ranks.
 fn mpi_world(n: usize, traced: bool) -> Outcome {
+    mpi_world_on(MpiWorld::scramnet, n, traced)
+}
+
+/// [`mpi_world`] on the `n` ranks of whatever world `build` makes.
+fn mpi_world_on(build: fn(&SimHandle, usize) -> MpiWorld, n: usize, traced: bool) -> Outcome {
     let mut sim = simulation(traced);
-    let world = MpiWorld::scramnet(&sim.handle(), n);
+    let world = build(&sim.handle(), n);
     for rank in 0..n {
         let mut mpi = world.proc(rank);
         sim.spawn(format!("rank{rank}"), move |ctx| {
@@ -377,8 +382,49 @@ fn a_recorded_run_is_the_unrecorded_run() {
         assert!(recorded.0.relayed > 0, "{what}: {:?}", recorded.0);
     }
     // The sixteen ranks, which run eagerly made 78 442 hand-offs and
-    // relayed nothing.
-    assert_eq!(host, (75_133, 3_757));
+    // relayed nothing — and 3 757, relaying 75 133, while a rank blocked
+    // in a collective was still woken at the end of every idle sweep.
+    assert_eq!(host, (76_407, 2_422));
+}
+
+/// A rank blocked in a collective sleeps until a flag word changes only
+/// where sweeping is all its endpoint would do until then, and one cycle
+/// holds the sweep. Seventeen ranks are sixteen flag words, one too many;
+/// a membership world has heartbeats to publish between sweeps. Both pace
+/// themselves, sweep by sweep, and are to the hand-off the runs they were
+/// at commit 8197cc8, before there was anything else to do.
+#[test]
+fn worlds_that_cannot_sleep_pace_themselves_as_before() {
+    /// A world, and its `(end_time, dispatches, peak_queue_depth)`,
+    /// `(relayed, handoffs)` and `pio_reads` at that commit.
+    type Paced = (
+        &'static str,
+        fn(bool) -> Outcome,
+        ((u64, u64, usize), (u64, u64), u64),
+    );
+    let worlds: [Paced; 2] = [
+        (
+            "MPI world, 17 ranks",
+            |traced| mpi_world(17, traced),
+            ((2_377_875, 101_614, 80), (85_104, 6_350), 44_553),
+        ),
+        (
+            "MPI world, 4 ranks with membership",
+            |traced| mpi_world_on(MpiWorld::scramnet_membership, 4, traced),
+            ((910_415, 3_648, 14), (557, 2_199), 3_366),
+        ),
+    ];
+    for (what, world, then) in worlds {
+        for traced in [true, false] {
+            let (report, ring, _) = world(traced);
+            let now = (
+                counters(&report),
+                (report.relayed, report.handoffs),
+                ring.pio_reads,
+            );
+            assert_eq!(now, then, "{what}, traced: {traced}");
+        }
+    }
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! A host process that builds one world after another must not grow with
 //! the number it has built. Two things once made it: a poll sweep asleep
-//! in the dispatch loop holds what it samples — the ring, which holds a
-//! handle on the scheduler, which holds the sweep — so a world dropped
-//! mid-sweep (or, before the chain learned to let go, any world at all)
-//! leaked whole; and every world's bank pages and page tables were
-//! allocated afresh on whichever thread first wrote them.
+//! in the dispatch loop — one sweep, or a cycle of them — holds what it
+//! samples — the ring, which holds a handle on the scheduler, which holds
+//! the sweep — so a world dropped mid-sweep (or, before the chain learned
+//! to let go, any world at all) leaked whole; and every world's bank pages
+//! and page tables were allocated afresh on whichever thread first wrote
+//! them.
 //!
 //! Counted with a wrapping global allocator, so everything runs inside ONE
 //! test function: a sibling test on another harness thread would pollute
@@ -43,9 +44,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Build a 16-rank world, broadcast and synchronise on it, then leave
-/// every rank but the root blocked in a receive nothing will satisfy —
-/// sweeping fifteen flag words over and over — and drop it all there.
-fn one_world() {
+/// every rank but the root blocked on something nothing will satisfy —
+/// sweeping fifteen flag words over and over — and drop it all there. The
+/// block is a receive, woken after every sweep to ask for the next; or,
+/// `in_a_collective`, a barrier the root never enters, asleep in one cycle
+/// until a word changes ([`scramnet_cluster::des::ProcCtx::scan_until`]).
+fn one_world(in_a_collective: bool) {
     const RANKS: usize = 16;
     let mut sim = Simulation::new();
     let world = MpiWorld::scramnet(&sim.handle(), RANKS);
@@ -57,14 +61,24 @@ fn one_world() {
             mpi.bcast(ctx, &comm, 0, (rank == 0).then_some(&data[..]));
             mpi.barrier(ctx, &comm);
             if rank != 0 {
-                let _ = mpi.recv(ctx, &comm, Some(0), Some(99));
-                unreachable!("rank 0 sends nothing more");
+                if in_a_collective {
+                    mpi.barrier(ctx, &comm);
+                } else {
+                    let _ = mpi.recv(ctx, &comm, Some(0), Some(99));
+                }
+                unreachable!("rank 0 does nothing more");
             }
         });
     }
     let report = sim.run_until(ms(2));
     assert!(report.is_clean());
     assert!(report.relayed > 1_000, "sweeps were asleep: {report:?}");
+    // Some seventy sweeps a rank: a wake-up for each, or none.
+    assert_eq!(
+        report.handoffs < 500,
+        in_a_collective,
+        "whole cycles were asleep: {report:?}"
+    );
 }
 
 #[test]
@@ -73,7 +87,7 @@ fn worlds_dropped_mid_sweep_leave_nothing_behind() {
     let mut live = [0; 20];
     let mut storage = [(0, 0); 20];
     for nth in 0..20 {
-        one_world();
+        one_world(nth % 2 == 1);
         live[nth] = LIVE.load(Ordering::SeqCst);
         storage[nth] = bank_storage_allocated();
     }
