@@ -23,7 +23,8 @@
 //! *baton*: first the caller of [`Simulation::run_until`], then every
 //! process whose [`ProcCtx::advance`], [`ProcCtx::wait_until`],
 //! [`ProcCtx::wait`] or [`ProcCtx::settle`] has to yield. That thread runs
-//! due events inline,
+//! due events inline (handing each the instant it was scheduled for:
+//! scheduling into the past of a run panics where it is attempted),
 //! returns straight into its own body when its own resumption comes up,
 //! and hands the baton directly to another process's thread when that one
 //! is due. The caller gets it back only when nothing is due inside the
@@ -92,7 +93,10 @@
 //! [`Sample`] exactly where the process would have read it, walks on if
 //! it is the expected one, and otherwise cuts the chain there and lets
 //! the process run with its clock at that instant. A read has no side
-//! effect, so who makes it is not an input to anything either.
+//! effect, so who makes it is not an input to anything either. (It is
+//! made from inside the scheduler, which is one value behind one lock
+//! that its holder keeps across every step it walks: a `sample` that
+//! schedules or notifies would find it taken, and panics saying so.)
 //!
 //! A process *blocked* on such a loop goes round it again and again:
 //! sweep, nothing changed, a moment of its own time, sweep again. Between

@@ -26,9 +26,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
-use parking_lot::Mutex;
-
-use crate::sched::{Baton, Returned, SchedShared, SimHandle, WakeWhat};
+use crate::sched::{Baton, CoreGuard, Returned, SchedShared, SimHandle, WakeWhat};
 use crate::signal::Signal;
 use crate::time::Time;
 
@@ -49,7 +47,10 @@ pub(crate) const ABORT: u8 = 2;
 /// thread walks the step, at the instant the step ends.
 pub trait Sample: Send + Sync {
     /// The word at `addr`, as of this point of the run. Reading it must
-    /// change nothing a simulated entity can observe.
+    /// change nothing a simulated entity can observe, and must not enter
+    /// the scheduler: the walker is inside it, so a `sample` that
+    /// schedules, spawns or notifies a [`Signal`] panics there (with a
+    /// message that says so) instead of computing a word.
     fn sample(&self, addr: usize) -> u32;
 }
 
@@ -195,15 +196,12 @@ impl Chain {
     }
 }
 
+/// What another thread needs of a process to wake it, and to name it.
 pub(crate) struct ProcShared {
     state: AtomicU8,
     /// The process's thread, stored before its first `Resume` is pushed.
     thread: OnceLock<Thread>,
     pub name: String,
-    /// Written by the process while it runs, walked by whichever thread
-    /// pops its `Resume` while it sleeps: never contended, like every
-    /// other lock the baton protects.
-    pub chain: Mutex<Chain>,
 }
 
 impl ProcShared {
@@ -228,10 +226,14 @@ impl ProcShared {
     }
 }
 
+/// A process's row of the table in the scheduler's core.
 pub(crate) struct ProcEntry {
     pub shared: Arc<ProcShared>,
     pub join: Option<std::thread::JoinHandle<()>>,
     pub finished: bool,
+    /// Written by the process while it runs, walked by whichever thread
+    /// pops its `Resume` while it sleeps — each of them inside the core.
+    pub chain: Chain,
 }
 
 /// Payload used to unwind a process thread when its simulation is dropped
@@ -290,19 +292,28 @@ impl ProcCtx {
             self.owe(dt);
             return self.settle();
         }
-        let target = self.now + dt;
+        self.stall_until(self.now + dt);
+    }
+
+    /// Sleep until `target`, owing nothing: one entry into the scheduler —
+    /// the fast-path test, else the `Resume`, the `Yield` entry and the
+    /// dispatch loop, all on it.
+    fn stall_until(&mut self, target: Time) {
+        let mut core = self.sched.core();
         // Fast path: we are the only running entity; if nothing in the
         // queue is due before `target`, no other process or event can
         // possibly interleave (everyone else is parked behind a queue
-        // entry or a signal only we could fire), so the clock can jump
-        // without touching the queue. This keeps polling protocols
-        // cheap in host time without changing any observable schedule.
-        if self.sched.idle_through(target) {
+        // entry or a signal only we could fire), so the clock — ours and
+        // the run's — can jump without touching the queue. This keeps
+        // polling protocols cheap in host time without changing any
+        // observable schedule.
+        if core.agenda.idle_through(target) {
+            core.agenda.now = target;
             self.now = target;
             return;
         }
-        self.sched.push(target, WakeWhat::Resume(self.id));
-        self.yield_baton("ResumeAt");
+        core.agenda.push(target, WakeWhat::Resume(self.id));
+        self.now = self.yield_baton(core, "ResumeAt");
     }
 
     /// Consume `dt` nanoseconds of this process's own CPU time — a
@@ -330,19 +341,20 @@ impl ProcCtx {
     /// it; a full chain is settled first.
     fn owe(&mut self, dt: Time) {
         let step = Step { dt, look: None };
-        if !self.shared.chain.lock().push(step) {
+        if !self.sched.core().procs[self.id.0].chain.push(step) {
             self.settle();
-            let pushed = self.shared.chain.lock().push(step);
+            let pushed = self.sched.core().procs[self.id.0].chain.push(step);
             debug_assert!(pushed, "a settled chain is empty");
         }
-        self.owed(dt);
-    }
-
-    /// Move the local clock past `dt` of steps just recorded.
-    fn owed(&mut self, dt: Time) {
         let since = *self.owed_since.get_or_insert(self.now);
         self.now += dt;
-        self.sched.set_owing(Some((self.id, self.now - since)));
+        self.sched.set_owing(Some((&self.shared, self.now - since)));
+    }
+
+    /// About to have every owed step walked: the clock they start at.
+    fn owed_from(&mut self) -> Time {
+        self.sched.set_owing(None);
+        self.owed_since.take().unwrap_or(self.now)
     }
 
     /// A poll sweep the process sleeps through. For each `(addr,
@@ -382,13 +394,15 @@ impl ProcCtx {
         let mut looks = looks.into_iter().peekable();
         let mut index = 0;
         while looks.peek().is_some() {
-            let queued = {
-                let mut chain = self.shared.chain.lock();
+            let since = self.owed_from();
+            let first = index;
+            let hit = {
+                let mut core = self.sched.core();
+                let chain = &mut core.procs[self.id.0].chain;
                 let room = (CHAIN_CAP - chain.len) / 2;
                 if room > 0 {
                     chain.on = Some(Arc::clone(on) as Arc<dyn Sample>);
                 }
-                let first = index;
                 for (addr, expected) in looks.by_ref().take(room) {
                     let look = Look {
                         addr,
@@ -398,18 +412,17 @@ impl ProcCtx {
                     chain.push_look(cpu, stall, look);
                     index += 1;
                 }
-                index - first
+                // A chain with no room for a look holds steps this process
+                // owes: walking them empties it for the next go.
+                let mut core = self.walk_owed(core, since);
+                core.procs[self.id.0].chain.hit.take()
             };
-            self.owed(Time::from(queued) * (cpu + stall));
-            // A chain with no room for a look holds steps this process
-            // owes: settling empties it for the next go.
-            self.settle();
-            if let Some(hit) = self.shared.chain.lock().hit.take() {
-                // `owed` moved the clock past every queued step; the ones
-                // after the look were never walked.
+            if let Some(hit) = hit {
+                // The steps after the look were never walked.
                 self.now = hit.at;
                 return Some((hit.index as usize, hit.word));
             }
+            self.now += Time::from(index - first) * (cpu + stall);
         }
         None
     }
@@ -463,8 +476,9 @@ impl ProcCtx {
         looks: impl IntoIterator<Item = (usize, u32)>,
     ) -> (u64, usize, u32) {
         self.settle();
-        {
-            let mut chain = self.shared.chain.lock();
+        let hit = {
+            let mut core = self.sched.core();
+            let chain = &mut core.procs[self.id.0].chain;
             chain.on = Some(Arc::clone(on) as Arc<dyn Sample>);
             chain.rounds = Some(0);
             let mut fits = chain.push(Step {
@@ -486,15 +500,14 @@ impl ProcCtx {
                 "a cycle takes 1 to {} looks",
                 Self::CYCLE_LOOKS
             );
-            self.sched
+            core.agenda
                 .note_round(lead + Time::from(index) * (cpu + stall));
-        }
-        if !self.sched.walk(self.id, &self.shared, self.now) {
-            self.hold_for_baton();
-        }
-        let hit = self.shared.chain.lock().hit.take();
-        let hit = hit.expect("only a look that hit ends a cycle");
-        debug_assert!(self.sched.now.load(Ordering::Relaxed) <= hit.at);
+            let mut core = self.walk_owed(core, self.now);
+            let hit = core.procs[self.id.0].chain.hit.take();
+            let hit = hit.expect("only a look that hit ends a cycle");
+            debug_assert!(core.agenda.now <= hit.at);
+            hit
+        };
         self.now = hit.at;
         (hit.rounds, hit.index as usize, hit.word)
     }
@@ -504,28 +517,34 @@ impl ProcCtx {
     /// before returning to code that may touch shared state without a
     /// stall of its own.
     pub fn settle(&mut self) {
-        let Some(since) = self.owed_since.take() else {
+        if self.owed_since.is_none() {
             return;
-        };
-        self.sched.set_owing(None);
-        if !self.sched.walk(self.id, &self.shared, since) {
-            self.hold_for_baton();
         }
+        let since = self.owed_from();
+        let core = self.walk_owed(self.sched.core(), since);
         // Every step ends where the charge said it would, whoever walked
         // it: the local clock is already there.
-        debug_assert!(self.sched.now.load(Ordering::Relaxed) <= self.now);
+        debug_assert!(core.agenda.now <= self.now);
+    }
+
+    /// Have the steps in this process's chain walked from `since`, on the
+    /// core the caller is in: by this thread while nothing else is due, and
+    /// from the first step that has to be queued by the dispatch loop,
+    /// here or wherever the baton goes. Returns in the core again, with
+    /// the chain walked to its end or cut by a look.
+    fn walk_owed<'a>(&'a self, mut core: CoreGuard<'a>, since: Time) -> CoreGuard<'a> {
+        if self.sched.walk(&mut core, self.id, since) {
+            core
+        } else {
+            self.hold_for_baton(core)
+        }
     }
 
     /// Block until absolute virtual time `t` (no-op if `t` has passed).
     pub fn wait_until(&mut self, t: Time) {
         self.settle();
         if t > self.now {
-            if self.sched.idle_through(t) {
-                self.now = t;
-                return;
-            }
-            self.sched.push(t, WakeWhat::Resume(self.id));
-            self.yield_baton("ResumeAt");
+            self.stall_until(t);
         }
     }
 
@@ -541,7 +560,7 @@ impl ProcCtx {
     pub fn wait(&mut self, signal: &Signal) {
         self.settle();
         signal.register(self.id);
-        self.yield_baton("Blocked");
+        self.now = self.yield_baton(self.sched.core(), "Blocked");
     }
 
     /// Spawn a sibling process starting at the current virtual time.
@@ -561,24 +580,28 @@ impl ProcCtx {
     }
 
     /// Yield with this process's `Resume` (or a [`Signal`] registration)
-    /// in place; returns at the resumption time. `why` labels the `Yield`
+    /// in place; returns the resumption time. `why` labels the `Yield`
     /// trace entry: `ResumeAt` (a queue entry this process pushed will
     /// resume it) or `Blocked` (a [`Signal`]).
-    fn yield_baton(&mut self, why: &str) {
+    fn yield_baton(&self, core: CoreGuard<'_>, why: &str) -> Time {
         self.sched.record_yield(&self.shared.name, why, self.now);
-        self.sched.catch_up(self.now);
-        self.hold_for_baton();
-        let t = self.sched.now.load(Ordering::Relaxed);
+        debug_assert!(
+            core.agenda.now == self.now,
+            "a process runs at the run's clock"
+        );
+        let t = self.hold_for_baton(core).agenda.now;
         debug_assert!(t >= self.now, "virtual time went backwards");
-        self.now = t;
+        t
     }
 
-    /// Run the dispatch loop on this thread until this process may run
-    /// again; if the baton has to go to another thread first, park until
-    /// it is granted back.
-    fn hold_for_baton(&mut self) {
-        let granted = match self.sched.dispatch(Some(self.id)) {
-            Baton::Mine => true,
+    /// Run the dispatch loop on this thread, on the core it is in, until
+    /// this process may run again; if the baton has to go to another
+    /// thread first, park until it is granted back. Returns in the core:
+    /// the one it went in with when its own `Resume` came up here, else
+    /// entered anew (whoever granted the baton let go of it first).
+    fn hold_for_baton<'a>(&'a self, core: CoreGuard<'a>) -> CoreGuard<'a> {
+        let granted = match self.sched.dispatch(core, Some(self.id)) {
+            Baton::Mine(core) => return core,
             Baton::Granted => self.shared.await_grant(),
             Baton::Stop(why) => {
                 self.sched.hand_back(why);
@@ -588,6 +611,7 @@ impl ProcCtx {
         if !granted {
             std::panic::resume_unwind(Box::new(AbortToken));
         }
+        self.sched.core()
     }
 }
 
@@ -601,13 +625,13 @@ pub(crate) fn spawn_process(
     start: Time,
     body: ProcBody,
 ) -> ProcId {
-    let mut table = sched.procs.lock();
-    let id = ProcId(table.len());
+    sched.assert_settled("scheduling");
+    let mut core = sched.core();
+    let id = ProcId(core.procs.len());
     let shared = Arc::new(ProcShared {
         state: AtomicU8::new(PARKED),
         thread: OnceLock::new(),
         name: name.clone(),
-        chain: Mutex::new(Chain::default()),
     });
     let thread_shared = Arc::clone(&shared);
     let thread_sched = Arc::clone(sched);
@@ -617,9 +641,10 @@ pub(crate) fn spawn_process(
             if !thread_shared.await_grant() {
                 return;
             }
+            let now = thread_sched.core().agenda.now;
             let mut ctx = ProcCtx {
                 id,
-                now: thread_sched.now.load(Ordering::Relaxed),
+                now,
                 owed_since: None,
                 shared: thread_shared,
                 sched: thread_sched,
@@ -629,10 +654,7 @@ pub(crate) fn spawn_process(
                 ctx.settle(); // the run ends no earlier than its last charge
             }));
             let why = match result {
-                Ok(()) => {
-                    ctx.sched.catch_up(ctx.now);
-                    Returned::Finished(id)
-                }
+                Ok(()) => Returned::Finished(id),
                 Err(payload) => {
                     ctx.sched.set_owing(None);
                     if payload.downcast_ref::<AbortToken>().is_some() {
@@ -657,12 +679,12 @@ pub(crate) fn spawn_process(
         .thread
         .set(join.thread().clone())
         .expect("set once, here");
-    table.push(ProcEntry {
+    core.procs.push(ProcEntry {
         shared,
         join: Some(join),
         finished: false,
+        chain: Chain::default(),
     });
-    drop(table);
-    sched.push(start, WakeWhat::Resume(id));
+    core.agenda.push(start, WakeWhat::Resume(id));
     id
 }

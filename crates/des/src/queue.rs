@@ -38,9 +38,14 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// The queued items, and the insertion count that orders equal times.
+struct Items<T> {
+    heap: BinaryHeap<Reverse<Entry<T>>>,
+    pushed: u64,
+}
+
 struct Inner<T> {
-    items: Mutex<BinaryHeap<Reverse<Entry<T>>>>,
-    seq: Mutex<u64>,
+    items: Mutex<Items<T>>,
     signal: Signal,
     handle: SimHandle,
 }
@@ -64,8 +69,10 @@ impl<T: Send + 'static> SimQueue<T> {
     pub fn new(handle: &SimHandle) -> Self {
         SimQueue {
             inner: Arc::new(Inner {
-                items: Mutex::new(BinaryHeap::new()),
-                seq: Mutex::new(0),
+                items: Mutex::new(Items {
+                    heap: BinaryHeap::new(),
+                    pushed: 0,
+                }),
                 signal: handle.new_signal(),
                 handle: handle.clone(),
             }),
@@ -75,12 +82,12 @@ impl<T: Send + 'static> SimQueue<T> {
     /// Enqueue `item`, becoming visible to poppers at time `t`.
     pub fn push_at(&self, t: Time, item: T) {
         {
-            let mut seq = self.inner.seq.lock();
-            let s = *seq;
-            *seq += 1;
-            self.inner.items.lock().push(Reverse(Entry {
+            let mut items = self.inner.items.lock();
+            let seq = items.pushed;
+            items.pushed += 1;
+            items.heap.push(Reverse(Entry {
                 visible_at: t,
-                seq: s,
+                seq,
                 item,
             }));
         }
@@ -98,9 +105,10 @@ impl<T: Send + 'static> SimQueue<T> {
         loop {
             let head_time = {
                 let mut items = self.inner.items.lock();
-                match items.peek() {
+                let heap = &mut items.heap;
+                match heap.peek() {
                     Some(Reverse(e)) if e.visible_at <= ctx.now() => {
-                        let Reverse(e) = items.pop().expect("peeked entry vanished");
+                        let Reverse(e) = heap.pop().expect("peeked entry vanished");
                         return e.item;
                     }
                     Some(Reverse(e)) => Some(e.visible_at),
@@ -118,8 +126,9 @@ impl<T: Send + 'static> SimQueue<T> {
     pub fn try_pop(&self, now: Time) -> Option<T> {
         self.inner.handle.assert_settled("polling a SimQueue");
         let mut items = self.inner.items.lock();
-        match items.peek() {
-            Some(Reverse(e)) if e.visible_at <= now => items.pop().map(|Reverse(e)| e.item),
+        let heap = &mut items.heap;
+        match heap.peek() {
+            Some(Reverse(e)) if e.visible_at <= now => heap.pop().map(|Reverse(e)| e.item),
             _ => None,
         }
     }
@@ -130,6 +139,7 @@ impl<T: Send + 'static> SimQueue<T> {
         self.inner
             .items
             .lock()
+            .heap
             .iter()
             .filter(|Reverse(e)| e.visible_at <= now)
             .count()
@@ -137,7 +147,7 @@ impl<T: Send + 'static> SimQueue<T> {
 
     /// Total queued items, visible or not.
     pub fn len(&self) -> usize {
-        self.inner.items.lock().len()
+        self.inner.items.lock().heap.len()
     }
 
     /// True when nothing is queued at all.

@@ -1,21 +1,27 @@
-//! The scheduler's pending queue, the dispatch loop run by whichever
-//! thread holds the baton, and the cloneable [`SimHandle`] through which
-//! processes, events, and hardware models insert future work.
+//! The scheduler's core — pending queue, process table, clock and
+//! counters — the dispatch loop run by whichever thread holds the baton,
+//! and the cloneable [`SimHandle`] through which processes, events, and
+//! hardware models insert future work.
 //!
-//! Hot-path design: one lock acquisition per push and per pop (the
-//! banded [`PendingQueue`] behind a single mutex), an atomic tie-break
-//! counter, an atomic run horizon, and inline closure storage
-//! ([`EventFn`]) so a steady-state schedule/dispatch cycle never touches
-//! the heap allocator — and, past a few thousand pending events, never
-//! pays a per-pop cache-miss chain through a deep heap either.
+//! Hot-path design: everything only the baton holder touches is one
+//! [`Core`] behind one lock, and every way into the scheduler takes that
+//! lock once. The dispatch loop holds it across pops and across every
+//! step it walks for a sleeping process, letting go only around an
+//! event's closure (events schedule) and before it hands the baton on;
+//! a stalling process tests the fast path, queues its `Resume` and runs
+//! the dispatch loop on one acquisition. The tie-break counter, the run
+//! clock and the run horizon are plain fields in there. Closures are
+//! stored inline ([`EventFn`]), so a steady-state schedule/dispatch
+//! cycle never touches the heap allocator — and, past a few thousand
+//! pending events, never pays a per-pop cache-miss chain through a deep
+//! heap either (the banded [`PendingQueue`]).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::calq::CalendarQueue;
 pub(crate) use crate::event::EventFn;
@@ -36,7 +42,7 @@ pub(crate) enum WakeWhat {
 // `Resume` lives in the niche of `EventFn`'s vtable reference. A third
 // variant (say, a resume carrying its chain) would not fit there: every
 // slab entry would grow from 56 to 64 bytes, which measured 6 % on the
-// all-events `ring_storm` benchmark. The chain lives in `ProcShared`.
+// all-events `ring_storm` benchmark. The chain lives in the process table.
 const _: () = assert!(std::mem::size_of::<WakeWhat>() == 56);
 
 /// The sequential scheduler's pending queue: one banded calendar
@@ -58,9 +64,10 @@ pub(crate) enum Returned {
 }
 
 /// What [`SchedShared::dispatch`] did with the baton.
-pub(crate) enum Baton {
-    /// The calling process's own `Resume` came up: it keeps running.
-    Mine,
+pub(crate) enum Baton<'a> {
+    /// The calling process's own `Resume` came up: it keeps running, and
+    /// gets back the core it went in with.
+    Mine(CoreGuard<'a>),
     /// Another process was granted the baton; the caller must wait.
     Granted,
     /// The run cannot continue on this thread.
@@ -74,78 +81,226 @@ pub(crate) struct Caller {
     returned: Option<Returned>,
 }
 
-/// Scheduler state shared between the run loop, all processes, and every
-/// [`SimHandle`] clone. Only the baton holder executes, so the mutexes
-/// are never contended; they exist to satisfy `Send`/`Sync`.
-pub(crate) struct SchedShared {
-    pub pending: Mutex<PendingQueue>,
-    pub procs: Mutex<Vec<ProcEntry>>,
-    caller: Mutex<Caller>,
-    /// Clock and counters of the active run. Only the baton holder
-    /// touches them, and every baton transfer is a release/acquire pair
-    /// (a process's state word, or the `caller` mutex), so `Relaxed` is
-    /// enough.
-    pub now: AtomicU64,
-    pub dispatches: AtomicU64,
-    pub peak_queue_depth: AtomicUsize,
-    pub handoffs: AtomicU64,
-    pub relayed: AtomicU64,
+/// The pending queue with the clock and the counts that go with it: the
+/// half of the [`Core`] a step is walked *against*, beside the process
+/// table its chain is in.
+pub(crate) struct Agenda {
+    pub pending: PendingQueue,
+    /// Tie-break counter: the next entry's `seq`.
+    seq: u64,
+    /// The clock of the active run: the time of the entry being
+    /// dispatched, then that of the process running — fast-path jumps
+    /// included, charged time it has not settled excluded — so "the past"
+    /// is the same thing to an event and to a process. Zero while no run
+    /// is active: what is queued between two runs is never in it. (A run
+    /// that panicked leaves it where it was, until the next one begins or
+    /// the simulation is dropped.)
+    pub now: Time,
+    /// Active run horizon: the advance fast path must not carry a
+    /// process's clock past it (see `ProcCtx::advance`).
+    pub horizon: Time,
+    pub dispatches: u64,
+    pub peak_queue_depth: usize,
+    /// Grants of the baton to a process other than the one dispatching.
+    /// (The returns to the `run_until` caller are counted by the caller.)
+    pub grants: u64,
+    pub relayed: u64,
     /// `Resume`s in the queue that belong to a sleeping cycle (see
     /// [`crate::ProcCtx::scan_until`]). Outlives a run: a cycle queued past
-    /// one horizon is still there under the next. Baton-holder only, like
-    /// the counters above.
-    cycling: AtomicU64,
+    /// one horizon is still there under the next.
+    cycling: u64,
     /// Processes woken so far, and the longest round of any cycle so far:
     /// what [`Self::hopeless`] goes by. Neither is ever reset.
-    woken: AtomicU64,
-    longest_round: AtomicU64,
-    /// Tie-break counter. Atomic so a push costs exactly one lock (the
-    /// queue's); single-entity execution makes the fetch-add ordering
-    /// identical to the old mutex-guarded counter.
-    pub seq: AtomicU64,
+    woken: u64,
+    longest_round: Time,
+}
+
+impl Agenda {
+    /// Queue `what` at `time` behind everything already queued there.
+    #[inline]
+    pub fn push(&mut self, time: Time, what: WakeWhat) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.push_at_seq(time, seq, what);
+    }
+
+    /// Queue `what` with a tie-break value of [`Self::reserve_seqs`]'s.
+    /// Hardware cannot retroact: a run that is at `now` takes nothing for
+    /// before `now`, in any build — the entry would run late, at the wrong
+    /// instant, and nothing downstream could tell.
+    #[inline]
+    pub fn push_at_seq(&mut self, time: Time, seq: u64, what: WakeWhat) {
+        assert!(
+            time >= self.now,
+            "scheduled at {time} ns, which is in the past of a run that is at {} ns",
+            self.now
+        );
+        self.pending.push(time, seq, what);
+    }
+
+    /// Reserve `n` consecutive tie-break values; returns the first.
+    /// Entries later pushed via [`Self::push_at_seq`] with these values
+    /// interleave with other same-time entries exactly as if they had all
+    /// been pushed at reservation time.
+    #[inline]
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let base = self.seq;
+        self.seq += n;
+        base
+    }
+
+    /// Bring the run clock up to where a process's clock has been walked
+    /// to without queueing (see [`SchedShared::walk`]).
+    #[inline]
+    pub fn catch_up(&mut self, proc_now: Time) {
+        self.now = self.now.max(proc_now);
+    }
+
+    /// True when nothing in the pending queue is due at or before `t` and
+    /// `t` is inside the active run horizon: a process alone until `t` may
+    /// jump its clock there without queueing (see `ProcCtx::advance`).
+    #[inline]
+    pub fn idle_through(&self, t: Time) -> bool {
+        t <= self.horizon && self.pending.peek_time().is_none_or(|first| first > t)
+    }
+
+    /// True when nothing is left in this run but sleeping cycles: it has no
+    /// horizon to stop at, and everything queued is the `Resume` of another
+    /// one — no event is pending and no process is awake or due. (Whoever
+    /// asks is walking a cycle: a dispatching thread, whose own process is
+    /// then asleep behind a queue entry or a signal, or the cycle's process
+    /// going to sleep.) Nothing is left that could write a word, then; but
+    /// a word already written may not have been looked at yet, and the
+    /// process that sees it will wake and write others.
+    fn becalmed(&self) -> bool {
+        self.horizon == Time::MAX && self.pending.len() as u64 == self.cycling
+    }
+
+    /// Asked at the end of each round of a cycle, at `at`: can no look of
+    /// it ever hit? `quiet` is the cycle's memory of the question: how
+    /// many processes had ever been woken, and when, at the first of the
+    /// rounds on end that ended becalmed with none woken since. Between two
+    /// such ends nothing ran but steps of cycles — an event would have had
+    /// to be pending at the first, or scheduled by a process awake after
+    /// it — so no word was written; and once that has lasted longer than
+    /// the longest cycle's round, every sleeping cycle has taken every one
+    /// of its looks since the last write and seen the word it expected.
+    /// None of them will ever see anything else.
+    fn hopeless(&self, quiet: &mut Option<(u64, Time)>, at: Time) -> bool {
+        if !self.becalmed() {
+            *quiet = None;
+            return false;
+        }
+        match *quiet {
+            Some((then, since)) if then == self.woken => at - since > self.longest_round,
+            _ => {
+                *quiet = Some((self.woken, at));
+                false
+            }
+        }
+    }
+
+    /// A cycle whose round takes `round` ns is about to be walked.
+    pub fn note_round(&mut self, round: Time) {
+        self.longest_round = self.longest_round.max(round);
+    }
+}
+
+/// Everything only the baton holder touches: the process table, each
+/// process's chain in its entry, and the [`Agenda`]. One value behind one
+/// lock ([`SchedShared::core`]), so that whoever enters the scheduler
+/// pays for mutual exclusion once, however much it does inside.
+pub(crate) struct Core {
+    pub procs: Vec<ProcEntry>,
+    pub agenda: Agenda,
+    /// Times the core was entered, for the unit tests that pin what a
+    /// stall and a relayed step acquire.
+    #[cfg(test)]
+    pub entries: u64,
+}
+
+pub(crate) type CoreGuard<'a> = MutexGuard<'a, Core>;
+
+/// Scheduler state shared between the run loop, all processes, and every
+/// [`SimHandle`] clone. Only the baton holder executes, so the core's lock
+/// is never contended: it is there for `Send`/`Sync`, and finding it taken
+/// means the holder itself came in a second time (see [`Self::core`]).
+pub(crate) struct SchedShared {
+    core: Mutex<Core>,
+    /// The one thing a thread without the baton touches: where a process
+    /// leaves word for the `run_until` caller it is about to unpark.
+    caller: Mutex<Caller>,
     /// The cross-layer observability log. Scheduler trace entries, layer
     /// spans, and counters all land here; disabled (the default) it costs
     /// one relaxed atomic load per instrumentation site.
     pub recorder: Arc<obs::Recorder>,
-    /// Active run horizon: the advance fast path must not carry a
-    /// process's clock past it (see `ProcCtx::advance`). Atomic: read on
-    /// every fast-path advance, written once per `run_until`.
-    pub horizon: AtomicU64,
     /// Debug builds: the running process and the charged time it has not
     /// settled, so touching shared state in that condition is a panic
-    /// rather than a silently different schedule.
+    /// rather than a silently different schedule. Outside the core: it is
+    /// asked from inside a look and from `walk`'s own push, under the lock.
     #[cfg(debug_assertions)]
-    owing: Mutex<Option<(ProcId, Time)>>,
+    owing: Mutex<Option<(Arc<ProcShared>, Time)>>,
 }
 
 impl SchedShared {
     pub fn new() -> Arc<Self> {
         Arc::new(SchedShared {
-            pending: Mutex::new(PendingQueue::new()),
-            procs: Mutex::new(Vec::new()),
+            core: Mutex::new(Core {
+                procs: Vec::new(),
+                agenda: Agenda {
+                    pending: PendingQueue::new(),
+                    seq: 0,
+                    now: 0,
+                    horizon: Time::MAX,
+                    dispatches: 0,
+                    peak_queue_depth: 0,
+                    grants: 0,
+                    relayed: 0,
+                    cycling: 0,
+                    woken: 0,
+                    longest_round: 0,
+                },
+                #[cfg(test)]
+                entries: 0,
+            }),
             caller: Mutex::new(Caller::default()),
-            now: AtomicU64::new(0),
-            dispatches: AtomicU64::new(0),
-            peak_queue_depth: AtomicUsize::new(0),
-            handoffs: AtomicU64::new(0),
-            relayed: AtomicU64::new(0),
-            cycling: AtomicU64::new(0),
-            woken: AtomicU64::new(0),
-            longest_round: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
             recorder: Arc::new(obs::Recorder::new()),
-            horizon: AtomicU64::new(Time::MAX),
             #[cfg(debug_assertions)]
             owing: Mutex::new(None),
         })
     }
 
-    /// Note what the running process owes (`None`: it settled).
+    /// Enter the scheduler: the only way to its state. Under the baton
+    /// discipline nobody else can be inside, so a lock that is taken was
+    /// taken further up this very stack — by the dispatch loop, around a
+    /// [`crate::Sample::sample`] that then scheduled or spawned or notified
+    /// a [`Signal`]. Waiting for it would wait for ever; this panics.
     #[inline]
-    pub fn set_owing(&self, _owing: Option<(ProcId, Time)>) {
+    pub fn core(&self) -> CoreGuard<'_> {
+        #[cold]
+        fn entered_twice() -> ! {
+            panic!(
+                "the scheduler was entered while it was held: code it runs under its \
+                 lock (a Sample::sample) must not schedule, spawn or notify a Signal"
+            )
+        }
+        #[cfg_attr(not(test), allow(unused_mut))]
+        let Some(mut core) = self.core.try_lock() else {
+            entered_twice()
+        };
+        #[cfg(test)]
+        {
+            core.entries += 1;
+        }
+        core
+    }
+
+    /// Note what process `proc` owes (`None`: the running process settled).
+    #[inline]
+    pub fn set_owing(&self, _owing: Option<(&Arc<ProcShared>, Time)>) {
         #[cfg(debug_assertions)]
         {
-            *self.owing.lock() = _owing;
+            *self.owing.lock() = _owing.map(|(proc, owed)| (Arc::clone(proc), owed));
         }
     }
 
@@ -154,33 +309,37 @@ impl SchedShared {
     #[inline]
     pub fn assert_settled(&self, _what: &str) {
         #[cfg(debug_assertions)]
-        if let Some((id, owed)) = *self.owing.lock() {
-            let name = self.procs.lock()[id.0].shared.name.clone();
+        if let Some((proc, owed)) = &*self.owing.lock() {
             panic!(
-                "{_what} while process '{name}' owes {owed} ns of charged time: \
-                 stall or call ProcCtx::settle() first"
+                "{_what} while process '{}' owes {owed} ns of charged time: \
+                 stall or call ProcCtx::settle() first",
+                proc.name
             );
         }
     }
 
+    // The three ways in for a [`SimHandle`]: enter, do one thing, leave.
+    // Not inlined into the handle's generic methods on purpose — those are
+    // compiled into the calling crate, where entering and leaving the core
+    // would be three calls into this one instead of one (3 % on
+    // `ring_storm`, which makes two of them per dispatch).
+
+    /// Queue `what` at `time`, from outside the scheduler.
     pub fn push(&self, time: Time, what: WakeWhat) {
         self.assert_settled("scheduling");
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.pending.lock().push(time, seq, what);
+        self.core().agenda.push(time, what);
     }
 
-    /// Reserve `n` consecutive tie-break values; returns the first.
-    /// Entries later pushed via [`SchedShared::push_at_seq`] with these
-    /// values interleave with other same-time entries exactly as if they
-    /// had all been pushed at reservation time.
-    pub fn reserve_seqs(&self, n: u64) -> u64 {
-        self.seq.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// Push an entry with an explicitly reserved tie-break value.
+    /// Queue `what` with a reserved tie-break value, from outside the
+    /// scheduler.
     pub fn push_at_seq(&self, time: Time, seq: u64, what: WakeWhat) {
         self.assert_settled("scheduling");
-        self.pending.lock().push(time, seq, what);
+        self.core().agenda.push_at_seq(time, seq, what);
+    }
+
+    /// Reserve `n` consecutive tie-break values, from outside the scheduler.
+    pub fn reserve_seqs(&self, n: u64) -> u64 {
+        self.core().agenda.reserve_seqs(n)
     }
 
     pub fn record(&self, entry: TraceEntry) {
@@ -203,33 +362,15 @@ impl SchedShared {
 
     /// Start a run on the calling thread: it holds the baton.
     pub fn begin_run(&self, horizon: Time) {
-        self.horizon.store(horizon, Ordering::Relaxed);
-        self.now.store(0, Ordering::Relaxed);
-        self.dispatches.store(0, Ordering::Relaxed);
-        self.peak_queue_depth.store(0, Ordering::Relaxed);
-        self.handoffs.store(0, Ordering::Relaxed);
-        self.relayed.store(0, Ordering::Relaxed);
+        let mut core = self.core();
+        let agenda = &mut core.agenda;
+        agenda.horizon = horizon;
+        agenda.now = 0;
+        agenda.dispatches = 0;
+        agenda.peak_queue_depth = 0;
+        agenda.grants = 0;
+        agenda.relayed = 0;
         self.caller.lock().thread = Some(std::thread::current());
-    }
-
-    /// Bring the run clock up to a process's clock, which fast-path
-    /// jumps (see `ProcCtx::advance`) moved without the run's knowing.
-    pub fn catch_up(&self, proc_now: Time) {
-        if proc_now > self.now.load(Ordering::Relaxed) {
-            self.now.store(proc_now, Ordering::Relaxed);
-        }
-    }
-
-    /// True when nothing in the pending queue is due at or before `t` and
-    /// `t` is inside the active run horizon: a process alone until `t` may
-    /// jump its clock there without queueing (see `ProcCtx::advance`).
-    pub fn idle_through(&self, t: Time) -> bool {
-        t <= self.horizon.load(Ordering::Relaxed)
-            && self
-                .pending
-                .lock()
-                .peek_time()
-                .is_none_or(|first| first > t)
     }
 
     /// Walk the steps process `id` owes, from its clock `cur`, as
@@ -241,22 +382,23 @@ impl SchedShared {
     /// when its `Resume` comes up — and any word but the expected one cuts
     /// the chain. A cycle ([`crate::ProcCtx::scan_until`]) starts over
     /// past its last step, so only a look ends it — or its turning out
-    /// [`Self::hopeless`]. Returns `true` when no step is left (the
+    /// [`Agenda::hopeless`]. Returns `true` when no step is left (the
     /// process may run), `false` when a `Resume` was queued, or a cycle was
     /// left unqueued because nothing can end it any more.
     ///
     /// Called by the process when it settles and by [`Self::dispatch`]
-    /// when one of those `Resume`s comes up. Who calls is not an input to
+    /// when one of those `Resume`s comes up, on the core either is already
+    /// in: a step acquires nothing. Who calls is not an input to
     /// anything the walk decides — the queue head, the horizon, the next
     /// tie-break value, the sampled word — so the schedule cannot tell the
     /// difference, and neither can the trace: a queued step gets the
     /// `Yield` entry the process would have written going to sleep on it.
-    pub fn walk(&self, id: ProcId, proc: &ProcShared, mut cur: Time) -> bool {
-        let mut chain = proc.chain.lock();
+    pub fn walk(&self, core: &mut Core, id: ProcId, mut cur: Time) -> bool {
+        let Core { procs, agenda, .. } = core;
+        let ProcEntry { chain, shared, .. } = &mut procs[id.0];
         if let Some(step) = chain.due.take() {
             if chain.is_cycle() {
-                let queued = self.cycling.load(Ordering::Relaxed);
-                self.cycling.store(queued - 1, Ordering::Relaxed);
+                agenda.cycling -= 1;
             }
             if !chain.look(step, cur) {
                 return true;
@@ -265,100 +407,53 @@ impl SchedShared {
         loop {
             let Some(step) = chain.pop() else {
                 if !chain.rewind() {
-                    return true;
+                    break;
                 }
-                if self.hopeless(&mut chain.quiet, cur) {
+                if agenda.hopeless(&mut chain.quiet, cur) {
                     return false;
                 }
                 continue;
             };
             let target = cur + step.dt;
-            if !self.idle_through(target) {
-                self.push(target, WakeWhat::Resume(id));
-                self.record_yield(&proc.name, "ResumeAt", cur);
-                self.catch_up(cur);
+            if !agenda.idle_through(target) {
+                self.assert_settled("scheduling");
+                agenda.push(target, WakeWhat::Resume(id));
+                self.record_yield(&shared.name, "ResumeAt", cur);
+                agenda.catch_up(cur);
                 if chain.is_cycle() {
-                    bump(&self.cycling);
+                    agenda.cycling += 1;
                 }
                 chain.due = Some(step);
                 return false;
             }
             cur = target;
             if !chain.look(step, cur) {
-                return true;
+                break;
             }
         }
-    }
-
-    /// True when nothing is left in this run but sleeping cycles: it has no
-    /// horizon to stop at, and everything queued is the `Resume` of another
-    /// one — no event is pending and no process is awake or due. (Whoever
-    /// asks is walking a cycle: a dispatching thread, whose own process is
-    /// then asleep behind a queue entry or a signal, or the cycle's process
-    /// going to sleep.) Nothing is left that could write a word, then; but
-    /// a word already written may not have been looked at yet, and the
-    /// process that sees it will wake and write others.
-    fn becalmed(&self) -> bool {
-        self.horizon.load(Ordering::Relaxed) == Time::MAX
-            && self.pending.lock().len() as u64 == self.cycling.load(Ordering::Relaxed)
-    }
-
-    /// Asked at the end of each round of a cycle, at `at`: can no look of
-    /// it ever hit? `quiet` is the cycle's memory of the question: how
-    /// many processes had ever been woken, and when, at the first of the
-    /// rounds on end that ended becalmed with none woken since. Between two
-    /// such ends nothing ran but steps of cycles — an event would have had
-    /// to be pending at the first, or scheduled by a process awake after
-    /// it — so no word was written; and once that has lasted longer than
-    /// the longest cycle's round, every sleeping cycle has taken every one
-    /// of its looks since the last write and seen the word it expected.
-    /// None of them will ever see anything else.
-    fn hopeless(&self, quiet: &mut Option<(u64, Time)>, at: Time) -> bool {
-        if !self.becalmed() {
-            *quiet = None;
-            return false;
-        }
-        let woken = self.woken.load(Ordering::Relaxed);
-        match *quiet {
-            Some((then, since)) if then == woken => {
-                at - since > self.longest_round.load(Ordering::Relaxed)
-            }
-            _ => {
-                *quiet = Some((woken, at));
-                false
-            }
-        }
-    }
-
-    /// A cycle whose round takes `round` ns is about to be walked.
-    pub fn note_round(&self, round: Time) {
-        if round > self.longest_round.load(Ordering::Relaxed) {
-            self.longest_round.store(round, Ordering::Relaxed);
-        }
+        // The process runs next, from here: that is what time it is.
+        agenda.catch_up(cur);
+        true
     }
 
     /// The dispatch loop, run by whichever thread holds the baton: the
-    /// `run_until` caller (`me` = `None`) or a process that yielded.
-    /// Pops the global `(time, seq)` minimum and runs events inline until
-    /// the baton has to move or the caller's own `Resume` comes up.
-    pub fn dispatch(&self, me: Option<ProcId>) -> Baton {
-        let horizon = self.horizon.load(Ordering::Relaxed);
+    /// `run_until` caller (`me` = `None`) or a process that yielded, on
+    /// the core it is already in. Pops the global `(time, seq)` minimum and
+    /// runs events inline until the baton has to move or the caller's own
+    /// `Resume` comes up. The core is let go of where somebody else will
+    /// want it and nowhere else: around an event's closure, before another
+    /// process is woken, and on the way out.
+    pub fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
+        let horizon = core.agenda.horizon;
         loop {
-            let item = {
-                let mut q = self.pending.lock();
-                if q.len() > self.peak_queue_depth.load(Ordering::Relaxed) {
-                    self.peak_queue_depth.store(q.len(), Ordering::Relaxed);
-                }
-                q.pop_due(horizon)
-            };
-            let Some((time, what)) = item else {
+            let agenda = &mut core.agenda;
+            agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len());
+            let Some((now, what)) = agenda.pending.pop_due(horizon) else {
                 return Baton::Stop(Returned::Idle);
             };
-            let now = self.now.load(Ordering::Relaxed);
-            debug_assert!(time >= now, "scheduler time went backwards");
-            let now = now.max(time);
-            self.now.store(now, Ordering::Relaxed);
-            bump(&self.dispatches);
+            debug_assert!(now >= agenda.now, "scheduler time went backwards");
+            agenda.now = now;
+            agenda.dispatches += 1;
             match what {
                 WakeWhat::Event(f) => {
                     if self.recorder.is_enabled() {
@@ -368,52 +463,53 @@ impl SchedShared {
                             detail: String::new(),
                         });
                     }
+                    drop(core);
                     // Caught so a panic here never unwinds the body of the
                     // process whose thread happens to run the event.
                     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f.call(now))) {
                         return Baton::Stop(Returned::EventPanic(payload));
                     }
+                    core = self.core();
                 }
                 WakeWhat::Resume(id) => {
-                    let shared = {
-                        let table = self.procs.lock();
-                        let entry = &table[id.0];
-                        // A signal can race with normal completion and
-                        // leave a stale resume in the queue; ignore it.
-                        if entry.finished {
-                            continue;
-                        }
-                        Arc::clone(&entry.shared)
-                    };
+                    let entry = &core.procs[id.0];
+                    // A signal can race with normal completion and
+                    // leave a stale resume in the queue; ignore it.
+                    if entry.finished {
+                        continue;
+                    }
                     if self.recorder.is_enabled() {
                         // Gated so the hot dispatch path never clones the name.
                         self.record(TraceEntry {
                             time: now,
                             kind: TraceKind::Resume,
-                            detail: shared.name.clone(),
+                            detail: entry.shared.name.clone(),
                         });
                     }
                     // Still owing charged steps: it would wake only to
                     // queue the next one and sleep again. Do that for it.
-                    if !self.walk(id, &shared, now) {
-                        bump(&self.relayed);
+                    if !self.walk(&mut core, id, now) {
+                        core.agenda.relayed += 1;
                         continue;
                     }
-                    bump(&self.woken);
+                    core.agenda.woken += 1;
                     if me == Some(id) {
-                        return Baton::Mine;
+                        return Baton::Mine(core);
                     }
-                    bump(&self.handoffs);
-                    shared.wake(GO);
+                    core.agenda.grants += 1;
+                    let wakee = Arc::clone(&core.procs[id.0].shared);
+                    // Woken after the core is released: the wakee enters it.
+                    drop(core);
+                    wakee.wake(GO);
                     return Baton::Granted;
                 }
             }
         }
     }
 
-    /// Give the baton back to the `run_until` caller, from a process thread.
+    /// Give the baton back to the `run_until` caller, from a process
+    /// thread that is out of the core.
     pub fn hand_back(&self, why: Returned) {
-        bump(&self.handoffs);
         let thread = {
             let mut caller = self.caller.lock();
             caller.returned = Some(why);
@@ -434,13 +530,6 @@ impl SchedShared {
     }
 }
 
-/// Increment a run counter. Only the baton holder writes these, so a
-/// plain load and store does, without a locked read-modify-write on the
-/// per-dispatch path.
-fn bump(counter: &AtomicU64) {
-    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-}
-
 /// A cloneable handle into the scheduler. Hardware models hold one to
 /// schedule propagation events; processes obtain one via
 /// [`crate::ProcCtx::handle`].
@@ -451,7 +540,8 @@ pub struct SimHandle {
 
 impl SimHandle {
     /// Schedule `f` to run at absolute virtual time `t`. Scheduling into
-    /// the past is a logic error and panics: hardware cannot retroact.
+    /// the past of an active run is a logic error and panics, here and in
+    /// every build: hardware cannot retroact.
     pub fn schedule_at(&self, t: Time, f: impl FnOnce(Time) + Send + 'static) {
         self.sched.push(t, WakeWhat::Event(EventFn::new(f)));
     }
@@ -468,9 +558,9 @@ impl SimHandle {
 
     /// Schedule `f` at time `t` with an explicit tie-break slot obtained
     /// from [`SimHandle::reserve_order`]. Among entries scheduled for the
-    /// same virtual time, lower slots fire first. Reusing a slot, or
-    /// scheduling a slot after the queue has advanced past its time,
-    /// breaks the determinism contract (but not memory safety).
+    /// same virtual time, lower slots fire first. Reusing a slot breaks
+    /// the determinism contract (but not memory safety); a slot whose time
+    /// the run has passed panics like any scheduling into the past.
     pub fn schedule_at_ordered(&self, t: Time, order: u64, f: impl FnOnce(Time) + Send + 'static) {
         self.sched
             .push_at_seq(t, order, WakeWhat::Event(EventFn::new(f)));
@@ -524,13 +614,111 @@ impl SimHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ProcCtx, RunReport, Sample, Simulation};
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// Words a chain can look at, written by plain stores.
+    struct Words([AtomicU32; 3]);
+
+    impl Sample for Words {
+        fn sample(&self, addr: usize) -> u32 {
+            self.0[addr].load(Ordering::Relaxed)
+        }
+    }
+
+    impl Words {
+        fn new() -> Arc<Self> {
+            Arc::new(Words(Default::default()))
+        }
+
+        fn set(&self, addr: usize) {
+            self.0[addr].store(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Times the core has been entered since `mark` (an earlier reading of
+    /// `Core::entries`), not counting this look.
+    fn entered_since(sched: &SchedShared, mark: u64) -> u64 {
+        sched.core().entries - mark - 1
+    }
+
+    /// Three processes asleep in poll cycles of 100, 150 and 250 ns a
+    /// round, each on a word of its own, until an event at `flip_at` sets
+    /// the first one's; that process, woken, sets the other two. Returns
+    /// how often the run entered the core.
+    fn cycles_until(flip_at: Time) -> (u64, RunReport) {
+        let mut sim = Simulation::new();
+        let mem = Words::new();
+        for (word, lead) in [(0, 20), (1, 70), (2, 170)] {
+            let mem = Arc::clone(&mem);
+            sim.spawn(format!("poller{word}"), move |ctx| {
+                ctx.scan_until(&mem, lead, 30, 50, [(word, 0)]);
+                if word == 0 {
+                    mem.set(1);
+                    mem.set(2);
+                }
+            });
+        }
+        sim.handle().schedule_at(flip_at, move |_| mem.set(0));
+        let sched = sim.handle().sched;
+        let mark = sched.core().entries;
+        let report = sim.run();
+        assert!(report.is_clean());
+        (entered_since(&sched, mark), report)
+    }
+
+    #[test]
+    fn relayed_steps_enter_nothing() {
+        let (near, near_report) = cycles_until(300_000);
+        let (far, far_report) = cycles_until(3_000_000);
+        // Every step is a dispatch, and all but a handful were walked for a
+        // sleeper by whichever thread was dispatching...
+        assert!(near_report.relayed > 15_000, "{near_report:?}");
+        assert!(far_report.relayed > 9 * near_report.relayed);
+        assert_eq!(far_report.handoffs, near_report.handoffs);
+        // ...inside the core it was in already. What enters is the run
+        // (to begin, to dispatch, to report: 3), each process when it is
+        // first granted and when it goes to sleep (6), the loop again after
+        // the event's closure (1), and per process woken: itself, and the
+        // caller to mark it finished and to dispatch on (9). Ten times the
+        // steps in between are not a single entry more.
+        assert_eq!(near, far);
+        assert_eq!(near, 19);
+    }
+
+    #[test]
+    fn a_slow_path_advance_enters_once() {
+        let mut sim = Simulation::new();
+        let mem = Words::new();
+        for (word, lead) in [(0, 20), (1, 70)] {
+            let mem = Arc::clone(&mem);
+            sim.spawn(format!("sleeper{word}"), move |ctx| {
+                ctx.scan_until(&mem, lead, 30, 50, [(word, 0)]);
+            });
+        }
+        sim.spawn("staller", move |ctx: &mut ProcCtx| {
+            let mark = ctx.sched.core().entries;
+            // Rounds of both sleepers' cycles are due first, each step in
+            // the other's way, so this queues its `Resume`, walks theirs
+            // for them and pops its own: the test, the push, every pop and
+            // every step on the one entry.
+            ctx.advance(1_000);
+            assert_eq!(entered_since(&ctx.sched, mark), 1);
+            assert_eq!(ctx.now(), 1_000);
+            mem.set(0);
+            mem.set(1);
+        });
+        let report = sim.run();
+        assert!(report.is_clean());
+        assert!(report.relayed >= 30, "{report:?}");
+    }
 
     #[test]
     fn push_pops_in_fifo_order_at_one_time() {
         let s = SchedShared::new();
         s.push(10, WakeWhat::Resume(ProcId(0)));
         s.push(10, WakeWhat::Resume(ProcId(1)));
-        let mut q = s.pending.lock();
+        let q = &mut s.core().agenda.pending;
         assert_eq!(q.peek_time(), Some(10));
         match (q.pop().unwrap(), q.pop().unwrap()) {
             ((10, WakeWhat::Resume(a)), (10, WakeWhat::Resume(b))) => {
@@ -546,10 +734,10 @@ mod tests {
         let s = SchedShared::new();
         for round in 0..50u64 {
             s.push(round, WakeWhat::Resume(ProcId(round as usize)));
-            let popped = s.pending.lock().pop().unwrap();
+            let popped = s.core().agenda.pending.pop().unwrap();
             assert_eq!(popped.0, round);
         }
-        let q = s.pending.lock();
+        let q = &s.core().agenda.pending;
         assert_eq!(q.len(), 0);
         assert_eq!(q.slab_slots(), 1, "one recycled slot suffices");
     }
@@ -557,14 +745,16 @@ mod tests {
     #[test]
     fn reserved_block_interleaves_as_if_pushed_at_reservation() {
         let s = SchedShared::new();
-        let base = s.reserve_seqs(3);
+        let base = s.core().agenda.reserve_seqs(3);
         // A later plain push at the same time must fire *after* every
         // entry of the earlier reservation, even ones not yet pushed.
         s.push(10, WakeWhat::Resume(ProcId(99)));
-        s.push_at_seq(10, base + 2, WakeWhat::Resume(ProcId(2)));
-        s.push_at_seq(10, base, WakeWhat::Resume(ProcId(0)));
-        s.push_at_seq(10, base + 1, WakeWhat::Resume(ProcId(1)));
-        let mut q = s.pending.lock();
+        let mut core = s.core();
+        for k in [2, 0, 1] {
+            let resume = WakeWhat::Resume(ProcId(k));
+            core.agenda.push_at_seq(10, base + k as u64, resume);
+        }
+        let q = &mut core.agenda.pending;
         let order: Vec<ProcId> = std::iter::from_fn(|| q.pop())
             .map(|(_, what)| match what {
                 WakeWhat::Resume(id) => id,

@@ -55,8 +55,12 @@ impl Signal {
         // entity executes at a time.
         self.inner.sched.assert_settled("notifying a signal");
         let mut waiters = self.inner.waiters.lock();
+        if waiters.is_empty() {
+            return;
+        }
+        let mut core = self.inner.sched.core();
         for id in waiters.drain(..) {
-            self.inner.sched.push(t, WakeWhat::Resume(id));
+            core.agenda.push(t, WakeWhat::Resume(id));
         }
     }
 }

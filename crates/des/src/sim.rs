@@ -1,6 +1,5 @@
 //! The simulation container and its run loop.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::process::{spawn_process, ProcCtx, ProcId, ABORT};
@@ -130,11 +129,16 @@ impl Simulation {
     pub fn run_until(&mut self, horizon: Time) -> RunReport {
         let sched = &self.sched;
         sched.begin_run(horizon);
+        // Every baton that leaves this thread comes back to it once.
+        let mut returns = 0;
         loop {
-            let why = match sched.dispatch(None) {
+            let why = match sched.dispatch(sched.core(), None) {
                 Baton::Stop(why) => why,
-                Baton::Granted => sched.await_return(),
-                Baton::Mine => unreachable!("the caller is not a process"),
+                Baton::Granted => {
+                    returns += 1;
+                    sched.await_return()
+                }
+                Baton::Mine(_) => unreachable!("the caller is not a process"),
             };
             match why {
                 Returned::Idle => break,
@@ -146,9 +150,9 @@ impl Simulation {
                 Returned::EventPanic(payload) => std::panic::resume_unwind(payload),
             }
         }
-        let deadlocked: Vec<String> = if sched.pending.lock().len() == 0 {
-            let table = sched.procs.lock();
-            table
+        let mut core = sched.core();
+        let deadlocked: Vec<String> = if core.agenda.pending.len() == 0 {
+            core.procs
                 .iter()
                 .filter(|p| !p.finished)
                 .map(|p| p.shared.name.clone())
@@ -156,12 +160,14 @@ impl Simulation {
         } else {
             Vec::new()
         };
+        let agenda = &mut core.agenda;
         RunReport {
-            end_time: sched.now.load(Ordering::Relaxed),
-            dispatches: sched.dispatches.load(Ordering::Relaxed),
-            peak_queue_depth: sched.peak_queue_depth.load(Ordering::Relaxed),
-            handoffs: sched.handoffs.load(Ordering::Relaxed),
-            relayed: sched.relayed.load(Ordering::Relaxed),
+            // No run is active any more: the clock goes back to zero.
+            end_time: std::mem::take(&mut agenda.now),
+            dispatches: agenda.dispatches,
+            peak_queue_depth: agenda.peak_queue_depth,
+            handoffs: agenda.grants + returns,
+            relayed: agenda.relayed,
             deadlocked,
         }
     }
@@ -169,13 +175,13 @@ impl Simulation {
     /// Join the thread of a process whose body is over.
     fn mark_finished(&self, id: ProcId) {
         let join = {
-            let mut table = self.sched.procs.lock();
-            let entry = &mut table[id.0];
+            let mut core = self.sched.core();
+            let entry = &mut core.procs[id.0];
             entry.finished = true;
             entry.join.take()
         };
         if let Some(join) = join {
-            let _ = join.join(); // without holding the table lock
+            let _ = join.join(); // out of the core: a thread on its way out may enter it
         }
     }
 }
@@ -190,8 +196,18 @@ impl Drop for Simulation {
     fn drop(&mut self) {
         // Unwind any process thread still parked (deadlocked processes, or
         // a run abandoned at a horizon) so threads never leak across tests.
-        let mut table = self.sched.procs.lock();
-        for entry in table.iter_mut() {
+        // The table is taken out of the core first: an unwinding body drops
+        // what it captured, and a value whose `Drop` schedules or notifies
+        // enters the scheduler — after a run, so whenever it likes.
+        let table = {
+            let mut core = self.sched.core();
+            core.agenda.now = 0;
+            std::mem::take(&mut core.procs)
+        };
+        // Each entry is dropped as the loop is done with it, its chain too:
+        // one cut short mid-sweep still holds what it sampled, and that
+        // holds a handle on this scheduler.
+        for mut entry in table {
             if entry.finished {
                 continue;
             }
@@ -199,9 +215,6 @@ impl Drop for Simulation {
             if let Some(join) = entry.join.take() {
                 let _ = join.join();
             }
-            // A chain cut short mid-sweep still holds what it sampled, and
-            // that holds a handle on this scheduler: break the cycle.
-            entry.shared.chain.lock().cut();
         }
     }
 }

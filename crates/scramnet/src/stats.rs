@@ -48,8 +48,8 @@ impl RingStats {
 }
 
 /// Lock-free accumulation cells behind [`RingStats`]. The hot paths
-/// (`inject_as`, `apply_at`, PIO operations) bump these with relaxed
-/// atomics; [`AtomicRingStats::snapshot`] materializes the plain struct
+/// (`inject_as`, `apply_at`, PIO operations) bump these with a relaxed
+/// load and store; [`AtomicRingStats::snapshot`] materializes the plain struct
 /// for readers. Only one simulation entity runs at a time, so relaxed
 /// ordering loses nothing.
 #[derive(Debug, Default)]
@@ -93,9 +93,11 @@ pub(crate) trait Bump {
 }
 
 impl Bump for AtomicU64 {
+    /// Only the running entity writes these, so a plain load and store
+    /// does, without a locked read-modify-write per PIO access.
     #[inline]
     fn add(&self, n: u64) {
-        self.fetch_add(n, Ordering::Relaxed);
+        self.store(self.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 }
 
