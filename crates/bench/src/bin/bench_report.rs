@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `bench-report` — the machine-readable latency report.
 //!
 //! Runs the paper's core microbenchmarks with the `obs` recorder, then
@@ -8,7 +10,6 @@
 //!
 //! ```text
 //! bench-report [--quick] [--out PATH] [--trace PATH] [--messages]
-//!              [--threads N] [--min-speedup X]
 //! bench-report --check PATH
 //! ```
 //!
@@ -21,36 +22,21 @@
 //!   the instrumented broadcast (send-enter → descriptor → ring →
 //!   flag → match → deliver), print them, and record them in the
 //!   report's `messages` section.
-//! - `--threads N`: also run the broadcast stress scenario on the
-//!   conservative parallel engine with `N` worker threads and record the
-//!   runs, with per-shard utilization / lookahead-stall breakdowns, in
-//!   the report's `wallclock` section. `N > 1` additionally runs the
-//!   1-thread parallel configuration and prints the measured speedup.
-//!   One extra instrumented pass samples the per-shard `par.*` gauge
-//!   series into the report's `timeseries` section — and, with
-//!   `--trace PATH`, as Chrome counter tracks in a sibling
-//!   `<PATH>_par.json`. (Host time of the sequential engine is the repo
-//!   benchmark's job: `benchmark/README.md`.)
-//! - `--min-speedup X`: fail unless the `N`-thread run achieves at
-//!   least `X`× the 1-thread parallel run's events/sec (requires
-//!   `--threads N` with `N > 1`; CI's parallel-engine job passes 2.0 on
-//!   its multi-core runner — don't gate on single-core hosts, where no
-//!   parallel engine can scale).
 //! - `--check PATH`: validate an existing summary against the schema
 //!   and exit (runs no benchmarks).
 //!
-//! Exits non-zero if the report fails its own schema validation, the
-//! measured layering constant deviates from the paper by more than 20%,
-//! or the speedup check trips.
+//! Everything it reports is virtual time; host time is the repo
+//! benchmark's job (`benchmark/README.md`). Exits non-zero if the report
+//! fails its own schema validation or the measured layering constant
+//! deviates from the paper by more than 20%.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use bench::{
-    bbp_pingpong, best_of, crossover, layering_log_histogram, mpi_barrier_run,
-    mpi_bcast_events_telemetry, mpi_one_way_us, mpi_pingpong, one_way_samples, one_way_us,
-    print_table, quorum_partition_counters, report, report_anchor, ring_bcast_stress_par,
-    ring_bcast_stress_par_traced, MpiNet, Series,
+    bbp_pingpong, crossover, layering_log_histogram, mpi_barrier_run, mpi_bcast_events_telemetry,
+    mpi_one_way_us, mpi_pingpong, one_way_samples, one_way_us, print_table,
+    quorum_partition_counters, report, report_anchor, MpiNet, Series,
 };
 use des::Time;
 use obs::report::PAPER_LAYERING_US;
@@ -59,8 +45,8 @@ use smpi::CollectiveImpl;
 /// Maximum tolerated deviation of the layering constant, percent.
 const LAYERING_TOLERANCE_PCT: f64 = 20.0;
 
-const USAGE: &str = "usage: bench-report [--quick] [--out PATH] [--trace PATH] [--messages] \
-                     [--threads N] [--min-speedup X] | --check PATH";
+const USAGE: &str =
+    "usage: bench-report [--quick] [--out PATH] [--trace PATH] [--messages] | --check PATH";
 
 struct Args {
     quick: bool,
@@ -68,8 +54,6 @@ struct Args {
     trace: Option<String>,
     check: Option<String>,
     messages: bool,
-    threads: Option<usize>,
-    min_speedup: Option<f64>,
     help: bool,
 }
 
@@ -80,8 +64,6 @@ fn parse_args() -> Result<Args, String> {
         trace: None,
         check: None,
         messages: false,
-        threads: None,
-        min_speedup: None,
         help: false,
     };
     let mut it = std::env::args().skip(1);
@@ -92,88 +74,11 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?),
             "--check" => args.check = Some(it.next().ok_or("--check needs a path")?),
             "--messages" => args.messages = true,
-            "--threads" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--threads needs a count")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                args.threads = Some(n);
-            }
-            "--min-speedup" => {
-                let x: f64 = it
-                    .next()
-                    .ok_or("--min-speedup needs a factor")?
-                    .parse()
-                    .map_err(|e| format!("--min-speedup: {e}"))?;
-                args.min_speedup = Some(x);
-            }
             "--help" | "-h" => args.help = true,
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
-    if args.min_speedup.is_some() && args.threads.unwrap_or(1) < 2 {
-        return Err("--min-speedup requires --threads N with N > 1".to_string());
-    }
     Ok(args)
-}
-
-/// Time the broadcast stress on the parallel engine at `threads`
-/// workers (and at 1, when `threads > 1`, so the speedup compares the
-/// same engine at two thread counts), record the runs, and apply the
-/// `--min-speedup` check. Returns `Err` with a message if it trips.
-fn run_parallel_wallclock(
-    quick: bool,
-    threads: usize,
-    min_speedup: Option<f64>,
-) -> Result<(), String> {
-    // Best-of-3 per configuration: wall-clock self-measurement shares
-    // the host, so the fastest repetition estimates the engine's cost.
-    let packets = if quick { 500 } else { 2_000 };
-    let mut runs = vec![best_of(3, || ring_bcast_stress_par(16, packets, 1))];
-    if threads > 1 {
-        runs.push(best_of(3, || ring_bcast_stress_par(16, packets, threads)));
-    }
-    println!("\n== parallel-engine wall-clock self-measurement ==");
-    for run in &runs {
-        report::push_wallclock(run);
-        println!(
-            "  {:<28} {:>9} events  {:>7.1} ms  {:>10.0} events/s  {:>12.3e} sim-ns/s  peak depth {}",
-            run.scenario,
-            run.events,
-            run.wall.as_secs_f64() * 1e3,
-            run.events_per_sec(),
-            run.sim_ns_per_sec(),
-            run.peak_queue_depth,
-        );
-        for s in &run.shards {
-            println!(
-                "  {:<28} shard {:>2}: {:>8} events  {:>5.1}% util  {:>7} stall passes  \
-                 mbox peak {:>4}  spilled {:>4}  queue peak {}",
-                "",
-                s.shard,
-                s.events,
-                s.utilization() * 100.0,
-                s.stall_passes,
-                s.max_mailbox_depth,
-                s.spilled,
-                s.peak_queue_depth,
-            );
-        }
-    }
-    if let [t1, tn] = &runs[..] {
-        let s = tn.events_per_sec() / t1.events_per_sec().max(1e-9);
-        println!("  parallel speedup: {s:.2}x at {threads} threads (vs 1-thread parallel run)");
-        if let Some(min) = min_speedup.filter(|&min| s < min) {
-            return Err(format!(
-                "parallel speedup {s:.2}x at {threads} threads is below the required {min:.2}x"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Reconstruct the instrumented broadcast's per-message lifecycle
@@ -338,34 +243,6 @@ fn run() -> Result<(), String> {
     report::push_quantiles("mpi_pingpong_0B", &mpi0);
     report::push_quantiles_log("mpi_layering_0B", &layering_log_histogram(&bbp0, &mpi0));
 
-    // Parallel-engine self-measurement and the self-relative speedup
-    // check.
-    let speedup_failure = args
-        .threads
-        .and_then(|n| run_parallel_wallclock(args.quick, n, args.min_speedup).err());
-
-    // Instrumented parallel run: one extra pass with per-shard gauge
-    // sampling on (separate from the timed best-of runs, which stay
-    // uninstrumented). The `par.*` series land in the `timeseries`
-    // section, and with `--trace` also as Chrome counter tracks in a
-    // sibling `<trace>_par.json` (one track per shard).
-    if let Some(n) = args.threads {
-        let packets = if args.quick { 500 } else { 2_000 };
-        let (_run, par_series) = ring_bcast_stress_par_traced(16, packets, n);
-        report::push_timeseries(&par_series);
-        println!(
-            "  per-shard gauge sampling: {} series recorded at {n} threads",
-            par_series.len()
-        );
-        if let Some(path) = &args.trace {
-            let par_path = format!("{}_par.json", path.trim_end_matches(".json"));
-            let trace = obs::chrome_trace_json_with_telemetry(&[], &par_series);
-            std::fs::write(&par_path, trace)
-                .map_err(|e| format!("failed to write {par_path}: {e}"))?;
-            println!("Parallel-engine counter tracks written to {par_path}");
-        }
-    }
-
     // Write and self-validate the summary.
     let rep = report::finish().expect("report sink was armed at startup");
     std::fs::write(&args.out, rep.validated_json()?)
@@ -378,8 +255,5 @@ fn run() -> Result<(), String> {
             "layering constant off by {dev_pct:.0}% (> {LAYERING_TOLERANCE_PCT:.0}% tolerance)"
         ));
     }
-    match speedup_failure {
-        Some(e) => Err(format!("parallel-engine speedup check tripped: {e}")),
-        None => Ok(()),
-    }
+    Ok(())
 }

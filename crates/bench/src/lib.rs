@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Shared measurement machinery for the experiment harnesses, plus
 //! table/crossover reporting helpers.
 //!
@@ -529,155 +531,6 @@ pub fn mpi_bcast_events_telemetry(
     let series = rec.telemetry().snapshot();
     rec.telemetry().disable();
     (us, rec.take_events(), series)
-}
-
-// ----------------------------------------------------------------------
-// Wall-clock self-measurement of the parallel engine
-// ----------------------------------------------------------------------
-
-/// Host-side throughput of one parallel-engine run: how fast the engine
-/// itself executed, independent of the virtual-time results. These feed
-/// the `wallclock` section of `BENCH_summary.json` and the self-relative
-/// `--threads N --min-speedup X` check (see `docs/PERFORMANCE.md`; the
-/// sequential engine's host-time record is `benchmark/`).
-#[derive(Debug, Clone)]
-pub struct WallclockRun {
-    /// Scenario id (slug, stable across PRs).
-    pub scenario: String,
-    /// Scheduler dispatches executed.
-    pub events: u64,
-    /// Virtual time covered, nanoseconds.
-    pub sim_ns: Time,
-    /// Host wall-clock duration of the engine's `run`.
-    pub wall: std::time::Duration,
-    /// Largest pending-queue depth observed.
-    pub peak_queue_depth: usize,
-    /// Worker threads the engine ran on.
-    pub threads: usize,
-    /// Per-shard execution counters.
-    pub shards: Vec<obs::report::WallclockShard>,
-}
-
-impl WallclockRun {
-    /// Dispatch throughput, events per wall second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Virtual-time throughput, simulated ns per wall second.
-    pub fn sim_ns_per_sec(&self) -> f64 {
-        self.sim_ns as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// The broadcast stress workload on the conservative parallel engine
-/// ([`scramnet::ParRing`] over `des::par`): every node of an
-/// `nodes`-node ring sources `packets_per_node` 16-word packets (one
-/// 64-byte message, the paper's canonical small one) 1 µs apart, sources
-/// staggered 125 ns, each replicating to all other banks, with seeded
-/// link-level bit errors at a low rate. The aggregate rate
-/// oversubscribes the links, so a backlog builds. Executed on `threads`
-/// worker threads with one shard per node; `threads == 1` runs the
-/// identical sharded engine on one worker, so `tN / t1` events/sec is a
-/// pure scaling measurement (same code, same event count). The
-/// per-shard counters land in the run's `shards` breakdown.
-pub fn ring_bcast_stress_par(
-    nodes: usize,
-    packets_per_node: usize,
-    threads: usize,
-) -> WallclockRun {
-    ring_bcast_stress_par_core(nodes, packets_per_node, threads, None).0
-}
-
-/// [`ring_bcast_stress_par`] with continuous telemetry: the run samples
-/// the per-shard `par.*` gauge series (committed-clock skew, calendar
-/// depth, mailbox depth, spill backlog) and returns them alongside the
-/// wall-clock result, ready for [`obs::chrome_trace_json_with_telemetry`]
-/// counter tracks or the report's `timeseries` section. Sampling
-/// contends on the telemetry registry, so use the plain variant for
-/// speedup measurements.
-pub fn ring_bcast_stress_par_traced(
-    nodes: usize,
-    packets_per_node: usize,
-    threads: usize,
-) -> (WallclockRun, Vec<obs::SeriesSnapshot>) {
-    let rec = Arc::new(obs::Recorder::new());
-    rec.telemetry().enable();
-    ring_bcast_stress_par_core(nodes, packets_per_node, threads, Some(rec))
-}
-
-fn ring_bcast_stress_par_core(
-    nodes: usize,
-    packets_per_node: usize,
-    threads: usize,
-    rec: Option<Arc<obs::Recorder>>,
-) -> (WallclockRun, Vec<obs::SeriesSnapshot>) {
-    let mut ring = scramnet::ParRing::new(
-        nodes,
-        8192,
-        scramnet::CostModel::default(),
-        scramnet::ParRingConfig {
-            bit_error_rate: 1e-4,
-            error_seed: 0x5C2A_317E,
-            ..Default::default()
-        },
-    );
-    for node in 0..nodes {
-        for i in 0..packets_per_node {
-            let w = i as u32;
-            ring.seed_packet(
-                node,
-                node as Time * 125 + i as Time * 1_000,
-                node * 32 + (i & 16),
-                (0..16).map(|k| w ^ k).collect(),
-            );
-        }
-    }
-    if let Some(rec) = &rec {
-        ring.set_recorder(Arc::clone(rec));
-    }
-    let t0 = std::time::Instant::now();
-    let report = ring.run(threads);
-    let wall = t0.elapsed();
-    let series = rec.map_or_else(Vec::new, |r| r.telemetry().snapshot());
-    let run = WallclockRun {
-        scenario: format!("ring_bcast_stress_{nodes}node_t{threads}"),
-        events: report.dispatches,
-        sim_ns: report.end_time,
-        wall,
-        peak_queue_depth: report.peak_queue_depth(),
-        threads,
-        shards: report
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| obs::report::WallclockShard {
-                shard: i as u32,
-                events: s.executed,
-                busy_passes: s.busy_passes,
-                stall_passes: s.stall_passes,
-                max_mailbox_depth: s.max_mailbox_depth as u64,
-                spilled: s.spilled,
-                peak_queue_depth: s.peak_queue_depth as u64,
-            })
-            .collect(),
-    };
-    (run, series)
-}
-
-/// Run a wall-clock scenario `reps` times and keep the fastest run by
-/// events/sec. Wall-clock self-measurement shares the host with whatever
-/// else the machine is doing; the minimum-wall repetition is the
-/// standard estimator for the engine's actual cost.
-pub fn best_of(reps: usize, f: impl Fn() -> WallclockRun) -> WallclockRun {
-    (0..reps)
-        .map(|_| f())
-        .max_by(|a, b| {
-            a.events_per_sec()
-                .partial_cmp(&b.events_per_sec())
-                .expect("events/sec is finite")
-        })
-        .expect("at least one repetition")
 }
 
 // ----------------------------------------------------------------------

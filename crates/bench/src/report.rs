@@ -7,7 +7,7 @@
 
 use obs::report::{
     Anchor, BenchReport, Crossover, LayerRow, Layering, Quantiles, Series as ReportSeries, Table,
-    Wallclock, PAPER_LAYERING_US,
+    PAPER_LAYERING_US,
 };
 use parking_lot::Mutex;
 
@@ -188,24 +188,6 @@ pub fn push_message(w: &obs::MessageWaterfall) {
                     node: s.node,
                 })
                 .collect(),
-        })
-    });
-}
-
-/// Record one wall-clock self-measurement run (see
-/// [`crate::WallclockRun`]).
-pub fn push_wallclock(run: &crate::WallclockRun) {
-    with(|r| {
-        r.wallclock.push(Wallclock {
-            scenario: run.scenario.clone(),
-            events: run.events,
-            sim_ns: run.sim_ns,
-            wall_ms: run.wall.as_secs_f64() * 1e3,
-            events_per_sec: run.events_per_sec(),
-            sim_ns_per_sec: run.sim_ns_per_sec(),
-            peak_queue_depth: run.peak_queue_depth as u64,
-            threads: run.threads as u64,
-            shards: run.shards.clone(),
         })
     });
 }

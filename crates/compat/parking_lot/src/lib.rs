@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! A tiny, API-compatible subset of the `parking_lot` crate, implemented
 //! over `std::sync`. The build container has no access to crates.io, so
 //! the workspace vendors the one primitive it actually uses: [`Mutex`]

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! An API-compatible subset of the `proptest` crate. The build container
 //! has no access to crates.io, so the workspace vendors the surface its
 //! property tests use: the `proptest!`/`prop_assert!`/`prop_assert_eq!`/

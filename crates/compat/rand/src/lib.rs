@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! An API-compatible subset of the `rand` crate. The build container has
 //! no access to crates.io, so the workspace vendors exactly the surface
 //! `des::rng::SimRng` uses: [`rngs::StdRng`], [`SeedableRng::seed_from_u64`],

@@ -1,10 +1,8 @@
 //! The banded calendar queue, generic over its payload.
 //!
-//! PR 2 built this structure directly into the scheduler's pending
-//! queue; the parallel engine ([`crate::par`]) needs one event queue
-//! *per shard*, so the calendar lives here as `CalendarQueue<T>` and
-//! both the sequential scheduler (`T = WakeWhat`) and every shard
-//! (`T = ShardEvent<S>`) instantiate it.
+//! The scheduler's pending queue is this structure over `WakeWhat`
+//! payloads; it is generic so that its ordering and recycling can be
+//! tested here with plain payloads, away from the scheduler.
 //!
 //! Keys live in one of three places:
 //! - `batch`: the *near* band — the earliest time-window of keys, sorted

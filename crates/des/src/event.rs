@@ -8,6 +8,37 @@
 //! [`INLINE_BYTES`] bytes (enough for an `Arc` plus a pool pointer, the
 //! shapes the ring and NIC models use) never touch the allocator; larger
 //! ones fall back to a single thin `Box`.
+//!
+//! # Safety contract
+//!
+//! This is the one module of the workspace that says `unsafe` (`des`
+//! denies `unsafe_code` and allows it here; every other crate forbids
+//! it). Each `unsafe` site below cites one of three conditions, and
+//! each condition names the tests at the bottom that exercise it.
+//!
+//! - **layout** — what `data` holds. [`EventFn::new`] is the only
+//!   constructor and both fields are private, so `data` is written once,
+//!   by `new::<F>`, together with a vtable instantiated for the same `F`.
+//!   Under `INLINE` it holds an initialised `F` at offset 0, which `new`
+//!   chooses only if `F` fits ([`VTableFor::FITS_INLINE`]: at most
+//!   [`INLINE_BYTES`] bytes and at most `usize`-aligned, which
+//!   `[MaybeUninit<usize>; _]` is). Under `BOXED` its first word holds
+//!   the `*mut F` of a `Box::into_raw`. Moving an `EventFn` moves `data`
+//!   bytewise, which is how Rust moves an `F` or a pointer anyway.
+//!   (`zero_sized_closure_runs_inline`,
+//!   `closure_of_exactly_the_inline_budget_runs_inline`,
+//!   `small_over_aligned_closure_takes_the_box`.)
+//! - **once** — the stored `F` leaves exactly once. There are two ways
+//!   out: [`EventFn::call`], which takes `self` by value and wraps it in
+//!   `ManuallyDrop` *before* the closure runs, so neither a return nor a
+//!   panic inside the closure can reach `Drop` with `data` moved out;
+//!   and `Drop`, which a value passed to `call` therefore never sees.
+//!   (`panicking_closure_drops_its_captures_once`, the two `dropping_*`
+//!   tests, and `tests/alloc_free_dispatch.rs` for the box itself.)
+//! - **send** — `new` demands `F: Send`, and the boxed pointer is owned
+//!   by this value alone, so sending the `EventFn` sends one `F` and
+//!   nothing shared. (Every process-backed test in the workspace runs
+//!   events on whichever thread holds the baton.)
 
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
@@ -24,7 +55,9 @@ pub const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 
 /// The two operations the queue needs from an erased closure. `call`
 /// consumes the value in place; `drop` destroys it without calling (a
-/// queue being discarded mid-simulation).
+/// queue being discarded mid-simulation). Both take the `data` of an
+/// `EventFn` built with this vtable's `F` and storage kind (**layout**),
+/// and after either returns or unwinds `data` is moved out (**once**).
 struct VTable {
     call: unsafe fn(*mut u8, Time),
     drop: unsafe fn(*mut u8),
@@ -34,23 +67,52 @@ struct VTable {
 /// to a `'static` borrow, so no registration or allocation is needed.
 struct VTableFor<F>(PhantomData<F>);
 
+/// # Safety
+///
+/// `p` is the `data` of an `EventFn` built by `new::<F>` on the inline
+/// path, and nothing reads it as an `F` afterwards.
 unsafe fn call_inline<F: FnOnce(Time)>(p: *mut u8, t: Time) {
+    // SAFETY: layout — `p` is aligned for `F` and holds an initialised
+    // one. once — `read` moves it out before it runs, so a panic inside
+    // drops the captures from this frame, and the caller never touches
+    // `data` again.
     (p.cast::<F>().read())(t)
 }
 
+/// # Safety
+///
+/// As [`call_inline`].
 unsafe fn drop_inline<F>(p: *mut u8) {
+    // SAFETY: layout — a valid, aligned `F`; once — dropped here and
+    // never read again (the caller is `Drop::drop`).
     p.cast::<F>().drop_in_place()
 }
 
+/// # Safety
+///
+/// `p` is the `data` of an `EventFn` built by `new::<F>` on the boxed
+/// path, and nothing reads its pointer afterwards.
 unsafe fn call_boxed<F: FnOnce(Time)>(p: *mut u8, t: Time) {
+    // SAFETY: layout — the first word is the pointer `Box::into_raw`
+    // gave `new`; once — this is the only `from_raw` it will see. The
+    // `F` moves out of the box to be called; the emptied box is freed on
+    // return and on unwind alike.
     (*Box::from_raw(p.cast::<*mut F>().read()))(t)
 }
 
+/// # Safety
+///
+/// As [`call_boxed`].
 unsafe fn drop_boxed<F>(p: *mut u8) {
+    // SAFETY: as `call_boxed`; dropping the box drops the `F` and frees
+    // the allocation.
     drop(Box::from_raw(p.cast::<*mut F>().read()))
 }
 
 impl<F: FnOnce(Time) + Send + 'static> VTableFor<F> {
+    /// Whether an `F` may live in `EventFn::data` itself (**layout**).
+    const FITS_INLINE: bool =
+        size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= align_of::<usize>();
     const INLINE: VTable = VTable {
         call: call_inline::<F>,
         drop: drop_inline::<F>,
@@ -67,21 +129,28 @@ pub struct EventFn {
     vtable: &'static VTable,
 }
 
-// Safety: construction requires `F: Send`, and the closure is only ever
-// moved or invoked through `EventFn`'s owning API.
+// SAFETY: send — the two fields are plain words and a `&'static` to an
+// immutable table of fn pointers; what `data` stands for is one `F: Send`
+// (inline, or behind a pointer nothing else holds), and it is only ever
+// moved, run or dropped through this value.
 unsafe impl Send for EventFn {}
 
 impl EventFn {
     /// Wrap a closure, storing it inline when it fits.
     pub fn new<F: FnOnce(Time) + Send + 'static>(f: F) -> Self {
         let mut data = [MaybeUninit::<usize>::uninit(); INLINE_WORDS];
-        if size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= align_of::<usize>() {
+        if VTableFor::<F>::FITS_INLINE {
+            // SAFETY: layout — `FITS_INLINE` says `data` is big enough
+            // and aligned enough for an `F`; it is uninitialised, so the
+            // write overwrites nothing that needs dropping.
             unsafe { data.as_mut_ptr().cast::<F>().write(f) };
             EventFn {
                 data,
                 vtable: &VTableFor::<F>::INLINE,
             }
         } else {
+            // SAFETY: layout — a thin pointer is one `usize`-aligned word
+            // and `data` has `INLINE_WORDS` of them.
             unsafe {
                 data.as_mut_ptr()
                     .cast::<*mut F>()
@@ -97,12 +166,18 @@ impl EventFn {
     /// Invoke the closure at fire time `t`, consuming it.
     pub fn call(self, t: Time) {
         let mut this = ManuallyDrop::new(self);
+        // SAFETY: layout — `vtable` and `data` were paired by `new`;
+        // once — `self` came by value and is under `ManuallyDrop`, so
+        // this is the only use of `data` and `Drop` cannot follow it,
+        // whether the closure returns or panics.
         unsafe { (this.vtable.call)(this.data.as_mut_ptr().cast(), t) }
     }
 }
 
 impl Drop for EventFn {
     fn drop(&mut self) {
+        // SAFETY: layout — as in `call`; once — `drop` runs at most once
+        // and never on a value `call` consumed.
         unsafe { (self.vtable.drop)(self.data.as_mut_ptr().cast()) }
     }
 }
@@ -110,8 +185,15 @@ impl Drop for EventFn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::{align_of_val, size_of_val};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    /// Where `new` will put this closure (**layout**).
+    fn fits_inline<F: FnOnce(Time) + Send + 'static>(_: &F) -> bool {
+        VTableFor::<F>::FITS_INLINE
+    }
 
     #[test]
     fn small_closure_runs_inline() {
@@ -154,5 +236,93 @@ mod tests {
         assert_eq!(Arc::strong_count(&witness), 2);
         drop(f);
         assert_eq!(Arc::strong_count(&witness), 1);
+    }
+
+    /// **layout**, at its lower edge: a zero-sized `F` is written to and
+    /// read from `data` like any other (no bytes move; the pointer is
+    /// aligned and non-null, which is all a zero-sized access asks).
+    #[test]
+    fn zero_sized_closure_runs_inline() {
+        static HIT: AtomicU64 = AtomicU64::new(0);
+        let f = |t| HIT.store(t, Ordering::SeqCst);
+        assert_eq!(size_of_val(&f), 0);
+        assert!(fits_inline(&f));
+        EventFn::new(f).call(7);
+        assert_eq!(HIT.load(Ordering::SeqCst), 7);
+        drop(EventFn::new(|_| HIT.store(0, Ordering::SeqCst)));
+        assert_eq!(HIT.load(Ordering::SeqCst), 7, "dropped, not called");
+    }
+
+    /// **layout**, at its upper edge: an `F` of exactly `INLINE_BYTES`
+    /// fills `data` to its last word and comes back whole.
+    #[test]
+    fn closure_of_exactly_the_inline_budget_runs_inline() {
+        let words: [usize; INLINE_WORDS - 1] = std::array::from_fn(|i| i + 1);
+        let hit = Arc::new(AtomicU64::new(0));
+        let h = Arc::clone(&hit);
+        let f = move |t: Time| {
+            let sum = words.iter().sum::<usize>() as u64;
+            h.store(t + sum, Ordering::SeqCst)
+        };
+        assert_eq!(size_of_val(&f), INLINE_BYTES);
+        assert!(fits_inline(&f));
+        EventFn::new(f).call(100);
+        assert_eq!(hit.load(Ordering::SeqCst), 100 + 15);
+    }
+
+    /// **layout**: size alone does not admit an `F` — one that is small
+    /// but wants more alignment than `data` has takes the box, which
+    /// aligns it, and runs from there.
+    #[test]
+    fn small_over_aligned_closure_takes_the_box() {
+        #[repr(align(32))]
+        struct Aligned(Arc<AtomicU64>);
+        let hit = Arc::new(AtomicU64::new(0));
+        let aligned = Aligned(Arc::clone(&hit));
+        let f = move |t: Time| {
+            let whole = &aligned; // capture the struct, not just its field
+            whole.0.store(t, Ordering::SeqCst)
+        };
+        assert!(size_of_val(&f) <= INLINE_BYTES && align_of_val(&f) == 32);
+        assert!(!fits_inline(&f));
+        EventFn::new(f).call(5);
+        assert_eq!(hit.load(Ordering::SeqCst), 5, "ran");
+        assert_eq!(Arc::strong_count(&hit), 1, "and released its capture");
+    }
+
+    /// **once**: a closure that panics inside `call` has already been
+    /// moved out of `data`, and `call` holds the `EventFn` under
+    /// `ManuallyDrop` — so the unwind drops its captures exactly once,
+    /// inline and boxed alike.
+    #[test]
+    fn panicking_closure_drops_its_captures_once() {
+        struct CountsDrops(Arc<AtomicU64>);
+        impl Drop for CountsDrops {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicU64::new(0));
+
+        let capture = CountsDrops(Arc::clone(&drops));
+        let inline = move |_: Time| {
+            let _held = &capture;
+            panic!("event closure panicked (inline)")
+        };
+        assert!(fits_inline(&inline));
+        let f = EventFn::new(inline);
+        assert!(catch_unwind(AssertUnwindSafe(|| f.call(0))).is_err());
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "inline");
+
+        let capture = CountsDrops(Arc::clone(&drops));
+        let pad = [0u64; 16];
+        let boxed = move |_: Time| {
+            let _held = (&capture, std::hint::black_box(&pad));
+            panic!("event closure panicked (boxed)")
+        };
+        assert!(!fits_inline(&boxed));
+        let f = EventFn::new(boxed);
+        assert!(catch_unwind(AssertUnwindSafe(|| f.call(0))).is_err());
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "boxed");
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! # `des` — a deterministic discrete-event simulation kernel
 //!
@@ -116,6 +117,13 @@
 //! follow is: **never hold a lock across a yield point**
 //! ([`ProcCtx::advance`], [`ProcCtx::wait`], …).
 //!
+//! ## `unsafe`
+//!
+//! This crate denies `unsafe_code` everywhere but in one private module,
+//! the inline-closure storage behind every scheduled event (`event.rs`,
+//! whose header states the contract and names the tests that exercise
+//! it); every other crate of the workspace forbids it outright.
+//!
 //! ## Determinism, tracing, and observability
 //!
 //! [`Simulation::enable_trace`] records every scheduling decision; the
@@ -131,6 +139,7 @@
 //! run's wherever it has charged time it has not yet settled.
 
 mod calq;
+#[allow(unsafe_code)] // the one exception: see "`unsafe`" above
 mod event;
 mod pq;
 mod process;
@@ -139,7 +148,6 @@ mod signal;
 mod sim;
 mod time;
 
-pub mod par;
 pub mod queue;
 pub mod rng;
 

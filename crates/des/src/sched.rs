@@ -45,9 +45,8 @@ pub(crate) enum WakeWhat {
 // all-events `ring_storm` benchmark. The chain lives in the process table.
 const _: () = assert!(std::mem::size_of::<WakeWhat>() == 56);
 
-/// The sequential scheduler's pending queue: one banded calendar
-/// ([`CalendarQueue`]) over `WakeWhat` payloads. The parallel engine
-/// instantiates the same calendar once per shard (see [`crate::par`]).
+/// The scheduler's pending queue: one banded calendar
+/// ([`CalendarQueue`]) over `WakeWhat` payloads.
 pub(crate) type PendingQueue = CalendarQueue<WakeWhat>;
 
 /// Why the baton came back to the `run_until` caller.

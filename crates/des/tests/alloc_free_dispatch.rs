@@ -9,10 +9,12 @@
 //! `run_until` caller's thread, or inline on a `des-*` process thread
 //! that yielded (the second half below) — and everything runs inside ONE
 //! test function: a sibling test on another harness thread would pollute
-//! the counter.
+//! the counter. Its last lines are the other side of the inline budget:
+//! an over-size closure costs exactly one box, and a queue dropped with
+//! it pending gives the box back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use std::sync::Arc;
 
@@ -21,10 +23,13 @@ use des::{Sample, SimHandle, Simulation, Time};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Blocks handed out and not yet handed back.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::SeqCst);
+        LIVE.fetch_add(1, Ordering::SeqCst);
         System.alloc(layout)
     }
 
@@ -34,6 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(1, Ordering::SeqCst);
         System.dealloc(ptr, layout)
     }
 }
@@ -194,6 +200,40 @@ fn event_dispatch_is_alloc_free_after_warmup() {
         cycled.load(Ordering::SeqCst),
         0,
         "scan_until + rounds started over + hit allocated"
+    );
+
+    // What the inline budget leaves out: a closure over it costs one box,
+    // and a queue dropped with that event still pending hands the box
+    // back (`des::event`'s *once* contract — `Drop` is the other way out
+    // of an `EventFn`).
+    let dropped_pending = |over_size: bool| {
+        let (allocs, live) = (ALLOCS.load(Ordering::SeqCst), LIVE.load(Ordering::SeqCst));
+        let sim = Simulation::new();
+        let pad = [0x5Cu64; 32];
+        if over_size {
+            sim.handle().schedule_at(10, move |_| {
+                std::hint::black_box(&pad);
+            });
+        } else {
+            sim.handle().schedule_at(10, |_| {});
+        }
+        drop(sim);
+        (
+            ALLOCS.load(Ordering::SeqCst) - allocs,
+            LIVE.load(Ordering::SeqCst) - live,
+        )
+    };
+    let (inline_allocs, inline_left) = dropped_pending(false);
+    let (boxed_allocs, boxed_left) = dropped_pending(true);
+    assert_eq!(
+        boxed_allocs,
+        inline_allocs + 1,
+        "one box per over-size event"
+    );
+    assert_eq!(
+        (inline_left, boxed_left),
+        (0, 0),
+        "a simulation dropped with an event pending left blocks behind"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.

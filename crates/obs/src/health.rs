@@ -94,7 +94,7 @@ pub struct Violation {
     pub rule: String,
     /// Metric name of the offending series.
     pub metric: String,
-    /// Node (or shard) of the offending series; for an unsampled rule
+    /// Node of the offending series; for an unsampled rule
     /// the node it is scoped to, or [`crate::NO_NODE`].
     pub node: u32,
     /// Sim-time window `[t0, t1]` where the rule broke (`(0, 0)` when

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # `obs` — cross-layer observability
 //!
@@ -28,9 +29,9 @@
 //!   events.
 //!
 //! - **Gauges** ([`timeseries::Telemetry`]) sample load-bearing state —
-//!   queue residencies, credit balances, shard clock skew, membership
-//!   grades — into fixed-capacity downsampling time series on their own
-//!   enable gate, and the [`health::HealthSpec`] engine turns campaign
+//!   queue residencies, credit balances, membership grades — into
+//!   fixed-capacity downsampling time series on their own enable gate,
+//!   and the [`health::HealthSpec`] engine turns campaign
 //!   invariants over those series into declarative rules.
 //!
 //! - **Campaigns** ([`campaign`]): the one runner every seed-sampled

@@ -13,8 +13,8 @@ use crate::json::{self, Json};
 /// Version stamped into every report; bump on breaking schema changes.
 /// It is also the only version [`validate_json`] accepts: an older
 /// artifact validates with the `bench-report --check` of its own commit
-/// (docs/OBSERVABILITY.md, "The bench report", lists what v2–v5 lacked).
-pub const SCHEMA_VERSION: u32 = 6;
+/// (docs/OBSERVABILITY.md, "The bench report", says how v2–v6 differ).
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Oldest schema version [`validate_json`] still accepts.
 pub const MIN_SCHEMA_VERSION: u32 = SCHEMA_VERSION;
@@ -251,97 +251,6 @@ impl From<&MessageRow> for Json {
     }
 }
 
-/// Per-shard execution counters of one parallel wallclock run: the
-/// utilization / lookahead-stall breakdown.
-#[derive(Debug, Clone, Default)]
-pub struct WallclockShard {
-    /// Shard id.
-    pub shard: u32,
-    /// Events executed on this shard.
-    pub events: u64,
-    /// Scheduling passes that executed at least one event.
-    pub busy_passes: u64,
-    /// Passes where pending events all sat above the conservative safe
-    /// bound (lookahead stalls).
-    pub stall_passes: u64,
-    /// Deepest in-link mailbox observed.
-    pub max_mailbox_depth: u64,
-    /// Posts that overflowed a bounded mailbox into the sender spill.
-    pub spilled: u64,
-    /// Largest local pending-queue depth observed.
-    pub peak_queue_depth: u64,
-}
-
-impl WallclockShard {
-    /// Fraction of scheduling passes that made progress (0 when the
-    /// shard never passed) — the utilization figure the bench report
-    /// prints.
-    pub fn utilization(&self) -> f64 {
-        let total = self.busy_passes + self.stall_passes;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy_passes as f64 / total as f64
-        }
-    }
-}
-
-impl From<&WallclockShard> for Json {
-    fn from(s: &WallclockShard) -> Json {
-        Json::obj([
-            ("shard", s.shard.into()),
-            ("events", s.events.into()),
-            ("busy_passes", s.busy_passes.into()),
-            ("stall_passes", s.stall_passes.into()),
-            ("max_mailbox_depth", s.max_mailbox_depth.into()),
-            ("spilled", s.spilled.into()),
-            ("peak_queue_depth", s.peak_queue_depth.into()),
-            ("utilization", s.utilization().into()),
-        ])
-    }
-}
-
-/// One wall-clock self-measurement: how fast the simulator itself ran
-/// one scenario on the host, independent of virtual-time results.
-#[derive(Debug, Clone, Default)]
-pub struct Wallclock {
-    /// Scenario id, e.g. `"ring_bcast_stress_16node_t4"`.
-    pub scenario: String,
-    /// Scheduler dispatches executed (events + process resumptions).
-    pub events: u64,
-    /// Virtual time covered by the run, nanoseconds.
-    pub sim_ns: u64,
-    /// Host wall-clock time for the run, milliseconds.
-    pub wall_ms: f64,
-    /// Dispatch throughput: `events / wall seconds`.
-    pub events_per_sec: f64,
-    /// Virtual-time throughput: simulated nanoseconds per wall second.
-    pub sim_ns_per_sec: f64,
-    /// Largest pending-queue depth observed during the run (summed over
-    /// shards for parallel runs).
-    pub peak_queue_depth: u64,
-    /// Worker threads the engine ran on (1 = sequential engine).
-    pub threads: u64,
-    /// Per-shard breakdown (empty for sequential-engine runs).
-    pub shards: Vec<WallclockShard>,
-}
-
-impl From<&Wallclock> for Json {
-    fn from(w: &Wallclock) -> Json {
-        Json::obj([
-            ("scenario", w.scenario.as_str().into()),
-            ("events", w.events.into()),
-            ("sim_ns", w.sim_ns.into()),
-            ("wall_ms", w.wall_ms.into()),
-            ("events_per_sec", w.events_per_sec.into()),
-            ("sim_ns_per_sec", w.sim_ns_per_sec.into()),
-            ("peak_queue_depth", w.peak_queue_depth.into()),
-            ("threads", w.threads.into()),
-            ("shards", Json::arr(&w.shards)),
-        ])
-    }
-}
-
 /// One rung of a capacity scenario's load-multiplier ladder.
 #[derive(Debug, Clone, Default)]
 pub struct CapacityCell {
@@ -385,7 +294,7 @@ impl From<&CapacityCell> for Json {
 pub struct TimeseriesRow {
     /// Gauge name (dot-scoped by layer, e.g. `rpc.buffers_in_use`).
     pub name: String,
-    /// Owning node (or shard id for `par.*` gauges).
+    /// Owning node.
     pub node: u32,
     /// Observations folded into the series.
     pub n: u64,
@@ -508,9 +417,6 @@ pub struct BenchReport {
     /// Per-message lifecycle waterfalls (empty unless the run traced
     /// messages).
     pub messages: Vec<MessageRow>,
-    /// Wall-clock self-measurements of the parallel engine
-    /// (`bench-report --threads N`).
-    pub wallclock: Vec<Wallclock>,
     /// Workload-campaign capacity results.
     pub capacity: Vec<CapacityScenario>,
     /// Continuous-gauge summaries.
@@ -534,7 +440,6 @@ impl From<&BenchReport> for Json {
             ("capacity", Json::arr(&r.capacity)),
             ("timeseries", Json::arr(&r.timeseries)),
             ("quorum", Json::arr(&r.quorum)),
-            ("wallclock", Json::arr(&r.wallclock)),
         ])
     }
 }
@@ -572,7 +477,6 @@ pub fn exemplar(options: bool) -> BenchReport {
         layering: options.then(Layering::default),
         quantiles: vec![Quantiles::default()],
         messages: vec![MessageRow::default()],
-        wallclock: vec![Wallclock::default()],
         capacity: vec![CapacityScenario::default()],
         timeseries: vec![TimeseriesRow::default()],
         quorum: vec![QuorumRow::default()],
@@ -582,7 +486,6 @@ pub fn exemplar(options: bool) -> BenchReport {
     r.tables[0].series[0].values = vec![0.0];
     r.crossovers[0].at_bytes = options.then_some(0);
     r.messages[0].stages = vec![MessageStage::default()];
-    r.wallclock[0].shards = vec![WallclockShard::default()];
     r.capacity[0].cells = vec![CapacityCell::default()];
     r
 }
@@ -721,17 +624,6 @@ mod tests {
                     },
                 ],
             }],
-            wallclock: vec![Wallclock {
-                scenario: "ring_bcast_stress_16node".to_string(),
-                events: 500_000,
-                sim_ns: 2_000_000_000,
-                wall_ms: 120.0,
-                events_per_sec: 4_166_666.0,
-                sim_ns_per_sec: 1.6e10,
-                peak_queue_depth: 48,
-                threads: 1,
-                shards: vec![],
-            }],
             capacity: vec![CapacityScenario {
                 scenario: "incast".to_string(),
                 size: 64,
@@ -805,7 +697,7 @@ mod tests {
 
     #[test]
     fn only_the_current_schema_version_is_accepted() {
-        for other in [1u32, 5, 7, 99] {
+        for other in [1u32, 6, 8, 99] {
             let Json::Obj(mut root) = Json::from(&sample()) else {
                 unreachable!("a report is an object")
             };
@@ -813,7 +705,7 @@ mod tests {
             root[0].1 = other.into();
             let err = validate_json(&Json::Obj(root).to_document()).unwrap_err();
             assert!(
-                err.contains("schema_version") && err.contains("6..=6"),
+                err.contains("schema_version") && err.contains("7..=7"),
                 "v{other}: {err}"
             );
         }
@@ -901,11 +793,6 @@ mod tests {
             ".quorum[0].stale_epoch_rejects",
             ".capacity",
             ".cells[0].sheds_per_sec",
-            ".wallclock",
-            ".wallclock[0].threads",
-            ".wallclock[0].events_per_sec",
-            ".wallclock[0].shards",
-            ".shards[0].stall_passes",
             ".quantiles[0].p999_us",
             ".messages",
             ".stages[0].at_us",
@@ -951,56 +838,6 @@ mod tests {
         r.layers[0].self_us = f64::NAN;
         let err = r.validated_json().unwrap_err();
         assert!(err.contains("report.layers[0].self_us"), "{err}");
-    }
-
-    #[test]
-    fn shard_breakdown_round_trips() {
-        let mut r = sample();
-        r.wallclock[0].threads = 4;
-        r.wallclock[0].shards = vec![
-            WallclockShard {
-                shard: 0,
-                events: 1000,
-                busy_passes: 90,
-                stall_passes: 10,
-                max_mailbox_depth: 7,
-                spilled: 0,
-                peak_queue_depth: 33,
-            },
-            WallclockShard {
-                shard: 1,
-                events: 980,
-                busy_passes: 80,
-                stall_passes: 20,
-                max_mailbox_depth: 5,
-                spilled: 2,
-                peak_queue_depth: 31,
-            },
-        ];
-        let text = r.to_json();
-        validate_json(&text).unwrap();
-        let doc = json::parse(&text).unwrap();
-        let shards: Vec<&Json> = doc
-            .items("wallclock")
-            .flat_map(|w| w.items("shards"))
-            .collect();
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[1].get("stall_passes"), Some(&Json::Num(20.0)));
-        assert_eq!(shards[1].get("utilization"), Some(&Json::Num(0.8)));
-    }
-
-    #[test]
-    fn shard_utilization_is_busy_share() {
-        let s = WallclockShard {
-            shard: 0,
-            events: 0,
-            busy_passes: 3,
-            stall_passes: 1,
-            max_mailbox_depth: 0,
-            spilled: 0,
-            peak_queue_depth: 0,
-        };
-        assert!((s.utilization() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The event log (spans, counters, lifecycle) answers *what happened*;
 //! this module answers *how the system's state evolved*: queue
-//! residencies, credit balances, shard clock skew, membership grades —
+//! residencies, credit balances, membership grades —
 //! anything a layer can express as "at sim-time `t`, gauge `g` on node
 //! `n` had value `v`".
 //!
@@ -208,7 +208,7 @@ impl Series {
 pub struct SeriesSnapshot {
     /// Gauge name (dot-scoped by layer, e.g. `rpc.buffers_in_use`).
     pub name: &'static str,
-    /// Owning node (or shard id for `par.*` gauges).
+    /// Owning node.
     pub node: u32,
     /// Current bucket width after downsampling.
     pub bucket_ns: Time,
@@ -286,10 +286,8 @@ impl SeriesSnapshot {
 /// The gauge registry: every [`crate::Recorder`] owns one.
 ///
 /// Series are keyed `(name, node)` and created lazily on the first
-/// enabled observation. The inner mutex is uncontended in sequential
-/// simulation; `des::par` worker threads sampling concurrently contend
-/// briefly, which is acceptable because telemetry is diagnostic and
-/// never golden-gated.
+/// enabled observation. The inner mutex is uncontended: one entity of
+/// a simulation runs at a time.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: AtomicBool,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # `rpc` — zero-copy request/reply serving over the BillBoard Protocol
 //!

@@ -126,19 +126,6 @@ impl CostModel {
         }
     }
 
-    /// The conservative-parallel link lookahead: a hard lower bound, in
-    /// nanoseconds, on how soon an event at one node can affect its
-    /// downstream ring neighbour. Physics sets it — a packet must cross
-    /// at least the bypass switch (the fastest path through a node
-    /// position), so no cross-node influence can travel faster than
-    /// `min(hop_ns, bypass_hop_ns)`. The parallel engine
-    /// ([`des::par::ParSim`]) uses exactly this value as the per-link
-    /// lookahead; it must be strictly positive or the conservative
-    /// clock bound cannot advance around the ring.
-    pub fn link_lookahead_ns(&self) -> Time {
-        self.hop_ns.min(self.bypass_hop_ns)
-    }
-
     /// Effective aggregate data throughput in MB/s for `mode`, as a check
     /// against the paper's quoted 6.5 / 16.7 MB/s.
     pub fn throughput_mb_s(&self, mode: TxMode) -> f64 {
@@ -205,19 +192,6 @@ mod tests {
             at < below + c.pio_write_ns,
             "burst must be cheaper at the switch"
         );
-    }
-
-    #[test]
-    fn link_lookahead_is_the_fastest_node_crossing() {
-        let c = CostModel::default();
-        assert_eq!(c.link_lookahead_ns(), c.hop_ns.min(c.bypass_hop_ns));
-        assert!(
-            c.link_lookahead_ns() > 0,
-            "zero lookahead would wedge the conservative engine"
-        );
-        // The calibrated bypass switch is faster than a live insertion
-        // register, so it is the binding constraint.
-        assert_eq!(c.link_lookahead_ns(), c.bypass_hop_ns);
     }
 
     #[test]

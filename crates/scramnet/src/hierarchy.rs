@@ -214,6 +214,32 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "node 4 already has an apply tap")]
+    fn recording_a_bridge_slot_is_refused_not_swapped_in() {
+        let sim = Simulation::new();
+        let h = hierarchy(&sim, 3, 4);
+        // Local slot 4 of a 4-host leaf is its bridge: its tap is the
+        // leaf's only way onto the backbone.
+        h.leaf_of(0).record_deliveries(4);
+    }
+
+    #[test]
+    fn recording_a_host_slot_leaves_forwarding_alone() {
+        let mut sim = Simulation::new();
+        let h = hierarchy(&sim, 3, 4);
+        let heard = h.leaf_of(5).record_deliveries(1); // host 5, on leaf 1
+        let nic = h.nic(0);
+        sim.spawn("w", move |ctx| nic.write_word(ctx, 77, 0xFEED));
+        sim.run();
+        for host in 0..12 {
+            assert_eq!(h.snapshot(host)[77], 0xFEED, "host {host}");
+        }
+        let heard = heard.lock();
+        assert_eq!(heard.len(), 1);
+        assert_eq!((heard[0].writer, heard[0].addr), (0, 77));
+    }
+
+    #[test]
     fn forwarding_terminates_no_echo_storms() {
         let mut sim = Simulation::new();
         let h = hierarchy(&sim, 2, 2);

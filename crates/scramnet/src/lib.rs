@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # `scramnet` — a model of the SCRAMNet replicated shared-memory network
 //!
@@ -53,7 +54,6 @@ pub mod fault;
 mod hierarchy;
 mod nic;
 mod ring;
-pub(crate) mod shard;
 mod stats;
 
 pub use bank::{bank_storage_allocated, WriteRecord};
@@ -61,8 +61,7 @@ pub use cost::{CostModel, TxMode};
 pub use fault::{FaultAt, FaultPlan};
 pub use hierarchy::{HierarchyConfig, RingHierarchy};
 pub use nic::Nic;
-pub use ring::{ReachabilitySet, Ring, RingConfig};
-pub use shard::{Delivery, HeartbeatConfig, ParRing, ParRingConfig, ViewRecord};
+pub use ring::{Delivery, ReachabilitySet, Ring, RingConfig};
 pub use stats::RingStats;
 
 /// SCRAMNet's transfer unit: a 32-bit word. All shared-memory offsets in

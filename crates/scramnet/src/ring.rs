@@ -284,7 +284,7 @@ impl RingShared {
 /// statistically identical, still seeded and deterministic, but a clean
 /// apply costs one subtraction instead of one RNG draw per word — at
 /// realistic error rates virtually every apply is clean.
-pub(crate) struct ErrorInjector {
+struct ErrorInjector {
     rate: f64,
     rng: des::rng::SimRng,
     /// Clean words remaining before the next flip.
@@ -292,7 +292,7 @@ pub(crate) struct ErrorInjector {
 }
 
 impl ErrorInjector {
-    pub(crate) fn new(rate: f64, seed: u64) -> Self {
+    fn new(rate: f64, seed: u64) -> Self {
         let mut inj = ErrorInjector {
             rate: rate.min(1.0),
             rng: des::rng::SimRng::seeded(seed),
@@ -318,7 +318,7 @@ impl ErrorInjector {
     /// Walk a span of `len` applied words, calling `flip(idx, bit)` for
     /// each corrupted one. The fast path — no flip lands in the span —
     /// is a single compare-and-subtract.
-    pub(crate) fn corrupt_span(&mut self, len: usize, mut flip: impl FnMut(usize, u32)) {
+    fn corrupt_span(&mut self, len: usize, mut flip: impl FnMut(usize, u32)) {
         let len = len as u64;
         if self.countdown >= len {
             self.countdown -= len;
@@ -332,6 +332,20 @@ impl ErrorInjector {
         }
         self.countdown = i - len;
     }
+}
+
+/// One observed bank apply: the unit of a node's delivered stream
+/// ([`Ring::record_deliveries`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delivery {
+    /// Virtual time of the apply (packet tail for transit applies).
+    pub time: Time,
+    /// Global id of the writing node.
+    pub writer: usize,
+    /// First word address of the write.
+    pub addr: WordAddr,
+    /// The applied words (after any transit corruption).
+    pub data: Vec<Word>,
 }
 
 /// The SCRAMNet ring. Cloning is cheap and yields another handle onto the
@@ -543,18 +557,21 @@ impl Ring {
 
     /// Record every bank apply on `node` — source writes and replicated
     /// transit writes alike — into the returned shared log, as
-    /// [`Delivery`](crate::Delivery) records. This is the observable
-    /// *delivered message stream* the parallel engine
-    /// ([`crate::ParRing`]) is gated against. Installs `node`'s apply
-    /// tap, so it cannot be combined with bridge forwarding on the same
-    /// node (test harnesses only).
-    pub fn record_deliveries(&self, node: usize) -> Arc<Mutex<Vec<crate::shard::Delivery>>> {
+    /// [`Delivery`] records: the node's observable *delivered message
+    /// stream* (test harnesses only). Installs `node`'s apply tap, and a
+    /// node has one.
+    ///
+    /// # Panics
+    ///
+    /// If `node` already has a tap — a second recording, or a bridge
+    /// slot of a [`crate::RingHierarchy`], whose forwarding is its tap.
+    pub fn record_deliveries(&self, node: usize) -> Arc<Mutex<Vec<Delivery>>> {
         let log = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
         self.set_tap(
             node,
             Box::new(move |writer, addr, data, t| {
-                sink.lock().push(crate::shard::Delivery {
+                sink.lock().push(Delivery {
                     time: t,
                     writer,
                     addr,
@@ -949,10 +966,17 @@ impl RingShared {
         self.bypassed.set(node, on);
     }
 
+    /// Install `node`'s apply tap. A node has one: replacing a bridge's
+    /// would silently cut its leaf off the backbone.
     pub(crate) fn set_tap(&self, node: usize, tap: Tap) {
-        if self.taps.lock()[node].replace(tap).is_none() {
-            self.tap_count.add(1);
-        }
+        let mut taps = self.taps.lock();
+        assert!(
+            taps[node].is_none(),
+            "node {node} already has an apply tap: a bridge slot forwards through \
+             its own, and a node's deliveries are recorded once"
+        );
+        taps[node] = Some(tap);
+        self.tap_count.add(1);
     }
 
     pub fn add_watch(&self, node: usize, start: WordAddr, end: WordAddr, signal: Signal) {

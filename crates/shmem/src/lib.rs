@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # `shmem` — shared-memory programming on SCRAMNet
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # `smpi` — an MPI subset layered the way MPICH is
 //!

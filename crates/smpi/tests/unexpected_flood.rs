@@ -5,10 +5,7 @@
 //! to exactly the flood size), then fully drain to zero once the
 //! receives post — bit-exact payloads, for both the eager protocol
 //! (whole messages park) and the rendezvous protocol (RTS announcements
-//! park). Runs on the sequential engine only: the MPI stack lives in
-//! process closures, which the sharded parallel engine does not host
-//! (ROADMAP item 2 tracks process support for `ParRing`), so "where
-//! supported" is — today — the sequential engine.
+//! park).
 
 use std::sync::Arc;
 

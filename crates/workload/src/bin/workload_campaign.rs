@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `workload-campaign` — run the workload campaign matrix and emit the
 //! capacity report.
 //!
