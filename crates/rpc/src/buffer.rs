@@ -1,15 +1,22 @@
-//! Message buffers with explicit ownership transfer.
+//! The frame and the two things that hold one.
 //!
-//! A [`MessageBuffer`] is allocated once and then cycles through a fixed
-//! ownership state machine; every transition is checked, so a stale
-//! handle (writing into a buffer already enqueued, replying twice)
-//! panics at the violation instead of corrupting a frame in flight:
+//! Who may touch a pool slot is a matter of which type one holds, so
+//! the compiler checks the ownership cycle and nothing here asserts it:
 //!
 //! ```text
-//!   OwnedByCaller ──poll──▶ EnqueuedAsRequest ──dispatch──▶ OwnedByCallee
-//!        ▲                                                      │
-//!        └────────── flush/reply ◀── EnqueuedAsReply ◀── reply──┘
+//!   MessageBuffer ──poll──▶ (queued, private) ──dispatch──▶ Request
+//!        ▲                                                     │
+//!        └────── flush ◀────── (staged, private) ◀────reply────┘
 //! ```
+//!
+//! A [`MessageBuffer`] is a frame its holder may read and write: the
+//! client's staging buffer, a slot in the server's free pool. A
+//! [`Request`] is the callee's handle on one pool slot between
+//! [`crate::MessageQueue::dispatch`], the only function that hands one
+//! out, and [`crate::MessageQueue::reply`], the only one that takes it
+//! back — by value, so sending the reply revokes the handle. Queued
+//! requests and staged replies sit in the queue's private deques, where
+//! no caller can reach their bytes.
 //!
 //! The frame layout is a fixed 16-byte header followed by the body. The
 //! reply is written *in place* over the request body — same buffer, same
@@ -36,21 +43,6 @@ pub enum Priority {
     High,
     /// The default class.
     Normal,
-}
-
-/// Where a buffer currently is in the ownership cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BufferState {
-    /// Owned by its home pool (server) or by the client that allocated
-    /// it; free to (re)write.
-    OwnedByCaller,
-    /// Holds a received request, queued for dispatch; owned by the
-    /// [`crate::MessageQueue`].
-    EnqueuedAsRequest,
-    /// Handed to the request handler, which writes the reply in place.
-    OwnedByCallee,
-    /// Holds a finished reply, awaiting transmission.
-    EnqueuedAsReply,
 }
 
 /// A decoded frame header.
@@ -89,21 +81,13 @@ impl Header {
     }
 }
 
-/// A preallocated request/reply buffer with checked ownership transfer.
+/// A preallocated frame its holder may read and write: header plus up
+/// to `capacity` body bytes.
 #[derive(Debug)]
 pub struct MessageBuffer {
     bytes: Box<[u8]>,
     /// Current frame length (header + body).
     len: usize,
-    state: BufferState,
-    /// BBP rank of the requesting client node (server side).
-    src: usize,
-    /// Trace id of the request (0 = untraced), re-published on reply so
-    /// both directions form one causal chain.
-    trace: u64,
-    /// When the request was accepted off the billboard (for queue
-    /// residency measurement).
-    enqueued_at: Time,
 }
 
 impl MessageBuffer {
@@ -112,21 +96,12 @@ impl MessageBuffer {
         MessageBuffer {
             bytes: vec![0u8; HEADER_BYTES + body_capacity].into_boxed_slice(),
             len: HEADER_BYTES,
-            state: BufferState::OwnedByCaller,
-            src: usize::MAX,
-            trace: 0,
-            enqueued_at: 0,
         }
     }
 
     /// Body bytes this buffer can carry.
     pub fn capacity(&self) -> usize {
         self.bytes.len() - HEADER_BYTES
-    }
-
-    /// Current ownership state.
-    pub fn state(&self) -> BufferState {
-        self.state
     }
 
     /// The full frame (header + body) as currently set.
@@ -139,17 +114,8 @@ impl MessageBuffer {
         &self.bytes[HEADER_BYTES..self.len]
     }
 
-    /// The full body capacity, writable in place (the reply is composed
-    /// here, over the request's bytes).
+    /// The full body capacity, writable in place.
     pub fn body_mut(&mut self) -> &mut [u8] {
-        assert!(
-            matches!(
-                self.state,
-                BufferState::OwnedByCaller | BufferState::OwnedByCallee
-            ),
-            "ownership violated: writing a buffer that is {:?}",
-            self.state
-        );
         &mut self.bytes[HEADER_BYTES..]
     }
 
@@ -170,46 +136,9 @@ impl MessageBuffer {
         Header::decode(self.frame()).expect("a buffer frame always carries a header")
     }
 
-    /// The request token (see [`Header::token`]).
-    pub fn token(&self) -> u64 {
-        self.header().token
-    }
-
-    /// The logical channel id.
-    pub fn channel(&self) -> u32 {
-        self.header().channel
-    }
-
-    /// The priority class.
-    pub fn priority(&self) -> Priority {
-        self.header().priority
-    }
-
-    /// BBP rank of the requesting client node (server side; `usize::MAX`
-    /// before any request arrived).
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
-    /// The request's trace id (0 = untraced).
-    pub fn trace(&self) -> u64 {
-        self.trace
-    }
-
-    /// When the request was accepted off the billboard.
-    pub fn enqueued_at(&self) -> Time {
-        self.enqueued_at
-    }
-
     /// Encode a request header in place (client side; the caller then
     /// composes the body and sets its length).
     pub fn encode_request(&mut self, token: u64, channel: u32, priority: Priority) {
-        assert_eq!(
-            self.state,
-            BufferState::OwnedByCaller,
-            "ownership violated: encoding into a buffer that is {:?}",
-            self.state
-        );
         self.bytes[0..8].copy_from_slice(&token.to_le_bytes());
         self.bytes[8..12].copy_from_slice(&channel.to_le_bytes());
         self.bytes[12] = if priority == Priority::High {
@@ -225,62 +154,142 @@ impl MessageBuffer {
     pub(crate) fn frame_mut(&mut self) -> &mut [u8] {
         &mut self.bytes
     }
+}
 
-    /// A request landed in this buffer: OwnedByCaller → EnqueuedAsRequest.
-    pub(crate) fn arrived(&mut self, src: usize, frame_len: usize, now: Time, trace: u64) {
-        assert_eq!(
-            self.state,
-            BufferState::OwnedByCaller,
-            "ownership violated: receiving into a buffer that is {:?}",
-            self.state
-        );
-        assert!(
-            frame_len >= HEADER_BYTES && frame_len <= self.bytes.len(),
-            "malformed frame of {frame_len} bytes"
-        );
-        self.len = frame_len;
-        self.src = src;
-        self.trace = trace;
-        self.enqueued_at = now;
-        self.state = BufferState::EnqueuedAsRequest;
+/// The callee's handle on one pool slot: the request as it arrived, and
+/// the place its reply is written, over the request's bytes.
+///
+/// Move-only and constructible only inside this crate:
+/// [`crate::MessageQueue::dispatch`] hands one out and
+/// [`crate::MessageQueue::reply`] takes it back by value, so a request
+/// cannot be answered twice, answered with a buffer that was never
+/// dispatched, or written to once its reply is staged.
+///
+/// ```
+/// use rpc::{MessageQueue, Request};
+/// fn serve(mq: &mut MessageQueue, req: Request) -> usize {
+///     let n = req.body().len();
+///     mq.reply(req);
+///     n
+/// }
+/// ```
+///
+/// The same with the body read after the reply took the handle:
+///
+/// ```compile_fail,E0382
+/// use rpc::{MessageQueue, Request};
+/// fn serve(mq: &mut MessageQueue, req: Request) -> usize {
+///     mq.reply(req);
+///     let n = req.body().len();
+///     n
+/// }
+/// ```
+///
+/// A function may take a `Request`; nothing outside the crate can make
+/// one:
+///
+/// ```
+/// use rpc::Request;
+/// fn forge(req: Request) -> Request {
+///     req
+/// }
+/// ```
+///
+/// ```compile_fail,E0451
+/// use rpc::Request;
+/// fn forge(req: Request) -> Request {
+///     Request { ..req }
+/// }
+/// ```
+#[derive(Debug)]
+#[must_use = "a dispatched request holds a pool slot until MessageQueue::reply takes it back"]
+pub struct Request {
+    buf: MessageBuffer,
+    /// BBP rank of the requesting client node.
+    src: usize,
+    /// Trace id of the request (0 = untraced), re-published on reply so
+    /// both directions form one causal chain.
+    trace: u64,
+    /// When the request was accepted off the billboard (for queue
+    /// residency measurement).
+    enqueued_at: Time,
+}
+
+impl Request {
+    /// A `frame_len`-byte frame from `src` landed in `buf`. A frame that
+    /// cannot carry a header (or that `buf` cannot hold) is input to
+    /// reject, not a request: the buffer comes back.
+    pub(crate) fn arrived(
+        mut buf: MessageBuffer,
+        src: usize,
+        frame_len: usize,
+        now: Time,
+        trace: u64,
+    ) -> Result<Request, MessageBuffer> {
+        if !(HEADER_BYTES..=buf.bytes.len()).contains(&frame_len) {
+            return Err(buf);
+        }
+        buf.len = frame_len;
+        Ok(Request {
+            buf,
+            src,
+            trace,
+            enqueued_at: now,
+        })
     }
 
-    /// Dispatch to the handler: EnqueuedAsRequest → OwnedByCallee.
-    pub(crate) fn transfer_to_callee(&mut self) {
-        assert_eq!(
-            self.state,
-            BufferState::EnqueuedAsRequest,
-            "ownership violated: dispatching a buffer that is {:?}",
-            self.state
-        );
-        self.state = BufferState::OwnedByCallee;
+    /// The handler finished the in-place reply: flip the header's reply
+    /// bit. Token and channel stay the request's, which is how the
+    /// client matches it back.
+    pub(crate) fn mark_reply(&mut self) {
+        self.buf.bytes[12] |= FLAG_REPLY;
     }
 
-    /// The handler finished the in-place reply: OwnedByCallee →
-    /// EnqueuedAsReply. Flips the header's reply bit; token and channel
-    /// stay the request's, which is how the client matches it back.
-    pub(crate) fn make_reply(&mut self) {
-        assert_eq!(
-            self.state,
-            BufferState::OwnedByCallee,
-            "ownership violated: replying with a buffer that is {:?}",
-            self.state
-        );
-        self.bytes[12] |= FLAG_REPLY;
-        self.state = BufferState::EnqueuedAsReply;
+    /// The reply left the endpoint: the slot goes back to the pool.
+    pub(crate) fn into_buffer(self) -> MessageBuffer {
+        self.buf
     }
 
-    /// The reply left the endpoint: EnqueuedAsReply → OwnedByCaller
-    /// (back to the pool).
-    pub(crate) fn release(&mut self) {
-        assert_eq!(
-            self.state,
-            BufferState::EnqueuedAsReply,
-            "ownership violated: releasing a buffer that is {:?}",
-            self.state
-        );
-        self.bytes[12] &= !FLAG_REPLY;
-        self.state = BufferState::OwnedByCaller;
+    /// The full frame (header + body) as currently set.
+    pub(crate) fn frame(&self) -> &[u8] {
+        self.buf.frame()
+    }
+
+    /// The current body: the request's, until the handler sets the
+    /// reply's length.
+    pub fn body(&self) -> &[u8] {
+        self.buf.body()
+    }
+
+    /// The full body capacity, writable in place (the reply is composed
+    /// here, over the request's bytes).
+    pub fn body_mut(&mut self) -> &mut [u8] {
+        self.buf.body_mut()
+    }
+
+    /// Set the reply's body length (see [`MessageBuffer::set_body_len`]).
+    pub fn set_body_len(&mut self, len: usize) -> Result<(), RpcError> {
+        self.buf.set_body_len(len)
+    }
+
+    /// The decoded header.
+    pub fn header(&self) -> Header {
+        self.buf.header()
+    }
+
+    /// BBP rank of the requesting client node.
+    pub fn src(&self) -> usize {
+        self.src
+    }
+
+    /// The request's trace id (0 = untraced).
+    pub fn trace(&self) -> u64 {
+        self.trace
+    }
+
+    /// When the request was accepted off the billboard.
+    pub fn enqueued_at(&self) -> Time {
+        self.enqueued_at
     }
 }
 
@@ -309,42 +318,17 @@ mod tests {
     }
 
     #[test]
-    fn ownership_cycle_round_trips() {
-        let mut b = MessageBuffer::new(16);
-        b.encode_request(1, 0, Priority::Normal);
-        // Simulate the server-side cycle on a copy of the frame.
-        let frame_len = b.frame().len();
-        b.arrived(3, frame_len, 1_000, 42);
-        assert_eq!(b.state(), BufferState::EnqueuedAsRequest);
-        assert_eq!(b.src(), 3);
-        assert_eq!(b.trace(), 42);
-        b.transfer_to_callee();
-        b.set_body_len(4).unwrap();
-        b.make_reply();
-        assert!(b.header().is_reply);
-        assert_eq!(b.token(), 1, "reply keeps the request's token");
-        b.release();
-        assert_eq!(b.state(), BufferState::OwnedByCaller);
-        assert!(!b.header().is_reply, "the reply bit clears on release");
-    }
-
-    #[test]
-    #[should_panic(expected = "ownership violated")]
-    fn replying_without_dispatch_panics() {
-        let mut b = MessageBuffer::new(16);
-        b.encode_request(1, 0, Priority::Normal);
-        b.make_reply(); // still OwnedByCaller: forbidden
-    }
-
-    #[test]
-    #[should_panic(expected = "ownership violated")]
-    fn double_dispatch_panics() {
+    fn a_request_keeps_its_token_through_the_reply() {
         let mut b = MessageBuffer::new(16);
         b.encode_request(1, 0, Priority::Normal);
         let frame_len = b.frame().len();
-        b.arrived(1, frame_len, 0, 0);
-        b.transfer_to_callee();
-        b.transfer_to_callee();
+        let mut req = Request::arrived(b, 3, frame_len, 1_000, 42).expect("a whole header");
+        assert_eq!((req.src(), req.trace(), req.enqueued_at()), (3, 42, 1_000));
+        req.set_body_len(4).unwrap();
+        req.mark_reply();
+        assert!(req.header().is_reply);
+        assert_eq!(req.header().token, 1, "reply keeps the request's token");
+        assert_eq!(req.into_buffer().capacity(), 16);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use des::{ProcCtx, Time};
 use obs::LogHistogram;
 
 use crate::buffer::{Header, MessageBuffer, Priority};
-use crate::RpcError;
+use crate::{blocks_for_credit, RpcError};
 
 /// Client-side counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,19 +61,27 @@ pub struct RpcClient {
 
 impl RpcClient {
     /// A client of `server` with `channels` logical streams, each
-    /// granted `credits_per_channel` outstanding requests.
+    /// granted `credits_per_channel` outstanding requests. On a
+    /// transport that waits for credit the grants must fit the
+    /// endpoint's send slots, or the configuration is refused with
+    /// [`RpcError::Overcommit`] (docs/RPC.md, "The overcommit rule").
     pub fn new(
         ep: BbpEndpoint,
         server: usize,
         channels: u32,
         credits_per_channel: u32,
         body_capacity: usize,
-    ) -> Self {
+    ) -> Result<Self, RpcError> {
         assert!(channels >= 1, "a client needs at least one channel");
         assert!(
             credits_per_channel >= 1,
             "a channel's credit grant must be at least one"
         );
+        let grants = u64::from(channels) * u64::from(credits_per_channel);
+        let slots = ep.config().bufs_per_proc as u64;
+        if grants > slots && blocks_for_credit(ep.config()) {
+            return Err(RpcError::Overcommit { grants, slots });
+        }
         let channels = (0..channels)
             .map(|_| Channel {
                 credits: credits_per_channel,
@@ -82,14 +90,14 @@ impl RpcClient {
                 pending: Vec::with_capacity(credits_per_channel as usize),
             })
             .collect();
-        RpcClient {
+        Ok(RpcClient {
             ep,
             server,
             channels,
             staging: MessageBuffer::new(body_capacity),
             service_hist: Arc::new(LogHistogram::new()),
             stats: ClientStats::default(),
-        }
+        })
     }
 
     /// Try to post one request on `channel`. Sheds (typed error, no

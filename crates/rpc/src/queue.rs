@@ -10,8 +10,8 @@ use des::ProcCtx;
 use obs::lifecycle::Stage;
 use obs::LogHistogram;
 
-use crate::buffer::{Header, MessageBuffer, Priority, HEADER_BYTES};
-use crate::RpcError;
+use crate::buffer::{MessageBuffer, Priority, Request, HEADER_BYTES};
+use crate::{blocks_for_credit, RpcError};
 
 /// Server-side queue configuration.
 #[derive(Debug, Clone)]
@@ -51,8 +51,10 @@ pub struct QueueStats {
     pub high_dispatched: u64,
     /// … of which normal priority.
     pub normal_dispatched: u64,
-    /// Replies sent (immediate and batched).
+    /// Replies sent.
     pub replied: u64,
+    /// Frames too short to carry a header, dropped on arrival.
+    pub malformed: u64,
     /// High-water mark of buffers simultaneously out of the free pool.
     pub max_residency: usize,
 }
@@ -60,17 +62,18 @@ pub struct QueueStats {
 /// A per-endpoint serving queue over BBP.
 ///
 /// Lifecycle per request: [`MessageQueue::poll`] moves arrivals into the
-/// class queues, [`MessageQueue::dispatch`] transfers one buffer to the
-/// handler, which writes the reply *in place* and returns it through
-/// [`MessageQueue::reply`] (immediate) or [`MessageQueue::reply_later`] +
-/// [`MessageQueue::flush`] (batched, one doorbell per destination).
+/// class queues, [`MessageQueue::dispatch`] hands one to the handler as
+/// a [`Request`], the handler writes the reply *in place* and gives the
+/// handle back through [`MessageQueue::reply`], and
+/// [`MessageQueue::flush`] posts what is staged (one doorbell per
+/// destination where the transport can defer them).
 pub struct MessageQueue {
     ep: BbpEndpoint,
     cfg: RpcConfig,
     free: Vec<MessageBuffer>,
-    high: VecDeque<MessageBuffer>,
-    normal: VecDeque<MessageBuffer>,
-    outbox: Vec<MessageBuffer>,
+    high: VecDeque<Request>,
+    normal: VecDeque<Request>,
+    staged: VecDeque<Request>,
     high_streak: u32,
     stats: QueueStats,
     residency_hist: Arc<LogHistogram>,
@@ -94,7 +97,7 @@ impl MessageQueue {
             ep,
             high: VecDeque::with_capacity(cfg.pool),
             normal: VecDeque::with_capacity(cfg.pool),
-            outbox: Vec::with_capacity(cfg.pool),
+            staged: VecDeque::with_capacity(cfg.pool),
             free,
             cfg,
             high_streak: 0,
@@ -105,7 +108,9 @@ impl MessageQueue {
 
     /// Accept arrived requests into the pool, classifying by priority.
     /// Stops when the pool is exhausted (remaining requests wait on the
-    /// billboard — that is the backpressure). Returns how many arrived.
+    /// billboard — that is the backpressure). A frame too short to carry
+    /// a header is counted ([`QueueStats::malformed`]) and dropped.
+    /// Returns how many requests arrived.
     pub fn poll(&mut self, ctx: &mut ProcCtx) -> usize {
         let rank = self.ep.rank() as u32;
         let mut accepted = 0;
@@ -115,10 +120,17 @@ impl MessageQueue {
                 break;
             };
             let trace = ctx.obs().current_rx(rank);
-            buf.arrived(src, len, ctx.now(), trace);
-            match Header::decode(buf.frame()).map(|h| h.priority) {
-                Some(Priority::High) => self.high.push_back(buf),
-                _ => self.normal.push_back(buf),
+            let req = match Request::arrived(buf, src, len, ctx.now(), trace) {
+                Ok(req) => req,
+                Err(buf) => {
+                    self.stats.malformed += 1;
+                    self.free.push(buf);
+                    continue;
+                }
+            };
+            match req.header().priority {
+                Priority::High => self.high.push_back(req),
+                Priority::Normal => self.normal.push_back(req),
             }
             self.stats.polled += 1;
             accepted += 1;
@@ -138,18 +150,18 @@ impl MessageQueue {
         accepted
     }
 
-    /// Hand the next request to the handler, transferring buffer
-    /// ownership. High priority wins, but after `max_high_streak`
-    /// consecutive high dispatches with normal work waiting, one normal
-    /// request is served — that bounds starvation.
-    pub fn dispatch(&mut self, ctx: &mut ProcCtx) -> Option<MessageBuffer> {
+    /// Hand the next request to the handler. High priority wins, but
+    /// after `max_high_streak` consecutive high dispatches with normal
+    /// work waiting, one normal request is served — that bounds
+    /// starvation.
+    pub fn dispatch(&mut self, ctx: &mut ProcCtx) -> Option<Request> {
         let take_high = match (self.high.is_empty(), self.normal.is_empty()) {
             (true, true) => return None,
             (false, true) => true,
             (true, false) => false,
             (false, false) => self.high_streak < self.cfg.max_high_streak,
         };
-        let mut buf = if take_high {
+        let req = if take_high {
             self.high_streak += 1;
             self.stats.high_dispatched += 1;
             self.high.pop_front().expect("checked non-empty")
@@ -160,7 +172,7 @@ impl MessageQueue {
         };
         self.stats.dispatched += 1;
         self.residency_hist
-            .record(ctx.now().saturating_sub(buf.enqueued_at()));
+            .record(ctx.now().saturating_sub(req.enqueued_at()));
         {
             let rec = ctx.obs();
             if rec.telemetry_on() {
@@ -173,185 +185,115 @@ impl MessageQueue {
         ctx.obs().lifecycle(
             ctx.now(),
             self.ep.rank() as u32,
-            buf.trace(),
+            req.trace(),
             Stage::RpcDispatch,
-            buf.channel() as u64,
+            req.header().channel as u64,
         );
-        buf.transfer_to_callee();
-        Some(buf)
+        Some(req)
     }
 
-    /// Send one reply immediately (doorbell rings now) and return the
-    /// buffer to the pool. The reply rides the request's trace id, so
-    /// the whole exchange renders as one causal chain.
-    pub fn reply(&mut self, ctx: &mut ProcCtx, mut buf: MessageBuffer) -> Result<(), RpcError> {
-        buf.make_reply();
-        let rank = self.ep.rank() as u32;
-        ctx.obs().lifecycle(
-            ctx.now(),
-            rank,
-            buf.trace(),
-            Stage::RpcReply,
-            buf.channel() as u64,
-        );
-        let prev = ctx.obs().current_trace(rank);
-        ctx.obs().set_current_trace(rank, buf.trace());
-        let result = self.ep.send(ctx, buf.src(), buf.frame());
-        ctx.obs().set_current_trace(rank, prev);
-        buf.release();
-        self.free.push(buf);
-        match result {
-            Ok(()) => {
-                self.stats.replied += 1;
-                Ok(())
-            }
-            Err(e) => Err(RpcError::Transport(e)),
-        }
+    /// Take a finished reply back and stage it for the next
+    /// [`MessageQueue::flush`]. Only a [`Request`] that
+    /// [`MessageQueue::dispatch`] handed out can come back:
+    ///
+    /// ```
+    /// use rpc::{MessageBuffer, MessageQueue, Request};
+    /// fn answer(mq: &mut MessageQueue, req: Request, spare: MessageBuffer) {
+    ///     mq.reply(req);
+    /// }
+    /// ```
+    ///
+    /// ```compile_fail,E0308
+    /// use rpc::{MessageBuffer, MessageQueue, Request};
+    /// fn answer(mq: &mut MessageQueue, req: Request, spare: MessageBuffer) {
+    ///     mq.reply(spare);
+    /// }
+    /// ```
+    pub fn reply(&mut self, mut req: Request) {
+        req.mark_reply();
+        self.staged.push_back(req);
     }
 
-    /// Stage a finished reply for a batched [`MessageQueue::flush`].
-    pub fn reply_later(&mut self, mut buf: MessageBuffer) {
-        buf.make_reply();
-        self.outbox.push(buf);
-    }
-
-    /// Post every staged reply with deferred doorbells, then ring one
-    /// flag write per destination node. Returns how many replies went
-    /// out. On a transport error the remaining buffers still return to
-    /// the pool and the first error is reported.
+    /// Post the staged replies, oldest first, and return how many went
+    /// out. Each rides its request's trace id, so the whole exchange
+    /// renders as one causal chain. How a reply is posted is read from
+    /// the endpoint's configuration:
+    ///
+    /// - without the reliability extension, with deferred doorbells and
+    ///   one flag write per destination node at the end; with it, as a
+    ///   confirmed `send` (a deferred post could never be confirmed);
+    /// - on a transport that waits for credit (no ledger, or not
+    ///   fail-fast), a destination whose ledger reads zero gets its
+    ///   doorbell rung first: a deferred post is invisible to the
+    ///   receiver until then, so the ACK that returns the credit could
+    ///   never arrive.
+    ///
+    /// A reply the transport refuses for want of credit
+    /// ([`bbp::BbpError::NoCredit`], fail-fast only) stays staged, in
+    /// order, for a later call — reply pressure becomes bounded staging,
+    /// visible through [`MessageQueue::in_flight`]. Any other transport
+    /// error returns that one buffer to the pool, leaves the replies
+    /// behind it staged, and is reported.
     pub fn flush(&mut self, ctx: &mut ProcCtx) -> Result<usize, RpcError> {
         let rank = self.ep.rank() as u32;
-        // Staged-reply depth at its batch peak (reply_later has no sim
-        // clock, so staging is sampled when the batch flushes) and its
-        // return to zero.
+        // Staged-reply depth at its batch peak (`reply` has no sim clock,
+        // so staging is sampled when the batch flushes) and, below, what
+        // is left of it.
         {
             let rec = ctx.obs();
-            if rec.telemetry_on() && !self.outbox.is_empty() {
+            if rec.telemetry_on() && !self.staged.is_empty() {
                 rec.gauge(
                     ctx.now(),
                     rank,
                     "rpc.staged_replies",
-                    self.outbox.len() as u64,
+                    self.staged.len() as u64,
                 );
             }
         }
-        let mut outbox = std::mem::take(&mut self.outbox);
+        let deferred = self.ep.config().reliability.is_none();
+        let blocks = blocks_for_credit(self.ep.config());
         let mut flushed = 0usize;
-        let mut first_err: Option<RpcError> = None;
-        for mut buf in outbox.drain(..) {
-            if first_err.is_none() {
-                let dst = buf.src();
-                // Deadlock guard: a deferred post is invisible to the
-                // receiver until its doorbell rings, so its ACK — and the
-                // send credit it returns — can never arrive. If this
-                // destination is down to its last zero credits, ring what
-                // is already staged before posting more.
-                if self.ep.send_credits(dst) == Some(0) {
-                    self.ep.ring_doorbell(ctx, dst);
-                }
-                ctx.obs().lifecycle(
-                    ctx.now(),
-                    rank,
-                    buf.trace(),
-                    Stage::RpcReply,
-                    buf.channel() as u64,
-                );
-                let prev = ctx.obs().current_trace(rank);
-                ctx.obs().set_current_trace(rank, buf.trace());
-                let result = self.ep.post_deferred(ctx, dst, buf.frame());
-                ctx.obs().set_current_trace(rank, prev);
-                match result {
-                    Ok(()) => {
-                        flushed += 1;
-                        self.stats.replied += 1;
-                    }
-                    Err(e) => first_err = Some(RpcError::Transport(e)),
-                }
-            }
-            buf.release();
-            self.free.push(buf);
-        }
-        self.outbox = outbox;
-        self.ep.ring_all_doorbells(ctx);
-        {
-            let rec = ctx.obs();
-            if rec.telemetry_on() && flushed > 0 {
-                let now = ctx.now();
-                rec.gauge(now, rank, "rpc.staged_replies", self.outbox.len() as u64);
-                rec.gauge(
-                    now,
-                    rank,
-                    "rpc.buffers_in_use",
-                    (self.cfg.pool - self.free.len()) as u64,
-                );
-            }
-        }
-        match first_err {
-            None => Ok(flushed),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Like [`MessageQueue::flush`], but credit-aware: only replies
-    /// whose destination currently holds at least one send credit go
-    /// out; the rest stay staged for a later call. Under a fail-fast
-    /// credit regime an overloaded server would otherwise race the ACK
-    /// path and lose replies — this lets it hold them until the peer's
-    /// credits return, turning reply pressure into bounded staging
-    /// instead of an error. Returns how many replies went out; staged
-    /// replies keep their buffers out of the pool (visible through
-    /// [`MessageQueue::in_flight`]).
-    pub fn flush_ready(&mut self, ctx: &mut ProcCtx) -> Result<usize, RpcError> {
-        let rank = self.ep.rank() as u32;
-        {
-            let rec = ctx.obs();
-            if rec.telemetry_on() && !self.outbox.is_empty() {
-                rec.gauge(
-                    ctx.now(),
-                    rank,
-                    "rpc.staged_replies",
-                    self.outbox.len() as u64,
-                );
-            }
-        }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut flushed = 0usize;
-        let mut first_err: Option<RpcError> = None;
-        for mut buf in outbox.drain(..) {
-            if first_err.is_some() {
-                self.outbox.push(buf);
+        let mut failed: Option<RpcError> = None;
+        // One turn of the deque in place: a reply that stays goes to the
+        // back, so order and capacity are kept.
+        for _ in 0..self.staged.len() {
+            let req = self.staged.pop_front().expect("one turn of the deque");
+            if failed.is_some() {
+                self.staged.push_back(req);
                 continue;
             }
-            let dst = buf.src();
+            let dst = req.src();
+            if blocks && self.ep.send_credits(dst) == Some(0) {
+                self.ep.ring_doorbell(ctx, dst);
+            }
             let prev = ctx.obs().current_trace(rank);
-            ctx.obs().set_current_trace(rank, buf.trace());
-            // The fail-fast credit gate sweeps already-acknowledged
-            // slots before giving up, so attempting the post is also
-            // what reclaims credits the peer has returned.
-            let result = self.ep.post_deferred(ctx, dst, buf.frame());
+            ctx.obs().set_current_trace(rank, req.trace());
+            // A fail-fast credit gate sweeps already-acknowledged slots
+            // before giving up, so attempting the post is also what
+            // reclaims credits the peer has returned.
+            let posted = if deferred {
+                self.ep.post_deferred(ctx, dst, req.frame())
+            } else {
+                self.ep.send(ctx, dst, req.frame())
+            };
             ctx.obs().set_current_trace(rank, prev);
-            match result {
+            match posted {
                 Ok(()) => {
                     ctx.obs().lifecycle(
                         ctx.now(),
                         rank,
-                        buf.trace(),
+                        req.trace(),
                         Stage::RpcReply,
-                        buf.channel() as u64,
+                        req.header().channel as u64,
                     );
                     flushed += 1;
                     self.stats.replied += 1;
-                    buf.release();
-                    self.free.push(buf);
+                    self.free.push(req.into_buffer());
                 }
-                Err(bbp::BbpError::NoCredit { .. }) => {
-                    // The peer's grant is exhausted: hold the reply.
-                    self.outbox.push(buf);
-                }
+                Err(bbp::BbpError::NoCredit { .. }) => self.staged.push_back(req),
                 Err(e) => {
-                    first_err = Some(RpcError::Transport(e));
-                    buf.release();
-                    self.free.push(buf);
+                    failed = Some(RpcError::Transport(e));
+                    self.free.push(req.into_buffer());
                 }
             }
         }
@@ -360,7 +302,7 @@ impl MessageQueue {
             let rec = ctx.obs();
             if rec.telemetry_on() && flushed > 0 {
                 let now = ctx.now();
-                rec.gauge(now, rank, "rpc.staged_replies", self.outbox.len() as u64);
+                rec.gauge(now, rank, "rpc.staged_replies", self.staged.len() as u64);
                 rec.gauge(
                     now,
                     rank,
@@ -369,7 +311,7 @@ impl MessageQueue {
                 );
             }
         }
-        match first_err {
+        match failed {
             None => Ok(flushed),
             Some(e) => Err(e),
         }
@@ -377,7 +319,7 @@ impl MessageQueue {
 
     /// Replies staged but not yet flushed.
     pub fn staged(&self) -> usize {
-        self.outbox.len()
+        self.staged.len()
     }
 
     /// Requests waiting for dispatch (both classes).

@@ -1,9 +1,11 @@
 //! The server's reply path must be zero-copy and zero-allocation once
 //! warm: the request buffer is reused in place for the reply, so
-//! `dispatch → write reply → reply_later` touches no heap at all, and
+//! `dispatch → write reply → reply` touches no heap at all, and
 //! `flush` adds nothing beyond what the bare BBP transport itself costs
 //! to post the same frames (the NIC's PIO write path owns its own
-//! allocations; the RPC layer must add zero on top).
+//! allocations; the RPC layer must add zero on top) — on a blocking
+//! transport, and on a fail-fast one where a flush holds a reply back
+//! for the next.
 //!
 //! Allocation counting uses a wrapping global allocator, so everything
 //! runs inside ONE test function — a sibling test on another harness
@@ -13,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
-use bbp::{BbpCluster, BbpConfig};
+use bbp::{BbpCluster, BbpConfig, BbpError, CreditConfig};
 use des::Simulation;
 use rpc::{MessageQueue, Priority, RpcClient, RpcConfig};
 
@@ -57,7 +59,7 @@ fn reply_path_is_alloc_free_after_warmup() {
     let (tx, rx) = mpsc::channel::<(u64, u64, u64)>();
 
     sim.spawn("client", move |ctx| {
-        let mut cl = RpcClient::new(client_ep, 1, 1, 2 * N as u32, BODY);
+        let mut cl = RpcClient::new(client_ep, 1, 1, 2 * N as u32, BODY).unwrap();
         for round in 0..2u64 {
             ctx.wait_until(round * des::us(5_000));
             for i in 0..N {
@@ -118,7 +120,7 @@ fn reply_path_is_alloc_free_after_warmup() {
                     *b ^= 0xFF;
                 }
                 buf.set_body_len(BODY).unwrap();
-                mq.reply_later(buf);
+                mq.reply(buf);
             }
             let staged = ALLOCS.load(Ordering::SeqCst);
             // The transport half: one batched flush, one doorbell.
@@ -192,8 +194,132 @@ fn reply_path_is_alloc_free_after_warmup() {
         "stalling and sweeping allocated on top of the post itself"
     );
 
+    let (held_stage, held_flushes, held_bare) = held_reply_round();
+    assert_eq!(
+        held_stage, 0,
+        "dispatch → in-place reply → stage allocated on the fail-fast path"
+    );
+    assert!(
+        held_flushes <= held_bare,
+        "holding a reply and sending it later allocates beyond the bare \
+         transport: {held_flushes} allocs vs {held_bare} for the same posts"
+    );
+
     // Sanity-check the counter itself so a broken hook cannot fake a pass.
     let live = ALLOCS.load(Ordering::SeqCst);
     std::hint::black_box(Box::new(0x5Cu64));
     assert!(ALLOCS.load(Ordering::SeqCst) > live, "counter is live");
+}
+
+/// The path the workload campaign runs: fail-fast credits, one per peer,
+/// so of two staged replies the first `flush` sends one and holds the
+/// other, and the next sends it. The client is quiet inside every
+/// measured window. Returns the allocations of (the stage window, the
+/// two flushes, the same posts and doorbells straight through BBP).
+fn held_reply_round() -> (u64, u64, u64) {
+    let mut sim = Simulation::new();
+    let mut cfg = BbpConfig::for_nodes(2);
+    cfg.credit = Some(CreditConfig {
+        per_peer: 1,
+        fail_fast: true,
+    });
+    let c = BbpCluster::new(&sim.handle(), cfg);
+    let server_ep = c.endpoint(1);
+    let client_ep = c.endpoint(0);
+    let (tx, rx) = mpsc::channel::<(u64, u64, u64)>();
+    // Round `r` starts at `r × ROUND`; two RPC rounds (the second is
+    // warm) and the bare-transport control.
+    const ROUND: u64 = 5_000;
+    let at = |round: u64, us: u64| des::us(round * ROUND + us);
+
+    sim.spawn("client", move |ctx| {
+        let mut cl = RpcClient::new(client_ep, 1, 1, 2, BODY).unwrap();
+        for round in 0..3u64 {
+            ctx.wait_until(at(round, 0));
+            if round < 2 {
+                // The server's poll acknowledges the first request, which
+                // is what returns the one credit for the second.
+                cl.try_request(ctx, 0, Priority::Normal, &[1; BODY])
+                    .unwrap();
+                ctx.advance(des::us(100));
+                cl.try_request(ctx, 0, Priority::High, &[2; BODY]).unwrap();
+            }
+            // Quiet across the first flush, take what it sent (the
+            // acknowledgement returns the server's credit), quiet across
+            // the second, take the reply it had held. In the control
+            // round the same two frames arrive matching nothing.
+            for quiet_until in [400, 800] {
+                ctx.wait_until(at(round, quiet_until));
+                let st = cl.stats();
+                let seen = st.completed + st.unmatched_replies;
+                while cl.stats().completed + cl.stats().unmatched_replies == seen {
+                    ctx.advance(2_000);
+                    cl.poll_replies(ctx);
+                }
+            }
+        }
+        assert_eq!(cl.stats().completed, 4);
+        assert_eq!(cl.stats().unmatched_replies, 2);
+    });
+
+    sim.spawn("server", move |ctx| {
+        let mut mq = MessageQueue::new(
+            server_ep,
+            RpcConfig {
+                pool: 2,
+                body_capacity: BODY,
+                max_high_streak: 4,
+            },
+        );
+        for round in 0..2u64 {
+            while mq.queued() < 2 {
+                ctx.advance(2_000);
+                mq.poll(ctx);
+            }
+            let before = ALLOCS.load(Ordering::SeqCst);
+            while let Some(mut req) = mq.dispatch(ctx) {
+                req.body_mut()[0] ^= 0xFF;
+                req.set_body_len(BODY).unwrap();
+                mq.reply(req);
+            }
+            let staged = ALLOCS.load(Ordering::SeqCst);
+            assert_eq!(mq.flush(ctx), Ok(1), "one credit, one reply");
+            assert_eq!(mq.staged(), 1, "the other is held, not lost");
+            let first = ALLOCS.load(Ordering::SeqCst);
+            ctx.wait_until(at(round, 600));
+            let resumed = ALLOCS.load(Ordering::SeqCst);
+            assert_eq!(mq.flush(ctx), Ok(1), "the held reply goes out");
+            assert_eq!((mq.staged(), mq.in_flight()), (0, 0));
+            let second = ALLOCS.load(Ordering::SeqCst);
+            if round == 1 {
+                tx.send((staged - before, (first - staged) + (second - resumed), 0))
+                    .unwrap();
+            }
+        }
+        // Control: what those two flushes asked of the transport.
+        let frame = [0u8; rpc::HEADER_BYTES + BODY];
+        let ep = mq.endpoint_mut();
+        ctx.wait_until(at(2, 100));
+        let before = ALLOCS.load(Ordering::SeqCst);
+        ep.post_deferred(ctx, 0, &frame).unwrap();
+        assert_eq!(
+            ep.post_deferred(ctx, 0, &frame),
+            Err(BbpError::NoCredit { peer: 0 })
+        );
+        ep.ring_all_doorbells(ctx);
+        let first = ALLOCS.load(Ordering::SeqCst);
+        ctx.wait_until(at(2, 600));
+        let resumed = ALLOCS.load(Ordering::SeqCst);
+        ep.post_deferred(ctx, 0, &frame).unwrap();
+        ep.ring_all_doorbells(ctx);
+        let second = ALLOCS.load(Ordering::SeqCst);
+        tx.send((0, 0, (first - before) + (second - resumed)))
+            .unwrap();
+    });
+
+    let report = sim.run();
+    assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+    let (stage, flushes, _) = rx.recv().unwrap();
+    let (_, _, bare) = rx.recv().unwrap();
+    (stage, flushes, bare)
 }

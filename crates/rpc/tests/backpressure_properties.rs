@@ -63,7 +63,7 @@ fn check_credit_safety(channels: u8, credits: u32, ops: Vec<Op>) {
             mq.poll(ctx);
             while let Some(mut buf) = mq.dispatch(ctx) {
                 buf.body_mut()[0] ^= 0xFF;
-                mq.reply_later(buf);
+                mq.reply(buf);
             }
             mq.flush(ctx).unwrap();
             if done_server.load(Ordering::SeqCst) && mq.in_flight() == 0 {
@@ -78,7 +78,7 @@ fn check_credit_safety(channels: u8, credits: u32, ops: Vec<Op>) {
         .filter(|o| matches!(o, Op::Request { .. }))
         .count() as u64;
     sim.spawn("client", move |ctx| {
-        let mut cl = RpcClient::new(client_ep, 1, channels as u32, credits, 32);
+        let mut cl = RpcClient::new(client_ep, 1, channels as u32, credits, 32).unwrap();
         // A body past the buffer capacity is refused typed, before it
         // takes a credit or counts as shed.
         assert_eq!(
@@ -161,7 +161,7 @@ fn check_bounded_starvation(max_high_streak: u32, rounds: u16) {
     let done_server = Arc::clone(&done);
 
     sim.spawn("client", move |ctx| {
-        let mut cl = RpcClient::new(client_ep, 1, 2, 12, 16);
+        let mut cl = RpcClient::new(client_ep, 1, 2, 12, 16).unwrap();
         // A standing pool of normal requests, then sustained
         // high-priority pressure, interleaved so the server's high queue
         // never runs dry while normal work waits.
@@ -207,7 +207,7 @@ fn check_bounded_starvation(max_high_streak: u32, rounds: u16) {
                 let Some(mut buf) = mq.dispatch(ctx) else {
                     break;
                 };
-                if buf.priority() == Priority::High && normal_waiting {
+                if buf.header().priority == Priority::High && normal_waiting {
                     streak += 1;
                     worst_streak = worst_streak.max(streak);
                 } else {
@@ -215,7 +215,7 @@ fn check_bounded_starvation(max_high_streak: u32, rounds: u16) {
                 }
                 buf.body_mut()[0] = 0xAA;
                 buf.set_body_len(1).unwrap();
-                mq.reply_later(buf);
+                mq.reply(buf);
                 // Re-poll so freshly arrived high requests contend with
                 // the queued normal ones — the starvation scenario.
                 mq.poll(ctx);

@@ -37,21 +37,6 @@ pub enum DeviceError {
     },
 }
 
-impl DeviceError {
-    /// World rank of the peer the failure involves. Panics on
-    /// [`DeviceError::Partitioned`], which involves no single peer.
-    pub fn peer(&self) -> usize {
-        match *self {
-            DeviceError::Corrupt { peer }
-            | DeviceError::Timeout { peer }
-            | DeviceError::PeerDown { peer } => peer,
-            DeviceError::Partitioned { .. } => {
-                panic!("a partition failure involves no single peer")
-            }
-        }
-    }
-}
-
 impl std::fmt::Display for DeviceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -315,25 +300,18 @@ mod tests {
     }
 
     #[test]
-    fn device_errors_render_and_expose_the_peer() {
+    fn device_errors_render_their_peer() {
         for (e, needle) in [
             (DeviceError::Corrupt { peer: 3 }, "corrupted"),
             (DeviceError::Timeout { peer: 3 }, "timed out"),
             (DeviceError::PeerDown { peer: 3 }, "down"),
         ] {
-            assert_eq!(e.peer(), 3);
             assert!(e.to_string().contains(needle), "{e}");
             assert!(e.to_string().contains('3'), "{e}");
         }
         let p = DeviceError::Partitioned { epoch: 5 };
         assert!(p.to_string().contains("partitioned"), "{p}");
         assert!(p.to_string().contains('5'), "{p}");
-    }
-
-    #[test]
-    #[should_panic(expected = "no single peer")]
-    fn partition_failures_name_no_peer() {
-        let _ = DeviceError::Partitioned { epoch: 1 }.peer();
     }
 
     #[test]

@@ -199,7 +199,8 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 plan.channels_per_node,
                 plan.credits_per_channel,
                 plan.body_bytes,
-            );
+            )
+            .expect("a fail-fast transport takes any grant");
             let body = vec![0xC3u8; plan.body_bytes];
             let (mut high, mut normal) = (0u64, 0u64);
             let poll_gap = us(20);
@@ -271,19 +272,19 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             );
             loop {
                 mq.poll(ctx);
-                while let Some(mut buf) = mq.dispatch(ctx) {
+                while let Some(mut req) = mq.dispatch(ctx) {
                     ctx.advance(plan_s.service.sample(&mut rng, dispatched));
                     dispatched += 1;
-                    let n = buf.body().len();
-                    buf.set_body_len(n).expect("an echo fits its own buffer");
-                    mq.reply_later(buf);
+                    let n = req.body().len();
+                    req.set_body_len(n).expect("an echo fits its own buffer");
+                    mq.reply(req);
                     mq.poll(ctx);
                 }
-                // Credit-aware flush: under overload a hot server can
-                // outrun the ACK path of a single peer; replies to a
-                // credit-exhausted peer stay staged until the credits
-                // return rather than tripping the fail-fast gate.
-                mq.flush_ready(ctx).expect("reply flush failed");
+                // Under overload a hot server can outrun the ACK path of
+                // a single peer; on this fail-fast transport replies to
+                // a credit-exhausted peer stay staged until the credits
+                // return.
+                mq.flush(ctx).expect("reply flush failed");
                 if clients_done.load(Ordering::SeqCst) == n_clients
                     && mq.queued() == 0
                     && mq.in_flight() == 0

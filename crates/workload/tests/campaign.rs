@@ -82,6 +82,46 @@ fn overload_is_shed_bounded_and_deadlock_free() {
     assert!(out.service.quantile(0.5) > 0, "latency histogram is empty");
 }
 
+/// What a cell measured, as the numbers the benchmark's fingerprint
+/// folds: `(sent, completed, shed, transport_shed, undrained,
+/// max_residency, high_dispatched, normal_dispatched, service p50 ns,
+/// service p999 ns, residency p99 ns)`.
+fn cell_pin(out: &CellOutcome) -> [u64; 11] {
+    [
+        out.sent,
+        out.completed,
+        out.shed,
+        out.transport_shed,
+        out.undrained,
+        out.max_residency as u64,
+        out.high_dispatched,
+        out.normal_dispatched,
+        out.service.p50(),
+        out.service.p999(),
+        out.residency.p99(),
+    ]
+}
+
+/// A cell's numbers are constants: the server loop, the reply path and
+/// the credit gates may be rewritten, what they simulate may not move
+/// without this test saying so. One cell the pool never fills in, one
+/// in deep overload that fills it and sheds at both credit gates.
+#[test]
+fn cell_outcomes_are_pinned() {
+    let nominal = run_cell(&small_plan(7), 1.0, "wl_test_pin_nominal");
+    assert_eq!(nominal.violations, Vec::<String>::new());
+    assert_eq!(
+        cell_pin(&nominal),
+        [16, 16, 0, 0, 0, 5, 2, 14, 98304, 393216, 1536]
+    );
+    let overload = run_cell(&overload_plan(7), 1.0, "wl_test_pin_overload");
+    assert_eq!(overload.violations, Vec::<String>::new());
+    assert_eq!(
+        cell_pin(&overload),
+        [704, 704, 28, 7304, 0, 32, 132, 572, 6291456, 6291456, 786432]
+    );
+}
+
 #[test]
 fn every_scenario_is_healthy_at_nominal_load() {
     for kind in KINDS {

@@ -50,7 +50,8 @@ fn main() {
         let totals = Arc::clone(&totals);
         let done = Arc::clone(&done);
         sim.spawn(format!("client{client}"), move |ctx| {
-            let mut cl = RpcClient::new(ep, 0, CHANNELS, CREDITS, BODY);
+            let mut cl = RpcClient::new(ep, 0, CHANNELS, CREDITS, BODY)
+                .expect("a fail-fast transport takes any grant");
             let mut body = [0u8; BODY];
             for i in 0..REQUESTS_PER_CLIENT {
                 let ch = (i as u32) % CHANNELS;
@@ -103,15 +104,15 @@ fn main() {
         );
         loop {
             mq.poll(ctx);
-            while let Some(mut buf) = mq.dispatch(ctx) {
+            while let Some(mut req) = mq.dispatch(ctx) {
                 // Echo: flip every body byte in place — the reply reuses
                 // the request buffer, no copy, no allocation.
-                for b in buf.body_mut().iter_mut() {
+                for b in req.body_mut().iter_mut() {
                     *b = !*b;
                 }
-                let n = buf.body().len();
-                buf.set_body_len(n).expect("an echo fits its own buffer");
-                mq.reply_later(buf);
+                let n = req.body().len();
+                req.set_body_len(n).expect("an echo fits its own buffer");
+                mq.reply(req);
             }
             mq.flush(ctx).expect("reply flush failed");
             if done_server.load(Ordering::SeqCst) == CLIENTS
