@@ -163,13 +163,14 @@ impl<T> CalendarQueue<T> {
     /// Remove and return the earliest entry.
     #[cfg(test)]
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        self.pop_due(Time::MAX)
+        self.pop_due(Time::MAX).map(|(time, _, what)| (time, what))
     }
 
-    /// Remove and return the earliest entry, unless it fires after
-    /// `horizon`. The slab slot is read *before* any heap sift so the
-    /// payload's cache miss resolves in parallel with it.
-    pub fn pop_due(&mut self, horizon: Time) -> Option<(Time, T)> {
+    /// Remove and return the earliest entry — its time, its tie-break
+    /// value and its payload — unless it fires after `horizon`. The slab
+    /// slot is read *before* any heap sift so the payload's cache miss
+    /// resolves in parallel with it.
+    pub fn pop_due(&mut self, horizon: Time) -> Option<(Time, u64, T)> {
         loop {
             let near = self.batch.get(self.cursor).copied();
             let use_late = match (near, self.late.peek()) {
@@ -201,7 +202,7 @@ impl<T> CalendarQueue<T> {
             } else {
                 self.cursor += 1;
             }
-            return Some((k.time, what));
+            return Some((k.time, k.seq, what));
         }
     }
 
@@ -297,9 +298,9 @@ mod tests {
         let mut q = CalendarQueue::new();
         q.push(100, 0, 1u32);
         q.push(200, 1, 2u32);
-        assert_eq!(q.pop_due(150), Some((100, 1)));
+        assert_eq!(q.pop_due(150), Some((100, 0, 1)));
         assert_eq!(q.pop_due(150), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_due(200), Some((200, 2)));
+        assert_eq!(q.pop_due(200), Some((200, 1, 2)));
     }
 }

@@ -9,6 +9,12 @@
 //! shapes the ring and NIC models use) never touch the allocator; larger
 //! ones fall back to a single thin `Box`.
 //!
+//! Every stored closure is a *link*: it returns the event that follows it
+//! ([`Then`]), or `None`. A plain `FnOnce(Time)` is a link that returns
+//! `None` ([`EventFn::new`]); a series of links
+//! ([`crate::SimHandle::schedule_series`]) hands each successor back to
+//! the dispatch loop instead of scheduling it.
+//!
 //! # Safety contract
 //!
 //! This is the one module of the workspace that says `unsafe` (`des`
@@ -16,10 +22,11 @@
 //! it). Each `unsafe` site below cites one of three conditions, and
 //! each condition names the tests at the bottom that exercise it.
 //!
-//! - **layout** — what `data` holds. [`EventFn::new`] is the only
-//!   constructor and both fields are private, so `data` is written once,
-//!   by `new::<F>`, together with a vtable instantiated for the same `F`.
-//!   Under `INLINE` it holds an initialised `F` at offset 0, which `new`
+//! - **layout** — what `data` holds. [`EventFn::link`] is the only
+//!   constructor that writes it ([`EventFn::new`] wraps its closure and
+//!   calls `link`) and both fields are private, so `data` is written once,
+//!   by `link::<F>`, together with a vtable instantiated for the same `F`.
+//!   Under `INLINE` it holds an initialised `F` at offset 0, which `link`
 //!   chooses only if `F` fits ([`VTableFor::FITS_INLINE`]: at most
 //!   [`INLINE_BYTES`] bytes and at most `usize`-aligned, which
 //!   `[MaybeUninit<usize>; _]` is). Under `BOXED` its first word holds
@@ -27,15 +34,21 @@
 //!   bytewise, which is how Rust moves an `F` or a pointer anyway.
 //!   (`zero_sized_closure_runs_inline`,
 //!   `closure_of_exactly_the_inline_budget_runs_inline`,
-//!   `small_over_aligned_closure_takes_the_box`.)
+//!   `small_over_aligned_closure_takes_the_box`,
+//!   `a_successor_over_the_budget_takes_the_box_and_runs`.)
 //! - **once** — the stored `F` leaves exactly once. There are two ways
 //!   out: [`EventFn::call`], which takes `self` by value and wraps it in
 //!   `ManuallyDrop` *before* the closure runs, so neither a return nor a
 //!   panic inside the closure can reach `Drop` with `data` moved out;
-//!   and `Drop`, which a value passed to `call` therefore never sees.
+//!   and `Drop`, which a value passed to `call` therefore never sees. A
+//!   successor is a new `EventFn` the closure returns: it leaves the same
+//!   two ways, whether it is run, dropped with its [`Then`], or dropped
+//!   with the queue it was put in.
 //!   (`panicking_closure_drops_its_captures_once`, the two `dropping_*`
-//!   tests, and `tests/alloc_free_dispatch.rs` for the box itself.)
-//! - **send** — `new` demands `F: Send`, and the boxed pointer is owned
+//!   tests, `a_successor_dropped_uncalled_releases_its_captures_once`,
+//!   `a_panicking_link_queues_nothing`, and `tests/alloc_free_dispatch.rs`
+//!   for the box itself.)
+//! - **send** — `link` demands `F: Send`, and the boxed pointer is owned
 //!   by this value alone, so sending the `EventFn` sends one `F` and
 //!   nothing shared. (Every process-backed test in the workspace runs
 //!   events on whichever thread holds the baton.)
@@ -53,13 +66,33 @@ const INLINE_WORDS: usize = 6;
 /// and fit easily.
 pub const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 
+/// The event that follows a link: run `f` at `at`. A link of a series
+/// ([`crate::SimHandle::schedule_series`]) returns one, and the dispatch
+/// loop queues it on the series' next tie-break value, under the lock it
+/// takes after the link anyway.
+pub struct Then {
+    pub(crate) at: Time,
+    pub(crate) f: EventFn,
+}
+
+impl Then {
+    /// The next link: `f` runs at `t`, and may itself return the one after.
+    pub fn at(t: Time, f: impl FnOnce(Time) -> Option<Then> + Send + 'static) -> Self {
+        Then {
+            at: t,
+            f: EventFn::link(f),
+        }
+    }
+}
+
 /// The two operations the queue needs from an erased closure. `call`
-/// consumes the value in place; `drop` destroys it without calling (a
-/// queue being discarded mid-simulation). Both take the `data` of an
-/// `EventFn` built with this vtable's `F` and storage kind (**layout**),
-/// and after either returns or unwinds `data` is moved out (**once**).
+/// consumes the value in place and returns its successor; `drop` destroys
+/// it without calling (a queue being discarded mid-simulation). Both take
+/// the `data` of an `EventFn` built with this vtable's `F` and storage
+/// kind (**layout**), and after either returns or unwinds `data` is moved
+/// out (**once**).
 struct VTable {
-    call: unsafe fn(*mut u8, Time),
+    call: unsafe fn(*mut u8, Time) -> Option<Then>,
     drop: unsafe fn(*mut u8),
 }
 
@@ -69,9 +102,9 @@ struct VTableFor<F>(PhantomData<F>);
 
 /// # Safety
 ///
-/// `p` is the `data` of an `EventFn` built by `new::<F>` on the inline
+/// `p` is the `data` of an `EventFn` built by `link::<F>` on the inline
 /// path, and nothing reads it as an `F` afterwards.
-unsafe fn call_inline<F: FnOnce(Time)>(p: *mut u8, t: Time) {
+unsafe fn call_inline<F: FnOnce(Time) -> Option<Then>>(p: *mut u8, t: Time) -> Option<Then> {
     // SAFETY: layout — `p` is aligned for `F` and holds an initialised
     // one. once — `read` moves it out before it runs, so a panic inside
     // drops the captures from this frame, and the caller never touches
@@ -90,11 +123,11 @@ unsafe fn drop_inline<F>(p: *mut u8) {
 
 /// # Safety
 ///
-/// `p` is the `data` of an `EventFn` built by `new::<F>` on the boxed
+/// `p` is the `data` of an `EventFn` built by `link::<F>` on the boxed
 /// path, and nothing reads its pointer afterwards.
-unsafe fn call_boxed<F: FnOnce(Time)>(p: *mut u8, t: Time) {
+unsafe fn call_boxed<F: FnOnce(Time) -> Option<Then>>(p: *mut u8, t: Time) -> Option<Then> {
     // SAFETY: layout — the first word is the pointer `Box::into_raw`
-    // gave `new`; once — this is the only `from_raw` it will see. The
+    // gave `link`; once — this is the only `from_raw` it will see. The
     // `F` moves out of the box to be called; the emptied box is freed on
     // return and on unwind alike.
     (*Box::from_raw(p.cast::<*mut F>().read()))(t)
@@ -109,10 +142,13 @@ unsafe fn drop_boxed<F>(p: *mut u8) {
     drop(Box::from_raw(p.cast::<*mut F>().read()))
 }
 
-impl<F: FnOnce(Time) + Send + 'static> VTableFor<F> {
+impl<F> VTableFor<F> {
     /// Whether an `F` may live in `EventFn::data` itself (**layout**).
     const FITS_INLINE: bool =
         size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= align_of::<usize>();
+}
+
+impl<F: FnOnce(Time) -> Option<Then> + Send + 'static> VTableFor<F> {
     const INLINE: VTable = VTable {
         call: call_inline::<F>,
         drop: drop_inline::<F>,
@@ -123,7 +159,8 @@ impl<F: FnOnce(Time) + Send + 'static> VTableFor<F> {
     };
 }
 
-/// An erased `FnOnce(Time) + Send` with inline small-closure storage.
+/// An erased `FnOnce(Time) -> Option<Then> + Send` with inline
+/// small-closure storage.
 pub struct EventFn {
     data: [MaybeUninit<usize>; INLINE_WORDS],
     vtable: &'static VTable,
@@ -136,8 +173,17 @@ pub struct EventFn {
 unsafe impl Send for EventFn {}
 
 impl EventFn {
-    /// Wrap a closure, storing it inline when it fits.
+    /// Wrap a plain closure as a link with no successor. The wrapper holds
+    /// `f` and nothing else, so it is stored as `f` would be.
     pub fn new<F: FnOnce(Time) + Send + 'static>(f: F) -> Self {
+        Self::link(move |t| {
+            f(t);
+            None
+        })
+    }
+
+    /// Wrap a link, storing it inline when it fits.
+    pub fn link<F: FnOnce(Time) -> Option<Then> + Send + 'static>(f: F) -> Self {
         let mut data = [MaybeUninit::<usize>::uninit(); INLINE_WORDS];
         if VTableFor::<F>::FITS_INLINE {
             // SAFETY: layout — `FITS_INLINE` says `data` is big enough
@@ -163,13 +209,15 @@ impl EventFn {
         }
     }
 
-    /// Invoke the closure at fire time `t`, consuming it.
-    pub fn call(self, t: Time) {
+    /// Invoke the closure at fire time `t`, consuming it; returns the
+    /// event that follows it, if it is a link of a series.
+    pub fn call(self, t: Time) -> Option<Then> {
         let mut this = ManuallyDrop::new(self);
-        // SAFETY: layout — `vtable` and `data` were paired by `new`;
+        // SAFETY: layout — `vtable` and `data` were paired by `link`;
         // once — `self` came by value and is under `ManuallyDrop`, so
         // this is the only use of `data` and `Drop` cannot follow it,
-        // whether the closure returns or panics.
+        // whether the closure returns or panics. A successor it returns
+        // is an `EventFn` of its own, paired by its own `link`.
         unsafe { (this.vtable.call)(this.data.as_mut_ptr().cast(), t) }
     }
 }
@@ -190,8 +238,8 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// Where `new` will put this closure (**layout**).
-    fn fits_inline<F: FnOnce(Time) + Send + 'static>(_: &F) -> bool {
+    /// Where `link` will put this closure (**layout**).
+    fn fits_inline<F>(_: &F) -> bool {
         VTableFor::<F>::FITS_INLINE
     }
 
@@ -296,12 +344,6 @@ mod tests {
     /// inline and boxed alike.
     #[test]
     fn panicking_closure_drops_its_captures_once() {
-        struct CountsDrops(Arc<AtomicU64>);
-        impl Drop for CountsDrops {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
         let drops = Arc::new(AtomicU64::new(0));
 
         let capture = CountsDrops(Arc::clone(&drops));
@@ -324,5 +366,103 @@ mod tests {
         let f = EventFn::new(boxed);
         assert!(catch_unwind(AssertUnwindSafe(|| f.call(0))).is_err());
         assert_eq!(drops.load(Ordering::SeqCst), 2, "boxed");
+    }
+
+    /// Counts how often a value of it was dropped.
+    struct CountsDrops(Arc<AtomicU64>);
+
+    impl Drop for CountsDrops {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// **layout**: a link that fits inline may return a successor that
+    /// does not; the successor takes the box and runs from there, and a
+    /// series handed to the scheduler does the same.
+    #[test]
+    fn a_successor_over_the_budget_takes_the_box_and_runs() {
+        let hit = Arc::new(AtomicU64::new(0));
+        let h = Arc::clone(&hit);
+        let first = move |t: Time| {
+            let pad = [1u64; 16];
+            let boxed = move |t: Time| {
+                h.store(t + pad.iter().sum::<u64>(), Ordering::SeqCst);
+                None
+            };
+            assert!(!fits_inline(&boxed));
+            Some(Then::at(t + 10, boxed))
+        };
+        assert!(fits_inline(&first));
+        let then = EventFn::link(first).call(5).expect("a successor");
+        assert_eq!(then.at, 15);
+        assert!(then.f.call(then.at).is_none());
+        assert_eq!(hit.load(Ordering::SeqCst), 15 + 16);
+        assert_eq!(Arc::strong_count(&hit), 1, "and released its capture");
+
+        let mut sim = crate::Simulation::new();
+        let h = Arc::clone(&hit);
+        sim.handle().schedule_series(100, 2, move |t| {
+            let pad = [2u64; 16];
+            Some(Then::at(t + 10, move |t| {
+                h.store(t + pad.iter().sum::<u64>(), Ordering::SeqCst);
+                None
+            }))
+        });
+        assert_eq!(sim.run().dispatches, 2);
+        assert_eq!(hit.load(Ordering::SeqCst), 110 + 32);
+    }
+
+    /// **once**: a successor that is never called leaves through `Drop` —
+    /// dropped with its `Then`, or with the queue of a simulation dropped
+    /// mid-series — and releases its captures exactly once.
+    #[test]
+    fn a_successor_dropped_uncalled_releases_its_captures_once() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let capture = CountsDrops(Arc::clone(&drops));
+        let then = EventFn::link(move |t| {
+            Some(Then::at(t, move |_| {
+                let _held = &capture;
+                unreachable!("never called")
+            }))
+        })
+        .call(0);
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(then);
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "dropped with its Then");
+
+        let mut sim = crate::Simulation::new();
+        let capture = CountsDrops(Arc::clone(&drops));
+        sim.handle().schedule_series(10, 2, move |t| {
+            Some(Then::at(t + 100, move |_| {
+                let _held = &capture;
+                unreachable!("the simulation is dropped first")
+            }))
+        });
+        assert_eq!(sim.run_until(50).dispatches, 1, "the first link ran");
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "its successor is queued");
+        drop(sim);
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "dropped with the queue");
+    }
+
+    /// **once**: a link that panics returns nothing, so the loop queues
+    /// nothing; a successor it had built is dropped by the unwind, once,
+    /// and the run reports the link's own panic.
+    #[test]
+    fn a_panicking_link_queues_nothing() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let capture = CountsDrops(Arc::clone(&drops));
+        let mut sim = crate::Simulation::new();
+        sim.handle().schedule_series(10, 2, move |t| {
+            let _next = Then::at(t + 100, move |_| {
+                let _held = &capture;
+                unreachable!("never queued")
+            });
+            panic!("a link panicked")
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("EventPanic");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"a link panicked"));
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        assert_eq!(sim.handle().sched.core().agenda.pending.len(), 0);
     }
 }

@@ -151,6 +151,7 @@ mod time;
 pub mod queue;
 pub mod rng;
 
+pub use event::Then;
 pub use process::{ProcCtx, ProcId, Sample};
 pub use sched::SimHandle;
 pub use signal::Signal;

@@ -8,9 +8,12 @@
 //! lock once. The dispatch loop holds it across pops and across every
 //! step it walks for a sleeping process, letting go only around an
 //! event's closure (events schedule) and before it hands the baton on;
-//! a stalling process tests the fast path, queues its `Resume` and runs
-//! the dispatch loop on one acquisition. The tie-break counter, the run
-//! clock and the run horizon are plain fields in there. Closures are
+//! the successor a link of a series returns ([`Then`]) is queued on the
+//! acquisition the loop makes after the closure anyway, so a series
+//! enters once per link. A stalling process tests the fast path, queues
+//! its `Resume` and runs the dispatch loop on one acquisition. The
+//! tie-break counter, the run clock and the run horizon are plain fields
+//! in there. Closures are
 //! stored inline ([`EventFn`]), so a steady-state schedule/dispatch
 //! cycle never touches the heap allocator — and, past a few thousand
 //! pending events, never pays a per-pop cache-miss chain through a deep
@@ -24,7 +27,7 @@ use std::thread::Thread;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::calq::CalendarQueue;
-pub(crate) use crate::event::EventFn;
+pub(crate) use crate::event::{EventFn, Then};
 use crate::process::{ProcEntry, ProcId, ProcShared, GO};
 use crate::signal::Signal;
 use crate::time::Time;
@@ -114,38 +117,46 @@ pub(crate) struct Agenda {
     longest_round: Time,
 }
 
+/// Hardware cannot retroact: a run that is at `now` takes nothing for
+/// before `now`, in any build — the entry would run late, at the wrong
+/// instant, and nothing downstream could tell.
+#[inline]
+fn check_not_past(time: Time, now: Time) {
+    #[cold]
+    fn in_the_past(time: Time, now: Time) -> ! {
+        panic!("scheduled at {time} ns, which is in the past of a run that is at {now} ns")
+    }
+    if time < now {
+        in_the_past(time, now)
+    }
+}
+
 impl Agenda {
     /// Queue `what` at `time` behind everything already queued there.
     #[inline]
     pub fn push(&mut self, time: Time, what: WakeWhat) {
+        self.push_series(time, 1, what);
+    }
+
+    /// Queue `what` at `time` behind everything already queued there, and
+    /// hold the `links - 1` tie-break values after its own for the links
+    /// that follow it (see [`SimHandle::schedule_series`]): each is queued
+    /// on the value after its predecessor's, so the series interleaves
+    /// with other same-time entries exactly as if every link had been
+    /// pushed here and now.
+    #[inline]
+    pub fn push_series(&mut self, time: Time, links: u64, what: WakeWhat) {
         let seq = self.seq;
-        self.seq += 1;
+        self.seq += links;
         self.push_at_seq(time, seq, what);
     }
 
-    /// Queue `what` with a tie-break value of [`Self::reserve_seqs`]'s.
-    /// Hardware cannot retroact: a run that is at `now` takes nothing for
-    /// before `now`, in any build — the entry would run late, at the wrong
-    /// instant, and nothing downstream could tell.
+    /// Queue `what` on tie-break value `seq`: a fresh one, or the one a
+    /// series holds for it.
     #[inline]
-    pub fn push_at_seq(&mut self, time: Time, seq: u64, what: WakeWhat) {
-        assert!(
-            time >= self.now,
-            "scheduled at {time} ns, which is in the past of a run that is at {} ns",
-            self.now
-        );
+    fn push_at_seq(&mut self, time: Time, seq: u64, what: WakeWhat) {
+        check_not_past(time, self.now);
         self.pending.push(time, seq, what);
-    }
-
-    /// Reserve `n` consecutive tie-break values; returns the first.
-    /// Entries later pushed via [`Self::push_at_seq`] with these values
-    /// interleave with other same-time entries exactly as if they had all
-    /// been pushed at reservation time.
-    #[inline]
-    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
-        let base = self.seq;
-        self.seq += n;
-        base
     }
 
     /// Bring the run clock up to where a process's clock has been walked
@@ -317,11 +328,11 @@ impl SchedShared {
         }
     }
 
-    // The three ways in for a [`SimHandle`]: enter, do one thing, leave.
+    // The two ways in for a [`SimHandle`]: enter, do one thing, leave.
     // Not inlined into the handle's generic methods on purpose — those are
     // compiled into the calling crate, where entering and leaving the core
     // would be three calls into this one instead of one (3 % on
-    // `ring_storm`, which makes two of them per dispatch).
+    // `ring_storm` when it made two of them per dispatch).
 
     /// Queue `what` at `time`, from outside the scheduler.
     pub fn push(&self, time: Time, what: WakeWhat) {
@@ -329,16 +340,11 @@ impl SchedShared {
         self.core().agenda.push(time, what);
     }
 
-    /// Queue `what` with a reserved tie-break value, from outside the
-    /// scheduler.
-    pub fn push_at_seq(&self, time: Time, seq: u64, what: WakeWhat) {
+    /// Queue the first link of a series of `links`, from outside the
+    /// scheduler (see [`Agenda::push_series`]).
+    pub fn push_series(&self, time: Time, links: u64, what: WakeWhat) {
         self.assert_settled("scheduling");
-        self.core().agenda.push_at_seq(time, seq, what);
-    }
-
-    /// Reserve `n` consecutive tie-break values, from outside the scheduler.
-    pub fn reserve_seqs(&self, n: u64) -> u64 {
-        self.core().agenda.reserve_seqs(n)
+        self.core().agenda.push_series(time, links, what);
     }
 
     pub fn record(&self, entry: TraceEntry) {
@@ -441,13 +447,14 @@ impl SchedShared {
     /// runs events inline until the baton has to move or the caller's own
     /// `Resume` comes up. The core is let go of where somebody else will
     /// want it and nowhere else: around an event's closure, before another
-    /// process is woken, and on the way out.
+    /// process is woken, and on the way out. The successor an event's
+    /// closure returns is queued on `seq + 1` once the loop is back in.
     pub fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
         let horizon = core.agenda.horizon;
         loop {
             let agenda = &mut core.agenda;
             agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len());
-            let Some((now, what)) = agenda.pending.pop_due(horizon) else {
+            let Some((now, seq, what)) = agenda.pending.pop_due(horizon) else {
                 return Baton::Stop(Returned::Idle);
             };
             debug_assert!(now >= agenda.now, "scheduler time went backwards");
@@ -464,11 +471,26 @@ impl SchedShared {
                     }
                     drop(core);
                     // Caught so a panic here never unwinds the body of the
-                    // process whose thread happens to run the event.
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f.call(now))) {
-                        return Baton::Stop(Returned::EventPanic(payload));
-                    }
-                    core = self.core();
+                    // process whose thread happens to run the event. A
+                    // successor in the past is the link's panic, raised
+                    // where a `schedule_at` inside it would have raised it.
+                    let then = catch_unwind(AssertUnwindSafe(|| {
+                        let then = f.call(now);
+                        if let Some(then) = &then {
+                            self.assert_settled("scheduling");
+                            check_not_past(then.at, now);
+                        }
+                        then
+                    }));
+                    core = match then {
+                        Ok(None) => self.core(),
+                        Ok(Some(Then { at, f })) => {
+                            let mut core = self.core();
+                            core.agenda.push_at_seq(at, seq + 1, WakeWhat::Event(f));
+                            core
+                        }
+                        Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
+                    };
                 }
                 WakeWhat::Resume(id) => {
                     let entry = &core.procs[id.0];
@@ -545,24 +567,30 @@ impl SimHandle {
         self.sched.push(t, WakeWhat::Event(EventFn::new(f)));
     }
 
-    /// Reserve `n` consecutive FIFO tie-break slots for
-    /// [`SimHandle::schedule_at_ordered`]. Hardware models that unroll a
-    /// multi-step activity into a self-rescheduling event chain use this
-    /// to keep the chain's tie-break order identical to scheduling every
-    /// step up front: reserve the block when the activity starts, then
-    /// schedule step `k` with slot `base + k` as the chain walks.
-    pub fn reserve_order(&self, n: u64) -> u64 {
-        self.sched.reserve_seqs(n)
-    }
-
-    /// Schedule `f` at time `t` with an explicit tie-break slot obtained
-    /// from [`SimHandle::reserve_order`]. Among entries scheduled for the
-    /// same virtual time, lower slots fire first. Reusing a slot breaks
-    /// the determinism contract (but not memory safety); a slot whose time
-    /// the run has passed panics like any scheduling into the past.
-    pub fn schedule_at_ordered(&self, t: Time, order: u64, f: impl FnOnce(Time) + Send + 'static) {
+    /// Schedule a series of up to `links` events, the first of them `f` at
+    /// `t`: each link returns the next ([`Then::at`]) or `None`, and the
+    /// dispatch loop queues it. Hardware models that unroll a multi-step
+    /// activity into a self-rescheduling chain of events (a packet's hops)
+    /// use this to keep the chain's tie-break order identical to
+    /// scheduling every step up front: the `links` tie-break values are
+    /// taken here, link `k` fires on the `k`-th, and among entries for
+    /// the same virtual time lower values fire first. A link costs one
+    /// entry into the scheduler — the one the loop makes after any event —
+    /// where scheduling it from inside its predecessor cost two.
+    ///
+    /// Returning more than `links - 1` successors takes values that belong
+    /// to later entries, which breaks the determinism contract (but not
+    /// memory safety); a successor in the past of the run panics, as the
+    /// link that returned it, like any scheduling into the past.
+    pub fn schedule_series(
+        &self,
+        t: Time,
+        links: u64,
+        f: impl FnOnce(Time) -> Option<Then> + Send + 'static,
+    ) {
+        assert!(links > 0, "a series has at least one link");
         self.sched
-            .push_at_seq(t, order, WakeWhat::Event(EventFn::new(f)));
+            .push_series(t, links, WakeWhat::Event(EventFn::link(f)));
     }
 
     /// Debug builds: panic, naming the process and the time it owes, if
@@ -741,25 +769,80 @@ mod tests {
         assert_eq!(q.slab_slots(), 1, "one recycled slot suffices");
     }
 
+    /// A link of an `n`-link series that logs `(tag, k, t)` as it runs and
+    /// returns link `k + 1`, `gap` ns on, until the last.
+    fn link(
+        log: Arc<Mutex<Vec<(char, u64, Time)>>>,
+        k: u64,
+        n: u64,
+        gap: Time,
+    ) -> impl FnOnce(Time) -> Option<Then> + Send + 'static {
+        move |t| {
+            log.lock().push(('s', k, t));
+            (k + 1 < n).then(|| Then::at(t + gap, link(log, k + 1, n, gap)))
+        }
+    }
+
+    #[test]
+    fn a_series_enters_once_per_link() {
+        for k in [1, 2, 15] {
+            let mut sim = Simulation::new();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let sched = sim.handle().sched;
+            let mark = sched.core().entries;
+            sim.handle()
+                .schedule_series(100, k, link(Arc::clone(&log), 0, k, 80));
+            let report = sim.run();
+            assert_eq!(report.dispatches, k);
+            assert_eq!(log.lock().len() as u64, k);
+            // The run (to begin, to dispatch, to report: 3), queueing the
+            // first link (1) and the loop again after each link's closure,
+            // which queues the successor it returned (k). Before series, a
+            // chain reserved its tie-break values and each link pushed the
+            // next from inside its closure with one of them: 2k + 1 entries
+            // for the same chain — the reservation, the first link's push,
+            // the loop's own entry behind every link, and behind all but the
+            // last the push its closure made.
+            assert_eq!(entered_since(&sched, mark), 3 + 1 + k, "{k} links");
+        }
+    }
+
     #[test]
     fn reserved_block_interleaves_as_if_pushed_at_reservation() {
-        let s = SchedShared::new();
-        let base = s.core().agenda.reserve_seqs(3);
-        // A later plain push at the same time must fire *after* every
-        // entry of the earlier reservation, even ones not yet pushed.
-        s.push(10, WakeWhat::Resume(ProcId(99)));
-        let mut core = s.core();
-        for k in [2, 0, 1] {
-            let resume = WakeWhat::Resume(ProcId(k));
-            core.agenda.push_at_seq(10, base + k as u64, resume);
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let plain = |tag: char, k: u64, t: Time| {
+            let log = Arc::clone(&log);
+            h.schedule_at(t, move |t| log.lock().push((tag, k, t)));
+        };
+        // Queued before the series: at each instant, before its link.
+        for (k, t) in [(0, 10), (1, 20), (2, 20)] {
+            plain('b', k, t);
         }
-        let q = &mut core.agenda.pending;
-        let order: Vec<ProcId> = std::iter::from_fn(|| q.pop())
-            .map(|(_, what)| match what {
-                WakeWhat::Resume(id) => id,
-                WakeWhat::Event(_) => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, [ProcId(0), ProcId(1), ProcId(2), ProcId(99)]);
+        // Three links at 10, 20, 30, each returned by its predecessor as it
+        // runs — after everything below has been queued.
+        h.schedule_series(10, 3, link(Arc::clone(&log), 0, 3, 10));
+        // Queued after the series: at each instant, after its link, even
+        // though the link was not queued yet when these were.
+        for (k, t) in [(0, 10), (1, 20), (2, 30)] {
+            plain('a', k, t);
+        }
+        assert!(sim.run().is_clean());
+        let log = log.lock();
+        assert_eq!(
+            *log,
+            [
+                ('b', 0, 10),
+                ('s', 0, 10),
+                ('a', 0, 10),
+                ('b', 1, 20),
+                ('b', 2, 20),
+                ('s', 1, 20),
+                ('a', 1, 20),
+                ('s', 2, 30),
+                ('a', 2, 30),
+            ]
+        );
     }
 }

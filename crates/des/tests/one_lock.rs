@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use des::{us, ProcCtx, Sample, Signal, SimHandle, Simulation};
+use des::{us, ProcCtx, Sample, Signal, SimHandle, Simulation, Then};
 
 /// The message of a string panic caught out of `run`.
 fn message(err: Box<dyn std::any::Any + Send>) -> String {
@@ -69,22 +69,36 @@ fn a_sampler_that_schedules_panics_on_the_callers_thread_too() {
 
 #[test]
 fn an_event_that_schedules_into_the_past_panics_where_it_schedules() {
-    let mut sim = Simulation::new();
-    let h = sim.handle();
-    let ran_late = Arc::new(AtomicU32::new(0));
-    let ran_late2 = Arc::clone(&ran_late);
-    sim.handle().schedule_at(us(10), move |_| {
-        h.schedule_at(us(5), move |_| {
+    // From inside its closure, or by returning the next link of a series:
+    // the event's own panic either way.
+    for series in [false, true] {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let ran_late = Arc::new(AtomicU32::new(0));
+        let ran_late2 = Arc::clone(&ran_late);
+        let late = move |_| {
             ran_late2.fetch_add(1, Ordering::Relaxed);
-        });
-    });
-    let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("hardware cannot retroact");
-    let msg = message(err);
-    assert!(
-        msg.contains("scheduled at 5000 ns") && msg.contains("a run that is at 10000 ns"),
-        "{msg}"
-    );
-    assert_eq!(ran_late.load(Ordering::Relaxed), 0, "it was never queued");
+        };
+        if series {
+            sim.handle().schedule_series(us(10), 2, move |_| {
+                Some(Then::at(us(5), move |t| {
+                    late(t);
+                    None
+                }))
+            });
+        } else {
+            sim.handle()
+                .schedule_at(us(10), move |_| h.schedule_at(us(5), late));
+        }
+        let err =
+            catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("hardware cannot retroact");
+        let msg = message(err);
+        assert!(
+            msg.contains("scheduled at 5000 ns") && msg.contains("a run that is at 10000 ns"),
+            "{msg}"
+        );
+        assert_eq!(ran_late.load(Ordering::Relaxed), 0, "it was never queued");
+    }
 }
 
 #[test]

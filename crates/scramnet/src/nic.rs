@@ -98,7 +98,7 @@ impl Nic {
         ctx.advance(self.shared.cost.pio_read_ns);
         self.shared.stats.pio_reads.add(1);
         ctx.obs().count(ctx.now(), self.gid(), "nic.pio_reads", 1);
-        let w = self.shared.bank(self.node).read(addr);
+        let w = self.shared.state().banks[self.node].read(addr);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         w
@@ -121,7 +121,7 @@ impl Nic {
         }
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.pio_reads", len as u64);
-        self.shared.bank(self.node).read_block(addr, out);
+        self.shared.state().banks[self.node].read_block(addr, out);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
     }

@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use des::obs::{Layer, Stage, NO_NODE};
-use des::{Signal, SimHandle, Time};
-use parking_lot::Mutex;
+use des::{Signal, SimHandle, Then, Time};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::bank::Bank;
 use crate::cost::{CostModel, TxMode};
@@ -154,27 +154,30 @@ impl ReachabilitySet {
 }
 
 /// The scheduled itinerary of one injected packet: every live hop's
-/// `(node, apply-time)` plus the payload, walked by a single
-/// self-rescheduling transit event. Plans are pooled and reused, so a
-/// warm steady state schedules an N-hop packet with zero allocations.
+/// `(node, apply-time)` plus the payload, walked by one series of transit
+/// events ([`SimHandle::schedule_series`]), each hop returning the next.
+/// Plans are pooled and reused, so a warm steady state schedules an N-hop
+/// packet with zero allocations.
 pub(crate) struct HopPlan {
-    /// `(node, bank-apply time)` for each live hop, in ring order.
-    hops: Vec<(u32, Time)>,
+    /// One word per live hop, in ring order: the node in the top byte
+    /// (a ring has at most 256), the bank-apply time below it. Half of
+    /// what `(u32, Time)` takes after padding, and a ring's packet backlog
+    /// is mostly these.
+    hops: Vec<u64>,
     /// Next hop to fire.
     idx: usize,
     addr: WordAddr,
     writer: usize,
     /// Payload; dropped (not deallocated into the pool) on completion.
     data: Option<Arc<Vec<Word>>>,
-    /// First of the FIFO tie-break slots reserved for this chain; hop
-    /// `k` fires with slot `base_order + k` (see
-    /// `SimHandle::reserve_order`).
-    base_order: u64,
     /// Message trace id riding this packet (0 = untraced; only ever
     /// nonzero while full tracing is enabled). Carried in the plan, not
     /// the payload: no protocol word changes.
     trace: u64,
 }
+
+/// Bits of a hop word below its node.
+const HOP_TIME_BITS: u32 = 56;
 
 impl HopPlan {
     fn empty() -> Box<Self> {
@@ -184,9 +187,81 @@ impl HopPlan {
             addr: 0,
             writer: 0,
             data: None,
-            base_order: 0,
             trace: 0,
         })
+    }
+
+    /// Plan a hop that applies at `node` at `tail`.
+    fn push_hop(&mut self, node: usize, tail: Time) {
+        assert!(
+            tail < 1 << HOP_TIME_BITS,
+            "a hop at {tail} ns is past what a hop plan holds"
+        );
+        self.hops.push((node as u64) << HOP_TIME_BITS | tail);
+    }
+
+    /// Hop `i`: its node and its bank-apply time.
+    fn hop(&self, i: usize) -> (usize, Time) {
+        let hop = self.hops[i];
+        (
+            (hop >> HOP_TIME_BITS) as usize,
+            hop & ((1 << HOP_TIME_BITS) - 1),
+        )
+    }
+}
+
+/// Everything a hop or an inject reads and writes, as one value behind
+/// one lock ([`RingShared::state`]): entered once per hop, twice per
+/// inject, once per PIO access. A leaf lock — nothing under it schedules,
+/// notifies a [`Signal`], calls a tap or records — so nothing done under
+/// it comes back for it.
+pub(crate) struct RingState {
+    pub banks: Vec<Bank>,
+    /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
+    links: Vec<Time>,
+    /// Fault injection (None when `bit_error_rate` is 0).
+    errors: Option<ErrorInjector>,
+    /// Free list of transit itineraries (see [`HopPlan`]).
+    /// The box, not just the plan, is what's recycled: the transit
+    /// closure must capture a thin pointer to stay inside the inline
+    /// budget, so un-boxing the pool would re-introduce one allocation
+    /// per packet.
+    #[allow(clippy::vec_box)]
+    plan_pool: Vec<Box<HopPlan>>,
+    /// (addr, earlier_writer, later_writer) conflicts seen by the
+    /// single-writer checker.
+    conflicts: Vec<(WordAddr, usize, usize)>,
+}
+
+impl RingState {
+    /// Apply `data` to `node`'s bank at `t` — corrupted first unless
+    /// `node` is the writer's own — and log single-writer conflicts.
+    /// Returns the corrupted copy, if a bit flipped.
+    fn apply(
+        &mut self,
+        node: usize,
+        addr: WordAddr,
+        data: &[Word],
+        writer: usize,
+        t: Time,
+    ) -> Option<Vec<Word>> {
+        // Fault injection corrupts only ring transit, never the writer's
+        // own bank (the host wrote that directly over the bus). The
+        // mutation buffer is allocated lazily on the first actual flip:
+        // in the overwhelmingly common no-flip apply the data passes
+        // through untouched and the injector's geometric countdown makes
+        // the whole check one compare-and-subtract.
+        let mut corrupted: Option<Vec<Word>> = None;
+        if let (true, Some(err)) = (node != writer, &mut self.errors) {
+            err.corrupt_span(data.len(), |i, bit| {
+                corrupted.get_or_insert_with(|| data.to_vec())[i] ^= 1 << bit;
+            });
+        }
+        let applied = corrupted.as_deref().unwrap_or(data);
+        for (a, earlier) in self.banks[node].apply(addr, applied, writer, t) {
+            self.conflicts.push((a, earlier, writer));
+        }
+        corrupted
     }
 }
 
@@ -198,12 +273,10 @@ pub(crate) struct RingShared {
     pub n: usize,
     /// Words per bank.
     pub words: usize,
-    pub banks: Vec<Mutex<Bank>>,
-    /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
-    /// Locked once per inject, only around the occupancy computation.
-    links: Mutex<Vec<Time>>,
+    /// Entered only through [`Self::state`].
+    state: Mutex<RingState>,
     watches: Mutex<Vec<Vec<Watch>>>,
-    /// Number of installed watches across all nodes; lets `apply_at`
+    /// Number of installed watches across all nodes; lets `applied`
     /// skip the watch lock entirely on watch-free rings.
     watch_count: AtomicU64,
     /// Per-node apply observers (bridge forwarding). Called as
@@ -234,18 +307,6 @@ pub(crate) struct RingShared {
     /// the write — the loss happens on the wire).
     drop_next: AtomicU64,
     pub stats: AtomicRingStats,
-    /// (addr, earlier_writer, later_writer) conflicts seen by the
-    /// single-writer checker.
-    conflicts: Mutex<Vec<(WordAddr, usize, usize)>>,
-    /// Fault injection (None when `bit_error_rate` is 0).
-    errors: Option<Mutex<ErrorInjector>>,
-    /// Free list of transit itineraries (see [`HopPlan`]).
-    /// The box, not just the plan, is what's recycled: the transit
-    /// closure must capture a thin pointer to stay inside the inline
-    /// budget, so un-boxing the pool would re-introduce one allocation
-    /// per packet.
-    #[allow(clippy::vec_box)]
-    plan_pool: Mutex<Vec<Box<HopPlan>>>,
 }
 
 /// The ring's memory as the one flat word space a chain step can look at
@@ -255,7 +316,7 @@ pub(crate) struct RingShared {
 impl des::Sample for RingShared {
     fn sample(&self, addr: usize) -> Word {
         self.stats.pio_reads.add(1);
-        self.bank(addr / self.words).read(addr % self.words)
+        self.state().banks[addr / self.words].read(addr % self.words)
     }
 }
 
@@ -372,17 +433,23 @@ impl Ring {
     ) -> Self {
         assert!(n >= 2, "a ring needs at least two nodes");
         assert!(n <= 256, "SCRAMNet supports up to 256 nodes per ring");
-        let banks = (0..n)
-            .map(|_| Mutex::new(Bank::new(words, config.track_provenance)))
-            .collect();
+        let state = RingState {
+            banks: (0..n)
+                .map(|_| Bank::new(words, config.track_provenance))
+                .collect(),
+            links: vec![0; n],
+            errors: (config.bit_error_rate > 0.0)
+                .then(|| ErrorInjector::new(config.bit_error_rate, config.error_seed)),
+            plan_pool: Vec::new(),
+            conflicts: Vec::new(),
+        };
         let shared = RingShared {
             handle: handle.clone(),
             cost,
             mode: AtomicU8::new(0),
             n,
             words,
-            banks,
-            links: Mutex::new(vec![0; n]),
+            state: Mutex::new(state),
             watches: Mutex::new((0..n).map(|_| Vec::new()).collect()),
             watch_count: AtomicU64::new(0),
             taps: Mutex::new((0..n).map(|_| None).collect()),
@@ -394,10 +461,6 @@ impl Ring {
             segment_wrap: config.segment_wrap,
             drop_next: AtomicU64::new(0),
             stats: AtomicRingStats::default(),
-            conflicts: Mutex::new(Vec::new()),
-            errors: (config.bit_error_rate > 0.0)
-                .then(|| Mutex::new(ErrorInjector::new(config.bit_error_rate, config.error_seed))),
-            plan_pool: Mutex::new(Vec::new()),
         };
         shared.set_mode(config.mode);
         Ring {
@@ -531,7 +594,7 @@ impl Ring {
     /// Conflicting-writer records `(addr, earlier, later)` seen so far.
     /// Empty unless provenance tracking is on and two nodes wrote one word.
     pub fn conflicts(&self) -> Vec<(WordAddr, usize, usize)> {
-        self.shared.conflicts.lock().clone()
+        self.shared.state().conflicts.clone()
     }
 
     /// Clone of the shared core, for hierarchy wiring.
@@ -584,13 +647,13 @@ impl Ring {
 
     /// Snapshot of `node`'s entire bank (test helper).
     pub fn snapshot(&self, node: usize) -> Vec<Word> {
-        self.shared.bank(node).snapshot()
+        self.shared.state().banks[node].snapshot()
     }
 
     /// Last writer of `addr` on `node`'s bank (None if never written or
     /// provenance tracking is off).
     pub fn provenance(&self, node: usize, addr: WordAddr) -> Option<crate::WriteRecord> {
-        self.shared.bank(node).provenance(addr)
+        self.shared.state().banks[node].provenance(addr)
     }
 }
 
@@ -625,7 +688,8 @@ impl RingShared {
             return;
         }
         let mode = self.mode();
-        self.apply_at(src, addr, &data, writer, t_ready);
+        let corrupted = self.state().apply(src, addr, &data, writer, t_ready);
+        self.applied(src, addr, &data, corrupted, writer, t_ready);
         self.stats.injections.add(1);
         self.stats.words_carried.add(words as u64);
         let ser = self.cost.serialize_ns(words, mode);
@@ -666,18 +730,21 @@ impl RingShared {
         // Compute the packet's full itinerary synchronously: link
         // occupancy must be claimed at inject time (deferring it to hop
         // fire time would change virtual timing under contention). The
-        // link lock covers only this computation — no scheduling, no
-        // stats, no recorder calls inside it.
-        let mut plan = self.plan_pool.lock().pop().unwrap_or_else(HopPlan::empty);
-        debug_assert!(plan.hops.is_empty() && plan.data.is_none());
+        // ring's state is held only around this computation — no
+        // scheduling, no stats, no recorder calls inside it.
         let mut busy_ns = ser;
         let mut truncated = false;
         // Telemetry locals captured under the lock, gauged after it
         // (the lock stays free of recorder calls).
         let src_backlog;
         let src_horizon;
-        let span_end = {
-            let mut links = self.links.lock();
+        let (plan, span_end) = {
+            let mut state = self.state();
+            let RingState {
+                links, plan_pool, ..
+            } = &mut *state;
+            let mut plan = plan_pool.pop().unwrap_or_else(HopPlan::empty);
+            debug_assert!(plan.hops.is_empty() && plan.data.is_none());
             let mut head = t_ready.max(links[src]);
             src_backlog = head - t_ready;
             links[src] = head + ser;
@@ -715,7 +782,7 @@ impl RingShared {
                 let arrive_head = head + hop_cost;
                 if !bypassed.get(next) {
                     let tail = arrive_head + ser;
-                    plan.hops.push((next as u32, tail));
+                    plan.push_hop(next, tail);
                     // Forwarding occupies this node's egress too (every
                     // packet traverses every link: aggregate throughput =
                     // link rate).
@@ -730,7 +797,13 @@ impl RingShared {
                 }
                 hop_from = next;
             }
-            span_end
+            if plan.hops.is_empty() {
+                // No bank hears it: the plan goes straight back.
+                plan_pool.push(plan);
+                (None, span_end)
+            } else {
+                (Some(plan), span_end)
+            }
         };
         self.stats.link_busy_ns.add(busy_ns);
         {
@@ -761,23 +834,20 @@ impl RingShared {
                 0
             }
         };
-        if plan.hops.is_empty() {
-            self.plan_pool.lock().push(plan);
-        } else {
-            // One transit event walks the whole itinerary, rescheduling
-            // itself hop to hop. Reserving the FIFO slots up front keeps
-            // the pop order identical to the old engine, which pushed
-            // every hop's event here and now.
+        if let Some(mut plan) = plan {
+            // One series of transit events walks the whole itinerary, each
+            // hop returning the next. Its tie-break values are taken here
+            // and now, so the pop order is identical to the old engine,
+            // which pushed every hop's event here and now.
             plan.idx = 0;
             plan.addr = addr;
             plan.writer = writer;
             plan.data = Some(data);
-            plan.base_order = self.handle.reserve_order(plan.hops.len() as u64);
             plan.trace = trace;
-            let (first_t, first_order) = (plan.hops[0].1, plan.base_order);
+            let (first_t, links) = (plan.hop(0).1, plan.hops.len() as u64);
             let shared = Arc::clone(self);
             self.handle
-                .schedule_at_ordered(first_t, first_order, move |t| shared.transit(plan, t));
+                .schedule_series(first_t, links, move |t| shared.transit(plan, t));
         }
         // The packet's whole ring transit as one hardware-track span. The
         // exit time is computed synchronously, so the enter/exit pair is
@@ -798,74 +868,65 @@ impl RingShared {
         }
     }
 
-    /// Fire one hop of a packet's itinerary and reschedule for the next.
-    /// The closure re-captured each hop is two pointers (an
-    /// `Arc<RingShared>` and a `Box<HopPlan>`), well inside the
-    /// scheduler's inline-closure budget — a full transit allocates
-    /// nothing once the plan pool and queue are warm.
-    fn transit(self: Arc<Self>, mut plan: Box<HopPlan>, t: Time) {
-        let (node, _) = plan.hops[plan.idx];
-        let data: &[Word] = plan.data.as_deref().expect("transit plan carries payload");
-        self.apply_at(node as usize, plan.addr, data, plan.writer, t);
-        if plan.trace != 0 {
+    /// Fire one hop of a packet's itinerary and return the next. The
+    /// closure of each hop is two pointers (the `Arc<RingShared>`, moved
+    /// from hop to hop, and a `Box<HopPlan>`), well inside the scheduler's
+    /// inline-closure budget — a full transit allocates nothing once the
+    /// plan pool and queue are warm. The ring's state is entered once: the
+    /// apply, and on the last hop the plan's return to the pool.
+    fn transit(self: Arc<Self>, mut plan: Box<HopPlan>, t: Time) -> Option<Then> {
+        let (node, _) = plan.hop(plan.idx);
+        plan.idx += 1;
+        let (addr, writer, trace) = (plan.addr, plan.writer, plan.trace);
+        let data = plan.data.take().expect("transit plan carries payload");
+        let mut state = self.state();
+        let corrupted = state.apply(node, addr, &data, writer, t);
+        let plan = if plan.idx < plan.hops.len() {
+            Some(plan)
+        } else {
+            plan.hops.clear();
+            plan.trace = 0;
+            state.plan_pool.push(plan);
+            None
+        };
+        drop(state);
+        self.applied(node, addr, &data, corrupted, writer, t);
+        if trace != 0 {
             self.handle.recorder().lifecycle_hot(
                 t,
-                self.node_ids[node as usize] as u32,
-                plan.trace,
+                self.node_ids[node] as u32,
+                trace,
                 Stage::RingHop,
                 node as u64,
             );
         }
-        plan.idx += 1;
-        if plan.idx < plan.hops.len() {
-            let (next_t, order) = (plan.hops[plan.idx].1, plan.base_order + plan.idx as u64);
-            let shared = Arc::clone(&self);
-            self.handle
-                .schedule_at_ordered(next_t, order, move |t| shared.transit(plan, t));
-        } else {
-            plan.hops.clear();
-            plan.data = None;
-            plan.trace = 0;
-            self.plan_pool.lock().push(plan);
-        }
+        let mut plan = plan?;
+        plan.data = Some(data);
+        let (_, next_t) = plan.hop(plan.idx);
+        Some(Then::at(next_t, move |t| self.transit(plan, t)))
     }
 
-    /// Apply `data` to `node`'s bank at time `t`, firing interrupt watches
-    /// and recording single-writer conflicts.
-    fn apply_at(
-        self: &Arc<Self>,
+    /// What an apply at `node` does beyond its bank: count a corrupted
+    /// one, fire the interrupt watches it covers and call the node's tap
+    /// with what the bank got (`corrupted`, if a bit flipped, else
+    /// `data`). Outside the ring's state, which is a leaf lock: these
+    /// record, notify and inject.
+    fn applied(
+        &self,
         node: usize,
         addr: WordAddr,
         data: &[Word],
+        corrupted: Option<Vec<Word>>,
         writer: usize,
         t: Time,
     ) {
-        // Fault injection corrupts only ring transit, never the writer's
-        // own bank (the host wrote that directly over the bus). The
-        // mutation buffer is allocated lazily on the first actual flip:
-        // in the overwhelmingly common no-flip apply the data passes
-        // through untouched and the injector's geometric countdown makes
-        // the whole check one compare-and-subtract.
-        let mut corrupted: Option<Vec<Word>> = None;
-        if let (true, Some(err)) = (node != writer, &self.errors) {
-            err.lock().corrupt_span(data.len(), |i, bit| {
-                corrupted.get_or_insert_with(|| data.to_vec())[i] ^= 1 << bit;
-            });
-            if corrupted.is_some() {
-                self.stats.bit_errors.add(1);
-                self.handle
-                    .recorder()
-                    .count(t, self.node_ids[node] as u32, "ring.bit_errors", 1);
-            }
+        if corrupted.is_some() {
+            self.stats.bit_errors.add(1);
+            self.handle
+                .recorder()
+                .count(t, self.node_ids[node] as u32, "ring.bit_errors", 1);
         }
         let data: &[Word] = corrupted.as_deref().unwrap_or(data);
-        let conflicts = self.bank(node).apply(addr, data, writer, t);
-        if !conflicts.is_empty() {
-            let mut log = self.conflicts.lock();
-            for (a, earlier) in conflicts {
-                log.push((a, earlier, writer));
-            }
-        }
         if self.watch_count.load(Ordering::Relaxed) > 0 {
             let end = addr + data.len();
             let watches = self.watches.lock();
@@ -890,19 +951,20 @@ impl RingShared {
         }
     }
 
+    /// The ring's state — its banks above all — for reading or writing.
+    /// Replicated memory is the one thing every host and every hop event
+    /// shares, so a process still owing charged time must not be looking
+    /// at it.
+    pub(crate) fn state(&self) -> MutexGuard<'_, RingState> {
+        self.handle.assert_settled("a bank access");
+        self.state.lock()
+    }
+
     /// True unless `node` is currently bypassed. This is the only
     /// liveness signal the hardware exposes — a stalled host whose
     /// insertion register is switched out looks exactly like a dead one.
     /// A *silenced* host (crashed behind a live NIC) still reads as in
     /// the ring here; only heartbeat detection can expose it.
-    /// `node`'s bank, for reading or writing its words. Replicated memory
-    /// is the one thing every host and every hop event shares, so a
-    /// process still owing charged time must not be looking at it.
-    pub(crate) fn bank(&self, node: usize) -> parking_lot::MutexGuard<'_, Bank> {
-        self.handle.assert_settled("a bank access");
-        self.banks[node].lock()
-    }
-
     pub(crate) fn node_in_ring(&self, node: usize) -> bool {
         !self.bypassed.get(node)
     }

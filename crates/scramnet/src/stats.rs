@@ -48,7 +48,7 @@ impl RingStats {
 }
 
 /// Lock-free accumulation cells behind [`RingStats`]. The hot paths
-/// (`inject_as`, `apply_at`, PIO operations) bump these with a relaxed
+/// (`inject_as`, `transit`, PIO operations) bump these with a relaxed
 /// load and store; [`AtomicRingStats::snapshot`] materializes the plain struct
 /// for readers. Only one simulation entity runs at a time, so relaxed
 /// ordering loses nothing.
