@@ -84,6 +84,10 @@ pub(crate) struct CalendarQueue<T> {
     boundary: Time,
     slots: Vec<Option<T>>,
     free: Vec<u32>,
+    /// Payloads ever written to the slab, for the unit tests that pin
+    /// which entries skip it.
+    #[cfg(test)]
+    pushes: u64,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -103,6 +107,8 @@ impl<T> CalendarQueue<T> {
             boundary: 0,
             slots: Vec::new(),
             free: Vec::new(),
+            #[cfg(test)]
+            pushes: 0,
         }
     }
 
@@ -116,6 +122,25 @@ impl<T> CalendarQueue<T> {
     #[cfg(test)]
     pub fn slab_slots(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Number of entries ever pushed (test observability).
+    #[cfg(test)]
+    pub fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    /// True when an entry keyed `(time, seq)` would be the next one
+    /// popped: it sorts before the near band's head and the late heap's
+    /// by the full key, and before the far band by time alone — that band
+    /// keeps its minimum's time but not its tie-break, so a key on
+    /// `far_min` counts as behind it. A caller about to push an entry
+    /// only to pop it again can skip both.
+    pub fn precedes_all(&self, time: Time, seq: u64) -> bool {
+        let before = |k: &Key| (time, seq) < (k.time, k.seq);
+        self.batch.get(self.cursor).is_none_or(before)
+            && self.late.peek().is_none_or(before)
+            && (self.far.is_empty() || time < self.far_min)
     }
 
     /// Fire time of the earliest entry, if any.
@@ -138,6 +163,10 @@ impl<T> CalendarQueue<T> {
     }
 
     pub fn push(&mut self, time: Time, seq: u64, what: T) {
+        #[cfg(test)]
+        {
+            self.pushes += 1;
+        }
         let slot = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(what);
@@ -291,6 +320,81 @@ mod tests {
         q.push(20, 3, "b");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
         assert_eq!(order, ["z", "a", "b", "c"]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+        /// `precedes_all` says "next" exactly when pushing the key and
+        /// popping would hand it straight back — but for a key on the far
+        /// band's minimum time, which it leaves to the queue. Keys are
+        /// sealed into the near band by a first pop, then pushed across
+        /// the late heap and the far band; the probe's time is drawn at
+        /// random or equal to a band's head, its tie-break between the
+        /// queued ones' (theirs even, its own odd).
+        #[test]
+        fn precedes_all_is_the_next_pop(
+            sealed in prop::collection::vec(0..4u64, 1..8),
+            pops in 1..4usize,
+            later in prop::collection::vec(0..600u64, 0..12),
+            which in 0..4u8,
+            time in 0..600u64,
+            seq in 0..40u64,
+        ) {
+            let mut q = CalendarQueue::new();
+            let mut next_seq = 0;
+            for t in sealed {
+                q.push(t, next_seq, false);
+                next_seq += 2;
+            }
+            for _ in 0..pops {
+                q.pop();
+            }
+            for t in later {
+                q.push(t, next_seq, false);
+                next_seq += 2;
+            }
+            let time = match which {
+                1 => q.batch.get(q.cursor).map(|k| k.time),
+                2 => q.late.peek().map(|k| k.time),
+                3 => (!q.far.is_empty()).then_some(q.far_min),
+                _ => None,
+            }
+            .unwrap_or(time);
+            let seq = 2 * seq + 1;
+            let said = q.precedes_all(time, seq);
+            let far_tie = !q.far.is_empty() && time == q.far_min;
+            q.push(time, seq, true);
+            let was_next = q.pop_due(Time::MAX) == Some((time, seq, true));
+            prop_assert!(
+                said == was_next || (was_next && far_tie),
+                "({time}, {seq}): precedes_all {said}, next pop {was_next}"
+            );
+        }
+    }
+
+    #[test]
+    fn precedes_all_breaks_ties_by_full_key_and_defers_on_far_min() {
+        let mut q = CalendarQueue::new();
+        q.push(10, 4, ());
+        q.push(20, 6, ());
+        q.pop(); // seals a near band holding both keys
+        assert!(
+            q.precedes_all(20, 5) && !q.precedes_all(20, 7),
+            "batch head"
+        );
+        q.push(15, 8, ()); // into the late heap
+        assert!(q.precedes_all(15, 7) && !q.precedes_all(15, 9), "late head");
+        q.push(10_000, 10, ()); // into the far band
+        assert!(q.precedes_all(15, 7), "far band");
+        q.pop();
+        q.pop();
+        assert!(
+            q.precedes_all(9_999, 99) && !q.precedes_all(10_000, 0),
+            "far min"
+        );
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! lock once. The dispatch loop holds it across pops and across every
 //! step it walks for a sleeping process, letting go only around an
 //! event's closure (events schedule) and before it hands the baton on;
-//! the successor a link of a series returns ([`Then`]) is queued on the
-//! acquisition the loop makes after the closure anyway, so a series
-//! enters once per link. A stalling process tests the fast path, queues
-//! its `Resume` and runs the dispatch loop on one acquisition. The
-//! tie-break counter, the run clock and the run horizon are plain fields
-//! in there. Closures are
+//! the successor a link of a series returns ([`Then`]) is dealt with on
+//! the acquisition the loop makes after the closure anyway — run on the
+//! spot when it is the next entry due, queued when it is not — so a
+//! series enters once per link, and a link that is next skips the queue.
+//! A stalling process tests the fast path, queues its `Resume` and runs
+//! the dispatch loop on one acquisition. The tie-break counter, the run
+//! clock and the run horizon are plain fields in there. Closures are
 //! stored inline ([`EventFn`]), so a steady-state schedule/dispatch
 //! cycle never touches the heap allocator — and, past a few thousand
 //! pending events, never pays a per-pop cache-miss chain through a deep
@@ -448,20 +449,23 @@ impl SchedShared {
     /// `Resume` comes up. The core is let go of where somebody else will
     /// want it and nowhere else: around an event's closure, before another
     /// process is woken, and on the way out. The successor an event's
-    /// closure returns is queued on `seq + 1` once the loop is back in.
+    /// closure returns is keyed `seq + 1` once the loop is back in: run
+    /// next, without the queue, when it is inside the horizon and comes
+    /// before everything queued ([`CalendarQueue::precedes_all`]), and
+    /// queued otherwise. Either way the pops come in `(time, seq)` order.
     pub fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
         let horizon = core.agenda.horizon;
         loop {
             let agenda = &mut core.agenda;
             agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len());
-            let Some((now, seq, what)) = agenda.pending.pop_due(horizon) else {
+            let Some((mut now, mut seq, what)) = agenda.pending.pop_due(horizon) else {
                 return Baton::Stop(Returned::Idle);
             };
             debug_assert!(now >= agenda.now, "scheduler time went backwards");
             agenda.now = now;
             agenda.dispatches += 1;
             match what {
-                WakeWhat::Event(f) => {
+                WakeWhat::Event(mut f) => loop {
                     if self.recorder.is_enabled() {
                         self.record(TraceEntry {
                             time: now,
@@ -482,16 +486,27 @@ impl SchedShared {
                         }
                         then
                     }));
-                    core = match then {
-                        Ok(None) => self.core(),
-                        Ok(Some(Then { at, f })) => {
-                            let mut core = self.core();
-                            core.agenda.push_at_seq(at, seq + 1, WakeWhat::Event(f));
-                            core
-                        }
+                    let then = match then {
+                        Ok(then) => then,
                         Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
                     };
-                }
+                    core = self.core();
+                    let Some(Then { at, f: next }) = then else {
+                        break;
+                    };
+                    let agenda = &mut core.agenda;
+                    if at > horizon || !agenda.pending.precedes_all(at, seq + 1) {
+                        agenda.push_at_seq(at, seq + 1, WakeWhat::Event(next));
+                        break;
+                    }
+                    // The successor is what the next pop would return: do
+                    // what that pop and the loop's top would have done with
+                    // it, and run it without the queue.
+                    agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len() + 1);
+                    agenda.now = at;
+                    agenda.dispatches += 1;
+                    (now, seq, f) = (at, seq + 1, next);
+                },
                 WakeWhat::Resume(id) => {
                     let entry = &core.procs[id.0];
                     // A signal can race with normal completion and
@@ -569,7 +584,8 @@ impl SimHandle {
 
     /// Schedule a series of up to `links` events, the first of them `f` at
     /// `t`: each link returns the next ([`Then::at`]) or `None`, and the
-    /// dispatch loop queues it. Hardware models that unroll a multi-step
+    /// dispatch loop runs it next when nothing queued comes before it,
+    /// and queues it otherwise. Hardware models that unroll a multi-step
     /// activity into a self-rescheduling chain of events (a packet's hops)
     /// use this to keep the chain's tie-break order identical to
     /// scheduling every step up front: the `links` tie-break values are
@@ -844,5 +860,124 @@ mod tests {
                 ('a', 2, 30),
             ]
         );
+    }
+
+    /// Entries pushed into `sim`'s pending queue so far.
+    fn pushes(sim: &Simulation) -> u64 {
+        sim.handle().sched.core().agenda.pending.pushes()
+    }
+
+    #[test]
+    fn a_series_whose_links_are_each_next_pushes_once() {
+        for k in [1, 2, 15] {
+            let mut sim = Simulation::new();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            sim.handle()
+                .schedule_series(100, k, link(Arc::clone(&log), 0, k, 80));
+            let report = sim.run();
+            assert_eq!(report.dispatches, k);
+            assert_eq!(report.end_time, 100 + 80 * (k - 1));
+            // Only the first link goes through the queue; every successor
+            // is the next entry due and runs on the spot. (Before, each
+            // was pushed and popped again — k pushes — all of them through
+            // the one slot the previous pop had freed.)
+            assert_eq!(pushes(&sim), 1, "{k} links");
+            assert_eq!(sim.handle().sched.core().agenda.pending.slab_slots(), 1);
+        }
+    }
+
+    #[test]
+    fn a_successor_tied_with_the_far_band_takes_the_queue() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (h2, plain, series) = (h.clone(), Arc::clone(&log), Arc::clone(&log));
+        // The first pop seals a near band of this one link, so what its
+        // closure queues at 1 ms lands in the far band — as does its
+        // successor, keyed at the same instant but on the series' earlier
+        // tie-break value: the far band does not keep its minimum's
+        // tie-break, so the successor is queued and wins the tie there.
+        h.schedule_series(100, 2, move |t| {
+            h2.schedule_at(1_000_000, move |t| plain.lock().push(('p', 0, t)));
+            link(series, 0, 2, 1_000_000 - t)(t)
+        });
+        assert!(sim.run().is_clean());
+        assert_eq!(
+            *log.lock(),
+            [('s', 0, 100), ('s', 1, 1_000_000), ('p', 0, 1_000_000)]
+        );
+        assert_eq!(pushes(&sim), 3, "the link, the plain event, the successor");
+    }
+
+    #[test]
+    fn a_successor_behind_a_same_time_entry_takes_the_queue() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let plain = Arc::clone(&log);
+        // Queued first, so on a smaller tie-break value than the series'.
+        h.schedule_at(20, move |t| plain.lock().push(('b', 0, t)));
+        h.schedule_series(10, 2, link(Arc::clone(&log), 0, 2, 10));
+        assert!(sim.run().is_clean());
+        assert_eq!(*log.lock(), [('s', 0, 10), ('b', 0, 20), ('s', 1, 20)]);
+        assert_eq!(pushes(&sim), 3, "the plain event, the link, the successor");
+    }
+
+    #[test]
+    fn a_successor_past_the_horizon_waits_for_the_next_run() {
+        let mut sim = Simulation::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        sim.handle()
+            .schedule_series(10, 2, link(Arc::clone(&log), 0, 2, 100));
+        let first = sim.run_until(50);
+        assert_eq!((first.dispatches, first.end_time), (1, 10));
+        assert_eq!(pushes(&sim), 2, "the successor was queued");
+        assert_eq!(sim.handle().sched.core().agenda.pending.len(), 1);
+        let second = sim.run();
+        assert_eq!((second.dispatches, second.end_time), (1, 110));
+        assert_eq!(*log.lock(), [('s', 0, 10), ('s', 1, 110)]);
+    }
+
+    /// Link `k` of a 14-link series that, but for the last, queues a plain
+    /// event 1 µs on and returns link `k + 1`, 7 ns on: the queue grows
+    /// under links that are each next, and is deepest as the last one runs.
+    fn laying(h: SimHandle, k: u64) -> impl FnOnce(Time) -> Option<Then> + Send + 'static {
+        move |t| {
+            let next = k + 1 < 14;
+            if next {
+                h.schedule_at(t + 1_000, |_| ());
+            }
+            next.then(|| Then::at(t + 7, laying(h, k + 1)))
+        }
+    }
+
+    /// Three overlapping series among plain events (some of which queue
+    /// more), then a fourth series alone, laying plain events as it goes,
+    /// across two runs: what each run reports is what it reported while
+    /// every successor was pushed and popped, captured then.
+    #[test]
+    fn a_mixed_world_reports_what_it_did_before() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for s in 0..3 {
+            h.schedule_series(10 + s * 25, 6, link(Arc::clone(&log), 0, 6, 40 + s * 10));
+        }
+        for k in 0..12 {
+            let (h2, log) = (h.clone(), Arc::clone(&log));
+            h.schedule_at(k * 30, move |t| {
+                log.lock().push(('p', k, t));
+                if k % 3 == 0 {
+                    let log = Arc::clone(&log);
+                    h2.schedule_at(t + 45, move |t| log.lock().push(('q', k, t)));
+                }
+            });
+        }
+        h.schedule_series(400, 14, laying(h.clone(), 0));
+        let first = sim.run_until(200);
+        let second = sim.run();
+        let observed = [first, second].map(|r| (r.dispatches, r.peak_queue_depth, r.end_time));
+        assert_eq!(observed, [(21, 16, 185), (40, 14, 1_484)]);
+        assert_eq!(log.lock().len(), 34);
     }
 }

@@ -20,8 +20,6 @@
 //! word space is replicated into every bank of every ring, so the
 //! BillBoard Protocol runs across the hierarchy unchanged.
 
-use std::sync::Arc;
-
 use des::{SimHandle, Time};
 
 use crate::cost::CostModel;
@@ -101,13 +99,7 @@ impl RingHierarchy {
                 Box::new(
                     move |writer: usize, addr: WordAddr, data: &[Word], t: Time| {
                         if (host_lo..host_hi).contains(&writer) {
-                            backbone_shared.inject_as(
-                                leaf,
-                                writer,
-                                t + bridge_ns,
-                                addr,
-                                Arc::new(data.to_vec()),
-                            );
+                            backbone_shared.inject_as(leaf, writer, t + bridge_ns, addr, data);
                         }
                     },
                 ),
@@ -119,13 +111,7 @@ impl RingHierarchy {
                 Box::new(
                     move |writer: usize, addr: WordAddr, data: &[Word], t: Time| {
                         if !(host_lo..host_hi).contains(&writer) && writer < total_hosts {
-                            leaf_shared.inject_as(
-                                m,
-                                writer,
-                                t + bridge_ns,
-                                addr,
-                                Arc::new(data.to_vec()),
-                            );
+                            leaf_shared.inject_as(m, writer, t + bridge_ns, addr, data);
                         }
                     },
                 ),

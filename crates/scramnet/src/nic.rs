@@ -61,8 +61,7 @@ impl Nic {
         ctx.advance(self.shared.cost.pio_write_ns);
         self.shared.stats.pio_writes.add(1);
         ctx.obs().count(ctx.now(), self.gid(), "nic.pio_words", 1);
-        self.shared
-            .inject(self.node, ctx.now(), addr, Arc::new(vec![value]));
+        self.shared.inject(self.node, ctx.now(), addr, &[value]);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_write");
     }
@@ -84,8 +83,7 @@ impl Nic {
         }
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.pio_words", data.len() as u64);
-        self.shared
-            .inject(self.node, ctx.now(), addr, Arc::new(data.to_vec()));
+        self.shared.inject(self.node, ctx.now(), addr, data);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_block");
     }
@@ -306,9 +304,9 @@ impl Nic {
         let staged_at = ctx.now() + data.len() as u64 * cost.dma_word_ns;
         let shared = std::sync::Arc::clone(&self.shared);
         let node = self.node;
-        let data = std::sync::Arc::new(data.to_vec());
+        let data = data.to_vec();
         self.shared.handle.schedule_at(staged_at, move |t| {
-            shared.inject(node, t, addr, data);
+            shared.inject(node, t, addr, &data);
             if let Some(sig) = done {
                 sig.notify_at(t);
             }

@@ -156,8 +156,8 @@ impl ReachabilitySet {
 /// The scheduled itinerary of one injected packet: every live hop's
 /// `(node, apply-time)` plus the payload, walked by one series of transit
 /// events ([`SimHandle::schedule_series`]), each hop returning the next.
-/// Plans are pooled and reused, so a warm steady state schedules an N-hop
-/// packet with zero allocations.
+/// Plans are pooled and reused, buffers and all, so a warm steady state
+/// injects an N-hop packet with zero allocations.
 pub(crate) struct HopPlan {
     /// One word per live hop, in ring order: the node in the top byte
     /// (a ring has at most 256), the bank-apply time below it. Half of
@@ -168,8 +168,9 @@ pub(crate) struct HopPlan {
     idx: usize,
     addr: WordAddr,
     writer: usize,
-    /// Payload; dropped (not deallocated into the pool) on completion.
-    data: Option<Arc<Vec<Word>>>,
+    /// The payload, copied in at the inject and read in place by every
+    /// hop; cleared, not freed, when the plan goes back to the pool.
+    data: Vec<Word>,
     /// Message trace id riding this packet (0 = untraced; only ever
     /// nonzero while full tracing is enabled). Carried in the plan, not
     /// the payload: no protocol word changes.
@@ -186,7 +187,7 @@ impl HopPlan {
             idx: 0,
             addr: 0,
             writer: 0,
-            data: None,
+            data: Vec::new(),
             trace: 0,
         })
     }
@@ -211,10 +212,11 @@ impl HopPlan {
 }
 
 /// Everything a hop or an inject reads and writes, as one value behind
-/// one lock ([`RingShared::state`]): entered once per hop, twice per
-/// inject, once per PIO access. A leaf lock — nothing under it schedules,
-/// notifies a [`Signal`], calls a tap or records — so nothing done under
-/// it comes back for it.
+/// one lock ([`RingShared::state`]): entered once per hop (twice on a
+/// packet's last, whose plan goes back to the pool after the tap has read
+/// the payload), twice per inject, once per PIO access. A leaf lock —
+/// nothing under it schedules, notifies a [`Signal`], calls a tap or
+/// records — so nothing done under it comes back for it.
 pub(crate) struct RingState {
     pub banks: Vec<Bank>,
     /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
@@ -612,10 +614,11 @@ impl Ring {
     /// occupancy and per-hop latency, but no host process is involved
     /// and no PIO cost is charged — exactly the staging-complete step of
     /// a DMA transfer. Traffic generators and replay harnesses use this
-    /// to drive broadcast load from event context.
+    /// to drive broadcast load from event context. The packet carries a
+    /// copy of `data`: the caller's `Arc` is only borrowed.
     pub fn source_packet(&self, node: usize, t: Time, addr: WordAddr, data: Arc<Vec<Word>>) {
         assert!(node < self.shared.n, "node {node} out of range");
-        self.shared.inject(node, t, addr, data);
+        self.shared.inject(node, t, addr, &data);
     }
 
     /// Record every bank apply on `node` — source writes and replicated
@@ -661,14 +664,9 @@ impl RingShared {
     /// Inject a contiguous write of `data` at `addr` from `src`, ready for
     /// transmission at `t_ready`. Applies to the source bank immediately
     /// (the host wrote through its own NIC memory) and schedules the
-    /// replicated applies around the ring.
-    pub fn inject(
-        self: &Arc<Self>,
-        src: usize,
-        t_ready: Time,
-        addr: WordAddr,
-        data: Arc<Vec<Word>>,
-    ) {
+    /// replicated applies around the ring, which read the copy of `data`
+    /// the packet's pooled plan carries.
+    pub fn inject(self: &Arc<Self>, src: usize, t_ready: Time, addr: WordAddr, data: &[Word]) {
         let writer = self.node_ids[src];
         self.inject_as(src, writer, t_ready, addr, data);
     }
@@ -681,15 +679,15 @@ impl RingShared {
         writer: usize,
         t_ready: Time,
         addr: WordAddr,
-        data: Arc<Vec<Word>>,
+        data: &[Word],
     ) {
         let words = data.len();
         if words == 0 {
             return;
         }
         let mode = self.mode();
-        let corrupted = self.state().apply(src, addr, &data, writer, t_ready);
-        self.applied(src, addr, &data, corrupted, writer, t_ready);
+        let corrupted = self.state().apply(src, addr, data, writer, t_ready);
+        self.applied(src, addr, data, corrupted, writer, t_ready);
         self.stats.injections.add(1);
         self.stats.words_carried.add(words as u64);
         let ser = self.cost.serialize_ns(words, mode);
@@ -744,7 +742,7 @@ impl RingShared {
                 links, plan_pool, ..
             } = &mut *state;
             let mut plan = plan_pool.pop().unwrap_or_else(HopPlan::empty);
-            debug_assert!(plan.hops.is_empty() && plan.data.is_none());
+            debug_assert!(plan.hops.is_empty() && plan.data.is_empty());
             let mut head = t_ready.max(links[src]);
             src_backlog = head - t_ready;
             links[src] = head + ser;
@@ -842,7 +840,7 @@ impl RingShared {
             plan.idx = 0;
             plan.addr = addr;
             plan.writer = writer;
-            plan.data = Some(data);
+            plan.data.extend_from_slice(data);
             plan.trace = trace;
             let (first_t, links) = (plan.hop(0).1, plan.hops.len() as u64);
             let shared = Arc::clone(self);
@@ -872,25 +870,16 @@ impl RingShared {
     /// closure of each hop is two pointers (the `Arc<RingShared>`, moved
     /// from hop to hop, and a `Box<HopPlan>`), well inside the scheduler's
     /// inline-closure budget — a full transit allocates nothing once the
-    /// plan pool and queue are warm. The ring's state is entered once: the
-    /// apply, and on the last hop the plan's return to the pool.
+    /// plan pool and queue are warm. Every hop reads the payload in the
+    /// plan. The ring's state is entered once for the apply, and on the
+    /// last hop once more, after the tap has read the payload, for the
+    /// plan's return to the pool.
     fn transit(self: Arc<Self>, mut plan: Box<HopPlan>, t: Time) -> Option<Then> {
         let (node, _) = plan.hop(plan.idx);
         plan.idx += 1;
         let (addr, writer, trace) = (plan.addr, plan.writer, plan.trace);
-        let data = plan.data.take().expect("transit plan carries payload");
-        let mut state = self.state();
-        let corrupted = state.apply(node, addr, &data, writer, t);
-        let plan = if plan.idx < plan.hops.len() {
-            Some(plan)
-        } else {
-            plan.hops.clear();
-            plan.trace = 0;
-            state.plan_pool.push(plan);
-            None
-        };
-        drop(state);
-        self.applied(node, addr, &data, corrupted, writer, t);
+        let corrupted = self.state().apply(node, addr, &plan.data, writer, t);
+        self.applied(node, addr, &plan.data, corrupted, writer, t);
         if trace != 0 {
             self.handle.recorder().lifecycle_hot(
                 t,
@@ -900,10 +889,15 @@ impl RingShared {
                 node as u64,
             );
         }
-        let mut plan = plan?;
-        plan.data = Some(data);
-        let (_, next_t) = plan.hop(plan.idx);
-        Some(Then::at(next_t, move |t| self.transit(plan, t)))
+        if plan.idx < plan.hops.len() {
+            let (_, next_t) = plan.hop(plan.idx);
+            return Some(Then::at(next_t, move |t| self.transit(plan, t)));
+        }
+        plan.hops.clear();
+        plan.data.clear();
+        plan.trace = 0;
+        self.state().plan_pool.push(plan);
+        None
     }
 
     /// What an apply at `node` does beyond its bank: count a corrupted
@@ -1352,7 +1346,7 @@ mod tests {
         let ring = Ring::new(&sim.handle(), 4, 64, CostModel::default());
         let r = ring.clone();
         sim.handle().schedule_at(500, move |t| {
-            r.source_packet(1, t, 10, Arc::new(vec![0xDEAD, 0xBEEF]));
+            r.source_packet(1, t, 10, vec![0xDEAD, 0xBEEF].into());
         });
         assert!(sim.run().is_clean());
         for node in 0..4 {

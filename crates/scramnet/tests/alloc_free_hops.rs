@@ -1,10 +1,11 @@
-//! Ring replication must be allocation-free per hop once warm: a packet
-//! allocates its payload once at the source, and the pooled transit plan
-//! then walks every replica bank without touching the heap. The test
-//! sources the same number of packets on a 4-node and a 16-node ring —
-//! 3 versus 15 hops per packet — and requires the allocation counts to
+//! Ring replication must be allocation-free once warm: a packet's payload
+//! is copied into its pooled transit plan, whose buffers are reused, and
+//! the plan then walks every replica bank without touching the heap. The
+//! test sources the same number of packets on a 4-node and a 16-node ring
+//! — 3 versus 15 hops per packet — and requires the allocation counts to
 //! match: any per-hop allocation would scale with ring size and split
-//! the two counts by hundreds.
+//! the two counts by hundreds. A host's PIO writes, paced so each packet
+//! is home before the next, allocate nothing at all.
 //!
 //! Fault injection stays off (the default config), as on the healthy
 //! hardware the paper assumes, so the clean apply path is what's timed.
@@ -15,10 +16,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use des::{Simulation, Time};
-use scramnet::{CostModel, Ring};
+use des::{ProcCtx, Simulation, Time};
+use scramnet::{CostModel, Nic, Ring};
 
 struct CountingAlloc;
 
@@ -78,14 +79,56 @@ fn measured_batch_allocs(nodes: usize) -> u64 {
     after - before
 }
 
+/// Writes per measured PIO batch.
+const WRITES: usize = 32;
+
+/// Allocations made by `WRITES` `write_word`s, then by `WRITES`
+/// eight-word `write_block`s, of a process on a 4-node ring, each write
+/// followed by 10 µs of the host's own time: the packet reaches every
+/// bank and its plan returns to the pool before the next write takes it.
+/// (Unpaced, the writes outrun the ring and keep minting plans.) A first
+/// batch of each kind warms the pool, the queue and the bank pages; the
+/// second is counted.
+fn paced_pio_write_allocs() -> [u64; 2] {
+    fn batch(ctx: &mut ProcCtx, nic: &Nic, block: bool) -> u64 {
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for i in 0..WRITES {
+            if block {
+                nic.write_block(ctx, 64, &[i as u32; 8]);
+            } else {
+                nic.write_word(ctx, i, i as u32);
+            }
+            ctx.advance(10_000);
+        }
+        ALLOCS.load(Ordering::SeqCst) - before
+    }
+    let mut sim = Simulation::new();
+    let ring = Ring::new(&sim.handle(), 4, 256, CostModel::default());
+    let nic = ring.nic(0);
+    let counts = Arc::new(Mutex::new([0; 2]));
+    let out = Arc::clone(&counts);
+    sim.spawn("writer", move |ctx| {
+        let mut counted = [0; 2];
+        for (kind, block) in [false, true].into_iter().enumerate() {
+            batch(ctx, &nic, block);
+            counted[kind] = batch(ctx, &nic, block);
+        }
+        *out.lock().unwrap() = counted;
+    });
+    assert!(sim.run().is_clean());
+    assert_eq!(ring.stats().injections as usize, 4 * WRITES);
+    let counted = *counts.lock().unwrap();
+    counted
+}
+
 #[test]
 fn ring_hops_are_alloc_free_after_warmup() {
     let a4 = measured_batch_allocs(4); // 48 packets × 3 hops = 144 applies
     let a16 = measured_batch_allocs(16); // 48 packets × 15 hops = 720 applies
 
-    // Per-packet cost only: the payload `Vec` and its `Arc`, plus the
-    // scheduling of the source event itself. A single allocation per hop
-    // would push a16 at least 576 above a4.
+    // Per-packet cost only: the `Arc<Vec>` each source event builds for
+    // `source_packet`, and the scheduling of the source event itself. A
+    // single allocation per hop would push a16 at least 576 above a4.
     assert!(
         a16 <= a4 + 8,
         "hop path allocates per hop: 4-node batch {a4} allocs, 16-node batch {a16}"
@@ -93,6 +136,16 @@ fn ring_hops_are_alloc_free_after_warmup() {
     assert!(
         a4 <= (PACKETS * 4) as u64,
         "per-packet allocation budget blown: {a4} allocs for {PACKETS} packets"
+    );
+
+    // A warm, paced PIO write copies its words into a pooled plan and
+    // allocates nothing; each used to build an `Arc<Vec>` of its own, two
+    // allocations a write (64 per batch of 32).
+    let [words, blocks] = paced_pio_write_allocs();
+    assert_eq!(
+        (words, blocks),
+        (0, 0),
+        "allocations by {WRITES} paced write_words, {WRITES} paced write_blocks"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.
