@@ -130,17 +130,21 @@ impl<T> CalendarQueue<T> {
         self.pushes
     }
 
-    /// True when an entry keyed `(time, seq)` would be the next one
-    /// popped: it sorts before the near band's head and the late heap's
-    /// by the full key, and before the far band by time alone — that band
+    /// The key every queued entry is at or behind: the smaller of the near
+    /// band's head and the late heap's, and `(far_min, 0)` — the far band
     /// keeps its minimum's time but not its tie-break, so a key on
-    /// `far_min` counts as behind it. A caller about to push an entry
+    /// `far_min` must count as behind it. An entry keyed strictly below
+    /// this would be the next one popped, so a caller about to push it
     /// only to pop it again can skip both.
-    pub fn precedes_all(&self, time: Time, seq: u64) -> bool {
-        let before = |k: &Key| (time, seq) < (k.time, k.seq);
-        self.batch.get(self.cursor).is_none_or(before)
-            && self.late.peek().is_none_or(before)
-            && (self.far.is_empty() || time < self.far_min)
+    pub fn first_key(&self) -> (Time, u64) {
+        let heads = self
+            .batch
+            .get(self.cursor)
+            .into_iter()
+            .chain(self.late.peek());
+        heads
+            .map(|k| (k.time, k.seq))
+            .fold((self.far_min, 0), Ord::min)
     }
 
     /// Fire time of the earliest entry, if any.
@@ -327,7 +331,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
 
-        /// `precedes_all` says "next" exactly when pushing the key and
+        /// A key below `first_key()` is "next" exactly when pushing it and
         /// popping would hand it straight back — but for a key on the far
         /// band's minimum time, which it leaves to the queue. Keys are
         /// sealed into the near band by a first pop, then pushed across
@@ -364,37 +368,33 @@ mod tests {
             }
             .unwrap_or(time);
             let seq = 2 * seq + 1;
-            let said = q.precedes_all(time, seq);
+            let said = (time, seq) < q.first_key();
             let far_tie = !q.far.is_empty() && time == q.far_min;
             q.push(time, seq, true);
             let was_next = q.pop_due(Time::MAX) == Some((time, seq, true));
             prop_assert!(
                 said == was_next || (was_next && far_tie),
-                "({time}, {seq}): precedes_all {said}, next pop {was_next}"
+                "({time}, {seq}): below first_key {said}, next pop {was_next}"
             );
         }
     }
 
     #[test]
-    fn precedes_all_breaks_ties_by_full_key_and_defers_on_far_min() {
+    fn first_key_breaks_ties_by_full_key_and_defers_on_far_min() {
         let mut q = CalendarQueue::new();
         q.push(10, 4, ());
         q.push(20, 6, ());
         q.pop(); // seals a near band holding both keys
-        assert!(
-            q.precedes_all(20, 5) && !q.precedes_all(20, 7),
-            "batch head"
-        );
+        assert_eq!(q.first_key(), (20, 6), "batch head");
         q.push(15, 8, ()); // into the late heap
-        assert!(q.precedes_all(15, 7) && !q.precedes_all(15, 9), "late head");
+        assert_eq!(q.first_key(), (15, 8), "late head");
         q.push(10_000, 10, ()); // into the far band
-        assert!(q.precedes_all(15, 7), "far band");
+        assert_eq!(q.first_key(), (15, 8), "far band");
         q.pop();
         q.pop();
-        assert!(
-            q.precedes_all(9_999, 99) && !q.precedes_all(10_000, 0),
-            "far min"
-        );
+        assert_eq!(q.first_key(), (10_000, 0), "far min");
+        q.pop();
+        assert_eq!(q.first_key(), (Time::MAX, 0), "empty");
     }
 
     #[test]

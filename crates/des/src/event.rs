@@ -68,9 +68,10 @@ pub const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 
 /// The event that follows a link: run `f` at `at`. A link of a series
 /// ([`crate::SimHandle::schedule_series`]) returns one, and the dispatch
-/// loop keys it on the series' next tie-break value, under the lock it
-/// takes after the link anyway: it runs at once when that key comes before
-/// everything queued, and from the queue otherwise.
+/// loop keys it on the series' next tie-break value: it runs at once when
+/// that key comes before everything queued — without entering the
+/// scheduler, when nothing else has since the loop last looked — and from
+/// the queue otherwise.
 pub struct Then {
     pub(crate) at: Time,
     pub(crate) f: EventFn,

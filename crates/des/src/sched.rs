@@ -7,21 +7,25 @@
 //! [`Core`] behind one lock, and every way into the scheduler takes that
 //! lock once. The dispatch loop holds it across pops and across every
 //! step it walks for a sleeping process, letting go only around an
-//! event's closure (events schedule) and before it hands the baton on;
-//! the successor a link of a series returns ([`Then`]) is dealt with on
-//! the acquisition the loop makes after the closure anyway — run on the
-//! spot when it is the next entry due, queued when it is not — so a
-//! series enters once per link, and a link that is next skips the queue.
-//! A stalling process tests the fast path, queues its `Resume` and runs
-//! the dispatch loop on one acquisition. The tie-break counter, the run
-//! clock and the run horizon are plain fields in there. Closures are
-//! stored inline ([`EventFn`]), so a steady-state schedule/dispatch
-//! cycle never touches the heap allocator — and, past a few thousand
-//! pending events, never pays a per-pop cache-miss chain through a deep
-//! heap either (the banded [`PendingQueue`]).
+//! event's closure (events schedule) and before it hands the baton on.
+//! The successor a link of a series returns ([`Then`]) runs on the spot
+//! when it is the next entry due and is queued when it is not; when
+//! nothing entered the core during the closure and the successor comes
+//! before the bound the loop read the last time it held the core, that is
+//! decided without entering at all, so a series whose links are each next
+//! enters once for all of them. A stalling process tests the fast path,
+//! queues its `Resume` and runs the dispatch loop on one acquisition. The
+//! tie-break counter, the run clock and the run horizon are plain fields
+//! in there; the clock and dispatch count of links run on the spot wait in
+//! two cells beside it until the next entry folds them in.
+//! Closures are stored inline ([`EventFn`]), so a steady-state
+//! schedule/dispatch cycle never touches the heap allocator — and, past a
+//! few thousand pending events, never pays a per-pop cache-miss chain
+//! through a deep heap either (the banded [`PendingQueue`]).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
@@ -224,13 +228,19 @@ impl Agenda {
 pub(crate) struct Core {
     pub procs: Vec<ProcEntry>,
     pub agenda: Agenda,
-    /// Times the core was entered, for the unit tests that pin what a
-    /// stall and a relayed step acquire.
-    #[cfg(test)]
-    pub entries: u64,
 }
 
 pub(crate) type CoreGuard<'a> = MutexGuard<'a, Core>;
+
+/// The clock and dispatch count of links the dispatch loop ran on the spot,
+/// without the queue (see [`SchedShared::dispatch`]), waiting for the next
+/// entry to fold them into the [`Agenda`]. Relaxed cells: only the baton
+/// holder touches them, and the baton's hand-off orders what it wrote.
+#[derive(Default)]
+struct Unfolded {
+    now: AtomicU64,
+    dispatches: AtomicU64,
+}
 
 /// Scheduler state shared between the run loop, all processes, and every
 /// [`SimHandle`] clone. Only the baton holder executes, so the core's lock
@@ -238,6 +248,11 @@ pub(crate) type CoreGuard<'a> = MutexGuard<'a, Core>;
 /// means the holder itself came in a second time (see [`Self::core`]).
 pub(crate) struct SchedShared {
     core: Mutex<Core>,
+    /// Times the core has been entered, counted under its lock: the
+    /// dispatch loop reads it on both sides of an event's closure to tell
+    /// that nothing entered in between.
+    entries: AtomicU64,
+    unfolded: Unfolded,
     /// The one thing a thread without the baton touches: where a process
     /// leaves word for the `run_until` caller it is about to unpark.
     caller: Mutex<Caller>,
@@ -271,9 +286,9 @@ impl SchedShared {
                     woken: 0,
                     longest_round: 0,
                 },
-                #[cfg(test)]
-                entries: 0,
             }),
+            entries: AtomicU64::new(0),
+            unfolded: Unfolded::default(),
             caller: Mutex::new(Caller::default()),
             recorder: Arc::new(obs::Recorder::new()),
             #[cfg(debug_assertions)]
@@ -286,6 +301,11 @@ impl SchedShared {
     /// taken further up this very stack — by the dispatch loop, around a
     /// [`crate::Sample::sample`] that then scheduled or spawned or notified
     /// a [`Signal`]. Waiting for it would wait for ever; this panics.
+    ///
+    /// Every entry is counted, and folds in the clock and dispatch count
+    /// of the links run on the spot since the last one — so whoever enters
+    /// next, a link's own `schedule_at` included, finds the run where it
+    /// is.
     #[inline]
     pub fn core(&self) -> CoreGuard<'_> {
         #[cold]
@@ -295,13 +315,16 @@ impl SchedShared {
                  lock (a Sample::sample) must not schedule, spawn or notify a Signal"
             )
         }
-        #[cfg_attr(not(test), allow(unused_mut))]
         let Some(mut core) = self.core.try_lock() else {
             entered_twice()
         };
-        #[cfg(test)]
-        {
-            core.entries += 1;
+        let entries = self.entries.load(Ordering::Relaxed);
+        self.entries.store(entries + 1, Ordering::Relaxed);
+        let ran = self.unfolded.dispatches.load(Ordering::Relaxed);
+        if ran != 0 {
+            core.agenda.now = self.unfolded.now.load(Ordering::Relaxed);
+            core.agenda.dispatches += ran;
+            self.unfolded.dispatches.store(0, Ordering::Relaxed);
         }
         core
     }
@@ -448,13 +471,28 @@ impl SchedShared {
     /// runs events inline until the baton has to move or the caller's own
     /// `Resume` comes up. The core is let go of where somebody else will
     /// want it and nowhere else: around an event's closure, before another
-    /// process is woken, and on the way out. The successor an event's
-    /// closure returns is keyed `seq + 1` once the loop is back in: run
+    /// process is woken, and on the way out.
+    ///
+    /// The successor an event's closure returns is keyed `seq + 1` and runs
     /// next, without the queue, when it is inside the horizon and comes
-    /// before everything queued ([`CalendarQueue::precedes_all`]), and
-    /// queued otherwise. Either way the pops come in `(time, seq)` order.
+    /// before everything queued ([`CalendarQueue::first_key`]); otherwise
+    /// it is queued. Either way the pops come in `(time, seq)` order. The
+    /// loop reads that bound, and how often the core has been entered,
+    /// each time it holds the core before a closure: when nothing has
+    /// entered since and the successor is below the bound, the queue is as
+    /// it was read, so the successor is next without a look, and runs
+    /// without entering the core (its queue depth was counted with the pop
+    /// it stands in for). Else the loop enters to decide on the queue as it
+    /// is. A successor that runs leaves its clock and its dispatch to the
+    /// next entry to fold in ([`Self::core`]).
     pub fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
         let horizon = core.agenda.horizon;
+        // What a successor must come before to be next, and the entries
+        // counted when that was read, the core held.
+        let bound = |agenda: &Agenda| {
+            let until = agenda.pending.first_key().min((horizon, u64::MAX));
+            (until, self.entries.load(Ordering::Relaxed))
+        };
         loop {
             let agenda = &mut core.agenda;
             agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len());
@@ -465,48 +503,62 @@ impl SchedShared {
             agenda.now = now;
             agenda.dispatches += 1;
             match what {
-                WakeWhat::Event(mut f) => loop {
-                    if self.recorder.is_enabled() {
-                        self.record(TraceEntry {
-                            time: now,
-                            kind: TraceKind::Event,
-                            detail: String::new(),
-                        });
-                    }
+                WakeWhat::Event(mut f) => {
+                    let (mut until, mut mark) = bound(agenda);
                     drop(core);
-                    // Caught so a panic here never unwinds the body of the
-                    // process whose thread happens to run the event. A
-                    // successor in the past is the link's panic, raised
-                    // where a `schedule_at` inside it would have raised it.
-                    let then = catch_unwind(AssertUnwindSafe(|| {
-                        let then = f.call(now);
-                        if let Some(then) = &then {
-                            self.assert_settled("scheduling");
-                            check_not_past(then.at, now);
+                    loop {
+                        if self.recorder.is_enabled() {
+                            self.record(TraceEntry {
+                                time: now,
+                                kind: TraceKind::Event,
+                                detail: String::new(),
+                            });
                         }
-                        then
-                    }));
-                    let then = match then {
-                        Ok(then) => then,
-                        Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
-                    };
-                    core = self.core();
-                    let Some(Then { at, f: next }) = then else {
-                        break;
-                    };
-                    let agenda = &mut core.agenda;
-                    if at > horizon || !agenda.pending.precedes_all(at, seq + 1) {
-                        agenda.push_at_seq(at, seq + 1, WakeWhat::Event(next));
-                        break;
+                        // Caught so a panic here never unwinds the body of
+                        // the process whose thread happens to run the event.
+                        // A successor in the past is the link's panic,
+                        // raised where a `schedule_at` inside it would have
+                        // raised it.
+                        let then = catch_unwind(AssertUnwindSafe(|| {
+                            let then = f.call(now);
+                            if let Some(then) = &then {
+                                self.assert_settled("scheduling");
+                                check_not_past(then.at, now);
+                            }
+                            then
+                        }));
+                        let then = match then {
+                            Ok(then) => then,
+                            Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
+                        };
+                        let Some(Then { at, f: next }) = then else {
+                            core = self.core();
+                            break;
+                        };
+                        let key = (at, seq + 1);
+                        if self.entries.load(Ordering::Relaxed) != mark || key >= until {
+                            core = self.core();
+                            let agenda = &mut core.agenda;
+                            (until, mark) = bound(agenda);
+                            if key >= until {
+                                agenda.push_at_seq(at, seq + 1, WakeWhat::Event(next));
+                                break;
+                            }
+                            // Counted as the loop's top would have counted
+                            // it, queued.
+                            agenda.peak_queue_depth =
+                                agenda.peak_queue_depth.max(agenda.pending.len() + 1);
+                            drop(core);
+                        }
+                        // The successor is what the next pop would return:
+                        // it runs now, and its clock and its dispatch wait
+                        // for the next entry.
+                        let ran = self.unfolded.dispatches.load(Ordering::Relaxed);
+                        self.unfolded.now.store(at, Ordering::Relaxed);
+                        self.unfolded.dispatches.store(ran + 1, Ordering::Relaxed);
+                        (now, seq, f) = (at, seq + 1, next);
                     }
-                    // The successor is what the next pop would return: do
-                    // what that pop and the loop's top would have done with
-                    // it, and run it without the queue.
-                    agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len() + 1);
-                    agenda.now = at;
-                    agenda.dispatches += 1;
-                    (now, seq, f) = (at, seq + 1, next);
-                },
+                }
                 WakeWhat::Resume(id) => {
                     let entry = &core.procs[id.0];
                     // A signal can race with normal completion and
@@ -590,9 +642,11 @@ impl SimHandle {
     /// use this to keep the chain's tie-break order identical to
     /// scheduling every step up front: the `links` tie-break values are
     /// taken here, link `k` fires on the `k`-th, and among entries for
-    /// the same virtual time lower values fire first. A link costs one
-    /// entry into the scheduler — the one the loop makes after any event —
-    /// where scheduling it from inside its predecessor cost two.
+    /// the same virtual time lower values fire first. A link that is next
+    /// when its predecessor returns it, with nothing entering the
+    /// scheduler in between, costs no entry into the scheduler; any other
+    /// costs one — the one the loop makes after any event — where
+    /// scheduling it from inside its predecessor cost two.
     ///
     /// Returning more than `links - 1` successors takes values that belong
     /// to later entries, which breaks the determinism contract (but not
@@ -657,8 +711,9 @@ impl SimHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::us;
     use crate::{ProcCtx, RunReport, Sample, Simulation};
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::AtomicU32;
 
     /// Words a chain can look at, written by plain stores.
     struct Words([AtomicU32; 3]);
@@ -679,10 +734,15 @@ mod tests {
         }
     }
 
+    /// Times the core has been entered so far.
+    fn entries(sched: &SchedShared) -> u64 {
+        sched.entries.load(Ordering::Relaxed)
+    }
+
     /// Times the core has been entered since `mark` (an earlier reading of
-    /// `Core::entries`), not counting this look.
+    /// [`entries`]).
     fn entered_since(sched: &SchedShared, mark: u64) -> u64 {
-        sched.core().entries - mark - 1
+        entries(sched) - mark
     }
 
     /// Three processes asleep in poll cycles of 100, 150 and 250 ns a
@@ -704,7 +764,7 @@ mod tests {
         }
         sim.handle().schedule_at(flip_at, move |_| mem.set(0));
         let sched = sim.handle().sched;
-        let mark = sched.core().entries;
+        let mark = entries(&sched);
         let report = sim.run();
         assert!(report.is_clean());
         (entered_since(&sched, mark), report)
@@ -740,7 +800,7 @@ mod tests {
             });
         }
         sim.spawn("staller", move |ctx: &mut ProcCtx| {
-            let mark = ctx.sched.core().entries;
+            let mark = entries(&ctx.sched);
             // Rounds of both sleepers' cycles are due first, each step in
             // the other's way, so this queues its `Resume`, walks theirs
             // for them and pops its own: the test, the push, every pop and
@@ -805,21 +865,24 @@ mod tests {
             let mut sim = Simulation::new();
             let log = Arc::new(Mutex::new(Vec::new()));
             let sched = sim.handle().sched;
-            let mark = sched.core().entries;
+            let mark = entries(&sched);
             sim.handle()
                 .schedule_series(100, k, link(Arc::clone(&log), 0, k, 80));
             let report = sim.run();
             assert_eq!(report.dispatches, k);
             assert_eq!(log.lock().len() as u64, k);
             // The run (to begin, to dispatch, to report: 3), queueing the
-            // first link (1) and the loop again after each link's closure,
-            // which queues the successor it returned (k). Before series, a
-            // chain reserved its tie-break values and each link pushed the
-            // next from inside its closure with one of them: 2k + 1 entries
-            // for the same chain — the reservation, the first link's push,
-            // the loop's own entry behind every link, and behind all but the
+            // first link (1) and the loop again after the last link's
+            // closure, which returned nothing (1): every successor was next,
+            // with nothing entering in between, and ran without an entry.
+            // History, for the same chain: while the loop entered after
+            // every link to decide on its successor, 3 + 1 + k; before
+            // series, when a chain reserved its tie-break values and each
+            // link pushed the next from inside its closure with one of
+            // them, 3 + 2k + 1 — the reservation, the first link's push, the
+            // loop's own entry behind every link, and behind all but the
             // last the push its closure made.
-            assert_eq!(entered_since(&sched, mark), 3 + 1 + k, "{k} links");
+            assert_eq!(entered_since(&sched, mark), 3 + 1 + 1, "{k} links");
         }
     }
 
@@ -979,5 +1042,79 @@ mod tests {
         let observed = [first, second].map(|r| (r.dispatches, r.peak_queue_depth, r.end_time));
         assert_eq!(observed, [(21, 16, 185), (40, 14, 1_484)]);
         assert_eq!(log.lock().len(), 34);
+    }
+
+    /// Links at 10, 20 and 30 µs, each next, so the second and third run
+    /// without entering the core; the third schedules at 25 µs. That push
+    /// is the first entry since the first link's pop, and it checks against
+    /// the clock the links left — the third's time, not the first's.
+    #[test]
+    #[should_panic(expected = "a run that is at 30000 ns")]
+    fn a_link_run_without_entering_schedules_against_its_own_time() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let h2 = h.clone();
+        h.schedule_series(us(10), 3, move |_| {
+            Some(Then::at(us(20), move |_| {
+                Some(Then::at(us(30), move |_| {
+                    h2.schedule_at(us(25), |_| ());
+                    None
+                }))
+            }))
+        });
+        sim.run();
+    }
+
+    /// A link run without entering that panics: the clock stays at its
+    /// time, as when the loop entered to run it, and the next run counts
+    /// only its own. Captured with every successor run inside the core.
+    #[test]
+    fn a_link_run_without_entering_that_panics_leaves_the_next_run_its_own() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        h.schedule_series(10, 3, move |t| {
+            Some(Then::at(t + 10, move |t| {
+                Some(Then::at(t + 10, |_| panic!("the third link")))
+            }))
+        });
+        let run = catch_unwind(AssertUnwindSafe(|| sim.run()));
+        assert!(run.is_err(), "the link's panic reaches the caller");
+        let early = catch_unwind(AssertUnwindSafe(|| h.schedule_at(25, |_| ())));
+        assert!(early.is_err(), "the run that panicked is still at 30 ns");
+        h.schedule_at(50, |_| ());
+        let next = sim.run();
+        assert_eq!((next.dispatches, next.end_time), (1, 50));
+    }
+
+    /// A link whose closure notifies a waiting process enters the core to
+    /// queue its `Resume`, so the loop enters again for the successor, and
+    /// finds it behind nothing; that successor's own successor is behind
+    /// the `Resume`, and takes the queue. Pops stay in `(time, seq)` order.
+    #[test]
+    fn a_link_that_notifies_sends_its_successor_through_the_core() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let signal = h.new_signal();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (waits, logs) = (signal.clone(), Arc::clone(&log));
+        sim.spawn("waiter", move |ctx| {
+            ctx.wait(&waits);
+            logs.lock().push(('w', 0, ctx.now()));
+        });
+        let (sched, logs) = (Arc::clone(&h.sched), Arc::clone(&log));
+        h.schedule_series(10, 3, move |t| {
+            logs.lock().push(('s', 0, t));
+            signal.notify_at(20);
+            let notified = entries(&sched);
+            Some(Then::at(20, move |t| {
+                assert_eq!(entries(&sched), notified + 1, "the successor took the core");
+                link(logs, 1, 3, 10)(t)
+            }))
+        });
+        assert!(sim.run().is_clean());
+        assert_eq!(
+            *log.lock(),
+            [('s', 0, 10), ('s', 1, 20), ('w', 0, 20), ('s', 2, 30)]
+        );
     }
 }

@@ -1,8 +1,16 @@
 //! A NIC's on-board memory bank, with optional write-provenance records
 //! used by tests to verify the BillBoard Protocol's single-writer
 //! discipline.
+//!
+//! A bank is words that hops store to and hosts load from, read and
+//! applied through `&self`: relaxed atomic stores and loads, no lock. The
+//! one entity running at a time is the only one touching a bank, and the
+//! baton's hand-off orders what it stored before the next entity loads
+//! it — the replicated memory's own discipline, where every word has one
+//! writer and no protocol needs a lock.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::{Word, WordAddr};
 
@@ -16,28 +24,32 @@ pub struct WriteRecord {
     pub applied_at: des::Time,
 }
 
-/// Words per lazily materialised page of a [`Bank`] (512 bytes).
+/// Words per lazily materialised page of a [`Bank`] (1 KB).
 ///
-/// Sized by measurement, before bank storage was recycled (below): the BBP
-/// touches a few control words in each of many regions, so smaller pages
-/// materialise fewer bytes. Peak RSS of the benchmark's `mpi_collectives`
-/// after 10 s (≈ 42 worlds), two runs each: 1 024 words 6.43 / 6.68 MB,
-/// 256 words 6.71 / 6.63, 128 words 5.87 / 5.70, 64 words 5.96 / 5.96;
-/// throughput and the all-events `ring_storm` did not move with any of
-/// them. See docs/PERFORMANCE.md, "Chains".
-const PAGE_WORDS: usize = 128;
+/// Sized by measurement. A bank's page table has a slot for every page,
+/// so the page size sets the table's size as well as how many bytes a
+/// touched region materialises: the BBP touches a few control words in
+/// each of many regions, which favours small pages, and a 1 MB bank of
+/// 128-word pages has a 2 048-slot table. Peak RSS of the benchmark's
+/// `mpi_collectives` at `--seconds 5`, two runs each: 128-word pages
+/// behind a table of one `OnceLock` per page 5.20 / 5.29 MB, 256-word
+/// pages 5.00 / 5.08, against 4.98 / 5.00 for 128-word pages behind a
+/// table grown to the highest page written (before the pages were
+/// atomics). Neither its throughput nor `ring_storm`'s resolved between
+/// the two page sizes. See docs/PERFORMANCE.md, "A hop takes no lock".
+const PAGE_WORDS: usize = 256;
 
-type Page = Box<[Word; PAGE_WORDS]>;
+type Page = Box<[AtomicU32; PAGE_WORDS]>;
 
 /// Pages and page tables of dropped banks, for the next bank to use.
 ///
-/// A table grows, and a page is boxed, on whichever thread runs the hop
-/// event that first writes there, so both land in glibc's per-thread
-/// arenas, which keep the most they were ever asked for: a host process
-/// that runs one 16-rank world after another crept up by the table (2 048
-/// entries for a 1 MB bank — the larger part) and the pages of every world
-/// on every arena. Recycled, the second world allocates neither. One list
-/// for the process: worlds are built and dropped on any thread. See
+/// A page is boxed on whichever thread runs the hop event that first
+/// writes there, so pages land in glibc's per-thread arenas, which keep
+/// the most they were ever asked for: a host process that runs one
+/// 16-rank world after another crept up by the tables (one slot per page
+/// of a 1 MB bank — the larger part) and the pages of every world on every
+/// arena. Recycled, the second world allocates neither. One list for the
+/// process: worlds are built and dropped on any thread. See
 /// docs/PERFORMANCE.md, "Sweeps".
 static FREE: Mutex<FreeStorage> = Mutex::new(FreeStorage {
     pages: Vec::new(),
@@ -47,8 +59,9 @@ static FREE: Mutex<FreeStorage> = Mutex::new(FreeStorage {
 
 struct FreeStorage {
     pages: Vec<Page>,
-    /// Empty, capacity kept.
-    tables: Vec<Vec<Option<Page>>>,
+    /// Every slot empty, length kept: a bank of the same size takes one
+    /// as it is.
+    tables: Vec<Vec<OnceLock<Page>>>,
     /// `(pages, tables)` the lists could not supply, ever.
     fresh: (u64, u64),
 }
@@ -72,11 +85,12 @@ pub fn bank_storage_allocated() -> (u64, u64) {
 /// costs only the pages its protocols use.
 pub(crate) struct Bank {
     len: usize,
-    /// Grown to the highest page written so far, so building a bank costs
-    /// nothing however small the pages are.
-    pages: Vec<Option<Page>>,
-    /// Last writer per word, when tracking is on.
-    provenance: Option<Vec<Option<WriteRecord>>>,
+    /// A slot per page, sized when the bank is built; the first write
+    /// that lands on a page boxes it.
+    pages: Vec<OnceLock<Page>>,
+    /// Last writer per word, when tracking is on — a checking mode, off on
+    /// every hot path — so it has a lock of its own.
+    provenance: Option<Mutex<Vec<Option<WriteRecord>>>>,
 }
 
 /// Split the word range `addr..addr + len` at page boundaries, yielding
@@ -96,26 +110,27 @@ fn pieces(addr: WordAddr, len: usize) -> impl Iterator<Item = (usize, usize, usi
 
 impl Bank {
     pub fn new(words: usize, track_provenance: bool) -> Self {
-        let pages = {
+        let mut pages = {
             let mut free = free_storage();
             let table = free.tables.pop();
             free.fresh.1 += u64::from(table.is_none());
             table.unwrap_or_default()
         };
+        pages.resize_with(words.div_ceil(PAGE_WORDS), OnceLock::new);
         Bank {
             len: words,
             pages,
-            provenance: track_provenance.then(|| vec![None; words]),
+            provenance: track_provenance.then(|| Mutex::new(vec![None; words])),
         }
     }
 
-    /// The page table bounds nothing: absent pages read as zeros.
+    /// Absent pages read as zeros, and the last page may be partial: the
+    /// length is what bounds an access.
     #[inline]
     fn check_range(&self, addr: WordAddr, len: usize) {
         assert!(
-            addr + len <= self.len,
-            "words {addr}..{} out of range for a bank of {} words",
-            addr + len,
+            addr.checked_add(len).is_some_and(|end| end <= self.len),
+            "a {len}-word access at {addr} out of range for a bank of {} words",
             self.len
         );
     }
@@ -123,19 +138,23 @@ impl Bank {
     #[inline]
     pub fn read(&self, addr: WordAddr) -> Word {
         self.check_range(addr, 1);
-        match self.pages.get(addr / PAGE_WORDS) {
-            Some(Some(page)) => page[addr % PAGE_WORDS],
-            _ => 0,
-        }
+        self.pages[addr / PAGE_WORDS]
+            .get()
+            .map_or(0, |page| page[addr % PAGE_WORDS].load(Ordering::Relaxed))
     }
 
     /// Copy the words at `addr..addr + out.len()` into `out`.
     pub fn read_block(&self, addr: WordAddr, out: &mut [Word]) {
         self.check_range(addr, out.len());
         for (page, off, at, n) in pieces(addr, out.len()) {
-            match self.pages.get(page) {
-                Some(Some(page)) => out[at..at + n].copy_from_slice(&page[off..off + n]),
-                _ => out[at..at + n].fill(0),
+            let out = &mut out[at..at + n];
+            match self.pages[page].get() {
+                Some(page) => {
+                    for (o, word) in out.iter_mut().zip(&page[off..off + n]) {
+                        *o = word.load(Ordering::Relaxed);
+                    }
+                }
+                None => out.fill(0),
             }
         }
     }
@@ -144,7 +163,7 @@ impl Bank {
     /// provenance is tracked and this word previously had a *different*
     /// writer — the caller surfaces that to the single-writer checker.
     pub fn apply(
-        &mut self,
+        &self,
         addr: WordAddr,
         data: &[Word],
         writer: usize,
@@ -153,13 +172,12 @@ impl Bank {
         let mut conflicts = Vec::new();
         self.check_range(addr, data.len());
         for (page, off, at, n) in pieces(addr, data.len()) {
-            if page >= self.pages.len() {
-                self.pages.resize_with(page + 1, || None);
+            let page = self.pages[page].get_or_init(new_page);
+            for (word, &value) in page[off..off + n].iter().zip(&data[at..at + n]) {
+                word.store(value, Ordering::Relaxed);
             }
-            let page = self.pages[page].get_or_insert_with(new_page);
-            page[off..off + n].copy_from_slice(&data[at..at + n]);
         }
-        if let Some(prov) = self.provenance.as_mut() {
+        if let Some(mut prov) = self.records() {
             for (i, slot) in prov[addr..addr + data.len()].iter_mut().enumerate() {
                 if let Some(prev) = slot {
                     if prev.writer != writer {
@@ -177,7 +195,14 @@ impl Bank {
 
     /// Provenance of one word (None if never written or tracking is off).
     pub fn provenance(&self, addr: WordAddr) -> Option<WriteRecord> {
-        self.provenance.as_ref().and_then(|p| p[addr])
+        self.records().and_then(|p| p[addr])
+    }
+
+    /// The provenance records, when tracking is on.
+    fn records(&self) -> Option<MutexGuard<'_, Vec<Option<WriteRecord>>>> {
+        // Every update leaves the records valid, so a poisoned lock is usable.
+        let records = self.provenance.as_ref()?;
+        Some(records.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Raw snapshot of the whole bank, for eventual-consistency checks.
@@ -198,10 +223,12 @@ fn new_page() -> Page {
     };
     match recycled {
         Some(mut page) => {
-            page.fill(0);
+            for word in page.iter_mut() {
+                *word.get_mut() = 0;
+            }
             page
         }
-        None => Box::new([0; PAGE_WORDS]),
+        None => Box::new([const { AtomicU32::new(0) }; PAGE_WORDS]),
     }
 }
 
@@ -209,7 +236,8 @@ impl Drop for Bank {
     fn drop(&mut self) {
         let mut table = std::mem::take(&mut self.pages);
         let mut free = free_storage();
-        free.pages.extend(table.drain(..).flatten());
+        free.pages
+            .extend(table.iter_mut().filter_map(OnceLock::take));
         free.tables.push(table);
     }
 }
@@ -225,11 +253,16 @@ mod tests {
             self.read_block(addr, &mut out);
             out
         }
+
+        /// Pages materialised so far.
+        fn materialised(&self) -> usize {
+            self.pages.iter().filter(|p| p.get().is_some()).count()
+        }
     }
 
     #[test]
     fn read_after_apply_sees_data() {
-        let mut b = Bank::new(64, false);
+        let b = Bank::new(64, false);
         b.apply(10, &[1, 2, 3], 0, 5);
         assert_eq!(b.read(10), 1);
         assert_eq!(b.block(10, 3), vec![1, 2, 3]);
@@ -238,7 +271,7 @@ mod tests {
 
     #[test]
     fn provenance_records_last_writer() {
-        let mut b = Bank::new(16, true);
+        let b = Bank::new(16, true);
         b.apply(3, &[9], 2, 100);
         let rec = b.provenance(3).unwrap();
         assert_eq!(rec.writer, 2);
@@ -248,7 +281,7 @@ mod tests {
 
     #[test]
     fn conflicting_writers_are_reported() {
-        let mut b = Bank::new(16, true);
+        let b = Bank::new(16, true);
         assert!(b.apply(5, &[1], 0, 10).is_empty());
         assert!(b.apply(5, &[2], 0, 20).is_empty(), "same writer is fine");
         let conflicts = b.apply(5, &[3], 1, 30);
@@ -257,7 +290,7 @@ mod tests {
 
     #[test]
     fn no_provenance_means_no_conflicts_reported() {
-        let mut b = Bank::new(16, false);
+        let b = Bank::new(16, false);
         b.apply(5, &[1], 0, 10);
         assert!(b.apply(5, &[2], 1, 20).is_empty());
         assert!(b.provenance(5).is_none());
@@ -266,33 +299,30 @@ mod tests {
     #[test]
     fn never_written_pages_read_as_zeros() {
         let words = 3 * PAGE_WORDS + 10; // a partial last page
-        let mut b = Bank::new(words, false);
+        let b = Bank::new(words, false);
         assert_eq!(b.len, words);
         assert_eq!(b.read(0), 0);
         assert_eq!(b.read(words - 1), 0);
         assert_eq!(b.block(PAGE_WORDS - 2, 4), vec![0; 4]);
         assert_eq!(b.snapshot(), vec![0; words]);
-        assert!(
-            b.pages.iter().all(Option::is_none),
-            "reads allocate nothing"
-        );
+        assert_eq!(b.materialised(), 0, "reads allocate nothing");
         // One write materialises one page; its neighbours stay absent.
         b.apply(PAGE_WORDS + 5, &[7], 0, 1);
-        assert_eq!(b.pages.iter().filter(|p| p.is_some()).count(), 1);
+        assert_eq!(b.materialised(), 1);
         assert_eq!(b.read(PAGE_WORDS + 5), 7);
         assert_eq!(b.read(PAGE_WORDS + 6), 0);
     }
 
     #[test]
     fn write_straddling_a_page_edge_lands_on_both_pages() {
-        let mut b = Bank::new(4 * PAGE_WORDS, true);
+        let b = Bank::new(4 * PAGE_WORDS, true);
         let data: Vec<Word> = (1..=6).collect();
         let addr = 2 * PAGE_WORDS - 2;
         b.apply(addr, &data, 3, 9);
         assert_eq!(b.read(addr - 1), 0);
         assert_eq!(b.block(addr, 6), data);
         assert_eq!(b.read(addr + 6), 0);
-        assert_eq!(b.pages.iter().filter(|p| p.is_some()).count(), 2);
+        assert_eq!(b.materialised(), 2);
         assert_eq!(b.provenance(addr + 5).unwrap().writer, 3);
         let snap = b.snapshot();
         assert_eq!(snap.len(), 4 * PAGE_WORDS);
@@ -316,10 +346,11 @@ mod tests {
         // Other tests share the free list, so this cannot say *which* page
         // the second bank gets — only that whichever it is reads as new.
         for round in 0..4 {
-            let mut b = Bank::new(4 * PAGE_WORDS, false);
-            assert!(
-                b.pages.is_empty(),
-                "round {round}: a recycled table is empty"
+            let b = Bank::new(4 * PAGE_WORDS, false);
+            assert_eq!(
+                (b.pages.len(), b.materialised()),
+                (4, 0),
+                "round {round}: a recycled table has an empty slot per page"
             );
             b.apply(PAGE_WORDS + 3, &[round + 1], 0, 1);
             let mut want = vec![0; 4 * PAGE_WORDS];
@@ -331,7 +362,7 @@ mod tests {
 
     #[test]
     fn snapshot_copies_contents() {
-        let mut b = Bank::new(4, false);
+        let b = Bank::new(4, false);
         b.apply(0, &[7, 8], 0, 1);
         assert_eq!(b.snapshot(), vec![7, 8, 0, 0]);
     }

@@ -96,7 +96,7 @@ impl Nic {
         ctx.advance(self.shared.cost.pio_read_ns);
         self.shared.stats.pio_reads.add(1);
         ctx.obs().count(ctx.now(), self.gid(), "nic.pio_reads", 1);
-        let w = self.shared.state().banks[self.node].read(addr);
+        let w = self.shared.bank(self.node).read(addr);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         w
@@ -119,7 +119,7 @@ impl Nic {
         }
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.pio_reads", len as u64);
-        self.shared.state().banks[self.node].read_block(addr, out);
+        self.shared.bank(self.node).read_block(addr, out);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
     }
@@ -589,6 +589,30 @@ mod tests {
             ring.nic(1).scan(ctx, 40, &[(63, 0), (64, 0)]);
         });
         sim.run();
+    }
+
+    /// A read whose end would pass `usize::MAX` is out of range, in
+    /// optimised code too, where an unchecked end would wrap and the read
+    /// would come back as zeros.
+    fn read_at_the_top(read: impl FnOnce(&mut des::ProcCtx, &crate::Nic) + Send + 'static) {
+        let mut sim = Simulation::new();
+        let nic = Ring::new(&sim.handle(), 2, 64, CostModel::default()).nic(0);
+        sim.spawn("p", move |ctx| read(ctx, &nic));
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "a 1-word access at 18446744073709551615 out of range")]
+    fn a_word_read_at_the_top_of_the_address_space_panics() {
+        read_at_the_top(|ctx, nic| {
+            nic.read_word(ctx, usize::MAX);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a 2-word access at 18446744073709551614 out of range")]
+    fn a_block_read_across_the_top_of_the_address_space_panics() {
+        read_at_the_top(|ctx, nic| nic.read_block(ctx, usize::MAX - 1, &mut [7; 2]));
     }
 
     #[test]

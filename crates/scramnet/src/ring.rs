@@ -211,18 +211,18 @@ impl HopPlan {
     }
 }
 
-/// Everything a hop or an inject reads and writes, as one value behind
-/// one lock ([`RingShared::state`]): entered once per hop (twice on a
-/// packet's last, whose plan goes back to the pool after the tap has read
-/// the payload), twice per inject, once per PIO access. A leaf lock —
-/// nothing under it schedules, notifies a [`Signal`], calls a tap or
-/// records — so nothing done under it comes back for it.
+/// What an inject reads and writes beyond the banks, as one value behind
+/// one lock ([`RingShared::state`]): entered once per inject (the link
+/// walk, which pops a plan) and once per packet on its last hop (the
+/// plan's return to the pool); a hop before it, a PIO access and a look
+/// enter nothing — the banks and the bit-error countdown are beside it,
+/// in [`RingShared`]. The conflict log is here too, entered only when a
+/// tracked write finds another writer's word. A leaf lock — nothing under
+/// it schedules, notifies a [`Signal`], calls a tap or records — so
+/// nothing done under it comes back for it.
 pub(crate) struct RingState {
-    pub banks: Vec<Bank>,
     /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
     links: Vec<Time>,
-    /// Fault injection (None when `bit_error_rate` is 0).
-    errors: Option<ErrorInjector>,
     /// Free list of transit itineraries (see [`HopPlan`]).
     /// The box, not just the plan, is what's recycled: the transit
     /// closure must capture a thin pointer to stay inside the inline
@@ -235,38 +235,6 @@ pub(crate) struct RingState {
     conflicts: Vec<(WordAddr, usize, usize)>,
 }
 
-impl RingState {
-    /// Apply `data` to `node`'s bank at `t` — corrupted first unless
-    /// `node` is the writer's own — and log single-writer conflicts.
-    /// Returns the corrupted copy, if a bit flipped.
-    fn apply(
-        &mut self,
-        node: usize,
-        addr: WordAddr,
-        data: &[Word],
-        writer: usize,
-        t: Time,
-    ) -> Option<Vec<Word>> {
-        // Fault injection corrupts only ring transit, never the writer's
-        // own bank (the host wrote that directly over the bus). The
-        // mutation buffer is allocated lazily on the first actual flip:
-        // in the overwhelmingly common no-flip apply the data passes
-        // through untouched and the injector's geometric countdown makes
-        // the whole check one compare-and-subtract.
-        let mut corrupted: Option<Vec<Word>> = None;
-        if let (true, Some(err)) = (node != writer, &mut self.errors) {
-            err.corrupt_span(data.len(), |i, bit| {
-                corrupted.get_or_insert_with(|| data.to_vec())[i] ^= 1 << bit;
-            });
-        }
-        let applied = corrupted.as_deref().unwrap_or(data);
-        for (a, earlier) in self.banks[node].apply(addr, applied, writer, t) {
-            self.conflicts.push((a, earlier, writer));
-        }
-        corrupted
-    }
-}
-
 pub(crate) struct RingShared {
     pub handle: SimHandle,
     pub cost: CostModel,
@@ -275,8 +243,17 @@ pub(crate) struct RingShared {
     pub n: usize,
     /// Words per bank.
     pub words: usize,
+    /// Each node's memory, read and applied through `&self`: words a hop
+    /// stores to. Reached only through [`Self::bank`].
+    banks: Vec<Bank>,
+    /// Fault injection (None when `bit_error_rate` is 0).
+    errors: Option<ErrorInjector>,
     /// Entered only through [`Self::state`].
     state: Mutex<RingState>,
+    /// Times [`Self::state`] was entered, for the unit tests that pin what
+    /// a hop and an inject take.
+    #[cfg(test)]
+    state_entries: AtomicU64,
     watches: Mutex<Vec<Vec<Watch>>>,
     /// Number of installed watches across all nodes; lets `applied`
     /// skip the watch lock entirely on watch-free rings.
@@ -318,7 +295,7 @@ pub(crate) struct RingShared {
 impl des::Sample for RingShared {
     fn sample(&self, addr: usize) -> Word {
         self.stats.pio_reads.add(1);
-        self.state().banks[addr / self.words].read(addr % self.words)
+        self.bank(addr / self.words).read(addr % self.words)
     }
 }
 
@@ -346,54 +323,58 @@ impl RingShared {
 /// counts words down to it. The flip process over the word stream is
 /// statistically identical, still seeded and deterministic, but a clean
 /// apply costs one subtraction instead of one RNG draw per word — at
-/// realistic error rates virtually every apply is clean.
+/// realistic error rates virtually every apply is clean — and takes no
+/// lock: the countdown is a relaxed cell only the running entity touches,
+/// and the stream's RNG is locked only when a flip lands.
 struct ErrorInjector {
-    rate: f64,
-    rng: des::rng::SimRng,
+    /// `ln(1 - rate)`, the divisor of every gap.
+    ln_keep: f64,
     /// Clean words remaining before the next flip.
-    countdown: u64,
+    countdown: AtomicU64,
+    rng: Mutex<des::rng::SimRng>,
 }
 
 impl ErrorInjector {
     fn new(rate: f64, seed: u64) -> Self {
-        let mut inj = ErrorInjector {
-            rate: rate.min(1.0),
-            rng: des::rng::SimRng::seeded(seed),
-            countdown: 0,
-        };
-        inj.countdown = inj.sample_gap();
-        inj
+        let ln_keep = (1.0 - rate.min(1.0)).ln();
+        let mut rng = des::rng::SimRng::seeded(seed);
+        ErrorInjector {
+            ln_keep,
+            countdown: AtomicU64::new(Self::sample_gap(ln_keep, &mut rng)),
+            rng: Mutex::new(rng),
+        }
     }
 
     /// Geometric(rate) gap: number of clean words before the next flip.
-    fn sample_gap(&mut self) -> u64 {
-        // floor(ln(1-U) / ln(1-p)); at p == 1 the divisor is -inf and the
-        // gap collapses to 0 (every word flips), as it should.
-        let u = self.rng.unit();
-        let gap = (1.0 - u).ln() / (1.0 - self.rate).ln();
-        if gap.is_finite() {
-            gap as u64
-        } else {
-            0
+    fn sample_gap(ln_keep: f64, rng: &mut des::rng::SimRng) -> u64 {
+        // floor(ln(1-U) / ln(1-p)). At p == 1 the divisor is -inf and the
+        // gap collapses to 0 (every word flips), as it should; a p too
+        // small to change 1 - p makes it 0, and no word ever flips.
+        let u = rng.unit();
+        if ln_keep == 0.0 {
+            return u64::MAX;
         }
+        ((1.0 - u).ln() / ln_keep) as u64
     }
 
     /// Walk a span of `len` applied words, calling `flip(idx, bit)` for
     /// each corrupted one. The fast path — no flip lands in the span —
     /// is a single compare-and-subtract.
-    fn corrupt_span(&mut self, len: usize, mut flip: impl FnMut(usize, u32)) {
+    fn corrupt_span(&self, len: usize, mut flip: impl FnMut(usize, u32)) {
         let len = len as u64;
-        if self.countdown >= len {
-            self.countdown -= len;
+        let countdown = self.countdown.load(Ordering::Relaxed);
+        if countdown >= len {
+            self.countdown.store(countdown - len, Ordering::Relaxed);
             return;
         }
-        let mut i = self.countdown;
+        let mut rng = self.rng.lock();
+        let mut i = countdown;
         while i < len {
-            let bit = self.rng.below(32) as u32;
+            let bit = rng.below(32) as u32;
             flip(i as usize, bit);
-            i += 1 + self.sample_gap();
+            i = (i + 1).saturating_add(Self::sample_gap(self.ln_keep, &mut rng));
         }
-        self.countdown = i - len;
+        self.countdown.store(i - len, Ordering::Relaxed);
     }
 }
 
@@ -436,12 +417,7 @@ impl Ring {
         assert!(n >= 2, "a ring needs at least two nodes");
         assert!(n <= 256, "SCRAMNet supports up to 256 nodes per ring");
         let state = RingState {
-            banks: (0..n)
-                .map(|_| Bank::new(words, config.track_provenance))
-                .collect(),
             links: vec![0; n],
-            errors: (config.bit_error_rate > 0.0)
-                .then(|| ErrorInjector::new(config.bit_error_rate, config.error_seed)),
             plan_pool: Vec::new(),
             conflicts: Vec::new(),
         };
@@ -451,7 +427,14 @@ impl Ring {
             mode: AtomicU8::new(0),
             n,
             words,
+            banks: (0..n)
+                .map(|_| Bank::new(words, config.track_provenance))
+                .collect(),
+            errors: (config.bit_error_rate > 0.0)
+                .then(|| ErrorInjector::new(config.bit_error_rate, config.error_seed)),
             state: Mutex::new(state),
+            #[cfg(test)]
+            state_entries: AtomicU64::new(0),
             watches: Mutex::new((0..n).map(|_| Vec::new()).collect()),
             watch_count: AtomicU64::new(0),
             taps: Mutex::new((0..n).map(|_| None).collect()),
@@ -650,13 +633,13 @@ impl Ring {
 
     /// Snapshot of `node`'s entire bank (test helper).
     pub fn snapshot(&self, node: usize) -> Vec<Word> {
-        self.shared.state().banks[node].snapshot()
+        self.shared.bank(node).snapshot()
     }
 
     /// Last writer of `addr` on `node`'s bank (None if never written or
     /// provenance tracking is off).
     pub fn provenance(&self, node: usize, addr: WordAddr) -> Option<crate::WriteRecord> {
-        self.shared.state().banks[node].provenance(addr)
+        self.shared.bank(node).provenance(addr)
     }
 }
 
@@ -686,7 +669,7 @@ impl RingShared {
             return;
         }
         let mode = self.mode();
-        let corrupted = self.state().apply(src, addr, data, writer, t_ready);
+        let corrupted = self.apply(src, addr, data, writer, t_ready);
         self.applied(src, addr, data, corrupted, writer, t_ready);
         self.stats.injections.add(1);
         self.stats.words_carried.add(words as u64);
@@ -871,14 +854,14 @@ impl RingShared {
     /// from hop to hop, and a `Box<HopPlan>`), well inside the scheduler's
     /// inline-closure budget — a full transit allocates nothing once the
     /// plan pool and queue are warm. Every hop reads the payload in the
-    /// plan. The ring's state is entered once for the apply, and on the
-    /// last hop once more, after the tap has read the payload, for the
+    /// plan and applies it without the ring's lock; the last enters the
+    /// ring's state once, after the tap has read the payload, for the
     /// plan's return to the pool.
     fn transit(self: Arc<Self>, mut plan: Box<HopPlan>, t: Time) -> Option<Then> {
         let (node, _) = plan.hop(plan.idx);
         plan.idx += 1;
         let (addr, writer, trace) = (plan.addr, plan.writer, plan.trace);
-        let corrupted = self.state().apply(node, addr, &plan.data, writer, t);
+        let corrupted = self.apply(node, addr, &plan.data, writer, t);
         self.applied(node, addr, &plan.data, corrupted, writer, t);
         if trace != 0 {
             self.handle.recorder().lifecycle_hot(
@@ -898,6 +881,42 @@ impl RingShared {
         plan.trace = 0;
         self.state().plan_pool.push(plan);
         None
+    }
+
+    /// Apply `data` to `node`'s bank at `t` — corrupted first unless
+    /// `node` is the writer's own — and log single-writer conflicts.
+    /// Returns the corrupted copy, if a bit flipped. Takes no lock unless
+    /// a flip lands (the error stream's) or a tracked write finds another
+    /// writer's word (the conflict log's).
+    fn apply(
+        &self,
+        node: usize,
+        addr: WordAddr,
+        data: &[Word],
+        writer: usize,
+        t: Time,
+    ) -> Option<Vec<Word>> {
+        // Fault injection corrupts only ring transit, never the writer's
+        // own bank (the host wrote that directly over the bus). The
+        // mutation buffer is allocated lazily on the first actual flip:
+        // in the overwhelmingly common no-flip apply the data passes
+        // through untouched and the injector's geometric countdown makes
+        // the whole check one compare-and-subtract.
+        let mut corrupted: Option<Vec<Word>> = None;
+        if let (true, Some(err)) = (node != writer, &self.errors) {
+            err.corrupt_span(data.len(), |i, bit| {
+                corrupted.get_or_insert_with(|| data.to_vec())[i] ^= 1 << bit;
+            });
+        }
+        let applied = corrupted.as_deref().unwrap_or(data);
+        let conflicts = self.bank(node).apply(addr, applied, writer, t);
+        if !conflicts.is_empty() {
+            let mut state = self.state();
+            for (a, earlier) in conflicts {
+                state.conflicts.push((a, earlier, writer));
+            }
+        }
+        corrupted
     }
 
     /// What an apply at `node` does beyond its bank: count a corrupted
@@ -945,12 +964,19 @@ impl RingShared {
         }
     }
 
-    /// The ring's state — its banks above all — for reading or writing.
-    /// Replicated memory is the one thing every host and every hop event
-    /// shares, so a process still owing charged time must not be looking
-    /// at it.
-    pub(crate) fn state(&self) -> MutexGuard<'_, RingState> {
+    /// `node`'s bank, for reading or applying. Replicated memory is the one
+    /// thing every host and every hop event shares, so a process still
+    /// owing charged time must not be looking at it.
+    pub(crate) fn bank(&self, node: usize) -> &Bank {
         self.handle.assert_settled("a bank access");
+        &self.banks[node]
+    }
+
+    /// The ring's state: the link horizons, the plan pool, the conflict
+    /// log.
+    fn state(&self) -> MutexGuard<'_, RingState> {
+        #[cfg(test)]
+        self.state_entries.add(1);
         self.state.lock()
     }
 
@@ -1355,6 +1381,59 @@ mod tests {
             assert_eq!(snap[11], 0xBEEF, "node {node}");
         }
         assert_eq!(ring.stats().injections, 1);
+    }
+
+    #[test]
+    fn a_packets_hops_enter_the_ring_state_once() {
+        let mut sim = Simulation::new();
+        let cfg = RingConfig {
+            track_provenance: true,
+            bit_error_rate: 0.01,
+            ..Default::default()
+        };
+        let ring = Ring::with_config(&sim.handle(), 16, 64, CostModel::default(), cfg);
+        let r = ring.clone();
+        sim.handle().schedule_at(10, move |t| {
+            r.source_packet(0, t, 0, vec![7; 16].into());
+        });
+        let entries = || ring.shared.state_entries.load(Ordering::Relaxed);
+        sim.run_until(10);
+        assert_eq!(entries(), 1, "the inject's link walk");
+        assert!(sim.run().is_clean());
+        // Fifteen applies, flips among them, each taking no lock of the
+        // ring's; then the plan's return to the pool.
+        assert_eq!(entries(), 2, "{:?}", ring.stats());
+        assert!(ring.stats().bit_errors > 0, "{:?}", ring.stats());
+        assert!(ring.conflicts().is_empty());
+        assert!((1..16).all(|node| ring.provenance(node, 15).is_some()));
+    }
+
+    #[test]
+    fn a_rate_too_small_to_change_one_minus_rate_flips_nothing() {
+        // `1.0 - rate` rounds to 1.0 below ≈ 1.1e-16, so the gap's divisor
+        // is 0: such a gap is "never", not "every word".
+        for rate in [1e-17, 1e-12] {
+            let mut sim = Simulation::new();
+            let cfg = RingConfig {
+                bit_error_rate: rate,
+                error_seed: 7,
+                ..Default::default()
+            };
+            let ring = Ring::with_config(&sim.handle(), 4, 4096, CostModel::default(), cfg);
+            for i in 0..100 {
+                let r = ring.clone();
+                sim.handle().schedule_at(i * 1_000, move |t| {
+                    r.source_packet(0, t, 16 * (i as usize % 8), vec![i as Word; 16].into());
+                });
+            }
+            assert!(sim.run().is_clean());
+            let stats = ring.stats();
+            assert_eq!(
+                (stats.injections, stats.bit_errors),
+                (100, 0),
+                "rate {rate}"
+            );
+        }
     }
 
     #[test]
