@@ -282,13 +282,6 @@ impl BbpConfig {
         config
     }
 
-    /// [`BbpConfig::for_nodes`] with the default credit ledger enabled.
-    pub fn credited_for_nodes(nprocs: usize) -> Self {
-        let mut config = Self::for_nodes(nprocs);
-        config.credit = Some(CreditConfig::default());
-        config
-    }
-
     /// Validate invariants (≥2 processes, 1–32 buffers, nonzero data
     /// partition). Panics with a descriptive message on misuse.
     pub fn validate(&self) {
@@ -404,17 +397,24 @@ mod tests {
 
     #[test]
     fn credited_defaults_validate() {
-        let c = BbpConfig::credited_for_nodes(4);
-        assert!(c.credit.is_some());
-        c.validate();
+        BbpConfig {
+            credit: Some(CreditConfig::default()),
+            ..BbpConfig::for_nodes(4)
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "credit grant")]
     fn zero_credit_grant_rejected() {
-        let mut c = BbpConfig::credited_for_nodes(2);
-        c.credit.as_mut().unwrap().per_peer = 0;
-        c.validate();
+        BbpConfig {
+            credit: Some(CreditConfig {
+                per_peer: 0,
+                ..CreditConfig::default()
+            }),
+            ..BbpConfig::for_nodes(2)
+        }
+        .validate();
     }
 
     #[test]

@@ -76,16 +76,6 @@ impl MembershipView {
     pub fn is_alive(&self, rank: usize) -> bool {
         rank < 32 && self.alive_mask & (1 << rank) != 0
     }
-
-    /// Number of members in this view.
-    pub fn live_count(&self) -> usize {
-        self.alive_mask.count_ones() as usize
-    }
-
-    /// The member ranks, ascending.
-    pub fn live_ranks(&self) -> Vec<usize> {
-        (0..32).filter(|&r| self.is_alive(r)).collect()
-    }
 }
 
 /// The detector's local grade for one peer.
@@ -858,8 +848,6 @@ mod tests {
         assert!(!v.is_alive(2));
         assert!(v.is_alive(3));
         assert!(!v.is_alive(31));
-        assert_eq!(v.live_count(), 3);
-        assert_eq!(v.live_ranks(), vec![0, 1, 3]);
     }
 
     #[test]

@@ -133,18 +133,6 @@ impl<T: Send + 'static> SimQueue<T> {
         }
     }
 
-    /// Number of items visible at `now`.
-    pub fn visible_len(&self, now: Time) -> usize {
-        self.inner.handle.assert_settled("polling a SimQueue");
-        self.inner
-            .items
-            .lock()
-            .heap
-            .iter()
-            .filter(|Reverse(e)| e.visible_at <= now)
-            .count()
-    }
-
     /// Total queued items, visible or not.
     pub fn len(&self) -> usize {
         self.inner.items.lock().heap.len()
@@ -228,7 +216,6 @@ mod tests {
         let q: SimQueue<u32> = SimQueue::new(&sim.handle());
         q.push_at(us(10), 1);
         assert_eq!(q.try_pop(us(5)), None);
-        assert_eq!(q.visible_len(us(5)), 0);
         assert_eq!(q.len(), 1);
         assert_eq!(q.try_pop(us(10)), Some(1));
         assert!(q.is_empty());

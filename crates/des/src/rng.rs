@@ -26,11 +26,6 @@ impl SimRng {
         self.inner.gen_range(0..bound)
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        self.inner.gen_range(lo..=hi)
-    }
-
     /// Uniform f64 in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
@@ -96,21 +91,5 @@ mod tests {
         let mut r = SimRng::seeded(3);
         assert_eq!(r.payload(0).len(), 0);
         assert_eq!(r.payload(1024).len(), 1024);
-    }
-
-    #[test]
-    fn range_inclusive_hits_both_ends() {
-        let mut r = SimRng::seeded(11);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..2000 {
-            match r.range_inclusive(4, 6) {
-                4 => lo_seen = true,
-                6 => hi_seen = true,
-                5 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(lo_seen && hi_seen);
     }
 }

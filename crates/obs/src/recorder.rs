@@ -334,25 +334,6 @@ impl Recorder {
             })
             .collect()
     }
-
-    /// Aggregate counter totals, sorted by name then node for stable
-    /// output.
-    pub fn counter_totals(&self) -> Vec<(&'static str, u32, u64)> {
-        let mut totals: Vec<(&'static str, u32, u64)> = Vec::new();
-        for e in self.lock().iter() {
-            if let Event::Count {
-                name, node, delta, ..
-            } = e
-            {
-                match totals.iter_mut().find(|(n, nd, _)| n == name && nd == node) {
-                    Some(slot) => slot.2 += delta,
-                    None => totals.push((name, *node, *delta)),
-                }
-            }
-        }
-        totals.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        totals
-    }
 }
 
 impl Default for Recorder {
@@ -491,23 +472,5 @@ mod tests {
         r.gauge_f(3_000, 0, "link.util", 0.75);
         assert_eq!(r.telemetry().series_count(), 2);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn counter_totals_aggregate_per_node() {
-        let r = Recorder::new();
-        r.enable();
-        r.count(1, 0, "ring.packets", 2);
-        r.count(2, 1, "ring.packets", 3);
-        r.count(3, 0, "ring.packets", 5);
-        r.count(4, 0, "nic.pio_words", 1);
-        assert_eq!(
-            r.counter_totals(),
-            vec![
-                ("nic.pio_words", 0, 1),
-                ("ring.packets", 0, 7),
-                ("ring.packets", 1, 3),
-            ]
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! unexpected-message queues, the eager/rendezvous protocols, and the
 //! polling progress engine.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use des::obs::{Layer, Stage};
 use des::{ProcCtx, Time};
@@ -11,7 +11,7 @@ use crate::costs::SmpiCosts;
 use crate::device::{
     decode_null, encode_null, Device, DeviceError, PacketHeader, PacketKind, MAGIC_CHANNEL,
 };
-use crate::types::{fatal, ReqId, Status, Tag};
+use crate::types::{fatal, RecvRequest, SendRequest, Status, Tag};
 
 /// Null-frame phase reserved for communicator-revocation notices
 /// (degraded mode). Revocations travel on the communicator's
@@ -40,7 +40,7 @@ pub enum Idle {
 
 /// A posted (pending) receive.
 struct Posted {
-    req: ReqId,
+    req: u64,
     context: u16,
     src: Option<usize>, // world rank, None = ANY_SOURCE
     tag: Option<Tag>,   // None = ANY_TAG
@@ -83,20 +83,20 @@ impl Unexpected {
     }
 }
 
-/// A rendezvous send parked until its CTS arrives.
-struct PendingSend {
-    dst: usize,
-    payload: Vec<u8>,
-}
-
-/// A receive whose CTS went out, awaiting its data packets.
-struct RndzRecv {
-    /// What the completed receive will report (`len` is the full
-    /// message length).
-    status: Status,
-    /// Reassembly buffer for chunked data (per-pair FIFO makes
-    /// append-order correct).
-    buf: Vec<u8>,
+/// A request between the call that started it and the wait that redeems
+/// it, one variant per state. An eager send is never here (it completed
+/// as it started), nor is a receive still waiting in the posted queue.
+enum Req {
+    /// A rendezvous send whose RTS went out, its payload parked until
+    /// the CTS arrives.
+    Announced { dst: usize, payload: Vec<u8> },
+    /// A receive whose CTS went out, reassembling its data (per-pair
+    /// FIFO makes append-order correct); `status.len` is the full length.
+    Collecting { status: Status, buf: Vec<u8> },
+    /// A rendezvous send whose data left.
+    Sent,
+    /// A receive with its whole message.
+    Received(Status, Vec<u8>),
 }
 
 /// The ADI engine for one rank. Owns the device.
@@ -105,12 +105,8 @@ pub struct Adi {
     costs: SmpiCosts,
     posted: VecDeque<Posted>,
     unexpected: VecDeque<Unexpected>,
-    /// Rendezvous sends keyed by our request id.
-    rndz_sends: HashMap<u64, PendingSend>,
-    /// Rendezvous receives in flight, keyed by our request id.
-    rndz_recvs: HashMap<u64, RndzRecv>,
-    completed_recvs: HashMap<ReqId, (Status, Vec<u8>)>,
-    completed_sends: HashSet<ReqId>,
+    /// Every request started and not yet redeemed, by our request id.
+    reqs: HashMap<u64, Req>,
     /// Native-collective null frames: (src world rank, context, phase).
     nulls: VecDeque<(usize, u16, u8)>,
     /// High-water mark of unexpected-queue residency (messages parked at
@@ -128,10 +124,7 @@ impl Adi {
             costs,
             posted: VecDeque::new(),
             unexpected: VecDeque::new(),
-            rndz_sends: HashMap::new(),
-            rndz_recvs: HashMap::new(),
-            completed_recvs: HashMap::new(),
-            completed_sends: HashSet::new(),
+            reqs: HashMap::new(),
             nulls: VecDeque::new(),
             unexpected_peak: 0,
             next_req: 1,
@@ -190,8 +183,8 @@ impl Adi {
         self.dev.partitioned()
     }
 
-    fn fresh_req(&mut self) -> ReqId {
-        let id = ReqId(self.next_req);
+    fn fresh_req(&mut self) -> u64 {
+        let id = self.next_req;
         self.next_req += 1;
         id
     }
@@ -199,6 +192,18 @@ impl Adi {
     /// Observability node label for this rank.
     fn node(&self) -> u32 {
         self.dev.rank() as u32
+    }
+
+    /// A channel header from this rank.
+    fn header(&self, kind: PacketKind, tag: Tag, context: u16, len: u32, req: u64) -> PacketHeader {
+        PacketHeader {
+            kind,
+            src: self.dev.rank(),
+            tag,
+            context,
+            len,
+            req,
+        }
     }
 
     /// Largest payload one frame can carry under this device.
@@ -235,7 +240,7 @@ impl Adi {
         context: u16,
         tag: Tag,
         payload: &[u8],
-    ) -> Result<ReqId, DeviceError> {
+    ) -> Result<SendRequest, DeviceError> {
         self.isend_mode(ctx, dst, context, tag, payload, false)
     }
 
@@ -249,47 +254,30 @@ impl Adi {
         tag: Tag,
         payload: &[u8],
         synchronous: bool,
-    ) -> Result<ReqId, DeviceError> {
+    ) -> Result<SendRequest, DeviceError> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "isend");
         ctx.charge(self.costs.request_ns);
-        let req = self.fresh_req();
-        let out = if !synchronous
+        let id = self.fresh_req();
+        let eager = !synchronous
             && payload.len() < self.costs.rendezvous_threshold
-            && payload.len() <= self.chunk_max()
-        {
-            let header = PacketHeader {
-                kind: PacketKind::Eager,
-                src: self.dev.rank(),
-                tag,
-                context,
-                len: payload.len() as u32,
-                req: 0,
-            };
-            self.send_packet(ctx, dst, &header, payload).map(|()| {
-                self.completed_sends.insert(req);
-                req
-            })
+            && payload.len() <= self.chunk_max();
+        // An eager frame carries the message; a rendezvous RTS announces
+        // it under our request id.
+        let (kind, req, body) = if eager {
+            (PacketKind::Eager, 0, payload)
         } else {
-            let header = PacketHeader {
-                kind: PacketKind::RndzRts,
-                src: self.dev.rank(),
-                tag,
-                context,
-                len: payload.len() as u32,
-                req: req.0,
-            };
-            self.send_packet(ctx, dst, &header, &[]).map(|()| {
-                self.rndz_sends.insert(
-                    req.0,
-                    PendingSend {
-                        dst,
-                        payload: payload.to_vec(),
-                    },
-                );
-                req
-            })
+            (PacketKind::RndzRts, id, &[][..])
         };
+        let header = self.header(kind, tag, context, payload.len() as u32, req);
+        let out = self.send_packet(ctx, dst, &header, body).map(|()| {
+            if eager {
+                return SendRequest(None);
+            }
+            let payload = payload.to_vec();
+            self.reqs.insert(id, Req::Announced { dst, payload });
+            SendRequest(Some(id))
+        });
         // Every public ADI call returns settled: a device that took the
         // frame without a stall of its own leaves our charges owed.
         ctx.settle();
@@ -331,7 +319,7 @@ impl Adi {
         context: u16,
         src: Option<usize>,
         tag: Option<Tag>,
-    ) -> Result<ReqId, DeviceError> {
+    ) -> Result<RecvRequest, DeviceError> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "irecv");
         ctx.charge(self.costs.request_ns + self.costs.queue_ns);
@@ -360,7 +348,7 @@ impl Adi {
                 Stage::UnexpectedHit,
                 ctx.now().saturating_sub(u.parked_at),
             );
-            self.accept_matched(ctx, req, u).map(|()| req)
+            self.accept_matched(ctx, req, u).map(|()| RecvRequest(req))
         } else {
             self.posted.push_back(Posted {
                 req,
@@ -368,7 +356,7 @@ impl Adi {
                 src,
                 tag,
             });
-            Ok(req)
+            Ok(RecvRequest(req))
         };
         ctx.settle();
         ctx.obs()
@@ -381,57 +369,61 @@ impl Adi {
     fn accept_matched(
         &mut self,
         ctx: &mut ProcCtx,
-        req: ReqId,
+        req: u64,
         u: Unexpected,
     ) -> Result<(), DeviceError> {
-        match u.rts_req {
+        let status = u.status();
+        let state = match u.rts_req {
             None => {
                 ctx.charge(self.costs.unpack_ns(u.payload.len()));
-                self.completed_recvs.insert(req, (u.status(), u.payload));
+                Req::Received(status, u.payload)
             }
             Some(rts) => {
-                // Long message: grant the sender a clear-to-send carrying
-                // our request id; the data packet will complete `req`.
-                let header = PacketHeader {
-                    kind: PacketKind::RndzCts,
-                    src: self.dev.rank(),
-                    tag: u.tag,
-                    context: u.context,
-                    len: u.len as u32,
-                    req: rts,
-                };
-                // CTS reuses the sender's req in `req` field and carries
-                // ours in the payload.
-                let ours = req.0.to_le_bytes();
-                self.send_packet(ctx, u.src, &header, &ours)?;
-                let status = u.status();
-                self.rndz_recvs.insert(
-                    req.0,
-                    RndzRecv {
-                        status,
-                        buf: Vec::new(),
-                    },
-                );
+                // Long message: grant the sender a clear-to-send, which
+                // reuses the sender's request id in `req` and carries ours
+                // in the payload; the data packets will complete `req`.
+                let header = self.header(PacketKind::RndzCts, u.tag, u.context, u.len as u32, rts);
+                self.send_packet(ctx, u.src, &header, &req.to_le_bytes())?;
+                let buf = Vec::new();
+                Req::Collecting { status, buf }
             }
-        }
+        };
+        self.reqs.insert(req, state);
         Ok(())
     }
 
-    /// Block until `req` completes; receives yield their payload. `idle`
-    /// is how to wait out an iteration with nothing to dispatch
-    /// ([`Idle::Park`] or [`Idle::Sleep`]).
-    pub fn wait(&mut self, ctx: &mut ProcCtx, req: ReqId, idle: Idle) -> Option<(Status, Vec<u8>)> {
+    /// Block until the send `req` completes. `idle` is how to wait out an
+    /// iteration with nothing to dispatch ([`Idle::Park`] or
+    /// [`Idle::Sleep`]).
+    pub fn wait_send(&mut self, ctx: &mut ProcCtx, req: SendRequest, idle: Idle) {
+        self.redeem(ctx, req.0, idle);
+    }
+
+    /// Block until the receive `req` completes and yield its message;
+    /// `idle` as for [`Adi::wait_send`].
+    pub fn wait_recv(
+        &mut self,
+        ctx: &mut ProcCtx,
+        req: RecvRequest,
+        idle: Idle,
+    ) -> (Status, Vec<u8>) {
+        match self.redeem(ctx, Some(req.0), idle) {
+            Some(Req::Received(status, data)) => (status, data),
+            _ => unreachable!("a receive's id only ever names a receive"),
+        }
+    }
+
+    /// The one wait: step until request `id` (none: an eager send, done
+    /// as it started) has completed, then take it out of the table.
+    fn redeem(&mut self, ctx: &mut ProcCtx, id: Option<u64>, idle: Idle) -> Option<Req> {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "wait");
-        let done = loop {
-            if self.completed_sends.remove(&req) {
-                break None;
-            }
-            if let Some(done) = self.completed_recvs.remove(&req) {
-                break Some(done);
+        let done = id.map(|id| loop {
+            if self.done(id) {
+                break self.reqs.remove(&id).expect("completed a line ago");
             }
             self.step(ctx, idle);
-        };
+        });
         ctx.charge(self.costs.request_ns);
         ctx.settle();
         ctx.obs()
@@ -439,9 +431,19 @@ impl Adi {
         done
     }
 
-    /// True if `req` already completed (does not progress).
-    pub fn is_complete(&self, req: ReqId) -> bool {
-        self.completed_sends.contains(&req) || self.completed_recvs.contains_key(&req)
+    /// True if request `id` has completed (does not progress).
+    fn done(&self, id: u64) -> bool {
+        matches!(self.reqs.get(&id), Some(Req::Sent | Req::Received(..)))
+    }
+
+    /// True if the send `req` already completed (does not progress).
+    pub fn send_done(&self, req: &SendRequest) -> bool {
+        req.0.is_none_or(|id| self.done(id))
+    }
+
+    /// True if the receive `req` already completed (does not progress).
+    pub fn recv_done(&self, req: &RecvRequest) -> bool {
+        self.done(req.0)
     }
 
     /// `MPI_Iprobe` at the ADI: one progress poll, then report — without
@@ -508,14 +510,7 @@ impl Adi {
         ctx.obs()
             .span_enter(ctx.now(), self.node(), Layer::Adi, "mcast");
         ctx.charge(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
-        let header = PacketHeader {
-            kind: PacketKind::Eager,
-            src: self.dev.rank(),
-            tag,
-            context,
-            len: payload.len() as u32,
-            req: 0,
-        };
+        let header = self.header(PacketKind::Eager, tag, context, payload.len() as u32, 0);
         let mut frame = header.encode(self.costs.header_bytes);
         frame.extend_from_slice(payload);
         let out = self.dev.mcast_frame(ctx, targets, &frame);
@@ -634,46 +629,41 @@ impl Adi {
             }
             PacketKind::RndzCts => {
                 let their_req = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                let send = self
-                    .rndz_sends
-                    .remove(&header.req)
-                    .expect("CTS for unknown rendezvous send");
+                // The send is sent once its data frames below have left.
+                let state = self.reqs.get_mut(&header.req);
+                let state = state.map(|r| std::mem::replace(r, Req::Sent));
+                let Some(Req::Announced { dst, payload }) = state else {
+                    panic!("CTS for unknown rendezvous send")
+                };
                 // Segment the data to the device's frame limit; per-pair
                 // FIFO keeps the chunks in order at the receiver. An
                 // empty payload has no chunks, but a zero-length
                 // rendezvous (synchronous mode, or a threshold of 0)
                 // still owes its receiver one data frame.
-                let chunk = self.chunk_max().min(send.payload.len().max(1));
-                let empty = send.payload.is_empty().then_some(&[][..]);
-                for piece in send.payload.chunks(chunk).chain(empty) {
-                    let data_header = PacketHeader {
-                        kind: PacketKind::RndzData,
-                        src: self.dev.rank(),
-                        tag: header.tag,
-                        context: header.context,
-                        len: send.payload.len() as u32,
-                        req: their_req,
-                    };
-                    self.send_packet(ctx, send.dst, &data_header, piece)
+                let chunk = self.chunk_max().min(payload.len().max(1));
+                let empty = payload.is_empty().then_some(&[][..]);
+                let data = self.header(
+                    PacketKind::RndzData,
+                    header.tag,
+                    header.context,
+                    payload.len() as u32,
+                    their_req,
+                );
+                for piece in payload.chunks(chunk).chain(empty) {
+                    self.send_packet(ctx, dst, &data, piece)
                         .unwrap_or_else(|e| fatal("the rendezvous data phase", e));
                 }
-                self.completed_sends.insert(ReqId(header.req));
             }
             PacketKind::RndzData => {
-                let recv = self
-                    .rndz_recvs
-                    .get_mut(&header.req)
-                    .expect("data for unknown rendezvous receive");
+                let Some(Req::Collecting { status, buf }) = self.reqs.get_mut(&header.req) else {
+                    panic!("data for unknown rendezvous receive")
+                };
                 ctx.charge(self.costs.unpack_ns(payload.len()));
-                recv.buf.extend_from_slice(&payload);
-                if recv.buf.len() >= recv.status.len {
-                    let RndzRecv { status, buf } = self
-                        .rndz_recvs
-                        .remove(&header.req)
-                        .expect("present a line ago");
+                buf.extend_from_slice(&payload);
+                if buf.len() >= status.len {
                     debug_assert_eq!(buf.len(), status.len, "rendezvous over-delivery");
-                    self.completed_recvs
-                        .insert(ReqId(header.req), (status, buf));
+                    let done = Req::Received(status.clone(), std::mem::take(buf));
+                    self.reqs.insert(header.req, done);
                 }
             }
         }
@@ -736,6 +726,15 @@ impl Adi {
 }
 
 #[cfg(test)]
+impl Adi {
+    /// Requests started and not yet redeemed: the table and the posted
+    /// receives.
+    pub(crate) fn requests_held(&self) -> usize {
+        self.reqs.len() + self.posted.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::costs::SmpiCosts;
@@ -775,7 +774,8 @@ mod tests {
         with_ctx(|ctx| {
             let (mut a, probe) = adi(0, 2);
             let req = a.isend(ctx, 1, 0, 5, b"hello").unwrap();
-            assert!(a.is_complete(req));
+            assert!(a.send_done(&req));
+            a.wait_send(ctx, req, Idle::Park);
             let sent = probe.sent();
             assert_eq!(sent.len(), 1);
             assert_eq!(sent[0].0, 1);
@@ -792,10 +792,10 @@ mod tests {
         with_ctx(|ctx| {
             let (mut a, probe) = adi(0, 2);
             let req = a.irecv(ctx, 0, Some(1), Some(9)).unwrap();
-            assert!(!a.is_complete(req));
+            assert!(!a.recv_done(&req));
             let frame = eager_frame(a.costs(), 1, 0, 9, b"payload");
             probe.feed(1, frame);
-            let (st, data) = a.wait(ctx, req, Idle::Park).unwrap();
+            let (st, data) = a.wait_recv(ctx, req, Idle::Park);
             assert_eq!(st.source, 1);
             assert_eq!(st.tag, 9);
             assert_eq!(data, b"payload");
@@ -812,8 +812,8 @@ mod tests {
             );
             a.progress(ctx, Idle::Pace); // parks it in the unexpected queue
             let req = a.irecv(ctx, 0, Some(1), Some(3)).unwrap();
-            assert!(a.is_complete(req), "irecv must drain the unexpected queue");
-            let (_, data) = a.wait(ctx, req, Idle::Park).unwrap();
+            assert!(a.recv_done(&req), "irecv must drain the unexpected queue");
+            let (_, data) = a.wait_recv(ctx, req, Idle::Park);
             assert_eq!(data, b"early");
         });
     }
@@ -827,8 +827,8 @@ mod tests {
             let costs = SmpiCosts::channel_interface();
             probe.feed(1, eager_frame(&costs, 1, 0, 7, b"first"));
             probe.feed(1, eager_frame(&costs, 1, 0, 7, b"second"));
-            let (_, d1) = a.wait(ctx, r1, Idle::Park).unwrap();
-            let (_, d2) = a.wait(ctx, r2, Idle::Park).unwrap();
+            let (_, d1) = a.wait_recv(ctx, r1, Idle::Park);
+            let (_, d2) = a.wait_recv(ctx, r2, Idle::Park);
             assert_eq!(d1, b"first");
             assert_eq!(d2, b"second");
         });
@@ -843,7 +843,7 @@ mod tests {
                 2,
                 eager_frame(&SmpiCosts::channel_interface(), 2, 0, 1234, b"w"),
             );
-            let (st, _) = a.wait(ctx, req, Idle::Park).unwrap();
+            let (st, _) = a.wait_recv(ctx, req, Idle::Park);
             assert_eq!(st.source, 2);
             assert_eq!(st.tag, 1234);
         });
@@ -859,12 +859,12 @@ mod tests {
                 eager_frame(&SmpiCosts::channel_interface(), 1, 4, 1, b"ctx4"),
             );
             a.progress(ctx, Idle::Pace);
-            assert!(!a.is_complete(req), "context 4 must not match context 5");
+            assert!(!a.recv_done(&req), "context 4 must not match context 5");
             probe.feed(
                 1,
                 eager_frame(&SmpiCosts::channel_interface(), 1, 5, 1, b"ctx5"),
             );
-            let (_, data) = a.wait(ctx, req, Idle::Park).unwrap();
+            let (_, data) = a.wait_recv(ctx, req, Idle::Park);
             assert_eq!(data, b"ctx5");
         });
     }
@@ -875,7 +875,7 @@ mod tests {
             let (mut a, probe) = adi(0, 2);
             let payload = vec![7u8; 20 * 1024]; // above the 16 KiB threshold
             let req = a.isend(ctx, 1, 0, 2, &payload).unwrap();
-            assert!(!a.is_complete(req), "rendezvous waits for CTS");
+            assert!(!a.send_done(&req), "rendezvous waits for CTS");
             let sent = probe.sent();
             assert_eq!(sent.len(), 1);
             let rts = PacketHeader::decode(&sent[0].1);
@@ -894,7 +894,7 @@ mod tests {
             cts.extend_from_slice(&999u64.to_le_bytes()); // receiver's req id
             probe.feed(1, cts);
             a.progress(ctx, Idle::Pace);
-            assert!(a.is_complete(req), "send completes once data flies");
+            assert!(a.send_done(&req), "send completes once data flies");
             let sent = probe.sent();
             assert_eq!(sent.len(), 2, "one data frame for an unlimited device");
             let data = PacketHeader::decode(&sent[1].1);
@@ -925,7 +925,7 @@ mod tests {
             cts.extend_from_slice(&1u64.to_le_bytes());
             probe.feed(1, cts);
             a.progress(ctx, Idle::Pace);
-            assert!(a.is_complete(req));
+            assert!(a.send_done(&req));
             // chunkature: payload per frame = 4096 - 64 header = 4032.
             let frames = probe.sent_count() - 1;
             let chunk = 4 * 1024 - a.costs().header_bytes;
@@ -948,7 +948,7 @@ mod tests {
             assert_eq!(st.len, 4);
             // Still there for the actual receive.
             let req = a.irecv(ctx, 0, Some(1), Some(8)).unwrap();
-            let (_, data) = a.wait(ctx, req, Idle::Park).unwrap();
+            let (_, data) = a.wait_recv(ctx, req, Idle::Park);
             assert_eq!(data, b"look");
             assert!(a.iprobe(ctx, 0, Some(1), Some(8), Idle::Pace).is_none());
         });
@@ -1004,7 +1004,7 @@ mod tests {
             let err = a.isend(ctx, 1, 0, 5, &vec![0u8; 20 * 1024]).unwrap_err();
             assert_eq!(err, crate::device::DeviceError::PeerDown { peer: 1 });
             assert!(
-                a.rndz_sends.is_empty(),
+                a.reqs.is_empty(),
                 "a failed RTS must not park a pending send"
             );
         });

@@ -6,7 +6,7 @@ use des::ProcCtx;
 
 use crate::adi::{Adi, Idle};
 use crate::mpi::{Comm, Mpi};
-use crate::types::{fatal, MpiError, ReduceOp, ReqId, Tag};
+use crate::types::{fatal, MpiError, RecvRequest, ReduceOp, SendRequest, Tag};
 
 /// Which collective algorithms a communicator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,7 +100,7 @@ impl Mpi {
         dst: usize,
         tag: Tag,
         payload: &[u8],
-    ) -> Result<ReqId, MpiError> {
+    ) -> Result<SendRequest, MpiError> {
         self.adi
             .isend(ctx, comm.world_rank(dst), comm.coll_context, tag, payload)
             .map_err(|e| self.transport_to_mpi(comm, e))
@@ -114,27 +114,38 @@ impl Mpi {
         comm: &Comm,
         src: usize,
         tag: Tag,
-    ) -> Result<ReqId, MpiError> {
+    ) -> Result<RecvRequest, MpiError> {
         let src = Some(comm.world_rank(src));
         self.adi
             .irecv(ctx, comm.coll_context, src, Some(tag))
             .map_err(|e| self.transport_to_mpi(comm, e))
     }
 
-    /// Complete `req`: a receive yields its payload, a send nothing.
-    /// (Rendezvous-sized sends block on the receiver's CTS, so they are
-    /// waited cancellably too: a receiver dying mid-collective fails the
-    /// sender typed instead of wedging it.)
-    fn coll_wait(
+    /// Complete a send. (Rendezvous-sized sends block on the receiver's
+    /// CTS, so they are waited cancellably too: a receiver dying
+    /// mid-collective fails the sender typed instead of wedging it.)
+    fn coll_wait_send(
         &mut self,
         ctx: &mut ProcCtx,
         comm: &Comm,
-        req: ReqId,
+        req: SendRequest,
+        epoch: Option<u32>,
+    ) -> Result<(), MpiError> {
+        self.until(ctx, comm, epoch, |adi| adi.send_done(&req))?;
+        self.adi.wait_send(ctx, req, Idle::Sleep);
+        Ok(())
+    }
+
+    /// Complete a receive and yield its payload.
+    fn coll_wait_recv(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        req: RecvRequest,
         epoch: Option<u32>,
     ) -> Result<Vec<u8>, MpiError> {
-        self.until(ctx, comm, epoch, |adi| adi.is_complete(req))?;
-        let done = self.adi.wait(ctx, req, Idle::Sleep);
-        Ok(done.map_or_else(Vec::new, |(_, bytes)| bytes))
+        self.until(ctx, comm, epoch, |adi| adi.recv_done(&req))?;
+        Ok(self.adi.wait_recv(ctx, req, Idle::Sleep).1)
     }
 
     fn coll_send(
@@ -147,7 +158,7 @@ impl Mpi {
         epoch: Option<u32>,
     ) -> Result<(), MpiError> {
         let req = self.coll_isend(ctx, comm, dst, tag, payload)?;
-        self.coll_wait(ctx, comm, req, epoch).map(drop)
+        self.coll_wait_send(ctx, comm, req, epoch)
     }
 
     fn coll_recv(
@@ -159,7 +170,7 @@ impl Mpi {
         epoch: Option<u32>,
     ) -> Result<Vec<u8>, MpiError> {
         let req = self.coll_irecv(ctx, comm, src, tag)?;
-        self.coll_wait(ctx, comm, req, epoch)
+        self.coll_wait_recv(ctx, comm, req, epoch)
     }
 
     /// Block until a null frame of this barrier phase arrives from world
@@ -248,7 +259,7 @@ impl Mpi {
                 .map(|r| self.coll_isend(ctx, comm, r, TAG_BCAST, data))
                 .collect::<Result<Vec<_>, _>>()?;
             for req in reqs {
-                self.coll_wait(ctx, comm, req, epoch)?;
+                self.coll_wait_send(ctx, comm, req, epoch)?;
             }
         }
         Ok(data.to_vec())
@@ -289,7 +300,7 @@ impl Mpi {
             mask >>= 1;
         }
         for req in sends {
-            self.coll_wait(ctx, comm, req, epoch)?;
+            self.coll_wait_send(ctx, comm, req, epoch)?;
         }
         Ok(payload)
     }
@@ -365,12 +376,13 @@ impl Mpi {
         let size = comm.size();
         // The root is always comm rank 0, so ranks are their own vranks.
         let vrank = comm.rank();
-        // Gather phase (children → parents). The empty sends are eager,
-        // complete as they start, and are never waited.
+        // Gather phase (children → parents). An empty send is eager under
+        // any nonzero rendezvous threshold: its handle holds nothing, so
+        // dropping it unwaited, as both phases do, is free.
         let mut mask = 1;
         while mask < size {
             if vrank & mask != 0 {
-                self.coll_isend(ctx, comm, vrank - mask, TAG_BARRIER_UP, &[])?;
+                drop(self.coll_isend(ctx, comm, vrank - mask, TAG_BARRIER_UP, &[])?);
                 break;
             }
             if vrank + mask < size {
@@ -390,7 +402,7 @@ impl Mpi {
         mask >>= 1;
         while mask > 0 {
             if vrank & mask == 0 && vrank + mask < size {
-                self.coll_isend(ctx, comm, vrank + mask, TAG_BARRIER_DOWN, &[])?;
+                drop(self.coll_isend(ctx, comm, vrank + mask, TAG_BARRIER_DOWN, &[])?);
             }
             mask >>= 1;
         }
@@ -422,7 +434,7 @@ impl Mpi {
                 .map(|r| Ok((r, mpi.coll_irecv(ctx, comm, r, TAG_GATHER)?)))
                 .collect::<Result<Vec<_>, MpiError>>()?;
             for (r, req) in reqs {
-                out[r] = mpi.coll_wait(ctx, comm, req, epoch)?;
+                out[r] = mpi.coll_wait_recv(ctx, comm, req, epoch)?;
             }
             Ok(Some(out))
         })
@@ -451,7 +463,7 @@ impl Mpi {
                 }
             }
             for req in sends {
-                mpi.coll_wait(ctx, comm, req, epoch)?;
+                mpi.coll_wait_send(ctx, comm, req, epoch)?;
             }
             Ok(blocks[root].clone())
         })
@@ -485,10 +497,10 @@ impl Mpi {
             let mut out: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
             out[me] = blocks[me].clone();
             for (r, req) in rreqs {
-                out[r] = mpi.coll_wait(ctx, comm, req, epoch)?;
+                out[r] = mpi.coll_wait_recv(ctx, comm, req, epoch)?;
             }
             for req in sends {
-                mpi.coll_wait(ctx, comm, req, epoch)?;
+                mpi.coll_wait_send(ctx, comm, req, epoch)?;
             }
             Ok(out)
         })
@@ -720,7 +732,32 @@ pub(crate) fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use parking_lot::Mutex;
+
     use super::*;
+
+    #[test]
+    fn point_to_point_barriers_leave_no_request_behind() {
+        let mut sim = des::Simulation::new();
+        let world = crate::MpiWorld::scramnet(&sim.handle(), 4);
+        let held = Arc::new(Mutex::new(vec![usize::MAX; 4]));
+        for rank in 0..4 {
+            let mut mpi = world.proc(rank);
+            let held = Arc::clone(&held);
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                let comm = comm.with_collectives(CollectiveImpl::PointToPoint);
+                for _ in 0..100 {
+                    mpi.barrier(ctx, &comm);
+                }
+                held.lock()[rank] = mpi.adi.requests_held();
+            });
+        }
+        assert!(sim.run().is_clean());
+        assert_eq!(*held.lock(), [0; 4], "requests each rank still holds");
+    }
 
     #[test]
     fn blocks_round_trip() {

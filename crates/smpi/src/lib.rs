@@ -70,5 +70,5 @@ pub use device::{Device, DeviceError, PacketHeader, PacketKind};
 pub use devices::{BbpDevice, MyrinetDevice, TcpDevice};
 pub use hybrid::HybridDevice;
 pub use mpi::{Comm, Mpi};
-pub use types::{MpiError, ReduceOp, ReqId, Status, Tag, ANY_SOURCE, ANY_TAG};
+pub use types::{MpiError, RecvRequest, ReduceOp, SendRequest, Status, Tag, ANY_SOURCE, ANY_TAG};
 pub use world::MpiWorld;

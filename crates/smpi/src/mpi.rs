@@ -9,7 +9,7 @@ use crate::adi::{Adi, Idle};
 use crate::collectives::CollectiveImpl;
 use crate::costs::SmpiCosts;
 use crate::device::Device;
-use crate::types::{MpiError, ReqId, Status, Tag};
+use crate::types::{MpiError, RecvRequest, SendRequest, Status, Tag};
 
 /// Highest tag value applications may use; tags above are reserved for
 /// the collective implementations.
@@ -222,8 +222,8 @@ impl Mpi {
         dst: usize,
         tag: Tag,
         data: &[u8],
-    ) -> Result<ReqId, MpiError> {
-        self.start_send(ctx, comm, dst, tag, data, false)
+    ) -> Result<SendRequest, MpiError> {
+        self.start_send(ctx, comm, dst, tag, data, false, |_, _, req| req)
     }
 
     /// Blocking synchronous-mode send (`MPI_Ssend`): returns only after
@@ -237,14 +237,15 @@ impl Mpi {
         tag: Tag,
         data: &[u8],
     ) -> Result<(), MpiError> {
-        self.start_send(ctx, comm, dst, tag, data, true).map(drop)
+        self.start_send(ctx, comm, dst, tag, data, true, Mpi::wait_send)
     }
 
     /// The send entry chain — reserved-tag check, trace id, span, binding
     /// charge, rank check, degraded-mode check, the ADI send — shared by
-    /// both send modes. A `synchronous` send also waits (inside the span)
-    /// and returns the request it redeemed.
-    fn start_send(
+    /// both send modes, which say what to do with the request inside the
+    /// span (`ssend` waits it, `isend` hands it back).
+    #[allow(clippy::too_many_arguments)]
+    fn start_send<T>(
         &mut self,
         ctx: &mut ProcCtx,
         comm: &Comm,
@@ -252,7 +253,8 @@ impl Mpi {
         tag: Tag,
         data: &[u8],
         synchronous: bool,
-    ) -> Result<ReqId, MpiError> {
+        then: impl FnOnce(&mut Self, &mut ProcCtx, SendRequest) -> T,
+    ) -> Result<T, MpiError> {
         assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
         let name = if synchronous { "ssend" } else { "isend" };
         let trace = self.trace_send_enter(ctx, data.len());
@@ -266,10 +268,8 @@ impl Mpi {
                 self.adi
                     .isend_mode(ctx, dst, comm.context, tag, data, synchronous)
                     .map_err(|e| self.transport_to_mpi(comm, e))
-            });
-        if let (true, Ok(req)) = (synchronous, &out) {
-            self.wait_send(ctx, *req);
-        }
+            })
+            .map(|req| then(self, ctx, req));
         self.leave(ctx, name);
         self.trace_send_exit(ctx, trace, &out);
         out
@@ -295,7 +295,7 @@ impl Mpi {
         comm: &Comm,
         src: Option<usize>,
         tag: Option<Tag>,
-    ) -> Result<ReqId, MpiError> {
+    ) -> Result<RecvRequest, MpiError> {
         if let Some(t) = tag {
             assert!(t <= MAX_USER_TAG, "tag {t:#x} is reserved");
         }
@@ -311,20 +311,23 @@ impl Mpi {
     }
 
     /// Complete a send request.
-    pub fn wait_send(&mut self, ctx: &mut ProcCtx, req: ReqId) {
+    pub fn wait_send(&mut self, ctx: &mut ProcCtx, req: SendRequest) {
         self.span_enter(ctx, "wait");
-        let r = self.adi.wait(ctx, req, Idle::Park);
+        self.adi.wait_send(ctx, req, Idle::Park);
         self.leave(ctx, "wait");
-        debug_assert!(r.is_none(), "wait_send redeemed a receive request");
     }
 
     /// Complete a receive request, translating the source into the
     /// communicator's rank space.
-    pub fn wait_recv(&mut self, ctx: &mut ProcCtx, comm: &Comm, req: ReqId) -> (Status, Vec<u8>) {
+    pub fn wait_recv(
+        &mut self,
+        ctx: &mut ProcCtx,
+        comm: &Comm,
+        req: RecvRequest,
+    ) -> (Status, Vec<u8>) {
         self.span_enter(ctx, "wait");
-        let waited = self.adi.wait(ctx, req, Idle::Park);
+        let (mut status, data) = self.adi.wait_recv(ctx, req, Idle::Park);
         self.leave(ctx, "wait");
-        let (mut status, data) = waited.expect("wait_recv redeemed a send request");
         status.source = comm
             .comm_rank(status.source)
             .expect("message from outside the communicator matched its context");
@@ -409,17 +412,26 @@ impl Mpi {
     }
 
     /// `MPI_Waitany` over receive requests: block until one completes
-    /// and return `(index, status, payload)`.
+    /// and return `(index, status, payload)`. The slot it redeemed becomes
+    /// `None`, as `MPI_Waitany` sets it to `MPI_REQUEST_NULL`, so the
+    /// indexes stay stable from call to call.
     pub fn waitany_recv(
         &mut self,
         ctx: &mut ProcCtx,
         comm: &Comm,
-        reqs: &[ReqId],
+        reqs: &mut [Option<RecvRequest>],
     ) -> (usize, Status, Vec<u8>) {
-        assert!(!reqs.is_empty(), "waitany on an empty request set");
+        assert!(
+            reqs.iter().any(Option::is_some),
+            "waitany on an empty request set"
+        );
         loop {
-            if let Some(idx) = reqs.iter().position(|&r| self.adi.is_complete(r)) {
-                let (st, data) = self.wait_recv(ctx, comm, reqs[idx]);
+            let adi = &self.adi;
+            let done = reqs.iter_mut().enumerate().find_map(|(idx, slot)| {
+                slot.take_if(|req| adi.recv_done(req)).map(|req| (idx, req))
+            });
+            if let Some((idx, req)) = done {
+                let (st, data) = self.wait_recv(ctx, comm, req);
                 return (idx, st, data);
             }
             self.adi.progress(ctx, Idle::Park);

@@ -22,10 +22,76 @@ pub struct Status {
     pub len: usize,
 }
 
-/// Handle for a non-blocking operation, returned by `isend`/`irecv` and
-/// redeemed by `wait`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ReqId(pub u64);
+/// A non-blocking send, returned by [`crate::Mpi::isend`] and redeemed by
+/// the one [`crate::Mpi::wait_send`] that takes it by value. An eager send
+/// has left when `isend` returns, so its handle holds nothing and
+/// dropping it is free; a rendezvous send's handle names its entry in the
+/// ADI's request table, which only the wait removes.
+///
+/// Redeeming a send once compiles:
+///
+/// ```
+/// # fn demo(mpi: &mut smpi::Mpi, ctx: &mut des::ProcCtx, comm: &smpi::Comm) {
+/// let req = mpi.isend(ctx, comm, 1, 0, b"hi").unwrap();
+/// mpi.wait_send(ctx, req);
+/// # }
+/// ```
+///
+/// and a second wait does not: the first one took the request.
+///
+/// ```compile_fail,E0382
+/// # fn demo(mpi: &mut smpi::Mpi, ctx: &mut des::ProcCtx, comm: &smpi::Comm) {
+/// let req = mpi.isend(ctx, comm, 1, 0, b"hi").unwrap();
+/// mpi.wait_send(ctx, req);
+/// mpi.wait_send(ctx, req);
+/// # }
+/// ```
+///
+/// A handle comes from the call that started the operation:
+///
+/// ```
+/// # fn demo(mpi: &mut smpi::Mpi, ctx: &mut des::ProcCtx, comm: &smpi::Comm) {
+/// let req: smpi::SendRequest = mpi.isend(ctx, comm, 1, 0, b"hi").unwrap();
+/// mpi.wait_send(ctx, req);
+/// # }
+/// ```
+///
+/// and nowhere else: outside this crate none can be built.
+///
+/// ```compile_fail,E0603
+/// # fn demo(mpi: &mut smpi::Mpi, ctx: &mut des::ProcCtx) {
+/// let req = smpi::SendRequest(None);
+/// mpi.wait_send(ctx, req);
+/// # }
+/// ```
+#[derive(Debug)]
+#[must_use = "a send is redeemed by `wait_send`; only an eager send's handle may be dropped"]
+pub struct SendRequest(pub(crate) Option<u64>);
+
+/// A posted receive, returned by [`crate::Mpi::irecv`] and redeemed by the
+/// one [`crate::Mpi::wait_recv`] (or [`crate::Mpi::waitany_recv`]) that
+/// takes it by value and yields the message.
+///
+/// A receive's wait takes it:
+///
+/// ```
+/// # fn demo(mpi: &mut smpi::Mpi, ctx: &mut des::ProcCtx, comm: &smpi::Comm) {
+/// let req = mpi.irecv(ctx, comm, None, None).unwrap();
+/// let (_status, _data) = mpi.wait_recv(ctx, comm, req);
+/// # }
+/// ```
+///
+/// and a send's does not:
+///
+/// ```compile_fail,E0308
+/// # fn demo(mpi: &mut smpi::Mpi, ctx: &mut des::ProcCtx, comm: &smpi::Comm) {
+/// let req = mpi.irecv(ctx, comm, None, None).unwrap();
+/// mpi.wait_send(ctx, req);
+/// # }
+/// ```
+#[derive(Debug)]
+#[must_use = "a receive is redeemed by `wait_recv` or `waitany_recv`"]
+pub struct RecvRequest(pub(crate) u64);
 
 /// Reduction operators for `reduce`/`allreduce` over `f64` vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +130,6 @@ pub enum MpiError {
         /// Communicator size.
         size: usize,
     },
-    /// An unknown request id passed to `wait`.
-    BadRequest(ReqId),
     /// The transport gave up on the operation (the MPI-2 `MPI_ERR_*`
     /// class an error-handler would see): the device's reliability
     /// layer exhausted its budget.
@@ -110,7 +174,6 @@ impl std::fmt::Display for MpiError {
                     "rank {rank} out of range for communicator of size {size}"
                 )
             }
-            MpiError::BadRequest(id) => write!(f, "unknown request {id:?}"),
             MpiError::Transport(e) => write!(f, "transport error: {e}"),
             MpiError::PeerFailed { rank, epoch } => {
                 write!(f, "rank {rank} failed (membership epoch {epoch})")
@@ -178,7 +241,6 @@ mod tests {
         assert!(MpiError::BadRank { rank: 9, size: 4 }
             .to_string()
             .contains('9'));
-        assert!(MpiError::BadRequest(ReqId(3)).to_string().contains('3'));
         let t = MpiError::from(DeviceError::PeerDown { peer: 2 });
         assert_eq!(t, MpiError::Transport(DeviceError::PeerDown { peer: 2 }));
         assert!(t.to_string().contains("transport"));

@@ -450,14 +450,17 @@ fn waitany_returns_first_completion() {
             0 => {
                 let r1 = mpi.irecv(ctx, &comm, Some(1), Some(1)).unwrap();
                 let r2 = mpi.irecv(ctx, &comm, Some(2), Some(2)).unwrap();
-                let (idx, st, m) = mpi.waitany_recv(ctx, &comm, &[r1, r2]);
+                let mut reqs = [Some(r1), Some(r2)];
+                let (idx, st, m) = mpi.waitany_recv(ctx, &comm, &mut reqs);
                 // Rank 2 sends immediately; rank 1 sends late.
                 assert_eq!(idx, 1);
                 assert_eq!(st.source, 2);
                 assert_eq!(m, b"fast");
-                let (idx2, _, m2) = mpi.waitany_recv(ctx, &comm, &[r1, r2]);
+                assert!(reqs[1].is_none(), "the redeemed slot is emptied");
+                let (idx2, _, m2) = mpi.waitany_recv(ctx, &comm, &mut reqs);
                 assert_eq!(idx2, 0);
                 assert_eq!(m2, b"slow");
+                assert!(reqs.iter().all(Option::is_none));
             }
             1 => {
                 ctx.wait_until(des::ms(2));
