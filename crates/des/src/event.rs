@@ -9,11 +9,13 @@
 //! shapes the ring and NIC models use) never touch the allocator; larger
 //! ones fall back to a single thin `Box`.
 //!
-//! Every stored closure is a *link*: it returns the event that follows it
-//! ([`Then`]), or `None`. A plain `FnOnce(Time)` is a link that returns
-//! `None` ([`EventFn::new`]); a series of links
-//! ([`crate::SimHandle::schedule_series`]) hands each successor back to
-//! the dispatch loop instead of scheduling it.
+//! Every stored closure is a *link*: it runs as the [`Link`] the dispatch
+//! loop lends it, and returns the event that follows it ([`Then`]), or
+//! `None`. A plain `FnOnce(Time)` is a link that reads its time off the
+//! `Link` and returns `None` ([`EventFn::new`]); a link of a series
+//! ([`crate::SimHandle::schedule_series`]) runs each successor that is
+//! next itself ([`Link::next`]) and hands the dispatch loop the one that
+//! is not, instead of scheduling it.
 //!
 //! # Safety contract
 //!
@@ -56,6 +58,7 @@
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
+use crate::sched::Link;
 use crate::time::Time;
 
 /// Inline storage size, in pointer-sized words.
@@ -69,9 +72,8 @@ pub const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 /// The event that follows a link: run `f` at `at`. A link of a series
 /// ([`crate::SimHandle::schedule_series`]) returns one, and the dispatch
 /// loop keys it on the series' next tie-break value: it runs at once when
-/// that key comes before everything queued — without entering the
-/// scheduler, when nothing else has since the loop last looked — and from
-/// the queue otherwise.
+/// [`Link::next`] says that key is the next one due, and from the queue
+/// otherwise.
 pub struct Then {
     pub(crate) at: Time,
     pub(crate) f: EventFn,
@@ -79,7 +81,7 @@ pub struct Then {
 
 impl Then {
     /// The next link: `f` runs at `t`, and may itself return the one after.
-    pub fn at(t: Time, f: impl FnOnce(Time) -> Option<Then> + Send + 'static) -> Self {
+    pub fn at(t: Time, f: impl FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static) -> Self {
         Then {
             at: t,
             f: EventFn::link(f),
@@ -94,7 +96,7 @@ impl Then {
 /// kind (**layout**), and after either returns or unwinds `data` is moved
 /// out (**once**).
 struct VTable {
-    call: unsafe fn(*mut u8, Time) -> Option<Then>,
+    call: unsafe fn(*mut u8, &mut Link<'_>) -> Option<Then>,
     drop: unsafe fn(*mut u8),
 }
 
@@ -106,12 +108,15 @@ struct VTableFor<F>(PhantomData<F>);
 ///
 /// `p` is the `data` of an `EventFn` built by `link::<F>` on the inline
 /// path, and nothing reads it as an `F` afterwards.
-unsafe fn call_inline<F: FnOnce(Time) -> Option<Then>>(p: *mut u8, t: Time) -> Option<Then> {
+unsafe fn call_inline<F: FnOnce(&mut Link<'_>) -> Option<Then>>(
+    p: *mut u8,
+    link: &mut Link<'_>,
+) -> Option<Then> {
     // SAFETY: layout — `p` is aligned for `F` and holds an initialised
     // one. once — `read` moves it out before it runs, so a panic inside
     // drops the captures from this frame, and the caller never touches
-    // `data` again.
-    (p.cast::<F>().read())(t)
+    // `data` again. (`link` is an ordinary borrow, unrelated to `data`.)
+    (p.cast::<F>().read())(link)
 }
 
 /// # Safety
@@ -127,12 +132,15 @@ unsafe fn drop_inline<F>(p: *mut u8) {
 ///
 /// `p` is the `data` of an `EventFn` built by `link::<F>` on the boxed
 /// path, and nothing reads its pointer afterwards.
-unsafe fn call_boxed<F: FnOnce(Time) -> Option<Then>>(p: *mut u8, t: Time) -> Option<Then> {
+unsafe fn call_boxed<F: FnOnce(&mut Link<'_>) -> Option<Then>>(
+    p: *mut u8,
+    link: &mut Link<'_>,
+) -> Option<Then> {
     // SAFETY: layout — the first word is the pointer `Box::into_raw`
     // gave `link`; once — this is the only `from_raw` it will see. The
     // `F` moves out of the box to be called; the emptied box is freed on
     // return and on unwind alike.
-    (*Box::from_raw(p.cast::<*mut F>().read()))(t)
+    (*Box::from_raw(p.cast::<*mut F>().read()))(link)
 }
 
 /// # Safety
@@ -150,7 +158,7 @@ impl<F> VTableFor<F> {
         size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= align_of::<usize>();
 }
 
-impl<F: FnOnce(Time) -> Option<Then> + Send + 'static> VTableFor<F> {
+impl<F: FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static> VTableFor<F> {
     const INLINE: VTable = VTable {
         call: call_inline::<F>,
         drop: drop_inline::<F>,
@@ -161,7 +169,7 @@ impl<F: FnOnce(Time) -> Option<Then> + Send + 'static> VTableFor<F> {
     };
 }
 
-/// An erased `FnOnce(Time) -> Option<Then> + Send` with inline
+/// An erased `FnOnce(&mut Link) -> Option<Then> + Send` with inline
 /// small-closure storage.
 pub struct EventFn {
     data: [MaybeUninit<usize>; INLINE_WORDS],
@@ -175,17 +183,18 @@ pub struct EventFn {
 unsafe impl Send for EventFn {}
 
 impl EventFn {
-    /// Wrap a plain closure as a link with no successor. The wrapper holds
-    /// `f` and nothing else, so it is stored as `f` would be.
+    /// Wrap a plain closure as a link with no successor, handed its
+    /// link's time. The wrapper holds `f` and nothing else, so it is
+    /// stored as `f` would be.
     pub fn new<F: FnOnce(Time) + Send + 'static>(f: F) -> Self {
-        Self::link(move |t| {
-            f(t);
+        Self::link(move |link: &mut Link<'_>| {
+            f(link.now());
             None
         })
     }
 
     /// Wrap a link, storing it inline when it fits.
-    pub fn link<F: FnOnce(Time) -> Option<Then> + Send + 'static>(f: F) -> Self {
+    pub fn link<F: FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static>(f: F) -> Self {
         let mut data = [MaybeUninit::<usize>::uninit(); INLINE_WORDS];
         if VTableFor::<F>::FITS_INLINE {
             // SAFETY: layout — `FITS_INLINE` says `data` is big enough
@@ -211,16 +220,18 @@ impl EventFn {
         }
     }
 
-    /// Invoke the closure at fire time `t`, consuming it; returns the
-    /// event that follows it, if it is a link of a series.
-    pub fn call(self, t: Time) -> Option<Then> {
+    /// Invoke the closure as `link`, consuming it; returns the event that
+    /// follows it, if it is a link of a series.
+    pub fn call(self, link: &mut Link<'_>) -> Option<Then> {
         let mut this = ManuallyDrop::new(self);
         // SAFETY: layout — `vtable` and `data` were paired by `link`;
         // once — `self` came by value and is under `ManuallyDrop`, so
         // this is the only use of `data` and `Drop` cannot follow it,
         // whether the closure returns or panics. A successor it returns
-        // is an `EventFn` of its own, paired by its own `link`.
-        unsafe { (this.vtable.call)(this.data.as_mut_ptr().cast(), t) }
+        // is an `EventFn` of its own, paired by its own `link`; one it
+        // runs in place itself (`Link::next`) is code of its own body,
+        // not a second use of `data`.
+        unsafe { (this.vtable.call)(this.data.as_mut_ptr().cast(), link) }
     }
 }
 
@@ -235,10 +246,17 @@ impl Drop for EventFn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::SchedShared;
     use std::mem::{align_of_val, size_of_val};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    /// Run `f` at `t`, as a link that takes no successor in place.
+    fn call(f: EventFn, t: Time) -> Option<Then> {
+        let sched = SchedShared::new();
+        f.call(&mut Link::alone(&sched, t))
+    }
 
     /// Where `link` will put this closure (**layout**).
     fn fits_inline<F>(_: &F) -> bool {
@@ -250,7 +268,7 @@ mod tests {
         let hit = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hit);
         let f = EventFn::new(move |t| h.store(t, Ordering::SeqCst));
-        f.call(42);
+        call(f, 42);
         assert_eq!(hit.load(Ordering::SeqCst), 42);
     }
 
@@ -260,7 +278,7 @@ mod tests {
         let hit = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hit);
         let f = EventFn::new(move |t| h.store(t + big[31], Ordering::SeqCst));
-        f.call(1);
+        call(f, 1);
         assert_eq!(hit.load(Ordering::SeqCst), 8);
     }
 
@@ -297,7 +315,7 @@ mod tests {
         let f = |t| HIT.store(t, Ordering::SeqCst);
         assert_eq!(size_of_val(&f), 0);
         assert!(fits_inline(&f));
-        EventFn::new(f).call(7);
+        call(EventFn::new(f), 7);
         assert_eq!(HIT.load(Ordering::SeqCst), 7);
         drop(EventFn::new(|_| HIT.store(0, Ordering::SeqCst)));
         assert_eq!(HIT.load(Ordering::SeqCst), 7, "dropped, not called");
@@ -316,7 +334,7 @@ mod tests {
         };
         assert_eq!(size_of_val(&f), INLINE_BYTES);
         assert!(fits_inline(&f));
-        EventFn::new(f).call(100);
+        call(EventFn::new(f), 100);
         assert_eq!(hit.load(Ordering::SeqCst), 100 + 15);
     }
 
@@ -335,7 +353,7 @@ mod tests {
         };
         assert!(size_of_val(&f) <= INLINE_BYTES && align_of_val(&f) == 32);
         assert!(!fits_inline(&f));
-        EventFn::new(f).call(5);
+        call(EventFn::new(f), 5);
         assert_eq!(hit.load(Ordering::SeqCst), 5, "ran");
         assert_eq!(Arc::strong_count(&hit), 1, "and released its capture");
     }
@@ -355,7 +373,7 @@ mod tests {
         };
         assert!(fits_inline(&inline));
         let f = EventFn::new(inline);
-        assert!(catch_unwind(AssertUnwindSafe(|| f.call(0))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| call(f, 0))).is_err());
         assert_eq!(drops.load(Ordering::SeqCst), 1, "inline");
 
         let capture = CountsDrops(Arc::clone(&drops));
@@ -366,7 +384,7 @@ mod tests {
         };
         assert!(!fits_inline(&boxed));
         let f = EventFn::new(boxed);
-        assert!(catch_unwind(AssertUnwindSafe(|| f.call(0))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| call(f, 0))).is_err());
         assert_eq!(drops.load(Ordering::SeqCst), 2, "boxed");
     }
 
@@ -386,28 +404,28 @@ mod tests {
     fn a_successor_over_the_budget_takes_the_box_and_runs() {
         let hit = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hit);
-        let first = move |t: Time| {
+        let first = move |link: &mut Link<'_>| {
             let pad = [1u64; 16];
-            let boxed = move |t: Time| {
-                h.store(t + pad.iter().sum::<u64>(), Ordering::SeqCst);
+            let boxed = move |link: &mut Link<'_>| {
+                h.store(link.now() + pad.iter().sum::<u64>(), Ordering::SeqCst);
                 None
             };
             assert!(!fits_inline(&boxed));
-            Some(Then::at(t + 10, boxed))
+            Some(Then::at(link.now() + 10, boxed))
         };
         assert!(fits_inline(&first));
-        let then = EventFn::link(first).call(5).expect("a successor");
+        let then = call(EventFn::link(first), 5).expect("a successor");
         assert_eq!(then.at, 15);
-        assert!(then.f.call(then.at).is_none());
+        assert!(call(then.f, then.at).is_none());
         assert_eq!(hit.load(Ordering::SeqCst), 15 + 16);
         assert_eq!(Arc::strong_count(&hit), 1, "and released its capture");
 
         let mut sim = crate::Simulation::new();
         let h = Arc::clone(&hit);
-        sim.handle().schedule_series(100, 2, move |t| {
+        sim.handle().schedule_series(100, 2, move |link| {
             let pad = [2u64; 16];
-            Some(Then::at(t + 10, move |t| {
-                h.store(t + pad.iter().sum::<u64>(), Ordering::SeqCst);
+            Some(Then::at(link.now() + 10, move |link| {
+                h.store(link.now() + pad.iter().sum::<u64>(), Ordering::SeqCst);
                 None
             }))
         });
@@ -422,21 +440,23 @@ mod tests {
     fn a_successor_dropped_uncalled_releases_its_captures_once() {
         let drops = Arc::new(AtomicU64::new(0));
         let capture = CountsDrops(Arc::clone(&drops));
-        let then = EventFn::link(move |t| {
-            Some(Then::at(t, move |_| {
-                let _held = &capture;
-                unreachable!("never called")
-            }))
-        })
-        .call(0);
+        let then = call(
+            EventFn::link(move |link| {
+                Some(Then::at(link.now(), move |_| {
+                    let _held = &capture;
+                    unreachable!("never called")
+                }))
+            }),
+            0,
+        );
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         drop(then);
         assert_eq!(drops.load(Ordering::SeqCst), 1, "dropped with its Then");
 
         let mut sim = crate::Simulation::new();
         let capture = CountsDrops(Arc::clone(&drops));
-        sim.handle().schedule_series(10, 2, move |t| {
-            Some(Then::at(t + 100, move |_| {
+        sim.handle().schedule_series(10, 2, move |link| {
+            Some(Then::at(link.now() + 100, move |_| {
                 let _held = &capture;
                 unreachable!("the simulation is dropped first")
             }))
@@ -455,8 +475,8 @@ mod tests {
         let drops = Arc::new(AtomicU64::new(0));
         let capture = CountsDrops(Arc::clone(&drops));
         let mut sim = crate::Simulation::new();
-        sim.handle().schedule_series(10, 2, move |t| {
-            let _next = Then::at(t + 100, move |_| {
+        sim.handle().schedule_series(10, 2, move |link| {
+            let _next = Then::at(link.now() + 100, move |_| {
                 let _held = &capture;
                 unreachable!("never queued")
             });

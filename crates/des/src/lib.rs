@@ -48,6 +48,16 @@
 //! assert_eq!(report.end_time, us(3));
 //! ```
 //!
+//! Hardware activity that unrolls into a chain of steps — a packet's hops
+//! around the ring — is a *series* ([`SimHandle::schedule_series`]): its
+//! tie-break values are taken when it is scheduled, so it interleaves
+//! with everything else exactly as if every step had been queued then.
+//! Each link runs as a [`Link`], which says whether its successor is the
+//! next entry due ([`Link::next`]); a link runs such a successor itself,
+//! in the same call, and hands back ([`Then`]) the first that is not, for
+//! the dispatch loop to queue. Each step is still a dispatch at its own
+//! `(time, seq)`, counted, clocked and traced as its pop would have been.
+//!
 //! ## Stalls and software costs
 //!
 //! A process spends virtual time in two ways, and the difference is who
@@ -153,7 +163,7 @@ pub mod rng;
 
 pub use event::Then;
 pub use process::{ProcCtx, ProcId, Sample};
-pub use sched::SimHandle;
+pub use sched::{Link, SimHandle};
 pub use signal::Signal;
 pub use sim::{RunReport, Simulation};
 pub use time::{ms, ns, secs, us, Time, TimeExt};

@@ -8,12 +8,13 @@
 //! lock once. The dispatch loop holds it across pops and across every
 //! step it walks for a sleeping process, letting go only around an
 //! event's closure (events schedule) and before it hands the baton on.
-//! The successor a link of a series returns ([`Then`]) runs on the spot
-//! when it is the next entry due and is queued when it is not; when
-//! nothing entered the core during the closure and the successor comes
-//! before the bound the loop read the last time it held the core, that is
-//! decided without entering at all, so a series whose links are each next
-//! enters once for all of them. A stalling process tests the fast path,
+//! A link of a series runs as a [`Link`], which says whether its successor
+//! is the next entry due ([`Link::next`]): the link runs such a successor
+//! itself, in the same call, and returns the first that is not ([`Then`])
+//! for the loop to queue. When nothing entered the core since the bound
+//! was read, that is decided without entering at all, so a series whose
+//! links are each next enters once for all of them, and runs in one call
+//! when its links ask for themselves. A stalling process tests the fast path,
 //! queues its `Resume` and runs the dispatch loop on one acquisition. The
 //! tie-break counter, the run clock and the run horizon are plain fields
 //! in there; the clock and dispatch count of links run on the spot wait in
@@ -375,6 +376,15 @@ impl SchedShared {
         self.recorder.sched(entry);
     }
 
+    /// The `Event` entry of an event dispatched at `time`.
+    fn record_event(&self, time: Time) {
+        self.record(TraceEntry {
+            time,
+            kind: TraceKind::Event,
+            detail: String::new(),
+        });
+    }
+
     /// The `Yield` entry of process `name` giving up the baton at `now`.
     /// `why`: `ResumeAt` (a `Resume` queued for it will bring it back) or
     /// `Blocked` (a [`Signal`] will).
@@ -473,30 +483,18 @@ impl SchedShared {
     /// want it and nowhere else: around an event's closure, before another
     /// process is woken, and on the way out.
     ///
-    /// The successor an event's closure returns is keyed `seq + 1` and runs
-    /// next, without the queue, when it is inside the horizon and comes
-    /// before everything queued ([`CalendarQueue::first_key`]); otherwise
-    /// it is queued. Either way the pops come in `(time, seq)` order. The
-    /// loop reads that bound, and how often the core has been entered,
-    /// each time it holds the core before a closure: when nothing has
-    /// entered since and the successor is below the bound, the queue is as
-    /// it was read, so the successor is next without a look, and runs
-    /// without entering the core (its queue depth was counted with the pop
-    /// it stands in for). Else the loop enters to decide on the queue as it
-    /// is. A successor that runs leaves its clock and its dispatch to the
-    /// next entry to fold in ([`Self::core`]).
+    /// An event's closure runs as a [`Link`], read off the core as it is
+    /// popped. A successor the closure returns is put to [`Link::next`] —
+    /// the one decision, whether the link decides for its own successor or
+    /// the loop for the one it was handed — and runs on as the same link
+    /// when it is the next entry due; otherwise it is queued on its key,
+    /// `seq + 1`. Either way the pops come in `(time, seq)` order.
     pub fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
         let horizon = core.agenda.horizon;
-        // What a successor must come before to be next, and the entries
-        // counted when that was read, the core held.
-        let bound = |agenda: &Agenda| {
-            let until = agenda.pending.first_key().min((horizon, u64::MAX));
-            (until, self.entries.load(Ordering::Relaxed))
-        };
         loop {
             let agenda = &mut core.agenda;
             agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len());
-            let Some((mut now, mut seq, what)) = agenda.pending.pop_due(horizon) else {
+            let Some((now, seq, what)) = agenda.pending.pop_due(horizon) else {
                 return Baton::Stop(Returned::Idle);
             };
             debug_assert!(now >= agenda.now, "scheduler time went backwards");
@@ -504,30 +502,15 @@ impl SchedShared {
             agenda.dispatches += 1;
             match what {
                 WakeWhat::Event(mut f) => {
-                    let (mut until, mut mark) = bound(agenda);
+                    let mut link = Link::new(self, agenda, now, seq);
                     drop(core);
+                    if self.recorder.is_enabled() {
+                        self.record_event(now);
+                    }
                     loop {
-                        if self.recorder.is_enabled() {
-                            self.record(TraceEntry {
-                                time: now,
-                                kind: TraceKind::Event,
-                                detail: String::new(),
-                            });
-                        }
                         // Caught so a panic here never unwinds the body of
                         // the process whose thread happens to run the event.
-                        // A successor in the past is the link's panic,
-                        // raised where a `schedule_at` inside it would have
-                        // raised it.
-                        let then = catch_unwind(AssertUnwindSafe(|| {
-                            let then = f.call(now);
-                            if let Some(then) = &then {
-                                self.assert_settled("scheduling");
-                                check_not_past(then.at, now);
-                            }
-                            then
-                        }));
-                        let then = match then {
+                        let then = match catch_unwind(AssertUnwindSafe(|| f.call(&mut link))) {
                             Ok(then) => then,
                             Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
                         };
@@ -535,28 +518,20 @@ impl SchedShared {
                             core = self.core();
                             break;
                         };
-                        let key = (at, seq + 1);
-                        if self.entries.load(Ordering::Relaxed) != mark || key >= until {
-                            core = self.core();
-                            let agenda = &mut core.agenda;
-                            (until, mark) = bound(agenda);
-                            if key >= until {
-                                agenda.push_at_seq(at, seq + 1, WakeWhat::Event(next));
+                        // A returned successor is put to the question a link
+                        // that runs its own asks: it runs on as `link`, or is
+                        // queued. One in the past is the link's panic, raised
+                        // where a `schedule_at` inside it would have raised it.
+                        match catch_unwind(AssertUnwindSafe(|| link.next(at))) {
+                            Ok(true) => f = next,
+                            Ok(false) => {
+                                core = self.core();
+                                let seq = link.seq + 1;
+                                core.agenda.push_at_seq(at, seq, WakeWhat::Event(next));
                                 break;
                             }
-                            // Counted as the loop's top would have counted
-                            // it, queued.
-                            agenda.peak_queue_depth =
-                                agenda.peak_queue_depth.max(agenda.pending.len() + 1);
-                            drop(core);
+                            Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
                         }
-                        // The successor is what the next pop would return:
-                        // it runs now, and its clock and its dispatch wait
-                        // for the next entry.
-                        let ran = self.unfolded.dispatches.load(Ordering::Relaxed);
-                        self.unfolded.now.store(at, Ordering::Relaxed);
-                        self.unfolded.dispatches.store(ran + 1, Ordering::Relaxed);
-                        (now, seq, f) = (at, seq + 1, next);
                     }
                 }
                 WakeWhat::Resume(id) => {
@@ -618,6 +593,158 @@ impl SchedShared {
     }
 }
 
+/// The link of a series that is running: lent to its closure for the
+/// call ([`SimHandle::schedule_series`], [`Then::at`]), and to every
+/// successor it runs in place. It has no public constructor and cannot
+/// outlive the call, so only code running as a link can ask whether its
+/// successor is next — and the dispatch loop asks the same link about a
+/// successor it is handed.
+///
+/// ```
+/// use des::{Simulation, Then};
+///
+/// let mut sim = Simulation::new();
+/// // Three hops 10 ns apart, walked in one call while each is next.
+/// sim.handle().schedule_series(100, 3, |link| {
+///     for hop in 1..3 {
+///         let at = link.now() + 10;
+///         if !link.next(at) {
+///             return Some(Then::at(at, |_| None));
+///         }
+///         assert_eq!(link.now(), 100 + 10 * hop);
+///     }
+///     None
+/// });
+/// let report = sim.run();
+/// assert_eq!((report.dispatches, report.end_time), (3, 120));
+/// ```
+///
+/// What a link learns from its `Link` may leave the call:
+///
+/// ```
+/// use std::sync::{Arc, Mutex};
+/// use des::Simulation;
+///
+/// let mut sim = Simulation::new();
+/// let kept = Arc::new(Mutex::new(None));
+/// let keep = Arc::clone(&kept);
+/// sim.handle().schedule_series(10, 1, move |link| {
+///     *keep.lock().unwrap() = Some(link.now());
+///     None
+/// });
+/// sim.run();
+/// assert_eq!(*kept.lock().unwrap(), Some(10));
+/// ```
+///
+/// The `Link` itself does not:
+///
+/// ```compile_fail
+/// use std::sync::{Arc, Mutex};
+/// use des::Simulation;
+///
+/// let mut sim = Simulation::new();
+/// let kept = Arc::new(Mutex::new(None));
+/// let keep = Arc::clone(&kept);
+/// sim.handle().schedule_series(10, 1, move |link| {
+///     *keep.lock().unwrap() = Some(link);
+///     None
+/// });
+/// sim.run();
+/// ```
+pub struct Link<'a> {
+    sched: &'a SchedShared,
+    now: Time,
+    seq: u64,
+    /// What a successor must come before to be next: the queue's
+    /// [`CalendarQueue::first_key`], and the horizon.
+    until: (Time, u64),
+    /// [`SchedShared::entries`] when `until` was read, the core held: while
+    /// it still reads the same, the queue is as `until` says.
+    mark: u64,
+}
+
+impl<'a> Link<'a> {
+    /// The link popped at `(now, seq)`, on the core it was popped on.
+    #[inline]
+    fn new(sched: &'a SchedShared, agenda: &Agenda, now: Time, seq: u64) -> Self {
+        let mut link = Link {
+            sched,
+            now,
+            seq,
+            until: (0, 0),
+            mark: 0,
+        };
+        link.read_bound(agenda);
+        link
+    }
+
+    #[inline]
+    fn read_bound(&mut self, agenda: &Agenda) {
+        self.until = agenda.pending.first_key().min((agenda.horizon, u64::MAX));
+        self.mark = self.sched.entries.load(Ordering::Relaxed);
+    }
+
+    /// A link at `now` that takes no successor in place, for calling an
+    /// [`EventFn`] outside the dispatch loop.
+    #[cfg(test)]
+    pub(crate) fn alone(sched: &'a SchedShared, now: Time) -> Self {
+        Link {
+            sched,
+            now,
+            seq: 0,
+            until: (0, 0),
+            mark: sched.entries.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The time this link runs at.
+    #[inline]
+    pub fn now(&self) -> Time {
+        self.now
+    }
+
+    /// Is the successor at `at` — keyed on the series' next tie-break
+    /// value — the next entry due? If so it is taken: counted, clocked and
+    /// traced as its pop would have been, and this link is now it, at
+    /// `at`; the caller runs it on the spot. If not, nothing changed, and
+    /// the successor belongs in the queue: return it ([`Then::at`]).
+    ///
+    /// Free while nothing has entered the scheduler since the bound was
+    /// read — this link's own `schedule_at`, a notified [`Signal`] — and
+    /// one entry otherwise, to read the queue as it is. A successor in the
+    /// past of the link panics, as scheduling into the past does.
+    #[inline]
+    pub fn next(&mut self, at: Time) -> bool {
+        self.sched.assert_settled("scheduling");
+        check_not_past(at, self.now);
+        let key = (at, self.seq + 1);
+        if self.sched.entries.load(Ordering::Relaxed) != self.mark {
+            let mut core = self.sched.core();
+            let agenda = &mut core.agenda;
+            self.read_bound(agenda);
+            if key < self.until {
+                // Counted as the loop's top would have counted it, queued.
+                agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len() + 1);
+            }
+        }
+        if key >= self.until {
+            return false;
+        }
+        // What the next pop would return runs now; its clock and its
+        // dispatch wait for the next entry to fold them in (its queue depth
+        // was counted with the pop it stands in for).
+        let unfolded = &self.sched.unfolded;
+        let ran = unfolded.dispatches.load(Ordering::Relaxed);
+        unfolded.now.store(at, Ordering::Relaxed);
+        unfolded.dispatches.store(ran + 1, Ordering::Relaxed);
+        (self.now, self.seq) = key;
+        if self.sched.recorder.is_enabled() {
+            self.sched.record_event(at);
+        }
+        true
+    }
+}
+
 /// A cloneable handle into the scheduler. Hardware models hold one to
 /// schedule propagation events; processes obtain one via
 /// [`crate::ProcCtx::handle`].
@@ -635,28 +762,33 @@ impl SimHandle {
     }
 
     /// Schedule a series of up to `links` events, the first of them `f` at
-    /// `t`: each link returns the next ([`Then::at`]) or `None`, and the
-    /// dispatch loop runs it next when nothing queued comes before it,
-    /// and queues it otherwise. Hardware models that unroll a multi-step
-    /// activity into a self-rescheduling chain of events (a packet's hops)
-    /// use this to keep the chain's tie-break order identical to
+    /// `t`. Each link runs as a [`Link`]: it may run its successor itself
+    /// while [`Link::next`] says that successor is the next entry due, and
+    /// returns the first one that is not ([`Then::at`]), or `None`. The
+    /// dispatch loop puts a returned successor to the same question, runs
+    /// it when it is next and queues it otherwise. Hardware models that
+    /// unroll a multi-step activity into a chain of events (a packet's
+    /// hops) use this to keep the chain's tie-break order identical to
     /// scheduling every step up front: the `links` tie-break values are
-    /// taken here, link `k` fires on the `k`-th, and among entries for
-    /// the same virtual time lower values fire first. A link that is next
-    /// when its predecessor returns it, with nothing entering the
-    /// scheduler in between, costs no entry into the scheduler; any other
-    /// costs one — the one the loop makes after any event — where
-    /// scheduling it from inside its predecessor cost two.
+    /// taken here, link `k` fires on the `k`-th, and among entries for the
+    /// same virtual time lower values fire first. Every link is a dispatch
+    /// at its own `(time, seq)`, counted, clocked and traced as its pop
+    /// would have been, whoever runs it. A link that is next, with nothing
+    /// entering the scheduler since the last look, costs no entry into
+    /// the scheduler — and, run by its predecessor, no trip through the
+    /// dispatch loop either; any other costs the entry the loop makes
+    /// after any event, where scheduling it from inside its predecessor
+    /// cost two.
     ///
-    /// Returning more than `links - 1` successors takes values that belong
-    /// to later entries, which breaks the determinism contract (but not
+    /// Taking more than `links - 1` successors takes values that belong to
+    /// later entries, which breaks the determinism contract (but not
     /// memory safety); a successor in the past of the run panics, as the
-    /// link that returned it, like any scheduling into the past.
+    /// link that asked for it, like any scheduling into the past.
     pub fn schedule_series(
         &self,
         t: Time,
         links: u64,
-        f: impl FnOnce(Time) -> Option<Then> + Send + 'static,
+        f: impl FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static,
     ) {
         assert!(links > 0, "a series has at least one link");
         self.sched
@@ -846,35 +978,46 @@ mod tests {
     }
 
     /// A link of an `n`-link series that logs `(tag, k, t)` as it runs and
-    /// returns link `k + 1`, `gap` ns on, until the last.
+    /// takes link `k + 1`, `gap` ns on, until the last: returned to the
+    /// dispatch loop — or, when it `runs_on`, run on the spot while
+    /// [`Link::next`] says it is next, and returned only when it is not.
     fn link(
         log: Arc<Mutex<Vec<(char, u64, Time)>>>,
-        k: u64,
+        mut k: u64,
         n: u64,
         gap: Time,
-    ) -> impl FnOnce(Time) -> Option<Then> + Send + 'static {
-        move |t| {
-            log.lock().push(('s', k, t));
-            (k + 1 < n).then(|| Then::at(t + gap, link(log, k + 1, n, gap)))
+        runs_on: bool,
+    ) -> impl FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static {
+        move |l| loop {
+            log.lock().push(('s', k, l.now()));
+            if k + 1 == n {
+                return None;
+            }
+            let at = l.now() + gap;
+            k += 1;
+            if !(runs_on && l.next(at)) {
+                return Some(Then::at(at, link(log, k, n, gap, runs_on)));
+            }
         }
     }
 
     #[test]
     fn a_series_enters_once_per_link() {
-        for k in [1, 2, 15] {
+        for (k, runs_on) in [1, 2, 15].into_iter().flat_map(|k| [(k, false), (k, true)]) {
             let mut sim = Simulation::new();
             let log = Arc::new(Mutex::new(Vec::new()));
             let sched = sim.handle().sched;
             let mark = entries(&sched);
             sim.handle()
-                .schedule_series(100, k, link(Arc::clone(&log), 0, k, 80));
+                .schedule_series(100, k, link(Arc::clone(&log), 0, k, 80, runs_on));
             let report = sim.run();
             assert_eq!(report.dispatches, k);
             assert_eq!(log.lock().len() as u64, k);
             // The run (to begin, to dispatch, to report: 3), queueing the
             // first link (1) and the loop again after the last link's
             // closure, which returned nothing (1): every successor was next,
-            // with nothing entering in between, and ran without an entry.
+            // with nothing entering in between, and ran without an entry —
+            // whether the loop or its predecessor asked.
             // History, for the same chain: while the loop entered after
             // every link to decide on its successor, 3 + 1 + k; before
             // series, when a chain reserved its tie-break values and each
@@ -888,41 +1031,44 @@ mod tests {
 
     #[test]
     fn reserved_block_interleaves_as_if_pushed_at_reservation() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let plain = |tag: char, k: u64, t: Time| {
-            let log = Arc::clone(&log);
-            h.schedule_at(t, move |t| log.lock().push((tag, k, t)));
-        };
-        // Queued before the series: at each instant, before its link.
-        for (k, t) in [(0, 10), (1, 20), (2, 20)] {
-            plain('b', k, t);
+        for runs_on in [false, true] {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let plain = |tag: char, k: u64, t: Time| {
+                let log = Arc::clone(&log);
+                h.schedule_at(t, move |t| log.lock().push((tag, k, t)));
+            };
+            // Queued before the series: at each instant, before its link.
+            for (k, t) in [(0, 10), (1, 20), (2, 20)] {
+                plain('b', k, t);
+            }
+            // Three links at 10, 20, 30, each taken by its predecessor as it
+            // runs — after everything below has been queued.
+            h.schedule_series(10, 3, link(Arc::clone(&log), 0, 3, 10, runs_on));
+            // Queued after the series: at each instant, after its link, even
+            // though the link was not queued yet when these were.
+            for (k, t) in [(0, 10), (1, 20), (2, 30)] {
+                plain('a', k, t);
+            }
+            assert!(sim.run().is_clean());
+            let log = log.lock();
+            assert_eq!(
+                *log,
+                [
+                    ('b', 0, 10),
+                    ('s', 0, 10),
+                    ('a', 0, 10),
+                    ('b', 1, 20),
+                    ('b', 2, 20),
+                    ('s', 1, 20),
+                    ('a', 1, 20),
+                    ('s', 2, 30),
+                    ('a', 2, 30),
+                ],
+                "runs on: {runs_on}"
+            );
         }
-        // Three links at 10, 20, 30, each returned by its predecessor as it
-        // runs — after everything below has been queued.
-        h.schedule_series(10, 3, link(Arc::clone(&log), 0, 3, 10));
-        // Queued after the series: at each instant, after its link, even
-        // though the link was not queued yet when these were.
-        for (k, t) in [(0, 10), (1, 20), (2, 30)] {
-            plain('a', k, t);
-        }
-        assert!(sim.run().is_clean());
-        let log = log.lock();
-        assert_eq!(
-            *log,
-            [
-                ('b', 0, 10),
-                ('s', 0, 10),
-                ('a', 0, 10),
-                ('b', 1, 20),
-                ('b', 2, 20),
-                ('s', 1, 20),
-                ('a', 1, 20),
-                ('s', 2, 30),
-                ('a', 2, 30),
-            ]
-        );
     }
 
     /// Entries pushed into `sim`'s pending queue so far.
@@ -936,7 +1082,7 @@ mod tests {
             let mut sim = Simulation::new();
             let log = Arc::new(Mutex::new(Vec::new()));
             sim.handle()
-                .schedule_series(100, k, link(Arc::clone(&log), 0, k, 80));
+                .schedule_series(100, k, link(Arc::clone(&log), 0, k, 80, false));
             let report = sim.run();
             assert_eq!(report.dispatches, k);
             assert_eq!(report.end_time, 100 + 80 * (k - 1));
@@ -949,8 +1095,32 @@ mod tests {
         }
     }
 
+    /// The twin of [`a_series_whose_links_are_each_next_pushes_once`] whose
+    /// links ask for themselves: the same dispatches, clock and push, and
+    /// the whole series is the one call the first link's pop makes.
     #[test]
-    fn a_successor_tied_with_the_far_band_takes_the_queue() {
+    fn a_series_whose_links_each_run_the_next_is_one_call() {
+        for k in [1, 2, 15] {
+            let mut sim = Simulation::new();
+            let calls = Arc::new(AtomicU32::new(0));
+            let counted = Arc::clone(&calls);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let first = link(Arc::clone(&log), 0, k, 80, true);
+            sim.handle().schedule_series(100, k, move |l| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                first(l)
+            });
+            let report = sim.run();
+            assert_eq!(report.dispatches, k);
+            assert_eq!(report.end_time, 100 + 80 * (k - 1));
+            assert_eq!(pushes(&sim), 1, "{k} links");
+            assert_eq!(calls.load(Ordering::Relaxed), 1, "{k} links");
+            let times: Vec<Time> = log.lock().iter().map(|&(_, _, t)| t).collect();
+            assert_eq!(times, (0..k).map(|i| 100 + 80 * i).collect::<Vec<_>>());
+        }
+    }
+
+    fn tied_with_the_far_band(runs_on: bool) {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -960,9 +1130,9 @@ mod tests {
         // successor, keyed at the same instant but on the series' earlier
         // tie-break value: the far band does not keep its minimum's
         // tie-break, so the successor is queued and wins the tie there.
-        h.schedule_series(100, 2, move |t| {
+        h.schedule_series(100, 2, move |l| {
             h2.schedule_at(1_000_000, move |t| plain.lock().push(('p', 0, t)));
-            link(series, 0, 2, 1_000_000 - t)(t)
+            link(series, 0, 2, 1_000_000 - l.now(), runs_on)(l)
         });
         assert!(sim.run().is_clean());
         assert_eq!(
@@ -973,25 +1143,43 @@ mod tests {
     }
 
     #[test]
-    fn a_successor_behind_a_same_time_entry_takes_the_queue() {
+    fn a_successor_tied_with_the_far_band_takes_the_queue() {
+        tied_with_the_far_band(false);
+    }
+
+    #[test]
+    fn a_successor_tied_with_the_far_band_takes_the_queue_when_its_link_asks() {
+        tied_with_the_far_band(true);
+    }
+
+    fn behind_a_same_time_entry(runs_on: bool) {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let log = Arc::new(Mutex::new(Vec::new()));
         let plain = Arc::clone(&log);
         // Queued first, so on a smaller tie-break value than the series'.
         h.schedule_at(20, move |t| plain.lock().push(('b', 0, t)));
-        h.schedule_series(10, 2, link(Arc::clone(&log), 0, 2, 10));
+        h.schedule_series(10, 2, link(Arc::clone(&log), 0, 2, 10, runs_on));
         assert!(sim.run().is_clean());
         assert_eq!(*log.lock(), [('s', 0, 10), ('b', 0, 20), ('s', 1, 20)]);
         assert_eq!(pushes(&sim), 3, "the plain event, the link, the successor");
     }
 
     #[test]
-    fn a_successor_past_the_horizon_waits_for_the_next_run() {
+    fn a_successor_behind_a_same_time_entry_takes_the_queue() {
+        behind_a_same_time_entry(false);
+    }
+
+    #[test]
+    fn a_successor_behind_a_same_time_entry_takes_the_queue_when_its_link_asks() {
+        behind_a_same_time_entry(true);
+    }
+
+    fn past_the_horizon(runs_on: bool) {
         let mut sim = Simulation::new();
         let log = Arc::new(Mutex::new(Vec::new()));
         sim.handle()
-            .schedule_series(10, 2, link(Arc::clone(&log), 0, 2, 100));
+            .schedule_series(10, 2, link(Arc::clone(&log), 0, 2, 100, runs_on));
         let first = sim.run_until(50);
         assert_eq!((first.dispatches, first.end_time), (1, 10));
         assert_eq!(pushes(&sim), 2, "the successor was queued");
@@ -1001,16 +1189,35 @@ mod tests {
         assert_eq!(*log.lock(), [('s', 0, 10), ('s', 1, 110)]);
     }
 
+    #[test]
+    fn a_successor_past_the_horizon_waits_for_the_next_run() {
+        past_the_horizon(false);
+    }
+
+    #[test]
+    fn a_successor_past_the_horizon_waits_for_the_next_run_when_its_link_asks() {
+        past_the_horizon(true);
+    }
+
     /// Link `k` of a 14-link series that, but for the last, queues a plain
-    /// event 1 µs on and returns link `k + 1`, 7 ns on: the queue grows
-    /// under links that are each next, and is deepest as the last one runs.
-    fn laying(h: SimHandle, k: u64) -> impl FnOnce(Time) -> Option<Then> + Send + 'static {
-        move |t| {
-            let next = k + 1 < 14;
-            if next {
-                h.schedule_at(t + 1_000, |_| ());
+    /// event 1 µs on and takes link `k + 1`, 7 ns on, as [`link`] does: the
+    /// queue grows under links that are each next, and is deepest as the
+    /// last one runs.
+    fn laying(
+        h: SimHandle,
+        mut k: u64,
+        runs_on: bool,
+    ) -> impl FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static {
+        move |l| loop {
+            if k + 1 == 14 {
+                return None;
             }
-            next.then(|| Then::at(t + 7, laying(h, k + 1)))
+            h.schedule_at(l.now() + 1_000, |_| ());
+            let at = l.now() + 7;
+            k += 1;
+            if !(runs_on && l.next(at)) {
+                return Some(Then::at(at, laying(h, k, runs_on)));
+            }
         }
     }
 
@@ -1018,13 +1225,13 @@ mod tests {
     /// more), then a fourth series alone, laying plain events as it goes,
     /// across two runs: what each run reports is what it reported while
     /// every successor was pushed and popped, captured then.
-    #[test]
-    fn a_mixed_world_reports_what_it_did_before() {
+    fn mixed_world(runs_on: bool) {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let log = Arc::new(Mutex::new(Vec::new()));
         for s in 0..3 {
-            h.schedule_series(10 + s * 25, 6, link(Arc::clone(&log), 0, 6, 40 + s * 10));
+            let first = link(Arc::clone(&log), 0, 6, 40 + s * 10, runs_on);
+            h.schedule_series(10 + s * 25, 6, first);
         }
         for k in 0..12 {
             let (h2, log) = (h.clone(), Arc::clone(&log));
@@ -1036,12 +1243,22 @@ mod tests {
                 }
             });
         }
-        h.schedule_series(400, 14, laying(h.clone(), 0));
+        h.schedule_series(400, 14, laying(h.clone(), 0, runs_on));
         let first = sim.run_until(200);
         let second = sim.run();
         let observed = [first, second].map(|r| (r.dispatches, r.peak_queue_depth, r.end_time));
         assert_eq!(observed, [(21, 16, 185), (40, 14, 1_484)]);
         assert_eq!(log.lock().len(), 34);
+    }
+
+    #[test]
+    fn a_mixed_world_reports_what_it_did_before() {
+        mixed_world(false);
+    }
+
+    #[test]
+    fn a_self_running_mixed_world_reports_what_it_did_before() {
+        mixed_world(true);
     }
 
     /// Links at 10, 20 and 30 µs, each next, so the second and third run
@@ -1065,18 +1282,30 @@ mod tests {
         sim.run();
     }
 
+    /// The same three links as one closure that runs the second and the
+    /// third itself.
+    #[test]
+    #[should_panic(expected = "a run that is at 30000 ns")]
+    fn a_link_run_without_entering_schedules_against_its_own_time_when_its_link_asks() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let h2 = h.clone();
+        h.schedule_series(us(10), 3, move |l| {
+            assert!(l.next(us(20)) && l.next(us(30)));
+            assert_eq!(l.now(), us(30));
+            h2.schedule_at(us(25), |_| ());
+            None
+        });
+        sim.run();
+    }
+
     /// A link run without entering that panics: the clock stays at its
     /// time, as when the loop entered to run it, and the next run counts
     /// only its own. Captured with every successor run inside the core.
-    #[test]
-    fn a_link_run_without_entering_that_panics_leaves_the_next_run_its_own() {
+    fn panics_after_running_on(first: impl FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static) {
         let mut sim = Simulation::new();
         let h = sim.handle();
-        h.schedule_series(10, 3, move |t| {
-            Some(Then::at(t + 10, move |t| {
-                Some(Then::at(t + 10, |_| panic!("the third link")))
-            }))
-        });
+        h.schedule_series(10, 3, first);
         let run = catch_unwind(AssertUnwindSafe(|| sim.run()));
         assert!(run.is_err(), "the link's panic reaches the caller");
         let early = catch_unwind(AssertUnwindSafe(|| h.schedule_at(25, |_| ())));
@@ -1086,12 +1315,31 @@ mod tests {
         assert_eq!((next.dispatches, next.end_time), (1, 50));
     }
 
-    /// A link whose closure notifies a waiting process enters the core to
-    /// queue its `Resume`, so the loop enters again for the successor, and
-    /// finds it behind nothing; that successor's own successor is behind
-    /// the `Resume`, and takes the queue. Pops stay in `(time, seq)` order.
     #[test]
-    fn a_link_that_notifies_sends_its_successor_through_the_core() {
+    fn a_link_run_without_entering_that_panics_leaves_the_next_run_its_own() {
+        panics_after_running_on(|l| {
+            Some(Then::at(l.now() + 10, move |l| {
+                Some(Then::at(l.now() + 10, |_| panic!("the third link")))
+            }))
+        });
+    }
+
+    #[test]
+    fn a_link_run_without_entering_that_panics_leaves_the_next_run_its_own_when_its_link_asks() {
+        panics_after_running_on(|l| {
+            for _ in 0..2 {
+                assert!(l.next(l.now() + 10));
+            }
+            panic!("the third link")
+        });
+    }
+
+    /// A link whose closure notifies a waiting process enters the core to
+    /// queue its `Resume`, so the question whether its successor is next
+    /// enters again, and finds it behind nothing; that successor's own
+    /// successor is behind the `Resume`, and takes the queue. Pops stay in
+    /// `(time, seq)` order.
+    fn notifies(runs_on: bool) {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let signal = h.new_signal();
@@ -1102,19 +1350,35 @@ mod tests {
             logs.lock().push(('w', 0, ctx.now()));
         });
         let (sched, logs) = (Arc::clone(&h.sched), Arc::clone(&log));
-        h.schedule_series(10, 3, move |t| {
-            logs.lock().push(('s', 0, t));
+        h.schedule_series(10, 3, move |l| {
+            logs.lock().push(('s', 0, l.now()));
             signal.notify_at(20);
             let notified = entries(&sched);
-            Some(Then::at(20, move |t| {
+            let second = move |l: &mut Link<'_>| {
                 assert_eq!(entries(&sched), notified + 1, "the successor took the core");
-                link(logs, 1, 3, 10)(t)
-            }))
+                link(logs, 1, 3, 10, runs_on)(l)
+            };
+            if runs_on {
+                assert!(l.next(20));
+                second(l)
+            } else {
+                Some(Then::at(20, second))
+            }
         });
         assert!(sim.run().is_clean());
         assert_eq!(
             *log.lock(),
             [('s', 0, 10), ('s', 1, 20), ('w', 0, 20), ('s', 2, 30)]
         );
+    }
+
+    #[test]
+    fn a_link_that_notifies_sends_its_successor_through_the_core() {
+        notifies(false);
+    }
+
+    #[test]
+    fn a_link_that_notifies_sends_its_successor_through_the_core_when_its_link_asks() {
+        notifies(true);
     }
 }

@@ -81,8 +81,8 @@ fn an_event_that_schedules_into_the_past_panics_where_it_schedules() {
         };
         if series {
             sim.handle().schedule_series(us(10), 2, move |_| {
-                Some(Then::at(us(5), move |t| {
-                    late(t);
+                Some(Then::at(us(5), move |link| {
+                    late(link.now());
                     None
                 }))
             });

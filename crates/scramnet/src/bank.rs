@@ -159,29 +159,38 @@ impl Bank {
         }
     }
 
-    /// Apply a replicated write. Returns the set of conflicting writers if
-    /// provenance is tracked and this word previously had a *different*
-    /// writer — the caller surfaces that to the single-writer checker.
+    /// Apply a replicated write. When provenance is tracked, every word
+    /// whose last writer was *another* node is handed to `conflict` as
+    /// `(addr, earlier writer)` — the caller surfaces it to the
+    /// single-writer checker.
+    ///
+    /// A write inside one page — every hop of a packet of at most a page,
+    /// but for one that straddles an edge — is one page lookup and a store
+    /// per word; one across an edge takes a piece per page.
     pub fn apply(
         &self,
         addr: WordAddr,
         data: &[Word],
         writer: usize,
         at: des::Time,
-    ) -> Vec<(WordAddr, usize)> {
-        let mut conflicts = Vec::new();
+        mut conflict: impl FnMut(WordAddr, usize),
+    ) {
         self.check_range(addr, data.len());
-        for (page, off, at, n) in pieces(addr, data.len()) {
-            let page = self.pages[page].get_or_init(new_page);
-            for (word, &value) in page[off..off + n].iter().zip(&data[at..at + n]) {
-                word.store(value, Ordering::Relaxed);
+        let off = addr % PAGE_WORDS;
+        if off + data.len() <= PAGE_WORDS {
+            let page = self.pages[addr / PAGE_WORDS].get_or_init(new_page);
+            store(&page[off..off + data.len()], data);
+        } else {
+            for (page, off, done, n) in pieces(addr, data.len()) {
+                let page = self.pages[page].get_or_init(new_page);
+                store(&page[off..off + n], &data[done..done + n]);
             }
         }
         if let Some(mut prov) = self.records() {
             for (i, slot) in prov[addr..addr + data.len()].iter_mut().enumerate() {
                 if let Some(prev) = slot {
                     if prev.writer != writer {
-                        conflicts.push((addr + i, prev.writer));
+                        conflict(addr + i, prev.writer);
                     }
                 }
                 *slot = Some(WriteRecord {
@@ -190,7 +199,6 @@ impl Bank {
                 });
             }
         }
-        conflicts
     }
 
     /// Provenance of one word (None if never written or tracking is off).
@@ -210,6 +218,14 @@ impl Bank {
         let mut out = vec![0; self.len];
         self.read_block(0, &mut out);
         out
+    }
+}
+
+/// Store `data` into `words`, which is as long.
+#[inline]
+fn store(words: &[AtomicU32], data: &[Word]) {
+    for (word, &value) in words.iter().zip(data) {
+        word.store(value, Ordering::Relaxed);
     }
 }
 
@@ -247,6 +263,21 @@ mod tests {
     use super::*;
 
     impl Bank {
+        /// Apply, collecting the conflicts reported.
+        fn write(
+            &self,
+            addr: WordAddr,
+            data: &[Word],
+            writer: usize,
+            at: des::Time,
+        ) -> Vec<(WordAddr, usize)> {
+            let mut conflicts = Vec::new();
+            self.apply(addr, data, writer, at, |a, earlier| {
+                conflicts.push((a, earlier))
+            });
+            conflicts
+        }
+
         fn block(&self, addr: WordAddr, len: usize) -> Vec<Word> {
             // Stale contents: every word must be overwritten.
             let mut out = vec![0xDEAD_BEEF; len];
@@ -263,7 +294,7 @@ mod tests {
     #[test]
     fn read_after_apply_sees_data() {
         let b = Bank::new(64, false);
-        b.apply(10, &[1, 2, 3], 0, 5);
+        b.write(10, &[1, 2, 3], 0, 5);
         assert_eq!(b.read(10), 1);
         assert_eq!(b.block(10, 3), vec![1, 2, 3]);
         assert_eq!(b.read(13), 0);
@@ -272,7 +303,7 @@ mod tests {
     #[test]
     fn provenance_records_last_writer() {
         let b = Bank::new(16, true);
-        b.apply(3, &[9], 2, 100);
+        b.write(3, &[9], 2, 100);
         let rec = b.provenance(3).unwrap();
         assert_eq!(rec.writer, 2);
         assert_eq!(rec.applied_at, 100);
@@ -282,17 +313,17 @@ mod tests {
     #[test]
     fn conflicting_writers_are_reported() {
         let b = Bank::new(16, true);
-        assert!(b.apply(5, &[1], 0, 10).is_empty());
-        assert!(b.apply(5, &[2], 0, 20).is_empty(), "same writer is fine");
-        let conflicts = b.apply(5, &[3], 1, 30);
+        assert!(b.write(5, &[1], 0, 10).is_empty());
+        assert!(b.write(5, &[2], 0, 20).is_empty(), "same writer is fine");
+        let conflicts = b.write(5, &[3], 1, 30);
         assert_eq!(conflicts, vec![(5, 0)]);
     }
 
     #[test]
     fn no_provenance_means_no_conflicts_reported() {
         let b = Bank::new(16, false);
-        b.apply(5, &[1], 0, 10);
-        assert!(b.apply(5, &[2], 1, 20).is_empty());
+        b.write(5, &[1], 0, 10);
+        assert!(b.write(5, &[2], 1, 20).is_empty());
         assert!(b.provenance(5).is_none());
     }
 
@@ -307,7 +338,7 @@ mod tests {
         assert_eq!(b.snapshot(), vec![0; words]);
         assert_eq!(b.materialised(), 0, "reads allocate nothing");
         // One write materialises one page; its neighbours stay absent.
-        b.apply(PAGE_WORDS + 5, &[7], 0, 1);
+        b.write(PAGE_WORDS + 5, &[7], 0, 1);
         assert_eq!(b.materialised(), 1);
         assert_eq!(b.read(PAGE_WORDS + 5), 7);
         assert_eq!(b.read(PAGE_WORDS + 6), 0);
@@ -318,7 +349,7 @@ mod tests {
         let b = Bank::new(4 * PAGE_WORDS, true);
         let data: Vec<Word> = (1..=6).collect();
         let addr = 2 * PAGE_WORDS - 2;
-        b.apply(addr, &data, 3, 9);
+        b.write(addr, &data, 3, 9);
         assert_eq!(b.read(addr - 1), 0);
         assert_eq!(b.block(addr, 6), data);
         assert_eq!(b.read(addr + 6), 0);
@@ -330,8 +361,25 @@ mod tests {
         assert_eq!(snap.iter().filter(|&&w| w != 0).count(), 6);
         // A block longer than a page crosses two edges.
         let long: Vec<Word> = (0..PAGE_WORDS as Word + 8).map(|i| i + 100).collect();
-        b.apply(PAGE_WORDS / 2, &long, 3, 10);
+        b.write(PAGE_WORDS / 2, &long, 3, 10);
         assert_eq!(b.block(PAGE_WORDS / 2, long.len()), long);
+    }
+
+    #[test]
+    fn a_write_up_to_a_page_edge_touches_one_page() {
+        let b = Bank::new(3 * PAGE_WORDS, true);
+        let data: Vec<Word> = (1..=4).collect();
+        b.write(PAGE_WORDS - 4, &data, 1, 5);
+        assert_eq!(b.materialised(), 1);
+        assert_eq!(b.block(PAGE_WORDS - 4, 4), data);
+        b.write(PAGE_WORDS, &vec![9; PAGE_WORDS], 1, 6);
+        assert_eq!(b.materialised(), 2, "a whole page is one page");
+        assert_eq!(b.read(2 * PAGE_WORDS), 0);
+        // Another writer across the edge: every word it takes from the
+        // first is reported, in address order, on both pages.
+        let conflicts = b.write(PAGE_WORDS - 2, &[0; 4], 2, 7);
+        let want: Vec<_> = (PAGE_WORDS - 2..PAGE_WORDS + 2).map(|a| (a, 1)).collect();
+        assert_eq!(conflicts, want);
     }
 
     #[test]
@@ -352,18 +400,18 @@ mod tests {
                 (4, 0),
                 "round {round}: a recycled table has an empty slot per page"
             );
-            b.apply(PAGE_WORDS + 3, &[round + 1], 0, 1);
+            b.write(PAGE_WORDS + 3, &[round + 1], 0, 1);
             let mut want = vec![0; 4 * PAGE_WORDS];
             want[PAGE_WORDS + 3] = round + 1;
             assert_eq!(b.snapshot(), want, "round {round}");
-            b.apply(0, &vec![0xFFFF_FFFF; 4 * PAGE_WORDS], 0, 2);
+            b.write(0, &vec![0xFFFF_FFFF; 4 * PAGE_WORDS], 0, 2);
         }
     }
 
     #[test]
     fn snapshot_copies_contents() {
         let b = Bank::new(4, false);
-        b.apply(0, &[7, 8], 0, 1);
+        b.write(0, &[7, 8], 0, 1);
         assert_eq!(b.snapshot(), vec![7, 8, 0, 0]);
     }
 }

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use des::obs::{Layer, Stage, NO_NODE};
-use des::{Signal, SimHandle, Then, Time};
+use des::{Link, Signal, SimHandle, Then, Time};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::bank::Bank;
@@ -26,12 +26,14 @@ pub struct RingConfig {
     /// being applied at a replica (0.0 = the healthy hardware the paper
     /// assumes; SCRAMNet's link-level error detection is what lets the
     /// BBP carry "no protocol information on messages"). Seeded and
-    /// deterministic.
+    /// deterministic. A probability: [`Ring::with_config`] panics on
+    /// anything outside `0.0..=1.0`, NaN included.
     pub bit_error_rate: f64,
     /// Seed for the error-injection stream.
     pub error_seed: u64,
     /// Global identity per local node (None = identity). Used by ring
-    /// hierarchies so provenance tracks the true originating host.
+    /// hierarchies so provenance tracks the true originating host. One
+    /// per node: [`Ring::with_config`] panics on any other length.
     pub node_ids: Option<Vec<usize>>,
     /// Dual-ring wrap on severed links: when a packet reaches a broken
     /// egress link it loops back across the redundant counter-rotating
@@ -254,6 +256,10 @@ pub(crate) struct RingShared {
     /// a hop and an inject take.
     #[cfg(test)]
     state_entries: AtomicU64,
+    /// Calls of [`Self::transit`], for the unit tests that pin which hops
+    /// run in one call.
+    #[cfg(test)]
+    transit_calls: AtomicU64,
     watches: Mutex<Vec<Vec<Watch>>>,
     /// Number of installed watches across all nodes; lets `applied`
     /// skip the watch lock entirely on watch-free rings.
@@ -336,7 +342,7 @@ struct ErrorInjector {
 
 impl ErrorInjector {
     fn new(rate: f64, seed: u64) -> Self {
-        let ln_keep = (1.0 - rate.min(1.0)).ln();
+        let ln_keep = (1.0 - rate).ln();
         let mut rng = des::rng::SimRng::seeded(seed);
         ErrorInjector {
             ln_keep,
@@ -407,6 +413,14 @@ impl Ring {
     }
 
     /// A ring with explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// On fewer than 2 or more than 256 nodes, a
+    /// [`RingConfig::bit_error_rate`] that is not a probability, and
+    /// [`RingConfig::node_ids`] that do not name `n` nodes — each of which
+    /// would otherwise build a ring that is silently healthy, saturated or
+    /// out of bounds at its first write.
     pub fn with_config(
         handle: &SimHandle,
         n: usize,
@@ -416,6 +430,18 @@ impl Ring {
     ) -> Self {
         assert!(n >= 2, "a ring needs at least two nodes");
         assert!(n <= 256, "SCRAMNet supports up to 256 nodes per ring");
+        let rate = config.bit_error_rate;
+        assert!(
+            (0.0..=1.0).contains(&rate),
+            "RingConfig::bit_error_rate is {rate}: a probability, in 0.0..=1.0"
+        );
+        if let Some(ids) = &config.node_ids {
+            assert!(
+                ids.len() == n,
+                "RingConfig::node_ids names {} nodes for a ring of {n}",
+                ids.len()
+            );
+        }
         let state = RingState {
             links: vec![0; n],
             plan_pool: Vec::new(),
@@ -435,6 +461,8 @@ impl Ring {
             state: Mutex::new(state),
             #[cfg(test)]
             state_entries: AtomicU64::new(0),
+            #[cfg(test)]
+            transit_calls: AtomicU64::new(0),
             watches: Mutex::new((0..n).map(|_| Vec::new()).collect()),
             watch_count: AtomicU64::new(0),
             taps: Mutex::new((0..n).map(|_| None).collect()),
@@ -828,7 +856,7 @@ impl RingShared {
             let (first_t, links) = (plan.hop(0).1, plan.hops.len() as u64);
             let shared = Arc::clone(self);
             self.handle
-                .schedule_series(first_t, links, move |t| shared.transit(plan, t));
+                .schedule_series(first_t, links, move |link| shared.transit(plan, link));
         }
         // The packet's whole ring transit as one hardware-track span. The
         // exit time is computed synchronously, so the enter/exit pair is
@@ -849,32 +877,45 @@ impl RingShared {
         }
     }
 
-    /// Fire one hop of a packet's itinerary and return the next. The
-    /// closure of each hop is two pointers (the `Arc<RingShared>`, moved
-    /// from hop to hop, and a `Box<HopPlan>`), well inside the scheduler's
+    /// Fire a packet's hops from `plan.idx` on, as `link`: each hop that
+    /// is the next entry due runs here, in this call ([`Link::next`]), and
+    /// the first that is not is returned, to be queued. The closure of a
+    /// returned hop is two pointers (the `Arc<RingShared>`, moved from hop
+    /// to hop, and a `Box<HopPlan>`), well inside the scheduler's
     /// inline-closure budget — a full transit allocates nothing once the
     /// plan pool and queue are warm. Every hop reads the payload in the
     /// plan and applies it without the ring's lock; the last enters the
     /// ring's state once, after the tap has read the payload, for the
     /// plan's return to the pool.
-    fn transit(self: Arc<Self>, mut plan: Box<HopPlan>, t: Time) -> Option<Then> {
-        let (node, _) = plan.hop(plan.idx);
-        plan.idx += 1;
+    fn transit(self: Arc<Self>, mut plan: Box<HopPlan>, link: &mut Link<'_>) -> Option<Then> {
+        #[cfg(test)]
+        self.transit_calls.add(1);
+        // The packet's own: the plan is this packet's alone, moved from
+        // hop to hop, so nothing a hop runs — a watch, a tap, a nested
+        // inject — can change them between two hops.
         let (addr, writer, trace) = (plan.addr, plan.writer, plan.trace);
-        let corrupted = self.apply(node, addr, &plan.data, writer, t);
-        self.applied(node, addr, &plan.data, corrupted, writer, t);
-        if trace != 0 {
-            self.handle.recorder().lifecycle_hot(
-                t,
-                self.node_ids[node] as u32,
-                trace,
-                Stage::RingHop,
-                node as u64,
-            );
-        }
-        if plan.idx < plan.hops.len() {
+        loop {
+            let (node, _) = plan.hop(plan.idx);
+            plan.idx += 1;
+            let t = link.now();
+            let corrupted = self.apply(node, addr, &plan.data, writer, t);
+            self.applied(node, addr, &plan.data, corrupted, writer, t);
+            if trace != 0 {
+                self.handle.recorder().lifecycle_hot(
+                    t,
+                    self.node_ids[node] as u32,
+                    trace,
+                    Stage::RingHop,
+                    node as u64,
+                );
+            }
+            if plan.idx == plan.hops.len() {
+                break;
+            }
             let (_, next_t) = plan.hop(plan.idx);
-            return Some(Then::at(next_t, move |t| self.transit(plan, t)));
+            if !link.next(next_t) {
+                return Some(Then::at(next_t, move |link| self.transit(plan, link)));
+            }
         }
         plan.hops.clear();
         plan.data.clear();
@@ -909,13 +950,12 @@ impl RingShared {
             });
         }
         let applied = corrupted.as_deref().unwrap_or(data);
-        let conflicts = self.bank(node).apply(addr, applied, writer, t);
-        if !conflicts.is_empty() {
-            let mut state = self.state();
-            for (a, earlier) in conflicts {
+        let mut state = None;
+        self.bank(node)
+            .apply(addr, applied, writer, t, |a, earlier| {
+                let state = state.get_or_insert_with(|| self.state());
                 state.conflicts.push((a, earlier, writer));
-            }
-        }
+            });
         corrupted
     }
 
@@ -1406,6 +1446,120 @@ mod tests {
         assert!(ring.stats().bit_errors > 0, "{:?}", ring.stats());
         assert!(ring.conflicts().is_empty());
         assert!((1..16).all(|node| ring.provenance(node, 15).is_some()));
+    }
+
+    /// Calls of `transit` so far.
+    fn transit_calls(shared: &RingShared) -> u64 {
+        shared.transit_calls.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_lone_packets_hops_are_one_call() {
+        let mut sim = Simulation::new();
+        let ring = quiet_ring(&sim, 16);
+        let r = ring.clone();
+        sim.handle().schedule_at(10, move |t| {
+            r.source_packet(0, t, 0, vec![7; 16].into());
+        });
+        let report = sim.run();
+        assert_eq!(report.dispatches, 1 + 15, "the inject, then every hop");
+        assert_eq!(transit_calls(&ring.shared), 1, "fifteen hops, one call");
+    }
+
+    /// Two one-word packets on 16 nodes, sourced by one event from nodes 0
+    /// and 8: the second leaves node 8 behind the first, whose pass booked
+    /// its link, so the first's eleven first hops come before the second's
+    /// first, the two then alternate, and the second's last eleven come
+    /// after the first's last. Each packet's hops run in one call until the
+    /// other's comes between them, and a new call starts exactly there.
+    #[test]
+    fn interleaved_packets_split_where_the_other_comes_between() {
+        let mut sim = Simulation::new();
+        let ring = quiet_ring(&sim, 16);
+        let hops = Arc::new(Mutex::new(Vec::new()));
+        for node in 0..16 {
+            let (hops, shared) = (Arc::clone(&hops), Arc::clone(&ring.shared));
+            ring.set_tap(
+                node,
+                Box::new(move |writer, _, _, _| {
+                    if writer != node {
+                        hops.lock().push((writer, transit_calls(&shared)));
+                    }
+                }),
+            );
+        }
+        let r = ring.clone();
+        sim.handle().schedule_at(0, move |t| {
+            r.source_packet(0, t, 0, vec![1].into());
+            r.source_packet(8, t, 1, vec![2].into());
+        });
+        assert!(sim.run().is_clean());
+        let hops = hops.lock();
+        let writers: Vec<usize> = hops.iter().map(|&(writer, _)| writer).collect();
+        let mut want = vec![0; 11];
+        for _ in 0..4 {
+            want.extend([8, 0]);
+        }
+        want.extend([8; 11]);
+        assert_eq!(writers, want);
+        for pair in hops.windows(2) {
+            let [(was, call), (is, next)] = [pair[0], pair[1]];
+            assert_eq!(next == call, is == was, "{pair:?}");
+        }
+        assert_eq!(transit_calls(&ring.shared), 10, "one call per run of hops");
+    }
+
+    /// One 8-word packet on a 4-node ring configured with `config`: its
+    /// bit errors.
+    fn flips(config: RingConfig) -> u64 {
+        let mut sim = Simulation::new();
+        let ring = Ring::with_config(&sim.handle(), 4, 64, CostModel::default(), config);
+        let r = ring.clone();
+        sim.handle().schedule_at(10, move |t| {
+            r.source_packet(0, t, 0, vec![7; 8].into());
+        });
+        assert!(sim.run().is_clean());
+        ring.stats().bit_errors
+    }
+
+    fn rate(bit_error_rate: f64) -> RingConfig {
+        RingConfig {
+            bit_error_rate,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn the_ends_of_the_error_rate_are_rates() {
+        assert_eq!(flips(rate(0.0)), 0);
+        assert_eq!(flips(rate(1.0)), 3, "every replica's apply");
+    }
+
+    #[test]
+    #[should_panic(expected = "RingConfig::bit_error_rate is NaN")]
+    fn a_nan_error_rate_is_refused() {
+        flips(rate(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "RingConfig::bit_error_rate is -0.5")]
+    fn a_negative_error_rate_is_refused() {
+        flips(rate(-0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "RingConfig::bit_error_rate is 2")]
+    fn an_error_rate_above_one_is_refused() {
+        flips(rate(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "RingConfig::node_ids names 2 nodes for a ring of 4")]
+    fn node_ids_for_another_ring_are_refused() {
+        flips(RingConfig {
+            node_ids: Some(vec![0, 1]),
+            ..Default::default()
+        });
     }
 
     #[test]
