@@ -137,18 +137,6 @@ fn collect(
     freed
 }
 
-/// Copy a received message into the caller's buffer; returns its length.
-fn copy_out(call: &str, msg: &[u8], buf: &mut [u8]) -> usize {
-    assert!(
-        buf.len() >= msg.len(),
-        "{call} buffer of {} bytes cannot hold a {}-byte message",
-        buf.len(),
-        msg.len()
-    );
-    buf[..msg.len()].copy_from_slice(msg);
-    msg.len()
-}
-
 impl BbpEndpoint {
     pub(crate) fn new(
         nic: Nic,
@@ -630,21 +618,15 @@ impl BbpEndpoint {
         src: usize,
         buf: &mut [u8],
     ) -> Result<usize, BbpError> {
-        Ok(copy_out("recv_into", &self.recv(ctx, src)?, buf))
-    }
-
-    /// Non-blocking receive from any source into a caller-provided
-    /// buffer (copied out of the `Vec` [`BbpEndpoint::try_recv_any`]
-    /// delivers, like [`BbpEndpoint::recv_into`]). Returns the source rank
-    /// and message length; panics if `buf` is too small — size it with
-    /// [`crate::BbpConfig::max_payload_bytes`].
-    pub fn try_recv_any_into(
-        &mut self,
-        ctx: &mut ProcCtx,
-        buf: &mut [u8],
-    ) -> Option<(usize, usize)> {
-        let (src, msg) = self.try_recv_any(ctx)?;
-        Some((src, copy_out("try_recv_any_into", &msg, buf)))
+        let msg = self.recv(ctx, src)?;
+        assert!(
+            buf.len() >= msg.len(),
+            "recv_into buffer of {} bytes cannot hold a {}-byte message",
+            buf.len(),
+            msg.len()
+        );
+        buf[..msg.len()].copy_from_slice(&msg);
+        Ok(msg.len())
     }
 
     /// One poll sweep of `only`'s flag word, or of everyone's.

@@ -130,13 +130,20 @@ impl<T> CalendarQueue<T> {
         self.pushes
     }
 
-    /// The key every queued entry is at or behind: the smaller of the near
-    /// band's head and the late heap's, and `(far_min, 0)` — the far band
-    /// keeps its minimum's time but not its tie-break, so a key on
-    /// `far_min` must count as behind it. An entry keyed strictly below
-    /// this would be the next one popped, so a caller about to push it
-    /// only to pop it again can skip both.
-    pub fn first_key(&self) -> (Time, u64) {
+    /// What a key must sort below to be the one the next
+    /// [`Self::pop_due`]`(horizon)` returns, were it pushed: the smaller of
+    /// the near band's head and the late heap's; `(far_min, 0)` while the
+    /// far band holds anything — it keeps its minimum's time but not its
+    /// tie-break, so a key on `far_min` must count as behind it; and
+    /// `(horizon, u64::MAX)`, past which nothing pops. An empty far band
+    /// bounds nothing. A caller about to push such a key only to pop it
+    /// again can skip both.
+    pub fn bound(&self, horizon: Time) -> (Time, u64) {
+        let far = if self.far.is_empty() {
+            (Time::MAX, u64::MAX)
+        } else {
+            (self.far_min, 0)
+        };
         let heads = self
             .batch
             .get(self.cursor)
@@ -144,26 +151,7 @@ impl<T> CalendarQueue<T> {
             .chain(self.late.peek());
         heads
             .map(|k| (k.time, k.seq))
-            .fold((self.far_min, 0), Ord::min)
-    }
-
-    /// Fire time of the earliest entry, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        let mut t = Time::MAX;
-        let mut any = false;
-        if let Some(k) = self.batch.get(self.cursor) {
-            t = t.min(k.time);
-            any = true;
-        }
-        if let Some(k) = self.late.peek() {
-            t = t.min(k.time);
-            any = true;
-        }
-        if !self.far.is_empty() {
-            t = t.min(self.far_min);
-            any = true;
-        }
-        any.then_some(t)
+            .fold(far.min((horizon, u64::MAX)), Ord::min)
     }
 
     pub fn push(&mut self, time: Time, seq: u64, what: T) {
@@ -331,21 +319,28 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
 
-        /// A key below `first_key()` is "next" exactly when pushing it and
-        /// popping would hand it straight back — but for a key on the far
-        /// band's minimum time, which it leaves to the queue. Keys are
-        /// sealed into the near band by a first pop, then pushed across
-        /// the late heap and the far band; the probe's time is drawn at
-        /// random or equal to a band's head, its tie-break between the
-        /// queued ones' (theirs even, its own odd).
+        /// A key below `bound(horizon)` is "next" exactly when pushing it
+        /// and popping once up to `horizon` would hand it straight back —
+        /// but for a successor's key on the far band's minimum time, which
+        /// it leaves to the queue. Keys are sealed into the near band by a
+        /// first pop, then pushed into the late heap and, when `far` says
+        /// so, the far band. The probe is a process's `Resume`, on a fresh
+        /// tie-break value (above every queued one), or a link's successor,
+        /// on one a series reserved before some of the queued ones (odd,
+        /// theirs even). Its time is drawn at random or equal to a band's
+        /// head, and the horizon at random, at the probe, or just before it.
         #[test]
-        fn precedes_all_is_the_next_pop(
+        fn bound_is_the_next_pop(
             sealed in prop::collection::vec(0..4u64, 1..8),
             pops in 1..4usize,
             later in prop::collection::vec(0..600u64, 0..12),
+            far in any::<bool>(),
             which in 0..4u8,
             time in 0..600u64,
-            seq in 0..40u64,
+            fresh in any::<bool>(),
+            reserved in 0..40u64,
+            edge in 0..3u8,
+            horizon in 0..700u64,
         ) {
             let mut q = CalendarQueue::new();
             let mut next_seq = 0;
@@ -356,45 +351,54 @@ mod tests {
             for _ in 0..pops {
                 q.pop();
             }
-            for t in later {
+            // Without `far`, everything lands inside the sealed window.
+            let window = if far { Time::MAX } else { q.boundary };
+            for t in later.into_iter().map(|t| t % window).chain(far.then_some(1_000_000)) {
                 q.push(t, next_seq, false);
                 next_seq += 2;
             }
+            prop_assert_eq!(far, !q.far.is_empty());
             let time = match which {
                 1 => q.batch.get(q.cursor).map(|k| k.time),
                 2 => q.late.peek().map(|k| k.time),
-                3 => (!q.far.is_empty()).then_some(q.far_min),
+                3 => far.then_some(q.far_min),
                 _ => None,
             }
             .unwrap_or(time);
-            let seq = 2 * seq + 1;
-            let said = (time, seq) < q.first_key();
-            let far_tie = !q.far.is_empty() && time == q.far_min;
+            let seq = if fresh { next_seq } else { 2 * reserved + 1 };
+            let horizon = match edge {
+                1 => time,
+                2 => time.saturating_sub(1),
+                _ => horizon,
+            };
+            let said = (time, seq) < q.bound(horizon);
+            let far_tie = far && time == q.far_min;
             q.push(time, seq, true);
-            let was_next = q.pop_due(Time::MAX) == Some((time, seq, true));
+            let was_next = q.pop_due(horizon) == Some((time, seq, true));
             prop_assert!(
-                said == was_next || (was_next && far_tie),
-                "({time}, {seq}): below first_key {said}, next pop {was_next}"
+                said == was_next || (!fresh && was_next && far_tie),
+                "({time}, {seq}) up to {horizon}: below the bound {said}, next pop {was_next}"
             );
         }
     }
 
     #[test]
-    fn first_key_breaks_ties_by_full_key_and_defers_on_far_min() {
+    fn bound_breaks_ties_by_full_key_and_defers_on_far_min() {
         let mut q = CalendarQueue::new();
         q.push(10, 4, ());
         q.push(20, 6, ());
         q.pop(); // seals a near band holding both keys
-        assert_eq!(q.first_key(), (20, 6), "batch head");
+        assert_eq!(q.bound(Time::MAX), (20, 6), "batch head");
         q.push(15, 8, ()); // into the late heap
-        assert_eq!(q.first_key(), (15, 8), "late head");
+        assert_eq!(q.bound(Time::MAX), (15, 8), "late head");
+        assert_eq!(q.bound(12), (12, u64::MAX), "horizon");
         q.push(10_000, 10, ()); // into the far band
-        assert_eq!(q.first_key(), (15, 8), "far band");
+        assert_eq!(q.bound(Time::MAX), (15, 8), "far band");
         q.pop();
         q.pop();
-        assert_eq!(q.first_key(), (10_000, 0), "far min");
+        assert_eq!(q.bound(Time::MAX), (10_000, 0), "far min");
         q.pop();
-        assert_eq!(q.first_key(), (Time::MAX, 0), "empty");
+        assert_eq!(q.bound(Time::MAX), (Time::MAX, u64::MAX), "empty");
     }
 
     #[test]

@@ -14,8 +14,14 @@
 //! `None`. A plain `FnOnce(Time)` is a link that reads its time off the
 //! `Link` and returns `None` ([`EventFn::new`]); a link of a series
 //! ([`crate::SimHandle::schedule_series`]) runs each successor that is
-//! next itself ([`Link::next`]) and hands the dispatch loop the one that
-//! is not, instead of scheduling it.
+//! next itself and hands the dispatch loop the one that is not, instead of
+//! scheduling it. "Next" has one rule in `des`: the key sorts below the
+//! agenda's bound, the queue's first key and the run's horizon. A link
+//! asks it of its successor's key, `(at, seq + 1)`, against the bound read
+//! at its pop ([`Link::next`], which enters nothing and says "no" once
+//! anything entered the scheduler since); a stalling process asks it of the
+//! key its `Resume` would get. The loop asks nothing of a successor it is
+//! handed: it queues it.
 //!
 //! # Safety contract
 //!
@@ -70,10 +76,9 @@ const INLINE_WORDS: usize = 6;
 pub const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 
 /// The event that follows a link: run `f` at `at`. A link of a series
-/// ([`crate::SimHandle::schedule_series`]) returns one, and the dispatch
-/// loop keys it on the series' next tie-break value: it runs at once when
-/// [`Link::next`] says that key is the next one due, and from the queue
-/// otherwise.
+/// ([`crate::SimHandle::schedule_series`]) returns one when
+/// [`Link::next`] says it is not the next entry due, and the dispatch loop
+/// queues it on the series' next tie-break value.
 pub struct Then {
     pub(crate) at: Time,
     pub(crate) f: EventFn,

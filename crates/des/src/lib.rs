@@ -55,7 +55,13 @@
 //! Each link runs as a [`Link`], which says whether its successor is the
 //! next entry due ([`Link::next`]); a link runs such a successor itself,
 //! in the same call, and hands back ([`Then`]) the first that is not, for
-//! the dispatch loop to queue. Each step is still a dispatch at its own
+//! the dispatch loop to queue. "Next" means one thing throughout the
+//! scheduler: a key below the agenda's bound — the queue's first key, and
+//! the run's horizon. A link compares its successor's key against the
+//! bound it read at its pop, without entering the scheduler, and takes
+//! "no" for an answer once anything has entered since; a stalling
+//! process compares the key its resumption would get, and jumps its
+//! clock instead of queueing it. Each step is still a dispatch at its own
 //! `(time, seq)`, counted, clocked and traced as its pop would have been.
 //!
 //! ## Stalls and software costs

@@ -300,14 +300,14 @@ impl ProcCtx {
     /// dispatch loop, all on it.
     fn stall_until(&mut self, target: Time) {
         let mut core = self.sched.core();
-        // Fast path: we are the only running entity; if nothing in the
-        // queue is due before `target`, no other process or event can
-        // possibly interleave (everyone else is parked behind a queue
-        // entry or a signal only we could fire), so the clock — ours and
-        // the run's — can jump without touching the queue. This keeps
-        // polling protocols cheap in host time without changing any
-        // observable schedule.
-        if core.agenda.idle_through(target) {
+        // Fast path: we are the only running entity; if our `Resume` would
+        // be the next entry due, no other process or event can possibly
+        // interleave (everyone else is parked behind a queue entry or a
+        // signal only we could fire), so the clock — ours and the run's —
+        // can jump without touching the queue. This keeps polling
+        // protocols cheap in host time without changing any observable
+        // schedule.
+        if core.agenda.is_next(target) {
             core.agenda.now = target;
             self.now = target;
             return;

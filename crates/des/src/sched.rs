@@ -8,17 +8,20 @@
 //! lock once. The dispatch loop holds it across pops and across every
 //! step it walks for a sleeping process, letting go only around an
 //! event's closure (events schedule) and before it hands the baton on.
-//! A link of a series runs as a [`Link`], which says whether its successor
-//! is the next entry due ([`Link::next`]): the link runs such a successor
-//! itself, in the same call, and returns the first that is not ([`Then`])
-//! for the loop to queue. When nothing entered the core since the bound
-//! was read, that is decided without entering at all, so a series whose
-//! links are each next enters once for all of them, and runs in one call
-//! when its links ask for themselves. A stalling process tests the fast path,
-//! queues its `Resume` and runs the dispatch loop on one acquisition. The
-//! tie-break counter, the run clock and the run horizon are plain fields
-//! in there; the clock and dispatch count of links run on the spot wait in
-//! two cells beside it until the next entry folds them in.
+//! "Is it the next entry due?" has one answer: its key sorts below the
+//! agenda's bound ([`Agenda::bound`], the queue's first key and the
+//! horizon). A stalling process and a relayed step ask it of the key their
+//! `Resume` would get, on the core they are in, and skip the queue on
+//! "yes". A link of a series runs as a [`Link`], which asks it of its
+//! successor's key against the bound read at its pop ([`Link::next`]),
+//! without entering the core — "no" if anything entered since — and runs
+//! such a successor itself, in the same call; the first that is not it
+//! returns ([`Then`]), and the dispatch loop queues it with the one entry
+//! it makes after every closure anyway. So a series whose links are each
+//! next runs in one call and enters once for all of them. The tie-break
+//! counter, the run clock and the run horizon are plain fields in the core;
+//! the clock and dispatch count of links run on the spot wait in two cells
+//! beside it until the next entry folds them in.
 //! Closures are stored inline ([`EventFn`]), so a steady-state
 //! schedule/dispatch cycle never touches the heap allocator — and, past a
 //! few thousand pending events, never pays a per-pop cache-miss chain
@@ -172,12 +175,22 @@ impl Agenda {
         self.now = self.now.max(proc_now);
     }
 
-    /// True when nothing in the pending queue is due at or before `t` and
-    /// `t` is inside the active run horizon: a process alone until `t` may
-    /// jump its clock there without queueing (see `ProcCtx::advance`).
+    /// What an entry's key must sort below to be the next one due: the
+    /// queue's [`CalendarQueue::bound`] at the run's horizon — an entry
+    /// past it waits for the next run. The one definition of "next", for
+    /// a process's `Resume` ([`Self::is_next`]) and a link's successor
+    /// ([`Link::next`]) alike.
     #[inline]
-    pub fn idle_through(&self, t: Time) -> bool {
-        t <= self.horizon && self.pending.peek_time().is_none_or(|first| first > t)
+    fn bound(&self) -> (Time, u64) {
+        self.pending.bound(self.horizon)
+    }
+
+    /// Would an entry queued at `t` now, on a fresh tie-break value, be the
+    /// next one due? Then a process alone until `t` may jump its clock
+    /// there without queueing its `Resume` (see `ProcCtx::advance`).
+    #[inline]
+    pub fn is_next(&self, t: Time) -> bool {
+        (t, self.seq) < self.bound()
     }
 
     /// True when nothing is left in this run but sleeping cycles: it has no
@@ -233,9 +246,9 @@ pub(crate) struct Core {
 
 pub(crate) type CoreGuard<'a> = MutexGuard<'a, Core>;
 
-/// The clock and dispatch count of links the dispatch loop ran on the spot,
-/// without the queue (see [`SchedShared::dispatch`]), waiting for the next
-/// entry to fold them into the [`Agenda`]. Relaxed cells: only the baton
+/// The clock and dispatch count of links run on the spot, without the
+/// queue (see [`Link::next`]), waiting for the next entry to fold them into
+/// the [`Agenda`]. Relaxed cells: only the baton
 /// holder touches them, and the baton's hand-off orders what it wrote.
 #[derive(Default)]
 struct Unfolded {
@@ -249,9 +262,9 @@ struct Unfolded {
 /// means the holder itself came in a second time (see [`Self::core`]).
 pub(crate) struct SchedShared {
     core: Mutex<Core>,
-    /// Times the core has been entered, counted under its lock: the
-    /// dispatch loop reads it on both sides of an event's closure to tell
-    /// that nothing entered in between.
+    /// Times the core has been entered, counted under its lock: a
+    /// [`Link`] reads it at its pop and again when it asks for a
+    /// successor, to tell that nothing entered in between.
     entries: AtomicU64,
     unfolded: Unfolded,
     /// The one thing a thread without the baton touches: where a process
@@ -454,7 +467,7 @@ impl SchedShared {
                 continue;
             };
             let target = cur + step.dt;
-            if !agenda.idle_through(target) {
+            if !agenda.is_next(target) {
                 self.assert_settled("scheduling");
                 agenda.push(target, WakeWhat::Resume(id));
                 self.record_yield(&shared.name, "ResumeAt", cur);
@@ -484,11 +497,10 @@ impl SchedShared {
     /// process is woken, and on the way out.
     ///
     /// An event's closure runs as a [`Link`], read off the core as it is
-    /// popped. A successor the closure returns is put to [`Link::next`] —
-    /// the one decision, whether the link decides for its own successor or
-    /// the loop for the one it was handed — and runs on as the same link
-    /// when it is the next entry due; otherwise it is queued on its key,
-    /// `seq + 1`. Either way the pops come in `(time, seq)` order.
+    /// popped. It runs each successor that is next itself ([`Link::next`]),
+    /// so one it returns is not: the loop queues it on its key, `seq + 1`,
+    /// under the entry it makes after every closure. The pops come in
+    /// `(time, seq)` order either way.
     pub fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
         let horizon = core.agenda.horizon;
         loop {
@@ -501,37 +513,30 @@ impl SchedShared {
             agenda.now = now;
             agenda.dispatches += 1;
             match what {
-                WakeWhat::Event(mut f) => {
+                WakeWhat::Event(f) => {
                     let mut link = Link::new(self, agenda, now, seq);
                     drop(core);
                     if self.recorder.is_enabled() {
                         self.record_event(now);
                     }
-                    loop {
-                        // Caught so a panic here never unwinds the body of
-                        // the process whose thread happens to run the event.
-                        let then = match catch_unwind(AssertUnwindSafe(|| f.call(&mut link))) {
-                            Ok(then) => then,
-                            Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
-                        };
-                        let Some(Then { at, f: next }) = then else {
-                            core = self.core();
-                            break;
-                        };
-                        // A returned successor is put to the question a link
-                        // that runs its own asks: it runs on as `link`, or is
-                        // queued. One in the past is the link's panic, raised
-                        // where a `schedule_at` inside it would have raised it.
-                        match catch_unwind(AssertUnwindSafe(|| link.next(at))) {
-                            Ok(true) => f = next,
-                            Ok(false) => {
-                                core = self.core();
-                                let seq = link.seq + 1;
-                                core.agenda.push_at_seq(at, seq, WakeWhat::Event(next));
-                                break;
-                            }
-                            Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
+                    // Caught so a panic here never unwinds the body of the
+                    // process whose thread happens to run the event. A
+                    // successor in the past is the link's panic too, raised
+                    // where a `schedule_at` inside it would have raised it.
+                    let then = match catch_unwind(AssertUnwindSafe(|| {
+                        let then = f.call(&mut link);
+                        if let Some(then) = &then {
+                            check_not_past(then.at, link.now);
                         }
+                        then
+                    })) {
+                        Ok(then) => then,
+                        Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
+                    };
+                    core = self.core();
+                    if let Some(Then { at, f }) = then {
+                        let seq = link.seq + 1;
+                        core.agenda.push_at_seq(at, seq, WakeWhat::Event(f));
                     }
                 }
                 WakeWhat::Resume(id) => {
@@ -597,8 +602,9 @@ impl SchedShared {
 /// call ([`SimHandle::schedule_series`], [`Then::at`]), and to every
 /// successor it runs in place. It has no public constructor and cannot
 /// outlive the call, so only code running as a link can ask whether its
-/// successor is next — and the dispatch loop asks the same link about a
-/// successor it is handed.
+/// successor is next. It asks without entering the scheduler: its
+/// successor's key against the bound it read at its pop, while nothing has
+/// entered since.
 ///
 /// ```
 /// use des::{Simulation, Then};
@@ -655,8 +661,8 @@ pub struct Link<'a> {
     sched: &'a SchedShared,
     now: Time,
     seq: u64,
-    /// What a successor must come before to be next: the queue's
-    /// [`CalendarQueue::first_key`], and the horizon.
+    /// What a successor must come before to be next: [`Agenda::bound`] at
+    /// this link's pop.
     until: (Time, u64),
     /// [`SchedShared::entries`] when `until` was read, the core held: while
     /// it still reads the same, the queue is as `until` says.
@@ -667,21 +673,13 @@ impl<'a> Link<'a> {
     /// The link popped at `(now, seq)`, on the core it was popped on.
     #[inline]
     fn new(sched: &'a SchedShared, agenda: &Agenda, now: Time, seq: u64) -> Self {
-        let mut link = Link {
+        Link {
             sched,
             now,
             seq,
-            until: (0, 0),
-            mark: 0,
-        };
-        link.read_bound(agenda);
-        link
-    }
-
-    #[inline]
-    fn read_bound(&mut self, agenda: &Agenda) {
-        self.until = agenda.pending.first_key().min((agenda.horizon, u64::MAX));
-        self.mark = self.sched.entries.load(Ordering::Relaxed);
+            until: agenda.bound(),
+            mark: sched.entries.load(Ordering::Relaxed),
+        }
     }
 
     /// A link at `now` that takes no successor in place, for calling an
@@ -709,25 +707,17 @@ impl<'a> Link<'a> {
     /// `at`; the caller runs it on the spot. If not, nothing changed, and
     /// the successor belongs in the queue: return it ([`Then::at`]).
     ///
-    /// Free while nothing has entered the scheduler since the bound was
-    /// read — this link's own `schedule_at`, a notified [`Signal`] — and
-    /// one entry otherwise, to read the queue as it is. A successor in the
+    /// The key is compared against the bound read at this link's pop, and
+    /// never enters the scheduler: once anything has — this link's own
+    /// `schedule_at`, a notified [`Signal`] — the answer is "not next", and
+    /// the successor is queued and popped in its turn. A successor in the
     /// past of the link panics, as scheduling into the past does.
     #[inline]
     pub fn next(&mut self, at: Time) -> bool {
         self.sched.assert_settled("scheduling");
         check_not_past(at, self.now);
         let key = (at, self.seq + 1);
-        if self.sched.entries.load(Ordering::Relaxed) != self.mark {
-            let mut core = self.sched.core();
-            let agenda = &mut core.agenda;
-            self.read_bound(agenda);
-            if key < self.until {
-                // Counted as the loop's top would have counted it, queued.
-                agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len() + 1);
-            }
-        }
-        if key >= self.until {
+        if key >= self.until || self.sched.entries.load(Ordering::Relaxed) != self.mark {
             return false;
         }
         // What the next pop would return runs now; its clock and its
@@ -765,20 +755,17 @@ impl SimHandle {
     /// `t`. Each link runs as a [`Link`]: it may run its successor itself
     /// while [`Link::next`] says that successor is the next entry due, and
     /// returns the first one that is not ([`Then::at`]), or `None`. The
-    /// dispatch loop puts a returned successor to the same question, runs
-    /// it when it is next and queues it otherwise. Hardware models that
+    /// dispatch loop queues a returned successor. Hardware models that
     /// unroll a multi-step activity into a chain of events (a packet's
     /// hops) use this to keep the chain's tie-break order identical to
     /// scheduling every step up front: the `links` tie-break values are
     /// taken here, link `k` fires on the `k`-th, and among entries for the
     /// same virtual time lower values fire first. Every link is a dispatch
     /// at its own `(time, seq)`, counted, clocked and traced as its pop
-    /// would have been, whoever runs it. A link that is next, with nothing
-    /// entering the scheduler since the last look, costs no entry into
-    /// the scheduler — and, run by its predecessor, no trip through the
-    /// dispatch loop either; any other costs the entry the loop makes
-    /// after any event, where scheduling it from inside its predecessor
-    /// cost two.
+    /// would have been, whoever runs it. A link its predecessor runs costs
+    /// no entry into the scheduler and no trip through the dispatch loop;
+    /// a returned one costs the entry the loop makes after any event,
+    /// where scheduling it from inside its predecessor cost two.
     ///
     /// Taking more than `links - 1` successors takes values that belong to
     /// later entries, which breaks the determinism contract (but not
@@ -954,7 +941,7 @@ mod tests {
         s.push(10, WakeWhat::Resume(ProcId(0)));
         s.push(10, WakeWhat::Resume(ProcId(1)));
         let q = &mut s.core().agenda.pending;
-        assert_eq!(q.peek_time(), Some(10));
+        assert_eq!(q.bound(Time::MAX), (10, 0));
         match (q.pop().unwrap(), q.pop().unwrap()) {
             ((10, WakeWhat::Resume(a)), (10, WakeWhat::Resume(b))) => {
                 assert_eq!(a, ProcId(0));
@@ -1014,18 +1001,18 @@ mod tests {
             assert_eq!(report.dispatches, k);
             assert_eq!(log.lock().len() as u64, k);
             // The run (to begin, to dispatch, to report: 3), queueing the
-            // first link (1) and the loop again after the last link's
-            // closure, which returned nothing (1): every successor was next,
-            // with nothing entering in between, and ran without an entry —
-            // whether the loop or its predecessor asked.
-            // History, for the same chain: while the loop entered after
-            // every link to decide on its successor, 3 + 1 + k; before
-            // series, when a chain reserved its tie-break values and each
-            // link pushed the next from inside its closure with one of
-            // them, 3 + 2k + 1 — the reservation, the first link's push, the
-            // loop's own entry behind every link, and behind all but the
-            // last the push its closure made.
-            assert_eq!(entered_since(&sched, mark), 3 + 1 + 1, "{k} links");
+            // first link (1) and the loop again after each closure it
+            // called: once when every successor was next and its
+            // predecessor, asking, ran it without an entry; k times when
+            // each link returned its successor without asking, to be queued.
+            // History, for the same chain: before series, when a chain
+            // reserved its tie-break values and each link pushed the next
+            // from inside its closure with one of them, 3 + 2k + 1 — the
+            // reservation, the first link's push, the loop's own entry
+            // behind every link, and behind all but the last the push its
+            // closure made.
+            let after = if runs_on { 1 } else { k };
+            assert_eq!(entered_since(&sched, mark), 3 + 1 + after, "{k} links");
         }
     }
 
@@ -1076,28 +1063,11 @@ mod tests {
         sim.handle().sched.core().agenda.pending.pushes()
     }
 
-    #[test]
-    fn a_series_whose_links_are_each_next_pushes_once() {
-        for k in [1, 2, 15] {
-            let mut sim = Simulation::new();
-            let log = Arc::new(Mutex::new(Vec::new()));
-            sim.handle()
-                .schedule_series(100, k, link(Arc::clone(&log), 0, k, 80, false));
-            let report = sim.run();
-            assert_eq!(report.dispatches, k);
-            assert_eq!(report.end_time, 100 + 80 * (k - 1));
-            // Only the first link goes through the queue; every successor
-            // is the next entry due and runs on the spot. (Before, each
-            // was pushed and popped again — k pushes — all of them through
-            // the one slot the previous pop had freed.)
-            assert_eq!(pushes(&sim), 1, "{k} links");
-            assert_eq!(sim.handle().sched.core().agenda.pending.slab_slots(), 1);
-        }
-    }
-
-    /// The twin of [`a_series_whose_links_are_each_next_pushes_once`] whose
-    /// links ask for themselves: the same dispatches, clock and push, and
-    /// the whole series is the one call the first link's pop makes.
+    /// A series whose links each run the next: only the first link goes
+    /// through the queue, and the whole series is the one call its pop
+    /// makes. (A link that returns its successor instead has it pushed and
+    /// popped again — k pushes — all through the one slot the previous pop
+    /// freed.)
     #[test]
     fn a_series_whose_links_each_run_the_next_is_one_call() {
         for k in [1, 2, 15] {
@@ -1114,6 +1084,7 @@ mod tests {
             assert_eq!(report.dispatches, k);
             assert_eq!(report.end_time, 100 + 80 * (k - 1));
             assert_eq!(pushes(&sim), 1, "{k} links");
+            assert_eq!(sim.handle().sched.core().agenda.pending.slab_slots(), 1);
             assert_eq!(calls.load(Ordering::Relaxed), 1, "{k} links");
             let times: Vec<Time> = log.lock().iter().map(|&(_, _, t)| t).collect();
             assert_eq!(times, (0..k).map(|i| 100 + 80 * i).collect::<Vec<_>>());
@@ -1261,10 +1232,9 @@ mod tests {
         mixed_world(true);
     }
 
-    /// Links at 10, 20 and 30 µs, each next, so the second and third run
-    /// without entering the core; the third schedules at 25 µs. That push
-    /// is the first entry since the first link's pop, and it checks against
-    /// the clock the links left — the third's time, not the first's.
+    /// Links at 10, 20 and 30 µs, each returned and queued; the third
+    /// schedules at 25 µs, which checks against the run's clock — the third
+    /// link's time, not the first's.
     #[test]
     #[should_panic(expected = "a run that is at 30000 ns")]
     fn a_link_run_without_entering_schedules_against_its_own_time() {
@@ -1283,7 +1253,9 @@ mod tests {
     }
 
     /// The same three links as one closure that runs the second and the
-    /// third itself.
+    /// third itself, without entering the core: the push at 25 µs is the
+    /// first entry since the first link's pop, and it checks against the
+    /// clock the links left.
     #[test]
     #[should_panic(expected = "a run that is at 30000 ns")]
     fn a_link_run_without_entering_schedules_against_its_own_time_when_its_link_asks() {
@@ -1299,9 +1271,9 @@ mod tests {
         sim.run();
     }
 
-    /// A link run without entering that panics: the clock stays at its
-    /// time, as when the loop entered to run it, and the next run counts
-    /// only its own. Captured with every successor run inside the core.
+    /// A third link that panics: the clock stays at its time, and the next
+    /// run counts only its own. Captured with every successor run inside
+    /// the core.
     fn panics_after_running_on(first: impl FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static) {
         let mut sim = Simulation::new();
         let h = sim.handle();
@@ -1335,11 +1307,12 @@ mod tests {
     }
 
     /// A link whose closure notifies a waiting process enters the core to
-    /// queue its `Resume`, so the question whether its successor is next
-    /// enters again, and finds it behind nothing; that successor's own
-    /// successor is behind the `Resume`, and takes the queue. Pops stay in
-    /// `(time, seq)` order.
-    fn notifies(runs_on: bool) {
+    /// queue its `Resume`, so its successor is not next by the only answer
+    /// a link gets without entering, and takes the queue — where it is
+    /// behind nothing; that successor's own successor is behind the
+    /// `Resume`, and takes the queue too. Pops stay in `(time, seq)` order.
+    #[test]
+    fn a_link_that_notifies_sends_its_successor_through_the_queue() {
         let mut sim = Simulation::new();
         let h = sim.handle();
         let signal = h.new_signal();
@@ -1354,31 +1327,16 @@ mod tests {
             logs.lock().push(('s', 0, l.now()));
             signal.notify_at(20);
             let notified = entries(&sched);
-            let second = move |l: &mut Link<'_>| {
+            assert!(!l.next(20), "something entered since the pop");
+            Some(Then::at(20, move |l| {
                 assert_eq!(entries(&sched), notified + 1, "the successor took the core");
-                link(logs, 1, 3, 10, runs_on)(l)
-            };
-            if runs_on {
-                assert!(l.next(20));
-                second(l)
-            } else {
-                Some(Then::at(20, second))
-            }
+                link(logs, 1, 3, 10, true)(l)
+            }))
         });
         assert!(sim.run().is_clean());
         assert_eq!(
             *log.lock(),
             [('s', 0, 10), ('s', 1, 20), ('w', 0, 20), ('s', 2, 30)]
         );
-    }
-
-    #[test]
-    fn a_link_that_notifies_sends_its_successor_through_the_core() {
-        notifies(false);
-    }
-
-    #[test]
-    fn a_link_that_notifies_sends_its_successor_through_the_core_when_its_link_asks() {
-        notifies(true);
     }
 }

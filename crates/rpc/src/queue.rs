@@ -53,7 +53,8 @@ pub struct QueueStats {
     pub normal_dispatched: u64,
     /// Replies sent.
     pub replied: u64,
-    /// Frames too short to carry a header, dropped on arrival.
+    /// Frames too short to carry a header or too long for a pool buffer,
+    /// dropped on arrival.
     pub malformed: u64,
     /// High-water mark of buffers simultaneously out of the free pool.
     pub max_residency: usize,
@@ -109,18 +110,19 @@ impl MessageQueue {
     /// Accept arrived requests into the pool, classifying by priority.
     /// Stops when the pool is exhausted (remaining requests wait on the
     /// billboard — that is the backpressure). A frame too short to carry
-    /// a header is counted ([`QueueStats::malformed`]) and dropped.
+    /// a header or too long for a buffer is counted
+    /// ([`QueueStats::malformed`]) and dropped, its buffer back in the pool.
     /// Returns how many requests arrived.
     pub fn poll(&mut self, ctx: &mut ProcCtx) -> usize {
         let rank = self.ep.rank() as u32;
         let mut accepted = 0;
-        while let Some(mut buf) = self.free.pop() {
-            let Some((src, len)) = self.ep.try_recv_any_into(ctx, buf.frame_mut()) else {
+        while let Some(buf) = self.free.pop() {
+            let Some((src, frame)) = self.ep.try_recv_any(ctx) else {
                 self.free.push(buf);
                 break;
             };
             let trace = ctx.obs().current_rx(rank);
-            let req = match Request::arrived(buf, src, len, ctx.now(), trace) {
+            let req = match Request::arrived(buf, src, &frame, ctx.now(), trace) {
                 Ok(req) => req,
                 Err(buf) => {
                     self.stats.malformed += 1;

@@ -1,7 +1,8 @@
 //! The one reply path (`dispatch → reply → flush`) against the endpoint
 //! configurations it reads its behaviour from, and the two inputs the
-//! layer refuses typed instead of by panic or by hang: a runt frame and
-//! an overcommitted client.
+//! layer refuses typed instead of by panic or by hang: a frame no buffer
+//! can take as a request (a runt, or one too long) and an overcommitted
+//! client.
 
 use bbp::{BbpCluster, BbpConfig, CreditConfig};
 use des::Simulation;
@@ -91,17 +92,17 @@ fn replies_behind_a_held_one_survive_the_flush() {
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
 }
 
-/// A frame too short to carry a header is a peer's mistake, not the
+/// A frame the pool cannot take as a request — too short to carry a
+/// header, or longer than a buffer — is a peer's mistake, not the
 /// server's: counted, dropped, and the request behind it is served.
-#[test]
-fn a_runt_frame_is_counted_not_fatal() {
+fn a_bad_frame_is_counted_not_fatal(frame: &'static [u8]) {
     let mut sim = Simulation::new();
     let c = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(2));
     let (client_ep, server_ep) = (c.endpoint(0), c.endpoint(1));
 
     sim.spawn("client", move |ctx| {
         let mut cl = RpcClient::new(client_ep, 1, 1, 2, BODY).unwrap();
-        cl.endpoint_mut().send(ctx, 1, &[1, 2, 3]).unwrap();
+        cl.endpoint_mut().send(ctx, 1, frame).unwrap();
         cl.try_request(ctx, 0, Priority::Normal, b"ping").unwrap();
         while cl.stats().completed < 1 {
             ctx.advance(2_000);
@@ -122,11 +123,21 @@ fn a_runt_frame_is_counted_not_fatal() {
         }
         let st = mq.stats();
         assert_eq!((st.malformed, st.polled, st.replied), (1, 1, 1));
-        assert_eq!(mq.in_flight(), 0, "the runt's buffer went back to the pool");
+        assert_eq!(mq.in_flight(), 0, "its buffer went back to the pool");
     });
 
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+}
+
+#[test]
+fn a_runt_frame_is_counted_not_fatal() {
+    a_bad_frame_is_counted_not_fatal(&[1, 2, 3]);
+}
+
+#[test]
+fn an_oversized_frame_is_counted_not_fatal() {
+    a_bad_frame_is_counted_not_fatal(&[7; rpc::HEADER_BYTES + BODY + 1]);
 }
 
 /// The one configuration that never terminates cannot be built: grants

@@ -7,7 +7,9 @@
 //! at a time: the scheduler trace's `(time, kind)` sequence, the run's
 //! dispatches, peak queue depth and end time, the ring's statistics, the
 //! single-writer conflicts (a second run with provenance on, where writers
-//! share words) and the watched node's delivered stream.
+//! share words) and the watched node's delivered stream. A third run has a
+//! process waiting on the watch's signal, so every interrupting apply
+//! enters the scheduler in the middle of a packet's hops.
 //!
 //! A mismatch prints the observed pin as a `Pin { .. }` literal. Re-bless
 //! only for a deliberate change of simulated behaviour.
@@ -22,6 +24,9 @@ const PACKETS_PER_NODE: usize = 200;
 const WORDS: u32 = 16;
 /// The node whose bank is watched and whose deliveries are recorded.
 const OBSERVED: usize = 5;
+/// After the last packet's last hop: where the watching process, if there
+/// is one, is notified for the last time and stops waiting.
+const WATCH_END: Time = 40_000_000;
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -55,8 +60,10 @@ struct Pin {
 
 /// Every node sources its packets 1 µs apart, the sources staggered
 /// 125 ns, each packet rescheduling the next. Node `n` writes at
-/// `(n * 32) % 384`, so nodes twelve apart share their words.
-fn storm(provenance: bool) -> Pin {
+/// `(n * 32) % 384`, so nodes twelve apart share their words. With
+/// `waiter`, a process waits on the watched node's signal until
+/// [`WATCH_END`].
+fn storm(provenance: bool, waiter: bool) -> Pin {
     let mut sim = Simulation::new();
     sim.enable_trace();
     let handle = sim.handle();
@@ -72,7 +79,17 @@ fn storm(provenance: bool) -> Pin {
             ..Default::default()
         },
     );
-    ring.nic(OBSERVED).watch(64..80, handle.new_signal());
+    let signal = handle.new_signal();
+    ring.nic(OBSERVED).watch(64..80, signal.clone());
+    if waiter {
+        let waits = signal.clone();
+        sim.spawn("watcher", move |ctx| {
+            while ctx.now() < WATCH_END {
+                ctx.wait(&waits);
+            }
+        });
+        handle.schedule_at(WATCH_END, move |t| signal.notify_at(t));
+    }
     let delivered = ring.record_deliveries(OBSERVED);
 
     fn tick(ring: Ring, node: usize, i: usize, t: Time) {
@@ -150,7 +167,7 @@ fn stats() -> RingStats {
 #[test]
 fn a_recorded_storm_is_what_it_was() {
     assert_eq!(
-        storm(false),
+        storm(false, false),
         Pin {
             trace_entries: 51_200,
             trace_hash: 17_439_416_010_973_015_473,
@@ -169,7 +186,7 @@ fn a_recorded_storm_is_what_it_was() {
 #[test]
 fn a_recorded_storm_with_provenance_is_what_it_was() {
     assert_eq!(
-        storm(true),
+        storm(true, false),
         Pin {
             trace_entries: 51_200,
             trace_hash: 17_439_416_010_973_015_473,
@@ -179,6 +196,28 @@ fn a_recorded_storm_with_provenance_is_what_it_was() {
             stats: stats(),
             conflicts: 333_856,
             conflicts_hash: 15_240_745_891_870_324_517,
+            deliveries: 3_200,
+            deliveries_hash: 5_019_945_377_121_471_979,
+        }
+    );
+}
+
+/// The storm with a process waiting on the watched node's interrupts:
+/// each wake is queued from inside the hop that raised it, so the hop's
+/// successor is decided with something new in the scheduler.
+#[test]
+fn a_recorded_storm_with_a_waiting_process_is_what_it_was() {
+    assert_eq!(
+        storm(false, true),
+        Pin {
+            trace_entries: 51_620,
+            trace_hash: 17_310_081_067_377_108_651,
+            dispatches: 51_411,
+            peak_queue_depth: 3_184,
+            end_time: WATCH_END,
+            stats: stats(),
+            conflicts: 0,
+            conflicts_hash: Fnv::new().0,
             deliveries: 3_200,
             deliveries_hash: 5_019_945_377_121_471_979,
         }
