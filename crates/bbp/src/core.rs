@@ -701,14 +701,16 @@ impl Core {
 
     /// Hand `msg` to the application: read its payload (unless the caller
     /// has just `fetched` it into [`Core::payload`], and checked it),
-    /// toggle the ACK bit, return the bytes.
+    /// toggle the ACK bit, return its length. The bytes stay in
+    /// [`Core::payload`] for [`Core::copy_delivered`] or
+    /// [`Core::delivered`] to take.
     pub(crate) fn deliver(
         &mut self,
         ctx: &mut ProcCtx,
         src: usize,
         msg: &PendingMsg,
         fetched: bool,
-    ) -> Vec<u8> {
+    ) -> usize {
         let rank = self.rank as u32;
         ctx.obs().span_enter(ctx.now(), rank, Layer::Bbp, "deliver");
         if !fetched {
@@ -726,7 +728,19 @@ impl Core {
         self.lifecycle(ctx, msg.trace, Stage::Deliver, msg.len_bytes as u64);
         ctx.obs().set_current_rx(rank, msg.trace);
         ctx.obs().span_exit(ctx.now(), rank, Layer::Bbp, "deliver");
-        unpack_bytes(&self.payload, msg.len_bytes)
+        msg.len_bytes
+    }
+
+    /// The first `out.len()` bytes of the last delivery, into `out`.
+    pub(crate) fn copy_delivered(&self, out: &mut [u8]) {
+        unpack_into(&self.payload, out);
+    }
+
+    /// The last delivery, `len` bytes long, as a `Vec` of its own.
+    pub(crate) fn delivered(&self, len: usize) -> Vec<u8> {
+        let mut out = vec![0; len];
+        self.copy_delivered(&mut out);
+        out
     }
 }
 
@@ -741,14 +755,12 @@ fn pack_words_into(bytes: &[u8], out: &mut Vec<Word>) {
     }));
 }
 
-/// Inverse of [`pack_words_into`], truncating to `len` bytes.
-fn unpack_bytes(words: &[Word], len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+/// Inverse of [`pack_words_into`]: the first `out.len()` bytes `words`
+/// carry, into `out`.
+fn unpack_into(words: &[Word], out: &mut [u8]) {
+    for (bytes, w) in out.chunks_mut(4).zip(words) {
+        bytes.copy_from_slice(&w.to_le_bytes()[..bytes.len()]);
     }
-    out.truncate(len);
-    out
 }
 
 /// Extend a wrapping 32-bit sequence number against the highest extended
@@ -863,7 +875,9 @@ mod tests {
             let bytes: Vec<u8> = (0..len as u8).collect();
             let words = pack_words(&bytes);
             assert_eq!(words.len(), len.div_ceil(4));
-            assert_eq!(unpack_bytes(&words, len), bytes);
+            let mut back = vec![0xAA; len];
+            unpack_into(&words, &mut back);
+            assert_eq!(back, bytes);
         }
     }
 

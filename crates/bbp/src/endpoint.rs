@@ -408,7 +408,8 @@ impl BbpEndpoint {
     /// [`BbpError::Corrupt`], an empty wait as [`BbpError::Timeout`].
     pub fn recv(&mut self, ctx: &mut ProcCtx, src: usize) -> Result<Vec<u8>, BbpError> {
         self.assert_source(src);
-        self.recv_blocking(ctx, Some(src)).map(|(_, data)| data)
+        let (_, len) = self.recv_blocking(ctx, Some(src))?;
+        Ok(self.core.delivered(len))
     }
 
     /// Blocking receive from any sender, round-robin fair across sources.
@@ -416,7 +417,8 @@ impl BbpEndpoint {
     /// [`BbpEndpoint::recv`] (a timeout reports the lowest-ranked
     /// candidate source as the peer).
     pub fn recv_any(&mut self, ctx: &mut ProcCtx) -> Result<(usize, Vec<u8>), BbpError> {
-        self.recv_blocking(ctx, None)
+        let (src, len) = self.recv_blocking(ctx, None)?;
+        Ok((src, self.core.delivered(len)))
     }
 
     fn assert_source(&self, src: usize) {
@@ -430,11 +432,13 @@ impl BbpEndpoint {
     /// what is pending, else poll and (with nothing detected) wait; after
     /// every round, service the membership engine and check the typed
     /// ways out — frozen, a corrupt message dropped, the deadline.
+    /// Returns the source and the length of the message [`Core::deliver`]
+    /// left in place.
     fn recv_blocking(
         &mut self,
         ctx: &mut ProcCtx,
         only: Option<usize>,
-    ) -> Result<(usize, Vec<u8>), BbpError> {
+    ) -> Result<(usize, usize), BbpError> {
         self.check_frozen()?;
         let rank = self.core.rank;
         ctx.obs()
@@ -451,11 +455,11 @@ impl BbpEndpoint {
                 .find(|&s| self.core.has_pending(Some(s)));
             if let Some(s) = ready {
                 let msg = self.core.pop_pending(s).expect("just seen pending");
-                if let Some(data) = self.consume(ctx, s, msg) {
+                if let Some(len) = self.consume(ctx, s, msg) {
                     if only.is_none() {
                         self.core.served(s);
                     }
-                    break Ok((s, data));
+                    break Ok((s, len));
                 }
                 // Rejected: re-check the ways out before the next source.
             } else {
@@ -507,27 +511,47 @@ impl BbpEndpoint {
     /// are spent) and the call reports "nothing deliverable".
     pub fn try_recv(&mut self, ctx: &mut ProcCtx, src: usize) -> Option<Vec<u8>> {
         self.assert_source(src);
-        self.try_take(ctx, Some(src)).map(|(_, data)| data)
+        let (_, len) = self.try_take(ctx, Some(src))?;
+        Some(self.core.delivered(len))
     }
 
     /// Non-blocking receive from any source (one sweep).
     pub fn try_recv_any(&mut self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)> {
-        self.try_take(ctx, None)
+        let (src, len) = self.try_take(ctx, None)?;
+        Some((src, self.core.delivered(len)))
+    }
+
+    /// [`BbpEndpoint::try_recv_any`] straight into `buf`, with no `Vec` in
+    /// between. Returns the source rank and the message's length, which
+    /// the caller reads before it trusts `buf`: a message longer than
+    /// `buf` is consumed all the same (acknowledged and counted, so its
+    /// sender's slot comes back) but nothing of it is copied.
+    pub fn try_recv_any_into(
+        &mut self,
+        ctx: &mut ProcCtx,
+        buf: &mut [u8],
+    ) -> Option<(usize, usize)> {
+        let (src, len) = self.try_take(ctx, None)?;
+        if let Some(dst) = buf.get_mut(..len) {
+            self.core.copy_delivered(dst);
+        }
+        Some((src, len))
     }
 
     /// One sweep if nothing is pending, then the first deliverable message
-    /// from `only`, or from anyone in round-robin order.
-    fn try_take(&mut self, ctx: &mut ProcCtx, only: Option<usize>) -> Option<(usize, Vec<u8>)> {
+    /// from `only`, or from anyone in round-robin order: its source and
+    /// the length of what [`Core::deliver`] left in place.
+    fn try_take(&mut self, ctx: &mut ProcCtx, only: Option<usize>) -> Option<(usize, usize)> {
         if !self.core.has_pending(only) {
             self.poll(ctx, only);
         }
         for s in self.core.sources(only) {
             if let Some(msg) = self.core.pop_pending(s) {
-                if let Some(data) = self.consume(ctx, s, msg) {
+                if let Some(len) = self.consume(ctx, s, msg) {
                     if only.is_none() {
                         self.core.served(s);
                     }
-                    return Some((s, data));
+                    return Some((s, len));
                 }
             }
         }
@@ -576,8 +600,8 @@ impl BbpEndpoint {
         self.assert_source(src);
         loop {
             if let Some(msg) = self.core.pop_pending(src) {
-                if let Some(data) = self.consume(ctx, src, msg) {
-                    return Some(data);
+                if let Some(len) = self.consume(ctx, src, msg) {
+                    return Some(self.core.delivered(len));
                 }
             }
             if ctx.now() >= deadline {
@@ -606,27 +630,25 @@ impl BbpEndpoint {
         }
     }
 
-    /// Blocking receive from `src` into a caller-provided buffer: the
-    /// message is delivered as [`BbpEndpoint::recv`] delivers it (an owned
-    /// `Vec`) and then copied into `buf`, so this is a convenience for
-    /// callers that keep one buffer, not a way around the allocation.
-    /// Returns the message length; panics if `buf` is too small — size it
-    /// with [`crate::BbpConfig::max_payload_bytes`].
+    /// Blocking receive from `src` straight into a caller-provided
+    /// buffer, with no `Vec` in between. Returns the message length;
+    /// panics if `buf` is too small — size it with
+    /// [`crate::BbpConfig::max_payload_bytes`].
     pub fn recv_into(
         &mut self,
         ctx: &mut ProcCtx,
         src: usize,
         buf: &mut [u8],
     ) -> Result<usize, BbpError> {
-        let msg = self.recv(ctx, src)?;
+        self.assert_source(src);
+        let (_, len) = self.recv_blocking(ctx, Some(src))?;
         assert!(
-            buf.len() >= msg.len(),
-            "recv_into buffer of {} bytes cannot hold a {}-byte message",
-            buf.len(),
-            msg.len()
+            buf.len() >= len,
+            "recv_into buffer of {} bytes cannot hold a {len}-byte message",
+            buf.len()
         );
-        buf[..msg.len()].copy_from_slice(&msg);
-        Ok(msg.len())
+        self.core.copy_delivered(&mut buf[..len]);
+        Ok(len)
     }
 
     /// One poll sweep of `only`'s flag word, or of everyone's.
@@ -645,8 +667,9 @@ impl BbpEndpoint {
     /// reliability extension this is unconditional ([`Core::deliver`], the
     /// paper's protocol); with it, the message must first pass the epoch
     /// fence (quorum mode) and [`Reliable::verify_and_deliver`]. Returns
-    /// `None` when the message was held back, re-queued or dropped.
-    fn consume(&mut self, ctx: &mut ProcCtx, src: usize, msg: PendingMsg) -> Option<Vec<u8>> {
+    /// the delivered length, or `None` when the message was held back,
+    /// re-queued or dropped.
+    fn consume(&mut self, ctx: &mut ProcCtx, src: usize, msg: PendingMsg) -> Option<usize> {
         let Some(rel) = &mut self.reliable else {
             return Some(self.core.deliver(ctx, src, &msg, false));
         };

@@ -461,8 +461,8 @@ impl Members {
             }
             // Grade transitions as a step series keyed by the graded
             // peer, valued by `PeerHealth`'s discriminant (3 = Partitioned,
-            // recorded at the freeze site). The health monitor's
-            // `step_rate_below` reads this as a flap detector.
+            // recorded at the freeze site): a counter track in a Chrome
+            // trace, and a series a health rule can judge.
             if t.health != grade_before {
                 let grade = t.health as u64;
                 ctx.obs()

@@ -239,16 +239,17 @@ impl Reliable {
     /// Deliver a detected message only once it checks out: the descriptor
     /// is re-read as authoritative, bounds- and CRC-verified, and checked
     /// against the per-sender sequence before a single payload byte is
-    /// trusted. Returns `None` when the message was a duplicate/phantom
-    /// (dropped) or failed verification (NACKed and re-queued, or dropped
-    /// once its verification retries are spent).
+    /// trusted. Returns the delivered length ([`Core::deliver`]), or
+    /// `None` when the message was a duplicate/phantom (dropped) or failed
+    /// verification (NACKed and re-queued, or dropped once its
+    /// verification retries are spent).
     pub(crate) fn verify_and_deliver(
         &mut self,
         ctx: &mut ProcCtx,
         core: &mut Core,
         src: usize,
         mut msg: PendingMsg,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<usize> {
         // Re-read the descriptor at delivery time: the posting flag only
         // proves *some* toggle replicated; the words we captured at poll
         // time may predate a retransmission repair.

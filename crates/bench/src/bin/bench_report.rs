@@ -35,8 +35,8 @@ use std::process::ExitCode;
 
 use bench::{
     bbp_pingpong, crossover, layering_log_histogram, mpi_barrier_run, mpi_bcast_events_telemetry,
-    mpi_one_way_us, mpi_pingpong, one_way_samples, one_way_us, print_table,
-    quorum_partition_counters, report, report_anchor, MpiNet, Series,
+    mpi_one_way_us, mpi_pingpong, one_way_samples, one_way_us, print_table, report, report_anchor,
+    MpiNet, Series,
 };
 use des::Time;
 use obs::report::PAPER_LAYERING_US;
@@ -192,12 +192,10 @@ fn run() -> Result<(), String> {
     }
 
     // Per-layer attribution of a 4-node MPI_Bcast, with continuous
-    // telemetry: the same run feeds the report's `timeseries` section
-    // and the Chrome counter tracks.
+    // telemetry for the Chrome trace's counter tracks.
     let bcast_len = if args.quick { 256 } else { 1024 };
     let (bcast_us, events, series) =
         mpi_bcast_events_telemetry(MpiNet::Scramnet, bcast_len, 4, CollectiveImpl::Native);
-    report::push_timeseries(&series);
     let breakdown = obs::attribute(&events);
     report::set_layers(&breakdown);
     println!("\n== MPI_Bcast {bcast_len} B on 4 nodes: {bcast_us:.1} µs, per-layer self time ==");
@@ -221,18 +219,6 @@ fn run() -> Result<(), String> {
     if args.messages {
         print_waterfalls(&events, bcast_len);
     }
-
-    // Partition-tolerance counters (the `quorum` section): a
-    // short quorum scenario cutting off a 2-node minority.
-    let quorum = quorum_partition_counters(1);
-    println!("\n== quorum partition counters (5 nodes, minority {{0,1}} cut) ==");
-    for q in &quorum {
-        println!(
-            "  node {}: {} stale-epoch rejects, {} freezes, {} epoch bumps",
-            q.node, q.stale_epoch_rejects, q.freezes, q.epoch_bumps
-        );
-    }
-    report::push_quorum(quorum);
 
     // Per-repetition latency distributions.
     let (bbp0, mpi0) = (

@@ -414,75 +414,6 @@ pub fn bbp_pingpong_samples(len: usize, nodes: usize) -> Vec<Time> {
     one_way_samples(&bbp_pingpong(len, nodes))
 }
 
-/// A short quorum partition scenario feeding the report's `quorum`
-/// section (schema v6): 5 quorum-enforced nodes, a persistent cut
-/// isolating the minority {0, 1}. The majority {2, 3, 4} detects the
-/// loss, commits an exclusion view (epoch bumps), the minority freezes
-/// (partitions detected), and a cross-cut descriptor left in flight at
-/// the cut is fenced under its stale sender epoch. Returns the
-/// per-node partition-tolerance counters at cell end.
-pub fn quorum_partition_counters(seed: u64) -> Vec<obs::report::QuorumRow> {
-    let n = 5;
-    let onset = des::us(100 + (seed % 7) * 30);
-    let end = des::ms(3);
-
-    let plan = scramnet::FaultPlan::new(seed)
-        .at(onset)
-        .partition(1, 4, scramnet::fault::FOREVER);
-    let mut sim = Simulation::new();
-    let cluster = bbp::BbpCluster::with_hardware(
-        &sim.handle(),
-        BbpConfig::quorum_for_nodes(n),
-        scramnet::CostModel::default(),
-        plan.ring_config(),
-    );
-    plan.arm(cluster.ring());
-
-    let stats: Arc<Mutex<Vec<bbp::EndpointStats>>> =
-        Arc::new(Mutex::new(vec![bbp::EndpointStats::default(); n]));
-    for rank in 0..n {
-        let mut ep = cluster.endpoint(rank);
-        let stats = Arc::clone(&stats);
-        sim.spawn(format!("n{rank}"), move |ctx| {
-            let mut bait_sent = false;
-            while ctx.now() < end {
-                ep.membership_tick(ctx);
-                // The fencing bait: rank 0 posts toward the far side
-                // right before the cut; rank 2 only polls that channel
-                // once the exclusion epoch is committed, so the pending
-                // descriptor is consumed under a stale sender epoch.
-                if rank == 0 && !bait_sent && ctx.now() >= onset.saturating_sub(des::us(60)) {
-                    bait_sent = true;
-                    let _ = ep.send(ctx, 2, b"left in flight");
-                }
-                if rank == 2 && ctx.now() >= onset + des::us(800) {
-                    let _ = ep.try_recv(ctx, 0);
-                }
-                ctx.advance(des::us(10));
-            }
-            stats.lock()[rank] = ep.stats().clone();
-        });
-    }
-    let report = sim.run();
-    assert!(
-        report.is_clean(),
-        "quorum partition scenario deadlocked: {:?}",
-        report.deadlocked
-    );
-    let rows = stats
-        .lock()
-        .iter()
-        .enumerate()
-        .map(|(rank, s)| obs::report::QuorumRow {
-            node: rank as u32,
-            stale_epoch_rejects: s.stale_epoch_rejects,
-            freezes: s.partitions_detected,
-            epoch_bumps: s.epoch_bumps,
-        })
-        .collect();
-    rows
-}
-
 /// Per-repetition one-way MPI latencies at `len` bytes: one nanosecond
 /// sample per timed round trip, in repetition order.
 pub fn mpi_pingpong_samples(net: MpiNet, len: usize) -> Vec<Time> {
@@ -519,7 +450,7 @@ pub fn mpi_bcast_events(
 /// [`mpi_bcast_events`] with continuous telemetry: the timed broadcast
 /// also samples every layer's gauge series (FIFO backlogs, send-slot
 /// residency, unexpected-queue lengths, …), returned alongside the
-/// span events for counter tracks or the report's `timeseries` section.
+/// span events for the Chrome trace's counter tracks.
 pub fn mpi_bcast_events_telemetry(
     net: MpiNet,
     len: usize,

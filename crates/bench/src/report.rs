@@ -192,21 +192,6 @@ pub fn push_message(w: &obs::MessageWaterfall) {
     });
 }
 
-/// Record continuous-gauge series into the report's `timeseries`
-/// section, one summary row per series.
-pub fn push_timeseries(series: &[obs::SeriesSnapshot]) {
-    with(|r| {
-        r.timeseries
-            .extend(series.iter().map(obs::report::TimeseriesRow::from_snapshot));
-    });
-}
-
-/// Record per-node partition-tolerance counters into the report's
-/// `quorum` section.
-pub fn push_quorum(rows: Vec<obs::report::QuorumRow>) {
-    with(|r| r.quorum.extend(rows));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

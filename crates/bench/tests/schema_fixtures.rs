@@ -78,11 +78,3 @@ fn a_key_too_many_or_out_of_order_is_caught_though_the_document_validates() {
         .unwrap_err()
         .contains("report.anchors[1] has keys"));
 }
-
-#[test]
-fn the_fixture_exercises_the_timeseries_and_quorum_sections() {
-    let doc = parse(&fixture()).unwrap();
-    for section in ["timeseries", "quorum"] {
-        assert!(doc.items(section).count() > 0, "fixture has no {section}");
-    }
-}

@@ -8,13 +8,8 @@
 //!
 //! - [`never_above`](HealthSpec::never_above) — the series' max must
 //!   never exceed a threshold (pool residency, park bounds);
-//! - [`sustained_above`](HealthSpec::sustained_above) — the series may
-//!   spike over a threshold but must not *stay* there for a full
-//!   sim-time window (backlog that never recovers);
 //! - [`settles_to_zero_by`](HealthSpec::settles_to_zero_by) — the
-//!   series must be zero from a deadline onward (drain checks);
-//! - [`step_rate_below`](HealthSpec::step_rate_below) — at most N value
-//!   changes inside any sliding window (membership flap detection).
+//!   series must be zero from a deadline onward (drain checks).
 //!
 //! Evaluation consumes a [`Telemetry::snapshot`] and produces typed
 //! [`Violation`]s carrying the offending metric, node, and sim-time
@@ -24,11 +19,11 @@
 //! ([`Finding::Unsampled`]): a judge that passes because the gauge was
 //! never wired is no judge.
 //!
-//! Resolution caveat: rules are evaluated at the series' current bucket
-//! granularity. `sustained_above` uses bucket *minima* (no false
-//! positives from transient spikes) and `step_rate_below` only counts
-//! windows no wider than requested, so downsampling can make a rule
-//! *miss* a marginal violation but never invent one.
+//! Resolution caveat: rules read bucket maxima. `never_above`'s verdict
+//! survives downsampling exactly (a merged bucket's max is its halves');
+//! `settles_to_zero_by` judges a bucket that straddles the deadline as
+//! past it, so a coarse series can flag a drain that finished just
+//! before the deadline but never pass one that did not.
 //!
 //! [`Telemetry::snapshot`]: crate::timeseries::Telemetry::snapshot
 
@@ -38,10 +33,8 @@ use crate::Time;
 /// One declarative rule (see [`HealthSpec`] builder methods).
 #[derive(Debug, Clone)]
 enum RuleKind {
-    SustainedAbove { threshold: f64, window_ns: Time },
     NeverAbove { threshold: f64 },
     SettlesToZeroBy { deadline_ns: Time },
-    StepRateBelow { max_steps: u64, window_ns: Time },
 }
 
 #[derive(Debug, Clone)]
@@ -58,18 +51,10 @@ impl Rule {
             None => self.metric.clone(),
         };
         match &self.kind {
-            RuleKind::SustainedAbove {
-                threshold,
-                window_ns,
-            } => format!("sustained_above({scope} > {threshold} for {window_ns}ns)"),
             RuleKind::NeverAbove { threshold } => format!("never_above({scope} <= {threshold})"),
             RuleKind::SettlesToZeroBy { deadline_ns } => {
                 format!("settles_to_zero_by({scope}, {deadline_ns}ns)")
             }
-            RuleKind::StepRateBelow {
-                max_steps,
-                window_ns,
-            } => format!("step_rate_below({scope} <= {max_steps} steps per {window_ns}ns)"),
         }
     }
 }
@@ -100,8 +85,9 @@ pub struct Violation {
     /// Sim-time window `[t0, t1]` where the rule broke (`(0, 0)` when
     /// unsampled).
     pub window: (Time, Time),
-    /// The observed value that broke the rule (threshold excess, final
-    /// residue, or step count, depending on the rule; 0 when unsampled).
+    /// The observed value that broke the rule (the bucket maximum over
+    /// the threshold, or the residue past the deadline; 0 when
+    /// unsampled).
     pub observed: f64,
 }
 
@@ -136,21 +122,6 @@ impl HealthSpec {
         Self::default()
     }
 
-    /// Fail if `metric` stays strictly above `threshold` for a
-    /// contiguous sim-time span of at least `window_ns`. A series that
-    /// spikes and recovers inside the window passes.
-    pub fn sustained_above(mut self, metric: &str, threshold: f64, window_ns: Time) -> Self {
-        self.rules.push(Rule {
-            metric: metric.to_string(),
-            node: None,
-            kind: RuleKind::SustainedAbove {
-                threshold,
-                window_ns,
-            },
-        });
-        self
-    }
-
     /// Fail if `metric` ever exceeds `threshold`.
     pub fn never_above(mut self, metric: &str, threshold: f64) -> Self {
         self.rules.push(Rule {
@@ -169,22 +140,6 @@ impl HealthSpec {
             metric: metric.to_string(),
             node: None,
             kind: RuleKind::SettlesToZeroBy { deadline_ns },
-        });
-        self
-    }
-
-    /// Fail if `metric` changes value more than `max_steps` times
-    /// inside any sliding window of `window_ns`. The flap detector:
-    /// a membership grade bouncing Alive↔Suspected trips this even
-    /// when its min/max envelope looks calm.
-    pub fn step_rate_below(mut self, metric: &str, max_steps: u64, window_ns: Time) -> Self {
-        self.rules.push(Rule {
-            metric: metric.to_string(),
-            node: None,
-            kind: RuleKind::StepRateBelow {
-                max_steps,
-                window_ns,
-            },
         });
         self
     }
@@ -270,31 +225,6 @@ fn check(kind: &RuleKind, s: &SeriesSnapshot) -> Option<((Time, Time), f64)> {
             let b = s.buckets.iter().find(|b| b.max > *threshold)?;
             Some(((b.t0, b.t1), b.max))
         }
-        RuleKind::SustainedAbove {
-            threshold,
-            window_ns,
-        } => {
-            // Maximal runs of buckets whose *minimum* stays above the
-            // threshold. Gaps between observations hold the last value,
-            // so consecutive qualifying buckets form one run.
-            let mut run: Option<(Time, Time, f64)> = None;
-            for b in &s.buckets {
-                if b.min > *threshold {
-                    run = Some(match run {
-                        Some((t0, _, lo)) => (t0, b.t1, lo.min(b.min)),
-                        None => (b.t0, b.t1, b.min),
-                    });
-                    if let Some((t0, t1, lo)) = run {
-                        if t1.saturating_sub(t0) >= *window_ns {
-                            return Some(((t0, t1), lo));
-                        }
-                    }
-                } else {
-                    run = None;
-                }
-            }
-            None
-        }
         RuleKind::SettlesToZeroBy { deadline_ns } => {
             if s.last != 0.0 {
                 let (t0, t1) = s.buckets.last().map_or((0, 0), |b| (b.t0, b.t1));
@@ -306,28 +236,6 @@ fn check(kind: &RuleKind, s: &SeriesSnapshot) -> Option<((Time, Time), f64)> {
                 .rev()
                 .find(|b| b.max != 0.0 && b.t1 > *deadline_ns)?;
             Some(((b.t0, b.t1), b.max))
-        }
-        RuleKind::StepRateBelow {
-            max_steps,
-            window_ns,
-        } => {
-            // Two-pointer sweep over windows no wider than requested;
-            // coarse buckets can hide a marginal flap but never invent
-            // one.
-            let n = s.buckets.len();
-            for i in 0..n {
-                let mut steps = 0u64;
-                for b in &s.buckets[i..] {
-                    if b.t1.saturating_sub(s.buckets[i].t0) > *window_ns {
-                        break;
-                    }
-                    steps += b.steps;
-                    if steps > *max_steps {
-                        return Some(((s.buckets[i].t0, b.t1), steps as f64));
-                    }
-                }
-            }
-            None
         }
     }
 }
@@ -361,33 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn sustained_above_ignores_transient_spikes() {
-        // Spikes to 9 but recovers within the 5 µs window each time.
-        let snap = series(&[
-            (0, 9.0),
-            (1_000, 1.0),
-            (4_000, 9.0),
-            (5_000, 1.0),
-            (9_000, 1.0),
-        ]);
-        assert!(HealthSpec::new()
-            .sustained_above("m", 5.0, 5_000)
-            .evaluate(&snap)
-            .is_empty());
-    }
-
-    #[test]
-    fn sustained_above_catches_a_floor_that_never_recovers() {
-        let snap = series(&[(0, 7.0), (2_000, 8.0), (4_000, 7.5), (6_000, 9.0)]);
-        let v = HealthSpec::new()
-            .sustained_above("m", 5.0, 6_000)
-            .evaluate(&snap);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].window, (0, 6_000));
-        assert_eq!(v[0].observed, 7.0, "the run's floor");
-    }
-
-    #[test]
     fn settles_to_zero_by_checks_deadline_and_residue() {
         let drained = series(&[(0, 3.0), (2_000, 1.0), (4_000, 0.0)]);
         assert!(HealthSpec::new()
@@ -411,26 +292,6 @@ mod tests {
             .evaluate(&stuck);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].observed, 2.0);
-    }
-
-    #[test]
-    fn step_rate_below_catches_flapping() {
-        // Six changes inside 6 µs.
-        let flap: Vec<(Time, f64)> = (0..7)
-            .map(|i| (i as Time * 1_000, (i % 2) as f64))
-            .collect();
-        let snap = series(&flap);
-        let v = HealthSpec::new()
-            .step_rate_below("m", 3, 10_000)
-            .evaluate(&snap);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].observed, 4.0, "first window to exceed the budget");
-        // A monotone series never flaps.
-        let calm = series(&[(0, 1.0), (1_000, 1.0), (2_000, 1.0)]);
-        assert!(HealthSpec::new()
-            .step_rate_below("m", 0, 10_000)
-            .evaluate(&calm)
-            .is_empty());
     }
 
     #[test]

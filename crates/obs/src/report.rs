@@ -13,8 +13,8 @@ use crate::json::{self, Json};
 /// Version stamped into every report; bump on breaking schema changes.
 /// It is also the only version [`validate_json`] accepts: an older
 /// artifact validates with the `bench-report --check` of its own commit
-/// (docs/OBSERVABILITY.md, "The bench report", says how v2–v6 differ).
-pub const SCHEMA_VERSION: u32 = 7;
+/// (docs/OBSERVABILITY.md, "The bench report", says how v2–v7 differ).
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// Oldest schema version [`validate_json`] still accepts.
 pub const MIN_SCHEMA_VERSION: u32 = SCHEMA_VERSION;
@@ -289,83 +289,6 @@ impl From<&CapacityCell> for Json {
     }
 }
 
-/// Summary row of one continuously sampled gauge series.
-#[derive(Debug, Clone, Default)]
-pub struct TimeseriesRow {
-    /// Gauge name (dot-scoped by layer, e.g. `rpc.buffers_in_use`).
-    pub name: String,
-    /// Owning node.
-    pub node: u32,
-    /// Observations folded into the series.
-    pub n: u64,
-    /// Exact series minimum.
-    pub min: f64,
-    /// Exact series mean.
-    pub mean: f64,
-    /// Exact series maximum.
-    pub max: f64,
-    /// Final observed value.
-    pub last: f64,
-    /// Sim time the maximum was first reached, µs.
-    pub peak_at_us: f64,
-}
-
-impl TimeseriesRow {
-    /// Summarize a telemetry snapshot into its report row.
-    pub fn from_snapshot(s: &crate::timeseries::SeriesSnapshot) -> Self {
-        TimeseriesRow {
-            name: s.name.to_string(),
-            node: s.node,
-            n: s.observations,
-            min: s.min,
-            mean: s.mean,
-            max: s.max,
-            last: s.last,
-            peak_at_us: s.peak_at as f64 / 1_000.0,
-        }
-    }
-}
-
-impl From<&TimeseriesRow> for Json {
-    fn from(t: &TimeseriesRow) -> Json {
-        Json::obj([
-            ("name", t.name.as_str().into()),
-            ("node", t.node.into()),
-            ("n", t.n.into()),
-            ("min", t.min.into()),
-            ("mean", t.mean.into()),
-            ("max", t.max.into()),
-            ("last", t.last.into()),
-            ("peak_at_us", t.peak_at_us.into()),
-        ])
-    }
-}
-
-/// Per-node partition-tolerance counters: how the quorum
-/// machinery behaved during the report's partition scenario.
-#[derive(Debug, Clone, Default)]
-pub struct QuorumRow {
-    /// Node rank.
-    pub node: u32,
-    /// Sends/acks rejected for carrying a stale epoch.
-    pub stale_epoch_rejects: u64,
-    /// Times the node froze on losing quorum (partitions detected).
-    pub freezes: u64,
-    /// Epoch bumps observed (view changes joined).
-    pub epoch_bumps: u64,
-}
-
-impl From<&QuorumRow> for Json {
-    fn from(q: &QuorumRow) -> Json {
-        Json::obj([
-            ("node", q.node.into()),
-            ("stale_epoch_rejects", q.stale_epoch_rejects.into()),
-            ("freezes", q.freezes.into()),
-            ("epoch_bumps", q.epoch_bumps.into()),
-        ])
-    }
-}
-
 /// One scenario's capacity result at one message size.
 #[derive(Debug, Clone, Default)]
 pub struct CapacityScenario {
@@ -398,31 +321,40 @@ impl From<&CapacityScenario> for Json {
 }
 
 /// The complete report (`BENCH_summary.json`).
+///
+/// A section is here because something reads it besides `--check`: it
+/// carries a quantity the paper states, or a document cites its JSON.
+/// Each field names its reader.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
     /// Tool that produced the report, e.g. `"bench-report --quick"`.
     pub generated_by: String,
-    /// Paper-pinned anchors.
+    /// Paper-pinned anchors (BBP 6.5/7.8 µs, MPI 44/49 µs one-way),
+    /// read against README's "Fidelity" and EXPERIMENTS.md's "Headline
+    /// anchors".
     pub anchors: Vec<Anchor>,
-    /// Size-sweep tables.
+    /// Size-sweep tables: one-way latency by size, the curves of the
+    /// paper's Figures 1 and 3.
     pub tables: Vec<Table>,
-    /// Crossover points.
+    /// Crossover points: the size at which Fast Ethernet overtakes
+    /// SCRAMNet MPI, EXPERIMENTS.md's "Figure 3" row against the paper's.
     pub crossovers: Vec<Crossover>,
-    /// Per-layer attribution.
+    /// Per-layer self time of a 4-node `MPI_Bcast`: where the paper's
+    /// layering constant goes, layer by layer.
     pub layers: Vec<LayerRow>,
-    /// The layering-constant check (absent until measured).
+    /// The paper's ≈37.5 µs layering constant (absent until measured);
+    /// `bench-report` exits non-zero when it drifts past ±20 %.
     pub layering: Option<Layering>,
-    /// Latency distributions.
+    /// The per-repetition spread behind the anchors and the layering
+    /// constant.
     pub quantiles: Vec<Quantiles>,
     /// Per-message lifecycle waterfalls (empty unless the run traced
-    /// messages).
+    /// messages), cited by EXPERIMENTS.md's "Per-message decomposition
+    /// of the layering constant".
     pub messages: Vec<MessageRow>,
-    /// Workload-campaign capacity results.
+    /// Workload-campaign capacity results, cited by the capacity tables
+    /// of EXPERIMENTS.md and README.
     pub capacity: Vec<CapacityScenario>,
-    /// Continuous-gauge summaries.
-    pub timeseries: Vec<TimeseriesRow>,
-    /// Per-node partition-tolerance counters.
-    pub quorum: Vec<QuorumRow>,
 }
 
 impl From<&BenchReport> for Json {
@@ -438,8 +370,6 @@ impl From<&BenchReport> for Json {
             ("quantiles", Json::arr(&r.quantiles)),
             ("messages", Json::arr(&r.messages)),
             ("capacity", Json::arr(&r.capacity)),
-            ("timeseries", Json::arr(&r.timeseries)),
-            ("quorum", Json::arr(&r.quorum)),
         ])
     }
 }
@@ -478,8 +408,6 @@ pub fn exemplar(options: bool) -> BenchReport {
         quantiles: vec![Quantiles::default()],
         messages: vec![MessageRow::default()],
         capacity: vec![CapacityScenario::default()],
-        timeseries: vec![TimeseriesRow::default()],
-        quorum: vec![QuorumRow::default()],
     };
     r.tables[0].sizes = vec![0];
     r.tables[0].series = vec![Series::default()];
@@ -653,22 +581,6 @@ mod tests {
                     },
                 ],
             }],
-            timeseries: vec![TimeseriesRow {
-                name: "rpc.buffers_in_use".to_string(),
-                node: 0,
-                n: 1_200,
-                min: 0.0,
-                mean: 3.4,
-                max: 16.0,
-                last: 0.0,
-                peak_at_us: 812.5,
-            }],
-            quorum: vec![QuorumRow {
-                node: 2,
-                stale_epoch_rejects: 3,
-                freezes: 1,
-                epoch_bumps: 2,
-            }],
         }
     }
 
@@ -678,15 +590,15 @@ mod tests {
         validate_json(&text).unwrap();
     }
 
-    /// The document is pinned to the writer that `push_str`ed it (commit
-    /// 1741961): same values, same key order; whitespace is free.
+    /// The writer's output for [`sample`] is pinned byte for byte; a
+    /// schema bump regenerates it with `BLESS=1`.
     #[test]
-    fn sample_report_is_the_document_the_text_writer_wrote() {
-        let pinned = include_str!("../tests/fixtures/sample_report.json");
-        assert_eq!(
-            json::parse(&sample().to_json()).unwrap(),
-            json::parse(pinned).unwrap()
+    fn sample_report_is_the_committed_document() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/sample_report.json"
         );
+        crate::golden::check(path.as_ref(), &sample().to_json(), "sample report");
     }
 
     #[test]
@@ -697,7 +609,7 @@ mod tests {
 
     #[test]
     fn only_the_current_schema_version_is_accepted() {
-        for other in [1u32, 6, 8, 99] {
+        for other in [1u32, 7, 9, 99] {
             let Json::Obj(mut root) = Json::from(&sample()) else {
                 unreachable!("a report is an object")
             };
@@ -705,7 +617,7 @@ mod tests {
             root[0].1 = other.into();
             let err = validate_json(&Json::Obj(root).to_document()).unwrap_err();
             assert!(
-                err.contains("schema_version") && err.contains("7..=7"),
+                err.contains("schema_version") && err.contains("8..=8"),
                 "v{other}: {err}"
             );
         }
@@ -787,10 +699,6 @@ mod tests {
         // The keys the hand-picked negative tests used to try one by one.
         for key in [
             ".anchors",
-            ".timeseries",
-            ".quorum",
-            ".timeseries[0].peak_at_us",
-            ".quorum[0].stale_epoch_rejects",
             ".capacity",
             ".cells[0].sheds_per_sec",
             ".quantiles[0].p999_us",
@@ -805,24 +713,6 @@ mod tests {
                 "{key} was not walked"
             );
         }
-    }
-
-    #[test]
-    fn timeseries_row_summarizes_a_snapshot() {
-        let tel = crate::timeseries::Telemetry::new();
-        tel.enable();
-        tel.observe(1_000, 3, "m", 2.0);
-        tel.observe(5_000, 3, "m", 8.0);
-        tel.observe(9_000, 3, "m", 5.0);
-        let snaps = tel.snapshot();
-        let row = TimeseriesRow::from_snapshot(&snaps[0]);
-        assert_eq!(row.name, "m");
-        assert_eq!(row.node, 3);
-        assert_eq!(row.n, 3);
-        assert!((row.min - 2.0).abs() < 1e-12);
-        assert!((row.max - 8.0).abs() < 1e-12);
-        assert!((row.last - 5.0).abs() < 1e-12);
-        assert!((row.peak_at_us - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -23,11 +23,8 @@
 //!    occupancy/balance, so a series enabled mid-run is merely coarse
 //!    at the front, never wrong.
 //!
-//! Every bucket keeps `min`/`max`/`last`/`sum`/`count` plus `steps`
-//! (value *changes* observed), which is what the health monitor's
-//! `step_rate_below` rule counts — membership grades flapping between
-//! Alive and Suspected show up as steps even when min and max look
-//! calm.
+//! Every bucket keeps `min`/`max`/`last`/`sum`/`count`; the health
+//! monitor's rules read the maxima.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -59,8 +56,6 @@ pub struct Bucket {
     pub sum: f64,
     /// Number of observations folded in.
     pub count: u64,
-    /// Number of value *changes* observed (flap detector fuel).
-    pub steps: u64,
 }
 
 impl Bucket {
@@ -73,20 +68,16 @@ impl Bucket {
             last: v,
             sum: v,
             count: 1,
-            steps: 0,
         }
     }
 
-    fn absorb(&mut self, t: Time, v: f64, changed: bool) {
+    fn absorb(&mut self, t: Time, v: f64) {
         self.t1 = t;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.last = v;
         self.sum += v;
         self.count += 1;
-        if changed {
-            self.steps += 1;
-        }
     }
 
     fn merge(&mut self, later: &Bucket) {
@@ -96,7 +87,6 @@ impl Bucket {
         self.last = later.last;
         self.sum += later.sum;
         self.count += later.count;
-        self.steps += later.steps;
     }
 }
 
@@ -108,7 +98,7 @@ struct Series {
     bucket_ns: Time,
     buckets: Vec<Bucket>,
     cur: Option<Bucket>,
-    /// Last value ever observed (step detection across buckets).
+    /// Last value ever observed.
     last_value: f64,
     /// Total observations (survives downsampling exactly).
     observations: u64,
@@ -123,7 +113,6 @@ struct Series {
 
 impl Series {
     fn observe(&mut self, t: Time, v: f64) {
-        let changed = self.observations > 0 && v != self.last_value;
         self.observations += 1;
         self.last_value = v;
         self.sum_v += v;
@@ -134,21 +123,10 @@ impl Series {
         }
         let idx = t / self.bucket_ns;
         match &mut self.cur {
-            Some(b) if b.t0 / self.bucket_ns == idx => b.absorb(t, v, changed),
-            Some(_) => {
+            Some(b) if b.t0 / self.bucket_ns == idx => b.absorb(t, v),
+            _ => {
                 self.flush_cur();
-                let mut b = Bucket::seed(t, v);
-                if changed {
-                    b.steps = 1;
-                }
-                self.cur = Some(b);
-            }
-            None => {
-                let mut b = Bucket::seed(t, v);
-                if changed {
-                    b.steps = 1;
-                }
-                self.cur = Some(b);
+                self.cur = Some(Bucket::seed(t, v));
             }
         }
     }
@@ -259,7 +237,7 @@ impl SeriesSnapshot {
             write_f64(&mut o, b.max);
             o.push_str(",\"last\":");
             write_f64(&mut o, b.last);
-            let _ = write!(o, ",\"count\":{},\"steps\":{}}}", b.count, b.steps);
+            let _ = write!(o, ",\"count\":{}}}", b.count);
         }
         o.push_str("\n]}\n");
         o
@@ -412,8 +390,6 @@ mod tests {
             (1.0, 5.0, 2.0)
         );
         assert_eq!(s.buckets[0].count, 3);
-        assert_eq!(s.buckets[0].steps, 2, "1→5 and 5→2 are changes");
-        assert_eq!(s.buckets[1].steps, 1, "2→7 crosses the bucket edge");
         assert_eq!((s.min, s.max, s.last), (1.0, 7.0, 7.0));
         assert_eq!(s.peak_at, 1_500);
         assert_eq!(s.observations, 4);
@@ -471,11 +447,8 @@ mod tests {
         assert!(s.buckets.len() <= SERIES_CAP + 1);
         assert!(s.bucket_ns >= 64 * DEFAULT_BUCKET_NS);
         assert_eq!(s.observations, 20_000);
-        let steps: u64 = s.buckets.iter().map(|b| b.steps).sum();
-        assert_eq!(
-            steps, 19_999,
-            "every %7 sample differs from its predecessor"
-        );
+        let total: u64 = s.buckets.iter().map(|b| b.count).sum();
+        assert_eq!(total, 20_000, "downsampling drops no observation");
     }
 
     #[test]

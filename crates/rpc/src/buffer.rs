@@ -149,6 +149,11 @@ impl MessageBuffer {
         self.bytes[13..HEADER_BYTES].fill(0);
         self.len = HEADER_BYTES;
     }
+
+    /// Raw frame storage for receiving into (the whole capacity).
+    pub(crate) fn frame_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes
+    }
 }
 
 /// The callee's handle on one pool slot: the request as it arrived, and
@@ -211,21 +216,21 @@ pub struct Request {
 }
 
 impl Request {
-    /// `frame` arrived from `src`: copied into `buf`, it is a request. A
-    /// frame that cannot carry a header, or that `buf` cannot hold, is
-    /// input to reject, not a request: the buffer comes back.
+    /// A `frame_len`-byte frame from `src` was received into `buf`
+    /// ([`MessageBuffer::frame_mut`]). A frame that cannot carry a header,
+    /// or that `buf` could not hold (and so holds nothing of), is input to
+    /// reject, not a request: the buffer comes back.
     pub(crate) fn arrived(
         mut buf: MessageBuffer,
         src: usize,
-        frame: &[u8],
+        frame_len: usize,
         now: Time,
         trace: u64,
     ) -> Result<Request, MessageBuffer> {
-        if !(HEADER_BYTES..=buf.bytes.len()).contains(&frame.len()) {
+        if !(HEADER_BYTES..=buf.bytes.len()).contains(&frame_len) {
             return Err(buf);
         }
-        buf.bytes[..frame.len()].copy_from_slice(frame);
-        buf.len = frame.len();
+        buf.len = frame_len;
         Ok(Request {
             buf,
             src,
@@ -315,10 +320,10 @@ mod tests {
 
     #[test]
     fn a_request_keeps_its_token_through_the_reply() {
-        let mut sent = MessageBuffer::new(16);
-        sent.encode_request(1, 0, Priority::Normal);
-        let mut req = Request::arrived(MessageBuffer::new(16), 3, sent.frame(), 1_000, 42)
-            .expect("a whole header");
+        let mut b = MessageBuffer::new(16);
+        b.encode_request(1, 0, Priority::Normal);
+        let frame_len = b.frame().len();
+        let mut req = Request::arrived(b, 3, frame_len, 1_000, 42).expect("a whole header");
         assert_eq!((req.src(), req.trace(), req.enqueued_at()), (3, 42, 1_000));
         req.set_body_len(4).unwrap();
         req.mark_reply();

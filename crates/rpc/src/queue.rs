@@ -116,13 +116,13 @@ impl MessageQueue {
     pub fn poll(&mut self, ctx: &mut ProcCtx) -> usize {
         let rank = self.ep.rank() as u32;
         let mut accepted = 0;
-        while let Some(buf) = self.free.pop() {
-            let Some((src, frame)) = self.ep.try_recv_any(ctx) else {
+        while let Some(mut buf) = self.free.pop() {
+            let Some((src, len)) = self.ep.try_recv_any_into(ctx, buf.frame_mut()) else {
                 self.free.push(buf);
                 break;
             };
             let trace = ctx.obs().current_rx(rank);
-            let req = match Request::arrived(buf, src, &frame, ctx.now(), trace) {
+            let req = match Request::arrived(buf, src, len, ctx.now(), trace) {
                 Ok(req) => req,
                 Err(buf) => {
                     self.stats.malformed += 1;

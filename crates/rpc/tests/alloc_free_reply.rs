@@ -1,11 +1,11 @@
-//! The server's reply path must be zero-copy and zero-allocation once
-//! warm: the request buffer is reused in place for the reply, so
-//! `dispatch → write reply → reply` touches no heap at all, and
-//! `flush` adds nothing beyond what the bare BBP transport itself costs
-//! to post the same frames (the NIC's PIO write path owns its own
-//! allocations; the RPC layer must add zero on top) — on a blocking
-//! transport, and on a fail-fast one where a flush holds a reply back
-//! for the next.
+//! The server's serving path must be zero-copy and zero-allocation once
+//! warm: a request is received straight into its pool buffer and the
+//! reply is written over it in place, so `poll → dispatch → write reply
+//! → reply` touches no heap at all, and `flush` adds nothing beyond what
+//! the bare BBP transport itself costs to post the same frames (its
+//! first use of a send slot or of a bank page allocates; the RPC layer
+//! must add zero on top) — on a blocking transport, and on a fail-fast
+//! one where a flush holds a reply back for the next.
 //!
 //! Allocation counting uses a wrapping global allocator, so everything
 //! runs inside ONE test function — a sibling test on another harness
@@ -48,6 +48,14 @@ const N: usize = 8;
 const BODY: usize = 32;
 /// Send slots per endpoint (`BbpConfig::for_nodes`).
 const SLOTS: usize = 16;
+/// Round `r` starts at `at(r, 0)`; its requests have all landed by
+/// `LANDED` µs, and the server is done with them before `QUIET` µs.
+const LANDED: u64 = 1_000;
+const QUIET: u64 = 3_000;
+
+fn at(round: u64, us: u64) -> des::Time {
+    des::us(round * 5_000 + us)
+}
 
 #[test]
 fn reply_path_is_alloc_free_after_warmup() {
@@ -61,7 +69,7 @@ fn reply_path_is_alloc_free_after_warmup() {
     sim.spawn("client", move |ctx| {
         let mut cl = RpcClient::new(client_ep, 1, 1, 2 * N as u32, BODY).unwrap();
         for round in 0..2u64 {
-            ctx.wait_until(round * des::us(5_000));
+            ctx.wait_until(at(round, 0));
             for i in 0..N {
                 let class = if i % 3 == 0 {
                     Priority::High
@@ -70,6 +78,8 @@ fn reply_path_is_alloc_free_after_warmup() {
                 };
                 cl.try_request(ctx, 0, class, &[i as u8; BODY]).unwrap();
             }
+            // Quiet while the server polls, serves and flushes the round.
+            ctx.wait_until(at(round, QUIET));
             while cl.stats().completed < (round + 1) * N as u64 {
                 ctx.advance(2_000);
                 cl.poll_replies(ctx);
@@ -107,13 +117,12 @@ fn reply_path_is_alloc_free_after_warmup() {
             },
         );
         for round in 0..2u64 {
-            while mq.queued() < N {
-                ctx.advance(2_000);
-                mq.poll(ctx);
-            }
+            // Every request of the round is on the billboard by now.
+            ctx.wait_until(at(round, LANDED));
             let before = ALLOCS.load(Ordering::SeqCst);
-            // The in-memory half: dispatch, write the reply over the
-            // request in place, stage it. Strictly zero heap traffic.
+            // Take the requests into the pool, dispatch them, write each
+            // reply over its request in place and stage it.
+            assert_eq!(mq.poll(ctx), N, "one poll takes the round");
             while let Some(mut buf) = mq.dispatch(ctx) {
                 let body = buf.body_mut();
                 for b in body[..BODY].iter_mut() {
@@ -176,7 +185,7 @@ fn reply_path_is_alloc_free_after_warmup() {
     assert_eq!(
         staged - before,
         0,
-        "dispatch → in-place reply → stage allocated"
+        "poll → dispatch → in-place reply → stage allocated"
     );
     let rpc_transport = flushed - staged;
     let bare_transport = ctrl_after - ctrl_before;

@@ -80,8 +80,9 @@ pub struct CellOutcome {
     /// series — the residency and flood-parking invariants, which
     /// [`cell_health_spec`] alone judges.
     pub health_violations: Vec<String>,
-    /// The cell's sampled gauge series, for report `timeseries` rows
-    /// or ad-hoc health specs over a finished cell.
+    /// The cell's sampled gauge series, for ad-hoc health specs over a
+    /// finished cell or for reading a capacity knee (EXPERIMENTS.md,
+    /// "Reading a capacity knee from the occupancy series").
     pub telemetry: Vec<obs::SeriesSnapshot>,
 }
 
@@ -121,8 +122,9 @@ impl CellOutcome {
 type ClientTotals = (u64, u64, u64, u64, u64, u64);
 
 /// Run one cell to completion (arrival script + drain) under load
-/// multiplier `mult`. `label` names the cell's flight recording.
-/// Deterministic for a fixed (plan, mult).
+/// multiplier `mult`. `label` names the cell's flight recording, which
+/// is dumped only if the cell violates something. Deterministic for a
+/// fixed (plan, mult).
 pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     assert!(
         plan.client_nodes >= 1,
@@ -424,7 +426,6 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     }
 
     let report = sim.run();
-    flight.dump_now();
     let telemetry = sim.recorder().telemetry().snapshot();
     sim.recorder().telemetry().disable();
 
@@ -542,6 +543,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         .map(obs::Violation::describe)
         .collect();
     v.extend(out.health_violations.iter().cloned());
+    flight.dump_if_violated(&v);
     out.violations = v;
     out
 }
