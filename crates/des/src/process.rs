@@ -8,7 +8,10 @@
 //! execute inline on its thread, its own `Resume` returns straight into
 //! its body, and another process's `Resume` grants that process the baton
 //! directly — one OS-thread switch, through that process's state word and
-//! `std::thread::park`/`unpark`, never through a lock the wakee needs.
+//! `std::thread::unpark`, never through a lock the wakee needs. The
+//! granter yields its CPU until the wakee has taken the baton, and only
+//! then parks ([`await_baton`]), so on one CPU two processes that pass it
+//! back and forth switch without a futex call.
 //!
 //! A process is not woken for time that is only its own, either.
 //! [`ProcCtx::charge`] moves the process's local clock and records the step
@@ -196,7 +199,30 @@ impl Chain {
     }
 }
 
-/// What another thread needs of a process to wake it, and to name it.
+/// The one place a thread waits for the baton: until `here` says it has
+/// arrived. A thread that has just granted the baton to process `woke`
+/// yields its CPU until `woke` has taken it, and only then parks. On one
+/// CPU the yield runs `woke`; if that passes the baton straight back, it
+/// finds this thread still runnable, its `unpark` is only a store, and
+/// the yield returns to the baton — one switch and no futex call on
+/// either side. With a CPU to spare the yields last until `woke` is
+/// running, and the thread parks as it would have. `park` can return
+/// spuriously or on a stale token, so `here` decides.
+pub(crate) fn await_baton<T>(woke: Option<&ProcShared>, mut here: impl FnMut() -> Option<T>) -> T {
+    loop {
+        if let Some(got) = here() {
+            return got;
+        }
+        match woke {
+            Some(p) if p.state.load(Ordering::Relaxed) == GO => std::thread::yield_now(),
+            _ => std::thread::park(),
+        }
+    }
+}
+
+/// What another thread needs of a process to wake it, and to name it: a
+/// state word the waker stores [`GO`] or [`ABORT`] to, and the thread it
+/// then unparks. The process waits for it in [`await_baton`].
 pub(crate) struct ProcShared {
     state: AtomicU8,
     /// The process's thread, stored before its first `Resume` is pushed.
@@ -213,16 +239,14 @@ impl ProcShared {
         self.thread.get().expect("set at spawn").unpark();
     }
 
-    /// Park until the baton arrives; `false` means abort. `park` can
-    /// return spuriously or on a stale token, so the state decides.
-    fn await_grant(&self) -> bool {
-        loop {
-            match self.state.swap(PARKED, Ordering::Acquire) {
-                GO => return true,
-                ABORT => return false,
-                _ => std::thread::park(),
-            }
-        }
+    /// Wait until the baton arrives, having granted it to `woke`, if to
+    /// anyone; `false` means abort.
+    fn await_grant(&self, woke: Option<&ProcShared>) -> bool {
+        await_baton(woke, || match self.state.swap(PARKED, Ordering::Acquire) {
+            GO => Some(true),
+            ABORT => Some(false),
+            _ => None,
+        })
     }
 }
 
@@ -596,16 +620,16 @@ impl ProcCtx {
 
     /// Run the dispatch loop on this thread, on the core it is in, until
     /// this process may run again; if the baton has to go to another
-    /// thread first, park until it is granted back. Returns in the core:
+    /// thread first, wait until it is granted back. Returns in the core:
     /// the one it went in with when its own `Resume` came up here, else
     /// entered anew (whoever granted the baton let go of it first).
     fn hold_for_baton<'a>(&'a self, core: CoreGuard<'a>) -> CoreGuard<'a> {
         let granted = match self.sched.dispatch(core, Some(self.id)) {
             Baton::Mine(core) => return core,
-            Baton::Granted => self.shared.await_grant(),
+            Baton::Granted(woke) => self.shared.await_grant(Some(&woke)),
             Baton::Stop(why) => {
                 self.sched.hand_back(why);
-                self.shared.await_grant()
+                self.shared.await_grant(None)
             }
         };
         if !granted {
@@ -638,7 +662,7 @@ pub(crate) fn spawn_process(
     let join = std::thread::Builder::new()
         .name(format!("des-{name}"))
         .spawn(move || {
-            if !thread_shared.await_grant() {
+            if !thread_shared.await_grant(None) {
                 return;
             }
             let now = thread_sched.core().agenda.now;

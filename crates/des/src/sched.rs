@@ -37,7 +37,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::calq::CalendarQueue;
 pub(crate) use crate::event::{EventFn, Then};
-use crate::process::{ProcEntry, ProcId, ProcShared, GO};
+use crate::process::{await_baton, ProcEntry, ProcId, ProcShared, GO};
 use crate::signal::Signal;
 use crate::time::Time;
 use obs::{TraceEntry, TraceKind};
@@ -79,13 +79,13 @@ pub(crate) enum Baton<'a> {
     /// The calling process's own `Resume` came up: it keeps running, and
     /// gets back the core it went in with.
     Mine(CoreGuard<'a>),
-    /// Another process was granted the baton; the caller must wait.
-    Granted,
+    /// The baton went to this process; the caller must wait.
+    Granted(Arc<ProcShared>),
     /// The run cannot continue on this thread.
     Stop(Returned),
 }
 
-/// The `run_until` caller's parking place while a process holds the baton.
+/// Where the `run_until` caller waits while a process holds the baton.
 #[derive(Default)]
 pub(crate) struct Caller {
     thread: Option<Thread>,
@@ -569,7 +569,7 @@ impl SchedShared {
                     // Woken after the core is released: the wakee enters it.
                     drop(core);
                     wakee.wake(GO);
-                    return Baton::Granted;
+                    return Baton::Granted(wakee);
                 }
             }
         }
@@ -587,14 +587,10 @@ impl SchedShared {
         thread.expect("a run is active").unpark();
     }
 
-    /// Park the `run_until` caller until a process hands the baton back.
-    pub fn await_return(&self) -> Returned {
-        loop {
-            if let Some(why) = self.caller.lock().returned.take() {
-                return why;
-            }
-            std::thread::park();
-        }
+    /// Hold the `run_until` caller, which granted the baton to `woke`,
+    /// until a process hands it back.
+    pub fn await_return(&self, woke: &ProcShared) -> Returned {
+        await_baton(Some(woke), || self.caller.lock().returned.take())
     }
 }
 

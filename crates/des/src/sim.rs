@@ -134,9 +134,9 @@ impl Simulation {
         loop {
             let why = match sched.dispatch(sched.core(), None) {
                 Baton::Stop(why) => why,
-                Baton::Granted => {
+                Baton::Granted(woke) => {
                     returns += 1;
-                    sched.await_return()
+                    sched.await_return(&woke)
                 }
                 Baton::Mine(_) => unreachable!("the caller is not a process"),
             };

@@ -84,6 +84,38 @@ fn alternating_processes_make_one_transfer_per_alternation() {
 }
 
 #[test]
+fn a_forced_round_robin_makes_one_transfer_per_dispatch_at_any_width() {
+    // `n` processes each `advance(1)` in turn: every `Resume` is another
+    // process's, so every dispatch grants the baton across threads — the
+    // pattern whose host cost per hand-off grew with `n` while a granter
+    // parked at once. A waiting thread that yields first must not lose a
+    // grant among 4 or 16 runnable threads either.
+    const STEPS: u64 = 300;
+    under_watchdog(Duration::from_secs(120), || {
+        let counts: Vec<(u64, u64)> = [4u64, 16]
+            .into_iter()
+            .map(|n| {
+                let mut sim = Simulation::new();
+                for p in 0..n {
+                    sim.spawn(format!("p{p}"), |ctx| {
+                        for _ in 0..STEPS {
+                            ctx.advance(1);
+                        }
+                    });
+                }
+                let report = sim.run();
+                assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+                assert_eq!(report.end_time, STEPS);
+                (report.dispatches, report.handoffs)
+            })
+            .collect();
+        // Per process: its first `Resume` and one per step, each a grant;
+        // then one return to the caller when it finishes.
+        assert_eq!(counts, [(1_204, 1_208), (4_816, 4_832)]);
+    });
+}
+
+#[test]
 fn a_poll_loop_that_charges_its_overhead_is_woken_once_per_poll() {
     // Two hosts spinning on a flag: loop overhead, then the PIO read.
     // The schedule is the same either way; what a charge saves is the

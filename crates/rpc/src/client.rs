@@ -49,12 +49,14 @@ struct Channel {
 /// grant and token space; all of a node's channels share the endpoint.
 /// Requests are composed in a single staging buffer (the payload is
 /// copied onto the billboard by the BBP post, so the staging buffer is
-/// immediately reusable).
+/// immediately reusable), and replies land in a single inbox of the
+/// endpoint's largest payload, so receiving one allocates nothing.
 pub struct RpcClient {
     ep: BbpEndpoint,
     server: usize,
     channels: Vec<Channel>,
     staging: MessageBuffer,
+    inbox: Box<[u8]>,
     service_hist: Arc<LogHistogram>,
     stats: ClientStats,
 }
@@ -91,6 +93,7 @@ impl RpcClient {
             })
             .collect();
         Ok(RpcClient {
+            inbox: vec![0; ep.config().max_payload_bytes()].into_boxed_slice(),
             ep,
             server,
             channels,
@@ -142,12 +145,13 @@ impl RpcClient {
     /// and recording service latency. Returns how many completed.
     pub fn poll_replies(&mut self, ctx: &mut ProcCtx) -> usize {
         let mut completed = 0;
-        while let Some((src, frame)) = self.ep.try_recv_any(ctx) {
+        while let Some((src, len)) = self.ep.try_recv_any_into(ctx, &mut self.inbox) {
             if src != self.server {
                 self.stats.unmatched_replies += 1;
                 continue;
             }
-            let matched = Header::decode(&frame).and_then(|h| {
+            let frame = self.inbox.get(..len);
+            let matched = frame.and_then(Header::decode).and_then(|h| {
                 if !h.is_reply {
                     return None;
                 }

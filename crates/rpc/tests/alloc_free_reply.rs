@@ -5,7 +5,9 @@
 //! the bare BBP transport itself costs to post the same frames (its
 //! first use of a send slot or of a bank page allocates; the RPC layer
 //! must add zero on top) — on a blocking transport, and on a fail-fast
-//! one where a flush holds a reply back for the next.
+//! one where a flush holds a reply back for the next. The client's end
+//! of the same cycle is zero-allocation too: a warm `poll_replies`
+//! receives each reply into the client's own inbox.
 //!
 //! Allocation counting uses a wrapping global allocator, so everything
 //! runs inside ONE test function — a sibling test on another harness
@@ -214,10 +216,77 @@ fn reply_path_is_alloc_free_after_warmup() {
          transport: {held_flushes} allocs vs {held_bare} for the same posts"
     );
 
+    let (completed, polled) = client_poll_round();
+    assert_eq!(completed, N as u64, "the measured polls took the round");
+    assert_eq!(
+        polled, 0,
+        "a warm poll_replies allocated while completing replies"
+    );
+
     // Sanity-check the counter itself so a broken hook cannot fake a pass.
     let live = ALLOCS.load(Ordering::SeqCst);
     std::hint::black_box(Box::new(0x5Cu64));
     assert!(ALLOCS.load(Ordering::SeqCst) > live, "counter is live");
+}
+
+/// The client's receive, warm: two rounds of `N` requests, each served
+/// and flushed by a server that then sleeps until the next round (and
+/// after the last one is done), so the client's `poll_replies` calls run
+/// alone. Returns the replies the second round's calls completed and
+/// what those calls allocated.
+fn client_poll_round() -> (u64, u64) {
+    let mut sim = Simulation::new();
+    let c = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(2));
+    let server_ep = c.endpoint(1);
+    let client_ep = c.endpoint(0);
+    let (tx, rx) = mpsc::channel::<(u64, u64)>();
+
+    sim.spawn("client", move |ctx| {
+        let mut cl = RpcClient::new(client_ep, 1, 1, 2 * N as u32, BODY).unwrap();
+        let (mut completed, mut allocs) = (0, 0);
+        for round in 0..2u64 {
+            ctx.wait_until(at(round, 0));
+            for i in 0..N {
+                cl.try_request(ctx, 0, Priority::Normal, &[i as u8; BODY])
+                    .unwrap();
+            }
+            ctx.wait_until(at(round, QUIET));
+            while cl.stats().completed < (round + 1) * N as u64 {
+                ctx.advance(2_000);
+                let before = ALLOCS.load(Ordering::SeqCst);
+                let n = cl.poll_replies(ctx) as u64;
+                if round == 1 {
+                    allocs += ALLOCS.load(Ordering::SeqCst) - before;
+                    completed += n;
+                }
+            }
+        }
+        tx.send((completed, allocs)).unwrap();
+    });
+
+    sim.spawn("server", move |ctx| {
+        let mut mq = MessageQueue::new(
+            server_ep,
+            RpcConfig {
+                pool: N,
+                body_capacity: BODY,
+                max_high_streak: 4,
+            },
+        );
+        for round in 0..2u64 {
+            ctx.wait_until(at(round, LANDED));
+            assert_eq!(mq.poll(ctx), N, "one poll takes the round");
+            while let Some(mut req) = mq.dispatch(ctx) {
+                req.set_body_len(BODY).unwrap();
+                mq.reply(req);
+            }
+            mq.flush(ctx).unwrap();
+        }
+    });
+
+    let report = sim.run();
+    assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+    rx.recv().unwrap()
 }
 
 /// The path the workload campaign runs: fail-fast credits, one per peer,
