@@ -4,36 +4,34 @@
 //! payloads; it is generic so that its ordering and recycling can be
 //! tested here with plain payloads, away from the scheduler.
 //!
-//! Keys live in one of three places:
-//! - `batch`: the *near* band — the earliest time-window of keys, sorted
-//!   once at migration and popped front-to-back for O(1) pops.
-//! - `late`: a small four-ary heap catching pushes that land inside the
-//!   near window after it was sealed (hop chains rescheduling a few µs
-//!   ahead). A pop takes whichever head is smaller.
-//! - `far`: an unsorted vector of everything beyond the window — O(1)
-//!   pushes, scanned linearly only when the near band drains.
+//! Keys live in one of three bands:
+//! - `batch`: the *near* band — every key below `boundary` when the band
+//!   was sealed, sorted once and popped front to back.
+//! - `late`: keys pushed below `boundary` after the seal, kept as a
+//!   sorted run too: a key that sorts after the back is appended (most
+//!   of a hop storm's pushes are), any other is inserted where
+//!   `partition_point` puts it, and pops come from the front.
+//! - `far`: every key at or past `boundary`, unsorted — O(1) pushes,
+//!   scanned linearly only when the near and late bands are both empty.
 //!
-//! A plain heap pays a serial chain of cache-missing sift levels on
-//! every pop once the queue is thousands deep; here the deep part of
-//! the queue is only ever touched by batched linear scans. If the
-//! workload floods the near window (`late` past [`LATE_CAP`]), the
-//! whole band is pushed back and the window recomputed, which adapts
-//! the width to wherever events are actually dense.
+//! A pop takes the smaller of the two sorted heads, so the deep part of
+//! the queue is only ever touched by batched linear scans. If the late
+//! run reaches [`LATE_CAP`] keys, both sorted bands go back to `far` and
+//! the next pop seals a narrower window, so no insert shifts more than
+//! `LATE_CAP` keys and the window follows wherever events are dense.
 //!
 //! Payloads sit still in the slab from push to pop (exactly two touches
 //! each); slots recycle through a free list, so the steady state
 //! allocates nothing no matter how deep the queue gets. Pop order is
-//! the total order on `(time, seq)` regardless of band placement, so
-//! the deterministic schedule is identical to any correct heap's.
+//! the total order on `(time, seq)` whichever band a key is in.
 
-use crate::pq::FourAryHeap;
 use crate::time::Time;
+use std::collections::VecDeque;
 
 /// One queue key: fires at `time`; `seq` breaks ties so the schedule is
 /// deterministic. `(time, seq)` is unique per entry. The payload lives
-/// in the queue's slab under `slot`, so a key is 24 bytes and sift swaps
-/// in a deep queue move keys only — payloads never travel through the
-/// heap.
+/// in the queue's slab under `slot`, so a key is 24 bytes and a sort or
+/// an insert moves keys only — payloads never travel through a band.
 #[derive(Clone, Copy)]
 pub(crate) struct Key {
     pub time: Time,
@@ -63,9 +61,9 @@ impl Ord for Key {
 /// amortized against a proportionally larger batch).
 const BATCH_TARGET: u64 = 1024;
 
-/// When this many in-window pushes accumulate in the late heap, the
-/// near band is flushed back to `far` and re-migrated with a freshly
-/// (and therefore narrower) computed window.
+/// When the late run holds this many keys, the near band is flushed
+/// back to `far` and re-migrated with a freshly (and therefore
+/// narrower) computed window.
 const LATE_CAP: usize = 2048;
 
 /// A banded calendar queue over a slab of `T` payloads, ordered by the
@@ -74,8 +72,8 @@ pub(crate) struct CalendarQueue<T> {
     /// Sorted near-band keys; `batch[cursor..]` are still pending.
     batch: Vec<Key>,
     cursor: usize,
-    /// In-window pushes that arrived after the batch was sealed.
-    late: FourAryHeap<Key>,
+    /// In-window pushes that arrived after the batch was sealed, sorted.
+    late: VecDeque<Key>,
     /// Out-of-window keys, unsorted.
     far: Vec<Key>,
     /// Smallest fire time in `far` (`Time::MAX` when empty).
@@ -101,7 +99,7 @@ impl<T> CalendarQueue<T> {
         CalendarQueue {
             batch: Vec::new(),
             cursor: 0,
-            late: FourAryHeap::new(),
+            late: VecDeque::new(),
             far: Vec::new(),
             far_min: Time::MAX,
             boundary: 0,
@@ -132,7 +130,7 @@ impl<T> CalendarQueue<T> {
 
     /// What a key must sort below to be the one the next
     /// [`Self::pop_due`]`(horizon)` returns, were it pushed: the smaller of
-    /// the near band's head and the late heap's; `(far_min, 0)` while the
+    /// the near band's head and the late run's; `(far_min, 0)` while the
     /// far band holds anything — it keeps its minimum's time but not its
     /// tie-break, so a key on `far_min` must count as behind it; and
     /// `(horizon, u64::MAX)`, past which nothing pops. An empty far band
@@ -148,7 +146,7 @@ impl<T> CalendarQueue<T> {
             .batch
             .get(self.cursor)
             .into_iter()
-            .chain(self.late.peek());
+            .chain(self.late.front());
         heads
             .map(|k| (k.time, k.seq))
             .fold(far.min((horizon, u64::MAX)), Ord::min)
@@ -174,7 +172,13 @@ impl<T> CalendarQueue<T> {
             self.far_min = self.far_min.min(time);
             self.far.push(key);
         } else {
-            self.late.push(key);
+            match self.late.back() {
+                Some(back) if key < *back => {
+                    let at = self.late.partition_point(|k| *k < key);
+                    self.late.insert(at, key);
+                }
+                _ => self.late.push_back(key),
+            }
             if self.late.len() >= LATE_CAP {
                 self.flush_near();
             }
@@ -188,14 +192,13 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Remove and return the earliest entry — its time, its tie-break
-    /// value and its payload — unless it fires after `horizon`. The slab
-    /// slot is read *before* any heap sift so the payload's cache miss
-    /// resolves in parallel with it.
+    /// value and its payload — unless it fires after `horizon`.
     pub fn pop_due(&mut self, horizon: Time) -> Option<(Time, u64, T)> {
         loop {
             let near = self.batch.get(self.cursor).copied();
-            let use_late = match (near, self.late.peek()) {
-                (Some(a), Some(b)) => *b < a,
+            let late = self.late.front().copied();
+            let use_late = match (near, late) {
+                (Some(a), Some(b)) => b < a,
                 (None, Some(_)) => true,
                 (Some(_), None) => false,
                 (None, None) => {
@@ -206,11 +209,7 @@ impl<T> CalendarQueue<T> {
                     continue;
                 }
             };
-            let k = if use_late {
-                *self.late.peek().expect("late head checked above")
-            } else {
-                near.expect("near head checked above")
-            };
+            let k = if use_late { late } else { near }.expect("head checked above");
             if k.time > horizon {
                 return None;
             }
@@ -219,7 +218,7 @@ impl<T> CalendarQueue<T> {
                 .expect("pending slab slot occupied");
             self.free.push(k.slot);
             if use_late {
-                self.late.pop();
+                self.late.pop_front();
             } else {
                 self.cursor += 1;
             }
@@ -231,7 +230,7 @@ impl<T> CalendarQueue<T> {
     /// band's minimum, sized so roughly [`BATCH_TARGET`] keys fall in it
     /// (assuming an even spread), move those keys over, and sort them.
     fn migrate(&mut self) {
-        debug_assert!(self.cursor == self.batch.len() && self.late.len() == 0);
+        debug_assert!(self.cursor == self.batch.len() && self.late.is_empty());
         let n = self.far.len() as u64;
         let mut t0 = Time::MAX;
         let mut t1 = 0;
@@ -261,7 +260,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// The near window turned out to sit in a dense region (the late
-    /// heap filled up): return everything near to `far` and drop the
+    /// run filled up): return everything near to `far` and drop the
     /// boundary, so the next pop re-migrates with a window computed
     /// from the actual local density.
     fn flush_near(&mut self) {
@@ -271,7 +270,7 @@ impl<T> CalendarQueue<T> {
         }
         self.cursor = 0;
         self.batch.clear();
-        while let Some(k) = self.late.pop() {
+        for k in self.late.drain(..) {
             self.far_min = self.far_min.min(k.time);
             self.far.push(k);
         }
@@ -323,7 +322,7 @@ mod tests {
         /// and popping once up to `horizon` would hand it straight back —
         /// but for a successor's key on the far band's minimum time, which
         /// it leaves to the queue. Keys are sealed into the near band by a
-        /// first pop, then pushed into the late heap and, when `far` says
+        /// first pop, then pushed into the late run and, when `far` says
         /// so, the far band. The probe is a process's `Resume`, on a fresh
         /// tie-break value (above every queued one), or a link's successor,
         /// on one a series reserved before some of the queued ones (odd,
@@ -360,7 +359,7 @@ mod tests {
             prop_assert_eq!(far, !q.far.is_empty());
             let time = match which {
                 1 => q.batch.get(q.cursor).map(|k| k.time),
-                2 => q.late.peek().map(|k| k.time),
+                2 => q.late.front().map(|k| k.time),
                 3 => far.then_some(q.far_min),
                 _ => None,
             }
@@ -389,7 +388,7 @@ mod tests {
         q.push(20, 6, ());
         q.pop(); // seals a near band holding both keys
         assert_eq!(q.bound(Time::MAX), (20, 6), "batch head");
-        q.push(15, 8, ()); // into the late heap
+        q.push(15, 8, ()); // into the late run
         assert_eq!(q.bound(Time::MAX), (15, 8), "late head");
         assert_eq!(q.bound(12), (12, u64::MAX), "horizon");
         q.push(10_000, 10, ()); // into the far band
@@ -410,5 +409,63 @@ mod tests {
         assert_eq!(q.pop_due(150), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_due(200), Some((200, 1, 2)));
+    }
+
+    /// More than [`LATE_CAP`] in-window keys in mixed order: the late run
+    /// takes both appends and inserts, the flush fires at the cap, and the
+    /// pops that follow — across the flush's re-migration — come out in
+    /// `(time, seq)` order with `bound` naming each one before it pops.
+    #[test]
+    fn a_full_late_run_flushes_and_pops_in_order() {
+        let mut q = CalendarQueue::new();
+        q.push(0, 0, ());
+        q.push(1_000_000, 1, ());
+        q.pop(); // seals a window reaching far past every key below
+        let window = q.boundary;
+        let (mut appends, mut inserts) = (0, 0);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut keys = vec![(1_000_000, 1)];
+        for seq in 2..LATE_CAP as u64 + 102 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Every fourth key climbs past all the others; the rest land
+            // anywhere in the first 100 µs.
+            let time = if seq % 4 == 0 {
+                200_000 + seq
+            } else {
+                1 + state % 100_000
+            };
+            assert!(time < window);
+            if q.boundary == window {
+                match q.late.back() {
+                    Some(back) if (time, seq) < (back.time, back.seq) => inserts += 1,
+                    _ => appends += 1,
+                }
+            }
+            q.push(time, seq, ());
+            keys.push((time, seq));
+        }
+        assert_eq!(appends + inserts, LATE_CAP, "the cap's push flushed");
+        assert!(
+            appends > 100 && inserts > 100,
+            "{appends} appends, {inserts} inserts"
+        );
+        assert_eq!(
+            (q.boundary, q.late.len()),
+            (0, 0),
+            "flushed to the far band"
+        );
+        keys.sort_unstable();
+        let horizon = keys[keys.len() - 50].0;
+        for &(time, seq) in keys.iter().take_while(|k| k.0 <= horizon) {
+            let sorted_heads = q.cursor < q.batch.len() || !q.late.is_empty();
+            let want = if sorted_heads { (time, seq) } else { (time, 0) };
+            assert_eq!(q.bound(horizon), want);
+            assert_eq!(q.pop_due(horizon), Some((time, seq, ())));
+        }
+        assert_eq!(q.bound(horizon), (horizon, u64::MAX));
+        assert_eq!(q.pop_due(horizon), None);
+        assert_eq!(q.len(), 49);
     }
 }

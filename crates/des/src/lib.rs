@@ -103,9 +103,8 @@
 //! `advance`s would have.
 //!
 //! A poll loop — own time, a stall, read a word, go round again while it
-//! has not changed — is the case the chain was missing: its stalls end in
-//! a read only the process could make, so it was woken for every word.
-//! [`ProcCtx::scan`] queues the whole sweep with a *look* at the end of
+//! has not changed — ends each stall in a read only the process could
+//! make. [`ProcCtx::scan`] queues the whole sweep with a *look* at the end of
 //! each stall: whoever walks the step samples the word through
 //! [`Sample`] exactly where the process would have read it, walks on if
 //! it is the expected one, and otherwise cuts the chain there and lets
@@ -157,7 +156,6 @@
 mod calq;
 #[allow(unsafe_code)] // the one exception: see "`unsafe`" above
 mod event;
-mod pq;
 mod process;
 mod sched;
 mod signal;

@@ -36,7 +36,7 @@ pub struct WriteRecord {
 /// pages 5.00 / 5.08, against 4.98 / 5.00 for 128-word pages behind a
 /// table grown to the highest page written (before the pages were
 /// atomics). Neither its throughput nor `ring_storm`'s resolved between
-/// the two page sizes. See docs/PERFORMANCE.md, "A hop takes no lock".
+/// the two page sizes. See docs/PERFORMANCE.md, "Measured and not taken".
 const PAGE_WORDS: usize = 256;
 
 type Page = Box<[AtomicU32; PAGE_WORDS]>;
@@ -50,7 +50,7 @@ type Page = Box<[AtomicU32; PAGE_WORDS]>;
 /// of a 1 MB bank — the larger part) and the pages of every world on every
 /// arena. Recycled, the second world allocates neither. One list for the
 /// process: worlds are built and dropped on any thread. See
-/// docs/PERFORMANCE.md, "Sweeps".
+/// docs/PERFORMANCE.md, "The ring replication path".
 static FREE: Mutex<FreeStorage> = Mutex::new(FreeStorage {
     pages: Vec::new(),
     tables: Vec::new(),
