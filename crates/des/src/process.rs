@@ -572,13 +572,6 @@ impl ProcCtx {
         }
     }
 
-    /// Yield at the current instant, letting every other entity already
-    /// scheduled at `now` run first. Models releasing the CPU for one
-    /// scheduling quantum without consuming measurable time.
-    pub fn yield_now(&mut self) {
-        self.advance(0);
-    }
-
     /// Block until `signal` is notified. May wake spuriously if the signal
     /// is shared; callers re-check their condition in a loop.
     pub fn wait(&mut self, signal: &Signal) {

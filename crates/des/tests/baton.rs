@@ -313,7 +313,7 @@ fn mixed_world(seed: u64) -> Simulation {
                     h.schedule_at(ctx.now() + 1 + rng.below(400), move |t| sig2.notify_at(t));
                     ctx.advance(rng.below(50));
                 }
-                _ => ctx.yield_now(),
+                _ => ctx.advance(0),
             }
         }
     };

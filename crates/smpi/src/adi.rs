@@ -28,14 +28,36 @@ pub(crate) const REVOKE_PHASE: u8 = 0xFF;
 pub enum Idle {
     /// Pay for the empty iteration (`progress_poll_ns`) and return.
     Pace,
-    /// Block on the device's interrupt where it has one
-    /// ([`Device::idle_wait`]); on a polling device, as `Pace`.
+    /// Block on the device's interrupt where it has one; on a polling
+    /// device, as `Pace`.
     Park,
     /// As `Park`, and on a polling device that can, sleep through the
-    /// polling until a frame has arrived ([`Device::idle_sleep`]) — the
-    /// iterations the caller's loop would have made, without waking it for
-    /// each. For a loop that does nothing else between iterations.
+    /// polling until a frame has arrived — the iterations the caller's
+    /// loop would have made, without waking it for each. For a loop that
+    /// does nothing else between iterations.
     Sleep,
+}
+
+impl Device {
+    /// Wait out a progress iteration that found no frame, as `idle` says.
+    /// Only the BBP endpoint has an interrupt to park on
+    /// (`wait_for_traffic`) or a polling loop it can run for its caller
+    /// (`sleep_until_flagged`: the same virtual time, schedule and
+    /// counters as the caller's loop of polls `lead` ns apart). A caller
+    /// that did not wait pays `lead` for the empty iteration, which is
+    /// what paces its polling loop.
+    fn idle(&mut self, ctx: &mut ProcCtx, idle: Idle, lead: Time) {
+        let waited = match (self, idle) {
+            (Device::Bbp(ep), Idle::Park) => ep.wait_for_traffic(ctx),
+            (Device::Bbp(ep), Idle::Sleep) => {
+                ep.wait_for_traffic(ctx) || ep.sleep_until_flagged(ctx, lead)
+            }
+            _ => false,
+        };
+        if !waited {
+            ctx.charge(lead);
+        }
+    }
 }
 
 /// A posted (pending) receive.
@@ -101,7 +123,7 @@ enum Req {
 
 /// The ADI engine for one rank. Owns the device.
 pub struct Adi {
-    dev: Box<dyn Device>,
+    dev: Device,
     costs: SmpiCosts,
     posted: VecDeque<Posted>,
     unexpected: VecDeque<Unexpected>,
@@ -118,7 +140,7 @@ pub struct Adi {
 
 impl Adi {
     /// Build an ADI engine over `dev` with the given per-layer costs.
-    pub fn new(dev: Box<dyn Device>, costs: SmpiCosts) -> Self {
+    pub fn new(dev: Device, costs: SmpiCosts) -> Self {
         Adi {
             dev,
             costs,
@@ -158,11 +180,6 @@ impl Adi {
     /// receives are posted.
     pub fn unexpected_peak(&self) -> usize {
         self.unexpected_peak
-    }
-
-    /// Borrow the underlying device.
-    pub fn device(&self) -> &dyn Device {
-        self.dev.as_ref()
     }
 
     /// Whether the device offers hardware multicast.
@@ -206,23 +223,21 @@ impl Adi {
         }
     }
 
-    /// Largest payload one frame can carry under this device.
-    fn chunk_max(&self) -> usize {
-        match self.dev.max_frame() {
-            Some(max) => {
-                let c = max.saturating_sub(self.costs.header_bytes);
-                assert!(c > 0, "device frame limit smaller than the channel header");
-                c
-            }
-            None => usize::MAX,
-        }
+    /// Largest payload a frame of at most `max` bytes (`None` =
+    /// unlimited) carries behind the channel header.
+    fn room(&self, max: Option<usize>) -> usize {
+        max.map_or(usize::MAX, |max| {
+            let c = max.saturating_sub(self.costs.header_bytes);
+            assert!(c > 0, "device frame limit smaller than the channel header");
+            c
+        })
     }
 
     /// Whether an eager multicast of `len` payload bytes fits in one
-    /// frame (native broadcast cannot segment: it must post exactly
-    /// once).
+    /// multicast frame (native broadcast cannot segment: it must post
+    /// exactly once).
     pub fn eager_mcast_fits(&self, len: usize) -> bool {
-        len <= self.chunk_max()
+        len <= self.room(self.dev.max_mcast_frame())
     }
 
     // ------------------------------------------------------------------
@@ -261,7 +276,7 @@ impl Adi {
         let id = self.fresh_req();
         let eager = !synchronous
             && payload.len() < self.costs.rendezvous_threshold
-            && payload.len() <= self.chunk_max();
+            && payload.len() <= self.room(self.dev.max_frame());
         // An eager frame carries the message; a rendezvous RTS announces
         // it under our request id.
         let (kind, req, body) = if eager {
@@ -589,19 +604,7 @@ impl Adi {
     /// loop charges next (or with its own closing settle).
     fn step(&mut self, ctx: &mut ProcCtx, idle: Idle) {
         let Some((src, frame)) = self.dev.try_recv_frame(ctx) else {
-            // Idle. A caller that blocks waits on the device's interrupt,
-            // or sleeps through the device's polling; anyone else, and any
-            // device with neither, pays for the empty iteration, which is
-            // what paces the polling loop.
-            let lead = self.costs.progress_poll_ns;
-            let waited = match idle {
-                Idle::Pace => false,
-                Idle::Park => self.dev.idle_wait(ctx),
-                Idle::Sleep => self.dev.idle_wait(ctx) || self.dev.idle_sleep(ctx, lead),
-            };
-            if !waited {
-                ctx.charge(lead);
-            }
+            self.dev.idle(ctx, idle, self.costs.progress_poll_ns);
             return;
         };
         if let Some((context, phase)) = decode_null(&frame) {
@@ -640,7 +643,7 @@ impl Adi {
                 // empty payload has no chunks, but a zero-length
                 // rendezvous (synchronous mode, or a threshold of 0)
                 // still owes its receiver one data frame.
-                let chunk = self.chunk_max().min(payload.len().max(1));
+                let chunk = self.room(self.dev.max_frame()).min(payload.len().max(1));
                 let empty = payload.is_empty().then_some(&[][..]);
                 let data = self.header(
                     PacketKind::RndzData,
@@ -744,7 +747,7 @@ mod tests {
     fn adi(rank: usize, n: usize) -> (Adi, ScriptProbe) {
         let (dev, probe) = ScriptedDevice::new(rank, n);
         (
-            Adi::new(Box::new(dev), SmpiCosts::channel_interface()),
+            Adi::new(Device::Scripted(dev), SmpiCosts::channel_interface()),
             probe,
         )
     }
@@ -909,7 +912,7 @@ mod tests {
             let (dev, probe) = ScriptedDevice::new(0, 2);
             let mut dev = dev;
             dev.max_frame = Some(4 * 1024);
-            let mut a = Adi::new(Box::new(dev), SmpiCosts::channel_interface());
+            let mut a = Adi::new(Device::Scripted(dev), SmpiCosts::channel_interface());
             let payload = vec![3u8; 20 * 1024];
             let req = a.isend(ctx, 1, 0, 2, &payload).unwrap();
             let rts = PacketHeader::decode(&probe.sent()[0].1);
@@ -988,7 +991,7 @@ mod tests {
         with_ctx(|ctx| {
             let (mut dev, probe) = ScriptedDevice::new(0, 2);
             dev.fail_sends = Some(crate::device::DeviceError::Timeout { peer: 1 });
-            let mut a = Adi::new(Box::new(dev), SmpiCosts::channel_interface());
+            let mut a = Adi::new(Device::Scripted(dev), SmpiCosts::channel_interface());
             let err = a.isend(ctx, 1, 0, 5, b"doomed").unwrap_err();
             assert_eq!(err, crate::device::DeviceError::Timeout { peer: 1 });
             assert_eq!(probe.sent_count(), 0, "nothing left the node");
@@ -1000,7 +1003,7 @@ mod tests {
         with_ctx(|ctx| {
             let (mut dev, _probe) = ScriptedDevice::new(0, 2);
             dev.fail_sends = Some(crate::device::DeviceError::PeerDown { peer: 1 });
-            let mut a = Adi::new(Box::new(dev), SmpiCosts::channel_interface());
+            let mut a = Adi::new(Device::Scripted(dev), SmpiCosts::channel_interface());
             let err = a.isend(ctx, 1, 0, 5, &vec![0u8; 20 * 1024]).unwrap_err();
             assert_eq!(err, crate::device::DeviceError::PeerDown { peer: 1 });
             assert!(
@@ -1029,7 +1032,7 @@ mod tests {
                 };
                 h.encode(SmpiCosts::channel_interface().header_bytes)
             });
-            let mut a = Adi::new(Box::new(dev), SmpiCosts::channel_interface());
+            let mut a = Adi::new(Device::Scripted(dev), SmpiCosts::channel_interface());
             a.progress(ctx, Idle::Pace);
             let err = a.irecv(ctx, 0, Some(1), Some(4)).unwrap_err();
             assert_eq!(err, crate::device::DeviceError::Corrupt { peer: 1 });
@@ -1041,7 +1044,7 @@ mod tests {
         let (dev, _probe) = ScriptedDevice::new(0, 2);
         let mut dev = dev;
         dev.max_frame = Some(1000);
-        let a = Adi::new(Box::new(dev), SmpiCosts::channel_interface());
+        let a = Adi::new(Device::Scripted(dev), SmpiCosts::channel_interface());
         assert!(a.eager_mcast_fits(1000 - a.costs().header_bytes));
         assert!(!a.eager_mcast_fits(1000));
     }

@@ -1,8 +1,12 @@
 //! The Channel Interface: the narrow device layer MPICH ports ride on,
 //! plus the wire format of channel packets.
 
-use des::{ProcCtx, Time};
+use bbp::{BbpEndpoint, BbpError};
+use des::obs::Layer;
+use des::ProcCtx;
+use netsim::{MyrinetApiPort, TcpSock};
 
+use crate::hybrid::HybridDevice;
 use crate::types::Tag;
 
 /// A transport failure the device surfaces instead of delivering. Only
@@ -170,78 +174,270 @@ pub(crate) fn decode_null(frame: &[u8]) -> Option<(u16, u8)> {
     }
 }
 
+/// Translate a BBP reliability-layer failure into the device-layer
+/// taxonomy. Anything else out of the endpoint (oversized payload, bad
+/// rank) is a configuration bug in the stack, not a fault, and panics.
+fn map_bbp_err(e: BbpError) -> DeviceError {
+    match e {
+        BbpError::Corrupt { peer } => DeviceError::Corrupt { peer },
+        BbpError::Timeout { peer, .. } => DeviceError::Timeout { peer },
+        BbpError::PeerDown { peer } => DeviceError::PeerDown { peer },
+        BbpError::Partitioned { epoch } => DeviceError::Partitioned { epoch },
+        other => panic!("BBP configuration error under the channel device: {other}"),
+    }
+}
+
 /// The device under the Channel Interface. One instance per rank, owned
-/// by that rank's process.
-pub trait Device: Send {
+/// by that rank's process: one of the transports the worlds are built on.
+pub enum Device {
+    /// The SCRAMNet device: frames ride the BillBoard Protocol, which
+    /// already guarantees reliable per-pair-FIFO delivery and provides the
+    /// hardware-replicated multicast the native collectives exploit.
+    Bbp(Box<BbpEndpoint>),
+    /// The socket device of MPICH over TCP (Fast Ethernet, ATM, Myrinet).
+    Tcp(TcpDevice),
+    /// The native (user-level) Myrinet API: OS-bypass messaging, no
+    /// multicast (wormhole switches have no replication hardware). Holds
+    /// this rank's port and the world size.
+    Myrinet(MyrinetApiPort, usize),
+    /// SCRAMNet for latency plus a bulk path for bandwidth.
+    Hybrid(Box<HybridDevice>),
+    /// An in-memory double with an inspectable outbox.
+    #[cfg(test)]
+    Scripted(crate::testutil::ScriptedDevice),
+}
+
+impl Device {
     /// This device's world rank.
-    fn rank(&self) -> usize;
+    pub fn rank(&self) -> usize {
+        match self {
+            Device::Bbp(ep) => ep.rank(),
+            Device::Tcp(tcp) => tcp.rank,
+            Device::Myrinet(port, _) => port.host(),
+            Device::Hybrid(hy) => hy.fast.rank(),
+            #[cfg(test)]
+            Device::Scripted(s) => s.rank,
+        }
+    }
+
     /// World size.
-    fn nprocs(&self) -> usize;
+    pub fn nprocs(&self) -> usize {
+        match self {
+            Device::Bbp(ep) => ep.nprocs(),
+            Device::Tcp(tcp) => tcp.socks.len(),
+            Device::Myrinet(_, nprocs) => *nprocs,
+            Device::Hybrid(hy) => hy.fast.nprocs(),
+            #[cfg(test)]
+            Device::Scripted(s) => s.n,
+        }
+    }
+
     /// Per-pair-FIFO frame delivery to `dst`. `Err` means the transport
     /// gave up after exhausting whatever reliability budget it has; the
     /// ADI turns that into an MPI-level error.
-    fn send_frame(
+    pub fn send_frame(
         &mut self,
         ctx: &mut ProcCtx,
         dst: usize,
         frame: &[u8],
-    ) -> Result<(), DeviceError>;
-    /// One progress poll: the next arrived frame, if any, with its source.
-    fn try_recv_frame(&mut self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)>;
+    ) -> Result<(), DeviceError> {
+        self.traced(ctx, "frame_send", |dev, ctx| dev.transmit(ctx, dst, frame))
+    }
+
     /// Hardware multicast of one frame. [`Device::has_native_mcast`] is
     /// the one capability bit: callers ask it first and fall back to
-    /// point-to-point, so the default — for devices without the hardware
-    /// — is never reached by a correct caller.
-    fn mcast_frame(
+    /// point-to-point, so a device without the hardware panics here.
+    pub fn mcast_frame(
         &mut self,
-        _ctx: &mut ProcCtx,
-        _targets: &[usize],
-        _frame: &[u8],
+        ctx: &mut ProcCtx,
+        targets: &[usize],
+        frame: &[u8],
     ) -> Result<(), DeviceError> {
-        panic!("device has no native multicast")
+        self.traced(ctx, "frame_mcast", |dev, ctx| {
+            dev.replicate(ctx, targets, frame)
+        })
     }
+
+    /// A frame's one `Layer::Device` span, and its `device.send_errors`
+    /// count if the transport gave up, whatever the transport: a hybrid's
+    /// paths are reached through the untraced `transmit`/`replicate`.
+    fn traced(
+        &mut self,
+        ctx: &mut ProcCtx,
+        name: &'static str,
+        op: impl FnOnce(&mut Self, &mut ProcCtx) -> Result<(), DeviceError>,
+    ) -> Result<(), DeviceError> {
+        let node = self.rank() as u32;
+        ctx.obs().span_enter(ctx.now(), node, Layer::Device, name);
+        let out = op(self, ctx);
+        if out.is_err() {
+            ctx.obs().count(ctx.now(), node, "device.send_errors", 1);
+        }
+        ctx.obs().span_exit(ctx.now(), node, Layer::Device, name);
+        out
+    }
+
+    /// [`Device::send_frame`] without its span: what a hybrid's paths
+    /// are sent through.
+    pub(crate) fn transmit(
+        &mut self,
+        ctx: &mut ProcCtx,
+        dst: usize,
+        frame: &[u8],
+    ) -> Result<(), DeviceError> {
+        match self {
+            Device::Bbp(ep) => ep.send(ctx, dst, frame).map_err(map_bbp_err),
+            Device::Tcp(tcp) => {
+                let sock = tcp.socks[dst].as_ref();
+                sock.unwrap_or_else(|| panic!("no connection to rank {dst}"))
+                    .send(ctx, frame);
+                Ok(())
+            }
+            Device::Myrinet(port, _) => {
+                port.send(ctx, dst, frame);
+                Ok(())
+            }
+            Device::Hybrid(hy) => hy.transmit(ctx, dst, frame),
+            #[cfg(test)]
+            Device::Scripted(s) => s.record(&[dst], frame),
+        }
+    }
+
+    /// [`Device::mcast_frame`] without its span.
+    pub(crate) fn replicate(
+        &mut self,
+        ctx: &mut ProcCtx,
+        targets: &[usize],
+        frame: &[u8],
+    ) -> Result<(), DeviceError> {
+        match self {
+            Device::Bbp(ep) => ep.mcast(ctx, targets, frame).map_err(map_bbp_err),
+            Device::Hybrid(hy) => hy.replicate(ctx, targets, frame),
+            #[cfg(test)]
+            Device::Scripted(s) => s.record(targets, frame),
+            Device::Tcp(_) | Device::Myrinet(..) => panic!("device has no native multicast"),
+        }
+    }
+
+    /// One progress poll: the next arrived frame, if any, with its source.
+    pub fn try_recv_frame(&mut self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)> {
+        match self {
+            Device::Bbp(ep) => {
+                // The progress engine is the device's only periodic entry
+                // point, so it doubles as the membership driver: heartbeat
+                // publication and failure detection advance once per poll
+                // (a no-op without the membership extension).
+                ep.membership_tick(ctx);
+                // No span: the progress engine polls this continuously and
+                // a span per empty poll would drown the trace. A received
+                // frame still shows up as the nested `bbp` deliver span.
+                let got = ep.try_recv_any(ctx);
+                if got.is_some() {
+                    ctx.obs()
+                        .count(ctx.now(), ep.rank() as u32, "device.frames_rx", 1);
+                }
+                got
+            }
+            Device::Tcp(tcp) => tcp.try_recv(ctx),
+            Device::Myrinet(port, _) => port.try_recv(ctx),
+            Device::Hybrid(hy) => hy.try_recv(ctx),
+            #[cfg(test)]
+            Device::Scripted(s) => s.state.lock().incoming.pop_front(),
+        }
+    }
+
     /// Whether [`Device::mcast_frame`] works (the paper's "additional
     /// functionality provided by the underlying device").
-    fn has_native_mcast(&self) -> bool;
-    /// Largest frame this device can carry in one piece (`None` =
+    pub fn has_native_mcast(&self) -> bool {
+        match self {
+            Device::Bbp(_) => true,
+            Device::Tcp(_) | Device::Myrinet(..) => false,
+            Device::Hybrid(hy) => hy.fast.has_native_mcast(),
+            #[cfg(test)]
+            Device::Scripted(_) => true,
+        }
+    }
+
+    /// Largest frame [`Device::send_frame`] carries in one piece (`None` =
     /// unlimited). The ADI segments rendezvous data to fit.
-    fn max_frame(&self) -> Option<usize> {
-        None
+    pub fn max_frame(&self) -> Option<usize> {
+        match self {
+            Device::Bbp(ep) => Some(ep.config().max_payload_bytes()),
+            Device::Tcp(_) | Device::Myrinet(..) => None,
+            Device::Hybrid(hy) => hy.max_frame(),
+            #[cfg(test)]
+            Device::Scripted(s) => s.max_frame,
+        }
     }
-    /// Park until new traffic may be available, returning `true` if the
-    /// device blocked (interrupt-capable transports). The default
-    /// returns `false`: there is nothing to park on, and a blocking loop
-    /// either asks for [`Device::idle_sleep`] or paces its own polling.
-    /// Only for a caller that blocks: one-shot progress must not park.
-    fn idle_wait(&mut self, _ctx: &mut ProcCtx) -> bool {
-        false
+
+    /// Largest frame [`Device::mcast_frame`] carries in one piece: the
+    /// limit of the path the multicast rides, which on a hybrid is not the
+    /// one [`Device::max_frame`] reports.
+    pub fn max_mcast_frame(&self) -> Option<usize> {
+        match self {
+            Device::Hybrid(hy) => hy.max_mcast_frame(),
+            dev => dev.max_frame(),
+        }
     }
-    /// For a blocking loop that would otherwise go "`try_recv_frame`;
-    /// nothing; `lead` ns of my own time; again": do exactly that polling
-    /// on the caller's behalf until the next `try_recv_frame` has a frame,
-    /// and return `true`. Same virtual time, same schedule, same counters
-    /// as the loop — the point is that the calling process can sleep
-    /// through it. A device for which polling is not all that happens
-    /// between two polls, or that cannot tell, returns `false` having done
-    /// nothing (the default), and the caller paces itself.
-    fn idle_sleep(&mut self, _ctx: &mut ProcCtx, _lead: Time) -> bool {
-        false
-    }
+
     /// The transport's failure-detector view, as `(epoch, alive_mask)`
     /// — bit `r` of the mask is set while world rank `r` is believed
-    /// alive. `None` (the default) means the device has no membership
-    /// layer: every peer is presumed alive forever and the degraded-mode
-    /// checks are vacuous.
-    fn membership(&self) -> Option<(u32, u32)> {
-        None
+    /// alive. `None` means the device has no membership layer: every peer
+    /// is presumed alive forever and the degraded-mode checks are vacuous.
+    pub fn membership(&self) -> Option<(u32, u32)> {
+        match self {
+            Device::Bbp(ep) => ep.membership_view().map(|v| (v.epoch, v.alive_mask)),
+            // Only the fast path (SCRAMNet) carries a failure detector; a
+            // node dead on the billboard is dead, whatever Myrinet thinks.
+            Device::Hybrid(hy) => hy.fast.membership(),
+            _ => None,
+        }
     }
+
     /// Quorum-enforced membership only: `Some(epoch)` while the
     /// transport is frozen because this node's segment lost its quorum
-    /// (the epoch is the last committed view it froze at). The default
-    /// `None` means the device never partitions. The ADI checks this at
-    /// operation entry and inside blocking waits so minority ranks fail
-    /// typed instead of hanging.
-    fn partitioned(&self) -> Option<u32> {
+    /// (the epoch is the last committed view it froze at). `None` means
+    /// the device never partitions. The ADI checks this at operation
+    /// entry and inside blocking waits so minority ranks fail typed
+    /// instead of hanging.
+    pub fn partitioned(&self) -> Option<u32> {
+        match self {
+            Device::Bbp(ep) => ep.frozen_epoch(),
+            // Quorum, too, lives on the billboard's detector.
+            Device::Hybrid(hy) => hy.fast.partitioned(),
+            _ => None,
+        }
+    }
+}
+
+/// The TCP channel device (MPICH's `ch_p4`-style socket device): one
+/// connection per peer, polled round-robin.
+pub struct TcpDevice {
+    rank: usize,
+    /// `socks[p]` is the connection to peer `p` (`None` at `p == rank`).
+    socks: Vec<Option<TcpSock>>,
+    rr: usize,
+}
+
+impl TcpDevice {
+    /// Build from a full mesh of sockets; `socks[rank]` must be `None`
+    /// and every other slot connected to the matching peer.
+    pub fn new(rank: usize, socks: Vec<Option<TcpSock>>) -> Self {
+        assert!(socks[rank].is_none(), "no loopback socket at own rank");
+        TcpDevice { rank, socks, rr: 0 }
+    }
+
+    fn try_recv(&mut self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)> {
+        let n = self.socks.len();
+        for off in 0..n {
+            let p = (self.rr + off) % n;
+            if let Some(sock) = &self.socks[p] {
+                if let Some(frame) = sock.try_recv(ctx) {
+                    self.rr = (p + 1) % n;
+                    return Some((p, frame));
+                }
+            }
+        }
         None
     }
 }

@@ -37,8 +37,8 @@ const WRAP: usize = 5;
 /// A device multiplexing two underlying devices by frame size. See the
 /// module docs for the ordering protocol.
 pub struct HybridDevice {
-    fast: Box<dyn Device>,
-    bulk: Box<dyn Device>,
+    pub(crate) fast: Device,
+    bulk: Device,
     /// Frames with payload length < threshold take the fast path.
     threshold: usize,
     /// Next sequence number to stamp, per destination.
@@ -54,7 +54,7 @@ pub struct HybridDevice {
 impl HybridDevice {
     /// Compose `fast` (low latency, must agree on rank/nprocs) and
     /// `bulk` (high bandwidth). `threshold` is in frame bytes.
-    pub fn new(fast: Box<dyn Device>, bulk: Box<dyn Device>, threshold: usize) -> Self {
+    pub fn new(fast: Device, bulk: Device, threshold: usize) -> Self {
         assert_eq!(fast.rank(), bulk.rank(), "paths must share the rank");
         assert_eq!(fast.nprocs(), bulk.nprocs(), "paths must share the world");
         if let Some(max) = fast.max_frame() {
@@ -113,18 +113,9 @@ impl HybridDevice {
             other => panic!("corrupt hybrid frame marker {other:#x}"),
         }
     }
-}
 
-impl Device for HybridDevice {
-    fn rank(&self) -> usize {
-        self.fast.rank()
-    }
-
-    fn nprocs(&self) -> usize {
-        self.fast.nprocs()
-    }
-
-    fn send_frame(
+    /// A point-to-point frame, sequenced, by the path its size picks.
+    pub(crate) fn transmit(
         &mut self,
         ctx: &mut ProcCtx,
         dst: usize,
@@ -133,14 +124,27 @@ impl Device for HybridDevice {
         let seq = self.tx_seq[dst];
         self.tx_seq[dst] = seq.wrapping_add(1);
         let wrapped = Self::wrap(HYB_SEQ, seq, frame);
-        if frame.len() < self.threshold {
-            self.fast.send_frame(ctx, dst, &wrapped)
+        let path = if frame.len() < self.threshold {
+            &mut self.fast
         } else {
-            self.bulk.send_frame(ctx, dst, &wrapped)
-        }
+            &mut self.bulk
+        };
+        path.transmit(ctx, dst, &wrapped)
     }
 
-    fn try_recv_frame(&mut self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)> {
+    /// A multicast: a fast-path exclusive, unsequenced (the fast path's
+    /// own FIFO orders successive multicasts per source).
+    pub(crate) fn replicate(
+        &mut self,
+        ctx: &mut ProcCtx,
+        targets: &[usize],
+        frame: &[u8],
+    ) -> Result<(), DeviceError> {
+        let wrapped = Self::wrap(HYB_RAW, 0, frame);
+        self.fast.replicate(ctx, targets, &wrapped)
+    }
+
+    pub(crate) fn try_recv(&mut self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)> {
         if let Some(out) = self.ready.pop_front() {
             return Some(out);
         }
@@ -154,36 +158,14 @@ impl Device for HybridDevice {
         self.ready.pop_front()
     }
 
-    fn mcast_frame(
-        &mut self,
-        ctx: &mut ProcCtx,
-        targets: &[usize],
-        frame: &[u8],
-    ) -> Result<(), DeviceError> {
-        // Multicast is a fast-path exclusive; unsequenced (the fast
-        // path's own FIFO orders successive multicasts per source).
-        let wrapped = Self::wrap(HYB_RAW, 0, frame);
-        self.fast.mcast_frame(ctx, targets, &wrapped)
-    }
-
-    fn has_native_mcast(&self) -> bool {
-        self.fast.has_native_mcast()
-    }
-
-    fn max_frame(&self) -> Option<usize> {
-        // Large frames ride the bulk path; account for the wrapper.
+    /// Large frames ride the bulk path; account for the wrapper.
+    pub(crate) fn max_frame(&self) -> Option<usize> {
         self.bulk.max_frame().map(|m| m - WRAP)
     }
 
-    fn membership(&self) -> Option<(u32, u32)> {
-        // Only the fast path (SCRAMNet) carries a failure detector; a
-        // node dead on the billboard is dead, whatever Myrinet thinks.
-        self.fast.membership()
-    }
-
-    fn partitioned(&self) -> Option<u32> {
-        // Same reasoning: quorum lives on the billboard's detector.
-        self.fast.partitioned()
+    /// Every multicast rides the fast path, whatever its size.
+    pub(crate) fn max_mcast_frame(&self) -> Option<usize> {
+        self.fast.max_frame().map(|m| m - WRAP)
     }
 }
 
@@ -194,23 +176,27 @@ mod tests {
 
     use crate::testutil::{with_ctx, ScriptedDevice};
 
-    fn pair() -> (Box<ScriptedDevice>, Box<ScriptedDevice>) {
+    fn pair() -> (Device, Device) {
         let (fast, _) = ScriptedDevice::new(0, 2);
         let (bulk, _) = ScriptedDevice::new(0, 2);
-        (Box::new(fast), Box::new(bulk))
+        (Device::Scripted(fast), Device::Scripted(bulk))
     }
 
     #[test]
     fn frames_route_by_size() {
         with_ctx(|ctx| {
-            let (fast, bulk) = pair();
+            let (fast, fast_probe) = ScriptedDevice::new(0, 2);
+            let (bulk, bulk_probe) = ScriptedDevice::new(0, 2);
+            let (fast, bulk) = (Device::Scripted(fast), Device::Scripted(bulk));
             let mut hy = HybridDevice::new(fast, bulk, 100);
-            hy.send_frame(ctx, 1, &[0u8; 50]).unwrap();
-            hy.send_frame(ctx, 1, &[0u8; 200]).unwrap();
-            hy.send_frame(ctx, 1, &[0u8; 99]).unwrap();
-            // Inspect routing by downcasting is awkward; re-wrap: count
-            // via the sequencing invariant instead — sizes are disjoint.
-            // (Routing itself is asserted in the world-level test.)
+            hy.transmit(ctx, 1, &[0u8; 50]).unwrap();
+            hy.transmit(ctx, 1, &[0u8; 200]).unwrap();
+            hy.transmit(ctx, 1, &[0u8; 99]).unwrap();
+            let lens = |sent: Vec<(usize, Vec<u8>)>| -> Vec<usize> {
+                sent.iter().map(|(_, f)| f.len() - WRAP).collect()
+            };
+            assert_eq!(lens(fast_probe.sent()), [50, 99]);
+            assert_eq!(lens(bulk_probe.sent()), [200]);
             assert_eq!(
                 hy.tx_seq[1], 3,
                 "every p2p frame consumes a sequence number"
@@ -227,13 +213,13 @@ mod tests {
             let f0 = HybridDevice::wrap(HYB_SEQ, 0, b"first");
             let f1 = HybridDevice::wrap(HYB_SEQ, 1, b"second");
             hy.accept(1, f1);
-            assert!(hy.try_recv_frame(ctx).is_none(), "gap must hold delivery");
+            assert!(hy.try_recv(ctx).is_none(), "gap must hold delivery");
             hy.accept(1, f0);
-            let (s, a) = hy.try_recv_frame(ctx).unwrap();
+            let (s, a) = hy.try_recv(ctx).unwrap();
             assert_eq!((s, a.as_slice()), (1, &b"first"[..]));
-            let (_, b) = hy.try_recv_frame(ctx).unwrap();
+            let (_, b) = hy.try_recv(ctx).unwrap();
             assert_eq!(b, b"second");
-            assert!(hy.try_recv_frame(ctx).is_none());
+            assert!(hy.try_recv(ctx).is_none());
         });
     }
 
@@ -246,9 +232,9 @@ mod tests {
             // sequenced gap exists.
             hy.accept(1, HybridDevice::wrap(HYB_SEQ, 5, b"far future"));
             hy.accept(1, HybridDevice::wrap(HYB_RAW, 0, b"collective"));
-            let (_, m) = hy.try_recv_frame(ctx).unwrap();
+            let (_, m) = hy.try_recv(ctx).unwrap();
             assert_eq!(m, b"collective");
-            assert!(hy.try_recv_frame(ctx).is_none());
+            assert!(hy.try_recv(ctx).is_none());
         });
     }
 
@@ -260,8 +246,8 @@ mod tests {
             hy.rx_expected[1] = u32::MAX;
             hy.accept(1, HybridDevice::wrap(HYB_SEQ, u32::MAX, b"last"));
             hy.accept(1, HybridDevice::wrap(HYB_SEQ, 0, b"wrapped"));
-            assert_eq!(hy.try_recv_frame(ctx).unwrap().1, b"last");
-            assert_eq!(hy.try_recv_frame(ctx).unwrap().1, b"wrapped");
+            assert_eq!(hy.try_recv(ctx).unwrap().1, b"last");
+            assert_eq!(hy.try_recv(ctx).unwrap().1, b"wrapped");
         });
     }
 

@@ -12,7 +12,8 @@
 //! MPI bindings           Comm::{send, recv, bcast, barrier, reduce, …}
 //!   └─ ADI               posted/unexpected queues, eager + rendezvous
 //!        └─ Channel Interface   packet framing (64-byte header)
-//!             └─ Device         BbpDevice (SCRAMNet) | TcpDevice (FastE/ATM/Myrinet)
+//!             └─ Device         enum: Bbp (SCRAMNet) | Tcp (FastE/ATM/Myrinet)
+//!                               | Myrinet (native API) | Hybrid (SCRAMNet + bulk)
 //! ```
 //!
 //! Every layer charges its calibrated software cost ([`SmpiCosts`]), which
@@ -55,7 +56,6 @@ mod collectives;
 mod costs;
 mod degraded;
 mod device;
-mod devices;
 mod hybrid;
 mod mpi;
 #[cfg(test)]
@@ -66,8 +66,7 @@ mod world;
 pub use adi::{Adi, Idle};
 pub use collectives::CollectiveImpl;
 pub use costs::SmpiCosts;
-pub use device::{Device, DeviceError, PacketHeader, PacketKind};
-pub use devices::{BbpDevice, MyrinetDevice, TcpDevice};
+pub use device::{Device, DeviceError, PacketHeader, PacketKind, TcpDevice};
 pub use hybrid::HybridDevice;
 pub use mpi::{Comm, Mpi};
 pub use types::{MpiError, RecvRequest, ReduceOp, SendRequest, Status, Tag, ANY_SOURCE, ANY_TAG};

@@ -93,7 +93,7 @@ pub struct Mpi {
 impl Mpi {
     /// Build from a device. Most users go through
     /// [`crate::MpiWorld`] instead.
-    pub fn new(dev: Box<dyn Device>, costs: SmpiCosts, default_coll: CollectiveImpl) -> Self {
+    pub fn new(dev: Device, costs: SmpiCosts, default_coll: CollectiveImpl) -> Self {
         Mpi {
             adi: Adi::new(dev, costs),
             default_coll,
@@ -472,7 +472,7 @@ mod tests {
     fn mpi(rank: usize, n: usize) -> Mpi {
         let (dev, _probe) = ScriptedDevice::new(rank, n);
         Mpi::new(
-            Box::new(dev),
+            Device::Scripted(dev),
             SmpiCosts::channel_interface(),
             CollectiveImpl::Native,
         )

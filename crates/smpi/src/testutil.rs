@@ -8,10 +8,10 @@ use std::sync::Arc;
 use des::ProcCtx;
 use parking_lot::Mutex;
 
-use crate::device::{Device, DeviceError};
+use crate::device::DeviceError;
 
 #[derive(Default)]
-pub(crate) struct ScriptState {
+pub struct ScriptState {
     /// Every frame sent, with its destination.
     pub sent: Vec<(usize, Vec<u8>)>,
     /// Frames the test has queued for delivery (src, frame).
@@ -20,7 +20,7 @@ pub(crate) struct ScriptState {
 
 /// Shared view of a [`ScriptedDevice`]'s traffic.
 #[derive(Clone)]
-pub(crate) struct ScriptProbe {
+pub struct ScriptProbe {
     state: Arc<Mutex<ScriptState>>,
 }
 
@@ -41,12 +41,13 @@ impl ScriptProbe {
     }
 }
 
-/// An in-memory device: sends are recorded, receives are fed by tests.
-pub(crate) struct ScriptedDevice {
-    rank: usize,
-    n: usize,
-    state: Arc<Mutex<ScriptState>>,
-    /// Frame-size limit reported through [`Device::max_frame`].
+/// An in-memory device ([`crate::Device::Scripted`]): sends are
+/// recorded, receives are fed by tests.
+pub struct ScriptedDevice {
+    pub rank: usize,
+    pub n: usize,
+    pub state: Arc<Mutex<ScriptState>>,
+    /// Frame-size limit reported through [`crate::Device::max_frame`].
     pub max_frame: Option<usize>,
     /// When set, every send/mcast fails with this error (nothing is
     /// recorded as sent).
@@ -70,40 +71,9 @@ impl ScriptedDevice {
             probe,
         )
     }
-}
 
-impl Device for ScriptedDevice {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn nprocs(&self) -> usize {
-        self.n
-    }
-
-    fn send_frame(
-        &mut self,
-        _ctx: &mut ProcCtx,
-        dst: usize,
-        frame: &[u8],
-    ) -> Result<(), DeviceError> {
-        if let Some(e) = self.fail_sends {
-            return Err(e);
-        }
-        self.state.lock().sent.push((dst, frame.to_vec()));
-        Ok(())
-    }
-
-    fn try_recv_frame(&mut self, _ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)> {
-        self.state.lock().incoming.pop_front()
-    }
-
-    fn mcast_frame(
-        &mut self,
-        _ctx: &mut ProcCtx,
-        targets: &[usize],
-        frame: &[u8],
-    ) -> Result<(), DeviceError> {
+    /// A send or a multicast: one copy of `frame` per target.
+    pub fn record(&self, targets: &[usize], frame: &[u8]) -> Result<(), DeviceError> {
         if let Some(e) = self.fail_sends {
             return Err(e);
         }
@@ -112,14 +82,6 @@ impl Device for ScriptedDevice {
             s.sent.push((t, frame.to_vec()));
         }
         Ok(())
-    }
-
-    fn has_native_mcast(&self) -> bool {
-        true
-    }
-
-    fn max_frame(&self) -> Option<usize> {
-        self.max_frame
     }
 }
 

@@ -8,7 +8,7 @@ use scramnet::{CostModel, RingConfig};
 
 use crate::collectives::CollectiveImpl;
 use crate::costs::SmpiCosts;
-use crate::devices::{BbpDevice, MyrinetDevice, TcpDevice};
+use crate::device::{Device, TcpDevice};
 use crate::hybrid::HybridDevice;
 use crate::mpi::Mpi;
 
@@ -189,31 +189,24 @@ impl MpiWorld {
             );
             minted[rank] = true;
         }
-        match &self.transport {
-            Transport::Scramnet(cluster) => {
-                let dev = BbpDevice::new(cluster.endpoint(rank));
-                Mpi::new(Box::new(dev), self.costs.clone(), self.coll)
-            }
+        let dev = match &self.transport {
+            Transport::Scramnet(cluster) => Device::Bbp(Box::new(cluster.endpoint(rank))),
             Transport::Tcp(net) => {
                 let socks = (0..self.nprocs)
                     .map(|p| (p != rank).then(|| net.connect(rank, p)))
                     .collect();
-                Mpi::new(
-                    Box::new(TcpDevice::new(rank, socks)),
-                    self.costs.clone(),
-                    self.coll,
-                )
+                Device::Tcp(TcpDevice::new(rank, socks))
             }
             Transport::Hybrid {
                 cluster,
                 myrinet,
                 threshold,
             } => {
-                let fast = Box::new(BbpDevice::new(cluster.endpoint(rank)));
-                let bulk = Box::new(MyrinetDevice::new(myrinet.port(rank), self.nprocs));
-                let dev = HybridDevice::new(fast, bulk, *threshold);
-                Mpi::new(Box::new(dev), self.costs.clone(), self.coll)
+                let fast = Device::Bbp(Box::new(cluster.endpoint(rank)));
+                let bulk = Device::Myrinet(myrinet.port(rank), self.nprocs);
+                Device::Hybrid(Box::new(HybridDevice::new(fast, bulk, *threshold)))
             }
-        }
+        };
+        Mpi::new(dev, self.costs.clone(), self.coll)
     }
 }

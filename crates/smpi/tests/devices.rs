@@ -5,10 +5,10 @@
 use des::{Simulation, Time};
 use netsim::{MyrinetApiNet, NetSpec, TcpCosts, TcpNet};
 use parking_lot::Mutex;
-use smpi::{BbpDevice, Device, HybridDevice, MyrinetDevice, TcpDevice};
+use smpi::{Device, HybridDevice, TcpDevice};
 use std::sync::Arc;
 
-fn tcp_device_pairs(sim: &Simulation, hosts: usize) -> Vec<TcpDevice> {
+fn tcp_device_pairs(sim: &Simulation, hosts: usize) -> Vec<Device> {
     let net = TcpNet::new(
         &sim.handle(),
         NetSpec::fast_ethernet(hosts),
@@ -19,7 +19,7 @@ fn tcp_device_pairs(sim: &Simulation, hosts: usize) -> Vec<TcpDevice> {
             let socks = (0..hosts)
                 .map(|p| (p != rank).then(|| net.connect(rank, p)))
                 .collect();
-            TcpDevice::new(rank, socks)
+            Device::Tcp(TcpDevice::new(rank, socks))
         })
         .collect()
 }
@@ -101,8 +101,8 @@ fn tcp_device_round_robin_serves_all_peers() {
 fn myrinet_device_carries_frames() {
     let mut sim = Simulation::new();
     let net = MyrinetApiNet::new(&sim.handle(), 2);
-    let mut tx = MyrinetDevice::new(net.port(0), 2);
-    let mut rx = MyrinetDevice::new(net.port(1), 2);
+    let mut tx = Device::Myrinet(net.port(0), 2);
+    let mut rx = Device::Myrinet(net.port(1), 2);
     assert_eq!(tx.rank(), 0);
     assert_eq!(rx.nprocs(), 2);
     assert!(!rx.has_native_mcast());
@@ -120,19 +120,29 @@ fn myrinet_device_carries_frames() {
     assert!(sim.run().is_clean());
 }
 
+fn hybrid(cluster: &bbp::BbpCluster, net: &MyrinetApiNet, rank: usize, threshold: usize) -> Device {
+    let fast = Device::Bbp(Box::new(cluster.endpoint(rank)));
+    let bulk = Device::Myrinet(net.port(rank), 2);
+    Device::Hybrid(Box::new(HybridDevice::new(fast, bulk, threshold)))
+}
+
 #[test]
 fn hybrid_device_reports_fast_path_capabilities() {
     let mut sim = Simulation::new();
     let cluster = bbp::BbpCluster::new(&sim.handle(), bbp::BbpConfig::for_nodes(2));
     let net = MyrinetApiNet::new(&sim.handle(), 2);
-    let fast = Box::new(BbpDevice::new(cluster.endpoint(0)));
-    let bulk = Box::new(MyrinetDevice::new(net.port(0), 2));
+    let fast = Device::Bbp(Box::new(cluster.endpoint(0)));
+    let bulk = Device::Myrinet(net.port(0), 2);
     let hy = HybridDevice::new(fast, bulk, 512);
-    assert!(hy.has_native_mcast(), "mcast comes from the BBP fast path");
     assert_eq!(hy.threshold(), 512);
+    let hy = Device::Hybrid(Box::new(hy));
+    assert!(hy.has_native_mcast(), "mcast comes from the BBP fast path");
     assert_eq!(hy.rank(), 0);
     // Bulk path (Myrinet) is unlimited, minus the 5-byte wrapper = None.
     assert_eq!(hy.max_frame(), None);
+    // A multicast rides the fast path: its partition minus the wrapper.
+    let partition = bbp::BbpConfig::for_nodes(2).max_payload_bytes();
+    assert_eq!(hy.max_mcast_frame(), Some(partition - 5));
     drop(sim.run());
 }
 
@@ -145,16 +155,8 @@ fn hybrid_device_mixed_sizes_stay_ordered_at_device_level() {
         c
     });
     let net = MyrinetApiNet::new(&sim.handle(), 2);
-    let mut tx = HybridDevice::new(
-        Box::new(BbpDevice::new(cluster.endpoint(0))),
-        Box::new(MyrinetDevice::new(net.port(0), 2)),
-        256,
-    );
-    let mut rx = HybridDevice::new(
-        Box::new(BbpDevice::new(cluster.endpoint(1))),
-        Box::new(MyrinetDevice::new(net.port(1), 2)),
-        256,
-    );
+    let mut tx = hybrid(&cluster, &net, 0, 256);
+    let mut rx = hybrid(&cluster, &net, 1, 256);
     sim.spawn("tx", move |ctx| {
         for i in 0..20u8 {
             // Alternate tiny (fast path) and 1 KB (bulk path) frames.
@@ -192,16 +194,8 @@ fn small_frames_overtake_on_the_wire_but_deliver_in_order() {
     let mut sim = Simulation::new();
     let cluster = bbp::BbpCluster::new(&sim.handle(), bbp::BbpConfig::for_nodes(2));
     let net = MyrinetApiNet::new(&sim.handle(), 2);
-    let mut tx = HybridDevice::new(
-        Box::new(BbpDevice::new(cluster.endpoint(0))),
-        Box::new(MyrinetDevice::new(net.port(0), 2)),
-        256,
-    );
-    let mut rx = HybridDevice::new(
-        Box::new(BbpDevice::new(cluster.endpoint(1))),
-        Box::new(MyrinetDevice::new(net.port(1), 2)),
-        256,
-    );
+    let mut tx = hybrid(&cluster, &net, 0, 256);
+    let mut rx = hybrid(&cluster, &net, 1, 256);
     let times: Arc<Mutex<Vec<(u8, Time)>>> = Arc::new(Mutex::new(Vec::new()));
     let times2 = Arc::clone(&times);
     sim.spawn("tx", move |ctx| {
@@ -224,4 +218,94 @@ fn small_frames_overtake_on_the_wire_but_deliver_in_order() {
     assert_eq!(times[0].0, 1, "bulk first (order preserved)");
     assert_eq!(times[1].0, 2);
     assert!(times[1].1 >= times[0].1);
+}
+
+/// Every `Layer::Device` span a traced run recorded, one `(node, name)`
+/// per enter/exit pair; panics on an exit that closes no open span of its
+/// node, or a span left open.
+fn device_spans(sim: &Simulation) -> Vec<(u32, &'static str)> {
+    use des::obs::{Event, Layer};
+    let mut open = std::collections::HashMap::new();
+    let mut pairs = Vec::new();
+    for e in sim.recorder().take_events() {
+        match e {
+            Event::SpanEnter {
+                node,
+                layer: Layer::Device,
+                name,
+                ..
+            } => {
+                assert_eq!(open.insert(node, name), None, "device spans nest");
+            }
+            Event::SpanExit {
+                node,
+                layer: Layer::Device,
+                name,
+                ..
+            } => {
+                assert_eq!(open.remove(&node), Some(name), "unpaired device span");
+                pairs.push((node, name));
+            }
+            _ => {}
+        }
+    }
+    assert!(open.is_empty(), "device spans left open: {open:?}");
+    pairs
+}
+
+/// Rank 0 sends one eager message of each length to rank 1 on `world`.
+fn send_each(sim: &mut Simulation, world: &smpi::MpiWorld, lens: &'static [usize]) {
+    let mut tx = world.proc(0);
+    let mut rx = world.proc(1);
+    sim.spawn("tx", move |ctx| {
+        let comm = tx.comm_world();
+        for &len in lens {
+            tx.send(ctx, &comm, 1, 3, &vec![7u8; len]).unwrap();
+        }
+    });
+    sim.spawn("rx", move |ctx| {
+        let comm = rx.comm_world();
+        for &len in lens {
+            let (_, m) = rx.recv(ctx, &comm, Some(0), Some(3)).unwrap();
+            assert_eq!(m.len(), len);
+        }
+    });
+    assert!(sim.run().is_clean());
+}
+
+#[test]
+fn a_hybrid_frame_is_one_device_span_on_either_path() {
+    // 16 B rides SCRAMNet, 4 KB Myrinet (threshold 1 KB); both are eager,
+    // so each is one frame and the receiver sends nothing back.
+    let mut sim = Simulation::new();
+    sim.enable_trace();
+    let world = smpi::MpiWorld::hybrid(&sim.handle(), 2, 1024);
+    send_each(&mut sim, &world, &[16, 4096]);
+    assert_eq!(device_spans(&sim), [(0, "frame_send"), (0, "frame_send")]);
+}
+
+#[test]
+fn a_hybrid_native_broadcast_is_one_multicast_span() {
+    let mut sim = Simulation::new();
+    sim.enable_trace();
+    let world = smpi::MpiWorld::hybrid(&sim.handle(), 4, 1024);
+    for rank in 0..4 {
+        let mut mpi = world.proc(rank);
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let comm = mpi.comm_world();
+            let data = (rank == 0).then_some(&[5u8; 256][..]);
+            assert_eq!(mpi.bcast(ctx, &comm, 0, data), [5u8; 256]);
+        });
+    }
+    assert!(sim.run().is_clean());
+    assert_eq!(device_spans(&sim), [(0, "frame_mcast")]);
+}
+
+#[test]
+fn a_fast_ethernet_frame_is_one_device_span() {
+    let mut sim = Simulation::new();
+    sim.enable_trace();
+    let world = smpi::MpiWorld::fast_ethernet(&sim.handle(), 2);
+    send_each(&mut sim, &world, &[0, 64, 1024]);
+    assert_eq!(device_spans(&sim), [(0, "frame_send"); 3]);
 }

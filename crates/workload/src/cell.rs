@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpc::{MessageQueue, Priority, RpcClient, RpcConfig};
-use smpi::{BbpDevice, CollectiveImpl, Mpi, SmpiCosts, Tag};
+use smpi::{CollectiveImpl, Device, Mpi, SmpiCosts, Tag};
 
 use crate::plan::{Sidecar, WorkloadPlan};
 
@@ -576,7 +576,7 @@ pub fn cell_health_spec(plan: &WorkloadPlan) -> obs::HealthSpec {
 /// The sidecar's MPI stack: ADI-direct costs over the shared billboard.
 fn sidecar_mpi(ep: bbp::BbpEndpoint) -> Mpi {
     Mpi::new(
-        Box::new(BbpDevice::new(ep)),
+        Device::Bbp(Box::new(ep)),
         SmpiCosts::adi_direct(),
         CollectiveImpl::PointToPoint,
     )

@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::{Simulation, Time, TimeExt};
 use scramnet_cluster::scramnet::{CostModel, HierarchyConfig, RingHierarchy};
-use scramnet_cluster::smpi::{BbpDevice, CollectiveImpl, Mpi, ReduceOp, SmpiCosts};
+use scramnet_cluster::smpi::{CollectiveImpl, Device, Mpi, ReduceOp, SmpiCosts};
 
 fn hierarchy(sim: &Simulation, leaves: usize, hosts: usize, words: usize) -> RingHierarchy {
     RingHierarchy::new(
@@ -103,7 +103,7 @@ fn mpi_collectives_across_the_hierarchy() {
     for rank in 0..n {
         let ep = BbpCluster::endpoint_over(h.nic(rank), rank, config.clone());
         let mut mpi = Mpi::new(
-            Box::new(BbpDevice::new(ep)),
+            Device::Bbp(Box::new(ep)),
             SmpiCosts::channel_interface(),
             CollectiveImpl::Native,
         );

@@ -106,3 +106,35 @@ fn hybrid_beats_pure_scramnet_for_bulk_messages() {
         "hybrid {hybrid:.1} µs should be far below pure SCRAMNet {scramnet:.1} µs at 16 KB"
     );
 }
+
+#[test]
+fn a_broadcast_past_the_scramnet_frame_falls_back_to_point_to_point() {
+    // A multicast rides SCRAMNet whatever its size. The hybrid's BBP
+    // partition carries 65 532 B, less the 5-byte hybrid wrapper and the
+    // 64-byte channel header: 65 463 B is the largest native broadcast,
+    // and one byte more goes out as root-driven point-to-point sends.
+    for len in [65_463, 65_464] {
+        let mut sim = Simulation::new();
+        let world = MpiWorld::hybrid(&sim.handle(), 4, THRESHOLD);
+        let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        for rank in 0..4 {
+            let mut mpi = world.proc(rank);
+            let payload = payload.clone();
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                let data = (rank == 1).then_some(&payload[..]);
+                let out = mpi.bcast(ctx, &comm, 1, data);
+                assert!(
+                    out == payload,
+                    "{len}-byte broadcast corrupted at rank {rank}"
+                );
+            });
+        }
+        let report = sim.run();
+        assert!(
+            report.is_clean(),
+            "{len} B: deadlocked: {:?}",
+            report.deadlocked
+        );
+    }
+}

@@ -72,9 +72,9 @@ fn full_mpi_workload_never_violates_single_writer() {
     // Drive MPI over endpoints minted from this tracked cluster by
     // assembling the device stack manually.
     for rank in 0..4 {
-        let dev = scramnet_cluster::smpi::BbpDevice::new(cluster.endpoint(rank));
+        let dev = scramnet_cluster::smpi::Device::Bbp(Box::new(cluster.endpoint(rank)));
         let mut mpi = scramnet_cluster::smpi::Mpi::new(
-            Box::new(dev),
+            dev,
             scramnet_cluster::smpi::SmpiCosts::channel_interface(),
             scramnet_cluster::smpi::CollectiveImpl::Native,
         );
