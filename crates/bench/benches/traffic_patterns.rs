@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig};
+use bench::report::Quantiles;
 use des::rng::SimRng;
 use des::{Simulation, Time, TimeExt};
-use obs::report::Quantiles;
 use parking_lot::Mutex;
 
 const NODES: usize = 8;

@@ -5,11 +5,14 @@
 //! Runs the paper's core microbenchmarks with the `obs` recorder, then
 //! writes a schema-validated `BENCH_summary.json`: paper anchors,
 //! latency sweeps, the MPI-over-BBP layering constant (≈37.5 µs), a
-//! per-layer self-time attribution of a 4-node `MPI_Bcast`, and
-//! per-repetition latency quantiles.
+//! per-layer self-time attribution of a 4-node `MPI_Bcast`, and the
+//! per-message lifecycle waterfalls of that broadcast (send-enter →
+//! descriptor → ring → flag → match → deliver). Each helper it calls
+//! prints a result and returns it as a report row; the report is the
+//! value `run` fills in.
 //!
 //! ```text
-//! bench-report [--quick] [--out PATH] [--trace PATH] [--messages]
+//! bench-report [--quick] [--out PATH] [--trace PATH]
 //! bench-report --check PATH
 //! ```
 //!
@@ -18,10 +21,6 @@
 //!   (default `BENCH_summary.json`).
 //! - `--trace PATH`: also write a Chrome `trace_event` JSON of the
 //!   instrumented 4-node broadcast (load in Perfetto).
-//! - `--messages`: reconstruct the per-message lifecycle waterfalls of
-//!   the instrumented broadcast (send-enter → descriptor → ring →
-//!   flag → match → deliver), print them, and record them in the
-//!   report's `messages` section.
 //! - `--check PATH`: validate an existing summary against the schema
 //!   and exit (runs no benchmarks).
 //!
@@ -34,26 +33,23 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use bench::{
-    bbp_pingpong, crossover, layering_log_histogram, mpi_barrier_run, mpi_bcast_events_telemetry,
-    mpi_one_way_us, mpi_pingpong, one_way_samples, one_way_us, print_table, report, report_anchor,
-    MpiNet, Series,
+    bbp_pingpong, mpi_barrier_run, mpi_bcast_events_telemetry, mpi_one_way_us, mpi_pingpong,
+    one_way_us, print_table, report, report_anchor, MpiNet, Series,
 };
 use des::Time;
-use obs::report::PAPER_LAYERING_US;
+use obs::report::{BenchReport, MessageRow, PAPER_LAYERING_US};
 use smpi::CollectiveImpl;
 
 /// Maximum tolerated deviation of the layering constant, percent.
 const LAYERING_TOLERANCE_PCT: f64 = 20.0;
 
-const USAGE: &str =
-    "usage: bench-report [--quick] [--out PATH] [--trace PATH] [--messages] | --check PATH";
+const USAGE: &str = "usage: bench-report [--quick] [--out PATH] [--trace PATH] | --check PATH";
 
 struct Args {
     quick: bool,
     out: String,
     trace: Option<String>,
     check: Option<String>,
-    messages: bool,
     help: bool,
 }
 
@@ -63,7 +59,6 @@ fn parse_args() -> Result<Args, String> {
         out: "BENCH_summary.json".to_string(),
         trace: None,
         check: None,
-        messages: false,
         help: false,
     };
     let mut it = std::env::args().skip(1);
@@ -73,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = it.next().ok_or("--out needs a path")?,
             "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?),
             "--check" => args.check = Some(it.next().ok_or("--check needs a path")?),
-            "--messages" => args.messages = true,
             "--help" | "-h" => args.help = true,
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
@@ -83,16 +77,14 @@ fn parse_args() -> Result<Args, String> {
 
 /// Reconstruct the instrumented broadcast's per-message lifecycle
 /// waterfalls, print each checkpoint relative to the message's
-/// send-enter, and record them into the armed report.
-fn print_waterfalls(events: &[obs::Event], bcast_len: usize) {
+/// send-enter, and return them as report rows.
+fn print_waterfalls(events: &[obs::Event], bcast_len: usize) -> Vec<MessageRow> {
     let waterfalls = obs::message_waterfalls(events);
     println!("\n== per-message waterfalls: MPI_Bcast {bcast_len} B on 4 nodes ==");
     if waterfalls.is_empty() {
         println!("  (no traced messages in the event stream)");
-        return;
     }
     for w in &waterfalls {
-        report::push_message(w);
         println!(
             "  message {:#012x} from node {}: {:.1} µs, {} checkpoints",
             w.id,
@@ -110,6 +102,7 @@ fn print_waterfalls(events: &[obs::Event], bcast_len: usize) {
             );
         }
     }
+    waterfalls.iter().map(report::message).collect()
 }
 
 fn main() -> ExitCode {
@@ -133,15 +126,19 @@ fn run() -> Result<(), String> {
     if let Some(path) = &args.check {
         return obs::report::check_file(path).map(|verdict| println!("{verdict}"));
     }
-    report::begin(if args.quick {
-        "bench-report --quick"
-    } else {
-        "bench-report"
-    });
+    let mut rep = BenchReport {
+        generated_by: if args.quick {
+            "bench-report --quick"
+        } else {
+            "bench-report"
+        }
+        .to_string(),
+        ..BenchReport::default()
+    };
 
     // The SCRAMNet ping-pongs, one simulation per (transport, size):
-    // the anchors, the layering constant, the sweep table and the
-    // distributions below all read these round trips.
+    // the anchors, the layering constant and the sweep table all read
+    // these round trips.
     let sizes: &[usize] = if args.quick {
         &[0, 4, 64, 256, 1024]
     } else {
@@ -156,14 +153,16 @@ fn run() -> Result<(), String> {
     let mpi_us = |n: usize| one_way_us(&mpi_trips[&n]);
 
     // Paper anchors (Moorthy et al., IPPS 1999, Figures 1-3).
-    report_anchor("BBP one-way 0 B", 6.5, bbp_us(0));
-    report_anchor("BBP one-way 4 B", 7.8, bbp_us(4));
-    report_anchor("MPI one-way 0 B (SCRAMNet)", 44.0, mpi_us(0));
-    report_anchor("MPI one-way 4 B (SCRAMNet)", 49.0, mpi_us(4));
+    rep.anchors = vec![
+        report_anchor("BBP one-way 0 B", 6.5, bbp_us(0)),
+        report_anchor("BBP one-way 4 B", 7.8, bbp_us(4)),
+        report_anchor("MPI one-way 0 B (SCRAMNet)", 44.0, mpi_us(0)),
+        report_anchor("MPI one-way 4 B (SCRAMNet)", 49.0, mpi_us(4)),
+    ];
 
     // The layering constant: what the MPICH stack adds on top of raw BBP.
     let layering = mpi_us(0) - bbp_us(0);
-    report::set_layering(layering);
+    rep.layering = Some(report::layering(layering));
     println!(
         "\nMPI-over-BBP layering: {layering:.1} µs measured vs {PAPER_LAYERING_US:.1} µs paper \
          ({:+.0}%)",
@@ -179,17 +178,21 @@ fn run() -> Result<(), String> {
         barrier.dispatches, barrier.relayed, barrier.handoffs
     );
 
-    // Latency sweeps (recorded into the report by print_table).
-    let bbp = Series::sweep("SCRAMNet (BBP)", sizes, bbp_us);
-    let mpi_scr = Series::sweep("SCRAMNet (MPI)", sizes, mpi_us);
-    let mpi_fe = Series::sweep("Fast Ethernet (MPI)", sizes, |n| {
-        mpi_one_way_us(MpiNet::FastEthernet, n)
-    });
-    print_table("one-way latency", &[bbp, mpi_scr.clone(), mpi_fe.clone()]);
-    match crossover(&mpi_scr, &mpi_fe) {
+    // Latency sweeps.
+    let sweeps = [
+        Series::sweep("SCRAMNet (BBP)", sizes, bbp_us),
+        Series::sweep("SCRAMNet (MPI)", sizes, mpi_us),
+        Series::sweep("Fast Ethernet (MPI)", sizes, |n| {
+            mpi_one_way_us(MpiNet::FastEthernet, n)
+        }),
+    ];
+    rep.tables.push(print_table("one-way latency", &sweeps));
+    let fe_overtakes = report::crossover(&sweeps[1], &sweeps[2]);
+    match fe_overtakes.at_bytes {
         Some(b) => println!("Fast Ethernet overtakes SCRAMNet MPI at {b} B"),
         None => println!("Fast Ethernet never overtakes SCRAMNet MPI in this sweep"),
     }
+    rep.crossovers.push(fe_overtakes);
 
     // Per-layer attribution of a 4-node MPI_Bcast, with continuous
     // telemetry for the Chrome trace's counter tracks.
@@ -197,7 +200,7 @@ fn run() -> Result<(), String> {
     let (bcast_us, events, series) =
         mpi_bcast_events_telemetry(MpiNet::Scramnet, bcast_len, 4, CollectiveImpl::Native);
     let breakdown = obs::attribute(&events);
-    report::set_layers(&breakdown);
+    rep.layers = report::layers(&breakdown);
     println!("\n== MPI_Bcast {bcast_len} B on 4 nodes: {bcast_us:.1} µs, per-layer self time ==");
     for (layer, self_us) in breakdown.rows_us() {
         println!("  {:<8} {self_us:>8.1} µs", layer.name());
@@ -216,21 +219,9 @@ fn run() -> Result<(), String> {
             series.len()
         );
     }
-    if args.messages {
-        print_waterfalls(&events, bcast_len);
-    }
-
-    // Per-repetition latency distributions.
-    let (bbp0, mpi0) = (
-        one_way_samples(&bbp_trips[&0]),
-        one_way_samples(&mpi_trips[&0]),
-    );
-    report::push_quantiles("bbp_pingpong_0B", &bbp0);
-    report::push_quantiles("mpi_pingpong_0B", &mpi0);
-    report::push_quantiles_log("mpi_layering_0B", &layering_log_histogram(&bbp0, &mpi0));
+    rep.messages = print_waterfalls(&events, bcast_len);
 
     // Write and self-validate the summary.
-    let rep = report::finish().expect("report sink was armed at startup");
     std::fs::write(&args.out, rep.validated_json()?)
         .map_err(|e| format!("failed to write {}: {e}", args.out))?;
     println!("\nReport written to {}", args.out);

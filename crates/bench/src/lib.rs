@@ -9,7 +9,7 @@
 //! last rank's exit (Figures 5–6; [`bbp_bcast_us`], Figure 4, is the same
 //! idea at the BBP level with its own body, see there). A third,
 //! [`bbp_stream_us`], is the one-way stream the ablations time. Every
-//! `*_one_way_us`, `*_pingpong_samples`, `mpi_bcast_*` and `mpi_barrier_*`
+//! `*_one_way_us`, `*_pingpong`, `mpi_bcast_*` and `mpi_barrier_*`
 //! function is one of those procedures on one transport.
 //!
 //! Each `benches/figN_*.rs` target (run by `cargo bench`) regenerates one
@@ -109,8 +109,7 @@ const WARMUP: u32 = 2;
 /// back. `ping` is one round trip as its initiator makes it (send, then
 /// receive the echo), `pong` as the echoing side does (receive, then send
 /// back). Returns the timed round trips in repetition order,
-/// nanoseconds; [`one_way_us`] and [`one_way_samples`] read the paper's
-/// number and its distribution off them.
+/// nanoseconds; [`one_way_us`] reads the paper's number off them.
 pub fn pingpong(
     mut sim: Simulation,
     mut ping: impl FnMut(&mut ProcCtx) + Send + 'static,
@@ -148,11 +147,6 @@ pub fn pingpong(
 /// times — first timed send to last timed receive.
 pub fn one_way_us(round_trips: &[Time]) -> f64 {
     round_trips.iter().sum::<Time>().as_us() / (2.0 * round_trips.len() as f64)
-}
-
-/// Per-repetition one-way latency, nanoseconds: half of each round trip.
-pub fn one_way_samples(round_trips: &[Time]) -> Vec<Time> {
-    round_trips.iter().map(|rt| rt / 2).collect()
 }
 
 /// One-way latency at the messaging-API level (Figure 2), microseconds.
@@ -408,30 +402,6 @@ pub fn mpi_barrier_run(net: MpiNet, nodes: usize, coll: CollectiveImpl) -> (f64,
 // Instrumented runs (obs-backed)
 // ----------------------------------------------------------------------
 
-/// Per-repetition one-way BBP latencies at `len` bytes: one nanosecond
-/// sample per timed round trip, in repetition order.
-pub fn bbp_pingpong_samples(len: usize, nodes: usize) -> Vec<Time> {
-    one_way_samples(&bbp_pingpong(len, nodes))
-}
-
-/// Per-repetition one-way MPI latencies at `len` bytes: one nanosecond
-/// sample per timed round trip, in repetition order.
-pub fn mpi_pingpong_samples(net: MpiNet, len: usize) -> Vec<Time> {
-    one_way_samples(&mpi_pingpong(net, len))
-}
-
-/// The distribution behind the scalar layering constant: each MPI
-/// one-way sample minus the BBP one of the same repetition,
-/// nanoseconds, as a log-bucket histogram ready for
-/// [`report::push_quantiles_log`].
-pub fn layering_log_histogram(bbp: &[Time], mpi: &[Time]) -> obs::LogHistogram {
-    let hist = obs::LogHistogram::new();
-    for (m, b) in mpi.iter().zip(bbp) {
-        hist.record(m.saturating_sub(*b));
-    }
-    hist
-}
-
 /// The MPI_Bcast of [`mpi_bcast_us`] with the obs recorder armed for the
 /// timed (post-warm-up) broadcast. Returns the last-receiver latency in
 /// microseconds and the recorded event stream: spans for every layer of
@@ -492,16 +462,13 @@ impl Series {
 }
 
 /// Print an aligned latency table, one row per size, one column per
-/// series (values in µs).
-pub fn print_table(title: &str, series: &[Series]) {
-    print_table_with_unit(title, series, "µs");
+/// series (values in µs), and return it as a report row.
+pub fn print_table(title: &str, series: &[Series]) -> obs::report::Table {
+    print_table_with_unit(title, series, "µs")
 }
 
-/// [`print_table`] with an explicit value unit (e.g. "MB/s"). When a
-/// report is armed (see [`report::begin`]) the table is also recorded
-/// into the machine-readable summary.
-pub fn print_table_with_unit(title: &str, series: &[Series], unit: &str) {
-    report::record_table(title, unit, series);
+/// [`print_table`] with an explicit value unit (e.g. "MB/s").
+pub fn print_table_with_unit(title: &str, series: &[Series], unit: &str) -> obs::report::Table {
     println!("\n== {title} ==");
     print!("{:>9}", "bytes");
     for s in series {
@@ -517,30 +484,44 @@ pub fn print_table_with_unit(title: &str, series: &[Series], unit: &str) {
         }
         println!();
     }
+    obs::report::Table {
+        title: title.to_string(),
+        unit: unit.to_string(),
+        sizes: series[0].points.iter().map(|&(s, _)| s).collect(),
+        series: series
+            .iter()
+            .map(|s| obs::report::Series {
+                label: s.label.clone(),
+                values: s.points.iter().map(|&(_, v)| v).collect(),
+            })
+            .collect(),
+    }
 }
 
 /// First size at which `challenger` becomes faster than `incumbent`
-/// (`None` if it never does within the sweep). Recorded into the armed
-/// report, if any.
+/// (`None` if it never does within the sweep); [`report::crossover`] is
+/// the same answer as a report row.
 pub fn crossover(incumbent: &Series, challenger: &Series) -> Option<usize> {
     let sizes = |s: &Series| s.points.iter().map(|p| p.0).collect::<Vec<_>>();
     assert_eq!(sizes(incumbent), sizes(challenger), "misaligned sweeps");
-    let at = incumbent
+    incumbent
         .points
         .iter()
         .zip(&challenger.points)
         .find(|((_, a), (_, b))| b < a)
-        .map(|((size, _), _)| *size);
-    report::record_crossover(incumbent, challenger, at);
-    at
+        .map(|((size, _), _)| *size)
 }
 
-/// Report a paper-vs-measured anchor value with its deviation. Recorded
-/// into the armed report, if any.
-pub fn report_anchor(what: &str, paper_us: f64, measured_us: f64) {
-    report::record_anchor(what, paper_us, measured_us);
+/// Print a paper-vs-measured anchor value with its deviation, and
+/// return it as a report row.
+pub fn report_anchor(what: &str, paper_us: f64, measured_us: f64) -> obs::report::Anchor {
     let dev = (measured_us - paper_us) / paper_us * 100.0;
     println!("{what:<58} paper {paper_us:>8.1} µs   measured {measured_us:>8.1} µs   ({dev:+.0}%)");
+    obs::report::Anchor {
+        name: report::slug(what),
+        paper_us,
+        measured_us,
+    }
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! for a deliberate change of simulated behaviour.
 
 use bench::{
-    api_one_way_us, bbp_bcast_us, bbp_one_way_us, bbp_pingpong_samples, mpi_barrier_run,
-    mpi_bcast_events_telemetry, mpi_bcast_us, mpi_one_way_us, mpi_pingpong_samples, ApiNet, MpiNet,
+    api_one_way_us, bbp_bcast_us, bbp_one_way_us, bbp_pingpong, mpi_barrier_run,
+    mpi_bcast_events_telemetry, mpi_bcast_us, mpi_one_way_us, mpi_pingpong, ApiNet, MpiNet,
 };
 use smpi::CollectiveImpl::{Native, PointToPoint};
 
@@ -61,8 +61,8 @@ fn one_way_latencies_are_bit_identical() {
 
 #[test]
 fn pingpong_samples_are_exact() {
-    assert_eq!(bbp_pingpong_samples(0, 4), [6_800; 8]);
-    assert_eq!(mpi_pingpong_samples(MpiNet::Scramnet, 0), [47_900; 8]);
+    assert_eq!(bbp_pingpong(0, 4), [13_600; 8]);
+    assert_eq!(mpi_pingpong(MpiNet::Scramnet, 0), [95_800; 8]);
 }
 
 #[test]

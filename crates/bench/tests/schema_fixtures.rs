@@ -3,8 +3,12 @@
 //! This is the test that detects schema drift: the fixture was written
 //! by an earlier build, so it must have exactly the shape this build's
 //! writer gives its exemplar — every key, no other key, the same order.
-//! Regenerate it when the schema is bumped; reports of older versions
-//! validate with the `bench-report --check` of their own commit.
+//! It is also the report itself: this build's `bench-report --quick`
+//! must write the same document, every number included. Regenerate it
+//! with `bench-report --quick --out crates/bench/tests/fixtures/schema_vN.json`
+//! when the schema is bumped or a simulated number is meant to move;
+//! reports of older versions validate with the `bench-report --check`
+//! of their own commit.
 
 use obs::json::{parse, Json};
 use obs::report::{exemplar, validate_json, SCHEMA_VERSION};
@@ -51,6 +55,27 @@ fn the_committed_fixture_has_exactly_the_writers_shape() {
         "the fixture must carry its version"
     );
     same_keys(&doc, &Json::from(&exemplar(true)), "report").unwrap();
+}
+
+#[test]
+fn bench_report_quick_writes_the_fixture() {
+    let out = format!("{}/bench_report_quick.json", env!("CARGO_TARGET_TMPDIR"));
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_bench-report"))
+        .args(["--quick", "--out", &out])
+        .output()
+        .expect("bench-report runs");
+    assert!(
+        run.status.success(),
+        "bench-report --quick failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let written = std::fs::read_to_string(&out).unwrap();
+    // Parsed values: objects compare as ordered key lists.
+    assert!(
+        parse(&written).unwrap() == parse(&fixture()).unwrap(),
+        "bench-report --quick no longer writes the committed fixture; \
+         if the change is meant, regenerate it:\n  {written}"
+    );
 }
 
 #[test]

@@ -71,13 +71,6 @@ impl LogHistogram {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
-    /// Reset every bucket to zero.
-    pub fn clear(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Fold another histogram's counts into this one, bucket-wise.
     /// Aggregating campaign-wide distributions from per-cell or
     /// per-node histograms loses nothing: the buckets align exactly.
@@ -133,21 +126,6 @@ impl LogHistogram {
     pub fn max(&self) -> u64 {
         let counts = self.snapshot();
         counts.iter().rposition(|&c| c > 0).map_or(0, bucket_mid)
-    }
-
-    /// Mean over bucket midpoints (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let counts = self.snapshot();
-        let n: u64 = counts.iter().sum();
-        if n == 0 {
-            return 0.0;
-        }
-        let sum: f64 = counts
-            .iter()
-            .enumerate()
-            .map(|(b, &c)| bucket_mid(b) as f64 * c as f64)
-            .sum();
-        sum / n as f64
     }
 }
 
@@ -220,7 +198,6 @@ mod tests {
         assert_eq!(h.p999(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
@@ -231,14 +208,6 @@ mod tests {
         }
         let p50 = h.p50();
         assert!((590_000 / 2..=700_000 * 2).contains(&p50), "p50 = {p50}");
-    }
-
-    #[test]
-    fn clear_resets_counts() {
-        let h = LogHistogram::new();
-        h.record(7);
-        h.clear();
-        assert_eq!(h.count(), 0);
     }
 
     #[test]

@@ -13,11 +13,8 @@ use crate::json::{self, Json};
 /// Version stamped into every report; bump on breaking schema changes.
 /// It is also the only version [`validate_json`] accepts: an older
 /// artifact validates with the `bench-report --check` of its own commit
-/// (docs/OBSERVABILITY.md, "The bench report", says how v2–v7 differ).
-pub const SCHEMA_VERSION: u32 = 8;
-
-/// Oldest schema version [`validate_json`] still accepts.
-pub const MIN_SCHEMA_VERSION: u32 = SCHEMA_VERSION;
+/// (docs/OBSERVABILITY.md, "The bench report", says how v2–v8 differ).
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// The paper's MPI-over-BBP layering constant: MPI adds ≈37.5 µs of
 /// software overhead on top of raw BBP latency, independent of message
@@ -167,45 +164,6 @@ impl From<&Layering> for Json {
     }
 }
 
-/// Quantile summary of one latency distribution.
-#[derive(Debug, Clone, Default)]
-pub struct Quantiles {
-    /// Distribution name, e.g. `"mpi_pingpong_0B"`.
-    pub name: String,
-    /// Sample count.
-    pub n: u64,
-    /// Minimum, µs.
-    pub min_us: f64,
-    /// Median, µs.
-    pub p50_us: f64,
-    /// 90th percentile, µs.
-    pub p90_us: f64,
-    /// 99th percentile, µs.
-    pub p99_us: f64,
-    /// 99.9th percentile, µs.
-    pub p999_us: f64,
-    /// Maximum, µs.
-    pub max_us: f64,
-    /// Mean, µs.
-    pub mean_us: f64,
-}
-
-impl From<&Quantiles> for Json {
-    fn from(q: &Quantiles) -> Json {
-        Json::obj([
-            ("name", q.name.as_str().into()),
-            ("n", q.n.into()),
-            ("min_us", q.min_us.into()),
-            ("p50_us", q.p50_us.into()),
-            ("p90_us", q.p90_us.into()),
-            ("p99_us", q.p99_us.into()),
-            ("p999_us", q.p999_us.into()),
-            ("max_us", q.max_us.into()),
-            ("mean_us", q.mean_us.into()),
-        ])
-    }
-}
-
 /// One checkpoint of a [`MessageRow`] waterfall.
 #[derive(Debug, Clone, Default)]
 pub struct MessageStage {
@@ -345,12 +303,9 @@ pub struct BenchReport {
     /// The paper's ≈37.5 µs layering constant (absent until measured);
     /// `bench-report` exits non-zero when it drifts past ±20 %.
     pub layering: Option<Layering>,
-    /// The per-repetition spread behind the anchors and the layering
-    /// constant.
-    pub quantiles: Vec<Quantiles>,
-    /// Per-message lifecycle waterfalls (empty unless the run traced
-    /// messages), cited by EXPERIMENTS.md's "Per-message decomposition
-    /// of the layering constant".
+    /// Per-message lifecycle waterfalls of the instrumented broadcast,
+    /// cited by EXPERIMENTS.md's "Per-message decomposition of the
+    /// layering constant".
     pub messages: Vec<MessageRow>,
     /// Workload-campaign capacity results, cited by the capacity tables
     /// of EXPERIMENTS.md and README.
@@ -367,7 +322,6 @@ impl From<&BenchReport> for Json {
             ("crossovers", Json::arr(&r.crossovers)),
             ("layers", Json::arr(&r.layers)),
             ("layering", r.layering.as_ref().into()),
-            ("quantiles", Json::arr(&r.quantiles)),
             ("messages", Json::arr(&r.messages)),
             ("capacity", Json::arr(&r.capacity)),
         ])
@@ -405,7 +359,6 @@ pub fn exemplar(options: bool) -> BenchReport {
         crossovers: vec![Crossover::default()],
         layers: vec![LayerRow::default()],
         layering: options.then(Layering::default),
-        quantiles: vec![Quantiles::default()],
         messages: vec![MessageRow::default()],
         capacity: vec![CapacityScenario::default()],
     };
@@ -448,17 +401,16 @@ fn conforms(doc: &Json, full: &Json, bare: &Json, at: &str) -> Result<(), String
 /// every array element has the shape of the exemplar's first, and
 /// `null` stands only where the exemplar without its `Option`s has one.
 /// Three rules shape cannot say must hold as well: any other
-/// `schema_version` is rejected, naming the supported range; a table's
+/// `schema_version` is rejected, naming the one accepted; a table's
 /// series are as long as its `sizes`; `limited_by` is one of four
 /// words. Returns the first problem found, named by its path.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let doc = json::parse(text)?;
     // A version that is absent or not a number is `conforms`' to report.
     let version = doc.get("schema_version").and_then(Json::as_f64);
-    let version = version.unwrap_or(SCHEMA_VERSION as f64);
-    if version < MIN_SCHEMA_VERSION as f64 || version > SCHEMA_VERSION as f64 {
+    if let Some(v) = version.filter(|&v| v != SCHEMA_VERSION as f64) {
         return Err(format!(
-            "schema_version {version} outside supported {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
+            "schema_version {v} is not {SCHEMA_VERSION}, the one this build reads"
         ));
     }
     let (full, bare) = (Json::from(&exemplar(true)), Json::from(&exemplar(false)));
@@ -524,17 +476,6 @@ mod tests {
                 paper_us: PAPER_LAYERING_US,
                 measured_us: 37.4,
             }),
-            quantiles: vec![Quantiles {
-                name: "mpi_pingpong_0B".to_string(),
-                n: 8,
-                min_us: 43.0,
-                p50_us: 44.0,
-                p90_us: 45.0,
-                p99_us: 45.0,
-                p999_us: 45.05,
-                max_us: 45.1,
-                mean_us: 44.2,
-            }],
             messages: vec![MessageRow {
                 id: (1 << 40) | 7,
                 src: 0,
@@ -609,7 +550,7 @@ mod tests {
 
     #[test]
     fn only_the_current_schema_version_is_accepted() {
-        for other in [1u32, 7, 9, 99] {
+        for other in [1u32, 8, 10, 99] {
             let Json::Obj(mut root) = Json::from(&sample()) else {
                 unreachable!("a report is an object")
             };
@@ -617,7 +558,7 @@ mod tests {
             root[0].1 = other.into();
             let err = validate_json(&Json::Obj(root).to_document()).unwrap_err();
             assert!(
-                err.contains("schema_version") && err.contains("8..=8"),
+                err.contains(&format!("schema_version {other} is not 9")),
                 "v{other}: {err}"
             );
         }
@@ -701,7 +642,6 @@ mod tests {
             ".anchors",
             ".capacity",
             ".cells[0].sheds_per_sec",
-            ".quantiles[0].p999_us",
             ".messages",
             ".stages[0].at_us",
             ".tables[0].sizes[0]",

@@ -23,7 +23,7 @@
 //!    occupancy/balance, so a series enabled mid-run is merely coarse
 //!    at the front, never wrong.
 //!
-//! Every bucket keeps `min`/`max`/`last`/`sum`/`count`; the health
+//! Every bucket keeps `min`/`max`/`last`/`count`; the health
 //! monitor's rules read the maxima.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,8 +52,6 @@ pub struct Bucket {
     pub max: f64,
     /// Most recent observed value.
     pub last: f64,
-    /// Sum of observed values (for means across merges).
-    pub sum: f64,
     /// Number of observations folded in.
     pub count: u64,
 }
@@ -66,7 +64,6 @@ impl Bucket {
             min: v,
             max: v,
             last: v,
-            sum: v,
             count: 1,
         }
     }
@@ -76,7 +73,6 @@ impl Bucket {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.last = v;
-        self.sum += v;
         self.count += 1;
     }
 
@@ -85,7 +81,6 @@ impl Bucket {
         self.min = self.min.min(later.min);
         self.max = self.max.max(later.max);
         self.last = later.last;
-        self.sum += later.sum;
         self.count += later.count;
     }
 }
