@@ -158,7 +158,12 @@ impl Core {
             stats: EndpointStats::default(),
             out_msg_flags: vec![0; n],
             ack_expect: vec![0; n],
-            slots: vec![SlotState::default(); config.bufs_per_proc],
+            slots: (0..config.bufs_per_proc)
+                .map(|_| SlotState {
+                    targets: Vec::with_capacity(n),
+                    ..SlotState::default()
+                })
+                .collect(),
             inflight: VecDeque::with_capacity(config.bufs_per_proc),
             data_head: 0,
             next_seq: 0,
@@ -478,10 +483,16 @@ impl Core {
     }
 
     /// Forget every send in progress (a process restarting its channels).
+    /// Each slot is cleared in place, so its target list keeps the
+    /// capacity `new` gave it.
     pub(crate) fn reset_send_state(&mut self) {
-        self.slots
-            .iter_mut()
-            .for_each(|s| *s = SlotState::default());
+        for s in &mut self.slots {
+            s.targets.clear();
+            *s = SlotState {
+                targets: std::mem::take(&mut s.targets),
+                ..SlotState::default()
+            };
+        }
         self.inflight.clear();
         self.data_head = 0;
         self.next_seq = 0;

@@ -5,9 +5,11 @@
 //! `Box<dyn FnOnce(Time)>` costs a heap round-trip per event; [`EventFn`]
 //! instead stores small closures inline in the queue entry itself and
 //! dispatches through a hand-rolled static vtable. Closures up to
-//! [`INLINE_BYTES`] bytes (enough for an `Arc` plus a pool pointer, the
-//! shapes the ring and NIC models use) never touch the allocator; larger
-//! ones fall back to a single thin `Box`.
+//! [`INLINE_BYTES`] bytes never touch the allocator: enough for an `Arc`
+//! and a 40-byte value beside it, which is what a ring hop carries (the
+//! ring, and a packet's header with its pooled buffer inside), and the
+//! NIC models' callbacks fit easily. Larger ones fall back to a single
+//! thin `Box`.
 //!
 //! Every stored closure is a *link*: it runs as the [`Link`] the dispatch
 //! loop lends it, and returns the event that follows it ([`Then`]), or
@@ -72,7 +74,8 @@ const INLINE_WORDS: usize = 6;
 
 /// Closures at most this many bytes (and at most pointer-aligned) are
 /// stored inline; the common hardware callbacks capture an `Arc` or two
-/// and fit easily.
+/// and fit easily. Public so that a model whose closure must fit can
+/// check it at compile time.
 pub const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 
 /// The event that follows a link: run `f` at `at`. A link of a series

@@ -165,7 +165,7 @@ mod time;
 pub mod queue;
 pub mod rng;
 
-pub use event::Then;
+pub use event::{Then, INLINE_BYTES};
 pub use process::{ProcCtx, ProcId, Sample};
 pub use sched::{Link, SimHandle};
 pub use signal::Signal;

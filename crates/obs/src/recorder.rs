@@ -1,6 +1,7 @@
 //! The shared recorder: a single append-only event log behind an atomic
 //! enable gate.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -47,8 +48,10 @@ pub struct Recorder {
     current_rx: [AtomicU64; CURRENT_SLOTS],
     /// Enabled-only `(src, seq) → trace id` correlation, so the receive
     /// side can resolve a descriptor it just matched back to the id the
-    /// sender minted. Cleared on [`Recorder::enable`].
-    msg_ids: Mutex<Vec<((u32, u32), u64)>>,
+    /// sender minted. Cleared on [`Recorder::enable`]. A map, because a
+    /// recorded run registers every message it sends: a lookup does not
+    /// grow with the run.
+    msg_ids: Mutex<HashMap<(u32, u32), u64>>,
     /// The always-on postmortem ring (see [`crate::flight`]).
     flight: FlightRecorder,
     /// Gauge time series behind their own enable gate (see
@@ -66,7 +69,7 @@ impl Recorder {
             mint: AtomicU64::new(0),
             current_tx: std::array::from_fn(|_| AtomicU64::new(0)),
             current_rx: std::array::from_fn(|_| AtomicU64::new(0)),
-            msg_ids: Mutex::new(Vec::new()),
+            msg_ids: Mutex::new(HashMap::new()),
             flight: FlightRecorder::new(),
             telemetry: Telemetry::new(),
         }
@@ -243,11 +246,10 @@ impl Recorder {
         if !self.is_enabled() {
             return;
         }
-        let mut map = self.msg_ids.lock().unwrap_or_else(PoisonError::into_inner);
-        match map.iter_mut().find(|(k, _)| *k == (src, seq)) {
-            Some(slot) => slot.1 = id,
-            None => map.push(((src, seq), id)),
-        }
+        self.msg_ids
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert((src, seq), id);
     }
 
     /// The trace id registered for `(src, seq)`, or 0.
@@ -259,10 +261,8 @@ impl Recorder {
         self.msg_ids
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .rev()
-            .find(|(k, _)| *k == (src, seq))
-            .map_or(0, |(_, id)| *id)
+            .get(&(src, seq))
+            .map_or(0, |id| *id)
     }
 
     /// The always-on postmortem flight ring.
@@ -453,6 +453,36 @@ mod tests {
         assert_eq!(r.lookup_msg(1, 7), 0);
         r.enable();
         assert_eq!(r.lookup_msg(0, 7), 0, "enable() clears the map");
+    }
+
+    #[test]
+    fn msg_correlation_is_keyed_by_source_and_sequence() {
+        let r = Recorder::new();
+        r.enable();
+        r.register_msg(3, 7, 99);
+        r.register_msg(3, 7, 100);
+        assert_eq!(
+            r.lookup_msg(3, 7),
+            100,
+            "re-registering a key overwrites it"
+        );
+        assert_eq!(r.msg_ids.lock().unwrap().len(), 1, "one entry per key");
+        r.register_msg(7, 3, 5);
+        assert_eq!((r.lookup_msg(3, 7), r.lookup_msg(7, 3)), (100, 5));
+        assert_eq!(r.lookup_msg(3, 8), 0, "an unknown key reads 0");
+        r.disable();
+        r.register_msg(4, 4, 44);
+        r.register_msg(3, 7, 1);
+        assert_eq!(
+            r.lookup_msg(3, 7),
+            0,
+            "a disabled recorder looks up nothing"
+        );
+        assert_eq!(
+            *r.msg_ids.lock().unwrap(),
+            HashMap::from([((3, 7), 100), ((7, 3), 5)]),
+            "a disabled recorder registers nothing"
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! reply is written over it in place, so `poll → dispatch → write reply
 //! → reply` touches no heap at all, and `flush` adds nothing beyond what
 //! the bare BBP transport itself costs to post the same frames (its
-//! first use of a send slot or of a bank page allocates; the RPC layer
-//! must add zero on top) — on a blocking transport, and on a fail-fast
-//! one where a flush holds a reply back for the next. The client's end
+//! first write to a bank page allocates that page; the RPC layer must add
+//! zero on top, and a warm flush allocates exactly the bank storage it
+//! first touches) — on a blocking transport, and on a fail-fast one
+//! where a flush holds a reply back for the next. The client's end
 //! of the same cycle is zero-allocation too: a warm `poll_replies`
 //! receives each reply into the client's own inbox.
 //!
@@ -67,6 +68,7 @@ fn reply_path_is_alloc_free_after_warmup() {
     let client_ep = c.endpoint(0);
 
     let (tx, rx) = mpsc::channel::<(u64, u64, u64)>();
+    let (storage_tx, storage_rx) = mpsc::channel::<u64>();
 
     sim.spawn("client", move |ctx| {
         let mut cl = RpcClient::new(client_ep, 1, 1, 2 * N as u32, BODY).unwrap();
@@ -134,12 +136,17 @@ fn reply_path_is_alloc_free_after_warmup() {
                 mq.reply(buf);
             }
             let staged = ALLOCS.load(Ordering::SeqCst);
+            let storage = scramnet::bank_storage_allocated();
             // The transport half: one batched flush, one doorbell.
             mq.flush(ctx).unwrap();
             let flushed = ALLOCS.load(Ordering::SeqCst);
+            let (pages, tables) = scramnet::bank_storage_allocated();
             if round == 1 {
                 // Warm now: report the measured windows.
                 tx.send((before, staged, flushed)).unwrap();
+                storage_tx
+                    .send(pages - storage.0 + tables - storage.1)
+                    .unwrap();
             }
         }
         // Bare-transport control round: post the same number of frames of
@@ -195,6 +202,13 @@ fn reply_path_is_alloc_free_after_warmup() {
         rpc_transport <= bare_transport,
         "the RPC flush allocates beyond the bare transport: \
          {rpc_transport} allocs vs {bare_transport} for the same frames"
+    );
+    // Each bank page or page table is one allocation, and nothing else in
+    // a warm flush is: not a send slot's target list, not a ring packet.
+    let touched = storage_rx.recv().unwrap();
+    assert_eq!(
+        rpc_transport, touched,
+        "a warm flush allocated beyond the bank storage it first touched"
     );
 
     // A garbage-collection sweep is bookkeeping over words the NIC reads:

@@ -155,83 +155,101 @@ impl ReachabilitySet {
     }
 }
 
-/// The scheduled itinerary of one injected packet: every live hop's
-/// `(node, apply-time)` plus the payload, walked by one series of transit
-/// events ([`SimHandle::schedule_series`]), each hop returning the next.
-/// Plans are pooled and reused, buffers and all, so a warm steady state
-/// injects an N-hop packet with zero allocations.
+/// One packet in flight: the header a series of transit events
+/// ([`SimHandle::schedule_series`]) moves by value from hop to hop, and
+/// the one pooled buffer it owns. The buffer holds the message trace id
+/// (two words; 0 = untraced, only ever nonzero while full tracing is
+/// enabled, so no protocol word changes), then every live hop in ring
+/// order (two words each: the node in the top byte of a `u64`, the
+/// bank-apply time below it), then the payload, which every hop reads in
+/// place. Buffers are pooled, so a warm steady state injects an N-hop
+/// packet with zero allocations.
 pub(crate) struct HopPlan {
-    /// One word per live hop, in ring order: the node in the top byte
-    /// (a ring has at most 256), the bank-apply time below it. Half of
-    /// what `(u32, Time)` takes after padding, and a ring's packet backlog
-    /// is mostly these.
-    hops: Vec<u64>,
-    /// Next hop to fire.
-    idx: usize,
+    /// `[trace; 2] ++ [hop; 2] × hops ++ payload`.
+    buf: Vec<Word>,
     addr: WordAddr,
-    writer: usize,
-    /// The payload, copied in at the inject and read in place by every
-    /// hop; cleared, not freed, when the plan goes back to the pool.
-    data: Vec<Word>,
-    /// Message trace id riding this packet (0 = untraced; only ever
-    /// nonzero while full tracing is enabled). Carried in the plan, not
-    /// the payload: no protocol word changes.
-    trace: u64,
+    writer: u32,
+    /// Hops planned: at most 255, one per node of the ring but its source.
+    hops: u16,
+    /// Next hop to fire.
+    next: u16,
 }
 
-/// Bits of a hop word below its node.
+/// The transit closure captures the ring and the header, and the
+/// scheduler stores a closure of at most this many bytes in its queue
+/// entry: a packet in flight is its entry and its buffer, nothing else.
+const _: () = assert!(
+    std::mem::size_of::<(Arc<RingShared>, HopPlan)>() <= des::INLINE_BYTES,
+    "the transit closure must fit the scheduler's inline budget"
+);
+
+/// Bits of a hop below its node.
 const HOP_TIME_BITS: u32 = 56;
 
-impl HopPlan {
-    fn empty() -> Box<Self> {
-        Box::new(HopPlan {
-            hops: Vec::new(),
-            idx: 0,
-            addr: 0,
-            writer: 0,
-            data: Vec::new(),
-            trace: 0,
-        })
-    }
+/// Words before a plan's first hop: the trace id.
+const TRACE_WORDS: usize = 2;
 
+/// `v` as two words, low word first.
+fn split(v: u64) -> [Word; 2] {
+    let [a, b, c, d, e, f, g, h] = v.to_le_bytes();
+    [[a, b, c, d], [e, f, g, h]].map(Word::from_le_bytes)
+}
+
+/// The `u64` whose words, low first, are `w[0]` and `w[1]`.
+fn join(w: &[Word]) -> u64 {
+    u64::from(w[1]) << 32 | u64::from(w[0])
+}
+
+impl HopPlan {
     /// Plan a hop that applies at `node` at `tail`.
     fn push_hop(&mut self, node: usize, tail: Time) {
         assert!(
             tail < 1 << HOP_TIME_BITS,
             "a hop at {tail} ns is past what a hop plan holds"
         );
-        self.hops.push((node as u64) << HOP_TIME_BITS | tail);
+        let hop = (node as u64) << HOP_TIME_BITS | tail;
+        self.buf.extend(split(hop));
+        self.hops += 1;
     }
 
     /// Hop `i`: its node and its bank-apply time.
-    fn hop(&self, i: usize) -> (usize, Time) {
-        let hop = self.hops[i];
+    fn hop(&self, i: u16) -> (usize, Time) {
+        let at = TRACE_WORDS + 2 * usize::from(i);
+        let hop = join(&self.buf[at..at + 2]);
         (
             (hop >> HOP_TIME_BITS) as usize,
             hop & ((1 << HOP_TIME_BITS) - 1),
         )
     }
+
+    fn trace(&self) -> u64 {
+        join(&self.buf[..TRACE_WORDS])
+    }
+
+    fn payload(&self) -> &[Word] {
+        &self.buf[TRACE_WORDS + 2 * usize::from(self.hops)..]
+    }
 }
 
 /// What an inject reads and writes beyond the banks, as one value behind
 /// one lock ([`RingShared::state`]): entered once per inject (the link
-/// walk, which pops a plan) and once per packet on its last hop (the
-/// plan's return to the pool); a hop before it, a PIO access and a look
-/// enter nothing — the banks and the bit-error countdown are beside it,
-/// in [`RingShared`]. The conflict log is here too, entered only when a
-/// tracked write finds another writer's word. A leaf lock — nothing under
-/// it schedules, notifies a [`Signal`], calls a tap or records — so
+/// walk, which takes a plan buffer) and once per packet on its last hop
+/// (the buffer's return to the pool); a hop before it, a PIO access and a
+/// look enter nothing — the banks and the bit-error countdown are beside
+/// it, in [`RingShared`]. The conflict log is here too, entered only when
+/// a tracked write finds another writer's word. A leaf lock — nothing
+/// under it schedules, notifies a [`Signal`], calls a tap or records — so
 /// nothing done under it comes back for it.
 pub(crate) struct RingState {
     /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
     links: Vec<Time>,
-    /// Free list of transit itineraries (see [`HopPlan`]).
-    /// The box, not just the plan, is what's recycled: the transit
-    /// closure must capture a thin pointer to stay inside the inline
-    /// budget, so un-boxing the pool would re-introduce one allocation
-    /// per packet.
-    #[allow(clippy::vec_box)]
-    plan_pool: Vec<Box<HopPlan>>,
+    /// Free list of plan buffers (see [`HopPlan`]), each empty and
+    /// reserved to `longest_plan` words when it was last taken.
+    plan_pool: Vec<Vec<Word>>,
+    /// Words of the longest plan this ring has had room for: a buffer is
+    /// reserved to it once, so a warm pool never grows one, whatever mix
+    /// of packet sizes takes it next.
+    longest_plan: usize,
     /// (addr, earlier_writer, later_writer) conflicts seen by the
     /// single-writer checker.
     conflicts: Vec<(WordAddr, usize, usize)>,
@@ -445,6 +463,7 @@ impl Ring {
         let state = RingState {
             links: vec![0; n],
             plan_pool: Vec::new(),
+            longest_plan: 0,
             conflicts: Vec::new(),
         };
         let shared = RingShared {
@@ -736,6 +755,17 @@ impl RingShared {
             return;
         }
         let broken = self.broken_links.snapshot();
+        // The current trace id of the writing node tags the packet —
+        // read only when tracing is enabled, so the disabled path stays
+        // one relaxed load.
+        let trace = {
+            let rec = self.handle.recorder();
+            if rec.is_enabled() {
+                rec.current_trace(writer as u32)
+            } else {
+                0
+            }
+        };
         // Compute the packet's full itinerary synchronously: link
         // occupancy must be claimed at inject time (deferring it to hop
         // fire time would change virtual timing under contention). The
@@ -750,10 +780,22 @@ impl RingShared {
         let (plan, span_end) = {
             let mut state = self.state();
             let RingState {
-                links, plan_pool, ..
+                links,
+                plan_pool,
+                longest_plan,
+                ..
             } = &mut *state;
-            let mut plan = plan_pool.pop().unwrap_or_else(HopPlan::empty);
-            debug_assert!(plan.hops.is_empty() && plan.data.is_empty());
+            // Room for a hop at every other node, whichever are live.
+            *longest_plan = (*longest_plan).max(TRACE_WORDS + 2 * (self.n - 1) + words);
+            let mut plan = HopPlan {
+                buf: plan_pool.pop().unwrap_or_default(),
+                addr,
+                writer: u32::try_from(writer).expect("a writer's global id fits 32 bits"),
+                hops: 0,
+                next: 0,
+            };
+            plan.buf.reserve_exact(*longest_plan);
+            plan.buf.extend(split(trace));
             let mut head = t_ready.max(links[src]);
             src_backlog = head - t_ready;
             links[src] = head + ser;
@@ -806,9 +848,10 @@ impl RingShared {
                 }
                 hop_from = next;
             }
-            if plan.hops.is_empty() {
-                // No bank hears it: the plan goes straight back.
-                plan_pool.push(plan);
+            if plan.hops == 0 {
+                // No bank hears it: the buffer goes straight back.
+                plan.buf.clear();
+                plan_pool.push(plan.buf);
                 (None, span_end)
             } else {
                 (Some(plan), span_end)
@@ -832,28 +875,13 @@ impl RingShared {
                 .recorder()
                 .count(t_ready, NO_NODE, "ring.truncations", 1);
         }
-        // The current trace id of the writing node tags the packet —
-        // read only when tracing is enabled, so the disabled path stays
-        // one relaxed load.
-        let trace = {
-            let rec = self.handle.recorder();
-            if rec.is_enabled() {
-                rec.current_trace(writer as u32)
-            } else {
-                0
-            }
-        };
         if let Some(mut plan) = plan {
             // One series of transit events walks the whole itinerary, each
             // hop returning the next. Its tie-break values are taken here
             // and now, so the pop order is identical to the old engine,
             // which pushed every hop's event here and now.
-            plan.idx = 0;
-            plan.addr = addr;
-            plan.writer = writer;
-            plan.data.extend_from_slice(data);
-            plan.trace = trace;
-            let (first_t, links) = (plan.hop(0).1, plan.hops.len() as u64);
+            plan.buf.extend_from_slice(data);
+            let (first_t, links) = (plan.hop(0).1, u64::from(plan.hops));
             let shared = Arc::clone(self);
             self.handle
                 .schedule_series(first_t, links, move |link| shared.transit(plan, link));
@@ -877,29 +905,30 @@ impl RingShared {
         }
     }
 
-    /// Fire a packet's hops from `plan.idx` on, as `link`: each hop that
+    /// Fire a packet's hops from `plan.next` on, as `link`: each hop that
     /// is the next entry due runs here, in this call ([`Link::next`]), and
     /// the first that is not is returned, to be queued. The closure of a
-    /// returned hop is two pointers (the `Arc<RingShared>`, moved from hop
-    /// to hop, and a `Box<HopPlan>`), well inside the scheduler's
-    /// inline-closure budget — a full transit allocates nothing once the
-    /// plan pool and queue are warm. Every hop reads the payload in the
-    /// plan and applies it without the ring's lock; the last enters the
-    /// ring's state once, after the tap has read the payload, for the
-    /// plan's return to the pool.
-    fn transit(self: Arc<Self>, mut plan: Box<HopPlan>, link: &mut Link<'_>) -> Option<Then> {
+    /// returned hop is the `Arc<RingShared>`, moved from hop to hop, and
+    /// the plan's header by value — the scheduler's inline-closure budget
+    /// exactly, checked where [`HopPlan`] is declared — so a full transit
+    /// allocates nothing once the plan pool and queue are warm. Every hop
+    /// reads the payload in the plan's buffer and applies it without the
+    /// ring's lock; the last enters the ring's state once, after the tap
+    /// has read the payload, for the buffer's return to the pool.
+    fn transit(self: Arc<Self>, mut plan: HopPlan, link: &mut Link<'_>) -> Option<Then> {
         #[cfg(test)]
         self.transit_calls.add(1);
         // The packet's own: the plan is this packet's alone, moved from
         // hop to hop, so nothing a hop runs — a watch, a tap, a nested
         // inject — can change them between two hops.
-        let (addr, writer, trace) = (plan.addr, plan.writer, plan.trace);
+        let (addr, writer, trace) = (plan.addr, plan.writer as usize, plan.trace());
         loop {
-            let (node, _) = plan.hop(plan.idx);
-            plan.idx += 1;
+            let (node, _) = plan.hop(plan.next);
+            plan.next += 1;
             let t = link.now();
-            let corrupted = self.apply(node, addr, &plan.data, writer, t);
-            self.applied(node, addr, &plan.data, corrupted, writer, t);
+            let data = plan.payload();
+            let corrupted = self.apply(node, addr, data, writer, t);
+            self.applied(node, addr, data, corrupted, writer, t);
             if trace != 0 {
                 self.handle.recorder().lifecycle_hot(
                     t,
@@ -909,18 +938,17 @@ impl RingShared {
                     node as u64,
                 );
             }
-            if plan.idx == plan.hops.len() {
+            if plan.next == plan.hops {
                 break;
             }
-            let (_, next_t) = plan.hop(plan.idx);
+            let (_, next_t) = plan.hop(plan.next);
             if !link.next(next_t) {
                 return Some(Then::at(next_t, move |link| self.transit(plan, link)));
             }
         }
-        plan.hops.clear();
-        plan.data.clear();
-        plan.trace = 0;
-        self.state().plan_pool.push(plan);
+        let mut buf = plan.buf;
+        buf.clear();
+        self.state().plan_pool.push(buf);
         None
     }
 
