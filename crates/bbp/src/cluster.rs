@@ -6,7 +6,7 @@ use scramnet::{CostModel, Ring, RingConfig, TxMode};
 
 use crate::config::{BbpConfig, RecvMode};
 use crate::endpoint::BbpEndpoint;
-use crate::layout::Layout;
+use crate::layout::{Layout, Writer};
 
 /// A SCRAMNet ring plus the BillBoard Protocol layout on top of it.
 ///
@@ -47,29 +47,52 @@ impl BbpCluster {
     /// The endpoint for `rank`. In [`RecvMode::Interrupt`] this also arms
     /// the NIC interrupt-on-write watches over the rank's flag blocks.
     pub fn endpoint(&self, rank: usize) -> BbpEndpoint {
-        assert!(rank < self.config.nprocs, "rank {rank} out of range");
-        Self::endpoint_over(self.ring.nic(rank), rank, self.config.clone())
+        Self::endpoint_over(self.ring.nic(rank), self.config.clone())
     }
 
     /// Build an endpoint over an arbitrary NIC — the path for running
     /// the protocol across a [`scramnet::RingHierarchy`], whose NICs do
-    /// not come from a single ring. `rank` is the process's identity in
-    /// the BBP layout (its global host id).
-    pub fn endpoint_over(nic: scramnet::Nic, rank: usize, config: BbpConfig) -> BbpEndpoint {
-        config.validate();
-        let layout = Layout::new(&config);
-        let (recv_signal, ack_signal) = match config.recv_mode {
-            RecvMode::Polling => (None, None),
-            RecvMode::Interrupt => {
-                let handle = nic.sim_handle();
-                let rs = handle.new_signal();
-                nic.watch(layout.msg_flag_range(rank), rs.clone());
-                let asig = handle.new_signal();
-                nic.watch(layout.ack_flag_range(rank), asig.clone());
-                (Some(rs), Some(asig))
-            }
-        };
-        BbpEndpoint::new(nic, rank, config, recv_signal, ack_signal)
+    /// not come from a single ring. The process's rank in the BBP layout
+    /// is the NIC's host id ([`scramnet::Nic::gid`]); a NIC whose host id
+    /// is not a rank of `config` is refused here, by rank.
+    ///
+    /// ```
+    /// use bbp::{BbpCluster, BbpConfig};
+    /// use scramnet::{CostModel, HierarchyConfig, RingHierarchy};
+    ///
+    /// let sim = des::Simulation::new();
+    /// let config = BbpConfig::for_nodes(4);
+    /// let words = bbp::Layout::new(&config).total_words();
+    /// let h = RingHierarchy::new(&sim.handle(), HierarchyConfig {
+    ///     leaves: 2,
+    ///     hosts_per_leaf: 2,
+    ///     words,
+    ///     bridge_ns: 2_000,
+    ///     cost: CostModel::default(),
+    ///     track_provenance: false,
+    /// });
+    /// let ep = BbpCluster::endpoint_over(h.nic(3), config);
+    /// assert_eq!(ep.rank(), 3);
+    /// ```
+    ///
+    /// The rank is the NIC's: there is no other to give.
+    ///
+    /// ```compile_fail,E0061
+    /// use bbp::{BbpCluster, BbpConfig};
+    /// use scramnet::{CostModel, Ring};
+    ///
+    /// let sim = des::Simulation::new();
+    /// let config = BbpConfig::for_nodes(2);
+    /// let words = bbp::Layout::new(&config).total_words();
+    /// let ring = Ring::new(&sim.handle(), 2, words, CostModel::default());
+    /// let ep = BbpCluster::endpoint_over(ring.nic(0), 1, config);
+    /// ```
+    pub fn endpoint_over(nic: scramnet::Nic, config: BbpConfig) -> BbpEndpoint {
+        let io = Writer::new(nic, Layout::new(&config));
+        let interrupts = config.recv_mode == RecvMode::Interrupt;
+        let recv_signal = interrupts.then(|| io.watch(Layout::msg_flag_range));
+        let ack_signal = interrupts.then(|| io.watch(Layout::ack_flag_range));
+        BbpEndpoint::new(io, config, recv_signal, ack_signal)
     }
 
     /// The underlying ring (stats, fault injection, snapshots).

@@ -30,48 +30,31 @@ pub enum RecvMode {
     Interrupt,
 }
 
-/// Calibrated costs of the user-level software path, in nanoseconds.
-/// These model instruction-path lengths on the paper's 300 MHz Pentium II
-/// hosts; together with [`scramnet::CostModel`] they reproduce the
-/// headline latencies (see `EXPERIMENTS.md`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwCosts {
-    /// `bbp_Send` entry: argument checks, partition math.
-    pub send_entry_ns: Time,
-    /// Buffer/descriptor-slot allocation bookkeeping (no GC).
-    pub alloc_ns: Time,
-    /// One garbage-collection probe (local bookkeeping on top of the ACK
-    /// word PIO reads it triggers).
-    pub gc_probe_ns: Time,
-    /// Pause between GC retries while waiting for acknowledgements.
-    pub gc_retry_gap_ns: Time,
-    /// Per-iteration receive-poll bookkeeping (on top of the flag-word
-    /// PIO read).
-    pub poll_iter_ns: Time,
-    /// Flag diffing + pending-queue insertion per detected message.
-    pub match_ns: Time,
-    /// Delivery epilogue: ACK toggle bookkeeping, returning to caller.
-    pub deliver_ns: Time,
-    /// Extra sender-side bookkeeping per additional multicast target
-    /// (target-mask update; the flag-word write itself is charged by the
-    /// NIC model).
-    pub mcast_target_ns: Time,
-}
+// The calibrated costs of the user-level software path, in nanoseconds.
+// They model instruction-path lengths on the paper's 300 MHz Pentium II
+// hosts; together with `scramnet::CostModel` they reproduce the headline
+// latencies (see `EXPERIMENTS.md`).
 
-impl Default for SwCosts {
-    fn default() -> Self {
-        SwCosts {
-            send_entry_ns: 150,
-            alloc_ns: 150,
-            gc_probe_ns: 100,
-            gc_retry_gap_ns: 1_000,
-            poll_iter_ns: 100,
-            match_ns: 300,
-            deliver_ns: 150,
-            mcast_target_ns: 50,
-        }
-    }
-}
+/// `bbp_Send` entry: argument checks, partition math.
+pub(crate) const SEND_ENTRY_NS: Time = 150;
+/// Buffer/descriptor-slot allocation bookkeeping (no GC).
+pub(crate) const ALLOC_NS: Time = 150;
+/// One garbage-collection probe (local bookkeeping on top of the ACK word
+/// PIO reads it triggers).
+pub(crate) const GC_PROBE_NS: Time = 100;
+/// Pause between GC retries while waiting for acknowledgements.
+pub(crate) const GC_RETRY_GAP_NS: Time = 1_000;
+/// Per-iteration receive-poll bookkeeping (on top of the flag-word PIO
+/// read).
+pub(crate) const POLL_ITER_NS: Time = 100;
+/// Flag diffing + pending-queue insertion per detected message.
+pub(crate) const MATCH_NS: Time = 300;
+/// Delivery epilogue: ACK toggle bookkeeping, returning to caller.
+pub(crate) const DELIVER_NS: Time = 150;
+/// Extra sender-side bookkeeping per additional multicast target
+/// (target-mask update; the flag-word write itself is charged by the NIC
+/// model).
+pub(crate) const MCAST_TARGET_NS: Time = 50;
 
 /// The reliability extension: per-message CRC verification, NACK-driven
 /// repair, and bounded timeout/retry/backoff on both sides of the
@@ -219,8 +202,6 @@ pub struct BbpConfig {
     pub bufs_per_proc: usize,
     /// Words in each process's data partition.
     pub data_words: usize,
-    /// Software path costs.
-    pub sw: SwCosts,
     /// Poll or block on interrupts while receiving.
     pub recv_mode: RecvMode,
     /// Data-partition allocation discipline.
@@ -246,7 +227,6 @@ impl BbpConfig {
             nprocs,
             bufs_per_proc: 16,
             data_words: 4096,
-            sw: SwCosts::default(),
             recv_mode: RecvMode::Polling,
             gc_policy: GcPolicy::FifoRing,
             reliability: None,

@@ -12,7 +12,8 @@
 //! | [`Core::poll`]    | reads `msg_flag(me, sender)` and its descriptors     |
 //! | [`Core::deliver`] | reads the sender's data, writes `ack_flag(sender, me)` |
 //!
-//! Every word above has one writer. Between calls the steps keep:
+//! Every word above has one writer: the steps write through [`Writer`]'s
+//! roles, which name only our own words. Between calls the steps keep:
 //!
 //! * `ack_expect[r]` bit `s` differs from the bank's `ack_flag(me, r)` bit
 //!   `s` iff slot `s` holds a message `r` has not acknowledged;
@@ -25,12 +26,15 @@ use std::collections::{BTreeMap, VecDeque};
 
 use des::obs::{Layer, Stage};
 use des::{ProcCtx, Signal, Time};
-use scramnet::{Nic, Word};
+use scramnet::Word;
 
-use crate::config::{BbpConfig, GcPolicy, RecvMode, SwCosts};
+use crate::config::{
+    BbpConfig, GcPolicy, RecvMode, ALLOC_NS, DELIVER_NS, GC_PROBE_NS, GC_RETRY_GAP_NS, MATCH_NS,
+    MCAST_TARGET_NS, POLL_ITER_NS,
+};
 use crate::endpoint::EndpointStats;
 use crate::error::BbpError;
-use crate::layout::Layout;
+use crate::layout::{Layout, Writer};
 
 /// When a posted message's `MESSAGE` flag toggles reach the bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,9 +89,10 @@ pub(crate) struct PendingMsg {
 pub(crate) struct Core {
     pub rank: usize,
     pub n: usize,
-    pub nic: Nic,
+    /// Every shared-memory access goes through here; only our own words
+    /// can be written.
+    pub io: Writer,
     pub layout: Layout,
-    pub sw: SwCosts,
     recv_mode: RecvMode,
     pub gc_policy: GcPolicy,
     max_payload: usize,
@@ -139,19 +144,17 @@ pub(crate) struct Core {
 
 impl Core {
     pub(crate) fn new(
-        nic: Nic,
-        rank: usize,
+        io: Writer,
         config: &BbpConfig,
         recv_signal: Option<Signal>,
         ack_signal: Option<Signal>,
     ) -> Self {
         let n = config.nprocs;
         Core {
-            rank,
+            rank: io.me(),
             n,
-            nic,
             layout: Layout::new(config),
-            sw: config.sw.clone(),
+            io,
             recv_mode: config.recv_mode,
             gc_policy: config.gc_policy,
             max_payload: config.max_payload_bytes(),
@@ -231,7 +234,7 @@ impl Core {
     ) -> Result<usize, BbpError> {
         let words = payload.len().div_ceil(4);
         let (slot, data_off) = loop {
-            ctx.charge(self.sw.alloc_ns);
+            ctx.charge(ALLOC_NS);
             if let Some(found) = self.try_allocate(words) {
                 break found;
             }
@@ -265,10 +268,7 @@ impl Core {
     /// Write `payload`, packed into [`Core::staged`], at `data_off`.
     pub(crate) fn write_payload(&mut self, ctx: &mut ProcCtx, data_off: usize, payload: &[u8]) {
         pack_words_into(payload, &mut self.staged);
-        if !self.staged.is_empty() {
-            let base = self.layout.data_base(self.rank);
-            self.nic.write_block(ctx, base + data_off, &self.staged);
-        }
+        self.io.data(ctx, data_off, &self.staged);
     }
 
     /// Send-slot residency; one relaxed load when telemetry is off.
@@ -294,9 +294,7 @@ impl Core {
             s.seq,
             fourth.unwrap_or(0),
         ];
-        let used = if fourth.is_some() { 4 } else { 3 };
-        self.nic
-            .write_block(ctx, self.layout.descriptor(self.rank, slot), &words[..used]);
+        self.io.descriptor(ctx, slot, &words);
     }
 
     /// Step 2 of a send: the descriptor, and the `(src, seq)` → trace id
@@ -321,7 +319,7 @@ impl Core {
         let trace = self.slots[slot].trace;
         for (i, &t) in targets.iter().enumerate() {
             if i > 0 {
-                ctx.charge(self.sw.mcast_target_ns);
+                ctx.charge(MCAST_TARGET_NS);
             }
             self.out_msg_flags[t] ^= 1 << slot;
             if doorbell == Doorbell::Now {
@@ -335,11 +333,7 @@ impl Core {
     /// Write our copy of `msg_flag(dst, me)`: every toggle accumulated for
     /// `dst`, deferred ones included.
     pub(crate) fn write_flag(&self, ctx: &mut ProcCtx, dst: usize) {
-        self.nic.write_word(
-            ctx,
-            self.layout.msg_flag(dst, self.rank),
-            self.out_msg_flags[dst],
-        );
+        self.io.msg_flag(ctx, dst, self.out_msg_flags[dst]);
     }
 
     fn try_allocate(&mut self, words: usize) -> Option<(usize, usize)> {
@@ -402,7 +396,7 @@ impl Core {
     ) -> usize {
         ctx.obs()
             .span_enter(ctx.now(), self.rank as u32, Layer::Bbp, "gc");
-        ctx.charge(self.sw.gc_probe_ns);
+        ctx.charge(GC_PROBE_NS);
         self.stats.gc_sweeps += 1;
         self.count(ctx, "bbp.gc_sweeps", 1);
         // Read each relevant ACK word at most once per sweep.
@@ -445,7 +439,7 @@ impl Core {
     }
 
     pub(crate) fn read_ack(&self, ctx: &mut ProcCtx, r: usize) -> Word {
-        self.nic.read_word(ctx, self.layout.ack_flag(self.rank, r))
+        self.io.read_word(ctx, self.layout.ack_flag(self.rank, r))
     }
 
     /// How a blocked call lets time pass when a sweep found nothing. A
@@ -457,10 +451,10 @@ impl Core {
             // a polling sender spaces its ACK probes.
             (RecvMode::Polling, _) => {
                 if wait == Wait::ForAcks {
-                    ctx.advance(self.sw.gc_retry_gap_ns);
+                    ctx.advance(GC_RETRY_GAP_NS);
                 }
             }
-            (RecvMode::Interrupt, true) => ctx.advance(self.sw.gc_retry_gap_ns),
+            (RecvMode::Interrupt, true) => ctx.advance(GC_RETRY_GAP_NS),
             (RecvMode::Interrupt, false) => {
                 let sig = match wait {
                     Wait::ForAcks => &self.ack_signal,
@@ -505,8 +499,7 @@ impl Core {
         self.out_msg_flags[peer] = 0;
         self.write_flag(ctx, peer);
         self.out_ack_flags[peer] = 0;
-        self.nic
-            .write_word(ctx, self.layout.ack_flag(peer, self.rank), 0);
+        self.io.ack_flag(ctx, peer, 0);
         self.ack_expect[peer] = 0;
         self.shadow_msg[peer] = 0;
         self.ext_seq_hi[peer] = 0;
@@ -550,24 +543,24 @@ impl Core {
 
     /// One poll sweep: `only`'s flag word, or every peer's in rank order.
     ///
-    /// A sweep of several words is handed to the NIC whole ([`Nic::scan`]),
-    /// so this process sleeps through the words that have not changed, and
-    /// the event log is told of each poll once the sweep returns. A sweep
-    /// of a single word is the loop written out: it costs what its one
-    /// read costs either way. (A caller that would only sweep again and
-    /// again until something is flagged: [`Core::sleep_until_flagged`].)
+    /// A sweep of several words is handed to the NIC whole
+    /// ([`scramnet::Nic::scan`]), so this process sleeps through the words
+    /// that have not changed, and the event log is told of each poll once
+    /// the sweep returns. A sweep of a single word is the loop written
+    /// out: it costs what its one read costs either way. (A caller that
+    /// would only sweep again and again until something is flagged:
+    /// [`Core::sleep_until_flagged`].)
     pub(crate) fn poll(&mut self, ctx: &mut ProcCtx, only: Option<usize>) {
         let rank = self.rank;
-        let cpu = self.sw.poll_iter_ns;
         let (first, end) = only.map_or((0, self.n), |s| (s, s + 1));
         let senders = (first..end).filter(|&s| s != rank);
         let words = only.map_or(self.n - 1, |_| 1);
         if words == 1 {
             for s in senders {
-                ctx.charge(cpu);
+                ctx.charge(POLL_ITER_NS);
                 self.stats.polls += 1;
                 self.count(ctx, "bbp.polls", 1);
-                let word = self.nic.read_word(ctx, self.layout.msg_flag(rank, s));
+                let word = self.io.read_word(ctx, self.layout.msg_flag(rank, s));
                 self.flagged(ctx, s, word);
             }
             return;
@@ -592,10 +585,9 @@ impl Core {
     /// A changed word is handled as the loop would, then the sweep goes on
     /// after it: handling `s` touches no other sender's shadow.
     fn sweep_on(&mut self, ctx: &mut ProcCtx, looks: &[(usize, Word)], mut next: usize) {
-        let cpu = self.sw.poll_iter_ns;
         while next < looks.len() {
             let t0 = ctx.now();
-            let hit = self.nic.scan(ctx, cpu, &looks[next..]);
+            let hit = self.io.scan(ctx, POLL_ITER_NS, &looks[next..]);
             self.stats.polls += self.tell_polls(ctx, t0, looks.len() - next, hit);
             let Some((i, word)) = hit else { break };
             next = self.changed(ctx, next + i, word);
@@ -613,7 +605,7 @@ impl Core {
     /// Tell the event log of the polls of one sweep — `looks` words,
     /// entered at `t0`, ended at `hit` — and return how many it made.
     fn tell_polls(&self, ctx: &ProcCtx, t0: Time, looks: usize, hit: Option<(usize, Word)>) -> u64 {
-        let reads = self.nic.sweep_reads(t0, self.sw.poll_iter_ns, looks, hit);
+        let reads = self.io.sweep_reads(t0, POLL_ITER_NS, looks, hit);
         reads.fold(0, |polls, at| {
             ctx.obs().count(at, self.rank as u32, "bbp.polls", 1);
             polls + 1
@@ -625,8 +617,8 @@ impl Core {
     /// [`Core::poll`] does. What the caller's loop of "`poll`; nothing
     /// flagged; charge `lead`" computes — in time, in the schedule, in
     /// `polls` and, sweep by sweep, in the event log — but this process
-    /// sleeps until the word changes ([`Nic::scan_until`]) instead of being
-    /// woken at the end of every idle sweep to ask for the next.
+    /// sleeps until the word changes ([`scramnet::Nic::scan_until`]) instead
+    /// of being woken at the end of every idle sweep to ask for the next.
     ///
     /// `false`, with nothing done, unless sweeping is all there is to do
     /// until then: a polling endpoint, nothing flagged already, and few
@@ -641,11 +633,11 @@ impl Core {
         let looks = self.every_flag();
         let mut polls = 0;
         // Per sweep, the NIC tells the log of its reads, then we of ours.
-        let (i, word) =
-            self.nic
-                .scan_until(ctx, lead, self.sw.poll_iter_ns, &looks, |ctx, t0, hit| {
-                    polls += self.tell_polls(ctx, t0, looks.len(), hit);
-                });
+        let (i, word) = self
+            .io
+            .scan_until(ctx, lead, POLL_ITER_NS, &looks, |ctx, t0, hit| {
+                polls += self.tell_polls(ctx, t0, looks.len(), hit);
+            });
         self.stats.polls += polls;
         let next = self.changed(ctx, i, word);
         self.sweep_on(ctx, &looks, next);
@@ -665,7 +657,7 @@ impl Core {
             if changed & (1 << slot) == 0 {
                 continue;
             }
-            ctx.charge(self.sw.match_ns);
+            ctx.charge(MATCH_NS);
             let desc = self.read_descriptor(ctx, s, slot);
             let (data_off, len_bytes, seq) = (desc[0] as usize, desc[1] as usize, desc[2]);
             let ext = extend_seq(self.ext_seq_hi[s], seq);
@@ -691,7 +683,7 @@ impl Core {
     pub(crate) fn read_descriptor(&self, ctx: &mut ProcCtx, s: usize, slot: usize) -> [Word; 4] {
         let mut desc = [0; 4];
         let used = self.layout.desc_words();
-        self.nic
+        self.io
             .read_block(ctx, self.layout.descriptor(s, slot), &mut desc[..used]);
         desc
     }
@@ -706,7 +698,7 @@ impl Core {
     ) {
         // Every word is overwritten: only a longer payload's tail is new.
         self.payload.resize(words, 0);
-        self.nic
+        self.io
             .read_block(ctx, self.layout.data_base(s) + data_off, &mut self.payload);
     }
 
@@ -727,13 +719,9 @@ impl Core {
         if !fetched {
             self.read_payload(ctx, src, msg.data_off, msg.len_bytes.div_ceil(4));
         }
-        ctx.advance(self.sw.deliver_ns);
+        ctx.advance(DELIVER_NS);
         self.out_ack_flags[src] ^= 1 << msg.slot;
-        self.nic.write_word(
-            ctx,
-            self.layout.ack_flag(src, self.rank),
-            self.out_ack_flags[src],
-        );
+        self.io.ack_flag(ctx, src, self.out_ack_flags[src]);
         self.stats.recvs += 1;
         self.stats.bytes_recved += msg.len_bytes as u64;
         self.lifecycle(ctx, msg.trace, Stage::Deliver, msg.len_bytes as u64);
@@ -804,7 +792,8 @@ mod tests {
             Layout::new(&config).total_words(),
             scramnet::CostModel::default(),
         );
-        let core = Core::new(ring.nic(0), 0, &config, None, None);
+        let io = Writer::new(ring.nic(0), Layout::new(&config));
+        let core = Core::new(io, &config, None, None);
         (sim, core)
     }
 

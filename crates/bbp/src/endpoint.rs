@@ -9,12 +9,12 @@ use std::sync::Arc;
 
 use des::obs::{Layer, Stage};
 use des::{ProcCtx, Signal, Time};
-use scramnet::Nic;
 
-use crate::config::BbpConfig;
+use crate::config::{BbpConfig, SEND_ENTRY_NS};
 use crate::core::{Core, Doorbell, PendingMsg, Wait};
 use crate::error::BbpError;
 use crate::flow::Flow;
+use crate::layout::Writer;
 use crate::membership::{DetectionHists, Members, MembershipView, PeerHealth};
 use crate::reliable::Reliable;
 
@@ -139,15 +139,14 @@ fn collect(
 
 impl BbpEndpoint {
     pub(crate) fn new(
-        nic: Nic,
-        rank: usize,
+        io: Writer,
         config: BbpConfig,
         recv_signal: Option<Signal>,
         ack_signal: Option<Signal>,
     ) -> Self {
         let n = config.nprocs;
         BbpEndpoint {
-            core: Core::new(nic, rank, &config, recv_signal, ack_signal),
+            core: Core::new(io, &config, recv_signal, ack_signal),
             reliable: config.reliability.clone().map(|cfg| Reliable::new(cfg, n)),
             members: config.membership.clone().map(|cfg| Members::new(cfg, n)),
             flow: Flow::new(&config),
@@ -301,7 +300,7 @@ impl BbpEndpoint {
         payload: &[u8],
         doorbell: Doorbell,
     ) -> Result<usize, BbpError> {
-        ctx.charge(self.core.sw.send_entry_ns);
+        ctx.charge(SEND_ENTRY_NS);
         self.check_frozen()?;
         self.core.check_targets(targets)?;
         if let Some(m) = &self.members {
@@ -808,13 +807,14 @@ mod tests {
     fn paper_endpoints_carry_no_extension_state() {
         let sim = des::Simulation::new();
         let build = |config: BbpConfig| {
+            let layout = crate::Layout::new(&config);
             let ring = scramnet::Ring::new(
                 &sim.handle(),
                 config.nprocs,
-                crate::Layout::new(&config).total_words(),
+                layout.total_words(),
                 scramnet::CostModel::default(),
             );
-            BbpEndpoint::new(ring.nic(0), 0, config, None, None)
+            BbpEndpoint::new(Writer::new(ring.nic(0), layout), config, None, None)
         };
         let paper = build(BbpConfig::for_nodes(4));
         assert!(paper.reliable.is_none() && paper.members.is_none() && paper.flow.is_empty());

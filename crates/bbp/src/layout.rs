@@ -1,8 +1,13 @@
 //! The shared-memory map: where every flag word, descriptor, and data
-//! partition lives. All address math is concentrated here so the
-//! single-writer discipline can be audited (and is, by tests).
+//! partition lives, and the one way `bbp` writes it. All address math is
+//! here: [`Layout`] names every word for reading, and a node's [`Writer`]
+//! writes only the words whose writer is that node, so the single-writer
+//! discipline is the writer's type rather than a convention.
 
-use scramnet::WordAddr;
+use std::ops::Range;
+
+use des::{ProcCtx, Signal, Time};
+use scramnet::{Nic, ReachabilitySet, Word, WordAddr};
 
 use crate::config::BbpConfig;
 
@@ -25,6 +30,13 @@ pub const RELIABLE_DESC_WORDS: usize = 4;
 /// publishes its proposal there; members echo it back through their own
 /// pair as the ack round) and stay zero otherwise.
 pub const MEMBER_WORDS: usize = 6;
+
+/// The incarnation word's offset in the member block (the heartbeat is at 0).
+pub(crate) const INCARNATION: usize = 1;
+/// The offset of the published view, `[epoch, alive_mask]`, in the member block.
+pub(crate) const VIEW: usize = 2;
+/// The offset of the quorum proposal, `[epoch, mask]`, in the member block.
+pub(crate) const PROPOSAL: usize = 4;
 
 /// Computes word addresses for a given configuration.
 ///
@@ -55,10 +67,12 @@ pub struct Layout {
     data_words: usize,
     /// 3 in the paper's protocol, 4 (with CRC) under reliability.
     desc_words: usize,
-    /// Whether the NACK flag block exists.
-    reliable: bool,
-    /// Whether the membership block exists.
-    membership: bool,
+    /// Flag blocks ahead of the member block: MESSAGE + ACK, plus NACK
+    /// under reliability.
+    flag_blocks: usize,
+    /// Words the member block occupies: 0 with membership off (the paper's
+    /// layout byte for byte).
+    member_words: usize,
 }
 
 impl Layout {
@@ -75,29 +89,15 @@ impl Layout {
             } else {
                 DESC_WORDS
             },
-            reliable,
-            membership: config.membership.is_some(),
+            flag_blocks: if reliable { 3 } else { 2 },
+            member_words: config.membership.as_ref().map_or(0, |_| MEMBER_WORDS),
         }
     }
 
-    /// Flag blocks ahead of the descriptors: MESSAGE + ACK, plus NACK in
-    /// reliable mode.
-    fn flag_blocks(&self) -> usize {
-        if self.reliable {
-            3
-        } else {
-            2
-        }
-    }
-
-    /// Words the membership block occupies (0 when membership is off —
-    /// the paper's layout byte-for-byte).
-    fn member_words(&self) -> usize {
-        if self.membership {
-            MEMBER_WORDS
-        } else {
-            0
-        }
+    /// Words ahead of the descriptors in a partition: the flag blocks and
+    /// the member block.
+    fn control_words(&self) -> usize {
+        self.flag_blocks * self.nprocs + self.member_words
     }
 
     /// Words per buffer descriptor in this layout.
@@ -107,10 +107,7 @@ impl Layout {
 
     /// Words in one process partition.
     pub fn partition_words(&self) -> usize {
-        self.flag_blocks() * self.nprocs
-            + self.member_words()
-            + self.bufs * self.desc_words
-            + self.data_words
+        self.control_words() + self.bufs * self.desc_words + self.data_words
     }
 
     /// Total shared-memory words required.
@@ -142,7 +139,7 @@ impl Layout {
     /// to report a checksum failure on one of `p`'s buffers (reliable
     /// mode only). Written only by `r`.
     pub fn nack_flag(&self, p: usize, r: usize) -> WordAddr {
-        debug_assert!(self.reliable, "NACK flags exist only in reliable mode");
+        debug_assert!(self.flag_blocks == 3, "no NACK flags without reliability");
         debug_assert!(r < self.nprocs);
         self.partition_base(p) + 2 * self.nprocs + r
     }
@@ -151,59 +148,19 @@ impl Layout {
     /// is `[heartbeat, incarnation, view_epoch, view_mask, prop_epoch,
     /// prop_mask]`, written only by `p`.
     pub fn member_base(&self, p: usize) -> WordAddr {
-        debug_assert!(self.membership, "membership block exists only when enabled");
-        self.partition_base(p) + self.flag_blocks() * self.nprocs
-    }
-
-    /// `p`'s heartbeat word: a monotonic counter only `p` advances.
-    pub fn hb_word(&self, p: usize) -> WordAddr {
-        self.member_base(p)
-    }
-
-    /// `p`'s incarnation word: bumped once per (re)join, so survivors can
-    /// tell a rebooted host from a stale heartbeat resuming.
-    pub fn incarnation_word(&self, p: usize) -> WordAddr {
-        self.member_base(p) + 1
-    }
-
-    /// `p`'s published view epoch (its single-writer "ack" of the
-    /// coordinator's proposal).
-    pub fn view_epoch_word(&self, p: usize) -> WordAddr {
-        self.member_base(p) + 2
-    }
-
-    /// `p`'s published alive mask, paired with [`Layout::view_epoch_word`].
-    pub fn view_mask_word(&self, p: usize) -> WordAddr {
-        self.member_base(p) + 3
-    }
-
-    /// `p`'s proposal epoch word (quorum mode): the coordinator publishes
-    /// its proposed epoch here; every other member echoes the proposal it
-    /// is acknowledging through its own pair. Written only by `p`.
-    pub fn prop_epoch_word(&self, p: usize) -> WordAddr {
-        self.member_base(p) + 4
-    }
-
-    /// `p`'s proposal mask word, paired with [`Layout::prop_epoch_word`].
-    pub fn prop_mask_word(&self, p: usize) -> WordAddr {
-        self.member_base(p) + 5
+        debug_assert!(self.member_words > 0, "no member block without membership");
+        self.partition_base(p) + self.flag_blocks * self.nprocs
     }
 
     /// First word of descriptor `b` in `p`'s partition. Written only by `p`.
     pub fn descriptor(&self, p: usize, b: usize) -> WordAddr {
         debug_assert!(b < self.bufs);
-        self.partition_base(p)
-            + self.flag_blocks() * self.nprocs
-            + self.member_words()
-            + b * self.desc_words
+        self.partition_base(p) + self.control_words() + b * self.desc_words
     }
 
     /// Base of `p`'s data partition. Written only by `p`.
     pub fn data_base(&self, p: usize) -> WordAddr {
-        self.partition_base(p)
-            + self.flag_blocks() * self.nprocs
-            + self.member_words()
-            + self.bufs * self.desc_words
+        self.partition_base(p) + self.control_words() + self.bufs * self.desc_words
     }
 
     /// Words in each data partition.
@@ -213,20 +170,209 @@ impl Layout {
 
     /// The inclusive range of this node's whole MESSAGE-flag block, used
     /// by interrupt-driven receive to arm the NIC watch.
-    pub fn msg_flag_range(&self, p: usize) -> std::ops::Range<WordAddr> {
+    pub fn msg_flag_range(&self, p: usize) -> Range<WordAddr> {
         self.partition_base(p)..self.partition_base(p) + self.nprocs
     }
 
     /// The ACK-flag block of `p`'s partition (watched by senders blocked
     /// in garbage collection under interrupt mode).
-    pub fn ack_flag_range(&self, p: usize) -> std::ops::Range<WordAddr> {
+    pub fn ack_flag_range(&self, p: usize) -> Range<WordAddr> {
         let b = self.partition_base(p) + self.nprocs;
         b..b + self.nprocs
     }
 }
 
+/// A node's port onto the layout: its NIC, which it owns, and the one
+/// way `bbp` writes shared memory. It writes by role, never by address,
+/// and every role names a word whose writer is this node — `me`, the
+/// NIC's host id — so a process cannot write another's words:
+///
+/// | role | the words | in whose partition |
+/// |---|---|---|
+/// | [`Writer::msg_flag`]`(dst)` | `MESSAGE[me]` | `dst`'s |
+/// | [`Writer::ack_flag`]`(src)` | `ACK[me]` | `src`'s |
+/// | [`Writer::nack_flag`]`(src)` | `NACK[me]` | `src`'s |
+/// | [`Writer::descriptor`]`(slot)` | descriptor `slot` | ours |
+/// | [`Writer::data`]`(off, ..)` | the data partition from `off` | ours |
+/// | [`Writer::member`]`(at, ..)` | the member block from `at` | ours |
+///
+/// A block role's extent is its caller's: the allocator keeps a payload
+/// inside the data partition, and a member write inside the block.
+/// Reads name any address; they and the ring controls the layers use are
+/// the NIC's, forwarded.
+///
+/// ```
+/// use bbp::{BbpConfig, Layout, Writer};
+/// use scramnet::{CostModel, Ring};
+///
+/// let mut sim = des::Simulation::new();
+/// let layout = Layout::new(&BbpConfig::for_nodes(2));
+/// let ring = Ring::new(&sim.handle(), 2, layout.total_words(), CostModel::default());
+/// let me = Writer::new(ring.nic(0), layout);
+/// sim.spawn("p0", move |ctx| me.msg_flag(ctx, 1, 0b1));
+/// assert!(sim.run().is_clean());
+/// ```
+///
+/// A write that names an address does not compile: the writer has no
+/// such method, and its NIC is its own.
+///
+/// ```compile_fail,E0599
+/// use bbp::{BbpConfig, Layout, Writer};
+/// use scramnet::{CostModel, Ring};
+///
+/// let mut sim = des::Simulation::new();
+/// let layout = Layout::new(&BbpConfig::for_nodes(2));
+/// let peer_flag = layout.msg_flag(0, 1);
+/// let ring = Ring::new(&sim.handle(), 2, layout.total_words(), CostModel::default());
+/// let me = Writer::new(ring.nic(0), layout);
+/// sim.spawn("p0", move |ctx| me.write_word(ctx, peer_flag, 0b1));
+/// ```
+pub struct Writer {
+    nic: Nic,
+    layout: Layout,
+    me: usize,
+}
+
+impl Writer {
+    /// The writer of `nic`'s host. Panics unless that host id is a rank
+    /// of `layout`.
+    pub fn new(nic: Nic, layout: Layout) -> Self {
+        let me = nic.gid() as usize;
+        let n = layout.nprocs;
+        assert!(me < n, "rank {me} out of range for {n} processes");
+        Writer { nic, layout, me }
+    }
+
+    /// Our rank: the NIC's host id.
+    pub fn me(&self) -> usize {
+        self.me
+    }
+
+    /// Write `MESSAGE[me]` in `dst`'s partition.
+    pub fn msg_flag(&self, ctx: &mut ProcCtx, dst: usize, value: Word) {
+        self.nic
+            .write_word(ctx, self.layout.msg_flag(dst, self.me), value);
+    }
+
+    /// Write `ACK[me]` in `src`'s partition.
+    pub fn ack_flag(&self, ctx: &mut ProcCtx, src: usize, value: Word) {
+        self.nic
+            .write_word(ctx, self.layout.ack_flag(src, self.me), value);
+    }
+
+    /// Write `NACK[me]` in `src`'s partition (reliable layouts only).
+    pub fn nack_flag(&self, ctx: &mut ProcCtx, src: usize, value: Word) {
+        self.nic
+            .write_word(ctx, self.layout.nack_flag(src, self.me), value);
+    }
+
+    /// Write our descriptor `slot`: as many of `words` as the layout's
+    /// descriptors have.
+    pub fn descriptor(&self, ctx: &mut ProcCtx, slot: usize, words: &[Word; 4]) {
+        let at = self.layout.descriptor(self.me, slot);
+        self.nic
+            .write_block(ctx, at, &words[..self.layout.desc_words]);
+    }
+
+    /// Write `words` into our data partition from word `off` on.
+    pub fn data(&self, ctx: &mut ProcCtx, off: usize, words: &[Word]) {
+        let at = self.layout.data_base(self.me) + off;
+        self.nic.write_block(ctx, at, words);
+    }
+
+    /// Write `words` into our member block from word `at` on (0 is the
+    /// heartbeat, 2 the view, 4 the proposal; see [`Layout::member_base`]):
+    /// one word as a word write, more as a block.
+    pub fn member(&self, ctx: &mut ProcCtx, at: usize, words: &[Word]) {
+        let at = self.layout.member_base(self.me) + at;
+        match words {
+            [word] => self.nic.write_word(ctx, at, *word),
+            _ => self.nic.write_block(ctx, at, words),
+        }
+    }
+
+    /// A signal raised by every write landing in `block` of our
+    /// partition (interrupt-on-write).
+    pub fn watch(&self, block: fn(&Layout, usize) -> Range<WordAddr>) -> Signal {
+        let signal = self.nic.sim_handle().new_signal();
+        self.nic.watch(block(&self.layout, self.me), signal.clone());
+        signal
+    }
+
+    /// [`Nic::read_word`].
+    pub fn read_word(&self, ctx: &mut ProcCtx, addr: WordAddr) -> Word {
+        self.nic.read_word(ctx, addr)
+    }
+
+    /// [`Nic::read_block`].
+    pub fn read_block(&self, ctx: &mut ProcCtx, addr: WordAddr, out: &mut [Word]) {
+        self.nic.read_block(ctx, addr, out);
+    }
+
+    /// [`Nic::scan`].
+    pub fn scan(
+        &self,
+        ctx: &mut ProcCtx,
+        cpu: Time,
+        looks: &[(WordAddr, Word)],
+    ) -> Option<(usize, Word)> {
+        self.nic.scan(ctx, cpu, looks)
+    }
+
+    /// [`Nic::scan_until`].
+    pub fn scan_until(
+        &self,
+        ctx: &mut ProcCtx,
+        lead: Time,
+        cpu: Time,
+        looks: &[(WordAddr, Word)],
+        swept: impl FnMut(&ProcCtx, Time, Option<(usize, Word)>),
+    ) -> (usize, Word) {
+        self.nic.scan_until(ctx, lead, cpu, looks, swept)
+    }
+
+    /// [`Nic::sweep_reads`].
+    pub fn sweep_reads(
+        &self,
+        t0: Time,
+        cpu: Time,
+        looks: usize,
+        hit: Option<(usize, Word)>,
+    ) -> impl Iterator<Item = Time> {
+        self.nic.sweep_reads(t0, cpu, looks, hit)
+    }
+
+    /// [`Nic::peer_alive`].
+    pub fn peer_alive(&self, peer: usize) -> bool {
+        self.nic.peer_alive(peer)
+    }
+
+    /// [`Nic::peer_reachable`].
+    pub fn peer_reachable(&self, peer: usize) -> bool {
+        self.nic.peer_reachable(peer)
+    }
+
+    /// [`Nic::reachable_set`].
+    pub fn reachable_set(&self) -> ReachabilitySet {
+        self.nic.reachable_set()
+    }
+
+    /// [`Nic::engage_bypass`].
+    pub fn engage_bypass(&self, peer: usize) {
+        self.nic.engage_bypass(peer);
+    }
+
+    /// [`Nic::reinsert_self`].
+    pub fn reinsert_self(&self) {
+        self.nic.reinsert_self();
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use scramnet::{CostModel, Ring, RingConfig};
+
     use super::*;
 
     fn layout(n: usize) -> Layout {
@@ -254,7 +400,7 @@ mod tests {
                 let data_start = l.data_base(p);
                 assert_eq!(l.msg_flag(p, 0), base);
                 assert_eq!(msg_end, ack_start);
-                let after_flags = if l.reliable {
+                let after_flags = if l.flag_blocks == 3 {
                     let nack_start = l.nack_flag(p, 0);
                     let nack_end = l.nack_flag(p, 3) + 1;
                     assert_eq!(ack_end, nack_start);
@@ -262,10 +408,9 @@ mod tests {
                 } else {
                     ack_end
                 };
-                if l.membership {
+                if l.member_words > 0 {
                     assert_eq!(l.member_base(p), after_flags);
-                    assert_eq!(l.view_mask_word(p) + 1, l.prop_epoch_word(p));
-                    assert_eq!(l.prop_mask_word(p) + 1, desc_start);
+                    assert_eq!(l.member_base(p) + MEMBER_WORDS, desc_start);
                 } else {
                     assert_eq!(after_flags, desc_start);
                 }
@@ -300,63 +445,115 @@ mod tests {
         assert!(reliable_layout(4).partition_words() > layout(4).partition_words());
     }
 
-    #[test]
-    fn partitions_tile_the_memory_exactly() {
-        for l in [layout(5), reliable_layout(5), membership_layout(5)] {
-            for p in 0..4 {
-                assert_eq!(
-                    l.partition_base(p) + l.partition_words(),
-                    l.partition_base(p + 1)
-                );
+    /// One of the four layouts a configuration can have — the paper's,
+    /// reliable, membership, quorum (`kind` 0 to 3) — at the given sizes.
+    fn config(kind: usize, n: usize, bufs: usize, data_words: usize) -> BbpConfig {
+        let mut config = match kind {
+            0 => BbpConfig::for_nodes(n),
+            1 => BbpConfig::reliable_for_nodes(n),
+            2 => BbpConfig::membership_for_nodes(n),
+            _ => BbpConfig::quorum_for_nodes(n.max(3)),
+        };
+        config.bufs_per_proc = bufs;
+        config.data_words = data_words;
+        config
+    }
+
+    /// Every word each role of `w` can reach: each flag role toward every
+    /// rank, every descriptor slot, the whole data partition and, where
+    /// the layout has one, the whole member block.
+    fn write_everything(ctx: &mut ProcCtx, w: &Writer) {
+        let l = &w.layout;
+        for p in 0..l.nprocs {
+            w.msg_flag(ctx, p, 1);
+            w.ack_flag(ctx, p, 1);
+            if l.flag_blocks == 3 {
+                w.nack_flag(ctx, p, 1);
             }
-            assert_eq!(l.partition_base(4) + l.partition_words(), l.total_words());
+        }
+        for slot in 0..l.bufs {
+            w.descriptor(ctx, slot, &[1; 4]);
+        }
+        w.data(ctx, 0, &vec![1; l.data_words]);
+        if l.member_words > 0 {
+            w.member(ctx, 0, &[1; MEMBER_WORDS]);
         }
     }
 
-    #[test]
-    fn every_word_has_exactly_one_writer() {
-        // Build the full writer map for a small configuration and check
-        // that no two (writer, word) claims collide — in both modes (the
-        // reliability extension's CRC word and NACK flags must not break
-        // the discipline).
-        let n = 4;
-        for l in [layout(n), reliable_layout(n), membership_layout(n)] {
-            let mut writer = vec![None::<usize>; l.total_words()];
-            let mut claim = |addr: usize, w: usize| {
-                assert!(
-                    writer[addr].is_none(),
-                    "word {addr} claimed by {} and {w}",
-                    writer[addr].unwrap()
-                );
-                writer[addr] = Some(w);
-            };
-            for p in 0..n {
-                for s in 0..n {
-                    claim(l.msg_flag(p, s), s);
-                }
-                for r in 0..n {
-                    claim(l.ack_flag(p, r), r);
-                }
-                if l.reliable {
-                    for r in 0..n {
-                        claim(l.nack_flag(p, r), r);
-                    }
-                }
-                if l.membership {
-                    for w in 0..MEMBER_WORDS {
-                        claim(l.member_base(p) + w, p);
-                    }
-                }
-                for b in 0..l.bufs {
-                    for w in 0..l.desc_words() {
-                        claim(l.descriptor(p, b) + w, p);
-                    }
-                }
-                for w in 0..l.data_words() {
-                    claim(l.data_base(p) + w, p);
+    /// Who the layout says writes each word, from its read side: flag word
+    /// `s` of every partition is `s`'s, and the rest of partition `p` is
+    /// `p`'s. `None` for a word the layout names twice.
+    fn owners(l: &Layout) -> Vec<Option<usize>> {
+        let mut owner = vec![None; l.total_words()];
+        let mut claims = vec![0; l.total_words()];
+        let mut claim = |addr: WordAddr, words: usize, writer: usize| {
+            for a in addr..addr + words {
+                owner[a] = Some(writer);
+                claims[a] += 1;
+            }
+        };
+        for p in 0..l.nprocs {
+            for s in 0..l.nprocs {
+                claim(l.msg_flag(p, s), 1, s);
+                claim(l.ack_flag(p, s), 1, s);
+                if l.flag_blocks == 3 {
+                    claim(l.nack_flag(p, s), 1, s);
                 }
             }
-            assert!(writer.iter().all(Option::is_some), "no dead words");
+            if l.member_words > 0 {
+                claim(l.member_base(p), MEMBER_WORDS, p);
+            }
+            for slot in 0..l.bufs {
+                claim(l.descriptor(p, slot), l.desc_words, p);
+            }
+            claim(l.data_base(p), l.data_words, p);
+        }
+        owner
+            .iter()
+            .zip(claims)
+            .map(|(&w, c)| w.filter(|_| c == 1))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+        /// The single-writer discipline, for any valid configuration: the
+        /// words the nodes' writers can reach tile the memory exactly, one
+        /// writer per word, and each is the writer the layout's read side
+        /// expects. Run on a ring that records who wrote each word, every
+        /// word of every bank was written by its owner and no word by two
+        /// nodes.
+        #[test]
+        fn the_writers_tile_the_memory_one_writer_per_word(
+            kind in 0usize..4,
+            n in 2usize..=12,
+            bufs in 1usize..=32,
+            data_words in 1usize..=2048,
+        ) {
+            let config = config(kind, n, bufs, data_words);
+            let (n, layout) = (config.nprocs, Layout::new(&config));
+            let owners = owners(&layout);
+            let mut sim = des::Simulation::new();
+            let audit = RingConfig { track_provenance: true, ..RingConfig::default() };
+            let words = layout.total_words();
+            let ring = Ring::with_config(&sim.handle(), n, words, CostModel::default(), audit);
+            let writers: Vec<Writer> =
+                (0..n).map(|p| Writer::new(ring.nic(p), layout.clone())).collect();
+            sim.spawn("writers", move |ctx| {
+                for w in &writers {
+                    write_everything(ctx, w);
+                }
+            });
+            prop_assert!(sim.run().is_clean());
+            prop_assert!(ring.conflicts().is_empty(), "{:?}", ring.conflicts());
+            for node in 0..n {
+                for (addr, &owner) in owners.iter().enumerate() {
+                    let writer = ring.provenance(node, addr).map(|w| w.writer);
+                    prop_assert!(owner.is_some(), "the layout names word {} twice", addr);
+                    prop_assert_eq!(writer, owner, "word {} on node {}", addr, node);
+                }
+            }
         }
     }
 

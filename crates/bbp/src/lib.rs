@@ -50,8 +50,14 @@
 //! | `flow.rs` | credit ledger, deferred doorbells | the `on_free` callback of `gc`, the doorbell of `flag` |
 //! | `endpoint.rs` | [`BbpEndpoint`]: the four composed | every public call is the ordered list of layer calls |
 //!
-//! `layout.rs` is the address map, `config.rs` the knobs and the rules
-//! for combining them.
+//! `layout.rs` is the address map and the [`Writer`], the one way any of
+//! the files above writes shared memory: it owns the endpoint's NIC,
+//! takes the rank from the NIC's host id and writes only by role
+//! (`msg_flag`, `ack_flag`, `nack_flag`, `descriptor`, `data`,
+//! `member`), each naming a word whose writer is that rank — so the
+//! single-writer discipline is a type, and no layer names an address to
+//! write. `config.rs` holds the knobs, the rules for combining them, and
+//! the software path's calibrated costs.
 //!
 //! ## Example
 //!
@@ -106,15 +112,10 @@ mod membership;
 mod reliable;
 
 pub use cluster::BbpCluster;
-
-/// Words per buffer descriptor (exposed for layout-auditing tests).
-pub fn layout_desc_words() -> usize {
-    layout::DESC_WORDS
-}
 pub use config::{
-    BbpConfig, CreditConfig, GcPolicy, MembershipConfig, RecvMode, ReliabilityConfig, SwCosts,
+    BbpConfig, CreditConfig, GcPolicy, MembershipConfig, RecvMode, ReliabilityConfig,
 };
 pub use endpoint::{BbpEndpoint, EndpointStats};
 pub use error::BbpError;
-pub use layout::{Layout, DESC_WORDS, MEMBER_WORDS, RELIABLE_DESC_WORDS};
+pub use layout::{Layout, Writer, DESC_WORDS, MEMBER_WORDS, RELIABLE_DESC_WORDS};
 pub use membership::{DetectionHists, MembershipView, PeerHealth};

@@ -48,7 +48,7 @@ use crate::config::MembershipConfig;
 use crate::core::Core;
 use crate::error::BbpError;
 use crate::flow::Flow;
-use crate::layout::MEMBER_WORDS;
+use crate::layout::{INCARNATION, MEMBER_WORDS, PROPOSAL, VIEW};
 use crate::reliable::Reliable;
 
 /// An epoch-stamped membership view: which ranks the cluster currently
@@ -121,7 +121,7 @@ pub struct DetectionHists {
 }
 
 /// The per-endpoint membership engine. Every step is handed the [`Core`]
-/// whose NIC and counters it uses and, where it restarts pairwise
+/// whose writer and counters it uses and, where it restarts pairwise
 /// channels, the [`Reliable`] and [`Flow`] state that restarts with them
 /// (`BbpConfig::validate`: membership implies reliability).
 #[derive(Debug, Clone)]
@@ -178,8 +178,8 @@ struct Scan {
 /// One PIO block read of the view `r` currently publishes.
 fn read_view(ctx: &mut ProcCtx, core: &Core, r: usize) -> MembershipView {
     let mut vw = [0; 2];
-    core.nic
-        .read_block(ctx, core.layout.view_epoch_word(r), &mut vw);
+    core.io
+        .read_block(ctx, core.layout.member_base(r) + VIEW, &mut vw);
     let [epoch, alive_mask] = vw;
     MembershipView { epoch, alive_mask }
 }
@@ -299,7 +299,7 @@ impl Members {
         // The segment map is read without a PIO stall, and the caller
         // (a progress engine mid-receive) may still owe software time.
         ctx.settle();
-        let reach = core.nic.reachable_set();
+        let reach = core.io.reachable_set();
         let mut now_cut: Word = 0;
         for r in 0..n {
             if r != rank && !reach.contains(r) {
@@ -383,14 +383,8 @@ impl Members {
             self.view.epoch,
             self.view.alive_mask,
         ];
-        let hb_word = core.layout.hb_word(core.rank);
-        if with_view {
-            core.nic.write_block(ctx, hb_word, &block);
-        } else if first {
-            core.nic.write_block(ctx, hb_word, &block[..2]);
-        } else {
-            core.nic.write_word(ctx, hb_word, self.hb_counter);
-        }
+        let words = if with_view { 4 } else { 1 + usize::from(first) };
+        core.io.member(ctx, 0, &block[..words]);
         self.beat_published(ctx, core);
     }
 
@@ -417,7 +411,7 @@ impl Members {
                 continue;
             }
             let mut blk = [0; MEMBER_WORDS];
-            core.nic
+            core.io
                 .read_block(ctx, core.layout.member_base(r), &mut blk[..member_words]);
             let (hb, inc) = (blk[0], blk[1]);
             scan.views[r] = Some((blk[2], blk[3]));
@@ -546,8 +540,7 @@ impl Members {
         if self.proposal != Some(prop) {
             self.proposal = Some(prop);
             self.echoed = Some(prop);
-            core.nic
-                .write_block(ctx, core.layout.prop_epoch_word(rank), &[prop.0, prop.1]);
+            core.io.member(ctx, PROPOSAL, &[prop.0, prop.1]);
         }
         // Our own echo counts; `props[rank]` is never filled in.
         let acks = 1 + scan.props.iter().filter(|&&p| p == prop).count();
@@ -577,8 +570,7 @@ impl Members {
             && self.echoed != Some((pe, pm))
         {
             self.echoed = Some((pe, pm));
-            core.nic
-                .write_block(ctx, core.layout.prop_epoch_word(core.rank), &[pe, pm]);
+            core.io.member(ctx, PROPOSAL, &[pe, pm]);
         }
     }
 
@@ -666,11 +658,7 @@ impl Members {
             self.merge_pending = false;
         }
         self.view = view;
-        core.nic.write_block(
-            ctx,
-            core.layout.view_epoch_word(rank),
-            &[view.epoch, view.alive_mask],
-        );
+        core.io.member(ctx, VIEW, &[view.epoch, view.alive_mask]);
         for r in 0..n {
             if r != rank && removed & (1 << r) != 0 {
                 self.tracks[r].health = PeerHealth::Dead;
@@ -680,8 +668,8 @@ impl Members {
                 // so its own segment keeps functioning. Only a peer we
                 // can still reach — i.e. one that genuinely fell silent
                 // inside our segment — gets bypassed.
-                if !quorum || core.nic.peer_reachable(r) {
-                    core.nic.engage_bypass(r);
+                if !quorum || core.io.peer_reachable(r) {
+                    core.io.engage_bypass(r);
                 }
             }
         }
@@ -759,12 +747,14 @@ impl Members {
         wait_ns: Time,
     ) -> Result<MembershipView, BbpError> {
         let (n, rank) = (core.n, core.rank);
-        core.nic.reinsert_self();
+        core.io.reinsert_self();
         reset_send_state(ctx, core, rel, flow);
         // Announce the rejoin: a new incarnation, written after the
         // zeroed flag words so per-source FIFO shows every survivor a
         // clean channel before the announcement that makes it look.
-        let prev_inc = core.nic.read_word(ctx, core.layout.incarnation_word(rank));
+        let prev_inc = core
+            .io
+            .read_word(ctx, core.layout.member_base(rank) + INCARNATION);
         self.hb_counter = 1;
         self.incarnation = prev_inc.wrapping_add(1).max(1);
         self.view = MembershipView {
@@ -781,8 +771,7 @@ impl Members {
         // commit.
         let block = [self.hb_counter, self.incarnation, 0, 0, 0, 0];
         let member_words = if self.cfg.quorum { MEMBER_WORDS } else { 4 };
-        core.nic
-            .write_block(ctx, core.layout.member_base(rank), &block[..member_words]);
+        core.io.member(ctx, 0, &block[..member_words]);
         self.beat_published(ctx, core);
         // Wait for readmission: a view containing us, echoed identically
         // by every *other* member it names (their echoes FIFO-follow
@@ -803,11 +792,7 @@ impl Members {
                     .all(|r| read_view(ctx, core, r) == v);
                 if echoed_by_all {
                     self.view = v;
-                    core.nic.write_block(
-                        ctx,
-                        core.layout.view_epoch_word(rank),
-                        &[v.epoch, v.alive_mask],
-                    );
+                    core.io.member(ctx, VIEW, &[v.epoch, v.alive_mask]);
                     for r in (0..n).filter(|&r| r != rank) {
                         self.tracks[r].health = if v.is_alive(r) {
                             PeerHealth::Alive

@@ -13,7 +13,7 @@ use des::obs::Stage;
 use des::{ProcCtx, Time};
 use scramnet::Word;
 
-use crate::config::{GcPolicy, ReliabilityConfig};
+use crate::config::{GcPolicy, ReliabilityConfig, GC_RETRY_GAP_NS};
 use crate::core::{Core, PendingMsg};
 use crate::crc::descriptor_crc;
 use crate::error::BbpError;
@@ -96,7 +96,7 @@ impl Reliable {
                     if core.read_ack(ctx, r) & bit != core.ack_expect[r] & bit {
                         all_acked = false;
                     }
-                    let nack = core.nic.read_word(ctx, core.layout.nack_flag(core.rank, r));
+                    let nack = core.io.read_word(ctx, core.layout.nack_flag(core.rank, r));
                     let diff = nack ^ self.nack_shadow[r];
                     if diff != 0 {
                         self.nack_shadow[r] = nack;
@@ -115,7 +115,7 @@ impl Reliable {
                 if ctx.now() >= deadline {
                     break;
                 }
-                ctx.advance(core.sw.gc_retry_gap_ns);
+                ctx.advance(GC_RETRY_GAP_NS);
                 if let Err(e) = in_wait(core, self, ctx) {
                     self.reclaim_failed(core, slot);
                     return Err(e);
@@ -134,7 +134,7 @@ impl Reliable {
                 continue; // this target did acknowledge
             }
             self.reclaim_failed(core, slot);
-            return Err(if !core.nic.peer_alive(r) {
+            return Err(if !core.io.peer_alive(r) {
                 BbpError::PeerDown { peer: r }
             } else if nack_seen {
                 BbpError::Corrupt { peer: r }
@@ -219,7 +219,7 @@ impl Reliable {
                 if word & bit == core.ack_expect[r] & bit {
                     continue; // late ACK landed (or this target had acked)
                 }
-                if !core.nic.peer_alive(r) {
+                if !core.io.peer_alive(r) {
                     core.ack_expect[r] = (core.ack_expect[r] & !bit) | (word & bit);
                     continue;
                 }
@@ -309,11 +309,7 @@ impl Reliable {
         core.stats.corrupt_detected += 1;
         core.count(ctx, "bbp.corrupt_detected", 1);
         self.out_nack_flags[src] ^= 1 << msg.slot;
-        core.nic.write_word(
-            ctx,
-            core.layout.nack_flag(src, core.rank),
-            self.out_nack_flags[src],
-        );
+        core.io.nack_flag(ctx, src, self.out_nack_flags[src]);
         core.stats.nacks_sent += 1;
         msg.tries += 1;
         core.lifecycle(ctx, msg.trace, Stage::NackRepair, msg.tries as u64);
@@ -331,8 +327,7 @@ impl Reliable {
     /// [`Core::reset_channel`]'s counterpart for the NACK word and shadows.
     pub(crate) fn reset_channel(&mut self, ctx: &mut ProcCtx, core: &Core, peer: usize) {
         self.out_nack_flags[peer] = 0;
-        core.nic
-            .write_word(ctx, core.layout.nack_flag(peer, core.rank), 0);
+        core.io.nack_flag(ctx, peer, 0);
         self.nack_shadow[peer] = 0;
         self.expected_seq[peer] = 0;
     }

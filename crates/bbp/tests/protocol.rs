@@ -292,6 +292,19 @@ fn repeated_multicast_target_is_rejected_before_any_write() {
     assert_eq!((traffic.pio_writes, traffic.injections), (0, 0));
 }
 
+/// An endpoint's rank is its NIC's host id, so a NIC whose host id is
+/// not a rank of the configuration is refused where the endpoint is
+/// built, by rank — not at its first send, by bank address.
+#[test]
+#[should_panic(expected = "rank 5 out of range for 2 processes")]
+fn an_endpoint_over_a_nic_past_the_last_rank_is_refused_where_it_is_built() {
+    let sim = Simulation::new();
+    let config = BbpConfig::for_nodes(2);
+    let words = bbp::Layout::new(&config).total_words();
+    let ring = scramnet::Ring::new(&sim.handle(), 6, words, CostModel::default());
+    BbpCluster::endpoint_over(ring.nic(5), config);
+}
+
 #[test]
 fn wire_traffic_respects_single_writer_discipline() {
     // Run a busy all-to-all workload with provenance tracking on; the

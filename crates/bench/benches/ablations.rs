@@ -207,8 +207,8 @@ fn hierarchy_latencies() -> (f64, f64) {
                 track_provenance: false,
             },
         );
-        let mut tx = bbp::BbpCluster::endpoint_over(h.nic(src), src, config.clone());
-        let mut rx = bbp::BbpCluster::endpoint_over(h.nic(dst), dst, config);
+        let mut tx = bbp::BbpCluster::endpoint_over(h.nic(src), config.clone());
+        let mut rx = bbp::BbpCluster::endpoint_over(h.nic(dst), config);
         let done = Arc::new(Mutex::new(0u64));
         let done2 = Arc::clone(&done);
         sim.spawn("tx", move |ctx| tx.send(ctx, dst, b"ping").unwrap());

@@ -31,9 +31,10 @@ impl Nic {
         self.node
     }
 
-    /// Global node id for observability labels (differs from the local
-    /// ring slot inside a hierarchy).
-    fn gid(&self) -> u32 {
+    /// This host's global id: the label it writes under, and its rank to
+    /// the protocols above (differs from the local ring slot inside a
+    /// hierarchy).
+    pub fn gid(&self) -> u32 {
         self.shared.node_ids[self.node] as u32
     }
 

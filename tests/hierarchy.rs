@@ -26,7 +26,7 @@ fn hierarchy(sim: &Simulation, leaves: usize, hosts: usize, words: usize) -> Rin
 
 fn bbp_endpoints(h: &RingHierarchy, config: &BbpConfig) -> Vec<scramnet_cluster::bbp::BbpEndpoint> {
     (0..h.hosts())
-        .map(|id| BbpCluster::endpoint_over(h.nic(id), id, config.clone()))
+        .map(|id| BbpCluster::endpoint_over(h.nic(id), config.clone()))
         .collect()
 }
 
@@ -101,7 +101,7 @@ fn mpi_collectives_across_the_hierarchy() {
     let layout_words = scramnet_cluster::bbp::Layout::new(&config).total_words();
     let h = hierarchy(&sim, 2, 4, layout_words);
     for rank in 0..n {
-        let ep = BbpCluster::endpoint_over(h.nic(rank), rank, config.clone());
+        let ep = BbpCluster::endpoint_over(h.nic(rank), config.clone());
         let mut mpi = Mpi::new(
             Device::Bbp(Box::new(ep)),
             SmpiCosts::channel_interface(),
