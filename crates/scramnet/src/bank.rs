@@ -108,6 +108,45 @@ fn pieces(addr: WordAddr, len: usize) -> impl Iterator<Item = (usize, usize, usi
     })
 }
 
+/// A range-checked write of `len` words at `addr` into banks of a given
+/// size, resolved to its page and offset: every hop of a packet stores the
+/// same words into a bank of the ring's one size, so the range check and
+/// the page split are made once, here, and a store ([`Bank::store`])
+/// makes neither.
+#[derive(Clone, Copy)]
+pub(crate) struct Span {
+    page: usize,
+    off: usize,
+    len: usize,
+}
+
+impl Span {
+    /// `addr..addr + len` in banks of `words` words.
+    ///
+    /// # Panics
+    ///
+    /// If the span runs past a bank's end.
+    pub fn new(addr: WordAddr, len: usize, words: usize) -> Self {
+        check_range(addr, len, words);
+        let (page, off) = (addr / PAGE_WORDS, addr % PAGE_WORDS);
+        Span { page, off, len }
+    }
+
+    /// The first word.
+    pub fn addr(self) -> WordAddr {
+        self.page * PAGE_WORDS + self.off
+    }
+}
+
+/// Absent pages read as zeros, and the last page may be partial: the
+/// length is what bounds an access.
+fn check_range(addr: WordAddr, len: usize, words: usize) {
+    assert!(
+        addr.checked_add(len).is_some_and(|end| end <= words),
+        "a {len}-word access at {addr} out of range for a bank of {words} words"
+    );
+}
+
 impl Bank {
     pub fn new(words: usize, track_provenance: bool) -> Self {
         let mut pages = {
@@ -124,20 +163,9 @@ impl Bank {
         }
     }
 
-    /// Absent pages read as zeros, and the last page may be partial: the
-    /// length is what bounds an access.
-    #[inline]
-    fn check_range(&self, addr: WordAddr, len: usize) {
-        assert!(
-            addr.checked_add(len).is_some_and(|end| end <= self.len),
-            "a {len}-word access at {addr} out of range for a bank of {} words",
-            self.len
-        );
-    }
-
     #[inline]
     pub fn read(&self, addr: WordAddr) -> Word {
-        self.check_range(addr, 1);
+        check_range(addr, 1, self.len);
         self.pages[addr / PAGE_WORDS]
             .get()
             .map_or(0, |page| page[addr % PAGE_WORDS].load(Ordering::Relaxed))
@@ -145,7 +173,7 @@ impl Bank {
 
     /// Copy the words at `addr..addr + out.len()` into `out`.
     pub fn read_block(&self, addr: WordAddr, out: &mut [Word]) {
-        self.check_range(addr, out.len());
+        check_range(addr, out.len(), self.len);
         for (page, off, at, n) in pieces(addr, out.len()) {
             let out = &mut out[at..at + n];
             match self.pages[page].get() {
@@ -159,45 +187,64 @@ impl Bank {
         }
     }
 
-    /// Apply a replicated write. When provenance is tracked, every word
-    /// whose last writer was *another* node is handed to `conflict` as
-    /// `(addr, earlier writer)` — the caller surfaces it to the
-    /// single-writer checker.
+    /// Store `data`, as long as `span`, at `span`: one page lookup and a
+    /// store per word for a span inside one page — every hop of a packet
+    /// of at most a page, but for one that straddles an edge — and a
+    /// piece per page for one across an edge. Provenance is
+    /// [`Self::record`]'s.
     ///
-    /// A write inside one page — every hop of a packet of at most a page,
-    /// but for one that straddles an edge — is one page lookup and a store
-    /// per word; one across an edge takes a piece per page.
-    pub fn apply(
+    /// `span` must have been made for this bank's size and be as long as
+    /// `data`: the ring makes it once a packet from the packet's own payload
+    /// and the one size of its banks, and [`Span::new`] asserts the range,
+    /// so a hop checks it again only in debug builds.
+    #[inline(always)]
+    pub fn store(&self, span: Span, data: &[Word]) {
+        debug_assert!(data.len() == span.len && span.addr() + span.len <= self.len);
+        if span.off + span.len <= PAGE_WORDS {
+            let page = self.pages[span.page].get_or_init(new_page);
+            store(&page[span.off..span.off + span.len], data);
+        } else {
+            self.store_pieces(span, data);
+        }
+    }
+
+    #[inline(never)]
+    fn store_pieces(&self, span: Span, data: &[Word]) {
+        for (page, off, done, n) in pieces(span.addr(), span.len) {
+            let page = self.pages[page].get_or_init(new_page);
+            store(&page[off..off + n], &data[done..done + n]);
+        }
+    }
+
+    /// True if this bank records who wrote each word.
+    pub fn tracked(&self) -> bool {
+        self.provenance.is_some()
+    }
+
+    /// Record `writer` as the last writer of `span`'s words at `at`, when
+    /// provenance is tracked, handing every word whose last writer was
+    /// *another* node to `conflict` as `(addr, earlier writer)` — the
+    /// caller surfaces it to the single-writer checker.
+    pub fn record(
         &self,
-        addr: WordAddr,
-        data: &[Word],
+        span: Span,
         writer: usize,
         at: des::Time,
         mut conflict: impl FnMut(WordAddr, usize),
     ) {
-        self.check_range(addr, data.len());
-        let off = addr % PAGE_WORDS;
-        if off + data.len() <= PAGE_WORDS {
-            let page = self.pages[addr / PAGE_WORDS].get_or_init(new_page);
-            store(&page[off..off + data.len()], data);
-        } else {
-            for (page, off, done, n) in pieces(addr, data.len()) {
-                let page = self.pages[page].get_or_init(new_page);
-                store(&page[off..off + n], &data[done..done + n]);
+        let Some(mut prov) = self.records() else {
+            return;
+        };
+        let addr = span.addr();
+        for (i, slot) in prov[addr..addr + span.len].iter_mut().enumerate() {
+            match slot {
+                Some(prev) if prev.writer != writer => conflict(addr + i, prev.writer),
+                _ => {}
             }
-        }
-        if let Some(mut prov) = self.records() {
-            for (i, slot) in prov[addr..addr + data.len()].iter_mut().enumerate() {
-                if let Some(prev) = slot {
-                    if prev.writer != writer {
-                        conflict(addr + i, prev.writer);
-                    }
-                }
-                *slot = Some(WriteRecord {
-                    writer,
-                    applied_at: at,
-                });
-            }
+            *slot = Some(WriteRecord {
+                writer,
+                applied_at: at,
+            });
         }
     }
 
@@ -263,7 +310,8 @@ mod tests {
     use super::*;
 
     impl Bank {
-        /// Apply, collecting the conflicts reported.
+        /// Store and record, as a hop does, collecting the conflicts
+        /// reported.
         fn write(
             &self,
             addr: WordAddr,
@@ -271,10 +319,10 @@ mod tests {
             writer: usize,
             at: des::Time,
         ) -> Vec<(WordAddr, usize)> {
+            let span = Span::new(addr, data.len(), self.len);
+            self.store(span, data);
             let mut conflicts = Vec::new();
-            self.apply(addr, data, writer, at, |a, earlier| {
-                conflicts.push((a, earlier))
-            });
+            self.record(span, writer, at, |a, earlier| conflicts.push((a, earlier)));
             conflicts
         }
 

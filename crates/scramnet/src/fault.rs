@@ -65,33 +65,20 @@ enum Action {
 impl Action {
     fn describe(&self, out: &mut String) {
         use std::fmt::Write as _;
+        let time = |dur: Time| match dur {
+            FOREVER => "forever".to_string(),
+            dur => dur.to_string(),
+        };
         match *self {
-            Action::DropNext(n) => write!(out, "drop_next({n})").unwrap(),
-            Action::StallNode { node, dur } if dur == FOREVER => {
-                write!(out, "stall_node({node},forever)").unwrap();
-            }
-            Action::StallNode { node, dur } => {
-                write!(out, "stall_node({node},{dur})").unwrap();
-            }
-            Action::BreakLink { link, dur } if dur == FOREVER => {
-                write!(out, "break_link({link},forever)").unwrap();
-            }
-            Action::BreakLink { link, dur } => {
-                write!(out, "break_link({link},{dur})").unwrap();
-            }
-            Action::KillNode { node, dur } if dur == FOREVER => {
-                write!(out, "kill_node({node},forever)").unwrap();
-            }
-            Action::KillNode { node, dur } => {
-                write!(out, "kill_node({node},{dur})").unwrap();
-            }
-            Action::Partition { cut_a, cut_b, dur } if dur == FOREVER => {
-                write!(out, "partition({cut_a},{cut_b},forever)").unwrap();
-            }
+            Action::DropNext(n) => write!(out, "drop_next({n})"),
+            Action::StallNode { node, dur } => write!(out, "stall_node({node},{})", time(dur)),
+            Action::BreakLink { link, dur } => write!(out, "break_link({link},{})", time(dur)),
+            Action::KillNode { node, dur } => write!(out, "kill_node({node},{})", time(dur)),
             Action::Partition { cut_a, cut_b, dur } => {
-                write!(out, "partition({cut_a},{cut_b},{dur})").unwrap();
+                write!(out, "partition({cut_a},{cut_b},{})", time(dur))
             }
         }
+        .unwrap();
     }
 }
 

@@ -94,7 +94,7 @@ impl RingHierarchy {
             // Leaf bridge slot (local index m) → backbone (local index leaf).
             let backbone_shared = backbone.shared_handle();
             let bridge_ns = config.bridge_ns;
-            leaves[leaf].set_tap(
+            leaves[leaf].shared_handle().set_tap(
                 m,
                 Box::new(
                     move |writer: usize, addr: WordAddr, data: &[Word], t: Time| {
@@ -106,7 +106,7 @@ impl RingHierarchy {
             );
             // Backbone slot `leaf` → this leaf's ring (via its bridge slot).
             let leaf_shared = leaves[leaf].shared_handle();
-            backbone.set_tap(
+            backbone.shared_handle().set_tap(
                 leaf,
                 Box::new(
                     move |writer: usize, addr: WordAddr, data: &[Word], t: Time| {

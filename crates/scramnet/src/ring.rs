@@ -8,7 +8,7 @@ use des::obs::{Layer, Stage, NO_NODE};
 use des::{Link, Signal, SimHandle, Then, Time};
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::bank::Bank;
+use crate::bank::{Bank, Span};
 use crate::cost::{CostModel, TxMode};
 use crate::nic::Nic;
 use crate::stats::{AtomicRingStats, Bump, RingStats};
@@ -279,7 +279,7 @@ pub(crate) struct RingShared {
     #[cfg(test)]
     transit_calls: AtomicU64,
     watches: Mutex<Vec<Vec<Watch>>>,
-    /// Number of installed watches across all nodes; lets `applied`
+    /// Number of installed watches across all nodes; lets a hop
     /// skip the watch lock entirely on watch-free rings.
     watch_count: AtomicU64,
     /// Per-node apply observers (bridge forwarding). Called as
@@ -381,24 +381,32 @@ impl ErrorInjector {
         ((1.0 - u).ln() / ln_keep) as u64
     }
 
-    /// Walk a span of `len` applied words, calling `flip(idx, bit)` for
-    /// each corrupted one. The fast path — no flip lands in the span —
-    /// is a single compare-and-subtract.
-    fn corrupt_span(&self, len: usize, mut flip: impl FnMut(usize, u32)) {
-        let len = len as u64;
+    /// Count `data`'s words down, and return its corrupted copy if a flip
+    /// lands in it. The fast path — no flip lands — is a single
+    /// compare-and-subtract.
+    #[inline(always)]
+    fn corrupt(&self, data: &[Word]) -> Option<Vec<Word>> {
+        let len = data.len() as u64;
         let countdown = self.countdown.load(Ordering::Relaxed);
         if countdown >= len {
             self.countdown.store(countdown - len, Ordering::Relaxed);
-            return;
+            return None;
         }
+        Some(self.flip(data, countdown))
+    }
+
+    /// `data` with word `i` and every word a gap after it flipped.
+    #[cold]
+    fn flip(&self, data: &[Word], mut i: u64) -> Vec<Word> {
+        let mut out = data.to_vec();
+        let len = data.len() as u64;
         let mut rng = self.rng.lock();
-        let mut i = countdown;
         while i < len {
-            let bit = rng.below(32) as u32;
-            flip(i as usize, bit);
+            out[i as usize] ^= 1 << rng.below(32);
             i = (i + 1).saturating_add(Self::sample_gap(self.ln_keep, &mut rng));
         }
         self.countdown.store(i - len, Ordering::Relaxed);
+        out
     }
 }
 
@@ -634,11 +642,6 @@ impl Ring {
         Arc::clone(&self.shared)
     }
 
-    /// Install the apply tap on `node` (bridge forwarding).
-    pub(crate) fn set_tap(&self, node: usize, tap: crate::ring::Tap) {
-        self.shared.set_tap(node, tap);
-    }
-
     /// Inject a packet as if sourced by `node`'s NIC hardware at virtual
     /// time `t`: the write replicates around the ring with full link
     /// occupancy and per-hop latency, but no host process is involved
@@ -664,7 +667,7 @@ impl Ring {
     pub fn record_deliveries(&self, node: usize) -> Arc<Mutex<Vec<Delivery>>> {
         let log = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
-        self.set_tap(
+        self.shared.set_tap(
             node,
             Box::new(move |writer, addr, data, t| {
                 sink.lock().push(Delivery {
@@ -716,8 +719,8 @@ impl RingShared {
             return;
         }
         let mode = self.mode();
-        let corrupted = self.apply(src, addr, data, writer, t_ready);
-        self.applied(src, addr, data, corrupted, writer, t_ready);
+        let span = Span::new(addr, words, self.words);
+        self.hop(src, span, data, writer, t_ready);
         self.stats.injections.add(1);
         self.stats.words_carried.add(words as u64);
         let ser = self.cost.serialize_ns(words, mode);
@@ -820,18 +823,16 @@ impl RingShared {
                     // when it comes back around to src.
                     self.segment_start(src, &broken)
                 } else {
-                    (hop_from + 1) % self.n
+                    self.next(hop_from)
                 };
                 if next == src {
                     break;
                 }
-                let hop_cost = if bypassed.get(next) {
-                    self.cost.bypass_hop_ns
+                if bypassed.get(next) {
+                    // Bypass switch: no bank, no egress queueing.
+                    head += self.cost.bypass_hop_ns;
                 } else {
-                    self.cost.hop_ns
-                };
-                let arrive_head = head + hop_cost;
-                if !bypassed.get(next) {
+                    let arrive_head = head + self.cost.hop_ns;
                     let tail = arrive_head + ser;
                     plan.push_hop(next, tail);
                     // Forwarding occupies this node's egress too (every
@@ -842,9 +843,6 @@ impl RingShared {
                     busy_ns += ser;
                     span_end = tail.max(depart + ser);
                     head = depart;
-                } else {
-                    // Bypass switch: no bank, no egress queueing.
-                    head = arrive_head;
                 }
                 hop_from = next;
             }
@@ -920,15 +918,16 @@ impl RingShared {
         self.transit_calls.add(1);
         // The packet's own: the plan is this packet's alone, moved from
         // hop to hop, so nothing a hop runs — a watch, a tap, a nested
-        // inject — can change them between two hops.
-        let (addr, writer, trace) = (plan.addr, plan.writer as usize, plan.trace());
+        // inject — can change them between two hops. Every hop stores the
+        // same span into a bank of the same size, so it is checked and
+        // split at its page once, here.
+        let (writer, trace) = (plan.writer as usize, plan.trace());
+        let span = Span::new(plan.addr, plan.payload().len(), self.words);
         loop {
             let (node, _) = plan.hop(plan.next);
             plan.next += 1;
             let t = link.now();
-            let data = plan.payload();
-            let corrupted = self.apply(node, addr, data, writer, t);
-            self.applied(node, addr, data, corrupted, writer, t);
+            self.hop(node, span, plan.payload(), writer, t);
             if trace != 0 {
                 self.handle.recorder().lifecycle_hot(
                     t,
@@ -952,82 +951,67 @@ impl RingShared {
         None
     }
 
-    /// Apply `data` to `node`'s bank at `t` — corrupted first unless
-    /// `node` is the writer's own — and log single-writer conflicts.
-    /// Returns the corrupted copy, if a bit flipped. Takes no lock unless
-    /// a flip lands (the error stream's) or a tracked write finds another
-    /// writer's word (the conflict log's).
-    fn apply(
-        &self,
-        node: usize,
-        addr: WordAddr,
-        data: &[Word],
-        writer: usize,
-        t: Time,
-    ) -> Option<Vec<Word>> {
-        // Fault injection corrupts only ring transit, never the writer's
-        // own bank (the host wrote that directly over the bus). The
-        // mutation buffer is allocated lazily on the first actual flip:
-        // in the overwhelmingly common no-flip apply the data passes
-        // through untouched and the injector's geometric countdown makes
-        // the whole check one compare-and-subtract.
-        let mut corrupted: Option<Vec<Word>> = None;
-        if let (true, Some(err)) = (node != writer, &self.errors) {
-            err.corrupt_span(data.len(), |i, bit| {
-                corrupted.get_or_insert_with(|| data.to_vec())[i] ^= 1 << bit;
-            });
+    /// One hop: `data` lands at `span` in `node`'s bank at `t`. In order,
+    /// the bit-error countdown (transit only: the writer's own bank was
+    /// written over the bus), the page store, the provenance record when
+    /// it is tracked, then what the apply does beyond the bank — count a
+    /// corrupted one, fire the interrupt watches it covers, and call the
+    /// node's tap with what the bank got. Inlined into the hop loop and
+    /// the inject: it takes no lock unless a flip lands (the error
+    /// stream's), a tracked write finds another writer's word (the
+    /// conflict log's), or a watch or tap is installed; the watches and
+    /// the tap record, notify and inject, so they run outside the ring's
+    /// state, which is a leaf lock.
+    #[inline(always)]
+    fn hop(&self, node: usize, span: Span, data: &[Word], writer: usize, t: Time) {
+        let corrupted = match &self.errors {
+            Some(err) if node != writer => err.corrupt(data),
+            _ => None,
+        };
+        let data = corrupted.as_deref().unwrap_or(data);
+        let bank = self.bank(node);
+        bank.store(span, data);
+        if bank.tracked() {
+            self.record(bank, span, writer, t);
         }
-        let applied = corrupted.as_deref().unwrap_or(data);
-        let mut state = None;
-        self.bank(node)
-            .apply(addr, applied, writer, t, |a, earlier| {
-                let state = state.get_or_insert_with(|| self.state());
-                state.conflicts.push((a, earlier, writer));
-            });
-        corrupted
-    }
-
-    /// What an apply at `node` does beyond its bank: count a corrupted
-    /// one, fire the interrupt watches it covers and call the node's tap
-    /// with what the bank got (`corrupted`, if a bit flipped, else
-    /// `data`). Outside the ring's state, which is a leaf lock: these
-    /// record, notify and inject.
-    fn applied(
-        &self,
-        node: usize,
-        addr: WordAddr,
-        data: &[Word],
-        corrupted: Option<Vec<Word>>,
-        writer: usize,
-        t: Time,
-    ) {
         if corrupted.is_some() {
             self.stats.bit_errors.add(1);
             self.handle
                 .recorder()
                 .count(t, self.node_ids[node] as u32, "ring.bit_errors", 1);
         }
-        let data: &[Word] = corrupted.as_deref().unwrap_or(data);
         if self.watch_count.load(Ordering::Relaxed) > 0 {
-            let end = addr + data.len();
-            let watches = self.watches.lock();
-            for w in &watches[node] {
-                if addr < w.end && w.start < end {
-                    self.stats.interrupts.add(1);
-                    self.handle.recorder().count(
-                        t,
-                        self.node_ids[node] as u32,
-                        "ring.interrupts",
-                        1,
-                    );
-                    w.signal.notify_at(t + self.cost.interrupt_dispatch_ns);
-                }
-            }
+            self.fire_watches(node, span.addr(), span.addr() + data.len(), t);
         }
         if self.tap_count.load(Ordering::Relaxed) > 0 {
-            let taps = self.taps.lock();
-            if let Some(tap) = &taps[node] {
-                tap(writer, addr, data, t);
+            if let Some(tap) = &self.taps.lock()[node] {
+                tap(writer, span.addr(), data, t);
+            }
+        }
+    }
+
+    /// Record `writer` on `span`'s words in `bank`, logging a conflict
+    /// for each word another writer wrote last.
+    #[cold]
+    fn record(&self, bank: &Bank, span: Span, writer: usize, t: Time) {
+        let mut state = None;
+        bank.record(span, writer, t, |a, earlier| {
+            let state = state.get_or_insert_with(|| self.state());
+            state.conflicts.push((a, earlier, writer));
+        });
+    }
+
+    /// Notify every watch on `node` that `addr..end` overlaps.
+    #[inline(never)]
+    fn fire_watches(&self, node: usize, addr: WordAddr, end: WordAddr, t: Time) {
+        let watches = self.watches.lock();
+        for w in &watches[node] {
+            if addr < w.end && w.start < end {
+                self.stats.interrupts.add(1);
+                self.handle
+                    .recorder()
+                    .count(t, self.node_ids[node] as u32, "ring.interrupts", 1);
+                w.signal.notify_at(t + self.cost.interrupt_dispatch_ns);
             }
         }
     }
@@ -1048,6 +1032,17 @@ impl RingShared {
         self.state.lock()
     }
 
+    /// The node downstream of `node`: the ring's walk, by compare and
+    /// wrap, not a division.
+    fn next(&self, node: usize) -> usize {
+        Some(node + 1).filter(|&next| next < self.n).unwrap_or(0)
+    }
+
+    /// The node upstream of `node`.
+    fn prev(&self, node: usize) -> usize {
+        node.checked_sub(1).unwrap_or(self.n - 1)
+    }
+
     /// True unless `node` is currently bypassed. This is the only
     /// liveness signal the hardware exposes — a stalled host whose
     /// insertion register is switched out looks exactly like a dead one.
@@ -1064,7 +1059,7 @@ impl RingShared {
     fn segment_start(&self, node: usize, broken: &BypassSnapshot) -> usize {
         let mut start = node;
         for _ in 0..self.n {
-            let prev = (start + self.n - 1) % self.n;
+            let prev = self.prev(start);
             if broken.get(prev) {
                 break;
             }
@@ -1098,7 +1093,7 @@ impl RingShared {
                     // `cur`'s egress is the cut closing the segment.
                     break;
                 }
-                let next = (cur + 1) % self.n;
+                let next = self.next(cur);
                 if next == start {
                     break;
                 }
@@ -1507,7 +1502,7 @@ mod tests {
         let hops = Arc::new(Mutex::new(Vec::new()));
         for node in 0..16 {
             let (hops, shared) = (Arc::clone(&hops), Arc::clone(&ring.shared));
-            ring.set_tap(
+            ring.shared.set_tap(
                 node,
                 Box::new(move |writer, _, _, _| {
                     if writer != node {
@@ -1794,5 +1789,227 @@ mod tests {
         ring.heal_link(2);
         ring.heal_link(4);
         assert_eq!(ring.reachable_set(0).count(), 5);
+    }
+
+    /// The ring walk as first written, with `%`: `(node, apply time)` for
+    /// each hop of a packet of `words` words from `src` ready at `t`, with
+    /// `links` booked as the walk books them.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_walk(
+        cost: &CostModel,
+        bypassed: &[bool],
+        broken: &[bool],
+        wrap: bool,
+        links: &mut [Time],
+        src: usize,
+        t: Time,
+        words: usize,
+    ) -> Vec<(usize, Time)> {
+        let (n, mut hops) = (links.len(), Vec::new());
+        if bypassed[src] {
+            return hops;
+        }
+        let ser = cost.serialize_ns(words, TxMode::Fixed4);
+        let mut head = t.max(links[src]);
+        links[src] = head + ser;
+        let mut from = src;
+        loop {
+            let next = if broken[from] {
+                if !wrap {
+                    break;
+                }
+                reference_segment_start(broken, src)
+            } else {
+                (from + 1) % n
+            };
+            if next == src {
+                break;
+            }
+            if bypassed[next] {
+                head += cost.bypass_hop_ns;
+            } else {
+                let arrive = head + cost.hop_ns;
+                hops.push((next, arrive + ser));
+                let depart = arrive.max(links[next]);
+                links[next] = depart + ser;
+                head = depart;
+            }
+            from = next;
+        }
+        hops
+    }
+
+    /// The node after the nearest cut upstream of `node`, with `%`.
+    fn reference_segment_start(broken: &[bool], node: usize) -> usize {
+        let n = broken.len();
+        let mut start = node;
+        for _ in 0..n {
+            let prev = (start + n - 1) % n;
+            if broken[prev] {
+                break;
+            }
+            start = prev;
+        }
+        start
+    }
+
+    /// `node`'s segment minus bypassed peers, plus itself, with `%`.
+    fn reference_reachable(bypassed: &[bool], broken: &[bool], node: usize) -> Vec<usize> {
+        let n = broken.len();
+        let mut set = vec![node];
+        if !broken.contains(&true) {
+            set.extend((0..n).filter(|&p| !bypassed[p]));
+        } else {
+            let start = reference_segment_start(broken, node);
+            let mut cur = start;
+            loop {
+                if !bypassed[cur] {
+                    set.push(cur);
+                }
+                if broken[cur] || (cur + 1) % n == start {
+                    break;
+                }
+                cur = (cur + 1) % n;
+            }
+        }
+        set.sort_unstable();
+        set.dedup();
+        set
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+        /// The walk on irregular rings — bypassed nodes, severed links,
+        /// the dual-ring wrap on or off, staggered injects from random
+        /// sources — hops where, and when, the walk written with `%`
+        /// does, books the same link horizons, and maps the same
+        /// segments. Neither the storm pins nor the benchmark ever bypass
+        /// a node or sever a link.
+        #[test]
+        fn the_walk_matches_a_reference_walk_on_irregular_rings(
+            n in 2usize..=32,
+            wrap in 0u8..2,
+            bypass_one_in in 2u64..=8,
+            cuts in 0usize..=3,
+            packets in 1usize..=24,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = des::rng::SimRng::seeded(seed);
+            let mut draw = |bound: usize| rng.below(bound as u64) as usize;
+            let bypassed: Vec<bool> = (0..n).map(|_| draw(bypass_one_in as usize) == 0).collect();
+            let mut broken = vec![false; n];
+            for _ in 0..cuts {
+                broken[draw(n)] = true;
+            }
+            let mut t = 0;
+            let injects: Vec<(usize, Time, usize)> = (0..packets)
+                .map(|_| {
+                    t += draw(4) as Time * 1_000;
+                    (draw(n), t, 1 + draw(3))
+                })
+                .collect();
+
+            let mut sim = Simulation::new();
+            let config = RingConfig { segment_wrap: wrap == 1, ..Default::default() };
+            let ring = Ring::with_config(&sim.handle(), n, 64, CostModel::default(), config);
+            for node in 0..n {
+                if bypassed[node] {
+                    ring.bypass_node(node);
+                }
+                if broken[node] {
+                    ring.break_link(node);
+                }
+            }
+            let logs: Vec<_> = (0..n).map(|node| ring.record_deliveries(node)).collect();
+            for (i, &(src, at, words)) in injects.iter().enumerate() {
+                let r = ring.clone();
+                sim.handle().schedule_at(at, move |t| {
+                    r.source_packet(src, t, i, vec![i as Word; words].into());
+                });
+            }
+            prop_assert!(sim.run().is_clean());
+
+            let cost = CostModel::default();
+            let mut links = vec![0; n];
+            for (i, &(src, at, words)) in injects.iter().enumerate() {
+                let mut want =
+                    reference_walk(&cost, &bypassed, &broken, wrap == 1, &mut links, src, at, words);
+                want.sort_unstable_by_key(|&(node, t)| (t, node));
+                let mut got: Vec<(usize, Time)> = (0..n)
+                    .filter(|&node| node != src)
+                    .flat_map(|node| {
+                        logs[node]
+                            .lock()
+                            .iter()
+                            .filter(|d| d.addr == i)
+                            .map(|d| (node, d.time))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                got.sort_unstable_by_key(|&(node, t)| (t, node));
+                prop_assert_eq!(got, want, "packet {} from {}", i, src);
+            }
+            prop_assert_eq!(ring.shared.state().links.clone(), links);
+            for node in 0..n {
+                let set = ring.reachable_set(node);
+                let got: Vec<usize> = (0..n).filter(|&p| set.contains(p)).collect();
+                prop_assert_eq!(got, reference_reachable(&bypassed, &broken, node), "node {}", node);
+            }
+        }
+    }
+
+    /// A packet whose span straddles a page edge, through the ring, on
+    /// banks that record who wrote each word and with flips landing: every
+    /// bank ends with the source's words but for single-bit flips in the
+    /// transit copies, and every bank reports the two words either side
+    /// of the edge that node 3 wrote before, in address order, as the hops
+    /// reach it. The flips, the bit-error count and the conflict log are
+    /// the values this test read before a hop's span was resolved once
+    /// per packet.
+    #[test]
+    fn a_packet_across_a_page_edge_lands_on_every_bank() {
+        let mut sim = Simulation::new();
+        let config = RingConfig {
+            track_provenance: true,
+            bit_error_rate: 0.02,
+            error_seed: 0,
+            ..Default::default()
+        };
+        let ring = Ring::with_config(&sim.handle(), 16, 1024, CostModel::default(), config);
+        // Words 250..262: six on each side of the edge at 256.
+        let data: Vec<Word> = (1..=12).map(|k| 0x0101_0101 * k).collect();
+        let (r, d) = (ring.clone(), data.clone());
+        sim.handle().schedule_at(0, move |t| {
+            r.source_packet(3, t, 255, vec![0xAAAA, 0xBBBB].into());
+            let r = r.clone();
+            r.handle()
+                .schedule_at(t + 1_000_000, move |t| r.source_packet(0, t, 250, d.into()));
+        });
+        assert!(sim.run().is_clean());
+        let mut flips = Vec::new();
+        for node in 0..16 {
+            let bank = ring.snapshot(node);
+            assert!(bank[..250].iter().chain(&bank[262..]).all(|&w| w == 0));
+            for (addr, (&got, &want)) in (250..).zip(bank[250..262].iter().zip(&data)) {
+                if got != want {
+                    assert_eq!((got ^ want).count_ones(), 1, "node {node} word {addr}");
+                    flips.push((node, addr, got ^ want));
+                }
+            }
+        }
+        // Node 2's copy flipped on both sides of the edge.
+        let want = [
+            (2, 253, 1 << 23),
+            (2, 259, 1 << 13),
+            (8, 253, 1 << 31),
+            (10, 257, 1 << 17),
+        ];
+        assert_eq!(flips, want);
+        assert_eq!(ring.stats().bit_errors, 3, "three corrupted copies");
+        let want: Vec<_> = (0..16).flat_map(|_| [(255, 3, 0), (256, 3, 0)]).collect();
+        assert_eq!(ring.conflicts(), want);
     }
 }

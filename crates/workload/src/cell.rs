@@ -84,6 +84,9 @@ pub struct CellOutcome {
     /// finished cell or for reading a capacity knee (EXPERIMENTS.md,
     /// "Reading a capacity knee from the occupancy series").
     pub telemetry: Vec<obs::SeriesSnapshot>,
+    /// What the cell's simulation reported: its dispatches, the steps
+    /// relayed for a sleeping process and the thread hand-offs among them.
+    pub run: des::RunReport,
 }
 
 impl CellOutcome {
@@ -474,12 +477,13 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         violations: Vec::new(),
         health_violations: Vec::new(),
         telemetry,
+        run: report,
     };
 
     // --- per-cell invariants ------------------------------------------
     let mut v = Vec::new();
-    if !report.is_clean() {
-        v.push(format!("deadlock: {:?}", report.deadlocked));
+    if !out.run.is_clean() {
+        v.push(format!("deadlock: {:?}", out.run.deadlocked));
     }
     if out.undrained > 0 {
         v.push(format!(

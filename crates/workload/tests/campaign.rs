@@ -32,10 +32,16 @@ fn overload_plan(seed: u64) -> WorkloadPlan {
         .window(ms(20), Shape::Poisson { rate_hz: 1_600.0 })
 }
 
-/// Run one (plan, mult) cell twice and require identical outcomes.
+/// Run one (plan, mult) cell twice and require identical outcomes, the
+/// simulation's own counts among them: every cell dispatches, relays steps
+/// for a sleeping process and hands the baton between threads.
 fn replayed(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     let a = run_cell(plan, mult, &format!("{label}_a"));
     let b = run_cell(plan, mult, &format!("{label}_b"));
+    let counts = |c: &CellOutcome| (c.run.dispatches, c.run.relayed, c.run.handoffs);
+    assert_eq!(counts(&a), counts(&b));
+    let (dispatches, relayed, handoffs) = counts(&a);
+    assert!(dispatches > 0 && relayed > 0 && handoffs > 0, "{:?}", a.run);
     assert_eq!(a.sent, b.sent);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.shed, b.shed);
@@ -313,6 +319,8 @@ fn synthetic_cell(mult: f64, p999_ns: u64, violations: Vec<String>) -> CampaignC
             violations,
             health_violations: Vec::new(),
             telemetry: Vec::new(),
+            // An empty simulation's report.
+            run: des::Simulation::new().run(),
         },
     }
 }
