@@ -7,9 +7,12 @@
 
 use bench::{
     api_one_way_us, bbp_bcast_us, bbp_one_way_us, bbp_pingpong, mpi_barrier_run,
-    mpi_bcast_events_telemetry, mpi_bcast_us, mpi_one_way_us, mpi_pingpong, ApiNet, MpiNet,
+    mpi_bcast_events_telemetry, mpi_bcast_us, mpi_one_way_us, mpi_pingpong, one_way_us, pingpong,
+    ApiNet, MpiNet,
 };
+use des::{ProcCtx, SimHandle, Simulation};
 use smpi::CollectiveImpl::{Native, PointToPoint};
+use smpi::MpiWorld;
 
 #[track_caller]
 fn pin(what: &str, measured_us: f64, bits: u64) {
@@ -55,6 +58,48 @@ fn one_way_latencies_are_bit_identical() {
             &format!("mpi {net:?} 1024 B"),
             mpi_one_way_us(net, 1024),
             at_1024,
+        );
+    }
+}
+
+/// One-way MPI latency between ranks 0 and 1 of the world `build` makes,
+/// through the same [`pingpong`] procedure as `mpi_one_way_us`.
+fn world_one_way_us(build: impl FnOnce(&SimHandle) -> MpiWorld, len: usize) -> f64 {
+    let sim = Simulation::new();
+    let world = build(&sim.handle());
+    let (mut p0, mut p1) = (world.proc(0), world.proc(1));
+    let comm = p0.comm_world();
+    let payload = vec![0xA5u8; len];
+    let ping = move |ctx: &mut ProcCtx| {
+        p0.send(ctx, &comm, 1, 1, &payload).unwrap();
+        let _ = p0.recv(ctx, &comm, Some(1), Some(2)).unwrap();
+    };
+    let comm = p1.comm_world();
+    let pong = move |ctx: &mut ProcCtx| {
+        let (_, m) = p1.recv(ctx, &comm, Some(0), Some(1)).unwrap();
+        p1.send(ctx, &comm, 0, 2, &m).unwrap();
+    };
+    one_way_us(&pingpong(sim, ping, pong))
+}
+
+/// The two preset worlds no figure pins: MPI over TCP on Myrinet, and
+/// the hybrid cluster, whose 8 KB frame rides the Myrinet API. Captured
+/// at commit 089fdad, before the calibration's unvaried fields became
+/// constants.
+#[test]
+fn preset_worlds_are_bit_identical() {
+    for (len, bits) in [(0, 0x406198c49ba5e354), (1024, 0x4067b8e560418937)] {
+        pin(
+            &format!("mpi myrinet_tcp {len} B"),
+            world_one_way_us(|h| MpiWorld::myrinet_tcp(h, 4), len),
+            bits,
+        );
+    }
+    for (len, bits) in [(0, 0x40497ccccccccccd), (8192, 0x40896c7ae147ae14)] {
+        pin(
+            &format!("mpi hybrid {len} B"),
+            world_one_way_us(|h| MpiWorld::hybrid(h, 4, 1024), len),
+            bits,
         );
     }
 }
