@@ -17,12 +17,10 @@ fn bbp_latencies(cost: CostModel) -> (f64, f64) {
         let mut cfg = BbpConfig::for_nodes(4);
         cfg.data_words = 16 * 1024;
         let cluster = BbpCluster::with_hardware(&sim.handle(), cfg, cost, RingConfig::default());
-        let mut a = cluster.endpoint(0);
-        let mut b = cluster.endpoint(1);
+        let (mut a, mut b) = (cluster.endpoint(0), cluster.endpoint(1));
         let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
         let done2 = Arc::clone(&done);
-        let payload = vec![0u8; len];
-        sim.spawn("a", move |ctx| a.send(ctx, 1, &payload).unwrap());
+        sim.spawn("a", move |ctx| a.send(ctx, 1, &vec![0u8; len]).unwrap());
         sim.spawn("b", move |ctx| {
             let _ = b.recv(ctx, 0);
             *done2.lock() = ctx.now();
@@ -34,17 +32,30 @@ fn bbp_latencies(cost: CostModel) -> (f64, f64) {
     (one(0, cost.clone()), one(1024, cost))
 }
 
-fn scaled(base: &CostModel, knob: &str, factor: f64) -> CostModel {
-    let mut c = base.clone();
-    let scale = |v: Time| -> Time { (v as f64 * factor).round() as Time };
-    match knob {
-        "pio_read_ns" => c.pio_read_ns = scale(c.pio_read_ns),
-        "pio_write_ns" => c.pio_write_ns = scale(c.pio_write_ns),
-        "hop_ns" => c.hop_ns = scale(c.hop_ns),
-        "fixed_word_ns" => c.fixed_word_ns = scale(c.fixed_word_ns),
-        "burst_read_word_ns" => c.burst_read_word_ns = scale(c.burst_read_word_ns),
-        other => panic!("unknown knob {other}"),
-    }
+/// Every [`CostModel`] field by name, in print order. The model is
+/// destructured exhaustively, so a sixth field fails to compile until it
+/// is swept here.
+fn knobs(c: &mut CostModel) -> [(&'static str, &mut Time); 5] {
+    let CostModel {
+        pio_read_ns,
+        pio_write_ns,
+        hop_ns,
+        fixed_word_ns,
+        burst_read_word_ns,
+    } = c;
+    [
+        ("pio_read_ns", pio_read_ns),
+        ("pio_write_ns", pio_write_ns),
+        ("hop_ns", hop_ns),
+        ("fixed_word_ns", fixed_word_ns),
+        ("burst_read_word_ns", burst_read_word_ns),
+    ]
+}
+
+/// `c` with its `knob`th field scaled by `factor`.
+fn scaled(mut c: CostModel, knob: usize, factor: f64) -> CostModel {
+    let v = &mut knobs(&mut c)[knob].1;
+    **v = (**v as f64 * factor).round() as Time;
     c
 }
 
@@ -57,15 +68,9 @@ fn main() {
         "{:>20} {:>14} {:>14} {:>14} {:>14}",
         "knob ±25%", "0 B low", "0 B high", "1 KB low", "1 KB high"
     );
-    for knob in [
-        "pio_read_ns",
-        "pio_write_ns",
-        "hop_ns",
-        "fixed_word_ns",
-        "burst_read_word_ns",
-    ] {
-        let (lo0, lo1k) = bbp_latencies(scaled(&base, knob, 0.75));
-        let (hi0, hi1k) = bbp_latencies(scaled(&base, knob, 1.25));
+    for (at, (knob, _)) in knobs(&mut base.clone()).into_iter().enumerate() {
+        let (lo0, lo1k) = bbp_latencies(scaled(base.clone(), at, 0.75));
+        let (hi0, hi1k) = bbp_latencies(scaled(base.clone(), at, 1.25));
         println!("{knob:>20} {lo0:>11.2} µs {hi0:>11.2} µs {lo1k:>11.1} µs {hi1k:>11.1} µs");
     }
     println!(

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use des::{SimHandle, Time};
+use des::Time;
 use parking_lot::Mutex;
 
 use crate::spec::NetSpec;
@@ -37,10 +37,9 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Build a fabric; the handle is accepted for parity with the other
-    /// hardware models (the fabric computes arrival times eagerly and
-    /// needs no scheduled events of its own).
-    pub fn new(_handle: &SimHandle, spec: NetSpec) -> Self {
+    /// Build a fabric. It computes arrival times eagerly and schedules no
+    /// events of its own, so it needs no simulation handle.
+    pub fn new(spec: NetSpec) -> Self {
         let hosts = spec.hosts;
         Fabric {
             shared: Arc::new(FabricShared {
@@ -129,12 +128,10 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use des::Simulation;
 
     #[test]
     fn single_segment_latency_components_add_up() {
-        let sim = Simulation::new();
-        let f = Fabric::new(&sim.handle(), NetSpec::fast_ethernet(4));
+        let f = Fabric::new(NetSpec::fast_ethernet(4));
         let spec = f.spec().clone();
         let ser = spec.serialize_ns(100);
         let (arrival, nseg) = f.transmit(0, 1, 100, 1_000);
@@ -145,8 +142,7 @@ mod tests {
 
     #[test]
     fn cut_through_pays_one_serialization() {
-        let sim = Simulation::new();
-        let f = Fabric::new(&sim.handle(), NetSpec::myrinet(4));
+        let f = Fabric::new(NetSpec::myrinet(4));
         let spec = f.spec().clone();
         let ser = spec.serialize_ns(100);
         let (arrival, _) = f.transmit(0, 1, 100, 0);
@@ -155,8 +151,7 @@ mod tests {
 
     #[test]
     fn segments_pipeline_across_the_switch() {
-        let sim = Simulation::new();
-        let f = Fabric::new(&sim.handle(), NetSpec::fast_ethernet(4));
+        let f = Fabric::new(NetSpec::fast_ethernet(4));
         let spec = f.spec().clone();
         let len = 1460 * 3;
         let (arrival, nseg) = f.transmit(0, 1, len, 0);
@@ -172,8 +167,7 @@ mod tests {
 
     #[test]
     fn concurrent_senders_to_one_destination_contend_on_its_downlink() {
-        let sim = Simulation::new();
-        let f = Fabric::new(&sim.handle(), NetSpec::fast_ethernet(4));
+        let f = Fabric::new(NetSpec::fast_ethernet(4));
         let (a1, _) = f.transmit(0, 2, 1000, 0);
         let (a2, _) = f.transmit(1, 2, 1000, 0);
         let ser = f.spec().serialize_ns(1000);
@@ -182,8 +176,7 @@ mod tests {
 
     #[test]
     fn different_destinations_do_not_contend() {
-        let sim = Simulation::new();
-        let f = Fabric::new(&sim.handle(), NetSpec::fast_ethernet(4));
+        let f = Fabric::new(NetSpec::fast_ethernet(4));
         let (a1, _) = f.transmit(0, 2, 1000, 0);
         let (a2, _) = f.transmit(1, 3, 1000, 0);
         assert_eq!(a1, a2, "distinct up/down links are independent");
@@ -191,8 +184,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let sim = Simulation::new();
-        let f = Fabric::new(&sim.handle(), NetSpec::fast_ethernet(4));
+        let f = Fabric::new(NetSpec::fast_ethernet(4));
         f.transmit(0, 1, 3000, 0);
         let s = f.stats();
         assert_eq!(s.segments, 3);
@@ -203,8 +195,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "loopback")]
     fn loopback_is_rejected() {
-        let sim = Simulation::new();
-        let f = Fabric::new(&sim.handle(), NetSpec::fast_ethernet(4));
+        let f = Fabric::new(NetSpec::fast_ethernet(4));
         f.transmit(1, 1, 10, 0);
     }
 }

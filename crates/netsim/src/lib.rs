@@ -16,7 +16,7 @@
 //!
 //! This crate models each as a star fabric (hosts → one switch) with
 //! per-link occupancy and a host-side protocol-stack cost model
-//! ([`TcpCosts`], [`MyrinetApiCosts`]). The constants are calibrated to
+//! ([`TcpCosts`], and the Myrinet API's own constants). The constants are calibrated to
 //! era-typical measurements and to the paper's own anchor points (3-node
 //! MPI barrier: 554 µs on Fast Ethernet, 660 µs on ATM); the calibration
 //! record lives in `EXPERIMENTS.md`.
@@ -47,6 +47,6 @@ mod spec;
 mod tcp;
 
 pub use fabric::{Fabric, FabricStats};
-pub use myrinet::{MyrinetApiCosts, MyrinetApiNet, MyrinetApiPort};
-pub use spec::{Framing, NetSpec};
+pub use myrinet::{MyrinetApiNet, MyrinetApiPort};
+pub use spec::NetSpec;
 pub use tcp::{TcpCosts, TcpNet, TcpSock};

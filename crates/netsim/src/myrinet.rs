@@ -9,29 +9,16 @@ use des::{ProcCtx, SimHandle, Time};
 use crate::fabric::Fabric;
 use crate::spec::NetSpec;
 
-/// User-level API costs (mid-90s MyriAPI-class, pre-FM/GM).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MyrinetApiCosts {
-    /// Send-path fixed cost: descriptor build, doorbell, LANai handshake.
-    pub tx_base_ns: Time,
-    /// Receive-path fixed cost: poll hit, descriptor parse, completion.
-    pub rx_base_ns: Time,
-    /// Host copy into NIC SRAM per byte (PIO over PCI).
-    pub tx_copy_ns_per_byte: f64,
-    /// NIC-to-host delivery copy per byte (DMA + cache effects).
-    pub rx_copy_ns_per_byte: f64,
-}
+// User-level API costs (mid-90s MyriAPI-class, pre-FM/GM).
 
-impl Default for MyrinetApiCosts {
-    fn default() -> Self {
-        MyrinetApiCosts {
-            tx_base_ns: 34_000,
-            rx_base_ns: 42_000,
-            tx_copy_ns_per_byte: 28.0,
-            rx_copy_ns_per_byte: 12.0,
-        }
-    }
-}
+/// Send-path fixed cost: descriptor build, doorbell, LANai handshake.
+const TX_BASE_NS: Time = 34_000;
+/// Receive-path fixed cost: poll hit, descriptor parse, completion.
+const RX_BASE_NS: Time = 42_000;
+/// Host copy into NIC SRAM per byte (PIO over PCI).
+const TX_COPY_NS_PER_BYTE: f64 = 28.0;
+/// NIC-to-host delivery copy per byte (DMA + cache effects).
+const RX_COPY_NS_PER_BYTE: f64 = 12.0;
 
 struct Delivery {
     bytes: Vec<u8>,
@@ -39,7 +26,6 @@ struct Delivery {
 
 struct NetShared {
     fabric: Fabric,
-    costs: MyrinetApiCosts,
     inboxes: Vec<SimQueue<(usize, Delivery)>>,
 }
 
@@ -52,16 +38,9 @@ pub struct MyrinetApiNet {
 impl MyrinetApiNet {
     /// A Myrinet of `hosts` ports with era-default API costs.
     pub fn new(handle: &SimHandle, hosts: usize) -> Self {
-        Self::with_costs(handle, hosts, MyrinetApiCosts::default())
-    }
-
-    /// A Myrinet with explicit API costs.
-    pub fn with_costs(handle: &SimHandle, hosts: usize, costs: MyrinetApiCosts) -> Self {
-        let spec = NetSpec::myrinet(hosts);
         MyrinetApiNet {
             shared: Arc::new(NetShared {
-                fabric: Fabric::new(handle, spec),
-                costs,
+                fabric: Fabric::new(NetSpec::myrinet(hosts)),
                 inboxes: (0..hosts).map(|_| SimQueue::new(handle)).collect(),
             }),
         }
@@ -95,9 +74,7 @@ impl MyrinetApiPort {
 
     /// Send one message to `dst`.
     pub fn send(&self, ctx: &mut ProcCtx, dst: usize, bytes: &[u8]) {
-        let costs = &self.shared.costs;
-        let cpu =
-            costs.tx_base_ns + (bytes.len() as f64 * costs.tx_copy_ns_per_byte).round() as Time;
+        let cpu = TX_BASE_NS + (bytes.len() as f64 * TX_COPY_NS_PER_BYTE).round() as Time;
         ctx.advance(cpu);
         let (arrival, _) = self
             .shared
@@ -130,9 +107,7 @@ impl MyrinetApiPort {
     }
 
     fn charge_rx(&self, ctx: &mut ProcCtx, d: &Delivery) {
-        let costs = &self.shared.costs;
-        let cpu =
-            costs.rx_base_ns + (d.bytes.len() as f64 * costs.rx_copy_ns_per_byte).round() as Time;
+        let cpu = RX_BASE_NS + (d.bytes.len() as f64 * RX_COPY_NS_PER_BYTE).round() as Time;
         ctx.advance(cpu);
     }
 }

@@ -2,7 +2,7 @@
 
 /// How payload bytes are framed on the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Framing {
+pub(crate) enum Framing {
     /// Frame-per-segment with a fixed header+trailer overhead (Ethernet,
     /// Myrinet).
     Frame {
@@ -24,25 +24,23 @@ pub enum Framing {
 /// One comparator network's link layer.
 #[derive(Debug, Clone)]
 pub struct NetSpec {
-    /// Display name for tables.
-    pub name: &'static str,
     /// Number of hosts on the star.
-    pub hosts: usize,
+    pub(crate) hosts: usize,
     /// Wire serialization, nanoseconds per byte.
-    pub ns_per_byte: f64,
+    pub(crate) ns_per_byte: f64,
     /// One-way propagation per link (host↔switch).
-    pub prop_ns: u64,
+    pub(crate) prop_ns: u64,
     /// Switch forwarding delay.
-    pub switch_ns: u64,
+    pub(crate) switch_ns: u64,
     /// True for store-and-forward switches (Ethernet): the switch holds a
     /// full segment before forwarding, so each segment is serialized on
     /// both links end-to-end. Cut-through fabrics (Myrinet, per-cell ATM)
     /// pay serialization once.
-    pub store_and_forward: bool,
+    pub(crate) store_and_forward: bool,
     /// Largest payload per segment (TCP MSS or AAL5 PDU).
-    pub mss: usize,
+    pub(crate) mss: usize,
     /// Framing rule.
-    pub framing: Framing,
+    pub(crate) framing: Framing,
 }
 
 impl NetSpec {
@@ -50,7 +48,6 @@ impl NetSpec {
     /// overhead per frame, store-and-forward switching.
     pub fn fast_ethernet(hosts: usize) -> Self {
         NetSpec {
-            name: "Fast Ethernet",
             hosts,
             ns_per_byte: 80.0, // 100 Mb/s = 12.5 MB/s
             prop_ns: 500,
@@ -65,7 +62,6 @@ impl NetSpec {
     /// through the switch per cell, 9180-byte PDUs.
     pub fn atm_oc3(hosts: usize) -> Self {
         NetSpec {
-            name: "ATM",
             hosts,
             ns_per_byte: 51.6, // 155 Mb/s ≈ 19.4 MB/s
             prop_ns: 500,
@@ -84,7 +80,6 @@ impl NetSpec {
     /// 16-byte route/type header per packet.
     pub fn myrinet(hosts: usize) -> Self {
         NetSpec {
-            name: "Myrinet",
             hosts,
             ns_per_byte: 6.25, // 1.28 Gb/s = 160 MB/s
             prop_ns: 200,

@@ -14,18 +14,18 @@ use crate::spec::NetSpec;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcpCosts {
     /// Send-path fixed cost: syscall, TCP/IP header build, routing.
-    pub tx_base_ns: Time,
+    pub(crate) tx_base_ns: Time,
     /// Receive-path fixed cost: interrupt, protocol processing, wakeup,
     /// syscall return.
-    pub rx_base_ns: Time,
+    pub(crate) rx_base_ns: Time,
     /// Extra send cost per segment beyond the first.
-    pub per_seg_tx_ns: Time,
+    pub(crate) per_seg_tx_ns: Time,
     /// Extra receive cost per segment beyond the first.
-    pub per_seg_rx_ns: Time,
+    pub(crate) per_seg_rx_ns: Time,
     /// User→kernel copy plus checksum on the send side, per byte.
-    pub tx_copy_ns_per_byte: f64,
+    pub(crate) tx_copy_ns_per_byte: f64,
     /// Kernel→user copy plus checksum on the receive side, per byte.
-    pub rx_copy_ns_per_byte: f64,
+    pub(crate) rx_copy_ns_per_byte: f64,
     /// Sliding-window limit in bytes. `None` models the well-tuned large
     /// window the calibration assumes; `Some(w)` gates each segment on
     /// acknowledgements, exposing the bandwidth-delay product (the
@@ -107,7 +107,7 @@ impl TcpNet {
     /// A TCP network over `spec` with the given host-stack costs.
     pub fn new(handle: &SimHandle, spec: NetSpec, costs: TcpCosts) -> Self {
         let hosts = spec.hosts;
-        let fabric = Fabric::new(handle, spec);
+        let fabric = Fabric::new(spec);
         TcpNet {
             shared: Arc::new(TcpNetShared {
                 fabric,

@@ -1,5 +1,6 @@
 //! The calibrated cost model: every timing constant of the simulated
-//! hardware in one place.
+//! hardware in one place — the five an experiment varies in
+//! [`CostModel`], the rest as constants.
 
 use des::Time;
 
@@ -18,13 +19,41 @@ pub enum TxMode {
     Variable,
 }
 
-/// Every hardware timing constant, in nanoseconds. Defaults are the
-/// calibrated values that reproduce the paper's headline measurements
-/// (0-byte BBP one-way 6.5 µs, 4-byte 7.8 µs, …); the calibration record
-/// lives in `EXPERIMENTS.md`.
+/// Host cost of setting up a burst (block) PIO transfer.
+pub(crate) const BURST_SETUP_NS: Time = 500;
+/// Host cost per word within a burst write.
+pub(crate) const BURST_WRITE_WORD_NS: Time = 125;
+/// Shortest block, in words, that the NIC driver moves as a burst instead
+/// of word by word.
+pub(crate) const BURST_THRESHOLD_WORDS: usize = 16;
+/// Ring latency across a *bypassed* (failed/removed) node: the dual-ring
+/// bypass switch is faster than a live node's insertion register.
+pub const BYPASS_HOP_NS: Time = 80;
+/// Serialization time per word in `Variable` mode (16.7 MB/s ⇒ ~240
+/// ns/word).
+pub(crate) const VAR_WORD_NS: Time = 240;
+/// Per-packet framing/arbitration overhead in `Variable` mode.
+pub(crate) const VAR_PACKET_OVERHEAD_NS: Time = 1_500;
+/// Largest payload of one `Variable` packet, in words (1 KB = 256).
+pub(crate) const VAR_MAX_PAYLOAD_WORDS: usize = 256;
+/// Host cost of taking a NIC interrupt (kernel dispatch to user wake).
+pub(crate) const INTERRUPT_DISPATCH_NS: Time = 5_000;
+/// Host cost of programming a DMA transfer (descriptor + doorbell); the
+/// host is free afterwards.
+pub(crate) const DMA_SETUP_NS: Time = 800;
+/// DMA engine streaming rate from host memory to NIC memory, per word
+/// (PCI burst reads by the NIC).
+pub(crate) const DMA_WORD_NS: Time = 100;
+
+/// The five hardware timing constants an experiment may vary, in
+/// nanoseconds (`benches/sensitivity.rs` sweeps each ±25 %); every other
+/// one is a `const` of this module. Defaults are the calibrated values
+/// that reproduce the paper's headline measurements (0-byte BBP one-way
+/// 6.5 µs, 4-byte 7.8 µs, …); `EXPERIMENTS.md`'s "Calibration constants"
+/// table records where each value comes from.
 ///
-/// The struct Debug-formats stably so experiment harnesses can log the
-/// exact model alongside their results.
+/// The struct Debug-formats its five fields stably so experiment
+/// harnesses can log the exact model alongside their results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Host cost of one posted PIO word write across the I/O bus.
@@ -32,40 +61,14 @@ pub struct CostModel {
     /// Host cost of one PIO word read across the I/O bus (reads cannot be
     /// posted; the paper highlights this as the polling penalty).
     pub pio_read_ns: Time,
-    /// Setup cost of a burst (block) PIO transfer.
-    pub burst_setup_ns: Time,
-    /// Per-word cost within a burst write.
-    pub burst_write_word_ns: Time,
     /// Per-word cost within a burst read.
     pub burst_read_word_ns: Time,
-    /// Minimum block length (in words) for which the NIC driver path uses
-    /// burst transfers instead of individual word operations.
-    pub burst_threshold_words: usize,
     /// Per-hop ring latency (node-to-node, fiber): 250–800 ns per the
     /// paper; default is the fiber-optic low end.
     pub hop_ns: Time,
-    /// Ring latency for hopping across a *bypassed* (failed/removed) node:
-    /// the dual-ring bypass switch is faster than a live node's insertion
-    /// register.
-    pub bypass_hop_ns: Time,
     /// Serialization time per 4-byte word in `Fixed4` mode
     /// (6.5 MB/s ⇒ ~615 ns/word).
     pub fixed_word_ns: Time,
-    /// Serialization time per word in `Variable` mode
-    /// (16.7 MB/s ⇒ ~240 ns/word).
-    pub var_word_ns: Time,
-    /// Per-packet framing/arbitration overhead in `Variable` mode.
-    pub var_packet_overhead_ns: Time,
-    /// Maximum payload of one `Variable` packet, in words (1 KB = 256).
-    pub var_max_payload_words: usize,
-    /// Host cost of taking a NIC interrupt (kernel dispatch to user wake).
-    pub interrupt_dispatch_ns: Time,
-    /// Host cost of programming a DMA transfer (descriptor + doorbell);
-    /// the host is free afterwards.
-    pub dma_setup_ns: Time,
-    /// DMA engine streaming rate from host memory to NIC memory, per
-    /// word (PCI burst reads by the NIC).
-    pub dma_word_ns: Time,
 }
 
 impl Default for CostModel {
@@ -73,19 +76,9 @@ impl Default for CostModel {
         CostModel {
             pio_write_ns: 250,
             pio_read_ns: 600,
-            burst_setup_ns: 500,
-            burst_write_word_ns: 125,
             burst_read_word_ns: 150,
-            burst_threshold_words: 16,
             hop_ns: 250,
-            bypass_hop_ns: 80,
             fixed_word_ns: 615,
-            var_word_ns: 240,
-            var_packet_overhead_ns: 1_500,
-            var_max_payload_words: 256,
-            interrupt_dispatch_ns: 5_000,
-            dma_setup_ns: 800,
-            dma_word_ns: 100,
         }
     }
 }
@@ -97,8 +90,8 @@ impl CostModel {
         match mode {
             TxMode::Fixed4 => words as Time * self.fixed_word_ns,
             TxMode::Variable => {
-                let packets = words.div_ceil(self.var_max_payload_words).max(1);
-                words as Time * self.var_word_ns + packets as Time * self.var_packet_overhead_ns
+                let packets = words.div_ceil(VAR_MAX_PAYLOAD_WORDS).max(1);
+                words as Time * VAR_WORD_NS + packets as Time * VAR_PACKET_OVERHEAD_NS
             }
         }
     }
@@ -108,10 +101,10 @@ impl CostModel {
     pub fn host_write_ns(&self, words: usize) -> Time {
         if words == 0 {
             0
-        } else if words < self.burst_threshold_words {
+        } else if words < BURST_THRESHOLD_WORDS {
             words as Time * self.pio_write_ns
         } else {
-            self.burst_setup_ns + words as Time * self.burst_write_word_ns
+            BURST_SETUP_NS + words as Time * BURST_WRITE_WORD_NS
         }
     }
 
@@ -119,10 +112,10 @@ impl CostModel {
     pub fn host_read_ns(&self, words: usize) -> Time {
         if words == 0 {
             0
-        } else if words < self.burst_threshold_words {
+        } else if words < BURST_THRESHOLD_WORDS {
             words as Time * self.pio_read_ns
         } else {
-            self.burst_setup_ns + words as Time * self.burst_read_word_ns
+            BURST_SETUP_NS + words as Time * self.burst_read_word_ns
         }
     }
 
@@ -133,7 +126,7 @@ impl CostModel {
             TxMode::Fixed4 => 4.0e3 / self.fixed_word_ns as f64,
             TxMode::Variable => {
                 // At max payload, amortizing packet overhead.
-                let words = self.var_max_payload_words;
+                let words = VAR_MAX_PAYLOAD_WORDS;
                 let t = self.serialize_ns(words, mode);
                 (words as f64 * 4.0) * 1e3 / t as f64
             }
@@ -172,21 +165,21 @@ mod tests {
     fn serialize_variable_charges_per_packet_overhead() {
         let c = CostModel::default();
         let one = c.serialize_ns(1, TxMode::Variable);
-        assert_eq!(one, c.var_word_ns + c.var_packet_overhead_ns);
+        assert_eq!(one, VAR_WORD_NS + VAR_PACKET_OVERHEAD_NS);
         // 257 words ⇒ two packets.
         let two = c.serialize_ns(257, TxMode::Variable);
-        assert_eq!(two, 257 * c.var_word_ns + 2 * c.var_packet_overhead_ns);
+        assert_eq!(two, 257 * VAR_WORD_NS + 2 * VAR_PACKET_OVERHEAD_NS);
     }
 
     #[test]
     fn host_costs_switch_to_burst_at_threshold() {
         let c = CostModel::default();
-        let below = c.host_write_ns(c.burst_threshold_words - 1);
-        assert_eq!(below, (c.burst_threshold_words as u64 - 1) * c.pio_write_ns);
-        let at = c.host_write_ns(c.burst_threshold_words);
+        let below = c.host_write_ns(BURST_THRESHOLD_WORDS - 1);
+        assert_eq!(below, (BURST_THRESHOLD_WORDS as u64 - 1) * c.pio_write_ns);
+        let at = c.host_write_ns(BURST_THRESHOLD_WORDS);
         assert_eq!(
             at,
-            c.burst_setup_ns + c.burst_threshold_words as u64 * c.burst_write_word_ns
+            BURST_SETUP_NS + BURST_THRESHOLD_WORDS as u64 * BURST_WRITE_WORD_NS
         );
         assert!(
             at < below + c.pio_write_ns,

@@ -69,21 +69,19 @@ impl RingHierarchy {
                 let mut ids: Vec<usize> = (leaf * m..(leaf + 1) * m).collect();
                 ids.push(total_hosts + leaf);
                 let cfg = RingConfig {
-                    node_ids: Some(ids),
                     track_provenance: config.track_provenance,
                     ..Default::default()
                 };
-                Ring::with_config(handle, m + 1, config.words, config.cost.clone(), cfg)
+                Ring::with_ids(handle, ids, config.words, config.cost.clone(), cfg)
             })
             .collect();
         let backbone = {
             let ids: Vec<usize> = (0..k).map(|leaf| total_hosts + leaf).collect();
             let cfg = RingConfig {
-                node_ids: Some(ids),
                 track_provenance: config.track_provenance,
                 ..Default::default()
             };
-            Ring::with_config(handle, k, config.words, config.cost.clone(), cfg)
+            Ring::with_ids(handle, ids, config.words, config.cost.clone(), cfg)
         };
 
         // Wire the taps.

@@ -57,7 +57,7 @@ mod ring;
 mod stats;
 
 pub use bank::{bank_storage_allocated, WriteRecord};
-pub use cost::{CostModel, TxMode};
+pub use cost::{CostModel, TxMode, BYPASS_HOP_NS};
 pub use fault::{FaultAt, FaultPlan};
 pub use hierarchy::{HierarchyConfig, RingHierarchy};
 pub use nic::Nic;

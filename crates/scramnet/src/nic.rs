@@ -7,6 +7,7 @@ use std::sync::Arc;
 use des::obs::Layer;
 use des::{ProcCtx, Signal};
 
+use crate::cost::{BURST_THRESHOLD_WORDS, DMA_SETUP_NS, DMA_WORD_NS};
 use crate::ring::RingShared;
 use crate::stats::Bump;
 use crate::{Word, WordAddr};
@@ -77,7 +78,7 @@ impl Nic {
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_block");
         let cost = &self.shared.cost;
         ctx.advance(cost.host_write_ns(data.len()));
-        if data.len() >= cost.burst_threshold_words {
+        if data.len() >= BURST_THRESHOLD_WORDS {
             self.shared.stats.bursts.add(1);
         } else {
             self.shared.stats.pio_writes.add(data.len() as u64);
@@ -113,7 +114,7 @@ impl Nic {
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_read");
         let cost = &self.shared.cost;
         ctx.advance(cost.host_read_ns(len));
-        if len >= cost.burst_threshold_words {
+        if len >= BURST_THRESHOLD_WORDS {
             self.shared.stats.bursts.add(1);
         } else {
             self.shared.stats.pio_reads.add(len as u64);
@@ -285,8 +286,7 @@ impl Nic {
     ) {
         ctx.obs()
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "dma_setup");
-        let cost = &self.shared.cost;
-        ctx.advance(cost.dma_setup_ns);
+        ctx.advance(DMA_SETUP_NS);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "dma_setup");
         if data.is_empty() {
@@ -302,7 +302,7 @@ impl Nic {
         self.shared.stats.bursts.add(1);
         ctx.obs()
             .count(ctx.now(), self.gid(), "nic.dma_words", data.len() as u64);
-        let staged_at = ctx.now() + data.len() as u64 * cost.dma_word_ns;
+        let staged_at = ctx.now() + data.len() as u64 * DMA_WORD_NS;
         let shared = std::sync::Arc::clone(&self.shared);
         let node = self.node;
         let data = data.to_vec();
@@ -345,9 +345,10 @@ impl Nic {
 
     /// Switch `peer`'s insertion register out of the ring from this host
     /// — the failure detector's declare-dead action. From here on the
-    /// ring heals past `peer` (hop latency drops to `bypass_hop_ns`) and
-    /// [`Nic::peer_alive`] reports it down. Idempotent; a rejoining peer
-    /// undoes it with [`Nic::reinsert_self`].
+    /// ring heals past `peer` (hop latency drops to
+    /// [`BYPASS_HOP_NS`](crate::BYPASS_HOP_NS)) and [`Nic::peer_alive`]
+    /// reports it down. Idempotent; a rejoining peer undoes it with
+    /// [`Nic::reinsert_self`].
     pub fn engage_bypass(&self, peer: usize) {
         assert!(peer < self.shared.n, "node {peer} out of range");
         self.assert_settled();
@@ -390,6 +391,7 @@ impl Nic {
 mod tests {
     use std::collections::BTreeMap;
 
+    use crate::cost::{DMA_SETUP_NS, DMA_WORD_NS};
     use crate::{CostModel, Ring};
     use des::obs::{Event, Layer, Track};
     use des::Simulation;
@@ -666,17 +668,16 @@ mod tests {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), 2, 8192, CostModel::default());
         let nic = ring.nic(0);
-        let c = CostModel::default();
         sim.spawn("p", move |ctx| {
             let data = vec![9u32; 2048]; // 8 KB
             let t0 = ctx.now();
             nic.dma_write(ctx, 0, &data, None);
-            assert_eq!(ctx.now() - t0, c.dma_setup_ns, "host pays setup only");
+            assert_eq!(ctx.now() - t0, DMA_SETUP_NS, "host pays setup only");
             // Compare: a PIO burst of the same size occupies the host far
             // longer.
             let t1 = ctx.now();
             nic.write_block(ctx, 4096, &data);
-            assert!(ctx.now() - t1 > 20 * c.dma_setup_ns);
+            assert!(ctx.now() - t1 > 20 * DMA_SETUP_NS);
         });
         assert!(sim.run().is_clean());
     }
@@ -705,13 +706,12 @@ mod tests {
         let nic = ring.nic(0);
         let sig = sim.handle().new_signal();
         let sig2 = sig.clone();
-        let c = CostModel::default();
         sim.spawn("p", move |ctx| {
             let data = vec![1u32; 1000];
             nic.dma_write(ctx, 0, &data, Some(sig2));
             let setup_done = ctx.now();
             ctx.wait(&sig);
-            assert_eq!(ctx.now() - setup_done, 1000 * c.dma_word_ns);
+            assert_eq!(ctx.now() - setup_done, 1000 * DMA_WORD_NS);
         });
         assert!(sim.run().is_clean());
     }

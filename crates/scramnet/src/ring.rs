@@ -9,7 +9,7 @@ use des::{Link, Signal, SimHandle, Then, Time};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::bank::{Bank, Span};
-use crate::cost::{CostModel, TxMode};
+use crate::cost::{CostModel, TxMode, BYPASS_HOP_NS, INTERRUPT_DISPATCH_NS};
 use crate::nic::Nic;
 use crate::stats::{AtomicRingStats, Bump, RingStats};
 use crate::{Word, WordAddr};
@@ -31,10 +31,6 @@ pub struct RingConfig {
     pub bit_error_rate: f64,
     /// Seed for the error-injection stream.
     pub error_seed: u64,
-    /// Global identity per local node (None = identity). Used by ring
-    /// hierarchies so provenance tracks the true originating host. One
-    /// per node: [`Ring::with_config`] panics on any other length.
-    pub node_ids: Option<Vec<usize>>,
     /// Dual-ring wrap on severed links: when a packet reaches a broken
     /// egress link it loops back across the redundant counter-rotating
     /// ring to the head of the source's segment and keeps replicating
@@ -53,7 +49,6 @@ impl Default for RingConfig {
             track_provenance: false,
             bit_error_rate: 0.0,
             error_seed: 0,
-            node_ids: None,
             segment_wrap: false,
         }
     }
@@ -442,11 +437,10 @@ impl Ring {
     ///
     /// # Panics
     ///
-    /// On fewer than 2 or more than 256 nodes, a
-    /// [`RingConfig::bit_error_rate`] that is not a probability, and
-    /// [`RingConfig::node_ids`] that do not name `n` nodes — each of which
-    /// would otherwise build a ring that is silently healthy, saturated or
-    /// out of bounds at its first write.
+    /// On fewer than 2 or more than 256 nodes and a
+    /// [`RingConfig::bit_error_rate`] that is not a probability — each of
+    /// which would otherwise build a ring that is silently healthy or
+    /// saturated at its first write.
     pub fn with_config(
         handle: &SimHandle,
         n: usize,
@@ -454,6 +448,20 @@ impl Ring {
         cost: CostModel,
         config: RingConfig,
     ) -> Self {
+        Self::with_ids(handle, (0..n).collect(), words, cost, config)
+    }
+
+    /// A ring of one node per entry of `node_ids`, each the global
+    /// identity its provenance and taps report (a [`crate::RingHierarchy`]
+    /// numbers its hosts and bridges across rings).
+    pub(crate) fn with_ids(
+        handle: &SimHandle,
+        node_ids: Vec<usize>,
+        words: usize,
+        cost: CostModel,
+        config: RingConfig,
+    ) -> Self {
+        let n = node_ids.len();
         assert!(n >= 2, "a ring needs at least two nodes");
         assert!(n <= 256, "SCRAMNet supports up to 256 nodes per ring");
         let rate = config.bit_error_rate;
@@ -461,13 +469,6 @@ impl Ring {
             (0.0..=1.0).contains(&rate),
             "RingConfig::bit_error_rate is {rate}: a probability, in 0.0..=1.0"
         );
-        if let Some(ids) = &config.node_ids {
-            assert!(
-                ids.len() == n,
-                "RingConfig::node_ids names {} nodes for a ring of {n}",
-                ids.len()
-            );
-        }
         let state = RingState {
             links: vec![0; n],
             plan_pool: Vec::new(),
@@ -494,7 +495,7 @@ impl Ring {
             watch_count: AtomicU64::new(0),
             taps: Mutex::new((0..n).map(|_| None).collect()),
             tap_count: AtomicU64::new(0),
-            node_ids: config.node_ids.unwrap_or_else(|| (0..n).collect()),
+            node_ids,
             bypassed: BypassMask::default(),
             silenced: BypassMask::default(),
             broken_links: BypassMask::default(),
@@ -541,7 +542,7 @@ impl Ring {
 
     /// Mark `node` as bypassed: its insertion register is switched out of
     /// the ring (dual-ring redundancy). Packets skip its bank; hop latency
-    /// across it drops to `bypass_hop_ns`.
+    /// across it drops to [`BYPASS_HOP_NS`](crate::BYPASS_HOP_NS).
     pub fn bypass_node(&self, node: usize) {
         assert!(node < self.shared.n, "node {node} out of range");
         self.shared.bypassed.set(node, true);
@@ -830,7 +831,7 @@ impl RingShared {
                 }
                 if bypassed.get(next) {
                     // Bypass switch: no bank, no egress queueing.
-                    head += self.cost.bypass_hop_ns;
+                    head += BYPASS_HOP_NS;
                 } else {
                     let arrive_head = head + self.cost.hop_ns;
                     let tail = arrive_head + ser;
@@ -1011,7 +1012,7 @@ impl RingShared {
                 self.handle
                     .recorder()
                     .count(t, self.node_ids[node] as u32, "ring.interrupts", 1);
-                w.signal.notify_at(t + self.cost.interrupt_dispatch_ns);
+                w.signal.notify_at(t + INTERRUPT_DISPATCH_NS);
             }
         }
     }
@@ -1577,15 +1578,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RingConfig::node_ids names 2 nodes for a ring of 4")]
-    fn node_ids_for_another_ring_are_refused() {
-        flips(RingConfig {
-            node_ids: Some(vec![0, 1]),
-            ..Default::default()
-        });
-    }
-
-    #[test]
     fn a_rate_too_small_to_change_one_minus_rate_flips_nothing() {
         // `1.0 - rate` rounds to 1.0 below ≈ 1.1e-16, so the gap's divisor
         // is 0: such a gap is "never", not "every word".
@@ -1826,7 +1818,7 @@ mod tests {
                 break;
             }
             if bypassed[next] {
-                head += cost.bypass_hop_ns;
+                head += BYPASS_HOP_NS;
             } else {
                 let arrive = head + cost.hop_ns;
                 hops.push((next, arrive + ser));

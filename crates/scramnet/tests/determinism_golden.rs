@@ -38,7 +38,6 @@ fn stress_trace() -> String {
         track_provenance: true,
         bit_error_rate: 0.002,
         error_seed: 42,
-        node_ids: None,
         segment_wrap: false,
     };
     let ring = Ring::with_config(&sim.handle(), NODES, 8192, CostModel::default(), cfg);

@@ -4,36 +4,38 @@
 
 use des::Time;
 
-/// Calibrated per-layer costs in nanoseconds.
+/// Calibrated per-layer costs in nanoseconds. Only the three presets
+/// below build one: a stack's costs are chosen whole, never field by
+/// field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SmpiCosts {
     /// MPI binding entry + exit (argument checking, communicator lookup).
-    pub binding_ns: Time,
+    pub(crate) binding_ns: Time,
     /// Request allocation / completion in the ADI.
-    pub request_ns: Time,
+    pub(crate) request_ns: Time,
     /// One posted-/unexpected-queue search or insertion.
-    pub queue_ns: Time,
+    pub(crate) queue_ns: Time,
     /// Building the channel packet header on the send side.
-    pub header_build_ns: Time,
+    pub(crate) header_build_ns: Time,
     /// Parsing + dispatching a channel packet header on the receive side
     /// (the paper notes each layer keeps its own receive queue; this is
     /// that bookkeeping).
-    pub header_parse_ns: Time,
+    pub(crate) header_parse_ns: Time,
     /// Channel packet assembly copy, per payload byte (send side).
-    pub pack_ns_per_byte: f64,
+    pub(crate) pack_ns_per_byte: f64,
     /// Channel packet disassembly copy, per payload byte (receive side).
-    pub unpack_ns_per_byte: f64,
+    pub(crate) unpack_ns_per_byte: f64,
     /// One empty progress-engine iteration (checking the device with
     /// nothing pending).
-    pub progress_poll_ns: Time,
+    pub(crate) progress_poll_ns: Time,
     /// Collective entry overhead (group determination, §4).
-    pub collective_entry_ns: Time,
+    pub(crate) collective_entry_ns: Time,
     /// Channel-packet header size in bytes (MPICH's MPID packet; 64 bytes
     /// in the Channel Interface port, 24 in the ADI-direct extension).
-    pub header_bytes: usize,
+    pub(crate) header_bytes: usize,
     /// Payload size at or above which sends switch from eager to
     /// rendezvous.
-    pub rendezvous_threshold: usize,
+    pub(crate) rendezvous_threshold: usize,
 }
 
 impl SmpiCosts {

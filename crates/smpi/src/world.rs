@@ -86,30 +86,20 @@ impl MpiWorld {
     pub fn fast_ethernet(handle: &SimHandle, nprocs: usize) -> Self {
         Self::tcp_with(
             handle,
-            NetSpec::fast_ethernet(nprocs),
+            nprocs,
+            NetSpec::fast_ethernet,
             TcpCosts::fast_ethernet(),
-            SmpiCosts::tcp_channel(),
         )
     }
 
     /// MPICH-over-TCP on ATM OC-3.
     pub fn atm(handle: &SimHandle, nprocs: usize) -> Self {
-        Self::tcp_with(
-            handle,
-            NetSpec::atm_oc3(nprocs),
-            TcpCosts::atm(),
-            SmpiCosts::tcp_channel(),
-        )
+        Self::tcp_with(handle, nprocs, NetSpec::atm_oc3, TcpCosts::atm())
     }
 
     /// MPICH-over-TCP on Myrinet.
     pub fn myrinet_tcp(handle: &SimHandle, nprocs: usize) -> Self {
-        Self::tcp_with(
-            handle,
-            NetSpec::myrinet(nprocs),
-            TcpCosts::myrinet_tcp(),
-            SmpiCosts::tcp_channel(),
-        )
+        Self::tcp_with(handle, nprocs, NetSpec::myrinet, TcpCosts::myrinet_tcp())
     }
 
     /// The hybrid cluster of the paper's conclusion: SCRAMNet carries
@@ -135,15 +125,20 @@ impl MpiWorld {
         }
     }
 
-    /// Fully parameterized TCP world. Collectives are point-to-point (no
-    /// hardware multicast on these fabrics).
-    pub fn tcp_with(handle: &SimHandle, spec: NetSpec, tcp: TcpCosts, costs: SmpiCosts) -> Self {
-        let nprocs = spec.hosts;
-        let net = TcpNet::new(handle, spec, tcp);
+    /// The MPICH-over-TCP world of `nprocs` hosts on one fabric preset
+    /// and its host stack. Collectives are point-to-point (no hardware
+    /// multicast on these fabrics).
+    fn tcp_with(
+        handle: &SimHandle,
+        nprocs: usize,
+        spec: fn(usize) -> NetSpec,
+        tcp: TcpCosts,
+    ) -> Self {
+        let net = TcpNet::new(handle, spec(nprocs), tcp);
         MpiWorld {
             transport: Transport::Tcp(net),
             nprocs,
-            costs,
+            costs: SmpiCosts::tcp_channel(),
             coll: CollectiveImpl::PointToPoint,
             minted: parking_lot::Mutex::new(vec![false; nprocs]),
         }

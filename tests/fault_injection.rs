@@ -117,7 +117,7 @@ fn bypass_shortens_the_detour_hop() {
     let c = scramnet_cluster::scramnet::CostModel::default();
     assert_eq!(
         alive - bypassed,
-        c.hop_ns - c.bypass_hop_ns,
+        c.hop_ns - scramnet_cluster::scramnet::BYPASS_HOP_NS,
         "bypass should save exactly one register's worth of latency"
     );
 }
