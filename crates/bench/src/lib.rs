@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig};
 use des::{ProcCtx, RunReport, Simulation, Time, TimeExt};
-use netsim::{MyrinetApiNet, NetSpec, TcpCosts, TcpNet};
+use netsim::{NetSpec, TcpCosts, TcpNet};
 use parking_lot::Mutex;
 use scramnet::{CostModel, RingConfig};
 use smpi::{CollectiveImpl, Comm, Mpi, MpiWorld, SmpiCosts};
@@ -169,22 +169,8 @@ pub fn api_one_way_us(net: ApiNet, len: usize) -> f64 {
         ApiNet::ScramnetBbp => bbp_one_way_us(len, 4),
         ApiNet::FastEthernetTcp => tcp(NetSpec::fast_ethernet(4), TcpCosts::fast_ethernet()),
         ApiNet::AtmTcp => tcp(NetSpec::atm_oc3(4), TcpCosts::atm()),
+        ApiNet::MyrinetApi => tcp(NetSpec::myrinet(4), TcpCosts::myrinet_api()),
         ApiNet::MyrinetTcp => tcp(NetSpec::myrinet(4), TcpCosts::myrinet_tcp()),
-        ApiNet::MyrinetApi => {
-            let sim = Simulation::new();
-            let net = MyrinetApiNet::new(&sim.handle(), 4);
-            let (a, b) = (net.port(0), net.port(1));
-            let payload = vec![0xA5u8; len];
-            let ping = move |ctx: &mut ProcCtx| {
-                a.send(ctx, 1, &payload);
-                let _ = a.recv(ctx);
-            };
-            let pong = move |ctx: &mut ProcCtx| {
-                let (_, m) = b.recv(ctx);
-                b.send(ctx, 0, &m);
-            };
-            one_way_us(&pingpong(sim, ping, pong))
-        }
     }
 }
 

@@ -104,6 +104,27 @@ fn preset_worlds_are_bit_identical() {
     }
 }
 
+/// What running the native Myrinet API as a `TcpCosts` preset could
+/// move: its one-way latency empty and at 32 KB (four 8 KB segments, where
+/// a per-segment cost would show), and a hybrid world's 32 KB message,
+/// which goes by rendezvous with its data on the bulk path. Captured at
+/// commit b57a318.
+#[test]
+fn myrinet_api_paths_are_bit_identical() {
+    for (len, bits) in [(0, 0x4053600000000000), (32 * 1024, 0x4098e547ae147ae1)] {
+        pin(
+            &format!("MyrinetApi {len} B"),
+            api_one_way_us(ApiNet::MyrinetApi, len),
+            bits,
+        );
+    }
+    pin(
+        "mpi hybrid 32 KB",
+        world_one_way_us(|h| MpiWorld::hybrid(h, 4, 1024), 32 * 1024),
+        0x40a7951dc28f5c29,
+    );
+}
+
 #[test]
 fn pingpong_samples_are_exact() {
     assert_eq!(bbp_pingpong(0, 4), [13_600; 8]);

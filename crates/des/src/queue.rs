@@ -133,14 +133,11 @@ impl<T: Send + 'static> SimQueue<T> {
         }
     }
 
-    /// Total queued items, visible or not.
-    pub fn len(&self) -> usize {
-        self.inner.items.lock().heap.len()
-    }
-
-    /// True when nothing is queued at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// When the earliest queued item becomes visible (`None` when nothing
+    /// is queued).
+    pub fn head_at(&self) -> Option<Time> {
+        let items = self.inner.items.lock();
+        items.heap.peek().map(|Reverse(e)| e.visible_at)
     }
 }
 
@@ -216,9 +213,9 @@ mod tests {
         let q: SimQueue<u32> = SimQueue::new(&sim.handle());
         q.push_at(us(10), 1);
         assert_eq!(q.try_pop(us(5)), None);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.head_at(), Some(us(10)));
         assert_eq!(q.try_pop(us(10)), Some(1));
-        assert!(q.is_empty());
+        assert_eq!(q.head_at(), None);
         drop(sim.run());
     }
 

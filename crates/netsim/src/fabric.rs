@@ -30,7 +30,7 @@ struct FabricShared {
 
 /// A switched star network connecting `spec.hosts` hosts. Purely a timing
 /// model: the payload bytes themselves ride in the endpoint queues
-/// (`TcpNet` / `MyrinetApiNet`).
+/// (`TcpNet`).
 #[derive(Clone)]
 pub struct Fabric {
     shared: Arc<FabricShared>,

@@ -15,11 +15,13 @@
 //!   API and TCP/IP.
 //!
 //! This crate models each as a star fabric (hosts → one switch) with
-//! per-link occupancy and a host-side protocol-stack cost model
-//! ([`TcpCosts`], and the Myrinet API's own constants). The constants are calibrated to
-//! era-typical measurements and to the paper's own anchor points (3-node
-//! MPI barrier: 554 µs on Fast Ethernet, 660 µs on ATM); the calibration
-//! record lives in `EXPERIMENTS.md`.
+//! per-link occupancy, under one host-stack cost model, [`TcpCosts`]: base
+//! latency, per-byte copy and per-segment cost on each side, with a
+//! preset per stack. The native Myrinet API is the preset with no
+//! per-segment cost (OS bypass, no kernel path). The constants are
+//! calibrated to era-typical measurements and to the paper's own anchor
+//! points (3-node MPI barrier: 554 µs on Fast Ethernet, 660 µs on ATM);
+//! the calibration record lives in `EXPERIMENTS.md`.
 //!
 //! The endpoints are *message-framed* (each `send` delivers one `recv`),
 //! which is how MPICH's channel device uses TCP; byte-stream reassembly
@@ -42,11 +44,9 @@
 //! ```
 
 mod fabric;
-mod myrinet;
 mod spec;
 mod tcp;
 
 pub use fabric::{Fabric, FabricStats};
-pub use myrinet::{MyrinetApiNet, MyrinetApiPort};
 pub use spec::NetSpec;
 pub use tcp::{TcpCosts, TcpNet, TcpSock};

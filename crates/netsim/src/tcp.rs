@@ -1,5 +1,6 @@
-//! A TCP/IP-like host stack over the fabric: syscall, copy, segmentation
-//! and interrupt costs calibrated to Linux 2.0-era measurements.
+//! The host stack over the fabric: syscall, copy, segmentation and
+//! interrupt costs calibrated to Linux 2.0-era TCP/IP measurements, and
+//! the native Myrinet API as the same model with no per-segment cost.
 
 use std::sync::Arc;
 
@@ -73,6 +74,23 @@ impl TcpCosts {
             window_bytes: None,
         }
     }
+
+    /// The native user-level Myrinet API (mid-90s MyriAPI-class,
+    /// pre-FM/GM): OS bypass, so no kernel path and no per-segment cost.
+    /// A send is a descriptor build, doorbell and LANai handshake plus a
+    /// host PIO copy into NIC SRAM; a receive a poll hit, descriptor parse
+    /// and completion plus the NIC-to-host copy (DMA + cache effects).
+    pub fn myrinet_api() -> Self {
+        TcpCosts {
+            tx_base_ns: 34_000,
+            rx_base_ns: 42_000,
+            per_seg_tx_ns: 0,
+            per_seg_rx_ns: 0,
+            tx_copy_ns_per_byte: 28.0,
+            rx_copy_ns_per_byte: 12.0,
+            window_bytes: None,
+        }
+    }
 }
 
 struct Delivery {
@@ -96,8 +114,9 @@ struct TcpNetShared {
     handle: SimHandle,
 }
 
-/// A TCP/IP network: the fabric plus host stacks. Mint connected socket
-/// pairs with [`TcpNet::socket_pair`].
+/// The fabric plus a host stack on every host: TCP/IP, or the native
+/// Myrinet API ([`TcpCosts::myrinet_api`]). Mint connected socket pairs
+/// with [`TcpNet::socket_pair`].
 #[derive(Clone)]
 pub struct TcpNet {
     shared: Arc<TcpNetShared>,
@@ -258,6 +277,12 @@ impl TcpSock {
         d.bytes
     }
 
+    /// When the next message from the peer finishes arriving (`None` when
+    /// none is on its way).
+    pub fn next_arrival(&self) -> Option<Time> {
+        self.rx.inbox.head_at()
+    }
+
     /// Non-blocking receive: the next message if its last byte has
     /// already arrived.
     pub fn try_recv(&self, ctx: &mut ProcCtx) -> Option<Vec<u8>> {
@@ -302,9 +327,18 @@ mod tests {
     }
 
     #[test]
-    fn fast_ethernet_small_message_latency_is_era_typical() {
-        let us = one_way_us(NetSpec::fast_ethernet(4), TcpCosts::fast_ethernet(), 4);
-        assert!((100.0..160.0).contains(&us), "got {us:.1} µs");
+    fn small_message_latency_is_era_typical() {
+        for (spec, costs, range) in [
+            (
+                NetSpec::fast_ethernet(4),
+                TcpCosts::fast_ethernet(),
+                100.0..160.0,
+            ),
+            (NetSpec::myrinet(4), TcpCosts::myrinet_api(), 60.0..100.0),
+        ] {
+            let us = one_way_us(spec, costs, 4);
+            assert!(range.contains(&us), "got {us:.1} µs, want {range:?}");
+        }
     }
 
     #[test]
@@ -319,6 +353,30 @@ mod tests {
         let e = one_way_us(NetSpec::fast_ethernet(4), TcpCosts::fast_ethernet(), 8192);
         let a = one_way_us(NetSpec::atm_oc3(4), TcpCosts::atm(), 8192);
         assert!(a < e, "ATM {a:.1} should beat FastE {e:.1} at 8 KB");
+    }
+
+    fn myrinet_api_us(len: usize) -> f64 {
+        one_way_us(NetSpec::myrinet(4), TcpCosts::myrinet_api(), len)
+    }
+
+    #[test]
+    fn api_beats_tcp_over_the_same_wire() {
+        let api = myrinet_api_us(1024);
+        let tcp = one_way_us(NetSpec::myrinet(4), TcpCosts::myrinet_tcp(), 1024);
+        assert!(api < tcp, "API {api:.1} vs TCP {tcp:.1}");
+    }
+
+    #[test]
+    fn large_transfers_scale_with_copy_cost() {
+        let small = myrinet_api_us(64);
+        let large = myrinet_api_us(8192);
+        // Slope dominated by the ~40 ns/B combined copies, not the
+        // 6.25 ns/B wire.
+        let slope_ns_per_byte = (large - small) * 1000.0 / (8192.0 - 64.0);
+        assert!(
+            (25.0..60.0).contains(&slope_ns_per_byte),
+            "slope {slope_ns_per_byte:.1} ns/B"
+        );
     }
 
     #[test]

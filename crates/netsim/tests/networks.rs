@@ -3,7 +3,7 @@
 //! contention behaviour through the shared switch.
 
 use des::{Simulation, Time, TimeExt};
-use netsim::{MyrinetApiNet, NetSpec, TcpCosts, TcpNet};
+use netsim::{NetSpec, TcpCosts, TcpNet};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -102,31 +102,30 @@ fn switch_contention_serializes_same_destination_flows() {
 fn myrinet_api_duplex_streams_share_no_wire() {
     // Full-duplex links: simultaneous opposite-direction bulk transfers
     // pay no *wire* penalty. The measured duplex time exceeds one-way
-    // only by the host-side receive copy (the port's CPU serializes its
+    // only by the host-side receive copy (the host's CPU serializes its
     // own tx and rx copies), never by a second wire serialization —
     // which would push it past 2x.
     let run = |duplex: bool| {
         let mut sim = Simulation::new();
-        let net = MyrinetApiNet::new(&sim.handle(), 2);
-        let a = net.port(0);
-        let b = net.port(1);
+        let net = TcpNet::new(&sim.handle(), NetSpec::myrinet(2), TcpCosts::myrinet_api());
+        let (a, b) = net.socket_pair(0, 1);
         let len = 64 * 1024;
         let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
         let d1 = Arc::clone(&done);
         sim.spawn("a", move |ctx| {
-            a.send(ctx, 1, &vec![1u8; len]);
-            let (_, m) = a.recv(ctx);
+            a.send(ctx, &vec![1u8; len]);
+            let m = a.recv(ctx);
             assert!(!duplex || m.len() == len);
             let mut d = d1.lock();
             *d = (*d).max(ctx.now());
         });
         sim.spawn("b", move |ctx| {
             if duplex {
-                b.send(ctx, 0, &vec![2u8; len]);
+                b.send(ctx, &vec![2u8; len]);
             } else {
-                b.send(ctx, 0, b"tiny");
+                b.send(ctx, b"tiny");
             }
-            let (_, m) = b.recv(ctx);
+            let m = b.recv(ctx);
             assert_eq!(m.len(), len);
         });
         assert!(sim.run().is_clean());

@@ -329,11 +329,6 @@ impl MessageQueue {
         self.high.len() + self.normal.len()
     }
 
-    /// High-priority requests waiting for dispatch.
-    pub fn queued_high(&self) -> usize {
-        self.high.len()
-    }
-
     /// Normal-priority requests waiting for dispatch.
     pub fn queued_normal(&self) -> usize {
         self.normal.len()

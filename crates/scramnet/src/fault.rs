@@ -143,26 +143,22 @@ impl FaultPlan {
     }
 
     /// A default [`RingConfig`] carrying this plan's corruption stream.
-    pub fn ring_config(&self) -> RingConfig {
-        self.apply_to(RingConfig::default())
-    }
-
-    /// Overlay this plan's corruption stream onto an existing config.
     /// A plan that scripts a partition also switches the ring to the
     /// dual-ring wrap model (see [`RingConfig::segment_wrap`]).
-    pub fn apply_to(&self, mut config: RingConfig) -> RingConfig {
+    pub fn ring_config(&self) -> RingConfig {
+        let mut config = RingConfig {
+            segment_wrap: self.has_partition(),
+            ..RingConfig::default()
+        };
         if self.corrupt_rate > 0.0 {
             config.bit_error_rate = self.corrupt_rate;
             config.error_seed = self.seed;
-        }
-        if self.has_partition() {
-            config.segment_wrap = true;
         }
         config
     }
 
     /// True when the plan scripts at least one [`FaultAt::partition`].
-    pub fn has_partition(&self) -> bool {
+    fn has_partition(&self) -> bool {
         self.actions
             .iter()
             .any(|(_, a)| matches!(a, Action::Partition { .. }))

@@ -3,8 +3,8 @@
 
 use bbp::{BbpEndpoint, BbpError};
 use des::obs::Layer;
-use des::ProcCtx;
-use netsim::{MyrinetApiPort, TcpSock};
+use des::{ProcCtx, Time};
+use netsim::{TcpNet, TcpSock};
 
 use crate::hybrid::HybridDevice;
 use crate::types::Tag;
@@ -194,12 +194,10 @@ pub enum Device {
     /// already guarantees reliable per-pair-FIFO delivery and provides the
     /// hardware-replicated multicast the native collectives exploit.
     Bbp(Box<BbpEndpoint>),
-    /// The socket device of MPICH over TCP (Fast Ethernet, ATM, Myrinet).
+    /// The socket device of MPICH over a host stack: TCP (Fast Ethernet,
+    /// ATM, Myrinet), or the native Myrinet API a hybrid's bulk path
+    /// rides. No multicast (none of these switches replicates).
     Tcp(TcpDevice),
-    /// The native (user-level) Myrinet API: OS-bypass messaging, no
-    /// multicast (wormhole switches have no replication hardware). Holds
-    /// this rank's port and the world size.
-    Myrinet(MyrinetApiPort, usize),
     /// SCRAMNet for latency plus a bulk path for bandwidth.
     Hybrid(Box<HybridDevice>),
     /// An in-memory double with an inspectable outbox.
@@ -213,7 +211,6 @@ impl Device {
         match self {
             Device::Bbp(ep) => ep.rank(),
             Device::Tcp(tcp) => tcp.rank,
-            Device::Myrinet(port, _) => port.host(),
             Device::Hybrid(hy) => hy.fast.rank(),
             #[cfg(test)]
             Device::Scripted(s) => s.rank,
@@ -225,7 +222,6 @@ impl Device {
         match self {
             Device::Bbp(ep) => ep.nprocs(),
             Device::Tcp(tcp) => tcp.socks.len(),
-            Device::Myrinet(_, nprocs) => *nprocs,
             Device::Hybrid(hy) => hy.fast.nprocs(),
             #[cfg(test)]
             Device::Scripted(s) => s.n,
@@ -293,10 +289,6 @@ impl Device {
                     .send(ctx, frame);
                 Ok(())
             }
-            Device::Myrinet(port, _) => {
-                port.send(ctx, dst, frame);
-                Ok(())
-            }
             Device::Hybrid(hy) => hy.transmit(ctx, dst, frame),
             #[cfg(test)]
             Device::Scripted(s) => s.record(&[dst], frame),
@@ -315,7 +307,7 @@ impl Device {
             Device::Hybrid(hy) => hy.replicate(ctx, targets, frame),
             #[cfg(test)]
             Device::Scripted(s) => s.record(targets, frame),
-            Device::Tcp(_) | Device::Myrinet(..) => panic!("device has no native multicast"),
+            Device::Tcp(_) => panic!("device has no native multicast"),
         }
     }
 
@@ -339,7 +331,6 @@ impl Device {
                 got
             }
             Device::Tcp(tcp) => tcp.try_recv(ctx),
-            Device::Myrinet(port, _) => port.try_recv(ctx),
             Device::Hybrid(hy) => hy.try_recv(ctx),
             #[cfg(test)]
             Device::Scripted(s) => s.state.lock().incoming.pop_front(),
@@ -351,7 +342,7 @@ impl Device {
     pub fn has_native_mcast(&self) -> bool {
         match self {
             Device::Bbp(_) => true,
-            Device::Tcp(_) | Device::Myrinet(..) => false,
+            Device::Tcp(_) => false,
             Device::Hybrid(hy) => hy.fast.has_native_mcast(),
             #[cfg(test)]
             Device::Scripted(_) => true,
@@ -363,7 +354,7 @@ impl Device {
     pub fn max_frame(&self) -> Option<usize> {
         match self {
             Device::Bbp(ep) => Some(ep.config().max_payload_bytes()),
-            Device::Tcp(_) | Device::Myrinet(..) => None,
+            Device::Tcp(_) => None,
             Device::Hybrid(hy) => hy.max_frame(),
             #[cfg(test)]
             Device::Scripted(s) => s.max_frame,
@@ -388,7 +379,7 @@ impl Device {
         match self {
             Device::Bbp(ep) => ep.membership_view().map(|v| (v.epoch, v.alive_mask)),
             // Only the fast path (SCRAMNet) carries a failure detector; a
-            // node dead on the billboard is dead, whatever Myrinet thinks.
+            // node dead on the billboard is dead, whatever the bulk path thinks.
             Device::Hybrid(hy) => hy.fast.membership(),
             _ => None,
         }
@@ -410,35 +401,54 @@ impl Device {
     }
 }
 
-/// The TCP channel device (MPICH's `ch_p4`-style socket device): one
-/// connection per peer, polled round-robin.
+/// The socket channel device: one connection per peer. Over TCP
+/// (MPICH's `ch_p4`-style device) the connections are polled
+/// round-robin; a native Myrinet API port has one receive queue, so its
+/// frames come off in the order they arrived.
 pub struct TcpDevice {
     rank: usize,
     /// `socks[p]` is the connection to peer `p` (`None` at `p == rank`).
     socks: Vec<Option<TcpSock>>,
-    rr: usize,
+    /// The peer the next round-robin poll starts at; `None` on an API
+    /// port, which polls first the peer whose frame arrives first.
+    rr: Option<usize>,
 }
 
 impl TcpDevice {
-    /// Build from a full mesh of sockets; `socks[rank]` must be `None`
-    /// and every other slot connected to the matching peer.
-    pub fn new(rank: usize, socks: Vec<Option<TcpSock>>) -> Self {
-        assert!(socks[rank].is_none(), "no loopback socket at own rank");
-        TcpDevice { rank, socks, rr: 0 }
+    /// `rank`'s end of a full socket mesh over `net` among `nprocs`
+    /// ranks, one connection to every other rank, polled round-robin.
+    pub fn new(net: &TcpNet, rank: usize, nprocs: usize) -> Self {
+        Self::mesh(net, rank, nprocs, Some(0))
+    }
+
+    /// `rank`'s native Myrinet API port over `net` (built with
+    /// [`netsim::TcpCosts::myrinet_api`]): the same connections, taken in
+    /// arrival order.
+    pub fn api_port(net: &TcpNet, rank: usize, nprocs: usize) -> Self {
+        Self::mesh(net, rank, nprocs, None)
+    }
+
+    fn mesh(net: &TcpNet, rank: usize, nprocs: usize, rr: Option<usize>) -> Self {
+        let socks = (0..nprocs)
+            .map(|p| (p != rank).then(|| net.connect(rank, p)))
+            .collect();
+        TcpDevice { rank, socks, rr }
     }
 
     fn try_recv(&mut self, ctx: &mut ProcCtx) -> Option<(usize, Vec<u8>)> {
         let n = self.socks.len();
-        for off in 0..n {
-            let p = (self.rr + off) % n;
-            if let Some(sock) = &self.socks[p] {
-                if let Some(frame) = sock.try_recv(ctx) {
-                    self.rr = (p + 1) % n;
-                    return Some((p, frame));
-                }
-            }
-        }
-        None
+        let start = self.rr.unwrap_or_else(|| {
+            ctx.settle(); // which frame arrives first depends on who has run
+            let arrival = |p: usize| self.socks[p].as_ref()?.next_arrival();
+            (0..n)
+                .min_by_key(|&p| arrival(p).unwrap_or(Time::MAX))
+                .unwrap_or(0)
+        });
+        let (p, frame) = (0..n)
+            .map(|off| (start + off) % n)
+            .find_map(|p| Some((p, self.socks[p].as_ref()?.try_recv(ctx)?)))?;
+        self.rr = self.rr.map(|_| (p + 1) % n);
+        Some((p, frame))
     }
 }
 

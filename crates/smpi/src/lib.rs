@@ -12,8 +12,8 @@
 //! MPI bindings           Comm::{send, recv, bcast, barrier, reduce, …}
 //!   └─ ADI               posted/unexpected queues, eager + rendezvous
 //!        └─ Channel Interface   packet framing (64-byte header)
-//!             └─ Device         enum: Bbp (SCRAMNet) | Tcp (FastE/ATM/Myrinet)
-//!                               | Myrinet (native API) | Hybrid (SCRAMNet + bulk)
+//!             └─ Device         enum: Bbp (SCRAMNet) | Tcp (sockets: FastE/ATM/Myrinet,
+//!                               or the Myrinet API) | Hybrid (SCRAMNet + bulk)
 //! ```
 //!
 //! Every layer charges its calibrated software cost ([`SmpiCosts`]), which

@@ -3,7 +3,7 @@
 
 use bbp::{BbpCluster, BbpConfig};
 use des::SimHandle;
-use netsim::{MyrinetApiNet, NetSpec, TcpCosts, TcpNet};
+use netsim::{NetSpec, TcpCosts, TcpNet};
 use scramnet::{CostModel, RingConfig};
 
 use crate::collectives::CollectiveImpl;
@@ -15,11 +15,12 @@ use crate::mpi::Mpi;
 enum Transport {
     Scramnet(BbpCluster),
     Tcp(TcpNet),
-    /// SCRAMNet for latency + Myrinet for bandwidth (paper §7's hybrid
-    /// cluster direction). Frames below the threshold ride the BBP.
+    /// SCRAMNet for latency + the native Myrinet API for bandwidth
+    /// (paper §7's hybrid cluster direction). Frames below the threshold
+    /// ride the BBP.
     Hybrid {
         cluster: BbpCluster,
-        myrinet: MyrinetApiNet,
+        bulk: TcpNet,
         threshold: usize,
     },
 }
@@ -103,19 +104,19 @@ impl MpiWorld {
     }
 
     /// The hybrid cluster of the paper's conclusion: SCRAMNet carries
-    /// frames below `threshold` bytes (and all collectives), Myrinet
-    /// carries the bulk. Per-pair ordering is restored by the device's
-    /// resequencing sub-layer.
+    /// frames below `threshold` bytes (and all collectives), the native
+    /// Myrinet API carries the bulk. Per-pair ordering is restored by the
+    /// device's resequencing sub-layer.
     pub fn hybrid(handle: &SimHandle, nprocs: usize, threshold: usize) -> Self {
         let mut cfg = BbpConfig::for_nodes(nprocs);
         cfg.data_words = 16 * 1024;
         let cluster =
             BbpCluster::with_hardware(handle, cfg, CostModel::default(), RingConfig::default());
-        let myrinet = MyrinetApiNet::new(handle, nprocs);
+        let bulk = TcpNet::new(handle, NetSpec::myrinet(nprocs), TcpCosts::myrinet_api());
         MpiWorld {
             transport: Transport::Hybrid {
                 cluster,
-                myrinet,
+                bulk,
                 threshold,
             },
             nprocs,
@@ -186,19 +187,14 @@ impl MpiWorld {
         }
         let dev = match &self.transport {
             Transport::Scramnet(cluster) => Device::Bbp(Box::new(cluster.endpoint(rank))),
-            Transport::Tcp(net) => {
-                let socks = (0..self.nprocs)
-                    .map(|p| (p != rank).then(|| net.connect(rank, p)))
-                    .collect();
-                Device::Tcp(TcpDevice::new(rank, socks))
-            }
+            Transport::Tcp(net) => Device::Tcp(TcpDevice::new(net, rank, self.nprocs)),
             Transport::Hybrid {
                 cluster,
-                myrinet,
+                bulk,
                 threshold,
             } => {
                 let fast = Device::Bbp(Box::new(cluster.endpoint(rank)));
-                let bulk = Device::Myrinet(myrinet.port(rank), self.nprocs);
+                let bulk = Device::Tcp(TcpDevice::api_port(bulk, rank, self.nprocs));
                 Device::Hybrid(Box::new(HybridDevice::new(fast, bulk, *threshold)))
             }
         };

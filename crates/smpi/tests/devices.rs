@@ -3,7 +3,7 @@
 //! transport, below the ADI.
 
 use des::{Simulation, Time};
-use netsim::{MyrinetApiNet, NetSpec, TcpCosts, TcpNet};
+use netsim::{NetSpec, TcpCosts, TcpNet};
 use parking_lot::Mutex;
 use smpi::{Device, HybridDevice, TcpDevice};
 use std::sync::Arc;
@@ -15,13 +15,13 @@ fn tcp_device_pairs(sim: &Simulation, hosts: usize) -> Vec<Device> {
         TcpCosts::fast_ethernet(),
     );
     (0..hosts)
-        .map(|rank| {
-            let socks = (0..hosts)
-                .map(|p| (p != rank).then(|| net.connect(rank, p)))
-                .collect();
-            Device::Tcp(TcpDevice::new(rank, socks))
-        })
+        .map(|rank| Device::Tcp(TcpDevice::new(&net, rank, hosts)))
         .collect()
+}
+
+/// Two hosts on Myrinet under its native API (`TcpCosts::myrinet_api`).
+fn myrinet_api(sim: &Simulation) -> TcpNet {
+    TcpNet::new(&sim.handle(), NetSpec::myrinet(2), TcpCosts::myrinet_api())
 }
 
 #[test]
@@ -100,9 +100,9 @@ fn tcp_device_round_robin_serves_all_peers() {
 #[test]
 fn myrinet_device_carries_frames() {
     let mut sim = Simulation::new();
-    let net = MyrinetApiNet::new(&sim.handle(), 2);
-    let mut tx = Device::Myrinet(net.port(0), 2);
-    let mut rx = Device::Myrinet(net.port(1), 2);
+    let net = myrinet_api(&sim);
+    let mut tx = Device::Tcp(TcpDevice::api_port(&net, 0, 2));
+    let mut rx = Device::Tcp(TcpDevice::api_port(&net, 1, 2));
     assert_eq!(tx.rank(), 0);
     assert_eq!(rx.nprocs(), 2);
     assert!(!rx.has_native_mcast());
@@ -120,9 +120,9 @@ fn myrinet_device_carries_frames() {
     assert!(sim.run().is_clean());
 }
 
-fn hybrid(cluster: &bbp::BbpCluster, net: &MyrinetApiNet, rank: usize, threshold: usize) -> Device {
+fn hybrid(cluster: &bbp::BbpCluster, net: &TcpNet, rank: usize, threshold: usize) -> Device {
     let fast = Device::Bbp(Box::new(cluster.endpoint(rank)));
-    let bulk = Device::Myrinet(net.port(rank), 2);
+    let bulk = Device::Tcp(TcpDevice::api_port(net, rank, 2));
     Device::Hybrid(Box::new(HybridDevice::new(fast, bulk, threshold)))
 }
 
@@ -130,9 +130,9 @@ fn hybrid(cluster: &bbp::BbpCluster, net: &MyrinetApiNet, rank: usize, threshold
 fn hybrid_device_reports_fast_path_capabilities() {
     let mut sim = Simulation::new();
     let cluster = bbp::BbpCluster::new(&sim.handle(), bbp::BbpConfig::for_nodes(2));
-    let net = MyrinetApiNet::new(&sim.handle(), 2);
+    let net = myrinet_api(&sim);
     let fast = Device::Bbp(Box::new(cluster.endpoint(0)));
-    let bulk = Device::Myrinet(net.port(0), 2);
+    let bulk = Device::Tcp(TcpDevice::api_port(&net, 0, 2));
     let hy = HybridDevice::new(fast, bulk, 512);
     assert_eq!(hy.threshold(), 512);
     let hy = Device::Hybrid(Box::new(hy));
@@ -154,7 +154,7 @@ fn hybrid_device_mixed_sizes_stay_ordered_at_device_level() {
         c.data_words = 4096;
         c
     });
-    let net = MyrinetApiNet::new(&sim.handle(), 2);
+    let net = myrinet_api(&sim);
     let mut tx = hybrid(&cluster, &net, 0, 256);
     let mut rx = hybrid(&cluster, &net, 1, 256);
     sim.spawn("tx", move |ctx| {
@@ -193,7 +193,7 @@ fn hybrid_device_mixed_sizes_stay_ordered_at_device_level() {
 fn small_frames_overtake_on_the_wire_but_deliver_in_order() {
     let mut sim = Simulation::new();
     let cluster = bbp::BbpCluster::new(&sim.handle(), bbp::BbpConfig::for_nodes(2));
-    let net = MyrinetApiNet::new(&sim.handle(), 2);
+    let net = myrinet_api(&sim);
     let mut tx = hybrid(&cluster, &net, 0, 256);
     let mut rx = hybrid(&cluster, &net, 1, 256);
     let times: Arc<Mutex<Vec<(u8, Time)>>> = Arc::new(Mutex::new(Vec::new()));
