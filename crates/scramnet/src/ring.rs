@@ -154,20 +154,26 @@ impl ReachabilitySet {
 /// ([`SimHandle::schedule_series`]) moves by value from hop to hop, and
 /// the one pooled buffer it owns. The buffer holds the message trace id
 /// (two words; 0 = untraced, only ever nonzero while full tracing is
-/// enabled, so no protocol word changes), then every live hop in ring
-/// order (two words each: the node in the top byte of a `u64`, the
-/// bank-apply time below it), then the payload, which every hop reads in
-/// place. Buffers are pooled, so a warm steady state injects an N-hop
-/// packet with zero allocations.
+/// enabled, so no protocol word changes), then the packet's itinerary as
+/// runs, then the payload, which every hop reads in place. A run is hops
+/// the packet's head makes back to back, each at the node after the last
+/// ([`RingShared::next`]) and applying exactly `hop_ns` after it, which on
+/// a register-insertion ring is every hop but one after a bypassed node, a
+/// wait at a busy link or the dual-ring wrap. A run is three words: its
+/// first hop's apply time (two words), then its first node in the low
+/// byte of a word and its hop count in the byte above. Buffers are pooled,
+/// so a warm steady state injects an N-hop packet with zero allocations.
 pub(crate) struct HopPlan {
-    /// `[trace; 2] ++ [hop; 2] × hops ++ payload`.
+    /// `[trace; 2] ++ [run; 3] × runs ++ payload`.
     buf: Vec<Word>,
     addr: WordAddr,
     writer: u32,
     /// Hops planned: at most 255, one per node of the ring but its source.
-    hops: u16,
+    hops: u8,
+    /// Runs the hops make: at most one a hop.
+    runs: u8,
     /// Next hop to fire.
-    next: u16,
+    next: u8,
 }
 
 /// The transit closure captures the ring and the header, and the
@@ -178,11 +184,14 @@ const _: () = assert!(
     "the transit closure must fit the scheduler's inline budget"
 );
 
-/// Bits of a hop below its node.
-const HOP_TIME_BITS: u32 = 56;
-
-/// Words before a plan's first hop: the trace id.
+/// Words before a plan's first run: the trace id.
 const TRACE_WORDS: usize = 2;
+
+/// Words a run takes.
+const RUN_WORDS: usize = 3;
+
+/// One more hop in a run's node-and-count word.
+const RUN_HOP: Word = 1 << 8;
 
 /// `v` as two words, low word first.
 fn split(v: u64) -> [Word; 2] {
@@ -196,25 +205,11 @@ fn join(w: &[Word]) -> u64 {
 }
 
 impl HopPlan {
-    /// Plan a hop that applies at `node` at `tail`.
-    fn push_hop(&mut self, node: usize, tail: Time) {
-        assert!(
-            tail < 1 << HOP_TIME_BITS,
-            "a hop at {tail} ns is past what a hop plan holds"
-        );
-        let hop = (node as u64) << HOP_TIME_BITS | tail;
-        self.buf.extend(split(hop));
-        self.hops += 1;
-    }
-
-    /// Hop `i`: its node and its bank-apply time.
-    fn hop(&self, i: u16) -> (usize, Time) {
-        let at = TRACE_WORDS + 2 * usize::from(i);
-        let hop = join(&self.buf[at..at + 2]);
-        (
-            (hop >> HOP_TIME_BITS) as usize,
-            hop & ((1 << HOP_TIME_BITS) - 1),
-        )
+    /// Run `r`: its first node, its first hop's apply time and its hops.
+    fn run(&self, r: usize) -> (usize, Time, u8) {
+        let at = TRACE_WORDS + RUN_WORDS * r;
+        let [node, hops, ..] = self.buf[at + 2].to_le_bytes();
+        (usize::from(node), join(&self.buf[at..at + 2]), hops)
     }
 
     fn trace(&self) -> u64 {
@@ -222,7 +217,7 @@ impl HopPlan {
     }
 
     fn payload(&self) -> &[Word] {
-        &self.buf[TRACE_WORDS + 2 * usize::from(self.hops)..]
+        &self.buf[TRACE_WORDS + RUN_WORDS * usize::from(self.runs)..]
     }
 }
 
@@ -241,10 +236,13 @@ pub(crate) struct RingState {
     /// Free list of plan buffers (see [`HopPlan`]), each empty and
     /// reserved to `longest_plan` words when it was last taken.
     plan_pool: Vec<Vec<Word>>,
-    /// Words of the longest plan this ring has had room for: a buffer is
-    /// reserved to it once, so a warm pool never grows one, whatever mix
-    /// of packet sizes takes it next.
+    /// Words of the longest plan this ring has built: a buffer is
+    /// reserved to it when taken, so a warm pool never grows one, whatever
+    /// mix of packet sizes and itineraries takes it next.
     longest_plan: usize,
+    /// The runs of the link walk under way, staged here until the walk
+    /// knows the plan's length, then copied into the plan's buffer.
+    staged_runs: Vec<Word>,
     /// (addr, earlier_writer, later_writer) conflicts seen by the
     /// single-writer checker.
     conflicts: Vec<(WordAddr, usize, usize)>,
@@ -473,6 +471,7 @@ impl Ring {
             links: vec![0; n],
             plan_pool: Vec::new(),
             longest_plan: 0,
+            staged_runs: Vec::new(),
             conflicts: Vec::new(),
         };
         let shared = RingShared {
@@ -787,19 +786,10 @@ impl RingShared {
                 links,
                 plan_pool,
                 longest_plan,
+                staged_runs: runs,
                 ..
             } = &mut *state;
-            // Room for a hop at every other node, whichever are live.
-            *longest_plan = (*longest_plan).max(TRACE_WORDS + 2 * (self.n - 1) + words);
-            let mut plan = HopPlan {
-                buf: plan_pool.pop().unwrap_or_default(),
-                addr,
-                writer: u32::try_from(writer).expect("a writer's global id fits 32 bits"),
-                hops: 0,
-                next: 0,
-            };
-            plan.buf.reserve_exact(*longest_plan);
-            plan.buf.extend(split(trace));
+            runs.clear();
             let mut head = t_ready.max(links[src]);
             src_backlog = head - t_ready;
             links[src] = head + ser;
@@ -807,6 +797,10 @@ impl RingShared {
             // Walk the ring; the packet is removed when it returns to src.
             let mut hop_from = src;
             let mut span_end = head + ser;
+            let mut hops = 0u8;
+            // Where and when the open run's next hop would be: a hop there
+            // and then gains the run a hop, any other opens a run.
+            let mut run_on = (src, 0);
             loop {
                 let next = if broken.get(hop_from) {
                     if !self.segment_wrap {
@@ -835,7 +829,15 @@ impl RingShared {
                 } else {
                     let arrive_head = head + self.cost.hop_ns;
                     let tail = arrive_head + ser;
-                    plan.push_hop(next, tail);
+                    match runs.last_mut() {
+                        Some(count) if (next, tail) == run_on => *count += RUN_HOP,
+                        _ => {
+                            runs.extend(split(tail));
+                            runs.push(next as Word | RUN_HOP);
+                        }
+                    }
+                    hops += 1;
+                    run_on = (self.next(next), tail + self.cost.hop_ns);
                     // Forwarding occupies this node's egress too (every
                     // packet traverses every link: aggregate throughput =
                     // link rate).
@@ -847,12 +849,23 @@ impl RingShared {
                 }
                 hop_from = next;
             }
-            if plan.hops == 0 {
-                // No bank hears it: the buffer goes straight back.
-                plan.buf.clear();
-                plan_pool.push(plan.buf);
+            if hops == 0 {
+                // No bank hears it: it takes no buffer.
                 (None, span_end)
             } else {
+                *longest_plan = (*longest_plan).max(TRACE_WORDS + runs.len() + words);
+                let mut buf = plan_pool.pop().unwrap_or_default();
+                buf.reserve_exact(*longest_plan);
+                buf.extend(split(trace));
+                buf.extend_from_slice(runs);
+                let plan = HopPlan {
+                    buf,
+                    addr,
+                    writer: u32::try_from(writer).expect("a writer's global id fits 32 bits"),
+                    hops,
+                    runs: u8::try_from(runs.len() / RUN_WORDS).expect("at most one run a hop"),
+                    next: 0,
+                };
                 (Some(plan), span_end)
             }
         };
@@ -880,7 +893,7 @@ impl RingShared {
             // and now, so the pop order is identical to the old engine,
             // which pushed every hop's event here and now.
             plan.buf.extend_from_slice(data);
-            let (first_t, links) = (plan.hop(0).1, u64::from(plan.hops));
+            let (first_t, links) = (plan.run(0).1, u64::from(plan.hops));
             let shared = Arc::clone(self);
             self.handle
                 .schedule_series(first_t, links, move |link| shared.transit(plan, link));
@@ -924,8 +937,8 @@ impl RingShared {
         // split at its page once, here.
         let (writer, trace) = (plan.writer as usize, plan.trace());
         let span = Span::new(plan.addr, plan.payload().len(), self.words);
+        let (mut run, mut node, mut left) = self.resume(&plan);
         loop {
-            let (node, _) = plan.hop(plan.next);
             plan.next += 1;
             let t = link.now();
             self.hop(node, span, plan.payload(), writer, t);
@@ -941,7 +954,14 @@ impl RingShared {
             if plan.next == plan.hops {
                 break;
             }
-            let (_, next_t) = plan.hop(plan.next);
+            // The next node, `hop_ns` on, unless this hop ended its run.
+            let mut next_t = t + self.cost.hop_ns;
+            node = self.next(node);
+            left -= 1;
+            if left == 0 {
+                run += 1;
+                (node, next_t, left) = plan.run(run);
+            }
             if !link.next(next_t) {
                 return Some(Then::at(next_t, move |link| self.transit(plan, link)));
             }
@@ -950,6 +970,23 @@ impl RingShared {
         buf.clear();
         self.state().plan_pool.push(buf);
         None
+    }
+
+    /// Where `plan`'s next hop is: its run, its node, and the hops of its
+    /// run from it on. A run's nodes follow one another round the ring, so
+    /// the `k`th after its first is `k` on, wrapped once.
+    fn resume(&self, plan: &HopPlan) -> (usize, usize, u8) {
+        let (mut run, mut skip) = (0, plan.next);
+        loop {
+            let (first, _, hops) = plan.run(run);
+            if skip < hops {
+                let node = first + usize::from(skip);
+                let node = if node < self.n { node } else { node - self.n };
+                return (run, node, hops - skip);
+            }
+            skip -= hops;
+            run += 1;
+        }
     }
 
     /// One hop: `data` lands at `span` in `node`'s bank at `t`. In order,
@@ -1951,6 +1988,77 @@ mod tests {
                 prop_assert_eq!(got, reference_reachable(&bypassed, &broken, node), "node {}", node);
             }
         }
+    }
+
+    /// Packets `(src, ready, words)` on an `n`-node ring with `bypassed`
+    /// nodes and `broken` links: every node's recorded applies of each
+    /// packet are the reference walk's hops, node for node and time for
+    /// time.
+    fn assert_walk_matches_reference(
+        n: usize,
+        bypassed: &[usize],
+        broken: &[usize],
+        wrap: bool,
+        injects: &[(usize, Time, usize)],
+    ) {
+        let mut sim = Simulation::new();
+        let config = RingConfig {
+            segment_wrap: wrap,
+            ..Default::default()
+        };
+        let ring = Ring::with_config(&sim.handle(), n, 64, CostModel::default(), config);
+        bypassed.iter().for_each(|&node| ring.bypass_node(node));
+        broken.iter().for_each(|&link| ring.break_link(link));
+        let logs: Vec<_> = (0..n).map(|node| ring.record_deliveries(node)).collect();
+        for (i, &(src, at, words)) in injects.iter().enumerate() {
+            let r = ring.clone();
+            sim.handle().schedule_at(at, move |t| {
+                r.source_packet(src, t, i, vec![i as Word; words].into());
+            });
+        }
+        assert!(sim.run().is_clean());
+        let (mut links, cost) = (vec![0; n], CostModel::default());
+        let flags = |set: &[usize]| (0..n).map(|node| set.contains(&node)).collect::<Vec<_>>();
+        let (bypassed, broken) = (flags(bypassed), flags(broken));
+        for (i, &(src, at, words)) in injects.iter().enumerate() {
+            let mut want =
+                reference_walk(&cost, &bypassed, &broken, wrap, &mut links, src, at, words);
+            want.sort_unstable_by_key(|&(node, t)| (t, node));
+            let mut got: Vec<(usize, Time)> = (0..n)
+                .filter(|&node| node != src)
+                .flat_map(|node| {
+                    let log = logs[node].lock();
+                    log.iter()
+                        .filter(|d| d.addr == i)
+                        .map(|d| (node, d.time))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            got.sort_unstable_by_key(|&(node, t)| (t, node));
+            assert_eq!(got, want, "packet {i} from {src}");
+        }
+        assert_eq!(ring.shared.state().links, links);
+    }
+
+    /// The longest plans a ring holds, on the 256 nodes it caps at: 255
+    /// hops in one run on a healthy ring; 127 hops, each a run of its own,
+    /// when every other node is bypassed; a wrap at one cut, which lands
+    /// where the ring would have gone, and at a pair of cuts, which lands
+    /// at the head of the source's segment and opens a second run. On a
+    /// healthy ring a later packet is held at its source, never at a link
+    /// on its way; a long packet truncated at a cut two hops on leaves its
+    /// source's link booked, so a packet from node 0 waits at node 10,
+    /// which ends its first run. The proptest above stops at 32 nodes.
+    #[test]
+    fn the_longest_plans_match_the_reference_walk() {
+        let storm = [(0, 0, 1), (128, 0, 3), (7, 50_000, 2)];
+        assert_walk_matches_reference(256, &[], &[], false, &storm);
+        let odd: Vec<usize> = (1..256).step_by(2).collect();
+        assert_walk_matches_reference(256, &odd, &[], false, &[(0, 0, 2), (2, 0, 1)]);
+        assert_walk_matches_reference(256, &[], &[100], true, &storm);
+        let segment = [(100, 0, 2), (250, 0, 1)];
+        assert_walk_matches_reference(256, &[], &[60, 200], true, &segment);
+        assert_walk_matches_reference(256, &[], &[12], false, &[(10, 0, 48), (0, 0, 1)]);
     }
 
     /// A packet whose span straddles a page edge, through the ring, on

@@ -5,7 +5,8 @@
 //! — 3 versus 15 hops per packet — and requires the allocation counts to
 //! match: any per-hop allocation would scale with ring size and split
 //! the two counts by hundreds. A host's PIO writes, paced so each packet
-//! is home before the next, allocate nothing at all.
+//! is home before the next, allocate nothing at all, also on a damaged
+//! ring whose packets' itineraries break into several runs.
 //!
 //! Fault injection stays off (the default config), as on the healthy
 //! hardware the paper assumes, so the clean apply path is what's timed.
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use des::{ProcCtx, Simulation, Time};
-use scramnet::{CostModel, Nic, Ring};
+use scramnet::{CostModel, Nic, Ring, RingConfig};
 
 struct CountingAlloc;
 
@@ -121,6 +122,56 @@ fn paced_pio_write_allocs() -> [u64; 2] {
     counted
 }
 
+/// Allocations made by `WRITES` paced writes of a process on node 0 of a
+/// 16-node ring with `bypassed` nodes and `cut` links (under the dual-ring
+/// wrap), one-word and eight-word writes alternating, so the plans'
+/// lengths differ and every plan holds several runs of hops: one run ends
+/// where the head crosses a bypassed node, another where the wrap sends
+/// it back to the head of its segment. A first batch warms the pool, the
+/// queue and the bank pages; the second is counted. `reached` are the
+/// nodes that must hold the last write.
+fn paced_multi_run_allocs(bypassed: &[usize], cut: &[usize], reached: &[usize]) -> u64 {
+    let mut sim = Simulation::new();
+    let config = RingConfig {
+        segment_wrap: true,
+        ..Default::default()
+    };
+    let ring = Ring::with_config(&sim.handle(), 16, 256, CostModel::default(), config);
+    bypassed.iter().for_each(|&node| ring.bypass_node(node));
+    cut.iter().for_each(|&link| ring.break_link(link));
+    let nic = ring.nic(0);
+    let count = Arc::new(Mutex::new(0));
+    let out = Arc::clone(&count);
+    sim.spawn("writer", move |ctx| {
+        let batch = |ctx: &mut ProcCtx| {
+            let before = ALLOCS.load(Ordering::SeqCst);
+            for i in 0..WRITES {
+                if i % 2 == 0 {
+                    nic.write_word(ctx, i, i as u32);
+                } else {
+                    nic.write_block(ctx, 64, &[i as u32; 8]);
+                }
+                ctx.advance(10_000);
+            }
+            ALLOCS.load(Ordering::SeqCst) - before
+        };
+        batch(ctx);
+        *out.lock().unwrap() = batch(ctx);
+    });
+    assert!(sim.run().is_clean());
+    for node in 1..16 {
+        let got = ring.snapshot(node)[64];
+        let want = if reached.contains(&node) {
+            WRITES as u32 - 1
+        } else {
+            0
+        };
+        assert_eq!(got, want, "node {node}");
+    }
+    let counted = *count.lock().unwrap();
+    counted
+}
+
 #[test]
 fn ring_hops_are_alloc_free_after_warmup() {
     let a4 = measured_batch_allocs(4); // 48 packets × 3 hops = 144 applies
@@ -146,6 +197,17 @@ fn ring_hops_are_alloc_free_after_warmup() {
         (words, blocks),
         (0, 0),
         "allocations by {WRITES} paced write_words, {WRITES} paced write_blocks"
+    );
+
+    // Plans of two and three runs, taking one pooled buffer in turn, once
+    // it is reserved to the longest of them allocate nothing either.
+    let mid_ring_bypass =
+        paced_multi_run_allocs(&[8], &[], &[1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15]);
+    let wrap = paced_multi_run_allocs(&[2], &[4, 11], &[1, 3, 4, 12, 13, 14, 15]);
+    assert_eq!(
+        (mid_ring_bypass, wrap),
+        (0, 0),
+        "allocations by {WRITES} paced writes on a bypassed, on a cut ring"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.

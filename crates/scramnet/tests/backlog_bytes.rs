@@ -1,6 +1,7 @@
 //! What a packet in flight costs the host: one pooled buffer (its trace
-//! id, its hops and its payload) and its queue entry, in which the rest
-//! of the packet — the ring and a header of a few words — rides inline.
+//! id, its itinerary as runs of hops and its payload) and its queue
+//! entry, in which the rest of the packet — the ring and a header of a few
+//! words — rides inline.
 //! A ring offered more than its links carry holds a backlog of such
 //! packets, and the backlog is the process's memory.
 //!
@@ -62,9 +63,9 @@ const ALLOCS_PER_PACKET: u64 = 1;
 /// by doubling, and the source banks' first-touched pages.
 const SETUP_ALLOCS: u64 = 64;
 /// Live bytes per packet in flight, at most: the buffer (two words of
-/// trace id, fifteen hops of two words and the payload: 192 bytes) and
-/// the queue entry that holds the rest inline.
-const BYTES_PER_PACKET: u64 = 300;
+/// trace id, one three-word run of fifteen hops and the payload: 84 bytes)
+/// and the queue entry that holds the rest inline.
+const BYTES_PER_PACKET: u64 = 190;
 
 #[test]
 fn a_packet_in_flight_is_one_buffer_and_its_queue_entry() {

@@ -12,6 +12,10 @@
 //! least-squares line through those medians over the live hops: its
 //! slope is the cost of a hop, its intercept the cost of a packet beyond
 //! its hops (the source's event, the inject's link walk, the plan).
+//! Last, the 16-node storm runs again with node 8 bypassed, so the hops of
+//! most packets make two runs of back-to-back hops in their plans (see
+//! `HopPlan` in `crates/scramnet/src/ring.rs`), and prints ns a packet
+//! beside the healthy ring's one-run plans.
 //!
 //! The repo benchmark pins itself to one CPU; pin this the same way:
 //!
@@ -46,41 +50,53 @@ fn tick(ring: Ring, handle: SimHandle, node: usize, i: u64, t: Time) {
     }
 }
 
+/// A storm on `n` nodes, `bypassed` switched out of the ring and sourcing
+/// nothing: the median host ns per packet of `RUNS` runs, the hops of a
+/// packet and the dispatches of a run.
+fn storm(n: usize, bypassed: Option<usize>) -> (f64, usize, u64) {
+    let sources: Vec<usize> = (0..n).filter(|&node| Some(node) != bypassed).collect();
+    let hops = sources.len() - 1;
+    let mut ns = Vec::with_capacity(RUNS);
+    let mut dispatches = 0;
+    for _ in 0..RUNS {
+        let mut sim = Simulation::new();
+        let handle = sim.handle();
+        let config = RingConfig {
+            bit_error_rate: 1e-4,
+            error_seed: 1999,
+            ..Default::default()
+        };
+        let ring = Ring::with_config(&handle, n, 8192, CostModel::default(), config);
+        if let Some(node) = bypassed {
+            ring.bypass_node(node);
+        }
+        for (k, &node) in sources.iter().enumerate() {
+            let (ring, next) = (ring.clone(), handle.clone());
+            let first = k as Time * PACING_NS / sources.len() as Time;
+            handle.schedule_at(first, move |t| tick(ring, next, node, 0, t));
+        }
+        let start = Instant::now();
+        let report = sim.run();
+        let elapsed = start.elapsed().as_nanos() as f64;
+        assert!(report.is_clean());
+        let packets = sources.len() as u64 * PACKETS_PER_SOURCE;
+        assert_eq!(ring.stats().injections, packets);
+        // Every packet is its source's event and one per hop.
+        assert_eq!(report.dispatches, packets * (1 + hops as u64));
+        dispatches = report.dispatches;
+        ns.push(elapsed / packets as f64);
+    }
+    ns.sort_by(f64::total_cmp);
+    (ns[RUNS / 2], hops, dispatches)
+}
+
 fn main() {
     println!("nodes  hops/packet  dispatches  host ns/packet (median of {RUNS})");
     let mut points = Vec::new();
     for n in [2usize, 4, 8, 16] {
-        let mut ns = Vec::with_capacity(RUNS);
-        let mut dispatches = 0;
-        for _ in 0..RUNS {
-            let mut sim = Simulation::new();
-            let handle = sim.handle();
-            let config = RingConfig {
-                bit_error_rate: 1e-4,
-                error_seed: 1999,
-                ..Default::default()
-            };
-            let ring = Ring::with_config(&handle, n, 8192, CostModel::default(), config);
-            for node in 0..n {
-                let (ring, next) = (ring.clone(), handle.clone());
-                let first = node as Time * PACING_NS / n as Time;
-                handle.schedule_at(first, move |t| tick(ring, next, node, 0, t));
-            }
-            let start = Instant::now();
-            let report = sim.run();
-            let elapsed = start.elapsed().as_nanos() as f64;
-            assert!(report.is_clean());
-            let packets = n as u64 * PACKETS_PER_SOURCE;
-            assert_eq!(ring.stats().injections, packets);
-            // Every packet is its source's event and one per hop.
-            assert_eq!(report.dispatches, packets * n as u64);
-            dispatches = report.dispatches;
-            ns.push(elapsed / packets as f64);
-        }
-        ns.sort_by(f64::total_cmp);
-        let median = ns[RUNS / 2];
-        println!("{n:>5}  {:>11}  {dispatches:>10}  {median:>8.0}", n - 1);
-        points.push(((n - 1) as f64, median));
+        let (median, hops, dispatches) = storm(n, None);
+        println!("{n:>5}  {hops:>11}  {dispatches:>10}  {median:>8.0}");
+        points.push((hops as f64, median));
     }
     let k = points.len() as f64;
     let (mx, my) = points
@@ -92,5 +108,11 @@ fn main() {
     println!(
         "least squares: {per_hop:.1} ns per hop, {:.0} ns per packet",
         my - per_hop * mx
+    );
+    // A packet crossing the bypassed node breaks its hops into two runs.
+    let (median, hops, dispatches) = storm(16, Some(8));
+    println!(
+        "16 nodes, node 8 bypassed: {hops} hops/packet, {dispatches} dispatches, \
+         {median:.0} host ns/packet"
     );
 }
