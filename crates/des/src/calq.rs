@@ -22,8 +22,10 @@
 //!
 //! Payloads sit still in the slab from push to pop (exactly two touches
 //! each); slots recycle through a free list, so the steady state
-//! allocates nothing no matter how deep the queue gets. Pop order is
-//! the total order on `(time, seq)` whichever band a key is in.
+//! allocates nothing no matter how deep the queue gets. A slot holds a
+//! `T` itself, not an `Option<T>`, so an entry costs the payload's bytes
+//! and no tag: a vacant slot holds `T::default()`. Pop order is the
+//! total order on `(time, seq)` whichever band a key is in.
 
 use crate::time::Time;
 use std::collections::VecDeque;
@@ -80,7 +82,8 @@ pub(crate) struct CalendarQueue<T> {
     far_min: Time,
     /// Times `>= boundary` route to `far`; below it, to `late`.
     boundary: Time,
-    slots: Vec<Option<T>>,
+    /// Payloads by slot; a slot on `free` holds `T::default()`.
+    slots: Vec<T>,
     free: Vec<u32>,
     /// Payloads ever written to the slab, for the unit tests that pin
     /// which entries skip it.
@@ -88,13 +91,7 @@ pub(crate) struct CalendarQueue<T> {
     pushes: u64,
 }
 
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> CalendarQueue<T> {
+impl<T: Default> CalendarQueue<T> {
     pub fn new() -> Self {
         CalendarQueue {
             batch: Vec::new(),
@@ -159,11 +156,11 @@ impl<T> CalendarQueue<T> {
         }
         let slot = match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Some(what);
+                self.slots[i as usize] = what;
                 i
             }
             None => {
-                self.slots.push(Some(what));
+                self.slots.push(what);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -213,9 +210,11 @@ impl<T> CalendarQueue<T> {
             if k.time > horizon {
                 return None;
             }
-            let what = self.slots[k.slot as usize]
-                .take()
-                .expect("pending slab slot occupied");
+            // Every slot is pending or free, so a key naming a free slot
+            // is one pending entry too many.
+            let occupied = self.slots.len() - self.free.len();
+            debug_assert!(self.len() == occupied, "pending slab slot occupied");
+            let what = std::mem::take(&mut self.slots[k.slot as usize]);
             self.free.push(k.slot);
             if use_late {
                 self.late.pop_front();
@@ -409,6 +408,41 @@ mod tests {
         assert_eq!(q.pop_due(150), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_due(200), Some((200, 1, 2)));
+    }
+
+    /// A pop leaves its slot holding the default and puts it on the free
+    /// list; the next push takes that slot and the pop after hands back
+    /// the new payload, not the default, with the slab no larger.
+    #[test]
+    fn a_vacated_slot_holds_the_next_push() {
+        let mut q = CalendarQueue::new();
+        q.push(10, 0, "first");
+        q.push(20, 1, "second");
+        assert_eq!(q.pop(), Some((10, "first")));
+        assert_eq!((q.slots[0], q.free.as_slice()), ("", &[0][..]));
+        q.push(15, 2, "third");
+        assert_eq!((q.slots[0], q.free.len(), q.slab_slots()), ("third", 0, 2));
+        assert_eq!(q.pop(), Some((15, "third")));
+        assert_eq!(q.pop(), Some((20, "second")));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// A key that names a vacant slot is a broken queue, caught at the pop
+    /// in a debug build rather than handing out the vacant default.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "pending slab slot occupied")]
+    fn popping_a_vacant_slot_panics() {
+        let mut q = CalendarQueue::new();
+        q.push(10, 0, 1u32);
+        q.pop();
+        q.far.push(Key {
+            time: 20,
+            seq: 1,
+            slot: 0,
+        });
+        q.far_min = 20;
+        q.pop();
     }
 
     /// More than [`LATE_CAP`] in-window keys in mixed order: the late run

@@ -152,22 +152,28 @@ impl ReachabilitySet {
 
 /// One packet in flight: the header a series of transit events
 /// ([`SimHandle::schedule_series`]) moves by value from hop to hop, and
-/// the one pooled buffer it owns. The buffer holds the message trace id
-/// (two words; 0 = untraced, only ever nonzero while full tracing is
-/// enabled, so no protocol word changes), then the packet's itinerary as
-/// runs, then the payload, which every hop reads in place. A run is hops
-/// the packet's head makes back to back, each at the node after the last
+/// the one pooled buffer it owns. The buffer holds the packet's itinerary
+/// as runs, with the message trace id after the first run when it has one
+/// (only ever while full tracing is enabled, so no protocol word changes),
+/// then the payload, which every hop reads in place. A run is hops the
+/// packet's head makes back to back, each at the node after the last
 /// ([`RingShared::next`]) and applying exactly `hop_ns` after it, which on
 /// a register-insertion ring is every hop but one after a bypassed node, a
-/// wait at a busy link or the dual-ring wrap. A run is three words: its
-/// first hop's apply time (two words), then its first node in the low
-/// byte of a word and its hop count in the byte above. Buffers are pooled,
-/// so a warm steady state injects an N-hop packet with zero allocations.
+/// wait at a busy link or the dual-ring wrap. A run's word holds its first
+/// node in the low byte and its hop count in the byte above; every run but
+/// the first is also its first hop's apply time (two words, before its
+/// word). The first run's time is the series' first, and its word carries
+/// [`TRACED`]. Buffers are pooled and all as long as the ring's longest
+/// plan, so a warm steady state injects an N-hop packet with zero
+/// allocations.
 pub(crate) struct HopPlan {
-    /// `[trace; 2] ++ [run; 3] × runs ++ payload`.
-    buf: Vec<Word>,
+    /// `run₀ ++ [trace; 2] if traced ++ ([time; 2] ++ run) × (runs − 1) ++
+    /// payload`, then whatever a longer plan left.
+    buf: Box<[Word]>,
     addr: WordAddr,
     writer: u32,
+    /// Payload words.
+    len: u32,
     /// Hops planned: at most 255, one per node of the ring but its source.
     hops: u8,
     /// Runs the hops make: at most one a hop.
@@ -184,14 +190,17 @@ const _: () = assert!(
     "the transit closure must fit the scheduler's inline budget"
 );
 
-/// Words before a plan's first run: the trace id.
+/// Words of a trace id.
 const TRACE_WORDS: usize = 2;
 
-/// Words a run takes.
+/// Words a run takes, but the first: its time and its word.
 const RUN_WORDS: usize = 3;
 
-/// One more hop in a run's node-and-count word.
+/// One more hop in a run's word.
 const RUN_HOP: Word = 1 << 8;
+
+/// The bit of the first run's word that says the trace id follows it.
+const TRACED: Word = 1 << 16;
 
 /// `v` as two words, low word first.
 fn split(v: u64) -> [Word; 2] {
@@ -199,25 +208,40 @@ fn split(v: u64) -> [Word; 2] {
     [[a, b, c, d], [e, f, g, h]].map(Word::from_le_bytes)
 }
 
-/// The `u64` whose words, low first, are `w[0]` and `w[1]`.
+/// The `u64` whose words, low first, are `w`: none is 0.
 fn join(w: &[Word]) -> u64 {
-    u64::from(w[1]) << 32 | u64::from(w[0])
+    w.iter().rev().fold(0, |v, &w| v << 32 | u64::from(w))
 }
 
 impl HopPlan {
-    /// Run `r`: its first node, its first hop's apply time and its hops.
-    fn run(&self, r: usize) -> (usize, Time, u8) {
-        let at = TRACE_WORDS + RUN_WORDS * r;
-        let [node, hops, ..] = self.buf[at + 2].to_le_bytes();
-        (usize::from(node), join(&self.buf[at..at + 2]), hops)
+    /// Where run `r ≥ 1` starts, its apply time before its word: past the
+    /// first run's word, the trace id if any and the runs between. "Run
+    /// `runs`" starts where the payload does.
+    fn at(&self, r: usize) -> usize {
+        let traced = usize::from(self.buf[0] & TRACED != 0);
+        1 + TRACE_WORDS * traced + RUN_WORDS * (r - 1)
     }
 
+    /// Run `r`: its first node and its hops.
+    fn run(&self, r: usize) -> (usize, u8) {
+        let at = if r == 0 { 0 } else { self.at(r) + 2 };
+        let [node, hops, ..] = self.buf[at].to_le_bytes();
+        (usize::from(node), hops)
+    }
+
+    /// When run `r ≥ 1`'s first hop applies.
+    fn start(&self, r: usize) -> Time {
+        join(&self.buf[self.at(r)..][..2])
+    }
+
+    /// The trace id: 0 when the first run's word is not [`TRACED`].
     fn trace(&self) -> u64 {
-        join(&self.buf[..TRACE_WORDS])
+        join(&self.buf[1..self.at(1)])
     }
 
     fn payload(&self) -> &[Word] {
-        &self.buf[TRACE_WORDS + RUN_WORDS * usize::from(self.runs)..]
+        let at = self.at(usize::from(self.runs));
+        &self.buf[at..at + self.len as usize]
     }
 }
 
@@ -233,12 +257,12 @@ impl HopPlan {
 pub(crate) struct RingState {
     /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
     links: Vec<Time>,
-    /// Free list of plan buffers (see [`HopPlan`]), each empty and
-    /// reserved to `longest_plan` words when it was last taken.
-    plan_pool: Vec<Vec<Word>>,
-    /// Words of the longest plan this ring has built: a buffer is
-    /// reserved to it when taken, so a warm pool never grows one, whatever
-    /// mix of packet sizes and itineraries takes it next.
+    /// Free list of plan buffers (see [`HopPlan`]), each `longest_plan`
+    /// words long when it was last taken.
+    plan_pool: Vec<Box<[Word]>>,
+    /// Words of the longest plan this ring has built: a buffer taken
+    /// shorter than it is replaced, so a warm pool never replaces one,
+    /// whatever mix of packet sizes and itineraries takes it next.
     longest_plan: usize,
     /// The runs of the link walk under way, staged here until the walk
     /// knows the plan's length, then copied into the plan's buffer.
@@ -853,20 +877,30 @@ impl RingShared {
                 // No bank hears it: it takes no buffer.
                 (None, span_end)
             } else {
-                *longest_plan = (*longest_plan).max(TRACE_WORDS + runs.len() + words);
-                let mut buf = plan_pool.pop().unwrap_or_default();
-                buf.reserve_exact(*longest_plan);
-                buf.extend(split(trace));
-                buf.extend_from_slice(runs);
+                // The first run's time is the series' and its word leads;
+                // the trace id follows it only when there is one.
+                let (traced, rest) = (trace != 0, &runs[RUN_WORDS..]);
+                let lead = 1 + TRACE_WORDS * usize::from(traced);
+                let at = lead + rest.len();
+                *longest_plan = (*longest_plan).max(at + words);
+                let mut buf = match plan_pool.pop() {
+                    Some(buf) if buf.len() >= *longest_plan => buf,
+                    _ => vec![0; *longest_plan].into_boxed_slice(),
+                };
+                buf[0] = runs[2] | if traced { TRACED } else { 0 };
+                buf[1..lead].copy_from_slice(&split(trace)[..lead - 1]);
+                buf[lead..at].copy_from_slice(rest);
+                buf[at..at + words].copy_from_slice(data);
                 let plan = HopPlan {
                     buf,
                     addr,
                     writer: u32::try_from(writer).expect("a writer's global id fits 32 bits"),
+                    len: u32::try_from(words).expect("a packet's words fit 32 bits"),
                     hops,
                     runs: u8::try_from(runs.len() / RUN_WORDS).expect("at most one run a hop"),
                     next: 0,
                 };
-                (Some(plan), span_end)
+                (Some((plan, join(&runs[..2]))), span_end)
             }
         };
         self.stats.link_busy_ns.add(busy_ns);
@@ -887,13 +921,12 @@ impl RingShared {
                 .recorder()
                 .count(t_ready, NO_NODE, "ring.truncations", 1);
         }
-        if let Some(mut plan) = plan {
+        if let Some((plan, first_t)) = plan {
             // One series of transit events walks the whole itinerary, each
             // hop returning the next. Its tie-break values are taken here
             // and now, so the pop order is identical to the old engine,
             // which pushed every hop's event here and now.
-            plan.buf.extend_from_slice(data);
-            let (first_t, links) = (plan.run(0).1, u64::from(plan.hops));
+            let links = u64::from(plan.hops);
             let shared = Arc::clone(self);
             self.handle
                 .schedule_series(first_t, links, move |link| shared.transit(plan, link));
@@ -960,15 +993,13 @@ impl RingShared {
             left -= 1;
             if left == 0 {
                 run += 1;
-                (node, next_t, left) = plan.run(run);
+                ((node, left), next_t) = (plan.run(run), plan.start(run));
             }
             if !link.next(next_t) {
                 return Some(Then::at(next_t, move |link| self.transit(plan, link)));
             }
         }
-        let mut buf = plan.buf;
-        buf.clear();
-        self.state().plan_pool.push(buf);
+        self.state().plan_pool.push(plan.buf);
         None
     }
 
@@ -978,7 +1009,7 @@ impl RingShared {
     fn resume(&self, plan: &HopPlan) -> (usize, usize, u8) {
         let (mut run, mut skip) = (0, plan.next);
         loop {
-            let (first, _, hops) = plan.run(run);
+            let (first, hops) = plan.run(run);
             if skip < hops {
                 let node = first + usize::from(skip);
                 let node = if node < self.n { node } else { node - self.n };
@@ -1990,18 +2021,32 @@ mod tests {
         }
     }
 
+    /// The trace id a traced walk tags packet `i` with: both of its words
+    /// nonzero.
+    fn trace_id(i: usize) -> u64 {
+        (i as u64 + 1) << 33 | 0x5A
+    }
+
+    /// What [`assert_walk_matches_reference`] reads of one run: every
+    /// node's deliveries, the links as booked, and the `RingHop` lifecycle
+    /// entries as `(trace id, node, time)`.
+    type Walked = (Vec<Vec<Delivery>>, Vec<Time>, Vec<(u64, usize, Time)>);
+
     /// Packets `(src, ready, words)` on an `n`-node ring with `bypassed`
-    /// nodes and `broken` links: every node's recorded applies of each
-    /// packet are the reference walk's hops, node for node and time for
-    /// time.
-    fn assert_walk_matches_reference(
+    /// nodes and `broken` links, each packet's words distinct; with the
+    /// recorder on when `traced`, packet `i` tagged [`trace_id`]`(i)`.
+    fn walk(
         n: usize,
         bypassed: &[usize],
         broken: &[usize],
         wrap: bool,
         injects: &[(usize, Time, usize)],
-    ) {
+        traced: bool,
+    ) -> Walked {
         let mut sim = Simulation::new();
+        if traced {
+            sim.enable_trace();
+        }
         let config = RingConfig {
             segment_wrap: wrap,
             ..Default::default()
@@ -2013,22 +2058,80 @@ mod tests {
         for (i, &(src, at, words)) in injects.iter().enumerate() {
             let r = ring.clone();
             sim.handle().schedule_at(at, move |t| {
-                r.source_packet(src, t, i, vec![i as Word; words].into());
+                if traced {
+                    r.shared
+                        .handle
+                        .recorder()
+                        .set_current_trace(src as u32, trace_id(i));
+                }
+                let data: Vec<Word> = (0..words).map(|w| (i << 16 | w) as Word).collect();
+                r.source_packet(src, t, i, data.into());
             });
         }
         assert!(sim.run().is_clean());
+        let hops = sim
+            .recorder()
+            .take_events()
+            .into_iter()
+            .filter_map(|event| match event {
+                des::obs::Event::Lifecycle {
+                    time,
+                    node,
+                    id,
+                    stage: Stage::RingHop,
+                    arg,
+                } => {
+                    assert_eq!(
+                        u64::from(node),
+                        arg,
+                        "a plain ring's global ids are its nodes"
+                    );
+                    Some((id, node as usize, time))
+                }
+                _ => None,
+            });
+        let hops = hops.collect();
+        let logs = logs.iter().map(|log| log.lock().clone()).collect();
+        let links = ring.shared.state().links.clone();
+        (logs, links, hops)
+    }
+
+    /// Packets `(src, ready, words)` on an `n`-node ring with `bypassed`
+    /// nodes and `broken` links: every node's recorded applies of each
+    /// packet are the reference walk's hops, node for node and time for
+    /// time. Then the same packets traced: every bank gets what it got
+    /// untraced, and each packet's `RingHop` entries carry its trace id at
+    /// the reference walk's nodes and times.
+    fn assert_walk_matches_reference(
+        n: usize,
+        bypassed: &[usize],
+        broken: &[usize],
+        wrap: bool,
+        injects: &[(usize, Time, usize)],
+    ) {
+        let (logs, got_links, no_hops) = walk(n, bypassed, broken, wrap, injects, false);
+        assert!(no_hops.is_empty(), "an untraced walk records no hop");
         let (mut links, cost) = (vec![0; n], CostModel::default());
         let flags = |set: &[usize]| (0..n).map(|node| set.contains(&node)).collect::<Vec<_>>();
-        let (bypassed, broken) = (flags(bypassed), flags(broken));
+        let (bypassed_at, broken_at) = (flags(bypassed), flags(broken));
+        let mut wants = Vec::new();
         for (i, &(src, at, words)) in injects.iter().enumerate() {
-            let mut want =
-                reference_walk(&cost, &bypassed, &broken, wrap, &mut links, src, at, words);
+            let mut want = reference_walk(
+                &cost,
+                &bypassed_at,
+                &broken_at,
+                wrap,
+                &mut links,
+                src,
+                at,
+                words,
+            );
             want.sort_unstable_by_key(|&(node, t)| (t, node));
             let mut got: Vec<(usize, Time)> = (0..n)
                 .filter(|&node| node != src)
                 .flat_map(|node| {
-                    let log = logs[node].lock();
-                    log.iter()
+                    logs[node]
+                        .iter()
                         .filter(|d| d.addr == i)
                         .map(|d| (node, d.time))
                         .collect::<Vec<_>>()
@@ -2036,8 +2139,69 @@ mod tests {
                 .collect();
             got.sort_unstable_by_key(|&(node, t)| (t, node));
             assert_eq!(got, want, "packet {i} from {src}");
+            wants.push(want);
         }
-        assert_eq!(ring.shared.state().links, links);
+        assert_eq!(got_links, links);
+
+        let (traced_logs, traced_links, hops) = walk(n, bypassed, broken, wrap, injects, true);
+        assert!(
+            traced_logs == logs,
+            "a traced plan delivers what an untraced one does"
+        );
+        assert_eq!(traced_links, links);
+        let planned: usize = wants.iter().map(Vec::len).sum();
+        assert_eq!(hops.len(), planned, "one entry a hop");
+        for (i, want) in wants.into_iter().enumerate() {
+            let mut got: Vec<(usize, Time)> = hops
+                .iter()
+                .filter(|&&(id, ..)| id == trace_id(i))
+                .map(|&(_, node, t)| (node, t))
+                .collect();
+            got.sort_unstable_by_key(|&(node, t)| (t, node));
+            assert_eq!(got, want, "packet {i}'s traced hops");
+        }
+    }
+
+    /// A traced plan is its first run's word, the trace id, the later
+    /// runs and the payload: on a healthy ring (one run) and with a node
+    /// bypassed (two runs), every hop records the packet's id where and
+    /// when the reference walk hops, and delivers the untraced payload.
+    #[test]
+    fn a_traced_plan_carries_its_id_to_every_hop() {
+        let injects = [(0, 0, 3), (5, 100, 1), (2, 40_000, 8)];
+        assert_walk_matches_reference(8, &[], &[], false, &injects);
+        assert_walk_matches_reference(8, &[3], &[], false, &injects);
+    }
+
+    /// Untraced plans leave a warm pool of buffers as long as the longest
+    /// of them; a traced plan of the same packet is two words longer, so
+    /// the pooled buffer it takes is replaced, not overrun, and every bank
+    /// gets its payload.
+    #[test]
+    fn a_traced_plan_replaces_a_shorter_pooled_buffer() {
+        let mut sim = Simulation::new();
+        let ring = quiet_ring(&sim, 4);
+        let payload = Arc::new((1..=4).collect::<Vec<Word>>());
+        for (at, traced) in [(0, false), (10_000, false), (20_000, true)] {
+            let (r, data) = (ring.clone(), Arc::clone(&payload));
+            sim.handle().schedule_at(at, move |t| {
+                if traced {
+                    let rec = r.shared.handle.recorder();
+                    rec.enable();
+                    rec.set_current_trace(1, trace_id(0));
+                }
+                r.source_packet(1, t, 8 * at as usize / 10_000, data);
+            });
+        }
+        assert!(sim.run().is_clean());
+        let state = ring.shared.state();
+        // One run word and four payload words untraced; two more traced.
+        let pool: Vec<usize> = state.plan_pool.iter().map(|buf| buf.len()).collect();
+        assert_eq!((state.longest_plan, pool), (7, vec![7]));
+        drop(state);
+        for node in 0..4 {
+            assert_eq!(ring.snapshot(node)[16..20], payload[..], "node {node}");
+        }
     }
 
     /// The longest plans a ring holds, on the 256 nodes it caps at: 255

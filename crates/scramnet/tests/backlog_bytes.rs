@@ -1,7 +1,7 @@
-//! What a packet in flight costs the host: one pooled buffer (its trace
-//! id, its itinerary as runs of hops and its payload) and its queue
-//! entry, in which the rest of the packet — the ring and a header of a few
-//! words — rides inline.
+//! What a packet in flight costs the host: one pooled buffer (its
+//! itinerary as runs of hops, its trace id when it has one, and its
+//! payload) and its queue entry, in which the rest of the packet — the
+//! ring and a header of a few words — rides inline.
 //! A ring offered more than its links carry holds a backlog of such
 //! packets, and the backlog is the process's memory.
 //!
@@ -62,10 +62,12 @@ const ALLOCS_PER_PACKET: u64 = 1;
 /// What a burst pays once, whatever its size: the queue's storage grown
 /// by doubling, and the source banks' first-touched pages.
 const SETUP_ALLOCS: u64 = 64;
-/// Live bytes per packet in flight, at most: the buffer (two words of
-/// trace id, one three-word run of fifteen hops and the payload: 84 bytes)
-/// and the queue entry that holds the rest inline.
-const BYTES_PER_PACKET: u64 = 190;
+/// Live bytes per packet in flight, at most: the buffer (one run of
+/// fifteen hops, which is one word — its time is the series' first and an
+/// untraced packet stores no trace id — and the payload: 68 bytes) and the
+/// queue entry that holds the rest inline (its 56-byte slab slot, its key
+/// and the queue's doubling slack). 149 measured.
+const BYTES_PER_PACKET: u64 = 160;
 
 #[test]
 fn a_packet_in_flight_is_one_buffer_and_its_queue_entry() {
