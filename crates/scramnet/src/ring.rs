@@ -163,12 +163,12 @@ impl ReachabilitySet {
 /// node in the low byte and its hop count in the byte above; every run but
 /// the first is also its first hop's apply time (two words, before its
 /// word). The first run's time is the series' first, and its word carries
-/// [`TRACED`]. Buffers are pooled and all as long as the ring's longest
-/// plan, so a warm steady state injects an N-hop packet with zero
+/// [`TRACED`]. A buffer is as long as its plan's size [`class`] and pooled
+/// by class, so a warm steady state injects an N-hop packet with zero
 /// allocations.
 pub(crate) struct HopPlan {
     /// `run₀ ++ [trace; 2] if traced ++ ([time; 2] ++ run) × (runs − 1) ++
-    /// payload`, then whatever a longer plan left.
+    /// payload`, then the class's slack.
     buf: Box<[Word]>,
     addr: WordAddr,
     writer: u32,
@@ -201,6 +201,20 @@ const RUN_HOP: Word = 1 << 8;
 
 /// The bit of the first run's word that says the trace id follows it.
 const TRACED: Word = 1 << 16;
+
+/// Buffers a size class keeps in its pool, at most: a drained burst gives
+/// the rest back to the allocator.
+const POOLED: usize = 256;
+
+/// The size class of a plan of `len` words: its index and the words its
+/// buffer holds. Classes are exact up to 16 words, then eight to a
+/// doubling, so a buffer is less than 1/8 longer than its plan, and a
+/// buffer's own length is of its class.
+fn class(len: usize) -> (usize, usize) {
+    let shift = (len.max(16) - 1).ilog2() - 3;
+    let steps = len.div_ceil(1 << shift);
+    (steps + 8 * shift as usize, steps << shift)
+}
 
 /// `v` as two words, low word first.
 fn split(v: u64) -> [Word; 2] {
@@ -257,13 +271,11 @@ impl HopPlan {
 pub(crate) struct RingState {
     /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
     links: Vec<Time>,
-    /// Free list of plan buffers (see [`HopPlan`]), each `longest_plan`
-    /// words long when it was last taken.
-    plan_pool: Vec<Box<[Word]>>,
-    /// Words of the longest plan this ring has built: a buffer taken
-    /// shorter than it is replaced, so a warm pool never replaces one,
-    /// whatever mix of packet sizes and itineraries takes it next.
-    longest_plan: usize,
+    /// Free lists of plan buffers (see [`HopPlan`]), one a size [`class`],
+    /// indexed by class and each at most [`POOLED`] long: a plan takes a
+    /// buffer of its own class, so a one-word flag write never carries a
+    /// buffer a 256-word payload needed.
+    plan_pools: Vec<Vec<Box<[Word]>>>,
     /// The runs of the link walk under way, staged here until the walk
     /// knows the plan's length, then copied into the plan's buffer.
     staged_runs: Vec<Word>,
@@ -493,8 +505,7 @@ impl Ring {
         );
         let state = RingState {
             links: vec![0; n],
-            plan_pool: Vec::new(),
-            longest_plan: 0,
+            plan_pools: Vec::new(),
             staged_runs: Vec::new(),
             conflicts: Vec::new(),
         };
@@ -808,8 +819,7 @@ impl RingShared {
             let mut state = self.state();
             let RingState {
                 links,
-                plan_pool,
-                longest_plan,
+                plan_pools,
                 staged_runs: runs,
                 ..
             } = &mut *state;
@@ -882,11 +892,10 @@ impl RingShared {
                 let (traced, rest) = (trace != 0, &runs[RUN_WORDS..]);
                 let lead = 1 + TRACE_WORDS * usize::from(traced);
                 let at = lead + rest.len();
-                *longest_plan = (*longest_plan).max(at + words);
-                let mut buf = match plan_pool.pop() {
-                    Some(buf) if buf.len() >= *longest_plan => buf,
-                    _ => vec![0; *longest_plan].into_boxed_slice(),
-                };
+                let (class, size) = class(at + words);
+                plan_pools.resize_with(plan_pools.len().max(class + 1), Vec::new);
+                let pooled = plan_pools[class].pop();
+                let mut buf = pooled.unwrap_or_else(|| vec![0; size].into());
                 buf[0] = runs[2] | if traced { TRACED } else { 0 };
                 buf[1..lead].copy_from_slice(&split(trace)[..lead - 1]);
                 buf[lead..at].copy_from_slice(rest);
@@ -956,10 +965,12 @@ impl RingShared {
     /// returned hop is the `Arc<RingShared>`, moved from hop to hop, and
     /// the plan's header by value — the scheduler's inline-closure budget
     /// exactly, checked where [`HopPlan`] is declared — so a full transit
-    /// allocates nothing once the plan pool and queue are warm. Every hop
-    /// reads the payload in the plan's buffer and applies it without the
-    /// ring's lock; the last enters the ring's state once, after the tap
-    /// has read the payload, for the buffer's return to the pool.
+    /// allocates nothing once its class's pool and the queue are warm.
+    /// Every hop reads the payload in the plan's buffer and applies it
+    /// without the ring's lock; the last enters the ring's state once,
+    /// after the tap has read the payload, to return the buffer to its
+    /// class's pool; a buffer its full pool has no room for is freed once
+    /// the lock is released.
     fn transit(self: Arc<Self>, mut plan: HopPlan, link: &mut Link<'_>) -> Option<Then> {
         #[cfg(test)]
         self.transit_calls.add(1);
@@ -999,7 +1010,11 @@ impl RingShared {
                 return Some(Then::at(next_t, move |link| self.transit(plan, link)));
             }
         }
-        self.state().plan_pool.push(plan.buf);
+        let mut state = self.state();
+        let pool = &mut state.plan_pools[class(plan.buf.len()).0];
+        if pool.len() < POOLED {
+            pool.push(plan.buf);
+        }
         None
     }
 
@@ -1093,7 +1108,7 @@ impl RingShared {
         &self.banks[node]
     }
 
-    /// The ring's state: the link horizons, the plan pool, the conflict
+    /// The ring's state: the link horizons, the plan pools, the conflict
     /// log.
     fn state(&self) -> MutexGuard<'_, RingState> {
         #[cfg(test)]
@@ -2173,12 +2188,20 @@ mod tests {
         assert_walk_matches_reference(8, &[3], &[], false, &injects);
     }
 
-    /// Untraced plans leave a warm pool of buffers as long as the longest
-    /// of them; a traced plan of the same packet is two words longer, so
-    /// the pooled buffer it takes is replaced, not overrun, and every bank
-    /// gets its payload.
+    /// The buffers in `ring`'s pools, as `(class, words)`.
+    fn pooled(ring: &Ring) -> Vec<(usize, usize)> {
+        let state = ring.shared.state();
+        let pools = state.plan_pools.iter().enumerate();
+        let each = pools.flat_map(|(c, pool)| pool.iter().map(move |buf| (c, buf.len())));
+        each.collect()
+    }
+
+    /// Untraced plans of four words are five (a run word and the
+    /// payload) and warm the pool of that class; the traced plan of the
+    /// same packet is two words longer, so it takes a buffer of its own
+    /// class, not the shorter pooled one, and every bank gets its payload.
     #[test]
-    fn a_traced_plan_replaces_a_shorter_pooled_buffer() {
+    fn a_traced_plan_takes_a_buffer_of_its_own_class() {
         let mut sim = Simulation::new();
         let ring = quiet_ring(&sim, 4);
         let payload = Arc::new((1..=4).collect::<Vec<Word>>());
@@ -2194,13 +2217,47 @@ mod tests {
             });
         }
         assert!(sim.run().is_clean());
-        let state = ring.shared.state();
-        // One run word and four payload words untraced; two more traced.
-        let pool: Vec<usize> = state.plan_pool.iter().map(|buf| buf.len()).collect();
-        assert_eq!((state.longest_plan, pool), (7, vec![7]));
-        drop(state);
+        assert_eq!(pooled(&ring), [(5, 5), (7, 7)]);
         for node in 0..4 {
             assert_eq!(ring.snapshot(node)[16..20], payload[..], "node {node}");
+        }
+    }
+
+    /// A 256-word write and a one-word flag write on one ring, as the BBP
+    /// makes them: the flag's plan is two words and takes a buffer that
+    /// long, not one the payload's 257-word plan needed (288 words, its
+    /// class), and each buffer goes back to its own class's pool.
+    #[test]
+    fn a_one_word_packet_after_a_long_one_takes_a_small_buffer() {
+        let mut sim = Simulation::new();
+        let ring = quiet_ring(&sim, 4);
+        for (at, words) in [(0, 256), (100_000, 1)] {
+            let r = ring.clone();
+            sim.handle().schedule_at(at, move |t| {
+                r.source_packet(0, t, 0, vec![words as Word; words].into());
+            });
+            assert!(sim.run().is_clean());
+            assert_eq!(ring.snapshot(3)[0], words as Word);
+        }
+        assert_eq!(pooled(&ring), [(2, 2), (class(257).0, 288)]);
+    }
+
+    proptest! {
+        /// A plan of any length fits its class's buffer, exactly up to 16
+        /// words and with less than 1/8 of slack above, and a buffer's own
+        /// length is of the class it came from: a returned buffer goes
+        /// back to the pool it was taken from.
+        #[test]
+        fn a_class_holds_its_plan_with_an_eighth_of_slack(len in 0usize..1 << 24) {
+            let (c, size) = class(len);
+            prop_assert!(size >= len);
+            if len <= 16 {
+                prop_assert_eq!((c, size), (len, len));
+            } else {
+                prop_assert!(8 * (size - len) < len, "{} words in {}", len, size);
+            }
+            prop_assert_eq!(class(size), (c, size));
+            prop_assert!(class(len + 1).0 >= c, "classes grow with length");
         }
     }
 

@@ -6,7 +6,9 @@
 //! match: any per-hop allocation would scale with ring size and split
 //! the two counts by hundreds. A host's PIO writes, paced so each packet
 //! is home before the next, allocate nothing at all, also on a damaged
-//! ring whose packets' itineraries break into several runs.
+//! ring whose packets' itineraries break into several runs, and a burst
+//! no deeper than the pool a size class keeps, sourced again once the
+//! first has drained, allocates nothing either.
 //!
 //! Fault injection stays off (the default config), as on the healthy
 //! hardware the paper assumes, so the clean apply path is what's timed.
@@ -62,7 +64,7 @@ fn schedule_batch(sim: &Simulation, ring: &Ring, nodes: usize, at: Time) {
 }
 
 /// Allocations during a warm batch of `PACKETS` packets on an
-/// `nodes`-node ring: one warm-up batch grows the plan pool, queue
+/// `nodes`-node ring: one warm-up batch grows the plan pools, queue
 /// bands, and slab; the second, identically shaped batch is measured.
 fn measured_batch_allocs(nodes: usize) -> u64 {
     let mut sim = Simulation::new();
@@ -172,6 +174,41 @@ fn paced_multi_run_allocs(bypassed: &[usize], cut: &[usize], reached: &[usize]) 
     counted
 }
 
+/// Packets a burst sources from one event, one- and eight-word packets
+/// alternating: two size classes, each as deep as the pool the ring keeps
+/// of a class.
+const BURST: usize = 512;
+
+/// Allocations made by the second of two identical bursts of `BURST`
+/// packets on a 16-node ring, round-robin over its nodes, the first
+/// drained before the second is sourced: the pools the first burst's
+/// buffers went back to hold every buffer the second takes.
+fn burst_drain_burst_allocs() -> u64 {
+    let mut sim = Simulation::new();
+    let ring = Ring::new(&sim.handle(), 16, 256, CostModel::default());
+    let payloads = [Arc::new(vec![1; 1]), Arc::new(vec![8; 8])];
+    let burst = |sim: &mut Simulation, at: Time| {
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let (r, payloads) = (ring.clone(), payloads.clone());
+        sim.handle().schedule_at(at, move |t| {
+            for p in 0..BURST {
+                r.source_packet(p % 16, t, 16 * (p % 2), Arc::clone(&payloads[p % 2]));
+            }
+        });
+        assert!(sim.run().is_clean());
+        ALLOCS.load(Ordering::SeqCst) - before
+    };
+    burst(&mut sim, 0);
+    let counted = burst(&mut sim, 10_000_000);
+    assert_eq!(ring.stats().injections as usize, 2 * BURST);
+    assert_eq!(
+        ring.snapshot(0)[16..24],
+        [8; 8],
+        "node 0 holds the odd nodes' eight-word writes"
+    );
+    counted
+}
+
 #[test]
 fn ring_hops_are_alloc_free_after_warmup() {
     let a4 = measured_batch_allocs(4); // 48 packets × 3 hops = 144 applies
@@ -208,6 +245,15 @@ fn ring_hops_are_alloc_free_after_warmup() {
         (mid_ring_bypass, wrap),
         (0, 0),
         "allocations by {WRITES} paced writes on a bypassed, on a cut ring"
+    );
+
+    // The pools keep what a warm steady state reuses: a burst as deep as
+    // a class's pool, drained, leaves every buffer the same burst takes
+    // again.
+    assert_eq!(
+        burst_drain_burst_allocs(),
+        0,
+        "allocations by a drained ring's second burst of {BURST} packets"
     );
 
     // Sanity-check the counter itself so a broken hook cannot fake a pass.
