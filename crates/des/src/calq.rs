@@ -30,31 +30,45 @@
 use crate::time::Time;
 use std::collections::VecDeque;
 
-/// One queue key: fires at `time`; `seq` breaks ties so the schedule is
-/// deterministic. `(time, seq)` is unique per entry. The payload lives
-/// in the queue's slab under `slot`, so a key is 24 bytes and a sort or
-/// an insert moves keys only — payloads never travel through a band.
-#[derive(Clone, Copy)]
+/// One queue key: fires at `time`; its tie-break `seq` makes the schedule
+/// deterministic, and `(time, seq)` is unique per entry. The payload lives
+/// in the queue's slab under a slot, so a sort or an insert moves keys
+/// only — payloads never travel through a band. `tag` is one word,
+/// `seq << SLOT_BITS | slot`: as `(time, seq)` is unique, `(time, tag)`
+/// orders exactly as `(time, seq)`, and a key is 16 bytes.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Key {
     pub time: Time,
-    pub seq: u64,
-    slot: u32,
+    tag: u64,
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+/// Low bits of a key's tag that name its slot: 2^24 pending entries
+/// (≈ 16.7 M: 1.3 GB of `WakeWhat` slots, keys and free list); the 40
+/// above hold the tie-break (≈ 1.1 × 10^12 pushes a world).
+const SLOT_BITS: u32 = 24;
+
+impl Key {
+    /// Panics, in every build, on a `seq` or a `slot` its bits cannot hold
+    /// rather than silently changing the schedule.
+    fn new(time: Time, seq: u64, slot: usize) -> Key {
+        assert!(
+            seq < 1 << 40,
+            "tie-break {seq} overflows a queue key: a simulation schedules at most 2^40 entries"
+        );
+        assert!(
+            slot < 1 << SLOT_BITS,
+            "slot {slot} overflows a queue key: a simulation holds at most 2^24 pending entries"
+        );
+        let tag = seq << SLOT_BITS | slot as u64;
+        Key { time, tag }
     }
-}
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn seq(self) -> u64 {
+        self.tag >> SLOT_BITS
     }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+
+    fn slot(self) -> usize {
+        (self.tag & ((1 << SLOT_BITS) - 1)) as usize
     }
 }
 
@@ -145,7 +159,7 @@ impl<T: Default> CalendarQueue<T> {
             .into_iter()
             .chain(self.late.front());
         heads
-            .map(|k| (k.time, k.seq))
+            .map(|k| (k.time, k.seq()))
             .fold(far.min((horizon, u64::MAX)), Ord::min)
     }
 
@@ -154,17 +168,12 @@ impl<T: Default> CalendarQueue<T> {
         {
             self.pushes += 1;
         }
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = what;
-                i
-            }
-            None => {
-                self.slots.push(what);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let key = Key { time, seq, slot };
+        let slot = self.free.pop().map_or(self.slots.len(), |i| i as usize);
+        let key = Key::new(time, seq, slot);
+        match self.slots.get_mut(slot) {
+            Some(vacant) => *vacant = what,
+            None => self.slots.push(what),
+        }
         if time >= self.boundary {
             self.far_min = self.far_min.min(time);
             self.far.push(key);
@@ -214,14 +223,14 @@ impl<T: Default> CalendarQueue<T> {
             // is one pending entry too many.
             let occupied = self.slots.len() - self.free.len();
             debug_assert!(self.len() == occupied, "pending slab slot occupied");
-            let what = std::mem::take(&mut self.slots[k.slot as usize]);
-            self.free.push(k.slot);
+            let what = std::mem::take(&mut self.slots[k.slot()]);
+            self.free.push(k.slot() as u32);
             if use_late {
                 self.late.pop_front();
             } else {
                 self.cursor += 1;
             }
-            return Some((k.time, k.seq, what));
+            return Some((k.time, k.seq(), what));
         }
     }
 
@@ -281,24 +290,30 @@ impl<T: Default> CalendarQueue<T> {
 mod tests {
     use super::*;
 
+    /// The largest tie-break value and slot a key holds.
+    const MAX_SEQ: u64 = (1 << (64 - SLOT_BITS)) - 1;
+    const MAX_SLOT: usize = (1 << SLOT_BITS) - 1;
+
+    /// A tie-break value past the 40 bits a key keeps for it panics at the
+    /// push, in optimised code too, rather than wrapping into a wrong order.
     #[test]
-    fn keys_order_by_time_then_seq() {
-        let a = Key {
-            time: 5,
-            seq: 1,
-            slot: 7,
-        };
-        let b = Key {
-            time: 5,
-            seq: 2,
-            slot: 0,
-        };
-        let c = Key {
-            time: 4,
-            seq: 9,
-            slot: 3,
-        };
-        assert!(c < a && a < b);
+    #[should_panic(
+        expected = "tie-break 1099511627776 overflows a queue key: a simulation schedules at most 2^40"
+    )]
+    fn a_seq_past_its_bits_panics() {
+        CalendarQueue::new().push(0, MAX_SEQ + 1, ());
+    }
+
+    /// Likewise a slot past its 24 bits: a queue of zero-sized payloads
+    /// whose slab already holds 2^24 of them (no storage), pushed once more.
+    #[test]
+    #[should_panic(
+        expected = "slot 16777216 overflows a queue key: a simulation holds at most 2^24 pending"
+    )]
+    fn a_slot_past_its_bits_panics() {
+        let mut q = CalendarQueue::new();
+        q.slots = vec![(); MAX_SLOT + 1];
+        q.push(0, 0, ());
     }
 
     #[test]
@@ -314,8 +329,36 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// A tie-break value over the packing's full range, its top edge often.
+    fn any_seq() -> impl Strategy<Value = u64> {
+        prop_oneof![0..=MAX_SEQ, Just(MAX_SEQ), Just(0)]
+    }
+
+    /// A slot over the packing's full range, its top edge often.
+    fn any_slot() -> impl Strategy<Value = usize> {
+        prop_oneof![0..=MAX_SLOT, Just(MAX_SLOT), Just(0)]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+        /// Keys order exactly as their `(time, seq)` whatever slots they
+        /// name, and hand all three back, over the packing's full ranges,
+        /// both edges included. Times are drawn close, so ties on time are
+        /// common; two entries never share a `(time, seq)`.
+        #[test]
+        fn keys_order_as_time_then_seq(
+            a in (0..4u64, any_seq(), any_slot()),
+            b in (0..4u64, any_seq(), any_slot()),
+        ) {
+            if (a.0, a.1) == (b.0, b.1) {
+                return Ok(());
+            }
+            let (ka, kb) = (Key::new(a.0, a.1, a.2), Key::new(b.0, b.1, b.2));
+            prop_assert_eq!(ka.cmp(&kb), (a.0, a.1).cmp(&(b.0, b.1)));
+            prop_assert_eq!(ka == kb, false);
+            prop_assert_eq!((ka.time, ka.seq(), ka.slot()), a);
+        }
 
         /// A key below `bound(horizon)` is "next" exactly when pushing it
         /// and popping once up to `horizon` would hand it straight back —
@@ -436,11 +479,7 @@ mod tests {
         let mut q = CalendarQueue::new();
         q.push(10, 0, 1u32);
         q.pop();
-        q.far.push(Key {
-            time: 20,
-            seq: 1,
-            slot: 0,
-        });
+        q.far.push(Key::new(20, 1, 0));
         q.far_min = 20;
         q.pop();
     }
@@ -473,7 +512,7 @@ mod tests {
             assert!(time < window);
             if q.boundary == window {
                 match q.late.back() {
-                    Some(back) if (time, seq) < (back.time, back.seq) => inserts += 1,
+                    Some(back) if (time, seq) < (back.time, back.seq()) => inserts += 1,
                     _ => appends += 1,
                 }
             }

@@ -66,6 +66,8 @@ impl Default for WakeWhat {
 // `ring_storm` benchmark and 1.05 MB of its backlog. The chain lives in
 // the process table.
 const _: () = assert!(std::mem::size_of::<WakeWhat>() == 56);
+// A key is 16 bytes, one a packet in the backlog (see `calq::Key`).
+const _: () = assert!(std::mem::size_of::<crate::calq::Key>() == 16);
 
 /// The scheduler's pending queue: one banded calendar
 /// ([`CalendarQueue`]) over `WakeWhat` payloads.

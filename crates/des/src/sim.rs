@@ -47,6 +47,10 @@ impl RunReport {
 
 /// A discrete-event simulation: a set of processes, a pending-event queue,
 /// and a deterministic run loop. See the crate docs for the model.
+///
+/// The queue holds at most 2^24 (≈ 16.7 M) pending entries at once, and a
+/// simulation schedules at most 2^40 entries in its life; scheduling past
+/// either panics, in every build, rather than change the order.
 pub struct Simulation {
     sched: Arc<SchedShared>,
 }
