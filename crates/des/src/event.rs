@@ -66,7 +66,7 @@
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
-use crate::sched::Link;
+use crate::sched::{Link, Reserved};
 use crate::time::Time;
 
 /// Inline storage size, in pointer-sized words.
@@ -81,9 +81,14 @@ pub const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 /// The event that follows a link: run `f` at `at`. A link of a series
 /// ([`crate::SimHandle::schedule_series`]) returns one when
 /// [`Link::next`] says it is not the next entry due, and the dispatch loop
-/// queues it on the series' next tie-break value.
+/// queues it on the series' next tie-break value — or, for the first link
+/// of a reserved series ([`Then::reserved`]), on the value its reservation
+/// holds.
 pub struct Then {
     pub(crate) at: Time,
+    /// The tie-break value of a reserved series' first link; `None` for
+    /// the running series' next.
+    pub(crate) seq: Option<u64>,
     pub(crate) f: EventFn,
 }
 
@@ -92,6 +97,27 @@ impl Then {
     pub fn at(t: Time, f: impl FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static) -> Self {
         Then {
             at: t,
+            seq: None,
+            f: EventFn::link(f),
+        }
+    }
+
+    /// The first link of the series `r` reserved
+    /// ([`crate::SimHandle::reserve_series`]): `f` runs at `t` on the
+    /// reservation's first tie-break value, and its successors on the
+    /// values after it, as if the series had been scheduled when it was
+    /// reserved. A link returns it in place of a successor of its own (the
+    /// last link of a series has none); the dispatch loop queues it with
+    /// the entry it makes after every link, and a `t` in the past of the
+    /// link panics as [`Then::at`]'s does.
+    pub fn reserved(
+        r: Reserved,
+        t: Time,
+        f: impl FnOnce(&mut Link<'_>) -> Option<Then> + Send + 'static,
+    ) -> Self {
+        Then {
+            at: t,
+            seq: Some(r.into_raw()),
             f: EventFn::link(f),
         }
     }
@@ -343,7 +369,8 @@ mod tests {
         assert_eq!(size_of_val(&f), INLINE_BYTES);
         assert!(fits_inline(&f));
         call(EventFn::new(f), 100);
-        assert_eq!(hit.load(Ordering::SeqCst), 100 + 15);
+        let sum: usize = (1..INLINE_WORDS).sum();
+        assert_eq!(hit.load(Ordering::SeqCst), 100 + sum as u64);
     }
 
     /// **layout**: size alone does not admit an `F` — one that is small

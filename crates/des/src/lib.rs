@@ -63,6 +63,10 @@
 //! process compares the key its resumption would get, and jumps its
 //! clock instead of queueing it. Each step is still a dispatch at its own
 //! `(time, seq)`, counted, clocked and traced as its pop would have been.
+//! A series may also be reserved ([`SimHandle::reserve_series`]): its
+//! values are taken then, and a link queues its first link later
+//! ([`Then::reserved`]), so a model that holds booked work in a FIFO of
+//! its own keeps a number with it, not a queue entry.
 //!
 //! ## Stalls and software costs
 //!
@@ -167,7 +171,7 @@ pub mod rng;
 
 pub use event::{Then, INLINE_BYTES};
 pub use process::{ProcCtx, ProcId, Sample};
-pub use sched::{Link, SimHandle};
+pub use sched::{Link, Reserved, SimHandle};
 pub use signal::Signal;
 pub use sim::{RunReport, Simulation};
 pub use time::{ms, ns, secs, us, Time, TimeExt};

@@ -128,6 +128,10 @@ pub(crate) struct Agenda {
     /// (The returns to the `run_until` caller are counted by the caller.)
     pub grants: u64,
     pub relayed: u64,
+    /// Series reserved and not yet queued ([`SimHandle::reserve_series`]):
+    /// pending entries whose storage their owners keep. Outlives a run,
+    /// like the queue.
+    reserved: u64,
     /// `Resume`s in the queue that belong to a sleeping cycle (see
     /// [`crate::ProcCtx::scan_until`]). Outlives a run: a cycle queued past
     /// one horizon is still there under the next.
@@ -167,9 +171,41 @@ impl Agenda {
     /// pushed here and now.
     #[inline]
     pub fn push_series(&mut self, time: Time, links: u64, what: WakeWhat) {
+        let seq = self.take(links);
+        self.push_at_seq(time, seq, what);
+    }
+
+    /// Take `links` tie-break values, as [`Self::push_series`] does, for a
+    /// series whose owner queues it later ([`Then::reserved`]); until then
+    /// it counts as pending.
+    #[inline]
+    pub fn reserve(&mut self, links: u64) -> Reserved {
+        self.reserved += 1;
+        Reserved {
+            seq: self.take(links),
+        }
+    }
+
+    /// The next `links` tie-break values: the first of them.
+    #[inline]
+    fn take(&mut self, links: u64) -> u64 {
         let seq = self.seq;
         self.seq += links;
-        self.push_at_seq(time, seq, what);
+        seq
+    }
+
+    /// Queue a link's successor, which its closure returned: on the
+    /// running series' next value `seq`, or on the one a reservation held.
+    #[inline]
+    fn push_then(&mut self, then: Then, seq: u64) {
+        let seq = match then.seq {
+            Some(reserved) => {
+                self.reserved -= 1;
+                reserved
+            }
+            None => seq,
+        };
+        self.push_at_seq(then.at, seq, WakeWhat::Event(then.f));
     }
 
     /// Queue `what` on tie-break value `seq`: a fresh one, or the one a
@@ -178,6 +214,13 @@ impl Agenda {
     fn push_at_seq(&mut self, time: Time, seq: u64, what: WakeWhat) {
         check_not_past(time, self.now);
         self.pending.push(time, seq, what);
+    }
+
+    /// Pending entries: those queued, and the reserved series their owners
+    /// keep (see [`crate::RunReport::peak_queue_depth`]).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.pending.len() + self.reserved as usize
     }
 
     /// Bring the run clock up to where a process's clock has been walked
@@ -214,7 +257,7 @@ impl Agenda {
     /// a word already written may not have been looked at yet, and the
     /// process that sees it will wake and write others.
     fn becalmed(&self) -> bool {
-        self.horizon == Time::MAX && self.pending.len() as u64 == self.cycling
+        self.horizon == Time::MAX && self.len() as u64 == self.cycling
     }
 
     /// Asked at the end of each round of a cycle, at `at`: can no look of
@@ -308,6 +351,7 @@ impl SchedShared {
                     peak_queue_depth: 0,
                     grants: 0,
                     relayed: 0,
+                    reserved: 0,
                     cycling: 0,
                     woken: 0,
                     longest_round: 0,
@@ -395,6 +439,13 @@ impl SchedShared {
     pub fn push_series(&self, time: Time, links: u64, what: WakeWhat) {
         self.assert_settled("scheduling");
         self.core().agenda.push_series(time, links, what);
+    }
+
+    /// Reserve a series of `links`, from outside the scheduler (see
+    /// [`Agenda::reserve`]).
+    pub fn reserve_series(&self, links: u64) -> Reserved {
+        self.assert_settled("scheduling");
+        self.core().agenda.reserve(links)
     }
 
     pub fn record(&self, entry: TraceEntry) {
@@ -510,14 +561,15 @@ impl SchedShared {
     ///
     /// An event's closure runs as a [`Link`], read off the core as it is
     /// popped. It runs each successor that is next itself ([`Link::next`]),
-    /// so one it returns is not: the loop queues it on its key, `seq + 1`,
+    /// so one it returns is not: the loop queues it on its key, `seq + 1`
+    /// (or a reserved series' first link on its reservation's value),
     /// under the entry it makes after every closure. The pops come in
     /// `(time, seq)` order either way.
     pub fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
         let horizon = core.agenda.horizon;
         loop {
             let agenda = &mut core.agenda;
-            agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.pending.len());
+            agenda.peak_queue_depth = agenda.peak_queue_depth.max(agenda.len());
             let Some((now, seq, what)) = agenda.pending.pop_due(horizon) else {
                 return Baton::Stop(Returned::Idle);
             };
@@ -546,9 +598,8 @@ impl SchedShared {
                         Err(payload) => return Baton::Stop(Returned::EventPanic(payload)),
                     };
                     core = self.core();
-                    if let Some(Then { at, f }) = then {
-                        let seq = link.seq + 1;
-                        core.agenda.push_at_seq(at, seq, WakeWhat::Event(f));
+                    if let Some(then) = then {
+                        core.agenda.push_then(then, link.seq + 1);
                     }
                 }
                 WakeWhat::Resume(id) => {
@@ -743,6 +794,34 @@ impl<'a> Link<'a> {
     }
 }
 
+/// Tie-break values taken for a series that is queued later
+/// ([`SimHandle::reserve_series`]): a pending entry whose storage its owner
+/// keeps until a link returns it as [`Then::reserved`]. Neither `Clone`
+/// nor `Copy`: a reservation is queued once. One dropped unqueued stays
+/// pending for the simulation's life, so a run that has nothing else left
+/// is never reported deadlocked or asleep for good.
+#[must_use = "a reservation is a pending entry until a link queues it (`Then::reserved`)"]
+pub struct Reserved {
+    seq: u64,
+}
+
+impl Reserved {
+    /// The reservation as a number, for an owner that keeps it among words
+    /// of its own (a transmit FIFO's records); [`Self::from_raw`] takes it
+    /// back.
+    pub fn into_raw(self) -> u64 {
+        self.seq
+    }
+
+    /// The reservation [`Self::into_raw`] turned into `raw`. Each is taken
+    /// back once: a second copy queued takes values that belong to other
+    /// entries, which breaks the determinism contract (but not memory
+    /// safety).
+    pub fn from_raw(raw: u64) -> Self {
+        Reserved { seq: raw }
+    }
+}
+
 /// A cloneable handle into the scheduler. Hardware models hold one to
 /// schedule propagation events; processes obtain one via
 /// [`crate::ProcCtx::handle`].
@@ -788,6 +867,21 @@ impl SimHandle {
         assert!(links > 0, "a series has at least one link");
         self.sched
             .push_series(t, links, WakeWhat::Event(EventFn::link(f)));
+    }
+
+    /// Take the tie-break values of a series of `links` now, exactly as
+    /// [`Self::schedule_series`] would, and queue it later: a link returns
+    /// its first link as [`Then::reserved`], at a time of its choosing.
+    /// The series then pops, interleaves and counts exactly as if it had
+    /// been scheduled here and now, provided it is queued before anything
+    /// that sorts after it pops. Until then it is a pending entry that
+    /// the queue does not store: [`crate::RunReport::peak_queue_depth`]
+    /// counts it, and a run cannot end deadlocked while it is outstanding.
+    /// A hardware model that holds a booked packet in a FIFO of its own
+    /// keeps only the reservation's number with it ([`Reserved::into_raw`]).
+    pub fn reserve_series(&self, links: u64) -> Reserved {
+        assert!(links > 0, "a series has at least one link");
+        self.sched.reserve_series(links)
     }
 
     /// Debug builds: panic, naming the process and the time it owes, if
@@ -1064,6 +1158,131 @@ mod tests {
                 "runs on: {runs_on}"
             );
         }
+    }
+
+    /// What ran, as [`link`] logs it, and each run's dispatches, peak
+    /// depth and end.
+    type Carried = (Vec<(char, u64, Time)>, [(u64, usize, Time); 2]);
+
+    /// Plain events at 10 and 30 ns queued first, a two-link carrier at 10
+    /// and 20, then a three-link series at 30, 40 and 50 — scheduled there
+    /// and then, or, when `reserve`, reserved there and queued by the
+    /// carrier's last link — and plain events at 30, 40 and 50 queued last;
+    /// run to 15, then to the end. Returns what ran, and what each run
+    /// reported.
+    fn carried(reserve: bool, runs_on: bool) -> Carried {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let plain = |tag: char, k: u64, t: Time| {
+            let log = Arc::clone(&log);
+            h.schedule_at(t, move |t| log.lock().push((tag, k, t)));
+        };
+        for (k, t) in [(0, 10), (1, 30), (2, 30)] {
+            plain('b', k, t);
+        }
+        let held = Arc::new(Mutex::new(None));
+        let (carry, l) = (Arc::clone(&held), Arc::clone(&log));
+        h.schedule_series(10, 2, move |link| {
+            l.lock().push(('c', 0, link.now()));
+            Some(Then::at(20, move |link| {
+                l.lock().push(('c', 1, link.now()));
+                let (r, first) = carry.lock().take()?;
+                Some(Then::reserved(r, 30, first))
+            }))
+        });
+        let series = link(Arc::clone(&log), 0, 3, 10, runs_on);
+        if reserve {
+            *held.lock() = Some((h.reserve_series(3), series));
+        } else {
+            h.schedule_series(30, 3, series);
+        }
+        for (k, t) in [(0, 30), (1, 40), (2, 50)] {
+            plain('a', k, t);
+        }
+        let runs = [sim.run_until(15), sim.run()];
+        let log = log.lock().clone();
+        (
+            log,
+            runs.map(|r| (r.dispatches, r.peak_queue_depth, r.end_time)),
+        )
+    }
+
+    /// A reserved series pops among the entries queued before and after
+    /// its reservation, counts its dispatches and peaks the queue exactly as
+    /// the same series scheduled where it was reserved, though it enters
+    /// the queue only as the carrier's last link runs — and across a run's
+    /// end, where it is pending and unqueued.
+    #[test]
+    fn a_reserved_series_runs_as_if_scheduled_at_its_reservation() {
+        let want = [
+            ('b', 0, 10),
+            ('c', 0, 10),
+            ('c', 1, 20),
+            ('b', 1, 30),
+            ('b', 2, 30),
+            ('s', 0, 30),
+            ('a', 0, 30),
+            ('s', 1, 40),
+            ('a', 1, 40),
+            ('s', 2, 50),
+            ('a', 2, 50),
+        ];
+        for runs_on in [false, true] {
+            let scheduled = carried(false, runs_on);
+            assert_eq!(scheduled.0, want, "runs on: {runs_on}");
+            assert_eq!(scheduled.1, [(2, 8, 10), (9, 7, 50)], "runs on: {runs_on}");
+            assert_eq!(carried(true, runs_on), scheduled, "runs on: {runs_on}");
+        }
+    }
+
+    /// A reserved series queued in the past of the link that queues it
+    /// panics, as that link's own successor would.
+    #[test]
+    #[should_panic(
+        expected = "scheduled at 50 ns, which is in the past of a run that is at 100 ns"
+    )]
+    fn a_reserved_series_queued_in_the_past_panics() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let r = h.reserve_series(1);
+        h.schedule_series(100, 1, move |_| Some(Then::reserved(r, 50, |_| None)));
+        sim.run();
+    }
+
+    /// An outstanding reservation is pending: an agenda that holds nothing
+    /// else is not becalmed, and a run that ends with it outstanding and a
+    /// process blocked reports no deadlock — the series may yet notify it,
+    /// and here does.
+    #[test]
+    fn a_run_that_ends_with_a_reservation_outstanding_is_not_becalmed() {
+        let sched = SchedShared::new();
+        assert!(sched.core().agenda.becalmed());
+        let r = sched.reserve_series(1);
+        assert!(!sched.core().agenda.becalmed());
+        let _ = r.into_raw();
+
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let signal = h.new_signal();
+        let waits = signal.clone();
+        sim.spawn("waiter", move |ctx| {
+            ctx.wait(&waits);
+            assert_eq!(ctx.now(), 200);
+        });
+        let r = h.reserve_series(1);
+        let first = sim.run();
+        assert!(first.is_clean(), "{first:?}");
+        h.schedule_series(100, 1, move |_| {
+            Some(Then::reserved(r, 200, move |_| {
+                signal.notify_at(200);
+                None
+            }))
+        });
+        let second = sim.run();
+        assert!(second.is_clean(), "{second:?}");
+        assert_eq!((second.dispatches, second.end_time), (3, 200));
+        assert_eq!(sim.handle().sched.core().agenda.len(), 0);
     }
 
     /// Entries pushed into `sim`'s pending queue so far.

@@ -15,7 +15,9 @@ pub struct RunReport {
     /// Total scheduler dispatches (events + process resumptions).
     pub dispatches: u64,
     /// Largest pending-queue length observed at a dispatch point during
-    /// this run — a measure of how event-dense the workload is.
+    /// this run — a measure of how event-dense the workload is. A reserved
+    /// series ([`crate::SimHandle::reserve_series`]) is a pending entry
+    /// whose storage its owner keeps, and counts as one.
     pub peak_queue_depth: usize,
     /// Baton transfers between OS threads during this run: every grant
     /// to a process other than the one dispatching, and every return to
@@ -155,7 +157,7 @@ impl Simulation {
             }
         }
         let mut core = sched.core();
-        let deadlocked: Vec<String> = if core.agenda.pending.len() == 0 {
+        let deadlocked: Vec<String> = if core.agenda.len() == 0 {
             core.procs
                 .iter()
                 .filter(|p| !p.finished)

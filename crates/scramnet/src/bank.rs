@@ -37,11 +37,13 @@ pub struct WriteRecord {
 /// table grown to the highest page written (before the pages were
 /// atomics). Neither its throughput nor `ring_storm`'s resolved between
 /// the two page sizes. See docs/PERFORMANCE.md, "Measured and not taken".
-const PAGE_WORDS: usize = 256;
+pub(crate) const PAGE_WORDS: usize = 256;
 
-type Page = Box<[AtomicU32; PAGE_WORDS]>;
+pub(crate) type Page = Box<[AtomicU32; PAGE_WORDS]>;
 
-/// Pages and page tables of dropped banks, for the next bank to use.
+/// Pages and page tables of dropped banks, for the next bank to use, and
+/// the pages a source's transmit FIFO ([`crate::fifo::Fifo`]) holds its
+/// records in while it has any.
 ///
 /// A page is boxed on whichever thread runs the hop event that first
 /// writes there, so pages land in glibc's per-thread arenas, which keep
@@ -71,9 +73,10 @@ fn free_storage() -> MutexGuard<'static, FreeStorage> {
     FREE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How many bank pages and page tables this process has allocated because
-/// no dropped bank had one to hand on: `(pages, tables)`. Stops growing
-/// once the process has dropped a world as large as the ones it builds.
+/// How many pages (a bank's, or a transmit FIFO's) and bank page tables
+/// this process has allocated because none had been handed back:
+/// `(pages, tables)`. Stops growing once the process has dropped a world
+/// as large as the ones it builds.
 pub fn bank_storage_allocated() -> (u64, u64) {
     free_storage().fresh
 }
@@ -276,15 +279,17 @@ fn store(words: &[AtomicU32], data: &[Word]) {
     }
 }
 
+/// A page from the free list, if it has one, counting one it has not.
+fn recycled_page() -> Option<Page> {
+    let mut free = free_storage();
+    let page = free.pages.pop();
+    free.fresh.0 += u64::from(page.is_none());
+    page
+}
+
 /// A zeroed page: a recycled one if there is one.
 fn new_page() -> Page {
-    let recycled = {
-        let mut free = free_storage();
-        let page = free.pages.pop();
-        free.fresh.0 += u64::from(page.is_none());
-        page
-    };
-    match recycled {
+    match recycled_page() {
         Some(mut page) => {
             for word in page.iter_mut() {
                 *word.get_mut() = 0;
@@ -293,6 +298,17 @@ fn new_page() -> Page {
         }
         None => Box::new([const { AtomicU32::new(0) }; PAGE_WORDS]),
     }
+}
+
+/// A page whose words are whatever they were: a recycled one if there is
+/// one.
+pub(crate) fn take_page() -> Page {
+    recycled_page().unwrap_or_else(|| Box::new([const { AtomicU32::new(0) }; PAGE_WORDS]))
+}
+
+/// Hand `page` to the next bank or FIFO that needs one.
+pub(crate) fn give_page(page: Page) {
+    free_storage().pages.push(page);
 }
 
 impl Drop for Bank {

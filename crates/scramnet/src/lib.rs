@@ -51,6 +51,7 @@
 mod bank;
 mod cost;
 pub mod fault;
+mod fifo;
 mod hierarchy;
 mod nic;
 mod ring;

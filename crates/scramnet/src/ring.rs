@@ -5,11 +5,12 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use des::obs::{Layer, Stage, NO_NODE};
-use des::{Link, Signal, SimHandle, Then, Time};
+use des::{Link, Reserved, Signal, SimHandle, Then, Time};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::bank::{Bank, Span};
 use crate::cost::{CostModel, TxMode, BYPASS_HOP_NS, INTERRUPT_DISPATCH_NS};
+use crate::fifo::Fifo;
 use crate::nic::Nic;
 use crate::stats::{AtomicRingStats, Bump, RingStats};
 use crate::{Word, WordAddr};
@@ -165,7 +166,9 @@ impl ReachabilitySet {
 /// word). The first run's time is the series' first, and its word carries
 /// [`TRACED`]. A buffer is as long as its plan's size [`class`] and pooled
 /// by class, so a warm steady state injects an N-hop packet with zero
-/// allocations.
+/// allocations. A packet booked behind its source's chain has no plan yet:
+/// it waits as a record in the source's FIFO ([`Chain`]) until the packet
+/// ahead of it queues it.
 pub(crate) struct HopPlan {
     /// `run₀ ++ [trace; 2] if traced ++ ([time; 2] ++ run) × (runs − 1) ++
     /// payload`, then the class's slack.
@@ -180,6 +183,11 @@ pub(crate) struct HopPlan {
     runs: u8,
     /// Next hop to fire.
     next: u8,
+    /// The node that sourced it: whose chain a head carries on.
+    src: u8,
+    /// The packet is its source's head: its last hop queues the next
+    /// packet of its source's FIFO, or ends the chain.
+    head: bool,
 }
 
 /// The transit closure captures the ring and the header, and the
@@ -205,6 +213,35 @@ const TRACED: Word = 1 << 16;
 /// Buffers a size class keeps in its pool, at most: a drained burst gives
 /// the rest back to the allocator.
 const POOLED: usize = 256;
+
+/// Words a FIFO record holds before its plan's: its first hop's time and
+/// its reserved tie-break value, in three ([`key_words`]), then `addr` and
+/// `writer`. The plan's words follow, as its buffer would hold them, and
+/// its hop and run counts are its FIFO tag: a sixteen-word packet's record
+/// on a 16-node ring is 22 words, and a page holds eleven.
+const RECORD_WORDS: usize = 5;
+
+/// Bits of a record's first-hop time, beside the 40 of a tie-break value
+/// (as many as a `des` queue key keeps): a packet whose first hop is later
+/// than 2^56 ns, over two years, is queued at its inject.
+const RECORD_TIME_BITS: u32 = 56;
+
+/// A first hop's time and tie-break value as the three words a record
+/// keeps them in, low first.
+fn key_words(t: Time, seq: u64) -> [Word; 3] {
+    assert!(seq < 1 << 40, "a simulation schedules at most 2^40 entries");
+    let v = u128::from(t) | u128::from(seq) << RECORD_TIME_BITS;
+    [0, 32, 64].map(|shift| (v >> shift) as Word)
+}
+
+/// The time and tie-break value [`key_words`] made `w` of.
+fn words_key(w: &[Word]) -> (Time, u64) {
+    let v = w.iter().rev().fold(0, |v, &w| v << 32 | u128::from(w));
+    (
+        (v & ((1 << RECORD_TIME_BITS) - 1)) as Time,
+        (v >> RECORD_TIME_BITS) as u64,
+    )
+}
 
 /// The size class of a plan of `len` words: its index and the words its
 /// buffer holds. Classes are exact up to 16 words, then eight to a
@@ -261,13 +298,17 @@ impl HopPlan {
 
 /// What an inject reads and writes beyond the banks, as one value behind
 /// one lock ([`RingShared::state`]): entered once per inject (the link
-/// walk, which takes a plan buffer) and once per packet on its last hop
-/// (the buffer's return to the pool); a hop before it, a PIO access and a
-/// look enter nothing — the banks and the bit-error countdown are beside
-/// it, in [`RingShared`]. The conflict log is here too, entered only when
-/// a tracked write finds another writer's word. A leaf lock — nothing
-/// under it schedules, notifies a [`Signal`], calls a tap or records — so
-/// nothing done under it comes back for it.
+/// walk, which takes a plan buffer or appends a FIFO record) and once per
+/// packet on its last hop (the buffer's return to the pool, or the next
+/// packet of a chain taking it); a hop before it, a PIO access and a look
+/// enter nothing — the banks and the bit-error countdown are beside it,
+/// in [`RingShared`]. The conflict log is here too, entered only when a
+/// tracked write finds another writer's word. Nothing under it notifies a
+/// [`Signal`], calls a tap or records, so nothing done under it comes back
+/// for it. Under it an inject may enter the scheduler's core once, to
+/// reserve a waiting packet's tie-break values, and a FIFO takes or gives
+/// back a page on the bank pages' free list; neither of those ever takes
+/// this lock (state, then core; state, then free list).
 pub(crate) struct RingState {
     /// Egress-link busy horizon per node (`links[i]` = link i → i+1).
     links: Vec<Time>,
@@ -275,13 +316,107 @@ pub(crate) struct RingState {
     /// indexed by class and each at most [`POOLED`] long: a plan takes a
     /// buffer of its own class, so a one-word flag write never carries a
     /// buffer a 256-word payload needed.
-    plan_pools: Vec<Vec<Box<[Word]>>>,
-    /// The runs of the link walk under way, staged here until the walk
-    /// knows the plan's length, then copied into the plan's buffer.
-    staged_runs: Vec<Word>,
+    plan_pools: PlanPools,
+    /// Each source's chain, indexed by node.
+    chains: Vec<Chain>,
+    /// Words on their way into a plan's buffer: the runs of the link walk
+    /// under way, until the walk knows the plan's length, or the record a
+    /// head's last hop takes from its source's FIFO.
+    staged: Vec<Word>,
     /// (addr, earlier_writer, later_writer) conflicts seen by the
     /// single-writer checker.
     conflicts: Vec<(WordAddr, usize, usize)>,
+}
+
+/// Plan buffers by size [`class`], each class's list at most [`POOLED`]
+/// long.
+#[derive(Default)]
+struct PlanPools(Vec<Vec<Box<[Word]>>>);
+
+impl PlanPools {
+    /// A buffer of the class of a `len`-word plan: a pooled one if the
+    /// class has one.
+    fn take(&mut self, len: usize) -> Box<[Word]> {
+        let (class, size) = class(len);
+        self.0.resize_with(self.0.len().max(class + 1), Vec::new);
+        let pooled = self.0[class].pop();
+        pooled.unwrap_or_else(|| vec![0; size].into())
+    }
+
+    /// Pool `buf` with its class, unless that holds [`POOLED`] already:
+    /// then it is freed.
+    fn give(&mut self, buf: Box<[Word]>) {
+        let pool = &mut self.0[class(buf.len()).0];
+        if pool.len() < POOLED {
+            pool.push(buf);
+        }
+    }
+}
+
+/// A source's transmit FIFO, and the packet at its front. A packet booked
+/// while one of its source's packets is in the queue, and whose first hop
+/// comes no earlier than the last hop of the youngest of those, is not
+/// queued: it waits as a record in the FIFO, with the tie-break values it
+/// was booked with reserved ([`SimHandle::reserve_series`]), and the last
+/// hop of the packet ahead of it queues it ([`Then::reserved`]). The packet
+/// whose last hop does that is the chain's head. Its last hop comes before
+/// the record's first in `(time, seq)` order, so the record is queued
+/// before anything that sorts after it can pop, and while it waits the
+/// head has a hop in the queue that sorts before it: every pop, every
+/// "is it next?" answer and the queue's depth are what they were with the
+/// packet queued at its inject.
+#[derive(Default)]
+struct Chain {
+    /// When the youngest packet's last hop applies: the head's, or the
+    /// last record's. `None` while the source has no head.
+    last: Option<Time>,
+    fifo: Fifo,
+}
+
+impl RingState {
+    /// A packet's last hop is done with `plan`: when it is its source's
+    /// head and the source's FIFO holds a record, that packet is the next
+    /// head — returned with its first hop's time and its reservation, in
+    /// `plan`'s buffer if that is of its class; otherwise the chain ends
+    /// with this packet, and the buffer goes back to its pool.
+    fn retire(&mut self, plan: HopPlan) -> Option<(HopPlan, Time, Reserved)> {
+        if plan.head {
+            let chain = &mut self.chains[usize::from(plan.src)];
+            if let Some(counts) = chain.fifo.pop(&mut self.staged) {
+                return Some(self.promote(plan, counts));
+            }
+            chain.last = None;
+        }
+        self.plan_pools.give(plan.buf);
+        None
+    }
+
+    /// The record staged from `plan`'s source's FIFO, tagged `counts`, as
+    /// the packet in flight its head `plan` hands its source on to.
+    fn promote(&mut self, plan: HopPlan, counts: u16) -> (HopPlan, Time, Reserved) {
+        let (header, words) = self.staged.split_at(RECORD_WORDS);
+        let mut buf = plan.buf;
+        if buf.len() != class(words.len()).1 {
+            self.plan_pools.give(buf);
+            buf = self.plan_pools.take(words.len());
+        }
+        buf[..words.len()].copy_from_slice(words);
+        let [hops, runs] = counts.to_le_bytes();
+        let mut next = HopPlan {
+            buf,
+            addr: header[3] as WordAddr,
+            writer: header[4],
+            len: 0,
+            hops,
+            runs,
+            next: 0,
+            src: plan.src,
+            head: true,
+        };
+        next.len = (words.len() - next.at(usize::from(runs))) as u32;
+        let (at, seq) = words_key(&header[..3]);
+        (next, at, Reserved::from_raw(seq))
+    }
 }
 
 pub(crate) struct RingShared {
@@ -307,6 +442,10 @@ pub(crate) struct RingShared {
     /// run in one call.
     #[cfg(test)]
     transit_calls: AtomicU64,
+    /// Packets booked as a chain's head, queued beside a chain, and
+    /// deferred into a FIFO, for the unit tests that pin which is which.
+    #[cfg(test)]
+    booked: [AtomicU64; 3],
     watches: Mutex<Vec<Vec<Watch>>>,
     /// Number of installed watches across all nodes; lets a hop
     /// skip the watch lock entirely on watch-free rings.
@@ -505,8 +644,9 @@ impl Ring {
         );
         let state = RingState {
             links: vec![0; n],
-            plan_pools: Vec::new(),
-            staged_runs: Vec::new(),
+            plan_pools: PlanPools::default(),
+            chains: (0..n).map(|_| Chain::default()).collect(),
+            staged: Vec::new(),
             conflicts: Vec::new(),
         };
         let shared = RingShared {
@@ -525,6 +665,8 @@ impl Ring {
             state_entries: AtomicU64::new(0),
             #[cfg(test)]
             transit_calls: AtomicU64::new(0),
+            #[cfg(test)]
+            booked: Default::default(),
             watches: Mutex::new((0..n).map(|_| Vec::new()).collect()),
             watch_count: AtomicU64::new(0),
             taps: Mutex::new((0..n).map(|_| None).collect()),
@@ -807,8 +949,11 @@ impl RingShared {
         // Compute the packet's full itinerary synchronously: link
         // occupancy must be claimed at inject time (deferring it to hop
         // fire time would change virtual timing under contention). The
-        // ring's state is held only around this computation — no
-        // scheduling, no stats, no recorder calls inside it.
+        // ring's state is held only around this computation and the
+        // packet's place in its source's chain — no stats, no recorder
+        // calls inside it, and only the reservation of a packet that waits
+        // in its source's FIFO enters the scheduler, whose core never takes
+        // this lock (state, then core).
         let mut busy_ns = ser;
         let mut truncated = false;
         // Telemetry locals captured under the lock, gauged after it
@@ -820,7 +965,8 @@ impl RingShared {
             let RingState {
                 links,
                 plan_pools,
-                staged_runs: runs,
+                chains,
+                staged: runs,
                 ..
             } = &mut *state;
             runs.clear();
@@ -832,6 +978,8 @@ impl RingShared {
             let mut hop_from = src;
             let mut span_end = head + ser;
             let mut hops = 0u8;
+            // When the last hop so far applies.
+            let mut last = 0;
             // Where and when the open run's next hop would be: a hop there
             // and then gains the run a hop, any other opens a run.
             let mut run_on = (src, 0);
@@ -871,6 +1019,7 @@ impl RingShared {
                         }
                     }
                     hops += 1;
+                    last = tail;
                     run_on = (self.next(next), tail + self.cost.hop_ns);
                     // Forwarding occupies this node's egress too (every
                     // packet traverses every link: aggregate throughput =
@@ -892,24 +1041,57 @@ impl RingShared {
                 let (traced, rest) = (trace != 0, &runs[RUN_WORDS..]);
                 let lead = 1 + TRACE_WORDS * usize::from(traced);
                 let at = lead + rest.len();
-                let (class, size) = class(at + words);
-                plan_pools.resize_with(plan_pools.len().max(class + 1), Vec::new);
-                let pooled = plan_pools[class].pop();
-                let mut buf = pooled.unwrap_or_else(|| vec![0; size].into());
-                buf[0] = runs[2] | if traced { TRACED } else { 0 };
-                buf[1..lead].copy_from_slice(&split(trace)[..lead - 1]);
-                buf[lead..at].copy_from_slice(rest);
-                buf[at..at + words].copy_from_slice(data);
-                let plan = HopPlan {
-                    buf,
-                    addr,
-                    writer: u32::try_from(writer).expect("a writer's global id fits 32 bits"),
-                    len: u32::try_from(words).expect("a packet's words fit 32 bits"),
-                    hops,
-                    runs: u8::try_from(runs.len() / RUN_WORDS).expect("at most one run a hop"),
-                    next: 0,
-                };
-                (Some((plan, join(&runs[..2]))), span_end)
+                let first = runs[2] | if traced { TRACED } else { 0 };
+                let trace_words = &split(trace)[..lead - 1];
+                let first_t = join(&runs[..2]);
+                let writer = u32::try_from(writer).expect("a writer's global id fits 32 bits");
+                let len = u32::try_from(words).expect("a packet's words fit 32 bits");
+                let run_count =
+                    u8::try_from(runs.len() / RUN_WORDS).expect("at most one run a hop");
+                let chain = &mut chains[src];
+                let fits = RECORD_WORDS + at + words <= Fifo::MAX_WORDS
+                    && first_t >> RECORD_TIME_BITS == 0;
+                match (chain.last, Word::try_from(addr)) {
+                    (Some(ahead), Ok(addr)) if ahead <= first_t && fits => {
+                        // Behind its source's chain: it waits as a record.
+                        let seq = self.handle.reserve_series(u64::from(hops)).into_raw();
+                        let [k0, k1, k2] = key_words(first_t, seq);
+                        let header = [k0, k1, k2, addr, writer];
+                        let counts = u16::from_le_bytes([hops, run_count]);
+                        chain
+                            .fifo
+                            .push(counts, &[&header, &[first], trace_words, rest, data]);
+                        chain.last = Some(last);
+                        #[cfg(test)]
+                        self.booked[2].add(1);
+                        (None, span_end)
+                    }
+                    (ahead, _) => {
+                        let head = ahead.is_none();
+                        if head {
+                            chain.last = Some(last);
+                        }
+                        #[cfg(test)]
+                        self.booked[usize::from(!head)].add(1);
+                        let mut buf = plan_pools.take(at + words);
+                        buf[0] = first;
+                        buf[1..lead].copy_from_slice(trace_words);
+                        buf[lead..at].copy_from_slice(rest);
+                        buf[at..at + words].copy_from_slice(data);
+                        let plan = HopPlan {
+                            buf,
+                            addr,
+                            writer,
+                            len,
+                            hops,
+                            runs: run_count,
+                            next: 0,
+                            src: src as u8,
+                            head,
+                        };
+                        (Some((plan, first_t)), span_end)
+                    }
+                }
             }
         };
         self.stats.link_busy_ns.add(busy_ns);
@@ -933,8 +1115,9 @@ impl RingShared {
         if let Some((plan, first_t)) = plan {
             // One series of transit events walks the whole itinerary, each
             // hop returning the next. Its tie-break values are taken here
-            // and now, so the pop order is identical to the old engine,
-            // which pushed every hop's event here and now.
+            // and now — as a waiting packet's are, under the lock — so the
+            // pop order is identical to the old engine, which pushed every
+            // hop's event here and now.
             let links = u64::from(plan.hops);
             let shared = Arc::clone(self);
             self.handle
@@ -968,9 +1151,11 @@ impl RingShared {
     /// allocates nothing once its class's pool and the queue are warm.
     /// Every hop reads the payload in the plan's buffer and applies it
     /// without the ring's lock; the last enters the ring's state once,
-    /// after the tap has read the payload, to return the buffer to its
-    /// class's pool; a buffer its full pool has no room for is freed once
-    /// the lock is released.
+    /// after the tap has read the payload: a chain's head there takes the
+    /// next record of its source's FIFO and returns that packet's first hop
+    /// on its reservation ([`Then::reserved`]), in the same buffer when it is
+    /// of the record's class; any other buffer goes back to its class's
+    /// pool ([`RingState::retire`]).
     fn transit(self: Arc<Self>, mut plan: HopPlan, link: &mut Link<'_>) -> Option<Then> {
         #[cfg(test)]
         self.transit_calls.add(1);
@@ -1010,12 +1195,10 @@ impl RingShared {
                 return Some(Then::at(next_t, move |link| self.transit(plan, link)));
             }
         }
-        let mut state = self.state();
-        let pool = &mut state.plan_pools[class(plan.buf.len()).0];
-        if pool.len() < POOLED {
-            pool.push(plan.buf);
-        }
-        None
+        let (next, at, reserved) = self.state().retire(plan)?;
+        Some(Then::reserved(reserved, at, move |link| {
+            self.transit(next, link)
+        }))
     }
 
     /// Where `plan`'s next hop is: its run, its node, and the hops of its
@@ -1108,8 +1291,8 @@ impl RingShared {
         &self.banks[node]
     }
 
-    /// The ring's state: the link horizons, the plan pools, the conflict
-    /// log.
+    /// The ring's state: the link horizons, the plan pools, the sources'
+    /// chains, the conflict log.
     fn state(&self) -> MutexGuard<'_, RingState> {
         #[cfg(test)]
         self.state_entries.add(1);
@@ -1958,18 +2141,20 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
         /// The walk on irregular rings — bypassed nodes, severed links,
-        /// the dual-ring wrap on or off, staggered injects from random
-        /// sources — hops where, and when, the walk written with `%`
-        /// does, books the same link horizons, and maps the same
-        /// segments. Neither the storm pins nor the benchmark ever bypass
-        /// a node or sever a link.
+        /// the dual-ring wrap on or off, staggered bursts of one to four
+        /// packets from random sources, so that a source's later packets
+        /// wait in its FIFO or go beside it — hops where, and when, the
+        /// walk written with `%` does, books the same link horizons, keeps
+        /// each source's packets in order at every node, and maps the same
+        /// segments. Neither the storm pins nor the benchmark ever bypass a
+        /// node or sever a link.
         #[test]
         fn the_walk_matches_a_reference_walk_on_irregular_rings(
             n in 2usize..=32,
             wrap in 0u8..2,
             bypass_one_in in 2u64..=8,
             cuts in 0usize..=3,
-            packets in 1usize..=24,
+            bursts in 1usize..=24,
             seed in any::<u64>(),
         ) {
             let mut rng = des::rng::SimRng::seeded(seed);
@@ -1980,16 +2165,18 @@ mod tests {
                 broken[draw(n)] = true;
             }
             let mut t = 0;
-            let injects: Vec<(usize, Time, usize)> = (0..packets)
-                .map(|_| {
-                    t += draw(4) as Time * 1_000;
-                    (draw(n), t, 1 + draw(3))
-                })
-                .collect();
+            let mut injects: Vec<(usize, Time, usize)> = Vec::new();
+            for _ in 0..bursts {
+                t += draw(4) as Time * 1_000;
+                let src = draw(n);
+                for _ in 0..1 + draw(4) {
+                    injects.push((src, t, 1 + draw(8)));
+                }
+            }
 
             let mut sim = Simulation::new();
             let config = RingConfig { segment_wrap: wrap == 1, ..Default::default() };
-            let ring = Ring::with_config(&sim.handle(), n, 64, CostModel::default(), config);
+            let ring = Ring::with_config(&sim.handle(), n, 128, CostModel::default(), config);
             for node in 0..n {
                 if bypassed[node] {
                     ring.bypass_node(node);
@@ -2028,12 +2215,150 @@ mod tests {
                 prop_assert_eq!(got, want, "packet {} from {}", i, src);
             }
             prop_assert_eq!(ring.shared.state().links.clone(), links);
+            for (node, log) in logs.iter().enumerate() {
+                let order = in_order_by_source(&log.lock(), n);
+                prop_assert!(order.is_ok(), "node {}: {:?}", node, order);
+            }
             for node in 0..n {
                 let set = ring.reachable_set(node);
                 let got: Vec<usize> = (0..n).filter(|&p| set.contains(p)).collect();
                 prop_assert_eq!(got, reference_reachable(&bypassed, &broken, node), "node {}", node);
             }
         }
+    }
+
+    /// `Ok` when `log` holds each writer's packets in the order they were
+    /// injected (packet `i` writes at `i`); the first writer's that does
+    /// not, with the addresses it got, otherwise.
+    fn in_order_by_source(log: &[Delivery], n: usize) -> Result<(), (usize, Vec<usize>)> {
+        for writer in 0..n {
+            let addrs: Vec<usize> = log
+                .iter()
+                .filter(|d| d.writer == writer)
+                .map(|d| d.addr)
+                .collect();
+            if addrs.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err((writer, addrs));
+            }
+        }
+        Ok(())
+    }
+
+    /// What happens at one instant of [`chained_walk`]'s script.
+    #[derive(Clone, Copy)]
+    enum At {
+        /// `words` words from the source: packet `i`, the `i`-th of the
+        /// script, writes them at `i`.
+        Packet(usize, usize),
+        /// The node's bypass switch flips to this.
+        Bypass(usize, bool),
+    }
+
+    /// Runs `script`, `(time, what)` in time order, on a quiet `n`-node
+    /// ring: every packet applies where and when the reference walk says,
+    /// and every node gets each source's packets in the order they were
+    /// injected. Returns the packets booked as their source's head, queued
+    /// beside a chain, and deferred into a FIFO.
+    fn chained_walk(n: usize, script: &[(Time, At)]) -> [u64; 3] {
+        let mut sim = Simulation::new();
+        let ring = quiet_ring(&sim, n);
+        let logs: Vec<_> = (0..n).map(|node| ring.record_deliveries(node)).collect();
+        let (mut packets, mut bypassed) = (Vec::new(), vec![false; n]);
+        for &(at, what) in script {
+            let r = ring.clone();
+            match what {
+                At::Packet(src, words) => {
+                    let i = packets.len();
+                    packets.push((src, at, words, bypassed.clone()));
+                    sim.handle().schedule_at(at, move |t| {
+                        r.source_packet(src, t, i, vec![i as Word; words].into());
+                    });
+                }
+                At::Bypass(node, on) => {
+                    bypassed[node] = on;
+                    sim.handle()
+                        .schedule_at(at, move |_| r.shared.set_bypassed(node, on));
+                }
+            }
+        }
+        assert!(sim.run().is_clean());
+        let (cost, mut links) = (CostModel::default(), vec![0; n]);
+        for (i, (src, at, words, bypassed)) in packets.into_iter().enumerate() {
+            let healthy = vec![false; n];
+            let mut want = reference_walk(
+                &cost, &bypassed, &healthy, false, &mut links, src, at, words,
+            );
+            want.sort_unstable_by_key(|&(node, t)| (t, node));
+            let mut got: Vec<(usize, Time)> = (0..n)
+                .filter(|&node| node != src)
+                .flat_map(|node| {
+                    let log = logs[node].lock();
+                    let hops = log.iter().filter(|d| d.addr == i);
+                    hops.map(|d| (node, d.time)).collect::<Vec<_>>()
+                })
+                .collect();
+            got.sort_unstable_by_key(|&(node, t)| (t, node));
+            assert_eq!(got, want, "packet {i} from {src}");
+        }
+        for (node, log) in logs.iter().enumerate() {
+            assert_eq!(in_order_by_source(&log.lock(), n), Ok(()), "node {node}");
+        }
+        assert_eq!(ring.shared.state().links, links);
+        ring.shared
+            .booked
+            .each_ref()
+            .map(|n| n.load(Ordering::Relaxed))
+    }
+
+    /// On a 16-node ring, node 0's eight-word packets wait behind the first
+    /// of them, each queued by the last hop of the one before it; the
+    /// one-word packets it sources between them first hop before the
+    /// chain's last hop, so they go to the queue beside it. Every packet
+    /// hops where and when the reference walk does, and in its source's
+    /// order.
+    #[test]
+    fn one_word_packets_go_beside_a_chain_of_eight_word_ones() {
+        let script = [
+            (0, 8),
+            (0, 1),
+            (0, 1),
+            (0, 8),
+            (100, 1),
+            (100, 8),
+            (9_000, 8),
+        ];
+        let script = script.map(|(t, words)| (t, At::Packet(0, words)));
+        assert_eq!(chained_walk(16, &script), [1, 3, 3]);
+    }
+
+    /// Node 5 is bypassed between a source's first two packets and rejoins
+    /// before its third: the second, deferred behind the first, hops in two
+    /// runs, and the third, deferred behind the second, in one again.
+    #[test]
+    fn a_bypass_switched_between_a_sources_packets_changes_only_their_runs() {
+        let script = [
+            (0, At::Packet(0, 8)),
+            (100, At::Bypass(5, true)),
+            (100, At::Packet(0, 8)),
+            (200, At::Bypass(5, false)),
+            (200, At::Packet(0, 8)),
+        ];
+        assert_eq!(chained_walk(8, &script), [1, 0, 2]);
+    }
+
+    /// A record fills a FIFO page at most: a 249-word packet's is a page
+    /// and waits; a 250-word packet's would not fit, so it goes to the
+    /// queue beside the chain, and the eight-word packet after it, whose
+    /// record starts a new page, waits behind the 249-word one.
+    #[test]
+    fn a_packet_whose_record_would_outgrow_a_page_goes_beside_the_chain() {
+        let script = [
+            (0, At::Packet(0, 8)),
+            (0, At::Packet(0, 249)),
+            (0, At::Packet(0, 250)),
+            (0, At::Packet(0, 8)),
+        ];
+        assert_eq!(chained_walk(4, &script), [1, 1, 2]);
     }
 
     /// The trace id a traced walk tags packet `i` with: both of its words
@@ -2191,7 +2516,7 @@ mod tests {
     /// The buffers in `ring`'s pools, as `(class, words)`.
     fn pooled(ring: &Ring) -> Vec<(usize, usize)> {
         let state = ring.shared.state();
-        let pools = state.plan_pools.iter().enumerate();
+        let pools = state.plan_pools.0.iter().enumerate();
         let each = pools.flat_map(|(c, pool)| pool.iter().map(move |buf| (c, buf.len())));
         each.collect()
     }
