@@ -4,7 +4,7 @@
 use des::SimHandle;
 use scramnet::{CostModel, Ring, RingConfig, TxMode};
 
-use crate::config::{BbpConfig, RecvMode};
+use crate::config::BbpConfig;
 use crate::endpoint::BbpEndpoint;
 use crate::layout::{Layout, Writer};
 
@@ -44,8 +44,9 @@ impl BbpCluster {
         BbpCluster { ring, config }
     }
 
-    /// The endpoint for `rank`. In [`RecvMode::Interrupt`] this also arms
-    /// the NIC interrupt-on-write watches over the rank's flag blocks.
+    /// The endpoint for `rank`. In [`crate::RecvMode::Interrupt`] its
+    /// `Core` arms the NIC interrupt-on-write watches over the rank's flag
+    /// blocks.
     pub fn endpoint(&self, rank: usize) -> BbpEndpoint {
         Self::endpoint_over(self.ring.nic(rank), self.config.clone())
     }
@@ -88,11 +89,7 @@ impl BbpCluster {
     /// let ep = BbpCluster::endpoint_over(ring.nic(0), 1, config);
     /// ```
     pub fn endpoint_over(nic: scramnet::Nic, config: BbpConfig) -> BbpEndpoint {
-        let io = Writer::new(nic, Layout::new(&config));
-        let interrupts = config.recv_mode == RecvMode::Interrupt;
-        let recv_signal = interrupts.then(|| io.watch(Layout::msg_flag_range));
-        let ack_signal = interrupts.then(|| io.watch(Layout::ack_flag_range));
-        BbpEndpoint::new(io, config, recv_signal, ack_signal)
+        BbpEndpoint::new(Writer::new(nic, Layout::new(&config)), config)
     }
 
     /// The underlying ring (stats, fault injection, snapshots).

@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use des::obs::{Layer, Stage};
-use des::{ProcCtx, Signal, Time};
+use des::{ProcCtx, Signal, Ticket, Time};
 use scramnet::Word;
 
 use crate::config::{
@@ -136,20 +136,19 @@ pub(crate) struct Core {
     looks: Vec<(usize, Word)>,
     /// The last payload read, in word form, reused like `staged`.
     pub payload: Vec<Word>,
-    /// Interrupt-mode wake-ups (armed over our MESSAGE flag block).
-    recv_signal: Option<Signal>,
-    /// Interrupt-mode wake-ups for ACKs (armed over our ACK flag block).
-    ack_signal: Option<Signal>,
+    /// Interrupt mode: the watch over our MESSAGE flag block, and the
+    /// ticket on it that the last flag sweep took before its first read.
+    recv_watch: Option<(Signal, Option<Ticket>)>,
+    /// Likewise over our ACK flag block, for the GC sweep.
+    ack_watch: Option<(Signal, Option<Ticket>)>,
 }
 
 impl Core {
-    pub(crate) fn new(
-        io: Writer,
-        config: &BbpConfig,
-        recv_signal: Option<Signal>,
-        ack_signal: Option<Signal>,
-    ) -> Self {
+    pub(crate) fn new(io: Writer, config: &BbpConfig) -> Self {
         let n = config.nprocs;
+        let interrupts = config.recv_mode == RecvMode::Interrupt;
+        let recv_watch = interrupts.then(|| (io.watch(Layout::msg_flag_range), None));
+        let ack_watch = interrupts.then(|| (io.watch(Layout::ack_flag_range), None));
         Core {
             rank: io.me(),
             n,
@@ -179,8 +178,8 @@ impl Core {
             rr_cursor: 0,
             looks: Vec::new(),
             payload: Vec::new(),
-            recv_signal,
-            ack_signal,
+            recv_watch,
+            ack_watch,
         }
     }
 
@@ -387,13 +386,18 @@ impl Core {
     /// *front* of the in-flight queue ([`GcPolicy::FifoRing`]) or frees
     /// every acknowledged buffer regardless of order
     /// ([`GcPolicy::Slotted`]). `on_free` is told each freed slot's
-    /// receivers; `sweep` runs inside the span and adds what it freed.
+    /// receivers; `sweep` runs inside the span and adds what it freed. In
+    /// interrupt mode it first takes the ticket an ACK wait after it
+    /// sleeps on ([`Core::pace`]).
     pub(crate) fn gc(
         &mut self,
         ctx: &mut ProcCtx,
         sweep: impl FnOnce(&mut Self, &mut ProcCtx) -> usize,
         mut on_free: impl FnMut(&[usize]),
     ) -> usize {
+        if let Some((signal, ticket)) = &mut self.ack_watch {
+            *ticket = Some(ctx.ticket(signal));
+        }
         ctx.obs()
             .span_enter(ctx.now(), self.rank as u32, Layer::Bbp, "gc");
         ctx.charge(GC_PROBE_NS);
@@ -444,8 +448,11 @@ impl Core {
 
     /// How a blocked call lets time pass when a sweep found nothing. A
     /// `bounded` caller (it has a deadline) gets a timed pause even in
-    /// interrupt mode: a signal wait could outlive the deadline.
-    pub(crate) fn pace(&self, ctx: &mut ProcCtx, wait: Wait, bounded: bool) {
+    /// interrupt mode: a signal wait could outlive the deadline. An
+    /// unbounded one sleeps on the ticket its last sweep took (now, if
+    /// none has since the last wait), so an interrupt raised while the
+    /// sweep was reading is not lost.
+    pub(crate) fn pace(&mut self, ctx: &mut ProcCtx, wait: Wait, bounded: bool) {
         match (self.recv_mode, bounded) {
             // A polling receive paces itself by its sweep's PIO reads;
             // a polling sender spaces its ACK probes.
@@ -456,19 +463,18 @@ impl Core {
             }
             (RecvMode::Interrupt, true) => ctx.advance(GC_RETRY_GAP_NS),
             (RecvMode::Interrupt, false) => {
-                let sig = match wait {
-                    Wait::ForAcks => &self.ack_signal,
-                    Wait::ForTraffic => &self.recv_signal,
-                };
-                ctx.wait(
-                    sig.as_ref()
-                        .expect("interrupt mode endpoints carry signals"),
-                );
+                let (signal, ticket) = match wait {
+                    Wait::ForAcks => self.ack_watch.as_mut(),
+                    Wait::ForTraffic => self.recv_watch.as_mut(),
+                }
+                .expect("interrupt mode endpoints arm watches");
+                let ticket = ticket.take().unwrap_or_else(|| ctx.ticket(signal));
+                ctx.wait(ticket);
             }
         }
     }
 
-    pub(crate) fn wait_for_traffic(&self, ctx: &mut ProcCtx) -> bool {
+    pub(crate) fn wait_for_traffic(&mut self, ctx: &mut ProcCtx) -> bool {
         let blocks = self.recv_mode == RecvMode::Interrupt;
         if blocks {
             self.pace(ctx, Wait::ForTraffic, false);
@@ -549,8 +555,12 @@ impl Core {
     /// the sweep returns. A sweep of a single word is the loop written
     /// out: it costs what its one read costs either way. (A caller that
     /// would only sweep again and again until something is flagged:
-    /// [`Core::sleep_until_flagged`].)
+    /// [`Core::sleep_until_flagged`].) In interrupt mode the sweep first
+    /// takes the ticket a wait after it sleeps on ([`Core::pace`]).
     pub(crate) fn poll(&mut self, ctx: &mut ProcCtx, only: Option<usize>) {
+        if let Some((signal, ticket)) = &mut self.recv_watch {
+            *ticket = Some(ctx.ticket(signal));
+        }
         let rank = self.rank;
         let (first, end) = only.map_or((0, self.n), |s| (s, s + 1));
         let senders = (first..end).filter(|&s| s != rank);
@@ -793,7 +803,7 @@ mod tests {
             scramnet::CostModel::default(),
         );
         let io = Writer::new(ring.nic(0), Layout::new(&config));
-        let core = Core::new(io, &config, None, None);
+        let core = Core::new(io, &config);
         (sim, core)
     }
 

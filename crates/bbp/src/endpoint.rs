@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use des::obs::{Layer, Stage};
-use des::{ProcCtx, Signal, Time};
+use des::{ProcCtx, Time};
 
 use crate::config::{BbpConfig, SEND_ENTRY_NS};
 use crate::core::{Core, Doorbell, PendingMsg, Wait};
@@ -138,15 +138,10 @@ fn collect(
 }
 
 impl BbpEndpoint {
-    pub(crate) fn new(
-        io: Writer,
-        config: BbpConfig,
-        recv_signal: Option<Signal>,
-        ack_signal: Option<Signal>,
-    ) -> Self {
+    pub(crate) fn new(io: Writer, config: BbpConfig) -> Self {
         let n = config.nprocs;
         BbpEndpoint {
-            core: Core::new(io, &config, recv_signal, ack_signal),
+            core: Core::new(io, &config),
             reliable: config.reliability.clone().map(|cfg| Reliable::new(cfg, n)),
             members: config.membership.clone().map(|cfg| Members::new(cfg, n)),
             flow: Flow::new(&config),
@@ -558,12 +553,13 @@ impl BbpEndpoint {
     }
 
     /// Park until new traffic may have arrived. In interrupt mode this
-    /// blocks on the NIC's flag-block watch and returns `true`. Progress
-    /// engines layered above the BBP use this so the paper's interrupt
-    /// extension benefits them too. In polling mode there is nothing to
-    /// park on: it returns `false` at once, and the caller either paces
-    /// its own polling or, if polling is all it would do, asks for
-    /// [`BbpEndpoint::sleep_until_flagged`].
+    /// blocks on the NIC's MESSAGE flag-block watch — on the ticket the
+    /// last poll sweep took, so a flag written since that sweep began
+    /// ends it — and returns `true`. Progress engines layered above the
+    /// BBP use this so the paper's interrupt extension benefits them too.
+    /// In polling mode there is nothing to park on: it returns `false` at
+    /// once, and the caller either paces its own polling or, if polling
+    /// is all it would do, asks for [`BbpEndpoint::sleep_until_flagged`].
     pub fn wait_for_traffic(&mut self, ctx: &mut ProcCtx) -> bool {
         self.core.wait_for_traffic(ctx)
     }
@@ -814,7 +810,7 @@ mod tests {
                 layout.total_words(),
                 scramnet::CostModel::default(),
             );
-            BbpEndpoint::new(Writer::new(ring.nic(0), layout), config, None, None)
+            BbpEndpoint::new(Writer::new(ring.nic(0), layout), config)
         };
         let paper = build(BbpConfig::for_nodes(4));
         assert!(paper.reliable.is_none() && paper.members.is_none() && paper.flow.is_empty());

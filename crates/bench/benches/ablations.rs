@@ -301,7 +301,7 @@ fn block_write_times(words: usize, dma: bool) -> (f64, f64) {
         let data = vec![0xAAu32; words];
         let t0 = ctx.now();
         if dma {
-            nic.dma_write(ctx, 0, &data, None);
+            nic.dma_write(ctx, 0, &data);
         } else {
             nic.write_block(ctx, 0, &data);
         }

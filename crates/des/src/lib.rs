@@ -48,6 +48,14 @@
 //! assert_eq!(report.end_time, us(3));
 //! ```
 //!
+//! A process that blocks until something happens takes a [`Ticket`] on
+//! the [`Signal`] that announces it *before* it checks whether it has
+//! happened, and waits on the ticket once the check has found nothing
+//! ([`ProcCtx::ticket`], [`ProcCtx::wait`]). A signal counts its
+//! notifications, so one that lands while the check is still taking
+//! virtual time ends the wait at its instant instead of being lost. There
+//! is no way to sleep on a signal without a ticket.
+//!
 //! Hardware activity that unrolls into a chain of steps — a packet's hops
 //! around the ring — is a *series* ([`SimHandle::schedule_series`]): its
 //! tie-break values are taken when it is scheduled, so it interleaves
@@ -82,9 +90,9 @@
 //! observe it passing until the process next touches something shared,
 //! so the process need not be woken for it. A charge moves the process's
 //! local clock ([`ProcCtx::now`]) and records the step; the next stall
-//! (`advance`, [`ProcCtx::wait_until`], [`ProcCtx::wait`],
-//! [`ProcCtx::spawn`], an explicit [`ProcCtx::settle`], or the end of the
-//! body) *settles* the chain: the steps are walked exactly as consecutive
+//! (`advance`, [`ProcCtx::wait_until`], [`ProcCtx::ticket`],
+//! [`ProcCtx::wait`], [`ProcCtx::spawn`], an explicit [`ProcCtx::settle`],
+//! or the end of the body) *settles* the chain: the steps are walked exactly as consecutive
 //! `advance`s would have been — the same fast-path test per step, a
 //! resumption queued at the same `(time, seq)` at the same point in the
 //! run, one dispatch counted for each — except that a resumption which
@@ -172,7 +180,7 @@ pub mod rng;
 pub use event::{Then, INLINE_BYTES};
 pub use process::{ProcCtx, ProcId, Sample};
 pub use sched::{Link, Reserved, SimHandle};
-pub use signal::Signal;
+pub use signal::{Signal, Ticket};
 pub use sim::{RunReport, Simulation};
 pub use time::{ms, ns, secs, us, Time, TimeExt};
 // The scheduler trace types live in `obs` (they are one event kind in

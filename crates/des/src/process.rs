@@ -30,7 +30,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
 use crate::sched::{Baton, CoreGuard, Returned, SchedShared, SimHandle, WakeWhat};
-use crate::signal::Signal;
+use crate::signal::{Signal, Ticket};
 use crate::time::Time;
 
 /// Identifies a process within one [`crate::Simulation`].
@@ -345,10 +345,10 @@ impl ProcCtx {
     /// whose passing nobody else can observe until the process next
     /// touches something shared. The local clock moves now; the step
     /// itself is walked at the next stall ([`ProcCtx::advance`],
-    /// [`ProcCtx::wait_until`], [`ProcCtx::wait`], [`ProcCtx::spawn`],
-    /// [`ProcCtx::settle`], the end of the body) exactly as an `advance`
-    /// here would have been — same schedule, same dispatch count — but
-    /// without waking this thread between steps.
+    /// [`ProcCtx::wait_until`], [`ProcCtx::ticket`], [`ProcCtx::wait`],
+    /// [`ProcCtx::spawn`], [`ProcCtx::settle`], the end of the body)
+    /// exactly as an `advance` here would have been — same schedule, same
+    /// dispatch count — but without waking this thread between steps.
     ///
     /// The caller's side of the bargain: between a `charge` and the next
     /// stall, touch nothing another entity can see or change — no
@@ -572,12 +572,27 @@ impl ProcCtx {
         }
     }
 
-    /// Block until `signal` is notified. May wake spuriously if the signal
-    /// is shared; callers re-check their condition in a loop.
-    pub fn wait(&mut self, signal: &Signal) {
+    /// A [`Ticket`] on `signal`, taken before the check that a
+    /// [`ProcCtx::wait`] on it follows: whatever notifies `signal` from here
+    /// on wakes that wait, however long the check takes. Settles first, as
+    /// the count it reads is shared state.
+    pub fn ticket(&mut self, signal: &Signal) -> Ticket {
         self.settle();
-        signal.register(self.id);
-        self.now = self.yield_baton(self.sched.core(), "Blocked");
+        signal.ticket(self.now)
+    }
+
+    /// Block until the ticket's signal is notified. If that has happened
+    /// since the ticket was taken, do not sleep: resume at the instant the
+    /// first such notification fires, or at once if that has passed — no
+    /// later than a wait registered at the ticket would have. May wake
+    /// spuriously if the signal is shared; callers re-check their
+    /// condition in a loop.
+    pub fn wait(&mut self, ticket: Ticket) {
+        self.settle();
+        match ticket.redeem(self.id, self.now) {
+            Some(t) => self.wait_until(t),
+            None => self.now = self.yield_baton(self.sched.core(), "Blocked"),
+        }
     }
 
     /// Spawn a sibling process starting at the current virtual time.

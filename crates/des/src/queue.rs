@@ -1,8 +1,8 @@
 //! `SimQueue`: a virtual-time-aware FIFO channel between simulation
 //! entities. Items are pushed with a *visibility time* (e.g. the instant a
 //! frame finishes arriving at a NIC) and poppers block until an item
-//! becomes visible. Used by the TCP stack model and the MPI progress
-//! engine.
+//! becomes visible. Used by `netsim`'s TCP stack model, one queue per
+//! connection direction.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -101,23 +101,14 @@ impl<T: Send + 'static> SimQueue<T> {
     /// Pop the earliest visible item, blocking in virtual time until one
     /// exists.
     pub fn pop(&self, ctx: &mut ProcCtx) -> T {
-        ctx.settle(); // what is visible depends on who has run
         loop {
-            let head_time = {
-                let mut items = self.inner.items.lock();
-                let heap = &mut items.heap;
-                match heap.peek() {
-                    Some(Reverse(e)) if e.visible_at <= ctx.now() => {
-                        let Reverse(e) = heap.pop().expect("peeked entry vanished");
-                        return e.item;
-                    }
-                    Some(Reverse(e)) => Some(e.visible_at),
-                    None => None,
-                }
-            };
-            match head_time {
+            let ticket = ctx.ticket(&self.inner.signal);
+            if let Some(item) = self.try_pop(ctx.now()) {
+                return item;
+            }
+            match self.head_at() {
                 Some(t) => ctx.wait_until(t),
-                None => ctx.wait(&self.inner.signal),
+                None => ctx.wait(ticket),
             }
         }
     }

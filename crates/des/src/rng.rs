@@ -36,15 +36,10 @@ impl SimRng {
         self.inner.gen_bool(p.clamp(0.0, 1.0))
     }
 
-    /// Fill `buf` with pseudo-random bytes (payload generation).
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        self.inner.fill(buf);
-    }
-
     /// A payload of `len` random bytes.
     pub fn payload(&mut self, len: usize) -> Vec<u8> {
         let mut v = vec![0u8; len];
-        self.fill_bytes(&mut v);
+        self.inner.fill(&mut v[..]);
         v
     }
 

@@ -901,19 +901,6 @@ impl SimHandle {
         Signal::new(Arc::clone(&self.sched))
     }
 
-    /// Append a custom entry to the deterministic trace (no-op when tracing
-    /// is disabled). Components use this to label interesting transitions.
-    pub fn trace_mark(&self, t: Time, label: impl Into<String>) {
-        if !self.sched.recorder.is_enabled() {
-            return; // skip the `label.into()` allocation entirely
-        }
-        self.sched.record(TraceEntry {
-            time: t,
-            kind: TraceKind::Mark,
-            detail: label.into(),
-        });
-    }
-
     /// The simulation's observability recorder: layer spans, counters, and
     /// scheduler trace entries. Hardware and protocol models instrument
     /// through this; disabled (the default) every call is a single relaxed
@@ -1267,7 +1254,8 @@ mod tests {
         let signal = h.new_signal();
         let waits = signal.clone();
         sim.spawn("waiter", move |ctx| {
-            ctx.wait(&waits);
+            let ticket = ctx.ticket(&waits);
+            ctx.wait(ticket);
             assert_eq!(ctx.now(), 200);
         });
         let r = h.reserve_series(1);
@@ -1546,7 +1534,8 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let (waits, logs) = (signal.clone(), Arc::clone(&log));
         sim.spawn("waiter", move |ctx| {
-            ctx.wait(&waits);
+            let ticket = ctx.ticket(&waits);
+            ctx.wait(ticket);
             logs.lock().push(('w', 0, ctx.now()));
         });
         let (sched, logs) = (Arc::clone(&h.sched), Arc::clone(&log));

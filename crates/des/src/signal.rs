@@ -9,58 +9,85 @@ use crate::process::ProcId;
 use crate::sched::{SchedShared, WakeWhat};
 use crate::time::Time;
 
-/// A multi-waiter wake-up channel.
+/// A multi-waiter wake-up channel that counts its notifications.
 ///
-/// A process blocks with [`crate::ProcCtx::wait`]; any entity — another
-/// process, or a hardware event callback — wakes all current waiters with
-/// [`Signal::notify_at`]. Wake-ups are edge-triggered and may be spurious
-/// from the waiter's perspective (several waiters can race for one item),
-/// so waiters always re-check their condition in a loop.
-///
-/// Because only one entity executes at a time, the check-then-wait sequence
-/// inside a process is atomic with respect to notifications: a lost wake-up
-/// is impossible as long as the condition is re-checked after registering.
+/// A process takes a [`Ticket`] with [`crate::ProcCtx::ticket`] *before*
+/// it checks its condition, and sleeps on it with [`crate::ProcCtx::wait`]
+/// once the check has found nothing; any entity — another process, or a
+/// hardware event callback — wakes every current waiter with
+/// [`Signal::notify_at`]. A notification that lands between the ticket and
+/// the wait, while the check takes virtual time, is not lost: the wait
+/// does not sleep, and resumes at that notification's instant. Wake-ups
+/// may still be spurious from the waiter's perspective (several waiters
+/// can race for one item), so waiters re-check their condition in a loop.
 #[derive(Clone)]
 pub struct Signal {
-    inner: Arc<SignalInner>,
+    sched: Arc<SchedShared>,
+    state: Arc<Mutex<State>>,
 }
 
-struct SignalInner {
-    sched: Arc<SchedShared>,
-    waiters: Mutex<Vec<ProcId>>,
+#[derive(Default)]
+struct State {
+    waiters: Vec<ProcId>,
+    /// Notifications so far.
+    count: usize,
+    /// The instants of the latest notifications, oldest first: every one
+    /// that had not fired when the last ticket was taken, and every one
+    /// since. (A signal nobody takes tickets on keeps them all.)
+    unfired: Vec<Time>,
 }
+
+/// What [`crate::ProcCtx::wait`] sleeps on: a [`Signal`]'s state, and how
+/// many times it had been notified when the waiting process took this with
+/// [`crate::ProcCtx::ticket`], before checking its condition.
+#[must_use = "a ticket is taken before a check, to wait on after it"]
+pub struct Ticket(Arc<Mutex<State>>, usize);
 
 impl Signal {
     pub(crate) fn new(sched: Arc<SchedShared>) -> Self {
-        Signal {
-            inner: Arc::new(SignalInner {
-                sched,
-                waiters: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    pub(crate) fn register(&self, id: ProcId) {
-        self.inner.waiters.lock().push(id);
+        let state = Arc::default();
+        Signal { sched, state }
     }
 
     /// Wake every process currently waiting, scheduling each to resume at
-    /// virtual time `t`. Waiters that registered after this call are not
-    /// woken (edge semantics).
+    /// virtual time `t`, and count the notification for the tickets taken
+    /// before it. A signal's notifications come in non-decreasing `t`.
     pub fn notify_at(&self, t: Time) {
-        // Drain in place (not `mem::take`) so the waiter Vec keeps its
-        // capacity: a signal notified in the steady state never
-        // reallocates. Holding the lock across the pushes is safe —
-        // `register` is only called from process context, and only one
-        // entity executes at a time.
-        self.inner.sched.assert_settled("notifying a signal");
-        let mut waiters = self.inner.waiters.lock();
-        if waiters.is_empty() {
-            return;
+        // Holding the lock across the pushes is safe: only one entity
+        // executes at a time. Draining in place keeps the waiter Vec's
+        // capacity, so a signal notified in the steady state never
+        // reallocates.
+        self.sched.assert_settled("notifying a signal");
+        let mut state = self.state.lock();
+        state.count += 1;
+        state.unfired.push(t);
+        if !state.waiters.is_empty() {
+            let mut core = self.sched.core();
+            for id in state.waiters.drain(..) {
+                core.agenda.push(t, WakeWhat::Resume(id));
+            }
         }
-        let mut core = self.inner.sched.core();
-        for id in waiters.drain(..) {
-            core.agenda.push(t, WakeWhat::Resume(id));
+    }
+
+    /// A ticket taken at `now`, which forgets the instants that have fired.
+    pub(crate) fn ticket(&self, now: Time) -> Ticket {
+        let mut state = self.state.lock();
+        state.unfired.retain(|&t| t > now);
+        Ticket(Arc::clone(&self.state), state.count)
+    }
+}
+
+impl Ticket {
+    /// At `now`: `None`, with `id` registered to be woken, if nothing has
+    /// been notified since the ticket was taken; else the instant the first
+    /// such notification fires at, or `now` if it has fired.
+    pub(crate) fn redeem(&self, id: ProcId, now: Time) -> Option<Time> {
+        let mut state = self.0.lock();
+        let since = state.count - self.1;
+        if since == 0 {
+            state.waiters.push(id);
         }
+        let first = state.unfired.len().checked_sub(since);
+        (since > 0).then(|| first.map_or(now, |k| state.unfired[k].max(now)))
     }
 }

@@ -296,21 +296,53 @@ mod tests {
         assert_eq!(*hits.lock(), vec![us(1), us(3), us(5)]);
     }
 
+    /// A wait resumes at the first notification after its ticket, however
+    /// that falls around the wait: `(ticket at, wait at, [(notified at,
+    /// for the instant)], resumed at)`.
     #[test]
     fn signal_wakes_blocked_process() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let sig = h.new_signal();
-        let sig2 = sig.clone();
-        sim.spawn("waiter", move |ctx| {
-            let s = sig2;
-            ctx.wait(&s);
-            assert_eq!(ctx.now(), us(10));
-        });
-        h.schedule_at(us(10), move |t| sig.notify_at(t));
-        let report = sim.run();
-        assert!(report.is_clean());
-        assert_eq!(report.end_time, us(10));
+        type Case = (Time, Time, Vec<(Time, Time)>, Time);
+        let cases: [Case; 5] = [
+            // Nothing yet at the wait: it sleeps until the notification.
+            (0, 0, vec![(us(10), us(10))], us(10)),
+            // Notified between ticket and wait, for an instant still ahead.
+            (0, us(10), vec![(us(5), us(20))], us(20)),
+            // ... for an instant that has passed: it returns at once.
+            (0, us(10), vec![(us(5), us(8))], us(10)),
+            // Of two such notifications, the first decides.
+            (0, us(10), vec![(us(3), us(15)), (us(6), us(25))], us(15)),
+            // One made before the ticket does not count, instant or not.
+            (
+                us(5),
+                us(10),
+                vec![(us(2), us(20)), (us(25), us(25))],
+                us(25),
+            ),
+        ];
+        for (ticket_at, wait_at, notified, resumed) in cases {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let sig = h.new_signal();
+            for &(at, instant) in &notified {
+                let sig = sig.clone();
+                h.schedule_at(at, move |_| sig.notify_at(instant));
+            }
+            // Another process's ticket, taken just before the wait, is
+            // none of the waiter's business.
+            let other = sig.clone();
+            sim.spawn("bystander", move |ctx| {
+                ctx.wait_until(wait_at.saturating_sub(1));
+                let _unused = ctx.ticket(&other);
+            });
+            sim.spawn("waiter", move |ctx| {
+                ctx.wait_until(ticket_at);
+                let ticket = ctx.ticket(&sig);
+                ctx.wait_until(wait_at);
+                ctx.wait(ticket);
+                assert_eq!(ctx.now(), resumed, "{notified:?}");
+            });
+            assert!(sim.run().is_clean());
+        }
     }
 
     #[test]
@@ -319,7 +351,8 @@ mod tests {
         let h = sim.handle();
         let sig = h.new_signal();
         sim.spawn("stuck", move |ctx| {
-            ctx.wait(&sig); // never notified
+            let ticket = ctx.ticket(&sig);
+            ctx.wait(ticket); // never notified
         });
         let report = sim.run();
         assert_eq!(report.deadlocked, vec!["stuck".to_string()]);
@@ -453,22 +486,6 @@ mod tests {
         });
         let report = sim.run();
         assert_eq!(report.end_time, us(10));
-    }
-
-    #[test]
-    fn trace_mark_appears_in_trace() {
-        let mut sim = Simulation::new();
-        sim.enable_trace();
-        let h = sim.handle();
-        h.trace_mark(5, "wire-up");
-        sim.spawn("p", |ctx| ctx.advance(1));
-        sim.run();
-        let trace = sim.take_trace();
-        assert!(trace
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::Mark) && e.detail == "wire-up"));
-        // Entries render for humans.
-        assert!(trace[0].to_string().contains('['));
     }
 
     #[test]

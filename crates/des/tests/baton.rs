@@ -164,7 +164,10 @@ fn a_run_stopped_at_its_horizon_calls_nobody_deadlocked() {
         ctx.advance(1_000);
         ctx.advance(1_000);
     });
-    sim.spawn("stuck", move |ctx| ctx.wait(&never));
+    sim.spawn("stuck", move |ctx| {
+        let ticket = ctx.ticket(&never);
+        ctx.wait(ticket);
+    });
     // The sleeper is parked behind a `Resume` at 1 000: asleep. And while
     // anything is queued, something may yet notify the signal.
     let first = sim.run_until(500);
@@ -253,7 +256,8 @@ fn drop_unwinds_threads_parked_by_a_deadlock_or_a_horizon() {
     let (g2, g1, g0) = (guards.pop(), guards.pop(), guards.pop());
     sim.spawn("stuck", move |ctx| {
         let _guard = g0;
-        ctx.wait(&never);
+        let ticket = ctx.ticket(&never);
+        ctx.wait(ticket);
     });
     sim.spawn("long", move |ctx| {
         let _guard = g1;
@@ -306,7 +310,10 @@ fn mixed_world(seed: u64) -> Simulation {
         for _ in 0..80 {
             match rng.below(4) {
                 0 => ctx.advance(rng.below(700)),
-                1 if ctx.now() < last_safe_wait => ctx.wait(sig),
+                1 if ctx.now() < last_safe_wait => {
+                    let ticket = ctx.ticket(sig);
+                    ctx.wait(ticket);
+                }
                 2 => {
                     // A burst of hardware activity, then wake the others.
                     let sig2 = sig.clone();

@@ -210,8 +210,9 @@ fn a_signal_wakes_a_process_that_owes_nothing() {
         sim.spawn("waiter", move |ctx| {
             cost(ctx, 10, chained);
             cost(ctx, 10, chained);
-            // Registers at 20, not at 0: the wait settles first.
-            ctx.wait(&sig);
+            // Registers at 20, not at 0: the ticket settles first.
+            let ticket = ctx.ticket(&sig);
+            ctx.wait(ticket);
             assert_eq!(ctx.now(), 50, "the notification, not a leftover step");
             note(&log2, ctx);
             cost(ctx, 5, chained);
@@ -786,7 +787,10 @@ fn a_run_with_nothing_left_but_sleeping_cycles_ends_and_names_them() {
         }
         sim.spawn("leaver", |ctx| ctx.advance(500));
         let sig = h.new_signal();
-        sim.spawn("waiter", move |ctx| ctx.wait(&sig));
+        sim.spawn("waiter", move |ctx| {
+            let ticket = ctx.ticket(&sig);
+            ctx.wait(ticket);
+        });
         sim
     };
     let report = build(false).run();

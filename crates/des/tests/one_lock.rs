@@ -169,7 +169,8 @@ fn dropping_a_world_lets_go_of_the_scheduler_before_it_unwinds_the_parked() {
             if ctx.name() == "asleep" {
                 ctx.advance(us(100));
             } else {
-                ctx.wait(&parting.signal);
+                let ticket = ctx.ticket(&parting.signal);
+                ctx.wait(ticket);
             }
             unreachable!("dropped at the horizon");
         });

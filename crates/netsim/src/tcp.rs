@@ -233,14 +233,13 @@ impl TcpSock {
                     assert!(wire <= window, "window smaller than one segment");
                     // Park until the window admits this segment.
                     loop {
-                        let mut infl = self.tx.inflight.lock();
-                        if *infl + wire <= window {
-                            *infl += wire;
+                        let freed = ctx.ticket(&self.tx.window_free);
+                        if *self.tx.inflight.lock() + wire <= window {
                             break;
                         }
-                        drop(infl);
-                        ctx.wait(&self.tx.window_free.clone());
+                        ctx.wait(freed);
                     }
+                    *self.tx.inflight.lock() += wire;
                     let (arrival, _) =
                         self.net
                             .fabric

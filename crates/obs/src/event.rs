@@ -209,7 +209,8 @@ pub enum TraceKind {
     Resume,
     /// A pure event fired.
     Event,
-    /// A component-defined marker (see `des::SimHandle::trace_mark`).
+    /// A component-defined marker, recorded through
+    /// [`crate::Recorder::sched`]; the Chrome export shows it as an instant.
     Mark,
 }
 

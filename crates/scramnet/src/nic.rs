@@ -274,30 +274,18 @@ impl Nic {
     /// Program a DMA transfer: the host pays only the setup cost and is
     /// free immediately; the NIC's DMA engine streams the block from
     /// host memory in the background and injects it into the ring when
-    /// the staging completes. `done` (if provided) fires at injection
-    /// time — the paper's §2 "For larger data transfers, programmed I/O
-    /// or DMA can be used".
-    pub fn dma_write(
-        &self,
-        ctx: &mut ProcCtx,
-        addr: WordAddr,
-        data: &[Word],
-        done: Option<Signal>,
-    ) {
+    /// the staging completes — the paper's §2 "For larger data transfers,
+    /// programmed I/O or DMA can be used". Returns the instant of the
+    /// injection (the end of the setup for an empty block), for a caller
+    /// that waits for it with [`ProcCtx::wait_until`].
+    pub fn dma_write(&self, ctx: &mut ProcCtx, addr: WordAddr, data: &[Word]) -> des::Time {
         ctx.obs()
             .span_enter(ctx.now(), self.gid(), Layer::Nic, "dma_setup");
         ctx.advance(DMA_SETUP_NS);
         ctx.obs()
             .span_exit(ctx.now(), self.gid(), Layer::Nic, "dma_setup");
         if data.is_empty() {
-            // Completion is always asynchronous (an interrupt), even for
-            // a degenerate transfer — so the caller can park first.
-            if let Some(sig) = done {
-                self.shared
-                    .handle
-                    .schedule_at(ctx.now(), move |t| sig.notify_at(t));
-            }
-            return;
+            return ctx.now();
         }
         self.shared.stats.bursts.add(1);
         ctx.obs()
@@ -308,10 +296,8 @@ impl Nic {
         let data = data.to_vec();
         self.shared.handle.schedule_at(staged_at, move |t| {
             shared.inject(node, t, addr, &data);
-            if let Some(sig) = done {
-                sig.notify_at(t);
-            }
         });
+        staged_at
     }
 
     /// True unless `peer`'s insertion register is currently switched out
@@ -671,7 +657,7 @@ mod tests {
         sim.spawn("p", move |ctx| {
             let data = vec![9u32; 2048]; // 8 KB
             let t0 = ctx.now();
-            nic.dma_write(ctx, 0, &data, None);
+            nic.dma_write(ctx, 0, &data);
             assert_eq!(ctx.now() - t0, DMA_SETUP_NS, "host pays setup only");
             // Compare: a PIO burst of the same size occupies the host far
             // longer.
@@ -689,7 +675,7 @@ mod tests {
         let nic = ring.nic(0);
         sim.spawn("p", move |ctx| {
             let data: Vec<u32> = (0..512).collect();
-            nic.dma_write(ctx, 100, &data, None);
+            nic.dma_write(ctx, 100, &data);
         });
         sim.run();
         for node in 0..3 {
@@ -700,32 +686,29 @@ mod tests {
     }
 
     #[test]
-    fn dma_done_signal_fires_at_injection_time() {
+    fn dma_write_returns_its_injection_instant() {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), 2, 4096, CostModel::default());
         let nic = ring.nic(0);
-        let sig = sim.handle().new_signal();
-        let sig2 = sig.clone();
         sim.spawn("p", move |ctx| {
             let data = vec![1u32; 1000];
-            nic.dma_write(ctx, 0, &data, Some(sig2));
-            let setup_done = ctx.now();
-            ctx.wait(&sig);
-            assert_eq!(ctx.now() - setup_done, 1000 * DMA_WORD_NS);
+            let injected = nic.dma_write(ctx, 0, &data);
+            assert_eq!(injected - ctx.now(), 1000 * DMA_WORD_NS);
+            ctx.wait_until(injected);
+            assert_eq!(nic.read_word(ctx, 999), 1, "in the local bank by then");
         });
         assert!(sim.run().is_clean());
     }
 
     #[test]
-    fn empty_dma_fires_done_immediately() {
+    fn an_empty_dma_returns_the_end_of_its_setup() {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), 2, 64, CostModel::default());
         let nic = ring.nic(0);
-        let sig = sim.handle().new_signal();
-        let sig2 = sig.clone();
         sim.spawn("p", move |ctx| {
-            nic.dma_write(ctx, 0, &[], Some(sig2));
-            ctx.wait(&sig);
+            let t0 = ctx.now();
+            assert_eq!(nic.dma_write(ctx, 0, &[]), t0 + DMA_SETUP_NS);
+            assert_eq!(ctx.now(), t0 + DMA_SETUP_NS);
         });
         assert!(sim.run().is_clean());
         assert_eq!(ring.stats().injections, 0);

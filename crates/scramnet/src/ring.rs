@@ -1619,7 +1619,8 @@ mod tests {
         let sig = sim.handle().new_signal();
         rx.watch(8..16, sig.clone());
         sim.spawn("rx", move |ctx| {
-            ctx.wait(&sig);
+            let ticket = ctx.ticket(&sig);
+            ctx.wait(ticket);
             assert!(ctx.now() > 0);
             assert_eq!(rx.read_word(ctx, 8), 3);
         });

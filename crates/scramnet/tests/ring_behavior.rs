@@ -198,7 +198,7 @@ fn dma_and_pio_from_one_node_stay_ordered_per_source() {
     let ring = Ring::new(&sim.handle(), 2, 4096, CostModel::default());
     let nic = ring.nic(0);
     sim.spawn("w", move |ctx| {
-        nic.dma_write(ctx, 100, &[7u32; 64], None);
+        nic.dma_write(ctx, 100, &[7u32; 64]);
         nic.write_word(ctx, 50, 99); // posted immediately after setup
     });
     sim.run();
@@ -221,7 +221,8 @@ fn interrupt_storm_delivers_one_notification_per_write() {
     sim.spawn("rx", move |ctx| {
         // Consume wake-ups until quiet for a while.
         loop {
-            ctx.wait(&sig);
+            let ticket = ctx.ticket(&sig);
+            ctx.wait(ticket);
             *wakeups2.lock() += 1;
             if ctx.now() > ms(1) {
                 break;

@@ -85,7 +85,8 @@ fn storm(provenance: bool, waiter: bool) -> Pin {
         let waits = signal.clone();
         sim.spawn("watcher", move |ctx| {
             while ctx.now() < WATCH_END {
-                ctx.wait(&waits);
+                let ticket = ctx.ticket(&waits);
+                ctx.wait(ticket);
             }
         });
         handle.schedule_at(WATCH_END, move |t| signal.notify_at(t));

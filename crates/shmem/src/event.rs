@@ -69,14 +69,13 @@ impl EventFlagHandle {
     /// already does.
     pub fn wait_value(&mut self, ctx: &mut ProcCtx, value: Word) {
         loop {
+            // Before the read: whatever lands from here on wakes the wait.
+            let ticket = self.interrupt.as_ref().map(|sig| ctx.ticket(sig));
             if self.get(ctx) == value {
                 return;
             }
-            match &self.interrupt {
-                Some(sig) => {
-                    let sig = sig.clone();
-                    ctx.wait(&sig);
-                }
+            match ticket {
+                Some(ticket) => ctx.wait(ticket),
                 None => ctx.advance(BACKOFF_NS),
             }
         }
