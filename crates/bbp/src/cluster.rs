@@ -11,7 +11,8 @@ use crate::layout::{Layout, Writer};
 /// A SCRAMNet ring plus the BillBoard Protocol layout on top of it.
 ///
 /// Build one per simulation, then hand each process its
-/// [`BbpEndpoint`] via [`BbpCluster::endpoint`].
+/// [`BbpEndpoint`] via [`BbpCluster::endpoint`]. Dropping one whose ring
+/// saw a word written by two nodes ([`Ring::conflicts`]) panics.
 pub struct BbpCluster {
     ring: Ring,
     config: BbpConfig,
@@ -25,7 +26,7 @@ impl BbpCluster {
     }
 
     /// A cluster with an explicit hardware model — used by the ablation
-    /// benches (variable packet mode, slower PIO, provenance tracking…).
+    /// benches (variable packet mode, slower PIO, bit errors…).
     pub fn with_hardware(
         handle: &SimHandle,
         config: BbpConfig,
@@ -70,7 +71,6 @@ impl BbpCluster {
     ///     words,
     ///     bridge_ns: 2_000,
     ///     cost: CostModel::default(),
-    ///     track_provenance: false,
     /// });
     /// let ep = BbpCluster::endpoint_over(h.nic(3), config);
     /// assert_eq!(ep.rank(), 3);
@@ -105,5 +105,18 @@ impl BbpCluster {
     /// Switch the ring's transmission mode (fixed vs variable packets).
     pub fn set_tx_mode(&self, mode: TxMode) {
         self.ring.set_mode(mode);
+    }
+}
+
+/// The BBP's safety argument is that every shared word has one writer, so
+/// a world that broke it fails where its cluster goes, whichever test,
+/// harness or benchmark built it; a thread already panicking says why it
+/// stopped first.
+impl Drop for BbpCluster {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let words = self.ring.conflicts();
+            assert!(words.is_empty(), "words written by two nodes: {words:?}");
+        }
     }
 }

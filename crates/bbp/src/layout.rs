@@ -371,7 +371,7 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
-    use scramnet::{CostModel, Ring, RingConfig};
+    use scramnet::{CostModel, Ring};
 
     use super::*;
 
@@ -521,9 +521,8 @@ mod tests {
         /// The single-writer discipline, for any valid configuration: the
         /// words the nodes' writers can reach tile the memory exactly, one
         /// writer per word, and each is the writer the layout's read side
-        /// expects. Run on a ring that records who wrote each word, every
-        /// word of every bank was written by its owner and no word by two
-        /// nodes.
+        /// expects. Run on a ring, every word's writer is its owner and no
+        /// word is written by two nodes.
         #[test]
         fn the_writers_tile_the_memory_one_writer_per_word(
             kind in 0usize..4,
@@ -535,9 +534,7 @@ mod tests {
             let (n, layout) = (config.nprocs, Layout::new(&config));
             let owners = owners(&layout);
             let mut sim = des::Simulation::new();
-            let audit = RingConfig { track_provenance: true, ..RingConfig::default() };
-            let words = layout.total_words();
-            let ring = Ring::with_config(&sim.handle(), n, words, CostModel::default(), audit);
+            let ring = Ring::new(&sim.handle(), n, layout.total_words(), CostModel::default());
             let writers: Vec<Writer> =
                 (0..n).map(|p| Writer::new(ring.nic(p), layout.clone())).collect();
             sim.spawn("writers", move |ctx| {
@@ -547,12 +544,9 @@ mod tests {
             });
             prop_assert!(sim.run().is_clean());
             prop_assert!(ring.conflicts().is_empty(), "{:?}", ring.conflicts());
-            for node in 0..n {
-                for (addr, &owner) in owners.iter().enumerate() {
-                    let writer = ring.provenance(node, addr).map(|w| w.writer);
-                    prop_assert!(owner.is_some(), "the layout names word {} twice", addr);
-                    prop_assert_eq!(writer, owner, "word {} on node {}", addr, node);
-                }
+            for (addr, &owner) in owners.iter().enumerate() {
+                prop_assert!(owner.is_some(), "the layout names word {} twice", addr);
+                prop_assert_eq!(ring.owner(addr), owner, "word {}", addr);
             }
         }
     }

@@ -307,15 +307,10 @@ fn an_endpoint_over_a_nic_past_the_last_rank_is_refused_where_it_is_built() {
 
 #[test]
 fn wire_traffic_respects_single_writer_discipline() {
-    // Run a busy all-to-all workload with provenance tracking on; the
-    // protocol must never produce a cross-writer conflict.
+    // Run a busy all-to-all workload; the protocol must never produce a
+    // cross-writer conflict.
     let mut sim = Simulation::new();
-    let cfg = BbpConfig::for_nodes(4);
-    let ring_cfg = RingConfig {
-        track_provenance: true,
-        ..Default::default()
-    };
-    let c = BbpCluster::with_hardware(&sim.handle(), cfg, CostModel::default(), ring_cfg);
+    let c = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(4));
     for r in 0..4usize {
         let mut ep = c.endpoint(r);
         sim.spawn(format!("p{r}"), move |ctx| {
@@ -338,6 +333,24 @@ fn wire_traffic_respects_single_writer_discipline() {
         "single-writer violations: {:?}",
         c.ring().conflicts()
     );
+}
+
+/// A world whose ring saw one word written by two nodes fails where its
+/// cluster is dropped, whether or not anything read the conflict log.
+#[test]
+#[should_panic(expected = "words written by two nodes: [(0, 0, 1)]")]
+fn a_cluster_whose_ring_saw_two_writers_of_a_word_panics_when_dropped() {
+    let mut sim = Simulation::new();
+    let c = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(2));
+    for node in 0..2 {
+        let nic = c.ring().nic(node);
+        sim.spawn(format!("raw{node}"), move |ctx| {
+            ctx.advance(node as u64 * 10_000);
+            nic.write_word(ctx, 0, 1);
+        });
+    }
+    assert!(sim.run().is_clean());
+    drop(c);
 }
 
 #[test]

@@ -204,7 +204,6 @@ fn hierarchy_latencies() -> (f64, f64) {
                 words,
                 bridge_ns: 2_000,
                 cost: CostModel::default(),
-                track_provenance: false,
             },
         );
         let mut tx = bbp::BbpCluster::endpoint_over(h.nic(src), config.clone());

@@ -1,6 +1,6 @@
-//! A NIC's on-board memory bank, with optional write-provenance records
-//! used by tests to verify the BillBoard Protocol's single-writer
-//! discipline.
+//! A NIC's on-board memory bank, and a ring's owner table: one bank more,
+//! holding each word's writer, that every inject checks the BillBoard
+//! Protocol's single-writer discipline against.
 //!
 //! A bank is words that hops store to and hosts load from, read and
 //! applied through `&self`: relaxed atomic stores and loads, no lock. The
@@ -13,16 +13,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::{Word, WordAddr};
-
-/// Who wrote a word, and when — recorded only when provenance tracking is
-/// enabled on the owning [`crate::Ring`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteRecord {
-    /// Node id of the writer.
-    pub writer: usize,
-    /// Virtual time the write was applied *at this bank*.
-    pub applied_at: des::Time,
-}
 
 /// Words per lazily materialised page of a [`Bank`] (1 KB).
 ///
@@ -91,9 +81,6 @@ pub(crate) struct Bank {
     /// A slot per page, sized when the bank is built; the first write
     /// that lands on a page boxes it.
     pages: Vec<OnceLock<Page>>,
-    /// Last writer per word, when tracking is on — a checking mode, off on
-    /// every hot path — so it has a lock of its own.
-    provenance: Option<Mutex<Vec<Option<WriteRecord>>>>,
 }
 
 /// Split the word range `addr..addr + len` at page boundaries, yielding
@@ -151,7 +138,7 @@ fn check_range(addr: WordAddr, len: usize, words: usize) {
 }
 
 impl Bank {
-    pub fn new(words: usize, track_provenance: bool) -> Self {
+    pub fn new(words: usize) -> Self {
         let mut pages = {
             let mut free = free_storage();
             let table = free.tables.pop();
@@ -159,11 +146,7 @@ impl Bank {
             table.unwrap_or_default()
         };
         pages.resize_with(words.div_ceil(PAGE_WORDS), OnceLock::new);
-        Bank {
-            len: words,
-            pages,
-            provenance: track_provenance.then(|| Mutex::new(vec![None; words])),
-        }
+        Bank { len: words, pages }
     }
 
     #[inline]
@@ -193,8 +176,7 @@ impl Bank {
     /// Store `data`, as long as `span`, at `span`: one page lookup and a
     /// store per word for a span inside one page — every hop of a packet
     /// of at most a page, but for one that straddles an edge — and a
-    /// piece per page for one across an edge. Provenance is
-    /// [`Self::record`]'s.
+    /// piece per page for one across an edge.
     ///
     /// `span` must have been made for this bank's size and be as long as
     /// `data`: the ring makes it once a packet from the packet's own payload
@@ -219,48 +201,36 @@ impl Bank {
         }
     }
 
-    /// True if this bank records who wrote each word.
-    pub fn tracked(&self) -> bool {
-        self.provenance.is_some()
-    }
-
-    /// Record `writer` as the last writer of `span`'s words at `at`, when
-    /// provenance is tracked, handing every word whose last writer was
-    /// *another* node to `conflict` as `(addr, earlier writer)` — the
-    /// caller surfaces it to the single-writer checker.
-    pub fn record(
-        &self,
-        span: Span,
-        writer: usize,
-        at: des::Time,
-        mut conflict: impl FnMut(WordAddr, usize),
-    ) {
-        let Some(mut prov) = self.records() else {
-            return;
-        };
-        let addr = span.addr();
-        for (i, slot) in prov[addr..addr + span.len].iter_mut().enumerate() {
-            match slot {
-                Some(prev) if prev.writer != writer => conflict(addr + i, prev.writer),
-                _ => {}
+    /// Store `value` in every word of `span`, handing `(addr, old)` to
+    /// `differs` for each word that held neither 0 nor `value`, in address
+    /// order: a ring's owner check ([`crate::Ring::conflicts`]), where a
+    /// word holds its writer's id plus one. One page lookup a page and a
+    /// compare a word; a word that already holds `value` is not stored
+    /// again.
+    pub fn claim(&self, span: Span, value: Word, mut differs: impl FnMut(WordAddr, Word)) {
+        debug_assert!(value != 0 && span.addr() + span.len <= self.len);
+        for (page, off, done, n) in pieces(span.addr(), span.len) {
+            let page = self.pages[page].get_or_init(new_page);
+            let words = &page[off..off + n];
+            // A span that holds `value` already — a writer rewriting its
+            // own words, nearly every claim — costs one branch, not one a
+            // word.
+            let stray = words
+                .iter()
+                .fold(0, |d, w| d | (w.load(Ordering::Relaxed) ^ value));
+            if stray == 0 {
+                continue;
             }
-            *slot = Some(WriteRecord {
-                writer,
-                applied_at: at,
-            });
+            for (i, word) in words.iter().enumerate() {
+                let old = word.load(Ordering::Relaxed);
+                if old != value {
+                    if old != 0 {
+                        differs(span.addr() + done + i, old);
+                    }
+                    word.store(value, Ordering::Relaxed);
+                }
+            }
         }
-    }
-
-    /// Provenance of one word (None if never written or tracking is off).
-    pub fn provenance(&self, addr: WordAddr) -> Option<WriteRecord> {
-        self.records().and_then(|p| p[addr])
-    }
-
-    /// The provenance records, when tracking is on.
-    fn records(&self) -> Option<MutexGuard<'_, Vec<Option<WriteRecord>>>> {
-        // Every update leaves the records valid, so a poisoned lock is usable.
-        let records = self.provenance.as_ref()?;
-        Some(records.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Raw snapshot of the whole bank, for eventual-consistency checks.
@@ -326,20 +296,19 @@ mod tests {
     use super::*;
 
     impl Bank {
-        /// Store and record, as a hop does, collecting the conflicts
-        /// reported.
-        fn write(
-            &self,
-            addr: WordAddr,
-            data: &[Word],
-            writer: usize,
-            at: des::Time,
-        ) -> Vec<(WordAddr, usize)> {
-            let span = Span::new(addr, data.len(), self.len);
-            self.store(span, data);
-            let mut conflicts = Vec::new();
-            self.record(span, writer, at, |a, earlier| conflicts.push((a, earlier)));
-            conflicts
+        /// Store, as a hop does.
+        fn write(&self, addr: WordAddr, data: &[Word]) {
+            self.store(Span::new(addr, data.len(), self.len), data);
+        }
+
+        /// Claim `len` words at `addr` for `value`, collecting the words
+        /// that held another value.
+        fn claimed(&self, addr: WordAddr, len: usize, value: Word) -> Vec<(WordAddr, Word)> {
+            let mut differs = Vec::new();
+            self.claim(Span::new(addr, len, self.len), value, |a, old| {
+                differs.push((a, old))
+            });
+            differs
         }
 
         fn block(&self, addr: WordAddr, len: usize) -> Vec<Word> {
@@ -357,44 +326,29 @@ mod tests {
 
     #[test]
     fn read_after_apply_sees_data() {
-        let b = Bank::new(64, false);
-        b.write(10, &[1, 2, 3], 0, 5);
+        let b = Bank::new(64);
+        b.write(10, &[1, 2, 3]);
         assert_eq!(b.read(10), 1);
         assert_eq!(b.block(10, 3), vec![1, 2, 3]);
         assert_eq!(b.read(13), 0);
     }
 
     #[test]
-    fn provenance_records_last_writer() {
-        let b = Bank::new(16, true);
-        b.write(3, &[9], 2, 100);
-        let rec = b.provenance(3).unwrap();
-        assert_eq!(rec.writer, 2);
-        assert_eq!(rec.applied_at, 100);
-        assert!(b.provenance(4).is_none());
-    }
-
-    #[test]
-    fn conflicting_writers_are_reported() {
-        let b = Bank::new(16, true);
-        assert!(b.write(5, &[1], 0, 10).is_empty());
-        assert!(b.write(5, &[2], 0, 20).is_empty(), "same writer is fine");
-        let conflicts = b.write(5, &[3], 1, 30);
-        assert_eq!(conflicts, vec![(5, 0)]);
-    }
-
-    #[test]
-    fn no_provenance_means_no_conflicts_reported() {
-        let b = Bank::new(16, false);
-        b.write(5, &[1], 0, 10);
-        assert!(b.write(5, &[2], 1, 20).is_empty());
-        assert!(b.provenance(5).is_none());
+    fn a_claim_reports_only_words_another_value_held() {
+        let b = Bank::new(16);
+        assert!(b.claimed(5, 2, 1).is_empty(), "a fresh word is anyone's");
+        assert!(
+            b.claimed(5, 2, 1).is_empty(),
+            "a value claims its own again"
+        );
+        assert_eq!(b.claimed(4, 3, 2), [(5, 1), (6, 1)]);
+        assert_eq!(b.block(3, 5), [0, 2, 2, 2, 0], "the last claim holds");
     }
 
     #[test]
     fn never_written_pages_read_as_zeros() {
         let words = 3 * PAGE_WORDS + 10; // a partial last page
-        let b = Bank::new(words, false);
+        let b = Bank::new(words);
         assert_eq!(b.len, words);
         assert_eq!(b.read(0), 0);
         assert_eq!(b.read(words - 1), 0);
@@ -402,7 +356,7 @@ mod tests {
         assert_eq!(b.snapshot(), vec![0; words]);
         assert_eq!(b.materialised(), 0, "reads allocate nothing");
         // One write materialises one page; its neighbours stay absent.
-        b.write(PAGE_WORDS + 5, &[7], 0, 1);
+        b.write(PAGE_WORDS + 5, &[7]);
         assert_eq!(b.materialised(), 1);
         assert_eq!(b.read(PAGE_WORDS + 5), 7);
         assert_eq!(b.read(PAGE_WORDS + 6), 0);
@@ -410,47 +364,59 @@ mod tests {
 
     #[test]
     fn write_straddling_a_page_edge_lands_on_both_pages() {
-        let b = Bank::new(4 * PAGE_WORDS, true);
+        let b = Bank::new(4 * PAGE_WORDS);
         let data: Vec<Word> = (1..=6).collect();
         let addr = 2 * PAGE_WORDS - 2;
-        b.write(addr, &data, 3, 9);
+        b.write(addr, &data);
         assert_eq!(b.read(addr - 1), 0);
         assert_eq!(b.block(addr, 6), data);
         assert_eq!(b.read(addr + 6), 0);
         assert_eq!(b.materialised(), 2);
-        assert_eq!(b.provenance(addr + 5).unwrap().writer, 3);
         let snap = b.snapshot();
         assert_eq!(snap.len(), 4 * PAGE_WORDS);
         assert_eq!(&snap[addr..addr + 6], &data[..]);
         assert_eq!(snap.iter().filter(|&&w| w != 0).count(), 6);
         // A block longer than a page crosses two edges.
         let long: Vec<Word> = (0..PAGE_WORDS as Word + 8).map(|i| i + 100).collect();
-        b.write(PAGE_WORDS / 2, &long, 3, 10);
+        b.write(PAGE_WORDS / 2, &long);
         assert_eq!(b.block(PAGE_WORDS / 2, long.len()), long);
     }
 
     #[test]
     fn a_write_up_to_a_page_edge_touches_one_page() {
-        let b = Bank::new(3 * PAGE_WORDS, true);
+        let b = Bank::new(3 * PAGE_WORDS);
         let data: Vec<Word> = (1..=4).collect();
-        b.write(PAGE_WORDS - 4, &data, 1, 5);
+        b.write(PAGE_WORDS - 4, &data);
         assert_eq!(b.materialised(), 1);
         assert_eq!(b.block(PAGE_WORDS - 4, 4), data);
-        b.write(PAGE_WORDS, &vec![9; PAGE_WORDS], 1, 6);
+        b.write(PAGE_WORDS, &vec![9; PAGE_WORDS]);
         assert_eq!(b.materialised(), 2, "a whole page is one page");
         assert_eq!(b.read(2 * PAGE_WORDS), 0);
-        // Another writer across the edge: every word it takes from the
+    }
+
+    #[test]
+    fn a_claim_across_a_page_edge_reports_both_pages_in_order() {
+        let b = Bank::new(3 * PAGE_WORDS);
+        assert!(b.claimed(PAGE_WORDS - 4, 4, 2).is_empty());
+        assert_eq!(
+            b.materialised(),
+            1,
+            "a claim up to an edge touches one page"
+        );
+        assert!(b.claimed(PAGE_WORDS, PAGE_WORDS, 2).is_empty());
+        assert_eq!(b.materialised(), 2, "a whole page is one page");
+        // Another value across the edge: every word it takes from the
         // first is reported, in address order, on both pages.
-        let conflicts = b.write(PAGE_WORDS - 2, &[0; 4], 2, 7);
-        let want: Vec<_> = (PAGE_WORDS - 2..PAGE_WORDS + 2).map(|a| (a, 1)).collect();
-        assert_eq!(conflicts, want);
+        let want: Vec<_> = (PAGE_WORDS - 2..PAGE_WORDS + 2).map(|a| (a, 2)).collect();
+        assert_eq!(b.claimed(PAGE_WORDS - 2, 4, 3), want);
+        assert_eq!(b.block(PAGE_WORDS - 3, 6), [2, 3, 3, 3, 3, 2]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_access_still_panics() {
         // The last page is partial; its tail must not become addressable.
-        Bank::new(PAGE_WORDS + 10, false).read(PAGE_WORDS + 10);
+        Bank::new(PAGE_WORDS + 10).read(PAGE_WORDS + 10);
     }
 
     #[test]
@@ -458,24 +424,24 @@ mod tests {
         // Other tests share the free list, so this cannot say *which* page
         // the second bank gets — only that whichever it is reads as new.
         for round in 0..4 {
-            let b = Bank::new(4 * PAGE_WORDS, false);
+            let b = Bank::new(4 * PAGE_WORDS);
             assert_eq!(
                 (b.pages.len(), b.materialised()),
                 (4, 0),
                 "round {round}: a recycled table has an empty slot per page"
             );
-            b.write(PAGE_WORDS + 3, &[round + 1], 0, 1);
+            b.write(PAGE_WORDS + 3, &[round + 1]);
             let mut want = vec![0; 4 * PAGE_WORDS];
             want[PAGE_WORDS + 3] = round + 1;
             assert_eq!(b.snapshot(), want, "round {round}");
-            b.write(0, &vec![0xFFFF_FFFF; 4 * PAGE_WORDS], 0, 2);
+            b.write(0, &vec![0xFFFF_FFFF; 4 * PAGE_WORDS]);
         }
     }
 
     #[test]
     fn snapshot_copies_contents() {
-        let b = Bank::new(4, false);
-        b.write(0, &[7, 8], 0, 1);
+        let b = Bank::new(4);
+        b.write(0, &[7, 8]);
         assert_eq!(b.snapshot(), vec![7, 8, 0, 0]);
     }
 }

@@ -20,6 +20,8 @@
 //! word space is replicated into every bank of every ring, so the
 //! BillBoard Protocol runs across the hierarchy unchanged.
 
+use std::sync::Arc;
+
 use des::{SimHandle, Time};
 
 use crate::cost::CostModel;
@@ -41,8 +43,6 @@ pub struct HierarchyConfig {
     pub bridge_ns: Time,
     /// Hardware cost model for every ring.
     pub cost: CostModel,
-    /// Enable the single-writer provenance audit on every ring.
-    pub track_provenance: bool,
 }
 
 /// A two-level SCRAMNet hierarchy. Host NICs come from
@@ -64,25 +64,17 @@ impl RingHierarchy {
         let total_hosts = k * m;
         // Global ids: hosts are 0..k*m (leaf-major); bridge devices are
         // k*m + leaf.
+        let ring = |ids| {
+            let (words, cost) = (config.words, config.cost.clone());
+            Ring::with_ids(handle, ids, words, cost, RingConfig::default())
+        };
         let leaves: Vec<Ring> = (0..k)
             .map(|leaf| {
-                let mut ids: Vec<usize> = (leaf * m..(leaf + 1) * m).collect();
-                ids.push(total_hosts + leaf);
-                let cfg = RingConfig {
-                    track_provenance: config.track_provenance,
-                    ..Default::default()
-                };
-                Ring::with_ids(handle, ids, config.words, config.cost.clone(), cfg)
+                let hosts = leaf * m..(leaf + 1) * m;
+                ring(hosts.chain([total_hosts + leaf]).collect())
             })
             .collect();
-        let backbone = {
-            let ids: Vec<usize> = (0..k).map(|leaf| total_hosts + leaf).collect();
-            let cfg = RingConfig {
-                track_provenance: config.track_provenance,
-                ..Default::default()
-            };
-            Ring::with_ids(handle, ids, config.words, config.cost.clone(), cfg)
-        };
+        let backbone = ring((0..k).map(|leaf| total_hosts + leaf).collect());
 
         // Wire the taps.
         #[allow(clippy::needless_range_loop)] // `leaf` is also an id, not just an index
@@ -102,14 +94,19 @@ impl RingHierarchy {
                     },
                 ),
             );
-            // Backbone slot `leaf` → this leaf's ring (via its bridge slot).
-            let leaf_shared = leaves[leaf].shared_handle();
+            // Backbone slot `leaf` → this leaf's ring (via its bridge slot),
+            // held weakly: the leaf holds the backbone through its bridge's
+            // tap, and two strong holds would keep every ring alive for
+            // good. A leaf nothing else holds has no host left to read it.
+            let leaf_shared = Arc::downgrade(&leaves[leaf].shared_handle());
             backbone.shared_handle().set_tap(
                 leaf,
                 Box::new(
                     move |writer: usize, addr: WordAddr, data: &[Word], t: Time| {
                         if !(host_lo..host_hi).contains(&writer) && writer < total_hosts {
-                            leaf_shared.inject_as(m, writer, t + bridge_ns, addr, data);
+                            if let Some(leaf_shared) = leaf_shared.upgrade() {
+                                leaf_shared.inject_as(m, writer, t + bridge_ns, addr, data);
+                            }
                         }
                     },
                 ),
@@ -178,7 +175,6 @@ mod tests {
                 words: 2048,
                 bridge_ns: 2_000,
                 cost: CostModel::default(),
-                track_provenance: true,
             },
         )
     }
@@ -245,20 +241,15 @@ mod tests {
     #[test]
     fn intra_leaf_latency_beats_inter_leaf() {
         let mut sim = Simulation::new();
-        let cfg = HierarchyConfig {
-            leaves: 2,
-            hosts_per_leaf: 3,
-            words: 2048,
-            bridge_ns: 2_000,
-            cost: CostModel::default(),
-            track_provenance: true,
-        };
-        let h = RingHierarchy::new(&sim.handle(), cfg);
+        let h = hierarchy(&sim, 2, 3);
+        let (near, far) = (
+            h.leaf_of(1).record_deliveries(1),
+            h.leaf_of(3).record_deliveries(0),
+        );
         let nic = h.nic(0);
         sim.spawn("w", move |ctx| nic.write_word(ctx, 9, 5));
         sim.run();
-        let near = h.leaf_of(1).provenance(1, 9).unwrap().applied_at;
-        let far = h.leaf_of(3).provenance(0, 9).unwrap().applied_at;
+        let [near, far] = [near, far].map(|log| log.lock()[0].time);
         assert!(
             far > near + 2 * 2_000,
             "cross-leaf ({far}) must pay two bridge hops over intra-leaf ({near})"
@@ -311,5 +302,21 @@ mod tests {
             assert_eq!(h.snapshot(host), reference, "host {host} diverged");
         }
         assert!(h.conflicts().is_empty());
+    }
+
+    /// Every ring of a dropped hierarchy is freed: a bridge's two taps
+    /// would otherwise hold each other's ring for good.
+    #[test]
+    fn a_dropped_hierarchy_frees_every_ring() {
+        let mut sim = Simulation::new();
+        let h = hierarchy(&sim, 2, 2);
+        let rings = h.leaves.iter().chain([&h.backbone]);
+        let cores: Vec<_> = rings.map(|r| Arc::downgrade(&r.shared_handle())).collect();
+        let nic = h.nic(0);
+        sim.spawn("w", move |ctx| nic.write_word(ctx, 9, 5));
+        assert!(sim.run().is_clean());
+        assert_eq!(h.snapshot(3)[9], 5, "the write crossed the backbone");
+        drop(h);
+        assert!(cores.iter().all(|core| core.upgrade().is_none()));
     }
 }

@@ -57,7 +57,7 @@ mod nic;
 mod ring;
 mod stats;
 
-pub use bank::{bank_storage_allocated, WriteRecord};
+pub use bank::bank_storage_allocated;
 pub use cost::{CostModel, TxMode, BYPASS_HOP_NS};
 pub use fault::{FaultAt, FaultPlan};
 pub use hierarchy::{HierarchyConfig, RingHierarchy};

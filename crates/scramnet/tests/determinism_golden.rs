@@ -35,7 +35,6 @@ fn stress_trace() -> String {
     sim.enable_trace();
     let cfg = RingConfig {
         mode: TxMode::Variable,
-        track_provenance: true,
         bit_error_rate: 0.002,
         error_seed: 42,
         segment_wrap: false,

@@ -287,8 +287,7 @@ proptest! {
         writes in prop::collection::vec((0usize..6, 0usize..32, any::<u32>()), 1..60),
     ) {
         let mut sim = Simulation::new();
-        let cfg = RingConfig { track_provenance: true, ..Default::default() };
-        let ring = Ring::with_config(&sim.handle(), nodes, 32 * 6, CostModel::default(), cfg);
+        let ring = Ring::new(&sim.handle(), nodes, 32 * 6, CostModel::default());
         let mut per_node: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nodes];
         for (node, off, val) in writes {
             if node < nodes {

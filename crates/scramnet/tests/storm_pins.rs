@@ -6,10 +6,10 @@
 //! numbers captured while every hop was a link the dispatch loop ran one
 //! at a time: the scheduler trace's `(time, kind)` sequence, the run's
 //! dispatches, peak queue depth and end time, the ring's statistics, the
-//! single-writer conflicts (a second run with provenance on, where writers
-//! share words) and the watched node's delivered stream. A third run has a
-//! process waiting on the watch's signal, so every interrupting apply
-//! enters the scheduler in the middle of a packet's hops.
+//! single-writer conflicts (writers twelve nodes apart share words) and
+//! the watched node's delivered stream. A second run has a process
+//! waiting on the watch's signal, so every interrupting apply enters the
+//! scheduler in the middle of a packet's hops.
 //!
 //! A mismatch prints the observed pin as a `Pin { .. }` literal. Re-bless
 //! only for a deliberate change of simulated behaviour.
@@ -63,7 +63,7 @@ struct Pin {
 /// `(n * 32) % 384`, so nodes twelve apart share their words. With
 /// `waiter`, a process waits on the watched node's signal until
 /// [`WATCH_END`].
-fn storm(provenance: bool, waiter: bool) -> Pin {
+fn storm(waiter: bool) -> Pin {
     let mut sim = Simulation::new();
     sim.enable_trace();
     let handle = sim.handle();
@@ -73,7 +73,6 @@ fn storm(provenance: bool, waiter: bool) -> Pin {
         8192,
         CostModel::default(),
         RingConfig {
-            track_provenance: provenance,
             bit_error_rate: 1e-4,
             error_seed: 1999,
             ..Default::default()
@@ -152,8 +151,7 @@ fn storm(provenance: bool, waiter: bool) -> Pin {
     }
 }
 
-/// The ring's statistics, with or without provenance: tracking changes
-/// what is checked, not what is carried.
+/// The ring's statistics, with or without a waiting process.
 fn stats() -> RingStats {
     RingStats {
         injections: 3_200,
@@ -168,7 +166,7 @@ fn stats() -> RingStats {
 #[test]
 fn a_recorded_storm_is_what_it_was() {
     assert_eq!(
-        storm(false, false),
+        storm(false),
         Pin {
             trace_entries: 51_200,
             trace_hash: 17_439_416_010_973_015_473,
@@ -176,27 +174,8 @@ fn a_recorded_storm_is_what_it_was() {
             peak_queue_depth: 3_183,
             end_time: 37_863_500,
             stats: stats(),
-            conflicts: 0,
-            conflicts_hash: Fnv::new().0,
-            deliveries: 3_200,
-            deliveries_hash: 5_019_945_377_121_471_979,
-        }
-    );
-}
-
-#[test]
-fn a_recorded_storm_with_provenance_is_what_it_was() {
-    assert_eq!(
-        storm(true, false),
-        Pin {
-            trace_entries: 51_200,
-            trace_hash: 17_439_416_010_973_015_473,
-            dispatches: 51_200,
-            peak_queue_depth: 3_183,
-            end_time: 37_863_500,
-            stats: stats(),
-            conflicts: 333_856,
-            conflicts_hash: 15_240_745_891_870_324_517,
+            conflicts: 256,
+            conflicts_hash: 8_510_308_167_654_785_829,
             deliveries: 3_200,
             deliveries_hash: 5_019_945_377_121_471_979,
         }
@@ -209,7 +188,7 @@ fn a_recorded_storm_with_provenance_is_what_it_was() {
 #[test]
 fn a_recorded_storm_with_a_waiting_process_is_what_it_was() {
     assert_eq!(
-        storm(false, true),
+        storm(true),
         Pin {
             trace_entries: 51_620,
             trace_hash: 17_310_081_067_377_108_651,
@@ -217,8 +196,8 @@ fn a_recorded_storm_with_a_waiting_process_is_what_it_was() {
             peak_queue_depth: 3_184,
             end_time: WATCH_END,
             stats: stats(),
-            conflicts: 0,
-            conflicts_hash: Fnv::new().0,
+            conflicts: 256,
+            conflicts_hash: 8_510_308_167_654_785_829,
             deliveries: 3_200,
             deliveries_hash: 5_019_945_377_121_471_979,
         }

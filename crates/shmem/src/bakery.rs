@@ -252,11 +252,7 @@ mod tests {
     #[test]
     fn single_writer_discipline_holds_under_lock_traffic() {
         let mut sim = Simulation::new();
-        let cfg = scramnet::RingConfig {
-            track_provenance: true,
-            ..Default::default()
-        };
-        let ring = Ring::with_config(&sim.handle(), 3, 64, CostModel::default(), cfg);
+        let ring = Ring::new(&sim.handle(), 3, 64, CostModel::default());
         let lock = BakeryLock::layout(0, 3);
         for node in 0..3 {
             let mut h = lock.handle(ring.nic(node));

@@ -31,8 +31,9 @@
 //! - [`EventFlag`] — one writer signalling many pollers/sleepers.
 //!
 //! All offsets follow the same single-writer discipline the BillBoard
-//! Protocol uses, so the `scramnet` provenance checker can audit these
-//! primitives too (and the tests do).
+//! Protocol uses, so the `scramnet` ring's owner check, made at every
+//! inject, holds these primitives to it too (and the tests read its
+//! conflict log).
 //!
 //! ## Example
 //!

@@ -9,7 +9,7 @@ use des::rng::SimRng;
 use des::Simulation;
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use scramnet::{CostModel, Ring, RingConfig};
+use scramnet::{CostModel, Ring};
 use shmem::{BakeryLock, DistributedCounter, SenseBarrier};
 
 proptest! {
@@ -22,8 +22,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut sim = Simulation::new();
-        let cfg = RingConfig { track_provenance: true, ..Default::default() };
-        let ring = Ring::with_config(&sim.handle(), n, 64, CostModel::default(), cfg);
+        let ring = Ring::new(&sim.handle(), n, 64, CostModel::default());
         let lock = BakeryLock::layout(0, n);
         let intervals: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         for node in 0..n {

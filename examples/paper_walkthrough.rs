@@ -9,7 +9,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::{SimHandle, Simulation, Time, TimeExt};
-use scramnet_cluster::scramnet::{CostModel, Ring, RingConfig, TxMode};
+use scramnet_cluster::scramnet::{CostModel, Ring, TxMode};
 use scramnet_cluster::smpi::{CollectiveImpl, MpiWorld};
 
 struct Claim {
@@ -129,11 +129,7 @@ fn main() {
     // §2: non-coherence.
     {
         let mut sim = Simulation::new();
-        let cfg = RingConfig {
-            track_provenance: true,
-            ..Default::default()
-        };
-        let ring = Ring::with_config(&sim.handle(), 4, 64, CostModel::default(), cfg);
+        let ring = Ring::new(&sim.handle(), 4, 64, CostModel::default());
         let a = ring.nic(0);
         let b = ring.nic(2);
         sim.spawn("a", move |ctx| a.write_word(ctx, 5, 1));

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use scramnet_cluster::des::{us, Simulation, TimeExt};
-use scramnet_cluster::scramnet::{CostModel, Ring, RingConfig, Word};
+use scramnet_cluster::scramnet::{CostModel, Ring, Word};
 use scramnet_cluster::shmem::{BakeryLock, DistributedCounter, EventFlag, SenseBarrier};
 
 const STATIONS: usize = 4;
@@ -37,11 +37,7 @@ const MODE_FREEZE: Word = 2;
 
 fn main() {
     let mut sim = Simulation::new();
-    let cfg = RingConfig {
-        track_provenance: true,
-        ..Default::default()
-    };
-    let ring = Ring::with_config(&sim.handle(), STATIONS, 64, CostModel::default(), cfg);
+    let ring = Ring::new(&sim.handle(), STATIONS, 64, CostModel::default());
 
     let lock = BakeryLock::layout(LOCK_AT, STATIONS);
     let barrier = SenseBarrier::layout(BARRIER_AT, STATIONS);
@@ -119,11 +115,12 @@ fn main() {
 
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    // The provenance audit flags every multi-writer word. The ONLY ones
-    // allowed are the lock-protected weather block: unlike the pure
-    // single-writer regions, that block relies on the bakery lock for
-    // its integrity — exactly the distinction between the two sharing
-    // styles this example demonstrates.
+    // The ring's owner check flags every write that takes a word from
+    // another writer, once per write. The ONLY words allowed are the
+    // lock-protected weather block: unlike the pure single-writer regions,
+    // that block relies on the bakery lock for its integrity — exactly the
+    // distinction between the two sharing styles this example
+    // demonstrates.
     let mut offending: Vec<usize> = ring.conflicts().iter().map(|c| c.0).collect();
     offending.sort_unstable();
     offending.dedup();

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::Simulation;
-use scramnet_cluster::scramnet::{CostModel, RingConfig};
 
 use std::sync::Arc;
 
@@ -71,11 +70,7 @@ fn check_plan(nprocs: usize, bufs: usize, data_words: usize, msgs: Vec<Msg>) {
     }
 
     let mut sim = Simulation::new();
-    let ring_cfg = RingConfig {
-        track_provenance: true,
-        ..Default::default()
-    };
-    let cluster = BbpCluster::with_hardware(&sim.handle(), cfg, CostModel::default(), ring_cfg);
+    let cluster = BbpCluster::new(&sim.handle(), cfg);
 
     let received: Arc<Mutex<Vec<Vec<(usize, Vec<u8>)>>>> =
         Arc::new(Mutex::new(vec![Vec::new(); nprocs]));

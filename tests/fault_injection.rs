@@ -96,21 +96,19 @@ fn bypass_shortens_the_detour_hop() {
     // so the write lands earlier — matching SCRAMNet's documented
     // behaviour. Measured at the ring level: the saving (~170 ns) is
     // below the BBP's polling granularity.
-    use scramnet_cluster::scramnet::{CostModel, Ring, RingConfig};
+    use scramnet_cluster::scramnet::{CostModel, Ring};
     let arrival = |bypass: bool| {
         let mut sim = Simulation::new();
-        let cfg = RingConfig {
-            track_provenance: true,
-            ..Default::default()
-        };
-        let ring = Ring::with_config(&sim.handle(), 4, 64, CostModel::default(), cfg);
+        let ring = Ring::new(&sim.handle(), 4, 64, CostModel::default());
+        let log = ring.record_deliveries(3);
         if bypass {
             ring.bypass_node(2);
         }
         let nic = ring.nic(0);
         sim.spawn("tx", move |ctx| nic.write_word(ctx, 7, 1));
         sim.run();
-        ring.provenance(3, 7).unwrap().applied_at
+        let time = log.lock()[0].time;
+        time
     };
     let alive = arrival(false);
     let bypassed = arrival(true);

@@ -19,7 +19,6 @@ fn hierarchy(sim: &Simulation, leaves: usize, hosts: usize, words: usize) -> Rin
             words,
             bridge_ns: 2_000,
             cost: CostModel::default(),
-            track_provenance: true,
         },
     )
 }
@@ -120,4 +119,22 @@ fn mpi_collectives_across_the_hierarchy() {
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
     assert!(h.conflicts().is_empty());
+}
+
+/// Hosts on two leaves write one word, the second long after the first has
+/// crossed: each of the three rings sees both writes, and each reports the
+/// conflict by the hosts' global ids, never by a bridge's.
+#[test]
+fn writers_on_two_leaves_conflict_by_their_host_ids() {
+    let mut sim = Simulation::new();
+    let h = hierarchy(&sim, 2, 3, 64);
+    let (a, b) = (h.nic(1), h.nic(4));
+    sim.spawn("a", move |ctx| a.write_word(ctx, 9, 1));
+    sim.spawn("b", move |ctx| {
+        ctx.advance(des::us(100));
+        b.write_word(ctx, 9, 2);
+    });
+    assert!(sim.run().is_clean());
+    assert_eq!(h.conflicts(), [(9, 1, 4); 3], "leaf 0, leaf 1, backbone");
+    assert!((0..6).all(|host| h.snapshot(host)[9] == 2));
 }
