@@ -60,7 +60,7 @@ impl BbpCluster {
     ///
     /// ```
     /// use bbp::{BbpCluster, BbpConfig};
-    /// use scramnet::{CostModel, HierarchyConfig, RingHierarchy};
+    /// use scramnet::{HierarchyConfig, RingHierarchy};
     ///
     /// let sim = des::Simulation::new();
     /// let config = BbpConfig::for_nodes(4);
@@ -69,8 +69,6 @@ impl BbpCluster {
     ///     leaves: 2,
     ///     hosts_per_leaf: 2,
     ///     words,
-    ///     bridge_ns: 2_000,
-    ///     cost: CostModel::default(),
     /// });
     /// let ep = BbpCluster::endpoint_over(h.nic(3), config);
     /// assert_eq!(ep.rank(), 3);

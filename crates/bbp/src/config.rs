@@ -56,6 +56,31 @@ pub(crate) const DELIVER_NS: Time = 150;
 /// model).
 pub(crate) const MCAST_TARGET_NS: Time = 50;
 
+/// Software cost of computing or verifying one message checksum (the
+/// reliability extension's CRC pass, once at the sender and once at each
+/// receiver).
+pub(crate) const CHECKSUM_NS: Time = 200;
+/// Exponential backoff multiplier between send attempts: attempt `k`
+/// waits `ack_timeout_ns * BACKOFF_FACTOR^k`.
+pub(crate) const BACKOFF_FACTOR: u64 = 2;
+/// Cadence of heartbeat-word publishes under the membership extension
+/// (a handful of ring transits).
+pub(crate) const HEARTBEAT_PERIOD_NS: Time = 20_000;
+/// Heartbeat staleness after which a peer is Suspected (10 missed
+/// heartbeats; no failure action yet, observable through `obs` for
+/// detection-latency studies).
+pub(crate) const SUSPECT_AFTER_NS: Time = 200_000;
+/// Heartbeat staleness after which a peer is declared Dead (30 missed
+/// heartbeats): the coordinator engages its bypass and proposes an epoch
+/// bump excluding it.
+pub(crate) const DEAD_AFTER_NS: Time = 600_000;
+const _: () = assert!(
+    0 < HEARTBEAT_PERIOD_NS
+        && HEARTBEAT_PERIOD_NS < SUSPECT_AFTER_NS
+        && SUSPECT_AFTER_NS < DEAD_AFTER_NS,
+    "membership thresholds must satisfy 0 < period < suspect < dead"
+);
+
 /// The reliability extension: per-message CRC verification, NACK-driven
 /// repair, and bounded timeout/retry/backoff on both sides of the
 /// protocol. The paper's BBP assumes SCRAMNet's hardware error detection
@@ -65,20 +90,22 @@ pub(crate) const MCAST_TARGET_NS: Time = 50;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReliabilityConfig {
     /// How long the sender waits for all ACKs before the first
-    /// retransmission; attempt `k` waits `ack_timeout_ns * backoff_factor^k`.
+    /// retransmission; attempt `k` waits `ack_timeout_ns * 2^k`.
     pub ack_timeout_ns: Time,
     /// Retransmissions after the initial attempt before the send fails.
     pub max_retries: u32,
-    /// Exponential backoff multiplier between attempts (≥ 1).
-    pub backoff_factor: u64,
     /// How long a blocking receive waits before returning
     /// [`crate::BbpError::Timeout`].
     pub recv_timeout_ns: Time,
     /// How many times the receiver re-reads a message that failed CRC
     /// verification (each after NACKing the sender) before dropping it.
     pub verify_retries: u32,
-    /// Software cost of computing or verifying one message checksum.
-    pub checksum_ns: Time,
+    /// The membership extension on top of reliability (`None` = no
+    /// heartbeat region in the layout, no detector — the paper's billboard
+    /// bit-for-bit). Membership lives here because it needs reliability's
+    /// typed failures and the sequence/ACK machinery degraded mode
+    /// depends on.
+    pub membership: Option<Membership>,
 }
 
 impl Default for ReliabilityConfig {
@@ -86,17 +113,16 @@ impl Default for ReliabilityConfig {
         ReliabilityConfig {
             ack_timeout_ns: 50_000, // 50 µs: several ring transits + sw path
             max_retries: 4,
-            backoff_factor: 2,
             recv_timeout_ns: 2_000_000, // 2 ms: covers a full send retry budget
             verify_retries: 8,
-            checksum_ns: 200,
+            membership: None,
         }
     }
 }
 
 impl ReliabilityConfig {
     /// Closed-form bound on how long a send can wait for acknowledgement
-    /// across all attempts: `Σ_{k=0..=max_retries} ack_timeout·factor^k`.
+    /// across all attempts: `Σ_{k=0..=max_retries} ack_timeout·2^k`.
     /// The property tests pin `bbp_Send` latency under injected losses
     /// against this sum (plus the per-attempt retransmission PIO cost).
     pub fn max_send_wait_ns(&self) -> Time {
@@ -104,7 +130,7 @@ impl ReliabilityConfig {
         let mut t = self.ack_timeout_ns;
         for _ in 0..=self.max_retries {
             total = total.saturating_add(t);
-            t = t.saturating_mul(self.backoff_factor);
+            t = t.saturating_mul(BACKOFF_FACTOR);
         }
         total
     }
@@ -112,24 +138,19 @@ impl ReliabilityConfig {
 
 /// The membership-and-failure-detection extension: each endpoint
 /// publishes a monotonic heartbeat in a single-writer word of its own
-/// partition, a timeout detector grades stale peers Alive → Suspected →
-/// Dead, and the lowest-ranked live node proposes epoch-stamped
-/// [`crate::MembershipView`]s that every survivor adopts and republishes
-/// through its own view words. `None` (the default) keeps the paper's
-/// layout and timing bit-for-bit — no heartbeat words exist and
+/// partition every `HEARTBEAT_PERIOD_NS` (20 µs), a timeout detector
+/// grades stale peers Alive → Suspected (`SUSPECT_AFTER_NS`, 200 µs) →
+/// Dead (`DEAD_AFTER_NS`, 600 µs), and the lowest-ranked live node
+/// proposes epoch-stamped [`crate::MembershipView`]s that every survivor
+/// adopts and republishes through its own view words. It is chosen in
+/// [`ReliabilityConfig::membership`]; without it
 /// [`crate::BbpEndpoint::membership_tick`] is a no-op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipConfig {
-    /// Cadence of heartbeat-word publishes.
-    pub heartbeat_period_ns: Time,
-    /// Staleness after which a peer is Suspected (no failure action yet;
-    /// observable through `obs` for detection-latency studies).
-    pub suspect_after_ns: Time,
-    /// Staleness after which a peer is declared Dead: the coordinator
-    /// engages its bypass and proposes an epoch bump excluding it.
-    pub dead_after_ns: Time,
-    /// Quorum-enforced views (`false` = the legacy engine, byte-identical
-    /// to the pre-quorum protocol). When on:
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Membership {
+    /// The failure detector alone: the coordinator's proposals commit as
+    /// soon as they are published.
+    Detector,
+    /// Quorum-enforced views:
     ///
     /// * a proposed view commits only once a strict majority of the
     ///   *seed* membership echoes the proposal words back (an explicit
@@ -148,18 +169,7 @@ pub struct MembershipConfig {
     /// current view: once half or more of the seed is gone (dead or cut
     /// away), no further view can commit anywhere — an even split
     /// freezes *both* sides by design.
-    pub quorum: bool,
-}
-
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        MembershipConfig {
-            heartbeat_period_ns: 20_000, // 20 µs: a handful of ring transits
-            suspect_after_ns: 200_000,   // 10 missed heartbeats
-            dead_after_ns: 600_000,      // 30 missed heartbeats
-            quorum: false,
-        }
-    }
+    Quorum,
 }
 
 /// The credit-based flow-control extension: each sender holds a fixed
@@ -210,9 +220,6 @@ pub struct BbpConfig {
     /// no checksums, no retries, no timeouts — and no layout or timing
     /// changes, preserving the calibrated latencies).
     pub reliability: Option<ReliabilityConfig>,
-    /// The membership extension (`None` = no heartbeat region in the
-    /// layout, no detector — the paper's billboard bit-for-bit).
-    pub membership: Option<MembershipConfig>,
     /// The credit-based flow-control extension (`None` = no ledger, no
     /// behaviour change; credits are sender-local bookkeeping over the
     /// existing ACK side channel, so the layout never changes either way).
@@ -230,7 +237,6 @@ impl BbpConfig {
             recv_mode: RecvMode::Polling,
             gc_policy: GcPolicy::FifoRing,
             reliability: None,
-            membership: None,
             credit: None,
         }
     }
@@ -243,23 +249,34 @@ impl BbpConfig {
         config
     }
 
-    /// [`BbpConfig::reliable_for_nodes`] with the default membership
-    /// extension on top: typed failures need reliability's liveness
-    /// checks, and detection needs heartbeats.
+    /// [`BbpConfig::reliable_for_nodes`] with the membership extension's
+    /// failure detector ([`Membership::Detector`]) on top: typed failures
+    /// need reliability's liveness checks, and detection needs heartbeats.
     pub fn membership_for_nodes(nprocs: usize) -> Self {
-        let mut config = Self::reliable_for_nodes(nprocs);
-        config.membership = Some(MembershipConfig::default());
-        config
+        Self::reliable_with(nprocs, Membership::Detector)
     }
 
-    /// [`BbpConfig::membership_for_nodes`] with quorum-enforced views on
-    /// top: view commits need a strict seed-majority ack round, minority
-    /// partitions freeze instead of diverging, and the data plane rejects
-    /// stale-epoch traffic.
+    /// [`BbpConfig::membership_for_nodes`] with quorum-enforced views
+    /// ([`Membership::Quorum`]): view commits need a strict seed-majority
+    /// ack round, minority partitions freeze instead of diverging, and the
+    /// data plane rejects stale-epoch traffic.
     pub fn quorum_for_nodes(nprocs: usize) -> Self {
-        let mut config = Self::membership_for_nodes(nprocs);
-        config.membership.as_mut().expect("membership is on").quorum = true;
-        config
+        Self::reliable_with(nprocs, Membership::Quorum)
+    }
+
+    fn reliable_with(nprocs: usize, membership: Membership) -> Self {
+        BbpConfig {
+            reliability: Some(ReliabilityConfig {
+                membership: Some(membership),
+                ..ReliabilityConfig::default()
+            }),
+            ..Self::for_nodes(nprocs)
+        }
+    }
+
+    /// The membership extension, if reliability carries one.
+    pub(crate) fn membership(&self) -> Option<Membership> {
+        self.reliability.as_ref().and_then(|rel| rel.membership)
     }
 
     /// Validate invariants (≥2 processes, 1–32 buffers, nonzero data
@@ -274,25 +291,14 @@ impl BbpConfig {
         if let Some(rel) = &self.reliability {
             assert!(rel.ack_timeout_ns > 0, "ack timeout cannot be zero");
             assert!(rel.recv_timeout_ns > 0, "recv timeout cannot be zero");
-            assert!(rel.backoff_factor >= 1, "backoff factor must be ≥ 1");
         }
-        if let Some(m) = &self.membership {
-            assert!(
-                self.reliability.is_some(),
-                "membership requires the reliability extension (typed failures \
-                 and the sequence/ACK machinery degraded mode depends on)"
-            );
+        if let Some(m) = self.membership() {
             assert!(
                 self.nprocs <= 32,
                 "membership packs alive_mask into one 32-bit view word"
             );
-            assert!(m.heartbeat_period_ns > 0, "heartbeat period cannot be zero");
             assert!(
-                m.heartbeat_period_ns < m.suspect_after_ns && m.suspect_after_ns < m.dead_after_ns,
-                "membership thresholds must satisfy period < suspect < dead"
-            );
-            assert!(
-                !m.quorum || self.nprocs >= 3,
+                m != Membership::Quorum || self.nprocs >= 3,
                 "quorum-enforced views need at least three seed members \
                  (a strict majority must survive a single loss)"
             );
@@ -353,26 +359,10 @@ mod tests {
         let rel = ReliabilityConfig {
             ack_timeout_ns: 100,
             max_retries: 3,
-            backoff_factor: 2,
             ..Default::default()
         };
         // 100 + 200 + 400 + 800
         assert_eq!(rel.max_send_wait_ns(), 1_500);
-        let flat = ReliabilityConfig {
-            ack_timeout_ns: 100,
-            max_retries: 2,
-            backoff_factor: 1,
-            ..Default::default()
-        };
-        assert_eq!(flat.max_send_wait_ns(), 300);
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff factor")]
-    fn zero_backoff_factor_rejected() {
-        let mut c = BbpConfig::reliable_for_nodes(2);
-        c.reliability.as_mut().unwrap().backoff_factor = 0;
-        c.validate();
     }
 
     #[test]
@@ -400,7 +390,7 @@ mod tests {
     #[test]
     fn membership_defaults_validate() {
         let c = BbpConfig::membership_for_nodes(4);
-        assert!(c.reliability.is_some(), "membership builds on reliability");
+        assert_eq!(c.membership(), Some(Membership::Detector));
         c.validate();
     }
 
@@ -413,7 +403,7 @@ mod tests {
     #[test]
     fn quorum_defaults_validate() {
         let c = BbpConfig::quorum_for_nodes(5);
-        assert!(c.membership.as_ref().unwrap().quorum);
+        assert_eq!(c.membership(), Some(Membership::Quorum));
         c.validate();
     }
 
@@ -421,13 +411,5 @@ mod tests {
     #[should_panic(expected = "at least three seed members")]
     fn quorum_on_two_nodes_rejected() {
         BbpConfig::quorum_for_nodes(2).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "period < suspect < dead")]
-    fn inverted_membership_thresholds_rejected() {
-        let mut c = BbpConfig::membership_for_nodes(4);
-        c.membership.as_mut().unwrap().suspect_after_ns = 1_000_000;
-        c.validate();
     }
 }

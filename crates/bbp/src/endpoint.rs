@@ -143,7 +143,7 @@ impl BbpEndpoint {
         BbpEndpoint {
             core: Core::new(io, &config),
             reliable: config.reliability.clone().map(|cfg| Reliable::new(cfg, n)),
-            members: config.membership.clone().map(|cfg| Members::new(cfg, n)),
+            members: config.membership().map(|m| Members::new(m, n)),
             flow: Flow::new(&config),
             config,
         }

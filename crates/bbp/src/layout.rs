@@ -90,7 +90,7 @@ impl Layout {
                 DESC_WORDS
             },
             flag_blocks: if reliable { 3 } else { 2 },
-            member_words: config.membership.as_ref().map_or(0, |_| MEMBER_WORDS),
+            member_words: config.membership().map_or(0, |_| MEMBER_WORDS),
         }
     }
 
@@ -422,11 +422,11 @@ mod tests {
 
     #[test]
     fn membership_off_layout_is_byte_identical_to_reliable() {
-        // `membership: None` must keep every address the calibrated runs
+        // No membership must keep every address the calibrated runs
         // and golden traces depend on.
         let plain = reliable_layout(4);
         let mut cfg = BbpConfig::reliable_for_nodes(4);
-        cfg.membership = None;
+        cfg.reliability.as_mut().unwrap().membership = None;
         let off = Layout::new(&cfg);
         assert_eq!(off.partition_words(), plain.partition_words());
         for p in 0..4 {

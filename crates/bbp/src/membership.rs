@@ -7,8 +7,8 @@
 //! single-writer words, so the detector needs no coordination beyond
 //! SCRAMNet's replication itself:
 //!
-//! * every node publishes its heartbeat on a configurable cadence
-//!   ([`crate::MembershipConfig::heartbeat_period_ns`]),
+//! * every node publishes its heartbeat every
+//!   [`crate::config::HEARTBEAT_PERIOD_NS`],
 //! * every node grades every peer Alive → Suspected → Dead from the
 //!   staleness of that peer's heartbeat word in its *local* bank,
 //! * the lowest-ranked node that is not locally Dead acts as
@@ -28,7 +28,7 @@
 //! [`crate::BbpEndpoint::rejoin`] — one tick is six phases, one function
 //! each: reachability, publish, grade, coordinate, echo, adopt.
 //!
-//! With [`crate::MembershipConfig::quorum`] on, the coordinator's
+//! With [`crate::Membership::Quorum`], the coordinator's
 //! proposal additionally rides an explicit ack round: it is published
 //! through the coordinator's `prop` words, every member echoes the pair
 //! it acknowledges through its own `prop` words (at most one mask per
@@ -44,7 +44,7 @@ use des::obs::LogHistogram;
 use des::{ProcCtx, Time};
 use scramnet::Word;
 
-use crate::config::MembershipConfig;
+use crate::config::{Membership, DEAD_AFTER_NS, HEARTBEAT_PERIOD_NS, SUSPECT_AFTER_NS};
 use crate::core::Core;
 use crate::error::BbpError;
 use crate::flow::Flow;
@@ -84,10 +84,10 @@ pub enum PeerHealth {
     /// Heartbeat fresh (or the peer has not been stale long enough).
     #[default]
     Alive = 0,
-    /// Heartbeat stale past `suspect_after_ns`: no action taken yet,
+    /// Heartbeat stale past `SUSPECT_AFTER_NS`: no action taken yet,
     /// but the suspicion (and its latency) is observable through `obs`.
     Suspected = 1,
-    /// Heartbeat stale past `dead_after_ns`: the coordinator engages the
+    /// Heartbeat stale past `DEAD_AFTER_NS`: the coordinator engages the
     /// peer's ring bypass and proposes an epoch excluding it.
     Dead = 2,
 }
@@ -123,10 +123,11 @@ pub struct DetectionHists {
 /// The per-endpoint membership engine. Every step is handed the [`Core`]
 /// whose writer and counters it uses and, where it restarts pairwise
 /// channels, the [`Reliable`] and [`Flow`] state that restarts with them
-/// (`BbpConfig::validate`: membership implies reliability).
+/// (membership is part of `ReliabilityConfig`).
 #[derive(Debug, Clone)]
 pub(crate) struct Members {
-    cfg: MembershipConfig,
+    /// Quorum-enforced views ([`Membership::Quorum`]).
+    quorum: bool,
     /// Our own monotonic heartbeat counter (next publish writes +1).
     pub hb_counter: Word,
     /// Our incarnation: 0 until the first heartbeat publish, then ≥ 1;
@@ -208,11 +209,11 @@ fn reset_send_state(ctx: &mut ProcCtx, core: &mut Core, rel: &mut Reliable, flow
 impl Members {
     /// Initial state for a cluster of `n`: epoch 0, everyone a member,
     /// everyone graded Alive as of t = 0.
-    pub fn new(cfg: MembershipConfig, n: usize) -> Self {
+    pub fn new(membership: Membership, n: usize) -> Self {
         debug_assert!(n <= 32);
         let alive_mask = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
         Members {
-            cfg,
+            quorum: membership == Membership::Quorum,
             hb_counter: 0,
             incarnation: 0,
             next_hb_at: 0,
@@ -267,15 +268,15 @@ impl Members {
         rel: &mut Reliable,
         flow: &mut Flow,
     ) {
-        if self.cfg.quorum {
+        if self.quorum {
             self.reachability(ctx, core, rel, flow);
         }
         if ctx.now() >= self.next_hb_at {
-            self.publish_heartbeat(ctx, core, self.cfg.quorum);
+            self.publish_heartbeat(ctx, core, self.quorum);
         }
         let scan = self.grade(ctx, core);
         let coordinator = self.coordinate(ctx, core, rel, &scan);
-        if self.cfg.quorum {
+        if self.quorum {
             self.echo(ctx, core, coordinator, &scan);
         }
         self.adopt(ctx, core, rel, &scan);
@@ -390,7 +391,7 @@ impl Members {
 
     /// Book one published heartbeat and schedule the next.
     fn beat_published(&mut self, ctx: &mut ProcCtx, core: &mut Core) {
-        self.next_hb_at = ctx.now() + self.cfg.heartbeat_period_ns;
+        self.next_hb_at = ctx.now() + HEARTBEAT_PERIOD_NS;
         core.stats.heartbeats += 1;
         core.count(ctx, "bbp.heartbeats", 1);
     }
@@ -400,7 +401,7 @@ impl Members {
     /// mode reads only the four words it ever wrote, keeping its PIO
     /// timing identical; quorum mode reads the proposal pair too.
     fn grade(&mut self, ctx: &mut ProcCtx, core: &mut Core) -> Scan {
-        let quorum = self.cfg.quorum;
+        let quorum = self.quorum;
         let member_words = if quorum { MEMBER_WORDS } else { 4 };
         let mut scan = Scan {
             views: vec![None; core.n],
@@ -440,13 +441,13 @@ impl Members {
                 t.last_change = ctx.now();
             } else {
                 let stale = ctx.now().saturating_sub(t.last_change);
-                if t.health == PeerHealth::Alive && stale >= self.cfg.suspect_after_ns {
+                if t.health == PeerHealth::Alive && stale >= SUSPECT_AFTER_NS {
                     t.health = PeerHealth::Suspected;
                     core.stats.suspicions += 1;
                     core.count(ctx, "bbp.suspicions", 1);
                     self.hists.suspect_ns.record(stale);
                 }
-                if t.health == PeerHealth::Suspected && stale >= self.cfg.dead_after_ns {
+                if t.health == PeerHealth::Suspected && stale >= DEAD_AFTER_NS {
                     t.health = PeerHealth::Dead;
                     core.stats.deaths += 1;
                     core.count(ctx, "bbp.deaths", 1);
@@ -480,7 +481,7 @@ impl Members {
         rel: &mut Reliable,
         scan: &Scan,
     ) -> usize {
-        let (n, rank, quorum) = (core.n, core.rank, self.cfg.quorum);
+        let (n, rank, quorum) = (core.n, core.rank, self.quorum);
         let alive = |st: &Self, r: usize| st.tracks[r].health != PeerHealth::Dead;
         let behind = quorum
             && scan
@@ -583,7 +584,7 @@ impl Members {
     /// pairwise resets toward us, so our scrubbed shadows are safe to poll
     /// the moment we unfreeze.
     fn adopt(&mut self, ctx: &mut ProcCtx, core: &mut Core, rel: &mut Reliable, scan: &Scan) {
-        let (n, rank, quorum) = (core.n, core.rank, self.cfg.quorum);
+        let (n, rank, quorum) = (core.n, core.rank, self.quorum);
         let mut best: Option<MembershipView> = None;
         for (r, view) in scan.views.iter().enumerate() {
             let Some((epoch, alive_mask)) = *view else {
@@ -642,7 +643,7 @@ impl Members {
         view: MembershipView,
     ) {
         debug_assert!(view.epoch > self.view.epoch);
-        let (n, rank, quorum) = (core.n, core.rank, self.cfg.quorum);
+        let (n, rank, quorum) = (core.n, core.rank, self.quorum);
         let admitted = view.alive_mask & !self.view.alive_mask;
         let removed = self.view.alive_mask & !view.alive_mask;
         for r in 0..n {
@@ -702,7 +703,7 @@ impl Members {
         rel: &mut Reliable,
         flow: &mut Flow,
     ) -> Result<(), BbpError> {
-        if self.cfg.quorum && ctx.now() >= self.next_hb_at {
+        if self.quorum && ctx.now() >= self.next_hb_at {
             self.tick(ctx, core, rel, flow);
             self.check_frozen()?;
         }
@@ -720,7 +721,7 @@ impl Members {
     /// pending entry dies with the pairwise reset when the view removing
     /// it commits.
     pub fn fence(&self, ctx: &mut ProcCtx, core: &mut Core, src: usize, hold_ns: Time) -> bool {
-        if !self.cfg.quorum {
+        if !self.quorum {
             return false;
         }
         let theirs = read_view(ctx, core, src);
@@ -770,7 +771,7 @@ impl Members {
         // previous incarnation must never be counted toward a fresh
         // commit.
         let block = [self.hb_counter, self.incarnation, 0, 0, 0, 0];
-        let member_words = if self.cfg.quorum { MEMBER_WORDS } else { 4 };
+        let member_words = if self.quorum { MEMBER_WORDS } else { 4 };
         core.io.member(ctx, 0, &block[..member_words]);
         self.beat_published(ctx, core);
         // Wait for readmission: a view containing us, echoed identically
@@ -813,7 +814,7 @@ impl Members {
             if ctx.now() >= self.next_hb_at {
                 self.publish_heartbeat(ctx, core, false);
             }
-            ctx.advance(self.cfg.heartbeat_period_ns / 2 + 1);
+            ctx.advance(HEARTBEAT_PERIOD_NS / 2 + 1);
         }
     }
 }
@@ -837,12 +838,12 @@ mod tests {
 
     #[test]
     fn initial_state_has_everyone_alive_at_epoch_zero() {
-        let st = Members::new(MembershipConfig::default(), 4);
+        let st = Members::new(Membership::Detector, 4);
         assert_eq!(st.view.epoch, 0);
         assert_eq!(st.view.alive_mask, 0b1111);
         assert_eq!(st.incarnation, 0, "incarnation published on first tick");
         assert!(st.tracks.iter().all(|t| t.health == PeerHealth::Alive));
-        let full = Members::new(MembershipConfig::default(), 32);
+        let full = Members::new(Membership::Detector, 32);
         assert_eq!(full.view.alive_mask, u32::MAX);
     }
 }

@@ -13,7 +13,7 @@ use des::obs::Stage;
 use des::{ProcCtx, Time};
 use scramnet::Word;
 
-use crate::config::{GcPolicy, ReliabilityConfig, GC_RETRY_GAP_NS};
+use crate::config::{GcPolicy, ReliabilityConfig, BACKOFF_FACTOR, CHECKSUM_NS, GC_RETRY_GAP_NS};
 use crate::core::{Core, PendingMsg};
 use crate::crc::descriptor_crc;
 use crate::error::BbpError;
@@ -64,7 +64,7 @@ impl Reliable {
     /// fields and the staged payload. The checksum lives in our own
     /// partition — single-writer preserved.
     pub(crate) fn seal(&self, ctx: &mut ProcCtx, core: &Core, slot: usize) -> Word {
-        ctx.advance(self.cfg.checksum_ns);
+        ctx.advance(CHECKSUM_NS);
         let s = &core.slots[slot];
         descriptor_crc(s.data_off as Word, s.len_bytes as Word, s.seq, &core.staged)
     }
@@ -123,7 +123,7 @@ impl Reliable {
             }
             if attempt < self.cfg.max_retries {
                 self.retransmit(ctx, core, slot, targets, payload);
-                timeout = timeout.saturating_mul(self.cfg.backoff_factor);
+                timeout = timeout.saturating_mul(BACKOFF_FACTOR);
             }
         }
         // Budget exhausted. Classify the failure, then eagerly roll the
@@ -264,7 +264,7 @@ impl Reliable {
             && data_off + words <= core.layout.data_words();
         let verified = in_bounds && {
             core.read_payload(ctx, src, data_off, words);
-            ctx.advance(self.cfg.checksum_ns);
+            ctx.advance(CHECKSUM_NS);
             descriptor_crc(desc[0], desc[1], desc[2], &core.payload) == stored_crc
         };
         if !verified {

@@ -198,10 +198,9 @@ fn reliable_world(corrupt_rate: f64, traced: bool) -> Pin {
     cfg.reliability = Some(ReliabilityConfig {
         ack_timeout_ns: 60_000,
         max_retries: 2,
-        backoff_factor: 2,
         recv_timeout_ns: 900_000,
         verify_retries: 2,
-        checksum_ns: 200,
+        membership: None,
     });
     cfg.bufs_per_proc = 4;
     cfg.data_words = 320;

@@ -1,5 +1,5 @@
 //! The partition campaign: a deterministic (scenario × seed) matrix over
-//! quorum-enforced membership ([`bbp::MembershipConfig::quorum`]), driving
+//! quorum-enforced membership ([`bbp::Membership::Quorum`]), driving
 //! ring segmentation through the [`FaultPlan::partition`] DSL while
 //! survivor traffic runs underneath. Every cell checks the partition
 //! contract:

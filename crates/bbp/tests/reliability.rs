@@ -195,21 +195,19 @@ proptest! {
 
     /// The closed-form latency bound: with `k` whole transmissions
     /// swallowed by the ring, `bbp_Send` finishes within the backoff sum
-    /// `Σ ack_timeout·factor^i` over the attempts it needed, plus a
+    /// `Σ ack_timeout·2^i` over the attempts it needed, plus a
     /// per-attempt software/PIO allowance — never the unbounded stall the
     /// paper's protocol would suffer.
     #[test]
     fn send_latency_under_k_losses_is_bounded(
         k in 0u32..=3,
         len in prop_oneof![Just(0usize), 1usize..=64],
-        backoff_factor in 1u64..=3,
     ) {
         // 50 µs comfortably covers the worst-case fault-free round trip at
         // 64 bytes (~30 µs), so every retry observed is a real loss.
         let rel = ReliabilityConfig {
             ack_timeout_ns: 50_000,
             max_retries: 4,
-            backoff_factor,
             ..Default::default()
         };
         let mut sim = Simulation::new();
@@ -241,7 +239,7 @@ proptest! {
         let mut t = rel.ack_timeout_ns;
         for _ in 0..=k {
             bound = bound.saturating_add(t);
-            t = t.saturating_mul(rel.backoff_factor);
+            t = t.saturating_mul(2); // the protocol's backoff factor
         }
         bound = bound.saturating_add(t); // the successful attempt's window
         let slack = des::us(20) * u64::from(k + 2); // per-attempt sw/PIO cost

@@ -202,8 +202,6 @@ fn hierarchy_latencies() -> (f64, f64) {
                 leaves: 4,
                 hosts_per_leaf: 4,
                 words,
-                bridge_ns: 2_000,
-                cost: CostModel::default(),
             },
         );
         let mut tx = bbp::BbpCluster::endpoint_over(h.nic(src), config.clone());

@@ -31,9 +31,13 @@ struct State {
     waiters: Vec<ProcId>,
     /// Notifications so far.
     count: usize,
+    /// Tickets taken and not yet dropped.
+    tickets: usize,
     /// The instants of the latest notifications, oldest first: every one
     /// that had not fired when the last ticket was taken, and every one
-    /// since. (A signal nobody takes tickets on keeps them all.)
+    /// since while a ticket is out. (A notification made with no ticket
+    /// out counts for no ticket, so it is not kept: a signal nobody takes
+    /// tickets on does not grow.)
     unfired: Vec<Time>,
 }
 
@@ -60,7 +64,9 @@ impl Signal {
         self.sched.assert_settled("notifying a signal");
         let mut state = self.state.lock();
         state.count += 1;
-        state.unfired.push(t);
+        if state.tickets > 0 {
+            state.unfired.push(t);
+        }
         if !state.waiters.is_empty() {
             let mut core = self.sched.core();
             for id in state.waiters.drain(..) {
@@ -73,6 +79,7 @@ impl Signal {
     pub(crate) fn ticket(&self, now: Time) -> Ticket {
         let mut state = self.state.lock();
         state.unfired.retain(|&t| t > now);
+        state.tickets += 1;
         Ticket(Arc::clone(&self.state), state.count)
     }
 }
@@ -89,5 +96,13 @@ impl Ticket {
         }
         let first = state.unfired.len().checked_sub(since);
         (since > 0).then(|| first.map_or(now, |k| state.unfired[k].max(now)))
+    }
+}
+
+impl Drop for Ticket {
+    /// A signal with no ticket out stops keeping instants; those it kept
+    /// that have fired go when the next ticket is taken.
+    fn drop(&mut self) {
+        self.0.lock().tickets -= 1;
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::process::{spawn_process, ProcCtx, ProcId, ABORT};
-use crate::sched::{Baton, Returned, SchedShared, SimHandle};
+use crate::sched::{Baton, PendingQueue, Returned, SchedShared, SimHandle};
 use crate::time::Time;
 use obs::TraceEntry;
 
@@ -222,6 +222,12 @@ impl Drop for Simulation {
                 let _ = join.join();
             }
         }
+        // What is still queued (an event past the horizon) goes last, and
+        // out of the core too: a closure may hold a `SimHandle`, so while
+        // queued it keeps this scheduler alive, and dropping it may drop a
+        // value that enters the scheduler.
+        let pending = std::mem::replace(&mut self.sched.core().agenda.pending, PendingQueue::new());
+        drop(pending);
     }
 }
 
@@ -343,6 +349,25 @@ mod tests {
             });
             assert!(sim.run().is_clean());
         }
+    }
+
+    /// An event queued past the horizon, holding a handle on the
+    /// scheduler that queues it (as a ring's hop does), goes with the
+    /// simulation: the queue does not keep itself alive.
+    #[test]
+    fn an_event_past_the_horizon_is_freed_with_the_simulation() {
+        use std::sync::Arc;
+        let mut sim = Simulation::new();
+        let held = Arc::new(());
+        let probe = Arc::downgrade(&held);
+        let h = sim.handle();
+        sim.handle().schedule_at(us(50), move |_| drop((h, held)));
+        assert_eq!(sim.run_until(us(10)).dispatches, 0);
+        drop(sim);
+        assert!(
+            probe.upgrade().is_none(),
+            "the queued event outlived its simulation"
+        );
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub(crate) const DMA_SETUP_NS: Time = 800;
 /// DMA engine streaming rate from host memory to NIC memory, per word
 /// (PCI burst reads by the NIC).
 pub(crate) const DMA_WORD_NS: Time = 100;
+/// Store-and-forward latency through a hierarchy's bridge, each way
+/// (leaf → backbone, backbone → leaf).
+pub(crate) const BRIDGE_NS: Time = 2_000;
 
 /// The five hardware timing constants an experiment may vary, in
 /// nanoseconds (`benches/sensitivity.rs` sweeps each ±25 %); every other

@@ -24,12 +24,14 @@ use std::sync::Arc;
 
 use des::{SimHandle, Time};
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, BRIDGE_NS};
 use crate::nic::Nic;
 use crate::ring::{Ring, RingConfig};
 use crate::{Word, WordAddr};
 
-/// Configuration of a two-level ring hierarchy.
+/// Configuration of a two-level ring hierarchy. Every ring runs the
+/// calibrated [`CostModel::default`], and a bridge crossing costs the
+/// cost model's `BRIDGE_NS` (2 µs).
 #[derive(Debug, Clone)]
 pub struct HierarchyConfig {
     /// Leaf rings.
@@ -39,10 +41,6 @@ pub struct HierarchyConfig {
     pub hosts_per_leaf: usize,
     /// Words of replicated memory (the full global space, in every bank).
     pub words: usize,
-    /// Store-and-forward latency through a bridge.
-    pub bridge_ns: Time,
-    /// Hardware cost model for every ring.
-    pub cost: CostModel,
 }
 
 /// A two-level SCRAMNet hierarchy. Host NICs come from
@@ -65,7 +63,7 @@ impl RingHierarchy {
         // Global ids: hosts are 0..k*m (leaf-major); bridge devices are
         // k*m + leaf.
         let ring = |ids| {
-            let (words, cost) = (config.words, config.cost.clone());
+            let (words, cost) = (config.words, CostModel::default());
             Ring::with_ids(handle, ids, words, cost, RingConfig::default())
         };
         let leaves: Vec<Ring> = (0..k)
@@ -83,13 +81,12 @@ impl RingHierarchy {
             let host_hi = (leaf + 1) * m;
             // Leaf bridge slot (local index m) → backbone (local index leaf).
             let backbone_shared = backbone.shared_handle();
-            let bridge_ns = config.bridge_ns;
             leaves[leaf].shared_handle().set_tap(
                 m,
                 Box::new(
                     move |writer: usize, addr: WordAddr, data: &[Word], t: Time| {
                         if (host_lo..host_hi).contains(&writer) {
-                            backbone_shared.inject_as(leaf, writer, t + bridge_ns, addr, data);
+                            backbone_shared.inject_as(leaf, writer, t + BRIDGE_NS, addr, data);
                         }
                     },
                 ),
@@ -105,7 +102,7 @@ impl RingHierarchy {
                     move |writer: usize, addr: WordAddr, data: &[Word], t: Time| {
                         if !(host_lo..host_hi).contains(&writer) && writer < total_hosts {
                             if let Some(leaf_shared) = leaf_shared.upgrade() {
-                                leaf_shared.inject_as(m, writer, t + bridge_ns, addr, data);
+                                leaf_shared.inject_as(m, writer, t + BRIDGE_NS, addr, data);
                             }
                         }
                     },
@@ -173,8 +170,6 @@ mod tests {
                 leaves,
                 hosts_per_leaf: hosts,
                 words: 2048,
-                bridge_ns: 2_000,
-                cost: CostModel::default(),
             },
         )
     }

@@ -9,7 +9,7 @@
 //! and a test on another harness thread would take from it.
 
 use des::Simulation;
-use scramnet::{bank_storage_allocated, CostModel, HierarchyConfig, RingHierarchy};
+use scramnet::{bank_storage_allocated, HierarchyConfig, RingHierarchy};
 
 /// Build a 2-leaf hierarchy, send one block across it, and drop it all.
 fn build_and_drop() {
@@ -20,8 +20,6 @@ fn build_and_drop() {
             leaves: 2,
             hosts_per_leaf: 2,
             words: 4096,
-            bridge_ns: 2_000,
-            cost: CostModel::default(),
         },
     );
     let nic = h.nic(0);

@@ -156,7 +156,7 @@ pub enum MpiError {
     /// at its last committed membership epoch and every operation fails
     /// until the partition heals and the majority readmits the node.
     /// Only produced on worlds whose membership layer enforces quorum
-    /// ([`bbp::MembershipConfig::quorum`]). Unlike [`MpiError::PeerFailed`]
+    /// ([`bbp::Membership::Quorum`]). Unlike [`MpiError::PeerFailed`]
     /// this is a *local* condition — no peer is known dead; this rank is
     /// the one cut off.
     Partitioned {

@@ -306,7 +306,7 @@ fn membership_healthy(traced: bool) -> Pin {
         let me = comm.rank();
         log.push("try_barrier", mpi.try_barrier(ctx, &comm));
         // Small payloads only: a reliable multicast of 1 KB already keeps
-        // its root away from the heartbeat for over `dead_after_ns`.
+        // its root away from the heartbeat for over `DEAD_AFTER_NS`.
         for (root, len) in [(0, 4), (2, 64), (1, 256)] {
             let data = payload(root, len);
             let got = mpi.try_bcast(ctx, &comm, root, (me == root).then_some(&data[..]));

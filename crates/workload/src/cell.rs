@@ -272,7 +272,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 RpcConfig {
                     pool: plan_s.pool,
                     body_capacity: plan_s.body_bytes,
-                    max_high_streak: plan_s.max_high_streak,
+                    ..RpcConfig::default()
                 },
             );
             loop {

@@ -116,8 +116,6 @@ pub struct WorkloadPlan {
     pub sidecar: Sidecar,
     /// Server buffer pool (bounds queue residency).
     pub pool: usize,
-    /// Server anti-starvation bound (see `rpc::RpcConfig`).
-    pub max_high_streak: u32,
     /// The scenario's SLO: the p999 service-latency target (µs) the
     /// capacity sweep finds the max sustainable load against.
     pub p999_target_us: f64,
@@ -139,7 +137,6 @@ impl WorkloadPlan {
             windows: Vec::new(),
             sidecar: Sidecar::None,
             pool: 24,
-            max_high_streak: 8,
             p999_target_us: 400.0,
         }
     }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::{Simulation, Time, TimeExt};
-use scramnet_cluster::scramnet::{CostModel, HierarchyConfig, RingHierarchy};
+use scramnet_cluster::scramnet::{HierarchyConfig, RingHierarchy};
 use scramnet_cluster::smpi::{CollectiveImpl, Device, Mpi, ReduceOp, SmpiCosts};
 
 fn hierarchy(sim: &Simulation, leaves: usize, hosts: usize, words: usize) -> RingHierarchy {
@@ -17,8 +17,6 @@ fn hierarchy(sim: &Simulation, leaves: usize, hosts: usize, words: usize) -> Rin
             leaves,
             hosts_per_leaf: hosts,
             words,
-            bridge_ns: 2_000,
-            cost: CostModel::default(),
         },
     )
 }

@@ -5,17 +5,21 @@
 //! the sweep — so a world dropped mid-sweep (or, before the chain learned
 //! to let go, any world at all) leaked whole; and every world's bank pages
 //! and page tables were allocated afresh on whichever thread first wrote
-//! them.
+//! them. A third kept a world whose run ended with an event still queued
+//! past its horizon — a fault plan's heal — for the same reason: the event
+//! holds the ring, which holds the scheduler, which held the queue.
 //!
-//! Counted with a wrapping global allocator, so everything runs inside ONE
-//! test function: a sibling test on another harness thread would pollute
-//! the counters.
+//! Counted with a wrapping global allocator, so each test holds `SERIAL`
+//! for its whole body: a sibling test on another harness thread would
+//! pollute the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use scramnet_cluster::des::{ms, Simulation};
-use scramnet_cluster::scramnet::bank_storage_allocated;
+use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
+use scramnet_cluster::des::{ms, us, Simulation};
+use scramnet_cluster::scramnet::{bank_storage_allocated, CostModel, FaultPlan};
 use scramnet_cluster::smpi::MpiWorld;
 
 struct CountingAlloc;
@@ -42,6 +46,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// One test at a time, whether or not another failed.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Build a 16-rank world, broadcast and synchronise on it, then leave
 /// every rank but the root blocked on something nothing will satisfy —
@@ -83,6 +96,7 @@ fn one_world(in_a_collective: bool) {
 
 #[test]
 fn worlds_dropped_mid_sweep_leave_nothing_behind() {
+    let _serial = serial();
     // Arrays: a growing `Vec` of readings would be counted too.
     let mut live = [0; 20];
     let mut storage = [(0, 0); 20];
@@ -106,5 +120,43 @@ fn worlds_dropped_mid_sweep_leave_nothing_behind() {
     assert_eq!(
         storage[2], storage[1],
         "the third world allocated a bank page or a page table: {storage:?}"
+    );
+}
+
+/// A quorum world cut in two at 200 µs for 50 ms, run to a 2 ms horizon
+/// while its nodes tick membership until 1 ms: the partition's heal is
+/// still queued when the world is dropped. Its ring must go with it.
+#[test]
+fn a_world_dropped_with_a_heal_still_queued_frees_its_ring() {
+    let _serial = serial();
+    let plan = FaultPlan::new(42).at(us(200)).partition(1, 4, ms(50));
+    let mut sim = Simulation::new();
+    let c = BbpCluster::with_hardware(
+        &sim.handle(),
+        BbpConfig::quorum_for_nodes(5),
+        CostModel::default(),
+        plan.ring_config(),
+    );
+    plan.arm(c.ring());
+    // The ring holds what it records into: a probe that lives as long as
+    // the ring does.
+    let ring = Arc::downgrade(&c.ring().record_deliveries(0));
+    for rank in 0..5 {
+        let mut ep = c.endpoint(rank);
+        sim.spawn(format!("n{rank}"), move |ctx| {
+            while ctx.now() < ms(1) {
+                ep.membership_tick(ctx);
+                ctx.advance(us(10));
+            }
+        });
+    }
+    let report = sim.run_until(ms(2));
+    assert!(report.is_clean(), "{report:?}");
+    assert!(c.ring().is_link_broken(1), "the heal is still queued");
+    drop(c);
+    drop(sim);
+    assert!(
+        ring.upgrade().is_none(),
+        "the dropped world's ring is still alive"
     );
 }
