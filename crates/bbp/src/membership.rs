@@ -457,7 +457,7 @@ impl Members {
             // Grade transitions as a step series keyed by the graded
             // peer, valued by `PeerHealth`'s discriminant (3 = Partitioned,
             // recorded at the freeze site): a counter track in a Chrome
-            // trace, and a series a health rule can judge.
+            // trace.
             if t.health != grade_before {
                 let grade = t.health as u64;
                 ctx.obs()

@@ -70,21 +70,21 @@ impl Layer {
         }
     }
 
-    /// Index into [`Layer::ALL`]-shaped arrays.
+    /// Index into [`Layer::ALL`]-shaped arrays: the discriminant.
     pub fn index(self) -> usize {
-        match self {
-            Layer::Mpi => 0,
-            Layer::Adi => 1,
-            Layer::Channel => 2,
-            Layer::Device => 3,
-            Layer::Bbp => 4,
-            Layer::Nic => 5,
-            Layer::Ring => 6,
-            Layer::Sched => 7,
-            Layer::Rpc => 8,
-        }
+        self as usize
     }
 }
+
+// `ALL` lists the layers in declaration order, so a discriminant is an
+// index into it.
+const _: () = {
+    let mut i = 0;
+    while i < Layer::COUNT {
+        assert!(Layer::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 /// One recorded observation. Span names are `&'static str` by design:
 /// recording must never allocate.

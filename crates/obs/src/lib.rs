@@ -30,9 +30,9 @@
 //!
 //! - **Gauges** ([`timeseries::Telemetry`]) sample load-bearing state —
 //!   queue residencies, credit balances, membership grades — into
-//!   fixed-capacity downsampling time series on their own enable gate,
-//!   and the [`health::HealthSpec`] engine turns campaign
-//!   invariants over those series into declarative rules.
+//!   fixed-capacity downsampling time series on their own enable gate;
+//!   a campaign cell whose counted bound breaks dumps the matching
+//!   series next to its flight ring ([`SeriesSnapshot::dump_to_dir`]).
 //!
 //! - **Campaigns** ([`campaign`]): the one runner every seed-sampled
 //!   matrix (fault, chaos, partition, workload) is walked by — filters,
@@ -67,7 +67,6 @@ mod recorder;
 pub mod campaign;
 pub mod flight;
 pub mod golden;
-pub mod health;
 pub mod hist;
 pub mod json;
 pub mod lifecycle;
@@ -78,7 +77,6 @@ pub use attr::{attribute, message_waterfalls, LayerBreakdown, MessageWaterfall, 
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_telemetry};
 pub use event::{Event, Layer, TraceEntry, TraceKind, Track, NO_NODE};
 pub use flight::{FlightGuard, FlightRecorder};
-pub use health::{Finding, HealthSpec, Violation};
 pub use hist::LogHistogram;
 pub use lifecycle::Stage;
 pub use recorder::Recorder;

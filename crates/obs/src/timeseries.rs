@@ -23,8 +23,8 @@
 //!    occupancy/balance, so a series enabled mid-run is merely coarse
 //!    at the front, never wrong.
 //!
-//! Every bucket keeps `min`/`max`/`last`/`count`; the health
-//! monitor's rules read the maxima.
+//! Every bucket keeps `min`/`max`/`last`/`count`, and the series keeps
+//! its exact `min`/`max`/`mean`/`last` across merges.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -175,8 +175,8 @@ impl Series {
 }
 
 /// An immutable copy of one gauge's series, taken by
-/// [`Telemetry::snapshot`]. This is what the exporters and the health
-/// monitor consume.
+/// [`Telemetry::snapshot`]. This is what the exporters render and what
+/// a breached campaign bound dumps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesSnapshot {
     /// Gauge name (dot-scoped by layer, e.g. `rpc.buffers_in_use`).
@@ -203,7 +203,8 @@ pub struct SeriesSnapshot {
 
 impl SeriesSnapshot {
     /// Render this series as a standalone JSON object (the per-metric
-    /// dump written next to flight rings when a health rule fires).
+    /// dump written next to flight rings when a campaign cell's counted
+    /// bound breaks).
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(self.buckets.len() * 64 + 256);
         o.push_str("{\"metric\":");

@@ -139,8 +139,8 @@ impl MessageQueue {
             let residency = self.cfg.pool - self.free.len();
             self.stats.max_residency = self.stats.max_residency.max(residency);
             // The same residency the hand-rolled stat tracks, as a
-            // gauge series: the workload campaign's pool invariant
-            // reads this through the health monitor.
+            // gauge series: the series a workload cell dumps when the
+            // stat breaks its pool bound.
             let rec = ctx.obs();
             if rec.telemetry_on() {
                 let now = ctx.now();

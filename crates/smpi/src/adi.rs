@@ -716,8 +716,8 @@ impl Adi {
             self.unexpected.push_back(u);
             self.unexpected_peak = self.unexpected_peak.max(self.unexpected.len());
             // The same depth the hand-rolled peak tracks, as a gauge
-            // series — the workload campaign's flood invariants read
-            // this through the health monitor.
+            // series — the series a workload cell dumps when the peak
+            // breaks its flood bound.
             ctx.obs().gauge(
                 ctx.now(),
                 self.node(),

@@ -4,10 +4,10 @@
 //! arrival streams through `rpc::RpcClient` channels, and the optional
 //! MPI sidecar ranks ride the same billboard. The executor checks every
 //! per-cell invariant (no deadlock, full drain, source fairness, both
-//! priority classes progressing, sidecar completion; bounded queue
-//! residency through [`cell_health_spec`]) and reports violations as
-//! strings rather than panicking — a violated cell still produces its
-//! flight dump and its repro line.
+//! priority classes progressing, sidecar completion, bounded pool and
+//! unexpected-queue residency) and reports violations as strings rather
+//! than panicking — a violated cell still produces its flight dump and
+//! its repro line.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,12 +32,19 @@ pub const BUFS_PER_PROC: usize = 32;
 /// What the MPI flood sidecar observed.
 #[derive(Debug, Clone, Copy)]
 pub struct FloodOutcome {
-    /// High-water mark of the floodee's unexpected queue.
+    /// High-water mark of the floodee's unexpected queue, read after its
+    /// last receive.
     pub peak: usize,
     /// Unexpected-queue residency after every receive completed.
     pub final_residency: usize,
     /// Flood messages received bit-exact.
     pub delivered: u32,
+    /// Receives the floodee posted only after the flood, one for each
+    /// send no receive was preposted for: the most its queue may park.
+    late_receives: usize,
+    /// When the floodee's last receive completed: its queue is judged
+    /// empty by the cell's hard stop from this instant.
+    finished_at: Time,
 }
 
 /// Everything one cell produces.
@@ -74,15 +81,16 @@ pub struct CellOutcome {
     /// Virtual time the arrival script covered, nanoseconds.
     pub elapsed_ns: Time,
     /// Invariant violations, empty when the cell is healthy. Includes
-    /// the health-monitor findings (also listed separately below).
+    /// the bounded-buffer breaches (also listed separately below).
     pub violations: Vec<String>,
-    /// What the declarative health monitor found on the sampled gauge
-    /// series — the residency and flood-parking invariants, which
-    /// [`cell_health_spec`] alone judges.
+    /// The bounded-buffer breaches, judged from the counts above: a
+    /// server's `max_residency` over its pool, the floodee's `peak` over
+    /// the sends no receive was preposted for, or its queue not empty by
+    /// the hard stop. Each dumps its gauge series next to the flight ring.
     pub health_violations: Vec<String>,
-    /// The cell's sampled gauge series, for ad-hoc health specs over a
-    /// finished cell or for reading a capacity knee (EXPERIMENTS.md,
-    /// "Reading a capacity knee from the occupancy series").
+    /// The cell's sampled gauge series: what a breach dumps, and what a
+    /// capacity knee is read from (EXPERIMENTS.md, "Reading a capacity
+    /// knee from the occupancy series").
     pub telemetry: Vec<obs::SeriesSnapshot>,
     /// What the cell's simulation reported: its dispatches, the steps
     /// relayed for a sleeping process and the thread hand-offs among them.
@@ -159,7 +167,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     let flight = obs::FlightGuard::new(label.to_string(), sim.recorder_arc());
     // Continuous telemetry: every layer samples its gauges (buffer
     // residency, queue depths, unexpected parks, …) for the whole cell;
-    // the health monitor evaluates the sampled series after the run.
+    // a breached bound dumps its series after the run.
     sim.recorder().telemetry().enable();
     let cluster = BbpCluster::new(&sim.handle(), bbp);
 
@@ -357,7 +365,6 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 while ctx.now() < post_at {
                     mpi.progress(ctx);
                 }
-                let peak = mpi.adi().unexpected_peak();
                 let late: Vec<_> = (prepost..messages)
                     .map(|i| {
                         mpi.irecv(ctx, &comm, Some(flooder_rank), Some(i as Tag))
@@ -371,22 +378,12 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                         delivered += 1;
                     }
                 }
-                // The ADI samples its queue depth only on park and claim,
-                // and a flood the RPC load delays past the late receives
-                // parks nothing (512-byte bodies at x1 and above): the
-                // closing sample gives the park and drain rules of
-                // `cell_health_spec` the final state to judge even then.
-                let final_residency = mpi.adi().unexpected_len();
-                ctx.obs().gauge(
-                    ctx.now(),
-                    floodee_rank as u32,
-                    "adi.unexpected_len",
-                    final_residency as u64,
-                );
                 *flood_out.lock() = Some(FloodOutcome {
-                    peak,
-                    final_residency,
+                    peak: mpi.adi().unexpected_peak(),
+                    final_residency: mpi.adi().unexpected_len(),
                     delivered,
+                    late_receives: (messages - prepost) as usize,
+                    finished_at: ctx.now(),
                 });
             });
         }
@@ -430,7 +427,6 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
 
     let report = sim.run();
     let telemetry = sim.recorder().telemetry().snapshot();
-    sim.recorder().telemetry().disable();
 
     let (sent, completed, shed, transport_shed, high_offered, normal_offered) = *totals.lock();
     let per_node_completed = per_node.lock().clone();
@@ -469,10 +465,8 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         per_node_completed,
         undrained: undrained.load(Ordering::SeqCst) as u64,
         flood: *flood_out.lock(),
-        pingpong_rounds: match plan.sidecar {
-            Sidecar::PingPong { .. } => Some(pingpong_done.load(Ordering::SeqCst)),
-            _ => None,
-        },
+        pingpong_rounds: matches!(plan.sidecar, Sidecar::PingPong { .. })
+            .then(|| pingpong_done.load(Ordering::SeqCst)),
         elapsed_ns: end,
         violations: Vec::new(),
         health_violations: Vec::new(),
@@ -536,45 +530,45 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             v.push(format!("pingpong: {done}/{rounds} rounds completed"));
         }
     }
-    // --- the gauge-backed invariants, declaratively --------------------
-    // The health monitor judges pool residency and flood parking on the
-    // sampled gauge series (a rule whose series was never sampled is a
-    // violation, not a pass); a violated rule also dumps the offending
-    // series next to the cell's flight ring.
-    out.health_violations = cell_health_spec(plan)
-        .evaluate_and_dump(&out.telemetry, label)
-        .iter()
-        .map(obs::Violation::describe)
-        .collect();
+    out.health_violations = bounds_breached(plan, &out, hard_stop, label);
     v.extend(out.health_violations.iter().cloned());
     flight.dump_if_violated(&v);
     out.violations = v;
     out
 }
 
-/// [`run_cell`]'s gauge-backed invariants: the server pool bound as a
-/// `never_above` on `rpc.buffers_in_use`, and — for flood cells — the
-/// floodee's park bound plus full drain as
-/// `never_above`/`settles_to_zero_by` on `adi.unexpected_len`. The
-/// gauges are sampled at the exact sites the `max_residency` and
-/// [`FloodOutcome`] stats read, so sampled and counted maxima are equal
-/// (pinned in `tests/campaign.rs`).
-pub fn cell_health_spec(plan: &WorkloadPlan) -> obs::HealthSpec {
-    let mut spec = obs::HealthSpec::new().never_above("rpc.buffers_in_use", plan.pool as f64);
-    if let Sidecar::UnexpectedFlood {
-        messages, prepost, ..
-    } = plan.sidecar
-    {
-        let expected_park = (messages - prepost.min(messages)) as f64;
-        let floodee = (plan.nprocs() - 2) as u32;
-        let hard_stop = plan.windows_end() + ms(60) + ms(10);
-        spec = spec
-            .never_above("adi.unexpected_len", expected_park)
-            .on_node(floodee)
-            .settles_to_zero_by("adi.unexpected_len", hard_stop)
-            .on_node(floodee);
+/// [`run_cell`]'s bounded-buffer invariants, judged from the counts the
+/// cell kept: every server's pool residency within `plan.pool`, and for
+/// a flood cell the floodee's unexpected queue within its late receives
+/// (`messages − min(prepost, messages)`), and empty once its last
+/// receive completed, by `stop` (the cell's hard stop). Each breach is
+/// one string, and dumps its gauge's series next to the flight ring
+/// (only the floodee parks, so only it has an `adi.unexpected_len` one).
+fn bounds_breached(plan: &WorkloadPlan, out: &CellOutcome, stop: Time, label: &str) -> Vec<String> {
+    let mut breaches = Vec::new();
+    if out.max_residency > plan.pool {
+        let (held, pool) = (out.max_residency, plan.pool);
+        let what = format!("pool: {held} buffers held at once, over the pool of {pool}");
+        breaches.push((what, "rpc.buffers_in_use"));
     }
-    spec
+    if let Some(f) = out.flood {
+        let (peak, late) = (f.peak, f.late_receives);
+        if peak > late {
+            let what = format!("flood: {peak} parked at once, over its {late} late receives");
+            breaches.push((what, "adi.unexpected_len"));
+        }
+        if f.final_residency > 0 || f.finished_at > stop {
+            let (left, at) = (f.final_residency, f.finished_at);
+            let what = format!("flood: {left} still parked at {at} ns, not empty by {stop} ns");
+            breaches.push((what, "adi.unexpected_len"));
+        }
+    }
+    for s in &out.telemetry {
+        if breaches.iter().any(|(_, metric)| s.name == *metric) {
+            s.dump_to_dir(label);
+        }
+    }
+    breaches.into_iter().map(|(what, _)| what).collect()
 }
 
 /// The sidecar's MPI stack: ADI-direct costs over the shared billboard.
@@ -590,4 +584,116 @@ fn sidecar_mpi(ep: bbp::BbpEndpoint) -> Mpi {
 /// verified bit-exact per message.
 fn flood_payload(i: u32, body_bytes: usize) -> Vec<u8> {
     vec![(i as u8).wrapping_mul(31).wrapping_add(7); body_bytes.max(1)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::Shape;
+
+    const HARD_STOP: Time = 1_000_000;
+
+    fn flood_plan() -> WorkloadPlan {
+        WorkloadPlan::new(1)
+            .clients(1, 4)
+            .window(ms(1), Shape::Off)
+            .sidecar(Sidecar::UnexpectedFlood {
+                messages: 20,
+                prepost: 5,
+                at: us(200),
+                post_delay: us(1_000),
+            })
+    }
+
+    /// A finished cell that kept its bounds, with both gauges sampled
+    /// (server 0's pool, the floodee's unexpected queue).
+    fn clean_outcome(plan: &WorkloadPlan) -> CellOutcome {
+        let floodee = (plan.nprocs() - 2) as u32;
+        let telemetry = obs::Telemetry::new();
+        telemetry.enable();
+        telemetry.observe(1_000, 0, "rpc.buffers_in_use", 3.0);
+        telemetry.observe(2_000, floodee, "adi.unexpected_len", 15.0);
+        telemetry.observe(3_000, floodee, "adi.unexpected_len", 0.0);
+        CellOutcome {
+            sent: 0,
+            completed: 0,
+            shed: 0,
+            transport_shed: 0,
+            offered: 0,
+            service: LogHistogram::new(),
+            residency: LogHistogram::new(),
+            max_residency: 3,
+            high_dispatched: 0,
+            normal_dispatched: 0,
+            per_node_completed: vec![0],
+            undrained: 0,
+            flood: Some(FloodOutcome {
+                peak: 15,
+                final_residency: 0,
+                delivered: 20,
+                late_receives: 15,
+                finished_at: 3_000,
+            }),
+            pingpong_rounds: None,
+            elapsed_ns: ms(1),
+            violations: Vec::new(),
+            health_violations: Vec::new(),
+            telemetry: telemetry.snapshot(),
+            run: Simulation::new().run(),
+        }
+    }
+
+    /// Judge `out`, require exactly one breach naming `needle`, and the
+    /// breached gauge's series dumped as `series_{label}_{metric}_{node}`.
+    fn assert_breach(out: &CellOutcome, label: &str, needle: &str, series: &str) {
+        let dir = std::env::var("FLIGHT_DUMP_DIR").unwrap_or_else(|_| "target/flight".into());
+        let path = std::path::Path::new(&dir).join(format!("series_{label}_{series}.json"));
+        let _ = std::fs::remove_file(&path);
+        let breaches = bounds_breached(&flood_plan(), out, HARD_STOP, label);
+        assert_eq!(breaches.len(), 1, "{breaches:?}");
+        assert!(breaches[0].contains(needle), "{breaches:?}");
+        let dump = std::fs::read_to_string(&path).expect("the breached series is dumped");
+        assert!(obs::json::parse(&dump).is_ok());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_cell_within_its_bounds_is_not_judged() {
+        let plan = flood_plan();
+        assert!(bounds_breached(&plan, &clean_outcome(&plan), HARD_STOP, "unused").is_empty());
+    }
+
+    #[test]
+    fn a_pool_over_its_bound_is_reported_and_dumped() {
+        let mut out = clean_outcome(&flood_plan());
+        out.max_residency = flood_plan().pool + 1;
+        assert_breach(
+            &out,
+            "wl_unit_pool",
+            "over the pool",
+            "rpc_buffers_in_use_0",
+        );
+    }
+
+    #[test]
+    fn a_park_over_its_bound_is_reported_and_dumped() {
+        let plan = flood_plan();
+        let mut out = clean_outcome(&plan);
+        out.flood.as_mut().unwrap().peak = 16;
+        let series = format!("adi_unexpected_len_{}", plan.nprocs() - 2);
+        assert_breach(&out, "wl_unit_park", "16 parked at once", &series);
+    }
+
+    #[test]
+    fn a_queue_left_undrained_is_reported_and_dumped() {
+        let plan = flood_plan();
+        let series = format!("adi_unexpected_len_{}", plan.nprocs() - 2);
+        let mut out = clean_outcome(&plan);
+        out.flood.as_mut().unwrap().final_residency = 2;
+        assert_breach(&out, "wl_unit_residue", "2 still parked", &series);
+        // Empty, but only after the hard stop.
+        let mut out = clean_outcome(&plan);
+        out.flood.as_mut().unwrap().finished_at = HARD_STOP + 1;
+        assert_breach(&out, "wl_unit_late", "empty by 1000000 ns", &series);
+    }
 }

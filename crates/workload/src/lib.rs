@@ -37,5 +37,5 @@ pub use arrivals::ServiceTime;
 pub use campaign::{
     capacity, cells, to_report, CampaignCell, WorkloadKind, KINDS, MULTS, SEEDS, SIZES,
 };
-pub use cell::{cell_health_spec, run_cell, CellOutcome, FloodOutcome};
+pub use cell::{run_cell, CellOutcome, FloodOutcome};
 pub use plan::{scaled_burst, Shape, Sidecar, Window, WorkloadPlan};
