@@ -398,36 +398,34 @@ impl Core {
         if let Some((signal, ticket)) = &mut self.ack_watch {
             *ticket = Some(ctx.ticket(signal));
         }
-        ctx.obs()
-            .span_enter(ctx.now(), self.rank as u32, Layer::Bbp, "gc");
-        ctx.charge(GC_PROBE_NS);
-        self.stats.gc_sweeps += 1;
-        self.count(ctx, "bbp.gc_sweeps", 1);
-        // Read each relevant ACK word at most once per sweep.
-        let mut acks = std::mem::take(&mut self.ack_scratch);
-        acks.clear();
-        acks.resize(self.n, None);
-        let mut freed = 0;
-        // Under the ring discipline the first unacknowledged buffer ends
-        // the sweep; slotted, it goes to the back of the queue, which one
-        // full rotation leaves in its original order.
-        for _ in 0..self.inflight.len() {
-            let slot = self.inflight[0];
-            if self.acked(ctx, slot, &mut acks) {
-                self.inflight.pop_front();
-                self.slots[slot].busy = false;
-                on_free(&self.slots[slot].targets);
-                freed += 1;
-            } else if self.gc_policy == GcPolicy::FifoRing {
-                break;
-            } else {
-                self.inflight.rotate_left(1);
+        let freed = ctx.span(self.rank as u32, Layer::Bbp, "gc", |ctx| {
+            ctx.charge(GC_PROBE_NS);
+            self.stats.gc_sweeps += 1;
+            self.count(ctx, "bbp.gc_sweeps", 1);
+            // Read each relevant ACK word at most once per sweep.
+            let mut acks = std::mem::take(&mut self.ack_scratch);
+            acks.clear();
+            acks.resize(self.n, None);
+            let mut freed = 0;
+            // Under the ring discipline the first unacknowledged buffer
+            // ends the sweep; slotted, it goes to the back of the queue,
+            // which one full rotation leaves in its original order.
+            for _ in 0..self.inflight.len() {
+                let slot = self.inflight[0];
+                if self.acked(ctx, slot, &mut acks) {
+                    self.inflight.pop_front();
+                    self.slots[slot].busy = false;
+                    on_free(&self.slots[slot].targets);
+                    freed += 1;
+                } else if self.gc_policy == GcPolicy::FifoRing {
+                    break;
+                } else {
+                    self.inflight.rotate_left(1);
+                }
             }
-        }
-        self.ack_scratch = acks;
-        freed += sweep(self, ctx);
-        ctx.obs()
-            .span_exit(ctx.now(), self.rank as u32, Layer::Bbp, "gc");
+            self.ack_scratch = acks;
+            freed + sweep(self, ctx)
+        });
         if freed > 0 {
             self.gauge_slots_in_use(ctx);
         }
@@ -725,18 +723,18 @@ impl Core {
         fetched: bool,
     ) -> usize {
         let rank = self.rank as u32;
-        ctx.obs().span_enter(ctx.now(), rank, Layer::Bbp, "deliver");
-        if !fetched {
-            self.read_payload(ctx, src, msg.data_off, msg.len_bytes.div_ceil(4));
-        }
-        ctx.advance(DELIVER_NS);
-        self.out_ack_flags[src] ^= 1 << msg.slot;
-        self.io.ack_flag(ctx, src, self.out_ack_flags[src]);
-        self.stats.recvs += 1;
-        self.stats.bytes_recved += msg.len_bytes as u64;
-        self.lifecycle(ctx, msg.trace, Stage::Deliver, msg.len_bytes as u64);
-        ctx.obs().set_current_rx(rank, msg.trace);
-        ctx.obs().span_exit(ctx.now(), rank, Layer::Bbp, "deliver");
+        ctx.span(rank, Layer::Bbp, "deliver", |ctx| {
+            if !fetched {
+                self.read_payload(ctx, src, msg.data_off, msg.len_bytes.div_ceil(4));
+            }
+            ctx.advance(DELIVER_NS);
+            self.out_ack_flags[src] ^= 1 << msg.slot;
+            self.io.ack_flag(ctx, src, self.out_ack_flags[src]);
+            self.stats.recvs += 1;
+            self.stats.bytes_recved += msg.len_bytes as u64;
+            self.lifecycle(ctx, msg.trace, Stage::Deliver, msg.len_bytes as u64);
+            ctx.obs().set_current_rx(rank, msg.trace);
+        });
         msg.len_bytes
     }
 

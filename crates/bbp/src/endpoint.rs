@@ -261,25 +261,27 @@ impl BbpEndpoint {
             rec.set_current_trace(rank, id);
             rec.lifecycle(ctx.now(), rank, id, Stage::SendEnter, payload_len as u64);
         }
-        rec.span_enter(ctx.now(), rank, Layer::Bbp, span);
-        let posted = post(self, ctx);
-        // A post refused before its first PIO still owes its entry cost;
-        // every public call returns settled.
-        ctx.settle();
+        let posted = ctx.span(rank, Layer::Bbp, span, |ctx| {
+            let posted = post(self, ctx);
+            // A post refused before its first PIO still owes its entry
+            // cost; every public call returns settled.
+            ctx.settle();
+            posted
+        });
         let rec = ctx.obs();
-        rec.span_exit(ctx.now(), rank, Layer::Bbp, span);
         let id = rec.current_trace(rank);
         if owned {
             rec.set_current_trace(rank, 0);
         }
         if let Err(err) = &posted {
             self.core.stats.send_failures += 1;
-            rec.lifecycle(ctx.now(), rank, id, Stage::Error, 0);
             // A fail-fast `NoCredit` is flow control working as designed
             // (an overloaded RPC client sheds on it hundreds of times per
             // run), not a fault: nothing to hold a postmortem over.
-            if !matches!(err, BbpError::NoCredit { .. }) {
-                rec.flight().dump_to_dir(&format!("bbp_send_error_n{rank}"));
+            if matches!(err, BbpError::NoCredit { .. }) {
+                rec.lifecycle(ctx.now(), rank, id, Stage::Error, 0);
+            } else {
+                rec.postmortem(ctx.now(), rank, id, 0, &format!("bbp_send_error_n{rank}"));
             }
         }
         posted
@@ -435,60 +437,55 @@ impl BbpEndpoint {
     ) -> Result<(usize, usize), BbpError> {
         self.check_frozen()?;
         let rank = self.core.rank;
-        ctx.obs()
-            .span_enter(ctx.now(), rank as u32, Layer::Bbp, "recv");
-        let deadline = self
-            .reliable
-            .as_ref()
-            .map(|rel| ctx.now().saturating_add(rel.cfg.recv_timeout_ns));
-        let drops0 = self.core.stats.corrupt_dropped;
-        let result = loop {
-            let ready = self
-                .core
-                .sources(only)
-                .find(|&s| self.core.has_pending(Some(s)));
-            if let Some(s) = ready {
-                let msg = self.core.pop_pending(s).expect("just seen pending");
-                if let Some(len) = self.consume(ctx, s, msg) {
-                    if only.is_none() {
-                        self.core.served(s);
+        let result = ctx.span(rank as u32, Layer::Bbp, "recv", |ctx| {
+            let deadline = self
+                .reliable
+                .as_ref()
+                .map(|rel| ctx.now().saturating_add(rel.cfg.recv_timeout_ns));
+            let drops0 = self.core.stats.corrupt_dropped;
+            loop {
+                let ready = self
+                    .core
+                    .sources(only)
+                    .find(|&s| self.core.has_pending(Some(s)));
+                if let Some(s) = ready {
+                    let msg = self.core.pop_pending(s).expect("just seen pending");
+                    if let Some(len) = self.consume(ctx, s, msg) {
+                        if only.is_none() {
+                            self.core.served(s);
+                        }
+                        break Ok((s, len));
                     }
-                    break Ok((s, len));
+                    // Rejected: re-check the ways out before the next source.
+                } else {
+                    self.poll(ctx, only);
+                    if !self.core.has_pending(only) {
+                        self.core.pace(ctx, Wait::ForTraffic, deadline.is_some());
+                    }
                 }
-                // Rejected: re-check the ways out before the next source.
-            } else {
-                self.poll(ctx, only);
-                if !self.core.has_pending(only) {
-                    self.core.pace(ctx, Wait::ForTraffic, deadline.is_some());
-                }
+                let failure = if let Err(e) = self.service_in_wait(ctx) {
+                    e
+                } else if self.core.stats.corrupt_dropped > drops0 {
+                    let dropped = self.reliable.as_ref().and_then(|rel| rel.last_drop_src);
+                    BbpError::Corrupt {
+                        peer: dropped.expect("a drop records its source"),
+                    }
+                } else if deadline.is_some_and(|d| ctx.now() >= d) {
+                    // From anyone: report the lowest-ranked candidate source.
+                    let peer = only.unwrap_or(usize::from(rank == 0));
+                    BbpError::Timeout { peer, attempts: 0 }
+                } else {
+                    continue;
+                };
+                self.core.stats.recv_timeouts += 1;
+                break Err(failure);
             }
-            let failure = if let Err(e) = self.service_in_wait(ctx) {
-                e
-            } else if self.core.stats.corrupt_dropped > drops0 {
-                let dropped = self.reliable.as_ref().and_then(|rel| rel.last_drop_src);
-                BbpError::Corrupt {
-                    peer: dropped.expect("a drop records its source"),
-                }
-            } else if deadline.is_some_and(|d| ctx.now() >= d) {
-                // From anyone: report the lowest-ranked candidate source.
-                let peer = only.unwrap_or(usize::from(rank == 0));
-                BbpError::Timeout { peer, attempts: 0 }
-            } else {
-                continue;
-            };
-            self.core.stats.recv_timeouts += 1;
-            break Err(failure);
-        };
-        ctx.obs()
-            .span_exit(ctx.now(), rank as u32, Layer::Bbp, "recv");
+        });
         if result.is_err() {
-            // Record the `error` checkpoint and snapshot the flight ring so
-            // the events leading up to the timeout/corruption survive for
-            // the postmortem.
-            self.core.lifecycle(ctx, 0, Stage::Error, 0);
-            ctx.obs()
-                .flight()
-                .dump_to_dir(&format!("bbp_recv_error_n{rank}"));
+            // Keep the events leading up to the timeout/corruption for the
+            // postmortem.
+            let label = format!("bbp_recv_error_n{rank}");
+            ctx.obs().postmortem(ctx.now(), rank as u32, 0, 0, &label);
         }
         result
     }

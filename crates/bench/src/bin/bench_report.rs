@@ -207,7 +207,7 @@ fn run() -> Result<(), String> {
     }
     if breakdown.unbalanced > 0 {
         eprintln!(
-            "warning: {} unbalanced spans in the trace",
+            "warning: {} spans still open when the trace ended",
             breakdown.unbalanced
         );
     }

@@ -611,6 +611,19 @@ impl ProcCtx {
         &self.sched.recorder
     }
 
+    /// Run `body` inside a span of `layer` named `name` on `node`: opened
+    /// at this process's clock now, closed at its clock when `body`
+    /// returns, however it returns.
+    pub fn span<R, F>(&mut self, node: u32, layer: obs::Layer, name: &'static str, body: F) -> R
+    where
+        F: FnOnce(&mut ProcCtx) -> R,
+    {
+        let span = self.obs().open_span(self.now, node, layer, name);
+        let out = body(self);
+        self.obs().close_span(span, self.now);
+        out
+    }
+
     /// Yield with this process's `Resume` (or a [`Signal`] registration)
     /// in place; returns the resumption time. `why` labels the `Yield`
     /// trace entry: `ResumeAt` (a queue entry this process pushed will

@@ -3,6 +3,8 @@
 //! nested span. Summed over a ping-pong this is exactly the paper's
 //! layering breakdown (the ≈37.5 µs MPI-over-BBP constant).
 
+use std::collections::BTreeMap;
+
 use crate::event::{Event, Layer};
 use crate::lifecycle::Stage;
 use crate::Time;
@@ -14,8 +16,9 @@ pub struct LayerBreakdown {
     pub self_ns: [u64; Layer::COUNT],
     /// Total span-covered time (sum of all top-level span extents), ns.
     pub covered_ns: u64,
-    /// Spans whose exit never arrived (still open at stream end) or whose
-    /// exit had no matching enter. Non-zero means instrumentation bugs.
+    /// Spans still open when the stream ended: a run stopped at its
+    /// horizon, or a log drained mid-call. Every exit closes the span
+    /// its node opened last, so this is all that can be out of balance.
     pub unbalanced: u64,
 }
 
@@ -47,55 +50,35 @@ struct Frame {
 }
 
 /// Attribute span time to layers. Spans nest per node: each exit closes
-/// the most recent open span of the same layer on that node (enter/exit
-/// names are informational). Events must be in recording order, which is
-/// time order per [`crate::Track`] — all this fold needs, since a node's
-/// spans are written by that node's process as it runs — and not across
-/// tracks: a sweep's reads are logged when the sweep returns, a charged
-/// step's scheduler entries when it is walked.
+/// the most recent open span on that node, the one it was written for
+/// (`des::ProcCtx::span` and [`crate::OpenSpan`] close a span where it
+/// opened). An exit with no open span panics: only a log cleared by
+/// [`crate::Recorder::enable`] or drained while that span was open has
+/// one. Events must be in recording order, which is time order per
+/// [`crate::Track`] — all this fold needs, since a node's spans are
+/// written by that node's process as it runs — and not across tracks: a
+/// sweep's reads are logged when the sweep returns, a charged step's
+/// scheduler entries when it is walked.
 pub fn attribute(events: &[Event]) -> LayerBreakdown {
-    // Per-node span stacks, keyed by node id. Nodes are small integers
-    // (plus NO_NODE), so a sorted Vec beats a HashMap here.
-    let mut stacks: Vec<(u32, Vec<Frame>)> = Vec::new();
+    let mut stacks: BTreeMap<u32, Vec<Frame>> = BTreeMap::new();
     let mut out = LayerBreakdown::default();
 
     for ev in events {
         match *ev {
             Event::SpanEnter {
                 time, node, layer, ..
-            } => {
-                let stack = match stacks.iter_mut().find(|(n, _)| *n == node) {
-                    Some((_, s)) => s,
-                    None => {
-                        stacks.push((node, Vec::new()));
-                        &mut stacks.last_mut().expect("just pushed").1
-                    }
-                };
-                stack.push(Frame {
-                    layer,
-                    enter: time,
-                    child_ns: 0,
-                });
-            }
-            Event::SpanExit {
-                time, node, layer, ..
-            } => {
-                let Some((_, stack)) = stacks.iter_mut().find(|(n, _)| *n == node) else {
-                    out.unbalanced += 1;
-                    continue;
-                };
-                // Close the innermost open span of this layer; anything
-                // deeper that was left open is itself unbalanced.
-                let Some(pos) = stack.iter().rposition(|f| f.layer == layer) else {
-                    out.unbalanced += 1;
-                    continue;
-                };
-                out.unbalanced += (stack.len() - pos - 1) as u64;
-                stack.truncate(pos + 1);
-                let frame = stack.pop().expect("rposition guarantees an element");
+            } => stacks.entry(node).or_default().push(Frame {
+                layer,
+                enter: time,
+                child_ns: 0,
+            }),
+            Event::SpanExit { time, node, .. } => {
+                // A span closes where it opened, innermost first
+                // (`OpenSpan`), so an exit closes its node's top frame.
+                let stack = stacks.entry(node).or_default();
+                let frame = stack.pop().expect("a span exit follows its enter");
                 let extent = time.saturating_sub(frame.enter);
-                let self_ns = extent.saturating_sub(frame.child_ns);
-                out.self_ns[layer.index()] += self_ns;
+                out.self_ns[frame.layer.index()] += extent.saturating_sub(frame.child_ns);
                 match stack.last_mut() {
                     Some(parent) => parent.child_ns += extent,
                     None => out.covered_ns += extent,
@@ -104,9 +87,7 @@ pub fn attribute(events: &[Event]) -> LayerBreakdown {
             Event::Count { .. } | Event::Lifecycle { .. } | Event::Sched(_) => {}
         }
     }
-    for (_, stack) in &stacks {
-        out.unbalanced += stack.len() as u64;
-    }
+    out.unbalanced = stacks.values().map(|s| s.len() as u64).sum();
     out
 }
 
@@ -258,14 +239,16 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_spans_are_counted_not_crashing() {
+    fn spans_open_at_the_end_are_counted() {
         let events = [
             enter(0, 0, Layer::Mpi),
-            exit(5, 0, Layer::Adi),  // exit without enter
+            enter(2, 0, Layer::Adi),
+            exit(5, 0, Layer::Adi),
             enter(6, 0, Layer::Nic), // never exits
         ];
         let b = attribute(&events);
-        assert_eq!(b.unbalanced, 3); // bad exit + open nic + open mpi
+        assert_eq!(b.unbalanced, 2); // open nic + open mpi
+        assert_eq!(b.layer_ns(Layer::Adi), 3);
     }
 
     fn life(time: Time, node: u32, id: u64, stage: Stage, arg: u64) -> Event {

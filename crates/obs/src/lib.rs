@@ -10,10 +10,13 @@
 //! [`Recorder`]:
 //!
 //! - **Spans** (`SpanEnter`/`SpanExit`) carry virtual-time stamps, a node
-//!   id, and a [`Layer`] label, and nest per node. [`attribute`] folds a
-//!   finished event stream into per-layer *self time*, which is how the
-//!   paper's ≈37.5 µs MPI-over-BBP layering constant becomes an artifact
-//!   you can regenerate (`bench-report` in `crates/bench`).
+//!   id, and a [`Layer`] label, and nest per node. A process says a span
+//!   once, `des::ProcCtx::span`, which closes it when its body returns;
+//!   a span written after the fact is one [`Recorder::open_span`] whose
+//!   [`OpenSpan`] goes to one [`Recorder::close_span`]. [`attribute`]
+//!   folds a finished event stream into per-layer *self time*, which is
+//!   how the paper's ≈37.5 µs MPI-over-BBP layering constant becomes an
+//!   artifact you can regenerate (`bench-report` in `crates/bench`).
 //! - **Counters** track discrete hardware work: ring packets, PIO words,
 //!   buffer-GC scans, unexpected-queue hits.
 //! - **Scheduler events** ([`TraceEntry`], absorbed from the old
@@ -48,7 +51,8 @@
 //! relaxed `fetch_add`, and the [`flight::FlightRecorder`] keeps a
 //! bounded ring of recent lifecycle events (relaxed stores into
 //! preallocated slots) that is dumped as a JSON postmortem when a typed
-//! error surfaces, a chaos kill fires, or a gated test fails.
+//! error surfaces, a chaos kill fires ([`Recorder::postmortem`]), or a
+//! gated test fails.
 //!
 //! Exporters: [`chrome_trace_json`] writes Chrome `trace_event` JSON
 //! loadable in Perfetto / `about://tracing`; [`report::BenchReport`]
@@ -79,7 +83,7 @@ pub use event::{Event, Layer, TraceEntry, TraceKind, Track, NO_NODE};
 pub use flight::{FlightGuard, FlightRecorder};
 pub use hist::LogHistogram;
 pub use lifecycle::Stage;
-pub use recorder::Recorder;
+pub use recorder::{OpenSpan, Recorder};
 pub use timeseries::{SeriesSnapshot, Telemetry};
 
 /// Virtual time in integer nanoseconds (identical to `des::Time`).

@@ -60,6 +60,15 @@ pub struct Recorder {
     telemetry: Telemetry,
 }
 
+/// A span [`Recorder::open_span`] started, which
+/// [`Recorder::close_span`] consumes: a span is closed at most once, and
+/// its end is recorded exactly when its start was — a span opened while
+/// recording was off stays unrecorded even if recording comes on before
+/// it closes.
+#[must_use = "a span is closed by passing it to `Recorder::close_span`"]
+#[derive(Debug)]
+pub struct OpenSpan(Option<(u32, Layer, &'static str)>);
+
 impl Recorder {
     /// A disabled recorder with an empty log.
     pub fn new() -> Self {
@@ -102,11 +111,12 @@ impl Recorder {
         self.events.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Record the start of a span.
+    /// Record the start of a span; [`Recorder::close_span`] records its
+    /// end. Inside a process, `des::ProcCtx::span` says both at once.
     #[inline]
-    pub fn span_enter(&self, time: Time, node: u32, layer: Layer, name: &'static str) {
+    pub fn open_span(&self, time: Time, node: u32, layer: Layer, name: &'static str) -> OpenSpan {
         if !self.is_enabled() {
-            return;
+            return OpenSpan(None);
         }
         self.lock().push(Event::SpanEnter {
             time,
@@ -114,20 +124,29 @@ impl Recorder {
             layer,
             name,
         });
+        OpenSpan(Some((node, layer, name)))
     }
 
-    /// Record the end of a span.
+    /// Record the end of `span` at `time`, if its start was recorded.
     #[inline]
-    pub fn span_exit(&self, time: Time, node: u32, layer: Layer, name: &'static str) {
-        if !self.is_enabled() {
+    pub fn close_span(&self, span: OpenSpan, time: Time) {
+        let Some((node, layer, name)) = span.0 else {
             return;
-        }
+        };
         self.lock().push(Event::SpanExit {
             time,
             node,
             layer,
             name,
         });
+    }
+
+    /// A typed failure's postmortem: the [`Stage::Error`] checkpoint,
+    /// then the flight ring dumped under `label` (see
+    /// [`FlightRecorder::dump_to_dir`]).
+    pub fn postmortem(&self, time: Time, node: u32, id: u64, arg: u64, label: &str) {
+        self.lifecycle(time, node, id, Stage::Error, arg);
+        self.flight.dump_to_dir(label);
     }
 
     /// Record a counter increment.
@@ -350,7 +369,7 @@ mod tests {
     #[test]
     fn disabled_recorder_drops_everything() {
         let r = Recorder::new();
-        r.span_enter(1, 0, Layer::Bbp, "send");
+        r.close_span(r.open_span(1, 0, Layer::Bbp, "send"), 2);
         r.count(2, 0, "x", 5);
         r.sched(TraceEntry {
             time: 3,
@@ -358,6 +377,28 @@ mod tests {
             detail: "m".into(),
         });
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn a_span_is_recorded_whole_or_not_at_all() {
+        let r = Recorder::new();
+        let unseen = r.open_span(1, 0, Layer::Nic, "pio_read");
+        r.enable();
+        let seen = r.open_span(2, 0, Layer::Nic, "pio_read");
+        r.close_span(unseen, 3);
+        r.disable();
+        r.close_span(seen, 4);
+        let events = r.take_events();
+        assert!(
+            matches!(
+                events[..],
+                [
+                    Event::SpanEnter { time: 2, .. },
+                    Event::SpanExit { time: 4, .. }
+                ]
+            ),
+            "{events:?}"
+        );
     }
 
     #[test]
@@ -374,13 +415,13 @@ mod tests {
     fn take_trace_filters_and_disables() {
         let r = Recorder::new();
         r.enable();
-        r.span_enter(1, 0, Layer::Mpi, "send");
+        let span = r.open_span(1, 0, Layer::Mpi, "send");
         r.sched(TraceEntry {
             time: 2,
             kind: TraceKind::Resume,
             detail: "p".into(),
         });
-        r.span_exit(3, 0, Layer::Mpi, "send");
+        r.close_span(span, 3);
         let trace = r.take_trace();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace[0].kind, TraceKind::Resume);

@@ -6,14 +6,16 @@
 //! bumped by the wrapping global allocator), so harness threads — the
 //! libtest main thread buffering output, timers — cannot pollute the
 //! count. Everything still runs inside ONE test function: the counter
-//! only sees the thread it runs on. That stays sufficient now that `des`
-//! runs events on whichever thread holds the baton, because nothing here
-//! goes through a simulation: every measured call is made directly on
-//! this thread. (`crates/des/tests/alloc_free_dispatch.rs`, which does
+//! only sees the thread it runs on. Every measured call but one is made
+//! directly on this thread; the one that needs a simulation, a disabled
+//! `ProcCtx::span`, is counted inside its process, on that process's
+//! thread. (`crates/des/tests/alloc_free_dispatch.rs`, which does
 //! dispatch events on `des-*` threads, counts process-wide instead.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use obs::{Layer, Recorder, Stage};
 
@@ -54,9 +56,9 @@ fn disabled_recorder_never_allocates() {
 
     let before = allocs();
     for t in 0..10_000u64 {
-        rec.span_enter(t, 0, Layer::Mpi, "send");
+        let span = rec.open_span(t, 0, Layer::Mpi, "send");
         rec.count(t, 1, "ring.packets", 3);
-        rec.span_exit(t + 1, 0, Layer::Mpi, "send");
+        rec.close_span(span, t + 1);
     }
     let after = allocs();
 
@@ -69,6 +71,26 @@ fn disabled_recorder_never_allocates() {
         rec.is_empty(),
         "disabled recording calls must record nothing"
     );
+
+    // A span scoped by a process (`ProcCtx::span`), counted on the
+    // process's own thread: the same open and close, and nothing else.
+    let mut sim = des::Simulation::new();
+    let spans_allocs = Arc::new(AtomicU64::new(u64::MAX));
+    let out = Arc::clone(&spans_allocs);
+    sim.spawn("spans", move |ctx| {
+        let before = allocs();
+        for _ in 0..10_000 {
+            ctx.span(0, Layer::Mpi, "send", |ctx| ctx.now());
+        }
+        out.store(allocs() - before, Ordering::Relaxed);
+    });
+    assert!(sim.run().is_clean());
+    assert_eq!(
+        spans_allocs.load(Ordering::Relaxed),
+        0,
+        "a disabled ProcCtx::span must not allocate"
+    );
+    assert!(sim.recorder().is_empty(), "and must record nothing");
 
     // Message-lifecycle instrumentation: minting ids, publishing them on
     // the per-node side-channels, and recording checkpoints must all stay
@@ -161,9 +183,10 @@ fn disabled_recorder_never_allocates() {
     rec.enable();
     let before = allocs();
     for t in 0..64u64 {
-        rec.span_enter(t, 0, Layer::Mpi, "send");
+        let span = rec.open_span(t, 0, Layer::Mpi, "send");
+        rec.close_span(span, t + 1);
     }
     let after = allocs();
     assert!(after > before, "enabled recording should allocate");
-    assert_eq!(rec.len(), 64);
+    assert_eq!(rec.len(), 128);
 }

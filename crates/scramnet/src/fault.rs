@@ -198,10 +198,9 @@ impl FaultPlan {
                         // Segmentation is the canonical postmortem
                         // moment: keep the lifecycle ring from just
                         // before the detectors start reacting.
-                        let rec = h.recorder();
-                        rec.lifecycle(t, cut_a as u32, 0, des::obs::Stage::Error, cut_b as u64);
-                        rec.flight()
-                            .dump_to_dir(&format!("partition_{cut_a}_{cut_b}_t{t}"));
+                        let label = format!("partition_{cut_a}_{cut_b}_t{t}");
+                        h.recorder()
+                            .postmortem(t, cut_a as u32, 0, cut_b as u64, &label);
                         r.break_link(cut_a);
                         r.break_link(cut_b);
                     });
@@ -220,9 +219,9 @@ impl FaultPlan {
                         // A kill is exactly the moment a postmortem is
                         // worth keeping: snapshot the recent lifecycle
                         // ring before the detector reacts to the silence.
-                        let rec = h.recorder();
-                        rec.lifecycle(t, node as u32, 0, des::obs::Stage::Error, node as u64);
-                        rec.flight().dump_to_dir(&format!("kill_node{node}_t{t}"));
+                        let label = format!("kill_node{node}_t{t}");
+                        h.recorder()
+                            .postmortem(t, node as u32, 0, node as u64, &label);
                         r.silence_node(node);
                     });
                     if dur != FOREVER {

@@ -58,14 +58,12 @@ impl Nic {
 
     /// Store one word: a single posted PIO write, replicated to the ring.
     pub fn write_word(&self, ctx: &mut ProcCtx, addr: WordAddr, value: Word) {
-        ctx.obs()
-            .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_write");
-        ctx.advance(self.shared.cost.pio_write_ns);
-        self.shared.stats.pio_writes.add(1);
-        ctx.obs().count(ctx.now(), self.gid(), "nic.pio_words", 1);
-        self.shared.inject(self.node, ctx.now(), addr, &[value]);
-        ctx.obs()
-            .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_write");
+        ctx.span(self.gid(), Layer::Nic, "pio_write", |ctx| {
+            ctx.advance(self.shared.cost.pio_write_ns);
+            self.shared.stats.pio_writes.add(1);
+            ctx.obs().count(ctx.now(), self.gid(), "nic.pio_words", 1);
+            self.shared.inject(self.node, ctx.now(), addr, &[value]);
+        });
     }
 
     /// Store a contiguous block. The host pays the word/burst PIO cost;
@@ -74,34 +72,28 @@ impl Nic {
         if data.is_empty() {
             return;
         }
-        ctx.obs()
-            .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_block");
-        let cost = &self.shared.cost;
-        ctx.advance(cost.host_write_ns(data.len()));
-        if data.len() >= BURST_THRESHOLD_WORDS {
-            self.shared.stats.bursts.add(1);
-        } else {
-            self.shared.stats.pio_writes.add(data.len() as u64);
-        }
-        ctx.obs()
-            .count(ctx.now(), self.gid(), "nic.pio_words", data.len() as u64);
-        self.shared.inject(self.node, ctx.now(), addr, data);
-        ctx.obs()
-            .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_block");
+        ctx.span(self.gid(), Layer::Nic, "pio_block", |ctx| {
+            ctx.advance(self.shared.cost.host_write_ns(data.len()));
+            if data.len() >= BURST_THRESHOLD_WORDS {
+                self.shared.stats.bursts.add(1);
+            } else {
+                self.shared.stats.pio_writes.add(data.len() as u64);
+            }
+            ctx.obs()
+                .count(ctx.now(), self.gid(), "nic.pio_words", data.len() as u64);
+            self.shared.inject(self.node, ctx.now(), addr, data);
+        });
     }
 
     /// Load one word from the local bank (a blocking PIO read — the
     /// expensive operation the paper blames for polling overhead).
     pub fn read_word(&self, ctx: &mut ProcCtx, addr: WordAddr) -> Word {
-        ctx.obs()
-            .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_read");
-        ctx.advance(self.shared.cost.pio_read_ns);
-        self.shared.stats.pio_reads.add(1);
-        ctx.obs().count(ctx.now(), self.gid(), "nic.pio_reads", 1);
-        let w = self.shared.bank(self.node).read(addr);
-        ctx.obs()
-            .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
-        w
+        ctx.span(self.gid(), Layer::Nic, "pio_read", |ctx| {
+            ctx.advance(self.shared.cost.pio_read_ns);
+            self.shared.stats.pio_reads.add(1);
+            ctx.obs().count(ctx.now(), self.gid(), "nic.pio_reads", 1);
+            self.shared.bank(self.node).read(addr)
+        })
     }
 
     /// Load the contiguous block at `addr` from the local bank into `out`.
@@ -110,20 +102,17 @@ impl Nic {
         if len == 0 {
             return;
         }
-        ctx.obs()
-            .span_enter(ctx.now(), self.gid(), Layer::Nic, "pio_read");
-        let cost = &self.shared.cost;
-        ctx.advance(cost.host_read_ns(len));
-        if len >= BURST_THRESHOLD_WORDS {
-            self.shared.stats.bursts.add(1);
-        } else {
-            self.shared.stats.pio_reads.add(len as u64);
-        }
-        ctx.obs()
-            .count(ctx.now(), self.gid(), "nic.pio_reads", len as u64);
-        self.shared.bank(self.node).read_block(addr, out);
-        ctx.obs()
-            .span_exit(ctx.now(), self.gid(), Layer::Nic, "pio_read");
+        ctx.span(self.gid(), Layer::Nic, "pio_read", |ctx| {
+            ctx.advance(self.shared.cost.host_read_ns(len));
+            if len >= BURST_THRESHOLD_WORDS {
+                self.shared.stats.bursts.add(1);
+            } else {
+                self.shared.stats.pio_reads.add(len as u64);
+            }
+            ctx.obs()
+                .count(ctx.now(), self.gid(), "nic.pio_reads", len as u64);
+            self.shared.bank(self.node).read_block(addr, out);
+        });
     }
 
     /// A poll sweep over words of the local bank. For each `(addr,
@@ -247,9 +236,9 @@ impl Nic {
         let (obs, gid) = (ctx.obs(), self.gid());
         let pio = self.shared.cost.pio_read_ns;
         for enter in self.sweep_reads(t0, cpu, looks, hit) {
-            obs.span_enter(enter, gid, Layer::Nic, "pio_read");
+            let span = obs.open_span(enter, gid, Layer::Nic, "pio_read");
             obs.count(enter + pio, gid, "nic.pio_reads", 1);
-            obs.span_exit(enter + pio, gid, Layer::Nic, "pio_read");
+            obs.close_span(span, enter + pio);
         }
     }
 
@@ -279,11 +268,9 @@ impl Nic {
     /// injection (the end of the setup for an empty block), for a caller
     /// that waits for it with [`ProcCtx::wait_until`].
     pub fn dma_write(&self, ctx: &mut ProcCtx, addr: WordAddr, data: &[Word]) -> des::Time {
-        ctx.obs()
-            .span_enter(ctx.now(), self.gid(), Layer::Nic, "dma_setup");
-        ctx.advance(DMA_SETUP_NS);
-        ctx.obs()
-            .span_exit(ctx.now(), self.gid(), Layer::Nic, "dma_setup");
+        ctx.span(self.gid(), Layer::Nic, "dma_setup", |ctx| {
+            ctx.advance(DMA_SETUP_NS)
+        });
         if data.is_empty() {
             return ctx.now();
         }

@@ -1124,7 +1124,7 @@ impl RingShared {
                 .schedule_series(first_t, links, move |link| shared.transit(plan, link));
         }
         // The packet's whole ring transit as one hardware-track span. The
-        // exit time is computed synchronously, so the enter/exit pair is
+        // exit time is computed synchronously, so the open/close pair is
         // adjacent in the log even though the applies are still scheduled.
         let rec = self.handle.recorder();
         if rec.is_enabled() {
@@ -1137,8 +1137,8 @@ impl RingShared {
                     words as u64,
                 );
             }
-            rec.span_enter(t_ready, NO_NODE, Layer::Ring, "packet");
-            rec.span_exit(span_end, NO_NODE, Layer::Ring, "packet");
+            let span = rec.open_span(t_ready, NO_NODE, Layer::Ring, "packet");
+            rec.close_span(span, span_end);
         }
     }
 

@@ -270,35 +270,33 @@ impl Adi {
         payload: &[u8],
         synchronous: bool,
     ) -> Result<SendRequest, DeviceError> {
-        ctx.obs()
-            .span_enter(ctx.now(), self.node(), Layer::Adi, "isend");
-        ctx.charge(self.costs.request_ns);
-        let id = self.fresh_req();
-        let eager = !synchronous
-            && payload.len() < self.costs.rendezvous_threshold
-            && payload.len() <= self.room(self.dev.max_frame());
-        // An eager frame carries the message; a rendezvous RTS announces
-        // it under our request id.
-        let (kind, req, body) = if eager {
-            (PacketKind::Eager, 0, payload)
-        } else {
-            (PacketKind::RndzRts, id, &[][..])
-        };
-        let header = self.header(kind, tag, context, payload.len() as u32, req);
-        let out = self.send_packet(ctx, dst, &header, body).map(|()| {
-            if eager {
-                return SendRequest(None);
-            }
-            let payload = payload.to_vec();
-            self.reqs.insert(id, Req::Announced { dst, payload });
-            SendRequest(Some(id))
-        });
-        // Every public ADI call returns settled: a device that took the
-        // frame without a stall of its own leaves our charges owed.
-        ctx.settle();
-        ctx.obs()
-            .span_exit(ctx.now(), self.node(), Layer::Adi, "isend");
-        out
+        ctx.span(self.node(), Layer::Adi, "isend", |ctx| {
+            ctx.charge(self.costs.request_ns);
+            let id = self.fresh_req();
+            let eager = !synchronous
+                && payload.len() < self.costs.rendezvous_threshold
+                && payload.len() <= self.room(self.dev.max_frame());
+            // An eager frame carries the message; a rendezvous RTS
+            // announces it under our request id.
+            let (kind, req, body) = if eager {
+                (PacketKind::Eager, 0, payload)
+            } else {
+                (PacketKind::RndzRts, id, &[][..])
+            };
+            let header = self.header(kind, tag, context, payload.len() as u32, req);
+            let out = self.send_packet(ctx, dst, &header, body).map(|()| {
+                if eager {
+                    return SendRequest(None);
+                }
+                let payload = payload.to_vec();
+                self.reqs.insert(id, Req::Announced { dst, payload });
+                SendRequest(Some(id))
+            });
+            // Every public ADI call returns settled: a device that took
+            // the frame without a stall of its own leaves our charges owed.
+            ctx.settle();
+            out
+        })
     }
 
     /// Frame assembly + device hand-off, charging the channel costs.
@@ -309,15 +307,12 @@ impl Adi {
         header: &PacketHeader,
         payload: &[u8],
     ) -> Result<(), DeviceError> {
-        ctx.obs()
-            .span_enter(ctx.now(), self.node(), Layer::Channel, "packet_tx");
-        ctx.charge(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
-        let mut frame = header.encode(self.costs.header_bytes);
-        frame.extend_from_slice(payload);
-        let out = self.dev.send_frame(ctx, dst, &frame);
-        ctx.obs()
-            .span_exit(ctx.now(), self.node(), Layer::Channel, "packet_tx");
-        out
+        ctx.span(self.node(), Layer::Channel, "packet_tx", |ctx| {
+            ctx.charge(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
+            let mut frame = header.encode(self.costs.header_bytes);
+            frame.extend_from_slice(payload);
+            self.dev.send_frame(ctx, dst, &frame)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -335,48 +330,46 @@ impl Adi {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<RecvRequest, DeviceError> {
-        ctx.obs()
-            .span_enter(ctx.now(), self.node(), Layer::Adi, "irecv");
-        ctx.charge(self.costs.request_ns + self.costs.queue_ns);
-        let req = self.fresh_req();
-        let found = self
-            .unexpected
-            .iter()
-            .position(|u| u.matches(context, src, tag));
-        let out = if let Some(idx) = found {
-            // The receive was posted late: the message already sat in the
-            // unexpected queue — the arrival path the paper's queue-
-            // management overhead discussion is about.
-            ctx.obs()
-                .count(ctx.now(), self.node(), "adi.unexpected_hits", 1);
-            let u = self.unexpected.remove(idx).unwrap();
-            ctx.obs().gauge(
-                ctx.now(),
-                self.node(),
-                "adi.unexpected_len",
-                self.unexpected.len() as u64,
-            );
-            ctx.obs().lifecycle(
-                ctx.now(),
-                self.node(),
-                u.trace,
-                Stage::UnexpectedHit,
-                ctx.now().saturating_sub(u.parked_at),
-            );
-            self.accept_matched(ctx, req, u).map(|()| RecvRequest(req))
-        } else {
-            self.posted.push_back(Posted {
-                req,
-                context,
-                src,
-                tag,
-            });
-            Ok(RecvRequest(req))
-        };
-        ctx.settle();
-        ctx.obs()
-            .span_exit(ctx.now(), self.node(), Layer::Adi, "irecv");
-        out
+        ctx.span(self.node(), Layer::Adi, "irecv", |ctx| {
+            ctx.charge(self.costs.request_ns + self.costs.queue_ns);
+            let req = self.fresh_req();
+            let found = self
+                .unexpected
+                .iter()
+                .position(|u| u.matches(context, src, tag));
+            let out = if let Some(idx) = found {
+                // The receive was posted late: the message already sat in the
+                // unexpected queue — the arrival path the paper's queue-
+                // management overhead discussion is about.
+                ctx.obs()
+                    .count(ctx.now(), self.node(), "adi.unexpected_hits", 1);
+                let u = self.unexpected.remove(idx).unwrap();
+                ctx.obs().gauge(
+                    ctx.now(),
+                    self.node(),
+                    "adi.unexpected_len",
+                    self.unexpected.len() as u64,
+                );
+                ctx.obs().lifecycle(
+                    ctx.now(),
+                    self.node(),
+                    u.trace,
+                    Stage::UnexpectedHit,
+                    ctx.now().saturating_sub(u.parked_at),
+                );
+                self.accept_matched(ctx, req, u).map(|()| RecvRequest(req))
+            } else {
+                self.posted.push_back(Posted {
+                    req,
+                    context,
+                    src,
+                    tag,
+                });
+                Ok(RecvRequest(req))
+            };
+            ctx.settle();
+            out
+        })
     }
 
     /// An unexpected entry just matched `req`: complete it (eager) or run
@@ -431,19 +424,17 @@ impl Adi {
     /// The one wait: step until request `id` (none: an eager send, done
     /// as it started) has completed, then take it out of the table.
     fn redeem(&mut self, ctx: &mut ProcCtx, id: Option<u64>, idle: Idle) -> Option<Req> {
-        ctx.obs()
-            .span_enter(ctx.now(), self.node(), Layer::Adi, "wait");
-        let done = id.map(|id| loop {
-            if self.done(id) {
-                break self.reqs.remove(&id).expect("completed a line ago");
-            }
-            self.step(ctx, idle);
-        });
-        ctx.charge(self.costs.request_ns);
-        ctx.settle();
-        ctx.obs()
-            .span_exit(ctx.now(), self.node(), Layer::Adi, "wait");
-        done
+        ctx.span(self.node(), Layer::Adi, "wait", |ctx| {
+            let done = id.map(|id| loop {
+                if self.done(id) {
+                    break self.reqs.remove(&id).expect("completed a line ago");
+                }
+                self.step(ctx, idle);
+            });
+            ctx.charge(self.costs.request_ns);
+            ctx.settle();
+            done
+        })
     }
 
     /// True if request `id` has completed (does not progress).
@@ -522,17 +513,15 @@ impl Adi {
         tag: Tag,
         payload: &[u8],
     ) -> Result<(), DeviceError> {
-        ctx.obs()
-            .span_enter(ctx.now(), self.node(), Layer::Adi, "mcast");
-        ctx.charge(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
-        let header = self.header(PacketKind::Eager, tag, context, payload.len() as u32, 0);
-        let mut frame = header.encode(self.costs.header_bytes);
-        frame.extend_from_slice(payload);
-        let out = self.dev.mcast_frame(ctx, targets, &frame);
-        ctx.settle();
-        ctx.obs()
-            .span_exit(ctx.now(), self.node(), Layer::Adi, "mcast");
-        out
+        ctx.span(self.node(), Layer::Adi, "mcast", |ctx| {
+            ctx.charge(self.costs.header_build_ns + self.costs.pack_ns(payload.len()));
+            let header = self.header(PacketKind::Eager, tag, context, payload.len() as u32, 0);
+            let mut frame = header.encode(self.costs.header_bytes);
+            frame.extend_from_slice(payload);
+            let out = self.dev.mcast_frame(ctx, targets, &frame);
+            ctx.settle();
+            out
+        })
     }
 
     /// Remove every queued revocation notice and return the contexts
@@ -619,59 +608,58 @@ impl Adi {
             frame[0], MAGIC_CHANNEL,
             "unknown frame type from rank {src}"
         );
-        ctx.obs()
-            .span_enter(ctx.now(), self.node(), Layer::Channel, "packet_rx");
-        ctx.charge(self.costs.header_parse_ns);
-        let header = PacketHeader::decode(&frame);
-        let payload = frame[self.costs.header_bytes..].to_vec();
-        match header.kind {
-            PacketKind::Eager => self.dispatch_message(ctx, header, payload, None),
-            PacketKind::RndzRts => {
-                let rts = header.req;
-                self.dispatch_message(ctx, header, Vec::new(), Some(rts));
-            }
-            PacketKind::RndzCts => {
-                let their_req = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                // The send is sent once its data frames below have left.
-                let state = self.reqs.get_mut(&header.req);
-                let state = state.map(|r| std::mem::replace(r, Req::Sent));
-                let Some(Req::Announced { dst, payload }) = state else {
-                    panic!("CTS for unknown rendezvous send")
-                };
-                // Segment the data to the device's frame limit; per-pair
-                // FIFO keeps the chunks in order at the receiver. An
-                // empty payload has no chunks, but a zero-length
-                // rendezvous (synchronous mode, or a threshold of 0)
-                // still owes its receiver one data frame.
-                let chunk = self.room(self.dev.max_frame()).min(payload.len().max(1));
-                let empty = payload.is_empty().then_some(&[][..]);
-                let data = self.header(
-                    PacketKind::RndzData,
-                    header.tag,
-                    header.context,
-                    payload.len() as u32,
-                    their_req,
-                );
-                for piece in payload.chunks(chunk).chain(empty) {
-                    self.send_packet(ctx, dst, &data, piece)
-                        .unwrap_or_else(|e| fatal("the rendezvous data phase", e));
+        ctx.span(self.node(), Layer::Channel, "packet_rx", |ctx| {
+            ctx.charge(self.costs.header_parse_ns);
+            let header = PacketHeader::decode(&frame);
+            let payload = frame[self.costs.header_bytes..].to_vec();
+            match header.kind {
+                PacketKind::Eager => self.dispatch_message(ctx, header, payload, None),
+                PacketKind::RndzRts => {
+                    let rts = header.req;
+                    self.dispatch_message(ctx, header, Vec::new(), Some(rts));
+                }
+                PacketKind::RndzCts => {
+                    let their_req = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                    // The send is sent once its data frames below have left.
+                    let state = self.reqs.get_mut(&header.req);
+                    let state = state.map(|r| std::mem::replace(r, Req::Sent));
+                    let Some(Req::Announced { dst, payload }) = state else {
+                        panic!("CTS for unknown rendezvous send")
+                    };
+                    // Segment the data to the device's frame limit; per-pair
+                    // FIFO keeps the chunks in order at the receiver. An
+                    // empty payload has no chunks, but a zero-length
+                    // rendezvous (synchronous mode, or a threshold of 0)
+                    // still owes its receiver one data frame.
+                    let chunk = self.room(self.dev.max_frame()).min(payload.len().max(1));
+                    let empty = payload.is_empty().then_some(&[][..]);
+                    let data = self.header(
+                        PacketKind::RndzData,
+                        header.tag,
+                        header.context,
+                        payload.len() as u32,
+                        their_req,
+                    );
+                    for piece in payload.chunks(chunk).chain(empty) {
+                        self.send_packet(ctx, dst, &data, piece)
+                            .unwrap_or_else(|e| fatal("the rendezvous data phase", e));
+                    }
+                }
+                PacketKind::RndzData => {
+                    let Some(Req::Collecting { status, buf }) = self.reqs.get_mut(&header.req)
+                    else {
+                        panic!("data for unknown rendezvous receive")
+                    };
+                    ctx.charge(self.costs.unpack_ns(payload.len()));
+                    buf.extend_from_slice(&payload);
+                    if buf.len() >= status.len {
+                        debug_assert_eq!(buf.len(), status.len, "rendezvous over-delivery");
+                        let done = Req::Received(status.clone(), std::mem::take(buf));
+                        self.reqs.insert(header.req, done);
+                    }
                 }
             }
-            PacketKind::RndzData => {
-                let Some(Req::Collecting { status, buf }) = self.reqs.get_mut(&header.req) else {
-                    panic!("data for unknown rendezvous receive")
-                };
-                ctx.charge(self.costs.unpack_ns(payload.len()));
-                buf.extend_from_slice(&payload);
-                if buf.len() >= status.len {
-                    debug_assert_eq!(buf.len(), status.len, "rendezvous over-delivery");
-                    let done = Req::Received(status.clone(), std::mem::take(buf));
-                    self.reqs.insert(header.req, done);
-                }
-            }
-        }
-        ctx.obs()
-            .span_exit(ctx.now(), self.node(), Layer::Channel, "packet_rx");
+        });
     }
 
     /// Route an arrived message (eager payload or RTS) against the posted

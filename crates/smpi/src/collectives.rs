@@ -64,11 +64,10 @@ impl Mpi {
         body: impl FnOnce(&mut Self, &mut ProcCtx, Option<u32>) -> Result<T, MpiError>,
     ) -> Result<T, MpiError> {
         let view = self.degraded_entry(comm, 0..comm.size())?;
-        self.span_enter(ctx, name);
-        ctx.charge(self.adi.costs().collective_entry_ns);
-        let out = body(self, ctx, view.map(|(epoch, _)| epoch));
-        self.leave(ctx, name);
-        out
+        self.span(ctx, name, |mpi, ctx| {
+            ctx.charge(mpi.adi.costs().collective_entry_ns);
+            body(mpi, ctx, view.map(|(epoch, _)| epoch))
+        })
     }
 
     /// The one cancellable wait. Given the epoch a collective entered in,

@@ -264,13 +264,13 @@ impl Device {
         op: impl FnOnce(&mut Self, &mut ProcCtx) -> Result<(), DeviceError>,
     ) -> Result<(), DeviceError> {
         let node = self.rank() as u32;
-        ctx.obs().span_enter(ctx.now(), node, Layer::Device, name);
-        let out = op(self, ctx);
-        if out.is_err() {
-            ctx.obs().count(ctx.now(), node, "device.send_errors", 1);
-        }
-        ctx.obs().span_exit(ctx.now(), node, Layer::Device, name);
-        out
+        ctx.span(node, Layer::Device, name, |ctx| {
+            let out = op(self, ctx);
+            if out.is_err() {
+                ctx.obs().count(ctx.now(), node, "device.send_errors", 1);
+            }
+            out
+        })
     }
 
     /// [`Device::send_frame`] without its span: what a hybrid's paths

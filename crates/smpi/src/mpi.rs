@@ -133,20 +133,21 @@ impl Mpi {
         ctx.charge(self.adi.costs().binding_ns);
     }
 
-    /// Open an MPI-layer span at the current instant.
-    pub(crate) fn span_enter(&self, ctx: &ProcCtx, name: &'static str) {
-        ctx.obs()
-            .span_enter(ctx.now(), self.rank() as u32, Layer::Mpi, name);
-    }
-
-    /// Leave the MPI layer: settle what the call still owes (the binding
-    /// or collective-entry charge of a call that failed its argument
-    /// checks, or had nobody to talk to, was never followed by a transport
-    /// stall), then close the innermost MPI-layer span of this name.
-    pub(crate) fn leave(&self, ctx: &mut ProcCtx, name: &'static str) {
-        ctx.settle();
-        ctx.obs()
-            .span_exit(ctx.now(), self.rank() as u32, Layer::Mpi, name);
+    /// Run `body` inside an MPI-layer span named `name`, and settle what
+    /// the call still owes before the span closes (the binding or
+    /// collective-entry charge of a call that failed its argument checks,
+    /// or had nobody to talk to, was never followed by a transport stall).
+    pub(crate) fn span<R>(
+        &mut self,
+        ctx: &mut ProcCtx,
+        name: &'static str,
+        body: impl FnOnce(&mut Self, &mut ProcCtx) -> R,
+    ) -> R {
+        ctx.span(self.rank() as u32, Layer::Mpi, name, |ctx| {
+            let out = body(self, ctx);
+            ctx.settle();
+            out
+        })
     }
 
     /// A message is entering the stack here: mint its trace id, publish
@@ -170,12 +171,11 @@ impl Mpi {
     /// error record the `error` checkpoint and snapshot the flight ring
     /// for the postmortem.
     pub(crate) fn trace_send_exit<T>(&self, ctx: &ProcCtx, id: u64, result: &Result<T, MpiError>) {
-        let rec = ctx.obs();
-        rec.set_current_trace(self.rank() as u32, 0);
+        let (rec, rank) = (ctx.obs(), self.rank());
+        rec.set_current_trace(rank as u32, 0);
         if result.is_err() {
-            rec.lifecycle(ctx.now(), self.rank() as u32, id, Stage::Error, 0);
-            rec.flight()
-                .dump_to_dir(&format!("mpi_send_error_n{}", self.rank()));
+            let label = format!("mpi_send_error_n{rank}");
+            rec.postmortem(ctx.now(), rank as u32, id, 0, &label);
         }
     }
 
@@ -192,11 +192,11 @@ impl Mpi {
         tag: Tag,
         data: &[u8],
     ) -> Result<(), MpiError> {
-        self.span_enter(ctx, "send");
-        let res = self.isend(ctx, comm, dst, tag, data);
-        let out = res.map(|req| self.wait_send(ctx, req));
-        self.leave(ctx, "send");
-        out
+        self.span(ctx, "send", |mpi, ctx| {
+            let req = mpi.isend(ctx, comm, dst, tag, data)?;
+            mpi.wait_send(ctx, req);
+            Ok(())
+        })
     }
 
     /// Blocking receive. `src`/`tag` of `None` are the wildcards.
@@ -207,11 +207,10 @@ impl Mpi {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<(Status, Vec<u8>), MpiError> {
-        self.span_enter(ctx, "recv");
-        let res = self.irecv(ctx, comm, src, tag);
-        let out = res.map(|req| self.wait_recv(ctx, comm, req));
-        self.leave(ctx, "recv");
-        out
+        self.span(ctx, "recv", |mpi, ctx| {
+            let req = mpi.irecv(ctx, comm, src, tag)?;
+            Ok(mpi.wait_recv(ctx, comm, req))
+        })
     }
 
     /// Non-blocking send.
@@ -258,19 +257,17 @@ impl Mpi {
         assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
         let name = if synchronous { "ssend" } else { "isend" };
         let trace = self.trace_send_enter(ctx, data.len());
-        self.span_enter(ctx, name);
-        self.charge_binding(ctx);
-        let out = comm
-            .check(dst)
-            .and_then(|()| self.degraded_entry(comm, [dst]))
-            .and_then(|_| {
-                let dst = comm.world_rank(dst);
-                self.adi
-                    .isend_mode(ctx, dst, comm.context, tag, data, synchronous)
-                    .map_err(|e| self.transport_to_mpi(comm, e))
-            })
-            .map(|req| then(self, ctx, req));
-        self.leave(ctx, name);
+        let out = self.span(ctx, name, |mpi, ctx| {
+            mpi.charge_binding(ctx);
+            comm.check(dst)?;
+            mpi.degraded_entry(comm, [dst])?;
+            let dst = comm.world_rank(dst);
+            let req = mpi
+                .adi
+                .isend_mode(ctx, dst, comm.context, tag, data, synchronous)
+                .map_err(|e| mpi.transport_to_mpi(comm, e))?;
+            Ok(then(mpi, ctx, req))
+        });
         self.trace_send_exit(ctx, trace, &out);
         out
     }
@@ -299,22 +296,20 @@ impl Mpi {
         if let Some(t) = tag {
             assert!(t <= MAX_USER_TAG, "tag {t:#x} is reserved");
         }
-        self.span_enter(ctx, "irecv");
-        self.charge_binding(ctx);
-        let out = self.recv_source(comm, src).and_then(|world_src| {
-            self.adi
+        self.span(ctx, "irecv", |mpi, ctx| {
+            mpi.charge_binding(ctx);
+            let world_src = mpi.recv_source(comm, src)?;
+            mpi.adi
                 .irecv(ctx, comm.context, world_src, tag)
-                .map_err(|e| self.transport_to_mpi(comm, e))
-        });
-        self.leave(ctx, "irecv");
-        out
+                .map_err(|e| mpi.transport_to_mpi(comm, e))
+        })
     }
 
     /// Complete a send request.
     pub fn wait_send(&mut self, ctx: &mut ProcCtx, req: SendRequest) {
-        self.span_enter(ctx, "wait");
-        self.adi.wait_send(ctx, req, Idle::Park);
-        self.leave(ctx, "wait");
+        self.span(ctx, "wait", |mpi, ctx| {
+            mpi.adi.wait_send(ctx, req, Idle::Park)
+        });
     }
 
     /// Complete a receive request, translating the source into the
@@ -325,9 +320,9 @@ impl Mpi {
         comm: &Comm,
         req: RecvRequest,
     ) -> (Status, Vec<u8>) {
-        self.span_enter(ctx, "wait");
-        let (mut status, data) = self.adi.wait_recv(ctx, req, Idle::Park);
-        self.leave(ctx, "wait");
+        let (mut status, data) = self.span(ctx, "wait", |mpi, ctx| {
+            mpi.adi.wait_recv(ctx, req, Idle::Park)
+        });
         status.source = comm
             .comm_rank(status.source)
             .expect("message from outside the communicator matched its context");
