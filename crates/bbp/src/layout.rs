@@ -116,7 +116,7 @@ impl Layout {
     }
 
     /// Base of process `p`'s partition.
-    pub fn partition_base(&self, p: usize) -> WordAddr {
+    fn partition_base(&self, p: usize) -> WordAddr {
         debug_assert!(p < self.nprocs);
         p * self.partition_words()
     }

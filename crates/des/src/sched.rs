@@ -159,7 +159,7 @@ fn check_not_past(time: Time, now: Time) {
 impl Agenda {
     /// Queue `what` at `time` behind everything already queued there.
     #[inline]
-    pub fn push(&mut self, time: Time, what: WakeWhat) {
+    pub(crate) fn push(&mut self, time: Time, what: WakeWhat) {
         self.push_series(time, 1, what);
     }
 
@@ -170,7 +170,7 @@ impl Agenda {
     /// with other same-time entries exactly as if every link had been
     /// pushed here and now.
     #[inline]
-    pub fn push_series(&mut self, time: Time, links: u64, what: WakeWhat) {
+    fn push_series(&mut self, time: Time, links: u64, what: WakeWhat) {
         let seq = self.take(links);
         self.push_at_seq(time, seq, what);
     }
@@ -179,7 +179,7 @@ impl Agenda {
     /// series whose owner queues it later ([`Then::reserved`]); until then
     /// it counts as pending.
     #[inline]
-    pub fn reserve(&mut self, links: u64) -> Reserved {
+    fn reserve(&mut self, links: u64) -> Reserved {
         self.reserved += 1;
         Reserved {
             seq: self.take(links),
@@ -219,14 +219,14 @@ impl Agenda {
     /// Pending entries: those queued, and the reserved series their owners
     /// keep (see [`crate::RunReport::peak_queue_depth`]).
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending.len() + self.reserved as usize
     }
 
     /// Bring the run clock up to where a process's clock has been walked
     /// to without queueing (see [`SchedShared::walk`]).
     #[inline]
-    pub fn catch_up(&mut self, proc_now: Time) {
+    fn catch_up(&mut self, proc_now: Time) {
         self.now = self.now.max(proc_now);
     }
 
@@ -244,7 +244,7 @@ impl Agenda {
     /// next one due? Then a process alone until `t` may jump its clock
     /// there without queueing its `Resume` (see `ProcCtx::advance`).
     #[inline]
-    pub fn is_next(&self, t: Time) -> bool {
+    pub(crate) fn is_next(&self, t: Time) -> bool {
         (t, self.seq) < self.bound()
     }
 
@@ -285,7 +285,7 @@ impl Agenda {
     }
 
     /// A cycle whose round takes `round` ns is about to be walked.
-    pub fn note_round(&mut self, round: Time) {
+    pub(crate) fn note_round(&mut self, round: Time) {
         self.longest_round = self.longest_round.max(round);
     }
 }
@@ -338,7 +338,7 @@ pub(crate) struct SchedShared {
 }
 
 impl SchedShared {
-    pub fn new() -> Arc<Self> {
+    pub(crate) fn new() -> Arc<Self> {
         Arc::new(SchedShared {
             core: Mutex::new(Core {
                 procs: Vec::new(),
@@ -377,7 +377,7 @@ impl SchedShared {
     /// next, a link's own `schedule_at` included, finds the run where it
     /// is.
     #[inline]
-    pub fn core(&self) -> CoreGuard<'_> {
+    pub(crate) fn core(&self) -> CoreGuard<'_> {
         #[cold]
         fn entered_twice() -> ! {
             panic!(
@@ -401,7 +401,7 @@ impl SchedShared {
 
     /// Note what process `proc` owes (`None`: the running process settled).
     #[inline]
-    pub fn set_owing(&self, _owing: Option<(&Arc<ProcShared>, Time)>) {
+    pub(crate) fn set_owing(&self, _owing: Option<(&Arc<ProcShared>, Time)>) {
         #[cfg(debug_assertions)]
         {
             *self.owing.lock() = _owing.map(|(proc, owed)| (Arc::clone(proc), owed));
@@ -411,7 +411,7 @@ impl SchedShared {
     /// Debug builds: panic if the running process owes charged time.
     /// `what` names the shared state about to be touched.
     #[inline]
-    pub fn assert_settled(&self, _what: &str) {
+    pub(crate) fn assert_settled(&self, _what: &str) {
         #[cfg(debug_assertions)]
         if let Some((proc, owed)) = &*self.owing.lock() {
             panic!(
@@ -429,26 +429,26 @@ impl SchedShared {
     // `ring_storm` when it made two of them per dispatch).
 
     /// Queue `what` at `time`, from outside the scheduler.
-    pub fn push(&self, time: Time, what: WakeWhat) {
+    pub(crate) fn push(&self, time: Time, what: WakeWhat) {
         self.assert_settled("scheduling");
         self.core().agenda.push(time, what);
     }
 
     /// Queue the first link of a series of `links`, from outside the
     /// scheduler (see [`Agenda::push_series`]).
-    pub fn push_series(&self, time: Time, links: u64, what: WakeWhat) {
+    fn push_series(&self, time: Time, links: u64, what: WakeWhat) {
         self.assert_settled("scheduling");
         self.core().agenda.push_series(time, links, what);
     }
 
     /// Reserve a series of `links`, from outside the scheduler (see
     /// [`Agenda::reserve`]).
-    pub fn reserve_series(&self, links: u64) -> Reserved {
+    fn reserve_series(&self, links: u64) -> Reserved {
         self.assert_settled("scheduling");
         self.core().agenda.reserve(links)
     }
 
-    pub fn record(&self, entry: TraceEntry) {
+    fn record(&self, entry: TraceEntry) {
         self.recorder.sched(entry);
     }
 
@@ -464,7 +464,7 @@ impl SchedShared {
     /// The `Yield` entry of process `name` giving up the baton at `now`.
     /// `why`: `ResumeAt` (a `Resume` queued for it will bring it back) or
     /// `Blocked` (a [`Signal`] will).
-    pub fn record_yield(&self, name: &str, why: &str, now: Time) {
+    pub(crate) fn record_yield(&self, name: &str, why: &str, now: Time) {
         if self.recorder.is_enabled() {
             // Gated so the hot yield path never formats the detail string.
             self.record(TraceEntry {
@@ -476,7 +476,7 @@ impl SchedShared {
     }
 
     /// Start a run on the calling thread: it holds the baton.
-    pub fn begin_run(&self, horizon: Time) {
+    pub(crate) fn begin_run(&self, horizon: Time) {
         let mut core = self.core();
         let agenda = &mut core.agenda;
         agenda.horizon = horizon;
@@ -508,7 +508,7 @@ impl SchedShared {
     /// tie-break value, the sampled word — so the schedule cannot tell the
     /// difference, and neither can the trace: a queued step gets the
     /// `Yield` entry the process would have written going to sleep on it.
-    pub fn walk(&self, core: &mut Core, id: ProcId, mut cur: Time) -> bool {
+    pub(crate) fn walk(&self, core: &mut Core, id: ProcId, mut cur: Time) -> bool {
         let Core { procs, agenda, .. } = core;
         let ProcEntry { chain, shared, .. } = &mut procs[id.0];
         if let Some(step) = chain.due.take() {
@@ -565,7 +565,7 @@ impl SchedShared {
     /// (or a reserved series' first link on its reservation's value),
     /// under the entry it makes after every closure. The pops come in
     /// `(time, seq)` order either way.
-    pub fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
+    pub(crate) fn dispatch<'a>(&'a self, mut core: CoreGuard<'a>, me: Option<ProcId>) -> Baton<'a> {
         let horizon = core.agenda.horizon;
         loop {
             let agenda = &mut core.agenda;
@@ -640,7 +640,7 @@ impl SchedShared {
 
     /// Give the baton back to the `run_until` caller, from a process
     /// thread that is out of the core.
-    pub fn hand_back(&self, why: Returned) {
+    pub(crate) fn hand_back(&self, why: Returned) {
         let thread = {
             let mut caller = self.caller.lock();
             caller.returned = Some(why);
@@ -652,7 +652,7 @@ impl SchedShared {
 
     /// Hold the `run_until` caller, which granted the baton to `woke`,
     /// until a process hands it back.
-    pub fn await_return(&self, woke: &ProcShared) -> Returned {
+    pub(crate) fn await_return(&self, woke: &ProcShared) -> Returned {
         await_baton(Some(woke), || self.caller.lock().returned.take())
     }
 }

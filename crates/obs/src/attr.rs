@@ -125,11 +125,6 @@ impl MessageWaterfall {
             _ => 0,
         }
     }
-
-    /// Time of the first checkpoint with `stage`, if recorded.
-    pub fn stage_time(&self, stage: Stage) -> Option<Time> {
-        self.steps.iter().find(|s| s.stage == stage).map(|s| s.time)
-    }
 }
 
 /// Group the stream's [`Event::Lifecycle`] entries into per-message
@@ -189,6 +184,11 @@ mod tests {
             layer,
             name: "x",
         }
+    }
+
+    /// Time of the first checkpoint with `stage`, if recorded.
+    fn stage_time(w: &MessageWaterfall, stage: Stage) -> Option<Time> {
+        w.steps.iter().find(|s| s.stage == stage).map(|s| s.time)
     }
 
     #[test]
@@ -279,8 +279,8 @@ mod tests {
         assert_eq!(w[0].src, 0);
         assert_eq!(w[0].steps.len(), 4);
         assert_eq!(w[0].total_ns(), 30);
-        assert_eq!(w[0].stage_time(Stage::RecvMatch), Some(20));
-        assert_eq!(w[0].stage_time(Stage::Retry), None);
+        assert_eq!(stage_time(&w[0], Stage::RecvMatch), Some(20));
+        assert_eq!(stage_time(&w[0], Stage::Retry), None);
         assert_eq!(w[1].id, b);
         assert_eq!(w[1].src, 1);
     }
@@ -304,8 +304,8 @@ mod tests {
         assert_eq!(w.len(), 1, "request and reply share one chain");
         assert_eq!(w[0].src, 0, "the chain originates at the client");
         assert_eq!(w[0].steps.len(), 7);
-        assert_eq!(w[0].stage_time(Stage::RpcDispatch), Some(30));
-        assert_eq!(w[0].stage_time(Stage::RpcReply), Some(50));
+        assert_eq!(stage_time(&w[0], Stage::RpcDispatch), Some(30));
+        assert_eq!(stage_time(&w[0], Stage::RpcReply), Some(50));
         assert_eq!(w[0].total_ns(), 70, "full request→reply service span");
     }
 

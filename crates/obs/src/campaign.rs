@@ -5,7 +5,7 @@
 //! a function that runs one cell and judges it. What a cell does is the
 //! campaign's; everything around it is [`Campaign::run`]'s, the same for
 //! the fault, chaos, partition and workload matrices: narrowing by the
-//! `CAMPAIGN_*` filters ([`Settings`]; one that cannot select a cell is
+//! `CAMPAIGN_*` filters (`Settings`; one that cannot select a cell is
 //! an error), the per-cell clock, the report, **then** the per-cell
 //! budget and the violation digest — so a red run always leaves its
 //! report behind — and per violating cell one repro line: its own
@@ -84,7 +84,7 @@ pub fn matrix(
 /// is where the report goes, and `CAMPAIGN_CELL_BUDGET_MS` is the
 /// host-time ceiling per cell.
 #[derive(Debug)]
-pub struct Settings {
+struct Settings {
     kind: Option<String>,
     seed: Option<u64>,
     size: Option<usize>,
@@ -96,7 +96,7 @@ pub struct Settings {
 impl Settings {
     /// Read the six variables through `var` (the process environment in
     /// production, a table in tests).
-    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+    fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         fn number<T: std::str::FromStr>(
             var: &impl Fn(&str) -> Option<String>,
             name: &str,
@@ -178,8 +178,10 @@ pub struct Walk<C> {
 }
 
 impl Campaign {
-    /// [`try_run`](Self::try_run) under the process environment,
-    /// panicking with its message.
+    /// Run `matrix` under the settings the process environment names
+    /// (the `CAMPAIGN_*` variables), panicking with the message of a
+    /// filter that matches nothing, a report that cannot be written, a
+    /// cell over its budget or a violating cell.
     pub fn run<C: Cell>(
         &self,
         matrix: Vec<Coord>,
@@ -196,7 +198,7 @@ impl Campaign {
     /// the walk as the report; then fail on cells over the budget and on
     /// violating cells — in that order, so the report exists whatever
     /// the verdict.
-    pub fn try_run<C: Cell>(
+    fn try_run<C: Cell>(
         &self,
         settings: &Settings,
         matrix: Vec<Coord>,

@@ -207,8 +207,8 @@ impl FlightGuard {
         }
     }
 
-    /// Dump unconditionally (used by failure paths that do not unwind).
-    pub fn dump_now(&self) -> Option<std::path::PathBuf> {
+    /// Dump unconditionally.
+    fn dump_now(&self) -> Option<std::path::PathBuf> {
         self.recorder.flight().dump_to_dir(&self.label)
     }
 

@@ -34,7 +34,7 @@ pub struct Anchor {
 
 impl Anchor {
     /// Signed deviation from the paper, percent.
-    pub fn deviation_pct(&self) -> f64 {
+    fn deviation_pct(&self) -> f64 {
         if self.paper_us == 0.0 {
             0.0
         } else {
@@ -149,7 +149,7 @@ pub struct Layering {
 
 impl Layering {
     /// Absolute deviation from the paper, percent.
-    pub fn within_pct(&self) -> f64 {
+    fn within_pct(&self) -> f64 {
         ((self.measured_us - self.paper_us) / self.paper_us * 100.0).abs()
     }
 }

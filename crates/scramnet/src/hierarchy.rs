@@ -130,11 +130,6 @@ impl RingHierarchy {
         self.leaves[leaf].nic(local)
     }
 
-    /// The leaf ring holding global host `id` (stats, snapshots).
-    pub fn leaf_of(&self, id: usize) -> &Ring {
-        &self.leaves[id / self.hosts_per_leaf]
-    }
-
     /// The backbone ring.
     pub fn backbone(&self) -> &Ring {
         &self.backbone
@@ -195,14 +190,14 @@ mod tests {
         let h = hierarchy(&sim, 3, 4);
         // Local slot 4 of a 4-host leaf is its bridge: its tap is the
         // leaf's only way onto the backbone.
-        h.leaf_of(0).record_deliveries(4);
+        h.leaves[0].record_deliveries(4);
     }
 
     #[test]
     fn recording_a_host_slot_leaves_forwarding_alone() {
         let mut sim = Simulation::new();
         let h = hierarchy(&sim, 3, 4);
-        let heard = h.leaf_of(5).record_deliveries(1); // host 5, on leaf 1
+        let heard = h.leaves[1].record_deliveries(1); // host 5, on leaf 1
         let nic = h.nic(0);
         sim.spawn("w", move |ctx| nic.write_word(ctx, 77, 0xFEED));
         sim.run();
@@ -238,8 +233,8 @@ mod tests {
         let mut sim = Simulation::new();
         let h = hierarchy(&sim, 2, 3);
         let (near, far) = (
-            h.leaf_of(1).record_deliveries(1),
-            h.leaf_of(3).record_deliveries(0),
+            h.leaves[0].record_deliveries(1), // host 1
+            h.leaves[1].record_deliveries(0), // host 3
         );
         let nic = h.nic(0);
         sim.spawn("w", move |ctx| nic.write_word(ctx, 9, 5));

@@ -781,11 +781,6 @@ impl Ring {
         self.shared.drop_next.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Drop faults still armed (test/report introspection).
-    pub fn drops_armed(&self) -> u64 {
-        self.shared.drop_next.load(Ordering::Relaxed)
-    }
-
     /// Sever the egress link `link → link+1`. Packets injected while the
     /// link is down are truncated at the break: nodes upstream of it
     /// keep the write, nodes downstream never see it.
@@ -1954,7 +1949,7 @@ mod tests {
         // The source bank saw every write.
         assert_eq!(&ring.snapshot(0)[0..3], &[1, 2, 3]);
         assert_eq!(ring.stats().packets_dropped, 2);
-        assert_eq!(ring.drops_armed(), 0);
+        assert_eq!(ring.shared.drop_next.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -35,18 +35,6 @@ pub struct RingStats {
     pub link_busy_ns: Time,
 }
 
-impl RingStats {
-    /// Mean link utilization over `elapsed` virtual time for a ring of
-    /// `links` links. Returns a fraction in `[0, 1]` (can exceed 1 only if
-    /// the caller passes a wrong elapsed window).
-    pub fn utilization(&self, links: usize, elapsed: Time) -> f64 {
-        if elapsed == 0 || links == 0 {
-            return 0.0;
-        }
-        self.link_busy_ns as f64 / (links as f64 * elapsed as f64)
-    }
-}
-
 /// Lock-free accumulation cells behind [`RingStats`]. The hot paths
 /// (`inject_as`, `transit`, PIO operations) bump these with a relaxed
 /// load and store; [`AtomicRingStats::snapshot`] materializes the plain struct
@@ -116,22 +104,5 @@ mod tests {
         assert_eq!(s.words_carried, 40);
         assert_eq!(s.link_busy_ns, 615);
         assert_eq!(s.pio_writes, 0);
-    }
-
-    #[test]
-    fn utilization_handles_zero_elapsed() {
-        let s = RingStats::default();
-        assert_eq!(s.utilization(4, 0), 0.0);
-        assert_eq!(s.utilization(0, 100), 0.0);
-    }
-
-    #[test]
-    fn utilization_is_busy_over_capacity() {
-        let s = RingStats {
-            link_busy_ns: 500,
-            ..Default::default()
-        };
-        let u = s.utilization(2, 1_000);
-        assert!((u - 0.25).abs() < 1e-12);
     }
 }

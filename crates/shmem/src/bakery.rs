@@ -17,11 +17,6 @@ pub struct BakeryLock {
     n: usize,
 }
 
-/// Words occupied by a lock for `n` processes.
-pub const fn bakery_words(n: usize) -> usize {
-    2 * n
-}
-
 impl BakeryLock {
     /// Place a lock for `n` processes at word offset `base`.
     pub fn layout(base: WordAddr, n: usize) -> Self {
@@ -31,7 +26,7 @@ impl BakeryLock {
 
     /// Words this lock occupies (reserve them when planning memory).
     pub fn words(&self) -> usize {
-        bakery_words(self.n)
+        2 * self.n
     }
 
     fn choosing(&self, p: usize) -> WordAddr {

@@ -59,11 +59,6 @@ impl CounterHandle {
             .write_word(ctx, self.counter.cell(self.me), self.local);
     }
 
-    /// This process's own contribution so far.
-    pub fn my_contribution(&self) -> Word {
-        self.local
-    }
-
     /// Read the counter: sum of every process's cell as replicated here.
     /// Monotone per contributor; the total is exact once the ring is
     /// quiescent.
@@ -95,7 +90,7 @@ mod tests {
                     h.add(ctx, (node + 1) as Word);
                     ctx.advance(500 * (i + 1));
                 }
-                assert_eq!(h.my_contribution(), 10 * (node + 1) as Word);
+                assert_eq!(h.local, 10 * (node + 1) as Word);
             });
         }
         // An observer reads after quiescence.
@@ -155,7 +150,7 @@ mod tests {
         sim.spawn("p0", move |ctx| {
             h.add(ctx, Word::MAX);
             h.add(ctx, 2);
-            assert_eq!(h.my_contribution(), 1);
+            assert_eq!(h.local, 1);
             assert_eq!(h.read(ctx), 1);
         });
         assert!(sim.run().is_clean());

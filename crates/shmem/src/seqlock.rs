@@ -118,7 +118,7 @@ impl SeqLockHandle {
 
     /// One non-retrying attempt: `None` if an update was in flight.
     /// Counter order per the module docs: `v2`, data, `v1`.
-    pub fn try_read(&mut self, ctx: &mut ProcCtx) -> Option<(Vec<Word>, Word)> {
+    fn try_read(&mut self, ctx: &mut ProcCtx) -> Option<(Vec<Word>, Word)> {
         let v2 = self.nic.read_word(ctx, self.lock.v2());
         let mut data = vec![0; self.lock.words];
         self.nic.read_block(ctx, self.lock.data(), &mut data);

@@ -7,7 +7,7 @@ use std::collections::{HashMap, VecDeque};
 use des::obs::{Layer, Stage};
 use des::{ProcCtx, Time};
 
-use crate::costs::SmpiCosts;
+use crate::costs::{SmpiCosts, RENDEZVOUS_THRESHOLD};
 use crate::device::{
     decode_null, encode_null, Device, DeviceError, PacketHeader, PacketKind, MAGIC_CHANNEL,
 };
@@ -256,25 +256,10 @@ impl Adi {
         tag: Tag,
         payload: &[u8],
     ) -> Result<SendRequest, DeviceError> {
-        self.isend_mode(ctx, dst, context, tag, payload, false)
-    }
-
-    /// [`Adi::isend`], or with `synchronous` an `MPI_Issend`: always
-    /// rendezvous, so completion implies the receiver matched the message.
-    pub(crate) fn isend_mode(
-        &mut self,
-        ctx: &mut ProcCtx,
-        dst: usize,
-        context: u16,
-        tag: Tag,
-        payload: &[u8],
-        synchronous: bool,
-    ) -> Result<SendRequest, DeviceError> {
         ctx.span(self.node(), Layer::Adi, "isend", |ctx| {
             ctx.charge(self.costs.request_ns);
             let id = self.fresh_req();
-            let eager = !synchronous
-                && payload.len() < self.costs.rendezvous_threshold
+            let eager = payload.len() < RENDEZVOUS_THRESHOLD
                 && payload.len() <= self.room(self.dev.max_frame());
             // An eager frame carries the message; a rendezvous RTS
             // announces it under our request id.
@@ -627,12 +612,10 @@ impl Adi {
                         panic!("CTS for unknown rendezvous send")
                     };
                     // Segment the data to the device's frame limit; per-pair
-                    // FIFO keeps the chunks in order at the receiver. An
-                    // empty payload has no chunks, but a zero-length
-                    // rendezvous (synchronous mode, or a threshold of 0)
-                    // still owes its receiver one data frame.
-                    let chunk = self.room(self.dev.max_frame()).min(payload.len().max(1));
-                    let empty = payload.is_empty().then_some(&[][..]);
+                    // FIFO keeps the chunks in order at the receiver. A
+                    // rendezvous payload is never empty: an empty send is
+                    // eager.
+                    let chunk = self.room(self.dev.max_frame()).min(payload.len());
                     let data = self.header(
                         PacketKind::RndzData,
                         header.tag,
@@ -640,7 +623,7 @@ impl Adi {
                         payload.len() as u32,
                         their_req,
                     );
-                    for piece in payload.chunks(chunk).chain(empty) {
+                    for piece in payload.chunks(chunk) {
                         self.send_packet(ctx, dst, &data, piece)
                             .unwrap_or_else(|e| fatal("the rendezvous data phase", e));
                     }

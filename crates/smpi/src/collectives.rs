@@ -27,7 +27,6 @@ const TAG_BCAST: Tag = 0xF000_0001;
 const TAG_BARRIER_UP: Tag = 0xF000_0002;
 const TAG_BARRIER_DOWN: Tag = 0xF000_0003;
 const TAG_GATHER: Tag = 0xF000_0004;
-const TAG_SCATTER: Tag = 0xF000_0005;
 const TAG_REDUCE: Tag = 0xF000_0006;
 const TAG_ALLTOALL: Tag = 0xF000_0007;
 const TAG_SCAN: Tag = 0xF000_0008;
@@ -375,9 +374,9 @@ impl Mpi {
         let size = comm.size();
         // The root is always comm rank 0, so ranks are their own vranks.
         let vrank = comm.rank();
-        // Gather phase (children → parents). An empty send is eager under
-        // any nonzero rendezvous threshold: its handle holds nothing, so
-        // dropping it unwaited, as both phases do, is free.
+        // Gather phase (children → parents). An empty send is eager: its
+        // handle holds nothing, so dropping it unwaited, as both phases
+        // do, is free.
         let mut mask = 1;
         while mask < size {
             if vrank & mask != 0 {
@@ -409,7 +408,7 @@ impl Mpi {
     }
 
     // ------------------------------------------------------------------
-    // Gather / scatter families
+    // Gather and all-to-all
     // ------------------------------------------------------------------
 
     /// `MPI_Gather` (variable block sizes allowed): root returns all
@@ -438,35 +437,6 @@ impl Mpi {
             Ok(Some(out))
         })
         .unwrap_or_else(|e| fatal("gather", e))
-    }
-
-    /// `MPI_Scatter`: root supplies one block per rank; everyone returns
-    /// their block.
-    pub fn scatter(
-        &mut self,
-        ctx: &mut ProcCtx,
-        comm: &Comm,
-        root: usize,
-        blocks: Option<&[Vec<u8>]>,
-    ) -> Vec<u8> {
-        self.collective(ctx, comm, "scatter", |mpi, ctx, epoch| {
-            if comm.rank() != root {
-                return mpi.coll_recv(ctx, comm, root, TAG_SCATTER, epoch);
-            }
-            let blocks = blocks.expect("root must supply scatter blocks");
-            assert_eq!(blocks.len(), comm.size(), "one block per rank");
-            let mut sends = Vec::new();
-            for (r, block) in blocks.iter().enumerate() {
-                if r != root {
-                    sends.push(mpi.coll_isend(ctx, comm, r, TAG_SCATTER, block)?);
-                }
-            }
-            for req in sends {
-                mpi.coll_wait_send(ctx, comm, req, epoch)?;
-            }
-            Ok(blocks[root].clone())
-        })
-        .unwrap_or_else(|e| fatal("scatter", e))
     }
 
     /// `MPI_Allgather`: gather to rank 0 then broadcast the concatenation.
@@ -577,60 +547,6 @@ impl Mpi {
         .unwrap_or_else(|e| fatal("scan", e))
     }
 
-    /// `MPI_Exscan`: exclusive prefix reduction — rank `r` returns `op`
-    /// folded over ranks `0..r` (`None` at rank 0, which has no prefix).
-    pub fn exscan(
-        &mut self,
-        ctx: &mut ProcCtx,
-        comm: &Comm,
-        op: ReduceOp,
-        data: &[f64],
-    ) -> Option<Vec<f64>> {
-        self.collective(ctx, comm, "exscan", |mpi, ctx, epoch| {
-            let me = comm.rank();
-            // Receive the running prefix from the left, forward
-            // prefix+mine to the right.
-            let prefix = if me > 0 {
-                let bytes = mpi.coll_recv(ctx, comm, me - 1, TAG_SCAN, epoch)?;
-                Some(decode_f64s(&bytes))
-            } else {
-                None
-            };
-            if me + 1 < comm.size() {
-                let mut running = prefix.clone().unwrap_or_else(|| data.to_vec());
-                if prefix.is_some() {
-                    op.fold(&mut running, data);
-                }
-                mpi.coll_send(ctx, comm, me + 1, TAG_SCAN, &encode_f64s(&running), epoch)?;
-            }
-            Ok(prefix)
-        })
-        .unwrap_or_else(|e| fatal("exscan", e))
-    }
-
-    /// `MPI_Reduce_scatter_block`: elementwise-reduce `comm.size()`
-    /// blocks of `block_len` values, then hand block `r` to rank `r`.
-    /// Implemented as reduce-to-root + scatter, like MPICH 1.x.
-    pub fn reduce_scatter_block(
-        &mut self,
-        ctx: &mut ProcCtx,
-        comm: &Comm,
-        op: ReduceOp,
-        data: &[f64],
-    ) -> Vec<f64> {
-        let n = comm.size();
-        assert!(
-            data.len().is_multiple_of(n),
-            "data must hold one equal block per rank"
-        );
-        let block_len = data.len() / n;
-        let reduced = self.reduce(ctx, comm, 0, op, data);
-        let blocks: Option<Vec<Vec<u8>>> =
-            reduced.map(|full| full.chunks(block_len).map(encode_f64s).collect());
-        let mine = self.scatter(ctx, comm, 0, blocks.as_deref());
-        decode_f64s(&mine)
-    }
-
     // ------------------------------------------------------------------
     // Communicator management
     // ------------------------------------------------------------------
@@ -665,8 +581,7 @@ impl Mpi {
         let mut colors: Vec<i64> = parsed.iter().map(|p| p.0).filter(|&c| c >= 0).collect();
         colors.sort_unstable();
         colors.dedup();
-        let base = self.next_context;
-        self.next_context += 2 * colors.len() as u16;
+        let base = self.fresh_contexts(colors.len());
         if color < 0 {
             return None;
         }
@@ -756,6 +671,31 @@ mod tests {
         }
         assert!(sim.run().is_clean());
         assert_eq!(*held.lock(), [0; 4], "requests each rank still holds");
+    }
+
+    #[test]
+    #[should_panic(expected = "sequential context ids collided with the shrink-derived range")]
+    fn a_split_past_the_sequential_contexts_panics() {
+        use crate::costs::SmpiCosts;
+        use crate::degraded::SHRINK_CONTEXT_BASE;
+        use crate::device::Device;
+        use crate::testutil::ScriptedDevice;
+
+        let mut sim = des::Simulation::new();
+        let (dev, _probe) = ScriptedDevice::new(0, 1);
+        let mut mpi = Mpi::new(
+            Device::Scripted(dev),
+            SmpiCosts::default(),
+            CollectiveImpl::Native,
+        );
+        mpi.next_context = SHRINK_CONTEXT_BASE - 2;
+        sim.spawn("rank0", move |ctx| {
+            let world = mpi.comm_world();
+            // The last pair below the shrink-derived range, then one in it.
+            mpi.comm_split(ctx, &world, 0, 0).expect("a color");
+            mpi.comm_split(ctx, &world, 0, 0);
+        });
+        sim.run();
     }
 
     #[test]

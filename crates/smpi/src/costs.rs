@@ -4,6 +4,10 @@
 
 use des::Time;
 
+/// Payload size at or above which sends switch from eager to rendezvous,
+/// in every preset.
+pub(crate) const RENDEZVOUS_THRESHOLD: usize = 16 * 1024;
+
 /// Calibrated per-layer costs in nanoseconds. Only the three presets
 /// below build one: a stack's costs are chosen whole, never field by
 /// field.
@@ -33,9 +37,6 @@ pub struct SmpiCosts {
     /// Channel-packet header size in bytes (MPICH's MPID packet; 64 bytes
     /// in the Channel Interface port, 24 in the ADI-direct extension).
     pub(crate) header_bytes: usize,
-    /// Payload size at or above which sends switch from eager to
-    /// rendezvous.
-    pub(crate) rendezvous_threshold: usize,
 }
 
 impl SmpiCosts {
@@ -53,7 +54,6 @@ impl SmpiCosts {
             progress_poll_ns: 700,
             collective_entry_ns: 1_500,
             header_bytes: 64,
-            rendezvous_threshold: 16 * 1024,
         }
     }
 
@@ -72,7 +72,6 @@ impl SmpiCosts {
             progress_poll_ns: 500,
             collective_entry_ns: 1_200,
             header_bytes: 24, // exactly the live fields, no union padding
-            rendezvous_threshold: 16 * 1024,
         }
     }
 
@@ -92,7 +91,6 @@ impl SmpiCosts {
             progress_poll_ns: 2_500, // select(2) across sockets
             collective_entry_ns: 1_500,
             header_bytes: 64,
-            rendezvous_threshold: 16 * 1024,
         }
     }
 

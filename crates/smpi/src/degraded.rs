@@ -40,8 +40,8 @@ use crate::mpi::{Comm, Mpi};
 use crate::types::MpiError;
 
 /// Context-id base for shrink-derived communicators. Sequential
-/// allocation ([`Mpi::comm_dup`]) grows upward from 2 and must stay
-/// below this range.
+/// allocation (`Mpi::fresh_contexts`, for [`Mpi::comm_split`]) grows
+/// upward from 2 and panics rather than reach this range.
 pub(crate) const SHRINK_CONTEXT_BASE: u16 = 0x8000;
 
 impl Mpi {

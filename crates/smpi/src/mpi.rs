@@ -8,6 +8,7 @@ use des::ProcCtx;
 use crate::adi::{Adi, Idle};
 use crate::collectives::CollectiveImpl;
 use crate::costs::SmpiCosts;
+use crate::degraded::SHRINK_CONTEXT_BASE;
 use crate::device::Device;
 use crate::types::{MpiError, RecvRequest, SendRequest, Status, Tag};
 
@@ -49,11 +50,6 @@ impl Comm {
     /// process is not in the group).
     pub fn comm_rank(&self, world: usize) -> Option<usize> {
         self.ranks.iter().position(|&r| r == world)
-    }
-
-    /// Which collective implementation this communicator uses.
-    pub fn collective_impl(&self) -> CollectiveImpl {
-        self.coll
     }
 
     /// A copy of this communicator pinned to the given collective
@@ -127,6 +123,22 @@ impl Mpi {
             me: self.rank(),
             coll: self.default_coll,
         }
+    }
+
+    /// Take `pairs` fresh context pairs and return the first context.
+    /// Every rank takes the same ones because all ranks make their
+    /// communicator-creating calls in the same collective order (the MPI
+    /// requirement that makes this sound). Panics rather than reach the
+    /// shrink-derived range, whose contexts the pairs would collide with.
+    pub(crate) fn fresh_contexts(&mut self, pairs: usize) -> u16 {
+        let base = self.next_context;
+        let next = usize::from(base) + 2 * pairs;
+        assert!(
+            next <= usize::from(SHRINK_CONTEXT_BASE),
+            "sequential context ids collided with the shrink-derived range"
+        );
+        self.next_context = next as u16;
+        base
     }
 
     fn charge_binding(&self, ctx: &mut ProcCtx) {
@@ -213,7 +225,8 @@ impl Mpi {
         })
     }
 
-    /// Non-blocking send.
+    /// Non-blocking send: the reserved-tag check, trace id, span, binding
+    /// charge, rank check, degraded-mode check, then the ADI send.
     pub fn isend(
         &mut self,
         ctx: &mut ProcCtx,
@@ -222,51 +235,16 @@ impl Mpi {
         tag: Tag,
         data: &[u8],
     ) -> Result<SendRequest, MpiError> {
-        self.start_send(ctx, comm, dst, tag, data, false, |_, _, req| req)
-    }
-
-    /// Blocking synchronous-mode send (`MPI_Ssend`): returns only after
-    /// the receiver has matched the message (always uses the rendezvous
-    /// handshake, whatever the payload size).
-    pub fn ssend(
-        &mut self,
-        ctx: &mut ProcCtx,
-        comm: &Comm,
-        dst: usize,
-        tag: Tag,
-        data: &[u8],
-    ) -> Result<(), MpiError> {
-        self.start_send(ctx, comm, dst, tag, data, true, Mpi::wait_send)
-    }
-
-    /// The send entry chain — reserved-tag check, trace id, span, binding
-    /// charge, rank check, degraded-mode check, the ADI send — shared by
-    /// both send modes, which say what to do with the request inside the
-    /// span (`ssend` waits it, `isend` hands it back).
-    #[allow(clippy::too_many_arguments)]
-    fn start_send<T>(
-        &mut self,
-        ctx: &mut ProcCtx,
-        comm: &Comm,
-        dst: usize,
-        tag: Tag,
-        data: &[u8],
-        synchronous: bool,
-        then: impl FnOnce(&mut Self, &mut ProcCtx, SendRequest) -> T,
-    ) -> Result<T, MpiError> {
         assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
-        let name = if synchronous { "ssend" } else { "isend" };
         let trace = self.trace_send_enter(ctx, data.len());
-        let out = self.span(ctx, name, |mpi, ctx| {
+        let out = self.span(ctx, "isend", |mpi, ctx| {
             mpi.charge_binding(ctx);
             comm.check(dst)?;
             mpi.degraded_entry(comm, [dst])?;
             let dst = comm.world_rank(dst);
-            let req = mpi
-                .adi
-                .isend_mode(ctx, dst, comm.context, tag, data, synchronous)
-                .map_err(|e| mpi.transport_to_mpi(comm, e))?;
-            Ok(then(mpi, ctx, req))
+            mpi.adi
+                .isend(ctx, dst, comm.context, tag, data)
+                .map_err(|e| mpi.transport_to_mpi(comm, e))
         });
         self.trace_send_exit(ctx, trace, &out);
         out
@@ -432,29 +410,6 @@ impl Mpi {
             self.adi.progress(ctx, Idle::Park);
         }
     }
-
-    /// `MPI_Comm_dup`: a congruent communicator with fresh contexts (so
-    /// libraries can isolate their traffic). Collective: synchronizes
-    /// the group like the real call does.
-    pub fn comm_dup(&mut self, ctx: &mut ProcCtx, comm: &Comm) -> Comm {
-        // Every rank allocates the same context pair because all ranks
-        // perform communicator-creating calls in the same collective
-        // order (the MPI requirement that makes this sound).
-        let base = self.next_context;
-        self.next_context += 2;
-        assert!(
-            self.next_context < crate::degraded::SHRINK_CONTEXT_BASE,
-            "sequential context ids collided with the shrink-derived range"
-        );
-        self.barrier(ctx, comm);
-        Comm {
-            context: base,
-            coll_context: base + 1,
-            ranks: comm.ranks.clone(),
-            me: comm.me,
-            coll: comm.coll,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -490,9 +445,9 @@ mod tests {
     fn with_collectives_overrides_only_the_algorithm() {
         let m = mpi(0, 3);
         let comm = m.comm_world();
-        assert_eq!(comm.collective_impl(), CollectiveImpl::Native);
+        assert_eq!(comm.coll, CollectiveImpl::Native);
         let p2p = comm.with_collectives(CollectiveImpl::PointToPoint);
-        assert_eq!(p2p.collective_impl(), CollectiveImpl::PointToPoint);
+        assert_eq!(p2p.coll, CollectiveImpl::PointToPoint);
         assert_eq!(p2p.size(), comm.size());
         assert_eq!(p2p.rank(), comm.rank());
         assert_eq!(p2p.context, comm.context);

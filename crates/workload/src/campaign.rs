@@ -222,7 +222,7 @@ impl CampaignCell {
     }
 
     /// Whether the rung sustained its load within the scenario's SLO.
-    pub fn sustained(&self) -> bool {
+    fn sustained(&self) -> bool {
         self.limited_by() == "none"
     }
 }
