@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use des::obs::{Layer, Stage};
-use des::{ProcCtx, Signal, Ticket, Time};
+use des::{ProcCtx, RoundGuard, Signal, Ticket, Time};
 use scramnet::Word;
 
 use crate::config::{
@@ -43,6 +43,26 @@ pub(crate) enum Doorbell {
     Now,
     /// Toggle our local copy only; a later flag-word write publishes it.
     Deferred,
+}
+
+/// How a sleep until flagged ([`crate::BbpEndpoint::sleep_until_flagged`])
+/// ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slept {
+    /// A flag word changed: the sweep that saw it was finished, and what
+    /// it flagged is waiting for the next receive.
+    Flagged,
+    /// The guard held at the end of a sweep that found nothing.
+    Guarded,
+}
+
+/// The ticket to sleep on for an interrupt `watch`: the one its last sweep
+/// took, or one taken now if none has been since the last wait.
+fn ticket_of(ctx: &mut ProcCtx, watch: &mut Option<(Signal, Option<Ticket>)>) -> Ticket {
+    let (signal, ticket) = watch
+        .as_mut()
+        .expect("interrupt mode endpoints arm watches");
+    ticket.take().unwrap_or_else(|| ctx.ticket(signal))
 }
 
 /// What a blocked call is waiting for.
@@ -461,23 +481,32 @@ impl Core {
             }
             (RecvMode::Interrupt, true) => ctx.advance(GC_RETRY_GAP_NS),
             (RecvMode::Interrupt, false) => {
-                let (signal, ticket) = match wait {
-                    Wait::ForAcks => self.ack_watch.as_mut(),
-                    Wait::ForTraffic => self.recv_watch.as_mut(),
-                }
-                .expect("interrupt mode endpoints arm watches");
-                let ticket = ticket.take().unwrap_or_else(|| ctx.ticket(signal));
+                let watch = match wait {
+                    Wait::ForAcks => &mut self.ack_watch,
+                    Wait::ForTraffic => &mut self.recv_watch,
+                };
+                let ticket = ticket_of(ctx, watch);
                 ctx.wait(ticket);
             }
         }
     }
 
+    /// In interrupt mode, sleep until a MESSAGE flag is written — or, while
+    /// sends are outstanding, an ACK flag too, which that watch never sees:
+    /// on the tickets the last sweep and the last garbage collection took
+    /// (now, if none has since the last wait). `false` in polling mode.
     pub(crate) fn wait_for_traffic(&mut self, ctx: &mut ProcCtx) -> bool {
-        let blocks = self.recv_mode == RecvMode::Interrupt;
-        if blocks {
-            self.pace(ctx, Wait::ForTraffic, false);
+        if self.recv_mode != RecvMode::Interrupt {
+            return false;
         }
-        blocks
+        if self.inflight.is_empty() {
+            self.pace(ctx, Wait::ForTraffic, false);
+        } else {
+            let traffic = ticket_of(ctx, &mut self.recv_watch);
+            let acks = ticket_of(ctx, &mut self.ack_watch);
+            ctx.wait_either(traffic, acks);
+        }
+        true
     }
 
     /// Forget every send in progress (a process restarting its channels).
@@ -621,36 +650,49 @@ impl Core {
     }
 
     /// Sweep every peer's flag word, with `lead` ns of our own time before
-    /// each sweep, until one has changed; then finish that sweep as
-    /// [`Core::poll`] does. What the caller's loop of "`poll`; nothing
-    /// flagged; charge `lead`" computes — in time, in the schedule, in
-    /// `polls` and, sweep by sweep, in the event log — but this process
-    /// sleeps until the word changes ([`scramnet::Nic::scan_until`]) instead
-    /// of being woken at the end of every idle sweep to ask for the next.
+    /// each sweep, until one has changed, and finish that sweep as
+    /// [`Core::poll`] does — or until `guard` holds at the end of a sweep
+    /// that found nothing. What the caller's loop of "`poll`; nothing
+    /// flagged; check `guard`; charge `lead`" computes — in time, in the
+    /// schedule, in `polls` and, sweep by sweep, in the event log — but
+    /// this process sleeps until the word changes or the guard holds
+    /// ([`scramnet::Nic::scan_until`]) instead of being woken at the end of
+    /// every idle sweep to ask for the next.
     ///
-    /// `false`, with nothing done, unless sweeping is all there is to do
+    /// `None`, with nothing done, unless sweeping is all there is to do
     /// until then: a polling endpoint, nothing flagged already, and few
     /// enough peers for one sleeping cycle. The caller paces itself.
-    pub(crate) fn sleep_until_flagged(&mut self, ctx: &mut ProcCtx, lead: Time) -> bool {
+    pub(crate) fn sleep_until_flagged(
+        &mut self,
+        ctx: &mut ProcCtx,
+        lead: Time,
+        guard: Option<&RoundGuard>,
+    ) -> Option<Slept> {
         if self.recv_mode != RecvMode::Polling
             || !(1..=ProcCtx::CYCLE_LOOKS).contains(&(self.n - 1))
             || self.has_pending(None)
         {
-            return false;
+            return None;
         }
         let looks = self.every_flag();
         let mut polls = 0;
         // Per sweep, the NIC tells the log of its reads, then we of ours.
-        let (i, word) = self
+        let hit = self
             .io
-            .scan_until(ctx, lead, POLL_ITER_NS, &looks, |ctx, t0, hit| {
+            .scan_until(ctx, lead, POLL_ITER_NS, &looks, guard, |ctx, t0, hit| {
                 polls += self.tell_polls(ctx, t0, looks.len(), hit);
             });
         self.stats.polls += polls;
-        let next = self.changed(ctx, i, word);
-        self.sweep_on(ctx, &looks, next);
+        let slept = match hit {
+            Some((i, word)) => {
+                let next = self.changed(ctx, i, word);
+                self.sweep_on(ctx, &looks, next);
+                Slept::Flagged
+            }
+            None => Slept::Guarded,
+        };
         self.looks = looks;
-        true
+        Some(slept)
     }
 
     /// Enqueue the messages that `word`, `s`'s MESSAGE flag word as just

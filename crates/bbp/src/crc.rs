@@ -28,11 +28,11 @@ const TABLE: [u32; 16] = {
 pub(crate) struct Crc(u32);
 
 impl Crc {
-    pub fn new() -> Self {
+    fn new() -> Self {
         Crc(!0)
     }
 
-    pub fn word(&mut self, w: Word) {
+    fn word(&mut self, w: Word) {
         for b in w.to_le_bytes() {
             let mut c = self.0 ^ u32::from(b);
             c = (c >> 4) ^ TABLE[(c & 0xF) as usize];
@@ -40,7 +40,7 @@ impl Crc {
         }
     }
 
-    pub fn finish(self) -> Word {
+    fn finish(self) -> Word {
         !self.0
     }
 }

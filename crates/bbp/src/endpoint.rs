@@ -8,10 +8,10 @@
 use std::sync::Arc;
 
 use des::obs::{Layer, Stage};
-use des::{ProcCtx, Time};
+use des::{ProcCtx, RoundGuard, Time};
 
 use crate::config::{BbpConfig, SEND_ENTRY_NS};
-use crate::core::{Core, Doorbell, PendingMsg, Wait};
+use crate::core::{Core, Doorbell, PendingMsg, Slept, Wait};
 use crate::error::BbpError;
 use crate::flow::Flow;
 use crate::layout::Writer;
@@ -562,22 +562,33 @@ impl BbpEndpoint {
     }
 
     /// For a caller whose loop would be "[`BbpEndpoint::try_recv_any`];
-    /// nothing; `lead` ns of my own time; again": poll every peer's
-    /// MESSAGE flag word, `lead` ns before each sweep, until one has
-    /// changed, and finish that sweep — so the caller's next
-    /// `try_recv_any` delivers. In virtual time, in the schedule, in
-    /// [`EndpointStats::polls`] and in the event log it is that loop; on
-    /// the host the calling process sleeps in the dispatch loop until the
-    /// word changes instead of being woken after every idle sweep.
+    /// nothing; check `guard`; `lead` ns of my own time; again": poll every
+    /// peer's MESSAGE flag word, `lead` ns before each sweep, until one has
+    /// changed, and finish that sweep — so the caller's next `try_recv_any`
+    /// delivers ([`Slept::Flagged`]) — or until `guard` holds at the end of
+    /// a sweep that found nothing ([`Slept::Guarded`], with the clock
+    /// there: the caller leaves its loop as its check would have). In
+    /// virtual time, in the schedule, in [`EndpointStats::polls`] and in
+    /// the event log it is that loop; on the host the calling process
+    /// sleeps in the dispatch loop until the word changes or the guard
+    /// holds, instead of being woken after every idle sweep.
     ///
     /// Offered only where nothing else would run between two sweeps, which
     /// is a property of the endpoint and the world's size: polling mode,
     /// no reliability or membership engine to service, no detected message
     /// waiting, and at most [`ProcCtx::CYCLE_LOOKS`] peers. Otherwise it
-    /// returns `false` having done nothing, and the caller paces itself.
-    pub fn sleep_until_flagged(&mut self, ctx: &mut ProcCtx, lead: Time) -> bool {
+    /// returns `None` having done nothing, and the caller paces itself.
+    pub fn sleep_until_flagged(
+        &mut self,
+        ctx: &mut ProcCtx,
+        lead: Time,
+        guard: Option<&RoundGuard>,
+    ) -> Option<Slept> {
         let engines = self.reliable.is_some() || self.members.is_some();
-        !engines && self.core.sleep_until_flagged(ctx, lead)
+        if engines {
+            return None;
+        }
+        self.core.sleep_until_flagged(ctx, lead, guard)
     }
 
     /// Receive from `src` with a virtual-time deadline: returns `None`

@@ -6,7 +6,7 @@
 
 use std::ops::Range;
 
-use des::{ProcCtx, Signal, Time};
+use des::{ProcCtx, RoundGuard, Signal, Time};
 use scramnet::{Nic, ReachabilitySet, Word, WordAddr};
 
 use crate::config::BbpConfig;
@@ -326,9 +326,10 @@ impl Writer {
         lead: Time,
         cpu: Time,
         looks: &[(WordAddr, Word)],
+        guard: Option<&RoundGuard>,
         swept: impl FnMut(&ProcCtx, Time, Option<(usize, Word)>),
-    ) -> (usize, Word) {
-        self.nic.scan_until(ctx, lead, cpu, looks, swept)
+    ) -> Option<(usize, Word)> {
+        self.nic.scan_until(ctx, lead, cpu, looks, guard, swept)
     }
 
     /// [`Nic::sweep_reads`].

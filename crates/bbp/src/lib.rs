@@ -113,6 +113,7 @@ mod reliable;
 
 pub use cluster::BbpCluster;
 pub use config::{BbpConfig, CreditConfig, GcPolicy, Membership, RecvMode, ReliabilityConfig};
+pub use core::Slept;
 pub use endpoint::{BbpEndpoint, EndpointStats};
 pub use error::BbpError;
 pub use layout::{Layout, Writer, DESC_WORDS, MEMBER_WORDS, RELIABLE_DESC_WORDS};

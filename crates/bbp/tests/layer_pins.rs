@@ -911,16 +911,22 @@ fn credits_and_doorbells_are_pinned() {
     ));
 }
 
+/// Moved on purpose once since 20eea90: `n0`'s wait for its last ACKs
+/// (`all_acked`, else `wait_for_traffic`) now wakes on the ACK watch while
+/// sends are outstanding. It used to sleep on the MESSAGE watch alone and
+/// wake only for `n1`'s closing `done`: `(286860, 180, 8)`, 206 PIO reads,
+/// 17 sweeps, log `(1262, 4041574983203036694)`. Now it sweeps at each of
+/// `n1`'s late ACKs and finishes once the last has landed.
 #[test]
 fn slotted_interrupt_stalls_are_pinned() {
     check(slotted_interrupt_world, pin(
-        (286860, 180, 8),
-        "injections: 57, words_carried: 202, pio_writes: 186, pio_reads: 206, bursts: 3, interrupts: 29, link_busy_ns: 372690",
+        (280560, 185, 8),
+        "injections: 57, words_carried: 202, pio_writes: 186, pio_reads: 209, bursts: 3, interrupts: 29, link_busy_ns: 372690",
         &[
-            "n0 [ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, MessageTooLarge { len: 65, max: 64 }]: sends: 12, mcasts: 1, gc_sweeps: 17, send_stalls: 15, send_failures: 1",
+            "n0 [ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, MessageTooLarge { len: 65, max: 64 }]: sends: 12, mcasts: 1, gc_sweeps: 19, send_stalls: 15, send_failures: 1",
             "n1 [16, 24, 32, 40, 48, 56, 64]: sends: 1, recvs: 7, bytes_recved: 280, polls: 5",
             "n2 [20, 28, 36, 44, 52, 60, 64]: recvs: 7, bytes_recved: 304, polls: 13",
         ],
-        (1262, 4041574983203036694),
+        (1287, 4383377320117398034),
     ));
 }

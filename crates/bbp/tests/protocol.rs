@@ -2,8 +2,8 @@
 //! multicast, flow control, garbage collection, and the single-writer
 //! discipline on the wire.
 
-use bbp::{BbpCluster, BbpConfig, BbpError, RecvMode};
-use des::{Simulation, TimeExt};
+use bbp::{BbpCluster, BbpConfig, BbpError, RecvMode, Slept};
+use des::{us, Simulation, TimeExt};
 use scramnet::{CostModel, RingConfig};
 
 fn cluster(sim: &Simulation, n: usize) -> BbpCluster {
@@ -750,7 +750,9 @@ type Blocked = (
 /// them milliseconds apart, blocked the way a progress engine blocks: try;
 /// nothing; 900 ns of its own; try again — written out (`asleep` false),
 /// or asking the endpoint to sleep through the tries that find nothing.
-fn blocked_server(config: BbpConfig, asleep: bool) -> (Blocked, bool) {
+/// With a `deadline`, it stops at the first try that finds nothing at or
+/// past it: the check its loop makes between tries, or the sleep's guard.
+fn blocked_server(config: BbpConfig, asleep: bool, deadline: Option<des::Time>) -> (Blocked, bool) {
     const LEAD: des::Time = 900;
     let n = config.nprocs;
     let mut sim = Simulation::new();
@@ -773,17 +775,24 @@ fn blocked_server(config: BbpConfig, asleep: bool) -> (Blocked, bool) {
     let out2 = std::sync::Arc::clone(&out);
     sim.spawn("server", move |ctx| {
         let mut slept = false;
+        let passed = move |t| deadline.is_some_and(|d| t >= d);
+        let guard: des::RoundGuard = std::sync::Arc::new(passed);
         for _ in 0..3 {
-            let (src, msg) = loop {
+            let got = loop {
                 if let Some(got) = server.try_recv_any(ctx) {
-                    break got;
+                    break Some(got);
                 }
-                if asleep && server.sleep_until_flagged(ctx, LEAD) {
-                    slept = true;
-                } else {
-                    ctx.charge(LEAD);
+                if passed(ctx.now()) {
+                    break None;
+                }
+                let guard = deadline.is_some().then_some(&guard);
+                match asleep.then(|| server.sleep_until_flagged(ctx, LEAD, guard)) {
+                    Some(Some(Slept::Guarded)) => break None,
+                    Some(Some(Slept::Flagged)) => slept = true,
+                    _ => ctx.charge(LEAD),
                 }
             };
+            let Some((src, msg)) = got else { break };
             out2.lock().unwrap().0.push((ctx.now(), src, msg));
         }
         let mut out = out2.lock().unwrap();
@@ -806,14 +815,34 @@ fn sleeping_until_flagged_is_the_polling_loop_it_stands_for() {
     // Sixteen ranks are fifteen flag words: the longest sweep one sleeping
     // cycle holds. Hundreds of idle sweeps pass between messages.
     for n in [2, 4, 16] {
-        let (mut paced, _) = blocked_server(BbpConfig::for_nodes(n), false);
-        let (mut asleep, slept) = blocked_server(BbpConfig::for_nodes(n), true);
+        let (mut paced, _) = blocked_server(BbpConfig::for_nodes(n), false, None);
+        let (mut asleep, slept) = blocked_server(BbpConfig::for_nodes(n), true, None);
         assert!(slept, "{n} ranks");
         assert!(asleep.2.polls > 1_000, "{n} ranks: {:?}", asleep.2);
         // Everything but how often the host moved the baton to get there.
         assert!(asleep.1 .2 <= paced.1 .2, "{n} ranks: {:?}", asleep.1);
         (asleep.1 .2, paced.1 .2) = (0, 0);
         assert_eq!(asleep, paced, "{n} ranks");
+    }
+}
+
+#[test]
+fn sleeping_until_flagged_or_a_deadline_is_the_loop_that_checks_it() {
+    // The first message arrives at 700 us, the second at 1 400: a deadline
+    // between them ends the second wait after sweeps that found nothing,
+    // where the written-out loop's check ends it; one past the last
+    // changes nothing.
+    for n in [2, 4, 16] {
+        for (deadline, taken) in [(us(1_000), 1), (us(1_400), 1), (us(9_000), 3)] {
+            let config = BbpConfig::for_nodes(n);
+            let (mut paced, _) = blocked_server(config.clone(), false, Some(deadline));
+            let (mut asleep, slept) = blocked_server(config, true, Some(deadline));
+            assert!(slept || taken == 1, "{n} ranks");
+            assert_eq!(asleep.0.len(), taken, "{n} ranks, deadline {deadline}");
+            assert!(asleep.1 .2 <= paced.1 .2, "{n} ranks: {:?}", asleep.1);
+            (asleep.1 .2, paced.1 .2) = (0, 0);
+            assert_eq!(asleep, paced, "{n} ranks, deadline {deadline}");
+        }
     }
 }
 
@@ -832,8 +861,8 @@ fn an_endpoint_with_more_to_do_than_sweep_paces_itself() {
         ("membership", BbpConfig::membership_for_nodes(4)),
         ("interrupts", interrupts),
     ] {
-        let (paced, _) = blocked_server(config.clone(), false);
-        let (offered, slept) = blocked_server(config, true);
+        let (paced, _) = blocked_server(config.clone(), false, None);
+        let (offered, slept) = blocked_server(config, true, None);
         assert!(!slept, "{what}");
         assert_eq!(offered, paced, "{what}");
     }
@@ -847,9 +876,44 @@ fn an_endpoint_with_more_to_do_than_sweep_paces_itself() {
         ctx.advance(des::us(100));
         assert!(rx.msg_avail(ctx));
         let t0 = ctx.now();
-        assert!(!rx.sleep_until_flagged(ctx, 900));
+        assert_eq!(rx.sleep_until_flagged(ctx, 900, None), None);
         assert_eq!(ctx.now(), t0, "refused without a step");
         assert_eq!(rx.try_recv_any(ctx), Some((1, b"waiting".to_vec())));
     });
     assert!(sim.run().is_clean());
+}
+
+/// An interrupt-mode sender that waits for its ACKs the only way a caller
+/// can — `all_acked`, else `wait_for_traffic` — is woken by the ACK: the
+/// receiver takes the message at 50 us and nothing else is ever written.
+/// While `wait_for_traffic` slept on the MESSAGE watch alone, which an ACK
+/// never raises, the run ended at 55 265 ns with the sender deadlocked.
+#[test]
+fn an_interrupt_mode_sender_sleeps_until_its_acks_land() {
+    let mut sim = Simulation::new();
+    let c = BbpCluster::new(
+        &sim.handle(),
+        BbpConfig {
+            recv_mode: RecvMode::Interrupt,
+            ..BbpConfig::for_nodes(2)
+        },
+    );
+    let (mut tx, mut rx) = (c.endpoint(0), c.endpoint(1));
+    let acked_at = std::sync::Arc::new(std::sync::Mutex::new(None));
+    let acked = std::sync::Arc::clone(&acked_at);
+    sim.spawn("tx", move |ctx| {
+        tx.send(ctx, 1, b"ack me").unwrap();
+        while !tx.all_acked(ctx) {
+            assert!(tx.wait_for_traffic(ctx), "interrupt mode blocks");
+        }
+        *acked.lock().unwrap() = Some(ctx.now());
+    });
+    sim.spawn("rx", move |ctx| {
+        ctx.wait_until(us(50));
+        assert_eq!(rx.recv(ctx, 0).unwrap(), b"ack me");
+    });
+    let report = sim.run();
+    assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+    let acked_at = acked_at.lock().unwrap().expect("the sender saw its ACK");
+    assert_eq!((acked_at, report.end_time), (60_965, 60_965));
 }

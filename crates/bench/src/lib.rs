@@ -415,7 +415,7 @@ pub fn mpi_bcast_events_telemetry(
 ) -> (f64, Vec<obs::Event>, Vec<obs::SeriesSnapshot>) {
     let (us, _, rec) = aligned(net, nodes, coll, true, bcast_call(len));
     rec.disable();
-    let series = rec.telemetry().snapshot();
+    let series = rec.telemetry().take();
     rec.telemetry().disable();
     (us, rec.take_events(), series)
 }

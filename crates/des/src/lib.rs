@@ -132,8 +132,12 @@
 //! to ask for the next one: [`ProcCtx::scan_until`] makes the chain a
 //! cycle, which whoever walks it starts over past its last step, and the
 //! process is woken once — when a look sees a word that changed — with
-//! its clock at that look and the count of rounds that went by. Should
-//! nothing be left in a run but such cycles, no word can change any more;
+//! its clock at that look and the count of rounds that went by. A loop
+//! that also checks a host condition between sweeps (a deadline, a count
+//! other processes publish) hands it over as the cycle's [`RoundGuard`]:
+//! the walker asks it at the end of each round, where the loop would have,
+//! and wakes the process there once it holds. Should nothing be left in a
+//! run but unguarded cycles, no word can change any more;
 //! once that has held for a full round of each, a run without a horizon
 //! stops queueing them and ends, naming their processes in
 //! [`RunReport::deadlocked`].
@@ -178,7 +182,7 @@ pub mod queue;
 pub mod rng;
 
 pub use event::{Then, INLINE_BYTES};
-pub use process::{ProcCtx, ProcId, Sample};
+pub use process::{ProcCtx, ProcId, RoundGuard, Sample};
 pub use sched::{Link, Reserved, SimHandle};
 pub use signal::{Signal, Ticket};
 pub use sim::{RunReport, Simulation};

@@ -23,14 +23,15 @@
 //! process would have, and the process sleeps on while the word is the one
 //! it expected. A chain may also be a *cycle* ([`ProcCtx::scan_until`]):
 //! walked to its end it starts over, so a process blocked on a poll loop
-//! sleeps until a word changes, however many sweeps that takes.
+//! sleeps until a word changes, however many sweeps that takes — or until
+//! its [`RoundGuard`] holds at the end of one.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
 use crate::sched::{Baton, CoreGuard, Returned, SchedShared, SimHandle, WakeWhat};
-use crate::signal::{Signal, Ticket};
+use crate::signal::{self, Signal, Ticket};
 use crate::time::Time;
 
 /// Identifies a process within one [`crate::Simulation`].
@@ -56,6 +57,17 @@ pub trait Sample: Send + Sync {
     /// message that says so) instead of computing a word.
     fn sample(&self, addr: usize) -> u32;
 }
+
+/// A host-side condition a sleeping poll cycle ([`ProcCtx::scan_until`])
+/// checks at the end of each sweep that saw nothing, with the clock at
+/// that instant: the check a written-out poll loop makes between one sweep
+/// and the next. `true` ends the cycle there.
+///
+/// Whichever thread walks the sweep calls it, from inside the scheduler,
+/// so like [`Sample::sample`] it must change nothing a simulated entity
+/// can observe and must not enter the scheduler; reading what processes
+/// publish (an atomic count, say) is what it is for.
+pub type RoundGuard = Arc<dyn Fn(Time) -> bool + Send + Sync>;
 
 /// Steps a process can owe at once; one more [`ProcCtx::charge`] settles
 /// the chain first. Sized for the longest poll sweep in the benchmark, a
@@ -93,23 +105,27 @@ pub(crate) struct Chain {
     /// hardware model behind it holds a [`SimHandle`], so a chain that kept
     /// it would keep its own scheduler — the whole world — alive.
     on: Option<Arc<dyn Sample>>,
-    /// The first look that did not see its expected word.
-    hit: Option<Hit>,
+    /// Where the walk stopped short: a look that did not see its expected
+    /// word, or a cycle's guard.
+    stop: Option<Stop>,
     /// `Some(n)` while the steps are a cycle: past the last the walk starts
     /// over at the first, and has `n` times so far.
     rounds: Option<u64>,
+    /// What ends the cycle at the end of a round, if anything but a look.
+    guard: Option<RoundGuard>,
     /// What `SchedShared::hopeless` remembers of a cycle between rounds.
     pub quiet: Option<(u64, Time)>,
 }
 
-/// A look that did not see its expected word.
+/// Where a walk stopped short of its chain's end.
 #[derive(Clone, Copy)]
-struct Hit {
-    index: u32,
-    word: u32,
-    /// The instant the look was taken.
+struct Stop {
+    /// The look that did not see its expected word — its index and the
+    /// word — or `None` when a cycle's guard held at a round's end.
+    hit: Option<(u32, u32)>,
+    /// The instant of the look, or of the round's end.
     at: Time,
-    /// Full rounds of a cycle walked before the one the look is in.
+    /// Full rounds of a cycle walked before the look's, or up to the guard.
     rounds: u64,
 }
 
@@ -151,9 +167,11 @@ impl Chain {
         Some(self.steps[self.next - 1])
     }
 
-    /// Do the steps start over when the last is walked?
-    pub fn is_cycle(&self) -> bool {
-        self.rounds.is_some()
+    /// Are the steps a cycle only a look can end? Only such a cycle can
+    /// turn out hopeless (`Agenda::hopeless`): a guard may yet hold,
+    /// whatever the words do.
+    pub fn unguarded_cycle(&self) -> bool {
+        self.rounds.is_some() && self.guard.is_none()
     }
 
     /// Past the last step of a cycle: one more round walked, the first step
@@ -164,6 +182,22 @@ impl Chain {
         };
         *rounds += 1;
         self.next = 0;
+        true
+    }
+
+    /// A round of a cycle has ended at `at` with every look as expected:
+    /// does its guard hold? Then the stop is recorded, the chain is cut,
+    /// and the process has to run.
+    pub fn guarded(&mut self, at: Time) -> bool {
+        if !self.guard.as_ref().is_some_and(|holds| holds(at)) {
+            return false;
+        }
+        self.stop = Some(Stop {
+            hit: None,
+            at,
+            rounds: self.rounds.unwrap_or(0),
+        });
+        self.cut();
         true
     }
 
@@ -179,9 +213,8 @@ impl Chain {
         if word == look.expected {
             return true;
         }
-        self.hit = Some(Hit {
-            index: look.index,
-            word,
+        self.stop = Some(Stop {
+            hit: Some((look.index, word)),
             at,
             rounds: self.rounds.unwrap_or(0),
         });
@@ -195,6 +228,7 @@ impl Chain {
         self.due = None;
         self.on = None;
         self.rounds = None;
+        self.guard = None;
         self.quiet = None;
     }
 }
@@ -420,7 +454,7 @@ impl ProcCtx {
         while looks.peek().is_some() {
             let since = self.owed_from();
             let first = index;
-            let hit = {
+            let stop = {
                 let mut core = self.sched.core();
                 let chain = &mut core.procs[self.id.0].chain;
                 let room = (CHAIN_CAP - chain.len) / 2;
@@ -439,12 +473,13 @@ impl ProcCtx {
                 // A chain with no room for a look holds steps this process
                 // owes: walking them empties it for the next go.
                 let mut core = self.walk_owed(core, since);
-                core.procs[self.id.0].chain.hit.take()
+                core.procs[self.id.0].chain.stop.take()
             };
-            if let Some(hit) = hit {
+            if let Some(stop) = stop {
                 // The steps after the look were never walked.
-                self.now = hit.at;
-                return Some((hit.index as usize, hit.word));
+                self.now = stop.at;
+                let (index, word) = stop.hit.expect("a sweep has no guard");
+                return Some((index as usize, word));
             }
             self.now += Time::from(index - first) * (cpu + stall);
         }
@@ -457,37 +492,48 @@ impl ProcCtx {
 
     /// A poll loop the process sleeps through: `lead` ns of its own time,
     /// then the sweep of [`ProcCtx::scan`], round after round until a look
-    /// sees a word that is not the expected one. Returns the full rounds
-    /// walked before that look's, the look's index and the word, with the
-    /// clock at the instant of the look. The loop it stands for:
+    /// sees a word that is not the expected one — or, at the end of a
+    /// round whose looks all saw theirs, `guard` holds at that instant.
+    /// Returns the rounds that saw nothing, and the look that ended the
+    /// cycle (its index and the word) or `None` for the guard, with the
+    /// clock at the instant of that look or that round's end. The loop it
+    /// stands for:
     ///
     /// ```ignore
     /// for round in 0.. {
     ///     ctx.charge(lead);
-    ///     if let Some((i, word)) = ctx.scan(on, cpu, stall, looks.clone()) {
-    ///         return (round, i, word);
+    ///     if let Some(hit) = ctx.scan(on, cpu, stall, looks.clone()) {
+    ///         return (round, Some(hit));
+    ///     }
+    ///     if guard.is_some_and(|holds| holds(ctx.now())) {
+    ///         return (round + 1, None);
     ///     }
     /// }
     /// ```
     ///
     /// — the same schedule and the same dispatch count, by `scan`'s
     /// argument and one more: between one sweep's last look and the next
-    /// sweep's first step that loop touches nothing shared either, so the
-    /// thread that took the last look may queue the lead as well as the
-    /// process could. Every step keeps its `(time, seq)`, its fast-path
-    /// test, its dispatch and its `Yield` entry; the process is woken once.
-    /// Steps already charged are settled first, which is where they would
-    /// have been walked in front of the first round. What the loop's body
-    /// would have told the event log the caller writes afterwards, sweep
-    /// by sweep, as `scramnet::Nic::scan_until` does.
+    /// sweep's first step that loop touches nothing shared either — the
+    /// guard only reads — so the thread that took the last look may check
+    /// the guard and queue the lead as well as the process could. Every
+    /// step keeps its `(time, seq)`, its fast-path test, its dispatch and
+    /// its `Yield` entry; the process is woken once, at the dispatch where
+    /// the loop would have run its body for the last time. Steps already
+    /// charged are settled first, which is where they would have been
+    /// walked in front of the first round. What the loop's body would have
+    /// told the event log the caller writes afterwards, sweep by sweep, as
+    /// `scramnet::Nic::scan_until` does.
     ///
-    /// A run in which nothing but such cycles is left — no event pending,
-    /// no other process due — has no one to change a word: with no horizon
-    /// to stop at, and once every cycle has been all the way round since,
-    /// they stop being queued, the run ends and
-    /// [`crate::RunReport::deadlocked`] names their processes. (The loop
-    /// written out would poll for ever.) A cycle given up like that is not
-    /// taken up again by a later run.
+    /// A run in which nothing but unguarded cycles is left — no event
+    /// pending, no other process due, no guarded cycle queued — has no one
+    /// to change a word: with no horizon to stop at, and once every cycle
+    /// has been all the way round since, they stop being queued, the run
+    /// ends and [`crate::RunReport::deadlocked`] names their processes.
+    /// (The loop written out would poll for ever.) A cycle given up like
+    /// that is not taken up again by a later run. A guarded cycle is never
+    /// given up, and counts as something that may yet write: its guard can
+    /// end it whatever the words do. (One whose guard never holds polls
+    /// for ever, as its loop would.)
     ///
     /// Panics unless there are between one and [`ProcCtx::CYCLE_LOOKS`]
     /// looks.
@@ -498,13 +544,15 @@ impl ProcCtx {
         cpu: Time,
         stall: Time,
         looks: impl IntoIterator<Item = (usize, u32)>,
-    ) -> (u64, usize, u32) {
+        guard: Option<&RoundGuard>,
+    ) -> (u64, Option<(usize, u32)>) {
         self.settle();
-        let hit = {
+        let stop = {
             let mut core = self.sched.core();
             let chain = &mut core.procs[self.id.0].chain;
             chain.on = Some(Arc::clone(on) as Arc<dyn Sample>);
             chain.rounds = Some(0);
+            chain.guard = guard.cloned();
             let mut fits = chain.push(Step {
                 dt: lead,
                 look: None,
@@ -527,13 +575,14 @@ impl ProcCtx {
             core.agenda
                 .note_round(lead + Time::from(index) * (cpu + stall));
             let mut core = self.walk_owed(core, self.now);
-            let hit = core.procs[self.id.0].chain.hit.take();
-            let hit = hit.expect("only a look that hit ends a cycle");
-            debug_assert!(core.agenda.now <= hit.at);
-            hit
+            let stop = core.procs[self.id.0].chain.stop.take();
+            let stop = stop.expect("only a look that hit or the guard ends a cycle");
+            debug_assert!(core.agenda.now <= stop.at);
+            stop
         };
-        self.now = hit.at;
-        (hit.rounds, hit.index as usize, hit.word)
+        self.now = stop.at;
+        let hit = stop.hit.map(|(index, word)| (index as usize, word));
+        (stop.rounds, hit)
     }
 
     /// Walk every step still owed, so the run is where this process's
@@ -592,6 +641,23 @@ impl ProcCtx {
         match ticket.redeem(self.id, self.now) {
             Some(t) => self.wait_until(t),
             None => self.now = self.yield_baton(self.sched.core(), "Blocked"),
+        }
+    }
+
+    /// [`ProcCtx::wait`] on two tickets: block until either's signal is
+    /// notified — the first notification made since its ticket ends the
+    /// wait, at that notification's instant — or, if one or both have
+    /// been since their tickets were taken, resume at the earlier of the
+    /// instants a `wait` on each would resume at.
+    pub fn wait_either(&mut self, first: Ticket, second: Ticket) {
+        self.settle();
+        let tickets = [&first, &second];
+        match signal::redeem_either(tickets, self.id, self.now) {
+            Ok(t) => self.wait_until(t),
+            Err(slot) => {
+                self.now = self.yield_baton(self.sched.core(), "Blocked");
+                signal::forget(tickets, &slot);
+            }
         }
     }
 

@@ -132,9 +132,9 @@ pub(crate) struct Agenda {
     /// pending entries whose storage their owners keep. Outlives a run,
     /// like the queue.
     reserved: u64,
-    /// `Resume`s in the queue that belong to a sleeping cycle (see
-    /// [`crate::ProcCtx::scan_until`]). Outlives a run: a cycle queued past
-    /// one horizon is still there under the next.
+    /// `Resume`s in the queue that belong to a sleeping cycle without a
+    /// guard (see [`crate::ProcCtx::scan_until`]). Outlives a run: a cycle
+    /// queued past one horizon is still there under the next.
     cycling: u64,
     /// Processes woken so far, and the longest round of any cycle so far:
     /// what [`Self::hopeless`] goes by. Neither is ever reset.
@@ -250,7 +250,8 @@ impl Agenda {
 
     /// True when nothing is left in this run but sleeping cycles: it has no
     /// horizon to stop at, and everything queued is the `Resume` of another
-    /// one — no event is pending and no process is awake or due. (Whoever
+    /// one without a guard — no event is pending, no process is awake or
+    /// due, and no guarded cycle is queued (its guard may end it). (Whoever
     /// asks is walking a cycle: a dispatching thread, whose own process is
     /// then asleep behind a queue entry or a signal, or the cycle's process
     /// going to sleep.) Nothing is left that could write a word, then; but
@@ -496,7 +497,8 @@ impl SchedShared {
     /// word sampled at its end — here when the clock moved, or first thing
     /// when its `Resume` comes up — and any word but the expected one cuts
     /// the chain. A cycle ([`crate::ProcCtx::scan_until`]) starts over
-    /// past its last step, so only a look ends it — or its turning out
+    /// past its last step, so only a look ends it, or its guard at the end
+    /// of a round — or, without a guard, its turning out
     /// [`Agenda::hopeless`]. Returns `true` when no step is left (the
     /// process may run), `false` when a `Resume` was queued, or a cycle was
     /// left unqueued because nothing can end it any more.
@@ -512,7 +514,7 @@ impl SchedShared {
         let Core { procs, agenda, .. } = core;
         let ProcEntry { chain, shared, .. } = &mut procs[id.0];
         if let Some(step) = chain.due.take() {
-            if chain.is_cycle() {
+            if chain.unguarded_cycle() {
                 agenda.cycling -= 1;
             }
             if !chain.look(step, cur) {
@@ -521,10 +523,10 @@ impl SchedShared {
         }
         loop {
             let Some(step) = chain.pop() else {
-                if !chain.rewind() {
+                if !chain.rewind() || chain.guarded(cur) {
                     break;
                 }
-                if agenda.hopeless(&mut chain.quiet, cur) {
+                if chain.unguarded_cycle() && agenda.hopeless(&mut chain.quiet, cur) {
                     return false;
                 }
                 continue;
@@ -535,7 +537,7 @@ impl SchedShared {
                 agenda.push(target, WakeWhat::Resume(id));
                 self.record_yield(&shared.name, "ResumeAt", cur);
                 agenda.catch_up(cur);
-                if chain.is_cycle() {
+                if chain.unguarded_cycle() {
                     agenda.cycling += 1;
                 }
                 chain.due = Some(step);
@@ -963,7 +965,7 @@ mod tests {
         for (word, lead) in [(0, 20), (1, 70), (2, 170)] {
             let mem = Arc::clone(&mem);
             sim.spawn(format!("poller{word}"), move |ctx| {
-                ctx.scan_until(&mem, lead, 30, 50, [(word, 0)]);
+                ctx.scan_until(&mem, lead, 30, 50, [(word, 0)], None);
                 if word == 0 {
                     mem.set(1);
                     mem.set(2);
@@ -1004,7 +1006,7 @@ mod tests {
         for (word, lead) in [(0, 20), (1, 70)] {
             let mem = Arc::clone(&mem);
             sim.spawn(format!("sleeper{word}"), move |ctx| {
-                ctx.scan_until(&mem, lead, 30, 50, [(word, 0)]);
+                ctx.scan_until(&mem, lead, 30, 50, [(word, 0)], None);
             });
         }
         sim.spawn("staller", move |ctx: &mut ProcCtx| {

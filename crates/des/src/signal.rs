@@ -26,9 +26,19 @@ pub struct Signal {
     state: Arc<Mutex<State>>,
 }
 
+/// Who a notification wakes.
+enum Waiter {
+    /// A process waiting on this signal alone.
+    One(ProcId),
+    /// A process waiting on this signal or another
+    /// ([`crate::ProcCtx::wait_either`]): the first of them to notify
+    /// takes it out, and the other finds it gone.
+    Either(Arc<Mutex<Option<ProcId>>>),
+}
+
 #[derive(Default)]
 struct State {
-    waiters: Vec<ProcId>,
+    waiters: Vec<Waiter>,
     /// Notifications so far.
     count: usize,
     /// Tickets taken and not yet dropped.
@@ -69,8 +79,14 @@ impl Signal {
         }
         if !state.waiters.is_empty() {
             let mut core = self.sched.core();
-            for id in state.waiters.drain(..) {
-                core.agenda.push(t, WakeWhat::Resume(id));
+            for waiter in state.waiters.drain(..) {
+                let id = match waiter {
+                    Waiter::One(id) => Some(id),
+                    Waiter::Either(slot) => slot.lock().take(),
+                };
+                if let Some(id) = id {
+                    core.agenda.push(t, WakeWhat::Resume(id));
+                }
             }
         }
     }
@@ -89,13 +105,50 @@ impl Ticket {
     /// been notified since the ticket was taken; else the instant the first
     /// such notification fires at, or `now` if it has fired.
     pub(crate) fn redeem(&self, id: ProcId, now: Time) -> Option<Time> {
-        let mut state = self.0.lock();
-        let since = state.count - self.1;
-        if since == 0 {
-            state.waiters.push(id);
+        let notified = self.notified(now);
+        if notified.is_none() {
+            self.0.lock().waiters.push(Waiter::One(id));
         }
+        notified
+    }
+
+    /// At `now`: the instant the first notification since the ticket was
+    /// taken fires at, or `now` if it has fired; `None` if there was none.
+    fn notified(&self, now: Time) -> Option<Time> {
+        let state = self.0.lock();
+        let since = state.count - self.1;
         let first = state.unfired.len().checked_sub(since);
         (since > 0).then(|| first.map_or(now, |k| state.unfired[k].max(now)))
+    }
+}
+
+/// [`Ticket::redeem`] for a process waiting on two: `None`, with `id`
+/// registered on both signals to be woken by whichever notifies first, if
+/// neither has been notified since its ticket was taken; else the earlier
+/// of the two instants `redeem` would return. The process calls `forget`
+/// with the registration once it is awake.
+pub(crate) fn redeem_either(
+    tickets: [&Ticket; 2],
+    id: ProcId,
+    now: Time,
+) -> Result<Time, Arc<Mutex<Option<ProcId>>>> {
+    if let Some(t) = tickets.iter().filter_map(|t| t.notified(now)).min() {
+        return Ok(t);
+    }
+    let slot = Arc::new(Mutex::new(Some(id)));
+    for ticket in tickets {
+        let waiter = Waiter::Either(Arc::clone(&slot));
+        ticket.0.lock().waiters.push(waiter);
+    }
+    Err(slot)
+}
+
+/// Take the registration [`redeem_either`] made off both signals: the one
+/// that woke the process has let go of it already, the other has not.
+pub(crate) fn forget(tickets: [&Ticket; 2], slot: &Arc<Mutex<Option<ProcId>>>) {
+    for ticket in tickets {
+        let ours = |w: &Waiter| matches!(w, Waiter::Either(s) if Arc::ptr_eq(s, slot));
+        ticket.0.lock().waiters.retain(|w| !ours(w));
     }
 }
 

@@ -351,6 +351,48 @@ mod tests {
         }
     }
 
+    /// A wait on two tickets resumes at the first notification of either
+    /// after its ticket, and leaves nothing behind on the other signal:
+    /// `([(signal, notified at, for the instant)], resumed at)`, tickets
+    /// taken at 0 and the wait made at 5 us.
+    #[test]
+    fn signal_wakes_a_process_waiting_on_either_of_two() {
+        type Case = (Vec<(usize, Time, Time)>, Time);
+        let cases: [Case; 4] = [
+            // Asleep at the wait: the first to notify decides.
+            (vec![(1, us(7), us(7)), (0, us(9), us(9))], us(7)),
+            (vec![(0, us(7), us(8)), (1, us(7), us(7))], us(8)),
+            // One notified before the wait: no sleep, its instant.
+            (vec![(1, us(2), us(20)), (0, us(9), us(9))], us(20)),
+            // Both: the earlier instant.
+            (vec![(0, us(1), us(30)), (1, us(2), us(6))], us(6)),
+        ];
+        for (notified, resumed) in cases {
+            let mut sim = Simulation::new();
+            let h = sim.handle();
+            let sigs = [h.new_signal(), h.new_signal()];
+            for &(which, at, instant) in &notified {
+                let sig = sigs[which].clone();
+                h.schedule_at(at, move |_| sig.notify_at(instant));
+            }
+            // Both signals again, long after: a registration left behind
+            // would resume the waiter in the middle of its next stall.
+            for sig in sigs.clone() {
+                h.schedule_at(us(40), move |_| sig.notify_at(us(40)));
+            }
+            sim.spawn("waiter", move |ctx| {
+                let tickets = sigs.each_ref().map(|sig| ctx.ticket(sig));
+                ctx.wait_until(us(5));
+                let [first, second] = tickets;
+                ctx.wait_either(first, second);
+                assert_eq!(ctx.now(), resumed, "{notified:?}");
+                ctx.advance(us(100));
+                assert_eq!(ctx.now(), resumed + us(100));
+            });
+            assert!(sim.run().is_clean());
+        }
+    }
+
     /// An event queued past the horizon, holding a handle on the
     /// scheduler that queues it (as a ring's hop does), goes with the
     /// simulation: the queue does not keep itself alive.

@@ -157,8 +157,8 @@ fn event_dispatch_is_alloc_free_after_warmup() {
         // the cycle, starting it over and the hit stay off the heap too.
         let before = ALLOCS.load(Ordering::SeqCst);
         for _ in 0..1_000 {
-            let hit = ctx.scan_until(&mem, 40, 30, 40, (0..3).map(|addr| (addr, 0)));
-            assert_eq!(hit, (3, 0, 1));
+            let hit = ctx.scan_until(&mem, 40, 30, 40, (0..3).map(|addr| (addr, 0)), None);
+            assert_eq!(hit, (3, Some((0, 1))));
         }
         cycled2.store(ALLOCS.load(Ordering::SeqCst) - before, Ordering::SeqCst);
     });

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use des::{ProcCtx, RunReport, Sample, SimHandle, Simulation, Time};
+use des::{ProcCtx, RoundGuard, RunReport, Sample, SimHandle, Simulation, Time};
 
 type Log = Arc<Mutex<Vec<(Time, String)>>>;
 
@@ -566,7 +566,9 @@ fn cycle(
     cycled: bool,
 ) -> (u64, usize, u32) {
     let hit = if cycled {
-        ctx.scan_until(mem, LEAD, CPU, STALL, (0..n).map(|addr| (addr, 0)))
+        let (rounds, hit) = ctx.scan_until(mem, LEAD, CPU, STALL, (0..n).map(|a| (a, 0)), None);
+        let (i, word) = hit.expect("only a look ends an unguarded cycle");
+        (rounds, i, word)
     } else {
         (0..)
             .find_map(|round| {
@@ -744,8 +746,8 @@ fn a_cycle_lets_go_of_what_it_sampled() {
     });
     sim.spawn("sweeper", move |ctx| {
         let (_guard, mem) = (guard, mem2);
-        let hit = ctx.scan_until(&mem, LEAD, CPU, STALL, (0..15).map(|a| (a, 0)));
-        assert_eq!(hit, (2, 3, 1));
+        let hit = ctx.scan_until(&mem, LEAD, CPU, STALL, (0..15).map(|a| (a, 0)), None);
+        assert_eq!(hit, (2, Some((3, 1))));
         assert_eq!(Arc::strong_count(&mem), 2, "cut at the hit");
         ctx.scan_until(
             &mem,
@@ -753,6 +755,7 @@ fn a_cycle_lets_go_of_what_it_sampled() {
             CPU,
             STALL,
             (0..15).map(|a| (a, u32::from(a == 3))),
+            None,
         );
         unreachable!("the run stops first");
     });
@@ -782,7 +785,7 @@ fn a_run_with_nothing_left_but_sleeping_cycles_ends_and_names_them() {
             }
             sim.spawn(format!("poller{p}"), move |ctx| {
                 ctx.advance(13 * p);
-                ctx.scan_until(&mem, LEAD, CPU, STALL, (0..15).map(|a| (a, 0)));
+                ctx.scan_until(&mem, LEAD, CPU, STALL, (0..15).map(|a| (a, 0)), None);
             });
         }
         sim.spawn("leaver", |ctx| ctx.advance(500));
@@ -839,13 +842,182 @@ fn a_word_written_before_the_calm_still_wakes_a_chain_of_sleepers() {
     assert_eq!(cycled.end_time, 100 + 3 * 485 + 155);
 }
 
+// ---------------------------------------------------------------------
+// Guarded cycles: a cycle that also ends where the loop's check between
+// sweeps would end it.
+// ---------------------------------------------------------------------
+
+/// [`cycle`] whose loop also leaves after a sweep that saw nothing once
+/// `guard` holds: written out, the check between `sweep` and the next
+/// `LEAD`; handed over, the cycle's guard. Logs where the clock is then.
+fn guarded_cycle(
+    ctx: &mut ProcCtx,
+    log: &Log,
+    mem: &Arc<Words>,
+    cycled: bool,
+    guard: &RoundGuard,
+) -> (u64, Option<(usize, u32)>) {
+    let looks = (0..15).map(|addr| (addr, 0));
+    let ended = if cycled {
+        ctx.scan_until(mem, LEAD, CPU, STALL, looks, Some(guard))
+    } else {
+        let mut round = 0;
+        loop {
+            ctx.advance(LEAD);
+            if let Some(hit) = sweep(ctx, mem, 15, false) {
+                break (round, Some(hit));
+            }
+            round += 1;
+            if guard(ctx.now()) {
+                break (round, None);
+            }
+        }
+    };
+    log.lock()
+        .unwrap()
+        .push((ctx.now(), format!("ended {ended:?}")));
+    ended
+}
+
+/// A guard that holds from `t` on.
+fn from(t: Time) -> RoundGuard {
+    Arc::new(move |now| now >= t)
+}
+
+#[test]
+fn a_time_guard_ends_the_cycle_where_the_loops_check_would() {
+    // Rounds of 485 ns end at 485, 970, 1 455, …: the guard is asked at
+    // each, and the first at or past its instant ends the cycle there.
+    for (deadline, ended) in [(1, (1, 485)), (970, (2, 970)), (971, (3, 1_455))] {
+        for busy in [false, true] {
+            let (_, cycled) = both_ways(|sim, log, cycled| {
+                if busy {
+                    ticks(&sim.handle(), log, 7, 1_600);
+                    sibling(sim, log, 48);
+                }
+                let (log, mem) = (Arc::clone(log), words(15));
+                sim.spawn("sweeper", move |ctx| {
+                    let got = guarded_cycle(ctx, &log, &mem, cycled, &from(deadline));
+                    assert_eq!(got, (ended.0, None), "deadline {deadline}");
+                    assert_eq!(ctx.now(), ended.1);
+                    ctx.advance(5);
+                    note(&log, ctx);
+                });
+            });
+            if busy && ended.0 > 1 {
+                assert!(cycled.relayed > 10, "deadline {deadline}: {cycled:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_host_guard_set_at_a_rounds_end_counts_as_the_loop_would_see_it() {
+    // Round 1 ends at 970. A flag set by an event queued at 970 before the
+    // cycle's last stall of that round was is seen there; one queued at
+    // 970 only from 960, after that stall's `Resume`, is not, and the
+    // cycle goes round once more. So does the loop written out.
+    for (early, ended) in [(true, (2, 970)), (false, (3, 1_455))] {
+        let (_, cycled) = both_ways(|sim, log, cycled| {
+            let h = sim.handle();
+            ticks(&h, log, 7, 1_600);
+            let set = Arc::new(AtomicBool::new(false));
+            let set2 = Arc::clone(&set);
+            let raise = move |_: Time| set2.store(true, Ordering::SeqCst);
+            if early {
+                h.schedule_at(970, raise);
+            } else {
+                let h2 = h.clone();
+                h.schedule_at(960, move |_| h2.schedule_at(970, raise));
+            }
+            let guard: RoundGuard = Arc::new(move |_| set.load(Ordering::SeqCst));
+            let (log, mem) = (Arc::clone(log), words(15));
+            sim.spawn("sweeper", move |ctx| {
+                assert_eq!(
+                    guarded_cycle(ctx, &log, &mem, cycled, &guard),
+                    (ended.0, None)
+                );
+                assert_eq!(ctx.now(), ended.1, "early: {early}");
+            });
+        });
+        assert!(cycled.relayed > 10, "early: {early}: {cycled:?}");
+    }
+}
+
+#[test]
+fn a_look_that_hits_ends_its_round_before_the_guard_is_asked() {
+    // A flip seen in round 2 ends it at the look, guard or not; a guard
+    // that holds at the end of round 1 ends the cycle before the flip is
+    // seen; a flip seen at the last look of round 2 is seen at 1 455, the
+    // instant the guard would be asked, and the look wins.
+    for (flip_at, k, deadline, ended) in [
+        (1_005, 7, 1_400, (2, Some((7, 9)), 1_245)),
+        (1_005, 7, 970, (2, None, 970)),
+        (1_420, 14, 1_455, (2, Some((14, 9)), 1_455)),
+    ] {
+        let (_, cycled) = both_ways(|sim, log, cycled| {
+            let h = sim.handle();
+            let mem = words(15);
+            flip(&h, &mem, flip_at, k, 9);
+            ticks(&h, log, 7, 1_600);
+            sibling(sim, log, 48);
+            let log = Arc::clone(log);
+            sim.spawn("sweeper", move |ctx| {
+                let got = guarded_cycle(ctx, &log, &mem, cycled, &from(deadline));
+                assert_eq!((got.0, got.1, ctx.now()), ended);
+            });
+        });
+        assert!(cycled.is_clean());
+    }
+}
+
+#[test]
+fn a_guarded_cycle_that_outlives_everything_else_is_not_given_up() {
+    // Nothing will ever write the guarded sweeper's words, but its guard
+    // ends it at 50 us; then it writes the word an unguarded sweeper polls.
+    // Neither is deadlocked: a queued guarded cycle is something that may
+    // yet write.
+    let (_, cycled) = both_ways(|sim, log, cycled| {
+        ticks(&sim.handle(), log, 30, 2_000);
+        sim.spawn("leaver", |ctx| ctx.advance(500));
+        let (mine, yours) = (words(15), words(15));
+        let (log1, yours1) = (Arc::clone(log), Arc::clone(&yours));
+        sim.spawn("guarded", move |ctx| {
+            let (_, hit) = guarded_cycle(ctx, &log1, &mine, cycled, &from(50_000));
+            assert_eq!(hit, None);
+            yours1.0.lock().unwrap()[3] = 7;
+        });
+        let log2 = Arc::clone(log);
+        sim.spawn("unguarded", move |ctx| {
+            ctx.advance(100);
+            assert_eq!(cycle(ctx, &log2, &yours, 15, cycled).1, 3);
+        });
+    });
+    assert!(cycled.is_clean() && cycled.end_time > 50_000, "{cycled:?}");
+    // Once the guarded one has finished, a sweeper nobody is left to wake
+    // is named (written out, it would poll for ever).
+    let mut sim = Simulation::new();
+    let (mine, yours) = (words(15), words(15));
+    sim.spawn("guarded", move |ctx| {
+        let looks = (0..15).map(|a| (a, 0));
+        let ended = ctx.scan_until(&mine, LEAD, CPU, STALL, looks, Some(&from(50_000)));
+        assert_eq!(ended, (104, None), "104 rounds of 485 ns to 50 440");
+    });
+    sim.spawn("unguarded", move |ctx| {
+        ctx.scan_until(&yours, LEAD, CPU, STALL, (0..15).map(|a| (a, 0)), None);
+    });
+    let report = sim.run();
+    assert_eq!(report.deadlocked, ["unguarded"]);
+    assert_eq!(report.end_time, 50_440, "the guarded one's end: {report:?}");
+}
+
 #[test]
 #[should_panic(expected = "a cycle takes 1 to 15 looks")]
 fn a_cycle_too_long_for_one_chain_panics_in_its_caller() {
     let mut sim = Simulation::new();
     let mem = words(16);
     sim.spawn("p", move |ctx| {
-        ctx.scan_until(&mem, LEAD, CPU, STALL, (0..16).map(|a| (a, 0)));
+        ctx.scan_until(&mem, LEAD, CPU, STALL, (0..16).map(|a| (a, 0)), None);
     });
     sim.run();
 }

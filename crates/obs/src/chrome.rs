@@ -427,7 +427,7 @@ mod tests {
         t.enable();
         t.observe(1_000, 2, "rpc.buffers_in_use", 3.0);
         t.observe(5_000, 2, "rpc.buffers_in_use", 7.0);
-        let series = t.snapshot();
+        let series = t.take();
         let events = [Event::SpanEnter {
             time: 0,
             node: 0,

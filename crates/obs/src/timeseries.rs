@@ -150,8 +150,9 @@ impl Series {
         self.buckets.push(b);
     }
 
-    fn snapshot(&self) -> SeriesSnapshot {
-        let mut buckets = self.buckets.clone();
+    /// This series as a snapshot, its buckets moved rather than copied.
+    fn into_snapshot(mut self) -> SeriesSnapshot {
+        let mut buckets = std::mem::take(&mut self.buckets);
         if let Some(b) = self.cur {
             buckets.push(b);
         }
@@ -175,7 +176,7 @@ impl Series {
 }
 
 /// An immutable copy of one gauge's series, taken by
-/// [`Telemetry::snapshot`]. This is what the exporters render and what
+/// [`Telemetry::take`]. This is what the exporters render and what
 /// a breached campaign bound dumps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesSnapshot {
@@ -290,7 +291,7 @@ impl Telemetry {
         self.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Stop sampling (series are kept for snapshots).
+    /// Stop sampling (series are kept for [`Telemetry::take`]).
     pub fn disable(&self) {
         self.enabled.store(false, Ordering::Relaxed);
     }
@@ -314,7 +315,11 @@ impl Telemetry {
     #[cold]
     fn observe_slow(&self, time: Time, node: u32, name: &'static str, value: f64) {
         let mut all = self.lock();
-        match all.iter_mut().find(|s| s.name == name && s.node == node) {
+        // A call site passes the same literal every time: the node and the
+        // name's address settle it without reading the name's bytes, which
+        // are compared only where the addresses differ.
+        let same = |s: &Series| s.node == node && (std::ptr::eq(s.name, name) || s.name == name);
+        match all.iter_mut().find(|s| same(s)) {
             Some(s) => s.observe(time, value),
             None => {
                 let mut s = Series {
@@ -336,10 +341,12 @@ impl Telemetry {
         }
     }
 
-    /// Immutable copies of every series, sorted by `(name, node)` for
-    /// stable export order.
-    pub fn snapshot(&self) -> Vec<SeriesSnapshot> {
-        let mut out: Vec<SeriesSnapshot> = self.lock().iter().map(Series::snapshot).collect();
+    /// Every series, moved out and sorted by `(name, node)` for stable
+    /// export order: the registry is left empty (and sampling as it was),
+    /// for an owner that is done with it.
+    pub fn take(&self) -> Vec<SeriesSnapshot> {
+        let all = std::mem::take(&mut *self.lock()).into_iter();
+        let mut out: Vec<SeriesSnapshot> = all.map(Series::into_snapshot).collect();
         out.sort_unstable_by(|a, b| (a.name, a.node).cmp(&(b.name, b.node)));
         out
     }
@@ -365,7 +372,7 @@ mod tests {
         let t = Telemetry::new();
         t.observe(1_000, 0, "q.depth", 3.0);
         assert_eq!(t.series_count(), 0);
-        assert!(t.snapshot().is_empty());
+        assert!(t.take().is_empty());
     }
 
     #[test]
@@ -377,7 +384,7 @@ mod tests {
         t.observe(400, 0, "q.depth", 5.0);
         t.observe(900, 0, "q.depth", 2.0);
         t.observe(1_500, 0, "q.depth", 7.0);
-        let snap = t.snapshot();
+        let snap = t.take();
         assert_eq!(snap.len(), 1);
         let s = &snap[0];
         assert_eq!(s.buckets.len(), 2);
@@ -399,7 +406,7 @@ mod tests {
         t.observe(0, 0, "a", 1.0);
         t.observe(0, 1, "a", 2.0);
         t.observe(0, 0, "b", 3.0);
-        let snap = t.snapshot();
+        let snap = t.take();
         let keys: Vec<(&str, u32)> = snap.iter().map(|s| (s.name, s.node)).collect();
         assert_eq!(keys, vec![("a", 0), ("a", 1), ("b", 0)]);
     }
@@ -413,7 +420,7 @@ mod tests {
         for i in 0..=n {
             t.observe(i * DEFAULT_BUCKET_NS, 0, "q", i as f64);
         }
-        let snap = t.snapshot();
+        let snap = t.take();
         let s = &snap[0];
         assert_eq!(s.bucket_ns, 2 * DEFAULT_BUCKET_NS);
         assert!(s.buckets.len() <= SERIES_CAP + 1);
@@ -439,7 +446,7 @@ mod tests {
         for i in 0..20_000u64 {
             t.observe(i * DEFAULT_BUCKET_NS, 0, "q", (i % 7) as f64);
         }
-        let s = &t.snapshot()[0];
+        let s = &t.take()[0];
         assert!(s.buckets.len() <= SERIES_CAP + 1);
         assert!(s.bucket_ns >= 64 * DEFAULT_BUCKET_NS);
         assert_eq!(s.observations, 20_000);
@@ -458,12 +465,33 @@ mod tests {
     }
 
     #[test]
+    fn a_name_is_one_series_wherever_its_bytes_live_and_take_empties_the_registry() {
+        let t = Telemetry::new();
+        t.enable();
+        // The same name from a second copy of its bytes, and a node apart.
+        let copy: &'static str = String::from("rpc.depth").leak();
+        for (i, (name, node)) in [("rpc.depth", 1), (copy, 1), ("rpc.depth", 2)]
+            .into_iter()
+            .cycle()
+            .take(3 * SERIES_CAP * 3)
+            .enumerate()
+        {
+            t.observe(i as Time * 700, node, name, i as f64);
+        }
+        assert_eq!(t.series_count(), 2);
+        let taken = t.take();
+        assert_eq!(taken[0].observations, 2 * 3 * SERIES_CAP as u64);
+        assert_eq!(t.series_count(), 0);
+        assert!(t.is_enabled());
+    }
+
+    #[test]
     fn snapshot_json_parses_back() {
         let t = Telemetry::new();
         t.enable();
         t.observe(100, 2, "bbp.credit_balance", 32.0);
         t.observe(2_200, 2, "bbp.credit_balance", 30.0);
-        let s = &t.snapshot()[0];
+        let s = &t.take()[0];
         let doc = crate::json::parse(&s.to_json()).expect("series dump must be valid JSON");
         assert_eq!(
             doc.get("metric").unwrap().as_str(),

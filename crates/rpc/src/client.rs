@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use bbp::{BbpEndpoint, BbpError};
-use des::{ProcCtx, Time};
+use bbp::{BbpEndpoint, BbpError, Slept};
+use des::{ProcCtx, RoundGuard, Time};
 use obs::LogHistogram;
 
 use crate::buffer::{Header, MessageBuffer, Priority};
@@ -171,6 +171,22 @@ impl RpcClient {
             }
         }
         completed
+    }
+
+    /// One turn of an idle client's loop — "`lead` ns;
+    /// [`RpcClient::poll_replies`]; again unless `guard`" — or, where the
+    /// endpoint can sleep ([`BbpEndpoint::sleep_until_flagged`]), every
+    /// turn up to the one whose sweep sees a reply flagged, or after whose
+    /// sweep `guard` holds; the client is woken once. The same virtual
+    /// time, schedule, polls and event log either way. When the guard
+    /// ended it, the clock is where the loop's check would fail.
+    pub fn idle(&mut self, ctx: &mut ProcCtx, lead: Time, guard: &RoundGuard) {
+        match self.ep.sleep_until_flagged(ctx, lead, Some(guard)) {
+            Some(Slept::Guarded) => return,
+            Some(Slept::Flagged) => {}
+            None => ctx.advance(lead),
+        }
+        self.poll_replies(ctx);
     }
 
     /// Requests currently outstanding on `channel`.

@@ -5,8 +5,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use bbp::BbpEndpoint;
-use des::ProcCtx;
+use bbp::{BbpEndpoint, Slept};
+use des::{ProcCtx, RoundGuard, Time};
 use obs::lifecycle::Stage;
 use obs::LogHistogram;
 
@@ -317,6 +317,31 @@ impl MessageQueue {
             None => Ok(flushed),
             Some(e) => Err(e),
         }
+    }
+
+    /// One idle turn of a serving loop — "[`MessageQueue::poll`],
+    /// [`MessageQueue::dispatch`] and [`MessageQueue::flush`] found
+    /// nothing; check `guard`; `lead` ns; again" — from just after its
+    /// check. Where that is all the loop would do until a request is
+    /// flagged — nothing queued or staged, a free buffer to poll into, and
+    /// an endpoint that can sleep ([`BbpEndpoint::sleep_until_flagged`]) —
+    /// the server sleeps through the turns that find nothing, and is woken
+    /// with the request flagged, for the next `poll` to take, or where
+    /// `guard` holds after a sweep that found nothing. Otherwise it stalls
+    /// `lead` and the loop goes round as written. The same virtual time,
+    /// schedule, polls and event log either way.
+    ///
+    /// Returns `false` when the guard held: the loop leaves as its check
+    /// would have, with no sweep more.
+    pub fn idle(&mut self, ctx: &mut ProcCtx, lead: Time, guard: &RoundGuard) -> bool {
+        let idle = self.queued() == 0 && self.staged.is_empty() && !self.free.is_empty();
+        let slept = idle.then(|| self.ep.sleep_until_flagged(ctx, lead, Some(guard)));
+        match slept.flatten() {
+            Some(Slept::Guarded) => return false,
+            Some(Slept::Flagged) => {}
+            None => ctx.advance(lead),
+        }
+        true
     }
 
     /// Replies staged but not yet flushed.

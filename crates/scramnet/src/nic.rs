@@ -5,7 +5,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use des::obs::Layer;
-use des::{ProcCtx, Signal};
+use des::{ProcCtx, RoundGuard, Signal};
 
 use crate::cost::{BURST_THRESHOLD_WORDS, DMA_SETUP_NS, DMA_WORD_NS};
 use crate::ring::RingShared;
@@ -156,11 +156,13 @@ impl Nic {
     }
 
     /// [`Nic::scan`] over and over, with `lead` ns of the host's own time
-    /// before each sweep, until a word is not the expected one: returns
+    /// before each sweep, until a word is not the expected one — returning
     /// that look's index and the word, with the clock at the end of that
-    /// read. The caller's thread sleeps through all of it
-    /// ([`ProcCtx::scan_until`]) and is woken once. In time, in the
-    /// schedule and in [`crate::RingStats::pio_reads`] it is this loop,
+    /// read — or until `guard` holds at the end of a sweep that found
+    /// nothing — returning `None`, with the clock there. The caller's
+    /// thread sleeps through all of it ([`ProcCtx::scan_until`]) and is
+    /// woken once. In time, in the schedule and in
+    /// [`crate::RingStats::pio_reads`] it is this loop,
     ///
     /// ```ignore
     /// loop {
@@ -168,8 +170,11 @@ impl Nic {
     ///     let t0 = ctx.now();
     ///     let hit = nic.scan(ctx, cpu, looks);
     ///     swept(ctx, t0, hit);
-    ///     if let Some(hit) = hit {
+    ///     if hit.is_some() {
     ///         return hit;
+    ///     }
+    ///     if guard.is_some_and(|holds| holds(ctx.now())) {
+    ///         return None;
     ///     }
     /// }
     /// ```
@@ -179,28 +184,30 @@ impl Nic {
     /// then `swept` — the caller's turn to stamp records of its own for
     /// the sweep entered at `t0` (see [`Nic::sweep_reads`]).
     ///
-    /// Only for a caller with nothing else to do between sweeps, and at
-    /// most [`ProcCtx::CYCLE_LOOKS`] looks (it panics on more, or none).
+    /// Only for a caller with nothing else to do between sweeps but check
+    /// `guard`, and at most [`ProcCtx::CYCLE_LOOKS`] looks (it panics on
+    /// more, or none).
     pub fn scan_until(
         &self,
         ctx: &mut ProcCtx,
         lead: des::Time,
         cpu: des::Time,
         looks: &[(WordAddr, Word)],
+        guard: Option<&RoundGuard>,
         mut swept: impl FnMut(&ProcCtx, des::Time, Option<(usize, Word)>),
-    ) -> (usize, Word) {
+    ) -> Option<(usize, Word)> {
         let t0 = ctx.now();
         let pio = self.shared.cost.pio_read_ns;
-        let (rounds, index, word) =
-            ctx.scan_until(&self.shared, lead, cpu, pio, self.sampled(looks));
+        let (rounds, hit) =
+            ctx.scan_until(&self.shared, lead, cpu, pio, self.sampled(looks), guard);
         let round = lead + looks.len() as des::Time * (cpu + pio);
-        for r in 0..=rounds {
+        for r in 0..rounds + u64::from(hit.is_some()) {
             let entered = t0 + r * round + lead;
-            let hit = (r == rounds).then_some((index, word));
+            let hit = hit.filter(|_| r == rounds);
             self.tell_sweep(ctx, entered, cpu, looks.len(), hit);
             swept(ctx, entered, hit);
         }
-        (index, word)
+        hit
     }
 
     /// `looks` as [`des::Sample`] addresses of this node's bank. Checked
@@ -434,7 +441,7 @@ mod tests {
     /// What [`sweep_run`] reports: the hit, when, the run's dispatches and
     /// queue depth, the ring's counters, and the event log track by track.
     type SweepRun = (
-        (usize, u32),
+        Option<(usize, u32)>,
         des::Time,
         u64,
         usize,
@@ -454,10 +461,11 @@ mod tests {
     }
 
     /// A receiver sweeping eight words until one changes — with `lead` ns
-    /// of its own time before each sweep, if any — beside a writer that
+    /// of its own time before each sweep, if any, and until the first
+    /// sweep that ends at or past `deadline`, if any — beside a writer that
     /// changes one mid-sweep, with the event log on: what it saw, when,
     /// and what the run, the ring and the log made of it.
-    fn sweep_run(poll: Poll, lead: Option<des::Time>) -> SweepRun {
+    fn sweep_run(poll: Poll, lead: Option<des::Time>, deadline: Option<des::Time>) -> SweepRun {
         let mut sim = Simulation::new();
         sim.enable_trace();
         let ring = Ring::new(&sim.handle(), 3, 64, CostModel::default());
@@ -483,9 +491,11 @@ mod tests {
                 ctx.obs()
                     .count(t0, 2, "test.sweeps", u64::from(hit.is_some()));
             };
+            let guard = deadline.map(|d| std::sync::Arc::new(move |t| t >= d) as des::RoundGuard);
             let hit = loop {
                 if poll == Poll::ScanUntil {
-                    break rx.scan_until(ctx, lead.expect("a cycle has one"), 40, &looks, swept);
+                    let lead = lead.expect("a cycle has one");
+                    break rx.scan_until(ctx, lead, 40, &looks, guard.as_ref(), swept);
                 }
                 if let Some(lead) = lead {
                     ctx.charge(lead);
@@ -499,7 +509,7 @@ mod tests {
                 if lead.is_some() {
                     swept(ctx, t0, hit);
                 }
-                if let Some(hit) = hit {
+                if hit.is_some() || deadline.is_some_and(|d| ctx.now() >= d) {
                     break hit;
                 }
             };
@@ -524,9 +534,9 @@ mod tests {
 
     #[test]
     fn a_scan_is_the_loop_of_reads_it_stands_for() {
-        let scanned = sweep_run(Poll::Scan, None);
-        assert_eq!(scanned, sweep_run(Poll::WrittenOut, None));
-        assert_eq!(scanned.0, (5, 5), "word 13 is the sixth look");
+        let scanned = sweep_run(Poll::Scan, None, None);
+        assert_eq!(scanned, sweep_run(Poll::WrittenOut, None, None));
+        assert_eq!(scanned.0, Some((5, 5)), "word 13 is the sixth look");
         assert!(scanned.4.pio_reads > 8, "{:?}", scanned.4);
         // The log was told of every read, each in time order on its track.
         let reads = &scanned.5[&Track::Counter(2, "nic.pio_reads")];
@@ -541,10 +551,14 @@ mod tests {
 
     #[test]
     fn a_scan_until_is_the_loop_of_sweeps_it_stands_for() {
-        let cycled = sweep_run(Poll::ScanUntil, Some(150));
-        assert_eq!(cycled, sweep_run(Poll::WrittenOut, Some(150)));
-        assert_eq!(cycled, sweep_run(Poll::Scan, Some(150)));
-        assert_eq!(cycled.0 .0, 5, "word 13 is the sixth look");
+        let cycled = sweep_run(Poll::ScanUntil, Some(150), None);
+        assert_eq!(cycled, sweep_run(Poll::WrittenOut, Some(150), None));
+        assert_eq!(cycled, sweep_run(Poll::Scan, Some(150), None));
+        assert_eq!(
+            cycled.0.map(|hit| hit.0),
+            Some(5),
+            "word 13 is the sixth look"
+        );
         // Rounds asleep, every read of them counted and told, and the
         // caller given its turn once per sweep: a hit on the last only.
         let sweeps = &cycled.5[&Track::Counter(2, "test.sweeps")];
@@ -554,6 +568,30 @@ mod tests {
         assert_eq!(reads.len() as u64, cycled.4.pio_reads);
         assert!(reads.windows(2).all(|w| w[0].time() < w[1].time()));
         assert_eq!(reads.last().map(Event::time), Some(cycled.1));
+    }
+
+    #[test]
+    fn a_guarded_scan_until_is_the_loop_that_checks_between_sweeps() {
+        // A round takes 150 + 8 x (40 + 600) = 5 270 ns: a deadline at
+        // 10 us is passed by the end of the second sweep, before the write
+        // is seen; at 12 us the third sweep sees it first, as unguarded.
+        for (deadline, sweeps) in [(10_000, 2), (12_000, 3)] {
+            let cycled = sweep_run(Poll::ScanUntil, Some(150), Some(deadline));
+            assert_eq!(
+                cycled,
+                sweep_run(Poll::WrittenOut, Some(150), Some(deadline))
+            );
+            assert_eq!(cycled, sweep_run(Poll::Scan, Some(150), Some(deadline)));
+            let told = &cycled.5[&Track::Counter(2, "test.sweeps")];
+            assert_eq!(told.len(), sweeps, "deadline {deadline}");
+            if sweeps == 2 {
+                assert_eq!(cycled.0, None, "the guard ended it");
+                assert_eq!(cycled.1, 2 * 5_270);
+                assert_eq!(cycled.4.pio_reads, 16);
+            } else {
+                assert_eq!(cycled, sweep_run(Poll::ScanUntil, Some(150), None));
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl EventFlagHandle {
     }
 
     /// Read the current (replicated) value.
-    pub fn get(&self, ctx: &mut ProcCtx) -> Word {
+    fn get(&self, ctx: &mut ProcCtx) -> Word {
         self.nic.read_word(ctx, self.flag.addr)
     }
 

@@ -50,7 +50,7 @@ impl Device {
         let waited = match (self, idle) {
             (Device::Bbp(ep), Idle::Park) => ep.wait_for_traffic(ctx),
             (Device::Bbp(ep), Idle::Sleep) => {
-                ep.wait_for_traffic(ctx) || ep.sleep_until_flagged(ctx, lead)
+                ep.wait_for_traffic(ctx) || ep.sleep_until_flagged(ctx, lead, None).is_some()
             }
             _ => false,
         };

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, CreditConfig};
-use des::{ms, us, Simulation, Time};
+use des::{ms, us, RoundGuard, Simulation, Time};
 use obs::LogHistogram;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -220,13 +220,18 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             for &(at, ch) in &events {
                 // Poll while waiting for the next scripted arrival so
                 // measured latency is service + transport, not an
-                // artifact of the arrival cadence.
+                // artifact of the arrival cadence; asleep through the
+                // polls that find nothing, up to the one after which
+                // this check fails.
+                let arriving: RoundGuard = Arc::new(move |t| t + poll_gap >= at);
                 while ctx.now() + poll_gap < at {
-                    ctx.advance(poll_gap);
-                    cl.poll_replies(ctx);
+                    cl.idle(ctx, poll_gap, &arriving);
                 }
+                // Charged, not stalled: nothing shared is touched before
+                // the sweep below, so the wait rides in front of it and
+                // the thread is not woken at `at` only to start it.
                 if at > ctx.now() {
-                    ctx.wait_until(at);
+                    ctx.charge(at - ctx.now());
                 }
                 cl.poll_replies(ctx);
                 let class = if rng.gen_range(0u32..100) < plan.high_share_pct {
@@ -240,9 +245,9 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 // client; the script marches on regardless.
                 let _ = cl.try_request(ctx, ch, class, &body);
             }
+            let drained: RoundGuard = Arc::new(move |t| t >= drain_deadline);
             while cl.total_outstanding() > 0 && ctx.now() < drain_deadline {
-                ctx.advance(us(20));
-                cl.poll_replies(ctx);
+                cl.idle(ctx, poll_gap, &drained);
             }
             undrained.fetch_add(cl.total_outstanding(), Ordering::SeqCst);
             service_out.merge(&cl.service_hist());
@@ -271,6 +276,11 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         let residency_out = Arc::clone(&residency_out);
         let clients_done = Arc::clone(&clients_done);
         let n_clients = plan.client_nodes;
+        // The loop's two ways out below, as an idle server's guard: with
+        // nothing queued or held, its first check is this one.
+        let done = Arc::clone(&clients_done);
+        let stop: RoundGuard =
+            Arc::new(move |t| done.load(Ordering::SeqCst) == n_clients || t >= hard_stop);
         sim.spawn(format!("server{s}"), move |ctx| {
             let mut rng =
                 StdRng::seed_from_u64(plan_s.seed() ^ 0x5EC7_0A11u64.wrapping_add(s as u64));
@@ -286,7 +296,9 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             loop {
                 mq.poll(ctx);
                 while let Some(mut req) = mq.dispatch(ctx) {
-                    ctx.advance(plan_s.service.sample(&mut rng, dispatched));
+                    // The handler's own time: it rides in front of the
+                    // sweep `poll` makes next.
+                    ctx.charge(plan_s.service.sample(&mut rng, dispatched));
                     dispatched += 1;
                     let n = req.body().len();
                     req.set_body_len(n).expect("an echo fits its own buffer");
@@ -307,10 +319,9 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 // Past the hard stop the clients have stopped polling,
                 // so held replies can never flush: bail out and let the
                 // undrained-client invariant report the loss.
-                if ctx.now() >= hard_stop {
+                if ctx.now() >= hard_stop || !mq.idle(ctx, us(2), &stop) {
                     break;
                 }
-                ctx.advance(us(2));
             }
             let st = mq.stats();
             residency_out.merge(&mq.residency_hist());
@@ -426,7 +437,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     }
 
     let report = sim.run();
-    let telemetry = sim.recorder().telemetry().snapshot();
+    let telemetry = sim.recorder().telemetry().take();
 
     let (sent, completed, shed, transport_shed, high_offered, normal_offered) = *totals.lock();
     let per_node_completed = per_node.lock().clone();
@@ -638,7 +649,7 @@ mod tests {
             elapsed_ns: ms(1),
             violations: Vec::new(),
             health_violations: Vec::new(),
-            telemetry: telemetry.snapshot(),
+            telemetry: telemetry.take(),
             run: Simulation::new().run(),
         }
     }

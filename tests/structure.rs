@@ -25,6 +25,62 @@ const CALLER_NOT_REQUIRED: &[(&str, &str, &str)] = &[
         "dump_json",
         "the flight ring as text, beside the file writer that uses it",
     ),
+    (
+        "crates/shmem/src/seqlock.rs",
+        "read",
+        "the seqlock's one reader: `SeqLock` is one of the crate's five \
+         documented primitives, exercised by its own tests and used nowhere \
+         else yet; without this it would be a lock nobody can read",
+    ),
+];
+
+/// Method names a standard-library type has as well (`str::parse`,
+/// `Vec::push`, `Mutex::lock`, `Iterator::partition`, …): a bare `.name(`
+/// in another file is as likely to be theirs as ours. A method of ours by
+/// one of these names has a caller only in a file that also names its
+/// type, or a type declared beside it (the handle or builder it came from).
+const STD_METHOD_NAMES: &[&str] = &[
+    "add",
+    "append",
+    "clear",
+    "contains",
+    "count",
+    "drain",
+    "extend",
+    "finish",
+    "first",
+    "flush",
+    "get",
+    "insert",
+    "is_empty",
+    "iter",
+    "join",
+    "last",
+    "len",
+    "load",
+    "lock",
+    "max",
+    "min",
+    "new",
+    "next",
+    "parse",
+    "partition",
+    "pop",
+    "push",
+    "read",
+    "recv",
+    "remove",
+    "replace",
+    "send",
+    "set",
+    "split",
+    "store",
+    "sum",
+    "swap",
+    "take",
+    "truncate",
+    "wait",
+    "write",
 ];
 
 /// Where a caller may live, relative to the repository root. The
@@ -49,26 +105,121 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// The names `text` declares with `pub fn` (or `pub const fn`), skipping
-/// comment lines and functions under an indented `#[cfg(test)]`.
-fn public_fns(text: &str) -> Vec<&str> {
+/// A public function `text` declares: its name, and the type whose `impl`
+/// block it is in, if any.
+struct PublicFn<'a> {
+    name: &'a str,
+    of: Option<&'a str>,
+}
+
+/// The types `text` declares (`struct`, `enum`, public or not) outside
+/// its tests.
+fn declared_types(text: &str) -> Vec<&str> {
     let mut out = Vec::new();
-    let mut test_only = false;
     for line in outside_tests(text).lines() {
         let code = line.trim_start();
-        if code.starts_with("#[") {
-            test_only |= code.starts_with("#[cfg(test)]");
+        let code = code
+            .strip_prefix("pub(crate) ")
+            .or_else(|| code.strip_prefix("pub "))
+            .unwrap_or(code);
+        if let Some(rest) = code
+            .strip_prefix("struct ")
+            .or_else(|| code.strip_prefix("enum "))
+        {
+            out.push(ident(rest));
+        }
+    }
+    out
+}
+
+/// The leading identifier of `text`.
+fn ident(text: &str) -> &str {
+    let end = text.find(|c| !is_ident(c)).unwrap_or(text.len());
+    &text[..end]
+}
+
+/// The type an `impl` line is for: `impl<T> Trait for Type<T> {` names
+/// `Type`, `impl Type {` too.
+fn impl_type(code: &str) -> Option<&str> {
+    let rest = code
+        .strip_prefix("impl")
+        .filter(|r| r.starts_with([' ', '<']))?;
+    let rest = match rest.strip_prefix('<') {
+        Some(generic) => &generic[generic.find('>')? + 1..],
+        None => rest,
+    };
+    let head = rest.split('{').next()?;
+    let ty = head.rsplit(" for ").next()?.trim_start();
+    let ty = ty.rsplit("::").next()?;
+    Some(ident(ty)).filter(|ty| !ty.is_empty())
+}
+
+/// `{` minus `}` on a line of code, those inside string and character
+/// literals left out.
+fn depth_change(code: &str) -> i32 {
+    let mut change = 0;
+    let (mut in_str, mut escaped) = (false, false);
+    let mut chars = code.chars().peekable();
+    while let Some(c) = chars.next() {
+        if in_str {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_str = false,
+                _ => {}
+            }
             continue;
         }
+        match c {
+            '"' => in_str = true,
+            '\'' => {
+                // A character literal ('{', '\'', …); a lifetime has no
+                // closing quote within three characters.
+                let ahead: String = chars.clone().take(3).collect();
+                if let Some(end) = ahead.find('\'').filter(|&end| end > 0) {
+                    chars.nth(end);
+                }
+            }
+            '{' => change += 1,
+            '}' => change -= 1,
+            _ => {}
+        }
+    }
+    change
+}
+
+/// The functions `text` declares with `pub fn` (or `pub const fn`),
+/// skipping comment lines and functions under an indented `#[cfg(test)]`.
+fn public_fns(text: &str) -> Vec<PublicFn<'_>> {
+    let mut out = Vec::new();
+    let mut test_only = false;
+    // The open `impl` blocks' types and the depth each one opened at.
+    let mut impls: Vec<(&str, i32)> = Vec::new();
+    let mut depth = 0;
+    for line in outside_tests(text).lines() {
+        let code = line.trim_start();
         if is_comment(line) {
+            continue;
+        }
+        let opened = depth;
+        depth += depth_change(code);
+        if let Some(ty) = impl_type(code) {
+            impls.push((ty, opened));
+        }
+        impls.retain(|&(_, at)| depth > at);
+        if code.starts_with("#[") {
+            test_only |= code.starts_with("#[cfg(test)]");
             continue;
         }
         let rest = code
             .strip_prefix("pub fn ")
             .or_else(|| code.strip_prefix("pub const fn "));
         if let Some(rest) = rest.filter(|_| !test_only) {
-            let end = rest.find(|c| !is_ident(c)).unwrap_or(rest.len());
-            out.push(&rest[..end]);
+            let of = impls.last().map(|&(ty, _)| ty);
+            out.push(PublicFn {
+                name: ident(rest),
+                of,
+            });
         }
         test_only = false;
     }
@@ -95,14 +246,24 @@ fn uncalled(files: &[(String, String)]) -> Vec<String> {
         if !library {
             continue;
         }
-        for name in public_fns(text) {
+        let types = declared_types(text);
+        for PublicFn { name, of } in public_fns(text) {
             let allowed = CALLER_NOT_REQUIRED
                 .iter()
                 .any(|&(p, n, _)| p == path && n == name);
+            // `str::parse` is no call of `Settings::parse`: a method by a
+            // standard name is called where its type, or one beside it, is
+            // named too.
+            let typed = of.filter(|_| STD_METHOD_NAMES.contains(&name));
+            let calls = |set: &HashSet<&str>| {
+                set.contains(name)
+                    && typed
+                        .is_none_or(|ty| set.contains(ty) || types.iter().any(|t| set.contains(t)))
+            };
             let called = named
                 .iter()
                 .enumerate()
-                .any(|(j, set)| j != i && set.contains(name));
+                .any(|(j, set)| j != i && calls(set));
             if !allowed && !called {
                 out.push(format!("{path}: {name}"));
             }
@@ -167,7 +328,8 @@ fn every_allow_listed_function_still_exists() {
     let files = workspace_files();
     for &(path, name, _) in CALLER_NOT_REQUIRED {
         let text = &files.iter().find(|(p, _)| p == path).expect(path).1;
-        assert!(public_fns(text).contains(&name), "{path}: {name}");
+        let declared = public_fns(text).iter().any(|f| f.name == name);
+        assert!(declared, "{path}: {name}");
     }
 }
 
@@ -184,6 +346,40 @@ fn a_planted_uncalled_function_trips_the_rule() {
         file("examples/y.rs", caller),
     ];
     assert_eq!(uncalled(&files), ["crates/x/src/lib.rs: planted"]);
+}
+
+#[test]
+fn a_method_by_a_std_name_is_called_only_where_its_type_is_named() {
+    let lib =
+        "pub struct Settings;\n\nimpl Settings {\n    pub fn parse(text: &str) -> Self {\n        \
+               Settings\n    }\n}\n\npub struct Plan;\n\npub struct PlanAt;\n\n\
+               impl PlanAt {\n    pub fn partition(self) -> Plan {\n        Plan\n    }\n}\n";
+    // `.parse()` of a `str`, and a builder chain that names the plan the
+    // `PlanAt` came from but not `PlanAt` itself.
+    let unrelated = "fn n(s: &str) -> u32 { s.parse().unwrap() }\n";
+    let builder = "fn p() { let _ = x::Plan::at(1).partition(); }\n";
+    let files = [
+        file("crates/x/src/lib.rs", lib),
+        file("crates/y/src/lib.rs", unrelated),
+        file("examples/z.rs", builder),
+    ];
+    assert_eq!(uncalled(&files), ["crates/x/src/lib.rs: parse"]);
+    let named = "fn n(s: &str) -> x::Settings { x::Settings::parse(s) }\n";
+    let files = [
+        file("crates/x/src/lib.rs", lib),
+        file("crates/y/src/lib.rs", named),
+        file("examples/z.rs", builder),
+    ];
+    assert!(uncalled(&files).is_empty());
+}
+
+#[test]
+fn an_impl_block_ends_where_its_braces_close() {
+    let lib =
+        "impl<'a> Show for Wrap<'a> {\n    pub fn first(&self) -> char {\n        '{'\n    }\n}\n\
+               pub fn after() -> &'static str {\n        \"}\"\n}\n";
+    let fns: Vec<_> = public_fns(lib).iter().map(|f| (f.name, f.of)).collect();
+    assert_eq!(fns, [("first", Some("Wrap")), ("after", None)]);
 }
 
 #[test]
