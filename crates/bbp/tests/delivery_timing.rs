@@ -4,13 +4,21 @@
 //! mode move *when* a message arrives, never *whether* or in what order
 //! per sender.
 //!
-//! Each case is a program of sends and multicasts, at most
-//! `bufs_per_proc` a rank and sized so that no send waits for buffer
-//! space, so it cannot deadlock: before each of its operations a rank
-//! tries one `try_recv_any`, and after its last it calls `recv_any` until
-//! it has every message addressed to it. The check: each receiver's
-//! messages from each sender are the ones sent, in the order sent, and
-//! the run ends with nobody blocked.
+//! Each case is a program of sends and multicasts: before each of its
+//! operations a rank tries one `try_recv_any`, and after its last it calls
+//! `recv_any` until it has every message addressed to it. The check: each
+//! receiver's messages from each sender are the ones sent, in the order
+//! sent, and the run ends with nobody blocked.
+//!
+//! A rank posts at most `bufs_per_proc` operations, each fitting one
+//! buffer's share of its data partition, so its sends never wait for
+//! buffer space. In a share of the cases one rank, the flooder, posts more
+//! than that, so its sends wait for ACKs (`Wait::ForAcks`); every other
+//! rank first receives all the flooder sends it and only then starts its
+//! own program. Neither kind of case can deadlock: only the flooder's
+//! sends wait, and each waits for an ACK from a rank that is receiving
+//! until it has all the flooder's messages, which no send of its own can
+//! hold up, because a send that is not the flooder's never waits.
 
 use std::sync::Arc;
 
@@ -35,6 +43,9 @@ struct Case {
     starts: Vec<Time>,
     /// Each rank's operations, in order.
     scripts: Vec<Vec<Op>>,
+    /// The rank that posts more operations than it has buffers; every
+    /// other rank receives all it sends them before its own program.
+    flooder: Option<usize>,
 }
 
 /// The bytes rank `src` sends as its `k`th operation.
@@ -54,8 +65,9 @@ impl Case {
         self.scripts.iter().enumerate().map(sent_to_dst).collect()
     }
 
-    /// Run the program; `Err` says what went wrong.
-    fn run(&self) -> Result<(), String> {
+    /// Run the program: how many times a send found no free buffer, or
+    /// what went wrong.
+    fn run(&self) -> Result<u64, String> {
         let mut sim = Simulation::new();
         let cluster = BbpCluster::new(&sim.handle(), self.config.clone());
         if self.variable_packets {
@@ -64,13 +76,25 @@ impl Case {
         let n = self.config.nprocs;
         // What each rank received, in arrival order, with its sender.
         let got = Arc::new(Mutex::new(vec![Vec::new(); n]));
+        let stalls = Arc::new(Mutex::new(0));
         for (rank, script) in self.scripts.iter().enumerate() {
             let mut ep = cluster.endpoint(rank);
             let script = script.clone();
-            let count = self.expected(rank).iter().map(Vec::len).sum::<usize>();
-            let got = Arc::clone(&got);
+            let expected = self.expected(rank);
+            let count = expected.iter().map(Vec::len).sum::<usize>();
+            let drain = self.flooder.filter(|&f| f != rank);
+            let flooded = drain.map_or(0, |f| expected[f].len());
+            let (got, stalls) = (Arc::clone(&got), Arc::clone(&stalls));
             sim.spawn_at(self.starts[rank], format!("r{rank}"), move |ctx| {
                 let mut arrived = Vec::new();
+                let mut from_flooder = 0;
+                while from_flooder < flooded {
+                    let (src, bytes) = ep
+                        .recv_any(ctx)
+                        .expect("a paper-mode receive does not fail");
+                    from_flooder += usize::from(Some(src) == drain);
+                    arrived.push((src, bytes));
+                }
                 for (k, op) in script.iter().enumerate() {
                     arrived.extend(ep.try_recv_any(ctx));
                     let bytes = payload(rank, k, op.len);
@@ -87,6 +111,7 @@ impl Case {
                     );
                 }
                 got.lock()[rank] = arrived;
+                *stalls.lock() += ep.stats().send_stalls;
             });
         }
         let report = sim.run();
@@ -107,7 +132,8 @@ impl Case {
                 }
             }
         }
-        Ok(())
+        let stalls = *stalls.lock();
+        Ok(stalls)
     }
 
     /// A program drawn from `seed`.
@@ -127,28 +153,39 @@ impl Case {
         let variable_packets = rng.below(2) == 1;
         let starts = (0..n).map(|_| rng.below(50_001)).collect();
         let bufs = config.bufs_per_proc as u64;
-        let scripts = (0..n)
+        let script = |rng: &mut SimRng, rank: usize, ops: u64| -> Vec<Op> {
+            (0..ops)
+                .map(|_| {
+                    let mut targets: Vec<usize> =
+                        (0..n).filter(|&t| t != rank && rng.below(2) == 1).collect();
+                    if targets.is_empty() {
+                        let other = rng.below(n as u64 - 1) as usize;
+                        targets.push(other + usize::from(other >= rank));
+                    }
+                    let len = rng.below(longest + 1) as usize;
+                    Op { targets, len }
+                })
+                .collect()
+        };
+        let mut scripts: Vec<_> = (0..n)
             .map(|rank| {
                 let ops = rng.below(bufs + 1);
-                (0..ops)
-                    .map(|_| {
-                        let mut targets: Vec<usize> =
-                            (0..n).filter(|&t| t != rank && rng.below(2) == 1).collect();
-                        if targets.is_empty() {
-                            let other = rng.below(n as u64 - 1) as usize;
-                            targets.push(other + usize::from(other >= rank));
-                        }
-                        let len = rng.below(longest + 1) as usize;
-                        Op { targets, len }
-                    })
-                    .collect()
+                script(&mut rng, rank, ops)
             })
             .collect();
+        // One case in four floods: one rank posts up to twice its buffers
+        // and one more, so its sends wait for ACKs.
+        let flooder = (rng.below(4) == 0).then(|| rng.below(n as u64) as usize);
+        if let Some(f) = flooder {
+            let ops = bufs + 1 + rng.below(bufs + 1);
+            scripts[f] = script(&mut rng, f, ops);
+        }
         Case {
             config,
             variable_packets,
             starts,
             scripts,
+            flooder,
         }
     }
 }
@@ -188,28 +225,41 @@ fn an_interrupt_raised_during_the_receivers_sweep_wakes_it() {
             vec![op(&[2], 108), op(&[0, 2], 20)],
             vec![op(&[0], 84), op(&[0], 58)],
         ],
+        flooder: None,
     };
-    assert_eq!(case.run(), Ok(()));
+    assert_eq!(case.run(), Ok(0));
 }
 
-/// `cases` drawn programs in `recv_mode`, from seed `first` on.
-fn drawn_programs_deliver(recv_mode: RecvMode, first: u64, cases: u64) {
+/// `cases` drawn programs in `recv_mode`, from seed `first` on: how many
+/// flooded, and in how many of those a send found no free buffer.
+fn drawn_programs_deliver(recv_mode: RecvMode, first: u64, cases: u64) -> (u64, u64) {
+    let (mut flooded, mut waited) = (0, 0);
     for seed in first..first + cases {
         let case = Case::drawn(seed, recv_mode);
         let ran = std::panic::catch_unwind(|| case.run());
-        if let Err(why) = ran.unwrap_or_else(|_| Err("a process panicked".into())) {
-            panic!("seed {seed}: {why}\n{case:#?}");
+        match ran.unwrap_or_else(|_| Err("a process panicked".into())) {
+            Ok(stalls) if case.flooder.is_some() => {
+                flooded += 1;
+                waited += u64::from(stalls > 0);
+            }
+            Ok(stalls) => assert_eq!(stalls, 0, "seed {seed}: a send waited\n{case:#?}"),
+            Err(why) => panic!("seed {seed}: {why}\n{case:#?}"),
         }
     }
+    (flooded, waited)
 }
 
+/// 489 of the cases flood, and in each of them a send waits.
 #[test]
 fn drawn_interrupt_mode_programs_deliver_whatever_the_timing() {
-    drawn_programs_deliver(RecvMode::Interrupt, 0, 2_000);
+    let flooded = drawn_programs_deliver(RecvMode::Interrupt, 0, 2_000);
+    assert_eq!(flooded, (489, 489));
 }
 
-/// Polling mode's sweeps cost ≈ 14 times what a sleep does per case.
+/// Polling mode's sweeps cost ≈ 14 times what a sleep does per case. 30
+/// of the cases flood, and in each of them a send waits.
 #[test]
 fn drawn_polling_mode_programs_deliver_whatever_the_timing() {
-    drawn_programs_deliver(RecvMode::Polling, 1 << 32, 100);
+    let flooded = drawn_programs_deliver(RecvMode::Polling, 1 << 32, 100);
+    assert_eq!(flooded, (30, 30));
 }

@@ -5,14 +5,16 @@
 //! refactor of the procedures has to hold them exactly. Re-capture only
 //! for a deliberate change of simulated behaviour.
 
+use bbp::BbpConfig;
 use bench::{
     api_one_way_us, bbp_bcast_us, bbp_one_way_us, bbp_pingpong, mpi_barrier_run,
     mpi_bcast_events_telemetry, mpi_bcast_us, mpi_one_way_us, mpi_pingpong, one_way_us, pingpong,
     ApiNet, MpiNet,
 };
 use des::{ProcCtx, SimHandle, Simulation};
+use scramnet::CostModel;
 use smpi::CollectiveImpl::{Native, PointToPoint};
-use smpi::MpiWorld;
+use smpi::{MpiWorld, SmpiCosts};
 
 #[track_caller]
 fn pin(what: &str, measured_us: f64, bits: u64) {
@@ -172,4 +174,37 @@ fn observed_bcast_records_the_same_run() {
     let (us, events, series) = mpi_bcast_events_telemetry(MpiNet::Scramnet, 256, 4, Native);
     pin("observed mpi bcast", us, 0x405d07ae147ae148);
     assert_eq!((events.len(), series.len()), (2_282, 9));
+}
+
+/// The 16-rank barrier pair of `collectives_are_bit_identical` (the
+/// counts `bench-report` prints) with the event log recording throughout:
+/// the host gets through it the same way, hand-off for hand-off. 382
+/// hand-offs since a rank blocked in a collective sleeps until a flag
+/// word changes (814 while it was woken once per idle sweep, 7 614 once
+/// per word).
+#[test]
+fn a_recorded_barrier_takes_the_same_host_path() {
+    let mut sim = Simulation::new();
+    sim.recorder().enable();
+    let mut cfg = BbpConfig::for_nodes(16);
+    cfg.data_words = 16 * 1024;
+    let costs = SmpiCosts::channel_interface();
+    let world = MpiWorld::scramnet_with(&sim.handle(), cfg, CostModel::default(), costs, Native);
+    for rank in 0..16 {
+        let mut mpi = world.proc(rank);
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let comm = mpi.comm_world();
+            mpi.barrier(ctx, &comm);
+            ctx.wait_until(des::ms(5));
+            mpi.barrier(ctx, &comm);
+        });
+    }
+    let run = sim.run();
+    assert!(run.is_clean(), "deadlocked: {:?}", run.deadlocked);
+    assert!(!sim.recorder().is_empty(), "the run recorded nothing");
+    assert_eq!(
+        (run.dispatches, (run.relayed, run.handoffs)),
+        (18_178, (14_842, 382)),
+        "recorded barrier on 16 nodes: (dispatches, (relayed, handoffs))"
+    );
 }

@@ -24,8 +24,6 @@
 //!   single-writer regular (even safe) registers;
 //! - [`SenseBarrier`] — an all-to-all barrier from per-process monotonic
 //!   arrival counters;
-//! - [`SeqLock`] — Lamport's two-counter construction for torn-free
-//!   multi-word snapshots from a single writer;
 //! - [`DistributedCounter`] — per-writer addend cells summed on read
 //!   (the standard reflective-memory idiom for shared counters);
 //! - [`EventFlag`] — one writer signalling many pollers/sleepers.
@@ -60,10 +58,8 @@ mod bakery;
 mod barrier;
 mod counter;
 mod event;
-mod seqlock;
 
 pub use bakery::{BakeryHandle, BakeryLock};
 pub use barrier::{SenseBarrier, SenseBarrierHandle};
 pub use counter::{CounterHandle, DistributedCounter};
 pub use event::{EventFlag, EventFlagHandle};
-pub use seqlock::{SeqLock, SeqLockHandle};
