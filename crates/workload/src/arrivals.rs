@@ -3,8 +3,7 @@
 //! drawn here — `plan.rs` precomputes every channel's arrival stream
 //! from its scripted [`crate::Shape`] windows.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use des::rng::SimRng;
 
 /// Server-side service-time distribution (virtual time spent per
 /// request before the in-place reply).
@@ -38,11 +37,11 @@ impl ServiceTime {
     /// Sample the service time of the `index`-th dispatched request.
     /// `index` makes [`ServiceTime::LongTail`] deterministic without a
     /// second RNG stream; the random variants ignore it.
-    pub fn sample(&self, rng: &mut StdRng, index: u64) -> u64 {
+    pub fn sample(&self, rng: &mut SimRng, index: u64) -> u64 {
         match *self {
             ServiceTime::Fixed { ns } => ns,
             ServiceTime::Exp { mean_ns } => {
-                let u: f64 = rng.gen();
+                let u = rng.unit();
                 (-(1.0 - u).ln() * mean_ns as f64) as u64
             }
             ServiceTime::LongTail {
@@ -81,11 +80,10 @@ impl ServiceTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn exp_service_has_the_right_mean() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SimRng::seeded(3);
         let s = ServiceTime::Exp { mean_ns: 50_000 };
         let n = 4_000;
         let total: u64 = (0..n).map(|i| s.sample(&mut rng, i)).sum();
@@ -95,7 +93,7 @@ mod tests {
 
     #[test]
     fn long_tail_is_periodic_and_deterministic() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SimRng::seeded(4);
         let s = ServiceTime::LongTail {
             ns: 10_000,
             slow_ns: 400_000,

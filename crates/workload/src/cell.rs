@@ -13,11 +13,10 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, CreditConfig};
+use des::rng::SimRng;
 use des::{ms, us, RoundGuard, Simulation, Time};
 use obs::LogHistogram;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rpc::{MessageQueue, Priority, RpcClient, RpcConfig};
 use smpi::{CollectiveImpl, Device, Mpi, SmpiCosts, Tag};
 
@@ -203,7 +202,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             }
             events.sort_unstable();
 
-            let mut rng = StdRng::seed_from_u64(
+            let mut rng = SimRng::seeded(
                 plan.seed() ^ (node_idx as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407),
             );
             let mut cl = RpcClient::new(
@@ -234,7 +233,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                     ctx.charge(at - ctx.now());
                 }
                 cl.poll_replies(ctx);
-                let class = if rng.gen_range(0u32..100) < plan.high_share_pct {
+                let class = if rng.below(100) < u64::from(plan.high_share_pct) {
                     high += 1;
                     Priority::High
                 } else {
@@ -282,8 +281,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         let stop: RoundGuard =
             Arc::new(move |t| done.load(Ordering::SeqCst) == n_clients || t >= hard_stop);
         sim.spawn(format!("server{s}"), move |ctx| {
-            let mut rng =
-                StdRng::seed_from_u64(plan_s.seed() ^ 0x5EC7_0A11u64.wrapping_add(s as u64));
+            let mut rng = SimRng::seeded(plan_s.seed() ^ 0x5EC7_0A11u64.wrapping_add(s as u64));
             let mut dispatched: u64 = 0;
             let mut mq = MessageQueue::new(
                 ep,

@@ -21,9 +21,8 @@
 //! assert!(plan.describe().starts_with("seed=42"));
 //! ```
 
+use des::rng::SimRng;
 use des::Time;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::arrivals::ServiceTime;
 
@@ -244,7 +243,7 @@ impl WorkloadPlan {
     /// ignore the RNG entirely, so their storms land at the same
     /// instants on every channel of every node.
     pub fn channel_arrivals(&self, node_idx: usize, channel: u32, mult: f64) -> Vec<Time> {
-        let mut rng = StdRng::seed_from_u64(
+        let mut rng = SimRng::seeded(
             self.seed
                 ^ (node_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (channel as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03),
@@ -259,7 +258,7 @@ impl WorkloadPlan {
                     let rate = rate_hz * mult;
                     let mut t = start;
                     loop {
-                        let u: f64 = rng.gen();
+                        let u = rng.unit();
                         t += ((-(1.0 - u).ln() / rate) * 1e9) as Time;
                         if t >= end {
                             break;
