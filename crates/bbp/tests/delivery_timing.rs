@@ -1,8 +1,9 @@
 //! What a receiver gets does not depend on timing (PAPER.md §1: every
 //! shared word has one writer, so the protocol needs no locks). Start
-//! skews, buffer sizes, the GC discipline, the packet mode and the receive
-//! mode move *when* a message arrives, never *whether* or in what order
-//! per sender.
+//! skews, buffer sizes, the GC discipline, the packet mode, the receive
+//! mode and the hardware's costs (each of `CostModel`'s five fields at ¼
+//! to 8 times its default) move *when* a message arrives, never *whether*
+//! or in what order per sender.
 //!
 //! Each case is a program of sends and multicasts: before each of its
 //! operations a rank tries one `try_recv_any`, and after its last it calls
@@ -26,7 +27,7 @@ use bbp::{BbpCluster, BbpConfig, GcPolicy, RecvMode};
 use des::rng::SimRng;
 use des::{Simulation, Time};
 use parking_lot::Mutex;
-use scramnet::TxMode;
+use scramnet::{CostModel, RingConfig, TxMode};
 
 /// One send (one target) or multicast (several), `len` bytes long.
 #[derive(Debug, Clone)]
@@ -38,6 +39,7 @@ struct Op {
 #[derive(Debug, Clone)]
 struct Case {
     config: BbpConfig,
+    cost: CostModel,
     variable_packets: bool,
     /// When each rank starts.
     starts: Vec<Time>,
@@ -69,7 +71,12 @@ impl Case {
     /// what went wrong.
     fn run(&self) -> Result<u64, String> {
         let mut sim = Simulation::new();
-        let cluster = BbpCluster::new(&sim.handle(), self.config.clone());
+        let cluster = BbpCluster::with_hardware(
+            &sim.handle(),
+            self.config.clone(),
+            self.cost.clone(),
+            RingConfig::default(),
+        );
         if self.variable_packets {
             cluster.set_tx_mode(TxMode::Variable);
         }
@@ -180,8 +187,21 @@ impl Case {
             let ops = bufs + 1 + rng.below(bufs + 1);
             scripts[f] = script(&mut rng, f, ops);
         }
+        // Drawn last, so the draws above give each seed the program they
+        // gave it before costs were drawn: each field at its default times
+        // ¼, ½, 1, 2, 4 or 8.
+        let mut scaled = |ns: Time| ns * (1 << rng.below(6)) / 4;
+        let d = CostModel::default();
+        let cost = CostModel {
+            pio_write_ns: scaled(d.pio_write_ns),
+            pio_read_ns: scaled(d.pio_read_ns),
+            burst_read_word_ns: scaled(d.burst_read_word_ns),
+            hop_ns: scaled(d.hop_ns),
+            fixed_word_ns: scaled(d.fixed_word_ns),
+        };
         Case {
             config,
+            cost,
             variable_packets,
             starts,
             scripts,
@@ -208,6 +228,7 @@ fn an_interrupt_raised_during_the_receivers_sweep_wakes_it() {
     config.recv_mode = RecvMode::Interrupt;
     let case = Case {
         config,
+        cost: CostModel::default(),
         variable_packets: true,
         starts: vec![24_450, 5_399, 16_574],
         scripts: vec![

@@ -292,6 +292,9 @@ pub(crate) struct ProcEntry {
     /// Written by the process while it runs, walked by whichever thread
     /// pops its `Resume` while it sleeps — each of them inside the core.
     pub chain: Chain,
+    /// The number of the signal wait the process sleeps on, 0 for none: a
+    /// notification wakes the process only if its registration carries it.
+    pub waiting: u64,
 }
 
 /// Payload used to unwind a process thread when its simulation is dropped
@@ -310,6 +313,8 @@ pub struct ProcCtx {
     /// The clock at the oldest unsettled [`ProcCtx::charge`], while the
     /// process owes any.
     pub(crate) owed_since: Option<Time>,
+    /// Signal waits so far: the last one's number (see [`ProcEntry::waiting`]).
+    waits: u64,
     pub(crate) shared: Arc<ProcShared>,
     pub(crate) sched: Arc<SchedShared>,
 }
@@ -637,11 +642,7 @@ impl ProcCtx {
     /// spuriously if the signal is shared; callers re-check their
     /// condition in a loop.
     pub fn wait(&mut self, ticket: Ticket) {
-        self.settle();
-        match ticket.redeem(self.id, self.now) {
-            Some(t) => self.wait_until(t),
-            None => self.now = self.yield_baton(self.sched.core(), "Blocked"),
-        }
+        self.wait_any(&[&ticket]);
     }
 
     /// [`ProcCtx::wait`] on two tickets: block until either's signal is
@@ -650,13 +651,23 @@ impl ProcCtx {
     /// been since their tickets were taken, resume at the earlier of the
     /// instants a `wait` on each would resume at.
     pub fn wait_either(&mut self, first: Ticket, second: Ticket) {
+        self.wait_any(&[&first, &second]);
+    }
+
+    /// [`ProcCtx::wait`] on each of `tickets`, as one wait numbered anew:
+    /// the process's entry holds that number while it sleeps, and the first
+    /// signal to notify clears it, so it wakes once and allocates nothing.
+    fn wait_any(&mut self, tickets: &[&Ticket]) {
         self.settle();
-        let tickets = [&first, &second];
-        match signal::redeem_either(tickets, self.id, self.now) {
-            Ok(t) => self.wait_until(t),
-            Err(slot) => {
-                self.now = self.yield_baton(self.sched.core(), "Blocked");
-                signal::forget(tickets, &slot);
+        self.waits += 1;
+        let waiter = (self.id, self.waits);
+        match signal::redeem(tickets, waiter, self.now) {
+            Some(t) => self.wait_until(t),
+            None => {
+                let mut core = self.sched.core();
+                core.procs[self.id.0].waiting = self.waits;
+                self.now = self.yield_baton(core, "Blocked");
+                signal::forget(tickets, waiter);
             }
         }
     }
@@ -757,6 +768,7 @@ pub(crate) fn spawn_process(
                 id,
                 now,
                 owed_since: None,
+                waits: 0,
                 shared: thread_shared,
                 sched: thread_sched,
             };
@@ -795,6 +807,7 @@ pub(crate) fn spawn_process(
         join: Some(join),
         finished: false,
         chain: Chain::default(),
+        waiting: 0,
     });
     core.agenda.push(start, WakeWhat::Resume(id));
     id

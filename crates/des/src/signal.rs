@@ -26,15 +26,11 @@ pub struct Signal {
     state: Arc<Mutex<State>>,
 }
 
-/// Who a notification wakes.
-enum Waiter {
-    /// A process waiting on this signal alone.
-    One(ProcId),
-    /// A process waiting on this signal or another
-    /// ([`crate::ProcCtx::wait_either`]): the first of them to notify
-    /// takes it out, and the other finds it gone.
-    Either(Arc<Mutex<Option<ProcId>>>),
-}
+/// Who a notification wakes: a process, if its entry still holds this
+/// wait's number ([`crate::ProcCtx::wait_either`] registers one wait on two
+/// signals: the first to notify clears the number, so the other wakes
+/// nothing).
+type Waiter = (ProcId, u64);
 
 #[derive(Default)]
 struct State {
@@ -79,12 +75,10 @@ impl Signal {
         }
         if !state.waiters.is_empty() {
             let mut core = self.sched.core();
-            for waiter in state.waiters.drain(..) {
-                let id = match waiter {
-                    Waiter::One(id) => Some(id),
-                    Waiter::Either(slot) => slot.lock().take(),
-                };
-                if let Some(id) = id {
+            for (id, wait) in state.waiters.drain(..) {
+                // No entry: the world is being dropped, its table taken.
+                if let Some(entry) = core.procs.get_mut(id.0).filter(|e| e.waiting == wait) {
+                    entry.waiting = 0;
                     core.agenda.push(t, WakeWhat::Resume(id));
                 }
             }
@@ -101,17 +95,6 @@ impl Signal {
 }
 
 impl Ticket {
-    /// At `now`: `None`, with `id` registered to be woken, if nothing has
-    /// been notified since the ticket was taken; else the instant the first
-    /// such notification fires at, or `now` if it has fired.
-    pub(crate) fn redeem(&self, id: ProcId, now: Time) -> Option<Time> {
-        let notified = self.notified(now);
-        if notified.is_none() {
-            self.0.lock().waiters.push(Waiter::One(id));
-        }
-        notified
-    }
-
     /// At `now`: the instant the first notification since the ticket was
     /// taken fires at, or `now` if it has fired; `None` if there was none.
     fn notified(&self, now: Time) -> Option<Time> {
@@ -122,33 +105,26 @@ impl Ticket {
     }
 }
 
-/// [`Ticket::redeem`] for a process waiting on two: `None`, with `id`
-/// registered on both signals to be woken by whichever notifies first, if
-/// neither has been notified since its ticket was taken; else the earlier
-/// of the two instants `redeem` would return. The process calls `forget`
-/// with the registration once it is awake.
-pub(crate) fn redeem_either(
-    tickets: [&Ticket; 2],
-    id: ProcId,
-    now: Time,
-) -> Result<Time, Arc<Mutex<Option<ProcId>>>> {
-    if let Some(t) = tickets.iter().filter_map(|t| t.notified(now)).min() {
-        return Ok(t);
+/// At `now`, for a process waiting on `tickets`: `None`, with `waiter`
+/// registered on each ticket's signal to be woken by whichever notifies
+/// first, if none has been notified since its ticket was taken; else the
+/// earliest instant [`Ticket::notified`] returns. The process calls
+/// [`forget`] with `waiter` once it is awake.
+pub(crate) fn redeem(tickets: &[&Ticket], waiter: Waiter, now: Time) -> Option<Time> {
+    let first = tickets.iter().filter_map(|t| t.notified(now)).min();
+    if first.is_none() {
+        for ticket in tickets {
+            ticket.0.lock().waiters.push(waiter);
+        }
     }
-    let slot = Arc::new(Mutex::new(Some(id)));
-    for ticket in tickets {
-        let waiter = Waiter::Either(Arc::clone(&slot));
-        ticket.0.lock().waiters.push(waiter);
-    }
-    Err(slot)
+    first
 }
 
-/// Take the registration [`redeem_either`] made off both signals: the one
-/// that woke the process has let go of it already, the other has not.
-pub(crate) fn forget(tickets: [&Ticket; 2], slot: &Arc<Mutex<Option<ProcId>>>) {
+/// Take the registration [`redeem`] made off each ticket's signal: the one
+/// that woke the process has let go of it already, another has not.
+pub(crate) fn forget(tickets: &[&Ticket], waiter: Waiter) {
     for ticket in tickets {
-        let ours = |w: &Waiter| matches!(w, Waiter::Either(s) if Arc::ptr_eq(s, slot));
-        ticket.0.lock().waiters.retain(|w| !ours(w));
+        ticket.0.lock().waiters.retain(|&w| w != waiter);
     }
 }
 

@@ -177,7 +177,7 @@ fn dropping_a_world_lets_go_of_the_scheduler_before_it_unwinds_the_parked() {
     }
     assert!(sim.run_until(us(1)).is_clean());
     // "asleep" is unwound first: its `Parting` finds "blocked" waiting on
-    // the signal and queues a `Resume` for it, inside the scheduler.
+    // the signal and enters the scheduler to wake it.
     drop(sim);
     assert_eq!(dropped.load(Ordering::SeqCst), 2);
 }
