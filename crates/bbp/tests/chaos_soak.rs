@@ -23,14 +23,11 @@
 //!     cargo test -p bbp --test chaos_soak -- --nocapture
 //! ```
 
-use std::sync::Arc;
-
 use bbp::{BbpCluster, BbpConfig, MembershipView};
 use des::obs::campaign::{self, Campaign, Cell, Coord};
 use des::obs::json::Json;
 use des::obs::{FlightGuard, LogHistogram};
 use des::{ms, us, Simulation, Time};
-use parking_lot::Mutex;
 use scramnet::fault::FOREVER;
 use scramnet::{CostModel, FaultPlan};
 
@@ -154,11 +151,22 @@ impl Cell for CellOutcome {
 type History = Vec<(Time, MembershipView)>;
 
 /// Record a view transition (idempotent per distinct view).
-fn record(histories: &Mutex<Vec<History>>, rank: usize, now: Time, v: MembershipView) {
-    let mut h = histories.lock();
-    if h[rank].last().map(|(_, last)| *last) != Some(v) {
-        h[rank].push((now, v));
+fn record(h: &mut History, now: Time, v: MembershipView) {
+    if h.last().map(|(_, last)| *last) != Some(v) {
+        h.push((now, v));
     }
+}
+
+/// What one process returns: the views it held, its last, and its share
+/// of the cell's counts and violations.
+#[derive(Default)]
+struct RankOutcome {
+    history: History,
+    view: Option<MembershipView>,
+    sent_ok: u32,
+    delivered: u32,
+    rejoin_traffic_ok: bool,
+    violations: Vec<String>,
 }
 
 fn run_cell(
@@ -190,42 +198,32 @@ fn run_cell(
     // every one so the campaign can aggregate after the cell ends.
     let mut det_hists = Vec::new();
 
-    let histories: Arc<Mutex<Vec<History>>> = Arc::new(Mutex::new(vec![Vec::new(); NODES]));
-    let finals: Arc<Mutex<Vec<Option<MembershipView>>>> = Arc::new(Mutex::new(vec![None; NODES]));
-    let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let sent_ok = Arc::new(Mutex::new(0u32));
-    let delivered = Arc::new(Mutex::new(0u32));
-    let rejoin_traffic_ok = Arc::new(Mutex::new(kind != ChaosKind::KillRejoin));
-
+    let mut ranks = Vec::with_capacity(NODES);
     for rank in 0..NODES {
         let mut ep = cluster.endpoint(rank);
         det_hists.extend(ep.detection_latency());
-        let histories = Arc::clone(&histories);
-        let finals = Arc::clone(&finals);
-        let violations = Arc::clone(&violations);
-        let sent_ok = Arc::clone(&sent_ok);
-        let delivered = Arc::clone(&delivered);
         let crash_at = victims.iter().find(|(v, _)| *v == rank).map(|(_, t)| *t);
-        sim.spawn(format!("n{rank}"), move |ctx| {
+        ranks.push(sim.spawn(format!("n{rank}"), move |ctx| {
+            let mut out = RankOutcome::default();
             let mut next_send = us(20);
             let mut msg_i = 0u32;
             let mut greeted = false;
             loop {
                 if let Some(t) = crash_at {
                     if ctx.now() >= t {
-                        return; // the host is dead; nothing more executes
+                        return out; // the host is dead; nothing more executes
                     }
                 }
                 if ctx.now() >= end {
                     break;
                 }
                 ep.membership_tick(ctx);
-                record(&histories, rank, ctx.now(), ep.membership_view().unwrap());
+                record(&mut out.history, ctx.now(), ep.membership_view().unwrap());
                 if rank == snd && msg_i < MSGS && ctx.now() >= next_send {
                     match ep.send(ctx, rcv, &payload(msg_i, seed)) {
-                        Ok(()) => *sent_ok.lock() += 1,
-                        Err(e) => violations
-                            .lock()
+                        Ok(()) => out.sent_ok += 1,
+                        Err(e) => out
+                            .violations
                             .push(format!("survivor send {msg_i} failed: {e}")),
                     }
                     msg_i += 1;
@@ -233,13 +231,12 @@ fn run_cell(
                 }
                 if rank == rcv {
                     if let Some(bytes) = ep.try_recv(ctx, snd) {
-                        let d = *delivered.lock();
+                        let d = out.delivered;
                         if bytes != payload(d, seed) {
-                            violations
-                                .lock()
+                            out.violations
                                 .push(format!("stream delivery {d} mangled or out of order"));
                         }
-                        *delivered.lock() += 1;
+                        out.delivered += 1;
                     }
                 }
                 // The rejoined node greets rank 2; rank 2 answers. Both
@@ -249,66 +246,83 @@ fn run_cell(
                         if bytes == b"fresh incarnation" {
                             greeted = true;
                             if let Err(e) = ep.send(ctx, 3, b"good as new") {
-                                violations
-                                    .lock()
+                                out.violations
                                     .push(format!("reply to rejoiner failed: {e}"));
                             }
                         } else {
-                            violations.lock().push("rejoin greeting mangled".into());
+                            out.violations.push("rejoin greeting mangled".into());
                         }
                     }
                 }
                 ctx.advance(us(10));
             }
-            finals.lock()[rank] = ep.membership_view();
-        });
+            out.view = ep.membership_view();
+            out
+        }));
     }
 
     // The replacement incarnation for a kill+rejoin cell: a fresh
     // endpoint for rank 3, booting shortly after the scheduled reboot.
-    if kind == ChaosKind::KillRejoin {
+    let reborn = (kind == ChaosKind::KillRejoin).then(|| {
         let mut reborn = cluster.endpoint(3);
         det_hists.extend(reborn.detection_latency());
-        let histories = Arc::clone(&histories);
-        let finals = Arc::clone(&finals);
-        let violations = Arc::clone(&violations);
-        let rejoin_traffic_ok = Arc::clone(&rejoin_traffic_ok);
         sim.spawn("n3-reborn", move |ctx| {
+            let mut out = RankOutcome::default();
             ctx.wait_until(onset + reboot_after + us(20));
             match reborn.rejoin(ctx, ms(2)) {
-                Ok(view) => record(&histories, 3, ctx.now(), view),
+                Ok(view) => record(&mut out.history, ctx.now(), view),
                 Err(e) => {
-                    violations.lock().push(format!("rejoin failed: {e}"));
-                    return;
+                    out.violations.push(format!("rejoin failed: {e}"));
+                    return out;
                 }
             }
             let sent = reborn.send(ctx, 2, b"fresh incarnation");
             let reply = reborn.recv(ctx, 2);
             if sent.is_ok() && reply.as_ref().is_ok_and(|r| r == b"good as new") {
-                *rejoin_traffic_ok.lock() = true;
+                out.rejoin_traffic_ok = true;
             } else {
-                violations.lock().push(format!(
+                out.violations.push(format!(
                     "rejoiner traffic failed: send {sent:?}, reply {reply:?}"
                 ));
             }
             while ctx.now() < end {
                 reborn.membership_tick(ctx);
-                record(&histories, 3, ctx.now(), reborn.membership_view().unwrap());
+                record(
+                    &mut out.history,
+                    ctx.now(),
+                    reborn.membership_view().unwrap(),
+                );
                 ctx.advance(us(10));
             }
-            finals.lock()[3] = reborn.membership_view();
-        });
-    }
+            out.view = reborn.membership_view();
+            out
+        })
+    });
 
     let report = sim.run();
 
+    // A process that did not return (the cell deadlocked) adds nothing;
+    // the replacement incarnation carries on rank 3's history and view.
+    let mut outs: Vec<RankOutcome> = ranks
+        .iter_mut()
+        .map(|r| r.take().unwrap_or_default())
+        .collect();
+    if let Some(mut reborn) = reborn {
+        let (out, reborn) = (&mut outs[3], reborn.take().unwrap_or_default());
+        for (t, v) in reborn.history {
+            record(&mut out.history, t, v);
+        }
+        out.view = reborn.view;
+        out.rejoin_traffic_ok = reborn.rejoin_traffic_ok;
+        out.violations.extend(reborn.violations);
+    }
     let mut cell = CellOutcome {
         scenario: plan.describe(),
-        final_views: finals.lock().clone(),
+        final_views: outs.iter().map(|o| o.view).collect(),
         detect_ns: None,
-        sent_ok: *sent_ok.lock(),
-        delivered: *delivered.lock(),
-        violations: violations.lock().clone(),
+        sent_ok: outs.iter().map(|o| o.sent_ok).sum(),
+        delivered: outs.iter().map(|o| o.delivered).sum(),
+        violations: outs.iter().flat_map(|o| o.violations.clone()).collect(),
     };
     if !report.is_clean() {
         cell.violations
@@ -329,7 +343,7 @@ fn run_cell(
             cell.delivered
         ));
     }
-    if !*rejoin_traffic_ok.lock() {
+    if kind == ChaosKind::KillRejoin && !outs[3].rejoin_traffic_ok {
         cell.violations
             .push("rejoined node exchanged no verified traffic".into());
     }
@@ -340,10 +354,10 @@ fn run_cell(
     let continuous: Vec<usize> = (0..NODES)
         .filter(|r| !victims.iter().any(|(v, _)| v == r))
         .collect();
-    let h = histories.lock();
-    let reference: Vec<MembershipView> = h[continuous[0]].iter().map(|(_, v)| *v).collect();
+    let h = |r: usize| &outs[r].history;
+    let reference: Vec<MembershipView> = h(continuous[0]).iter().map(|(_, v)| *v).collect();
     for &r in &continuous[1..] {
-        let got: Vec<MembershipView> = h[r].iter().map(|(_, v)| *v).collect();
+        let got: Vec<MembershipView> = h(r).iter().map(|(_, v)| *v).collect();
         if got != reference {
             cell.violations.push(format!(
                 "rank {r} observed views {got:?} but rank {} observed {reference:?}",
@@ -390,7 +404,7 @@ fn run_cell(
     if kind != ChaosKind::Stall {
         cell.detect_ns = continuous
             .iter()
-            .filter_map(|&r| h[r].iter().find(|(_, v)| v.epoch > 0).map(|(t, _)| *t))
+            .filter_map(|&r| h(r).iter().find(|(_, v)| v.epoch > 0).map(|(t, _)| *t))
             .max()
             .map(|t| t.saturating_sub(onset));
     }

@@ -21,12 +21,9 @@
 //! until it has all the flooder's messages, which no send of its own can
 //! hold up, because a send that is not the flooder's never waits.
 
-use std::sync::Arc;
-
 use bbp::{BbpCluster, BbpConfig, GcPolicy, RecvMode};
 use des::rng::SimRng;
 use des::{Simulation, Time};
-use parking_lot::Mutex;
 use scramnet::{CostModel, RingConfig, TxMode};
 
 /// One send (one target) or multicast (several), `len` bytes long.
@@ -81,9 +78,9 @@ impl Case {
             cluster.set_tx_mode(TxMode::Variable);
         }
         let n = self.config.nprocs;
-        // What each rank received, in arrival order, with its sender.
-        let got = Arc::new(Mutex::new(vec![Vec::new(); n]));
-        let stalls = Arc::new(Mutex::new(0));
+        // Each rank returns what it received, in arrival order, with its
+        // sender, and how often its sends waited.
+        let mut ranks = Vec::with_capacity(n);
         for (rank, script) in self.scripts.iter().enumerate() {
             let mut ep = cluster.endpoint(rank);
             let script = script.clone();
@@ -91,35 +88,35 @@ impl Case {
             let count = expected.iter().map(Vec::len).sum::<usize>();
             let drain = self.flooder.filter(|&f| f != rank);
             let flooded = drain.map_or(0, |f| expected[f].len());
-            let (got, stalls) = (Arc::clone(&got), Arc::clone(&stalls));
-            sim.spawn_at(self.starts[rank], format!("r{rank}"), move |ctx| {
-                let mut arrived = Vec::new();
-                let mut from_flooder = 0;
-                while from_flooder < flooded {
-                    let (src, bytes) = ep
-                        .recv_any(ctx)
-                        .expect("a paper-mode receive does not fail");
-                    from_flooder += usize::from(Some(src) == drain);
-                    arrived.push((src, bytes));
-                }
-                for (k, op) in script.iter().enumerate() {
-                    arrived.extend(ep.try_recv_any(ctx));
-                    let bytes = payload(rank, k, op.len);
-                    match op.targets[..] {
-                        [dst] => ep.send(ctx, dst, &bytes),
-                        _ => ep.mcast(ctx, &op.targets, &bytes),
+            ranks.push(
+                sim.spawn_at(self.starts[rank], format!("r{rank}"), move |ctx| {
+                    let mut arrived = Vec::new();
+                    let mut from_flooder = 0;
+                    while from_flooder < flooded {
+                        let (src, bytes) = ep
+                            .recv_any(ctx)
+                            .expect("a paper-mode receive does not fail");
+                        from_flooder += usize::from(Some(src) == drain);
+                        arrived.push((src, bytes));
                     }
-                    .expect("a paper-mode send does not fail");
-                }
-                while arrived.len() < count {
-                    arrived.push(
-                        ep.recv_any(ctx)
-                            .expect("a paper-mode receive does not fail"),
-                    );
-                }
-                got.lock()[rank] = arrived;
-                *stalls.lock() += ep.stats().send_stalls;
-            });
+                    for (k, op) in script.iter().enumerate() {
+                        arrived.extend(ep.try_recv_any(ctx));
+                        let bytes = payload(rank, k, op.len);
+                        match op.targets[..] {
+                            [dst] => ep.send(ctx, dst, &bytes),
+                            _ => ep.mcast(ctx, &op.targets, &bytes),
+                        }
+                        .expect("a paper-mode send does not fail");
+                    }
+                    while arrived.len() < count {
+                        arrived.push(
+                            ep.recv_any(ctx)
+                                .expect("a paper-mode receive does not fail"),
+                        );
+                    }
+                    (arrived, ep.stats().send_stalls)
+                }),
+            );
         }
         let report = sim.run();
         if !report.is_clean() {
@@ -128,7 +125,8 @@ impl Case {
                 report.end_time, report.deadlocked
             ));
         }
-        for (dst, arrived) in got.lock().iter().enumerate() {
+        let (got, stalls): (Vec<_>, Vec<_>) = ranks.iter_mut().map(|r| r.take().unwrap()).unzip();
+        for (dst, arrived) in got.iter().enumerate() {
             for (src, want) in self.expected(dst).into_iter().enumerate() {
                 let from_src = arrived.iter().filter(|(s, _)| *s == src);
                 let from_src: Vec<_> = from_src.map(|(_, bytes)| bytes.clone()).collect();
@@ -139,8 +137,7 @@ impl Case {
                 }
             }
         }
-        let stalls = *stalls.lock();
-        Ok(stalls)
+        Ok(stalls.iter().sum())
     }
 
     /// A program drawn from `seed`.

@@ -21,7 +21,6 @@ use bbp::{BbpCluster, BbpConfig, BbpError};
 use des::obs::campaign::{self, Campaign, Cell, Coord};
 use des::obs::json::Json;
 use des::{us, Simulation};
-use parking_lot::Mutex;
 use scramnet::fault::FOREVER;
 use scramnet::{CostModel, FaultPlan};
 
@@ -155,17 +154,11 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
     );
     plan.arm(cluster.ring());
 
-    type Shared<T> = Arc<Mutex<Vec<T>>>;
-    let sends: Shared<(u32, Result<(), BbpError>)> = Arc::new(Mutex::new(Vec::new()));
-    let recvs: Shared<Result<Vec<u8>, BbpError>> = Arc::new(Mutex::new(Vec::new()));
-
     let mut tx = cluster.endpoint(SENDER);
-    let s2 = Arc::clone(&sends);
-    sim.spawn("sender", move |ctx| {
-        for i in 0..K {
-            let res = tx.send(ctx, RECEIVER, &payload(i, size));
-            s2.lock().push((i, res));
-        }
+    let mut sender = sim.spawn("sender", move |ctx| {
+        (0..K)
+            .map(|i| (i, tx.send(ctx, RECEIVER, &payload(i, size))))
+            .collect::<Vec<_>>()
     });
 
     // In the corrupt cells, poke the receiver's MESSAGE flag word from
@@ -188,28 +181,26 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
     }
 
     let mut rx = cluster.endpoint(RECEIVER);
-    let r2 = Arc::clone(&recvs);
-    let rx_stats: Arc<Mutex<bbp::EndpointStats>> = Arc::new(Mutex::new(Default::default()));
-    let st2 = Arc::clone(&rx_stats);
-    sim.spawn("receiver", move |ctx| {
-        for _ in 0..K {
-            r2.lock().push(rx.recv(ctx, SENDER));
-        }
+    let mut receiver = sim.spawn("receiver", move |ctx| {
+        let mut recvs: Vec<_> = (0..K).map(|_| rx.recv(ctx, SENDER)).collect();
         // Poked cells: keep polling past the pokes so the phantom
         // toggles are actually observed (and any repaired stragglers
         // still land in the delivery record).
         while poke && ctx.now() < us(1_600) {
             if let Some(bytes) = rx.try_recv(ctx, SENDER) {
-                r2.lock().push(Ok(bytes));
+                recvs.push(Ok(bytes));
             }
             ctx.advance(us(5));
         }
-        *st2.lock() = rx.stats().clone();
+        (recvs, rx.stats().clone())
     });
 
     // Idle processes on the bystander ranks would deadlock-flag the
     // report; the ring replicates into their banks regardless.
     let report = sim.run();
+    // A process that did not return (the cell deadlocked) reports nothing.
+    let sends = sender.take().unwrap_or_default();
+    let (recvs, rx_stats) = receiver.take().unwrap_or_default();
 
     let mut cell = CellResult {
         scenario: plan.describe(),
@@ -217,7 +208,7 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
         send_errors: Vec::new(),
         delivered: Vec::new(),
         recv_errors: Vec::new(),
-        phantom_rejects: rx_stats.lock().phantom_rejects,
+        phantom_rejects: rx_stats.phantom_rejects,
         violations: Vec::new(),
     };
 
@@ -226,7 +217,7 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
             .push(format!("simulation deadlocked: {:?}", report.deadlocked));
     }
 
-    for (i, res) in sends.lock().iter() {
+    for (i, res) in &sends {
         match res {
             Ok(()) => cell.sent_ok.push(*i),
             Err(e) => {
@@ -242,7 +233,7 @@ fn run_cell(kind: FaultKind, seed: u64, size: usize) -> CellResult {
         }
     }
 
-    for res in recvs.lock().iter() {
+    for res in &recvs {
         match res {
             Ok(bytes) => {
                 if size >= 4 && bytes.len() == size {

@@ -4,37 +4,37 @@
 //! The multi-seed kill/stall/rejoin campaign lives in `chaos_soak.rs`;
 //! these are the focused single-scenario checks.
 
-use std::sync::Arc;
-
 use bbp::{BbpCluster, BbpConfig, MembershipView, PeerHealth};
 use des::{ms, us, Simulation};
-use parking_lot::Mutex;
 
 const NODES: usize = 4;
 
 /// Run a survivor's progress loop: membership ticks every `step` until
-/// `end`, recording every view transition it observes.
+/// `end`. Returns every view transition it observed.
 fn survivor_loop(
     ep: &mut bbp::BbpEndpoint,
     ctx: &mut des::ProcCtx,
     end: des::Time,
     step: des::Time,
-    history: &Mutex<Vec<Vec<MembershipView>>>,
-) {
-    let rank = ep.rank();
+) -> Vec<MembershipView> {
+    let mut history = Vec::new();
     loop {
         ep.membership_tick(ctx);
-        let v = ep.membership_view().expect("membership is on");
-        {
-            let mut h = history.lock();
-            if h[rank].last() != Some(&v) {
-                h[rank].push(v);
-            }
-        }
+        note(
+            &mut history,
+            ep.membership_view().expect("membership is on"),
+        );
         if ctx.now() >= end {
-            break;
+            return history;
         }
         ctx.advance(step);
+    }
+}
+
+/// Append `v` to `history` if it is a transition.
+fn note(history: &mut Vec<MembershipView>, v: MembershipView) {
+    if history.last() != Some(&v) {
+        history.push(v);
     }
 }
 
@@ -50,7 +50,6 @@ fn silenced_node_is_detected_and_survivors_converge() {
         sim.handle()
             .schedule_at(kill_at, move |_| r.silence_node(3));
     }
-    let history = Arc::new(Mutex::new(vec![Vec::new(); NODES]));
     // The victim ticks until the crash, then stops executing.
     let mut victim = c.endpoint(3);
     sim.spawn("n3", move |ctx| {
@@ -60,21 +59,20 @@ fn silenced_node_is_detected_and_survivors_converge() {
         }
     });
     let end = ms(2);
-    let final_views = Arc::new(Mutex::new(vec![None; NODES]));
-    for rank in 0..3 {
-        let mut ep = c.endpoint(rank);
-        let history = Arc::clone(&history);
-        let finals = Arc::clone(&final_views);
-        sim.spawn(format!("n{rank}"), move |ctx| {
-            survivor_loop(&mut ep, ctx, end, us(10), &history);
-            finals.lock()[rank] = Some((ep.membership_view().unwrap(), ep.peer_health(3).unwrap()));
-        });
-    }
+    let mut survivors: Vec<_> = (0..3)
+        .map(|rank| {
+            let mut ep = c.endpoint(rank);
+            sim.spawn(format!("n{rank}"), move |ctx| {
+                let history = survivor_loop(&mut ep, ctx, end, us(10));
+                let last = (ep.membership_view().unwrap(), ep.peer_health(3).unwrap());
+                (history, last)
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let finals = final_views.lock();
-    for rank in 0..3 {
-        let (view, health) = finals[rank].expect("survivor finished");
+    let (h, finals): (Vec<_>, Vec<_>) = survivors.iter_mut().map(|s| s.take().unwrap()).unzip();
+    for (rank, &(view, health)) in finals.iter().enumerate() {
         assert_eq!(
             view,
             MembershipView {
@@ -86,7 +84,6 @@ fn silenced_node_is_detected_and_survivors_converge() {
         assert_eq!(health, PeerHealth::Dead);
     }
     // Every survivor observed the same transition sequence...
-    let h = history.lock();
     assert_eq!(h[0], h[1]);
     assert_eq!(h[1], h[2]);
     assert_eq!(h[0].len(), 2, "epoch 0 then epoch 1, nothing else");
@@ -107,7 +104,6 @@ fn frozen_heartbeats_suspect_but_do_not_kill() {
     let c = BbpCluster::new(&sim.handle(), config);
     let ring = c.ring().clone();
     let end = ms(2);
-    let suspicions = Arc::new(Mutex::new(0u64));
     // Rank 3 freezes (stops ticking) during [100 µs, 400 µs): a 300 µs
     // silence, past suspect_after (200 µs) but short of dead_after (600 µs).
     let mut frozen = c.endpoint(3);
@@ -125,33 +121,32 @@ fn frozen_heartbeats_suspect_but_do_not_kill() {
         }
         assert_eq!(frozen.membership_view().unwrap().epoch, 0);
     });
-    for rank in 0..3 {
-        let mut ep = c.endpoint(rank);
-        let suspicions = Arc::clone(&suspicions);
-        sim.spawn(format!("n{rank}"), move |ctx| {
-            while ctx.now() < end {
-                ep.membership_tick(ctx);
-                ctx.advance(us(10));
-            }
-            *suspicions.lock() += ep.stats().suspicions;
-            assert_eq!(ep.stats().deaths, 0, "rank {rank} must not declare death");
-            assert_eq!(ep.stats().epoch_bumps, 0);
-            assert_eq!(
-                ep.membership_view().unwrap(),
-                MembershipView {
-                    epoch: 0,
-                    alive_mask: 0b1111
+    let mut survivors: Vec<_> = (0..3)
+        .map(|rank| {
+            let mut ep = c.endpoint(rank);
+            sim.spawn(format!("n{rank}"), move |ctx| {
+                while ctx.now() < end {
+                    ep.membership_tick(ctx);
+                    ctx.advance(us(10));
                 }
-            );
-            assert_eq!(ep.peer_health(3).unwrap(), PeerHealth::Alive, "recovered");
-        });
-    }
+                assert_eq!(ep.stats().deaths, 0, "rank {rank} must not declare death");
+                assert_eq!(ep.stats().epoch_bumps, 0);
+                assert_eq!(
+                    ep.membership_view().unwrap(),
+                    MembershipView {
+                        epoch: 0,
+                        alive_mask: 0b1111
+                    }
+                );
+                assert_eq!(ep.peer_health(3).unwrap(), PeerHealth::Alive, "recovered");
+                ep.stats().suspicions
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    assert!(
-        *suspicions.lock() >= 3,
-        "every survivor suspected the frozen node"
-    );
+    let suspicions: u64 = survivors.iter_mut().map(|s| s.take().unwrap()).sum();
+    assert!(suspicions >= 3, "every survivor suspected the frozen node");
     assert!(!ring.is_bypassed(3), "suspicion takes no hardware action");
 }
 
@@ -186,12 +181,9 @@ fn killed_node_rejoins_in_a_new_epoch_and_exchanges_traffic() {
     // (minted ahead of time — BbpEndpoint::new does no PIO), booting
     // after the reboot and driving the rejoin protocol.
     let mut reborn = c.endpoint(3);
-    let rejoin_view = Arc::new(Mutex::new(None));
-    let rv = Arc::clone(&rejoin_view);
-    sim.spawn("n3-reborn", move |ctx| {
+    let mut rejoined = sim.spawn("n3-reborn", move |ctx| {
         ctx.wait_until(reboot_at + us(10));
         let view = reborn.rejoin(ctx, ms(2)).expect("readmission converges");
-        *rv.lock() = Some(view);
         // Verified traffic in the new epoch, both directions.
         reborn.send(ctx, 0, b"back from the dead").unwrap();
         assert_eq!(reborn.recv(ctx, 0).unwrap(), b"welcome back");
@@ -202,6 +194,7 @@ fn killed_node_rejoins_in_a_new_epoch_and_exchanges_traffic() {
             ctx.advance(us(10));
         }
         assert_eq!(reborn.membership_view().unwrap().epoch, 2);
+        view
     });
     // Rank 0 (the coordinator) runs the progress loop, answers the
     // rejoiner's message, and keeps ticking to the end.
@@ -247,7 +240,7 @@ fn killed_node_rejoins_in_a_new_epoch_and_exchanges_traffic() {
     }
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let view = rejoin_view.lock().expect("rejoin completed");
+    let view = rejoined.take().expect("rejoin completed");
     assert_eq!(view.alive_mask, 0b1111);
     assert_eq!(view.epoch, 2);
     assert!(!ring.is_bypassed(3), "rejoin reinserted the node's hop");
@@ -274,7 +267,6 @@ fn coordinator_death_during_suspicion_hands_off_without_epoch_churn() {
             .schedule_at(kill_at, move |_| r.silence_node(0));
     }
     let end = ms(2);
-    let history = Arc::new(Mutex::new(vec![Vec::new(); NODES]));
     // The doomed coordinator ticks until its crash.
     let mut coord = c.endpoint(0);
     sim.spawn("n0", move |ctx| {
@@ -286,20 +278,15 @@ fn coordinator_death_during_suspicion_hands_off_without_epoch_churn() {
     // Rank 3: stalls through [100 µs, 400 µs) — Suspected by everyone
     // right as the coordinator dies — then resumes and recovers.
     let mut flappy = c.endpoint(3);
-    let h3 = Arc::clone(&history);
-    sim.spawn("n3", move |ctx| {
+    let mut flapper = sim.spawn("n3", move |ctx| {
+        let mut history = Vec::new();
         while ctx.now() < end {
             if ctx.now() >= us(100) && ctx.now() < us(400) {
                 ctx.advance(us(10));
                 continue;
             }
             flappy.membership_tick(ctx);
-            let v = flappy.membership_view().unwrap();
-            let mut h = h3.lock();
-            if h[3].last() != Some(&v) {
-                h[3].push(v);
-            }
-            drop(h);
+            note(&mut history, flappy.membership_view().unwrap());
             ctx.advance(us(10));
         }
         assert_eq!(
@@ -307,43 +294,45 @@ fn coordinator_death_during_suspicion_hands_off_without_epoch_churn() {
             1,
             "rank 3 applied exactly the one committed transition"
         );
+        history
     });
-    let bumps = Arc::new(Mutex::new(0u64));
-    let final_views = Arc::new(Mutex::new(vec![None; NODES]));
-    for rank in 1..3 {
-        let mut ep = c.endpoint(rank);
-        let history = Arc::clone(&history);
-        let finals = Arc::clone(&final_views);
-        let bumps = Arc::clone(&bumps);
-        sim.spawn(format!("n{rank}"), move |ctx| {
-            survivor_loop(&mut ep, ctx, end, us(10), &history);
-            finals.lock()[rank] = Some(ep.membership_view().unwrap());
-            *bumps.lock() += ep.stats().epoch_bumps;
-        });
-    }
+    let mut survivors: Vec<_> = (1..3)
+        .map(|rank| {
+            let mut ep = c.endpoint(rank);
+            sim.spawn(format!("n{rank}"), move |ctx| {
+                let history = survivor_loop(&mut ep, ctx, end, us(10));
+                (
+                    history,
+                    ep.membership_view().unwrap(),
+                    ep.stats().epoch_bumps,
+                )
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let finals = final_views.lock();
-    for rank in 1..3 {
+    let survivors: Vec<_> = survivors.iter_mut().map(|s| s.take().unwrap()).collect();
+    for (rank, (_, view, _)) in (1..).zip(&survivors) {
         assert_eq!(
-            finals[rank],
-            Some(MembershipView {
+            *view,
+            MembershipView {
                 epoch: 1,
                 alive_mask: 0b1110
-            }),
+            },
             "survivor {rank}: one bump, rank 0 out, the flapper kept"
         );
     }
     // epoch_bumps counts *applied* view transitions: one per survivor
     // means the handed-off coordinator proposed exactly once and nobody
     // double-proposed during the flap.
-    assert_eq!(*bumps.lock(), 2, "one transition per surviving adopter");
+    let bumps: u64 = survivors.iter().map(|s| s.2).sum();
+    assert_eq!(bumps, 2, "one transition per surviving adopter");
     // Identical histories with no duplicate and no skipped epoch: every
     // node saw epoch 0 then epoch 1, nothing else.
-    let h = history.lock();
-    assert_eq!(h[1], h[2]);
-    assert_eq!(h[2], h[3]);
-    assert_eq!(h[1].len(), 2, "no flapping in the committed history");
+    let (h1, h2, h3) = (&survivors[0].0, &survivors[1].0, flapper.take().unwrap());
+    assert_eq!(h1, h2);
+    assert_eq!(*h2, h3);
+    assert_eq!(h1.len(), 2, "no flapping in the committed history");
     assert!(ring.is_bypassed(0), "the dead coordinator's hop is healed");
     assert!(!ring.is_bypassed(3), "suspicion alone never bypasses");
 }
@@ -372,7 +361,6 @@ fn rejoin_racing_a_view_change_lands_in_the_next_committed_view() {
             .schedule_at(reboot_at, move |_| r.unsilence_node(3));
     }
     let end = ms(4);
-    let history = Arc::new(Mutex::new(vec![Vec::new(); NODES]));
     // The two doomed incarnations tick until their kills.
     for (rank, kill_at) in [(3usize, kill3_at), (2usize, kill2_at)] {
         let mut victim = c.endpoint(rank);
@@ -387,49 +375,41 @@ fn rejoin_racing_a_view_change_lands_in_the_next_committed_view() {
     // while the cluster is mid-way through excluding rank 2, then keeps
     // ticking and recording like any member.
     let mut reborn = c.endpoint(3);
-    let rejoin_view = Arc::new(Mutex::new(None));
-    let rv = Arc::clone(&rejoin_view);
-    let h3 = Arc::clone(&history);
-    sim.spawn("n3-reborn", move |ctx| {
+    let mut rejoined = sim.spawn("n3-reborn", move |ctx| {
         ctx.wait_until(reboot_at + us(10));
         let view = reborn.rejoin(ctx, ms(2)).expect("readmission converges");
-        *rv.lock() = Some(view);
+        let mut history = Vec::new();
         while ctx.now() < end {
             reborn.membership_tick(ctx);
-            let v = reborn.membership_view().unwrap();
-            let mut h = h3.lock();
-            if h[3].last() != Some(&v) {
-                h[3].push(v);
-            }
-            drop(h);
+            note(&mut history, reborn.membership_view().unwrap());
             ctx.advance(us(10));
         }
+        (view, history)
     });
-    let final_views = Arc::new(Mutex::new(vec![None; NODES]));
-    for rank in 0..2 {
-        let mut ep = c.endpoint(rank);
-        let history = Arc::clone(&history);
-        let finals = Arc::clone(&final_views);
-        sim.spawn(format!("n{rank}"), move |ctx| {
-            survivor_loop(&mut ep, ctx, end, us(10), &history);
-            finals.lock()[rank] = Some(ep.membership_view().unwrap());
-        });
-    }
+    let mut survivors: Vec<_> = (0..2)
+        .map(|rank| {
+            let mut ep = c.endpoint(rank);
+            sim.spawn(format!("n{rank}"), move |ctx| {
+                let history = survivor_loop(&mut ep, ctx, end, us(10));
+                (history, ep.membership_view().unwrap())
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
     // The rejoiner was admitted into a view that contains it and
     // postdates its exclusion.
-    let admitted = rejoin_view.lock().expect("rejoin completed");
+    let (admitted, h3) = rejoined.take().expect("rejoin completed");
     assert!(admitted.is_alive(3), "readmission view contains the joiner");
     assert!(admitted.epoch >= 2, "readmission postdates the exclusion");
     // Everyone converged on rank-3-in / rank-2-out.
-    let finals = final_views.lock();
-    let reference = finals[0].expect("rank 0 finished");
+    let (mut h, finals): (Vec<_>, Vec<_>) = survivors.iter_mut().map(|s| s.take().unwrap()).unzip();
+    let reference = finals[0];
     assert_eq!(reference.alive_mask, 0b1011, "rank 3 in, rank 2 out");
-    assert_eq!(finals[1], Some(reference));
+    assert_eq!(finals[1], reference);
     // Linear history: across every view any rank ever held (including
     // both of rank 3's incarnations), one epoch maps to one mask.
-    let h = history.lock();
+    h.push(h3);
     let mut epoch_masks = std::collections::HashMap::new();
     for hist in h.iter() {
         for v in hist {
@@ -443,7 +423,7 @@ fn rejoin_racing_a_view_change_lands_in_the_next_committed_view() {
         }
     }
     assert_eq!(
-        h[3].last(),
+        h[2].last(),
         Some(&reference),
         "the rejoiner tracked the racing exclusion to the same final view"
     );

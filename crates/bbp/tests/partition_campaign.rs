@@ -23,14 +23,12 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, BbpError, EndpointStats, MembershipView};
 use des::obs::campaign::{self, Campaign, Cell, Coord};
 use des::obs::json::Json;
 use des::obs::FlightGuard;
 use des::{ms, us, Simulation, Time};
-use parking_lot::Mutex;
 use scramnet::fault::FOREVER;
 use scramnet::{CostModel, FaultPlan};
 
@@ -189,11 +187,26 @@ impl Cell for CellOutcome {
 
 type History = Vec<(Time, MembershipView)>;
 
-fn record(histories: &Mutex<Vec<History>>, rank: usize, now: Time, v: MembershipView) {
-    let mut h = histories.lock();
-    if h[rank].last().map(|(_, last)| *last) != Some(v) {
-        h[rank].push((now, v));
+fn record(h: &mut History, now: Time, v: MembershipView) {
+    if h.last().map(|(_, last)| *last) != Some(v) {
+        h.push((now, v));
     }
+}
+
+/// What one rank returns: every view it held, its end state, and its
+/// share of the cell's counts and violations.
+#[derive(Default)]
+struct RankOutcome {
+    history: History,
+    view: Option<MembershipView>,
+    frozen: bool,
+    stats: EndpointStats,
+    sent_ok: u32,
+    delivered: u32,
+    partitioned_errors: u32,
+    bait_deliveries: u32,
+    handshake_ok: bool,
+    violations: Vec<String>,
 }
 
 #[allow(clippy::too_many_lines)]
@@ -219,18 +232,6 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
     );
     plan.arm(cluster.ring());
 
-    let histories: Arc<Mutex<Vec<History>>> = Arc::new(Mutex::new(vec![Vec::new(); n]));
-    let finals: Arc<Mutex<Vec<Option<MembershipView>>>> = Arc::new(Mutex::new(vec![None; n]));
-    let frozen_finals: Arc<Mutex<Vec<bool>>> = Arc::new(Mutex::new(vec![false; n]));
-    let stats_finals: Arc<Mutex<Vec<EndpointStats>>> =
-        Arc::new(Mutex::new(vec![EndpointStats::default(); n]));
-    let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let sent_ok = Arc::new(Mutex::new(0u32));
-    let delivered = Arc::new(Mutex::new(0u32));
-    let partitioned_errors = Arc::new(Mutex::new(0u32));
-    let bait_deliveries = Arc::new(Mutex::new(0u32));
-    let handshake_ok = Arc::new(Mutex::new(!kind.heals()));
-
     // Even-split streams cross the freeze window: the sender retries an
     // index until it confirms. Majority streams must never fail at all.
     let stream_retries = matches!(
@@ -243,19 +244,11 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
     // so the pending descriptor is consumed under a stale sender epoch.
     let bait = kind == PartitionKind::MinorityPersistent;
 
+    let mut ranks = Vec::with_capacity(n);
     for rank in 0..n {
         let mut ep = cluster.endpoint(rank);
-        let histories = Arc::clone(&histories);
-        let finals = Arc::clone(&finals);
-        let frozen_finals = Arc::clone(&frozen_finals);
-        let stats_finals = Arc::clone(&stats_finals);
-        let violations = Arc::clone(&violations);
-        let sent_ok = Arc::clone(&sent_ok);
-        let delivered = Arc::clone(&delivered);
-        let partitioned_errors = Arc::clone(&partitioned_errors);
-        let bait_deliveries = Arc::clone(&bait_deliveries);
-        let handshake_ok = Arc::clone(&handshake_ok);
-        sim.spawn(format!("n{rank}"), move |ctx| {
+        ranks.push(sim.spawn(format!("n{rank}"), move |ctx| {
+            let mut out = RankOutcome::default();
             let mut next_send = us(20);
             let mut msg_i = 0u32;
             let mut next_probe = us(20);
@@ -264,35 +257,34 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
             let mut shook = false;
             while ctx.now() < end {
                 ep.membership_tick(ctx);
-                record(&histories, rank, ctx.now(), ep.membership_view().unwrap());
+                record(&mut out.history, ctx.now(), ep.membership_view().unwrap());
                 // The in-segment survivor stream.
                 if rank == snd && msg_i < msgs && ctx.now() >= next_send {
                     match ep.send(ctx, rcv, &payload(msg_i, seed)) {
                         Ok(()) => {
-                            *sent_ok.lock() += 1;
+                            out.sent_ok += 1;
                             msg_i += 1;
                             next_send = ctx.now() + us(50);
                         }
                         Err(BbpError::Partitioned { .. }) if stream_retries => {
                             // Frozen: hold this index and try again once
                             // the merge readmits us.
-                            *partitioned_errors.lock() += 1;
+                            out.partitioned_errors += 1;
                             next_send = ctx.now() + us(100);
                         }
-                        Err(e) => violations
-                            .lock()
+                        Err(e) => out
+                            .violations
                             .push(format!("stream send {msg_i} failed: {e}")),
                     }
                 }
                 if rank == rcv {
                     if let Some(bytes) = ep.try_recv(ctx, snd) {
-                        let d = *delivered.lock();
+                        let d = out.delivered;
                         if bytes != payload(d, seed) {
-                            violations
-                                .lock()
+                            out.violations
                                 .push(format!("stream delivery {d} mangled or out of order"));
                         }
-                        *delivered.lock() += 1;
+                        out.delivered += 1;
                     }
                 }
                 // The minority prober: rank 0 keeps sending to its
@@ -312,16 +304,15 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
                         Ok(()) => {}
                         Err(BbpError::Partitioned { epoch }) => {
                             if epoch != 0 {
-                                violations
-                                    .lock()
+                                out.violations
                                     .push(format!("minority froze at epoch {epoch}, not 0"));
                             }
-                            *partitioned_errors.lock() += 1;
+                            out.partitioned_errors += 1;
                         }
                         // A send straddling the cut can burn its retry
                         // budget before the detector freezes the node.
                         Err(BbpError::Timeout { .. }) => {}
-                        Err(e) => violations.lock().push(format!("probe failed oddly: {e}")),
+                        Err(e) => out.violations.push(format!("probe failed oddly: {e}")),
                     }
                     next_probe = ctx.now() + us(100);
                 }
@@ -336,7 +327,7 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
                     && ctx.now() >= onset + us(800)
                     && ep.try_recv(ctx, 0).is_some()
                 {
-                    *bait_deliveries.lock() += 1;
+                    out.bait_deliveries += 1;
                 }
                 // Post-heal handshake across the former cut.
                 if kind.heals() && ctx.now() > heal_at && !ep.is_partitioned() {
@@ -346,9 +337,9 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
                         let sent = ep.send(ctx, far, b"back from the cold");
                         let reply = ep.recv(ctx, far);
                         if sent.is_ok() && reply.as_ref().is_ok_and(|r| r == b"warm again") {
-                            *handshake_ok.lock() = true;
+                            out.handshake_ok = true;
                         } else {
-                            violations.lock().push(format!(
+                            out.violations.push(format!(
                                 "post-heal handshake failed: send {sent:?}, reply {reply:?}"
                             ));
                         }
@@ -358,41 +349,45 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
                             if bytes == b"back from the cold" {
                                 greeted = true;
                                 if let Err(e) = ep.send(ctx, 0, b"warm again") {
-                                    violations
-                                        .lock()
-                                        .push(format!("handshake reply failed: {e}"));
+                                    out.violations.push(format!("handshake reply failed: {e}"));
                                 }
                             } else {
-                                violations.lock().push("handshake greeting mangled".into());
+                                out.violations.push("handshake greeting mangled".into());
                             }
                         }
                     }
                 }
                 ctx.advance(us(10));
             }
-            finals.lock()[rank] = ep.membership_view();
-            frozen_finals.lock()[rank] = ep.is_partitioned();
-            stats_finals.lock()[rank] = ep.stats().clone();
-        });
+            out.view = ep.membership_view();
+            out.frozen = ep.is_partitioned();
+            out.stats = ep.stats().clone();
+            out
+        }));
     }
 
     let report = sim.run();
 
-    let stats = stats_finals.lock().clone();
+    // A rank that did not return (the cell deadlocked) adds nothing.
+    let outs: Vec<RankOutcome> = ranks
+        .iter_mut()
+        .map(|r| r.take().unwrap_or_default())
+        .collect();
+    let sum = |count: fn(&RankOutcome) -> u32| outs.iter().map(count).sum::<u32>();
     let mut cell = CellOutcome {
         scenario: plan.describe(),
-        final_views: finals.lock().clone(),
-        final_frozen: frozen_finals.lock().clone(),
+        final_views: outs.iter().map(|o| o.view).collect(),
+        final_frozen: outs.iter().map(|o| o.frozen).collect(),
         partitions_detected: kind
             .frozen_ranks()
             .iter()
-            .map(|&r| stats[r].partitions_detected)
+            .map(|&r| outs[r].stats.partitions_detected)
             .sum(),
-        stale_epoch_rejects: stats.iter().map(|s| s.stale_epoch_rejects).sum(),
-        sent_ok: *sent_ok.lock(),
-        delivered: *delivered.lock(),
-        partitioned_errors: *partitioned_errors.lock(),
-        violations: violations.lock().clone(),
+        stale_epoch_rejects: outs.iter().map(|o| o.stats.stale_epoch_rejects).sum(),
+        sent_ok: sum(|o| o.sent_ok),
+        delivered: sum(|o| o.delivered),
+        partitioned_errors: sum(|o| o.partitioned_errors),
+        violations: outs.iter().flat_map(|o| o.violations.clone()).collect(),
     };
     if !report.is_clean() {
         cell.violations
@@ -441,22 +436,21 @@ fn run_cell(kind: PartitionKind, seed: u64) -> CellOutcome {
             cell.violations
                 .push("cross-cut bait was never fenced (stale_epoch_rejects == 0)".into());
         }
-        if *bait_deliveries.lock() != 0 {
+        if sum(|o| o.bait_deliveries) != 0 {
             cell.violations
                 .push("stale-epoch bait leaked through the fence".into());
         }
     }
-    if !*handshake_ok.lock() {
+    if kind.heals() && !outs[0].handshake_ok {
         cell.violations
             .push("post-heal handshake never completed".into());
     }
 
     // Split-brain invariant: across every view any rank ever held, one
     // epoch maps to exactly one mask.
-    let h = histories.lock();
     let mut epoch_masks: HashMap<u32, u32> = HashMap::new();
-    for (r, hist) in h.iter().enumerate() {
-        for &(_, v) in hist {
+    for (r, out) in outs.iter().enumerate() {
+        for &(_, v) in &out.history {
             match epoch_masks.get(&v.epoch) {
                 Some(&m) if m != v.alive_mask => cell.violations.push(format!(
                     "rank {r} held mask {:#b} at epoch {} where another rank held {m:#b}",

@@ -429,22 +429,18 @@ fn headline_zero_byte_latency_is_calibrated() {
     // One-way latency is send-call to recv-return (the trailing ACK
     // replication back to the sender is not on the critical path).
     let one_way = |len: usize| {
-        use std::sync::Arc;
         let mut sim = Simulation::new();
         let c = cluster(&sim, 2);
         let mut a = c.endpoint(0);
         let mut b = c.endpoint(1);
         let payload = vec![0u8; len];
-        let done = Arc::new(parking_lot::Mutex::new(0u64));
-        let done2 = Arc::clone(&done);
         sim.spawn("a", move |ctx| a.send(ctx, 1, &payload).unwrap());
-        sim.spawn("b", move |ctx| {
+        let mut b = sim.spawn("b", move |ctx| {
             let _ = b.recv(ctx, 0).unwrap();
-            *done2.lock() = ctx.now();
+            ctx.now()
         });
         sim.run();
-        let t = *done.lock();
-        t.as_us()
+        b.take().unwrap().as_us()
     };
     let zero = one_way(0);
     let four = one_way(4);
@@ -628,11 +624,7 @@ fn corruption_is_detected_and_never_delivered_mangled() {
     let c = BbpCluster::with_hardware(&sim.handle(), cfg, CostModel::default(), ring_cfg);
     let mut a = c.endpoint(0);
     let mut b = c.endpoint(1);
-    use std::sync::Arc;
-    let detected = Arc::new(parking_lot::Mutex::new((0u64, 0u64)));
-    let sender_side = Arc::clone(&detected);
-    let recv_side = Arc::clone(&detected);
-    sim.spawn("a", move |ctx| {
+    let mut sender = sim.spawn("a", move |ctx| {
         for i in 0..30u32 {
             let payload = vec![i as u8; 256];
             // A send may itself fail with a typed error once its retry
@@ -640,9 +632,9 @@ fn corruption_is_detected_and_never_delivered_mangled() {
             // happen.
             let _ = a.send(ctx, 1, &payload);
         }
-        sender_side.lock().0 = a.stats().retries + a.stats().send_failures;
+        a.stats().retries + a.stats().send_failures
     });
-    sim.spawn("b", move |ctx| {
+    let mut receiver = sim.spawn("b", move |ctx| {
         for _ in 0..30u32 {
             match b.recv(ctx, 0) {
                 Ok(m) => {
@@ -659,7 +651,7 @@ fn corruption_is_detected_and_never_delivered_mangled() {
                 ),
             }
         }
-        recv_side.lock().1 = b.stats().corrupt_detected + b.stats().dup_drops;
+        b.stats().corrupt_detected + b.stats().dup_drops
     });
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
@@ -667,7 +659,7 @@ fn corruption_is_detected_and_never_delivered_mangled() {
         c.ring().stats().bit_errors > 0,
         "the fault schedule must actually inject flips"
     );
-    let (sender_repairs, receiver_detections) = *detected.lock();
+    let (sender_repairs, receiver_detections) = (sender.take().unwrap(), receiver.take().unwrap());
     assert!(
         sender_repairs + receiver_detections > 0,
         "1% BER across 30 sends must trip the reliability layer at least once"
@@ -771,10 +763,8 @@ fn blocked_server(config: BbpConfig, asleep: bool, deadline: Option<des::Time>) 
         });
     }
     let mut server = c.endpoint(0);
-    let out = std::sync::Arc::new(std::sync::Mutex::new((Vec::new(), None, false)));
-    let out2 = std::sync::Arc::clone(&out);
-    sim.spawn("server", move |ctx| {
-        let mut slept = false;
+    let mut server = sim.spawn("server", move |ctx| {
+        let (mut got_all, mut slept) = (Vec::new(), false);
         let passed = move |t| deadline.is_some_and(|d| t >= d);
         let guard: des::RoundGuard = std::sync::Arc::new(passed);
         for _ in 0..3 {
@@ -793,10 +783,9 @@ fn blocked_server(config: BbpConfig, asleep: bool, deadline: Option<des::Time>) 
                 }
             };
             let Some((src, msg)) = got else { break };
-            out2.lock().unwrap().0.push((ctx.now(), src, msg));
+            got_all.push((ctx.now(), src, msg));
         }
-        let mut out = out2.lock().unwrap();
-        (out.1, out.2) = (Some(server.stats().clone()), slept);
+        (got_all, server.stats().clone(), slept)
     });
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
@@ -804,9 +793,9 @@ fn blocked_server(config: BbpConfig, asleep: bool, deadline: Option<des::Time>) 
     for event in sim.recorder().take_events() {
         tracks.entry(event.track()).or_default().push(event);
     }
-    let (got, stats, slept) = std::mem::take(&mut *out.lock().unwrap());
+    let (got, stats, slept) = server.take().unwrap();
     let run = (report.dispatches, report.peak_queue_depth, report.handoffs);
-    let blocked = (got, run, stats.unwrap(), c.ring().stats(), tracks);
+    let blocked = (got, run, stats, c.ring().stats(), tracks);
     (blocked, slept)
 }
 
@@ -899,14 +888,12 @@ fn an_interrupt_mode_sender_sleeps_until_its_acks_land() {
         },
     );
     let (mut tx, mut rx) = (c.endpoint(0), c.endpoint(1));
-    let acked_at = std::sync::Arc::new(std::sync::Mutex::new(None));
-    let acked = std::sync::Arc::clone(&acked_at);
-    sim.spawn("tx", move |ctx| {
+    let mut sender = sim.spawn("tx", move |ctx| {
         tx.send(ctx, 1, b"ack me").unwrap();
         while !tx.all_acked(ctx) {
             assert!(tx.wait_for_traffic(ctx), "interrupt mode blocks");
         }
-        *acked.lock().unwrap() = Some(ctx.now());
+        ctx.now()
     });
     sim.spawn("rx", move |ctx| {
         ctx.wait_until(us(50));
@@ -914,6 +901,6 @@ fn an_interrupt_mode_sender_sleeps_until_its_acks_land() {
     });
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let acked_at = acked_at.lock().unwrap().expect("the sender saw its ACK");
+    let acked_at = sender.take().expect("the sender saw its ACK");
     assert_eq!((acked_at, report.end_time), (60_965, 60_965));
 }

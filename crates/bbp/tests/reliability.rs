@@ -2,8 +2,6 @@
 //! CRC verification, NACK repair, timeout/retry/backoff bounds, and the
 //! no-duplicate / no-reorder guarantee of the sequence layer.
 
-use std::sync::Arc;
-
 use bbp::{BbpCluster, BbpConfig, BbpError, ReliabilityConfig};
 use des::Simulation;
 use proptest::prelude::*;
@@ -216,14 +214,12 @@ proptest! {
         let mut a = c.endpoint(0);
         let mut b = c.endpoint(1);
         ring.arm_drop(packets_per_tx(len) * u64::from(k));
-        let elapsed = Arc::new(parking_lot::Mutex::new((0u64, 0u64)));
-        let e2 = Arc::clone(&elapsed);
         let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
         let expect = payload.clone();
-        sim.spawn("a", move |ctx| {
+        let mut sender = sim.spawn("a", move |ctx| {
             let t0 = ctx.now();
             a.send(ctx, 1, &payload).unwrap();
-            *e2.lock() = (ctx.now() - t0, a.stats().retries);
+            (ctx.now() - t0, a.stats().retries)
         });
         sim.spawn("b", move |ctx| {
             let got = b.recv(ctx, 0).unwrap();
@@ -231,7 +227,7 @@ proptest! {
         });
         let report = sim.run();
         prop_assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-        let (took, retries) = *elapsed.lock();
+        let (took, retries) = sender.take().unwrap();
         prop_assert_eq!(retries, u64::from(k), "exactly one retry per lost transmission");
         // Waits actually incurred: attempts 0..=k time out, attempt k+1
         // succeeds "immediately" (within one timeout window).
@@ -270,8 +266,6 @@ proptest! {
             let ring = ring.clone();
             handle.schedule_at(des::us(t_us), move |_| ring.arm_drop(n));
         }
-        let delivered = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let d2 = Arc::clone(&delivered);
         sim.spawn("a", move |ctx| {
             for i in 0..MSGS {
                 // A send may time out under heavy loss; mis-delivery and
@@ -279,16 +273,18 @@ proptest! {
                 let _ = a.send(ctx, 1, &i.to_le_bytes());
             }
         });
-        sim.spawn("b", move |ctx| {
+        let mut receiver = sim.spawn("b", move |ctx| {
+            let mut delivered = Vec::new();
             for _ in 0..MSGS {
                 if let Ok(m) = b.recv(ctx, 0) {
-                    d2.lock().push(u32::from_le_bytes(m.try_into().unwrap()));
+                    delivered.push(u32::from_le_bytes(m.try_into().unwrap()));
                 }
             }
+            delivered
         });
         let report = sim.run();
         prop_assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-        let got = delivered.lock().clone();
+        let got = receiver.take().unwrap();
         prop_assert!(
             got.windows(2).all(|w| w[0] < w[1]),
             "deliveries must be strictly increasing (no dups, no reorder): {got:?}"

@@ -12,12 +12,9 @@
 //! 8. FIFO-ring vs slotted garbage collection in the BBP allocator;
 //! 9. the hybrid SCRAMNet+Myrinet cluster of the paper's conclusion.
 
-use std::sync::Arc;
-
 use bbp::{BbpCluster, BbpConfig, RecvMode};
 use bench::{bbp_pingpong_with, bbp_stream_us, mpi_barrier_us, mpi_one_way_us, one_way_us, MpiNet};
 use des::{Simulation, Time, TimeExt};
-use parking_lot::Mutex;
 use scramnet::{CostModel, RingConfig, TxMode};
 use smpi::CollectiveImpl;
 
@@ -206,16 +203,13 @@ fn hierarchy_latencies() -> (f64, f64) {
         );
         let mut tx = bbp::BbpCluster::endpoint_over(h.nic(src), config.clone());
         let mut rx = bbp::BbpCluster::endpoint_over(h.nic(dst), config);
-        let done = Arc::new(Mutex::new(0u64));
-        let done2 = Arc::clone(&done);
         sim.spawn("tx", move |ctx| tx.send(ctx, dst, b"ping").unwrap());
-        sim.spawn("rx", move |ctx| {
+        let mut rx = sim.spawn("rx", move |ctx| {
             let _ = rx.recv(ctx, src);
-            *done2.lock() = ctx.now();
+            ctx.now()
         });
         assert!(sim.run().is_clean());
-        let t: Time = *done.lock();
-        t.as_us()
+        rx.take().unwrap().as_us()
     };
     (one(0, 1), one(0, 13))
 }
@@ -229,16 +223,14 @@ fn skewed_stream_time(cfg: BbpConfig) -> f64 {
     let mut tx = cluster.endpoint(0);
     let mut fast = cluster.endpoint(1);
     let mut slow = cluster.endpoint(2);
-    let done = Arc::new(Mutex::new(0u64));
-    let done2 = Arc::clone(&done);
-    sim.spawn("tx", move |ctx| {
+    let mut tx = sim.spawn("tx", move |ctx| {
         for round in 0..16u32 {
             tx.mcast(ctx, &[1, 2], &round.to_le_bytes()).unwrap();
             for i in 0..3u32 {
                 tx.send(ctx, 1, &[round as u8, i as u8, 0, 0]).unwrap();
             }
         }
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     sim.spawn("fast", move |ctx| {
         for _ in 0..16 * 4 {
@@ -252,8 +244,7 @@ fn skewed_stream_time(cfg: BbpConfig) -> f64 {
         }
     });
     assert!(sim.run().is_clean());
-    let t: Time = *done.lock();
-    t.as_us()
+    tx.take().unwrap().as_us()
 }
 
 /// Sustained Fast Ethernet TCP streaming rate under a window limit.
@@ -272,17 +263,15 @@ fn tcp_stream_mb_s(window: Option<usize>) -> f64 {
             a.send(ctx, &payload);
         }
     });
-    let done = Arc::new(Mutex::new(0u64));
-    let done2 = Arc::clone(&done);
-    sim.spawn("b", move |ctx| {
+    let mut b = sim.spawn("b", move |ctx| {
         let mut got = 0;
         while got < total {
             got += b.recv(ctx).len();
         }
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     assert!(sim.run().is_clean());
-    let t: Time = *done.lock();
+    let t: Time = b.take().unwrap();
     total as f64 / (t as f64 / 1e9) / 1e6
 }
 
@@ -292,9 +281,7 @@ fn block_write_times(words: usize, dma: bool) -> (f64, f64) {
     let mut sim = Simulation::new();
     let ring = scramnet::Ring::new(&sim.handle(), 2, 16 * 1024, CostModel::default());
     let nic = ring.nic(0);
-    let busy = Arc::new(Mutex::new(0u64));
-    let busy2 = Arc::clone(&busy);
-    sim.spawn("w", move |ctx| {
+    let mut w = sim.spawn("w", move |ctx| {
         let data = vec![0xAAu32; words];
         let t0 = ctx.now();
         if dma {
@@ -302,10 +289,10 @@ fn block_write_times(words: usize, dma: bool) -> (f64, f64) {
         } else {
             nic.write_block(ctx, 0, &data);
         }
-        *busy2.lock() = ctx.now() - t0;
+        ctx.now() - t0
     });
     let report = sim.run();
-    let b: Time = *busy.lock();
+    let b: Time = w.take().unwrap();
     (b.as_us(), report.end_time.as_us())
 }
 
@@ -313,8 +300,6 @@ fn block_write_times(words: usize, dma: bool) -> (f64, f64) {
 fn mpi_one_way_with(build: impl Fn(&des::SimHandle) -> smpi::MpiWorld, len: usize) -> f64 {
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
-    let done = Arc::new(Mutex::new(0u64));
-    let done2 = Arc::clone(&done);
     let payload = vec![1u8; len];
     let mut tx = world.proc(0);
     let mut rx = world.proc(1);
@@ -322,12 +307,11 @@ fn mpi_one_way_with(build: impl Fn(&des::SimHandle) -> smpi::MpiWorld, len: usiz
         let comm = tx.comm_world();
         tx.send(ctx, &comm, 1, 0, &payload).unwrap();
     });
-    sim.spawn("rx", move |ctx| {
+    let mut rx = sim.spawn("rx", move |ctx| {
         let comm = rx.comm_world();
         let _ = rx.recv(ctx, &comm, Some(0), Some(0)).unwrap();
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     assert!(sim.run().is_clean());
-    let t: Time = *done.lock();
-    t.as_us()
+    rx.take().unwrap().as_us()
 }

@@ -14,7 +14,6 @@
 use std::sync::Arc;
 
 use des::{SimHandle, Simulation, Time, TimeExt};
-use parking_lot::Mutex;
 use smpi::{MpiWorld, ReduceOp};
 
 const RANKS: usize = 4;
@@ -28,25 +27,23 @@ fn run_kernel(
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
     let body = Arc::new(body);
-    let finish = Arc::new(Mutex::new(0u64));
-    for rank in 0..RANKS {
-        let mut mpi = world.proc(rank);
-        let body = Arc::clone(&body);
-        let finish = Arc::clone(&finish);
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            body(&mut mpi, ctx);
-            let mut f = finish.lock();
-            *f = (*f).max(ctx.now());
-        });
-    }
+    let mut ranks: Vec<_> = (0..RANKS)
+        .map(|rank| {
+            let mut mpi = world.proc(rank);
+            let body = Arc::clone(&body);
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                body(&mut mpi, ctx);
+                ctx.now()
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(
         report.is_clean(),
         "kernel deadlocked: {:?}",
         report.deadlocked
     );
-    let t = *finish.lock();
-    t
+    ranks.iter_mut().filter_map(|r| r.take()).max().unwrap_or(0)
 }
 
 /// 50 steps of ring halo exchange with 5 µs of compute per step.

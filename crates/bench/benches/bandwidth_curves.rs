@@ -8,11 +8,8 @@
 //! but it does not have high bandwidth … complementary to the networks
 //! usually used in clusters."
 
-use std::sync::Arc;
-
 use bench::{print_table_with_unit, Series};
 use des::{SimHandle, Simulation, Time};
-use parking_lot::Mutex;
 use smpi::MpiWorld;
 
 const RANKS: usize = 2;
@@ -33,14 +30,12 @@ fn mpi_stream_mb_s(build: &dyn Fn(&SimHandle) -> MpiWorld, len: usize) -> f64 {
             tx.send(ctx, &comm, 1, 1, &payload).unwrap();
         }
     });
-    let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-    let done2 = Arc::clone(&done);
-    sim.spawn("rx", move |ctx| {
+    let mut rx = sim.spawn("rx", move |ctx| {
         let comm = rx.comm_world();
         for _ in 0..count {
             let _ = rx.recv(ctx, &comm, Some(0), Some(1)).unwrap();
         }
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     let report = sim.run();
     assert!(
@@ -48,7 +43,7 @@ fn mpi_stream_mb_s(build: &dyn Fn(&SimHandle) -> MpiWorld, len: usize) -> f64 {
         "stream deadlocked: {:?}",
         report.deadlocked
     );
-    let t = *done.lock();
+    let t: Time = rx.take().unwrap();
     (count * len) as f64 / (t as f64 / 1e9) / 1e6
 }
 

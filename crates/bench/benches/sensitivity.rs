@@ -3,11 +3,8 @@
 //! much of the reproduction hangs on any single guessed constant — the
 //! conclusions should (and do) survive sizeable calibration error.
 
-use std::sync::Arc;
-
 use bbp::{BbpCluster, BbpConfig};
 use des::{Simulation, Time, TimeExt};
-use parking_lot::Mutex;
 use scramnet::{CostModel, RingConfig};
 
 /// 0-byte and 1024-byte BBP one-way latency under a given cost model.
@@ -18,16 +15,13 @@ fn bbp_latencies(cost: CostModel) -> (f64, f64) {
         cfg.data_words = 16 * 1024;
         let cluster = BbpCluster::with_hardware(&sim.handle(), cfg, cost, RingConfig::default());
         let (mut a, mut b) = (cluster.endpoint(0), cluster.endpoint(1));
-        let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-        let done2 = Arc::clone(&done);
         sim.spawn("a", move |ctx| a.send(ctx, 1, &vec![0u8; len]).unwrap());
-        sim.spawn("b", move |ctx| {
+        let mut b = sim.spawn("b", move |ctx| {
             let _ = b.recv(ctx, 0);
-            *done2.lock() = ctx.now();
+            ctx.now()
         });
         assert!(sim.run().is_clean());
-        let t = *done.lock();
-        t.as_us()
+        b.take().unwrap().as_us()
     };
     (one(0, cost.clone()), one(1024, cost))
 }

@@ -9,11 +9,8 @@
 //!  - MPI point-to-point barrier over SCRAMNet (stock MPICH)
 //!  - MPI point-to-point barrier over Fast Ethernet (baseline)
 
-use std::sync::Arc;
-
 use bench::{mpi_barrier_us, MpiNet};
 use des::{ms, Simulation, Time, TimeExt};
-use parking_lot::Mutex;
 use scramnet::{CostModel, Ring};
 use shmem::{BakeryLock, SenseBarrier};
 use smpi::CollectiveImpl;
@@ -24,21 +21,20 @@ fn shmem_barrier_us(nodes: usize) -> f64 {
     let ring = Ring::new(&sim.handle(), nodes, 64, CostModel::default());
     let b = SenseBarrier::layout(0, nodes);
     let align: Time = ms(1);
-    let last = Arc::new(Mutex::new(0u64));
-    for node in 0..nodes {
-        let mut h = b.handle(ring.nic(node));
-        let last = Arc::clone(&last);
-        sim.spawn(format!("p{node}"), move |ctx| {
-            h.wait(ctx); // warm-up epoch
-            ctx.wait_until(align);
-            h.wait(ctx);
-            let mut l = last.lock();
-            *l = (*l).max(ctx.now());
-        });
-    }
+    let mut procs: Vec<_> = (0..nodes)
+        .map(|node| {
+            let mut h = b.handle(ring.nic(node));
+            sim.spawn(format!("p{node}"), move |ctx| {
+                h.wait(ctx); // warm-up epoch
+                ctx.wait_until(align);
+                h.wait(ctx);
+                ctx.now()
+            })
+        })
+        .collect();
     assert!(sim.run().is_clean());
-    let t = *last.lock();
-    (t - align).as_us()
+    let last = procs.iter_mut().filter_map(|p| p.take()).max();
+    (last.expect("a rank returned") - align).as_us()
 }
 
 /// Uncontended and contended bakery lock costs.
@@ -47,17 +43,15 @@ fn bakery_costs_us(nodes: usize, rounds: usize) -> (f64, f64) {
     let mut sim = Simulation::new();
     let ring = Ring::new(&sim.handle(), nodes, 64, CostModel::default());
     let lock = BakeryLock::layout(0, nodes);
-    let t_one = Arc::new(Mutex::new(0u64));
-    let t_one2 = Arc::clone(&t_one);
     let mut h = lock.handle(ring.nic(0));
-    sim.spawn("solo", move |ctx| {
+    let mut solo = sim.spawn("solo", move |ctx| {
         let t0 = ctx.now();
         h.lock(ctx);
         h.unlock(ctx);
-        *t_one2.lock() = ctx.now() - t0;
+        ctx.now() - t0
     });
     assert!(sim.run().is_clean());
-    let uncontended = (*t_one.lock()).as_us();
+    let uncontended = solo.take().unwrap().as_us();
 
     // Contended: every node does `rounds` acquisitions; report the mean
     // time per acquisition.

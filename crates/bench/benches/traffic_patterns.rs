@@ -7,13 +7,10 @@
 //! All patterns are seeded and deterministic; each message carries its
 //! send timestamp so receivers measure true in-flight latency.
 
-use std::sync::Arc;
-
 use bbp::{BbpCluster, BbpConfig};
 use bench::report::Quantiles;
 use des::rng::SimRng;
 use des::{Simulation, Time, TimeExt};
-use parking_lot::Mutex;
 
 const NODES: usize = 8;
 const MSGS_PER_NODE: usize = 40;
@@ -94,18 +91,17 @@ fn run_pattern(pattern: Pattern, seed: u64) -> PatternStats {
     cfg.bufs_per_proc = 32;
     cfg.data_words = 8 * 1024;
     let cluster = BbpCluster::new(&sim.handle(), cfg);
-    let latencies: Arc<Mutex<Vec<Time>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut nodes = Vec::with_capacity(NODES);
     for (rank, plan) in plans.into_iter().enumerate() {
         let mut ep = cluster.endpoint(rank);
         let expect = incoming[rank];
-        let latencies = Arc::clone(&latencies);
-        sim.spawn(format!("n{rank}"), move |ctx| {
+        nodes.push(sim.spawn(format!("n{rank}"), move |ctx| {
+            let mut latencies: Vec<Time> = Vec::with_capacity(expect);
             let mut sent = 0usize;
-            let mut got = 0usize;
             let mut payload = vec![0xAAu8; PAYLOAD];
             // Interleave sending with draining so hotspot receivers keep
             // up and flow control exercises realistically.
-            while sent < plan.len() || got < expect {
+            while sent < plan.len() || latencies.len() < expect {
                 if sent < plan.len() {
                     let (dst, think) = plan[sent];
                     ctx.advance(think);
@@ -115,18 +111,17 @@ fn run_pattern(pattern: Pattern, seed: u64) -> PatternStats {
                 }
                 while let Some((_, m)) = ep.try_recv_any(ctx) {
                     let t_sent = Time::from_le_bytes(m[..8].try_into().unwrap());
-                    latencies.lock().push(ctx.now() - t_sent);
-                    got += 1;
+                    latencies.push(ctx.now() - t_sent);
                 }
-                if sent == plan.len() && got < expect {
+                if sent == plan.len() && latencies.len() < expect {
                     // Done sending: block for the rest.
                     let (_, m) = ep.recv_any(ctx).unwrap();
                     let t_sent = Time::from_le_bytes(m[..8].try_into().unwrap());
-                    latencies.lock().push(ctx.now() - t_sent);
-                    got += 1;
+                    latencies.push(ctx.now() - t_sent);
                 }
             }
-        });
+            latencies
+        }));
     }
     let report = sim.run();
     assert!(
@@ -135,7 +130,7 @@ fn run_pattern(pattern: Pattern, seed: u64) -> PatternStats {
         pattern.name(),
         report.deadlocked
     );
-    let lat = latencies.lock().clone();
+    let lat: Vec<Time> = nodes.iter_mut().flat_map(|n| n.take().unwrap()).collect();
     assert_eq!(lat.len(), NODES * MSGS_PER_NODE);
     PatternStats {
         latencies: bench::report::quantiles_of(pattern.name(), &lat),

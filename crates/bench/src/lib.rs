@@ -21,7 +21,6 @@ use std::sync::Arc;
 use bbp::{BbpCluster, BbpConfig};
 use des::{ProcCtx, RunReport, Simulation, Time, TimeExt};
 use netsim::{NetSpec, TcpCosts, TcpNet};
-use parking_lot::Mutex;
 use scramnet::{CostModel, RingConfig};
 use smpi::{CollectiveImpl, Comm, Mpi, MpiWorld, SmpiCosts};
 
@@ -115,16 +114,16 @@ pub fn pingpong(
     mut ping: impl FnMut(&mut ProcCtx) + Send + 'static,
     mut pong: impl FnMut(&mut ProcCtx) + Send + 'static,
 ) -> Vec<Time> {
-    let trips = Arc::new(Mutex::new(Vec::new()));
-    let timed = Arc::clone(&trips);
-    sim.spawn("ping", move |ctx| {
+    let mut trips = sim.spawn("ping", move |ctx| {
+        let mut timed = Vec::new();
         for i in 0..WARMUP + PING_REPS {
             let t0 = ctx.now();
             ping(ctx);
             if i >= WARMUP {
-                timed.lock().push(ctx.now() - t0);
+                timed.push(ctx.now() - t0);
             }
         }
+        timed
     });
     sim.spawn("pong", move |ctx| {
         for _ in 0..WARMUP + PING_REPS {
@@ -137,9 +136,7 @@ pub fn pingpong(
         "ping-pong deadlocked: {:?}",
         report.deadlocked
     );
-    Arc::try_unwrap(trips)
-        .expect("sole owner after run")
-        .into_inner()
+    trips.take().expect("ping returned")
 }
 
 /// One-way latency, microseconds: half the mean of [`pingpong`]'s round
@@ -234,14 +231,12 @@ pub fn bbp_stream_us(count: u32, len: usize, cfg: BbpConfig) -> f64 {
     let mut sim = Simulation::new();
     let cluster = BbpCluster::new(&sim.handle(), cfg);
     let (mut a, mut b) = (cluster.endpoint(0), cluster.endpoint(1));
-    let done = Arc::new(Mutex::new(0u64));
-    let sent = Arc::clone(&done);
     let payload = vec![3u8; len];
-    sim.spawn("a", move |ctx| {
+    let mut sent = sim.spawn("a", move |ctx| {
         for _ in 0..count {
             a.send(ctx, 1, &payload).unwrap();
         }
-        *sent.lock() = ctx.now();
+        ctx.now()
     });
     sim.spawn("b", move |ctx| {
         for _ in 0..count {
@@ -249,8 +244,7 @@ pub fn bbp_stream_us(count: u32, len: usize, cfg: BbpConfig) -> f64 {
         }
     });
     assert!(sim.run().is_clean());
-    let t: Time = *done.lock();
-    t.as_us()
+    sent.take().expect("a returned").as_us()
 }
 
 /// BBP-level multicast latency (Figure 4): root posts once to all
@@ -264,7 +258,6 @@ pub fn bbp_bcast_us(len: usize, nodes: usize) -> f64 {
     let mut sim = Simulation::new();
     let cluster = BbpCluster::new(&sim.handle(), sweep_config(nodes));
     let align: Time = des::us(300);
-    let last = Arc::new(Mutex::new(0u64));
     let mut root = cluster.endpoint(0);
     let targets: Vec<usize> = (1..nodes).collect();
     let payload = vec![0x5Au8; len];
@@ -274,20 +267,20 @@ pub fn bbp_bcast_us(len: usize, nodes: usize) -> f64 {
         ctx.wait_until(align);
         root.mcast(ctx, &targets, &payload).unwrap();
     });
-    for r in 1..nodes {
-        let mut ep = cluster.endpoint(r);
-        let last = Arc::clone(&last);
-        sim.spawn(format!("r{r}"), move |ctx| {
-            let _ = ep.recv(ctx, 0);
-            let m = ep.recv(ctx, 0).unwrap();
-            assert_eq!(m.len(), len);
-            let mut l = last.lock();
-            *l = (*l).max(ctx.now());
-        });
-    }
+    let mut receivers: Vec<_> = (1..nodes)
+        .map(|r| {
+            let mut ep = cluster.endpoint(r);
+            sim.spawn(format!("r{r}"), move |ctx| {
+                let _ = ep.recv(ctx, 0);
+                let m = ep.recv(ctx, 0).unwrap();
+                assert_eq!(m.len(), len);
+                ctx.now()
+            })
+        })
+        .collect();
     assert!(sim.run().is_clean());
-    let t = *last.lock();
-    (t - align).as_us()
+    let last = receivers.iter_mut().filter_map(|r| r.take()).max();
+    (last.expect("a rank returned") - align).as_us()
 }
 
 /// The paper's collective procedure (Figures 5–6): every rank makes one
@@ -312,7 +305,6 @@ fn aligned(
     let mut sim = Simulation::new();
     let world = net.world(&sim, nodes, coll);
     let align: Time = des::ms(5);
-    let last = Arc::new(Mutex::new(0u64));
     if observed {
         let rec = sim.recorder_arc();
         sim.spawn("obs-arm", move |ctx| {
@@ -321,26 +313,25 @@ fn aligned(
             rec.telemetry().enable();
         });
     }
-    for rank in 0..nodes {
-        let mut mpi = world.proc(rank);
-        let (last, call) = (Arc::clone(&last), call.clone());
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            call(&mut mpi, ctx, &comm, false);
-            ctx.wait_until(align);
-            if call(&mut mpi, ctx, &comm, true) {
-                let mut l = last.lock();
-                *l = (*l).max(ctx.now());
-            }
-        });
-    }
+    let mut ranks: Vec<_> = (0..nodes)
+        .map(|rank| {
+            let (mut mpi, call) = (world.proc(rank), call.clone());
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                call(&mut mpi, ctx, &comm, false);
+                ctx.wait_until(align);
+                call(&mut mpi, ctx, &comm, true).then(|| ctx.now())
+            })
+        })
+        .collect();
     let run = sim.run();
     assert!(
         run.is_clean(),
         "aligned collective deadlocked: {:?}",
         run.deadlocked
     );
-    let us = (*last.lock() - align).as_us();
+    let last = ranks.iter_mut().filter_map(|r| r.take().flatten()).max();
+    let us = (last.expect("a rank returned") - align).as_us();
     (us, run, sim.recorder_arc())
 }
 

@@ -48,6 +48,10 @@
 //! assert_eq!(report.end_time, us(3));
 //! ```
 //!
+//! What a body returns comes back through the [`Spawned`] handle `spawn`
+//! hands out, once the body has returned: a process that measures
+//! something returns it rather than writing it into shared state.
+//!
 //! A process that blocks until something happens takes a [`Ticket`] on
 //! the [`Signal`] that announces it *before* it checks whether it has
 //! happened, and waits on the ticket once the check has found nothing
@@ -182,7 +186,7 @@ pub mod queue;
 pub mod rng;
 
 pub use event::{Then, INLINE_BYTES};
-pub use process::{ProcCtx, ProcId, RoundGuard, Sample};
+pub use process::{ProcCtx, RoundGuard, Sample, Spawned};
 pub use sched::{Link, Reserved, SimHandle};
 pub use signal::{Signal, Ticket};
 pub use sim::{RunReport, Simulation};

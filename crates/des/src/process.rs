@@ -36,7 +36,20 @@ use crate::time::Time;
 
 /// Identifies a process within one [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProcId(pub usize);
+pub(crate) struct ProcId(pub usize);
+
+/// A spawned process's value: what its body returned, stored once on the
+/// process's own thread as the body returns (its last charge settled).
+pub struct Spawned<R>(Arc<OnceLock<R>>);
+
+impl<R> Spawned<R> {
+    /// The body's value, once: `None` while the body is blocked, and for
+    /// one left deadlocked or unwound (at a horizon, or by the world's drop).
+    pub fn take(&mut self) -> Option<R> {
+        // The process's thread lets go of its share once it has stored.
+        Arc::get_mut(&mut self.0)?.take()
+    }
+}
 
 /// [`ProcShared`] state: the process is waiting for the baton.
 const PARKED: u8 = 0;
@@ -324,12 +337,6 @@ impl ProcCtx {
     #[inline]
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// This process's id.
-    #[inline]
-    pub fn id(&self) -> ProcId {
-        self.id
     }
 
     /// This process's name (as given to `spawn`).
@@ -673,13 +680,13 @@ impl ProcCtx {
     }
 
     /// Spawn a sibling process starting at the current virtual time.
-    pub fn spawn(
+    pub fn spawn<R: Send + Sync + 'static>(
         &mut self,
         name: impl Into<String>,
-        body: impl FnOnce(&mut ProcCtx) + Send + 'static,
-    ) -> ProcId {
+        body: impl FnOnce(&mut ProcCtx) -> R + Send + 'static,
+    ) -> Spawned<R> {
         self.settle();
-        spawn_process(&self.sched, name.into(), self.now, Box::new(body))
+        spawn_process(&self.sched, name.into(), self.now, body)
     }
 
     /// The simulation's observability recorder, for instrumenting layer
@@ -739,14 +746,28 @@ impl ProcCtx {
 
 type ProcBody = Box<dyn FnOnce(&mut ProcCtx) + Send + 'static>;
 
-/// Create the thread for a new process and schedule its first resumption
-/// at `start`. Shared between `Simulation::spawn` and `ProcCtx::spawn`.
-pub(crate) fn spawn_process(
+/// Start a process whose body's value goes to the returned handle.
+/// Shared between `Simulation::spawn` and `ProcCtx::spawn`.
+pub(crate) fn spawn_process<R: Send + Sync + 'static>(
     sched: &Arc<SchedShared>,
     name: String,
     start: Time,
-    body: ProcBody,
-) -> ProcId {
+    body: impl FnOnce(&mut ProcCtx) -> R + Send + 'static,
+) -> Spawned<R> {
+    let value = Arc::new(OnceLock::new());
+    let slot = Arc::clone(&value);
+    let body: ProcBody = Box::new(move |ctx| {
+        let out = body(ctx);
+        ctx.settle(); // the run ends no earlier than its last charge
+        let _ = slot.set(out);
+    });
+    start_process(sched, name, start, body);
+    Spawned(value)
+}
+
+/// Create the thread for a new process and schedule its first resumption
+/// at `start`. Not generic, so the thread's code is compiled once.
+fn start_process(sched: &Arc<SchedShared>, name: String, start: Time, body: ProcBody) {
     sched.assert_settled("scheduling");
     let mut core = sched.core();
     let id = ProcId(core.procs.len());
@@ -772,10 +793,7 @@ pub(crate) fn spawn_process(
                 shared: thread_shared,
                 sched: thread_sched,
             };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                body(&mut ctx);
-                ctx.settle(); // the run ends no earlier than its last charge
-            }));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
             let why = match result {
                 Ok(()) => Returned::Finished(id),
                 Err(payload) => {
@@ -810,5 +828,4 @@ pub(crate) fn spawn_process(
         waiting: 0,
     });
     core.agenda.push(start, WakeWhat::Resume(id));
-    id
 }

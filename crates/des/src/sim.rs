@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::process::{spawn_process, ProcCtx, ProcId, ABORT};
+use crate::process::{spawn_process, ProcCtx, ProcId, Spawned, ABORT};
 use crate::sched::{Baton, PendingQueue, Returned, SchedShared, SimHandle};
 use crate::time::Time;
 use obs::TraceEntry;
@@ -98,23 +98,36 @@ impl Simulation {
         }
     }
 
-    /// Add a process starting at virtual time 0.
-    pub fn spawn(
+    /// Add a process starting at virtual time 0; after a run, its handle
+    /// gives what the body returned:
+    ///
+    /// ```
+    /// use des::{Simulation, us};
+    ///
+    /// let mut sim = Simulation::new();
+    /// let mut rank = sim.spawn("rank", |ctx| {
+    ///     ctx.advance(us(3));
+    ///     ctx.now()
+    /// });
+    /// sim.run();
+    /// assert_eq!(rank.take(), Some(us(3)));
+    /// ```
+    pub fn spawn<R: Send + Sync + 'static>(
         &mut self,
         name: impl Into<String>,
-        body: impl FnOnce(&mut ProcCtx) + Send + 'static,
-    ) -> ProcId {
-        spawn_process(&self.sched, name.into(), 0, Box::new(body))
+        body: impl FnOnce(&mut ProcCtx) -> R + Send + 'static,
+    ) -> Spawned<R> {
+        spawn_process(&self.sched, name.into(), 0, body)
     }
 
     /// Add a process whose first instruction executes at virtual time `start`.
-    pub fn spawn_at(
+    pub fn spawn_at<R: Send + Sync + 'static>(
         &mut self,
         start: Time,
         name: impl Into<String>,
-        body: impl FnOnce(&mut ProcCtx) + Send + 'static,
-    ) -> ProcId {
-        spawn_process(&self.sched, name.into(), start, Box::new(body))
+        body: impl FnOnce(&mut ProcCtx) -> R + Send + 'static,
+    ) -> Spawned<R> {
+        spawn_process(&self.sched, name.into(), start, body)
     }
 
     /// Run until the pending queue drains. Panics (propagating the message)
@@ -443,12 +456,12 @@ mod tests {
         // one by hand — which is why the test lives here and not under
         // `tests/`. The entry must be skipped by whichever thread pops it.
         let mut sim = Simulation::new();
-        let done = sim.spawn("done", |_| {});
+        sim.spawn("done", |_| {});
         sim.spawn("popper", |ctx| {
             ctx.advance(10); // pops the stale entry at t=5 on this thread
             assert_eq!(ctx.now(), 10);
         });
-        sim.sched.push(5, crate::sched::WakeWhat::Resume(done));
+        sim.sched.push(5, crate::sched::WakeWhat::Resume(ProcId(0)));
         let report = sim.run();
         assert!(report.is_clean());
         assert_eq!(report.end_time, 10);
@@ -459,20 +472,88 @@ mod tests {
     #[test]
     fn nested_spawn_starts_at_parent_time() {
         let mut sim = Simulation::new();
-        let end = Arc::new(Mutex::new(0));
-        let end2 = Arc::clone(&end);
-        sim.spawn("parent", move |ctx| {
+        let mut parent = sim.spawn("parent", move |ctx| {
             ctx.advance(us(4));
-            let end3 = Arc::clone(&end2);
-            ctx.spawn("child", move |c| {
+            let mut child = ctx.spawn("child", move |c| {
                 assert_eq!(c.now(), us(4));
                 c.advance(us(1));
-                *end3.lock() = c.now();
+                c.now()
             });
+            assert_eq!(child.take(), None, "the child has not run yet");
+            ctx.advance(us(2));
+            child.take()
         });
         let report = sim.run();
         assert!(report.is_clean());
-        assert_eq!(*end.lock(), us(5));
+        assert_eq!(
+            parent.take(),
+            Some(Some(us(5))),
+            "read by the parent once it ended"
+        );
+    }
+
+    #[test]
+    fn a_returned_body_gives_its_value_once() {
+        let mut sim = Simulation::new();
+        let mut rank = sim.spawn("rank", |ctx| {
+            ctx.charge(us(2)); // settled before the value is stored
+            (ctx.now(), vec![1u8, 2])
+        });
+        assert_eq!(rank.take(), None, "not run yet");
+        assert_eq!(sim.run().end_time, us(2));
+        assert_eq!(rank.take(), Some((us(2), vec![1, 2])));
+        assert_eq!(rank.take(), None, "taken");
+    }
+
+    #[test]
+    fn a_body_blocked_at_the_horizon_gives_its_value_when_a_later_run_ends_it() {
+        let mut sim = Simulation::new();
+        let mut long = sim.spawn("long", |ctx| {
+            ctx.advance(us(50));
+            7u32
+        });
+        assert!(sim.run_until(us(10)).is_clean());
+        assert_eq!(long.take(), None, "asleep past the horizon");
+        sim.run();
+        assert_eq!(long.take(), Some(7));
+    }
+
+    #[test]
+    fn a_deadlocked_or_dropped_body_gives_none() {
+        let mut sim = Simulation::new();
+        let sig = sim.handle().new_signal();
+        let mut stuck = sim.spawn("stuck", move |ctx| {
+            let ticket = ctx.ticket(&sig);
+            ctx.wait(ticket); // never notified
+            1u32
+        });
+        let mut cut = sim.spawn("cut", |ctx| {
+            ctx.advance(us(50));
+            2u32
+        });
+        sim.run_until(us(10));
+        drop(sim); // unwinds both
+        assert_eq!((stuck.take(), cut.take()), (None, None));
+
+        let mut sim = Simulation::new();
+        let sig = sim.handle().new_signal();
+        let mut stuck = sim.spawn("stuck", move |ctx| {
+            let ticket = ctx.ticket(&sig);
+            ctx.wait(ticket);
+        });
+        assert_eq!(sim.run().deadlocked, ["stuck"]);
+        assert_eq!(stuck.take(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated process 'boom' panicked: exploded")]
+    fn a_panicking_body_with_a_value_still_panics_the_run() {
+        let mut sim = Simulation::new();
+        let _boom = sim.spawn("boom", |ctx| -> u32 {
+            ctx.advance(1);
+            panic!("exploded");
+        });
+        sim.run();
     }
 
     #[test]

@@ -311,18 +311,15 @@ mod tests {
         let mut sim = Simulation::new();
         let net = TcpNet::new(&sim.handle(), spec, costs);
         let (a, b) = net.socket_pair(0, 1);
-        let done = Arc::new(Mutex::new(0u64));
-        let done2 = Arc::clone(&done);
         let payload = vec![7u8; len];
         sim.spawn("a", move |ctx| a.send(ctx, &payload));
-        sim.spawn("b", move |ctx| {
+        let mut b = sim.spawn("b", move |ctx| {
             let m = b.recv(ctx);
             assert_eq!(m.len(), len);
-            *done2.lock() = ctx.now();
+            ctx.now()
         });
         assert!(sim.run().is_clean());
-        let t = *done.lock();
-        t.as_us()
+        b.take().unwrap().as_us()
     }
 
     #[test]
@@ -474,18 +471,16 @@ mod tests {
                     a.send(ctx, &payload);
                 }
             });
-            let done = Arc::new(Mutex::new(0u64));
-            let done2 = Arc::clone(&done);
-            sim.spawn("b", move |ctx| {
+            let mut b = sim.spawn("b", move |ctx| {
                 let mut got = 0;
                 while got < total {
                     got += b.recv(ctx).len();
                 }
-                *done2.lock() = ctx.now();
+                ctx.now()
             });
             let report = sim.run();
             assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-            let t = *done.lock();
+            let t = b.take().unwrap();
             total as f64 / (t as f64 / 1e9) / 1e6
         };
         let unlimited = stream(None);

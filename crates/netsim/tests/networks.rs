@@ -4,24 +4,19 @@
 
 use des::{Simulation, Time, TimeExt};
 use netsim::{NetSpec, TcpCosts, TcpNet};
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 fn tcp_one_way(spec: NetSpec, costs: TcpCosts, len: usize) -> Time {
     let mut sim = Simulation::new();
     let net = TcpNet::new(&sim.handle(), spec, costs);
     let (a, b) = net.socket_pair(0, 1);
-    let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-    let done2 = Arc::clone(&done);
     let payload = vec![0u8; len];
     sim.spawn("a", move |ctx| a.send(ctx, &payload));
-    sim.spawn("b", move |ctx| {
+    let mut b = sim.spawn("b", move |ctx| {
         let _ = b.recv(ctx);
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     assert!(sim.run().is_clean());
-    let t = *done.lock();
-    t
+    b.take().unwrap()
 }
 
 #[test]
@@ -71,22 +66,23 @@ fn switch_contention_serializes_same_destination_flows() {
             TcpCosts::fast_ethernet(),
         );
         let payload = vec![0u8; 64 * 1024];
-        let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
+        let mut receivers = Vec::new();
         for src in 0..2usize {
             let dst = if same_dst { 2 } else { 2 + src };
             let (tx, rx) = net.socket_pair(src, dst);
             let p = payload.clone();
             sim.spawn(format!("tx{src}"), move |ctx| tx.send(ctx, &p));
-            let done2 = Arc::clone(&done);
-            sim.spawn(format!("rx{src}"), move |ctx| {
+            receivers.push(sim.spawn(format!("rx{src}"), move |ctx| {
                 let _ = rx.recv(ctx);
-                let mut d = done2.lock();
-                *d = (*d).max(ctx.now());
-            });
+                ctx.now()
+            }));
         }
         assert!(sim.run().is_clean());
-        let t = *done.lock();
-        t
+        receivers
+            .iter_mut()
+            .filter_map(|r| r.take())
+            .max()
+            .expect("a rank returned")
     };
     let contended = run(true);
     let spread = run(false);
@@ -110,14 +106,11 @@ fn myrinet_api_duplex_streams_share_no_wire() {
         let net = TcpNet::new(&sim.handle(), NetSpec::myrinet(2), TcpCosts::myrinet_api());
         let (a, b) = net.socket_pair(0, 1);
         let len = 64 * 1024;
-        let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-        let d1 = Arc::clone(&done);
-        sim.spawn("a", move |ctx| {
+        let mut a = sim.spawn("a", move |ctx| {
             a.send(ctx, &vec![1u8; len]);
             let m = a.recv(ctx);
             assert!(!duplex || m.len() == len);
-            let mut d = d1.lock();
-            *d = (*d).max(ctx.now());
+            ctx.now()
         });
         sim.spawn("b", move |ctx| {
             if duplex {
@@ -129,8 +122,7 @@ fn myrinet_api_duplex_streams_share_no_wire() {
             assert_eq!(m.len(), len);
         });
         assert!(sim.run().is_clean());
-        let t = *done.lock();
-        t
+        a.take().unwrap()
     };
     let one_way = run(false);
     let duplex = run(true);

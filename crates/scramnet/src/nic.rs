@@ -474,9 +474,7 @@ mod tests {
             ctx.advance(des::us(9));
             tx.write_word(ctx, 13, 5);
         });
-        let seen = std::sync::Arc::new(parking_lot::Mutex::new(None));
-        let seen2 = std::sync::Arc::clone(&seen);
-        sim.spawn("rx", move |ctx| {
+        let mut seen = sim.spawn("rx", move |ctx| {
             let looks: Vec<_> = (8..16).map(|addr| (addr, 0)).collect();
             let written_out = |ctx: &mut des::ProcCtx| {
                 looks.iter().enumerate().find_map(|(i, &(addr, expected))| {
@@ -513,11 +511,11 @@ mod tests {
                     break hit;
                 }
             };
-            *seen2.lock() = Some((hit, ctx.now()));
+            (hit, ctx.now())
         });
         let report = sim.run();
         assert!(report.is_clean());
-        let (hit, at) = seen.lock().expect("the sweep ended");
+        let (hit, at) = seen.take().expect("the sweep ended");
         let mut tracks: BTreeMap<Track, Vec<Event>> = BTreeMap::new();
         for event in sim.recorder().take_events() {
             tracks.entry(event.track()).or_default().push(event);

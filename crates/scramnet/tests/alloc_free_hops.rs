@@ -19,7 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use des::{ProcCtx, Simulation, Time};
 use scramnet::{CostModel, Nic, Ring, RingConfig};
@@ -108,20 +108,17 @@ fn paced_pio_write_allocs() -> [u64; 2] {
     let mut sim = Simulation::new();
     let ring = Ring::new(&sim.handle(), 4, 256, CostModel::default());
     let nic = ring.nic(0);
-    let counts = Arc::new(Mutex::new([0; 2]));
-    let out = Arc::clone(&counts);
-    sim.spawn("writer", move |ctx| {
+    let mut writer = sim.spawn("writer", move |ctx| {
         let mut counted = [0; 2];
         for (kind, block) in [false, true].into_iter().enumerate() {
             batch(ctx, &nic, block);
             counted[kind] = batch(ctx, &nic, block);
         }
-        *out.lock().unwrap() = counted;
+        counted
     });
     assert!(sim.run().is_clean());
     assert_eq!(ring.stats().injections as usize, 4 * WRITES);
-    let counted = *counts.lock().unwrap();
-    counted
+    writer.take().unwrap()
 }
 
 /// Allocations made by `WRITES` paced writes of a process on node 0 of a
@@ -142,9 +139,7 @@ fn paced_multi_run_allocs(bypassed: &[usize], cut: &[usize], reached: &[usize]) 
     bypassed.iter().for_each(|&node| ring.bypass_node(node));
     cut.iter().for_each(|&link| ring.break_link(link));
     let nic = ring.nic(0);
-    let count = Arc::new(Mutex::new(0));
-    let out = Arc::clone(&count);
-    sim.spawn("writer", move |ctx| {
+    let mut writer = sim.spawn("writer", move |ctx| {
         let batch = |ctx: &mut ProcCtx| {
             let before = ALLOCS.load(Ordering::SeqCst);
             for i in 0..WRITES {
@@ -158,7 +153,7 @@ fn paced_multi_run_allocs(bypassed: &[usize], cut: &[usize], reached: &[usize]) 
             ALLOCS.load(Ordering::SeqCst) - before
         };
         batch(ctx);
-        *out.lock().unwrap() = batch(ctx);
+        batch(ctx)
     });
     assert!(sim.run().is_clean());
     for node in 1..16 {
@@ -170,8 +165,7 @@ fn paced_multi_run_allocs(bypassed: &[usize], cut: &[usize], reached: &[usize]) 
         };
         assert_eq!(got, want, "node {node}");
     }
-    let counted = *count.lock().unwrap();
-    counted
+    writer.take().unwrap()
 }
 
 /// Packets a burst sources from one event, one- and eight-word packets

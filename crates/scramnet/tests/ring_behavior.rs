@@ -4,7 +4,6 @@
 //! delivered stream of every node against the schedule that drove it.
 
 use des::{ms, us, Simulation, Time};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use scramnet::{CostModel, Delivery, Ring, RingConfig, TxMode, Word, WordAddr};
 use std::sync::Arc;
@@ -216,16 +215,15 @@ fn interrupt_storm_delivers_one_notification_per_write() {
     let tx = ring.nic(0);
     let sig = sim.handle().new_signal();
     rx.watch(0..8, sig.clone());
-    let wakeups = Arc::new(Mutex::new(0u32));
-    let wakeups2 = Arc::clone(&wakeups);
-    sim.spawn("rx", move |ctx| {
+    let mut rx = sim.spawn("rx", move |ctx| {
         // Consume wake-ups until quiet for a while.
+        let mut wakeups = 0u64;
         loop {
             let ticket = ctx.ticket(&sig);
             ctx.wait(ticket);
-            *wakeups2.lock() += 1;
+            wakeups += 1;
             if ctx.now() > ms(1) {
-                break;
+                return wakeups;
             }
         }
     });
@@ -240,6 +238,7 @@ fn interrupt_storm_delivers_one_notification_per_write() {
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
     assert_eq!(ring.stats().interrupts, 6);
+    assert_eq!(rx.take(), Some(6), "one wake-up per write");
 }
 
 #[test]

@@ -145,9 +145,7 @@ impl BakeryHandle {
 mod tests {
     use super::*;
     use des::Simulation;
-    use parking_lot::Mutex;
     use scramnet::{CostModel, Ring};
-    use std::sync::Arc;
 
     /// N processes hammer a critical section; verify mutual exclusion by
     /// interval disjointness and progress by total count.
@@ -155,26 +153,28 @@ mod tests {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), n, 64, CostModel::default());
         let lock = BakeryLock::layout(0, n);
-        let intervals: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        for node in 0..n {
-            let mut h = lock.handle(ring.nic(node));
-            let intervals = Arc::clone(&intervals);
-            sim.spawn(format!("p{node}"), move |ctx| {
-                for r in 0..rounds {
-                    // Desynchronize arrivals.
-                    ctx.advance(think_ns * ((node + r) as u64 % 5 + 1));
-                    h.lock(ctx);
-                    let t_in = ctx.now();
-                    ctx.advance(2_000); // critical section work
-                    let t_out = ctx.now();
-                    h.unlock(ctx);
-                    intervals.lock().push((t_in, t_out));
-                }
-            });
-        }
+        let mut procs: Vec<_> = (0..n)
+            .map(|node| {
+                let mut h = lock.handle(ring.nic(node));
+                sim.spawn(format!("p{node}"), move |ctx| {
+                    let mut intervals = Vec::new();
+                    for r in 0..rounds {
+                        // Desynchronize arrivals.
+                        ctx.advance(think_ns * ((node + r) as u64 % 5 + 1));
+                        h.lock(ctx);
+                        let t_in = ctx.now();
+                        ctx.advance(2_000); // critical section work
+                        let t_out = ctx.now();
+                        h.unlock(ctx);
+                        intervals.push((t_in, t_out));
+                    }
+                    intervals
+                })
+            })
+            .collect();
         let report = sim.run();
         assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-        let mut iv = intervals.lock().clone();
+        let mut iv: Vec<_> = procs.iter_mut().flat_map(|p| p.take().unwrap()).collect();
         assert_eq!(iv.len(), n * rounds, "every acquisition completed");
         iv.sort_unstable();
         for w in iv.windows(2) {
@@ -208,16 +208,15 @@ mod tests {
         let ring = Ring::new(&sim.handle(), 2, 64, CostModel::default());
         let lock = BakeryLock::layout(0, 2);
         let mut h = lock.handle(ring.nic(0));
-        let took = Arc::new(Mutex::new(0u64));
-        let took2 = Arc::clone(&took);
-        sim.spawn("p0", move |ctx| {
+        let mut p0 = sim.spawn("p0", move |ctx| {
             let t0 = ctx.now();
             h.lock(ctx);
-            *took2.lock() = ctx.now() - t0;
+            let took = ctx.now() - t0;
             h.unlock(ctx);
+            took
         });
         assert!(sim.run().is_clean());
-        let t = *took.lock();
+        let t = p0.take().unwrap();
         // Doorway (~2 reads + 3 writes + peer scan) plus the mandatory
         // 2×propagation settle — the inherent price of mutual exclusion
         // on reflective memory, and part of why the paper's message

@@ -91,9 +91,7 @@ impl SenseBarrierHandle {
 mod tests {
     use super::*;
     use des::Simulation;
-    use parking_lot::Mutex;
     use scramnet::{CostModel, Ring};
-    use std::sync::Arc;
 
     #[test]
     fn no_one_exits_before_the_last_arrival() {
@@ -101,22 +99,21 @@ mod tests {
         let n = 4;
         let ring = Ring::new(&sim.handle(), n, 64, CostModel::default());
         let b = SenseBarrier::layout(0, n);
-        let enters = Arc::new(Mutex::new(Vec::new()));
-        let exits = Arc::new(Mutex::new(Vec::new()));
-        for node in 0..n {
-            let mut h = b.handle(ring.nic(node));
-            let enters = Arc::clone(&enters);
-            let exits = Arc::clone(&exits);
-            sim.spawn(format!("p{node}"), move |ctx| {
-                ctx.wait_until(des::us(37 * node as u64));
-                enters.lock().push(ctx.now());
-                h.wait(ctx);
-                exits.lock().push(ctx.now());
-            });
-        }
+        let mut procs: Vec<_> = (0..n)
+            .map(|node| {
+                let mut h = b.handle(ring.nic(node));
+                sim.spawn(format!("p{node}"), move |ctx| {
+                    ctx.wait_until(des::us(37 * node as u64));
+                    let entered = ctx.now();
+                    h.wait(ctx);
+                    (entered, ctx.now())
+                })
+            })
+            .collect();
         assert!(sim.run().is_clean());
-        let last_in = *enters.lock().iter().max().unwrap();
-        let first_out = *exits.lock().iter().min().unwrap();
+        let (enters, exits): (Vec<_>, Vec<_>) = procs.iter_mut().map(|p| p.take().unwrap()).unzip();
+        let last_in = *enters.iter().max().unwrap();
+        let first_out = *exits.iter().min().unwrap();
         assert!(first_out >= last_in, "{first_out} < {last_in}");
     }
 
@@ -126,26 +123,28 @@ mod tests {
         let n = 3;
         let ring = Ring::new(&sim.handle(), n, 64, CostModel::default());
         let b = SenseBarrier::layout(8, n);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for node in 0..n {
-            let mut h = b.handle(ring.nic(node));
-            let log = Arc::clone(&log);
-            sim.spawn(format!("p{node}"), move |ctx| {
-                for round in 0..5u32 {
-                    ctx.advance(1_000 * (node as u64 + 1));
-                    h.wait(ctx);
-                    log.lock().push((round, node, ctx.now()));
-                }
-                assert_eq!(h.epoch(), 5);
-            });
-        }
+        let mut procs: Vec<_> = (0..n)
+            .map(|node| {
+                let mut h = b.handle(ring.nic(node));
+                sim.spawn(format!("p{node}"), move |ctx| {
+                    let mut log = Vec::new();
+                    for round in 0..5u32 {
+                        ctx.advance(1_000 * (node as u64 + 1));
+                        h.wait(ctx);
+                        log.push((round, node, ctx.now()));
+                    }
+                    assert_eq!(h.epoch(), 5);
+                    log
+                })
+            })
+            .collect();
         assert!(sim.run().is_clean());
         // No process exits round r+1 before every process entered round
         // r+1, which in turn is after it exited round r: rounds can
         // overlap in wall-clock (a fast process runs ahead) but each
         // process's own log must be strictly ordered and all exits of
         // round r must precede the LAST exit of round r+1.
-        let log = log.lock();
+        let log: Vec<_> = procs.iter_mut().flat_map(|p| p.take().unwrap()).collect();
         for r in 0..4u32 {
             let min_r = log.iter().filter(|e| e.0 == r).map(|e| e.2).min().unwrap();
             let max_next = log

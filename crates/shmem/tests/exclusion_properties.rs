@@ -3,11 +3,8 @@
 //! exclusion, barrier epoch integrity and counter convergence, with the
 //! wire-level single-writer audit running underneath everything.
 
-use std::sync::Arc;
-
 use des::rng::SimRng;
 use des::Simulation;
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use scramnet::{CostModel, Ring};
 use shmem::{BakeryLock, DistributedCounter, SenseBarrier};
@@ -24,12 +21,12 @@ proptest! {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), n, 64, CostModel::default());
         let lock = BakeryLock::layout(0, n);
-        let intervals: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut procs = Vec::with_capacity(n);
         for node in 0..n {
             let mut h = lock.handle(ring.nic(node));
-            let intervals = Arc::clone(&intervals);
-            sim.spawn(format!("p{node}"), move |ctx| {
+            procs.push(sim.spawn(format!("p{node}"), move |ctx| {
                 let mut rng = SimRng::seeded(seed ^ (node as u64).wrapping_mul(0x9E37_79B9));
+                let mut intervals = Vec::with_capacity(rounds);
                 for _ in 0..rounds {
                     ctx.advance(rng.below(20_000));
                     h.lock(ctx);
@@ -37,13 +34,14 @@ proptest! {
                     ctx.advance(rng.below(3_000) + 1);
                     let t_out = ctx.now();
                     h.unlock(ctx);
-                    intervals.lock().push((t_in, t_out));
+                    intervals.push((t_in, t_out));
                 }
-            });
+                intervals
+            }));
         }
         let report = sim.run();
         prop_assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-        let mut iv = intervals.lock().clone();
+        let mut iv: Vec<_> = procs.iter_mut().flat_map(|p| p.take().unwrap()).collect();
         prop_assert_eq!(iv.len(), n * rounds);
         iv.sort_unstable();
         for w in iv.windows(2) {
@@ -61,31 +59,30 @@ proptest! {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), n, 64, CostModel::default());
         let b = SenseBarrier::layout(0, n);
-        let exits: Arc<Mutex<Vec<(usize, u32, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let enters: Arc<Mutex<Vec<(u32, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        // Each process returns when it entered and left each epoch.
+        let mut procs = Vec::with_capacity(n);
         for node in 0..n {
             let mut h = b.handle(ring.nic(node));
-            let exits = Arc::clone(&exits);
-            let enters = Arc::clone(&enters);
-            sim.spawn(format!("p{node}"), move |ctx| {
+            procs.push(sim.spawn(format!("p{node}"), move |ctx| {
                 let mut rng = SimRng::seeded(seed ^ node as u64);
-                for e in 0..epochs as u32 {
+                let mut visits = Vec::with_capacity(epochs);
+                for _ in 0..epochs {
                     ctx.advance(rng.below(30_000));
-                    enters.lock().push((e, ctx.now()));
+                    let entered = ctx.now();
                     h.wait(ctx);
-                    exits.lock().push((node, e, ctx.now()));
+                    visits.push((entered, ctx.now()));
                 }
-            });
+                visits
+            }));
         }
         let report = sim.run();
         prop_assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
         // Barrier property per epoch: nobody exits epoch e before the
         // last process entered epoch e.
-        let exits = exits.lock();
-        let enters = enters.lock();
-        for e in 0..epochs as u32 {
-            let last_enter = enters.iter().filter(|x| x.0 == e).map(|x| x.1).max().unwrap();
-            let first_exit = exits.iter().filter(|x| x.1 == e).map(|x| x.2).min().unwrap();
+        let visits: Vec<_> = procs.iter_mut().map(|p| p.take().unwrap()).collect();
+        for e in 0..epochs {
+            let last_enter = visits.iter().map(|v| v[e].0).max().unwrap();
+            let first_exit = visits.iter().map(|v| v[e].1).min().unwrap();
             prop_assert!(first_exit >= last_enter, "epoch {} leaked", e);
         }
     }

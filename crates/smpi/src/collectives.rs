@@ -646,31 +646,28 @@ pub(crate) fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use parking_lot::Mutex;
-
     use super::*;
 
     #[test]
     fn point_to_point_barriers_leave_no_request_behind() {
         let mut sim = des::Simulation::new();
         let world = crate::MpiWorld::scramnet(&sim.handle(), 4);
-        let held = Arc::new(Mutex::new(vec![usize::MAX; 4]));
-        for rank in 0..4 {
-            let mut mpi = world.proc(rank);
-            let held = Arc::clone(&held);
-            sim.spawn(format!("rank{rank}"), move |ctx| {
-                let comm = mpi.comm_world();
-                let comm = comm.with_collectives(CollectiveImpl::PointToPoint);
-                for _ in 0..100 {
-                    mpi.barrier(ctx, &comm);
-                }
-                held.lock()[rank] = mpi.adi.requests_held();
-            });
-        }
+        let mut ranks: Vec<_> = (0..4)
+            .map(|rank| {
+                let mut mpi = world.proc(rank);
+                sim.spawn(format!("rank{rank}"), move |ctx| {
+                    let comm = mpi.comm_world();
+                    let comm = comm.with_collectives(CollectiveImpl::PointToPoint);
+                    for _ in 0..100 {
+                        mpi.barrier(ctx, &comm);
+                    }
+                    mpi.adi.requests_held()
+                })
+            })
+            .collect();
         assert!(sim.run().is_clean());
-        assert_eq!(*held.lock(), [0; 4], "requests each rank still holds");
+        let held: Vec<_> = ranks.iter_mut().map(|r| r.take().unwrap()).collect();
+        assert_eq!(held, [0; 4], "requests each rank still holds");
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! typed `PeerFailed` / `Revoked` errors, survivor-to-survivor traffic
 //! that keeps working, cancellable collectives, and shrink recovery.
 
-use std::sync::{Arc, Mutex};
-
 use des::{ms, us, Simulation, Time};
 use smpi::{MpiError, MpiWorld};
 
@@ -86,30 +84,30 @@ fn collective_entered_before_detection_fails_typed_for_every_live_caller() {
     let world = dying_world(&sim);
     sim.spawn("rank3", victim(world.proc(3)));
 
-    let errors: Arc<Mutex<Vec<(usize, MpiError)>>> = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..3 {
-        let mut mpi = world.proc(rank);
-        let errors = Arc::clone(&errors);
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            // Enter the barrier while the detector still believes the
-            // whole world is alive: the entry check passes and every
-            // survivor blocks inside the coordinator algorithm waiting
-            // for rank 3, which will never arrive.
-            ctx.wait_until(us(120));
-            assert_eq!(mpi.membership().unwrap().0, 0, "entered before detection");
-            let err = mpi.try_barrier(ctx, &comm).unwrap_err();
-            errors.lock().unwrap().push((rank, err));
-        });
-    }
+    let mut ranks: Vec<_> = (0..3)
+        .map(|rank| {
+            let mut mpi = world.proc(rank);
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                // Enter the barrier while the detector still believes the
+                // whole world is alive: the entry check passes and every
+                // survivor blocks inside the coordinator algorithm waiting
+                // for rank 3, which will never arrive.
+                ctx.wait_until(us(120));
+                assert_eq!(mpi.membership().unwrap().0, 0, "entered before detection");
+                mpi.try_barrier(ctx, &comm).unwrap_err()
+            })
+        })
+        .collect();
 
     assert!(sim.run().is_clean());
     // The one-epoch guarantee: every live caller got the same typed
     // failure instead of hanging.
-    let errors = errors.lock().unwrap();
-    assert_eq!(errors.len(), 3);
-    for (_, err) in errors.iter() {
-        assert_eq!(*err, MpiError::PeerFailed { rank: 3, epoch: 1 });
+    for rank in &mut ranks {
+        assert_eq!(
+            rank.take(),
+            Some(MpiError::PeerFailed { rank: 3, epoch: 1 })
+        );
     }
 }
 
@@ -119,26 +117,22 @@ fn revoke_interrupts_survivors_and_shrink_rebuilds_the_world() {
     let world = dying_world(&sim);
     sim.spawn("rank3", victim(world.proc(3)));
 
-    let final_epochs: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-
     // Rank 0 notices the failure first-hand and revokes the world.
     let mut mpi0 = world.proc(0);
-    let epochs0 = Arc::clone(&final_epochs);
-    sim.spawn("rank0", move |ctx| {
+    let mut ranks = vec![sim.spawn("rank0", move |ctx| {
         let comm = mpi0.comm_world();
         await_detection(ctx, &mut mpi0);
         mpi0.revoke(ctx, &comm);
         // Revocation is sticky locally as well.
         let err = mpi0.send(ctx, &comm, 1, 7, b"too late").unwrap_err();
         assert!(matches!(err, MpiError::Revoked { .. }));
-        recover(ctx, &mut mpi0, 0, &epochs0);
-    });
+        recover(ctx, &mut mpi0, 0)
+    })];
 
     // Ranks 1 and 2 learn about the revocation from rank 0's notice.
     for rank in [1usize, 2] {
         let mut mpi = world.proc(rank);
-        let epochs = Arc::clone(&final_epochs);
-        sim.spawn(format!("rank{rank}"), move |ctx| {
+        ranks.push(sim.spawn(format!("rank{rank}"), move |ctx| {
             let comm = mpi.comm_world();
             loop {
                 match mpi.iprobe(ctx, &comm, None, None) {
@@ -147,16 +141,12 @@ fn revoke_interrupts_survivors_and_shrink_rebuilds_the_world() {
                     Ok(_) => mpi.progress(ctx),
                 }
             }
-            recover(ctx, &mut mpi, rank, &epochs);
-        });
+            recover(ctx, &mut mpi, rank)
+        }));
     }
 
-    fn recover(
-        ctx: &mut des::ProcCtx,
-        mpi: &mut smpi::Mpi,
-        old_rank: usize,
-        epochs: &Mutex<Vec<u32>>,
-    ) {
+    /// Shrink, talk on the shrunken world; returns the epoch it ends in.
+    fn recover(ctx: &mut des::ProcCtx, mpi: &mut smpi::Mpi, old_rank: usize) -> u32 {
         let comm = mpi.comm_world();
         let shrunk = mpi.shrink(ctx, &comm).expect("survivors shrink");
         // Dense re-ranking: world ranks 0,1,2 keep their order.
@@ -175,11 +165,11 @@ fn revoke_interrupts_survivors_and_shrink_rebuilds_the_world() {
             _ => {}
         }
         mpi.try_barrier(ctx, &shrunk).expect("shrunken barrier");
-        epochs.lock().unwrap().push(mpi.membership().unwrap().0);
+        mpi.membership().unwrap().0
     }
 
     assert!(sim.run().is_clean());
-    let epochs = final_epochs.lock().unwrap();
+    let epochs: Vec<u32> = ranks.iter_mut().filter_map(|r| r.take()).collect();
     assert_eq!(epochs.len(), 3);
     assert!(epochs.iter().all(|&e| e == epochs[0] && e > 0));
 }

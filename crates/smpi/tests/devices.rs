@@ -4,9 +4,7 @@
 
 use des::{Simulation, Time};
 use netsim::{NetSpec, TcpCosts, TcpNet};
-use parking_lot::Mutex;
 use smpi::{Device, HybridDevice, TcpDevice};
-use std::sync::Arc;
 
 fn tcp_device_pairs(sim: &Simulation, hosts: usize) -> Vec<Device> {
     let net = TcpNet::new(
@@ -71,22 +69,20 @@ fn tcp_device_round_robin_serves_all_peers() {
             }
         });
     }
-    let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-    let order2 = Arc::clone(&order);
-    sim.spawn("rx", move |ctx| {
+    let mut rx = sim.spawn("rx", move |ctx| {
         ctx.wait_until(des::ms(5)); // let everything arrive first
-        let mut got = 0;
-        while got < 16 {
+        let mut order = Vec::new();
+        while order.len() < 16 {
             if let Some((src, _)) = d0.try_recv_frame(ctx) {
-                order2.lock().push(src);
-                got += 1;
+                order.push(src);
             } else {
                 ctx.advance(1_000);
             }
         }
+        order
     });
     assert!(sim.run().is_clean());
-    let order = order.lock();
+    let order = rx.take().unwrap();
     // With both queues full, RR must alternate: no source appears three
     // times consecutively.
     for w in order.windows(3) {
@@ -166,24 +162,25 @@ fn hybrid_device_mixed_sizes_stay_ordered_at_device_level() {
             tx.send_frame(ctx, 1, &frame).unwrap();
         }
     });
-    let seen: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let seen2 = Arc::clone(&seen);
-    sim.spawn("rx", move |ctx| {
-        let mut got = 0;
-        while got < 20 {
+    let mut rx = sim.spawn("rx", move |ctx| {
+        let mut seen = Vec::new();
+        while seen.len() < 20 {
             if let Some((_, frame)) = rx.try_recv_frame(ctx) {
-                seen2.lock().push(frame[0]);
-                got += 1;
+                seen.push(frame[0]);
             } else {
                 ctx.advance(2_000);
             }
         }
+        seen
     });
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let seen = seen.lock();
     let expect: Vec<u8> = (0..20).collect();
-    assert_eq!(*seen, expect, "resequencer must restore send order");
+    assert_eq!(
+        rx.take().unwrap(),
+        expect,
+        "resequencer must restore send order"
+    );
 }
 
 /// The Myrinet-path timing matters: a tiny frame right behind a bulk one
@@ -196,25 +193,23 @@ fn small_frames_overtake_on_the_wire_but_deliver_in_order() {
     let net = myrinet_api(&sim);
     let mut tx = hybrid(&cluster, &net, 0, 256);
     let mut rx = hybrid(&cluster, &net, 1, 256);
-    let times: Arc<Mutex<Vec<(u8, Time)>>> = Arc::new(Mutex::new(Vec::new()));
-    let times2 = Arc::clone(&times);
     sim.spawn("tx", move |ctx| {
         tx.send_frame(ctx, 1, &vec![1u8; 8 * 1024]).unwrap(); // bulk
         tx.send_frame(ctx, 1, &[2u8; 8]).unwrap(); // tiny, right behind
     });
-    sim.spawn("rx", move |ctx| {
-        let mut got = 0;
-        while got < 2 {
+    let mut rx = sim.spawn("rx", move |ctx| {
+        let mut times: Vec<(u8, Time)> = Vec::new();
+        while times.len() < 2 {
             if let Some((_, frame)) = rx.try_recv_frame(ctx) {
-                times2.lock().push((frame[0], ctx.now()));
-                got += 1;
+                times.push((frame[0], ctx.now()));
             } else {
                 ctx.advance(2_000);
             }
         }
+        times
     });
     assert!(sim.run().is_clean());
-    let times = times.lock();
+    let times = rx.take().unwrap();
     assert_eq!(times[0].0, 1, "bulk first (order preserved)");
     assert_eq!(times[1].0, 2);
     assert!(times[1].1 >= times[0].1);

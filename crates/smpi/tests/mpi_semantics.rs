@@ -5,21 +5,24 @@
 
 use std::sync::Arc;
 
-use des::{Simulation, TimeExt};
-use parking_lot::Mutex;
+use des::{Simulation, Spawned, TimeExt};
 use smpi::{CollectiveImpl, MpiWorld, ReduceOp, ANY_SOURCE, ANY_TAG};
 
 /// Run `body(rank)` on every rank of a world; panics inside propagate.
-fn run_world<F>(world: &MpiWorld, sim: &mut Simulation, body: F)
+/// Returns each rank's handle on what its body returns.
+fn run_world<F, R>(world: &MpiWorld, sim: &mut Simulation, body: F) -> Vec<Spawned<R>>
 where
-    F: Fn(&mut smpi::Mpi, &mut des::ProcCtx) + Send + Sync + 'static,
+    F: Fn(&mut smpi::Mpi, &mut des::ProcCtx) -> R + Send + Sync + 'static,
+    R: Send + Sync + 'static,
 {
     let body = Arc::new(body);
-    for rank in 0..world.nprocs() {
-        let mut mpi = world.proc(rank);
-        let body = Arc::clone(&body);
-        sim.spawn(format!("rank{rank}"), move |ctx| body(&mut mpi, ctx));
-    }
+    (0..world.nprocs())
+        .map(|rank| {
+            let mut mpi = world.proc(rank);
+            let body = Arc::clone(&body);
+            sim.spawn(format!("rank{rank}"), move |ctx| body(&mut mpi, ctx))
+        })
+        .collect()
 }
 
 fn finish(mut sim: Simulation) {
@@ -237,24 +240,19 @@ fn barrier_actually_synchronizes() {
         let mut sim = Simulation::new();
         let mut world = MpiWorld::scramnet(&sim.handle(), 4);
         world.set_collectives(coll);
-        let entered = Arc::new(Mutex::new(Vec::new()));
-        let exited = Arc::new(Mutex::new(Vec::new()));
-        for rank in 0..4 {
-            let mut mpi = world.proc(rank);
-            let entered = Arc::clone(&entered);
-            let exited = Arc::clone(&exited);
-            sim.spawn(format!("rank{rank}"), move |ctx| {
-                let comm = mpi.comm_world();
-                // Stagger arrivals.
-                ctx.wait_until(des::us(50 * rank as u64));
-                entered.lock().push(ctx.now());
-                mpi.barrier(ctx, &comm);
-                exited.lock().push(ctx.now());
-            });
-        }
+        let mut ranks = run_world(&world, &mut sim, |mpi, ctx| {
+            let comm = mpi.comm_world();
+            // Stagger arrivals.
+            ctx.wait_until(des::us(50 * mpi.rank() as u64));
+            let entered = ctx.now();
+            mpi.barrier(ctx, &comm);
+            (entered, ctx.now())
+        });
         finish(sim);
-        let max_enter = *entered.lock().iter().max().unwrap();
-        let min_exit = *exited.lock().iter().min().unwrap();
+        let (entered, exited): (Vec<_>, Vec<_>) =
+            ranks.iter_mut().map(|r| r.take().unwrap()).unzip();
+        let max_enter = *entered.iter().max().unwrap();
+        let min_exit = *exited.iter().min().unwrap();
         assert!(
             min_exit >= max_enter,
             "{coll:?}: someone left ({}) before the last arrival ({})",
@@ -378,8 +376,6 @@ fn mpi_headline_latency_is_calibrated() {
     let one_way = |len: usize| {
         let mut sim = Simulation::new();
         let world = MpiWorld::scramnet(&sim.handle(), 2);
-        let done = Arc::new(Mutex::new(0u64));
-        let done2 = Arc::clone(&done);
         let payload = vec![0u8; len];
         let mut p0 = world.proc(0);
         let mut p1 = world.proc(1);
@@ -387,14 +383,13 @@ fn mpi_headline_latency_is_calibrated() {
             let comm = p0.comm_world();
             p0.send(ctx, &comm, 1, 0, &payload).unwrap();
         });
-        sim.spawn("rank1", move |ctx| {
+        let mut rank1 = sim.spawn("rank1", move |ctx| {
             let comm = p1.comm_world();
             let _ = p1.recv(ctx, &comm, Some(0), Some(0)).unwrap();
-            *done2.lock() = ctx.now();
+            ctx.now()
         });
         sim.run();
-        let t = *done.lock();
-        t.as_us()
+        rank1.take().unwrap().as_us()
     };
     let zero = one_way(0);
     let four = one_way(4);
@@ -553,14 +548,12 @@ fn plain_send_of_small_messages_does_not_synchronize() {
     // An eager send completes long before a late receiver shows up.
     let mut sim = Simulation::new();
     let world = MpiWorld::scramnet(&sim.handle(), 2);
-    let send_done_at = Arc::new(Mutex::new(0u64));
-    let s1 = Arc::clone(&send_done_at);
     let mut tx = world.proc(0);
     let mut rx = world.proc(1);
-    sim.spawn("tx", move |ctx| {
+    let mut send_done_at = sim.spawn("tx", move |ctx| {
         let comm = tx.comm_world();
         tx.send(ctx, &comm, 1, 1, b"eager").unwrap();
-        *s1.lock() = ctx.now();
+        ctx.now()
     });
     sim.spawn("rx", move |ctx| {
         let comm = rx.comm_world();
@@ -570,7 +563,7 @@ fn plain_send_of_small_messages_does_not_synchronize() {
     });
     finish(sim);
     assert!(
-        *send_done_at.lock() < des::ms(1),
+        send_done_at.take().unwrap() < des::ms(1),
         "eager send should complete immediately"
     );
 }
@@ -601,17 +594,13 @@ fn one_shot_progress_does_not_park_on_the_interrupt() {
         } else {
             MpiWorld::scramnet(&sim.handle(), 2)
         };
-        let reads = Arc::new(Mutex::new((0, 0)));
-        let (reads2, ring) = (
-            Arc::clone(&reads),
-            world.bbp_cluster().unwrap().ring().clone(),
-        );
-        run_world(&world, &mut sim, move |mpi, ctx| {
+        let ring = world.bbp_cluster().unwrap().ring().clone();
+        let mut ranks = run_world(&world, &mut sim, move |mpi, ctx| {
             let comm = mpi.comm_world();
             if mpi.rank() == 0 {
                 ctx.wait_until(des::ms(2));
                 mpi.send(ctx, &comm, 1, 42, b"late").unwrap();
-                return;
+                return None;
             }
             let t0 = ctx.now();
             assert!(mpi.iprobe(ctx, &comm, Some(0), Some(42)).unwrap().is_none());
@@ -624,12 +613,13 @@ fn one_shot_progress_does_not_park_on_the_interrupt() {
             let st = mpi.probe(ctx, &comm, Some(0), Some(42)).unwrap();
             assert_eq!((st.source, st.len), (0, 4));
             assert!(ctx.now() > des::ms(2));
-            *reads2.lock() = (before, ring.stats().pio_reads);
+            let reads = (before, ring.stats().pio_reads);
             mpi.recv(ctx, &comm, Some(0), Some(42)).unwrap();
+            Some(reads)
         });
         finish(sim);
         // The blocking probe parked: a handful of reads, not 2 ms of them.
-        let (before, after) = *reads.lock();
+        let (before, after) = ranks[1].take().flatten().unwrap();
         let spun = after - before;
         assert_eq!(spun < 50, interrupts, "{spun} reads while probing");
     }

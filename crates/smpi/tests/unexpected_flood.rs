@@ -7,10 +7,7 @@
 //! (whole messages park) and the rendezvous protocol (RTS announcements
 //! park).
 
-use std::sync::Arc;
-
 use des::{ms, Simulation, Time};
-use parking_lot::Mutex;
 use smpi::{CollectiveImpl, MpiWorld, SmpiCosts};
 
 /// What one flood run observed at the receiver.
@@ -65,10 +62,8 @@ fn run_flood(messages: usize, len: usize, post_at: Time) -> FloodTrace {
         }
     });
 
-    let trace_out: Arc<Mutex<Option<FloodTrace>>> = Arc::new(Mutex::new(None));
-    let trace = Arc::clone(&trace_out);
     let mut receiver = world.proc(1);
-    sim.spawn("floodee", move |ctx| {
+    let mut floodee = sim.spawn("floodee", move |ctx| {
         let comm = receiver.comm_world();
         // Progress without posting: every arrival must park.
         while ctx.now() < post_at {
@@ -90,13 +85,13 @@ fn run_flood(messages: usize, len: usize, post_at: Time) -> FloodTrace {
                 intact += 1;
             }
         }
-        *trace.lock() = Some(FloodTrace {
+        FloodTrace {
             peak,
             parked,
             drained: receiver.adi().unexpected_len(),
             intact,
             done_at: ctx.now(),
-        });
+        }
     });
 
     let report = sim.run();
@@ -105,8 +100,7 @@ fn run_flood(messages: usize, len: usize, post_at: Time) -> FloodTrace {
         "flood deadlocked: {:?}",
         report.deadlocked
     );
-    let out = trace_out.lock().take().expect("the floodee reports");
-    out
+    floodee.take().expect("the floodee reports")
 }
 
 #[test]
@@ -161,10 +155,8 @@ fn interleaved_preposts_cap_the_peak() {
         }
     });
 
-    let peak_out = Arc::new(Mutex::new((0usize, 0usize)));
-    let peaks = Arc::clone(&peak_out);
     let mut receiver = world.proc(1);
-    sim.spawn("floodee", move |ctx| {
+    let mut floodee = sim.spawn("floodee", move |ctx| {
         let comm = receiver.comm_world();
         let early: Vec<_> = (0..prepost)
             .map(|i| {
@@ -188,12 +180,12 @@ fn interleaved_preposts_cap_the_peak() {
             let (_, data) = receiver.wait_recv(ctx, &comm, r);
             assert_eq!(data, flood_payload(i, len), "message {i} corrupted");
         }
-        *peaks.lock() = (peak, receiver.adi().unexpected_len());
+        (peak, receiver.adi().unexpected_len())
     });
 
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let (peak, final_len) = *peak_out.lock();
+    let (peak, final_len) = floodee.take().unwrap();
     assert_eq!(peak, messages - prepost, "only unmatched sends park");
     assert_eq!(final_len, 0);
 }

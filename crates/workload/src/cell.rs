@@ -9,14 +9,13 @@
 //! than panicking — a violated cell still produces its flight dump and
 //! its repro line.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bbp::{BbpCluster, BbpConfig, CreditConfig};
 use des::rng::SimRng;
 use des::{ms, us, RoundGuard, Simulation, Time};
 use obs::LogHistogram;
-use parking_lot::Mutex;
 use rpc::{MessageQueue, Priority, RpcClient, RpcConfig};
 use smpi::{CollectiveImpl, Device, Mpi, SmpiCosts, Tag};
 
@@ -127,10 +126,6 @@ impl CellOutcome {
     }
 }
 
-/// Per-client aggregate counters: (sent, completed, shed,
-/// transport_shed, high attempts, normal attempts).
-type ClientTotals = (u64, u64, u64, u64, u64, u64);
-
 /// Run one cell to completion (arrival script + drain) under load
 /// multiplier `mult`. `label` names the cell's flight recording, which
 /// is dumped only if the cell violates something. Deterministic for a
@@ -174,23 +169,19 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
     let drain_deadline = end + ms(60);
     let hard_stop = drain_deadline + ms(10);
 
-    let service_out = Arc::new(LogHistogram::new());
-    let totals: Arc<Mutex<ClientTotals>> = Arc::new(Mutex::new((0, 0, 0, 0, 0, 0)));
-    let per_node: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; plan.client_nodes]));
-    let undrained = Arc::new(AtomicU32::new(0));
+    // Read by the servers' round-end guards while the clients run.
     let clients_done = Arc::new(AtomicUsize::new(0));
 
     // --- client nodes: ranks servers..servers+client_nodes ------------
+    // Each returns its counters, its high and normal attempts, what it
+    // left outstanding and its service histogram.
+    let mut clients = Vec::with_capacity(plan.client_nodes);
     for node_idx in 0..plan.client_nodes {
         let rank = plan.servers + node_idx;
         let ep = cluster.endpoint(rank);
         let plan = plan.clone();
-        let service_out = Arc::clone(&service_out);
-        let totals = Arc::clone(&totals);
-        let per_node = Arc::clone(&per_node);
-        let undrained = Arc::clone(&undrained);
         let clients_done = Arc::clone(&clients_done);
-        sim.spawn(format!("client{node_idx}"), move |ctx| {
+        clients.push(sim.spawn(format!("client{node_idx}"), move |ctx| {
             // The full arrival script of every channel this node hosts,
             // merged in (time, channel) order. Precomputing makes the
             // stream independent of how requests interleave at runtime.
@@ -248,31 +239,18 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             while cl.total_outstanding() > 0 && ctx.now() < drain_deadline {
                 cl.idle(ctx, poll_gap, &drained);
             }
-            undrained.fetch_add(cl.total_outstanding(), Ordering::SeqCst);
-            service_out.merge(&cl.service_hist());
-            let st = cl.stats();
-            per_node.lock()[node_idx] = st.completed;
-            let mut t = totals.lock();
-            t.0 += st.sent;
-            t.1 += st.completed;
-            t.2 += st.shed;
-            t.3 += st.transport_shed;
-            t.4 += high;
-            t.5 += normal;
             clients_done.fetch_add(1, Ordering::SeqCst);
-        });
+            let left = u64::from(cl.total_outstanding());
+            (cl.stats(), high, normal, left, cl.service_hist())
+        }));
     }
 
     // --- servers: ranks 0..servers ------------------------------------
-    // (max_residency, high_dispatched, normal_dispatched) per server,
-    // plus the merged residency histogram.
-    let server_stats: Arc<Mutex<Vec<(usize, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let residency_out = Arc::new(LogHistogram::new());
+    // Each returns its counters and its residency histogram.
+    let mut servers = Vec::with_capacity(plan.servers);
     for s in 0..plan.servers {
         let ep = cluster.endpoint(s);
         let plan_s = plan.clone();
-        let server_stats = Arc::clone(&server_stats);
-        let residency_out = Arc::clone(&residency_out);
         let clients_done = Arc::clone(&clients_done);
         let n_clients = plan.client_nodes;
         // The loop's two ways out below, as an idle server's guard: with
@@ -280,7 +258,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         let done = Arc::clone(&clients_done);
         let stop: RoundGuard =
             Arc::new(move |t| done.load(Ordering::SeqCst) == n_clients || t >= hard_stop);
-        sim.spawn(format!("server{s}"), move |ctx| {
+        servers.push(sim.spawn(format!("server{s}"), move |ctx| {
             let mut rng = SimRng::seeded(plan_s.seed() ^ 0x5EC7_0A11u64.wrapping_add(s as u64));
             let mut dispatched: u64 = 0;
             let mut mq = MessageQueue::new(
@@ -321,17 +299,13 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                     break;
                 }
             }
-            let st = mq.stats();
-            residency_out.merge(&mq.residency_hist());
-            server_stats
-                .lock()
-                .push((st.max_residency, st.high_dispatched, st.normal_dispatched));
-        });
+            (mq.stats(), mq.residency_hist())
+        }));
     }
 
     // --- MPI sidecar: the two top ranks -------------------------------
-    let flood_out: Arc<Mutex<Option<FloodOutcome>>> = Arc::new(Mutex::new(None));
-    let pingpong_done = Arc::new(AtomicU32::new(0));
+    // The floodee returns what it observed, the pinger its intact echoes.
+    let (mut floodee, mut pinger) = (None, None);
     match plan.sidecar {
         Sidecar::None => {}
         Sidecar::UnexpectedFlood {
@@ -358,8 +332,7 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             });
 
             let ep = cluster.endpoint(floodee_rank);
-            let flood_out = Arc::clone(&flood_out);
-            sim.spawn("floodee", move |ctx| {
+            floodee = Some(sim.spawn("floodee", move |ctx| {
                 let mut mpi = sidecar_mpi(ep);
                 let comm = mpi.comm_world();
                 // Only the first `prepost` receives race the flood; the
@@ -387,14 +360,14 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                         delivered += 1;
                     }
                 }
-                *flood_out.lock() = Some(FloodOutcome {
+                FloodOutcome {
                     peak: mpi.adi().unexpected_peak(),
                     final_residency: mpi.adi().unexpected_len(),
                     delivered,
                     late_receives: (messages - prepost) as usize,
                     finished_at: ctx.now(),
-                });
-            });
+                }
+            }));
         }
         Sidecar::PingPong { rounds } => {
             let body = plan.body_bytes;
@@ -415,30 +388,44 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
             });
 
             let ep = cluster.endpoint(pinger_rank);
-            let pingpong_done = Arc::clone(&pingpong_done);
-            sim.spawn("pinger", move |ctx| {
+            pinger = Some(sim.spawn("pinger", move |ctx| {
                 let mut mpi = sidecar_mpi(ep);
                 let comm = mpi.comm_world();
                 let body = vec![0x5Au8; body];
+                let mut intact = 0u32;
                 for r in 0..rounds {
                     mpi.send(ctx, &comm, ponger_rank, r as Tag, &body)
                         .expect("ping send failed");
                     let (_, echo) = mpi
                         .recv(ctx, &comm, Some(ponger_rank), Some(r as Tag))
                         .expect("ping recv failed");
-                    if echo == body {
-                        pingpong_done.fetch_add(1, Ordering::SeqCst);
-                    }
+                    intact += u32::from(echo == body);
                 }
-            });
+                intact
+            }));
         }
     }
 
     let report = sim.run();
     let telemetry = sim.recorder().telemetry().take();
 
-    let (sent, completed, shed, transport_shed, high_offered, normal_offered) = *totals.lock();
-    let per_node_completed = per_node.lock().clone();
+    // A process that did not return (the cell deadlocked) counts nothing.
+    let (service, mut per_node_completed) = (LogHistogram::new(), vec![0; plan.client_nodes]);
+    let (mut sent, mut completed, mut shed, mut transport_shed) = (0, 0, 0, 0);
+    let (mut high_offered, mut normal_offered, mut undrained) = (0, 0, 0);
+    for (node, client) in clients.iter_mut().enumerate() {
+        if let Some((st, high, normal, left, hist)) = client.take() {
+            per_node_completed[node] = st.completed;
+            sent += st.sent;
+            completed += st.completed;
+            shed += st.shed;
+            transport_shed += st.transport_shed;
+            high_offered += high;
+            normal_offered += normal;
+            undrained += left;
+            service.merge(&hist);
+        }
+    }
     let offered: u64 = (0..plan.client_nodes)
         .map(|n| {
             (0..plan.channels_per_node)
@@ -446,11 +433,14 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
                 .sum::<u64>()
         })
         .sum();
-    let stats = server_stats.lock();
-    let max_residency = stats.iter().map(|s| s.0).max().unwrap_or(0);
-    let high_dispatched: u64 = stats.iter().map(|s| s.1).sum();
-    let normal_dispatched: u64 = stats.iter().map(|s| s.2).sum();
-    drop(stats);
+    let residency = LogHistogram::new();
+    let (mut max_residency, mut high_dispatched, mut normal_dispatched) = (0, 0, 0);
+    for (st, hist) in servers.iter_mut().filter_map(|s| s.take()) {
+        max_residency = max_residency.max(st.max_residency);
+        high_dispatched += st.high_dispatched;
+        normal_dispatched += st.normal_dispatched;
+        residency.merge(&hist);
+    }
 
     let mut out = CellOutcome {
         sent,
@@ -458,24 +448,15 @@ pub fn run_cell(plan: &WorkloadPlan, mult: f64, label: &str) -> CellOutcome {
         shed,
         transport_shed,
         offered,
-        service: {
-            let h = LogHistogram::new();
-            h.merge(&service_out);
-            h
-        },
-        residency: {
-            let h = LogHistogram::new();
-            h.merge(&residency_out);
-            h
-        },
+        service,
+        residency,
         max_residency,
         high_dispatched,
         normal_dispatched,
         per_node_completed,
-        undrained: undrained.load(Ordering::SeqCst) as u64,
-        flood: *flood_out.lock(),
-        pingpong_rounds: matches!(plan.sidecar, Sidecar::PingPong { .. })
-            .then(|| pingpong_done.load(Ordering::SeqCst)),
+        undrained,
+        flood: floodee.and_then(|mut f| f.take()),
+        pingpong_rounds: pinger.map(|mut p| p.take().unwrap_or(0)),
         elapsed_ns: end,
         violations: Vec::new(),
         health_violations: Vec::new(),

@@ -5,9 +5,6 @@
 //!
 //! Run with: `cargo run --release --example broadcast_timeline`
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::des::{ms, SimHandle, Simulation, Time, TimeExt};
 use scramnet_cluster::smpi::{CollectiveImpl, MpiWorld};
 
@@ -19,27 +16,25 @@ fn run(build: impl Fn(&SimHandle) -> MpiWorld) -> Vec<Time> {
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
     let align = ms(5);
-    let times: Arc<Mutex<Vec<(usize, Time)>>> = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..RANKS {
-        let mut mpi = world.proc(rank);
-        let times = Arc::clone(&times);
-        sim.spawn(format!("r{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            // Warm-up round.
-            let warm = (rank == 0).then(|| vec![0u8; 4]);
-            let _ = mpi.bcast(ctx, &comm, 0, warm.as_deref());
-            ctx.wait_until(align);
-            let data = (rank == 0).then(|| vec![0xEEu8; PAYLOAD]);
-            let out = mpi.bcast(ctx, &comm, 0, data.as_deref());
-            assert_eq!(out.len(), PAYLOAD);
-            times.lock().push((rank, ctx.now() - align));
-        });
-    }
+    let mut ranks: Vec<_> = (0..RANKS)
+        .map(|rank| {
+            let mut mpi = world.proc(rank);
+            sim.spawn(format!("r{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                // Warm-up round.
+                let warm = (rank == 0).then(|| vec![0u8; 4]);
+                let _ = mpi.bcast(ctx, &comm, 0, warm.as_deref());
+                ctx.wait_until(align);
+                let data = (rank == 0).then(|| vec![0xEEu8; PAYLOAD]);
+                let out = mpi.bcast(ctx, &comm, 0, data.as_deref());
+                assert_eq!(out.len(), PAYLOAD);
+                ctx.now() - align
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let mut v = times.lock().clone();
-    v.sort_by_key(|&(r, _)| r);
-    v.into_iter().map(|(_, t)| t).collect()
+    ranks.iter_mut().map(|r| r.take().unwrap()).collect()
 }
 
 fn draw(label: &str, times: &[Time], scale: Time) {

@@ -4,9 +4,6 @@
 //!
 //! Run with: `cargo run --release --example paper_walkthrough`
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::{SimHandle, Simulation, Time, TimeExt};
 use scramnet_cluster::scramnet::{CostModel, Ring, TxMode};
@@ -40,24 +37,19 @@ fn bbp_one_way(len: usize) -> f64 {
     let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(4));
     let mut a = cluster.endpoint(0);
     let mut b = cluster.endpoint(1);
-    let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-    let done2 = Arc::clone(&done);
     let payload = vec![0u8; len];
     sim.spawn("a", move |ctx| a.send(ctx, 1, &payload).unwrap());
-    sim.spawn("b", move |ctx| {
+    let mut b = sim.spawn("b", move |ctx| {
         let _ = b.recv(ctx, 0);
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     sim.run();
-    let t = *done.lock();
-    t.as_us()
+    b.take().unwrap().as_us()
 }
 
 fn mpi_one_way(build: impl Fn(&SimHandle) -> MpiWorld, len: usize) -> f64 {
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
-    let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-    let done2 = Arc::clone(&done);
     let payload = vec![0u8; len];
     let mut tx = world.proc(0);
     let mut rx = world.proc(1);
@@ -65,36 +57,38 @@ fn mpi_one_way(build: impl Fn(&SimHandle) -> MpiWorld, len: usize) -> f64 {
         let comm = tx.comm_world();
         tx.send(ctx, &comm, 1, 0, &payload).unwrap();
     });
-    sim.spawn("rx", move |ctx| {
+    let mut rx = sim.spawn("rx", move |ctx| {
         let comm = rx.comm_world();
         let _ = rx.recv(ctx, &comm, Some(0), Some(0)).unwrap();
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     sim.run();
-    let t = *done.lock();
-    t.as_us()
+    rx.take().unwrap().as_us()
 }
 
 fn barrier_us(build: impl Fn(&SimHandle) -> MpiWorld, nodes: usize) -> f64 {
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
     let align = scramnet_cluster::des::ms(5);
-    let last: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-    for rank in 0..nodes {
-        let mut mpi = world.proc(rank);
-        let last = Arc::clone(&last);
-        sim.spawn(format!("r{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            mpi.barrier(ctx, &comm);
-            ctx.wait_until(align);
-            mpi.barrier(ctx, &comm);
-            let mut l = last.lock();
-            *l = (*l).max(ctx.now());
-        });
-    }
+    let mut ranks: Vec<_> = (0..nodes)
+        .map(|rank| {
+            let mut mpi = world.proc(rank);
+            sim.spawn(format!("r{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                mpi.barrier(ctx, &comm);
+                ctx.wait_until(align);
+                mpi.barrier(ctx, &comm);
+                ctx.now()
+            })
+        })
+        .collect();
     sim.run();
-    let t = *last.lock();
-    (t - align).as_us()
+    let last: Time = ranks
+        .iter_mut()
+        .filter_map(|r| r.take())
+        .max()
+        .expect("a rank returned");
+    (last - align).as_us()
 }
 
 fn main() {
@@ -206,23 +200,26 @@ fn main() {
     let bcast = {
         let mut sim = Simulation::new();
         let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(4));
-        let last: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
         let mut root = cluster.endpoint(0);
         sim.spawn("root", move |ctx| {
             root.mcast(ctx, &[1, 2, 3], b"beef").unwrap()
         });
-        for r in 1..4 {
-            let mut ep = cluster.endpoint(r);
-            let last = Arc::clone(&last);
-            sim.spawn(format!("r{r}"), move |ctx| {
-                let _ = ep.recv(ctx, 0);
-                let mut l = last.lock();
-                *l = (*l).max(ctx.now());
-            });
-        }
+        let mut receivers: Vec<_> = (1..4)
+            .map(|r| {
+                let mut ep = cluster.endpoint(r);
+                sim.spawn(format!("r{r}"), move |ctx| {
+                    let _ = ep.recv(ctx, 0);
+                    ctx.now()
+                })
+            })
+            .collect();
         sim.run();
-        let t = *last.lock();
-        t.as_us()
+        let last: Time = receivers
+            .iter_mut()
+            .filter_map(|r| r.take())
+            .max()
+            .expect("a rank returned");
+        last.as_us()
     };
     check(
         &mut claims,

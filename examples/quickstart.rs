@@ -7,9 +7,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::{Simulation, TimeExt};
 use scramnet_cluster::smpi::MpiWorld;
@@ -55,32 +52,37 @@ fn billboard_protocol() {
     println!("\n== layer 2: the BillBoard Protocol ==");
     let mut sim = Simulation::new();
     let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(4));
-    let recv_times = Arc::new(Mutex::new(Vec::new()));
-
     let mut root = cluster.endpoint(0);
     sim.spawn("root", move |ctx| {
         root.send(ctx, 1, b"point-to-point hello").unwrap();
         root.mcast(ctx, &[1, 2, 3], b"multicast hello").unwrap();
     });
-    for r in 1..4 {
-        let mut ep = cluster.endpoint(r);
-        let times = Arc::clone(&recv_times);
-        sim.spawn(format!("node{r}"), move |ctx| {
-            if r == 1 {
+    let mut nodes: Vec<_> = (1..4)
+        .map(|r| {
+            let mut ep = cluster.endpoint(r);
+            sim.spawn(format!("node{r}"), move |ctx| {
+                if r == 1 {
+                    let m = ep.recv(ctx, 0).unwrap();
+                    println!(
+                        "  node 1 got '{}' at {}",
+                        String::from_utf8_lossy(&m),
+                        ctx.now().pretty()
+                    );
+                }
                 let m = ep.recv(ctx, 0).unwrap();
-                println!(
-                    "  node 1 got '{}' at {}",
-                    String::from_utf8_lossy(&m),
-                    ctx.now().pretty()
-                );
-            }
-            let m = ep.recv(ctx, 0).unwrap();
-            assert_eq!(m, b"multicast hello");
-            times.lock().push((r, ctx.now()));
-        });
-    }
+                assert_eq!(m, b"multicast hello");
+                ctx.now()
+            })
+        })
+        .collect();
     sim.run();
-    for (r, t) in recv_times.lock().iter() {
+    // In the order the multicast arrived.
+    let mut arrivals: Vec<_> = (1..)
+        .zip(&mut nodes)
+        .map(|(r, n)| (n.take().unwrap(), r))
+        .collect();
+    arrivals.sort_unstable();
+    for (t, r) in arrivals {
         println!("  node {r} got the multicast at {}", t.pretty());
     }
 }

@@ -14,7 +14,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig, CreditConfig};
 use scramnet_cluster::des::{self, Simulation};
 use scramnet_cluster::obs::LogHistogram;
@@ -40,16 +39,15 @@ fn main() {
     });
     let cluster = BbpCluster::new(&sim.handle(), cfg);
 
-    let latency = Arc::new(LogHistogram::new());
-    let totals = Arc::new(Mutex::new((0u64, 0u64, 0u64))); // sent, completed, shed
+    // Clients finished so far, which the server reads to know when to stop.
     let done = Arc::new(AtomicUsize::new(0));
 
+    // Each client returns its counters and its service histogram.
+    let mut clients = Vec::with_capacity(CLIENTS);
     for client in 1..=CLIENTS {
         let ep = cluster.endpoint(client);
-        let latency = Arc::clone(&latency);
-        let totals = Arc::clone(&totals);
         let done = Arc::clone(&done);
-        sim.spawn(format!("client{client}"), move |ctx| {
+        clients.push(sim.spawn(format!("client{client}"), move |ctx| {
             let mut cl = RpcClient::new(ep, 0, CHANNELS, CREDITS, BODY)
                 .expect("a fail-fast transport takes any grant");
             let mut body = [0u8; BODY];
@@ -79,21 +77,14 @@ fn main() {
                 ctx.advance(des::us(20));
                 cl.poll_replies(ctx);
             }
-            latency.merge(&cl.service_hist());
-            let st = cl.stats();
-            let mut t = totals.lock();
-            t.0 += st.sent;
-            t.1 += st.completed;
-            t.2 += st.shed + st.transport_shed;
             done.fetch_add(1, Ordering::SeqCst);
-        });
+            (cl.stats(), cl.service_hist())
+        }));
     }
 
     let server_ep = cluster.endpoint(0);
     let done_server = Arc::clone(&done);
-    let server_stats = Arc::new(Mutex::new(None));
-    let server_out = Arc::clone(&server_stats);
-    sim.spawn("server", move |ctx| {
+    let mut server = sim.spawn("server", move |ctx| {
         let mut mq = MessageQueue::new(
             server_ep,
             RpcConfig {
@@ -123,14 +114,23 @@ fn main() {
             }
             ctx.advance(des::us(5));
         }
-        *server_out.lock() = Some((mq.stats(), mq.endpoint().stats().clone()));
+        (mq.stats(), mq.endpoint().stats().clone())
     });
 
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
 
-    let (sent, completed, shed) = *totals.lock();
-    let (qs, es) = server_stats.lock().take().expect("server reported");
+    let (latency, (mut sent, mut completed, mut shed)) = (LogHistogram::new(), (0, 0, 0));
+    for (st, hist) in clients
+        .iter_mut()
+        .map(|c| c.take().expect("client reported"))
+    {
+        sent += st.sent;
+        completed += st.completed;
+        shed += st.shed + st.transport_shed;
+        latency.merge(&hist);
+    }
+    let (qs, es) = server.take().expect("server reported");
     println!("== rpc echo: {CLIENTS} clients x {CHANNELS} channels -> 1 server ==");
     println!("  requests: {sent} sent, {completed} completed, {shed} shed at credit gates");
     println!("\n  service latency (request post -> matched reply)");

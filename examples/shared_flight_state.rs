@@ -14,9 +14,6 @@
 //!
 //! Run with: `cargo run --release --example shared_flight_state`
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::des::{us, Simulation, TimeExt};
 use scramnet_cluster::scramnet::{CostModel, Ring, Word};
 use scramnet_cluster::shmem::{BakeryLock, DistributedCounter, EventFlag, SenseBarrier};
@@ -44,18 +41,17 @@ fn main() {
     let counter = DistributedCounter::layout(COUNTER_AT, STATIONS);
     let mode = EventFlag::layout(MODE_FLAG, 0);
 
-    let weather_log = Arc::new(Mutex::new(Vec::new()));
-    let freeze_times = Arc::new(Mutex::new(Vec::new()));
-
+    // Each station returns the weather it read (station 0 alone reads
+    // it) and, unless it froze the session, when the freeze reached it.
+    let mut stations = Vec::with_capacity(STATIONS);
     for station in 0..STATIONS {
         let nic = ring.nic(station);
         let mut lock_h = lock.handle(nic.clone());
         let mut barrier_h = barrier.handle(nic.clone());
         let mut counter_h = counter.handle(nic.clone());
         let mut mode_h = mode.handle(nic.clone());
-        let weather_log = Arc::clone(&weather_log);
-        let freeze_times = Arc::clone(&freeze_times);
-        sim.spawn(format!("station{station}"), move |ctx| {
+        stations.push(sim.spawn(format!("station{station}"), move |ctx| {
+            let (mut weather_log, mut frozen_at) = (Vec::new(), None);
             let sig = ctx.handle().new_signal();
             mode_h.arm_interrupt(sig);
             if station == 0 {
@@ -94,7 +90,7 @@ fn main() {
                 if station == 0 && epoch % 10 == 0 {
                     let dir = nic.read_word(ctx, WEATHER_AT);
                     let speed = nic.read_word(ctx, WEATHER_AT + 1);
-                    weather_log.lock().push((epoch, dir, speed));
+                    weather_log.push((epoch, dir, speed));
                 }
                 barrier_h.wait(ctx);
             }
@@ -104,17 +100,20 @@ fn main() {
                 mode_h.set(ctx, MODE_FREEZE);
             } else {
                 mode_h.wait_value(ctx, MODE_FREEZE);
-                freeze_times.lock().push(ctx.now());
+                frozen_at = Some(ctx.now());
             }
             // Final frame count, read after the ring quiesces.
             ctx.advance(us(20));
             let frames = counter_h.read(ctx);
             assert_eq!(frames, EPOCHS * STATIONS as u32);
-        });
+            (weather_log, frozen_at)
+        }));
     }
 
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
+    let (weather_logs, frozen_at): (Vec<_>, Vec<_>) =
+        stations.iter_mut().map(|s| s.take().unwrap()).unzip();
     // The ring's owner check flags every write that takes a word from
     // another writer, once per write. The ONLY words allowed are the
     // lock-protected weather block: unlike the pure single-writer regions,
@@ -132,13 +131,12 @@ fn main() {
 
     println!("shared flight state: {STATIONS} stations x {EPOCHS} epochs\n");
     println!("weather updates observed by station 0 (lock-protected block):");
-    for (epoch, dir, speed) in weather_log.lock().iter() {
+    for (epoch, dir, speed) in weather_logs.concat() {
         println!("  epoch {epoch:>3}: wind {dir:>3}° at {speed:>2} kt");
     }
-    let ft = freeze_times.lock();
     println!(
         "\nfreeze propagated to {} stations via NIC interrupt",
-        ft.len()
+        frozen_at.iter().flatten().count()
     );
     println!(
         "total frames counted cluster-wide: {}",

@@ -14,9 +14,6 @@
 //!
 //! Run with: `cargo run --release --example stencil_heat`
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::des::{Simulation, Time, TimeExt};
 use scramnet_cluster::smpi::{Comm, Mpi, MpiWorld};
 
@@ -109,29 +106,26 @@ fn run_world(
     build: impl Fn(&scramnet_cluster::des::SimHandle) -> MpiWorld,
     label: &str,
 ) -> (Time, Vec<f64>) {
-    type RankPieces = Vec<(usize, Vec<f64>)>;
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
-    let pieces: Arc<Mutex<RankPieces>> = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..RANKS {
-        let mut mpi = world.proc(rank);
-        let pieces = Arc::clone(&pieces);
-        sim.spawn(format!("{label}-rank{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            let u = rank_body(&mut mpi, ctx, &comm);
-            mpi.barrier(ctx, &comm);
-            pieces.lock().push((rank, u));
-        });
-    }
+    let mut ranks: Vec<_> = (0..RANKS)
+        .map(|rank| {
+            let mut mpi = world.proc(rank);
+            sim.spawn(format!("{label}-rank{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                let u = rank_body(&mut mpi, ctx, &comm);
+                mpi.barrier(ctx, &comm);
+                u
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(
         report.is_clean(),
         "{label} deadlocked: {:?}",
         report.deadlocked
     );
-    let mut got = pieces.lock().clone();
-    got.sort_by_key(|(r, _)| *r);
-    let solution: Vec<f64> = got.into_iter().flat_map(|(_, u)| u).collect();
+    let solution: Vec<f64> = ranks.iter_mut().flat_map(|r| r.take().unwrap()).collect();
     (report.end_time, solution)
 }
 

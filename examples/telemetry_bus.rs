@@ -12,9 +12,6 @@
 //!
 //! Run with: `cargo run --release --example telemetry_bus`
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig, RecvMode};
 use scramnet_cluster::des::{us, Simulation, TimeExt};
 
@@ -58,11 +55,10 @@ fn main() {
         }
     });
 
-    let reports: Arc<Mutex<Vec<ConsumerReport>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut consumers = Vec::with_capacity(CONSUMERS.len());
     for (i, name) in CONSUMERS.iter().enumerate() {
         let mut ep = cluster.endpoint(i + 1);
-        let reports = Arc::clone(&reports);
-        sim.spawn(*name, move |ctx| {
+        consumers.push(sim.spawn(*name, move |ctx| {
             let mut latencies = Vec::with_capacity(FRAMES as usize);
             let mut misses = 0;
             for seq in 0..FRAMES {
@@ -76,12 +72,12 @@ fn main() {
                 }
                 latencies.push(latency.as_us());
             }
-            reports.lock().push(ConsumerReport {
+            ConsumerReport {
                 name,
                 latencies_us: latencies,
                 deadline_misses: misses,
-            });
-        });
+            }
+        }));
     }
 
     let report = sim.run();
@@ -95,7 +91,7 @@ fn main() {
         "{:>20} {:>10} {:>10} {:>10} {:>10}",
         "consumer", "min µs", "mean µs", "max µs", "misses"
     );
-    let mut all = reports.lock();
+    let mut all: Vec<_> = consumers.iter_mut().map(|c| c.take().unwrap()).collect();
     all.sort_by_key(|r| r.name);
     for r in all.iter() {
         let min = r.latencies_us.iter().cloned().fold(f64::MAX, f64::min);

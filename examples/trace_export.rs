@@ -5,9 +5,6 @@
 //!
 //! Run with: `cargo run --release --example trace_export`
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::des::obs;
 use scramnet_cluster::des::{ms, us, Simulation, Time, TimeExt};
 use scramnet_cluster::smpi::MpiWorld;
@@ -20,8 +17,6 @@ fn main() {
     let mut sim = Simulation::new();
     let world = MpiWorld::scramnet(&sim.handle(), RANKS);
     let align: Time = ms(5);
-    let last: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-
     // Arm the recorder just before the timed broadcast so the trace
     // holds exactly one collective, not the warm-up.
     let rec = sim.recorder_arc();
@@ -30,27 +25,33 @@ fn main() {
         rec.enable();
     });
 
-    for rank in 0..RANKS {
-        let mut mpi = world.proc(rank);
-        let last = Arc::clone(&last);
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            let warm = (rank == 0).then(|| vec![0u8; 4]);
-            let _ = mpi.bcast(ctx, &comm, 0, warm.as_deref());
-            ctx.wait_until(align);
-            let data = (rank == 0).then(|| vec![0xEEu8; PAYLOAD]);
-            let out = mpi.bcast(ctx, &comm, 0, data.as_deref());
-            assert_eq!(out.len(), PAYLOAD);
-            let mut l = last.lock();
-            *l = (*l).max(ctx.now());
-        });
-    }
+    let mut ranks: Vec<_> = (0..RANKS)
+        .map(|rank| {
+            let mut mpi = world.proc(rank);
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                let warm = (rank == 0).then(|| vec![0u8; 4]);
+                let _ = mpi.bcast(ctx, &comm, 0, warm.as_deref());
+                ctx.wait_until(align);
+                let data = (rank == 0).then(|| vec![0xEEu8; PAYLOAD]);
+                let out = mpi.bcast(ctx, &comm, 0, data.as_deref());
+                assert_eq!(out.len(), PAYLOAD);
+                ctx.now()
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
     let events = sim.recorder().take_events();
     println!(
         "{PAYLOAD}-byte MPI_Bcast over {RANKS} nodes: {} — {} obs events",
-        (*last.lock() - align).pretty(),
+        (ranks
+            .iter_mut()
+            .filter_map(|r| r.take())
+            .max()
+            .expect("a rank returned")
+            - align)
+            .pretty(),
         events.len()
     );
 

@@ -3,9 +3,6 @@
 //! implementations — only the virtual clock differs. Also checks the
 //! paper's headline performance ordering between the stacks.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::des::{SimHandle, Simulation, Time};
 use scramnet_cluster::smpi::{CollectiveImpl, MpiWorld, ReduceOp};
 
@@ -15,36 +12,36 @@ fn composite_program(build: impl Fn(&SimHandle) -> MpiWorld) -> (Vec<f64>, Time)
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
     let n = world.nprocs();
-    let results = Arc::new(Mutex::new(vec![0.0f64; n]));
-    for rank in 0..n {
-        let mut mpi = world.proc(rank);
-        let results = Arc::clone(&results);
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let comm = mpi.comm_world();
-            let me = comm.rank();
-            // Ring shift.
-            let right = (me + 1) % comm.size();
-            let left = (me + comm.size() - 1) % comm.size();
-            let (_, m) = mpi
-                .sendrecv(ctx, &comm, right, 1, &[me as u8], Some(left), Some(1))
-                .unwrap();
-            let neighbour = m[0] as f64;
-            // Allreduce.
-            let sum = mpi.allreduce(ctx, &comm, ReduceOp::Sum, &[neighbour])[0];
-            // Split into odd/even, reduce within.
-            let sub = mpi
-                .comm_split(ctx, &comm, (me % 2) as i64, me as i64)
-                .unwrap();
-            let sub_sum = mpi.allreduce(ctx, &sub, ReduceOp::Sum, &[me as f64])[0];
-            // Broadcast a correction from world root.
-            let corr = mpi.bcast(ctx, &comm, 0, (me == 0).then_some(&[7u8][..]));
-            mpi.barrier(ctx, &comm);
-            results.lock()[me] = sum * 100.0 + sub_sum + corr[0] as f64;
-        });
-    }
+    let mut ranks: Vec<_> = (0..n)
+        .map(|rank| {
+            let mut mpi = world.proc(rank);
+            sim.spawn(format!("rank{rank}"), move |ctx| {
+                let comm = mpi.comm_world();
+                let me = comm.rank();
+                // Ring shift.
+                let right = (me + 1) % comm.size();
+                let left = (me + comm.size() - 1) % comm.size();
+                let (_, m) = mpi
+                    .sendrecv(ctx, &comm, right, 1, &[me as u8], Some(left), Some(1))
+                    .unwrap();
+                let neighbour = m[0] as f64;
+                // Allreduce.
+                let sum = mpi.allreduce(ctx, &comm, ReduceOp::Sum, &[neighbour])[0];
+                // Split into odd/even, reduce within.
+                let sub = mpi
+                    .comm_split(ctx, &comm, (me % 2) as i64, me as i64)
+                    .unwrap();
+                let sub_sum = mpi.allreduce(ctx, &sub, ReduceOp::Sum, &[me as f64])[0];
+                // Broadcast a correction from world root.
+                let corr = mpi.bcast(ctx, &comm, 0, (me == 0).then_some(&[7u8][..]));
+                mpi.barrier(ctx, &comm);
+                sum * 100.0 + sub_sum + corr[0] as f64
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let r = results.lock().clone();
+    let r = ranks.iter_mut().map(|r| r.take().unwrap()).collect();
     (r, report.end_time)
 }
 

@@ -9,10 +9,6 @@ use proptest::prelude::*;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::Simulation;
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 /// One planned message: sender, receiver, payload seed byte, length.
 #[derive(Debug, Clone)]
 struct Msg {
@@ -72,24 +68,23 @@ fn check_plan(nprocs: usize, bufs: usize, data_words: usize, msgs: Vec<Msg>) {
     let mut sim = Simulation::new();
     let cluster = BbpCluster::new(&sim.handle(), cfg);
 
-    let received: Arc<Mutex<Vec<Vec<(usize, Vec<u8>)>>>> =
-        Arc::new(Mutex::new(vec![Vec::new(); nprocs]));
     // Phase-ordered workload, provably livelock-free under GC stalls:
     // in phase `d`, everyone sends their messages destined for `d` while
     // `d` drains. A sender stalled on acknowledgements waits only on `d`,
     // and process 0's first phase is its own drain phase, so the wait
     // chain always bottoms out.
+    // Each process returns what it received, with each message's source.
+    let mut procs = Vec::with_capacity(nprocs);
     for rank in 0..nprocs {
         let mut ep = cluster.endpoint(rank);
         let my_sends = std::mem::take(&mut sends[rank]);
         let expect_count: usize = expected.iter().map(|row| row[rank].len()).sum();
-        let received = Arc::clone(&received);
-        sim.spawn(format!("p{rank}"), move |ctx| {
+        procs.push(sim.spawn(format!("p{rank}"), move |ctx| {
+            let mut received = Vec::with_capacity(expect_count);
             for phase in 0..nprocs {
                 if phase == rank {
                     for _ in 0..expect_count {
-                        let (src, m) = ep.recv_any(ctx).unwrap();
-                        received.lock()[rank].push((src, m));
+                        received.push(ep.recv_any(ctx).unwrap());
                     }
                 } else {
                     for (dst, p) in my_sends.iter().filter(|(d, _)| *d == phase) {
@@ -97,13 +92,14 @@ fn check_plan(nprocs: usize, bufs: usize, data_words: usize, msgs: Vec<Msg>) {
                     }
                 }
             }
-        });
+            received
+        }));
     }
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
 
     // Exactly-once + FIFO + integrity.
-    let received = received.lock();
+    let received: Vec<_> = procs.iter_mut().map(|p| p.take().unwrap()).collect();
     for dst in 0..nprocs {
         let mut got: Vec<Vec<Vec<u8>>> = vec![Vec::new(); nprocs];
         for (src, m) in &received[dst] {

@@ -7,9 +7,6 @@ use scramnet_cluster::des::rng::SimRng;
 use scramnet_cluster::des::{RunReport, SimHandle, Simulation};
 use scramnet_cluster::scramnet::RingStats;
 use scramnet_cluster::smpi::{MpiWorld, ReduceOp};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 /// A moderately chaotic BBP workload driven by a seeded RNG: the traffic
 /// plan (who sends what to whom, with what think time) is generated up
@@ -148,29 +145,29 @@ fn simulation(traced: bool) -> Simulation {
 fn bbp_pingpong(traced: bool) -> Outcome {
     let mut sim = simulation(traced);
     let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(2));
-    let stats = Arc::new(Mutex::new(vec![EndpointStats::default(); 2]));
-    for rank in 0..2 {
-        let mut ep = cluster.endpoint(rank);
-        let stats = Arc::clone(&stats);
-        sim.spawn(format!("p{rank}"), move |ctx| {
-            for len in (0..=700).step_by(100) {
-                let payload = vec![len as u8; len];
-                for _ in 0..3 {
-                    if rank == 0 {
-                        ep.send(ctx, 1, &payload).unwrap();
-                        assert_eq!(ep.recv(ctx, 1).unwrap(), payload);
-                    } else {
-                        assert_eq!(ep.recv(ctx, 0).unwrap(), payload);
-                        ep.send(ctx, 0, &payload).unwrap();
+    let mut procs: Vec<_> = (0..2)
+        .map(|rank| {
+            let mut ep = cluster.endpoint(rank);
+            sim.spawn(format!("p{rank}"), move |ctx| {
+                for len in (0..=700).step_by(100) {
+                    let payload = vec![len as u8; len];
+                    for _ in 0..3 {
+                        if rank == 0 {
+                            ep.send(ctx, 1, &payload).unwrap();
+                            assert_eq!(ep.recv(ctx, 1).unwrap(), payload);
+                        } else {
+                            assert_eq!(ep.recv(ctx, 0).unwrap(), payload);
+                            ep.send(ctx, 0, &payload).unwrap();
+                        }
                     }
                 }
-            }
-            stats.lock()[rank] = ep.stats().clone();
-        });
-    }
+                ep.stats().clone()
+            })
+        })
+        .collect();
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let stats = stats.lock().clone();
+    let stats = procs.iter_mut().map(|p| p.take().unwrap()).collect();
     (report, cluster.ring().stats(), stats)
 }
 
@@ -182,10 +179,8 @@ fn bbp_server(traced: bool) -> Outcome {
     const BURST: usize = 6;
     let mut sim = simulation(traced);
     let cluster = BbpCluster::new(&sim.handle(), BbpConfig::for_nodes(CLIENTS + 1));
-    let stats = Arc::new(Mutex::new(vec![EndpointStats::default(); CLIENTS + 1]));
     let mut server = cluster.endpoint(0);
-    let server_stats = Arc::clone(&stats);
-    sim.spawn("server", move |ctx| {
+    let mut procs = vec![sim.spawn("server", move |ctx| {
         let mut last = [0usize; CLIENTS + 1];
         for _ in 0..CLIENTS * BURST {
             let (src, msg) = server.recv_any(ctx).unwrap();
@@ -194,24 +189,23 @@ fn bbp_server(traced: bool) -> Outcome {
                 server.send(ctx, src, &msg).unwrap();
             }
         }
-        server_stats.lock()[0] = server.stats().clone();
-    });
+        server.stats().clone()
+    })];
     for rank in 1..=CLIENTS {
         let mut ep = cluster.endpoint(rank);
-        let stats = Arc::clone(&stats);
-        sim.spawn(format!("client{rank}"), move |ctx| {
+        procs.push(sim.spawn(format!("client{rank}"), move |ctx| {
             for i in 0..BURST {
                 ep.send(ctx, 0, &vec![rank as u8; 8 * (i + rank)]).unwrap();
                 ctx.advance(3_000 * rank as u64);
             }
             let echo = ep.recv(ctx, 0).unwrap();
             assert_eq!(echo, vec![rank as u8; 8 * (BURST - 1 + rank)]);
-            stats.lock()[rank] = ep.stats().clone();
-        });
+            ep.stats().clone()
+        }));
     }
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let stats = stats.lock().clone();
+    let stats = procs.iter_mut().map(|p| p.take().unwrap()).collect();
     (report, cluster.ring().stats(), stats)
 }
 
@@ -454,22 +448,19 @@ fn mpi_collective_results_are_reproducible() {
     let run = || {
         let mut sim = Simulation::new();
         let world = MpiWorld::scramnet(&sim.handle(), 4);
-        let result = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        for rank in 0..4 {
-            let mut mpi = world.proc(rank);
-            let result = std::sync::Arc::clone(&result);
-            sim.spawn(format!("rank{rank}"), move |ctx| {
-                let comm = mpi.comm_world();
-                let v = mpi.allreduce(ctx, &comm, ReduceOp::Sum, &[mpi.rank() as f64 + 0.5]);
-                mpi.barrier(ctx, &comm);
-                if mpi.rank() == 0 {
-                    result.lock().push((v[0], ctx.now()));
-                }
-            });
-        }
+        let mut ranks: Vec<_> = (0..4)
+            .map(|rank| {
+                let mut mpi = world.proc(rank);
+                sim.spawn(format!("rank{rank}"), move |ctx| {
+                    let comm = mpi.comm_world();
+                    let v = mpi.allreduce(ctx, &comm, ReduceOp::Sum, &[mpi.rank() as f64 + 0.5]);
+                    mpi.barrier(ctx, &comm);
+                    (v[0], ctx.now())
+                })
+            })
+            .collect();
         sim.run();
-        let r = result.lock().clone();
-        r[0]
+        ranks[0].take().unwrap()
     };
     let (v1, t1) = run();
     let (v2, t2) = run();

@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use scramnet_cluster::des::{SimHandle, Simulation};
 use scramnet_cluster::smpi::{MpiWorld, ReduceOp};
@@ -40,13 +39,12 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 fn run_program(build: impl Fn(&SimHandle) -> MpiWorld, program: Vec<Step>) -> Vec<u64> {
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
-    let sums: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; RANKS]));
     let program = Arc::new(program);
+    let mut ranks = Vec::with_capacity(RANKS);
     for rank in 0..RANKS {
         let mut mpi = world.proc(rank);
         let program = Arc::clone(&program);
-        let sums = Arc::clone(&sums);
-        sim.spawn(format!("rank{rank}"), move |ctx| {
+        ranks.push(sim.spawn(format!("rank{rank}"), move |ctx| {
             let comm = mpi.comm_world();
             let me = comm.rank();
             let mut check: u64 = 0;
@@ -92,8 +90,8 @@ fn run_program(build: impl Fn(&SimHandle) -> MpiWorld, program: Vec<Step>) -> Ve
                     Step::Barrier => mpi.barrier(ctx, &comm),
                 }
             }
-            sums.lock()[me] = check;
-        });
+            check
+        }));
     }
     let report = sim.run();
     assert!(
@@ -101,8 +99,7 @@ fn run_program(build: impl Fn(&SimHandle) -> MpiWorld, program: Vec<Step>) -> Ve
         "stress deadlocked: {:?}",
         report.deadlocked
     );
-    let v = sums.lock().clone();
-    v
+    ranks.iter_mut().map(|r| r.take().unwrap()).collect()
 }
 
 proptest! {

@@ -4,11 +4,8 @@
 //! they were building next — and checks it is both correct and ordered
 //! sensibly against the shipped configuration.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpConfig, RecvMode};
-use scramnet_cluster::des::{SimHandle, Simulation, Time, TimeExt};
+use scramnet_cluster::des::{SimHandle, Simulation, TimeExt};
 use scramnet_cluster::scramnet::CostModel;
 use scramnet_cluster::smpi::{CollectiveImpl, MpiWorld, ReduceOp, SmpiCosts};
 
@@ -111,22 +108,19 @@ fn future_stack_beats_the_shipped_stack_on_latency_when_streaming() {
     let one_way = |build: &dyn Fn(&SimHandle) -> MpiWorld| {
         let mut sim = Simulation::new();
         let world = build(&sim.handle());
-        let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-        let done2 = Arc::clone(&done);
         let mut tx = world.proc(0);
         let mut rx = world.proc(1);
         sim.spawn("tx", move |ctx| {
             let comm = tx.comm_world();
             tx.send(ctx, &comm, 1, 0, b"ping").unwrap();
         });
-        sim.spawn("rx", move |ctx| {
+        let mut rx = sim.spawn("rx", move |ctx| {
             let comm = rx.comm_world();
             let _ = rx.recv(ctx, &comm, Some(0), Some(0)).unwrap();
-            *done2.lock() = ctx.now();
+            ctx.now()
         });
         assert!(sim.run().is_clean());
-        let t = *done.lock();
-        t
+        rx.take().unwrap()
     };
     let shipped = one_way(&|h| MpiWorld::scramnet(h, 2));
     let future = one_way(&|h| future_world(h, 2));

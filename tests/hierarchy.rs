@@ -2,9 +2,6 @@
 //! the full MPI stack running unchanged across a two-level ring
 //! hierarchy (writes cross leaf rings through backbone bridges).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::{Simulation, Time, TimeExt};
 use scramnet_cluster::scramnet::{HierarchyConfig, RingHierarchy};
@@ -36,14 +33,12 @@ fn bbp_ping_pong_across_leaf_rings() {
     let mut eps = bbp_endpoints(&h, &config);
     let mut far = eps.remove(5); // leaf 1
     let mut near = eps.remove(0); // leaf 0
-    let rtt = Arc::new(Mutex::new(0u64));
-    let rtt2 = Arc::clone(&rtt);
-    sim.spawn("near", move |ctx| {
+    let mut near = sim.spawn("near", move |ctx| {
         let t0 = ctx.now();
         near.send(ctx, 5, b"across the bridge").unwrap();
         let back = near.recv(ctx, 5).unwrap();
         assert_eq!(back, b"and back");
-        *rtt2.lock() = ctx.now() - t0;
+        ctx.now() - t0
     });
     sim.spawn("far", move |ctx| {
         let m = far.recv(ctx, 0).unwrap();
@@ -56,7 +51,7 @@ fn bbp_ping_pong_across_leaf_rings() {
         h.conflicts().is_empty(),
         "single-writer discipline held across rings"
     );
-    let t: Time = *rtt.lock();
+    let t: Time = near.take().unwrap();
     // Crossing two bridges each way adds noticeable latency over the
     // ~15 µs same-ring round trip, but stays tens of µs.
     assert!(

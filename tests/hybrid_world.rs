@@ -2,9 +2,6 @@
 //! correctness under mixed small/large traffic where frames split across
 //! two physical networks, and the best-of-both performance envelope.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::des::{SimHandle, Simulation, Time, TimeExt};
 use scramnet_cluster::smpi::{MpiWorld, ReduceOp, ANY_SOURCE};
 
@@ -66,8 +63,6 @@ fn collectives_work_on_the_hybrid_world() {
 fn one_way_us(build: impl Fn(&SimHandle) -> MpiWorld, len: usize) -> f64 {
     let mut sim = Simulation::new();
     let world = build(&sim.handle());
-    let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-    let done2 = Arc::clone(&done);
     let payload = vec![1u8; len];
     let mut tx = world.proc(0);
     let mut rx = world.proc(1);
@@ -75,15 +70,14 @@ fn one_way_us(build: impl Fn(&SimHandle) -> MpiWorld, len: usize) -> f64 {
         let comm = tx.comm_world();
         tx.send(ctx, &comm, 1, 0, &payload).unwrap();
     });
-    sim.spawn("rx", move |ctx| {
+    let mut rx = sim.spawn("rx", move |ctx| {
         let comm = rx.comm_world();
         let _ = rx.recv(ctx, &comm, Some(0), Some(0)).unwrap();
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     let report = sim.run();
     assert!(report.is_clean());
-    let t = *done.lock();
-    t.as_us()
+    rx.take().unwrap().as_us()
 }
 
 #[test]
@@ -164,12 +158,11 @@ fn bulk_frames_from_several_sources_arrive_intact_and_in_per_source_order() {
             }
         });
     }
-    let done: Arc<Mutex<Vec<(usize, Time)>>> = Arc::new(Mutex::new(Vec::new()));
-    let done2 = Arc::clone(&done);
     let mut rx = world.proc(0);
-    sim.spawn("rank0", move |ctx| {
+    let mut rank0 = sim.spawn("rank0", move |ctx| {
         let comm = rx.comm_world();
         let mut next = [0; 4];
+        let mut done: Vec<(usize, Time)> = Vec::new();
         for _ in 0..6 {
             let (st, m) = rx.recv(ctx, &comm, ANY_SOURCE, Some(7)).unwrap();
             assert!(
@@ -179,16 +172,17 @@ fn bulk_frames_from_several_sources_arrive_intact_and_in_per_source_order() {
                 st.source
             );
             next[st.source] += 1;
-            done2.lock().push((st.source, ctx.now()));
+            done.push((st.source, ctx.now()));
         }
         assert_eq!(next, [0, 2, 2, 2]);
+        done
     });
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
     // The API port takes the waiting frames in arrival order: rank 3,
     // which starts first, then 2, then 1.
     assert_eq!(
-        *done.lock(),
+        rank0.take().unwrap(),
         [
             (3, 812_272),
             (2, 1_140_144),

@@ -4,9 +4,7 @@
 //! with selective matching.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use scramnet_cluster::des::Simulation;
 use scramnet_cluster::smpi::MpiWorld;
@@ -64,7 +62,6 @@ fn reference(plan: &Plan) -> Vec<Vec<u8>> {
 fn run_on_mpi(plan: &Plan) -> Vec<Vec<u8>> {
     let mut sim = Simulation::new();
     let world = MpiWorld::scramnet(&sim.handle(), 3);
-    let out = Arc::new(Mutex::new(Vec::new()));
     for src in 0..2usize {
         let sends = plan.sends[src].clone();
         let mut mpi = world.proc(src + 1);
@@ -78,20 +75,20 @@ fn run_on_mpi(plan: &Plan) -> Vec<Vec<u8>> {
     }
     let order = plan.recv_order.clone();
     let mut root = world.proc(0);
-    let out2 = Arc::clone(&out);
-    sim.spawn("root", move |ctx| {
+    let mut root = sim.spawn("root", move |ctx| {
         let comm = root.comm_world();
+        let mut out = Vec::new();
         for (s, tag) in order {
             let (status, bytes) = root.recv(ctx, &comm, Some(s + 1), Some(tag)).unwrap();
             assert_eq!(status.source, s + 1);
             assert_eq!(status.tag, tag);
-            out2.lock().push(bytes);
+            out.push(bytes);
         }
+        out
     });
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let v = out.lock().clone();
-    v
+    root.take().unwrap()
 }
 
 proptest! {

@@ -2,9 +2,6 @@
 //! testbed had 4) and end-to-end bandwidth validation against the
 //! hardware's published throughput figures.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use scramnet_cluster::bbp::{BbpCluster, BbpConfig};
 use scramnet_cluster::des::{Simulation, Time};
 use scramnet_cluster::scramnet::TxMode;
@@ -66,19 +63,17 @@ fn measured_mb_s(mode: TxMode) -> f64 {
             tx.send(ctx, 1, &payload).unwrap();
         }
     });
-    let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-    let done2 = Arc::clone(&done);
     let mut rx = cluster.endpoint(1);
-    sim.spawn("rx", move |ctx| {
+    let mut rx = sim.spawn("rx", move |ctx| {
         let mut got = 0usize;
         while got < total_bytes {
             got += rx.recv(ctx, 0).unwrap().len();
         }
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     let report = sim.run();
     assert!(report.is_clean(), "deadlocked: {:?}", report.deadlocked);
-    let t = *done.lock();
+    let t: Time = rx.take().unwrap();
     total_bytes as f64 / (t as f64 / 1e9) / 1e6
 }
 
@@ -121,17 +116,15 @@ fn ethernet_stream_throughput_is_wire_limited() {
             a.send(ctx, &payload);
         }
     });
-    let done: Arc<Mutex<Time>> = Arc::new(Mutex::new(0));
-    let done2 = Arc::clone(&done);
-    sim.spawn("b", move |ctx| {
+    let mut b = sim.spawn("b", move |ctx| {
         let mut got = 0usize;
         while got < total {
             got += b.recv(ctx).len();
         }
-        *done2.lock() = ctx.now();
+        ctx.now()
     });
     assert!(sim.run().is_clean());
-    let t = *done.lock();
+    let t: Time = b.take().unwrap();
     let mb_s = total as f64 / (t as f64 / 1e9) / 1e6;
     // 100 Mb/s = 12.5 MB/s wire; stack costs and framing land it below.
     assert!(

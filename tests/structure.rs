@@ -18,6 +18,8 @@
 //! - a knob has a caller ([`PUBLIC_FIELDS`]) and every calibration
 //!   constant is a row of EXPERIMENTS.md's table ([`uncalibrated`]);
 //! - the report tier says it once ([`report_tier`]);
+//! - a process returns its result: a lock shares one only where another
+//!   entity reads or writes it during the run ([`SHARED_DURING_THE_RUN`]);
 //! - code a deletion removed stays removed ([`BUDGETS`]);
 //! - docs/PERFORMANCE.md citations resolve ([`unresolved_citations`]), and
 //!   its "What each PR bought" table is `BENCH_history.jsonl`'s record
@@ -1074,6 +1076,66 @@ fn report_tier(files: &[File]) -> Vec<String> {
 }
 
 // ----------------------------------------------------------------------
+// Results a process returns
+// ----------------------------------------------------------------------
+
+/// The `Arc::new(Mutex::new(` sites left outside `crates/des/src` and the
+/// benchmark, as `(file, sites, why)`: each is state another entity reads
+/// or writes while the run goes on. A process that only hands a result
+/// out returns it (`des::Spawned`); an event returns nothing.
+const SHARED_DURING_THE_RUN: &[(&str, usize, &str)] = &[
+    (
+        "crates/des/tests/baton.rs",
+        2,
+        "events record the thread each of them ran on",
+    ),
+    (
+        "crates/scramnet/src/ring.rs",
+        2,
+        "a node's apply tap logs each delivery as it lands (`Ring::record_deliveries`, \
+         and the hops of the interleaved-packets test)",
+    ),
+    (
+        "crates/scramnet/tests/backlog_bytes.rs",
+        1,
+        "the event that sources the burst counts what the burst allocated",
+    ),
+    (
+        "crates/smpi/src/testutil.rs",
+        1,
+        "the scripted device's frames, which its test probe reads and feeds while ranks run",
+    ),
+    (
+        "examples/fault_bypass.rs",
+        1,
+        "one log that the fault events and the processes write in run order",
+    ),
+];
+
+/// Each file outside `crates/des/src` and the benchmark with more
+/// `Arc::new(Mutex::new(` sites than its row allows (none without a row).
+fn shared_results(files: &[File]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (path, text) in files {
+        if !path.ends_with(".rs") || under(path, "crates/des/src") || under(path, "benchmark") {
+            continue;
+        }
+        let sites = text.matches("Arc::new(Mutex::new(").count();
+        let cap = SHARED_DURING_THE_RUN
+            .iter()
+            .find(|row| row.0 == path)
+            .map_or(0, |row| row.1);
+        if sites > cap {
+            out.push(format!(
+                "{path} shares {sites} results through `Arc::new(Mutex::new(` (cap {cap}): \
+                 a process returns its result through `des::Spawned`"
+            ));
+        }
+    }
+    out
+}
+
+// ----------------------------------------------------------------------
 // Code-line budgets
 // ----------------------------------------------------------------------
 
@@ -1093,10 +1155,11 @@ const BUDGETS: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/des/src",
-        1699,
+        1708,
         "1 616 → 1 679 for the sleeping cycle's round-end guard and `ProcCtx::wait_either`; \
          1 713 when `compat/rand` folded into `rng.rs` (−152 there); 1 699 when a wait's \
-         registration became one numbered entry for one ticket or two",
+         registration became one numbered entry for one ticket or two; 1 708 for \
+         `Spawned`, the handle on what a process's body returns",
     ),
     (
         "crates/scramnet/src",
@@ -1125,13 +1188,15 @@ const BUDGETS: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/bench/src",
-        634,
-        "648 → 634 when the Myrinet API's own harness went",
+        625,
+        "648 → 634 when the Myrinet API's own harness went; 625 when its harnesses' ranks \
+         came to return their times",
     ),
     (
         "crates/bench/benches",
-        1093,
-        "1 096 → 1 095 when a provenance field line went; 1 093 as counted when budgets became a test",
+        1057,
+        "1 096 → 1 095 when a provenance field line went; 1 093 as counted when budgets became \
+         a test; 1 057 when the targets' processes came to return their results",
     ),
     (
         "crates/shmem/src",
@@ -1140,9 +1205,10 @@ const BUDGETS: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/workload/src",
-        1016,
+        996,
         "1 018 → 1 020 for the idle waits' guards in `run_cell`; 1 016 when it came to \
-         draw from `des::rng::SimRng`",
+         draw from `des::rng::SimRng`; 996 when `run_cell`'s processes came to return \
+         their counts",
     ),
     (
         "crates/compat",
@@ -1367,6 +1433,7 @@ fn every_path_a_rule_reads_exists() {
         .collect();
     roots.extend(PUBLIC_FIELDS.iter().map(|row| row.1));
     roots.extend(BUDGETS.iter().map(|row| row.0));
+    roots.extend(SHARED_DURING_THE_RUN.iter().map(|row| row.0));
     roots.extend(CALIBRATED.iter().chain(CITING));
     for root in roots {
         assert!(
@@ -1417,6 +1484,11 @@ fn a_knob_has_a_caller() {
 #[test]
 fn every_calibration_constant_is_a_table_row() {
     holds("calibration constants", uncalibrated(repo_files()));
+}
+
+#[test]
+fn a_process_returns_its_result() {
+    holds("shared results", shared_results(repo_files()));
 }
 
 #[test]
@@ -1639,6 +1711,21 @@ fn a_nic_write_or_a_nic_outside_layout_trips_the_rule() {
     assert!(nic_outside_layout(&[file(path, named)]).is_empty());
     let layout = "crates/bbp/src/layout.rs";
     assert!(nic_outside_layout(&[file(layout, "struct W {\n    nic: Nic,\n}\n")]).is_empty());
+}
+
+#[test]
+fn a_result_shared_through_a_lock_trips_the_rule() {
+    let site = "\nfn f() { let _ = Arc::new(Mutex::new(0)); }\nuse ";
+    let quickstart = edited("examples/quickstart.rs", "\nuse ", site);
+    trips(
+        shared_results(&quickstart),
+        "examples/quickstart.rs shares 1",
+    );
+    let past_its_row = edited("examples/fault_bypass.rs", "\nuse ", site);
+    trips(shared_results(&past_its_row), "shares 2 results");
+    for outside in ["crates/des/src/sim.rs", "benchmark/src/drivers.rs"] {
+        assert!(shared_results(&edited(outside, "\nuse ", site)).is_empty());
+    }
 }
 
 #[test]
