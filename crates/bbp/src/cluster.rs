@@ -55,7 +55,7 @@ impl BbpCluster {
     /// Build an endpoint over an arbitrary NIC — the path for running
     /// the protocol across a [`scramnet::RingHierarchy`], whose NICs do
     /// not come from a single ring. The process's rank in the BBP layout
-    /// is the NIC's host id ([`scramnet::Nic::gid`]); a NIC whose host id
+    /// is the NIC's host id ([`scramnet::NicView::gid`]); a NIC whose host id
     /// is not a rank of `config` is refused here, by rank.
     ///
     /// ```

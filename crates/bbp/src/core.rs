@@ -577,7 +577,7 @@ impl Core {
     /// One poll sweep: `only`'s flag word, or every peer's in rank order.
     ///
     /// A sweep of several words is handed to the NIC whole
-    /// ([`scramnet::Nic::scan`]), so this process sleeps through the words
+    /// ([`scramnet::NicView::scan`]), so this process sleeps through the words
     /// that have not changed, and the event log is told of each poll once
     /// the sweep returns. A sweep of a single word is the loop written
     /// out: it costs what its one read costs either way. (A caller that
@@ -656,7 +656,7 @@ impl Core {
     /// flagged; check `guard`; charge `lead`" computes — in time, in the
     /// schedule, in `polls` and, sweep by sweep, in the event log — but
     /// this process sleeps until the word changes or the guard holds
-    /// ([`scramnet::Nic::scan_until`]) instead of being woken at the end of
+    /// ([`scramnet::NicView::scan_until`]) instead of being woken at the end of
     /// every idle sweep to ask for the next.
     ///
     /// `None`, with nothing done, unless sweeping is all there is to do

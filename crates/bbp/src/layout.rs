@@ -6,8 +6,8 @@
 
 use std::ops::Range;
 
-use des::{ProcCtx, RoundGuard, Signal, Time};
-use scramnet::{Nic, ReachabilitySet, Word, WordAddr};
+use des::{ProcCtx, Signal};
+use scramnet::{Nic, NicView, Word, WordAddr};
 
 use crate::config::BbpConfig;
 
@@ -198,8 +198,10 @@ impl Layout {
 ///
 /// A block role's extent is its caller's: the allocator keeps a payload
 /// inside the data partition, and a member write inside the block.
-/// Reads name any address; they and the ring controls the layers use are
-/// the NIC's, forwarded.
+/// Reads name any address. They, the poll sweeps and the ring controls
+/// are the NIC's: a writer derefs to its [`NicView`], which has no
+/// write. [`Writer::watch`] arms the view's watch over a block of our
+/// partition.
 ///
 /// ```
 /// use bbp::{BbpConfig, Layout, Writer};
@@ -213,8 +215,8 @@ impl Layout {
 /// assert!(sim.run().is_clean());
 /// ```
 ///
-/// A write that names an address does not compile: the writer has no
-/// such method, and its NIC is its own.
+/// A write that names an address does not compile: neither the writer
+/// nor the view it derefs to has such a method, and its NIC is its own.
 ///
 /// ```compile_fail,E0599
 /// use bbp::{BbpConfig, Layout, Writer};
@@ -298,74 +300,13 @@ impl Writer {
         self.nic.watch(block(&self.layout, self.me), signal.clone());
         signal
     }
+}
 
-    /// [`Nic::read_word`].
-    pub fn read_word(&self, ctx: &mut ProcCtx, addr: WordAddr) -> Word {
-        self.nic.read_word(ctx, addr)
-    }
+impl std::ops::Deref for Writer {
+    type Target = NicView;
 
-    /// [`Nic::read_block`].
-    pub fn read_block(&self, ctx: &mut ProcCtx, addr: WordAddr, out: &mut [Word]) {
-        self.nic.read_block(ctx, addr, out);
-    }
-
-    /// [`Nic::scan`].
-    pub fn scan(
-        &self,
-        ctx: &mut ProcCtx,
-        cpu: Time,
-        looks: &[(WordAddr, Word)],
-    ) -> Option<(usize, Word)> {
-        self.nic.scan(ctx, cpu, looks)
-    }
-
-    /// [`Nic::scan_until`].
-    pub fn scan_until(
-        &self,
-        ctx: &mut ProcCtx,
-        lead: Time,
-        cpu: Time,
-        looks: &[(WordAddr, Word)],
-        guard: Option<&RoundGuard>,
-        swept: impl FnMut(&ProcCtx, Time, Option<(usize, Word)>),
-    ) -> Option<(usize, Word)> {
-        self.nic.scan_until(ctx, lead, cpu, looks, guard, swept)
-    }
-
-    /// [`Nic::sweep_reads`].
-    pub fn sweep_reads(
-        &self,
-        t0: Time,
-        cpu: Time,
-        looks: usize,
-        hit: Option<(usize, Word)>,
-    ) -> impl Iterator<Item = Time> {
-        self.nic.sweep_reads(t0, cpu, looks, hit)
-    }
-
-    /// [`Nic::peer_alive`].
-    pub fn peer_alive(&self, peer: usize) -> bool {
-        self.nic.peer_alive(peer)
-    }
-
-    /// [`Nic::peer_reachable`].
-    pub fn peer_reachable(&self, peer: usize) -> bool {
-        self.nic.peer_reachable(peer)
-    }
-
-    /// [`Nic::reachable_set`].
-    pub fn reachable_set(&self) -> ReachabilitySet {
-        self.nic.reachable_set()
-    }
-
-    /// [`Nic::engage_bypass`].
-    pub fn engage_bypass(&self, peer: usize) {
-        self.nic.engage_bypass(peer);
-    }
-
-    /// [`Nic::reinsert_self`].
-    pub fn reinsert_self(&self) {
-        self.nic.reinsert_self();
+    fn deref(&self) -> &NicView {
+        &self.nic
     }
 }
 

@@ -56,8 +56,10 @@
 //! (`msg_flag`, `ack_flag`, `nack_flag`, `descriptor`, `data`,
 //! `member`), each naming a word whose writer is that rank — so the
 //! single-writer discipline is a type, and no layer names an address to
-//! write. `config.rs` holds the knobs, the rules for combining them, and
-//! the software path's calibrated costs.
+//! write. Reads, sweeps and the ring controls go through the writer to
+//! its NIC's read side, [`scramnet::NicView`], by `Deref`. `config.rs`
+//! holds the knobs, the rules for combining them, and the software
+//! path's calibrated costs.
 //!
 //! ## Example
 //!

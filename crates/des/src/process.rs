@@ -453,7 +453,7 @@ impl ProcCtx {
     /// charged ride in front. The scheduler's trace entries are the loop's,
     /// written by whoever walks each step; what the loop's *body* would
     /// have told the event log (a span per read, say) the caller writes
-    /// once the sweep returns, as `scramnet::Nic::scan` does.
+    /// once the sweep returns, as `scramnet::NicView::scan` does.
     pub fn scan<S: Sample + 'static>(
         &mut self,
         on: &Arc<S>,
@@ -534,7 +534,7 @@ impl ProcCtx {
     /// charged are settled first, which is where they would have been
     /// walked in front of the first round. What the loop's body would have
     /// told the event log the caller writes afterwards, sweep by sweep, as
-    /// `scramnet::Nic::scan_until` does.
+    /// `scramnet::NicView::scan_until` does.
     ///
     /// A run in which nothing but unguarded cycles is left — no event
     /// pending, no other process due, no guarded cycle queued — has no one

@@ -19,6 +19,7 @@
 //! never memory safety — an explicit trade for a recording cost small
 //! enough to leave on everywhere.
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::write_string;
@@ -162,17 +163,26 @@ impl FlightRecorder {
     /// `target/flight/`), named after a sanitized `label`. Best-effort:
     /// a dump is diagnostics, so I/O failures are swallowed and `None`
     /// is returned. Returns the written path on success.
-    pub fn dump_to_dir(&self, label: &str) -> Option<std::path::PathBuf> {
-        let dir = std::env::var("FLIGHT_DUMP_DIR").unwrap_or_else(|_| "target/flight".to_string());
-        let slug: String = label
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        let path = std::path::Path::new(&dir).join(format!("flight_{slug}.json"));
-        std::fs::create_dir_all(&dir).ok()?;
-        std::fs::write(&path, self.dump_json(label)).ok()?;
-        Some(path)
+    pub fn dump_to_dir(&self, label: &str) -> Option<PathBuf> {
+        dump_file("flight", label, &self.dump_json(label))
     }
+}
+
+/// Write `json` to `$FLIGHT_DUMP_DIR` (default `target/flight/`) as
+/// `{kind}_{name}.json`, every character of `name` but an ASCII letter or
+/// digit made `_`: the one place a postmortem file is named and written,
+/// so the flight ring and the series dumped beside it share a directory.
+/// Best-effort: `None` on an I/O failure.
+pub(crate) fn dump_file(kind: &str, name: &str, json: &str) -> Option<PathBuf> {
+    let dir = std::env::var("FLIGHT_DUMP_DIR").unwrap_or_else(|_| "target/flight".to_string());
+    let slug: String = name
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    let path = Path::new(&dir).join(format!("{kind}_{slug}.json"));
+    std::fs::create_dir_all(&dir).ok()?;
+    std::fs::write(&path, json).ok()?;
+    Some(path)
 }
 
 impl Default for FlightRecorder {
@@ -208,7 +218,7 @@ impl FlightGuard {
     }
 
     /// Dump unconditionally.
-    fn dump_now(&self) -> Option<std::path::PathBuf> {
+    fn dump_now(&self) -> Option<PathBuf> {
         self.recorder.flight().dump_to_dir(&self.label)
     }
 

@@ -246,15 +246,8 @@ impl SeriesSnapshot {
     /// CI artifact upload collects both. Best-effort; returns the
     /// written path on success.
     pub fn dump_to_dir(&self, label: &str) -> Option<std::path::PathBuf> {
-        let dir = std::env::var("FLIGHT_DUMP_DIR").unwrap_or_else(|_| "target/flight".to_string());
-        let slug: String = format!("{label}_{}_{}", self.name, self.node)
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        let path = std::path::Path::new(&dir).join(format!("series_{slug}.json"));
-        std::fs::create_dir_all(&dir).ok()?;
-        std::fs::write(&path, self.to_json()).ok()?;
-        Some(path)
+        let name = format!("{label}_{}_{}", self.name, self.node);
+        crate::flight::dump_file("series", &name, &self.to_json())
     }
 }
 

@@ -23,10 +23,13 @@
 //!   per-link occupancy (aggregate throughput equals the link rate because
 //!   every packet traverses the whole ring back to its originator),
 //!   deterministic per-source FIFO delivery, node-bypass fault injection.
-//! - [`Nic`] — the host-side port: programmed-I/O word and block
-//!   reads/writes against the local bank, packet injection, and the
-//!   interrupt-on-write facility used by the interrupt-driven receive
-//!   extension.
+//! - [`Nic`] — the host-side port: programmed-I/O word and block writes
+//!   and DMA, each a packet injected into the ring. It derefs to its
+//!   [`NicView`], which has everything else a host does with its NIC:
+//!   reads of the local bank, poll sweeps, the interrupt-on-write facility
+//!   used by the interrupt-driven receive extension, and the liveness
+//!   registers and bypass controls. A holder of the view alone cannot
+//!   store a word.
 //!
 //! ## Example
 //!
@@ -61,7 +64,7 @@ pub use bank::bank_storage_allocated;
 pub use cost::{CostModel, TxMode, BYPASS_HOP_NS};
 pub use fault::{FaultAt, FaultPlan};
 pub use hierarchy::{HierarchyConfig, RingHierarchy};
-pub use nic::Nic;
+pub use nic::{Nic, NicView};
 pub use ring::{Delivery, ReachabilitySet, Ring, RingConfig};
 pub use stats::RingStats;
 

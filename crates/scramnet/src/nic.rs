@@ -12,48 +12,26 @@ use crate::ring::RingShared;
 use crate::stats::Bump;
 use crate::{Word, WordAddr};
 
-/// A host's port onto the ring. Clone freely; all clones refer to the same
-/// node. Every operation charges the calibrated PIO cost to the calling
-/// process before touching memory — SCRAMNet has no driver in the data
-/// path, but every access still crosses the I/O bus.
+/// A host's port onto the ring: the stores into ring memory, and through
+/// `Deref` its [`NicView`] — every read, sweep, watch and ring control.
+/// Clone freely; all clones refer to the same node. Every store charges
+/// the calibrated PIO cost to the calling process before touching memory
+/// — SCRAMNet has no driver in the data path, but every access still
+/// crosses the I/O bus.
 #[derive(Clone)]
-pub struct Nic {
-    shared: Arc<RingShared>,
-    node: usize,
+pub struct Nic(NicView);
+
+impl std::ops::Deref for Nic {
+    type Target = NicView;
+
+    fn deref(&self) -> &NicView {
+        &self.0
+    }
 }
 
 impl Nic {
     pub(crate) fn new(shared: Arc<RingShared>, node: usize) -> Self {
-        Nic { shared, node }
-    }
-
-    /// This NIC's node id on the ring.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// This host's global id: the label it writes under, and its rank to
-    /// the protocols above (differs from the local ring slot inside a
-    /// hierarchy).
-    pub fn gid(&self) -> u32 {
-        self.shared.node_ids[self.node] as u32
-    }
-
-    /// Number of nodes on the ring.
-    pub fn ring_nodes(&self) -> usize {
-        self.shared.n
-    }
-
-    /// The hardware cost model in force (synchronization primitives use
-    /// it to bound write-propagation delays).
-    pub fn cost_model(&self) -> &crate::CostModel {
-        &self.shared.cost
-    }
-
-    /// The simulation handle this NIC's ring schedules on (protocol
-    /// layers use it to mint interrupt signals).
-    pub fn sim_handle(&self) -> des::SimHandle {
-        self.shared.handle.clone()
+        Nic(NicView { shared, node })
     }
 
     /// Store one word: a single posted PIO write, replicated to the ring.
@@ -83,6 +61,75 @@ impl Nic {
                 .count(ctx.now(), self.gid(), "nic.pio_words", data.len() as u64);
             self.shared.inject(self.node, ctx.now(), addr, data);
         });
+    }
+
+    /// Program a DMA transfer: the host pays only the setup cost and is
+    /// free immediately; the NIC's DMA engine streams the block from
+    /// host memory in the background and injects it into the ring when
+    /// the staging completes — the paper's §2 "For larger data transfers,
+    /// programmed I/O or DMA can be used". Returns the instant of the
+    /// injection (the end of the setup for an empty block), for a caller
+    /// that waits for it with [`ProcCtx::wait_until`].
+    pub fn dma_write(&self, ctx: &mut ProcCtx, addr: WordAddr, data: &[Word]) -> des::Time {
+        ctx.span(self.gid(), Layer::Nic, "dma_setup", |ctx| {
+            ctx.advance(DMA_SETUP_NS)
+        });
+        if data.is_empty() {
+            return ctx.now();
+        }
+        self.shared.stats.bursts.add(1);
+        ctx.obs()
+            .count(ctx.now(), self.gid(), "nic.dma_words", data.len() as u64);
+        let staged_at = ctx.now() + data.len() as u64 * DMA_WORD_NS;
+        let shared = std::sync::Arc::clone(&self.shared);
+        let node = self.node;
+        let data = data.to_vec();
+        self.shared.handle.schedule_at(staged_at, move |t| {
+            shared.inject(node, t, addr, &data);
+        });
+        staged_at
+    }
+}
+
+/// Everything a host does with its NIC but store into ring memory: PIO
+/// reads of the local bank, poll sweeps, interrupt subscriptions, and the
+/// liveness registers and bypass controls. A [`Nic`] derefs to it; a
+/// holder of the view alone cannot write a word. Every read charges the
+/// calibrated PIO cost to the calling process before touching memory.
+#[derive(Clone)]
+pub struct NicView {
+    shared: Arc<RingShared>,
+    node: usize,
+}
+
+impl NicView {
+    /// This NIC's node id on the ring.
+    pub fn node(&self) -> usize {
+        self.node
+    }
+
+    /// This host's global id: the label it writes under, and its rank to
+    /// the protocols above (differs from the local ring slot inside a
+    /// hierarchy).
+    pub fn gid(&self) -> u32 {
+        self.shared.node_ids[self.node] as u32
+    }
+
+    /// Number of nodes on the ring.
+    pub fn ring_nodes(&self) -> usize {
+        self.shared.n
+    }
+
+    /// The hardware cost model in force (synchronization primitives use
+    /// it to bound write-propagation delays).
+    pub fn cost_model(&self) -> &crate::CostModel {
+        &self.shared.cost
+    }
+
+    /// The simulation handle this NIC's ring schedules on (protocol
+    /// layers use it to mint interrupt signals).
+    pub fn sim_handle(&self) -> des::SimHandle {
+        self.shared.handle.clone()
     }
 
     /// Load one word from the local bank (a blocking PIO read — the
@@ -138,7 +185,7 @@ impl Nic {
     /// receive-from-anyone reads. The event log is told afterwards what the
     /// sweep stood for: for each read actually made — up to the changed
     /// word, or all — the `pio_read` span and `nic.pio_reads` count
-    /// [`Nic::read_word`] writes, stamped with the instants that loop
+    /// [`NicView::read_word`] writes, stamped with the instants that loop
     /// would have stamped. (A sweep the end of the run or an abort cuts
     /// short never gets to tell; [`crate::RingStats::pio_reads`] has
     /// counted its reads all the same.)
@@ -155,7 +202,7 @@ impl Nic {
         hit
     }
 
-    /// [`Nic::scan`] over and over, with `lead` ns of the host's own time
+    /// [`NicView::scan`] over and over, with `lead` ns of the host's own time
     /// before each sweep, until a word is not the expected one — returning
     /// that look's index and the word, with the clock at the end of that
     /// read — or until `guard` holds at the end of a sweep that found
@@ -182,7 +229,7 @@ impl Nic {
     /// and so it is in the event log, which is told afterwards sweep by
     /// sweep, in that order: the reads of a sweep as `scan` tells them,
     /// then `swept` — the caller's turn to stamp records of its own for
-    /// the sweep entered at `t0` (see [`Nic::sweep_reads`]).
+    /// the sweep entered at `t0` (see [`NicView::sweep_reads`]).
     ///
     /// Only for a caller with nothing else to do between sweeps but check
     /// `guard`, and at most [`ProcCtx::CYCLE_LOOKS`] looks (it panics on
@@ -231,7 +278,7 @@ impl Nic {
     }
 
     /// Tell the event log of the reads one sweep made (see
-    /// [`Nic::sweep_reads`]), as [`Nic::read_word`] would have.
+    /// [`NicView::sweep_reads`]), as [`NicView::read_word`] would have.
     fn tell_sweep(
         &self,
         ctx: &ProcCtx,
@@ -249,8 +296,8 @@ impl Nic {
         }
     }
 
-    /// When each PIO read of one sweep of [`Nic::scan`] or
-    /// [`Nic::scan_until`] began: the sweep was entered
+    /// When each PIO read of one sweep of [`NicView::scan`] or
+    /// [`NicView::scan_until`] began: the sweep was entered
     /// at `t0` with `looks` words to read and `cpu` ns of the host's own
     /// time before each, and made a read per look up to the one that `hit`
     /// (all of them if none did). For a caller with records of its own to
@@ -267,33 +314,6 @@ impl Nic {
         (0..made).map(move |k| t0 + k * period + cpu)
     }
 
-    /// Program a DMA transfer: the host pays only the setup cost and is
-    /// free immediately; the NIC's DMA engine streams the block from
-    /// host memory in the background and injects it into the ring when
-    /// the staging completes — the paper's §2 "For larger data transfers,
-    /// programmed I/O or DMA can be used". Returns the instant of the
-    /// injection (the end of the setup for an empty block), for a caller
-    /// that waits for it with [`ProcCtx::wait_until`].
-    pub fn dma_write(&self, ctx: &mut ProcCtx, addr: WordAddr, data: &[Word]) -> des::Time {
-        ctx.span(self.gid(), Layer::Nic, "dma_setup", |ctx| {
-            ctx.advance(DMA_SETUP_NS)
-        });
-        if data.is_empty() {
-            return ctx.now();
-        }
-        self.shared.stats.bursts.add(1);
-        ctx.obs()
-            .count(ctx.now(), self.gid(), "nic.dma_words", data.len() as u64);
-        let staged_at = ctx.now() + data.len() as u64 * DMA_WORD_NS;
-        let shared = std::sync::Arc::clone(&self.shared);
-        let node = self.node;
-        let data = data.to_vec();
-        self.shared.handle.schedule_at(staged_at, move |t| {
-            shared.inject(node, t, addr, &data);
-        });
-        staged_at
-    }
-
     /// True unless `peer`'s insertion register is currently switched out
     /// of the ring (bypass). Reliability layers use this to tell a dead
     /// peer from a slow one when a retry budget runs out — it is the
@@ -308,7 +328,7 @@ impl Nic {
     /// traffic can reach given severed links and bypassed NICs. A peer
     /// outside the set is *unreachable* — possibly perfectly healthy on
     /// the far side of a partition — which is a different verdict from
-    /// the dead-or-bypassed one [`Nic::peer_alive`] renders. Membership
+    /// the dead-or-bypassed one [`NicView::peer_alive`] renders. Membership
     /// layers consult this before grading a silent peer.
     pub fn reachable_set(&self) -> crate::ReachabilitySet {
         self.assert_settled();
@@ -316,7 +336,7 @@ impl Nic {
     }
 
     /// True if `peer` is in this node's current segment (see
-    /// [`Nic::reachable_set`]).
+    /// [`NicView::reachable_set`]).
     pub fn peer_reachable(&self, peer: usize) -> bool {
         assert!(peer < self.shared.n, "node {peer} out of range");
         self.assert_settled();
@@ -326,9 +346,9 @@ impl Nic {
     /// Switch `peer`'s insertion register out of the ring from this host
     /// — the failure detector's declare-dead action. From here on the
     /// ring heals past `peer` (hop latency drops to
-    /// [`BYPASS_HOP_NS`](crate::BYPASS_HOP_NS)) and [`Nic::peer_alive`]
+    /// [`BYPASS_HOP_NS`](crate::BYPASS_HOP_NS)) and [`NicView::peer_alive`]
     /// reports it down. Idempotent; a rejoining peer undoes it with
-    /// [`Nic::reinsert_self`].
+    /// [`NicView::reinsert_self`].
     pub fn engage_bypass(&self, peer: usize) {
         assert!(peer < self.shared.n, "node {peer} out of range");
         self.assert_settled();
@@ -454,9 +474,9 @@ mod tests {
     enum Poll {
         /// `charge` + `read_word` per word.
         WrittenOut,
-        /// One [`Nic::scan`] per sweep.
+        /// One [`NicView::scan`] per sweep.
         Scan,
-        /// One [`Nic::scan_until`] for all of it.
+        /// One [`NicView::scan_until`] for all of it.
         ScanUntil,
     }
 

@@ -753,7 +753,7 @@ impl Ring {
     /// the full `hop_ns` across it and its bank keeps receiving) but
     /// every injection it sources is discarded — a crashed workstation
     /// behind a live card. The hardware liveness signal
-    /// ([`crate::Nic::peer_alive`]) keeps reporting the node as present;
+    /// ([`crate::NicView::peer_alive`]) keeps reporting the node as present;
     /// only a heartbeat-based failure detector can notice, which is the
     /// point: detection, not the fault, is what engages the bypass.
     pub fn silence_node(&self, node: usize) {

@@ -4,9 +4,37 @@
 //! switches, frame-ready signals).
 
 use des::{ProcCtx, Signal, Time};
-use scramnet::{Nic, Word, WordAddr};
+use scramnet::{Nic, NicView, Word, WordAddr};
 
-/// Layout: a single word, written only by the owning node.
+/// Layout: a single word, written only by the owning node. The owner
+/// binds the one handle that sets it; every node may bind one that reads
+/// and waits.
+///
+/// ```
+/// use scramnet::{CostModel, Ring};
+/// use shmem::EventFlag;
+///
+/// let mut sim = des::Simulation::new();
+/// let ring = Ring::new(&sim.handle(), 2, 16, CostModel::default());
+/// let flag = EventFlag::layout(0, 0);
+/// let owner = flag.owner_handle(ring.nic(0));
+/// let mut reader = flag.handle(&ring.nic(1));
+/// sim.spawn("owner", move |ctx| owner.set(ctx, 1));
+/// sim.spawn("reader", move |ctx| reader.wait_value(ctx, 1));
+/// assert!(sim.run().is_clean());
+/// ```
+///
+/// A reader's handle has no `set`:
+///
+/// ```compile_fail,E0599
+/// use scramnet::{CostModel, Ring};
+/// use shmem::EventFlag;
+///
+/// let mut sim = des::Simulation::new();
+/// let ring = Ring::new(&sim.handle(), 2, 16, CostModel::default());
+/// let reader = EventFlag::layout(0, 0).handle(&ring.nic(1));
+/// sim.spawn("reader", move |ctx| reader.set(ctx, 1));
+/// ```
 #[derive(Debug, Clone)]
 pub struct EventFlag {
     addr: WordAddr,
@@ -19,23 +47,51 @@ impl EventFlag {
         EventFlag { addr, owner }
     }
 
-    /// Bind to a NIC. Only the owner's handle may set the value.
-    pub fn handle(&self, nic: Nic) -> EventFlagHandle {
+    /// Bind any node's NIC to read the flag and wait on it.
+    pub fn handle(&self, nic: &NicView) -> EventFlagHandle {
         EventFlagHandle {
-            flag: self.clone(),
-            nic,
+            addr: self.addr,
+            nic: nic.clone(),
             interrupt: None,
         }
+    }
+
+    /// Bind the owner's NIC to set the flag. Panics for another node's
+    /// NIC: the single-writer discipline is checked here, once.
+    pub fn owner_handle(&self, nic: Nic) -> EventFlagOwner {
+        assert_eq!(
+            nic.node(),
+            self.owner,
+            "event flag bound for writing by non-owner node {}",
+            nic.node()
+        );
+        EventFlagOwner {
+            addr: self.addr,
+            nic,
+        }
+    }
+}
+
+/// The owner's handle on an [`EventFlag`]: the one way to set it.
+pub struct EventFlagOwner {
+    addr: WordAddr,
+    nic: Nic,
+}
+
+impl EventFlagOwner {
+    /// Publish a new value.
+    pub fn set(&self, ctx: &mut ProcCtx, value: Word) {
+        self.nic.write_word(ctx, self.addr, value);
     }
 }
 
 /// Polling pause used by [`EventFlagHandle::wait_value`].
 const BACKOFF_NS: Time = 500;
 
-/// One node's view of an [`EventFlag`].
+/// One node's read side of an [`EventFlag`].
 pub struct EventFlagHandle {
-    flag: EventFlag,
-    nic: Nic,
+    addr: WordAddr,
+    nic: NicView,
     interrupt: Option<Signal>,
 }
 
@@ -43,26 +99,13 @@ impl EventFlagHandle {
     /// Arm the NIC's interrupt-on-write for this flag; subsequent waits
     /// sleep instead of polling.
     pub fn arm_interrupt(&mut self, signal: Signal) {
-        self.nic
-            .watch(self.flag.addr..self.flag.addr + 1, signal.clone());
+        self.nic.watch(self.addr..self.addr + 1, signal.clone());
         self.interrupt = Some(signal);
-    }
-
-    /// Publish a new value. Panics if called from a non-owner node —
-    /// the single-writer discipline is part of the API contract.
-    pub fn set(&mut self, ctx: &mut ProcCtx, value: Word) {
-        assert_eq!(
-            self.nic.node(),
-            self.flag.owner,
-            "event flag written by non-owner node {}",
-            self.nic.node()
-        );
-        self.nic.write_word(ctx, self.flag.addr, value);
     }
 
     /// Read the current (replicated) value.
     fn get(&self, ctx: &mut ProcCtx) -> Word {
-        self.nic.read_word(ctx, self.flag.addr)
+        self.nic.read_word(ctx, self.addr)
     }
 
     /// Block until the flag equals `value`; returns immediately if it
@@ -93,8 +136,8 @@ mod tests {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), 2, 16, CostModel::default());
         let flag = EventFlag::layout(3, 0);
-        let mut owner = flag.handle(ring.nic(0));
-        let mut waiter = flag.handle(ring.nic(1));
+        let owner = flag.owner_handle(ring.nic(0));
+        let mut waiter = flag.handle(&ring.nic(1));
         sim.spawn("owner", move |ctx| {
             ctx.wait_until(us(100));
             owner.set(ctx, 0xAA);
@@ -111,8 +154,8 @@ mod tests {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), 2, 16, CostModel::default());
         let flag = EventFlag::layout(3, 0);
-        let mut owner = flag.handle(ring.nic(0));
-        let mut waiter = flag.handle(ring.nic(1));
+        let owner = flag.owner_handle(ring.nic(0));
+        let mut waiter = flag.handle(&ring.nic(1));
         let sig = sim.handle().new_signal();
         waiter.arm_interrupt(sig);
         sim.spawn("owner", move |ctx| {
@@ -139,11 +182,11 @@ mod tests {
         let mut sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), 2, 16, CostModel::default());
         let flag = EventFlag::layout(0, 0);
-        let mut owner = flag.handle(ring.nic(0));
+        let (owner, mut reader) = (flag.owner_handle(ring.nic(0)), flag.handle(&ring.nic(0)));
         sim.spawn("owner", move |ctx| {
             owner.set(ctx, 5);
             let t = ctx.now();
-            owner.wait_value(ctx, 5);
+            reader.wait_value(ctx, 5);
             assert_eq!(ctx.now(), t + CostModel::default().pio_read_ns);
         });
         assert!(sim.run().is_clean());
@@ -152,11 +195,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-owner")]
     fn non_owner_writes_are_rejected() {
-        let mut sim = Simulation::new();
+        let sim = Simulation::new();
         let ring = Ring::new(&sim.handle(), 2, 16, CostModel::default());
-        let flag = EventFlag::layout(0, 0);
-        let mut intruder = flag.handle(ring.nic(1));
-        sim.spawn("intruder", move |ctx| intruder.set(ctx, 1));
-        sim.run();
+        EventFlag::layout(0, 0).owner_handle(ring.nic(1));
     }
 }

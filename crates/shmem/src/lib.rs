@@ -62,4 +62,4 @@ mod event;
 pub use bakery::{BakeryHandle, BakeryLock};
 pub use barrier::{SenseBarrier, SenseBarrierHandle};
 pub use counter::{CounterHandle, DistributedCounter};
-pub use event::{EventFlag, EventFlagHandle};
+pub use event::{EventFlag, EventFlagHandle, EventFlagOwner};

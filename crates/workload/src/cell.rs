@@ -647,6 +647,29 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// What `run_cell` does with a breach: the judge dumps the breached
+    /// gauge's series and the flight guard the ring, both under the
+    /// cell's label, in one directory.
+    #[test]
+    fn a_breached_series_lands_beside_the_flight_ring() {
+        let (plan, label) = (flood_plan(), "wl_unit_beside");
+        let mut out = clean_outcome(&plan);
+        out.max_residency = plan.pool + 1;
+        let breaches = bounds_breached(&plan, &out, HARD_STOP, label);
+        let sim = Simulation::new();
+        obs::FlightGuard::new(label, sim.recorder_arc()).dump_if_violated(&breaches);
+        let dir = std::env::var("FLIGHT_DUMP_DIR").unwrap_or_else(|_| "target/flight".into());
+        for file in [
+            "flight_wl_unit_beside",
+            "series_wl_unit_beside_rpc_buffers_in_use_0",
+        ] {
+            let path = std::path::Path::new(&dir).join(format!("{file}.json"));
+            let dump = std::fs::read_to_string(&path).expect("dumped beside each other");
+            assert!(obs::json::parse(&dump).is_ok(), "{file}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
     #[test]
     fn a_cell_within_its_bounds_is_not_judged() {
         let plan = flood_plan();

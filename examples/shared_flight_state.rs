@@ -49,15 +49,15 @@ fn main() {
         let mut lock_h = lock.handle(nic.clone());
         let mut barrier_h = barrier.handle(nic.clone());
         let mut counter_h = counter.handle(nic.clone());
-        let mut mode_h = mode.handle(nic.clone());
+        let mut mode_h = mode.handle(&nic);
+        let mode_set = (station == 0).then(|| mode.owner_handle(nic.clone()));
         stations.push(sim.spawn(format!("station{station}"), move |ctx| {
             let (mut weather_log, mut frozen_at) = (Vec::new(), None);
             let sig = ctx.handle().new_signal();
             mode_h.arm_interrupt(sig);
-            if station == 0 {
-                mode_h.set(ctx, MODE_RUN);
-            } else {
-                mode_h.wait_value(ctx, MODE_RUN);
+            match &mode_set {
+                Some(owner) => owner.set(ctx, MODE_RUN),
+                None => mode_h.wait_value(ctx, MODE_RUN),
             }
             for epoch in 0..EPOCHS {
                 // Integrate own aircraft: single-writer region, no lock.
@@ -95,9 +95,9 @@ fn main() {
                 barrier_h.wait(ctx);
             }
             // Station 0 freezes the session; everyone reacts via interrupt.
-            if station == 0 {
+            if let Some(owner) = &mode_set {
                 ctx.advance(us(50));
-                mode_h.set(ctx, MODE_FREEZE);
+                owner.set(ctx, MODE_FREEZE);
             } else {
                 mode_h.wait_value(ctx, MODE_FREEZE);
                 frozen_at = Some(ctx.now());
