@@ -7,18 +7,17 @@
 //! Keys live in one of three bands:
 //! - `batch`: the *near* band — every key below `boundary` when the band
 //!   was sealed, sorted once and popped front to back.
-//! - `late`: keys pushed below `boundary` after the seal, kept as a
-//!   sorted run too: a key that sorts after the back is appended (most
-//!   of a hop storm's pushes are), any other is inserted where
-//!   `partition_point` puts it, and pops come from the front.
+//! - `late`: keys pushed below `boundary` after the seal, in a binary
+//!   min-heap: a push is one sift up from the bottom, a pop of its head
+//!   one sift down, wherever in the band the key sorts.
 //! - `far`: every key at or past `boundary`, unsorted — O(1) pushes,
 //!   scanned linearly only when the near and late bands are both empty.
 //!
-//! A pop takes the smaller of the two sorted heads, so the deep part of
-//! the queue is only ever touched by batched linear scans. If the late
-//! run reaches [`LATE_CAP`] keys, both sorted bands go back to `far` and
-//! the next pop seals a narrower window, so no insert shifts more than
-//! `LATE_CAP` keys and the window follows wherever events are dense.
+//! A pop takes the smaller of the two heads, so the deep part of the
+//! queue is only ever touched by batched linear scans. If the late heap
+//! reaches [`LATE_CAP`] keys, both near bands go back to `far` and the
+//! next pop seals a narrower window, so the heap is never more than 11
+//! levels deep and the window follows wherever events are dense.
 //!
 //! Payloads sit still in the slab from push to pop (exactly two touches
 //! each); slots recycle through a free list, so the steady state
@@ -28,7 +27,8 @@
 //! total order on `(time, seq)` whichever band a key is in.
 
 use crate::time::Time;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One queue key: fires at `time`; its tie-break `seq` makes the schedule
 /// deterministic, and `(time, seq)` is unique per entry. The payload lives
@@ -77,7 +77,7 @@ impl Key {
 /// amortized against a proportionally larger batch).
 const BATCH_TARGET: u64 = 1024;
 
-/// When the late run holds this many keys, the near band is flushed
+/// When the late heap holds this many keys, the near band is flushed
 /// back to `far` and re-migrated with a freshly (and therefore
 /// narrower) computed window.
 const LATE_CAP: usize = 2048;
@@ -88,8 +88,9 @@ pub(crate) struct CalendarQueue<T> {
     /// Sorted near-band keys; `batch[cursor..]` are still pending.
     batch: Vec<Key>,
     cursor: usize,
-    /// In-window pushes that arrived after the batch was sealed, sorted.
-    late: VecDeque<Key>,
+    /// In-window pushes that arrived after the batch was sealed, a
+    /// min-heap on `(time, seq)`.
+    late: BinaryHeap<Reverse<Key>>,
     /// Out-of-window keys, unsorted.
     far: Vec<Key>,
     /// Smallest fire time in `far` (`Time::MAX` when empty).
@@ -110,7 +111,7 @@ impl<T: Default> CalendarQueue<T> {
         CalendarQueue {
             batch: Vec::new(),
             cursor: 0,
-            late: VecDeque::new(),
+            late: BinaryHeap::new(),
             far: Vec::new(),
             far_min: Time::MAX,
             boundary: 0,
@@ -141,7 +142,7 @@ impl<T: Default> CalendarQueue<T> {
 
     /// What a key must sort below to be the one the next
     /// [`Self::pop_due`]`(horizon)` returns, were it pushed: the smaller of
-    /// the near band's head and the late run's; `(far_min, 0)` while the
+    /// the near band's head and the late heap's; `(far_min, 0)` while the
     /// far band holds anything — it keeps its minimum's time but not its
     /// tie-break, so a key on `far_min` must count as behind it; and
     /// `(horizon, u64::MAX)`, past which nothing pops. An empty far band
@@ -157,7 +158,7 @@ impl<T: Default> CalendarQueue<T> {
             .batch
             .get(self.cursor)
             .into_iter()
-            .chain(self.late.front());
+            .chain(self.late.peek().map(|k| &k.0));
         heads
             .map(|k| (k.time, k.seq()))
             .fold(far.min((horizon, u64::MAX)), Ord::min)
@@ -178,13 +179,7 @@ impl<T: Default> CalendarQueue<T> {
             self.far_min = self.far_min.min(time);
             self.far.push(key);
         } else {
-            match self.late.back() {
-                Some(back) if key < *back => {
-                    let at = self.late.partition_point(|k| *k < key);
-                    self.late.insert(at, key);
-                }
-                _ => self.late.push_back(key),
-            }
+            self.late.push(Reverse(key));
             if self.late.len() >= LATE_CAP {
                 self.flush_near();
             }
@@ -202,7 +197,7 @@ impl<T: Default> CalendarQueue<T> {
     pub fn pop_due(&mut self, horizon: Time) -> Option<(Time, u64, T)> {
         loop {
             let near = self.batch.get(self.cursor).copied();
-            let late = self.late.front().copied();
+            let late = self.late.peek().map(|k| k.0);
             let use_late = match (near, late) {
                 (Some(a), Some(b)) => b < a,
                 (None, Some(_)) => true,
@@ -226,7 +221,7 @@ impl<T: Default> CalendarQueue<T> {
             let what = std::mem::take(&mut self.slots[k.slot()]);
             self.free.push(k.slot() as u32);
             if use_late {
-                self.late.pop_front();
+                self.late.pop();
             } else {
                 self.cursor += 1;
             }
@@ -268,20 +263,17 @@ impl<T: Default> CalendarQueue<T> {
     }
 
     /// The near window turned out to sit in a dense region (the late
-    /// run filled up): return everything near to `far` and drop the
+    /// heap filled up): return everything near to `far` and drop the
     /// boundary, so the next pop re-migrates with a window computed
     /// from the actual local density.
     fn flush_near(&mut self) {
-        for k in self.batch.drain(self.cursor..) {
+        let late = self.late.drain().map(|Reverse(k)| k);
+        for k in self.batch.drain(self.cursor..).chain(late) {
             self.far_min = self.far_min.min(k.time);
             self.far.push(k);
         }
         self.cursor = 0;
         self.batch.clear();
-        for k in self.late.drain(..) {
-            self.far_min = self.far_min.min(k.time);
-            self.far.push(k);
-        }
         self.boundary = 0;
     }
 }
@@ -364,7 +356,7 @@ mod tests {
         /// and popping once up to `horizon` would hand it straight back —
         /// but for a successor's key on the far band's minimum time, which
         /// it leaves to the queue. Keys are sealed into the near band by a
-        /// first pop, then pushed into the late run and, when `far` says
+        /// first pop, then pushed into the late heap and, when `far` says
         /// so, the far band. The probe is a process's `Resume`, on a fresh
         /// tie-break value (above every queued one), or a link's successor,
         /// on one a series reserved before some of the queued ones (odd,
@@ -401,7 +393,7 @@ mod tests {
             prop_assert_eq!(far, !q.far.is_empty());
             let time = match which {
                 1 => q.batch.get(q.cursor).map(|k| k.time),
-                2 => q.late.front().map(|k| k.time),
+                2 => q.late.peek().map(|k| k.0.time),
                 3 => far.then_some(q.far_min),
                 _ => None,
             }
@@ -423,6 +415,127 @@ mod tests {
         }
     }
 
+    /// The reference: every pending entry by `(time, seq)`.
+    type Model = std::collections::BTreeMap<(Time, u64), u32>;
+
+    /// Push `(time, seq)` with payload `id` into the queue and the model,
+    /// unless the model already holds that key (a reserved tie-break drawn
+    /// twice on one time).
+    fn push_both(q: &mut CalendarQueue<u32>, model: &mut Model, time: Time, seq: u64, id: u32) {
+        if let std::collections::btree_map::Entry::Vacant(at) = model.entry((time, seq)) {
+            at.insert(id);
+            q.push(time, seq, id);
+        }
+    }
+
+    /// Whether the near or the late band holds anything: if not, the next
+    /// pop migrates.
+    fn near_held(q: &CalendarQueue<u32>) -> bool {
+        q.cursor < q.batch.len() || !q.late.is_empty()
+    }
+
+    /// What `q.bound(horizon)` must say of the model's first entry: the
+    /// entry itself while it sits in the near or the late band, its time
+    /// alone while it sits in the far band (the `far_min` tie rule), and
+    /// never more than `(horizon, u64::MAX)`.
+    fn bound_of(q: &CalendarQueue<u32>, model: &Model, horizon: Time) -> (Time, u64) {
+        let near = near_held(q);
+        let first = model
+            .keys()
+            .next()
+            .map(|&(t, s)| (t, if near { s } else { 0 }));
+        first.map_or((horizon, u64::MAX), |k| k.min((horizon, u64::MAX)))
+    }
+
+    /// One `pop_due(horizon)` checked against the model: `bound` names the
+    /// entry first, and the pop hands back the model's first entry due by
+    /// `horizon`, or nothing when none is. Returns the popped time.
+    fn pop_both(
+        q: &mut CalendarQueue<u32>,
+        model: &mut Model,
+        horizon: Time,
+    ) -> Result<Option<Time>, TestCaseError> {
+        prop_assert_eq!(q.bound(horizon), bound_of(q, model, horizon));
+        let due = model.first_key_value().filter(|(k, _)| k.0 <= horizon);
+        let want = due.map(|(&(t, s), &id)| (t, s, id));
+        prop_assert_eq!(q.pop_due(horizon), want);
+        if let Some((t, s, _)) = want {
+            model.remove(&(t, s));
+        }
+        Ok(want.map(|w| w.0))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+        /// The queue against a reference model, a map on `(time, seq)`,
+        /// through random interleavings of pushes inside the sealed window,
+        /// past it and on the far band's minimum — on fresh tie-break
+        /// values (even, above every queued one) and on reserved ones (odd,
+        /// below some) — of pops up to random horizons, and of drains that
+        /// empty the near and late bands so the next pop seals a fresh
+        /// window; in about a quarter of the cases one burst of
+        /// [`LATE_CAP`] in-window pushes flushes them. After every step `len` matches, and
+        /// `bound` names the model's first entry; every pop hands back that
+        /// entry when it is due by the pop's horizon, and nothing when not.
+        #[test]
+        fn the_queue_pops_as_its_reference_model(
+            ops in prop::collection::vec((0..10u8, 0..1_000u64, any::<bool>(), 0..40u64), 1..160),
+            burst in 0..320usize,
+        ) {
+            let mut q = CalendarQueue::new();
+            let mut model = Model::new();
+            let (mut now, mut next_seq, mut id) = (0, 0, 0u32);
+            for (step, (op, x, fresh, reserved)) in ops.into_iter().enumerate() {
+                let seq = if fresh { next_seq } else { 2 * reserved + 1 };
+                next_seq += 2;
+                id += 1;
+                let horizon = now + x;
+                match op {
+                    0..=2 if q.boundary > now => {
+                        let time = now + x % (q.boundary - now);
+                        push_both(&mut q, &mut model, time, seq, id);
+                    }
+                    0..=3 => {
+                        let time = q.boundary.max(now) + x;
+                        push_both(&mut q, &mut model, time, seq, id);
+                    }
+                    4 if !q.far.is_empty() => {
+                        let time = q.far_min;
+                        push_both(&mut q, &mut model, time, seq, id);
+                    }
+                    4..=7 => {
+                        if let Some(t) = pop_both(&mut q, &mut model, horizon)? {
+                            now = t;
+                        }
+                    }
+                    8 => {
+                        while near_held(&q) {
+                            now = pop_both(&mut q, &mut model, Time::MAX)?.expect("pending");
+                        }
+                    }
+                    _ => {
+                        while let Some(t) = pop_both(&mut q, &mut model, Time::MAX)? {
+                            now = t;
+                        }
+                    }
+                }
+                if step == burst && q.boundary > now {
+                    let window = q.boundary - now;
+                    for i in 0..LATE_CAP as u64 {
+                        let time = now + i * 7_919 % window;
+                        id += 1;
+                        push_both(&mut q, &mut model, time, next_seq, id);
+                        next_seq += 2;
+                    }
+                    prop_assert_eq!((q.boundary, q.late.len()), (0, 0), "the burst flushed");
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.bound(horizon), bound_of(&q, &model, horizon));
+            }
+        }
+    }
+
     #[test]
     fn bound_breaks_ties_by_full_key_and_defers_on_far_min() {
         let mut q = CalendarQueue::new();
@@ -430,7 +543,7 @@ mod tests {
         q.push(20, 6, ());
         q.pop(); // seals a near band holding both keys
         assert_eq!(q.bound(Time::MAX), (20, 6), "batch head");
-        q.push(15, 8, ()); // into the late run
+        q.push(15, 8, ()); // into the late heap
         assert_eq!(q.bound(Time::MAX), (15, 8), "late head");
         assert_eq!(q.bound(12), (12, u64::MAX), "horizon");
         q.push(10_000, 10, ()); // into the far band
@@ -484,8 +597,9 @@ mod tests {
         q.pop();
     }
 
-    /// More than [`LATE_CAP`] in-window keys in mixed order: the late run
-    /// takes both appends and inserts, the flush fires at the cap, and the
+    /// More than [`LATE_CAP`] in-window keys in mixed order: the late heap
+    /// takes both appends (a key past every one pushed so far) and inserts
+    /// (a key below one of them), the flush fires at the cap, and the
     /// pops that follow — across the flush's re-migration — come out in
     /// `(time, seq)` order with `bound` naming each one before it pops.
     #[test]
@@ -496,6 +610,7 @@ mod tests {
         q.pop(); // seals a window reaching far past every key below
         let window = q.boundary;
         let (mut appends, mut inserts) = (0, 0);
+        let mut largest = None;
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut keys = vec![(1_000_000, 1)];
         for seq in 2..LATE_CAP as u64 + 102 {
@@ -511,10 +626,11 @@ mod tests {
             };
             assert!(time < window);
             if q.boundary == window {
-                match q.late.back() {
-                    Some(back) if (time, seq) < (back.time, back.seq()) => inserts += 1,
+                match largest {
+                    Some(top) if (time, seq) < top => inserts += 1,
                     _ => appends += 1,
                 }
+                largest = largest.max(Some((time, seq)));
             }
             q.push(time, seq, ());
             keys.push((time, seq));

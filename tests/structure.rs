@@ -1172,11 +1172,13 @@ const BUDGETS: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/des/src",
-        1708,
+        1700,
         "1 616 → 1 679 for the sleeping cycle's round-end guard and `ProcCtx::wait_either`; \
          1 713 when `compat/rand` folded into `rng.rs` (−152 there); 1 699 when a wait's \
          registration became one numbered entry for one ticket or two; 1 708 for \
-         `Spawned`, the handle on what a process's body returns",
+         `Spawned`, the handle on what a process's body returns; 1 700 when the late band \
+         became a binary heap (no insert search) and the flush drained both near bands \
+         in one loop",
     ),
     (
         "crates/scramnet/src",
